@@ -63,6 +63,9 @@ type shard = {
 
 type t = {
   spec : Auxview.t;
+  plain_pos : (string, int) Hashtbl.t;
+      (** base column -> position among the Plain columns, resolved once in
+          [create] *)
   plain_src : int array;  (** base-schema index of each Plain column *)
   sum_src : int array;  (** base-schema index of each Sum_of column *)
   ext_src : (int * bool) array;
@@ -94,12 +97,14 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
       (Printf.sprintf "Aux_state.create(%s): shard count %d is not a power of two"
          spec.Auxview.name shards);
   let idx c = Schema.index_of schema c in
-  let key_plain_pos =
-    match Auxview.plain_position spec schema.Schema.key with
-    | Some i -> i
-    | None -> -1
-  in
   let plain_cols = Auxview.group_columns spec in
+  let plain_pos = Hashtbl.create 8 in
+  List.iteri
+    (fun i c -> if not (Hashtbl.mem plain_pos c) then Hashtbl.add plain_pos c i)
+    plain_cols;
+  let key_plain_pos =
+    Option.value (Hashtbl.find_opt plain_pos schema.Schema.key) ~default:(-1)
+  in
   let plain_src = Array.of_list (List.map idx plain_cols) in
   let dict_for col =
     Option.map
@@ -114,7 +119,7 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
     let indexes =
       List.map
         (fun col ->
-          match Auxview.plain_position spec col with
+          match Hashtbl.find_opt plain_pos col with
           | Some pos -> (pos, { buckets = VH.create 64; pos = Icol.create () })
           | None ->
             (* a misspelled index column must not degrade to a silent full
@@ -155,6 +160,7 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
   in
   {
     spec;
+    plain_pos;
     plain_src;
     sum_src = Array.of_list (List.map idx (Auxview.summed_columns spec));
     ext_src =
@@ -693,51 +699,80 @@ let iter s f =
       done)
     s.shards
 
+let plain_position s col = Hashtbl.find_opt s.plain_pos col
+
+(* Membership of a stored cell in a small value set, without boxing the
+   cell: candidates are bucketed by [Value.hash], which [Column.hash_cell]
+   reproduces on stored cells. *)
+module IH = Hashtbl.Make (Int)
+
+let value_set vs =
+  let h = IH.create 16 in
+  List.iter
+    (fun v ->
+      let k = Value.hash v in
+      let bucket = Option.value (IH.find_opt h k) ~default:[] in
+      if not (List.exists (Value.equal v) bucket) then IH.replace h k (v :: bucket))
+    vs;
+  h
+
+let cell_in set (col : Column.t) r =
+  match IH.find_opt set (Column.hash_cell col r) with
+  | None -> false
+  | Some vs -> List.exists (Column.equal_cell col r) vs
+
+let iter_where s conds f =
+  let conds =
+    List.map
+      (fun (column, vs) ->
+        match plain_position s column with
+        | Some pos -> (pos, vs)
+        | None -> raise Not_found)
+      conds
+  in
+  let sets = List.map (fun (pos, vs) -> (pos, value_set vs)) conds in
+  let passes (sh : shard) r =
+    List.for_all (fun (pos, set) -> cell_in set sh.plains.(pos) r) sets
+  in
+  Array.iter
+    (fun (sh : shard) ->
+      (* an indexed condition column turns the scan into bucket walks *)
+      match
+        List.find_map
+          (fun (pos, vs) ->
+            Option.map (fun idx -> (idx, vs)) (List.assoc_opt pos sh.indexes))
+          conds
+      with
+      | Some (idx, vs) ->
+        List.iter
+          (fun v ->
+            match VH.find_opt idx.buckets v with
+            | None -> ()
+            | Some bucket ->
+              for i = 0 to Icol.length bucket - 1 do
+                let r = Icol.get bucket i in
+                if passes sh r then f (row_of sh r)
+              done)
+          (List.sort_uniq Value.compare vs)
+      | None ->
+        for r = 0 to nrows sh - 1 do
+          if passes sh r then f (row_of sh r)
+        done)
+    s.shards
+
 let rows_with s ~column v =
-  match Auxview.plain_position s.spec column with
-  | None -> raise Not_found
-  | Some pos ->
-    Array.fold_left
-      (fun acc sh ->
-        match List.assoc_opt pos sh.indexes with
-        | Some idx -> (
-          match VH.find_opt idx.buckets v with
-          | None -> acc
-          | Some bucket ->
-            let acc = ref acc in
-            for i = 0 to Icol.length bucket - 1 do
-              acc := row_of sh (Icol.get bucket i) :: !acc
-            done;
-            !acc)
-        | None ->
-          (* unindexed fallback: scan *)
-          let acc = ref acc in
-          for r = 0 to nrows sh - 1 do
-            if Column.equal_cell sh.plains.(pos) r v then
-              acc := row_of sh r :: !acc
-          done;
-          !acc)
-      [] s.shards
+  let acc = ref [] in
+  iter_where s [ (column, [ v ]) ] (fun row -> acc := row :: !acc);
+  !acc
 
 let plain_of s (row : row) col =
-  match Auxview.plain_position s.spec col with
+  match plain_position s col with
   | Some i -> Column.get row.sh_.plains.(i) row.r_
   | None -> raise Not_found
 
-let sum_of s (row : row) col =
-  match Auxview.sum_position s.spec col with
-  | Some i -> Column.get row.sh_.sums.(i) row.r_
-  | None -> raise Not_found
-
-let min_of s (row : row) col =
-  match Auxview.min_position s.spec col with
-  | Some i -> Column.get row.sh_.exts.(i) row.r_
-  | None -> raise Not_found
-
-let max_of s (row : row) col =
-  match Auxview.max_position s.spec col with
-  | Some i -> Column.get row.sh_.exts.(i) row.r_
-  | None -> raise Not_found
+let plain_at (row : row) i = Column.get row.sh_.plains.(i) row.r_
+let sum_at (row : row) i = Column.get row.sh_.sums.(i) row.r_
+let ext_at (row : row) i = Column.get row.sh_.exts.(i) row.r_
 
 let to_relation s =
   let rel = Relation.create ~size_hint:(group_count s) () in

@@ -143,24 +143,34 @@ val mem_key : t -> Relational.Value.t -> bool
 
 val iter : t -> (row -> unit) -> unit
 
-(** [rows_with s ~column v] are the groups whose plain [column] equals [v].
-    O(result) when [column] was indexed at {!create}; falls back to a scan
-    otherwise. *)
+(** [iter_where s conds f] visits every group whose plain [column] takes one
+    of the listed values, for every [(column, values)] of [conds] ([[]]
+    visits every group). Cells are compared where they are stored, without
+    boxing; when a condition column was indexed at {!create}, only its
+    value buckets are walked, so the cost is O(matching groups) instead of a
+    scan. [f] must not mutate [s].
+    @raise Not_found if a condition column is not kept plainly. *)
+val iter_where :
+  t -> (string * Relational.Value.t list) list -> (row -> unit) -> unit
+
+(** [rows_with s ~column v] are the groups whose plain [column] equals [v]
+    ({!iter_where} with one single-valued condition). *)
 val rows_with : t -> column:string -> Relational.Value.t -> row list
 
-(** [plain_of s row col] reads the projection of base column [col].
+(** [plain_of s row col] reads the projection of base column [col] (column
+    positions are resolved once, at {!create}).
     @raise Not_found if the column is not kept plainly. *)
 val plain_of : t -> row -> string -> Relational.Value.t
 
-(** [sum_of s row col] reads the running SUM over base column [col].
-    @raise Not_found if the column has no SUM. *)
-val sum_of : t -> row -> string -> Relational.Value.t
+(** Positional reads for callers that resolved a column once: [plain_at row
+    i] is the [i]-th plain cell ({!Mindetail.Auxview.plain_position}),
+    [sum_at] the [i]-th running sum ({!Mindetail.Auxview.sum_position}) and
+    [ext_at] the [i]-th extremum ({!Mindetail.Auxview.min_position} /
+    {!Mindetail.Auxview.max_position}). *)
+val plain_at : row -> int -> Relational.Value.t
 
-(** [min_of s row col] / [max_of s row col] read the append-only extremum
-    columns. @raise Not_found if absent. *)
-val min_of : t -> row -> string -> Relational.Value.t
-
-val max_of : t -> row -> string -> Relational.Value.t
+val sum_at : row -> int -> Relational.Value.t
+val ext_at : row -> int -> Relational.Value.t
 
 (** Project one base tuple to the grouping key of this view. *)
 val group_key_of_base : t -> Relational.Tuple.t -> Relational.Tuple.t

@@ -29,26 +29,66 @@ end)
 
 (* A row participating in a join: either a base tuple carried by a delta, or
    a stored auxiliary row. *)
-type rowval = Base of Tuple.t | Auxrow of Aux_state.t * Aux_state.row
+type rowval = Base of Tuple.t | Auxrow of Aux_state.row
 
-type agg_src = A_count | A_attr of { table : string; column : string }
+(* One joined row: a [rowval] per view table, indexed by slot (the root is
+   slot 0). Slots the join has not reached yet hold stale values. *)
+type env = rowval array
 
-type item_plan =
-  | P_group of { table : string; column : string }
-  | P_agg of { agg : Aggregate.t; src : agg_src }
+(* A column of a view table, resolved once at [init]: [base] is its index in
+   the base schema (read off a delta's tuple), [plain] its position among
+   the plain columns of the table's auxiliary view (-1 when not kept). *)
+type cref = { slot : int; base : int; plain : int }
+
+(* One outgoing key join: the parent's foreign-key column, the child's slot. *)
+type cjoin = { fk : cref; child : int }
+
+(* How an aggregate argument is read off an auxiliary row: from the running
+   SUM or the append-only MIN/MAX column the auxiliary view keeps for it,
+   else from its plain column. *)
+type aux_read = R_plain | R_sum of int | R_ext of int
+
+type agg_src = A_count | A_attr of { c : cref; aux_read : aux_read }
+
+type item_plan = P_group of cref | P_agg of { agg : Aggregate.t; src : agg_src }
+
+(* A non-CSMAS item recomputed from the auxiliary rows of its dirty groups;
+   [ext] >= 0 reads the append-only extremum column at that position instead
+   of the plain column [rc]. *)
+type rtarget = { item : int; agg : Aggregate.t; rc : cref; ext : int }
+
+(* The driving join of group-row walks (see [walk_groups]): a first hop from
+   the root whose foreign key is indexed in the root auxiliary view and
+   whose subtree determines [covered] — every non-root group column, plus
+   the foreign key itself when it is grouped on. *)
+type driving = {
+  dj : cjoin;
+  fk_column : string;  (** the root column of [dj.fk] *)
+  child_key : int;  (** plain position of the child's key in its view *)
+  covered : (int * cref) array;
+      (** group-key position and where to read it once the child's subtree
+          is joined *)
+}
 
 type t = {
   d : Derive.t;
   view : View.t;
   root : string;
+  tables : string array;  (** view tables by slot; the root is slot 0 *)
+  slots : (string, int) Hashtbl.t;
   schemas : (string, Schema.t) Hashtbl.t;
-  aux : (string, Aux_state.t) Hashtbl.t;
+  aux : Aux_state.t option array;  (** auxiliary view per slot *)
+  joins : cjoin list array;  (** outgoing joins per slot *)
   vstate : View_state.t;
   plans : item_plan array;
-  group_plan : (string * string) array;  (** (table, column) per group attr *)
+  group_plan : cref array;  (** one per group attr *)
+  rtargets : rtarget array;  (** items recomputed for dirty groups *)
+  root_groups : (string * int) list;
+      (** root columns in the group key, with their key positions *)
+  driving : driving option;
   determined : bool;  (** the root auxiliary view was eliminated *)
-  residuals : (string, Predicate.t list) Hashtbl.t;
-      (** per table: view local conditions not enforced by its auxiliary
+  residuals : Predicate.t list array;
+      (** per slot: view local conditions not enforced by its auxiliary
           view (non-empty only in the no-pushdown ablation) *)
   append_only : bool;
   root_reads : int array;
@@ -171,11 +211,9 @@ let derivation t = t.d
 (* Deep copy of all mutable state; the derivation, plans and schemas are
    immutable after [init] and stay shared. *)
 let copy t =
-  let aux = Hashtbl.create (Hashtbl.length t.aux) in
-  Hashtbl.iter (fun name st -> Hashtbl.add aux name (Aux_state.copy st)) t.aux;
   {
     t with
-    aux;
+    aux = Array.map (Option.map Aux_state.copy) t.aux;
     vstate = View_state.copy t.vstate;
     (* scratch buffers must never be shared between engines *)
     scratch_key = Array.copy t.scratch_key;
@@ -183,17 +221,17 @@ let copy t =
   }
 
 (* Structural equality of all mutable state: every auxiliary view (matched
-   by table) and the materialized view state. *)
+   by slot — both engines come from one derivation) and the materialized
+   view state. *)
 let equal_state a b =
-  Hashtbl.length a.aux = Hashtbl.length b.aux
-  && Hashtbl.fold
-       (fun name st acc ->
-         acc
-         &&
-         match Hashtbl.find_opt b.aux name with
-         | Some st' -> Aux_state.equal st st'
-         | None -> false)
-       a.aux true
+  Array.length a.aux = Array.length b.aux
+  && Array.for_all2
+       (fun x y ->
+         match x, y with
+         | Some st, Some st' -> Aux_state.equal st st'
+         | None, None -> true
+         | Some _, None | None, Some _ -> false)
+       a.aux b.aux
   && View_state.equal a.vstate b.vstate
 
 (* --- transactions ------------------------------------------------------- *)
@@ -203,77 +241,89 @@ let equal_state a b =
 let in_txn t = View_state.in_txn t.vstate
 
 let begin_txn t =
-  Hashtbl.iter (fun _ st -> Aux_state.begin_txn st) t.aux;
+  Array.iter (Option.iter Aux_state.begin_txn) t.aux;
   View_state.begin_txn t.vstate
 
 let commit t =
-  Hashtbl.iter (fun _ st -> Aux_state.commit st) t.aux;
+  Array.iter (Option.iter Aux_state.commit) t.aux;
   View_state.commit t.vstate
 
 let rollback t =
-  Hashtbl.iter (fun _ st -> Aux_state.rollback st) t.aux;
+  Array.iter (Option.iter Aux_state.rollback) t.aux;
   View_state.rollback t.vstate
 
 let schema t name = Hashtbl.find t.schemas name
-let aux_of t name = Hashtbl.find_opt t.aux name
+
+let aux_of t name =
+  match Hashtbl.find_opt t.slots name with
+  | Some s -> t.aux.(s)
+  | None -> None
 
 let dim_aux t name =
   match aux_of t name with
   | Some st -> st
   | None -> invariant "auxiliary view for %s is missing" name
 
+let slot_aux t s =
+  match t.aux.(s) with
+  | Some st -> st
+  | None -> invariant "auxiliary view for %s is missing" t.tables.(s)
+
 (* --- reading attribute values out of a joined row -------------------- *)
 
-let read t env table column =
-  match List.assoc table env with
-  | Base tup -> tup.(Schema.index_of (schema t table) column)
-  | Auxrow (st, row) -> Aux_state.plain_of st row column
+let read (env : env) c =
+  match env.(c.slot) with
+  | Base tup -> tup.(c.base)
+  | Auxrow row -> Aux_state.plain_at row c.plain
 
-let group_key t env =
-  Array.map (fun (table, column) -> read t env table column) t.group_plan
+let group_key t env = Array.map (read env) t.group_plan
 
 (* Allocation-free variant for the hot path; [dst] must not be retained by
    the callee (View_state copies keys on retention). *)
 let group_key_into t env dst =
-  Array.iteri
-    (fun i (table, column) -> dst.(i) <- read t env table column)
-    t.group_plan
+  Array.iteri (fun i c -> dst.(i) <- read env c) t.group_plan
 
-(* View local conditions on [table] not already enforced by its auxiliary
+(* View local conditions on slot [s] not already enforced by its auxiliary
    view, evaluated against an auxiliary row (the condition columns are kept
    plainly whenever the list is non-empty). *)
-let residual_ok t table (st : Aux_state.t) row =
-  match Hashtbl.find_opt t.residuals table with
-  | None | Some [] -> true
-  | Some ps ->
+let residual_ok t s row =
+  match t.residuals.(s) with
+  | [] -> true
+  | ps ->
+    let st = slot_aux t s in
     let look (a : Attr.t) = Aux_state.plain_of st row a.Attr.column in
     List.for_all (fun p -> Predicate.holds p look) ps
 
-(* Extend an environment along the join tree; key joins find at most one
-   partner per table, all of them in dimension auxiliary views. *)
-let rec extend t env table =
-  List.fold_left
-    (fun env_opt (j : View.join) ->
-      match env_opt with
-      | None -> None
-      | Some env -> (
-        let fk = read t env j.View.src.Attr.table j.View.src.Attr.column in
-        let child = j.View.dst.Attr.table in
-        let child_st = dim_aux t child in
-        match Aux_state.find_by_key child_st fk with
-        | None -> None
-        | Some row ->
-          if residual_ok t child child_st row then
-            extend t ((child, Auxrow (child_st, row)) :: env) child
-          else None))
-    (Some env) (View.joins_from t.view table)
+let new_env t : env = Array.make (Array.length t.tables) (Base [||])
+
+(* Extend [env] along the join tree below slot [s]; key joins find at most
+   one partner per table, all of them in dimension auxiliary views. *)
+let rec extend t env s = List.for_all (join_one t env) t.joins.(s)
+
+and join_one t env j =
+  match Aux_state.find_by_key (slot_aux t j.child) (read env j.fk) with
+  | None -> false
+  | Some row ->
+    residual_ok t j.child row
+    && begin
+         env.(j.child) <- Auxrow row;
+         extend t env j.child
+       end
+
+(* The joined row of a root base tuple, if it has every join partner. *)
+let base_env t tup =
+  let env = new_env t in
+  env.(0) <- Base tup;
+  if extend t env 0 then Some env else None
 
 (* Root auxiliary rows participate in the view only when they pass the view
-   conditions not already enforced by the root spec (no-pushdown ablation). *)
-let extend_root t root_st row =
-  if residual_ok t t.root root_st row then
-    extend t [ (t.root, Auxrow (root_st, row)) ] t.root
-  else None
+   conditions not already enforced by the root spec (no-pushdown ablation).
+   Joins [row] into [env]; the subtree of slot [skip], if given, is left as
+   the caller already joined it. *)
+let extend_root ?(skip = -1) t env row =
+  env.(0) <- Auxrow row;
+  residual_ok t 0 row
+  && List.for_all (fun j -> j.child = skip || join_one t env j) t.joins.(0)
 
 (* --- contributions ---------------------------------------------------- *)
 
@@ -292,44 +342,27 @@ let value_contrib (agg : Aggregate.t) a ~cnt =
       (* COUNTs are planned as A_count *)
       assert false
 
-let contrib_of t env ~cnt plan =
+let contrib_of (env : env) ~cnt plan =
   match plan with
   | P_group _ -> None
   | P_agg { agg; src } ->
     Some
       (match src with
       | A_count -> View_state.C_count cnt
-      | A_attr { table; column } -> (
-        match List.assoc table env with
-        | Base tup ->
-          value_contrib agg
-            tup.(Schema.index_of (schema t table) column)
-            ~cnt
-        | Auxrow (st, row) ->
-          let spec = Aux_state.spec st in
-          if
-            is_csmas_sum agg
-            && Auxview.sum_position spec column <> None
-          then
-            View_state.C_sum
-              { amount = Aux_state.sum_of st row column; n = cnt }
-          else if
-            (not agg.Aggregate.distinct)
-            && agg.Aggregate.func = Aggregate.Min
-            && Auxview.min_position spec column <> None
-          then View_state.C_value (Aux_state.min_of st row column)
-          else if
-            (not agg.Aggregate.distinct)
-            && agg.Aggregate.func = Aggregate.Max
-            && Auxview.max_position spec column <> None
-          then View_state.C_value (Aux_state.max_of st row column)
-          else value_contrib agg (Aux_state.plain_of st row column) ~cnt))
+      | A_attr { c; aux_read } -> (
+        match env.(c.slot) with
+        | Base tup -> value_contrib agg tup.(c.base) ~cnt
+        | Auxrow row -> (
+          match aux_read with
+          | R_sum i -> View_state.C_sum { amount = Aux_state.sum_at row i; n = cnt }
+          | R_ext i -> View_state.C_value (Aux_state.ext_at row i)
+          | R_plain -> value_contrib agg (Aux_state.plain_at row c.plain) ~cnt)))
 
-let contribs t env ~cnt = Array.map (contrib_of t env ~cnt) t.plans
+let contribs t env ~cnt = Array.map (contrib_of env ~cnt) t.plans
 
 (* Allocation-free variant; [dst] is not retained by View_state. *)
 let contribs_into t env ~cnt dst =
-  Array.iteri (fun i plan -> dst.(i) <- contrib_of t env ~cnt plan) t.plans
+  Array.iteri (fun i plan -> dst.(i) <- contrib_of env ~cnt plan) t.plans
 
 (* --- local conditions and semijoin membership ------------------------- *)
 
@@ -366,7 +399,7 @@ let in_aux t table tup =
 (* --- root-table changes ----------------------------------------------- *)
 
 let root_view_feed t tup ~sign =
-  match extend t [ (t.root, Base tup) ] t.root with
+  match base_env t tup with
   | None -> ()
   | Some env ->
     (* scratch buffers avoid a per-tuple key + contribution allocation;
@@ -485,32 +518,23 @@ let dim_update_diff t table ~before ~after =
           Aux_state.rows_with root_st ~column:j1.View.src.Attr.column v @ acc)
         fk_targets []
   in
-  let affected = ref affected in
-  (* capture the old contributions before mutating X_table *)
-  let old_feeds =
+  let env = new_env t in
+  let feeds () =
     List.filter_map
       (fun row ->
-        match extend_root t root_st row with
-        | None -> None
-        | Some env ->
+        if extend_root t env row then
           let cnt = Aux_state.cnt row in
-          Some (group_key t env, cnt, contribs t env ~cnt))
-      !affected
+          Some (group_key t env, cnt, contribs t env ~cnt)
+        else None)
+      affected
   in
+  (* capture the old contributions before mutating X_table *)
+  let old_feeds = feeds () in
   let was_in = in_aux t table before in
   let st = dim_aux t table in
   if was_in then Aux_state.delete_base st before;
   if in_aux t table after then Aux_state.insert_base st after;
-  let new_feeds =
-    List.filter_map
-      (fun row ->
-        match extend_root t root_st row with
-        | None -> None
-        | Some env ->
-          let cnt = Aux_state.cnt row in
-          Some (group_key t env, cnt, contribs t env ~cnt))
-      !affected
-  in
+  let new_feeds = feeds () in
   List.iter
     (fun (key, cnt, cs) -> View_state.unfeed t.vstate ~key ~cnt cs)
     old_feeds;
@@ -545,10 +569,8 @@ let dim_update_rewrite t table ~before ~after =
   let st = dim_aux t table in
   let kept = Auxview.group_columns (Aux_state.spec st) in
   let changed =
-    List.filter_map
-      (fun i ->
-        let col = sch.Schema.columns.(i).Schema.col_name in
-        if List.mem col kept then Some col else None)
+    List.filter
+      (fun i -> List.mem sch.Schema.columns.(i).Schema.col_name kept)
       (Delta.changed_indices (Delta.Update { before; after }))
   in
   if changed = [] then ()
@@ -610,9 +632,10 @@ let dim_update_rewrite t table ~before ~after =
       |> List.mapi (fun i plan -> (i, plan))
       |> List.filter_map (fun (i, plan) ->
              match plan with
-             | P_agg { agg; src = A_attr { table = tb; column } }
-               when String.equal tb table && List.mem column changed ->
-               let ci = Schema.index_of sch column in
+             | P_agg { agg; src = A_attr { c; _ } }
+               when String.equal t.tables.(c.slot) table
+                    && List.mem c.base changed ->
+               let ci = c.base in
                if is_csmas_sum agg then
                  Some
                    ( i,
@@ -656,19 +679,90 @@ let dim_update t table ~before ~after =
 (* --- recomputation of dirty non-CSMAS components ----------------------- *)
 
 let finalize_distinct (agg : Aggregate.t) set =
-  let elts = VSet.elements set in
-  let n = List.length elts in
-  if n = 0 then invariant "empty DISTINCT set during recomputation";
+  if VSet.is_empty set then invariant "empty DISTINCT set during recomputation";
+  let sum () = VSet.fold Value.add set (Value.zero_like (VSet.min_elt set)) in
   match agg.Aggregate.func with
-  | Aggregate.Count -> Value.Int n
-  | Aggregate.Sum ->
-    List.fold_left Value.add (Value.zero_like (List.hd elts)) elts
-  | Aggregate.Avg ->
-    let s = List.fold_left Value.add (Value.zero_like (List.hd elts)) elts in
-    Value.div_as_float s (Value.Int n)
-  | Aggregate.Min -> List.hd elts
-  | Aggregate.Max -> List.nth elts (n - 1)
+  | Aggregate.Count -> Value.Int (VSet.cardinal set)
+  | Aggregate.Sum -> sum ()
+  | Aggregate.Avg -> Value.div_as_float (sum ()) (Value.Int (VSet.cardinal set))
+  | Aggregate.Min -> VSet.min_elt set
+  | Aggregate.Max -> VSet.max_elt set
   | Aggregate.Count_star -> assert false
+
+(* The driving join, when its child auxiliary view is currently smaller than
+   the root's — the one condition of the path rule that depends on state. *)
+let live_driving t root_st =
+  match t.driving with
+  | Some d
+    when Aux_state.row_count (slot_aux t d.dj.child)
+         < Aux_state.row_count root_st ->
+    Some d
+  | Some _ | None -> None
+
+(* [walk_groups t root_st groups f] calls [f v key env row] for every root
+   auxiliary row [row] whose joined group key [key] is bound to [v] in
+   [groups] — "the root rows of these groups", for recomputation and the
+   audit alike. [key] and [env] are scratch buffers, valid during the call.
+
+   Two paths, chosen per walk:
+   - driving-join walk, when the engine has a [driving] join whose child
+     auxiliary view is smaller than the root's: iterate the child's rows, join each
+     one's subtree once, and skip it unless its part of the group key can
+     match one of [groups]; for the rest, walk the root rows of its foreign
+     key bucket (indexed), joining only the other subtrees per root row.
+     O(|child| + rows of the matching children);
+   - filtered scan, otherwise: one pass over the root auxiliary view that
+     compares each root group column's stored cell against the values the
+     groups take there before joining anything — an indexed group column
+     walks its value buckets instead. O(|root|) cell compares plus
+     O(matching rows) joins. *)
+let walk_groups t root_st groups f =
+  let env = new_env t in
+  let key = Array.make (Array.length t.group_plan) Value.Null in
+  let visit ?skip row =
+    if extend_root ?skip t env row then begin
+      group_key_into t env key;
+      match TH.find_opt groups key with
+      | Some v -> f v key env row
+      | None -> ()
+    end
+  in
+  let root_conds () =
+    List.map
+      (fun (column, i) ->
+        (column, TH.fold (fun k _ acc -> k.(i) :: acc) groups []))
+      t.root_groups
+  in
+  match live_driving t root_st with
+  | _ when TH.length groups = 0 -> ()
+  | Some d ->
+    let child = d.dj.child in
+    let wanted = TH.create (TH.length groups) in
+    TH.iter
+      (fun k _ -> TH.replace wanted (Array.map (fun (i, _) -> k.(i)) d.covered) ())
+      groups;
+    let part = Array.make (Array.length d.covered) Value.Null in
+    let conds = root_conds () in
+    Aux_state.iter (slot_aux t child) (fun crow ->
+        env.(child) <- Auxrow crow;
+        if residual_ok t child crow && extend t env child then begin
+          Array.iteri (fun j (_, c) -> part.(j) <- read env c) d.covered;
+          if TH.mem wanted part then
+            (* the child's key is the foreign key of its root rows *)
+            let fk = Aux_state.plain_at crow d.child_key in
+            Aux_state.iter_where root_st
+              ((d.fk_column, [ fk ]) :: conds)
+              (visit ~skip:child)
+        end)
+  | None -> Aux_state.iter_where root_st (root_conds ()) visit
+
+let group_walk t =
+  Option.map
+    (fun root_st ->
+      match live_driving t root_st with
+      | Some d -> `Driving_join t.tables.(d.dj.child)
+      | None -> `Filtered_scan)
+    t.aux.(0)
 
 type recompute_acc = R_extremum of Value.t option ref | R_distinct of VSet.t ref
 
@@ -681,101 +775,64 @@ let flush_dirty t =
           (List.length dirty_keys) t.view.View.name);
     if t.determined then
       invariant "dirty groups cannot arise when the root view is eliminated";
-    let root_st =
-      match aux_of t t.root with
-      | Some st -> st
-      | None -> invariant "dirty groups without a root auxiliary view"
-    in
-    (* items needing recomputation: aggregates that are not CSMAS under the
-       paper's standard classification. Their value is re-derived from the
-       auxiliary rows — from the plain column, or (append-only mode, where
-       dimension updates can still regroup rows) from the pre-aggregated
-       MIN/MAX column of the root view. *)
-    let targets =
-      Array.to_list t.plans
-      |> List.mapi (fun i plan -> (i, plan))
-      |> List.filter_map (fun (i, plan) ->
-             match plan with
-             | P_agg { agg; src = _ } when not (Mindetail.Classify.is_csmas agg)
-               -> (
-               match Derive.agg_source t.d agg with
-               | Some (Derive.From_plain _ as src) -> Some (i, agg, src)
-               | Some ((Derive.From_min _ | Derive.From_max _) as src) ->
-                 Some (i, agg, src)
-               | _ -> None)
-             | P_agg _ | P_group _ -> None)
-    in
+    let root_st = slot_aux t 0 in
+    (* the items to recompute are the aggregates that are not CSMAS under
+       the paper's standard classification ([rtargets]). Their value is
+       re-derived from the auxiliary rows — from the plain column, or
+       (append-only mode, where dimension updates can still regroup rows)
+       from the pre-aggregated MIN/MAX column of the root view. *)
     let dirty : recompute_acc array TH.t = TH.create 16 in
     List.iter
       (fun key ->
         if not (TH.mem dirty key) then
           TH.add dirty key
-            (Array.of_list
-               (List.map
-                  (fun (_, agg, _) ->
-                    if agg.Aggregate.distinct then R_distinct (ref VSet.empty)
-                    else R_extremum (ref None))
-                  targets)))
+            (Array.map
+               (fun r ->
+                 if r.agg.Aggregate.distinct then R_distinct (ref VSet.empty)
+                 else R_extremum (ref None))
+               t.rtargets))
       dirty_keys;
-    Aux_state.iter root_st (fun row ->
-        match extend_root t root_st row with
-        | None -> ()
-        | Some env ->
-          let key = group_key t env in
-          (match TH.find_opt dirty key with
-          | None -> ()
-          | Some accs ->
-            List.iteri
-              (fun j (_, agg, src) ->
-                let a =
-                  match src with
-                  | Derive.From_plain { table; column } ->
-                    read t env table column
-                  | Derive.From_min { table; column } -> (
-                    match List.assoc table env with
-                    | Auxrow (st, arow) -> Aux_state.min_of st arow column
-                    | Base tup ->
-                      tup.(Schema.index_of (schema t table) column))
-                  | Derive.From_max { table; column } -> (
-                    match List.assoc table env with
-                    | Auxrow (st, arow) -> Aux_state.max_of st arow column
-                    | Base tup ->
-                      tup.(Schema.index_of (schema t table) column))
-                  | Derive.From_sum _ | Derive.From_count ->
-                    invariant "CSMAS marked for recomputation"
-                in
-                match accs.(j) with
-                | R_distinct set -> set := VSet.add a !set
-                | R_extremum cur ->
-                  cur :=
-                    Some
-                      (match !cur with
-                      | None -> a
-                      | Some m ->
-                        let better =
-                          match agg.Aggregate.func with
-                          | Aggregate.Min -> Value.compare a m < 0
-                          | Aggregate.Max -> Value.compare a m > 0
-                          | _ -> assert false
-                        in
-                        if better then a else m))
-              targets));
+    if Array.length t.rtargets > 0 then
+      walk_groups t root_st dirty (fun accs _key env _row ->
+          Array.iteri
+            (fun j r ->
+              let a =
+                match env.(r.rc.slot) with
+                | Base tup -> tup.(r.rc.base)
+                | Auxrow row ->
+                  if r.ext >= 0 then Aux_state.ext_at row r.ext
+                  else Aux_state.plain_at row r.rc.plain
+              in
+              match accs.(j) with
+              | R_distinct set -> set := VSet.add a !set
+              | R_extremum cur ->
+                cur :=
+                  Some
+                    (match !cur with
+                    | None -> a
+                    | Some m ->
+                      let c = Value.compare a m in
+                      if (r.agg.Aggregate.func = Aggregate.Min && c < 0)
+                         || (r.agg.Aggregate.func = Aggregate.Max && c > 0)
+                      then a
+                      else m))
+            t.rtargets);
     TH.iter
       (fun key accs ->
         (* groups removed since being dirtied have no view entry and stay
            silent in set_value *)
-        List.iteri
-          (fun j (i, agg, _) ->
+        Array.iteri
+          (fun j r ->
             match accs.(j) with
             | R_distinct set ->
               if not (VSet.is_empty !set) then
-                View_state.set_value t.vstate ~key ~item:i
-                  (finalize_distinct agg !set)
+                View_state.set_value t.vstate ~key ~item:r.item
+                  (finalize_distinct r.agg !set)
             | R_extremum cur -> (
               match !cur with
-              | Some v -> View_state.set_value t.vstate ~key ~item:i v
+              | Some v -> View_state.set_value t.vstate ~key ~item:r.item v
               | None -> ()))
-          targets)
+          t.rtargets)
       dirty
 
 (* The paper-facing dashboard: per auxiliary view, resident rows vs. the
@@ -818,6 +875,38 @@ let post_order g =
    destinations, and their by-key probe must remain a single lookup. *)
 let nshards = 16
 
+(* The driving join of [walk_groups], if the view has one: a first hop from
+   the root whose foreign key is indexed in the root auxiliary view, whose
+   subtree holds every non-root group column, and which determines at least
+   one group-key position (otherwise it could not skip a single child row).
+   The size condition (child smaller than root) is checked per walk. *)
+let find_driving ~joins ~group_plan ~root_indexed ~key_ref =
+  let rec subtree s = s :: List.concat_map (fun j -> subtree j.child) joins.(s) in
+  let candidate j fk_column =
+    let sub = subtree j.child in
+    let in_sub c = List.mem c.slot sub in
+    if Array.for_all (fun c -> c.slot = 0 || in_sub c) group_plan then
+      let covered =
+        Array.to_list group_plan
+        |> List.mapi (fun i c -> (i, c))
+        |> List.filter_map (fun (i, c) ->
+               if in_sub c then Some (i, c)
+               else if c = j.fk then
+                 (* grouped on the foreign key itself: the child's key *)
+                 Some (i, key_ref j.child)
+               else None)
+        |> Array.of_list
+      in
+      if Array.length covered = 0 then None
+      else
+        Some { dj = j; fk_column; child_key = (key_ref j.child).plain; covered }
+    else None
+  in
+  List.find_map
+    (fun j ->
+      Option.bind (List.assoc_opt j.fk.base root_indexed) (candidate j))
+    joins.(0)
+
 let init ?(fk_index = true) db (d : Derive.t) =
   let view = d.Derive.view in
   let root = Derive.root d in
@@ -826,37 +915,135 @@ let init ?(fk_index = true) db (d : Derive.t) =
     (fun tbl -> Hashtbl.add schemas tbl (Database.schema_of db tbl))
     view.View.tables;
   let determined = Option.is_none (Derive.spec_for d root) in
+  let tables =
+    Array.of_list
+      (root :: List.filter (fun tbl -> not (String.equal tbl root)) view.View.tables)
+  in
+  let slots = Hashtbl.create 8 in
+  Array.iteri (fun i tbl -> Hashtbl.add slots tbl i) tables;
+  let cref table column =
+    {
+      slot = Hashtbl.find slots table;
+      base = Schema.index_of (Hashtbl.find schemas table) column;
+      plain =
+        (match Derive.spec_for d table with
+        | Some spec -> Option.value (Auxview.plain_position spec column) ~default:(-1)
+        | None -> -1);
+    }
+  in
+  let aref (a : Attr.t) = cref a.Attr.table a.Attr.column in
+  let joins =
+    Array.map
+      (fun tbl ->
+        List.map
+          (fun (j : View.join) ->
+            { fk = aref j.View.src; child = Hashtbl.find slots j.View.dst.Attr.table })
+          (View.joins_from view tbl))
+      tables
+  in
   let plans =
     Array.of_list
       (List.map
          (fun item ->
            match item with
-           | Select_item.Group { attr; _ } ->
-             P_group { table = attr.Attr.table; column = attr.Attr.column }
+           | Select_item.Group { attr; _ } -> P_group (aref attr)
            | Select_item.Agg agg ->
              let src =
-               match agg.Aggregate.func, agg.Aggregate.distinct with
-               | Aggregate.Count_star, _ -> A_count
-               | Aggregate.Count, false -> A_count
-               | _ -> (
-                 match Aggregate.attr agg with
-                 | Some (a : Attr.t) ->
-                   A_attr { table = a.Attr.table; column = a.Attr.column }
-                 | None -> assert false)
+               match agg.Aggregate.func, agg.Aggregate.distinct, Aggregate.attr agg with
+               | Aggregate.Count_star, _, _ | Aggregate.Count, false, _ -> A_count
+               | _, _, Some (a : Attr.t) ->
+                 let pos f =
+                   Option.bind (Derive.spec_for d a.Attr.table) (fun spec ->
+                       f spec a.Attr.column)
+                 in
+                 let plain_only = agg.Aggregate.distinct in
+                 let aux_read =
+                   match agg.Aggregate.func with
+                   | _ when is_csmas_sum agg -> (
+                     match pos Auxview.sum_position with
+                     | Some i -> R_sum i
+                     | None -> R_plain)
+                   | Aggregate.Min when not plain_only -> (
+                     match pos Auxview.min_position with
+                     | Some i -> R_ext i
+                     | None -> R_plain)
+                   | Aggregate.Max when not plain_only -> (
+                     match pos Auxview.max_position with
+                     | Some i -> R_ext i
+                     | None -> R_plain)
+                   | _ -> R_plain
+                 in
+                 A_attr { c = aref a; aux_read }
+               | _, _, None -> assert false
              in
              P_agg { agg; src })
          view.View.select)
   in
-  let group_plan =
-    Array.of_list
-      (List.map
-         (fun (a : Attr.t) -> (a.Attr.table, a.Attr.column))
-         (View.group_attrs view))
+  let group_plan = Array.of_list (List.map aref (View.group_attrs view)) in
+  let rtargets =
+    Array.to_list plans
+    |> List.mapi (fun item plan -> (item, plan))
+    |> List.filter_map (fun (item, plan) ->
+           match plan with
+           | P_agg { agg; _ } when not (Mindetail.Classify.is_csmas agg) -> (
+             let ext ~is_min table column =
+               match Derive.spec_for d table with
+               | Some spec -> (
+                 match
+                   (if is_min then Auxview.min_position else Auxview.max_position)
+                     spec column
+                 with
+                 | Some i -> { item; agg; rc = cref table column; ext = i }
+                 | None -> invariant "no extremum column for %s.%s" table column)
+               | None -> invariant "no auxiliary view for %s" table
+             in
+             match Derive.agg_source d agg with
+             | Some (Derive.From_plain { table; column }) ->
+               Some { item; agg; rc = cref table column; ext = -1 }
+             | Some (Derive.From_min { table; column }) ->
+               Some (ext ~is_min:true table column)
+             | Some (Derive.From_max { table; column }) ->
+               Some (ext ~is_min:false table column)
+             | Some (Derive.From_sum _ | Derive.From_count) | None -> None)
+           | P_agg _ | P_group _ -> None)
+    |> Array.of_list
   in
-  let residuals = Hashtbl.create 8 in
-  List.iter
-    (fun tbl -> Hashtbl.add residuals tbl (Derive.residual_locals d tbl))
-    view.View.tables;
+  (* index every auxiliary view on its outgoing foreign keys so
+     dimension-update propagation touches only the affected rows; only fk
+     columns the spec keeps plainly can be indexed — the rest are
+     unreachable through this auxiliary view anyway *)
+  let indexed_columns tbl =
+    match Derive.spec_for d tbl with
+    | Some spec when fk_index ->
+      List.filter
+        (fun col -> Auxview.plain_position spec col <> None)
+        (List.map
+           (fun (j : View.join) -> j.View.src.Attr.column)
+           (View.joins_from view tbl))
+    | Some _ | None -> []
+  in
+  let root_groups =
+    Array.to_list group_plan
+    |> List.mapi (fun i c -> (i, c))
+    |> List.filter_map (fun (i, c) ->
+           if c.slot = 0 then
+             Some ((Hashtbl.find schemas root).Schema.columns.(c.base).Schema.col_name, i)
+           else None)
+  in
+  let driving =
+    if determined then None
+    else
+      let root_sch = Hashtbl.find schemas root in
+      find_driving ~joins ~group_plan
+        ~root_indexed:
+          (List.map
+             (fun col -> (Schema.index_of root_sch col, col))
+             (indexed_columns root))
+        ~key_ref:(fun s ->
+          let tbl = tables.(s) in
+          cref tbl (Hashtbl.find schemas tbl).Schema.key)
+  in
+  let residuals = Array.map (Derive.residual_locals d) tables in
   (* Everything the engine can ever read off a root base tuple: group-by and
      aggregate sources, view local-condition columns, outgoing join foreign
      keys, and — when the root auxiliary view is retained — its kept,
@@ -866,14 +1053,11 @@ let init ?(fk_index = true) db (d : Derive.t) =
     let sch = Hashtbl.find schemas root in
     let cols = ref [] in
     let add_col c = cols := Schema.index_of sch c :: !cols in
-    Array.iter
-      (fun (tbl, col) -> if String.equal tbl root then add_col col)
-      group_plan;
+    let add_ref c = if c.slot = 0 then cols := c.base :: !cols in
+    Array.iter add_ref group_plan;
     Array.iter
       (function
-        | P_agg { src = A_attr { table; column }; _ }
-          when String.equal table root ->
-          add_col column
+        | P_agg { src = A_attr { c; _ }; _ } -> add_ref c
         | P_agg _ | P_group _ -> ())
       plans;
     List.iter add_col (View.local_columns view ~table:root);
@@ -906,11 +1090,17 @@ let init ?(fk_index = true) db (d : Derive.t) =
       d;
       view;
       root;
+      tables;
+      slots;
       schemas;
-      aux = Hashtbl.create 8;
+      aux = Array.make (Array.length tables) None;
+      joins;
       vstate = View_state.create ~shards:nshards ~dict_pool view ~determined;
       plans;
       group_plan;
+      rtargets;
+      root_groups;
+      driving;
       determined;
       residuals;
       append_only = d.Derive.options.Derive.append_only;
@@ -936,25 +1126,12 @@ let init ?(fk_index = true) db (d : Derive.t) =
       match Derive.spec_for d tbl with
       | None -> ()
       | Some spec ->
-        (* index every auxiliary view on its outgoing foreign keys so
-           dimension-update propagation touches only the affected rows *)
-        let indexed_columns =
-          (* only fk columns the spec actually keeps plainly can be indexed;
-             the rest are unreachable through this auxiliary view anyway *)
-          if fk_index then
-            List.filter
-              (fun col -> Auxview.plain_position spec col <> None)
-              (List.map
-                 (fun (j : View.join) -> j.View.src.Attr.column)
-                 (View.joins_from view tbl))
-          else []
-        in
         let st =
-          Aux_state.create ~indexed_columns
+          Aux_state.create ~indexed_columns:(indexed_columns tbl)
             ~shards:(if String.equal tbl root then nshards else 1)
             ~dict_pool spec (schema t tbl)
         in
-        Hashtbl.add t.aux tbl st;
+        t.aux.(Hashtbl.find slots tbl) <- Some st;
         Database.fold db tbl
           (fun tup () ->
             if passes_spec_locals t spec tup && semijoin_ok t spec tup then
@@ -962,30 +1139,32 @@ let init ?(fk_index = true) db (d : Derive.t) =
           ())
     (post_order d.Derive.graph);
   t.obs_aux <-
-    Hashtbl.fold
-      (fun tbl st acc ->
-        let labels =
-          [
-            ("view", view.View.name);
-            ("aux", (Aux_state.spec st).Auxview.name);
-            ("base", tbl);
-          ]
-        in
-        ( tbl,
-          Telemetry.Gauge.make ~labels
-            ~help:"Resident rows of the auxiliary view"
-            "minview_aux_resident_rows",
-          Telemetry.Gauge.make ~labels
-            ~help:"Detail (base) rows the auxiliary view represents"
-            "minview_aux_detail_rows",
-          Telemetry.Gauge.make ~labels
-            ~help:"Detail rows per resident row (compression factor)"
-            "minview_aux_compression_ratio" )
-        :: acc)
-      t.aux [];
+    Array.to_list tables
+    |> List.filter_map (fun tbl ->
+           Option.map
+             (fun st ->
+               let labels =
+                 [
+                   ("view", view.View.name);
+                   ("aux", (Aux_state.spec st).Auxview.name);
+                   ("base", tbl);
+                 ]
+               in
+               ( tbl,
+                 Telemetry.Gauge.make ~labels
+                   ~help:"Resident rows of the auxiliary view"
+                   "minview_aux_resident_rows",
+                 Telemetry.Gauge.make ~labels
+                   ~help:"Detail (base) rows the auxiliary view represents"
+                   "minview_aux_detail_rows",
+                 Telemetry.Gauge.make ~labels
+                   ~help:"Detail rows per resident row (compression factor)"
+                   "minview_aux_compression_ratio" ))
+             (aux_of t tbl));
   Log.info (fun m ->
       m "initializing %s: %d auxiliary view(s), %s"
-        view.View.name (Hashtbl.length t.aux)
+        view.View.name
+        (Array.fold_left (fun n st -> if st = None then n else n + 1) 0 t.aux)
         (if determined then "root view eliminated" else "root view retained"));
   (* seed the view state from the root base rows *)
   Database.fold db root
@@ -1178,7 +1357,7 @@ let apply_root_ops t pool ops =
                 op.aux_shard <- Aux_state.shard_of_base st op.rep
               | Some _ | None -> ());
               if passes_locals t t.root op.rep then
-                match extend t [ (t.root, Base op.rep) ] t.root with
+                match base_env t op.rep with
                 | None -> ()
                 | Some env ->
                   let key = group_key t env in
@@ -1255,7 +1434,7 @@ let apply_root_direct t root_deltas =
       else Aux_state.delete_base st tup
     | Some _ | None -> ());
     if passes_locals t t.root tup then
-      match extend t [ (t.root, Base tup) ] t.root with
+      match base_env t tup with
       | None -> ()
       | Some env ->
         let key = group_key t env in
@@ -1586,16 +1765,12 @@ let audit ~sample t =
     List.iter (fun i -> TH.replace sampled (fst keys.(i)) ()) idxs;
     (* recompute the sampled groups from the retained detail: feed every
        contributing root auxiliary row into a scratch view state, exactly
-       as the initial load does *)
+       as the initial load does — through the same group-row walk as
+       dirty-group recomputation, so the audit costs O(sampled rows) *)
     let scratch = View_state.create t.view ~determined:false in
-    Aux_state.iter root_st (fun row ->
-        match extend_root t root_st row with
-        | None -> ()
-        | Some env ->
-          let key = group_key t env in
-          if TH.mem sampled key then
-            let cnt = Aux_state.cnt row in
-            View_state.feed scratch ~key ~cnt (contribs t env ~cnt));
+    walk_groups t root_st sampled (fun () key env row ->
+        let cnt = Aux_state.cnt row in
+        View_state.feed scratch ~key ~cnt (contribs t env ~cnt));
     let expected_cnt = TH.create 64 in
     View_state.fold_groups scratch
       (fun key cnt () -> TH.replace expected_cnt key cnt)
@@ -1603,15 +1778,12 @@ let audit ~sample t =
     (* group-key positions in the rendered select row, for indexing *)
     let key_positions =
       Array.map
-        (fun (tbl, col) ->
+        (fun gc ->
           let found = ref (-1) in
           Array.iteri
             (fun i plan ->
               match plan with
-              | P_group { table; column }
-                when !found < 0 && String.equal table tbl
-                     && String.equal column col ->
-                found := i
+              | P_group c when !found < 0 && c = gc -> found := i
               | P_group _ | P_agg _ -> ())
             t.plans;
           assert (!found >= 0);

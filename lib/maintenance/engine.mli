@@ -16,7 +16,9 @@
       eliminated — by group rewriting through the nearest key-annotated
       ancestor;
     - non-CSMAS components (MIN/MAX under deletion, DISTINCT) are recomputed
-      for affected groups from the auxiliary views, per Section 3.2.
+      for affected groups from the auxiliary views, per Section 3.2 — once
+      per batch, visiting only root auxiliary rows that can belong to a
+      dirty group (see {!group_walk} for the two paths and their costs).
 
     The engine also serves the PSJ (Quass et al.) baseline: it accepts any
     derivation whose specs are uncompressed. *)
@@ -127,6 +129,34 @@ val measured_bytes : t -> (string * int) list
     view — the columnar payloads the GC heap gauges cannot see. *)
 val offheap_bytes : t -> int
 
+(** {2 Dirty-group recomputation} *)
+
+(** The path by which the root auxiliary rows of a set of groups are found —
+    for dirty-group recomputation at the end of every batch and for
+    {!audit} — if that walk happened now. One rule picks it, with no knob:
+
+    - [`Driving_join tbl] when a first-hop join from the root to [tbl] has
+      its foreign key kept plainly and indexed in the root auxiliary view
+      ([fk_index]), [tbl]'s subtree holds every non-root group column and
+      determines at least one group-key position (a dimension column, or
+      the foreign key itself when grouped on), and [tbl]'s auxiliary view
+      has fewer rows than the root's. The walk iterates [tbl]'s auxiliary
+      rows, joins each one's subtree once and skips it unless its part of
+      the key matches a wanted group; for the rest it walks the root rows
+      in that foreign key's index bucket, joining only the other subtrees.
+      Cost: O(|X_tbl|) plus O(root rows of the matching [tbl] rows).
+    - [`Filtered_scan] otherwise: one pass over the root auxiliary view
+      that compares each root group column's stored cell with the values
+      the wanted groups take there — no join, no boxing — and joins and
+      probes only the rows that pass (an indexed root group column walks
+      its buckets instead of scanning). Cost: O(|X_root|) cell compares
+      plus O(matching rows) joins; with no root group column, every row is
+      joined.
+
+    [None] when the root auxiliary view was eliminated: the view is then
+    determined by its keys and nothing is ever recomputed. *)
+val group_walk : t -> [ `Driving_join of string | `Filtered_scan ] option
+
 (** {2 Lineage and drift auditing} *)
 
 (** Lineage flow of the most recent {!apply_batch}: deltas in -> netted ->
@@ -137,8 +167,10 @@ val offheap_bytes : t -> int
 val last_flow : t -> Telemetry.Lineage.view_flow option
 
 (** [audit ~sample t] recomputes up to [sample] maintained group keys from
-    the retained detail (the root auxiliary view, joined through the
-    dimension auxiliary views exactly like the initial load) and
+    the retained detail (the root auxiliary rows of those groups, found by
+    the {!group_walk} path and joined through the dimension auxiliary views
+    exactly like the initial load — only the sampled groups' rows are
+    joined) and
     cross-checks the maintained view rows, via {!Telemetry.Lineage.audit}
     — which emits the [minview_lineage_audit_*] counters and a
     [lineage.audit] trace event. Returns [(checked, divergences)], or

@@ -35,9 +35,21 @@ let is_empty r = r.total = 0
 let fold f r acc = H.fold f r.tbl acc
 let iter f r = H.iter f r.tbl
 
+(* Sorted in place on an array, with no O(n log n) list cells: every served
+   query sorts its view. [Array.sort], because [Array.stable_sort] forces a
+   minor collection for its scratch array; keys are distinct, so stability
+   does not matter. *)
 let to_sorted_list r =
-  fold (fun tup n acc -> (tup, n) :: acc) r []
-  |> List.sort (fun (a, _) (b, _) -> Tuple.compare a b)
+  let n = H.length r.tbl in
+  let a = Array.make n ([||], 0) in
+  let i = ref n in
+  H.iter
+    (fun tup m ->
+      decr i;
+      a.(!i) <- (tup, m))
+    r.tbl;
+  Array.sort (fun (x, _) (y, _) -> Tuple.compare x y) a;
+  Array.to_list a
 
 let of_list l =
   let r = create ~size_hint:(List.length l) () in

@@ -38,14 +38,16 @@ let hash = function
   | String x -> Hashtbl.hash (2, x)
   | Bool x -> Hashtbl.hash (3, x)
 
-let pp ppf = function
-  | Null -> Format.pp_print_string ppf "NULL"
-  | Int x -> Format.pp_print_int ppf x
-  | Float x -> Format.fprintf ppf "%g" x
-  | String x -> Format.fprintf ppf "%s" x
-  | Bool x -> Format.pp_print_bool ppf x
+(* Not through [Format.asprintf]: serving a view renders every cell, and a
+   formatter costs about 3 KB per call. *)
+let to_string = function
+  | Null -> "NULL"
+  | Int x -> Int.to_string x
+  | Float x -> Printf.sprintf "%g" x
+  | String x -> x
+  | Bool x -> Bool.to_string x
 
-let to_string v = Format.asprintf "%a" pp v
+let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let type_name = function
   | Null -> "null"

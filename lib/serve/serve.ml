@@ -171,9 +171,14 @@ let epoch_line conn s =
   line conn "+EPOCH %d %d" (Warehouse.snapshot_epoch s)
     (Warehouse.snapshot_seq s)
 
-let render_row (tup, mult) =
-  String.concat "\t"
-    (string_of_int mult :: List.map Value.to_string (Array.to_list tup))
+let add_row b (tup, mult) =
+  Buffer.add_string b (string_of_int mult);
+  Array.iter
+    (fun v ->
+      Buffer.add_char b '\t';
+      Buffer.add_string b (Value.to_string v))
+    tup;
+  Buffer.add_char b '\n'
 
 let query_response conn t name =
   let s = conn.pinned in
@@ -187,11 +192,7 @@ let query_response conn t name =
   let b = Buffer.create 1024 in
   Buffer.add_string b (head ^ "\n");
   Buffer.add_string b ("#\t" ^ String.concat "\t" columns ^ "\n");
-  List.iter
-    (fun row ->
-      Buffer.add_string b (render_row row);
-      Buffer.add_char b '\n')
-    sorted;
+  List.iter (add_row b) sorted;
   Buffer.add_string b ".\n";
   send conn (Buffer.contents b);
   n

@@ -585,6 +585,155 @@ let index_tests =
           (Engines.view_contents e));
   ]
 
+(* --- dirty-group recomputation: both walk paths ------------------------- *)
+
+let recompute_mix = { Workload.Delta_gen.insert = 1; delete = 3; update = 3 }
+
+(* Delete- and update-heavy batches, checked against evaluation after every
+   batch; [path] is the walk the rule must pick for this view. *)
+let check_recompute ?(options = Derive.default_options) ?(fk_index = true)
+    ?(rounds = 6) ~path view =
+  let db = Workload.Retail.load Workload.Retail.small_params in
+  let e = Engine.init ~fk_index db (Derive.derive_with options db view) in
+  let path_name = function
+    | Some (`Driving_join tbl) -> "driving join " ^ tbl
+    | Some `Filtered_scan -> "filtered scan"
+    | None -> "none"
+  in
+  Alcotest.(check string) "walk path" (path_name (Some path))
+    (path_name (Engine.group_walk e));
+  let rng = Workload.Prng.create 77 in
+  for round = 1 to rounds do
+    Engine.apply_batch e (Workload.Delta_gen.stream ~mix:recompute_mix rng db ~n:60);
+    Alcotest.check relation
+      (Printf.sprintf "%s round %d" view.View.name round)
+      (Algebra.Eval.eval db view) (Engine.view_contents e)
+  done
+
+let two_dims_view =
+  {
+    View.name = "month_category_max";
+    having = [];
+    select =
+      [
+        group (a "time" "month");
+        group (a "product" "category");
+        max_ ~alias:"max_price" (a "sale" "price");
+        count_distinct ~alias:"stores" (a "sale" "storeid");
+      ];
+    tables = [ "sale"; "time"; "product" ];
+    locals = [];
+    joins =
+      [ join (a "sale" "timeid") (a "time" "id");
+        join (a "sale" "productid") (a "product" "id") ];
+  }
+
+let store_min_view =
+  {
+    View.name = "store_min";
+    having = [];
+    select =
+      [
+        group (a "sale" "storeid");
+        group (a "time" "year");
+        min_ ~alias:"min_price" (a "sale" "price");
+        max_ ~alias:"max_price" (a "sale" "price");
+      ];
+    tables = [ "sale"; "time" ];
+    locals = [ local (a "sale" "price") Cmp.Gt (i 20) ];
+    joins = [ join (a "sale" "timeid") (a "time" "id") ];
+  }
+
+(* grouped on the foreign key itself: the product's key fills that key
+   position, so the driving join skips every product that is not dirty *)
+let product_max_view =
+  {
+    View.name = "product_max";
+    having = [];
+    select =
+      [
+        group (a "sale" "productid");
+        max_ ~alias:"max_price" (a "sale" "price");
+        count_distinct ~alias:"days" (a "sale" "timeid");
+      ];
+    tables = [ "sale"; "product" ];
+    locals = [ local (a "product" "brand") Cmp.Neq (s "brand0") ];
+    joins = [ join (a "sale" "productid") (a "product" "id") ];
+  }
+
+let recompute_tests =
+  [
+    test "group on a root column: filtered scan" (fun () ->
+        check_recompute ~path:`Filtered_scan Workload.Retail.product_sales_max);
+    test "group on one dimension subtree: driving-join walk" (fun () ->
+        check_recompute ~path:(`Driving_join "time") Workload.Retail.product_sales);
+    test "root and dimension group columns: driving-join walk" (fun () ->
+        check_recompute ~path:(`Driving_join "time") store_min_view);
+    test "group on the join's foreign key: driving-join walk" (fun () ->
+        check_recompute ~path:(`Driving_join "product") product_max_view);
+    test "group spanning two dimensions: no driving join" (fun () ->
+        check_recompute ~path:`Filtered_scan two_dims_view);
+    test "no fk index: filtered scan" (fun () ->
+        check_recompute ~fk_index:false ~path:`Filtered_scan
+          Workload.Retail.product_sales);
+    test "no-pushdown residuals on the driving join and the root" (fun () ->
+        let options =
+          { Derive.default_options with Derive.push_locals = false }
+        in
+        check_recompute ~options ~path:(`Driving_join "time")
+          Workload.Retail.product_sales;
+        check_recompute ~options ~path:(`Driving_join "time") store_min_view);
+    test "a dirty group deleted in the same batch" (fun () ->
+        let db = paper_example_db () in
+        let view = Workload.Retail.product_sales_max in
+        let e = eng db view in
+        (* product 1 (sales 1, 2, 4, 5, 6): dropping its max-price sale
+           dirties the group; deleting the rest in the same batch kills it,
+           while product 2 stays dirty and alive *)
+        apply e db
+          [ Delta.delete "sale" (row [ i 6; i 2; i 1; i 1; i 20 ]);
+            Delta.delete "sale" (row [ i 7; i 3; i 2; i 1; i 30 ]);
+            Delta.delete "sale" (row [ i 1; i 1; i 1; i 1; i 10 ]);
+            Delta.delete "sale" (row [ i 2; i 1; i 1; i 1; i 10 ]);
+            Delta.delete "sale" (row [ i 4; i 2; i 1; i 1; i 15 ]);
+            Delta.delete "sale" (row [ i 5; i 2; i 1; i 1; i 15 ]) ];
+        check_sync e db view;
+        Alcotest.(check int) "one group left" 1
+          (Relation.cardinality (Engines.view_contents e)));
+    test "Mid_engine_apply rollback after a recompute" (fun () ->
+        let module W = Warehouse in
+        let module Faults = Maintenance.Faults in
+        let db = Workload.Retail.load Workload.Retail.small_params in
+        let wh = W.create (Database.copy db) in
+        (* the first view recomputes before the fault fires *)
+        let views =
+          [ Workload.Retail.product_sales_max; Workload.Retail.product_sales ]
+        in
+        List.iter (W.add_view wh) views;
+        let check what db =
+          List.iter
+            (fun (v : View.t) ->
+              Alcotest.check relation
+                (what ^ " " ^ v.View.name)
+                (Algebra.Eval.eval db v)
+                (snd (W.query wh v.View.name)))
+            views
+        in
+        let rng = Workload.Prng.create 5 in
+        W.ingest wh (Workload.Delta_gen.stream ~mix:recompute_mix rng db ~n:80);
+        check "first batch" db;
+        let pre = Database.copy db in
+        let batch = Workload.Delta_gen.stream ~mix:recompute_mix rng db ~n:80 in
+        Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+        let r =
+          Fun.protect ~finally:Faults.disarm (fun () -> W.ingest_report wh batch)
+        in
+        Alcotest.(check int) "aborted batch applied nothing" 0 r.W.applied;
+        check "rolled back" pre;
+        W.ingest wh batch;
+        check "replayed" db);
+  ]
+
 let () =
   Alcotest.run "maintenance"
     [
@@ -593,6 +742,7 @@ let () =
       ("reparenting", reparenting_tests);
       ("contract", contract_tests);
       ("fk-index", index_tests);
+      ("recompute", recompute_tests);
       ("elimination", elimination_tests);
       ("engines", engines_tests);
     ]

@@ -59,6 +59,23 @@ let value_tests =
         Alcotest.(check string) "int" "42" (Value.to_string (i 42));
         Alcotest.(check string) "string" "abc" (Value.to_string (s "abc"));
         Alcotest.(check string) "bool" "true" (Value.to_string (b true)));
+    test "to_string renders floats as %g and strings verbatim" (fun () ->
+        List.iter
+          (fun (x, expected) ->
+            Alcotest.(check string) expected expected (Value.to_string (f x)))
+          [
+            (1.5, "1.5"); (0.1, "0.1"); (1e21, "1e+21"); (1e-7, "1e-07");
+            (123456789., "1.23457e+08"); (-0., "-0"); (nan, "nan");
+            (infinity, "inf"); (neg_infinity, "-inf");
+          ];
+        Alcotest.(check string) "null" "NULL" (Value.to_string Value.Null);
+        (* no formatter in the way: no escapes, no line breaks at a margin *)
+        let long =
+          String.concat "@ " (List.init 40 (fun k -> "w%" ^ string_of_int k))
+          ^ "\nnext"
+        in
+        Alcotest.(check string) "string" long (Value.to_string (s long));
+        Alcotest.(check string) "pp" long (Format.asprintf "%a" Value.pp (s long)));
   ]
 
 (* --- datatypes ---------------------------------------------------------- *)
@@ -183,6 +200,22 @@ let relation_tests =
           "sorted"
           [ (row [ i 1 ], 1); (row [ i 2 ], 1); (row [ i 3 ], 1) ]
           (Relation.to_sorted_list r));
+    test "to_sorted_list keeps multiplicities and orders mixed tuples" (fun () ->
+        let rows =
+          [ [ i 2; s "b" ]; [ i 1; s "z" ]; [ i 2; s "a" ]; [ i 1; s "z" ];
+            [ i 10; s "a" ]; [ i (-3); s "q" ]; [ i 2; s "b" ]; [ i 2; s "b" ] ]
+        in
+        let r = rel rows in
+        Alcotest.(check (list (pair tuple int)))
+          "sorted"
+          [
+            (row [ i (-3); s "q" ], 1); (row [ i 1; s "z" ], 2);
+            (row [ i 2; s "a" ], 1); (row [ i 2; s "b" ], 3);
+            (row [ i 10; s "a" ], 1);
+          ]
+          (Relation.to_sorted_list r);
+        Alcotest.(check (list (pair tuple int))) "empty" []
+          (Relation.to_sorted_list (rel [])));
     test "copy is independent" (fun () ->
         let r = rel [ [ i 1 ] ] in
         let c = Relation.copy r in
