@@ -86,6 +86,10 @@ val copy : t -> t
     {!dict}). *)
 val byte_size : t -> int
 
+(** Estimated heap bytes of one boxed value, as {!byte_size} counts a
+    boxed cell. *)
+val boxed_bytes : Relational.Value.t -> int
+
 (** Off-heap (Bigarray payload) bytes only — the complement of what
     [Obj.reachable_words] measures. *)
 val offheap_bytes : t -> int

@@ -52,7 +52,7 @@ type agg_src = A_count | A_attr of { c : cref; aux_read : aux_read }
 
 type item_plan = P_group of cref | P_agg of { agg : Aggregate.t; src : agg_src }
 
-(* A non-CSMAS item recomputed from the auxiliary rows of its dirty groups;
+(* A MIN/MAX item recomputed from the auxiliary rows of its dirty groups;
    [ext] >= 0 reads the append-only extremum column at that position instead
    of the plain column [rc]. *)
 type rtarget = { item : int; agg : Aggregate.t; rc : cref; ext : int }
@@ -82,7 +82,7 @@ type t = {
   vstate : View_state.t;
   plans : item_plan array;
   group_plan : cref array;  (** one per group attr *)
-  rtargets : rtarget array;  (** items recomputed for dirty groups *)
+  rtargets : rtarget array;  (** MIN/MAX items recomputed for dirty groups *)
   root_groups : (string * int) list;
       (** root columns in the group key, with their key positions *)
   driving : driving option;
@@ -676,18 +676,7 @@ let dim_update t table ~before ~after =
   else if t.determined then dim_update_rewrite t table ~before ~after
   else dim_update_diff t table ~before ~after
 
-(* --- recomputation of dirty non-CSMAS components ----------------------- *)
-
-let finalize_distinct (agg : Aggregate.t) set =
-  if VSet.is_empty set then invariant "empty DISTINCT set during recomputation";
-  let sum () = VSet.fold Value.add set (Value.zero_like (VSet.min_elt set)) in
-  match agg.Aggregate.func with
-  | Aggregate.Count -> Value.Int (VSet.cardinal set)
-  | Aggregate.Sum -> sum ()
-  | Aggregate.Avg -> Value.div_as_float (sum ()) (Value.Int (VSet.cardinal set))
-  | Aggregate.Min -> VSet.min_elt set
-  | Aggregate.Max -> VSet.max_elt set
-  | Aggregate.Count_star -> assert false
+(* --- recomputation of dirty MIN/MAX components ------------------------- *)
 
 (* The driving join, when its child auxiliary view is currently smaller than
    the root's — the one condition of the path rule that depends on state. *)
@@ -764,8 +753,10 @@ let group_walk t =
       | None -> `Filtered_scan)
     t.aux.(0)
 
-type recompute_acc = R_extremum of Value.t option ref | R_distinct of VSet.t ref
-
+(* Settles the batch's view state: [View_state.take_dirty] re-folds the
+   DISTINCT results whose value set changed from their multisets and hands
+   back the groups whose MIN/MAX lost its extremum — the only groups
+   recomputed from the auxiliary views. *)
 let flush_dirty t =
   match View_state.take_dirty t.vstate with
   | [] -> ()
@@ -776,62 +767,44 @@ let flush_dirty t =
     if t.determined then
       invariant "dirty groups cannot arise when the root view is eliminated";
     let root_st = slot_aux t 0 in
-    (* the items to recompute are the aggregates that are not CSMAS under
-       the paper's standard classification ([rtargets]). Their value is
-       re-derived from the auxiliary rows — from the plain column, or
-       (append-only mode, where dimension updates can still regroup rows)
+    (* the items to recompute are the MIN/MAX aggregates ([rtargets]). Their
+       value is re-derived from the auxiliary rows — from the plain column,
+       or (append-only mode, where dimension updates can still regroup rows)
        from the pre-aggregated MIN/MAX column of the root view. *)
-    let dirty : recompute_acc array TH.t = TH.create 16 in
+    let dirty : Value.t option array TH.t = TH.create 16 in
     List.iter
       (fun key ->
         if not (TH.mem dirty key) then
-          TH.add dirty key
-            (Array.map
-               (fun r ->
-                 if r.agg.Aggregate.distinct then R_distinct (ref VSet.empty)
-                 else R_extremum (ref None))
-               t.rtargets))
+          TH.add dirty key (Array.make (Array.length t.rtargets) None))
       dirty_keys;
-    if Array.length t.rtargets > 0 then
-      walk_groups t root_st dirty (fun accs _key env _row ->
-          Array.iteri
-            (fun j r ->
-              let a =
-                match env.(r.rc.slot) with
-                | Base tup -> tup.(r.rc.base)
-                | Auxrow row ->
-                  if r.ext >= 0 then Aux_state.ext_at row r.ext
-                  else Aux_state.plain_at row r.rc.plain
-              in
-              match accs.(j) with
-              | R_distinct set -> set := VSet.add a !set
-              | R_extremum cur ->
-                cur :=
-                  Some
-                    (match !cur with
-                    | None -> a
-                    | Some m ->
-                      let c = Value.compare a m in
-                      if (r.agg.Aggregate.func = Aggregate.Min && c < 0)
-                         || (r.agg.Aggregate.func = Aggregate.Max && c > 0)
-                      then a
-                      else m))
-            t.rtargets);
+    walk_groups t root_st dirty (fun accs _key env _row ->
+        Array.iteri
+          (fun j r ->
+            let a =
+              match env.(r.rc.slot) with
+              | Base tup -> tup.(r.rc.base)
+              | Auxrow row ->
+                if r.ext >= 0 then Aux_state.ext_at row r.ext
+                else Aux_state.plain_at row r.rc.plain
+            in
+            accs.(j) <-
+              Some
+                (match accs.(j) with
+                | None -> a
+                | Some m ->
+                  let c = Value.compare a m in
+                  if (r.agg.Aggregate.func = Aggregate.Min && c < 0)
+                     || (r.agg.Aggregate.func = Aggregate.Max && c > 0)
+                  then a
+                  else m))
+          t.rtargets);
     TH.iter
       (fun key accs ->
         (* groups removed since being dirtied have no view entry and stay
            silent in set_value *)
         Array.iteri
           (fun j r ->
-            match accs.(j) with
-            | R_distinct set ->
-              if not (VSet.is_empty !set) then
-                View_state.set_value t.vstate ~key ~item:r.item
-                  (finalize_distinct r.agg !set)
-            | R_extremum cur -> (
-              match !cur with
-              | Some v -> View_state.set_value t.vstate ~key ~item:r.item v
-              | None -> ()))
+            Option.iter (View_state.set_value t.vstate ~key ~item:r.item) accs.(j))
           t.rtargets)
       dirty
 
@@ -985,7 +958,13 @@ let init ?(fk_index = true) db (d : Derive.t) =
     |> List.mapi (fun item plan -> (item, plan))
     |> List.filter_map (fun (item, plan) ->
            match plan with
-           | P_agg { agg; _ } when not (Mindetail.Classify.is_csmas agg) -> (
+           | P_agg
+               {
+                 agg =
+                   { Aggregate.func = Aggregate.Min | Aggregate.Max;
+                     distinct = false; _ } as agg;
+                 _;
+               } -> (
              let ext ~is_min table column =
                match Derive.spec_for d table with
                | Some spec -> (
@@ -1691,6 +1670,7 @@ let net_profile t deltas =
 (* --- inspection -------------------------------------------------------- *)
 
 let view_contents t = View_state.render t.vstate
+let view_state t = t.vstate
 
 let aux_contents t =
   List.filter_map
@@ -1771,6 +1751,9 @@ let audit ~sample t =
     walk_groups t root_st sampled (fun () key env row ->
         let cnt = Aux_state.cnt row in
         View_state.feed scratch ~key ~cnt (contribs t env ~cnt));
+    (* finalize DISTINCT results; feeds alone never lose an extremum, so
+       nothing is left to recompute *)
+    let (_ : Tuple.t list) = View_state.take_dirty scratch in
     let expected_cnt = TH.create 64 in
     View_state.fold_groups scratch
       (fun key cnt () -> TH.replace expected_cnt key cnt)
@@ -1804,9 +1787,27 @@ let audit ~sample t =
       Array.length a = Array.length b
       && Array.for_all2 value_close a b
     in
+    (* a DISTINCT result is only as sound as the multiset it is finalized
+       from: compare the multisets too, so a drifted count that leaves the
+       result unchanged is still caught *)
+    let distinct_items =
+      List.filter_map
+        (fun i ->
+          match t.plans.(i) with
+          | P_agg { agg; _ } when agg.Aggregate.distinct -> Some i
+          | P_agg _ | P_group _ -> None)
+        (List.init (Array.length t.plans) Fun.id)
+    in
     let check i =
       let key, cnt = keys.(i) in
       TH.find_opt expected_cnt key = Some cnt
+      && List.for_all
+           (fun item ->
+             List.equal
+               (fun (v, n) (w, m) -> Value.equal v w && n = m)
+               (View_state.multiset scratch ~key ~item)
+               (View_state.multiset t.vstate ~key ~item))
+           distinct_items
       &&
       match TH.find_opt expected key, TH.find_opt actual key with
       | Some erow, Some arow -> rows_close erow arow

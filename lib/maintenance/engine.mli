@@ -15,10 +15,13 @@
       against the root auxiliary view, or — when the root auxiliary view was
       eliminated — by group rewriting through the nearest key-annotated
       ancestor;
-    - non-CSMAS components (MIN/MAX under deletion, DISTINCT) are recomputed
-      for affected groups from the auxiliary views, per Section 3.2 — once
-      per batch, visiting only root auxiliary rows that can belong to a
-      dirty group (see {!group_walk} for the two paths and their costs).
+    - DISTINCT aggregates are kept in O(delta) from per-group value
+      multisets ({!View_state}); they never fall back to the auxiliary
+      views;
+    - MIN/MAX whose current extremum is deleted is recomputed for the
+      affected groups from the auxiliary views, per Section 3.2 — once per
+      batch, visiting only root auxiliary rows that can belong to a dirty
+      group (see {!group_walk} for the two paths and their costs).
 
     The engine also serves the PSJ (Quass et al.) baseline: it accepts any
     derivation whose specs are uncompressed. *)
@@ -132,8 +135,10 @@ val offheap_bytes : t -> int
 (** {2 Dirty-group recomputation} *)
 
 (** The path by which the root auxiliary rows of a set of groups are found —
-    for dirty-group recomputation at the end of every batch and for
-    {!audit} — if that walk happened now. One rule picks it, with no knob:
+    for the end-of-batch recomputation of the groups whose MIN or MAX lost
+    its extremum ([View_state.take_dirty]; DISTINCT aggregates never need
+    it) and for {!audit} — if that walk happened now. One rule picks it,
+    with no knob:
 
     - [`Driving_join tbl] when a first-hop join from the root to [tbl] has
       its foreign key kept plainly and indexed in the root auxiliary view
@@ -157,6 +162,11 @@ val offheap_bytes : t -> int
     determined by its keys and nothing is ever recomputed. *)
 val group_walk : t -> [ `Driving_join of string | `Filtered_scan ] option
 
+(** The materialized view state, for white-box checks of {!audit}. The
+    engine owns it: a change made through this handle is drift by
+    definition. *)
+val view_state : t -> View_state.t
+
 (** {2 Lineage and drift auditing} *)
 
 (** Lineage flow of the most recent {!apply_batch}: deltas in -> netted ->
@@ -171,7 +181,10 @@ val last_flow : t -> Telemetry.Lineage.view_flow option
     the {!group_walk} path and joined through the dimension auxiliary views
     exactly like the initial load — only the sampled groups' rows are
     joined) and
-    cross-checks the maintained view rows, via {!Telemetry.Lineage.audit}
+    cross-checks the maintained view rows and, for every DISTINCT
+    aggregate, the maintained value multiset (so a drifted count that
+    leaves the result unchanged still diverges), via
+    {!Telemetry.Lineage.audit}
     — which emits the [minview_lineage_audit_*] counters and a
     [lineage.audit] trace event. Returns [(checked, divergences)], or
     [None] when the root auxiliary view was eliminated (there is no

@@ -14,6 +14,8 @@ module TH = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
+module VMap = Map.Make (Value)
+
 type contrib =
   | C_count of int
   | C_sum of { amount : Value.t; n : int }
@@ -22,9 +24,33 @@ type contrib =
 (* Physical layout mirrors {!Aux_state}: groups are row ids into parallel
    typed columns — one column per group-key attribute plus per-aggregate
    component columns ([slot]s below) and a dense base-row-count column.
-   Extremum and DISTINCT components live in boxed columns because they need
+   Extremum and DISTINCT results live in boxed columns because they need
    an absent state; [Value.Null] is the [None] sentinel (base data is
    null-free, Section 2.1). *)
+
+(* Per-group multiplicities of one DISTINCT argument: a persistent map from
+   value to the number of base rows carrying it, one per group row. Being
+   persistent, a map is its own before-image — journaling a group costs a
+   pointer, never a copy. *)
+type mcol = { mutable maps : int VMap.t array; mutable len : int }
+
+let mcol_create () = { maps = [||]; len = 0 }
+
+let mcol_append c m =
+  if c.len = Array.length c.maps then begin
+    let maps = Array.make (max 8 (2 * c.len)) VMap.empty in
+    Array.blit c.maps 0 maps 0 c.len;
+    c.maps <- maps
+  end;
+  c.maps.(c.len) <- m;
+  c.len <- c.len + 1
+
+let mcol_swap_delete c r =
+  c.len <- c.len - 1;
+  c.maps.(r) <- c.maps.(c.len);
+  c.maps.(c.len) <- VMap.empty
+
+let mcol_copy c = { c with maps = Array.copy c.maps }
 
 (* One aggregate's component storage across all groups of a shard. *)
 type slot =
@@ -32,7 +58,9 @@ type slot =
   | L_count of Icol.t
   | L_sum of { sum : Column.t; n : Icol.t }
   | L_ext of Column.t  (** current extremum; [Null] = pending recompute *)
-  | L_dist of Column.t  (** DISTINCT result; [Null] = pending recompute *)
+  | L_dist of { cell : Column.t; vals : mcol }
+      (** DISTINCT result ([Null] = pending finalization) and the value
+          multiset it is finalized from *)
 
 (* First-touch before-image of one group under an open transaction, keyed
    by group key (row ids are renumbered by swap-with-last deletion, so only
@@ -41,25 +69,32 @@ type saved_acc =
   | Sv_group
   | Sv_count of int
   | Sv_sum of { sum : Value.t; n : int }
-  | Sv_value of Value.t  (** extremum / distinct cell, [Null] = pending *)
+  | Sv_value of Value.t  (** extremum cell, [Null] = pending *)
+  | Sv_dist of { cell : Value.t; vals : int VMap.t }
 
 type saved_group =
   | Absent
   | Present of { cnt0 : int; accs : saved_acc array }
 
-type txn = { saved : saved_group TH.t; dirty0 : unit TH.t }
+type txn = { saved : saved_group TH.t; dirty0 : int TH.t }
+
+(* Why a group is pending in its shard's dirty table, as bits: the engine
+   must recompute a MIN/MAX from the auxiliary views, or a DISTINCT result
+   must be re-folded from its multiset. *)
+let recompute = 1
+let refinalize = 2
 
 (* One hash-shard of the view state: key columns, component columns, the
-   dirty set and the undo journal all live per shard so parallel appliers
+   dirty table and the undo journal all live per shard so parallel appliers
    owning disjoint shards never share a structure. Group keys entering the
-   dirty set or the journal are copied on retention, because callers may
+   dirty table or the journal are copied on retention, because callers may
    pass reused scratch buffers. *)
 type shard = {
   keys : Column.t array;
   slots : slot array;
   cnt0 : Icol.t;
   map : Rowmap.t;  (** group key (= key cells) -> row id *)
-  dirty : unit TH.t;
+  dirty : int TH.t;  (** group key -> [recompute]/[refinalize] bits *)
   mutable txn : txn option;
 }
 
@@ -87,7 +122,8 @@ let create ?(shards = 1) ?dict_pool view ~determined =
     match item with
     | Select_item.Group _ -> L_group
     | Select_item.Agg agg -> (
-      if agg.Aggregate.distinct then L_dist (Column.create_boxed ())
+      if agg.Aggregate.distinct then
+        L_dist { cell = Column.create_boxed (); vals = mcol_create () }
       else
         match agg.Aggregate.func with
         | Aggregate.Count | Aggregate.Count_star -> L_count (Icol.create ())
@@ -149,7 +185,9 @@ let saved_accs (sh : shard) r =
       | L_group -> Sv_group
       | L_count c -> Sv_count (Icol.get c r)
       | L_sum { sum; n } -> Sv_sum { sum = Column.get sum r; n = Icol.get n r }
-      | L_ext v | L_dist v -> Sv_value (Column.get v r))
+      | L_ext v -> Sv_value (Column.get v r)
+      | L_dist { cell; vals } ->
+        Sv_dist { cell = Column.get cell r; vals = vals.maps.(r) })
     sh.slots
 
 (* Append a group with explicit component values (journal restore, group
@@ -165,7 +203,10 @@ let append_saved (sh : shard) key cnt0 accs =
       | L_sum { sum; n }, Sv_sum { sum = s; n = m } ->
         Column.append sum s;
         Icol.append n m
-      | (L_ext v | L_dist v), Sv_value x -> Column.append v x
+      | L_ext v, Sv_value x -> Column.append v x
+      | L_dist { cell; vals }, Sv_dist { cell = x; vals = m } ->
+        Column.append cell x;
+        mcol_append vals m
       | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
         assert false)
     sh.slots;
@@ -192,7 +233,10 @@ let append_fresh (sh : shard) key (contribs : contrib option array) =
         in
         Column.append sum zero;
         Icol.append n 0
-      | L_ext v | L_dist v -> Column.append v Value.Null)
+      | L_ext v -> Column.append v Value.Null
+      | L_dist { cell; vals } ->
+        Column.append cell Value.Null;
+        mcol_append vals VMap.empty)
     sh.slots;
   Icol.append sh.cnt0 0;
   Rowmap.add sh.map ~hash:(Tuple.hash key) r;
@@ -215,7 +259,10 @@ let delete_row (sh : shard) r =
       | L_sum { sum; n } ->
         Column.swap_delete sum r;
         Icol.swap_delete n r
-      | L_ext v | L_dist v -> Column.swap_delete v r)
+      | L_ext v -> Column.swap_delete v r
+      | L_dist { cell; vals } ->
+        Column.swap_delete cell r;
+        mcol_swap_delete vals r)
     sh.slots;
   Icol.swap_delete sh.cnt0 r
 
@@ -225,7 +272,8 @@ let copy t =
     | L_count c -> L_count (Icol.copy c)
     | L_sum { sum; n } -> L_sum { sum = Column.copy sum; n = Icol.copy n }
     | L_ext v -> L_ext (Column.copy v)
-    | L_dist v -> L_dist (Column.copy v)
+    | L_dist { cell; vals } ->
+      L_dist { cell = Column.copy cell; vals = mcol_copy vals }
   in
   let copy_shard (sh : shard) =
     let keys = Array.map Column.copy sh.keys in
@@ -247,8 +295,8 @@ let in_txn t = t.shards.(0).txn <> None
 let begin_txn t =
   if in_txn t then
     invalid_arg "View_state.begin_txn: transaction already open";
-  (* the dirty set is saved whole: it is bounded by the groups pending
-     recompute, a handful at any moment, not by the resident state *)
+  (* the dirty table is saved whole: flushed at the end of every batch, it
+     is empty between batches, not sized by the resident state *)
   Array.iter
     (fun sh -> sh.txn <- Some { saved = TH.create 64; dirty0 = TH.copy sh.dirty })
     t.shards
@@ -299,7 +347,10 @@ let rollback t =
                   | L_sum { sum; n }, Sv_sum { sum = s; n = m } ->
                     Column.set sum r s;
                     Icol.set n r m
-                  | (L_ext v | L_dist v), Sv_value x -> Column.set v r x
+                  | L_ext v, Sv_value x -> Column.set v r x
+                  | L_dist { cell; vals }, Sv_dist { cell = x; vals = m } ->
+                    Column.set cell r x;
+                    vals.maps.(r) <- m
                   | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _
                     ->
                     assert false)
@@ -307,26 +358,47 @@ let rollback t =
             | Present p, None -> ignore (append_saved sh key p.cnt0 p.accs))
           saved;
         TH.reset sh.dirty;
-        TH.iter (fun key () -> TH.add sh.dirty key ()) dirty0;
+        TH.iter (TH.add sh.dirty) dirty0;
         sh.txn <- None)
     t.shards
 
 let view t = t.view
 let group_count t = Array.fold_left (fun acc sh -> acc + nrows sh) 0 t.shards
 
-let mark_dirty (sh : shard) key =
-  if not (TH.mem sh.dirty key) then TH.add sh.dirty (Array.copy key) ()
+let mark (sh : shard) key bit =
+  match TH.find_opt sh.dirty key with
+  | None -> TH.add sh.dirty (Array.copy key) bit
+  | Some bits ->
+    if bits land bit = 0 then TH.replace sh.dirty (Array.copy key) (bits lor bit)
 
-(* The finalized value of a DISTINCT aggregate over a singleton value set —
-   the determined case. *)
-let singleton_distinct (agg : Aggregate.t) v =
+(* The DISTINCT result over a value multiset, folded in [Value.compare]
+   order — the order in which recomputation from base tables sees the
+   deduplicated values, so float sums agree bit for bit. *)
+let finalize_distinct (agg : Aggregate.t) m =
+  let sum () =
+    let lo, _ = VMap.min_binding m in
+    VMap.fold (fun v _ acc -> Value.add acc v) m (Value.zero_like lo)
+  in
   match agg.Aggregate.func with
-  | Aggregate.Count -> Value.Int 1
-  | Aggregate.Sum | Aggregate.Min | Aggregate.Max -> v
-  | Aggregate.Avg -> Value.div_as_float v (Value.Int 1)
+  | Aggregate.Count -> Value.Int (VMap.cardinal m)
+  | Aggregate.Sum -> sum ()
+  | Aggregate.Avg -> Value.div_as_float (sum ()) (Value.Int (VMap.cardinal m))
+  | Aggregate.Min -> fst (VMap.min_binding m)
+  | Aggregate.Max -> fst (VMap.max_binding m)
   | Aggregate.Count_star -> assert false
 
-let apply_contrib t (sh : shard) key ~sign r i (item : Select_item.t) contrib =
+(* A COUNT or integer SUM DISTINCT result moves exactly by the value that
+   entered ([d] = 1) or left ([d] = -1) the multiset; [None] for every
+   other result, which is re-folded when the batch is flushed. *)
+let distinct_step (agg : Aggregate.t) cur v d =
+  let base = function Value.Int n -> Some n | Value.Null -> Some 0 | _ -> None in
+  match agg.Aggregate.func, base cur, v with
+  | Aggregate.Count, Some n, _ -> Some (Value.Int (n + d))
+  | Aggregate.Sum, Some n, Value.Int x -> Some (Value.Int (n + (d * x)))
+  | _ -> None
+
+let apply_contrib t (sh : shard) key ~sign ~cnt r i (item : Select_item.t)
+    contrib =
   let agg =
     match item with
     | Select_item.Agg a -> a
@@ -355,17 +427,20 @@ let apply_contrib t (sh : shard) key ~sign r i (item : Select_item.t) contrib =
       (* deletion of the current extremum invalidates the component *)
       match Column.get cell r with
       | Value.Null -> ()
-      | cur -> if Value.equal cur v then mark_dirty sh key
+      | cur -> if Value.equal cur v then mark sh key recompute
     end
-  | L_dist cell, C_value v ->
-    if t.determined then begin
-      (* the argument is functionally determined by the group key: the value
-         set is a singleton fixed at group creation *)
-      match Column.get cell r with
-      | Value.Null -> Column.set cell r (singleton_distinct agg v)
-      | _ -> ()
+  | L_dist { cell; vals }, C_value v ->
+    let m = vals.maps.(r) in
+    let before = Option.value (VMap.find_opt v m) ~default:0 in
+    let after = before + (sign * cnt) in
+    if after < 0 then invalid_arg "View_state: DISTINCT multiplicity underflow";
+    vals.maps.(r) <- (if after = 0 then VMap.remove v m else VMap.add v after m);
+    (* the result changes only when the value set does *)
+    if before = 0 || after = 0 then begin
+      match distinct_step agg (Column.get cell r) v sign with
+      | Some x -> Column.set cell r x
+      | None -> mark sh key refinalize
     end
-    else mark_dirty sh key
   | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
     invalid_arg "View_state: contribution does not match aggregate state"
 
@@ -378,7 +453,8 @@ let feed t ~key ~cnt contribs =
   Array.iteri
     (fun i c ->
       match c with
-      | Some contrib -> apply_contrib t sh key ~sign:1 r i t.items.(i) contrib
+      | Some contrib ->
+        apply_contrib t sh key ~sign:1 ~cnt r i t.items.(i) contrib
       | None -> ())
     contribs
 
@@ -403,16 +479,34 @@ let unfeed t ~key ~cnt contribs =
         (fun i c ->
           match c with
           | Some contrib ->
-            apply_contrib t sh key ~sign:(-1) r i t.items.(i) contrib
+            apply_contrib t sh key ~sign:(-1) ~cnt r i t.items.(i) contrib
           | None -> ())
         contribs
+
+(* Re-fold every DISTINCT result of the group at [r] from its multiset. *)
+let refold t (sh : shard) key r =
+  note_known sh key (Some r);
+  Array.iteri
+    (fun i slot ->
+      match slot, t.items.(i) with
+      | L_dist { cell; vals }, Select_item.Agg agg ->
+        Column.set cell r (finalize_distinct agg vals.maps.(r))
+      | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ -> ())
+    sh.slots
 
 let take_dirty t =
   Array.fold_left
     (fun acc (sh : shard) ->
-      let keys = TH.fold (fun k () acc -> k :: acc) sh.dirty acc in
+      let acc =
+        TH.fold
+          (fun key bits acc ->
+            if bits land refinalize <> 0 then
+              Option.iter (refold t sh key) (find_row sh key);
+            if bits land recompute <> 0 then key :: acc else acc)
+          sh.dirty acc
+      in
       TH.reset sh.dirty;
-      keys)
+      acc)
     [] t.shards
 
 let is_dirty_pending t =
@@ -425,9 +519,9 @@ let set_value t ~key ~item v =
   | Some r -> (
     note_known sh key (Some r);
     match sh.slots.(item) with
-    | L_ext cell | L_dist cell -> Column.set cell r v
-    | L_group | L_count _ | L_sum _ ->
-      invalid_arg "View_state.set_value: item is CSMAS-maintained")
+    | L_ext cell -> Column.set cell r v
+    | L_group | L_count _ | L_sum _ | L_dist _ ->
+      invalid_arg "View_state.set_value: item is not recomputed")
 
 type component_update = Shift_sum of Value.t | Set_current of Value.t
 
@@ -445,20 +539,17 @@ let adjust_group t ~key ~new_key updates =
     if moving then note_known sh' new_key (find_row sh' new_key);
     List.iter
       (fun (i, upd) ->
-        let agg =
-          match t.items.(i) with
-          | Select_item.Agg a -> Some a
-          | Select_item.Group _ -> None
-        in
-        match sh.slots.(i), upd with
-        | L_sum { sum; n }, Shift_sum delta ->
+        match sh.slots.(i), t.items.(i), upd with
+        | L_sum { sum; n }, _, Shift_sum delta ->
           Column.add_cell sum r delta (Icol.get n r)
-        | L_ext cell, Set_current v -> Column.set cell r v
-        | L_dist cell, Set_current v ->
-          (* the caller passes the witnessed (determined) value; finalize
-             the singleton DISTINCT here *)
-          Column.set cell r (singleton_distinct (Option.get agg) v)
-        | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
+        | L_ext cell, _, Set_current v -> Column.set cell r v
+        | L_dist { cell; vals }, Select_item.Agg agg, Set_current v ->
+          (* the argument is determined by the group key: every base row
+             of the group now carries [v] *)
+          let m = VMap.singleton v (Icol.get sh.cnt0 r) in
+          vals.maps.(r) <- m;
+          Column.set cell r (finalize_distinct agg m)
+        | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _, _ ->
           invalid_arg "View_state.adjust_group: update does not match state")
       updates;
     if moving then begin
@@ -468,11 +559,18 @@ let adjust_group t ~key ~new_key updates =
       let accs = saved_accs sh r in
       delete_row sh r;
       ignore (append_saved sh' new_key cnt0 accs);
-      if TH.mem sh.dirty key then begin
+      match TH.find_opt sh.dirty key with
+      | Some bits ->
         TH.remove sh.dirty key;
-        TH.add sh'.dirty (Array.copy new_key) ()
-      end
+        TH.add sh'.dirty (Array.copy new_key) bits
+      | None -> ()
     end
+
+let multiset t ~key ~item =
+  let sh = shard_for t key in
+  match find_row sh key, sh.slots.(item) with
+  | Some r, L_dist { vals; _ } -> VMap.bindings vals.maps.(r)
+  | Some _, (L_group | L_count _ | L_sum _ | L_ext _) | None, _ -> []
 
 let fold_groups t f acc =
   Array.fold_left
@@ -491,13 +589,15 @@ let saved_acc_equal a b =
   | Sv_sum { sum; n }, Sv_sum { sum = sum'; n = m } ->
     Value.equal sum sum' && n = m
   | Sv_value x, Sv_value y -> Value.equal x y
-  | (Sv_group | Sv_count _ | Sv_sum _ | Sv_value _), _ -> false
+  | Sv_dist { cell; vals }, Sv_dist { cell = cell'; vals = vals' } ->
+    Value.equal cell cell' && VMap.equal Int.equal vals vals'
+  | (Sv_group | Sv_count _ | Sv_sum _ | Sv_value _ | Sv_dist _), _ -> false
 
 let dirty_count t =
   Array.fold_left (fun acc (sh : shard) -> acc + TH.length sh.dirty) 0 t.shards
 
-(* Structural equality of the resident view state: groups (base counts and
-   every aggregate component) and the pending-recompute (dirty) set.
+(* Structural equality of the resident view state: groups (base counts,
+   every aggregate component and DISTINCT multiset) and the dirty table.
    Deliberately independent of the shard layout and of physical row order;
    open transactions are ignored. *)
 let equal a b =
@@ -526,7 +626,8 @@ let equal a b =
   && Array.for_all
        (fun (sh : shard) ->
          TH.fold
-           (fun key () acc -> acc && TH.mem (shard_for b key).dirty key)
+           (fun key bits acc ->
+             acc && TH.find_opt (shard_for b key).dirty key = Some bits)
            sh.dirty true)
        a.shards
 
@@ -555,7 +656,7 @@ let render t =
                     Value.div_as_float (Column.get sum r)
                       (Value.Int (Icol.get n r))
                   | _ -> assert false)
-                | L_ext cell | L_dist cell -> (
+                | L_ext cell | L_dist { cell; _ } -> (
                   match Column.get cell r with
                   | Value.Null ->
                     invalid_arg
@@ -572,6 +673,15 @@ let render t =
 
 (* --- byte accounting ----------------------------------------------------- *)
 
+(* A multiset column: its row array plus, per entry, one map node (header,
+   two subtrees, key, count, height: 6 words) and the boxed key. *)
+let mcol_byte_size c =
+  let bytes = ref (8 * Array.length c.maps) in
+  for r = 0 to c.len - 1 do
+    VMap.iter (fun v _ -> bytes := !bytes + 48 + Column.boxed_bytes v) c.maps.(r)
+  done;
+  !bytes
+
 let fold_columns t f acc =
   Array.fold_left
     (fun acc (sh : shard) ->
@@ -581,7 +691,7 @@ let fold_columns t f acc =
           match slot with
           | L_group | L_count _ -> acc
           | L_sum { sum; _ } -> f acc sum
-          | L_ext v | L_dist v -> f acc v)
+          | L_ext v | L_dist { cell = v; _ } -> f acc v)
         acc sh.slots)
     acc t.shards
 
@@ -596,9 +706,10 @@ let byte_size t =
         Array.fold_left
           (fun acc slot ->
             match slot with
-            | L_group | L_ext _ | L_dist _ -> acc
+            | L_group | L_ext _ -> acc
             | L_count c -> acc + Icol.byte_size c
-            | L_sum { n; _ } -> acc + Icol.byte_size n)
+            | L_sum { n; _ } -> acc + Icol.byte_size n
+            | L_dist { vals; _ } -> acc + mcol_byte_size vals)
           (acc + Icol.byte_size sh.cnt0 + Rowmap.byte_size sh.map)
           sh.slots)
       0 t.shards

@@ -3,16 +3,24 @@
     Following the paper's convention that view aggregates are replaced by
     their Table 2 distributive components before maintenance (Section 3.1),
     each group stores internal components — a base-row count [cnt0], running
-    SUM/COUNT pairs, current extrema and DISTINCT results — from which the
-    visible select-list values are rendered on demand.
+    SUM/COUNT pairs, current extrema, and per DISTINCT aggregate the
+    multiset of its argument values (value -> number of base rows carrying
+    it) with the result finalized from it — from which the visible
+    select-list values are rendered on demand.
 
-    CSMAS components are maintained exactly under both feeds and unfeeds;
-    non-CSMAS components (MIN/MAX under deletion, DISTINCT aggregates) mark
-    their group {e dirty} so the engine can recompute them from the auxiliary
-    views, exactly as Section 3.2 prescribes. In {e determined} mode (used
-    when the root auxiliary view has been eliminated, where every non-CSMAS
-    argument is functionally determined by the group key) they are set at
-    group creation and never dirtied. *)
+    CSMAS components are maintained exactly under both feeds and unfeeds.
+    A MIN/MAX whose current extremum is deleted marks its group {e dirty}
+    so the engine can recompute it from the auxiliary views, as Section 3.2
+    prescribes. DISTINCT aggregates never need the auxiliary views: feeds
+    and unfeeds keep the multiset exact in O(log values) each, so the
+    multiset holds at most one entry per distinct (group, value) pair —
+    never more than the detail the auxiliary views already keep. COUNT and
+    integer SUM DISTINCT results move with each value entering or leaving
+    the multiset; the others (MIN/MAX, AVG, float SUM) are re-folded from
+    it by {!take_dirty}. In {e determined} mode (used when the root
+    auxiliary view has been eliminated, where every non-CSMAS argument is
+    functionally determined by the group key) extrema are never dirtied
+    and each DISTINCT multiset holds a single value. *)
 
 type contrib =
   | C_count of int
@@ -40,19 +48,22 @@ val shard_count : t -> int
 (** Shard that owns group key [key]. *)
 val shard_of_key : t -> Relational.Tuple.t -> int
 
-(** Deep copy: groups (and their component arrays) and the dirty set are
+(** Deep copy: groups (and their component arrays) and the dirty table are
     duplicated so the copy and the original evolve independently (snapshot
     checkpoints). The copy carries no open transaction. *)
 val copy : t -> t
 
-(** Structural equality of the resident state: groups (base count and every
-    aggregate component) and the dirty set. Open transactions are ignored. *)
+(** Structural equality of the resident state: groups (base count, every
+    aggregate component and DISTINCT multiset) and the dirty table. Open
+    transactions are ignored. *)
 val equal : t -> t -> bool
 
 (** {2 Batch transactions}
 
-    First-touch undo journal over groups plus a saved dirty set; rollback
-    restores exactly the groups a batch touched — O(delta), never O(state). *)
+    First-touch undo journal over groups plus a saved dirty table; rollback
+    restores exactly the groups a batch touched — O(delta), never O(state).
+    A group's DISTINCT multisets are persistent maps, so their before-image
+    is the old map itself, not a copy. *)
 
 (** Whether an undo journal is currently open. *)
 val in_txn : t -> bool
@@ -67,7 +78,7 @@ val begin_txn : t -> unit
 val commit : t -> unit
 
 (** Restores every touched group to its before-image, restores the dirty
-    set, and closes the journal.
+    table, and closes the journal.
     @raise Invalid_argument if no transaction is open. *)
 val rollback : t -> unit
 
@@ -85,13 +96,21 @@ val feed : t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> uni
 val unfeed :
   t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> unit
 
-(** Groups marked dirty since the last call; clears the set. *)
+(** Settles the batch: re-folds, from its multiset, every MIN/MAX, AVG and
+    float SUM DISTINCT result whose value set changed since the last call
+    (in [Value.compare] order, so the result equals recomputation from base
+    tables bit for bit), then returns the groups whose MIN or MAX lost its
+    extremum — the only groups the engine must recompute from the auxiliary
+    views — and clears the dirty table. Costs O(groups touched), never
+    O(state). *)
 val take_dirty : t -> Relational.Tuple.t list
 
+(** Whether {!take_dirty} has anything to do. *)
 val is_dirty_pending : t -> bool
 
-(** [set_value t ~key ~item v] overwrites the rendered value of a recomputed
-    non-CSMAS item. No-op if the group has disappeared. *)
+(** [set_value t ~key ~item v] overwrites the current extremum of a
+    recomputed MIN/MAX item. No-op if the group has disappeared.
+    @raise Invalid_argument if [item] is not a (non-DISTINCT) MIN/MAX. *)
 val set_value : t -> key:Relational.Tuple.t -> item:int -> Relational.Value.t -> unit
 
 (** [adjust_group t ~key ~new_key updates] rewrites a group's key and applies
@@ -100,7 +119,8 @@ val set_value : t -> key:Relational.Tuple.t -> item:int -> Relational.Value.t ->
     @raise Invalid_argument if the group is missing or [new_key] collides. *)
 type component_update =
   | Shift_sum of Relational.Value.t  (** sum += delta * n *)
-  | Set_current of Relational.Value.t  (** extremum / distinct result := v *)
+  | Set_current of Relational.Value.t
+      (** extremum := v; a DISTINCT multiset becomes [v] for every base row *)
 
 val adjust_group :
   t ->
@@ -109,6 +129,12 @@ val adjust_group :
   (int * component_update) list ->
   unit
 
+(** [multiset t ~key ~item] is the value multiset of DISTINCT item [item] in
+    group [key]: (value, base-row count) pairs in [Value.compare] order.
+    [[]] when the group is absent or the item is not DISTINCT. *)
+val multiset :
+  t -> key:Relational.Tuple.t -> item:int -> (Relational.Value.t * int) list
+
 (** Fold over groups as (key, base-row count). *)
 val fold_groups : t -> (Relational.Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
 
@@ -116,8 +142,9 @@ val fold_groups : t -> (Relational.Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
 val render : t -> Relational.Relation.t
 
 (** Resident bytes of this state: key and component columns (including
-    off-heap Bigarray payloads), count columns, key maps and string
-    dictionaries (each counted once per state). *)
+    off-heap Bigarray payloads), count columns, key maps, DISTINCT
+    multisets (map nodes and boxed values) and string dictionaries (each
+    counted once per state). *)
 val byte_size : t -> int
 
 (** Off-heap (Bigarray payload) bytes only — the part of {!byte_size} that

@@ -179,15 +179,28 @@ let vs_contribs ~v ~lbl =
     Some (VS.C_value (s lbl));
   |]
 
-let vb_contribs ~v ~lbl =
+(* The boxed oracle still marks a group dirty for every DISTINCT feed, so it
+   maintains [vview] without its DISTINCT column: its dirty set is then
+   exactly the MAX groups the columnar state must hand back. *)
+let oview = { vview with View.select = List.filteri (fun j _ -> j < 5) vview.View.select }
+
+let vb_contribs ~v ~lbl:_ =
   [|
     None;
     Some (VB.C_sum { amount = i v; n = 1 });
     Some (VB.C_count 1);
     Some (VB.C_sum { amount = i v; n = 1 });
     Some (VB.C_value (i v));
-    Some (VB.C_value (s lbl));
   |]
+
+(* The view rows without the DISTINCT column, and that column by group. *)
+let without_distinct rel =
+  let out = Relation.create () in
+  Relation.iter (fun r m -> Relation.insert ~count:m out (Array.sub r 0 5)) rel;
+  out
+
+let distinct_column rel =
+  List.sort compare (List.map (fun (r, _) -> (r.(0), r.(5))) (Relation.to_sorted_list rel))
 
 let vs_groups st = List.sort compare (VS.fold_groups st (fun k c acc -> (k, c) :: acc) [])
 let vb_groups st = List.sort compare (VB.fold_groups st (fun k c acc -> (k, c) :: acc) [])
@@ -195,7 +208,7 @@ let vb_groups st = List.sort compare (VB.fold_groups st (fun k c acc -> (k, c) :
 let view_matrix seed =
   let s1 = VS.create vview ~determined:false in
   let s4 = VS.create ~shards:4 vview ~determined:false in
-  let oracle = VB.create vview ~determined:false in
+  let oracle = VB.create oview ~determined:false in
   let rng = Prng.create seed in
   let present = ref [] in
   let ok = ref true in
@@ -227,9 +240,9 @@ let view_matrix seed =
       feed_all entry
     end
   in
-  (* stand-in for the engine's non-CSMAS recomputation: the three states
-     must dirty the same groups; resolve them all to the same value so
-     renders stay comparable *)
+  (* stand-in for the engine's MAX recomputation: the three states must
+     dirty the same groups; resolve them all to the same value so renders
+     stay comparable *)
   let resolve () =
     let d1 = List.sort Tuple.compare (VS.take_dirty s1) in
     let d4 = List.sort Tuple.compare (VS.take_dirty s4) in
@@ -237,19 +250,31 @@ let view_matrix seed =
     ok := !ok && List.equal Tuple.equal d1 d4 && List.equal Tuple.equal d1 db_;
     List.iter
       (fun k ->
-        List.iter
-          (fun item ->
-            VS.set_value s1 ~key:k ~item (i 7);
-            VS.set_value s4 ~key:k ~item (i 7);
-            VB.set_value oracle ~key:k ~item (i 7))
-          [ 4; 5 ])
+        VS.set_value s1 ~key:k ~item:4 (i 7);
+        VS.set_value s4 ~key:k ~item:4 (i 7);
+        VB.set_value oracle ~key:k ~item:4 (i 7))
       d1
+  in
+  (* COUNT(DISTINCT lbl) per group, straight from the live entries *)
+  let expected_distinct () =
+    let groups = List.sort_uniq compare (List.map (fun (k, _, _, _) -> k) !present) in
+    List.map
+      (fun k ->
+        let lbls =
+          List.filter_map
+            (fun (k', _, lbl, _) -> if k' = k then Some lbl else None)
+            !present
+        in
+        (i k, i (List.length (List.sort_uniq compare lbls))))
+      groups
   in
   let check () =
     resolve ();
+    let r1 = VS.render s1 in
     ok :=
       !ok
-      && Relation.equal (VS.render s1) (VB.render oracle)
+      && Relation.equal (without_distinct r1) (VB.render oracle)
+      && distinct_column r1 = expected_distinct ()
       && VS.equal s1 s4
       && vs_groups s1 = vb_groups oracle
       && VS.group_count s1 = VB.group_count oracle
@@ -599,13 +624,17 @@ let undo_tests =
         let feed k v lbl = VS.feed st ~key:(row [ i k ]) ~cnt:1 (vs_contribs ~v ~lbl) in
         feed 1 10 "a";
         feed 1 20 "b";
+        feed 1 30 "b";
         feed 2 5 "a";
-        (* leave group 1 dirty on purpose: rollback must restore the set *)
+        (* leave group 1 dirty on purpose (its MAX is gone): rollback must
+           restore the set *)
+        VS.unfeed st ~key:(row [ i 1 ]) ~cnt:1 (vs_contribs ~v:30 ~lbl:"b");
         let snap = VS.copy st in
         Alcotest.(check bool) "dirty before txn" true (VS.is_dirty_pending st);
         VS.begin_txn st;
         ignore (VS.take_dirty st);
         feed 3 7 "c";
+        (* drops "b" from group 1's DISTINCT multiset *)
         VS.unfeed st ~key:(row [ i 1 ]) ~cnt:1 (vs_contribs ~v:20 ~lbl:"b");
         VS.set_value st ~key:(row [ i 2 ]) ~item:4 (i 999);
         VS.rollback st;

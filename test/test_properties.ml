@@ -200,6 +200,81 @@ let prop_recompute_paths =
       done;
       !ok)
 
+(* Random views whose aggregates are all DISTINCT — every kind, over a
+   fact column and over updatable dimension columns — so that root
+   inserts, deletes and updates and dimension updates of the DISTINCT
+   argument all move the per-group value multisets. *)
+let distinct_candidates dims =
+  let d func alias attr =
+    Select_item.Agg (Aggregate.make ~distinct:true ~alias func (Some attr))
+  in
+  let price = a "sale" "price" in
+  [ d Aggregate.Count "cd_price" price; d Aggregate.Sum "sd_price" price;
+    d Aggregate.Avg "ad_price" price; d Aggregate.Min "mind_price" price;
+    d Aggregate.Max "maxd_price" price ]
+  @ (if List.mem "product" dims then
+       let brand = a "product" "brand" in
+       [ d Aggregate.Count "cd_brand" brand; d Aggregate.Min "mind_brand" brand;
+         d Aggregate.Max "maxd_brand" brand ]
+     else [])
+  @
+  if List.mem "time" dims then
+    let month = a "time" "month" in
+    [ d Aggregate.Sum "sd_month" month; d Aggregate.Avg "ad_month" month ]
+  else []
+
+let distinct_view_gen =
+  Gen.bind
+    (Gen.oneofl [ [ "product" ]; [ "time"; "product" ]; [ "time" ]; [];
+                  [ "product"; "store" ] ])
+    (fun dims ->
+      Gen.bind (sublist (group_candidates dims)) (fun groups ->
+          Gen.bind (sublist (distinct_candidates dims)) (fun aggs ->
+              Gen.map
+                (fun locals ->
+                  let aggs =
+                    if aggs = [] then [ List.hd (distinct_candidates dims) ]
+                    else aggs
+                  in
+                  view_of_spec { dims; groups; aggs; locals })
+                (sublist (local_candidates dims)))))
+
+let prop_distinct_multisets =
+  QCheck2.Test.make ~count
+    ~name:"DISTINCT multisets: maintained == recomputed, audit clean"
+    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
+    Gen.(pair distinct_view_gen (int_bound 10_000))
+    (fun (view, seed) ->
+      let db = Workload.Retail.load tiny_params in
+      View.validate db view;
+      let e = Maintenance.Engine.init db (Derive.derive db view) in
+      let pool = Maintenance.Shard.create ~domains:1 in
+      let rng = Workload.Prng.create seed in
+      let mix = { Workload.Delta_gen.insert = 1; delete = 2; update = 3 } in
+      let ok = ref true in
+      for round = 1 to 5 do
+        (* generated in order: each stream applies itself to [db] *)
+        let facts = Workload.Delta_gen.stream ~mix rng db ~n:20 in
+        let dims =
+          Workload.Delta_gen.stream_for ~mix rng db
+            ~tables:[ "product"; "time" ] ~n:4
+        in
+        let deltas = facts @ dims in
+        (* alternate the serial route and the netted batch path *)
+        let parallel = if round land 1 = 0 then Some pool else None in
+        Maintenance.Engine.apply_batch ?parallel e deltas;
+        ok :=
+          !ok
+          && Relation.equal
+               (Maintenance.Engine.view_contents e)
+               (Algebra.Eval.eval db view)
+          &&
+          match Maintenance.Engine.audit ~sample:16 e with
+          | Some (_, divergences) -> divergences = 0
+          | None -> true
+      done;
+      !ok)
+
 let prop_psj_engine_agrees =
   QCheck2.Test.make ~count ~name:"PSJ engine == recomputed (random views+streams)"
     ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
@@ -623,6 +698,7 @@ let () =
           [
             prop_maintained_equals_recomputed;
             prop_recompute_paths;
+            prop_distinct_multisets;
             prop_psj_engine_agrees;
             prop_aux_state_matches_materialization;
           ] );

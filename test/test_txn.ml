@@ -1,7 +1,9 @@
 (* Transactional-apply tests: rollback after a mid-batch failure restores
    state structurally identical to a pre-batch [Engines.copy] — groups,
-   by-key maps, secondary indexes, totals and the dirty set all compared —
-   for every engine configuration, across seeds and failure positions; plus
+   by-key maps, secondary indexes, totals, DISTINCT value multisets and the
+   dirty set all compared — for every engine configuration, across seeds
+   and failure positions, and for DISTINCT views also after a warehouse
+   abort at the mid-engine-apply point; plus
    the NULL-poisoning regression, strict index-column validation, and the
    warehouse-level all-or-nothing abort path. *)
 
@@ -10,6 +12,7 @@ module Engines = Maintenance.Engines
 module Aux_state = Maintenance.Aux_state
 module Derive = Mindetail.Derive
 module Validator = Relational.Validator
+module Faults = Maintenance.Faults
 
 let test case fn = Alcotest.test_case case `Quick fn
 
@@ -50,6 +53,37 @@ type case = {
   mix : Workload.Delta_gen.op_mix;
 }
 
+(* Every DISTINCT aggregate kind, next to a plain SUM(price) that the NULL
+   poison makes raise mid-apply. *)
+let distinct_all =
+  {
+    View.name = "distinct_all";
+    having = [];
+    select =
+      [
+        group (a "time" "month");
+        sum ~alias:"revenue" (a "sale" "price");
+        count_distinct ~alias:"brands" (a "product" "brand");
+        Select_item.Agg
+          (Aggregate.make ~distinct:true ~alias:"sum_d" Aggregate.Sum
+             (Some (a "sale" "price")));
+        Select_item.Agg
+          (Aggregate.make ~distinct:true ~alias:"avg_d" Aggregate.Avg
+             (Some (a "sale" "price")));
+        Select_item.Agg
+          (Aggregate.make ~distinct:true ~alias:"min_d" Aggregate.Min
+             (Some (a "product" "brand")));
+        Select_item.Agg
+          (Aggregate.make ~distinct:true ~alias:"max_d" Aggregate.Max
+             (Some (a "sale" "price")));
+      ];
+    tables = [ "sale"; "time"; "product" ];
+    locals = [];
+    joins =
+      [ join (a "sale" "timeid") (a "time" "id");
+        join (a "sale" "productid") (a "product" "id") ];
+  }
+
 let cases =
   [
     {
@@ -62,6 +96,12 @@ let cases =
       cname = "minimal-distinct";
       build = (fun db -> Engines.minimal db Workload.Retail.product_sales);
       cview = Workload.Retail.product_sales;
+      mix = Workload.Delta_gen.default_mix;
+    };
+    {
+      cname = "minimal-distinct-all";
+      build = (fun db -> Engines.minimal db distinct_all);
+      cview = distinct_all;
       mix = Workload.Delta_gen.default_mix;
     };
     {
@@ -87,10 +127,15 @@ let cases =
     };
   ]
 
+(* How the batch fails: a poison delta raising mid-apply, or the
+   warehouse's mid-engine-apply abort — this engine absorbed the whole valid
+   prefix, end-of-batch flush included, before the batch is aborted. *)
+type failure = Poison | Abort_mid_engine_apply
+
 (* The property: warm the engine up, snapshot it, fail a batch after
    [pos] valid deltas — rollback must restore the snapshot exactly, and the
    engine must keep maintaining correctly afterwards. *)
-let rollback_restores case seed pos () =
+let rollback_restores ?(failure = Poison) case seed pos () =
   let db = Workload.Retail.load { tiny with seed } in
   let eng = case.build db in
   let rng = Workload.Prng.create ((seed * 13) + 1) in
@@ -106,9 +151,21 @@ let rollback_restores case seed pos () =
     List.filteri (fun idx _ -> idx < pos) valid @ [ null_price_insert () ]
   in
   Engines.begin_txn eng;
-  (match Engines.apply_batch eng poisoned with
-  | () -> Alcotest.fail "the poisoned batch must raise"
-  | exception _ -> ());
+  (match failure with
+  | Poison -> (
+    match Engines.apply_batch eng poisoned with
+    | () -> Alcotest.fail "the poisoned batch must raise"
+    | exception _ -> ())
+  | Abort_mid_engine_apply -> (
+    let prefix = List.filteri (fun idx _ -> idx < pos) valid in
+    Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+    Fun.protect ~finally:Faults.disarm @@ fun () ->
+    match
+      Engines.apply_batch eng prefix;
+      Faults.hit Faults.Mid_engine_apply
+    with
+    | () -> Alcotest.fail "the armed point must fire"
+    | exception Faults.Injected Faults.Mid_engine_apply -> ()));
   Engines.rollback eng;
   Alcotest.(check bool)
     "rollback restores the pre-batch state" true
@@ -122,19 +179,26 @@ let rollback_restores case seed pos () =
     (Engines.view_contents eng)
 
 let rollback_tests =
-  List.concat_map
-    (fun case ->
-      List.concat_map
-        (fun seed ->
-          List.map
-            (fun pos ->
-              test
-                (Printf.sprintf "%s: rollback == snapshot (seed %d, fail at %d)"
-                   case.cname seed pos)
-                (rollback_restores case seed pos))
-            [ 0; 6; 12 ])
-        [ 41; 42 ])
-    cases
+  let matrix ?failure label cases =
+    List.concat_map
+      (fun case ->
+        List.concat_map
+          (fun seed ->
+            List.map
+              (fun pos ->
+                test
+                  (Printf.sprintf "%s: rollback == snapshot (seed %d, %s at %d)"
+                     case.cname seed label pos)
+                  (rollback_restores ?failure case seed pos))
+              [ 0; 6; 12 ])
+          [ 41; 42 ])
+      cases
+  in
+  matrix "fail" cases
+  @ matrix ~failure:Abort_mid_engine_apply "mid-engine-apply abort"
+      (List.filter
+         (fun c -> List.mem c.cname [ "minimal-distinct"; "minimal-distinct-all" ])
+         cases)
 
 (* --- NULL poisoning regression ----------------------------------------- *)
 

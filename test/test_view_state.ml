@@ -1,5 +1,6 @@
 (* Direct unit tests for the view-group state: component maintenance,
-   dirty-group tracking, group rewriting, rendering. *)
+   DISTINCT value multisets, dirty-group tracking, group rewriting,
+   rendering, byte accounting. *)
 
 open Helpers
 module VS = Maintenance.View_state
@@ -42,10 +43,12 @@ let fresh () = VS.create view ~determined:false
 
 let rows st = Relation.to_sorted_list (VS.render st)
 
-let flush_distinct st key value =
-  (* stand-in for the engine's recomputation *)
-  List.iter (fun k -> if Tuple.equal k key then VS.set_value st ~key ~item:5 value)
-    (VS.take_dirty st)
+(* end of a batch with no extremum lost: nothing for the engine to do *)
+let settle st =
+  Alcotest.(check (list tuple)) "nothing to recompute" [] (VS.take_dirty st)
+
+let multiset st key = VS.multiset st ~key ~item:5
+let counts = Alcotest.(list (pair value int))
 
 let tests =
   [
@@ -53,7 +56,7 @@ let tests =
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
         feed st (row [ i 1 ]) ~v:20 ~lbl:"b";
-        flush_distinct st (row [ i 1 ]) (i 2);
+        settle st;
         Alcotest.(check int) "one group" 1 (VS.group_count st);
         match rows st with
         | [ (r, 1) ] ->
@@ -72,29 +75,83 @@ let tests =
         unfeed st (row [ i 1 ]) ~v:20 ~lbl:"a";
         (* the deleted 20 was the MAX: group goes dirty *)
         Alcotest.(check bool) "dirty" true (VS.is_dirty_pending st);
-        List.iter
-          (fun k ->
-            VS.set_value st ~key:k ~item:4 (i 10);
-            VS.set_value st ~key:k ~item:5 (i 1))
-          (VS.take_dirty st);
+        let dirty = VS.take_dirty st in
+        Alcotest.(check (list tuple)) "the MAX group" [ row [ i 1 ] ] dirty;
+        List.iter (fun k -> VS.set_value st ~key:k ~item:4 (i 10)) dirty;
         match rows st with
         | [ (r, 1) ] ->
           Alcotest.check value "sum" (i 10) r.(1);
           Alcotest.check value "count" (i 1) r.(2);
-          Alcotest.check value "max" (i 10) r.(4)
+          Alcotest.check value "max" (i 10) r.(4);
+          Alcotest.check value "distinct" (i 1) r.(5)
         | _ -> Alcotest.fail "expected one row");
     test "deleting a non-extremal value leaves the group clean" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
-        feed st (row [ i 1 ]) ~v:20 ~lbl:"a";
-        ignore (VS.take_dirty st);
+        feed st (row [ i 1 ]) ~v:20 ~lbl:"b";
+        settle st;
         unfeed st (row [ i 1 ]) ~v:10 ~lbl:"a";
-        (* MAX unaffected; only the DISTINCT component is dirtied *)
-        let dirty = VS.take_dirty st in
-        Alcotest.(check int) "one dirty (distinct)" 1 (List.length dirty);
-        List.iter (fun k -> VS.set_value st ~key:k ~item:5 (i 1)) dirty;
+        (* MAX unaffected, and the DISTINCT count follows its multiset: "a"
+           left it, with nothing marked dirty *)
+        Alcotest.(check bool) "clean" false (VS.is_dirty_pending st);
         match rows st with
-        | [ (r, 1) ] -> Alcotest.check value "max intact" (i 20) r.(4)
+        | [ (r, 1) ] ->
+          Alcotest.check value "max intact" (i 20) r.(4);
+          Alcotest.check value "distinct" (i 1) r.(5)
+        | _ -> Alcotest.fail "expected one row");
+    test "DISTINCT multiset counts base rows per value" (fun () ->
+        let st = fresh () in
+        let key = row [ i 1 ] in
+        VS.feed st ~key ~cnt:2 (contribs ~v:10 ~lbl:"a");
+        feed st key ~v:20 ~lbl:"b";
+        Alcotest.check counts "two values" [ (s "a", 2); (s "b", 1) ] (multiset st key);
+        unfeed st key ~v:10 ~lbl:"a";
+        Alcotest.check counts "a kept once" [ (s "a", 1); (s "b", 1) ] (multiset st key);
+        Alcotest.(check bool) "never dirty" false (VS.is_dirty_pending st);
+        unfeed st key ~v:20 ~lbl:"b";
+        Alcotest.check counts "b dropped" [ (s "a", 1) ] (multiset st key);
+        (match rows st with
+        | [ (r, 1) ] -> Alcotest.check value "distinct" (i 1) r.(5)
+        | _ -> Alcotest.fail "expected one row");
+        Alcotest.check counts "not a DISTINCT item" [] (VS.multiset st ~key ~item:4);
+        Alcotest.check counts "absent group" [] (multiset st (row [ i 9 ])));
+    test "MIN/MAX/SUM/AVG DISTINCT are re-folded when the batch settles"
+      (fun () ->
+        let dview =
+          {
+            view with
+            View.select =
+              [
+                group (a "t" "g");
+                Select_item.Agg
+                  (Aggregate.make ~distinct:true ~alias:"sd" Aggregate.Sum
+                     (Some (a "t" "x")));
+                Select_item.Agg
+                  (Aggregate.make ~distinct:true ~alias:"ad" Aggregate.Avg
+                     (Some (a "t" "x")));
+                Select_item.Agg
+                  (Aggregate.make ~distinct:true ~alias:"mn" Aggregate.Min
+                     (Some (a "t" "x")));
+                Select_item.Agg
+                  (Aggregate.make ~distinct:true ~alias:"mx" Aggregate.Max
+                     (Some (a "t" "x")));
+              ];
+          }
+        in
+        let st = VS.create dview ~determined:false in
+        let key = row [ i 1 ] in
+        let cs x = Array.append [| None |] (Array.make 4 (Some (VS.C_value (f x)))) in
+        List.iter (fun x -> VS.feed st ~key ~cnt:1 (cs x)) [ 0.5; 1e16; 0.5; 0.25 ];
+        settle st;
+        VS.unfeed st ~key ~cnt:1 (cs 1e16);
+        Alcotest.(check bool) "pending re-fold" true (VS.is_dirty_pending st);
+        settle st;
+        match rows st with
+        | [ (r, 1) ] ->
+          Alcotest.check value "sum" (f 0.75) r.(1);
+          Alcotest.check value "avg" (f 0.375) r.(2);
+          Alcotest.check value "min" (f 0.25) r.(3);
+          Alcotest.check value "max" (f 0.5) r.(4)
         | _ -> Alcotest.fail "expected one row");
     test "group disappears at zero and forgets its dirt" (fun () ->
         let st = fresh () in
@@ -115,19 +172,23 @@ let tests =
         match VS.unfeed st ~key:(row [ i 1 ]) ~cnt:5 (contribs ~v:10 ~lbl:"a") with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
-    test "determined mode fixes DISTINCT at creation" (fun () ->
+    test "determined mode keeps a one-value DISTINCT multiset" (fun () ->
         let st = VS.create view ~determined:true in
         VS.feed st ~key:(row [ i 1 ]) ~cnt:1 (contribs ~v:10 ~lbl:"a");
         VS.feed st ~key:(row [ i 1 ]) ~cnt:1 (contribs ~v:20 ~lbl:"a");
         Alcotest.(check bool) "never dirty" false (VS.is_dirty_pending st);
-        match rows st with
+        (match rows st with
         | [ (r, 1) ] -> Alcotest.check value "distinct count" (i 1) r.(5)
         | _ -> Alcotest.fail "expected one row");
+        (* a dimension update rewrites the determined value for every row *)
+        VS.adjust_group st ~key:(row [ i 1 ]) ~new_key:(row [ i 1 ])
+          [ (5, VS.Set_current (s "z")) ];
+        Alcotest.check counts "rewritten" [ (s "z", 2) ] (multiset st (row [ i 1 ])));
     test "adjust_group shifts sums and moves keys" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
         feed st (row [ i 1 ]) ~v:20 ~lbl:"a";
-        flush_distinct st (row [ i 1 ]) (i 1);
+        settle st;
         (* pretend a determined attribute moved from 10/20-base to +5 each:
            Shift_sum adds delta x n *)
         VS.adjust_group st ~key:(row [ i 1 ]) ~new_key:(row [ i 2 ])
@@ -149,17 +210,32 @@ let tests =
         let st = fresh () in
         VS.set_value st ~key:(row [ i 7 ]) ~item:4 (i 0);
         Alcotest.(check int) "still empty" 0 (VS.group_count st));
-    test "render raises while non-CSMAS recompute is pending" (fun () ->
+    test "a re-created group starts a fresh multiset" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
-        ignore (VS.take_dirty st);
+        settle st;
         unfeed st (row [ i 1 ]) ~v:10 ~lbl:"a";
         feed st (row [ i 1 ]) ~v:5 ~lbl:"b";
-        (* the distinct component was re-created and is pending *)
-        flush_distinct st (row [ i 1 ]) (i 1);
+        settle st;
+        Alcotest.check counts "only b" [ (s "b", 1) ] (multiset st (row [ i 1 ]));
         match rows st with
-        | [ _ ] -> ()
+        | [ (r, 1) ] -> Alcotest.check value "distinct" (i 1) r.(5)
         | _ -> Alcotest.fail "expected one row");
+    test "byte_size counts the DISTINCT multiset" (fun () ->
+        let st = fresh () in
+        let key = row [ i 1 ] in
+        feed st key ~v:1 ~lbl:"l0";
+        let last = ref (VS.byte_size st) in
+        for k = 1 to 40 do
+          feed st key ~v:1 ~lbl:(Printf.sprintf "l%d" k);
+          let now = VS.byte_size st in
+          Alcotest.(check bool) "a new value costs at least a map node" true
+            (now >= !last + 48);
+          last := now
+        done;
+        (* another row carrying a known value adds no entry *)
+        feed st key ~v:1 ~lbl:"l7";
+        Alcotest.(check int) "repeat value" !last (VS.byte_size st));
     test "fold_groups exposes base-row counts" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
