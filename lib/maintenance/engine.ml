@@ -1670,6 +1670,7 @@ let net_profile t deltas =
 (* --- inspection -------------------------------------------------------- *)
 
 let view_contents t = View_state.render t.vstate
+let publish t = View_state.publish t.vstate
 let view_state t = t.vstate
 
 let aux_contents t =

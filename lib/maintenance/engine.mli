@@ -115,6 +115,13 @@ val net_profile : t -> Relational.Delta.t list -> batch_profile
 (** Current view contents, in select-list order. *)
 val view_contents : t -> Relational.Relation.t
 
+(** The view's rows in canonical order, advanced from the previous call by
+    the groups the batches committed since then touched — see
+    {!View_state.publish}. An engine fresh from {!init} or {!copy} renders
+    in full on its first call.
+    @raise Invalid_argument if a transaction is open. *)
+val publish : t -> (Relational.Tuple.t * int) array
+
 (** Current auxiliary-view contents, in spec column order. *)
 val aux_contents : t -> (string * Relational.Relation.t) list
 

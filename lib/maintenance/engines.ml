@@ -127,15 +127,18 @@ let view_contents = function
   | Recompute { replica; view; _ } -> Algebra.Eval.eval replica view
   | Split p -> Partitioned.view_contents p
 
-(* Epoch capture: [view_contents] behind a guard. Every rendering path
-   builds a fresh relation (new rows, never aliasing engine internals), so
-   the result is immutable-by-construction and safe to hand to concurrent
-   readers — but only if the engine is quiescent: rendering mid-transaction
-   would freeze uncommitted group state into the published epoch. *)
+(* [view_contents] behind a guard: rendering mid-transaction would freeze
+   uncommitted group state. *)
 let capture t =
   if in_txn t then
     invalid_arg "Engines.capture: transaction open (capture only at commit)";
   view_contents t
+
+(* Only an incremental engine knows which groups a batch touched; the others
+   render in full. *)
+let publish = function
+  | Incremental { engine; _ } -> Engine.publish engine
+  | (Recompute _ | Split _) as t -> Relation.to_sorted_array (capture t)
 
 let detail_profile = function
   | Incremental { engine; _ } ->

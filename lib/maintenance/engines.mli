@@ -92,12 +92,23 @@ val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
     ([Tuple.compare] ascending). *)
 val view_contents : t -> Relational.Relation.t
 
-(** [capture t] is {!view_contents} for read-epoch publication: the fresh,
-    never-aliased relation is safe to share with concurrent readers for as
-    long as they like. Guarded — capturing under an open batch transaction
-    would publish uncommitted state.
+(** [capture t] is {!view_contents} as of the last commit: the full render,
+    a fresh relation that never aliases engine state. It is the oracle
+    {!publish} is tested against, and does not advance {!publish}'s basis.
     @raise Invalid_argument if a transaction is open. *)
 val capture : t -> Relational.Relation.t
+
+(** [publish t] is the view's rows in canonical order
+    ([Relational.Relation.to_sorted_array] of {!capture}), for read-epoch
+    publication. An incremental engine keeps the rows it last published and
+    advances them by the groups the transactions committed since then
+    touched — O(k log k) for k touched groups plus one pass over the rows;
+    its first call (after construction or {!copy}), the recompute baseline
+    and partitioned configurations render in full. The array is never
+    mutated afterwards, so it may be shared with concurrent readers for as
+    long as they like.
+    @raise Invalid_argument if a transaction is open. *)
+val publish : t -> (Relational.Tuple.t * int) array
 
 (** (object name, rows, fields per row) of all detail data this
     configuration stores besides the view itself. *)

@@ -73,12 +73,15 @@ val in_txn : t -> bool
     @raise Invalid_argument if a transaction is already open. *)
 val begin_txn : t -> unit
 
-(** Discards the journal, keeping all mutations.
+(** Closes the journal, keeping all mutations. The journal's group keys
+    are kept until the next {!publish} (or forgotten, once they outnumber
+    the view's groups).
     @raise Invalid_argument if no transaction is open. *)
 val commit : t -> unit
 
 (** Restores every touched group to its before-image, restores the dirty
-    table, and closes the journal.
+    table, and closes the journal. Its keys are dropped: those groups are
+    back to their state at {!begin_txn}.
     @raise Invalid_argument if no transaction is open. *)
 val rollback : t -> unit
 
@@ -138,8 +141,21 @@ val multiset :
 (** Fold over groups as (key, base-row count). *)
 val fold_groups : t -> (Relational.Tuple.t -> int -> 'a -> 'a) -> 'a -> 'a
 
-(** Render the view contents in select-list order. *)
+(** Render the view contents in select-list order: a fresh relation of
+    every group that passes HAVING. *)
 val render : t -> Relational.Relation.t
+
+(** [publish t] is the view's rows in canonical order ([Tuple.compare]
+    ascending, with multiplicities): equal to
+    [Relation.to_sorted_array (render t)], but advanced from the previous
+    [publish]'s rows by the groups changed since. Those rows minus the
+    changed groups are merged with the freshly rendered rows of the changed
+    groups that still exist — O(k log k) for k changed groups plus one pass
+    over the rows, no full sort. The first publication, and one after a
+    change outside a transaction, a {!copy} or forgotten keys, renders in
+    full. The returned array is never mutated, by this or any later call.
+    @raise Invalid_argument if a transaction is open. *)
+val publish : t -> (Relational.Tuple.t * int) array
 
 (** Resident bytes of this state: key and component columns (including
     off-heap Bigarray payloads), count columns, key maps, DISTINCT

@@ -35,11 +35,12 @@ let is_empty r = r.total = 0
 let fold f r acc = H.fold f r.tbl acc
 let iter f r = H.iter f r.tbl
 
-(* Sorted in place on an array, with no O(n log n) list cells: every served
-   query sorts its view. [Array.sort], because [Array.stable_sort] forces a
+(* Sorted in place on an array, with no O(n log n) list cells: the full
+   render of a published epoch sorts here (reads walk the published array
+   and never sort). [Array.sort], because [Array.stable_sort] forces a
    minor collection for its scratch array; keys are distinct, so stability
    does not matter. *)
-let to_sorted_list r =
+let to_sorted_array r =
   let n = H.length r.tbl in
   let a = Array.make n ([||], 0) in
   let i = ref n in
@@ -49,7 +50,9 @@ let to_sorted_list r =
       a.(!i) <- (tup, m))
     r.tbl;
   Array.sort (fun (x, _) (y, _) -> Tuple.compare x y) a;
-  Array.to_list a
+  a
+
+let to_sorted_list r = Array.to_list (to_sorted_array r)
 
 let of_list l =
   let r = create ~size_hint:(List.length l) () in

@@ -37,6 +37,9 @@ val iter : (Tuple.t -> int -> unit) -> t -> unit
     deterministic output. *)
 val to_sorted_list : t -> (Tuple.t * int) list
 
+(** {!to_sorted_list} as a fresh array. *)
+val to_sorted_array : t -> (Tuple.t * int) array
+
 val of_list : (Tuple.t * int) list -> t
 
 (** Bag equality. *)

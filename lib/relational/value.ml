@@ -47,6 +47,26 @@ let to_string = function
   | String x -> x
   | Bool x -> Bool.to_string x
 
+(* Digits of [n <= 0], most significant first. Working on the negative
+   side covers [min_int], whose absolute value is not an [int]. *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int_to_buffer b x =
+  if x < 0 then begin
+    Buffer.add_char b '-';
+    add_neg_digits b x
+  end
+  else add_neg_digits b (-x)
+
+let add_to_buffer b = function
+  | Int x -> add_int_to_buffer b x
+  | String x -> Buffer.add_string b x
+  | Null -> Buffer.add_string b "NULL"
+  | Bool x -> Buffer.add_string b (if x then "true" else "false")
+  | Float _ as v -> Buffer.add_string b (to_string v)
+
 let pp ppf v = Format.pp_print_string ppf (to_string v)
 
 let type_name = function

@@ -27,6 +27,15 @@ val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+(** [add_to_buffer b v] appends exactly the bytes of [to_string v]. Ints,
+    strings, bools and [Null] are written without an intermediate string,
+    ints digit by digit. *)
+val add_to_buffer : Buffer.t -> t -> unit
+
+(** [add_int_to_buffer b x] is [add_to_buffer b (Int x)], without boxing
+    [x]. *)
+val add_int_to_buffer : Buffer.t -> int -> unit
+
 (** {2 Arithmetic}
 
     Used by aggregate evaluation. [Int] and [Float] operands may be mixed; the

@@ -81,6 +81,10 @@ type conn = {
 type t = {
   wh : Warehouse.t;
   listen_fd : Unix.file_descr;
+  out : Buffer.t;
+      (** the response being built; reused, so a read allocates no
+          response-sized block once it has grown to the largest one *)
+  chunk : Bytes.t;  (** staging for socket reads, and for writes out of [out] *)
   bound_port : int;
   obs : obs;
   stop : bool Atomic.t;
@@ -121,6 +125,8 @@ let create ?(backlog = 16) ?slowlog ?(slow_threshold_s = 0.1) ~port wh =
   {
     wh;
     listen_fd = fd;
+    out = Buffer.create 4096;
+    chunk = Bytes.create 65_536;
     bound_port;
     obs = make_obs ();
     stop = Atomic.make false;
@@ -132,22 +138,37 @@ let create ?(backlog = 16) ?slowlog ?(slow_threshold_s = 0.1) ~port wh =
 
 (* --- responses ----------------------------------------------------------- *)
 
-(* Small responses to loopback clients: a blocking [write] is fine (the
-   kernel buffer absorbs them); a peer that vanished surfaces as EPIPE /
+(* Responses to loopback clients: a blocking [write] is fine (the kernel
+   buffer absorbs them); a peer that vanished surfaces as EPIPE /
    ECONNRESET and marks the connection for closing. *)
-let send conn s =
+let write conn b len =
   if not conn.closing then
     match
-      let b = Bytes.of_string s in
       let rec go off =
-        if off < Bytes.length b then
-          go (off + Unix.write conn.fd b off (Bytes.length b - off))
+        if off < len then go (off + Unix.write conn.fd b off (len - off))
       in
       go 0
     with
     | () -> ()
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
       conn.closing <- true
+
+(* [write] only reads its bytes. *)
+let send conn s = write conn (Bytes.unsafe_of_string s) (String.length s)
+
+(* [t.out], staged through [t.chunk]: no copy of the response is
+   allocated. *)
+let send_out t conn =
+  let n = Buffer.length t.out in
+  let rec go off =
+    if off < n then begin
+      let len = min (n - off) (Bytes.length t.chunk) in
+      Buffer.blit t.out off t.chunk 0 len;
+      write conn t.chunk len;
+      go (off + len)
+    end
+  in
+  go 0
 
 let line conn fmt = Printf.ksprintf (fun s -> send conn (s ^ "\n")) fmt
 
@@ -171,30 +192,30 @@ let epoch_line conn s =
   line conn "+EPOCH %d %d" (Warehouse.snapshot_epoch s)
     (Warehouse.snapshot_seq s)
 
-let add_row b (tup, mult) =
-  Buffer.add_string b (string_of_int mult);
-  Array.iter
-    (fun v ->
-      Buffer.add_char b '\t';
-      Buffer.add_string b (Value.to_string v))
-    tup;
+(* One row as [mult<TAB>cell...<LF>], each cell the bytes of
+   [Value.to_string]. *)
+let add_row b ((tup : Relational.Tuple.t), mult) =
+  Value.add_int_to_buffer b mult;
+  for i = 0 to Array.length tup - 1 do
+    Buffer.add_char b '\t';
+    Value.add_to_buffer b tup.(i)
+  done;
   Buffer.add_char b '\n'
 
+(* The epoch's rows are already in canonical order: the response is one
+   walk over them into the reused buffer. *)
 let query_response conn t name =
   let s = conn.pinned in
-  let columns, rows = Warehouse.read_view ~snapshot:s t.wh name in
-  let sorted = Relation.to_sorted_list rows in
-  let n = List.length sorted in
-  let head =
-    Printf.sprintf "+ROWS %d %d %d" n (Warehouse.snapshot_epoch s)
-      (Warehouse.snapshot_seq s)
-  in
-  let b = Buffer.create 1024 in
-  Buffer.add_string b (head ^ "\n");
-  Buffer.add_string b ("#\t" ^ String.concat "\t" columns ^ "\n");
-  List.iter (add_row b) sorted;
+  let columns, rows = Warehouse.read_sorted ~snapshot:s t.wh name in
+  let n = Array.length rows in
+  let b = t.out in
+  Buffer.clear b;
+  Printf.bprintf b "+ROWS %d %d %d\n#\t%s\n" n (Warehouse.snapshot_epoch s)
+    (Warehouse.snapshot_seq s)
+    (String.concat "\t" columns);
+  Array.iter (add_row b) rows;
   Buffer.add_string b ".\n";
-  send conn (Buffer.contents b);
+  send_out t conn;
   n
 
 let split_lines s = String.split_on_char '\n' (String.trim s)
@@ -340,11 +361,10 @@ let accept_conn t =
   | exception Unix.Unix_error _ -> ()
 
 let drain_conn t conn =
-  let chunk = Bytes.create 4096 in
-  match Unix.read conn.fd chunk 0 (Bytes.length chunk) with
+  match Unix.read conn.fd t.chunk 0 (Bytes.length t.chunk) with
   | 0 -> conn.closing <- true
   | n ->
-    Buffer.add_subbytes conn.buf chunk 0 n;
+    Buffer.add_subbytes conn.buf t.chunk 0 n;
     (* consume every complete line in the buffer *)
     let data = Buffer.contents conn.buf in
     let rec consume start =

@@ -36,6 +36,7 @@ end
 
 module Database = Relational.Database
 module Relation = Relational.Relation
+module Tuple = Relational.Tuple
 module Delta = Relational.Delta
 module Validator = Relational.Validator
 module View = Algebra.View
@@ -191,13 +192,14 @@ type registered = {
 
 (* --- read epochs -------------------------------------------------------- *)
 
-(* One view's state frozen into an epoch: the output columns and a relation
-   that is never mutated after publication ([Engines.capture] builds it
-   fresh, aliasing nothing the engines will touch again). *)
+(* One view's state frozen into an epoch: the output columns and its rows
+   in canonical order, an array never mutated after publication
+   ([Engines.publish] builds each one fresh and reuses it only as the basis
+   of the next). *)
 type view_snap = {
   snap_view : View.t;
   snap_columns : string list;
-  snap_rows : Relation.t;
+  snap_rows : (Tuple.t * int) array;
 }
 
 (* An immutable read epoch. Readers obtain the current one with a single
@@ -284,17 +286,18 @@ let create source =
   }
 
 (* Publish a fresh read epoch from the current committed engine state.
-   Must only run with every engine transaction closed ([Engines.capture]
+   Must only run with every engine transaction closed ([Engines.publish]
    enforces it): at the commit point of ingestion, at registration, and
    after load/recovery. The single [Atomic.set] is the publication point —
    a reader sees the previous epoch in full or the new one in full, never a
    mix.
 
    [?touched] is the set of base tables the triggering batch wrote; a view
-   referencing none of them kept its contents, so its previous capture is
-   re-used instead of re-rendered (the common case for wide warehouses
-   where a batch hits one fact table). Omitting [touched] re-captures
-   everything. *)
+   referencing none of them kept its contents, so its previous rows are
+   re-used as they are (the common case for wide warehouses where a batch
+   hits one fact table). Omitting [touched] re-publishes every view; an
+   incremental engine still re-renders only the groups its batches
+   touched. *)
 let publish_epoch ?touched t =
   let prev = Atomic.get t.published in
   let reused r =
@@ -318,7 +321,7 @@ let publish_epoch ?touched t =
           {
             snap_view = r.view;
             snap_columns = Algebra.Eval.output_columns r.view;
-            snap_rows = Engines.capture r.engine;
+            snap_rows = Engines.publish r.engine;
           })
       t.views
   in
@@ -486,7 +489,7 @@ let observe_read t s dt =
   Telemetry.Histogram.observe Obs.read_seconds dt;
   Telemetry.Gauge.set Obs.epoch_lag (float_of_int (t.seq - s.epoch_seq))
 
-let read_view ?snapshot t name =
+let read_sorted ?snapshot t name =
   let t0 = Unix.gettimeofday () in
   let s =
     match snapshot with Some s -> s | None -> Atomic.get t.published
@@ -495,11 +498,15 @@ let read_view ?snapshot t name =
   observe_read t s (Unix.gettimeofday () -. t0);
   (vs.snap_columns, vs.snap_rows)
 
+let read_view ?snapshot t name =
+  let columns, rows = read_sorted ?snapshot t name in
+  (columns, Relation.of_list (Array.to_list rows))
+
 let query t name = read_view t name
 
 let query_sorted t name =
-  let columns, rows = read_view t name in
-  (columns, Relation.to_sorted_list rows)
+  let columns, rows = read_sorted t name in
+  (columns, Array.to_list rows)
 
 let derivation_of t name = Engines.derivation (find t name).engine
 

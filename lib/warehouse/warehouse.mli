@@ -257,10 +257,13 @@ val ingested_batches : t -> int
 
     Reads are served from immutable {e read epochs}, never from the live
     maintenance engines. Every commit — and every registration, load and
-    recovery — captures each view's output into a frozen snapshot and
-    publishes it with a single atomic pointer swap; {!query},
-    {!read_view} and {!with_snapshot} then work entirely on frozen data.
-    The contract this buys:
+    recovery — freezes each view's rows, in canonical order, into a
+    snapshot and publishes it with a single atomic pointer swap; {!query},
+    {!read_view}, {!read_sorted} and {!with_snapshot} then work entirely on
+    frozen data. A commit re-renders only the groups its batch touched and
+    merges them into the previous epoch's rows ({!Maintenance.Engines.publish});
+    the first epoch after registration, {!load}, {!recover} or an engine
+    rebuild renders in full. The contract this buys:
 
     {ul
     {- {e No torn reads.} A reader racing {!ingest} sees the state before
@@ -271,8 +274,8 @@ val ingested_batches : t -> int
     {- {e Readers never block the writer} (and vice versa). A read is one
        [Atomic.get] plus traversal of immutable data; readers may run on
        any number of concurrent domains while ingestion commits continue.
-       Relations handed out by the read API are shared frozen state:
-       treat them as read-only.}
+       The row arrays handed out by {!read_sorted} are shared frozen
+       state: never mutate them.}
     {- {e Bounded staleness, measured.} A snapshot pinned with
        {!current_snapshot} serves the same bytes forever; the gap between
        the WAL head and the epoch a read was served from is published as
@@ -282,13 +285,12 @@ val ingested_batches : t -> int
        [minview_warehouse_read_seconds]; publications as
        [minview_warehouse_epoch_publications_total].}}
 
-    {e Row order.} Relations iterate in hashtable order, which depends on
-    insertion history — serial and shard-parallel maintenance of identical
-    batches may iterate differently. The canonical order of a view's rows
-    is [Relational.Relation.to_sorted_list] ([Tuple.compare] ascending);
-    {!query_sorted} serves it directly, and the table printer and the
-    [minview serve] protocol always emit it, so their output is stable
-    across apply modes.
+    {e Row order.} An epoch holds each view's rows in the canonical order
+    ([Tuple.compare] ascending, as [Relational.Relation.to_sorted_list]
+    gives it), so {!read_sorted}, {!query_sorted} and the [minview serve]
+    protocol walk them without sorting, and their output is stable across
+    serial and shard-parallel apply. The relations {!query} and
+    {!read_view} build iterate in hashtable order instead.
 
     {e Aged views.} {!query} on a view registered with the {!Aged}
     strategy returns the {e merged} contents: old-partition rows are
@@ -303,13 +305,12 @@ val view_names : t -> string list
 val views : t -> Algebra.View.t list
 
 (** Contents of a view as of the latest published epoch: output column
-    names and frozen rows (see the epoch contract above; treat the
-    relation as read-only).
+    names and a relation built from the epoch's rows (O(rows)).
     @raise Error ([Unknown_view]) for unknown names. *)
 val query : t -> string -> string list * Relational.Relation.t
 
 (** As {!query}, with the rows in canonical order ((tuple, multiplicity),
-    [Tuple.compare] ascending) — stable across serial and parallel apply. *)
+    [Tuple.compare] ascending) — a list walked off the epoch, no sort. *)
 val query_sorted :
   t -> string -> string list * (Relational.Tuple.t * int) list
 
@@ -327,9 +328,18 @@ val current_snapshot : t -> snapshot
     continues concurrently. *)
 val with_snapshot : t -> (snapshot -> 'a) -> 'a
 
-(** [read_view t name] serves a view from the latest published epoch;
-    [read_view ~snapshot t name] from a pinned one. Counted and timed as
-    described above.
+(** [read_sorted t name] serves a view's rows from the latest published
+    epoch, [read_sorted ~snapshot t name] from a pinned one: the epoch's own
+    array in canonical order, returned in O(1). Never mutate it. Counted
+    and timed as described above.
+    @raise Error ([Unknown_view]) if the view is not in the epoch. *)
+val read_sorted :
+  ?snapshot:snapshot ->
+  t ->
+  string ->
+  string list * (Relational.Tuple.t * int) array
+
+(** {!read_sorted} as a relation built from the rows (O(rows)).
     @raise Error ([Unknown_view]) if the view is not in the epoch. *)
 val read_view :
   ?snapshot:snapshot -> t -> string -> string list * Relational.Relation.t

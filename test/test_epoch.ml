@@ -185,6 +185,156 @@ let pinned_tests =
           (4 * groups_per_batch) (Relation.cardinality live));
   ]
 
+let prop_params =
+  {
+    Workload.Retail.days = 8;
+    stores = 2;
+    products = 10;
+    sold_per_store_day = 4;
+    tx_per_product = 2;
+    brands = 4;
+    seed = 23;
+  }
+
+(* --- incremental publication ---------------------------------------------- *)
+
+(* [f query] on one serve connection, which pins the epoch current at
+   accept: [query view] is the whole QUERY reply, terminator included. *)
+let with_connection port f =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  (* a wedged server must fail the test, not hang it *)
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+  let ic = Unix.in_channel_of_descr fd
+  and oc = Unix.out_channel_of_descr fd in
+  let query view =
+    output_string oc ("QUERY " ^ view ^ "\n");
+    flush oc;
+    let b = Buffer.create 256 in
+    let rec go () =
+      let l = input_line ic in
+      Buffer.add_string b (l ^ "\n");
+      if l <> "." then go ()
+    in
+    go ();
+    Buffer.contents b
+  in
+  f query
+
+(* Fact [g] of [fact_batch 0] moves from v = 7g + n - 1 to 7g + n: every
+   batch rewrites every group of the view. *)
+let rewrite_batch n =
+  List.init groups_per_batch (fun g ->
+      Delta.update "fact"
+        ~before:(row [ i g; i g; i ((7 * g) + n - 1) ])
+        ~after:(row [ i g; i g; i ((7 * g) + n) ]))
+
+let sorted_rows = Alcotest.(list (pair tuple int))
+
+(* Every registered view, read from the latest epoch, equals recomputation
+   from the committed source, byte for byte in canonical order. *)
+let check_quiesced what wh views =
+  List.iter
+    (fun view ->
+      Alcotest.check sorted_rows
+        (what ^ ": " ^ view.View.name)
+        (Relation.to_sorted_list
+           (Algebra.Eval.eval (Warehouse.believed_source wh) view))
+        (snd (Warehouse.query_sorted wh view.View.name)))
+    views
+
+let rec rm_rf path =
+  match Sys.is_directory path with
+  | true ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  | false -> Sys.remove path
+  | exception Sys_error _ -> ()
+
+let incremental_tests =
+  [
+    test "a pinned snapshot serves identical QUERY bytes across 50 commits \
+          that rewrite its groups" (fun () ->
+        let wh = Warehouse.create (fact_db ()) in
+        Warehouse.add_view wh by_k;
+        Warehouse.ingest wh (fact_batch 0);
+        let srv = Serve.create ~port:0 wh in
+        let d = Domain.spawn (fun () -> Serve.run srv) in
+        Fun.protect
+          ~finally:(fun () ->
+            Serve.request_stop srv;
+            Domain.join d)
+        @@ fun () ->
+        with_connection (Serve.port srv) @@ fun query ->
+        let before = query "by_k" in
+        for n = 1 to 50 do
+          Warehouse.ingest wh (rewrite_batch n);
+          Alcotest.(check string)
+            (Printf.sprintf "pinned reply after commit %d" n)
+            before (query "by_k")
+        done;
+        with_connection (Serve.port srv) @@ fun query' ->
+        let _, rows = Warehouse.query_sorted wh "by_k" in
+        Alcotest.(check bool) "a fresh connection sees the rewritten groups"
+          true
+          (query' "by_k" <> before
+          && List.for_all
+               (fun ((tup : Tuple.t), _) ->
+                 match tup.(0), tup.(1) with
+                 | Value.Int g, Value.Int total -> total = (7 * g) + 50
+                 | _ -> false)
+               rows));
+    test "the first publication after load, recover and a wedge rebuild \
+          equals quiesced recomputation" (fun () ->
+        let db = Workload.Retail.load prop_params in
+        let views =
+          [ Workload.Retail.product_sales; Workload.Retail.sales_by_time ]
+        in
+        let dir = Filename.concat (Filename.get_temp_dir_name ()) "epoch-first" in
+        rm_rf dir;
+        let wh = Warehouse.create db in
+        List.iter (Warehouse.add_view wh) views;
+        Warehouse.attach wh ~dir;
+        let rng = Workload.Prng.create 5 in
+        let ingest wh = Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:30) in
+        ingest wh;
+        Warehouse.checkpoint wh;
+        ingest wh;
+        ingest wh;
+        Warehouse.close wh;
+        (* a snapshot plus a two-batch WAL tail *)
+        let wh = Warehouse.recover ~dir in
+        check_quiesced "after recover" wh views;
+        ingest wh;
+        check_quiesced "the commit after recover" wh views;
+        let path = Filename.concat dir "saved.bin" in
+        Warehouse.save wh path;
+        Warehouse.close wh;
+        let wh = Warehouse.load path in
+        check_quiesced "after load" wh views;
+        ingest wh;
+        check_quiesced "the commit after load" wh views;
+        with_par_threshold 1 @@ fun () ->
+        Warehouse.set_parallel wh
+          (Some (Shard.supervised ~domains:2 ~deadline:0.05));
+        (* the stall outlives the deadline on the spawned worker: the batch
+           aborts and every engine is rebuilt from the committed source *)
+        let wedged = Workload.Delta_gen.stream rng db ~n:30 in
+        Faults.arm ~mode:(Faults.Stall 0.3) Faults.In_shard_worker;
+        let r = Warehouse.ingest_report wh wedged in
+        Faults.disarm ();
+        Alcotest.(check int) "the wedged batch aborts" 0 r.Warehouse.applied;
+        List.iter (fun d -> Database.apply db (Delta.invert d)) (List.rev wedged);
+        check_quiesced "after the wedge" wh views;
+        ingest wh;
+        check_quiesced "the first commit of the rebuilt engines" wh views;
+        ingest wh;
+        check_quiesced "the commit after it" wh views;
+        Warehouse.set_parallel wh None;
+        rm_rf dir);
+  ]
+
 (* --- aged views ------------------------------------------------------------ *)
 
 let aged_tests =
@@ -235,17 +385,6 @@ let aged_tests =
 
 (* --- snapshot == quiesced recomputation (property) ------------------------- *)
 
-let prop_params =
-  {
-    Workload.Retail.days = 8;
-    stores = 2;
-    products = 10;
-    sold_per_store_day = 4;
-    tx_per_product = 2;
-    brands = 4;
-    seed = 23;
-  }
-
 let prop_snapshot_quiesced =
   QCheck2.Test.make ~count:8
     ~name:"with_snapshot == quiesced recomputation at the same WAL seq"
@@ -288,5 +427,6 @@ let () =
       ("publication", publication_tests);
       ("pinned", pinned_tests);
       ("aged", aged_tests);
+      ("incremental", incremental_tests);
       ("properties", [ QCheck_alcotest.to_alcotest prop_snapshot_quiesced ]);
     ]

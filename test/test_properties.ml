@@ -275,6 +275,162 @@ let prop_distinct_multisets =
       done;
       !ok)
 
+(* --- incremental epoch publication ----------------------------------------
+
+   [Engines.publish] advances the previous publication by the groups the
+   committed batches touched; [Engines.capture] renders every group. A star
+   of its own, with a FLOAT measure and updatable dimension columns to group
+   on, so dimension updates move groups to new keys. *)
+
+let pub_db () =
+  let db = Database.create () in
+  let col name ty = { Schema.col_name = name; col_type = ty } in
+  Database.add_table db
+    (Schema.make ~name:"dim" ~key:"id"
+       [ col "id" Datatype.TInt; col "cat" Datatype.TString;
+         col "grp" Datatype.TInt ])
+    ~updatable:[ "cat"; "grp" ];
+  Database.add_table db
+    (Schema.make ~name:"fact" ~key:"id"
+       [ col "id" Datatype.TInt; col "dimid" Datatype.TInt;
+         col "g" Datatype.TInt; col "price" Datatype.TInt;
+         col "amount" Datatype.TFloat ])
+    ~updatable:[ "price"; "amount" ];
+  Database.add_reference db
+    { Relational.Integrity.src_table = "fact"; src_col = "dimid";
+      dst_table = "dim" };
+  for d = 1 to 6 do
+    Database.insert db "dim"
+      (row [ i d; s (Printf.sprintf "s%d" (d mod 5)); i (d mod 3) ])
+  done;
+  for n = 1 to 40 do
+    Database.insert db "fact"
+      (row [ i n; i (1 + (n mod 6)); i (n mod 5); i (1 + (n * 7 mod 50));
+             f (0.25 *. float_of_int (n mod 9)) ])
+  done;
+  db
+
+let pub_aggs =
+  let d func alias attr =
+    Select_item.Agg (Aggregate.make ~distinct:true ~alias func (Some attr))
+  in
+  [ sum ~alias:"total_amount" (a "fact" "amount");
+    avg ~alias:"avg_price" (a "fact" "price");
+    avg ~alias:"avg_amount" (a "fact" "amount");
+    min_ ~alias:"min_price" (a "fact" "price");
+    max_ ~alias:"max_amount" (a "fact" "amount");
+    d Aggregate.Count "cd_cat" (a "dim" "cat");
+    d Aggregate.Sum "sd_price" (a "fact" "price");
+    d Aggregate.Max "maxd_amount" (a "fact" "amount") ]
+
+let pub_view_gen =
+  let having_gen =
+    Gen.oneof
+      [ Gen.return [];
+        Gen.map
+          (fun k -> [ { View.h_column = "cnt"; h_op = Cmp.Ge; h_const = i k } ])
+          (Gen.int_range 1 4);
+        Gen.map
+          (fun x ->
+            [ { View.h_column = "total_amount"; h_op = Cmp.Gt;
+                h_const = f (float_of_int x) } ])
+          (Gen.int_range 0 8) ]
+  in
+  Gen.map3
+    (fun groups aggs having ->
+      let aggs =
+        if
+          List.exists (fun h -> h.View.h_column = "total_amount") having
+          && not
+               (List.exists
+                  (fun item -> Select_item.alias item = "total_amount")
+                  aggs)
+        then List.hd pub_aggs :: aggs
+        else aggs
+      in
+      {
+        View.name = "pub_view";
+        select =
+          List.map
+            (fun at -> group ~alias:(at.Attr.table ^ "_" ^ at.Attr.column) at)
+            groups
+          @ aggs
+          @ [ count_star ~alias:"cnt" () ];
+        tables = [ "fact"; "dim" ];
+        locals = [];
+        joins = [ join (a "fact" "dimid") (a "dim" "id") ];
+        having;
+      })
+    (sublist [ a "fact" "g"; a "dim" "cat"; a "dim" "grp" ])
+    (sublist pub_aggs) having_gen
+
+(* one pool for every case: a pool's worker domains stay parked until exit *)
+let pub_pool = lazy (Maintenance.Shard.create ~domains:2)
+
+let prop_publish_equals_capture =
+  QCheck2.Test.make ~count
+    ~name:"incremental publication == full render (rollbacks, serial+parallel)"
+    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
+    Gen.(pair pub_view_gen (int_bound 10_000))
+    (fun (view, seed) ->
+      let module Engines = Maintenance.Engines in
+      let module Faults = Maintenance.Faults in
+      let db = pub_db () in
+      View.validate db view;
+      let e = Engines.minimal db view in
+      let pool = Lazy.force pub_pool in
+      let rng = Workload.Prng.create seed in
+      let mix = { Workload.Delta_gen.insert = 2; delete = 2; update = 3 } in
+      let published_ok () =
+        List.equal
+          (fun (r, m) (r', m') -> Tuple.equal r r' && m = m')
+          (Array.to_list (Engines.publish e))
+          (Relation.to_sorted_list (Engines.capture e))
+      in
+      (* force the shard-parallel path even for these small batches *)
+      Unix.putenv "MINVIEW_PAR_THRESHOLD" "1";
+      Fun.protect ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
+      @@ fun () ->
+      let ok = ref (published_ok ()) in
+      for round = 1 to 8 do
+        let facts =
+          Workload.Delta_gen.stream_for ~mix rng db ~tables:[ "fact" ] ~n:15
+        in
+        let dims =
+          Workload.Delta_gen.stream_for ~mix rng db ~tables:[ "dim" ] ~n:3
+        in
+        let deltas = facts @ dims in
+        let parallel = if round land 1 = 0 then Some pool else None in
+        Engines.begin_txn e;
+        if Workload.Prng.int rng 3 = 0 then begin
+          (* a failure mid-apply: a shard worker raises (parallel), or the
+             warehouse stops after part of the batch (serial); either way
+             the batch is rolled back, at the engine and at the source *)
+          (match parallel with
+          | Some _ -> (
+            Faults.arm ~skip:(Workload.Prng.int rng 3) ~mode:Faults.Fail
+              Faults.In_shard_worker;
+            Fun.protect ~finally:Faults.disarm @@ fun () ->
+            try Engines.apply_batch ?parallel e deltas
+            with Faults.Injected Faults.In_shard_worker -> ())
+          | None ->
+            let cut = Workload.Prng.int rng (List.length deltas + 1) in
+            Engines.apply_batch e (List.filteri (fun k _ -> k < cut) deltas));
+          Engines.rollback e;
+          List.iter
+            (fun d -> Database.apply db (Delta.invert d))
+            (List.rev deltas)
+        end
+        else begin
+          Engines.apply_batch ?parallel e deltas;
+          Engines.commit e
+        end;
+        (* most commits publish; the others leave their groups to the next *)
+        if round = 8 || Workload.Prng.int rng 3 > 0 then
+          ok := !ok && published_ok ()
+      done;
+      !ok)
+
 let prop_psj_engine_agrees =
   QCheck2.Test.make ~count ~name:"PSJ engine == recomputed (random views+streams)"
     ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
@@ -699,6 +855,7 @@ let () =
             prop_maintained_equals_recomputed;
             prop_recompute_paths;
             prop_distinct_multisets;
+            prop_publish_equals_capture;
             prop_psj_engine_agrees;
             prop_aux_state_matches_materialization;
           ] );

@@ -76,6 +76,34 @@ let value_tests =
         in
         Alcotest.(check string) "string" long (Value.to_string (s long));
         Alcotest.(check string) "pp" long (Format.asprintf "%a" Value.pp (s long)));
+    test "add_to_buffer writes exactly the bytes of to_string" (fun () ->
+        let ints =
+          [ 0; 1; -1; 9; 10; -10; 99; 100; 123456789; -987654321; max_int;
+            min_int; max_int - 1; min_int + 1 ]
+        in
+        let values =
+          List.map i ints
+          @ List.map f
+              [ 0.; -0.; 1.5; -2.25; 1234567.5; 1e21; 1e-7; nan; infinity;
+                neg_infinity ]
+          @ [ s ""; s "abc"; s "tab\there"; s "two\tcells\n"; s "NULL";
+              Value.Null; b true; b false ]
+        in
+        List.iter
+          (fun v ->
+            let buf = Buffer.create 4 in
+            Buffer.add_string buf "x";
+            Value.add_to_buffer buf v;
+            Alcotest.(check string) (Value.to_string v)
+              ("x" ^ Value.to_string v) (Buffer.contents buf))
+          values;
+        List.iter
+          (fun x ->
+            let buf = Buffer.create 4 in
+            Value.add_int_to_buffer buf x;
+            Alcotest.(check string) (string_of_int x) (string_of_int x)
+              (Buffer.contents buf))
+          ints);
   ]
 
 (* --- datatypes ---------------------------------------------------------- *)

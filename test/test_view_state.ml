@@ -236,6 +236,38 @@ let tests =
         (* another row carrying a known value adds no entry *)
         feed st key ~v:1 ~lbl:"l7";
         Alcotest.(check int) "repeat value" !last (VS.byte_size st));
+    test "publish merges committed groups and renders in full after an \
+          untracked change" (fun () ->
+        let st = fresh () in
+        List.iter (fun g -> feed st (row [ i g ]) ~v:g ~lbl:"a") [ 1; 2; 3 ];
+        settle st;
+        let published () = Array.to_list (VS.publish st) in
+        let check what =
+          Alcotest.(check (list (pair tuple int))) what (rows st) (published ())
+        in
+        check "the first publication renders in full";
+        VS.begin_txn st;
+        feed st (row [ i 2 ]) ~v:5 ~lbl:"b";
+        unfeed st (row [ i 3 ]) ~v:3 ~lbl:"a";
+        feed st (row [ i 4 ]) ~v:4 ~lbl:"a";
+        settle st;
+        VS.commit st;
+        check "a commit's groups are merged in";
+        (* outside a transaction no journal names the changed group *)
+        feed st (row [ i 1 ]) ~v:9 ~lbl:"c";
+        settle st;
+        check "an untracked change is rendered in full";
+        let before = published () in
+        VS.begin_txn st;
+        feed st (row [ i 7 ]) ~v:7 ~lbl:"a";
+        VS.rollback st;
+        Alcotest.(check (list (pair tuple int)))
+          "a rolled-back batch changes nothing" before (published ());
+        VS.begin_txn st;
+        Alcotest.check_raises "publishing inside a transaction"
+          (Invalid_argument "View_state.publish: transaction open") (fun () ->
+            ignore (VS.publish st));
+        VS.rollback st);
     test "fold_groups exposes base-row counts" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
