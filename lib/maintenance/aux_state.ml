@@ -52,8 +52,9 @@ type shard = {
   cnts : Icol.t;
   map : Rowmap.t;  (** group key (= plain cells) -> row id *)
   by_key : Rowmap.t option;  (** base key value -> row id *)
-  indexes : (int * index) list;
-      (** per indexed column: its position among plains, and its index *)
+  mutable indexes : (int * index) list;
+      (** per indexed column: its position among plains, and its index
+          (empty while {!load} runs; it builds them at the end) *)
   mutable total : int;
   mutable txn : txn option;
   scratch : Tuple.t;
@@ -245,6 +246,42 @@ let index_remove_row (sh : shard) r =
       Icol.swap_delete bucket last;
       if Icol.length bucket = 0 then VH.remove idx.buckets v)
     sh.indexes
+
+(* The index of plain column [pos] over a shard's present rows, built in
+   two sequential passes: number each row's value (a probe into a table of
+   the distinct values) and count its rows, then append every row to its
+   bucket, reserved at its final size so that no append grows one. The
+   row-parallel offsets hold each row's value number in between. *)
+let build_index (sh : shard) pos =
+  let col = sh.plains.(pos) in
+  let n = nrows sh in
+  let ids = VH.create 64 and sizes = Icol.create () in
+  let offsets = Icol.reserve n in
+  for r = 0 to n - 1 do
+    let v = Column.get col r in
+    let id =
+      match VH.find_opt ids v with
+      | Some id -> id
+      | None ->
+        let id = VH.length ids in
+        VH.add ids v id;
+        Icol.append sizes 0;
+        id
+    in
+    Icol.append offsets id;
+    Icol.add sizes id 1
+  done;
+  let buckets =
+    Array.init (Icol.length sizes) (fun id -> Icol.reserve (Icol.get sizes id))
+  in
+  for r = 0 to n - 1 do
+    let bucket = buckets.(Icol.get offsets r) in
+    Icol.append bucket r;
+    Icol.set offsets r (Icol.length bucket - 1)
+  done;
+  let idx = { buckets = VH.create (max 16 (VH.length ids)); pos = offsets } in
+  VH.iter (fun v id -> VH.add idx.buckets v buckets.(id)) ids;
+  idx
 
 (* --- row attach / detach ------------------------------------------------- *)
 
@@ -487,6 +524,22 @@ let delete_base ?(count = 1) s tup =
       s.sum_src;
     sh.total <- sh.total - count;
     if cnt = count then delete_row s sh ~hash r
+
+let load s feed =
+  if Array.exists (fun sh -> nrows sh > 0) s.shards || s.shards.(0).txn <> None
+  then
+    invalid_arg
+      (Printf.sprintf "Aux_state.load(%s): state not empty or in a transaction"
+         s.spec.Auxview.name);
+  let positions = List.map fst s.shards.(0).indexes in
+  Array.iter (fun sh -> sh.indexes <- []) s.shards;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun sh ->
+          sh.indexes <- List.map (fun pos -> (pos, build_index sh pos)) positions)
+        s.shards)
+    (fun () -> feed (fun tup -> insert_base s tup))
 
 let copy s =
   let copy_shard (sh : shard) =
@@ -734,6 +787,7 @@ let iter_where s conds f =
   let passes (sh : shard) r =
     List.for_all (fun (pos, set) -> cell_in set sh.plains.(pos) r) sets
   in
+  let examined = ref 0 in
   Array.iter
     (fun (sh : shard) ->
       (* an indexed condition column turns the scan into bucket walks *)
@@ -749,20 +803,27 @@ let iter_where s conds f =
             match VH.find_opt idx.buckets v with
             | None -> ()
             | Some bucket ->
-              for i = 0 to Icol.length bucket - 1 do
+              let n = Icol.length bucket in
+              examined := !examined + n;
+              for i = 0 to n - 1 do
                 let r = Icol.get bucket i in
                 if passes sh r then f (row_of sh r)
               done)
           (List.sort_uniq Value.compare vs)
       | None ->
-        for r = 0 to nrows sh - 1 do
+        let n = nrows sh in
+        examined := !examined + n;
+        for r = 0 to n - 1 do
           if passes sh r then f (row_of sh r)
         done)
-    s.shards
+    s.shards;
+  !examined
 
 let rows_with s ~column v =
   let acc = ref [] in
-  iter_where s [ (column, [ v ]) ] (fun row -> acc := row :: !acc);
+  let (_ : int) =
+    iter_where s [ (column, [ v ]) ] (fun row -> acc := row :: !acc)
+  in
   !acc
 
 let plain_of s (row : row) col =

@@ -40,10 +40,11 @@ val sums : t -> row -> Relational.Value.t array
 val exts : t -> row -> Relational.Value.t array
 
 (** [create ?indexed_columns ?shards spec schema] prepares empty state.
-    [indexed_columns] (plain columns, typically the foreign keys of a root
-    view) get secondary indexes so {!rows_with} is O(matching groups) instead
-    of a scan — the engine uses this to make dimension-update propagation
-    proportional to the affected rows.
+    [indexed_columns] (plain columns: the foreign keys of a view, and the
+    root group columns of a MIN/MAX view) get secondary indexes so
+    {!rows_with} and {!iter_where} are O(matching groups) instead of a scan
+    — the engine uses this to make dimension-update propagation and
+    dirty-group recomputation proportional to the affected rows.
 
     [shards] (a power of two, default 1) splits every group-keyed structure
     — groups, by-key map, secondary indexes, undo journal, totals — into
@@ -128,6 +129,15 @@ val insert_base : ?count:int -> t -> Relational.Tuple.t -> unit
     non-numeric value. *)
 val delete_base : ?count:int -> t -> Relational.Tuple.t -> unit
 
+(** [load s feed] is the initial load: it folds in every tuple [feed] passes
+    to its argument, as {!insert_base} would, and then builds the secondary
+    indexes in one pass over the rows, with no bucket growing on the way —
+    each is allocated once, at the capacity appends would have reached
+    (DESIGN.md "Physical representation").
+    @raise Invalid_argument if [s] already holds a group or has an open
+    transaction. *)
+val load : t -> ((Relational.Tuple.t -> unit) -> unit) -> unit
+
 (** Number of groups (= stored rows). *)
 val row_count : t -> int
 
@@ -148,10 +158,12 @@ val iter : t -> (row -> unit) -> unit
     visits every group). Cells are compared where they are stored, without
     boxing; when a condition column was indexed at {!create}, only its
     value buckets are walked, so the cost is O(matching groups) instead of a
-    scan. [f] must not mutate [s].
+    scan. [f] must not mutate [s]. Returns the number of groups examined:
+    the entries of the walked buckets, or every group when no condition
+    column is indexed.
     @raise Not_found if a condition column is not kept plainly. *)
 val iter_where :
-  t -> (string * Relational.Value.t list) list -> (row -> unit) -> unit
+  t -> (string * Relational.Value.t list) list -> (row -> unit) -> int
 
 (** [rows_with s ~column v] are the groups whose plain [column] equals [v]
     ({!iter_where} with one single-valued condition). *)

@@ -23,9 +23,16 @@ module Icol = struct
     check c i "add";
     c.cells.(i) <- c.cells.(i) + d
 
+  (* Capacities double from 2 cells: an index bucket holds a handful of
+     rows, so a larger first allocation would be mostly empty (see DESIGN.md
+     "Physical representation"). *)
+  let reserve n =
+    let rec grown cap = if cap >= n then cap else grown (2 * cap) in
+    if n = 0 then create () else { len = 0; cells = Array.make (grown 2) 0 }
+
   let append c v =
     if c.len = Array.length c.cells then begin
-      let cells = Array.make (max 16 (2 * c.len)) 0 in
+      let cells = Array.make (max 2 (2 * c.len)) 0 in
       Array.blit c.cells 0 cells 0 c.len;
       c.cells <- cells
     end;

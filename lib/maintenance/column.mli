@@ -20,6 +20,10 @@ module Icol : sig
   type t
 
   val create : unit -> t
+
+  (** [reserve n] is empty, with the capacity that [n] appends to
+      [create ()] would have reached: no append up to the [n]th grows it. *)
+  val reserve : int -> t
   val length : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit

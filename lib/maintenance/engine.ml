@@ -86,6 +86,9 @@ type t = {
   root_groups : (string * int) list;
       (** root columns in the group key, with their key positions *)
   driving : driving option;
+  group_index : string option;
+      (** the first root group column indexed in the root auxiliary view:
+          without a live driving join, the walk reads its buckets *)
   determined : bool;  (** the root auxiliary view was eliminated *)
   residuals : Predicate.t list array;
       (** per slot: view local conditions not enforced by its auxiliary
@@ -122,6 +125,9 @@ type t = {
   mutable wk_events : int;
       (** group-key touches since the last batch flush; also the sketch
           sampling phase (feed when [wk_events land sample_mask = 0]) *)
+  mutable walk_rows : int;
+      (** root auxiliary rows examined by the latest dirty-group
+          recomputation *)
 }
 
 exception Invariant of string
@@ -692,19 +698,25 @@ let live_driving t root_st =
    auxiliary row [row] whose joined group key [key] is bound to [v] in
    [groups] — "the root rows of these groups", for recomputation and the
    audit alike. [key] and [env] are scratch buffers, valid during the call.
+   Returns the number of root auxiliary rows examined.
 
-   Two paths, chosen per walk:
+   Three paths, chosen per walk:
    - driving-join walk, when the engine has a [driving] join whose child
      auxiliary view is smaller than the root's: iterate the child's rows, join each
      one's subtree once, and skip it unless its part of the group key can
      match one of [groups]; for the rest, walk the root rows of its foreign
      key bucket (indexed), joining only the other subtrees per root row.
      O(|child| + rows of the matching children);
+   - group-index walk, otherwise, when a root group column is indexed
+     ([group_index]): walk that column's buckets for the values [groups]
+     take there, comparing the other root group columns' cells before
+     joining. O(rows of the groups' values in that column);
    - filtered scan, otherwise: one pass over the root auxiliary view that
      compares each root group column's stored cell against the values the
-     groups take there before joining anything — an indexed group column
-     walks its value buckets instead. O(|root|) cell compares plus
-     O(matching rows) joins. *)
+     groups take there before joining anything. O(|root|) cell compares
+     plus O(matching rows) joins.
+   The last two are one [Aux_state.iter_where] call, which walks the
+   buckets of the first indexed condition column. *)
 let walk_groups t root_st groups f =
   let env = new_env t in
   let key = Array.make (Array.length t.group_plan) Value.Null in
@@ -723,7 +735,7 @@ let walk_groups t root_st groups f =
       t.root_groups
   in
   match live_driving t root_st with
-  | _ when TH.length groups = 0 -> ()
+  | _ when TH.length groups = 0 -> 0
   | Some d ->
     let child = d.dj.child in
     let wanted = TH.create (TH.length groups) in
@@ -732,6 +744,7 @@ let walk_groups t root_st groups f =
       groups;
     let part = Array.make (Array.length d.covered) Value.Null in
     let conds = root_conds () in
+    let examined = ref 0 in
     Aux_state.iter (slot_aux t child) (fun crow ->
         env.(child) <- Auxrow crow;
         if residual_ok t child crow && extend t env child then begin
@@ -739,19 +752,25 @@ let walk_groups t root_st groups f =
           if TH.mem wanted part then
             (* the child's key is the foreign key of its root rows *)
             let fk = Aux_state.plain_at crow d.child_key in
-            Aux_state.iter_where root_st
-              ((d.fk_column, [ fk ]) :: conds)
-              (visit ~skip:child)
-        end)
+            examined :=
+              !examined
+              + Aux_state.iter_where root_st
+                  ((d.fk_column, [ fk ]) :: conds)
+                  (visit ~skip:child)
+        end);
+    !examined
   | None -> Aux_state.iter_where root_st (root_conds ()) visit
 
 let group_walk t =
   Option.map
     (fun root_st ->
-      match live_driving t root_st with
-      | Some d -> `Driving_join t.tables.(d.dj.child)
-      | None -> `Filtered_scan)
+      match live_driving t root_st, t.group_index with
+      | Some d, _ -> `Driving_join t.tables.(d.dj.child)
+      | None, Some column -> `Group_index column
+      | None, None -> `Filtered_scan)
     t.aux.(0)
+
+let walk_rows t = t.walk_rows
 
 (* Settles the batch's view state: [View_state.take_dirty] re-folds the
    DISTINCT results whose value set changed from their multisets and hands
@@ -759,7 +778,7 @@ let group_walk t =
    recomputed from the auxiliary views. *)
 let flush_dirty t =
   match View_state.take_dirty t.vstate with
-  | [] -> ()
+  | [] -> t.walk_rows <- 0
   | dirty_keys ->
     Log.debug (fun m ->
         m "recomputing %d dirty group(s) of %s from the auxiliary views"
@@ -777,27 +796,28 @@ let flush_dirty t =
         if not (TH.mem dirty key) then
           TH.add dirty key (Array.make (Array.length t.rtargets) None))
       dirty_keys;
-    walk_groups t root_st dirty (fun accs _key env _row ->
-        Array.iteri
-          (fun j r ->
-            let a =
-              match env.(r.rc.slot) with
-              | Base tup -> tup.(r.rc.base)
-              | Auxrow row ->
-                if r.ext >= 0 then Aux_state.ext_at row r.ext
-                else Aux_state.plain_at row r.rc.plain
-            in
-            accs.(j) <-
-              Some
-                (match accs.(j) with
-                | None -> a
-                | Some m ->
-                  let c = Value.compare a m in
-                  if (r.agg.Aggregate.func = Aggregate.Min && c < 0)
-                     || (r.agg.Aggregate.func = Aggregate.Max && c > 0)
-                  then a
-                  else m))
-          t.rtargets);
+    t.walk_rows <-
+      walk_groups t root_st dirty (fun accs _key env _row ->
+          Array.iteri
+            (fun j r ->
+              let a =
+                match env.(r.rc.slot) with
+                | Base tup -> tup.(r.rc.base)
+                | Auxrow row ->
+                  if r.ext >= 0 then Aux_state.ext_at row r.ext
+                  else Aux_state.plain_at row r.rc.plain
+              in
+              accs.(j) <-
+                Some
+                  (match accs.(j) with
+                  | None -> a
+                  | Some m ->
+                    let c = Value.compare a m in
+                    if (r.agg.Aggregate.func = Aggregate.Min && c < 0)
+                       || (r.agg.Aggregate.func = Aggregate.Max && c > 0)
+                    then a
+                    else m))
+            t.rtargets);
     TH.iter
       (fun key accs ->
         (* groups removed since being dirtied have no view entry and stay
@@ -991,7 +1011,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
      dimension-update propagation touches only the affected rows; only fk
      columns the spec keeps plainly can be indexed — the rest are
      unreachable through this auxiliary view anyway *)
-  let indexed_columns tbl =
+  let fk_indexed tbl =
     match Derive.spec_for d tbl with
     | Some spec when fk_index ->
       List.filter
@@ -1017,10 +1037,30 @@ let init ?(fk_index = true) db (d : Derive.t) =
         ~root_indexed:
           (List.map
              (fun col -> (Schema.index_of root_sch col, col))
-             (indexed_columns root))
+             (fk_indexed root))
         ~key_ref:(fun s ->
           let tbl = tables.(s) in
           cref tbl (Hashtbl.find schemas tbl).Schema.key)
+  in
+  (* MIN/MAX recomputation with no driving join walks the root auxiliary
+     rows of its dirty groups: index the root group columns the spec keeps
+     plainly, so that walk reads their buckets instead of scanning *)
+  let root_indexed =
+    match Derive.spec_for d root with
+    | Some spec when Array.length rtargets > 0 && driving = None ->
+      fk_indexed root
+      @ List.filter
+          (fun col -> Auxview.plain_position spec col <> None)
+          (List.map fst root_groups)
+    | Some _ | None -> fk_indexed root
+  in
+  let indexed_columns tbl =
+    if String.equal tbl root then root_indexed else fk_indexed tbl
+  in
+  let group_index =
+    List.find_map
+      (fun (col, _) -> if List.mem col root_indexed then Some col else None)
+      root_groups
   in
   let residuals = Array.map (Derive.residual_locals d) tables in
   (* Everything the engine can ever read off a root base tuple: group-by and
@@ -1080,6 +1120,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
       rtargets;
       root_groups;
       driving;
+      group_index;
       determined;
       residuals;
       append_only = d.Derive.options.Derive.append_only;
@@ -1097,6 +1138,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
       wk_live = false;
       wk_writes = 0;
       wk_events = 0;
+      walk_rows = 0;
     }
   in
   (* build auxiliary states children-first so semijoin targets exist *)
@@ -1111,11 +1153,12 @@ let init ?(fk_index = true) db (d : Derive.t) =
             ~dict_pool spec (schema t tbl)
         in
         t.aux.(Hashtbl.find slots tbl) <- Some st;
-        Database.fold db tbl
-          (fun tup () ->
-            if passes_spec_locals t spec tup && semijoin_ok t spec tup then
-              Aux_state.insert_base st tup)
-          ())
+        Aux_state.load st (fun add ->
+            Database.fold db tbl
+              (fun tup () ->
+                if passes_spec_locals t spec tup && semijoin_ok t spec tup then
+                  add tup)
+              ()))
     (post_order d.Derive.graph);
   t.obs_aux <-
     Array.to_list tables
@@ -1749,9 +1792,11 @@ let audit ~sample t =
        as the initial load does — through the same group-row walk as
        dirty-group recomputation, so the audit costs O(sampled rows) *)
     let scratch = View_state.create t.view ~determined:false in
-    walk_groups t root_st sampled (fun () key env row ->
-        let cnt = Aux_state.cnt row in
-        View_state.feed scratch ~key ~cnt (contribs t env ~cnt));
+    let (_ : int) =
+      walk_groups t root_st sampled (fun () key env row ->
+          let cnt = Aux_state.cnt row in
+          View_state.feed scratch ~key ~cnt (contribs t env ~cnt))
+    in
     (* finalize DISTINCT results; feeds alone never lose an extremum, so
        nothing is left to recompute *)
     let (_ : Tuple.t list) = View_state.take_dirty scratch in

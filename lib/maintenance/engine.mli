@@ -21,7 +21,7 @@
     - MIN/MAX whose current extremum is deleted is recomputed for the
       affected groups from the auxiliary views, per Section 3.2 — once per
       batch, visiting only root auxiliary rows that can belong to a dirty
-      group (see {!group_walk} for the two paths and their costs).
+      group (see {!group_walk} for the three paths and their costs).
 
     The engine also serves the PSJ (Quass et al.) baseline: it accepts any
     derivation whose specs are uncompressed. *)
@@ -39,7 +39,9 @@ exception Invariant of string
     [fk_index] (default true) builds secondary indexes on the foreign-key
     columns of every auxiliary view, making dimension-update propagation
     proportional to the affected rows instead of the detail size; disable it
-    only for the ablation benchmark. *)
+    only for the ablation benchmark. Independently of it, a view with MIN or
+    MAX aggregates and no driving join (see {!group_walk}) indexes its root
+    auxiliary view on the root group columns. *)
 val init : ?fk_index:bool -> Relational.Database.t -> Mindetail.Derive.t -> t
 
 val derivation : t -> Mindetail.Derive.t
@@ -157,17 +159,33 @@ val offheap_bytes : t -> int
       the key matches a wanted group; for the rest it walks the root rows
       in that foreign key's index bucket, joining only the other subtrees.
       Cost: O(|X_tbl|) plus O(root rows of the matching [tbl] rows).
+    - [`Group_index col] otherwise, when the root group column [col] is
+      indexed in the root auxiliary view: a view with MIN or MAX
+      aggregates and no driving join gets that index on every root group
+      column its root auxiliary view keeps plainly ([col] is the first),
+      whatever [fk_index] says. The walk visits only the index buckets of
+      the values the wanted groups take in [col], compares the other root
+      group columns' cells, and joins only the rows that pass. Cost:
+      O(root rows holding those values of [col]) — for a view grouped on
+      root columns only, exactly the rows the wanted groups own.
     - [`Filtered_scan] otherwise: one pass over the root auxiliary view
       that compares each root group column's stored cell with the values
-      the wanted groups take there — no join, no boxing — and joins and
-      probes only the rows that pass (an indexed root group column walks
-      its buckets instead of scanning). Cost: O(|X_root|) cell compares
+      the wanted groups take there, and joins and probes only the rows
+      that pass. Cost: O(|X_root|) cell compares (each hashes the cell)
       plus O(matching rows) joins; with no root group column, every row is
       joined.
 
     [None] when the root auxiliary view was eliminated: the view is then
     determined by its keys and nothing is ever recomputed. *)
-val group_walk : t -> [ `Driving_join of string | `Filtered_scan ] option
+val group_walk :
+  t ->
+  [ `Driving_join of string | `Group_index of string | `Filtered_scan ] option
+
+(** Root auxiliary rows examined by the dirty-group recomputation of the
+    latest batch (0 when it dirtied no group): the index-bucket entries
+    walked, or every root row on the filtered scan. It is the walk's cost
+    as a count, independent of the machine's speed. *)
+val walk_rows : t -> int
 
 (** The materialized view state, for white-box checks of {!audit}. The
     engine owns it: a change made through this handle is drift by

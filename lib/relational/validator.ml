@@ -11,6 +11,7 @@ let of_database db = { shadow = Database.copy db; txn = None }
 let copy v = { shadow = Database.copy v.shadow; txn = None }
 let restore v ~from = v.shadow <- from.shadow
 let believed_source v = Database.copy v.shadow
+let shadow v = v.shadow
 
 let begin_txn v =
   if v.txn <> None then invalid_arg "Validator.begin_txn: transaction open";

@@ -45,6 +45,11 @@ val rollback : t -> unit
     source contents (initial snapshot + every accepted delta). *)
 val believed_source : t -> Database.t
 
+(** The shadow itself, not a copy, for callers that only read it (engine
+    initialization): a mutation through it would change what the validator
+    believes. *)
+val shadow : t -> Database.t
+
 (** [check v d] validates [d] against the shadow without advancing it. *)
 val check : t -> Delta.t -> (Delta.t, Delta.rejection) result
 

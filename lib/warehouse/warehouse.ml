@@ -430,19 +430,25 @@ let set_retry t retry =
     err Invalid_request "set_retry: attempts and delays must be non-negative";
   t.retry <- retry
 
+(* Registration-time initialization of a view's engine from the validator's
+   committed shadow, the warehouse's belief of the current source. Engines
+   only read it (a [Replicate] engine copies it), so it is read in place.
+   Shared by registration, [load]/[recover] and the wedge rebuild. *)
+let build_engine validator strategy view =
+  let source = Validator.shadow validator in
+  match strategy with
+  | Minimal -> Engines.minimal source view
+  | Psj -> Engines.psj source view
+  | Replicate -> Engines.recompute source view
+  | Aged is_old -> Engines.partitioned source view ~is_old
+
 let add_view ?(strategy = Minimal) t view =
   if
     List.exists
       (fun r -> String.equal r.view.View.name view.View.name)
       t.views
   then err Duplicate_view "a view named %s is already registered" view.View.name;
-  let engine =
-    match strategy with
-    | Minimal -> Engines.minimal t.source view
-    | Psj -> Engines.psj t.source view
-    | Replicate -> Engines.recompute t.source view
-    | Aged is_old -> Engines.partitioned t.source view ~is_old
-  in
+  let engine = build_engine t.validator strategy view in
   t.views <- { view; strategy; engine } :: t.views;
   (* immediately visible to readers; previously registered views kept their
      contents, so their captures carry over ([touched = []]) *)
@@ -451,7 +457,9 @@ let add_view ?(strategy = Minimal) t view =
 let add_view_sql ?strategy t sql =
   match Sqlfront.Parser.statement sql with
   | Sqlfront.Ast.Create_view { name; select } ->
-    add_view ?strategy t (Sqlfront.Elaborate.view_of_select t.source ~name select)
+    add_view ?strategy t
+      (Sqlfront.Elaborate.view_of_select (Validator.shadow t.validator) ~name
+         select)
   | _ -> err Invalid_request "add_view_sql: expected CREATE VIEW"
 
 let view_names t = List.rev_map (fun r -> r.view.View.name) t.views
@@ -624,20 +632,15 @@ type v3_registered = {
    believed source. Valid because [save] only runs between batches, when
    engine state is derivable from the committed source. *)
 let engines_of_persisted validator persisted =
-  let source = Validator.believed_source validator in
   List.map
     (fun (view, strategy) ->
-      let engine =
-        match strategy with
-        | Minimal -> Engines.minimal source view
-        | Psj -> Engines.psj source view
-        | Replicate -> Engines.recompute source view
-        | Aged _ ->
-          (* [save] refuses aged views; only a crafted file gets here *)
-          err Corrupt_state "view %s: aged views cannot appear in a snapshot"
-            view.View.name
-      in
-      { view; strategy; engine })
+      (match strategy with
+      | Minimal | Psj | Replicate -> ()
+      | Aged _ ->
+        (* [save] refuses aged views; only a crafted file gets here *)
+        err Corrupt_state "view %s: aged views cannot appear in a snapshot"
+          view.View.name);
+      { view; strategy; engine = build_engine validator strategy view })
     persisted
 
 (* Load a snapshot; also returns the saved pool size so callers can warn
@@ -1101,18 +1104,9 @@ let engine_error_detail = function
    registration predicate — [age_out] placement is not derivable from
    contents alone. *)
 let rebuild_engines t =
-  let source = Validator.believed_source t.validator in
   t.views <-
     List.map
-      (fun r ->
-        let engine =
-          match r.strategy with
-          | Minimal -> Engines.minimal source r.view
-          | Psj -> Engines.psj source r.view
-          | Replicate -> Engines.recompute source r.view
-          | Aged is_old -> Engines.partitioned source r.view ~is_old
-        in
-        { r with engine })
+      (fun r -> { r with engine = build_engine t.validator r.strategy r.view })
       t.views
 
 (* --- supervised apply ---------------------------------------------------- *)

@@ -76,7 +76,10 @@ type t
 (** [create source] prepares a warehouse attached to an operational store. *)
 val create : Relational.Database.t -> t
 
-(** Register a summary table. Performs the initial load.
+(** Register a summary table. Performs the initial load from the believed
+    source ({!believed_source}: the initial extract plus every committed
+    delta), so a view registered after ingestion starts from the current
+    state, exactly as {!load} and {!recover} would rebuild it.
     @raise Algebra.View.Invalid on malformed views, {!Error}
     ([Duplicate_view]) on duplicate names. *)
 val add_view : ?strategy:strategy -> t -> Algebra.View.t -> unit

@@ -547,8 +547,97 @@ let check_index st ~column values =
         (indexed = List.sort compare !scanned))
     values
 
+(* The root auxiliary view of a MIN/MAX view, indexed on its group
+   columns as the engine does, loaded and then under random inserts,
+   swap-with-last deletes and rollbacks: after every step each bucket
+   equals the index [load] builds in one pass over the surviving rows, and
+   [rows_with] equals an unindexed [iter_where]. *)
+let check_buckets_fresh () =
+  let db = Workload.Retail.load tiny_params in
+  let d = Derive.derive db Workload.Retail.product_sales_max in
+  let spec = Option.get (Derive.spec_for d "sale") in
+  let schema = Database.schema_of db "sale" in
+  let columns = Auxview.group_columns spec in
+  let mk ?indexed_columns () =
+    AS.create ?indexed_columns ~shards:16 spec schema
+  in
+  let st = mk ~indexed_columns:columns () in
+  let rng = Prng.create 23 in
+  let present = ref [] in
+  (* start from a loaded state, so that churn also runs on buckets and
+     offsets built in one pass *)
+  AS.load st (fun add ->
+      for _ = 1 to 40 do
+        let tup = sale_tup rng in
+        present := tup :: !present;
+        add tup
+      done);
+  (* every value sale_tup can draw in these columns, and one it cannot *)
+  let domain = List.init 21 (fun k -> i k) in
+  let check what =
+    let fresh = mk ~indexed_columns:columns () and plain = mk () in
+    AS.load fresh (fun add -> List.iter add !present);
+    AS.load plain (fun add -> List.iter add !present);
+    Alcotest.(check bool) (what ^ ": buckets == fresh build") true
+      (AS.equal st fresh);
+    List.iter
+      (fun column ->
+        List.iter
+          (fun v ->
+            let indexed =
+              List.sort compare
+                (List.map (row_sig st) (AS.rows_with st ~column v))
+            in
+            let scanned = ref [] in
+            let (_ : int) =
+              AS.iter_where plain [ (column, [ v ]) ] (fun r ->
+                  scanned := row_sig plain r :: !scanned)
+            in
+            let label =
+              Printf.sprintf "%s: %s=%s" what column (Value.to_string v)
+            in
+            Alcotest.(check bool) (label ^ " rows_with == scan") true
+              (indexed = List.sort compare !scanned);
+            (* a bucket holds exactly its value's rows *)
+            Alcotest.(check int) (label ^ " examined") (List.length indexed)
+              (AS.iter_where st [ (column, [ v ]) ] ignore))
+          domain)
+      columns
+  in
+  let churn () =
+    for _ = 1 to 25 do
+      let tup = sale_tup rng in
+      present := tup :: !present;
+      AS.insert_base st tup
+    done;
+    (* delete a scattered half; swap-with-last renumbers rows *)
+    let victims, keep =
+      List.partition (fun _ -> Prng.int rng 2 = 0) !present
+    in
+    List.iter (AS.delete_base st) victims;
+    present := keep
+  in
+  for round = 1 to 8 do
+    churn ();
+    check (Printf.sprintf "round %d" round);
+    AS.begin_txn st;
+    let before = !present in
+    churn ();
+    if round mod 2 = 0 then begin
+      AS.rollback st;
+      present := before;
+      check (Printf.sprintf "round %d rolled back" round)
+    end
+    else begin
+      AS.commit st;
+      check (Printf.sprintf "round %d committed" round)
+    end
+  done
+
 let index_tests =
   [
+    test "group-column buckets == fresh build after churn and rollbacks"
+      check_buckets_fresh;
     test "swap-delete repairs secondary indexes" (fun () ->
         let spec, schema = specs_for "sale" in
         let column = List.hd (Auxview.group_columns spec) in

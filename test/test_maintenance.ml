@@ -585,7 +585,7 @@ let index_tests =
           (Engines.view_contents e));
   ]
 
-(* --- dirty-group recomputation: both walk paths ------------------------- *)
+(* --- dirty-group recomputation: the three walk paths ------------------- *)
 
 let recompute_mix = { Workload.Delta_gen.insert = 1; delete = 3; update = 3 }
 
@@ -597,6 +597,7 @@ let check_recompute ?(options = Derive.default_options) ?(fk_index = true)
   let e = Engine.init ~fk_index db (Derive.derive_with options db view) in
   let path_name = function
     | Some (`Driving_join tbl) -> "driving join " ^ tbl
+    | Some (`Group_index column) -> "group index " ^ column
     | Some `Filtered_scan -> "filtered scan"
     | None -> "none"
   in
@@ -663,8 +664,9 @@ let product_max_view =
 
 let recompute_tests =
   [
-    test "group on a root column: filtered scan" (fun () ->
-        check_recompute ~path:`Filtered_scan Workload.Retail.product_sales_max);
+    test "group on a root column: group-index walk" (fun () ->
+        check_recompute ~path:(`Group_index "productid")
+          Workload.Retail.product_sales_max);
     test "group on one dimension subtree: driving-join walk" (fun () ->
         check_recompute ~path:(`Driving_join "time") Workload.Retail.product_sales);
     test "root and dimension group columns: driving-join walk" (fun () ->
@@ -700,6 +702,77 @@ let recompute_tests =
         check_sync e db view;
         Alcotest.(check int) "one group left" 1
           (Relation.cardinality (Engines.view_contents e)));
+    test "the group-index walk examines only the dirty groups' rows" (fun () ->
+        let view = Workload.Retail.product_sales_max in
+        let db = Workload.Retail.load Workload.Retail.small_params in
+        let sales p =
+          Database.fold db "sale"
+            (fun tup acc ->
+              if Value.equal tup.(2) (i p) then tup :: acc else acc)
+            []
+        in
+        (* delete a top-priced sale of each of k = 3 products *)
+        let dirty = [ 1; 2; 3 ] in
+        let batch =
+          List.map
+            (fun p ->
+              let top =
+                List.fold_left
+                  (fun best tup ->
+                    if Value.compare tup.(4) best.(4) > 0 then tup else best)
+                  (List.hd (sales p)) (sales p)
+              in
+              Delta.delete "sale" top)
+            dirty
+        in
+        (* the same detail plus as many root auxiliary rows again, all of
+           products outside the batch: each sale gets a price of its own *)
+        let doubled = Database.copy db in
+        let root_rows e =
+          Relation.cardinality (List.assoc "sale" (Engine.aux_contents e))
+        in
+        let d = Derive.derive db view in
+        let extra = root_rows (Engine.init db d) in
+        let template = List.hd (sales 10) in
+        for k = 1 to extra do
+          let tup = Array.copy template in
+          tup.(0) <- i (1_000_000 + k);
+          tup.(2) <- i (4 + (k mod 40));
+          tup.(4) <- i (100_000 + k);
+          Database.apply doubled (Delta.insert "sale" tup)
+        done;
+        Alcotest.(check int) "root doubled" (2 * extra)
+          (root_rows (Engine.init doubled d));
+        let run db =
+          let e = Engine.init db (Derive.derive db view) in
+          Engine.apply_batch e batch;
+          List.iter (Database.apply db) batch;
+          Alcotest.check relation "maintained" (Algebra.Eval.eval db view)
+            (Engine.view_contents e);
+          e
+        in
+        let e = run db and e2 = run doubled in
+        let spec = Option.get (Derive.spec_for d "sale") in
+        let pcol = Option.get (Auxview.plain_index spec "productid") in
+        let owned =
+          Relation.fold
+            (fun row _ n ->
+              if List.exists (fun p -> Value.equal row.(pcol) (i p)) dirty
+              then n + 1
+              else n)
+            (List.assoc "sale" (Engine.aux_contents e))
+            0
+        in
+        Alcotest.(check bool) "group-index walk" true
+          (Engine.group_walk e = Some (`Group_index "productid"));
+        Alcotest.(check bool) "groups were recomputed" true
+          (Engine.walk_rows e > 0);
+        Alcotest.(check bool)
+          (Printf.sprintf "examined %d <= owned %d" (Engine.walk_rows e) owned)
+          true
+          (Engine.walk_rows e <= owned);
+        Alcotest.(check int) "independent of |root|" (Engine.walk_rows e)
+          (Engine.walk_rows e2));
     test "Mid_engine_apply rollback after a recompute" (fun () ->
         let module W = Warehouse in
         let module Faults = Maintenance.Faults in

@@ -200,6 +200,147 @@ let prop_recompute_paths =
       done;
       !ok)
 
+(* Random MIN/MAX views in the three grouping shapes of the dirty-group
+   walk: root columns only, root and dimension columns, dimension columns
+   only. Depending on the joins, each reaches the driving-join walk, the
+   group-index walk or the filtered scan. *)
+let minmax_view_gen =
+  let nonempty xs =
+    Gen.map (fun l -> if l = [] then [ List.hd xs ] else l) (sublist xs)
+  in
+  let roots = [ a "sale" "timeid"; a "sale" "productid"; a "sale" "storeid" ] in
+  let dim_columns dims =
+    List.filter
+      (fun at -> not (String.equal at.Attr.table "sale"))
+      (group_candidates dims)
+  in
+  let dims_gen =
+    Gen.oneofl [ [ "time" ]; [ "product" ]; [ "time"; "product" ] ]
+  in
+  let shape =
+    Gen.oneof
+      [ Gen.bind (Gen.oneofl [ []; [ "time" ]; [ "time"; "product" ] ])
+          (fun dims -> Gen.map (fun groups -> (dims, groups)) (nonempty roots));
+        Gen.bind dims_gen (fun dims ->
+            Gen.map2 (fun r d -> (dims, r @ d)) (nonempty roots)
+              (nonempty (dim_columns dims)));
+        Gen.bind dims_gen (fun dims ->
+            Gen.map (fun groups -> (dims, groups)) (nonempty (dim_columns dims))) ]
+  in
+  Gen.bind shape (fun (dims, groups) ->
+      let extrema = [ min_ ~alias:"min_price" (a "sale" "price");
+                      max_ ~alias:"max_price" (a "sale" "price") ] in
+      let others =
+        [ sum ~alias:"total_price" (a "sale" "price"); count_star ~alias:"cnt" () ]
+        @ if List.mem "product" dims then
+            [ count_distinct ~alias:"brands" (a "product" "brand") ]
+          else []
+      in
+      Gen.map3
+        (fun ext aggs locals ->
+          view_of_spec { dims; groups; aggs = ext @ aggs; locals })
+        (nonempty extrema) (sublist others) (sublist (local_candidates dims)))
+
+let minmax_pool = lazy (Maintenance.Shard.create ~domains:2)
+
+let rec rm_rf path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Delete-heavy streams with dimension updates, alternating serial and
+   shard-parallel batches; a third of the batches fail mid-apply and roll
+   back. After every batch the view equals recomputation. At the end the
+   maintained state equals the state rebuilt from the evolved source, and
+   a copy maintained on its own stays equal to recomputation and to the
+   rebuilt engine. A warehouse fed the committed batches, checkpointed
+   halfway, serves the recomputed view after recovery and audits clean. *)
+let prop_minmax_walks =
+  QCheck2.Test.make ~count
+    ~name:"MIN/MAX walks == recomputed (delete-heavy, rollbacks, copy, recover)"
+    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
+    Gen.(pair minmax_view_gen (int_bound 10_000))
+    (fun (view, seed) ->
+      let module Engine = Maintenance.Engine in
+      let module Faults = Maintenance.Faults in
+      let db = Workload.Retail.load tiny_params in
+      View.validate db view;
+      let d = Derive.derive db view in
+      let e = Engine.init db d in
+      let dir = Filename.temp_dir "minmax_walks" "" in
+      let wh = Warehouse.create (Database.copy db) in
+      Warehouse.add_view wh view;
+      Warehouse.attach wh ~dir;
+      let pool = Lazy.force minmax_pool in
+      let rng = Workload.Prng.create seed in
+      let mix = { Workload.Delta_gen.insert = 1; delete = 4; update = 2 } in
+      let batch () =
+        (* generated in order: each stream applies itself to [db] *)
+        let facts = Workload.Delta_gen.stream ~mix rng db ~n:20 in
+        let dims =
+          Workload.Delta_gen.stream_for ~mix rng db
+            ~tables:[ "product"; "time" ] ~n:3
+        in
+        facts @ dims
+      in
+      let agrees e =
+        Relation.equal (Engine.view_contents e) (Algebra.Eval.eval db view)
+      in
+      (* force the shard-parallel path even for these small batches *)
+      Unix.putenv "MINVIEW_PAR_THRESHOLD" "1";
+      Fun.protect ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
+      @@ fun () ->
+      let ok = ref true in
+      for round = 1 to 6 do
+        let deltas = batch () in
+        let parallel = if round land 1 = 0 then Some pool else None in
+        Engine.begin_txn e;
+        if Workload.Prng.int rng 3 = 0 then begin
+          (match parallel with
+          | Some _ -> (
+            Faults.arm ~skip:(Workload.Prng.int rng 3) ~mode:Faults.Fail
+              Faults.In_shard_worker;
+            Fun.protect ~finally:Faults.disarm @@ fun () ->
+            try Engine.apply_batch ?parallel e deltas
+            with Faults.Injected Faults.In_shard_worker -> ())
+          | None ->
+            let cut = Workload.Prng.int rng (List.length deltas + 1) in
+            Engine.apply_batch e (List.filteri (fun k _ -> k < cut) deltas));
+          Engine.rollback e;
+          List.iter
+            (fun d -> Database.apply db (Delta.invert d))
+            (List.rev deltas)
+        end
+        else begin
+          Engine.apply_batch ?parallel e deltas;
+          Engine.commit e;
+          Warehouse.ingest wh deltas
+        end;
+        if round = 3 then Warehouse.checkpoint wh;
+        ok := !ok && agrees e
+      done;
+      Warehouse.close wh;
+      let recovered = Warehouse.recover ~dir in
+      ok :=
+        !ok
+        && Relation.equal
+             (snd (Warehouse.query recovered view.View.name))
+             (Algebra.Eval.eval db view)
+        && List.for_all snd
+             (Warehouse.audit recovered
+                ~reference:(Warehouse.believed_source recovered));
+      Warehouse.close recovered;
+      rm_rf dir;
+      let rebuilt = Engine.init db d in
+      ok := !ok && Engine.equal_state e rebuilt;
+      let c = Engine.copy e in
+      let deltas = batch () in
+      Engine.apply_batch c deltas;
+      Engine.apply_batch ~parallel:pool rebuilt deltas;
+      !ok && agrees c && agrees rebuilt && Engine.equal_state c rebuilt)
+
 (* Random views whose aggregates are all DISTINCT — every kind, over a
    fact column and over updatable dimension columns — so that root
    inserts, deletes and updates and dimension updates of the DISTINCT
@@ -854,6 +995,7 @@ let () =
           [
             prop_maintained_equals_recomputed;
             prop_recompute_paths;
+            prop_minmax_walks;
             prop_distinct_multisets;
             prop_publish_equals_capture;
             prop_psj_engine_agrees;

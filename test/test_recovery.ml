@@ -137,6 +137,42 @@ let crash_tests =
 
 let durability_tests =
   [
+    test "a view added after ingestion loads from the believed source"
+      (fun () ->
+        let db = Workload.Retail.load tiny in
+        let wh = Warehouse.create db in
+        let dir = fresh_dir "wh_late_view_dir" in
+        Warehouse.attach wh ~dir;
+        let next_id =
+          1
+          + Database.fold db "sale"
+              (fun tup m -> match tup.(0) with Value.Int k -> max m k | _ -> m)
+              0
+        in
+        (* two sales of product 1 above every price in the extract *)
+        Warehouse.ingest wh
+          [ Delta.insert "sale" (row [ i next_id; i 1; i 1; i 1; i 10_000 ]);
+            Delta.insert "sale" (row [ i (next_id + 1); i 2; i 1; i 2; i 20_000 ]) ];
+        let view = Workload.Retail.product_sales_max in
+        Warehouse.add_view wh view;
+        let check wh label =
+          let believed = Warehouse.believed_source wh in
+          Alcotest.check relation (label ^ ": served == recomputed")
+            (Algebra.Eval.eval believed view)
+            (snd (Warehouse.query wh view.View.name));
+          Alcotest.(check (list (pair string bool)))
+            (label ^ ": audit") [ (view.View.name, true) ]
+            (Warehouse.audit wh ~reference:believed)
+        in
+        Alcotest.(check bool) "the inserts change the view" false
+          (Relation.equal (Algebra.Eval.eval db view)
+             (Algebra.Eval.eval (Warehouse.believed_source wh) view));
+        check wh "registered";
+        Warehouse.checkpoint wh;
+        Warehouse.close wh;
+        let wh' = Warehouse.recover ~dir in
+        check wh' "recovered";
+        Warehouse.close wh');
     test "attach / checkpoint / recover round-trips" (fun () ->
         let db, wh = build () in
         let dir = fresh_dir "wh_roundtrip_dir" in
