@@ -1788,17 +1788,14 @@ let serve_bench () =
       within BENCH_COLUMNAR_MAX_PHASE_PCT of boxed on every phase.
 
    2. Apply-latency grid over uniform fresh-fact batches (the [parallel]
-      experiment's workload): serial vs the legacy fixed-threshold
-      dispatch (forced via MINVIEW_PAR_THRESHOLD=512) vs the batch-aware
-      auto dispatcher. The committed BENCH_parallel.json baseline for the
-      500k-resident 10k-input uniform points is 0.32x at 2 domains and
-      0.35x at 4 — parallel apply was ~3x slower than serial there. The
-      auto dispatcher applies such batches directly at serial speed, and
-      its speedup-vs-serial must beat that committed baseline by >=
-      BENCH_COLUMNAR_MIN_IMPROVEMENT on at least one such point (gated
-      only when the grid has a >= 400k point; the same-run legacy/auto
-      ratio is reported but not gated — the columnar footprint reduction
-      also shrank the legacy path's cache penalty).
+      experiment's workload): serial vs the pooled dispatch. The committed
+      BENCH_parallel.json baseline for the 500k-resident 10k-input uniform
+      points is 0.32x at 2 domains and 0.35x at 4 — parallel apply under
+      the old fixed 512-op cutoff was ~3x slower than serial there. The
+      dispatch rule's resident-scaled serial floor applies such batches
+      directly at serial speed, and its speedup-vs-serial must beat that
+      committed baseline by >= BENCH_COLUMNAR_MIN_IMPROVEMENT on at least
+      one such point (gated only when the grid has a >= 400k point).
 
    Not part of the default run. Environment knobs:
      BENCH_COLUMNAR_ROWS           bytes-section resident rows (default 200000)
@@ -2008,14 +2005,6 @@ let columnar_bench () =
              Value.Int 1;
              Value.Int (Workload.Prng.int rng 50 + 1) |])
   in
-  (* the legacy dispatch is env-selected: a set MINVIEW_PAR_THRESHOLD takes
-     the old fixed-threshold path, an empty one the batch-aware dispatcher *)
-  let with_threshold v f =
-    Unix.putenv "MINVIEW_PAR_THRESHOLD" v;
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
-      f
-  in
   let best_ms e ~series ~samples f =
     let h = bench_hist series in
     for _ = 1 to samples do
@@ -2057,31 +2046,21 @@ let columnar_bench () =
           let runs =
             List.map
               (fun (d, pool) ->
-                let legacy_ms =
-                  with_threshold "512" (fun () ->
-                      best_ms e
-                        ~series:(Printf.sprintf "col-legacy-%d-%s" d point)
-                        ~samples
-                        (fun () -> Engine.apply_batch ~parallel:pool e batch))
-                in
-                let auto_ms =
+                ( d,
                   best_ms e
                     ~series:(Printf.sprintf "col-auto-%d-%s" d point)
                     ~samples
-                    (fun () -> Engine.apply_batch ~parallel:pool e batch)
-                in
-                (d, legacy_ms, auto_ms, legacy_ms /. Float.max 1e-9 auto_ms))
+                    (fun () -> Engine.apply_batch ~parallel:pool e batch) ))
               pools
           in
           grid := (resident, n, serial_ms, runs) :: !grid;
           List.iter
-            (fun (d, legacy_ms, auto_ms, improvement) ->
+            (fun (d, auto_ms) ->
               rows_out :=
                 [ string_of_int resident; string_of_int n;
                   Printf.sprintf "%.1f" serial_ms; string_of_int d;
-                  Printf.sprintf "%.1f" legacy_ms;
                   Printf.sprintf "%.1f" auto_ms;
-                  Printf.sprintf "%.2fx" improvement ]
+                  Printf.sprintf "%.2fx" (serial_ms /. auto_ms) ]
                 :: !rows_out)
             runs)
         batch_sizes)
@@ -2090,19 +2069,15 @@ let columnar_bench () =
   print_string
     (table
        ~header:
-         [ "resident"; "input"; "serial ms"; "domains"; "legacy ms";
-           "auto ms"; "vs legacy" ]
+         [ "resident"; "input"; "serial ms"; "domains"; "auto ms";
+           "vs serial" ]
        (List.rev !rows_out));
   (* gate only the regime the dispatcher exists to fix: large resident
      state, batches below the serial floor. The improvement is measured
      against the committed pre-columnar baseline (BENCH_parallel.json,
      PR 7): on the 500k-resident 10k-input uniform points the pooled
      apply ran at 0.32x (2 domains) / 0.35x (4 domains) of serial — the
-     regression this dispatcher exists to fix. The same-run legacy/auto
-     ratio is reported alongside but not gated: the columnar
-     representation shrank the resident state ~3.4x, which shrank the
-     very cache-refill penalty the legacy cutoff paid, so today's legacy
-     is a far milder strawman than the committed one. *)
+     regression this dispatcher exists to fix. *)
   let has_large = List.exists (fun (r, _, _, _) -> r >= 400_000) grid in
   let baseline_speedup = function
     | 2 -> Some 0.32
@@ -2114,7 +2089,7 @@ let columnar_bench () =
       (fun acc (r, n, serial_ms, runs) ->
         if r >= 400_000 && n <= 20_000 then
           List.fold_left
-            (fun acc (d, _, auto_ms, _) ->
+            (fun acc (d, auto_ms) ->
               match baseline_speedup d with
               | Some b -> Float.max acc (serial_ms /. auto_ms /. b)
               | None -> acc)
@@ -2184,13 +2159,11 @@ let columnar_bench () =
               resident n serial_ms
               (String.concat ", "
                  (List.map
-                    (fun (d, legacy_ms, auto_ms, imp) ->
+                    (fun (d, auto_ms) ->
                       Printf.sprintf
-                        "{ \"domains\": %d, \"legacy_ms\": %.2f, \
-                         \"auto_ms\": %.2f, \"legacy_speedup\": %.2f, \
-                         \"auto_speedup\": %.2f, \"improvement\": %.2f }"
-                        d legacy_ms auto_ms (serial_ms /. legacy_ms)
-                        (serial_ms /. auto_ms) imp)
+                        "{ \"domains\": %d, \"auto_ms\": %.2f, \
+                         \"auto_speedup\": %.2f }"
+                        d auto_ms (serial_ms /. auto_ms))
                     runs)))
           grid))
     best_improvement min_ratio max_phase_pct min_improvement

@@ -1199,19 +1199,21 @@ let init ?(fk_index = true) db (d : Derive.t) =
 
 (* --- delta routing ----------------------------------------------------- *)
 
+(* append-only protects the detail (root) data: dimension tables stay
+   mutable (Section 4 concerns old fact rows, not the dimensions) *)
+let check_append_only t (d : Delta.t) =
+  if t.append_only && String.equal d.Delta.table t.root then
+    match d.Delta.change with
+    | Delta.Insert _ -> ()
+    | Delta.Delete _ | Delta.Update _ ->
+      invariant
+        "append-only warehouse: root table %s received a deletion or update"
+        d.Delta.table
+
 let route t (delta : Delta.t) =
   if List.mem delta.Delta.table t.view.View.tables then begin
-    (* append-only protects the detail (root) data: dimension tables stay
-       mutable (Section 4 concerns old fact rows, not the dimensions) *)
-    (if t.append_only && String.equal delta.Delta.table t.root then
-       match delta.Delta.change with
-       | Delta.Insert _ -> ()
-       | Delta.Delete _ | Delta.Update _ ->
-         invariant
-           "append-only warehouse: root table %s received a deletion or \
-            update"
-           delta.Delta.table);
-    if String.equal delta.Delta.table t.root then
+    if String.equal delta.Delta.table t.root then begin
+      check_append_only t delta;
       match delta.Delta.change with
       | Delta.Insert tup -> root_insert t tup
       | Delta.Delete tup -> root_delete t tup
@@ -1219,6 +1221,7 @@ let route t (delta : Delta.t) =
         (* exposed or not, a root update is a deletion then an insertion *)
         root_delete t before;
         root_insert t after
+    end
     else
       match delta.Delta.change with
       | Delta.Insert tup -> dim_insert t delta.Delta.table tup
@@ -1226,10 +1229,6 @@ let route t (delta : Delta.t) =
       | Delta.Update { before; after } ->
         dim_update t delta.Delta.table ~before ~after
   end
-
-let apply t delta =
-  route t delta;
-  flush t
 
 (* --- netted + shard-parallel batch fast path ---------------------------- *)
 
@@ -1285,51 +1284,6 @@ let root_merge t root_deltas =
     root_deltas;
   Array.of_list (List.rev !order)
 
-(* Below this many compacted root operations, domain spawns cost more than
-   they recover; the fast path then runs both phases inline. Overridable
-   (MINVIEW_PAR_THRESHOLD) so fault-injection tests can reach the parallel
-   path with small batches; read per batch, so tests may set it late. *)
-let default_par_threshold = 512
-
-let par_threshold () =
-  match Sys.getenv_opt "MINVIEW_PAR_THRESHOLD" with
-  | None -> default_par_threshold
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | Some _ | None -> default_par_threshold)
-
-(* Target slice per domain once dispatch does go parallel: below ~2k ops a
-   worker's share of the fixed costs (undo-journal bookkeeping, two shard
-   barriers, cache refill on its shard partition) outweighs its slice. *)
-let ops_per_domain = 2048
-
-(* How many workers to give a batch of [n] compacted root operations
-   against [resident] stored rows (root auxiliary groups + view groups).
-   1 means inline.
-
-   The old fixed [n < 512] cutoff mispredicts on large states: each
-   worker re-touches its whole shard partition's cache footprint, so the
-   break-even batch size grows with the resident state — measured on the
-   uniform parallel-scaling grid, 10k-op batches over 500k resident rows
-   run ~3x slower parallel than serial (BENCH_parallel.json). Hence the
-   serial floor scales as resident/32, and beyond it the worker count is
-   matched to the batch so each domain keeps >= [ops_per_domain] ops.
-
-   An explicit MINVIEW_PAR_THRESHOLD keeps the fixed-threshold behavior
-   exactly (tests rely on forcing the parallel path with tiny batches).
-   An empty value counts as unset — callers cannot portably remove an
-   environment variable from inside the process, so [putenv var ""] must
-   mean "back to auto dispatch", not "legacy with the default cutoff". *)
-let dispatch_workers ~pool ~resident n =
-  let cap = min (Shard.domains pool) nshards in
-  match Sys.getenv_opt "MINVIEW_PAR_THRESHOLD" with
-  | Some s when String.trim s <> "" ->
-    if n < par_threshold () then 1 else cap
-  | Some _ | None ->
-    let floor = max default_par_threshold (resident / 32) in
-    if n < floor then 1 else min cap (max 2 (n / ops_per_domain))
-
 (* Stored rows a batch's application can touch: view groups, the root
    auxiliary view it writes, and the dimension auxiliary views the prepare
    probes read — the cache footprint that sets the parallel break-even. *)
@@ -1348,21 +1302,45 @@ let root_change_count ds =
       acc + match d.Delta.change with Delta.Update _ -> 2 | _ -> 1)
     0 ds
 
-(* Whether a netted batch of [root_changes] raw root operations takes the
-   serial-floor direct path (auto dispatch only — an explicit
-   MINVIEW_PAR_THRESHOLD keeps the merged two-phase path reachable for any
-   batch size, which tests rely on). *)
-let direct_root_dispatch t ~root_changes =
-  (match Sys.getenv_opt "MINVIEW_PAR_THRESHOLD" with
-  | Some s when String.trim s <> "" -> false
-  | Some _ | None -> true)
-  && root_changes < max default_par_threshold (resident_rows t / 32)
+let live_ops ops =
+  Array.fold_left (fun acc op -> if op.net <> 0 then acc + 1 else acc) 0 ops
 
-let apply_root_ops t pool ops =
+(* Below this many root operations, domain spawns cost more than they
+   recover. *)
+let min_serial_floor = 512
+
+(* Target slice per domain once dispatch does go parallel: below ~2k ops a
+   worker's share of the fixed costs (undo-journal bookkeeping, two shard
+   barriers, cache refill on its shard partition) outweighs its slice. *)
+let ops_per_domain = 2048
+
+type dispatch = Direct | Merged of { ops : root_op array; workers : int }
+
+(* The one dispatch rule, decided once per batch from its netted root
+   changes. Each worker re-touches its whole shard partition's cache
+   footprint, so the parallel break-even grows with the resident state —
+   10k-op batches over 500k resident rows ran ~3x slower parallel than
+   serial (BENCH_parallel.json). Hence the serial floor
+   [max 512 (resident / 32)]: root changes below it are applied directly;
+   the rest are merged ([merge]) into [n] weighted operations run inline
+   while [n] is below the floor, else over [max 2 (n / ops_per_domain)]
+   workers (at most [cap]). An eager pool always merges and uses [cap]. *)
+let dispatch t pool ~root_changes ~merge =
+  let floor = max min_serial_floor (resident_rows t / 32) in
+  let cap = min (Shard.domains pool) nshards in
+  if Shard.is_eager pool then Merged { ops = merge (); workers = cap }
+  else if root_changes < floor then Direct
+  else
+    let ops = merge () in
+    let n = Array.length ops in
+    let workers =
+      if n < floor then 1 else min cap (max 2 (n / ops_per_domain))
+    in
+    Merged { ops; workers }
+
+let apply_root_ops t pool ~workers:nw ops =
   let n = Array.length ops in
   let root_st = aux_of t t.root in
-  let resident = resident_rows t in
-  let nw = dispatch_workers ~pool ~resident n in
   (* Phase A — preparation, read-only on all shared state: membership
      tests and join probes read dimension auxiliary views (concurrent pure
      reads of hash tables are safe; nothing mutates during this phase),
@@ -1436,61 +1414,31 @@ let apply_root_ops t pool ops =
           Array.iter (fun op -> if op.net > 0 then apply_op op) ops;
           Array.iter (fun op -> if op.net < 0 then apply_op op) ops))
 
-(* Serial-floor fast path: in auto-dispatch mode, a batch whose raw
-   root-delta count is already below the serial floor skips the weighted
-   merge and the prepare/apply split — per operation, the dimension probes
-   feed the root-aux and view-state writes directly, with no op records,
-   no projection hashing and no shard-ownership hashing. Exactly
-   equivalent to [root_merge] + [apply_root_ops]: preparation reads only
-   dimension auxiliary views while application writes only the root
-   auxiliary view and the view state (so fusing them per operation changes
-   nothing), and a weighted fold of [k] identical projections equals [k]
-   unit operations. Positive changes still go before negative ones — the
-   same transient-group discipline as phase B. *)
+(* Serial-floor fast path: a batch whose raw root-delta count is below the
+   serial floor skips the weighted merge and the prepare/apply split — per
+   operation, the dimension probes feed the root-aux and view-state writes
+   directly through the serial route's writers, with no op records, no
+   projection hashing and no shard-ownership hashing. Exactly equivalent to
+   [root_merge] + [apply_root_ops]: preparation reads only dimension
+   auxiliary views while application writes only the root auxiliary view
+   and the view state (so fusing them per operation changes nothing), and
+   a weighted fold of [k] identical projections equals [k] unit
+   operations. Positive changes still go before negative ones — the same
+   transient-group discipline as phase B. *)
 let apply_root_direct t root_deltas =
-  let root_st = aux_of t t.root in
-  let one sign tup =
-    (match root_st with
-    | Some st when in_aux t t.root tup ->
-      if sign > 0 then Aux_state.insert_base st tup
-      else Aux_state.delete_base st tup
-    | Some _ | None -> ());
-    if passes_locals t t.root tup then
-      match base_env t tup with
-      | None -> ()
-      | Some env ->
-        let key = group_key t env in
-        if t.wk_live && Telemetry.enabled () then begin
-          if t.wk_events land Telemetry.Workload.sample_mask = 0 then
-            Telemetry.Workload.note_hot_key t.wk ~hash:(Tuple.hash key)
-              ~label:(fun () -> Tuple.to_string key);
-          t.wk_writes <- t.wk_writes + 1;
-          t.wk_events <- t.wk_events + 1
-        end;
-        let cs = contribs t env ~cnt:1 in
-        if sign > 0 then View_state.feed t.vstate ~key ~cnt:1 cs
-        else View_state.unfeed t.vstate ~key ~cnt:1 cs
-  in
   List.iter
     (fun (d : Delta.t) ->
       match d.Delta.change with
-      | Delta.Insert tup -> one 1 tup
-      | Delta.Update { after; _ } -> one 1 after
+      | Delta.Insert tup | Delta.Update { after = tup; _ } -> root_insert t tup
       | Delta.Delete _ -> ())
     root_deltas;
   List.iter
     (fun (d : Delta.t) ->
       match d.Delta.change with
-      | Delta.Delete tup -> one (-1) tup
-      | Delta.Update { before; _ } -> one (-1) before
+      | Delta.Delete tup | Delta.Update { before = tup; _ } -> root_delete t tup
       | Delta.Insert _ -> ())
     root_deltas
 
-(* Netted batch application: dimension phases run serially in join-tree
-   order (inserts leaves-first so join partners exist, deletes root-first so
-   references are gone), root operations run compacted and shard-parallel.
-   Equivalent to the serial replay for any batch that is legal against the
-   pre-batch state — see DESIGN.md, "Concurrency model". *)
 (* --- lineage flow capture ---------------------------------------------- *)
 
 (* Cheap pre/post snapshots — O(auxviews x shards) per batch, nothing on
@@ -1551,21 +1499,15 @@ let flow_finish t pre ~mode ~deltas_in ~netted ~applied =
 
 let last_flow t = t.last_flow
 
+(* Netted batch application: dimension phases run serially in join-tree
+   order (inserts leaves-first so join partners exist, deletes root-first so
+   references are gone), root operations run compacted and shard-parallel.
+   Equivalent to the serial replay for any batch that is legal against the
+   pre-batch state — see DESIGN.md, "Concurrency model". *)
 let apply_batch_parallel t pool deltas =
   (* append-only violations must reject the batch whether or not the
      offending change nets out — match the serial path's verdict *)
-  if t.append_only then
-    List.iter
-      (fun (d : Delta.t) ->
-        if String.equal d.Delta.table t.root then
-          match d.Delta.change with
-          | Delta.Insert _ -> ()
-          | Delta.Delete _ | Delta.Update _ ->
-            invariant
-              "append-only warehouse: root table %s received a deletion or \
-               update"
-              d.Delta.table)
-      deltas;
+  if t.append_only then List.iter (check_append_only t) deltas;
   let pre_flow = flow_pre t in
   let net =
     Telemetry.with_phase Obs.compact ~alloc:Obs.compact_alloc "engine.compact"
@@ -1588,69 +1530,49 @@ let apply_batch_parallel t pool deltas =
     List.sort (fun (a, _, _) (b, _, _) -> compare b a) (List.rev !dims)
   in
   let shallow_first = List.rev deep_first in
+  let each_dim tables f =
+    List.iter
+      (fun (_, tbl, ds) ->
+        List.iter (fun (d : Delta.t) -> f tbl d.Delta.change) ds)
+      tables
+  in
   Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
     "engine.dim-apply" (fun () ->
-      List.iter
-        (fun (_, tbl, ds) ->
-          List.iter
-            (fun (d : Delta.t) ->
-              match d.Delta.change with
-              | Delta.Insert tup -> dim_insert t tbl tup
-              | Delta.Delete _ | Delta.Update _ -> ())
-            ds)
-        deep_first;
-      List.iter
-        (fun (_, tbl, ds) ->
-          List.iter
-            (fun (d : Delta.t) ->
-              match d.Delta.change with
-              | Delta.Update { before; after } ->
-                dim_update t tbl ~before ~after
-              | Delta.Insert _ | Delta.Delete _ -> ())
-            ds)
-        deep_first);
+      each_dim deep_first (fun tbl -> function
+        | Delta.Insert tup -> dim_insert t tbl tup
+        | Delta.Delete _ | Delta.Update _ -> ());
+      each_dim deep_first (fun tbl -> function
+        | Delta.Update { before; after } -> dim_update t tbl ~before ~after
+        | Delta.Insert _ | Delta.Delete _ -> ()));
   let root_changes = root_change_count !root_deltas in
   let dim_ops () =
     List.fold_left (fun acc (_, _, ds) -> acc + List.length ds) 0 deep_first
   in
+  let merge () =
+    Telemetry.with_phase Obs.weighted_merge ~alloc:Obs.weighted_merge_alloc
+      "engine.weighted-merge" (fun () -> root_merge t !root_deltas)
+  in
   let applied_ops = ref 0 in
-  if direct_root_dispatch t ~root_changes then begin
+  (match dispatch t pool ~root_changes ~merge with
+  | Direct ->
     if Telemetry.enabled () then begin
       applied_ops := dim_ops () + root_changes;
       Telemetry.Counter.inc Obs.ops_applied !applied_ops
     end;
     Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
       "engine.shard-apply" (fun () -> apply_root_direct t !root_deltas)
-  end
-  else begin
-    let ops =
-      Telemetry.with_phase Obs.weighted_merge ~alloc:Obs.weighted_merge_alloc
-        "engine.weighted-merge" (fun () -> root_merge t !root_deltas)
-    in
+  | Merged { ops; workers } ->
     if Telemetry.enabled () then begin
-      Telemetry.Counter.inc Obs.merge_folds
-        (root_changes - Array.length ops);
-      let root_ops =
-        Array.fold_left
-          (fun acc op -> if op.net <> 0 then acc + 1 else acc)
-          0 ops
-      in
-      applied_ops := dim_ops () + root_ops;
+      Telemetry.Counter.inc Obs.merge_folds (root_changes - Array.length ops);
+      applied_ops := dim_ops () + live_ops ops;
       Telemetry.Counter.inc Obs.ops_applied !applied_ops
     end;
-    apply_root_ops t pool ops
-  end;
+    apply_root_ops t pool ~workers ops);
   Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
     "engine.dim-apply" (fun () ->
-      List.iter
-        (fun (_, tbl, ds) ->
-          List.iter
-            (fun (d : Delta.t) ->
-              match d.Delta.change with
-              | Delta.Delete tup -> dim_delete t tbl tup
-              | Delta.Insert _ | Delta.Update _ -> ())
-            ds)
-        shallow_first);
+      each_dim shallow_first (fun tbl -> function
+        | Delta.Delete tup -> dim_delete t tbl tup
+        | Delta.Insert _ | Delta.Update _ -> ()));
   Telemetry.with_phase Obs.view_update ~alloc:Obs.view_update_alloc
     "engine.view-update" (fun () -> flush t);
   flow_finish t pre_flow ~mode:"parallel"
@@ -1696,13 +1618,14 @@ let net_profile t deltas =
   in
   let root_changes = root_change_count root_ds in
   let root_ops =
-    (* mirror the dispatch: below the serial floor the fast path applies
-       the netted root deltas directly, without the weighted merge *)
-    if direct_root_dispatch t ~root_changes then root_changes
-    else
-      Array.fold_left
-        (fun acc (op : root_op) -> if op.net <> 0 then acc + 1 else acc)
-        0 (root_merge t root_ds)
+    (* the dispatch a one-domain pool would take: below the serial floor
+       the netted root deltas are applied as they are *)
+    match
+      dispatch t Shard.serial ~root_changes ~merge:(fun () ->
+          root_merge t root_ds)
+    with
+    | Direct -> root_changes
+    | Merged { ops; _ } -> live_ops ops
   in
   {
     input = List.length deltas;

@@ -77,39 +77,41 @@ val commit : t -> unit
     journals. @raise Invalid_argument if no transaction is open. *)
 val rollback : t -> unit
 
-(** Process one source change; non-CSMAS recomputation is flushed before
-    returning.
+(** Process a batch; non-CSMAS recomputation is flushed once at the end.
 
     The engine trusts the stream: changes are assumed already validated and
     applied by the source store (key uniqueness, referential integrity,
     updatable columns, existing before-images). Violations of that contract
     are detected best-effort — an underflow or a missing group raises
     [Invalid_argument] / {!Invariant} — but a fabricated change that happens
-    to match existing state is indistinguishable from a legal one. *)
-val apply : t -> Relational.Delta.t -> unit
-
-(** Process a batch; recomputation is flushed once at the end.
+    to match existing state is indistinguishable from a legal one.
 
     With [?parallel], the batch takes the compacted fast path: deltas are
-    netted per (table, key) ({!Relational.Delta_batch}), root-table changes
-    are merged into weighted operations keyed by the engine's read-set
-    projection (the paper's duplicate compression applied to the delta
-    stream), and the merged operations are applied across the given domain
-    pool — each domain owning a disjoint set of hash shards of the root
-    auxiliary view and the view state. Dimension changes and cross-group
-    work (key changes, regrouping updates, eliminated-root rewrites) run on
-    the calling domain. The final state is structurally equal to the serial
-    replay for any batch that is legal against the pre-batch state, and
-    {!begin_txn}/{!rollback} semantics are preserved: shard undo journals
-    are only ever touched by the shard's owning domain. *)
+    netted per (table, key) ({!Relational.Delta_batch}) and one dispatch
+    rule, decided once per batch, places the netted root-table changes.
+    Below the serial floor [max 512 (resident / 32)] ([resident]: view
+    groups plus auxiliary-view rows) they are applied directly, positive
+    changes first. Otherwise they are merged into weighted operations keyed
+    by the engine's read-set projection (the paper's duplicate compression
+    applied to the delta stream) and applied inline while the [n] merged
+    operations are below the floor, else across [max 2 (n / 2048)] pool
+    workers (at most the pool's domains), each owning a disjoint set of
+    hash shards of the root auxiliary view and the view state. A
+    {!Shard.eager} pool always merges and uses every domain. Dimension
+    changes and cross-group work (key changes, regrouping updates,
+    eliminated-root rewrites) run on the calling domain. The final state
+    is structurally equal to the serial replay for any batch that is legal
+    against the pre-batch state, and {!begin_txn}/{!rollback} semantics
+    are preserved: shard undo journals are only ever touched by the
+    shard's owning domain. *)
 val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
 
 (** What {!apply_batch}'s fast path would do to a batch, without applying
     it: [input] raw deltas, [netted] after per-key compaction, [applied]
-    operations actually issued — net dimension deltas plus merged weighted
-    root operations, or the netted root deltas as-is when the batch sits
-    below the auto dispatcher's serial floor (where the fast path applies
-    them directly, skipping the weighted merge). *)
+    operations actually issued — net dimension deltas plus, by the same
+    dispatch rule as {!apply_batch} on a non-eager pool, either the netted
+    root deltas as they are (below the serial floor, where the fast path
+    applies them directly) or the merged weighted root operations. *)
 type batch_profile = { input : int; netted : int; applied : int }
 
 val net_profile : t -> Relational.Delta.t list -> batch_profile

@@ -85,58 +85,44 @@ let init db (v : View.t) ~is_old =
       |> Array.of_list;
   }
 
-let apply t (d : Delta.t) =
-  if String.equal d.Delta.table t.root then begin
-    let target before_image =
-      if t.is_old before_image then t.old_engine else t.current_engine
-    in
+type side = Old | Current | Both
+
+(* Where one source change goes: a root change to the partition [is_old]
+   picks for it, a dimension change to both engines. *)
+let side t (d : Delta.t) =
+  if not (String.equal d.Delta.table t.root) then Both
+  else
+    let pick tup = if t.is_old tup then Old else Current in
     match d.Delta.change with
-    | Delta.Insert tup -> Engine.apply (target tup) d
-    | Delta.Delete tup -> Engine.apply (target tup) d
+    | Delta.Insert tup | Delta.Delete tup -> pick tup
     | Delta.Update { before; after } ->
       if t.is_old before <> t.is_old after then
         raise
           (Engine.Invariant
              "partitioned maintenance: update moves a root tuple across the \
               old/current boundary")
-      else Engine.apply (target before) d
-  end
-  else begin
-    Engine.apply t.old_engine d;
-    Engine.apply t.current_engine d
-  end
+      else pick before
 
+let apply_sides ?parallel t ~olds ~currents =
+  Engine.apply_batch ?parallel t.old_engine olds;
+  Engine.apply_batch ?parallel t.current_engine currents
+
+(* Every change is routed before either engine runs, so a boundary
+   violation rejects the batch before any of it is applied, and each engine
+   sees its share as one batch (the compacted fast path with [?parallel]). *)
 let apply_batch ?parallel t deltas =
-  match parallel with
-  | None -> List.iter (apply t) deltas
-  | Some pool ->
-    (* pre-route every delta to its side (dimension changes go to both) so
-       each engine sees one batch and can take the compacted parallel fast
-       path; the boundary check keeps the serial path's verdict *)
-    let olds = ref [] and currents = ref [] in
-    List.iter
-      (fun (d : Delta.t) ->
-        if String.equal d.Delta.table t.root then begin
-          match d.Delta.change with
-          | Delta.Insert tup | Delta.Delete tup ->
-            if t.is_old tup then olds := d :: !olds
-            else currents := d :: !currents
-          | Delta.Update { before; after } ->
-            if t.is_old before <> t.is_old after then
-              raise
-                (Engine.Invariant
-                   "partitioned maintenance: update moves a root tuple \
-                    across the old/current boundary")
-            else if t.is_old before then olds := d :: !olds
-            else currents := d :: !currents
-        end
-        else begin
-          olds := d :: !olds;
-          currents := d :: !currents
-        end)
-      deltas;
-    Engine.apply_batch ~parallel:pool t.old_engine (List.rev !olds);
-    Engine.apply_batch ~parallel:pool t.current_engine (List.rev !currents)
+  let olds, currents =
+    List.fold_right
+      (fun d (olds, currents) ->
+        match side t d with
+        | Old -> (d :: olds, currents)
+        | Current -> (olds, d :: currents)
+        | Both -> (d :: olds, d :: currents))
+      deltas ([], [])
+  in
+  apply_sides ?parallel t ~olds ~currents
+
+let apply t d = apply_batch t [ d ]
 
 let copy t =
   {
@@ -164,11 +150,9 @@ let rollback t =
   Engine.rollback t.current_engine
 
 let age_out t facts =
-  List.iter
-    (fun tup ->
-      Engine.apply t.current_engine (Delta.delete t.root tup);
-      Engine.apply t.old_engine (Delta.insert t.root tup))
-    facts
+  apply_sides t
+    ~olds:(List.map (Delta.insert t.root) facts)
+    ~currents:(List.map (Delta.delete t.root) facts)
 
 (* Distributive merge of two partial view results. *)
 let merge_rows (v : View.t) group_positions a b =

@@ -33,16 +33,18 @@ val init :
   is_old:(Relational.Tuple.t -> bool) ->
   t
 
-(** Route one source change: root-table changes go to the partition chosen by
-    [is_old]; dimension changes go to both engines.
-    @raise Maintenance.Engine.Invariant if a deletion/update targets the old
-    partition, or if an update would move a tuple across partitions. *)
-val apply : t -> Relational.Delta.t -> unit
-
-(** Process a batch. With [?parallel], deltas are pre-routed per partition
-    (dimension changes to both) and each engine applies its sub-batch via
-    the compacted shard-parallel fast path ({!Engine.apply_batch}). *)
+(** Process a batch. Every change is routed before either engine runs: a
+    root-table change goes to the partition [is_old] picks for it (an
+    update by its before-image), a dimension change to both engines. Each
+    engine then applies its share as one batch through
+    {!Engine.apply_batch} — with [?parallel], on its compacted fast path.
+    @raise Maintenance.Engine.Invariant if an update would move a tuple
+    across partitions (raised while routing, before anything is applied),
+    or if a deletion/update targets the append-only old partition. *)
 val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
+
+(** [apply t d] is [apply_batch t [d]]. *)
+val apply : t -> Relational.Delta.t -> unit
 
 (** Deep copy of both partition engines (the partition predicate is
     shared). Snapshot-grade; batches run in place under {!begin_txn}. *)
@@ -60,7 +62,8 @@ val commit : t -> unit
 val rollback : t -> unit
 
 (** [age_out t facts] moves the given current-partition fact tuples into the
-    old partition (delete from current, insert into old). A warehouse-internal
+    old partition: the old engine gets their insertions and the current
+    engine their deletions, each as one batch. A warehouse-internal
     operation: the sources are not involved and the merged view is unchanged.
 
     [is_old] decides routing for {e future} deltas, so it must stay

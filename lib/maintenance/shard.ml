@@ -39,26 +39,28 @@ type worker = {
 type pool = {
   domains : int;
   deadline : float option;  (* seconds the caller waits per worker per run *)
+  eager : bool;  (* fan every batch out over all domains (tests only) *)
   mutable workers : worker array;  (* empty until the first parallel run *)
   mutable poisoned : bool;  (* a worker wedged: abandon and respawn *)
 }
 
 exception Wedged of { worker : int; waited : float }
 
-let make deadline domains =
+let make ~eager deadline domains =
   if domains < 1 then invalid_arg "Shard.create: domains must be >= 1";
   (match deadline with
   | Some d when d <= 0. -> invalid_arg "Shard.create: deadline must be > 0"
   | Some _ | None -> ());
-  { domains; deadline; workers = [||]; poisoned = false }
+  { domains; deadline; eager; workers = [||]; poisoned = false }
 
-let create ~domains = make None domains
-let supervised ~domains ~deadline = make (Some deadline) domains
+let create ~domains = make ~eager:false None domains
+let supervised ~domains ~deadline = make ~eager:false (Some deadline) domains
+let eager ~domains = make ~eager:true None domains
 
 let domains t = t.domains
 let deadline t = t.deadline
-
-let serial = { domains = 1; deadline = None; workers = [||]; poisoned = false }
+let is_eager t = t.eager
+let serial = create ~domains:1
 
 let worker_loop w id =
   Mutex.lock w.m;

@@ -38,8 +38,13 @@ val create : domains:int -> pool
     @raise Invalid_argument if [domains < 1] or [deadline <= 0]. *)
 val supervised : domains:int -> deadline:float -> pool
 
+(** As {!create}, but the engine fans every batch out over all [domains],
+    however small — for tests only, so random streams reach worker code. *)
+val eager : domains:int -> pool
+
 val domains : pool -> int
 val deadline : pool -> float option
+val is_eager : pool -> bool
 
 (** One-domain pool: {!run} executes inline on the calling domain. *)
 val serial : pool

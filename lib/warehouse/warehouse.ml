@@ -233,7 +233,6 @@ let stable_parallel = 16
 let default_keep_generations = 2
 
 type t = {
-  source : Database.t;
   mutable views : registered list;  (** newest first *)
   validator : Validator.t;
   mutable dead : Delta.rejection list;  (** newest first *)
@@ -266,7 +265,6 @@ let empty_snapshot = { epoch = 0; epoch_seq = 0; epoch_views = [] }
 
 let create source =
   {
-    source;
     views = [];
     validator = Validator.of_database source;
     dead = [];
@@ -585,7 +583,9 @@ let save t path =
   let payload =
     Marshal.to_string
       ( List.map (fun r -> (r.view, r.strategy)) t.views,
-        t.source,
+        (* the frame's source slot, which [load] ignores: the shadow is
+           marshaled once, so the slot is a shared reference to it *)
+        Validator.shadow t.validator,
         t.validator,
         t.dead,
         t.seq,
@@ -696,7 +696,8 @@ and load_channel path ic =
               : (View.t * strategy) list * Database.t * Validator.t
                 * Delta.rejection list * int * int)
           with
-          | persisted -> Some persisted
+          | persisted, _source, validator, dead, seq, domains ->
+            Some (persisted, validator, dead, seq, domains)
           | exception _ -> None)
         | `V3 -> (
           match
@@ -704,10 +705,9 @@ and load_channel path ic =
               : v3_registered list * Database.t * Validator.t
                 * Delta.rejection list * int * int)
           with
-          | olds, source, validator, dead, seq, domains ->
+          | olds, _source, validator, dead, seq, domains ->
             Some
               ( List.map (fun o -> (o.v3_view, o.v3_strategy)) olds,
-                source,
                 validator,
                 dead,
                 seq,
@@ -717,10 +717,9 @@ and load_channel path ic =
       match decoded with
       | None ->
         err Corrupt_state "%s: undecodable payload (incompatible build?)" path
-      | Some (persisted, source, validator, dead, seq, parallel_domains) ->
+      | Some (persisted, validator, dead, seq, parallel_domains) ->
         let views = engines_of_persisted validator persisted in
         ( {
-            source;
             views;
             validator;
             dead;

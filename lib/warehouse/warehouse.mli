@@ -73,7 +73,10 @@ type strategy =
 
 type t
 
-(** [create source] prepares a warehouse attached to an operational store. *)
+(** [create source] prepares a warehouse attached to an operational store.
+    The store is copied into the validator's shadow, the warehouse's only
+    copy of the believed source; [source] itself is not retained, so later
+    changes to it are invisible to the warehouse. *)
 val create : Relational.Database.t -> t
 
 (** Register a summary table. Performs the initial load from the believed

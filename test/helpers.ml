@@ -94,6 +94,39 @@ let check_view_maintained ?(rounds = 10) ?(per_round = 30) ?(seed = 0) db view
       expected got
   done
 
+(* [n] sale inserts with ids from [first], valid against a retail store
+   loaded with [p] (foreign keys cycle through its days, products and
+   stores). Every insert carries a distinct price, so no two merge into one
+   weighted operation: 512 of them cross the engine's serial floor on a
+   small store and fan out over a pool's worker domains. *)
+let sale_inserts (p : Workload.Retail.params) ~first n =
+  List.init n (fun j ->
+      Delta.insert "sale"
+        (row
+           [ i (first + j); i ((j mod p.Workload.Retail.days) + 1);
+             i ((j mod p.Workload.Retail.products) + 1);
+             i ((j mod p.Workload.Retail.stores) + 1); i (j + 1) ]))
+
+(* Which path batches took, read off counters the program keeps anyway:
+   weighted merges run once per batch on the engine's merged two-phase
+   path, and every multi-worker pool run is timed. *)
+let merged_batches () =
+  Telemetry.Histogram.count
+    (Telemetry.Histogram.make
+       ~labels:[ ("phase", "weighted-merge") ]
+       "minview_engine_phase_seconds")
+
+let fan_outs () =
+  Telemetry.Histogram.count
+    (Telemetry.Histogram.make "minview_shard_run_seconds")
+
+(* Run [f] and fail unless it ran a multi-worker pool job. *)
+let fanned_out what f =
+  let runs = fan_outs () in
+  let r = f () in
+  if fan_outs () = runs then Alcotest.failf "%s never fanned out" what;
+  r
+
 (* CI post-mortem hook: when MINVIEW_TEST_TELEMETRY_DIR is set (the CI
    test step does), every test binary dumps its final metrics snapshot
    and trace ring there on exit, so a failing `dune runtest` leaves

@@ -280,22 +280,9 @@ let chaos_tests =
 
 (* --- supervised parallel apply ------------------------------------------- *)
 
-(* A batch of distinct-priced sale inserts: enough compacted root operations
-   to fan out once MINVIEW_PAR_THRESHOLD is lowered, and valid against the
-   tiny retail schema (timeid/productid/storeid all in range). *)
-let sale_batch k =
-  List.init 8 (fun j ->
-      Delta.insert "sale"
-        (row
-           [ i (3_000_000 + (k * 100) + j); i ((j mod tiny.Workload.Retail.days) + 1);
-             i ((j mod tiny.Workload.Retail.products) + 1);
-             i ((j mod tiny.Workload.Retail.stores) + 1); i (j + 1) ]))
-
-let with_par_threshold n f =
-  Unix.putenv "MINVIEW_PAR_THRESHOLD" (string_of_int n);
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
-    f
+(* Batch [k] of 512 distinct sale inserts: past the engine's serial floor
+   on the tiny store, so a pooled batch fans out over worker domains. *)
+let sale_batch k = sale_inserts tiny ~first:(3_000_000 + (k * 512)) 512
 
 let mode : Warehouse.apply_mode Alcotest.testable =
   Alcotest.testable
@@ -309,7 +296,6 @@ let mode : Warehouse.apply_mode Alcotest.testable =
 let supervision_tests =
   [
     test "worker failure: rollback, degrade to serial, re-promote" (fun () ->
-        with_par_threshold 1 @@ fun () ->
         let _db, wh = build () in
         Warehouse.set_parallel wh
           (Some (Shard.supervised ~domains:2 ~deadline:10.));
@@ -318,7 +304,8 @@ let supervision_tests =
         (* the injected worker failure is recoverable: the batch must still
            commit (serially) and the warehouse must degrade *)
         Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        Warehouse.ingest wh (sale_batch 0);
+        fanned_out "the faulted batch" (fun () ->
+            Warehouse.ingest wh (sale_batch 0));
         Faults.disarm ();
         Alcotest.check mode "degraded after the failure"
           (Warehouse.Degraded { remaining = 3; next_backoff = 8 })
@@ -334,34 +321,36 @@ let supervision_tests =
         Alcotest.check mode "re-promoted to parallel" Warehouse.Parallel
           (Warehouse.apply_mode wh);
         (* and the parallel path really is taken again, correctly *)
-        Warehouse.ingest wh (sale_batch 4);
+        fanned_out "the re-promoted batch" (fun () ->
+            Warehouse.ingest wh (sale_batch 4));
         check_views wh (Warehouse.believed_source wh));
     test "repeated failures double the degradation period" (fun () ->
-        with_par_threshold 1 @@ fun () ->
         let _db, wh = build () in
         Warehouse.set_parallel wh
           (Some (Shard.supervised ~domains:2 ~deadline:10.));
         Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        Warehouse.ingest wh (sale_batch 0);
+        fanned_out "the first faulted batch" (fun () ->
+            Warehouse.ingest wh (sale_batch 0));
         Faults.disarm ();
         for k = 1 to 3 do
           Warehouse.ingest wh (sale_batch k)
         done;
         (* promoted; fail again immediately: backoff doubles *)
         Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        Warehouse.ingest wh (sale_batch 4);
+        fanned_out "the second faulted batch" (fun () ->
+            Warehouse.ingest wh (sale_batch 4));
         Faults.disarm ();
         Alcotest.check mode "second degradation runs twice as long"
           (Warehouse.Degraded { remaining = 7; next_backoff = 16 })
           (Warehouse.apply_mode wh);
         check_views wh (Warehouse.believed_source wh));
     test "set_parallel resets the supervision slate" (fun () ->
-        with_par_threshold 1 @@ fun () ->
         let _db, wh = build () in
         Warehouse.set_parallel wh
           (Some (Shard.supervised ~domains:2 ~deadline:10.));
         Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        Warehouse.ingest wh (sale_batch 0);
+        fanned_out "the faulted batch" (fun () ->
+            Warehouse.ingest wh (sale_batch 0));
         Faults.disarm ();
         Warehouse.set_parallel wh (Some (Shard.create ~domains:2));
         Alcotest.check mode "fresh pool starts parallel" Warehouse.Parallel
@@ -371,7 +360,6 @@ let supervision_tests =
           (Warehouse.apply_mode wh));
     test "a wedge aborts the batch, rebuilds engines, keeps ingesting"
       (fun () ->
-        with_par_threshold 1 @@ fun () ->
         let _db, wh = build () in
         Warehouse.set_parallel wh
           (Some (Shard.supervised ~domains:2 ~deadline:0.05));
@@ -381,7 +369,10 @@ let supervision_tests =
            the batch must abort and the engines must be rebuilt, never
            rolled back or serially re-applied in place *)
         Faults.arm ~mode:(Faults.Stall 0.3) Faults.In_shard_worker;
-        let r = Warehouse.ingest_report wh (sale_batch 0) in
+        let r =
+          fanned_out "the wedged batch" (fun () ->
+              Warehouse.ingest_report wh (sale_batch 0))
+        in
         Faults.disarm ();
         Alcotest.(check int) "the wedged batch aborts" 0 r.Warehouse.applied;
         Alcotest.(check bool) "the batch is quarantined as a wedge" true
@@ -401,7 +392,8 @@ let supervision_tests =
         done;
         Alcotest.check mode "re-promoted after the backoff" Warehouse.Parallel
           (Warehouse.apply_mode wh);
-        Warehouse.ingest wh (sale_batch 5);
+        fanned_out "the re-promoted batch" (fun () ->
+            Warehouse.ingest wh (sale_batch 5));
         check_views wh (Warehouse.believed_source wh));
     test "a wedged worker raises Wedged and the pool respawns" (fun () ->
         let pool = Shard.supervised ~domains:2 ~deadline:0.05 in

@@ -301,32 +301,32 @@ let prop_view_matrix =
 
 (* --- forced-parallel engine equivalence --------------------------------- *)
 
-let with_par_threshold n fn =
-  Unix.putenv "MINVIEW_PAR_THRESHOLD" (string_of_int n);
-  Fun.protect ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "") fn
+(* One eager pool for every case (a pool's worker domains stay parked until
+   exit): it fans these small batches out over all four domains. *)
+let eager_pool = lazy (Shard.eager ~domains:4)
 
 let prop_parallel_equivalence =
   QCheck2.Test.make ~count:(max 15 (count / 2))
     ~name:"columnar engines: forced-parallel == serial (random streams)"
     ~print:string_of_int (Gen.int_bound 100_000) (fun seed ->
-      with_par_threshold 0 (fun () ->
-          let db = Workload.Retail.load tiny_params in
-          let ser = Engines.minimal db Workload.Retail.product_sales in
-          let par = Engines.minimal db Workload.Retail.product_sales in
-          let pool = Shard.create ~domains:4 in
-          let rng = Prng.create seed in
-          let ok = ref true in
-          for _ = 1 to 3 do
-            let deltas = Workload.Delta_gen.stream rng db ~n:25 in
-            Engines.apply_batch ser deltas;
-            Engines.apply_batch ~parallel:pool par deltas;
-            ok :=
-              !ok
-              && Relation.equal (Engines.view_contents ser)
-                   (Engines.view_contents par)
-              && Engines.equal_state ser par
-          done;
-          !ok))
+      let db = Workload.Retail.load tiny_params in
+      let ser = Engines.minimal db Workload.Retail.product_sales in
+      let par = Engines.minimal db Workload.Retail.product_sales in
+      let pool = Lazy.force eager_pool in
+      let rng = Prng.create seed in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let deltas = Workload.Delta_gen.stream rng db ~n:25 in
+        Engines.apply_batch ser deltas;
+        fanned_out "the eager batch" (fun () ->
+            Engines.apply_batch ~parallel:pool par deltas);
+        ok :=
+          !ok
+          && Relation.equal (Engines.view_contents ser)
+               (Engines.view_contents par)
+          && Engines.equal_state ser par
+      done;
+      !ok)
 
 (* --- directed: dictionaries --------------------------------------------- *)
 

@@ -43,22 +43,19 @@ let by_k =
     having = [];
   }
 
-let fact_batch n =
-  List.init groups_per_batch (fun j ->
-      let g = (n * groups_per_batch) + j in
+let fact_batch ?(groups = groups_per_batch) n =
+  List.init groups (fun j ->
+      let g = (n * groups) + j in
       Delta.insert "fact" (row [ i g; i g; i (7 * g) ]))
-
-let with_par_threshold n f =
-  Unix.putenv "MINVIEW_PAR_THRESHOLD" (string_of_int n);
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
-    f
 
 let torn_read_run ~parallel =
   let wh = Warehouse.create (fact_db ()) in
   Warehouse.add_view wh by_k;
   if parallel then Warehouse.set_parallel wh (Some (Shard.create ~domains:2));
-  let batches = 60 in
+  (* 512 keys a batch cross the engine's serial floor, so a pooled batch
+     fans out over worker domains; 12 batches keep the resident state small
+     enough that the floor stays at 512 *)
+  let groups = 512 and batches = 12 in
   let stop = Atomic.make false in
   let reader =
     Domain.spawn (fun () ->
@@ -66,13 +63,15 @@ let torn_read_run ~parallel =
         while not (Atomic.get stop) do
           let _, rel = Warehouse.query wh "by_k" in
           let n = Relation.cardinality rel in
-          if n mod groups_per_batch <> 0 && !bad = None then bad := Some n;
+          if n mod groups <> 0 && !bad = None then bad := Some n;
           incr reads
         done;
         (!reads, !bad))
   in
   for n = 0 to batches - 1 do
-    Warehouse.ingest wh (fact_batch n)
+    let ingest () = Warehouse.ingest wh (fact_batch ~groups n) in
+    if parallel then fanned_out (Printf.sprintf "batch %d" n) ingest
+    else ingest ()
   done;
   Atomic.set stop true;
   let reads, bad = Domain.join reader in
@@ -81,10 +80,9 @@ let torn_read_run ~parallel =
   (match bad with
   | None -> ()
   | Some n ->
-    Alcotest.failf "torn read: %d groups is not a multiple of %d" n
-      groups_per_batch);
+    Alcotest.failf "torn read: %d groups is not a multiple of %d" n groups);
   let _, final = Warehouse.query wh "by_k" in
-  Alcotest.(check int) "all batches landed" (batches * groups_per_batch)
+  Alcotest.(check int) "all batches landed" (batches * groups)
     (Relation.cardinality final)
 
 let torn_read_tests =
@@ -92,8 +90,7 @@ let torn_read_tests =
     test "reader racing serial ingest never sees a torn state" (fun () ->
         torn_read_run ~parallel:false);
     test "reader racing shard-parallel ingest never sees a torn state"
-      (fun () ->
-        with_par_threshold 1 @@ fun () -> torn_read_run ~parallel:true);
+      (fun () -> torn_read_run ~parallel:true);
   ]
 
 (* --- publication discipline ---------------------------------------------- *)
@@ -315,17 +312,18 @@ let incremental_tests =
         check_quiesced "after load" wh views;
         ingest wh;
         check_quiesced "the commit after load" wh views;
-        with_par_threshold 1 @@ fun () ->
         Warehouse.set_parallel wh
           (Some (Shard.supervised ~domains:2 ~deadline:0.05));
         (* the stall outlives the deadline on the spawned worker: the batch
            aborts and every engine is rebuilt from the committed source *)
-        let wedged = Workload.Delta_gen.stream rng db ~n:30 in
+        let wedged = sale_inserts prop_params ~first:5_000_000 512 in
         Faults.arm ~mode:(Faults.Stall 0.3) Faults.In_shard_worker;
-        let r = Warehouse.ingest_report wh wedged in
+        let r =
+          fanned_out "the wedged batch" (fun () ->
+              Warehouse.ingest_report wh wedged)
+        in
         Faults.disarm ();
         Alcotest.(check int) "the wedged batch aborts" 0 r.Warehouse.applied;
-        List.iter (fun d -> Database.apply db (Delta.invert d)) (List.rev wedged);
         check_quiesced "after the wedge" wh views;
         ingest wh;
         check_quiesced "the first commit of the rebuilt engines" wh views;

@@ -30,22 +30,9 @@ let build () =
   Warehouse.add_view wh Workload.Retail.sales_by_time;
   (db, wh)
 
-(* Enough compacted root operations to fan out once MINVIEW_PAR_THRESHOLD
-   is lowered, valid against the tiny retail schema. *)
-let sale_batch k =
-  List.init 8 (fun j ->
-      Delta.insert "sale"
-        (row
-           [ i (4_000_000 + (k * 100) + j);
-             i ((j mod tiny.Workload.Retail.days) + 1);
-             i ((j mod tiny.Workload.Retail.products) + 1);
-             i ((j mod tiny.Workload.Retail.stores) + 1); i (j + 1) ]))
-
-let with_par_threshold n f =
-  Unix.putenv "MINVIEW_PAR_THRESHOLD" (string_of_int n);
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
-    f
+(* Batch [k] of 512 distinct sale inserts: past the engine's serial floor
+   on the tiny store, so a pooled batch fans out over worker domains. *)
+let sale_batch k = sale_inserts tiny ~first:(4_000_000 + (k * 512)) 512
 
 let with_exporter ~health f =
   let exp = Exporter.create ~port:0 ~health () in
@@ -144,7 +131,6 @@ let health_tests =
   [
     test "/healthz answers 200 ok, then 503 under forced degradation"
       (fun () ->
-        with_par_threshold 1 @@ fun () ->
         let _db, wh = build () in
         Warehouse.set_parallel wh
           (Some (Shard.supervised ~domains:2 ~deadline:10.));
@@ -156,7 +142,8 @@ let health_tests =
         (* the chaos harness's recoverable worker failure: the batch still
            commits (serially) and the warehouse degrades *)
         Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        Warehouse.ingest wh (sale_batch 0);
+        fanned_out "the faulted batch" (fun () ->
+            Warehouse.ingest wh (sale_batch 0));
         Faults.disarm ();
         let code, resp = http_get port "/healthz" in
         Alcotest.(check int) "degraded status" 503 code;

@@ -147,6 +147,59 @@ let determinism_tests =
           (big_batch_parallel domains))
       [ 2; 4 ]
 
+(* --- the dispatch rule at its boundaries ---------------------------------- *)
+
+(* Cumulative busy time of pool worker [w]: it grows exactly when a run
+   gives that worker a job. *)
+let busy w =
+  Telemetry.Gauge.value
+    (Telemetry.Gauge.make
+       ~labels:[ ("worker", string_of_int w) ]
+       "minview_shard_worker_busy_seconds_total")
+
+(* Apply [n] distinct sale inserts to a fresh engine over the tiny store —
+   its resident state is far below 32 x 512 rows, so the serial floor is
+   512 — through a [domains] pool. Returns the weighted merges and pool
+   runs the batch caused and which of workers 0..3 got a job. *)
+let dispatch_run ~domains n =
+  let db = Workload.Retail.load tiny in
+  let view = Workload.Retail.sales_by_time in
+  let eng = Engines.minimal db view in
+  let batch = sale_inserts tiny ~first:6_000_000 n in
+  Database.apply_all db batch;
+  let merges = merged_batches () and runs = fan_outs () in
+  let busy0 = List.init 4 busy in
+  Engines.apply_batch ~parallel:(Shard.create ~domains) eng batch;
+  Alcotest.check relation "view tracks recomputation"
+    (Algebra.Eval.eval db view) (Engines.view_contents eng);
+  ( merged_batches () - merges,
+    fan_outs () - runs,
+    List.mapi (fun w b0 -> busy w > b0) busy0 )
+
+let dispatch_tests =
+  [
+    test "floor - 1 root changes take the direct path" (fun () ->
+        let merges, runs, _ = dispatch_run ~domains:2 511 in
+        Alcotest.(check int) "no weighted merge" 0 merges;
+        Alcotest.(check int) "no pool run" 0 runs);
+    test "floor root changes take the merged path over 2 workers" (fun () ->
+        let merges, runs, workers = dispatch_run ~domains:2 512 in
+        Alcotest.(check int) "one weighted merge" 1 merges;
+        Alcotest.(check int) "prepare and apply fan out" 2 runs;
+        Alcotest.(check (list bool)) "workers 0 and 1"
+          [ true; true; false; false ] workers);
+    test "4,096 distinct inserts on a 4-domain pool run 2 workers" (fun () ->
+        let merges, _, workers = dispatch_run ~domains:4 4_096 in
+        Alcotest.(check int) "one weighted merge" 1 merges;
+        Alcotest.(check (list bool)) "workers 0 and 1"
+          [ true; true; false; false ] workers);
+    test "8,192 distinct inserts on a 4-domain pool run 4 workers" (fun () ->
+        let merges, _, workers = dispatch_run ~domains:4 8_192 in
+        Alcotest.(check int) "one weighted merge" 1 merges;
+        Alcotest.(check (list bool)) "all four workers"
+          [ true; true; true; true ] workers);
+  ]
+
 (* A poisoned batch (NULL in a summed column) must raise under parallel
    apply exactly as under serial, and rollback must restore the pre-batch
    state bit for bit. *)
@@ -328,5 +381,6 @@ let () =
   Alcotest.run "parallel"
     [
       ("determinism", determinism_tests); ("parallel-rollback", rollback_tests);
-      ("delta-batch", compactor_tests); ("net-profile", profile_tests);
+      ("dispatch", dispatch_tests); ("delta-batch", compactor_tests);
+      ("net-profile", profile_tests);
     ]

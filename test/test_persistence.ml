@@ -73,6 +73,28 @@ let tests =
           (Warehouse.detail_profile wh)
           (Warehouse.detail_profile wh');
         Sys.remove path);
+    test "a snapshot keeps no copy of the facts the warehouse deleted"
+      (fun () ->
+        let db = Workload.Retail.load Workload.Retail.small_params in
+        let wh = Warehouse.create db in
+        Warehouse.add_view wh Workload.Retail.sales_by_time;
+        let size path = (Unix.stat path).Unix.st_size in
+        let created = tmp "wh_created.bin" in
+        Warehouse.save wh created;
+        let dir = Filename.temp_dir "wh_emptied" "" in
+        Warehouse.attach wh ~dir;
+        Warehouse.ingest wh
+          (Database.fold db "sale"
+             (fun tup acc -> Delta.delete "sale" tup :: acc)
+             []);
+        Warehouse.checkpoint wh;
+        Warehouse.close wh;
+        (* facts dominate the store: once all are deleted, the snapshot must
+           shrink to under half of the one saved right after [create] — it
+           would not if the initial extract were still retained and saved *)
+        Alcotest.(check bool) "under half the size" true
+          (2 * size (Filename.concat dir "snapshot.bin") < size created);
+        Sys.remove created);
     test "aged views are rejected by save" (fun () ->
         let db = Workload.Retail.load tiny in
         let wh = Warehouse.create db in

@@ -241,7 +241,8 @@ let minmax_view_gen =
           view_of_spec { dims; groups; aggs = ext @ aggs; locals })
         (nonempty extrema) (sublist others) (sublist (local_candidates dims)))
 
-let minmax_pool = lazy (Maintenance.Shard.create ~domains:2)
+(* eager: even these small batches fan out over both domains *)
+let minmax_pool = lazy (Maintenance.Shard.eager ~domains:2)
 
 let rec rm_rf path =
   if Sys.is_directory path then begin
@@ -288,10 +289,6 @@ let prop_minmax_walks =
       let agrees e =
         Relation.equal (Engine.view_contents e) (Algebra.Eval.eval db view)
       in
-      (* force the shard-parallel path even for these small batches *)
-      Unix.putenv "MINVIEW_PAR_THRESHOLD" "1";
-      Fun.protect ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
-      @@ fun () ->
       let ok = ref true in
       for round = 1 to 6 do
         let deltas = batch () in
@@ -314,7 +311,11 @@ let prop_minmax_walks =
             (List.rev deltas)
         end
         else begin
-          Engine.apply_batch ?parallel e deltas;
+          (match parallel with
+          | Some _ ->
+            fanned_out "an eager batch" (fun () ->
+                Engine.apply_batch ?parallel e deltas)
+          | None -> Engine.apply_batch e deltas);
           Engine.commit e;
           Warehouse.ingest wh deltas
         end;
@@ -505,8 +506,9 @@ let pub_view_gen =
     (sublist [ a "fact" "g"; a "dim" "cat"; a "dim" "grp" ])
     (sublist pub_aggs) having_gen
 
-(* one pool for every case: a pool's worker domains stay parked until exit *)
-let pub_pool = lazy (Maintenance.Shard.create ~domains:2)
+(* one pool for every case: a pool's worker domains stay parked until exit;
+   eager, so even these small batches fan out over both domains *)
+let pub_pool = lazy (Maintenance.Shard.eager ~domains:2)
 
 let prop_publish_equals_capture =
   QCheck2.Test.make ~count
@@ -528,10 +530,6 @@ let prop_publish_equals_capture =
           (Array.to_list (Engines.publish e))
           (Relation.to_sorted_list (Engines.capture e))
       in
-      (* force the shard-parallel path even for these small batches *)
-      Unix.putenv "MINVIEW_PAR_THRESHOLD" "1";
-      Fun.protect ~finally:(fun () -> Unix.putenv "MINVIEW_PAR_THRESHOLD" "")
-      @@ fun () ->
       let ok = ref (published_ok ()) in
       for round = 1 to 8 do
         let facts =
@@ -563,7 +561,11 @@ let prop_publish_equals_capture =
             (List.rev deltas)
         end
         else begin
-          Engines.apply_batch ?parallel e deltas;
+          (match parallel with
+          | Some _ ->
+            fanned_out "an eager batch" (fun () ->
+                Engines.apply_batch ?parallel e deltas)
+          | None -> Engines.apply_batch e deltas);
           Engines.commit e
         end;
         (* most commits publish; the others leave their groups to the next *)
