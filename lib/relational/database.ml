@@ -5,15 +5,21 @@ module VH = Hashtbl.Make (struct
   let hash = Value.hash
 end)
 
+(* [by_key] is the table's only store: keys are unique, so key -> tuple
+   holds every row exactly once. *)
 type table = {
   schema : Schema.t;
-  data : Relation.t;
+  key : int;
   by_key : Tuple.t VH.t;
   updatable : string list;
   (* rows referencing this table's keys, per key value, across all incoming
      constraints; used for O(1) delete checks *)
   incoming : int VH.t;
+  (* the constraints this table is the source of, resolved when declared *)
+  mutable outgoing : outgoing list;
 }
+
+and outgoing = { ref : Integrity.reference; col : int; dst : table }
 
 type t = {
   tables : (string, table) Hashtbl.t;
@@ -31,6 +37,10 @@ let table db name =
   | Some t -> t
   | None -> violation "unknown table %s" name
 
+let new_table schema ~updatable by_key incoming =
+  { schema; key = Schema.key_index schema; by_key; updatable; incoming;
+    outgoing = [] }
+
 let add_table db (schema : Schema.t) ~updatable =
   if Hashtbl.mem db.tables schema.name then
     violation "table %s already exists" schema.name;
@@ -40,13 +50,14 @@ let add_table db (schema : Schema.t) ~updatable =
         violation "table %s: updatable column %s not in schema" schema.name c)
     updatable;
   Hashtbl.add db.tables schema.name
-    {
-      schema;
-      data = Relation.create ();
-      by_key = VH.create 64;
-      updatable;
-      incoming = VH.create 64;
-    }
+    (new_table schema ~updatable (VH.create 64) (VH.create 64))
+
+(* Attach [r] to its source table. Each table's [outgoing] is newest first,
+   like [db.refs]. *)
+let resolve db (r : Integrity.reference) =
+  let src = table db r.src_table in
+  let col = Schema.index_of src.schema r.src_col in
+  src.outgoing <- { ref = r; col; dst = table db r.dst_table } :: src.outgoing
 
 let add_reference db (r : Integrity.reference) =
   let src = table db r.src_table in
@@ -60,9 +71,10 @@ let add_reference db (r : Integrity.reference) =
     violation "reference %a: type mismatch" Integrity.pp r;
   if List.exists (Integrity.equal r) db.refs then
     violation "reference %a declared twice" Integrity.pp r;
-  if not (Relation.is_empty src.data) then
+  if VH.length src.by_key > 0 then
     violation "reference %a: declare constraints before loading data"
       Integrity.pp r;
+  resolve db r;
   db.refs <- r :: db.refs
 
 let schema_of db name = (table db name).schema
@@ -75,128 +87,193 @@ let table_names db =
 
 let mem_table db name = Hashtbl.mem db.tables name
 
-let key_of (t : table) tup = tup.(Schema.key_index t.schema)
+(* --- checks ------------------------------------------------------------- *)
 
-let outgoing_refs db name =
-  List.filter (fun (r : Integrity.reference) -> r.src_table = name) db.refs
+(* Every check runs before anything changes, in one fixed order: unknown
+   table, schema, missing row, not updatable, referenced key, duplicate key,
+   dangling reference. *)
 
-let bump_incoming db (r : Integrity.reference) v delta =
-  let dst = table db r.dst_table in
-  let cur = match VH.find_opt dst.incoming v with Some n -> n | None -> 0 in
-  let next = cur + delta in
+let reject delta reason fmt =
+  Format.kasprintf (fun detail -> Error { Delta.delta; reason; detail }) fmt
+
+(* [tup] itself is stored: its key finds it. *)
+let stored t tup =
+  match VH.find_opt t.by_key tup.(t.key) with
+  | Some s -> Tuple.equal s tup
+  | None -> false
+
+let reference_count_of t k =
+  match VH.find_opt t.incoming k with Some n -> n | None -> 0
+
+(* The first outgoing reference of [tup] with no referent. For an update,
+   [before] limits the search to the columns it changes: a stored row's
+   references all have referents, so an unchanged one cannot dangle. *)
+let rec dangling before tup = function
+  | [] -> None
+  | o :: rest ->
+    let v = tup.(o.col) in
+    let unchanged =
+      match before with Some b -> Value.equal b.(o.col) v | None -> false
+    in
+    if (not unchanged) && not (VH.mem o.dst.by_key v) then Some (o.ref, v)
+    else dangling before tup rest
+
+let check_refs ?before d t tup =
+  match dangling before tup t.outgoing with
+  | None -> Ok t
+  | Some (r, v) ->
+    reject d Delta.Dangling_reference "%a = %a has no referent" Integrity.pp r
+      Value.pp v
+
+let check_insert d t tup =
+  if not (Schema.conforms t.schema tup) then
+    reject d Delta.Schema_mismatch "tuple %a does not conform to %a" Tuple.pp
+      tup Schema.pp t.schema
+  else if VH.mem t.by_key tup.(t.key) then
+    reject d Delta.Duplicate_key "key %a already present in %s" Value.pp
+      tup.(t.key) t.schema.name
+  else check_refs d t tup
+
+let check_delete d t tup =
+  if not (Schema.conforms t.schema tup) then
+    reject d Delta.Schema_mismatch "tuple %a does not conform to %a" Tuple.pp
+      tup Schema.pp t.schema
+  else if not (stored t tup) then
+    reject d Delta.Missing_row "tuple %a is not stored in %s" Tuple.pp tup
+      t.schema.name
+  else
+    let n = reference_count_of t tup.(t.key) in
+    if n > 0 then
+      reject d Delta.Referenced_key "key %a is referenced by %d row(s)"
+        Value.pp tup.(t.key) n
+    else Ok t
+
+(* The first column [after] changes that sources may not update. *)
+let rec frozen t before after i =
+  if i >= Array.length before then None
+  else if
+    (not (Value.equal before.(i) after.(i)))
+    && not (List.mem t.schema.columns.(i).col_name t.updatable)
+  then Some t.schema.columns.(i).col_name
+  else frozen t before after (i + 1)
+
+let check_update d t ~before ~after =
+  if not (Schema.conforms t.schema before && Schema.conforms t.schema after)
+  then
+    reject d Delta.Schema_mismatch "before/after image does not conform to %a"
+      Schema.pp t.schema
+  else if not (stored t before) then
+    reject d Delta.Missing_row "before-image %a is not stored in %s" Tuple.pp
+      before t.schema.name
+  else
+    (* sources may only update columns declared updatable: the warehouse's
+       exposed-updates analysis (Section 2.1) relies on this contract *)
+    match frozen t before after 0 with
+    | Some col ->
+      reject d Delta.Not_updatable "column %s is not declared updatable" col
+    | None ->
+      let kb = before.(t.key) and ka = after.(t.key) in
+      if Value.equal kb ka then check_refs ~before d t after
+      else
+        let n = reference_count_of t kb in
+        if n > 0 then
+          reject d Delta.Referenced_key
+            "cannot change key %a: referenced by %d row(s)" Value.pp kb n
+        else if VH.mem t.by_key ka then
+          reject d Delta.Duplicate_key "new key %a already present" Value.pp ka
+        else check_refs ~before d t after
+
+let check db (d : Delta.t) =
+  match Hashtbl.find_opt db.tables d.table with
+  | None -> reject d Delta.Unknown_table "no base table named %s" d.table
+  | Some t -> (
+    match d.change with
+    | Delta.Insert tup -> check_insert d t tup
+    | Delta.Delete tup -> check_delete d t tup
+    | Delta.Update { before; after } -> check_update d t ~before ~after)
+
+(* --- mutation, after a passed check ------------------------------------- *)
+
+let bump_incoming (dst : table) v delta =
+  let next = reference_count_of dst v + delta in
   if next < 0 then violation "internal: negative reference count";
   if next = 0 then VH.remove dst.incoming v else VH.replace dst.incoming v next
 
-let check_fk db name (r : Integrity.reference) tup =
-  let src = table db name in
-  let v = tup.(Schema.index_of src.schema r.src_col) in
-  let dst = table db r.dst_table in
-  if not (VH.mem dst.by_key v) then
-    violation "insert into %s: dangling reference %a = %a" name Integrity.pp r
-      Value.pp v
+let write t (change : Delta.change) =
+  match change with
+  | Delta.Insert tup ->
+    VH.replace t.by_key tup.(t.key) tup;
+    List.iter (fun o -> bump_incoming o.dst tup.(o.col) 1) t.outgoing
+  | Delta.Delete tup ->
+    VH.remove t.by_key tup.(t.key);
+    List.iter (fun o -> bump_incoming o.dst tup.(o.col) (-1)) t.outgoing
+  | Delta.Update { before; after } ->
+    let kb = before.(t.key) and ka = after.(t.key) in
+    if not (Value.equal kb ka) then VH.remove t.by_key kb;
+    VH.replace t.by_key ka after;
+    List.iter
+      (fun o ->
+        let vb = before.(o.col) and va = after.(o.col) in
+        if not (Value.equal vb va) then begin
+          bump_incoming o.dst vb (-1);
+          bump_incoming o.dst va 1
+        end)
+      t.outgoing
 
-let insert db name tup =
-  let t = table db name in
-  if not (Schema.conforms t.schema tup) then
-    violation "insert into %s: tuple %a does not conform to schema" name
-      Tuple.pp tup;
-  let k = key_of t tup in
-  if VH.mem t.by_key k then
-    violation "insert into %s: duplicate key %a" name Value.pp k;
-  let out = outgoing_refs db name in
-  List.iter (fun r -> check_fk db name r tup) out;
-  Relation.insert t.data tup;
-  VH.replace t.by_key k tup;
-  List.iter
-    (fun (r : Integrity.reference) ->
-      bump_incoming db r tup.(Schema.index_of t.schema r.src_col) 1)
-    out
+let admit db d =
+  match check db d with
+  | Ok t ->
+    write t d.change;
+    Ok ()
+  | Error _ as e -> e
 
-let delete db name tup =
-  let t = table db name in
-  if not (Relation.mem t.data tup) then
-    violation "delete from %s: tuple %a not present" name Tuple.pp tup;
-  let k = key_of t tup in
-  (match VH.find_opt t.incoming k with
-  | Some n when n > 0 ->
-    violation "delete from %s: key %a is referenced by %d row(s)" name
-      Value.pp k n
-  | _ -> ());
-  ignore (Relation.delete t.data tup);
-  VH.remove t.by_key k;
-  List.iter
-    (fun (r : Integrity.reference) ->
-      bump_incoming db r tup.(Schema.index_of t.schema r.src_col) (-1))
-    (outgoing_refs db name)
-
-let update db name ~before ~after =
-  let t = table db name in
-  if not (Relation.mem t.data before) then
-    violation "update %s: tuple %a not present" name Tuple.pp before;
-  if not (Schema.conforms t.schema after) then
-    violation "update %s: tuple %a does not conform to schema" name Tuple.pp
-      after;
-  (* sources may only update columns declared updatable: the warehouse's
-     exposed-updates analysis (Section 2.1) relies on this contract *)
-  Array.iteri
-    (fun i v ->
-      if not (Value.equal v after.(i)) then begin
-        let col = t.schema.Schema.columns.(i).Schema.col_name in
-        if not (List.mem col t.updatable) then
-          violation "update %s: column %s is not declared updatable" name col
-      end)
-    before;
-  let kb = key_of t before and ka = key_of t after in
-  if not (Value.equal kb ka) then begin
-    (match VH.find_opt t.incoming kb with
-    | Some n when n > 0 ->
-      violation "update %s: cannot change referenced key %a" name Value.pp kb
-    | _ -> ());
-    if VH.mem t.by_key ka then
-      violation "update %s: new key %a already exists" name Value.pp ka
-  end;
-  let out = outgoing_refs db name in
-  List.iter (fun r -> check_fk db name r after) out;
-  ignore (Relation.delete t.data before);
-  Relation.insert t.data after;
-  VH.remove t.by_key kb;
-  VH.replace t.by_key ka after;
-  List.iter
-    (fun (r : Integrity.reference) ->
-      let i = Schema.index_of t.schema r.src_col in
-      bump_incoming db r before.(i) (-1);
-      bump_incoming db r after.(i) 1)
-    out
-
-let apply db (d : Delta.t) =
-  match d.change with
-  | Delta.Insert tup -> insert db d.table tup
-  | Delta.Delete tup -> delete db d.table tup
-  | Delta.Update { before; after } -> update db d.table ~before ~after
+let apply db d =
+  match admit db d with
+  | Ok () -> ()
+  | Error rej -> violation "%a" Delta.pp_rejection rej
 
 let apply_all db = List.iter (apply db)
-
+let insert db name tup = apply db (Delta.insert name tup)
+let delete db name tup = apply db (Delta.delete name tup)
+let update db name ~before ~after = apply db (Delta.update name ~before ~after)
 let find_by_key db name k = VH.find_opt (table db name).by_key k
-
 let fold db name f acc =
-  Relation.fold (fun tup _n acc -> f tup acc) (table db name).data acc
+  VH.fold (fun _ tup acc -> f tup acc) (table db name).by_key acc
 
-let row_count db name = Relation.cardinality (table db name).data
+let row_count db name = VH.length (table db name).by_key
+let reference_count db name k = reference_count_of (table db name) k
 
-let reference_count db name k =
-  match VH.find_opt (table db name).incoming k with Some n -> n | None -> 0
+(* A store of [tables], each converted by [table_of], whose references
+   resolve to the converted tables. *)
+let rebuild tables refs table_of =
+  let db = { tables = Hashtbl.create 8; refs } in
+  Hashtbl.iter (fun name t -> Hashtbl.add db.tables name (table_of t)) tables;
+  List.iter (resolve db) (List.rev refs);
+  db
 
 let copy db =
-  let db' = { tables = Hashtbl.create 8; refs = db.refs } in
-  Hashtbl.iter
-    (fun name t ->
-      Hashtbl.add db'.tables name
-        {
-          schema = t.schema;
-          data = Relation.copy t.data;
-          by_key = VH.copy t.by_key;
-          updatable = t.updatable;
-          incoming = VH.copy t.incoming;
-        })
-    db.tables;
-  db'
+  rebuild db.tables db.refs (fun t ->
+      new_table t.schema ~updatable:t.updatable (VH.copy t.by_key)
+        (VH.copy t.incoming))
+
+(* --- snapshot formats 3 and 4 -------------------------------------------- *)
+
+(* The table record those formats marshal: every row stored a second time
+   in [l_data], keyed by the whole tuple. *)
+type legacy_table = {
+  l_schema : Schema.t;
+  l_data : Relation.t;
+  l_by_key : Tuple.t VH.t;
+  l_updatable : string list;
+  l_incoming : int VH.t;
+}
+[@@warning "-69"]
+
+type legacy = {
+  l_tables : (string, legacy_table) Hashtbl.t;
+  l_refs : Integrity.reference list;
+}
+
+let of_legacy l =
+  rebuild l.l_tables l.l_refs (fun t ->
+      new_table t.l_schema ~updatable:t.l_updatable t.l_by_key t.l_incoming)

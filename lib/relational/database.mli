@@ -3,7 +3,8 @@
 
     This plays the role of the paper's (inaccessible) data sources: the
     warehouse never reads it after initial load; it only receives the
-    {!Delta.t} stream that [apply] validates. *)
+    {!Delta.t} stream that {!admit} validates. Each table stores every row
+    once, keyed by its key column. *)
 
 type t
 
@@ -30,30 +31,33 @@ val updatable_columns : t -> string -> string list
 val table_names : t -> string list
 val mem_table : t -> string -> bool
 
-(** [insert db table tup] enforces schema conformance, key uniqueness and
-    foreign-key existence.
+(** [admit db d] checks every constraint on [d] — the table exists, the
+    images conform to its schema, a deleted row or update before-image is
+    stored, an update changes only updatable columns, a deleted or re-keyed
+    key is unreferenced, a new key is unique, every foreign key has a
+    referent — in that order, and applies [d] only if all pass. On [Error]
+    the store is unchanged; the rejection names the first check that
+    failed. *)
+val admit : t -> Delta.t -> (unit, Delta.rejection) result
+
+(** [apply db d] is {!admit} for callers that treat a rejection as a bug
+    (loaders, generators, recomputation replicas).
+    @raise Violation with the printed rejection; the store is unchanged. *)
+val apply : t -> Delta.t -> unit
+
+(** {!apply} of an insert, a delete and an update.
     @raise Violation on any failure. *)
 val insert : t -> string -> Tuple.t -> unit
 
-(** [delete db table tup] requires the exact tuple to be present and its key
-    to be unreferenced.
-    @raise Violation on any failure. *)
 val delete : t -> string -> Tuple.t -> unit
-
-(** [update db table ~before ~after]: [before] must be present; key changes
-    are allowed only while unreferenced; foreign keys of [after] must exist.
-    @raise Violation on any failure. *)
 val update : t -> string -> before:Tuple.t -> after:Tuple.t -> unit
-
-(** Validates and applies one source change. *)
-val apply : t -> Delta.t -> unit
-
 val apply_all : t -> Delta.t list -> unit
 
 (** [find_by_key db table k] is the unique tuple with key value [k], if any. *)
 val find_by_key : t -> string -> Value.t -> Tuple.t option
 
-(** [fold db table f acc] folds over the rows of [table]. *)
+(** [fold db table f acc] folds over the rows of [table], in an
+    unspecified order. *)
 val fold : t -> string -> (Tuple.t -> 'a -> 'a) -> 'a -> 'a
 
 val row_count : t -> string -> int
@@ -65,3 +69,13 @@ val reference_count : t -> string -> Value.t -> int
 (** Deep copy (used by the recomputation baseline, which is allowed to hold a
     full replica of the sources). *)
 val copy : t -> t
+
+(** {2 Snapshot formats 3 and 4}
+
+    Those formats marshal a store whose tables kept every row a second
+    time, keyed by the whole tuple. [legacy] is that layout, for decoding
+    them; [of_legacy] drops the second copy. *)
+
+type legacy
+
+val of_legacy : legacy -> t

@@ -34,9 +34,10 @@ val pp : Format.formatter -> t -> unit
 (** {2 Rejections}
 
     A change the warehouse refuses to ingest, with a machine-readable
-    reason. Produced by {!Validator} (constraint checks against the shadow
-    source) and by the warehouse's transactional apply ([Engine_failure]);
-    rejected changes land in the warehouse's dead-letter queue. *)
+    reason. Produced by {!Database.admit} (constraint checks against the
+    validator's shadow of the source) and by the warehouse's transactional
+    apply ([Engine_failure]); rejected changes land in the warehouse's
+    dead-letter queue. *)
 
 type reason =
   | Unknown_table  (** the named base table does not exist *)

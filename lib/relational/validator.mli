@@ -16,19 +16,12 @@ type t
     later mutations of [db] are invisible to the validator. *)
 val of_database : Database.t -> t
 
-(** Deep copy (snapshot-grade; O(shadow)). The copy has no open
-    transaction. The hot batch path uses {!begin_txn}/{!rollback} instead. *)
-val copy : t -> t
-
-(** [restore v ~from] rolls [v] back to the state captured by [copy]. *)
-val restore : t -> from:t -> unit
-
 (** {2 Batch transactions}
 
-    O(delta) alternative to [copy]/[restore]: [begin_txn] opens an undo
-    journal, {!admit} records every accepted delta in it, and [rollback]
-    replays their inverses (newest first) against the shadow — undoing
-    exactly the admitted prefix of the batch without copying the shadow. *)
+    [begin_txn] opens an undo journal, {!admit} records every accepted
+    delta in it, and [rollback] replays their inverses (newest first)
+    against the shadow — undoing exactly the admitted prefix of the batch
+    without copying the shadow. *)
 
 (** Opens a journal. Raises [Invalid_argument] if one is already open. *)
 val begin_txn : t -> unit
@@ -50,9 +43,8 @@ val believed_source : t -> Database.t
     believes. *)
 val shadow : t -> Database.t
 
-(** [check v d] validates [d] against the shadow without advancing it. *)
-val check : t -> Delta.t -> (Delta.t, Delta.rejection) result
-
-(** [admit v d] validates [d] and, on success, applies it to the shadow so
-    subsequent changes are checked against the advanced state. *)
+(** [admit v d] validates [d] against the shadow and, on success, applies
+    it so subsequent changes are checked against the advanced state. It is
+    one pass of {!Database.admit}: every check runs once, before any
+    mutation, so a rejected [d] leaves the shadow exactly as it was. *)
 val admit : t -> Delta.t -> (Delta.t, Delta.rejection) result

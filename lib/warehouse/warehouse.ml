@@ -552,7 +552,8 @@ let strategy_name = function
 
 (* --- persistence ------------------------------------------------------- *)
 
-let snapshot_magic = "minview-warehouse-state/4\n"
+let snapshot_magic = "minview-warehouse-state/5\n"
+let v4_magic = "minview-warehouse-state/4\n"
 let v3_magic = "minview-warehouse-state/3\n"
 let v2_magic = "minview-warehouse-state/2\n"
 let legacy_magic = "minview-warehouse-state/1\n"
@@ -574,7 +575,7 @@ let save t path =
     | Some pool -> Maintenance.Shard.domains pool
     | None -> 0
   in
-  (* The version-4 payload never marshals engine state: the columnar
+  (* The payload (since version 4) never marshals engine state: the columnar
      storage layer holds closures and Bigarray segments that [Marshal]
      rejects, and snapshots are taken between batches, when every engine is
      a pure function of the validator's committed shadow (the audit verb
@@ -583,9 +584,6 @@ let save t path =
   let payload =
     Marshal.to_string
       ( List.map (fun r -> (r.view, r.strategy)) t.views,
-        (* the frame's source slot, which [load] ignores: the shadow is
-           marshaled once, so the slot is a shared reference to it *)
-        Validator.shadow t.validator,
         t.validator,
         t.dead,
         t.seq,
@@ -614,6 +612,19 @@ let save t path =
        with Unix.Unix_error _ -> ()));
   Sys.rename tmp path;
   Wal.fsync_dir path
+
+(* Versions 3 and 4 marshal the validator with the store layout of their
+   builds, whose tables kept every row twice: they decode through
+   [Database.legacy], never through today's record, and convert on load.
+   Both frames also carry a source slot (a shared reference to the shadow)
+   that [load] ignores. *)
+type legacy_validator = {
+  legacy_shadow : Database.legacy;
+  legacy_txn : Delta.t list option;
+}
+[@@warning "-69"]
+
+let of_legacy v = Validator.of_database (Database.of_legacy v.legacy_shadow)
 
 (* The version-3 payload stored the [registered] list with each engine's
    state marshaled inline. Its engine field is decoded as an opaque value
@@ -671,7 +682,8 @@ and load_channel path ic =
            re-save it with this build"
           path;
       let version =
-        if String.equal header snapshot_magic then `V4
+        if String.equal header snapshot_magic then `V5
+        else if String.equal header v4_magic then `V4
         else if String.equal header v3_magic then `V3
         else err Corrupt_state "%s is not a warehouse state file" path
       in
@@ -690,25 +702,33 @@ and load_channel path ic =
         err Corrupt_state "%s: checksum mismatch" path;
       let decoded =
         match version with
+        | `V5 -> (
+          match
+            (Marshal.from_string payload 0
+              : (View.t * strategy) list * Validator.t * Delta.rejection list
+                * int * int)
+          with
+          | decoded -> Some decoded
+          | exception _ -> None)
         | `V4 -> (
           match
             (Marshal.from_string payload 0
-              : (View.t * strategy) list * Database.t * Validator.t
+              : (View.t * strategy) list * Obj.t * legacy_validator
                 * Delta.rejection list * int * int)
           with
           | persisted, _source, validator, dead, seq, domains ->
-            Some (persisted, validator, dead, seq, domains)
+            Some (persisted, of_legacy validator, dead, seq, domains)
           | exception _ -> None)
         | `V3 -> (
           match
             (Marshal.from_string payload 0
-              : v3_registered list * Database.t * Validator.t
+              : v3_registered list * Obj.t * legacy_validator
                 * Delta.rejection list * int * int)
           with
           | olds, _source, validator, dead, seq, domains ->
             Some
               ( List.map (fun o -> (o.v3_view, o.v3_strategy)) olds,
-                validator,
+                of_legacy validator,
                 dead,
                 seq,
                 domains )

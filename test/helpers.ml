@@ -74,6 +74,23 @@ let paper_example_db () =
     ];
   db
 
+(* Everything a store holds, in a canonical order: per table, every row with
+   the number of rows referencing its key. *)
+let store_image db =
+  List.map
+    (fun tbl ->
+      let key = Schema.key_index (Database.schema_of db tbl) in
+      let rows =
+        Database.fold db tbl
+          (fun tup acc ->
+            (tup, Database.reference_count db tbl tup.(key)) :: acc)
+          []
+      in
+      (tbl, List.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows))
+    (Database.table_names db)
+
+let store_image_t = Alcotest.(list (pair string (list (pair tuple int))))
+
 (* substring test used when checking rendered reports *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in

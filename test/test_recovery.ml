@@ -453,7 +453,7 @@ let corruption_tests =
         Sys.remove path);
   ]
 
-(* --- version-3 snapshot compatibility ------------------------------------ *)
+(* --- version-3 and version-4 snapshot compatibility ----------------------- *)
 
 (* CRC-32 (IEEE, reflected), mirroring lib/warehouse/checksum.ml — needed to
    reframe a crafted legacy payload with a valid frame header. *)
@@ -472,22 +472,70 @@ let crc32 s =
     s;
   !crc lxor 0xffffffff
 
-(* Rewrite a version-4 snapshot into the version-3 format the boxed builds
-   wrote: three-field registration records { view; strategy; engine } with
-   the marshaled engine state in the last field. The v4 loader must ignore
-   that field entirely, so a placeholder stands in for the engine graph. *)
-let to_v3 path =
-  let v4_magic = "minview-warehouse-state/4\n" in
-  let v3_magic = "minview-warehouse-state/3\n" in
+(* The payload of the version-5 snapshot at [path], with its parts left
+   opaque: (persisted views, validator, dead letters, seq, pool size). *)
+let v5_parts path =
+  let v5_magic = "minview-warehouse-state/5\n" in
   let s = read_file path in
-  let mlen = String.length v4_magic in
-  if not (String.length s > mlen + 8 && String.sub s 0 mlen = v4_magic) then
-    Alcotest.fail (path ^ ": not a version-4 snapshot");
+  let mlen = String.length v5_magic in
+  if not (String.length s > mlen + 8 && String.sub s 0 mlen = v5_magic) then
+    Alcotest.fail (path ^ ": not a version-5 snapshot");
   let payload = String.sub s (mlen + 8) (String.length s - mlen - 8) in
-  let persisted, source, validator, dead, seq, domains =
-    (Marshal.from_string payload 0
-      : Obj.t list * Obj.t * Obj.t * Obj.t * Obj.t * Obj.t)
-  in
+  (Marshal.from_string payload 0 : Obj.t * Obj.t * Obj.t * Obj.t * Obj.t)
+
+(* Rewrite, in place, the validator's shadow into the store layout of the
+   version-3 and version-4 builds and return the shadow. Their table record
+   was { schema; data; by_key; updatable; incoming }: [data] held every row
+   a second time, keyed by the whole tuple. Today's record is { schema; key;
+   by_key; updatable; incoming; outgoing }. A loader that decoded the old
+   layout with today's record would read [data] as the key index and run
+   off the end of the block for [outgoing]. *)
+let legacy_shadow validator =
+  let shadow = Obj.field validator 0 in
+  let tables = (Obj.obj (Obj.field shadow 0) : (string, Obj.t) Hashtbl.t) in
+  Hashtbl.filter_map_inplace
+    (fun _ t ->
+      let by_key = Obj.field t 2 in
+      let rows =
+        Hashtbl.fold
+          (fun _ tup acc -> (tup, 1) :: acc)
+          (Obj.obj by_key : (Obj.t, Tuple.t) Hashtbl.t)
+          []
+      in
+      let old = Obj.new_block 0 5 in
+      Obj.set_field old 0 (Obj.field t 0);
+      Obj.set_field old 1 (Obj.repr (Relation.of_list rows));
+      Obj.set_field old 2 by_key;
+      Obj.set_field old 3 (Obj.field t 3);
+      Obj.set_field old 4 (Obj.field t 4);
+      Some old)
+    tables;
+  shadow
+
+let reframe path magic payload =
+  let b = Buffer.create (String.length payload + String.length magic + 8) in
+  Buffer.add_string b magic;
+  Buffer.add_int32_le b (Int32.of_int (String.length payload));
+  Buffer.add_int32_le b (Int32.of_int (crc32 payload));
+  Buffer.add_string b payload;
+  write_file path (Buffer.contents b)
+
+(* Rewrite a version-5 snapshot into the version-4 format: the legacy store
+   layout, and a source slot sharing the shadow. *)
+let to_v4 path =
+  let persisted, validator, dead, seq, domains = v5_parts path in
+  let source = legacy_shadow validator in
+  reframe path "minview-warehouse-state/4\n"
+    (Marshal.to_string (persisted, source, validator, dead, seq, domains) [])
+
+(* Rewrite a version-5 snapshot into the version-3 format the boxed builds
+   wrote: the version-4 frame, but with three-field registration records
+   { view; strategy; engine } carrying the marshaled engine state in the
+   last field. The loader must ignore that field entirely, so a placeholder
+   stands in for the engine graph. *)
+let to_v3 path =
+  let persisted, validator, dead, seq, domains = v5_parts path in
+  let source = legacy_shadow validator in
   let olds =
     List.map
       (fun p ->
@@ -496,44 +544,56 @@ let to_v3 path =
         Obj.set_field r 1 (Obj.field p 1);
         Obj.set_field r 2 (Obj.repr "boxed engine state (ignored)");
         r)
-      persisted
+      (Obj.obj persisted : Obj.t list)
   in
-  let payload' =
-    Marshal.to_string (olds, source, validator, dead, seq, domains) []
+  reframe path "minview-warehouse-state/3\n"
+    (Marshal.to_string (olds, source, validator, dead, seq, domains) [])
+
+(* A legacy snapshot of [wh] loads into a warehouse that believes the same
+   source, serves the same views and keeps maintaining them. *)
+let check_legacy_load ~rewrite name =
+  let db = Workload.Retail.load tiny in
+  let wh = Warehouse.create db in
+  Warehouse.add_view wh Workload.Retail.product_sales;
+  Warehouse.add_view ~strategy:Warehouse.Psj wh Workload.Retail.monthly_revenue;
+  let rng = Workload.Prng.create 23 in
+  Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:30);
+  let path = tmp name in
+  Warehouse.save wh path;
+  rewrite path;
+  let wh' = Warehouse.load path in
+  Alcotest.check store_image_t "believed source"
+    (store_image (Warehouse.believed_source wh))
+    (store_image (Warehouse.believed_source wh'));
+  List.iter
+    (fun (v : View.t) ->
+      Alcotest.check relation v.View.name
+        (snd (Warehouse.query wh v.View.name))
+        (snd (Warehouse.query wh' v.View.name)))
+    [ Workload.Retail.product_sales; Workload.Retail.monthly_revenue ];
+  (* the converted shadow keeps checking: a replayed insert is a duplicate
+     and a fresh stream is admitted and maintained *)
+  let replayed =
+    Database.fold db "sale" (fun tup _ -> Some (Delta.insert "sale" tup)) None
   in
-  let b = Buffer.create (String.length payload' + mlen + 8) in
-  Buffer.add_string b v3_magic;
-  Buffer.add_int32_le b (Int32.of_int (String.length payload'));
-  Buffer.add_int32_le b (Int32.of_int (crc32 payload'));
-  Buffer.add_string b payload';
-  write_file path (Buffer.contents b)
+  let r = Warehouse.ingest_report wh' (Option.to_list replayed) in
+  Alcotest.(check int) "replayed insert rejected" 0 r.Warehouse.applied;
+  Warehouse.ingest wh' (Workload.Delta_gen.stream rng db ~n:20);
+  Alcotest.check relation "still maintained"
+    (Algebra.Eval.eval db Workload.Retail.product_sales)
+    (snd (Warehouse.query wh' "product_sales"));
+  Sys.remove path
+
+let v4_tests =
+  [
+    test "a version-4 snapshot loads through the legacy store layout"
+      (fun () -> check_legacy_load ~rewrite:to_v4 "wh_v4_compat.bin");
+  ]
 
 let v3_tests =
   [
     test "a version-3 snapshot loads and rebuilds engines" (fun () ->
-        let db = Workload.Retail.load tiny in
-        let wh = Warehouse.create db in
-        Warehouse.add_view wh Workload.Retail.product_sales;
-        Warehouse.add_view ~strategy:Warehouse.Psj wh
-          Workload.Retail.monthly_revenue;
-        let rng = Workload.Prng.create 23 in
-        Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:30);
-        let path = tmp "wh_v3_compat.bin" in
-        Warehouse.save wh path;
-        to_v3 path;
-        let wh' = Warehouse.load path in
-        List.iter
-          (fun (v : View.t) ->
-            Alcotest.check relation v.View.name
-              (snd (Warehouse.query wh v.View.name))
-              (snd (Warehouse.query wh' v.View.name)))
-          [ Workload.Retail.product_sales; Workload.Retail.monthly_revenue ];
-        (* the rebuilt engines keep maintaining the views *)
-        Warehouse.ingest wh' (Workload.Delta_gen.stream rng db ~n:20);
-        Alcotest.check relation "still maintained"
-          (Algebra.Eval.eval db Workload.Retail.product_sales)
-          (snd (Warehouse.query wh' "product_sales"));
-        Sys.remove path);
+        check_legacy_load ~rewrite:to_v3 "wh_v3_compat.bin");
     test "recover replays a generation chain of version-3 snapshots"
       (fun () ->
         let db, wh = build () in
@@ -584,5 +644,5 @@ let () =
       ("crash-points", crash_tests); ("durability", durability_tests);
       ("generation-chain", chain_tests);
       ("snapshot-corruption", corruption_tests);
-      ("v3-compat", v3_tests);
+      ("v3-compat", v3_tests); ("v4-compat", v4_tests);
     ]

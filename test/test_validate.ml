@@ -172,15 +172,20 @@ let tests =
     test "forgeries are rejected for the advertised reason" (fun () ->
         let db = paper_example_db () in
         let validator = Relational.Validator.of_database db in
+        let image = store_image (Relational.Validator.shadow validator) in
         let check_forgery (f : Workload.Corrupt.forgery) =
-          match Relational.Validator.check validator f.Workload.Corrupt.delta with
+          (match
+             Relational.Validator.admit validator f.Workload.Corrupt.delta
+           with
           | Ok _ ->
             Alcotest.failf "forgery for %s was accepted"
               (Delta.reason_label f.Workload.Corrupt.reason)
           | Error rej ->
             Alcotest.check reason
               (Delta.reason_label f.Workload.Corrupt.reason)
-              f.Workload.Corrupt.reason rej.Delta.reason
+              f.Workload.Corrupt.reason rej.Delta.reason);
+          Alcotest.check store_image_t "shadow unchanged" image
+            (store_image (Relational.Validator.shadow validator))
         in
         for seed = 1 to 20 do
           let rng = Workload.Prng.create seed in
@@ -205,6 +210,127 @@ let tests =
           "order" [ Delta.Unknown_table; Delta.Schema_mismatch ] (reasons wh);
         Warehouse.clear_dead_letters wh;
         Alcotest.(check (list reason)) "cleared" [] (reasons wh));
+    test "the shadow stores each row once" (fun () ->
+        let db = Workload.Retail.load Workload.Retail.small_params in
+        let shadow =
+          Relational.Validator.shadow (Relational.Validator.of_database db)
+        in
+        let tuples =
+          List.concat_map
+            (fun tbl -> Database.fold shadow tbl List.cons [])
+            (Database.table_names shadow)
+          |> Array.of_list
+        in
+        let rows = Array.length tuples in
+        (* the tuples' own words: their cells and values, counted once even
+           where tuples share a value, less the array holding them *)
+        let tuple_words = Obj.reachable_words (Obj.repr tuples) - (rows + 1) in
+        let overhead = Obj.reachable_words (Obj.repr shadow) - tuple_words in
+        let per_row = float_of_int overhead /. float_of_int rows in
+        if per_row > 7. then
+          Alcotest.failf "%.2f words per row beyond the tuples (at most 7)"
+            per_row);
   ]
 
-let () = Alcotest.run "validate" [ ("dead-letter-queue", tests) ]
+(* --- a rejection never half-applies --------------------------------------- *)
+
+let small =
+  {
+    Workload.Retail.days = 6;
+    stores = 2;
+    products = 8;
+    sold_per_store_day = 3;
+    tx_per_product = 2;
+    brands = 3;
+    seed = 5;
+  }
+
+(* Forgeries [Workload.Corrupt] does not make, all against [db] as it is:
+   the delete of a referenced key, an update of a column that is not
+   updatable, and an update whose before-image is not stored. *)
+let forge_change rng db =
+  let rows tbl = Database.fold db tbl List.cons [] in
+  let pick = function
+    | [] -> None
+    | l -> Some (Workload.Prng.pick rng l)
+  in
+  let forgery delta reason = Some { Workload.Corrupt.delta; reason } in
+  match Workload.Prng.int rng 3 with
+  | 0 ->
+    Option.bind
+      (pick
+         (List.filter
+            (fun tup -> Database.reference_count db "product" tup.(0) > 0)
+            (rows "product")))
+      (fun tup -> forgery (Delta.delete "product" tup) Delta.Referenced_key)
+  | 1 ->
+    (* sale(id, timeid, productid, storeid, price): timeid is frozen *)
+    Option.bind (pick (rows "sale")) (fun before ->
+        Option.bind
+          (pick
+             (List.filter
+                (fun t -> not (Value.equal t.(0) before.(1)))
+                (rows "time")))
+          (fun t ->
+            let after = Array.copy before in
+            after.(1) <- t.(0);
+            forgery (Delta.update "sale" ~before ~after) Delta.Not_updatable))
+  | _ ->
+    Option.bind (pick (rows "sale")) (fun stored ->
+        let before = Array.copy stored in
+        before.(4) <- i (-1);
+        let after = Array.copy stored in
+        forgery (Delta.update "sale" ~before ~after) Delta.Missing_row)
+
+let never_half_applies =
+  QCheck2.Test.make ~count:40
+    ~name:"forgeries are rejected whole; rollback restores the shadow"
+    QCheck2.Gen.(int_range 1 100_000)
+    (fun seed ->
+      let rng = Workload.Prng.create seed in
+      let legal = Workload.Retail.load small in
+      let v = Relational.Validator.of_database legal in
+      let shadow = Relational.Validator.shadow v in
+      let before_batch = store_image shadow in
+      Relational.Validator.begin_txn v;
+      for _ = 1 to 60 do
+        (* a forgery built against the state both stores are in, then one
+           legal change, which [Delta_gen] also applies to [legal] *)
+        let forged =
+          if Workload.Prng.chance rng 0.5 then
+            Some (Workload.Corrupt.forge rng legal)
+          else forge_change rng legal
+        in
+        Option.iter
+          (fun (f : Workload.Corrupt.forgery) ->
+            let image = store_image shadow in
+            (match Relational.Validator.admit v f.delta with
+            | Ok _ ->
+              Alcotest.failf "forged %a was admitted" Delta.pp f.delta
+            | Error rej ->
+              Alcotest.check reason (Format.asprintf "%a" Delta.pp f.delta)
+                f.reason rej.Delta.reason);
+            Alcotest.check store_image_t "rejection left no trace" image
+              (store_image shadow))
+          forged;
+        List.iter
+          (fun d ->
+            match Relational.Validator.admit v d with
+            | Ok _ -> ()
+            | Error rej ->
+              Alcotest.failf "legal change rejected: %a" Delta.pp_rejection rej)
+          (Workload.Delta_gen.stream rng legal ~n:1)
+      done;
+      Alcotest.check store_image_t "shadow = the legal changes alone"
+        (store_image legal) (store_image shadow);
+      Relational.Validator.rollback v;
+      Alcotest.check store_image_t "rollback restores the pre-batch shadow"
+        before_batch (store_image shadow);
+      true)
+
+let () =
+  Alcotest.run "validate"
+    [
+      ("dead-letter-queue", tests);
+      ("rejections", [ QCheck_alcotest.to_alcotest never_half_applies ]);
+    ]
