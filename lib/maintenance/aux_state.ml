@@ -47,6 +47,9 @@ type index = { buckets : Icol.t VH.t; pos : Icol.t }
    shards and never touches another domain's columns or tables. *)
 type shard = {
   plains : Column.t array;
+  plain_src : int array;
+      (** base-schema index of each plain column (the state's, shared), so
+          a probe needs only the shard and the base tuple *)
   sums : Column.t array;
   exts : Column.t array;
   cnts : Icol.t;
@@ -88,7 +91,11 @@ type row = { sh_ : shard; r_ : int; cnt_ : int }
    materialized group key (shard routing and probes hash boxed tuples on
    one side, stored cells on the other). *)
 let key_hash_cols (plains : Column.t array) r =
-  Array.fold_left (fun acc c -> (acc * 31) + Column.hash_cell c r) 17 plains
+  let h = ref 17 in
+  for i = 0 to Array.length plains - 1 do
+    h := (!h * 31) + Column.hash_cell plains.(i) r
+  done;
+  !h
 
 let nrows sh = Icol.length sh.cnts
 
@@ -134,6 +141,7 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
     in
     {
       plains;
+      plain_src;
       sums =
         Array.of_list
           (List.map
@@ -179,36 +187,39 @@ let shard_count s = Array.length s.shards
 
 let group_key_of_base s tup = Tuple.project tup s.plain_src
 
-(* Shard routing must agree with [Tuple.hash (group_key_of_base s tup)]
-   without materializing the projection; this mirrors [Tuple.hash]'s fold. *)
+(* The group-key hash of a base tuple: agrees with [Tuple.hash
+   (group_key_of_base s tup)] without materializing the projection (it
+   mirrors [Tuple.hash]'s fold). Writers compute it once and use it for
+   both the shard and the probe: the shard of a hash is [hash land mask]. *)
 let hash_base s tup =
-  Array.fold_left (fun acc src -> (acc * 31) + Value.hash tup.(src)) 17 s.plain_src
+  let h = ref 17 in
+  for i = 0 to Array.length s.plain_src - 1 do
+    h := (!h * 31) + Value.hash tup.(s.plain_src.(i))
+  done;
+  !h
 
-let shard_of_base s tup = if s.mask = 0 then 0 else hash_base s tup land s.mask
-let shard_of_key s key = if s.mask = 0 then 0 else Tuple.hash key land s.mask
+let shard_of_base s tup = hash_base s tup land s.mask
+let shard_of_key s key = Tuple.hash key land s.mask
 
 (* --- probes -------------------------------------------------------------- *)
 
-let row_matches_base s (sh : shard) r tup =
-  let n = Array.length s.plain_src in
-  let rec ok i =
-    i >= n
-    || Column.equal_cell sh.plains.(i) r tup.(s.plain_src.(i)) && ok (i + 1)
-  in
-  ok 0
+(* Closed equality tests for [Rowmap.probe]: the shard (or column) and the
+   probed value are its context, so a probe allocates nothing. *)
+let rec base_matches_from (sh : shard) tup r i =
+  i >= Array.length sh.plain_src
+  || Column.equal_cell sh.plains.(i) r tup.(sh.plain_src.(i))
+     && base_matches_from sh tup r (i + 1)
 
-let row_matches_key (sh : shard) r (key : Tuple.t) =
-  let n = Array.length key in
-  let rec ok i =
-    i >= n || Column.equal_cell sh.plains.(i) r key.(i) && ok (i + 1)
-  in
-  ok 0
+let base_matches sh tup r = base_matches_from sh tup r 0
 
-let find_row_base s sh ~hash tup =
-  Rowmap.find sh.map ~hash ~eq:(fun r -> row_matches_base s sh r tup)
+let rec row_matches_key (sh : shard) r (key : Tuple.t) i =
+  i >= Array.length key
+  || Column.equal_cell sh.plains.(i) r key.(i) && row_matches_key sh r key (i + 1)
+
+let cell_is col v r = Column.equal_cell col r v
 
 let find_row_key sh key =
-  Rowmap.find sh.map ~hash:(Tuple.hash key) ~eq:(fun r -> row_matches_key sh r key)
+  Rowmap.find sh.map ~hash:(Tuple.hash key) ~eq:(fun r -> row_matches_key sh r key 0)
 
 let group_key_at (sh : shard) r =
   Array.init (Array.length sh.plains) (fun i -> Column.get sh.plains.(i) r)
@@ -301,11 +312,15 @@ let by_key_attach s (sh : shard) r =
 
 let append_from_base s (sh : shard) ~hash tup count =
   let r = nrows sh in
-  Array.iteri (fun i src -> Column.append sh.plains.(i) tup.(src)) s.plain_src;
-  Array.iteri
-    (fun i src -> Column.append sh.sums.(i) (Value.scale tup.(src) count))
-    s.sum_src;
-  Array.iteri (fun i (src, _) -> Column.append sh.exts.(i) tup.(src)) s.ext_src;
+  for i = 0 to Array.length s.plain_src - 1 do
+    Column.append sh.plains.(i) tup.(s.plain_src.(i))
+  done;
+  for i = 0 to Array.length s.sum_src - 1 do
+    Column.append sh.sums.(i) (Value.scale tup.(s.sum_src.(i)) count)
+  done;
+  for i = 0 to Array.length s.ext_src - 1 do
+    Column.append sh.exts.(i) tup.(fst s.ext_src.(i))
+  done;
   Icol.append sh.cnts count;
   Rowmap.add sh.map ~hash r;
   by_key_attach s sh r;
@@ -378,17 +393,16 @@ let begin_txn s =
     s.shards
 
 (* Journal [key]'s before-image, once per transaction. Must run before any
-   mutation of the group at [row] (or its creation). [key] may alias a
-   scratch buffer; it is copied if retained. *)
-let note_known (sh : shard) key row =
+   mutation of the group at row [r] ([-1]: before its creation). [key] may
+   alias a scratch buffer; it is copied if retained. *)
+let note_known (sh : shard) key r =
   match sh.txn with
   | None -> ()
   | Some { saved; _ } ->
     if not (TH.mem saved key) then
       TH.add saved (Array.copy key)
-        (match row with
-        | None -> Absent
-        | Some r ->
+        (if r < 0 then Absent
+         else
           Present
             {
               cnt = Icol.get sh.cnts r;
@@ -449,50 +463,53 @@ let rollback s =
    before mutating anything, so a poisoned tuple cannot leave a group with
    its count bumped but its sums untouched. *)
 let check_aggregands s op tup =
-  Array.iter
-    (fun src ->
-      if not (Value.is_numeric tup.(src)) then
-        invalid_arg
-          (Printf.sprintf
-             "Aux_state.%s(%s): %s value in summed column (index %d)" op
-             s.spec.Auxview.name
-             (Value.type_name tup.(src))
-             src))
-    s.sum_src;
-  Array.iter
-    (fun (src, _) ->
-      if Value.is_null tup.(src) then
-        invalid_arg
-          (Printf.sprintf
-             "Aux_state.%s(%s): NULL value in MIN/MAX column (index %d)" op
-             s.spec.Auxview.name src))
-    s.ext_src
+  for i = 0 to Array.length s.sum_src - 1 do
+    let src = s.sum_src.(i) in
+    if not (Value.is_numeric tup.(src)) then
+      invalid_arg
+        (Printf.sprintf
+           "Aux_state.%s(%s): %s value in summed column (index %d)" op
+           s.spec.Auxview.name
+           (Value.type_name tup.(src))
+           src)
+  done;
+  for i = 0 to Array.length s.ext_src - 1 do
+    let src = fst s.ext_src.(i) in
+    if Value.is_null tup.(src) then
+      invalid_arg
+        (Printf.sprintf
+           "Aux_state.%s(%s): NULL value in MIN/MAX column (index %d)" op
+           s.spec.Auxview.name src)
+  done
 
 (* Project [tup]'s group key into the shard's scratch buffer — valid only
    until the next projection on the same shard, and only retained via
    copies (the journal path). *)
-let scratch_key sh s tup =
+let scratch_key (sh : shard) tup =
   let key = sh.scratch in
-  Array.iteri (fun i src -> key.(i) <- tup.(src)) s.plain_src;
+  for i = 0 to Array.length sh.plain_src - 1 do
+    key.(i) <- tup.(sh.plain_src.(i))
+  done;
   key
 
 let insert_base ?(count = 1) s tup =
   if count < 1 then invalid_arg "Aux_state.insert_base: count must be >= 1";
   check_aggregands s "insert_base" tup;
-  let sh = s.shards.(shard_of_base s tup) in
   let hash = hash_base s tup in
-  let row = find_row_base s sh ~hash tup in
-  if sh.txn <> None then note_known sh (scratch_key sh s tup) row;
-  (match row with
-  | Some r ->
+  let sh = s.shards.(hash land s.mask) in
+  let r = Rowmap.probe sh.map ~hash base_matches sh tup in
+  if sh.txn <> None then note_known sh (scratch_key sh tup) r;
+  if r >= 0 then begin
     Icol.add sh.cnts r count;
-    Array.iteri
-      (fun i src -> Column.add_cell sh.sums.(i) r tup.(src) count)
-      s.sum_src;
-    Array.iteri
-      (fun i (src, is_min) -> Column.combine_ext sh.exts.(i) r tup.(src) ~is_min)
-      s.ext_src
-  | None -> append_from_base s sh ~hash tup count);
+    for i = 0 to Array.length s.sum_src - 1 do
+      Column.add_cell sh.sums.(i) r tup.(s.sum_src.(i)) count
+    done;
+    for i = 0 to Array.length s.ext_src - 1 do
+      let src, is_min = s.ext_src.(i) in
+      Column.combine_ext sh.exts.(i) r tup.(src) ~is_min
+    done
+  end
+  else append_from_base s sh ~hash tup count;
   sh.total <- sh.total + count
 
 let delete_base ?(count = 1) s tup =
@@ -503,27 +520,26 @@ let delete_base ?(count = 1) s tup =
          "Aux_state.delete_base(%s): append-only view holds MIN/MAX columns"
          s.spec.Auxview.name);
   check_aggregands s "delete_base" tup;
-  let sh = s.shards.(shard_of_base s tup) in
   let hash = hash_base s tup in
-  match find_row_base s sh ~hash tup with
-  | None ->
+  let sh = s.shards.(hash land s.mask) in
+  let r = Rowmap.probe sh.map ~hash base_matches sh tup in
+  if r < 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.delete_base(%s): group %s absent"
          s.spec.Auxview.name
-         (Tuple.to_string (scratch_key sh s tup)))
-  | Some r ->
-    let cnt = Icol.get sh.cnts r in
-    if cnt < count then
-      invalid_arg
-        (Printf.sprintf "Aux_state.delete_base(%s): count underflow"
-           s.spec.Auxview.name);
-    if sh.txn <> None then note_known sh (scratch_key sh s tup) (Some r);
-    Icol.set sh.cnts r (cnt - count);
-    Array.iteri
-      (fun i src -> Column.sub_cell sh.sums.(i) r tup.(src) count)
-      s.sum_src;
-    sh.total <- sh.total - count;
-    if cnt = count then delete_row s sh ~hash r
+         (Tuple.to_string (scratch_key sh tup)));
+  let cnt = Icol.get sh.cnts r in
+  if cnt < count then
+    invalid_arg
+      (Printf.sprintf "Aux_state.delete_base(%s): count underflow"
+         s.spec.Auxview.name);
+  if sh.txn <> None then note_known sh (scratch_key sh tup) r;
+  Icol.set sh.cnts r (cnt - count);
+  for i = 0 to Array.length s.sum_src - 1 do
+    Column.sub_cell sh.sums.(i) r tup.(s.sum_src.(i)) count
+  done;
+  sh.total <- sh.total - count;
+  if cnt = count then delete_row s sh ~hash r
 
 let load s feed =
   if Array.exists (fun sh -> nrows sh > 0) s.shards || s.shards.(0).txn <> None
@@ -546,6 +562,7 @@ let copy s =
     let plains = Array.map Column.copy sh.plains in
     {
       plains;
+      plain_src = sh.plain_src;
       sums = Array.map Column.copy sh.sums;
       exts = Array.map Column.copy sh.exts;
       cnts = Icol.copy sh.cnts;
@@ -583,12 +600,10 @@ let by_key_mem b k gkey =
   match sh.by_key with
   | None -> false
   | Some bk -> (
-    match
-      Rowmap.find bk ~hash:(Value.hash k) ~eq:(fun r ->
-          Column.equal_cell sh.plains.(b.key_plain_pos) r k)
-    with
-    | Some r -> row_matches_key sh r gkey
-    | None -> false)
+    let r =
+      Rowmap.probe bk ~hash:(Value.hash k) cell_is sh.plains.(b.key_plain_pos) k
+    in
+    r >= 0 && row_matches_key sh r gkey 0)
 
 let index_positions s =
   match Array.to_list s.shards with
@@ -613,7 +628,7 @@ let index_mem b pos v key =
       let n = Icol.length bucket in
       let rec scan i =
         i < n
-        && (row_matches_key sh (Icol.get bucket i) key || scan (i + 1))
+        && (row_matches_key sh (Icol.get bucket i) key 0 || scan (i + 1))
       in
       scan 0)
 
@@ -720,29 +735,38 @@ let exts _s (row : row) =
   Array.init (Array.length row.sh_.exts) (fun i ->
       Column.get row.sh_.exts.(i) row.r_)
 
-let find_by_key s k =
+(* A base key's by-key entry lives in the shard of its group key, which
+   the key alone does not name: both lookups probe the shards' by-key maps
+   in turn (a dimension view, the usual target, has one shard). *)
+let check_key_kept s =
   if s.key_plain_pos < 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.find_by_key(%s): key not kept"
-         s.spec.Auxview.name);
-  let n = Array.length s.shards in
-  let rec scan i =
-    if i >= n then None
-    else
-      let sh = s.shards.(i) in
-      match sh.by_key with
-      | None -> None
-      | Some bk -> (
-        match
-          Rowmap.find bk ~hash:(Value.hash k) ~eq:(fun r ->
-              Column.equal_cell sh.plains.(s.key_plain_pos) r k)
-        with
-        | Some r -> Some (row_of sh r)
-        | None -> scan (i + 1))
-  in
-  scan 0
+         s.spec.Auxview.name)
 
-let mem_key s k = find_by_key s k <> None
+let key_row s (sh : shard) ~hash k =
+  match sh.by_key with
+  | None -> -1
+  | Some bk -> Rowmap.probe bk ~hash cell_is sh.plains.(s.key_plain_pos) k
+
+let rec find_key_from s ~hash k i =
+  if i >= Array.length s.shards then None
+  else
+    let sh = s.shards.(i) in
+    let r = key_row s sh ~hash k in
+    if r >= 0 then Some (row_of sh r) else find_key_from s ~hash k (i + 1)
+
+let rec mem_key_from s ~hash k i =
+  i < Array.length s.shards
+  && (key_row s s.shards.(i) ~hash k >= 0 || mem_key_from s ~hash k (i + 1))
+
+let find_by_key s k =
+  check_key_kept s;
+  find_key_from s ~hash:(Value.hash k) k 0
+
+let mem_key s k =
+  check_key_kept s;
+  mem_key_from s ~hash:(Value.hash k) k 0
 
 let iter s f =
   Array.iter

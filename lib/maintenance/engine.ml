@@ -3,6 +3,7 @@ module Attr = Algebra.Attr
 module Aggregate = Algebra.Aggregate
 module Select_item = Algebra.Select_item
 module Predicate = Algebra.Predicate
+module Cmp = Algebra.Cmp
 module Derive = Mindetail.Derive
 module Auxview = Mindetail.Auxview
 module Join_graph = Mindetail.Join_graph
@@ -42,6 +43,19 @@ type cref = { slot : int; base : int; plain : int }
 
 (* One outgoing key join: the parent's foreign-key column, the child's slot. *)
 type cjoin = { fk : cref; child : int }
+
+(* A local condition, resolved once at [init]: the position of its left
+   column, the comparison, and a constant or the position of a second
+   column of the same row. Positions index a base tuple, or — for the
+   residual conditions checked on stored rows — the plain cells of an
+   auxiliary row. *)
+type operand = K of Value.t | At of int
+
+type cond = { pos : int; op : Cmp.t; rhs : operand }
+
+(* A semijoin reduction, resolved once at [init]: the base position of the
+   foreign key and the slot whose auxiliary view must hold its value. *)
+type semi = { sj_fk : int; sj_slot : int }
 
 (* How an aggregate argument is read off an auxiliary row: from the running
    SUM or the append-only MIN/MAX column the auxiliary view keeps for it,
@@ -90,9 +104,17 @@ type t = {
       (** the first root group column indexed in the root auxiliary view:
           without a live driving join, the walk reads its buckets *)
   determined : bool;  (** the root auxiliary view was eliminated *)
-  residuals : Predicate.t list array;
+  locals : cond array array;
+      (** per slot: the view's local conditions, on base positions *)
+  aux_conds : cond array array;
+      (** per slot: the pushed-down conditions of its auxiliary view, on
+          base positions (empty without an auxiliary view) *)
+  semis : semi array array;
+      (** per slot: the semijoin reductions of its auxiliary view *)
+  residuals : cond array array;
       (** per slot: view local conditions not enforced by its auxiliary
-          view (non-empty only in the no-pushdown ablation) *)
+          view, on plain positions (non-empty only in the no-pushdown
+          ablation) *)
   append_only : bool;
   root_reads : int array;
       (** root-schema positions the engine ever reads off a root base tuple
@@ -100,6 +122,9 @@ type t = {
           on this projection are interchangeable, so the fast path merges
           them into one weighted operation *)
   scratch_key : Tuple.t;  (** reusable group-key buffer, serial path only *)
+  scratch_env : rowval array;
+      (** reusable joined row of the coordinator's root feeds (serial
+          route, direct path, init); never touched by a worker *)
   scratch_cs : View_state.contrib option array;
       (** reusable contribution buffer, serial path only *)
   obs_groups : Telemetry.Gauge.t;  (** resident view groups *)
@@ -224,6 +249,7 @@ let copy t =
     (* scratch buffers must never be shared between engines *)
     scratch_key = Array.copy t.scratch_key;
     scratch_cs = Array.copy t.scratch_cs;
+    scratch_env = Array.make (Array.length t.tables) (Base [||]);
   }
 
 (* Structural equality of all mutable state: every auxiliary view (matched
@@ -287,24 +313,65 @@ let group_key t env = Array.map (read env) t.group_plan
 (* Allocation-free variant for the hot path; [dst] must not be retained by
    the callee (View_state copies keys on retention). *)
 let group_key_into t env dst =
-  Array.iteri (fun i c -> dst.(i) <- read env c) t.group_plan
+  for i = 0 to Array.length t.group_plan - 1 do
+    dst.(i) <- read env t.group_plan.(i)
+  done
+
+(* --- resolved local conditions and semijoin membership ------------------ *)
+
+(* Every check below is a loop over what [init] resolved for a slot: no
+   name lookup, no closure. *)
+let rec tup_holds conds (tup : Tuple.t) i =
+  i >= Array.length conds
+  ||
+  let c = conds.(i) in
+  Cmp.eval c.op tup.(c.pos) (match c.rhs with K v -> v | At p -> tup.(p))
+  && tup_holds conds tup (i + 1)
+
+let rec row_holds conds row i =
+  i >= Array.length conds
+  ||
+  let c = conds.(i) in
+  Cmp.eval c.op
+    (Aux_state.plain_at row c.pos)
+    (match c.rhs with K v -> v | At p -> Aux_state.plain_at row p)
+  && row_holds conds row (i + 1)
+
+let rec semis_hold t semis (tup : Tuple.t) i =
+  i >= Array.length semis
+  ||
+  let sj = semis.(i) in
+  Aux_state.mem_key (slot_aux t sj.sj_slot) tup.(sj.sj_fk)
+  && semis_hold t semis tup (i + 1)
+
+(* The view's local conditions on a base tuple of slot [s]. *)
+let passes_locals t s tup = tup_holds t.locals.(s) tup 0
+
+(* Membership in slot [s]'s auxiliary view is governed by the spec's own
+   pushed-down conditions and semijoins; the view's full conditions only
+   gate the view feed (they coincide except in the no-pushdown ablation). *)
+let in_aux t s tup =
+  match t.aux.(s) with
+  | None -> false
+  | Some _ -> tup_holds t.aux_conds.(s) tup 0 && semis_hold t t.semis.(s) tup 0
 
 (* View local conditions on slot [s] not already enforced by its auxiliary
-   view, evaluated against an auxiliary row (the condition columns are kept
-   plainly whenever the list is non-empty). *)
-let residual_ok t s row =
-  match t.residuals.(s) with
-  | [] -> true
-  | ps ->
-    let st = slot_aux t s in
-    let look (a : Attr.t) = Aux_state.plain_of st row a.Attr.column in
-    List.for_all (fun p -> Predicate.holds p look) ps
+   view, evaluated against an auxiliary row. *)
+let residual_ok t s row = row_holds t.residuals.(s) row 0
+
+(* --- joins ------------------------------------------------------------- *)
 
 let new_env t : env = Array.make (Array.length t.tables) (Base [||])
 
 (* Extend [env] along the join tree below slot [s]; key joins find at most
-   one partner per table, all of them in dimension auxiliary views. *)
-let rec extend t env s = List.for_all (join_one t env) t.joins.(s)
+   one partner per table, all of them in dimension auxiliary views. The
+   join list is walked directly, so no step allocates a closure. *)
+let rec extend t env s = join_all t env ~skip:(-1) t.joins.(s)
+
+(* Joins every [j] of [js] but the one into slot [skip]. *)
+and join_all t env ~skip = function
+  | [] -> true
+  | j :: js -> (j.child = skip || join_one t env j) && join_all t env ~skip js
 
 and join_one t env j =
   match Aux_state.find_by_key (slot_aux t j.child) (read env j.fk) with
@@ -316,7 +383,8 @@ and join_one t env j =
          extend t env j.child
        end
 
-(* The joined row of a root base tuple, if it has every join partner. *)
+(* The joined row of a root base tuple, if it has every join partner, in a
+   fresh row: for the merged path's prepare, which runs on workers. *)
 let base_env t tup =
   let env = new_env t in
   env.(0) <- Base tup;
@@ -328,8 +396,7 @@ let base_env t tup =
    the caller already joined it. *)
 let extend_root ?(skip = -1) t env row =
   env.(0) <- Auxrow row;
-  residual_ok t 0 row
-  && List.for_all (fun j -> j.child = skip || join_one t env j) t.joins.(0)
+  residual_ok t 0 row && join_all t env ~skip t.joins.(0)
 
 (* --- contributions ---------------------------------------------------- *)
 
@@ -368,46 +435,17 @@ let contribs t env ~cnt = Array.map (contrib_of env ~cnt) t.plans
 
 (* Allocation-free variant; [dst] is not retained by View_state. *)
 let contribs_into t env ~cnt dst =
-  Array.iteri (fun i plan -> dst.(i) <- contrib_of env ~cnt plan) t.plans
-
-(* --- local conditions and semijoin membership ------------------------- *)
-
-let passes_locals t table tup =
-  let sch = schema t table in
-  let lookup (a : Attr.t) = tup.(Schema.index_of sch a.Attr.column) in
-  List.for_all
-    (fun p -> Predicate.holds p lookup)
-    (View.locals_of t.view ~table)
-
-let semijoin_ok t (spec : Auxview.t) tup =
-  let sch = schema t spec.Auxview.base in
-  List.for_all
-    (fun (sj : Auxview.semijoin) ->
-      let fk = tup.(Schema.index_of sch sj.Auxview.fk) in
-      Aux_state.mem_key (dim_aux t sj.Auxview.target) fk)
-    spec.Auxview.semijoins
-
-(* Membership in the auxiliary view is governed by the spec's own pushed-down
-   conditions and semijoins; the view's full conditions only gate the view
-   feed (they coincide except in the no-pushdown ablation). *)
-let passes_spec_locals t (spec : Auxview.t) tup =
-  let sch = schema t spec.Auxview.base in
-  let lookup (a : Attr.t) = tup.(Schema.index_of sch a.Attr.column) in
-  List.for_all (fun p -> Predicate.holds p lookup) spec.Auxview.locals
-
-let in_aux t table tup =
-  match aux_of t table with
-  | None -> false
-  | Some st ->
-    let spec = Aux_state.spec st in
-    passes_spec_locals t spec tup && semijoin_ok t spec tup
+  for i = 0 to Array.length t.plans - 1 do
+    dst.(i) <- contrib_of env ~cnt t.plans.(i)
+  done
 
 (* --- root-table changes ----------------------------------------------- *)
 
+(* Coordinator only: joins through the engine's scratch row. *)
 let root_view_feed t tup ~sign =
-  match base_env t tup with
-  | None -> ()
-  | Some env ->
+  let env = t.scratch_env in
+  env.(0) <- Base tup;
+  if extend t env 0 then begin
     (* scratch buffers avoid a per-tuple key + contribution allocation;
        View_state copies what it retains *)
     let key = t.scratch_key in
@@ -426,24 +464,24 @@ let root_view_feed t tup ~sign =
     contribs_into t env ~cnt:1 t.scratch_cs;
     if sign > 0 then View_state.feed t.vstate ~key ~cnt:1 t.scratch_cs
     else View_state.unfeed t.vstate ~key ~cnt:1 t.scratch_cs
+  end
 
 let root_insert t tup =
-  if in_aux t t.root tup then
-    Aux_state.insert_base (Option.get (aux_of t t.root)) tup;
-  if passes_locals t t.root tup then root_view_feed t tup ~sign:1
+  if in_aux t 0 tup then Aux_state.insert_base (slot_aux t 0) tup;
+  if passes_locals t 0 tup then root_view_feed t tup ~sign:1
 
 let root_delete t tup =
-  if passes_locals t t.root tup then root_view_feed t tup ~sign:(-1);
-  if in_aux t t.root tup then
-    Aux_state.delete_base (Option.get (aux_of t t.root)) tup
+  if passes_locals t 0 tup then root_view_feed t tup ~sign:(-1);
+  if in_aux t 0 tup then Aux_state.delete_base (slot_aux t 0) tup
 
 (* --- dimension-table changes ------------------------------------------ *)
 
-let dim_insert t table tup =
-  if in_aux t table tup then Aux_state.insert_base (dim_aux t table) tup
+(* Dimension changes name their table by slot [s] (never 0, the root). *)
+let dim_insert t s tup =
+  if in_aux t s tup then Aux_state.insert_base (slot_aux t s) tup
 
-let dim_delete t table tup =
-  if in_aux t table tup then Aux_state.delete_base (dim_aux t table) tup
+let dim_delete t s tup =
+  if in_aux t s tup then Aux_state.delete_base (slot_aux t s) tup
 
 (* The unique join path root -> ... -> target, as a list of joins. *)
 let path_to t target =
@@ -500,7 +538,8 @@ let relevant_change t table ~before ~after =
       List.mem col kept || List.mem col locals)
     (Delta.changed_indices (Delta.Update { before; after }))
 
-let dim_update_diff t table ~before ~after =
+let dim_update_diff t s ~before ~after =
+  let table = t.tables.(s) in
   let key_val = before.(Schema.key_index (schema t table)) in
   Log.debug (fun m ->
       m "dim update on %s key %a: contribution diffing through X_%s" table
@@ -536,10 +575,10 @@ let dim_update_diff t table ~before ~after =
   in
   (* capture the old contributions before mutating X_table *)
   let old_feeds = feeds () in
-  let was_in = in_aux t table before in
-  let st = dim_aux t table in
+  let was_in = in_aux t s before in
+  let st = slot_aux t s in
   if was_in then Aux_state.delete_base st before;
-  if in_aux t table after then Aux_state.insert_base st after;
+  if in_aux t s after then Aux_state.insert_base st after;
   let new_feeds = feeds () in
   List.iter
     (fun (key, cnt, cs) -> View_state.unfeed t.vstate ~key ~cnt cs)
@@ -570,9 +609,10 @@ let keyed_ancestor t table =
 (* Dimension update with unchanged key while the root auxiliary view is
    eliminated: rewrite the affected view groups through the nearest
    key-annotated ancestor. *)
-let dim_update_rewrite t table ~before ~after =
+let dim_update_rewrite t s ~before ~after =
+  let table = t.tables.(s) in
   let sch = schema t table in
-  let st = dim_aux t table in
+  let st = slot_aux t s in
   let kept = Auxview.group_columns (Aux_state.spec st) in
   let changed =
     List.filter
@@ -587,7 +627,7 @@ let dim_update_rewrite t table ~before ~after =
           table);
     (* membership cannot change here: condition columns of a non-exposed
        table are not updatable *)
-    if in_aux t table before then begin
+    if in_aux t s before then begin
       Aux_state.delete_base st before;
       Aux_state.insert_base st after
     end;
@@ -670,17 +710,17 @@ let dim_update_rewrite t table ~before ~after =
       affected_groups
   end
 
-let dim_update t table ~before ~after =
-  let sch = schema t table in
-  let ki = Schema.key_index sch in
+let dim_update t s ~before ~after =
+  let table = t.tables.(s) in
+  let ki = Schema.key_index (schema t table) in
   if not (Value.equal before.(ki) after.(ki)) then begin
     (* key changed: only legal while unreferenced, so no view effect *)
-    dim_delete t table before;
-    dim_insert t table after
+    dim_delete t s before;
+    dim_insert t s after
   end
   else if not (relevant_change t table ~before ~after) then ()
-  else if t.determined then dim_update_rewrite t table ~before ~after
-  else dim_update_diff t table ~before ~after
+  else if t.determined then dim_update_rewrite t s ~before ~after
+  else dim_update_diff t s ~before ~after
 
 (* --- recomputation of dirty MIN/MAX components ------------------------- *)
 
@@ -1062,7 +1102,67 @@ let init ?(fk_index = true) db (d : Derive.t) =
       (fun (col, _) -> if List.mem col root_indexed then Some col else None)
       root_groups
   in
-  let residuals = Array.map (Derive.residual_locals d) tables in
+  (* the per-slot checks of the feed path, resolved to positions *)
+  let resolve pos_of (p : Predicate.t) =
+    {
+      pos = pos_of p.Predicate.left.Attr.column;
+      op = p.Predicate.op;
+      rhs =
+        (match p.Predicate.right with
+        | Predicate.Const v -> K v
+        | Predicate.Col a -> At (pos_of a.Attr.column));
+    }
+  in
+  let on_base tbl ps =
+    let sch = Hashtbl.find schemas tbl in
+    Array.of_list (List.map (resolve (Schema.index_of sch)) ps)
+  in
+  let locals =
+    Array.map (fun tbl -> on_base tbl (View.locals_of view ~table:tbl)) tables
+  in
+  let aux_conds =
+    Array.map
+      (fun tbl ->
+        match Derive.spec_for d tbl with
+        | Some spec -> on_base tbl spec.Auxview.locals
+        | None -> [||])
+      tables
+  in
+  let semis =
+    Array.map
+      (fun tbl ->
+        match Derive.spec_for d tbl with
+        | Some spec ->
+          let sch = Hashtbl.find schemas tbl in
+          Array.of_list
+            (List.map
+               (fun (sj : Auxview.semijoin) ->
+                 {
+                   sj_fk = Schema.index_of sch sj.Auxview.fk;
+                   sj_slot = Hashtbl.find slots sj.Auxview.target;
+                 })
+               spec.Auxview.semijoins)
+        | None -> [||])
+      tables
+  in
+  (* residual conditions are checked on stored rows, whose condition
+     columns the spec keeps plainly (Compression keeps them so) *)
+  let residuals =
+    Array.map
+      (fun tbl ->
+        match Derive.spec_for d tbl with
+        | None -> [||]
+        | Some spec ->
+          let plain col =
+            match Auxview.plain_position spec col with
+            | Some i -> i
+            | None ->
+              invariant "residual condition column %s.%s is not kept" tbl col
+          in
+          Array.of_list
+            (List.map (resolve plain) (Derive.residual_locals d tbl)))
+      tables
+  in
   (* Everything the engine can ever read off a root base tuple: group-by and
      aggregate sources, view local-condition columns, outgoing join foreign
      keys, and — when the root auxiliary view is retained — its kept,
@@ -1122,11 +1222,15 @@ let init ?(fk_index = true) db (d : Derive.t) =
       driving;
       group_index;
       determined;
+      locals;
+      aux_conds;
+      semis;
       residuals;
       append_only = d.Derive.options.Derive.append_only;
       root_reads;
       scratch_key = Array.make (Array.length group_plan) Value.Null;
       scratch_cs = Array.make (Array.length plans) None;
+      scratch_env = Array.make (Array.length tables) (Base [||]);
       obs_groups =
         Telemetry.Gauge.make
           ~labels:[ ("view", view.View.name) ]
@@ -1152,12 +1256,11 @@ let init ?(fk_index = true) db (d : Derive.t) =
             ~shards:(if String.equal tbl root then nshards else 1)
             ~dict_pool spec (schema t tbl)
         in
-        t.aux.(Hashtbl.find slots tbl) <- Some st;
+        let s = Hashtbl.find slots tbl in
+        t.aux.(s) <- Some st;
         Aux_state.load st (fun add ->
             Database.fold db tbl
-              (fun tup () ->
-                if passes_spec_locals t spec tup && semijoin_ok t spec tup then
-                  add tup)
+              (fun tup () -> if in_aux t s tup then add tup)
               ()))
     (post_order d.Derive.graph);
   t.obs_aux <-
@@ -1191,7 +1294,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
   (* seed the view state from the root base rows *)
   Database.fold db root
     (fun tup () ->
-      if passes_locals t root tup then root_view_feed t tup ~sign:1)
+      if passes_locals t 0 tup then root_view_feed t tup ~sign:1)
     ();
   flush t;
   t.wk_live <- true;
@@ -1210,25 +1313,25 @@ let check_append_only t (d : Delta.t) =
         "append-only warehouse: root table %s received a deletion or update"
         d.Delta.table
 
+(* One lookup maps the delta's table to its slot; a table outside the view
+   has none. *)
 let route t (delta : Delta.t) =
-  if List.mem delta.Delta.table t.view.View.tables then begin
-    if String.equal delta.Delta.table t.root then begin
-      check_append_only t delta;
-      match delta.Delta.change with
-      | Delta.Insert tup -> root_insert t tup
-      | Delta.Delete tup -> root_delete t tup
-      | Delta.Update { before; after } ->
-        (* exposed or not, a root update is a deletion then an insertion *)
-        root_delete t before;
-        root_insert t after
-    end
-    else
-      match delta.Delta.change with
-      | Delta.Insert tup -> dim_insert t delta.Delta.table tup
-      | Delta.Delete tup -> dim_delete t delta.Delta.table tup
-      | Delta.Update { before; after } ->
-        dim_update t delta.Delta.table ~before ~after
-  end
+  match Hashtbl.find t.slots delta.Delta.table with
+  | exception Not_found -> ()
+  | 0 -> (
+    check_append_only t delta;
+    match delta.Delta.change with
+    | Delta.Insert tup -> root_insert t tup
+    | Delta.Delete tup -> root_delete t tup
+    | Delta.Update { before; after } ->
+      (* exposed or not, a root update is a deletion then an insertion *)
+      root_delete t before;
+      root_insert t after)
+  | s -> (
+    match delta.Delta.change with
+    | Delta.Insert tup -> dim_insert t s tup
+    | Delta.Delete tup -> dim_delete t s tup
+    | Delta.Update { before; after } -> dim_update t s ~before ~after)
 
 (* --- netted + shard-parallel batch fast path ---------------------------- *)
 
@@ -1243,10 +1346,8 @@ type root_op = {
   mutable view_shard : int;
 }
 
-let known_deltas t deltas =
-  List.filter
-    (fun (d : Delta.t) -> List.mem d.Delta.table t.view.View.tables)
-    deltas
+let known t (d : Delta.t) = Hashtbl.mem t.slots d.Delta.table
+let known_deltas t deltas = List.filter (known t) deltas
 
 let net_batch t deltas =
   Delta_batch.net
@@ -1340,7 +1441,7 @@ let dispatch t pool ~root_changes ~merge =
 
 let apply_root_ops t pool ~workers:nw ops =
   let n = Array.length ops in
-  let root_st = aux_of t t.root in
+  let root_st = t.aux.(0) in
   (* Phase A — preparation, read-only on all shared state: membership
      tests and join probes read dimension auxiliary views (concurrent pure
      reads of hash tables are safe; nothing mutates during this phase),
@@ -1353,10 +1454,10 @@ let apply_root_ops t pool ~workers:nw ops =
             let op = ops.(i) in
             if op.net <> 0 then begin
               (match root_st with
-              | Some st when in_aux t t.root op.rep ->
+              | Some st when in_aux t 0 op.rep ->
                 op.aux_shard <- Aux_state.shard_of_base st op.rep
               | Some _ | None -> ());
-              if passes_locals t t.root op.rep then
+              if passes_locals t 0 op.rep then
                 match base_env t op.rep with
                 | None -> ()
                 | Some env ->
@@ -1523,8 +1624,9 @@ let apply_batch_parallel t pool deltas =
   let dims = ref [] in
   List.iter
     (fun (tbl, ds) ->
-      if String.equal tbl t.root then root_deltas := ds
-      else dims := (List.length (path_to t tbl), tbl, ds) :: !dims)
+      match Hashtbl.find t.slots tbl with
+      | 0 -> root_deltas := ds
+      | s -> dims := (List.length (path_to t tbl), s, ds) :: !dims)
     net.Delta_batch.tables;
   let deep_first =
     List.sort (fun (a, _, _) (b, _, _) -> compare b a) (List.rev !dims)
@@ -1532,17 +1634,17 @@ let apply_batch_parallel t pool deltas =
   let shallow_first = List.rev deep_first in
   let each_dim tables f =
     List.iter
-      (fun (_, tbl, ds) ->
-        List.iter (fun (d : Delta.t) -> f tbl d.Delta.change) ds)
+      (fun (_, s, ds) ->
+        List.iter (fun (d : Delta.t) -> f s d.Delta.change) ds)
       tables
   in
   Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
     "engine.dim-apply" (fun () ->
-      each_dim deep_first (fun tbl -> function
-        | Delta.Insert tup -> dim_insert t tbl tup
+      each_dim deep_first (fun s -> function
+        | Delta.Insert tup -> dim_insert t s tup
         | Delta.Delete _ | Delta.Update _ -> ());
-      each_dim deep_first (fun tbl -> function
-        | Delta.Update { before; after } -> dim_update t tbl ~before ~after
+      each_dim deep_first (fun s -> function
+        | Delta.Update { before; after } -> dim_update t s ~before ~after
         | Delta.Insert _ | Delta.Delete _ -> ()));
   let root_changes = root_change_count !root_deltas in
   let dim_ops () =
@@ -1570,8 +1672,8 @@ let apply_batch_parallel t pool deltas =
     apply_root_ops t pool ~workers ops);
   Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
     "engine.dim-apply" (fun () ->
-      each_dim shallow_first (fun tbl -> function
-        | Delta.Delete tup -> dim_delete t tbl tup
+      each_dim shallow_first (fun s -> function
+        | Delta.Delete tup -> dim_delete t s tup
         | Delta.Insert _ | Delta.Update _ -> ()));
   Telemetry.with_phase Obs.view_update ~alloc:Obs.view_update_alloc
     "engine.view-update" (fun () -> flush t);
@@ -1584,7 +1686,9 @@ let apply_batch ?parallel t deltas =
   | None ->
     Telemetry.Counter.one Obs.batches_serial;
     let known =
-      if Telemetry.enabled () then List.length (known_deltas t deltas) else 0
+      if Telemetry.enabled () then
+        List.fold_left (fun n d -> if known t d then n + 1 else n) 0 deltas
+      else 0
     in
     Telemetry.Counter.inc Obs.deltas_total known;
     let pre_flow = flow_pre t in

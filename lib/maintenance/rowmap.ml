@@ -66,6 +66,16 @@ let find t ~hash ~eq =
   in
   probe (hash land mask)
 
+(* A top-level loop: [eq] and its context travel as arguments, so a probe
+   with a closed [eq] allocates nothing. *)
+let rec probe_from slots mask eq a b i =
+  let s = slot_get slots i in
+  if s = empty then -1
+  else if s >= 0 && eq a b s then s
+  else probe_from slots mask eq a b ((i + 1) land mask)
+
+let probe t ~hash eq a b = probe_from t.slots t.mask eq a b (hash land t.mask)
+
 let add t ~hash row =
   maybe_grow t;
   let mask = t.mask and slots = t.slots in

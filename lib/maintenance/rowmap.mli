@@ -21,6 +21,12 @@ val length : t -> int
     ([eq row] decides), if present. *)
 val find : t -> hash:int -> eq:(int -> bool) -> int option
 
+(** [probe t ~hash eq a b] is the row of the unique entry for which
+    [eq a b row] holds, or [-1] — {!find} without the option and without a
+    closure: pass a closed, top-level [eq] and its context [a], [b], and
+    the probe allocates nothing. *)
+val probe : t -> hash:int -> ('a -> 'b -> int -> bool) -> 'a -> 'b -> int
+
 (** [add t ~hash row] inserts an entry. The caller guarantees no entry with
     an equal key exists. *)
 val add : t -> hash:int -> int -> unit

@@ -118,7 +118,11 @@ type t = {
 (* Row-key hash over the key cells; must agree with [Tuple.hash] of the
    boxed group key. *)
 let key_hash_cols (keys : Column.t array) r =
-  Array.fold_left (fun acc c -> (acc * 31) + Column.hash_cell c r) 17 keys
+  let h = ref 17 in
+  for i = 0 to Array.length keys - 1 do
+    h := (!h * 31) + Column.hash_cell keys.(i) r
+  done;
+  !h
 
 let nrows (sh : shard) = Icol.length sh.cnt0
 
@@ -183,18 +187,25 @@ let create ?(shards = 1) ?dict_pool view ~determined =
   }
 
 let shard_count t = Array.length t.shards
-let shard_of_key t key = if t.mask = 0 then 0 else Tuple.hash key land t.mask
+(* The shard of a group key is its [Tuple.hash] masked: writers hash a key
+   once and share the hash between the shard and the row probe. *)
+let shard_of_key t key = Tuple.hash key land t.mask
 let shard_for t key = t.shards.(shard_of_key t key)
 
-let row_matches_key (sh : shard) r (key : Tuple.t) =
-  let n = Array.length key in
-  let rec ok i =
-    i >= n || Column.equal_cell sh.keys.(i) r key.(i) && ok (i + 1)
-  in
-  ok 0
+(* Closed equality test for [Rowmap.probe]: the shard and the probed key
+   are its context, so a probe allocates nothing. *)
+let rec key_matches_from (sh : shard) (key : Tuple.t) r i =
+  i >= Array.length key
+  || Column.equal_cell sh.keys.(i) r key.(i) && key_matches_from sh key r (i + 1)
+
+let key_matches sh key r = key_matches_from sh key r 0
+
+(* Row of group [key] in [sh], or -1; [hash] is [Tuple.hash key]. *)
+let probe_row (sh : shard) ~hash key = Rowmap.probe sh.map ~hash key_matches sh key
 
 let find_row (sh : shard) key =
-  Rowmap.find sh.map ~hash:(Tuple.hash key) ~eq:(fun r -> row_matches_key sh r key)
+  let r = probe_row sh ~hash:(Tuple.hash key) key in
+  if r < 0 then None else Some r
 
 let key_at (sh : shard) r =
   Array.init (Array.length sh.keys) (fun i -> Column.get sh.keys.(i) r)
@@ -239,7 +250,7 @@ let append_saved (sh : shard) key cnt0 accs =
 (* Append a fresh group. Sum components are seeded with the zero of their
    first contribution's type so the column specializes to the right numeric
    storage (a later type change demotes the column to boxed cells). *)
-let append_fresh (sh : shard) key (contribs : contrib option array) =
+let append_fresh (sh : shard) ~hash key (contribs : contrib option array) =
   let r = nrows sh in
   Array.iteri (fun i v -> Column.append sh.keys.(i) v) key;
   Array.iteri
@@ -261,7 +272,7 @@ let append_fresh (sh : shard) key (contribs : contrib option array) =
         mcol_append vals VMap.empty)
     sh.slots;
   Icol.append sh.cnt0 0;
-  Rowmap.add sh.map ~hash:(Tuple.hash key) r;
+  Rowmap.add sh.map ~hash r;
   r
 
 (* Swap-with-last removal of row [r], re-pointing the moved row's map
@@ -326,17 +337,16 @@ let begin_txn t =
     t.shards
 
 (* Journal [key]'s before-image, once per transaction, before any mutation
-   of the group at [row] (or its creation). [key] may alias a caller's
-   scratch buffer; copied if retained. *)
-let note_known (sh : shard) key row =
+   of the group at row [r] ([-1]: before its creation). [key] may alias a
+   caller's scratch buffer; copied if retained. *)
+let note_known (sh : shard) key r =
   match sh.txn with
   | None -> sh.untracked <- true
   | Some { saved; _ } ->
     if not (TH.mem saved key) then
       TH.add saved (Array.copy key)
-        (match row with
-        | None -> Absent
-        | Some r -> Present { cnt0 = Icol.get sh.cnt0 r; accs = saved_accs sh r })
+        (if r < 0 then Absent
+         else Present { cnt0 = Icol.get sh.cnt0 r; accs = saved_accs sh r })
 
 let group_count t = Array.fold_left (fun acc sh -> acc + nrows sh) 0 t.shards
 
@@ -491,48 +501,43 @@ let apply_contrib t (sh : shard) key ~sign ~cnt r i (item : Select_item.t)
   | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
     invalid_arg "View_state: contribution does not match aggregate state"
 
+let apply_contribs t sh key ~sign ~cnt r (contribs : contrib option array) =
+  for i = 0 to Array.length contribs - 1 do
+    match contribs.(i) with
+    | Some contrib -> apply_contrib t sh key ~sign ~cnt r i t.items.(i) contrib
+    | None -> ()
+  done
+
 let feed t ~key ~cnt contribs =
-  let sh = shard_for t key in
-  let row = find_row sh key in
+  let hash = Tuple.hash key in
+  let sh = t.shards.(hash land t.mask) in
+  let row = probe_row sh ~hash key in
   note_known sh key row;
-  let r = match row with Some r -> r | None -> append_fresh sh key contribs in
+  let r = if row >= 0 then row else append_fresh sh ~hash key contribs in
   Icol.add sh.cnt0 r cnt;
-  Array.iteri
-    (fun i c ->
-      match c with
-      | Some contrib ->
-        apply_contrib t sh key ~sign:1 ~cnt r i t.items.(i) contrib
-      | None -> ())
-    contribs
+  apply_contribs t sh key ~sign:1 ~cnt r contribs
 
 let unfeed t ~key ~cnt contribs =
-  let sh = shard_for t key in
-  match find_row sh key with
-  | None ->
+  let hash = Tuple.hash key in
+  let sh = t.shards.(hash land t.mask) in
+  let r = probe_row sh ~hash key in
+  if r < 0 then
     invalid_arg
       (Printf.sprintf "View_state.unfeed: group %s absent"
-         (Tuple.to_string key))
-  | Some r ->
-    if Icol.get sh.cnt0 r < cnt then
-      invalid_arg "View_state.unfeed: count underflow";
-    note_known sh key (Some r);
-    Icol.add sh.cnt0 r (-cnt);
-    if Icol.get sh.cnt0 r = 0 then begin
-      delete_row sh r;
-      TH.remove sh.dirty key
-    end
-    else
-      Array.iteri
-        (fun i c ->
-          match c with
-          | Some contrib ->
-            apply_contrib t sh key ~sign:(-1) ~cnt r i t.items.(i) contrib
-          | None -> ())
-        contribs
+         (Tuple.to_string key));
+  if Icol.get sh.cnt0 r < cnt then
+    invalid_arg "View_state.unfeed: count underflow";
+  note_known sh key r;
+  Icol.add sh.cnt0 r (-cnt);
+  if Icol.get sh.cnt0 r = 0 then begin
+    delete_row sh r;
+    TH.remove sh.dirty key
+  end
+  else apply_contribs t sh key ~sign:(-1) ~cnt r contribs
 
 (* Re-fold every DISTINCT result of the group at [r] from its multiset. *)
 let refold t (sh : shard) key r =
-  note_known sh key (Some r);
+  note_known sh key r;
   Array.iteri
     (fun i slot ->
       match slot, t.items.(i) with
@@ -564,7 +569,7 @@ let set_value t ~key ~item v =
   match find_row sh key with
   | None -> ()
   | Some r -> (
-    note_known sh key (Some r);
+    note_known sh key r;
     match sh.slots.(item) with
     | L_ext cell -> Column.set cell r v
     | L_group | L_count _ | L_sum _ | L_dist _ ->
@@ -582,8 +587,9 @@ let adjust_group t ~key ~new_key updates =
   | Some r ->
     let moving = not (Tuple.equal key new_key) in
     let sh' = if moving then shard_for t new_key else sh in
-    note_known sh key (Some r);
-    if moving then note_known sh' new_key (find_row sh' new_key);
+    note_known sh key r;
+    if moving then
+      note_known sh' new_key (probe_row sh' ~hash:(Tuple.hash new_key) new_key);
     List.iter
       (fun (i, upd) ->
         match sh.slots.(i), t.items.(i), upd with

@@ -909,13 +909,17 @@ let delta_table_counts deltas =
 
 (* One lineage record per committed batch, keyed by its WAL sequence
    number. Called only after [commit_engines] (never on the rollback or
-   quarantine paths), so every emitted record describes durable state. *)
-let emit_lineage t ~seq deltas =
+   quarantine paths), so every emitted record describes durable state.
+   [tables] is [delta_table_counts deltas] when the caller has it. *)
+let emit_lineage ?tables t ~seq deltas =
   if Telemetry.enabled () then
     Telemetry.Lineage.emit
       {
         Telemetry.Lineage.txn = seq;
-        tables = delta_table_counts deltas;
+        tables =
+          (match tables with
+          | Some counts -> counts
+          | None -> delta_table_counts deltas);
         flows =
           List.filter_map
             (fun r -> Engines.last_flow r.engine)
@@ -1264,8 +1268,9 @@ let ingest_report_inner ~sync t deltas =
          epoch here, atomically; until this set they keep serving the
          previous committed state. Views whose tables the batch did not
          touch carry their captures over. *)
-      publish_epoch ~touched:(List.map fst (delta_table_counts accepted)) t;
-      emit_lineage t ~seq accepted;
+      let tables = delta_table_counts accepted in
+      publish_epoch ~touched:(List.map fst tables) t;
+      emit_lineage ~tables t ~seq accepted;
       (match t.checkpoint_every with
       | Some n when n > 0 && t.seq mod n = 0 && t.wal <> None -> checkpoint t
       | Some _ | None -> ());

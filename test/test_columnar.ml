@@ -328,6 +328,52 @@ let prop_parallel_equivalence =
       done;
       !ok)
 
+(* --- scratch isolation: an engine and its copy ---------------------------- *)
+
+(* The serial feed joins through a per-engine scratch row. An engine and
+   its copy, fed interleaved batches from two diverging sources, must each
+   equal recomputation over its own source; the original then takes the
+   merged path on an eager pool (fresh rows per operation, on workers)
+   after all those serial batches. *)
+let prop_copy_isolation =
+  let views =
+    [|
+      Workload.Retail.product_sales; Workload.Retail.product_sales_max;
+      Workload.Retail.sales_by_time; Workload.Retail.monthly_revenue;
+    |]
+  in
+  QCheck2.Test.make ~count:(max 10 (count / 4))
+    ~name:"engine and its copy: interleaved batches == own recomputation"
+    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" views.(v).View.name seed)
+    Gen.(pair (int_bound (Array.length views - 1)) (int_bound 100_000))
+    (fun (v, seed) ->
+      let view = views.(v) in
+      let db = Workload.Retail.load tiny_params in
+      let e = Engines.minimal db view in
+      let rng = Prng.create seed in
+      (* a batch before the copy leaves the original's scratch row holding
+         rows of its own auxiliary views *)
+      Engines.apply_batch e (Workload.Delta_gen.stream rng db ~n:15);
+      let db' = Database.copy db in
+      let c = Engines.copy e in
+      let rng' = Prng.create (seed + 1) in
+      let agrees e db =
+        Relation.equal (Engines.view_contents e) (Algebra.Eval.eval db view)
+      in
+      let ok = ref true in
+      for _ = 1 to 4 do
+        Engines.apply_batch e (Workload.Delta_gen.stream rng db ~n:12);
+        ok := !ok && agrees e db;
+        Engines.apply_batch c (Workload.Delta_gen.stream rng' db' ~n:12);
+        ok := !ok && agrees c db' && agrees e db
+      done;
+      let pool = Lazy.force eager_pool in
+      fanned_out "the eager batch" (fun () ->
+          Engines.apply_batch ~parallel:pool e
+            (Workload.Delta_gen.stream rng db ~n:20));
+      Engines.apply_batch c (Workload.Delta_gen.stream rng' db' ~n:12);
+      !ok && agrees e db && agrees c db')
+
 (* --- directed: dictionaries --------------------------------------------- *)
 
 let dict_tests =
@@ -526,6 +572,61 @@ let rowmap_tests =
         Rowmap.iter m (fun _ -> incr seen);
         Alcotest.(check int) "iter visits live rows" (Rowmap.length m) !seen);
   ]
+
+(* The closure-free probe against [find], under random add / remove /
+   rename sequences over a small key domain whose hashes collide (a few
+   probe chains, broken by tombstones and rebuilt by resizes). *)
+let probe_eq keys k r = Hashtbl.find keys r = k
+
+let prop_rowmap_probe =
+  QCheck2.Test.make ~count:(4 * count) ~name:"rowmap: probe == find (random churn)"
+    ~print:QCheck2.Print.(list (pair int int))
+    Gen.(list_size (int_range 1 400) (pair (int_bound 2) (int_bound 40)))
+    (fun ops ->
+      let keys = Hashtbl.create 64 in
+      let hash k = k mod 7 in
+      let m = Rowmap.create ~hint:8 ~hash:(fun r -> hash (Hashtbl.find keys r)) () in
+      (* live key -> its row, the model *)
+      let live = Hashtbl.create 64 in
+      let next = ref 0 in
+      let fresh () =
+        incr next;
+        !next
+      in
+      let agree () =
+        List.for_all
+          (fun k ->
+            let found =
+              match
+                Rowmap.find m ~hash:(hash k) ~eq:(fun r -> Hashtbl.find keys r = k)
+              with
+              | Some r -> r
+              | None -> -1
+            in
+            let probed = Rowmap.probe m ~hash:(hash k) probe_eq keys k in
+            probed = found
+            && probed = Option.value (Hashtbl.find_opt live k) ~default:(-1))
+          (List.init 41 Fun.id)
+      in
+      List.for_all
+        (fun (op, k) ->
+          (match op, Hashtbl.find_opt live k with
+          | 0, None ->
+            let r = fresh () in
+            Hashtbl.replace keys r k;
+            Rowmap.add m ~hash:(hash k) r;
+            Hashtbl.replace live k r
+          | 1, Some r ->
+            ignore (Rowmap.remove_value m ~hash:(hash k) r);
+            Hashtbl.remove live k
+          | 2, Some r ->
+            let r' = fresh () in
+            Hashtbl.replace keys r' k;
+            ignore (Rowmap.rename_value m ~hash:(hash k) ~old_row:r ~new_row:r');
+            Hashtbl.replace live k r'
+          | _ -> ());
+          agree ())
+        ops)
 
 (* --- directed: swap-delete index repair ---------------------------------- *)
 
@@ -765,10 +866,11 @@ let () =
             prop_aux_dimension;
             prop_view_matrix;
             prop_parallel_equivalence;
+            prop_copy_isolation;
           ] );
       ("dict", dict_tests);
       ("column", column_tests);
-      ("rowmap", rowmap_tests);
+      ("rowmap", rowmap_tests @ [ QCheck_alcotest.to_alcotest prop_rowmap_probe ]);
       ("index-repair", index_tests);
       ("undo-journal", undo_tests);
       ("accounting", accounting_tests);

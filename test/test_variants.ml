@@ -171,6 +171,100 @@ let variant_aux_tests =
             ("no-compression", no_compress); ("all-off", all_off) ]);
   ]
 
+(* --- column-vs-column local conditions -------------------------------------- *)
+
+(* The schema generator only emits constant right-hand sides; these views
+   compare two columns of one row, on the root and on a dimension, so the
+   engine's resolved conditions take their position-vs-position branch —
+   on base tuples, and in the no-pushdown ablation on stored rows. *)
+let col_cond l op r = { Predicate.left = l; op; right = Predicate.Col r }
+
+let col_vs_col_locals =
+  [
+    col_cond (a "sale" "productid") Cmp.Lt (a "sale" "price");
+    col_cond (a "time" "month") Cmp.Lt (a "time" "day");
+  ]
+
+let col_vs_col_views =
+  [
+    (* MAX keeps the root auxiliary view and walks it for dirty groups *)
+    {
+      View.name = "category_top";
+      having = [];
+      select =
+        [
+          group (a "product" "category");
+          sum ~alias:"total" (a "sale" "price");
+          count_star ();
+          max_ ~alias:"top" (a "sale" "price");
+        ];
+      tables = [ "sale"; "time"; "product" ];
+      locals = col_vs_col_locals;
+      joins =
+        [
+          join (a "sale" "timeid") (a "time" "id");
+          join (a "sale" "productid") (a "product" "id");
+        ];
+    };
+    {
+      View.name = "daily_revenue";
+      having = [];
+      select =
+        [
+          group (a "time" "id");
+          sum ~alias:"revenue" (a "sale" "price");
+          count_star ();
+        ];
+      tables = [ "sale"; "time" ];
+      locals = col_vs_col_locals;
+      joins = [ join (a "sale" "timeid") (a "time" "id") ];
+    };
+  ]
+
+(* eager: even these small batches fan out over both domains *)
+let col_pool = lazy (Maintenance.Shard.eager ~domains:2)
+
+let col_vs_col_tests =
+  List.map
+    (fun (name, options) ->
+      test (name ^ ": column-vs-column conditions, serial == eager pool")
+        (fun () ->
+          List.iteri
+            (fun idx view ->
+              let db = Workload.Retail.load tiny_params in
+              View.validate db view;
+              let ser = Engines.with_options ~name options db view in
+              let par = Engines.with_options ~name options db view in
+              let pool = Lazy.force col_pool in
+              let rng = Workload.Prng.create (300 + idx) in
+              let mix = { Workload.Delta_gen.insert = 2; delete = 2; update = 2 } in
+              for round = 1 to 5 do
+                (* generated in order: each stream applies itself to [db] *)
+                let facts = Workload.Delta_gen.stream ~mix rng db ~n:30 in
+                let dims =
+                  Workload.Delta_gen.stream_for ~mix rng db
+                    ~tables:[ "time"; "product" ] ~n:4
+                in
+                let deltas = facts @ dims in
+                Engines.apply_batch ser deltas;
+                fanned_out "the eager batch" (fun () ->
+                    Engines.apply_batch ~parallel:pool par deltas);
+                let what = Printf.sprintf "%s/%s round %d" name view.View.name round in
+                Alcotest.check relation what
+                  (Algebra.Eval.eval db view)
+                  (Engines.view_contents ser);
+                Alcotest.check relation (what ^ " (eager pool)")
+                  (Engines.view_contents ser)
+                  (Engines.view_contents par);
+                Alcotest.(check bool) (what ^ ": equal state") true
+                  (Engines.equal_state ser par)
+              done)
+            col_vs_col_views))
+    [
+      ("minimal", Derive.default_options); ("no-pushdown", no_push);
+      ("no-semijoin", no_semijoin);
+    ]
+
 (* --- append-only mode ------------------------------------------------------ *)
 
 let inserts_only = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 }
@@ -310,5 +404,6 @@ let () =
       ("structure", structure_tests);
       ("ablation-correctness", correctness_tests);
       ("ablation-aux", variant_aux_tests);
+      ("column-vs-column", col_vs_col_tests);
       ("append-only", append_tests);
     ]
