@@ -1008,6 +1008,10 @@ let parallel_scaling () =
             ~samples
             (fun () -> Engine.apply_batch e batch)
         in
+        (* operations a pool really issued: a one-domain pool applies the
+           netted deltas directly, a wider one may merge them (the lineage
+           flow outlives the rollback; the profile stands in when telemetry
+           is off) *)
         let runs =
           List.map
             (fun (d, pool) ->
@@ -1017,16 +1021,21 @@ let parallel_scaling () =
                   ~samples
                   (fun () -> Engine.apply_batch ~parallel:pool e batch)
               in
-              (d, ms, serial_ms /. Float.max 1e-9 ms))
+              let applied =
+                match Engine.last_flow e with
+                | Some f -> f.Telemetry.Lineage.applied
+                | None -> prof.Engine.applied
+              in
+              (d, ms, serial_ms /. Float.max 1e-9 ms, applied))
             pools
         in
         results :=
           (resident, workload, prof, serial_ms, runs) :: !results;
         List.iter
-          (fun (d, ms, sp) ->
+          (fun (d, ms, sp, applied) ->
             rows_out :=
               [ string_of_int resident; workload; string_of_int n;
-                string_of_int prof.Engine.applied;
+                string_of_int applied;
                 Printf.sprintf "%.1f" serial_ms; string_of_int d;
                 Printf.sprintf "%.1f" ms; Printf.sprintf "%.1fx" sp ]
               :: !rows_out)
@@ -1056,18 +1065,24 @@ let parallel_scaling () =
       (fun acc (_, w, (prof : Engine.batch_profile), _, runs) ->
         if String.equal w "uniform" && prof.Engine.input = biggest_batch then
           List.fold_left
-            (fun acc (d, _, sp) -> if d = max_domains then Float.max acc sp else acc)
+            (fun acc (d, _, sp, _) ->
+              if d = max_domains then Float.max acc sp else acc)
             acc runs
         else acc)
       0. results
   in
+  (* the best compression any pool reached: the weighted merge's, when a
+     pool of two or more domains ran *)
   let zipf_ratio =
     List.fold_left
-      (fun acc (_, w, (prof : Engine.batch_profile), _, _) ->
+      (fun acc (_, w, (prof : Engine.batch_profile), _, runs) ->
         if String.equal w "zipf" then
-          Float.max acc
-            (float_of_int prof.Engine.input
-            /. float_of_int (max 1 prof.Engine.applied))
+          List.fold_left
+            (fun acc (_, _, _, applied) ->
+              Float.max acc
+                (float_of_int prof.Engine.input
+                /. float_of_int (max 1 applied)))
+            acc runs
         else acc)
       0. results
   in
@@ -1098,10 +1113,11 @@ let parallel_scaling () =
               prof.Engine.applied serial_ms
               (String.concat ", "
                  (List.map
-                    (fun (d, ms, sp) ->
+                    (fun (d, ms, sp, applied) ->
                       Printf.sprintf
-                        "{ \"domains\": %d, \"ms\": %.2f, \"speedup\": %.2f }"
-                        d ms sp)
+                        "{ \"domains\": %d, \"ms\": %.2f, \"speedup\": \
+                         %.2f, \"applied\": %d }"
+                        d ms sp applied)
                     runs)))
           results))
     root_heavy_speedup zipf_ratio;

@@ -1347,12 +1347,15 @@ type root_op = {
 }
 
 let known t (d : Delta.t) = Hashtbl.mem t.slots d.Delta.table
-let known_deltas t deltas = List.filter (known t) deltas
 
-let net_batch t deltas =
-  Delta_batch.net
-    ~key_index:(fun tbl -> Schema.key_index (schema t tbl))
-    (known_deltas t deltas)
+(* The key positions of the view's own tables; the others are dropped. *)
+let own_keys t tbl =
+  if Hashtbl.mem t.slots tbl then Some (Schema.key_index (schema t tbl))
+  else None
+
+let net ~key_index deltas =
+  Telemetry.with_phase Obs.compact ~alloc:Obs.compact_alloc "engine.compact"
+    (fun () -> Delta_batch.net ~key_index deltas)
 
 (* Merge net root changes into signed weighted operations keyed by the
    [root_reads] projection — the delta-stream counterpart of the paper's
@@ -1418,7 +1421,10 @@ let ops_per_domain = 2048
 type dispatch = Direct | Merged of { ops : root_op array; workers : int }
 
 (* The one dispatch rule, decided once per batch from its netted root
-   changes. Each worker re-touches its whole shard partition's cache
+   changes. A one-domain pool applies them directly, whatever their number:
+   with no second worker, the merge and the prepare/apply split only add
+   an op record, a projection hash and a shard test per operation. On more
+   domains, each worker re-touches its whole shard partition's cache
    footprint, so the parallel break-even grows with the resident state —
    10k-op batches over 500k resident rows ran ~3x slower parallel than
    serial (BENCH_parallel.json). Hence the serial floor
@@ -1427,17 +1433,19 @@ type dispatch = Direct | Merged of { ops : root_op array; workers : int }
    while [n] is below the floor, else over [max 2 (n / ops_per_domain)]
    workers (at most [cap]). An eager pool always merges and uses [cap]. *)
 let dispatch t pool ~root_changes ~merge =
-  let floor = max min_serial_floor (resident_rows t / 32) in
   let cap = min (Shard.domains pool) nshards in
   if Shard.is_eager pool then Merged { ops = merge (); workers = cap }
-  else if root_changes < floor then Direct
+  else if cap = 1 then Direct
   else
-    let ops = merge () in
-    let n = Array.length ops in
-    let workers =
-      if n < floor then 1 else min cap (max 2 (n / ops_per_domain))
-    in
-    Merged { ops; workers }
+    let floor = max min_serial_floor (resident_rows t / 32) in
+    if root_changes < floor then Direct
+    else
+      let ops = merge () in
+      let n = Array.length ops in
+      let workers =
+        if n < floor then 1 else min cap (max 2 (n / ops_per_domain))
+      in
+      Merged { ops; workers }
 
 let apply_root_ops t pool ~workers:nw ops =
   let n = Array.length ops in
@@ -1515,11 +1523,12 @@ let apply_root_ops t pool ~workers:nw ops =
           Array.iter (fun op -> if op.net > 0 then apply_op op) ops;
           Array.iter (fun op -> if op.net < 0 then apply_op op) ops))
 
-(* Serial-floor fast path: a batch whose raw root-delta count is below the
-   serial floor skips the weighted merge and the prepare/apply split — per
-   operation, the dimension probes feed the root-aux and view-state writes
-   directly through the serial route's writers, with no op records, no
-   projection hashing and no shard-ownership hashing. Exactly equivalent to
+(* Direct path: a batch on a one-domain pool, or one whose netted root
+   changes are below the serial floor, skips the weighted merge and the
+   prepare/apply split — per operation, the dimension probes feed the
+   root-aux and view-state writes directly through the serial route's
+   writers, with no op records, no projection hashing and no
+   shard-ownership hashing. Exactly equivalent to
    [root_merge] + [apply_root_ops]: preparation reads only dimension
    auxiliary views while application writes only the root auxiliary view
    and the view state (so fusing them per operation changes nothing), and
@@ -1605,29 +1614,34 @@ let last_flow t = t.last_flow
    references are gone), root operations run compacted and shard-parallel.
    Equivalent to the serial replay for any batch that is legal against the
    pre-batch state — see DESIGN.md, "Concurrency model". *)
-let apply_batch_parallel t pool deltas =
+let apply_batch_parallel t pool ?netted deltas =
   (* append-only violations must reject the batch whether or not the
      offending change nets out — match the serial path's verdict *)
   if t.append_only then List.iter (check_append_only t) deltas;
   let pre_flow = flow_pre t in
   let net =
-    Telemetry.with_phase Obs.compact ~alloc:Obs.compact_alloc "engine.compact"
-      (fun () -> net_batch t deltas)
+    match netted with
+    | Some net -> net
+    | None -> net ~key_index:(own_keys t) deltas
   in
-  if Telemetry.enabled () then begin
-    Telemetry.Counter.inc Obs.deltas_total
-      net.Delta_batch.stats.Delta_batch.input;
-    Telemetry.Counter.inc Obs.deltas_netted
-      net.Delta_batch.stats.Delta_batch.output
-  end;
+  (* this view's tables of the batch: a shared netted batch may hold others *)
   let root_deltas = ref [] in
   let dims = ref [] in
+  let deltas_in = ref 0 and net_count = ref 0 in
   List.iter
-    (fun (tbl, ds) ->
-      match Hashtbl.find t.slots tbl with
-      | 0 -> root_deltas := ds
-      | s -> dims := (List.length (path_to t tbl), s, ds) :: !dims)
+    (fun (tb : Delta_batch.table) ->
+      match Hashtbl.find_opt t.slots tb.name with
+      | None -> ()
+      | Some s ->
+        deltas_in := !deltas_in + tb.input;
+        net_count := !net_count + List.length tb.deltas;
+        if s = 0 then root_deltas := tb.deltas
+        else dims := (List.length (path_to t tb.name), s, tb.deltas) :: !dims)
     net.Delta_batch.tables;
+  if Telemetry.enabled () then begin
+    Telemetry.Counter.inc Obs.deltas_total !deltas_in;
+    Telemetry.Counter.inc Obs.deltas_netted !net_count
+  end;
   let deep_first =
     List.sort (fun (a, _, _) (b, _, _) -> compare b a) (List.rev !dims)
   in
@@ -1677,11 +1691,10 @@ let apply_batch_parallel t pool deltas =
         | Delta.Insert _ | Delta.Update _ -> ()));
   Telemetry.with_phase Obs.view_update ~alloc:Obs.view_update_alloc
     "engine.view-update" (fun () -> flush t);
-  flow_finish t pre_flow ~mode:"parallel"
-    ~deltas_in:net.Delta_batch.stats.Delta_batch.input
-    ~netted:net.Delta_batch.stats.Delta_batch.output ~applied:!applied_ops
+  flow_finish t pre_flow ~mode:"parallel" ~deltas_in:!deltas_in
+    ~netted:!net_count ~applied:!applied_ops
 
-let apply_batch ?parallel t deltas =
+let apply_batch ?parallel ?netted t deltas =
   match parallel with
   | None ->
     Telemetry.Counter.one Obs.batches_serial;
@@ -1706,35 +1719,29 @@ let apply_batch ?parallel t deltas =
     Telemetry.Counter.one Obs.batches_parallel;
     Telemetry.with_phase Obs.apply_parallel "engine.apply-batch"
       ~attrs:[ ("mode", "parallel"); ("view", t.view.View.name) ]
-      (fun () -> apply_batch_parallel t pool deltas)
+      (fun () -> apply_batch_parallel t pool ?netted deltas)
 
 type batch_profile = { input : int; netted : int; applied : int }
 
-(* Measure what compaction would do to [deltas] without applying them. *)
+(* Measure what compaction would do to [deltas] without applying them;
+   outside the compact phase, which times applied batches only. A one-domain
+   pool applies the netted deltas as they are, root updates as a deletion
+   and an insertion. *)
 let net_profile t deltas =
-  let net = net_batch t deltas in
-  let dim_ops, root_ds =
+  let net = Delta_batch.net ~key_index:(own_keys t) deltas in
+  let applied =
     List.fold_left
-      (fun (dims, root) (tbl, ds) ->
-        if String.equal tbl t.root then (dims, ds)
-        else (dims + List.length ds, root))
-      (0, []) net.Delta_batch.tables
-  in
-  let root_changes = root_change_count root_ds in
-  let root_ops =
-    (* the dispatch a one-domain pool would take: below the serial floor
-       the netted root deltas are applied as they are *)
-    match
-      dispatch t Shard.serial ~root_changes ~merge:(fun () ->
-          root_merge t root_ds)
-    with
-    | Direct -> root_changes
-    | Merged { ops; _ } -> live_ops ops
+      (fun acc (tb : Delta_batch.table) ->
+        acc
+        +
+        if String.equal tb.name t.root then root_change_count tb.deltas
+        else List.length tb.deltas)
+      0 net.Delta_batch.tables
   in
   {
-    input = List.length deltas;
-    netted = net.Delta_batch.stats.Delta_batch.output;
-    applied = dim_ops + root_ops;
+    input = net.Delta_batch.stats.input;
+    netted = net.Delta_batch.stats.output;
+    applied;
   }
 
 (* --- inspection -------------------------------------------------------- *)

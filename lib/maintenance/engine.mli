@@ -87,31 +87,52 @@ val rollback : t -> unit
     to match existing state is indistinguishable from a legal one.
 
     With [?parallel], the batch takes the compacted fast path: deltas are
-    netted per (table, key) ({!Relational.Delta_batch}) and one dispatch
-    rule, decided once per batch, places the netted root-table changes.
-    Below the serial floor [max 512 (resident / 32)] ([resident]: view
-    groups plus auxiliary-view rows) they are applied directly, positive
-    changes first. Otherwise they are merged into weighted operations keyed
-    by the engine's read-set projection (the paper's duplicate compression
-    applied to the delta stream) and applied inline while the [n] merged
-    operations are below the floor, else across [max 2 (n / 2048)] pool
-    workers (at most the pool's domains), each owning a disjoint set of
-    hash shards of the root auxiliary view and the view state. A
-    {!Shard.eager} pool always merges and uses every domain. Dimension
-    changes and cross-group work (key changes, regrouping updates,
-    eliminated-root rewrites) run on the calling domain. The final state
-    is structurally equal to the serial replay for any batch that is legal
-    against the pre-batch state, and {!begin_txn}/{!rollback} semantics
-    are preserved: shard undo journals are only ever touched by the
-    shard's owning domain. *)
-val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
+    netted per (table, key) ({!net}) and one dispatch rule, decided once per
+    batch, places the netted root-table changes. A one-domain pool applies
+    them directly, positive changes first, whatever their number; so does
+    any pool below the serial floor [max 512 (resident / 32)] ([resident]:
+    view groups plus auxiliary-view rows). Otherwise they are merged into
+    weighted operations keyed by the engine's read-set projection (the
+    paper's duplicate compression applied to the delta stream) and applied
+    inline while the [n] merged operations are below the floor, else across
+    [max 2 (n / 2048)] pool workers (at most the pool's domains), each
+    owning a disjoint set of hash shards of the root auxiliary view and the
+    view state. A {!Shard.eager} pool always merges and uses every domain.
+    Dimension changes and cross-group work (key changes, regrouping
+    updates, eliminated-root rewrites) run on the calling domain. The final
+    state is structurally equal to the serial replay for any batch that is
+    legal against the pre-batch state, and {!begin_txn}/{!rollback}
+    semantics are preserved: shard undo journals are only ever touched by
+    the shard's owning domain.
 
-(** What {!apply_batch}'s fast path would do to a batch, without applying
-    it: [input] raw deltas, [netted] after per-key compaction, [applied]
-    operations actually issued — net dimension deltas plus, by the same
-    dispatch rule as {!apply_batch} on a non-eager pool, either the netted
-    root deltas as they are (below the serial floor, where the fast path
-    applies them directly) or the merged weighted root operations. *)
+    [?netted] is [deltas] already netted by {!net}, shared by every view
+    maintained from the batch: it must cover at least the view's tables,
+    and the engine takes only those from it. Without it, the engine nets
+    its own tables. It is ignored without [?parallel]; append-only checks
+    always run on the raw [deltas]. *)
+val apply_batch :
+  ?parallel:Shard.pool ->
+  ?netted:Relational.Delta_batch.t ->
+  t ->
+  Relational.Delta.t list ->
+  unit
+
+(** [net ~key_index deltas] is {!Relational.Delta_batch.net}, timed as the
+    [compact] maintenance phase: the one netting of the compacted path,
+    whether an engine nets its own batch or a caller nets one batch for
+    several views. *)
+val net :
+  key_index:(string -> int option) ->
+  Relational.Delta.t list ->
+  Relational.Delta_batch.t
+
+(** What {!apply_batch}'s fast path on a one-domain pool would do to a
+    batch, without applying it: [input] deltas of the view's tables,
+    [netted] after per-key compaction, [applied] operations actually
+    issued — the netted deltas as they are, a root update counting as a
+    deletion and an insertion (the direct path). A multi-domain pool that
+    merges a batch may issue fewer. The profile's netting is not timed as
+    the [compact] phase. *)
 type batch_profile = { input : int; netted : int; applied : int }
 
 val net_profile : t -> Relational.Delta.t list -> batch_profile

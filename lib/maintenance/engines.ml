@@ -106,9 +106,14 @@ let rollback = function
       r.txn <- None)
   | Split p -> Partitioned.rollback p
 
-let apply_batch ?parallel t deltas =
+let takes_netted = function
+  | Incremental _ -> true
+  | Recompute _ | Split _ -> false
+
+let apply_batch ?parallel ?netted t deltas =
   match t with
-  | Incremental { engine; _ } -> Engine.apply_batch ?parallel engine deltas
+  | Incremental { engine; _ } ->
+    Engine.apply_batch ?parallel ?netted engine deltas
   | Recompute r -> (
     match r.txn with
     | None -> Database.apply_all r.replica deltas

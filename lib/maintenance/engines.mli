@@ -78,8 +78,20 @@ val rollback : t -> unit
 
 (** Process a batch of source changes. [?parallel] selects the compacted
     shard-parallel fast path on incremental (and partitioned) engines — see
-    {!Engine.apply_batch}; the recompute baseline ignores it. *)
-val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
+    {!Engine.apply_batch}; the recompute baseline ignores it. [?netted] is
+    the batch netted once for several views ({!Engine.net}); only an
+    incremental configuration takes its tables from it (see
+    {!takes_netted}), a partitioned one nets each side of its split. *)
+val apply_batch :
+  ?parallel:Shard.pool ->
+  ?netted:Relational.Delta_batch.t ->
+  t ->
+  Relational.Delta.t list ->
+  unit
+
+(** Whether {!apply_batch} uses a [?netted] batch: true for incremental
+    configurations only. *)
+val takes_netted : t -> bool
 
 (** Current contents of the materialized view.
 

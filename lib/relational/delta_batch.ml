@@ -25,7 +25,9 @@ end)
 
 type stats = { input : int; output : int }
 
-type t = { tables : (string * Delta.t list) list; stats : stats }
+type table = { name : string; input : int; deltas : Delta.t list }
+
+type t = { tables : table list; stats : stats }
 
 (* A netted-out slot still constrains later changes, and in two different
    ways: after insert;delete the row is [Absent] (only a fresh insert is
@@ -109,34 +111,39 @@ let net_table table acc changes =
     [] !slot_order
 
 let net ~key_index (deltas : Delta.t list) =
-  let tables : (string, table_acc) Hashtbl.t = Hashtbl.create 7 in
+  (* [None]: a table [key_index] does not know, dropped *)
+  let tables : (string, table_acc option) Hashtbl.t = Hashtbl.create 7 in
   let table_order = ref [] in
-  let input = ref 0 in
   List.iter
     (fun (d : Delta.t) ->
-      incr input;
       let acc =
-        match Hashtbl.find_opt tables d.table with
-        | Some acc -> acc
-        | None ->
+        match Hashtbl.find tables d.table with
+        | acc -> acc
+        | exception Not_found ->
           let acc =
-            { ki = key_index d.table; ds = []; n = 0; mixed = false }
+            Option.map
+              (fun ki -> { ki; ds = []; n = 0; mixed = false })
+              (key_index d.table)
           in
           Hashtbl.add tables d.table acc;
-          table_order := d.table :: !table_order;
+          Option.iter
+            (fun acc -> table_order := (d.table, acc) :: !table_order)
+            acc;
           acc
       in
-      acc.ds <- d :: acc.ds;
-      acc.n <- acc.n + 1;
-      match d.change with
-      | Insert _ -> ()
-      | Delete _ | Update _ -> acc.mixed <- true)
+      match acc with
+      | None -> ()
+      | Some acc -> (
+        acc.ds <- d :: acc.ds;
+        acc.n <- acc.n + 1;
+        match d.change with
+        | Insert _ -> ()
+        | Delete _ | Update _ -> acc.mixed <- true))
     deltas;
-  let output = ref 0 in
+  let input = ref 0 and output = ref 0 in
   let tables =
     List.rev_map
-      (fun table ->
-        let acc = Hashtbl.find tables table in
+      (fun (name, acc) ->
         let ds =
           if not acc.mixed then
             (* inserts can't interact with each other: each targets a fresh
@@ -145,12 +152,13 @@ let net ~key_index (deltas : Delta.t list) =
                per-key hashing entirely *)
             List.rev acc.ds
           else
-            net_table table acc (List.rev_map (fun d -> d.Delta.change) acc.ds)
+            net_table name acc (List.rev_map (fun d -> d.Delta.change) acc.ds)
         in
+        input := !input + acc.n;
         output := !output + List.length ds;
-        (table, ds))
+        { name; input = acc.n; deltas = ds })
       !table_order
   in
   { tables; stats = { input = !input; output = !output } }
 
-let deltas t = List.concat_map snd t.tables
+let deltas t = List.concat_map (fun tb -> tb.deltas) t.tables

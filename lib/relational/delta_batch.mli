@@ -8,21 +8,26 @@
 
 type stats = { input : int  (** deltas fed in *); output : int  (** net deltas out *) }
 
-type t = {
-  tables : (string * Delta.t list) list;
-      (** net deltas grouped by table; tables and keys both appear in
-          first-touch order of the original batch *)
-  stats : stats;
+(** One table's share of a netted batch. *)
+type table = {
+  name : string;
+  input : int;  (** the batch's deltas of this table *)
+  deltas : Delta.t list;  (** its net deltas, keys in first-touch order *)
 }
 
-(** [net ~key_index deltas] compacts a batch.  [key_index tbl] must give the
-    primary-key position in [tbl]'s tuple layout for every table that occurs
-    in the batch.
+type t = {
+  tables : table list;  (** in first-touch order of the original batch *)
+  stats : stats;  (** totals over [tables] *)
+}
+
+(** [net ~key_index deltas] compacts the deltas of the tables [key_index]
+    knows: [key_index tbl] is [Some] of the primary-key position in [tbl]'s
+    tuple layout, or [None] to drop [tbl]'s deltas uncounted.
 
     @raise Invalid_argument if the batch is not replayable against any
     starting state (duplicate insert, double delete, change to a row the
     batch itself netted out). *)
-val net : key_index:(string -> int) -> Delta.t list -> t
+val net : key_index:(string -> int option) -> Delta.t list -> t
 
 (** Flattened net deltas, tables concatenated in first-touch order. *)
 val deltas : t -> Delta.t list

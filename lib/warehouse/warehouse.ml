@@ -34,6 +34,7 @@ module Storage = struct
       rows
 end
 
+module Checksum = Checksum
 module Database = Relational.Database
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
@@ -1090,16 +1091,35 @@ let with_retry t ~what f =
 let sync_wal t ~what =
   Option.iter (fun w -> with_retry t ~what (fun () -> Wal.sync w)) t.wal
 
+(* The batch netted once for every incremental view on the compacted path:
+   only the tables some of them read, keyed as the shadow keys them. [None]
+   when no view takes a netted batch. *)
+let net_batch t deltas =
+  let takers = List.filter (fun r -> Engines.takes_netted r.engine) t.views in
+  if takers = [] then None
+  else
+    let shadow = Validator.shadow t.validator in
+    let key_index tbl =
+      if List.exists (fun r -> List.mem tbl r.view.View.tables) takers then
+        Some (Relational.Schema.key_index (Database.schema_of shadow tbl))
+      else None
+    in
+    Some (Maintenance.Engine.net ~key_index deltas)
+
 (* Transactional apply, in place: every engine opens an undo journal and
    absorbs the batch directly; a mid-batch failure rolls back only the
    touched groups, so the registered views can never disagree about which
    deltas they have seen — at O(delta) cost. The hot path never deep-copies
-   engine state ([Engines.copy] is reserved for snapshot checkpoints). *)
+   engine state ([Engines.copy] is reserved for snapshot checkpoints). With
+   a pool the batch is netted once, inside the transaction (an illegal
+   batch fails like an engine would), and dropped with this frame once the
+   last engine has used it. *)
 let apply_in_place t ~pool deltas =
   List.iter (fun r -> Engines.begin_txn r.engine) t.views;
+  let netted = Option.bind pool (fun _ -> net_batch t deltas) in
   List.iteri
     (fun i r ->
-      Engines.apply_batch ?parallel:pool r.engine deltas;
+      Engines.apply_batch ?parallel:pool ?netted r.engine deltas;
       if i = 0 then Faults.hit Faults.Mid_engine_apply)
     t.views
 

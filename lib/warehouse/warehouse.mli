@@ -26,6 +26,9 @@ module Storage : sig
   val render_profile : model -> (string * int * int) list -> string
 end
 
+(** CRC-32 of the WAL records and snapshot payloads. *)
+module Checksum = Checksum
+
 (** {2 Errors} *)
 
 type error_kind =
@@ -236,7 +239,9 @@ val set_dead_letter_cap : t -> int option -> unit
 (** [set_parallel t (Some pool)] makes every subsequent batch apply through
     the compacted shard-parallel fast path ({!Maintenance.Engine.apply_batch}
     with [?parallel]) on engines that support it; [None] (the initial state)
-    restores plain serial application. Runtime configuration, not state: the
+    restores plain serial application. With a pool, each batch is netted
+    once ({!Maintenance.Engine.net}) and every incremental view takes its
+    tables from that one result. Runtime configuration, not state: the
     pool is never persisted, and {!load}/{!recover} reset it to [None] — a
     recovered warehouse runs serially until [set_parallel] is called again.
     Snapshots record the pool {e size}, so a load that drops a pool emits a

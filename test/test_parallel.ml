@@ -160,44 +160,55 @@ let busy w =
 (* Apply [n] distinct sale inserts to a fresh engine over the tiny store —
    its resident state is far below 32 x 512 rows, so the serial floor is
    512 — through a [domains] pool. Returns the weighted merges and pool
-   runs the batch caused and which of workers 0..3 got a job. *)
+   runs the batch caused, which of workers 0..3 got a job, and the
+   batch's [net_profile] taken before it. *)
 let dispatch_run ~domains n =
   let db = Workload.Retail.load tiny in
   let view = Workload.Retail.sales_by_time in
-  let eng = Engines.minimal db view in
+  let eng = Maintenance.Engine.init db (Mindetail.Derive.derive db view) in
   let batch = sale_inserts tiny ~first:6_000_000 n in
   Database.apply_all db batch;
+  let profile = Maintenance.Engine.net_profile eng batch in
   let merges = merged_batches () and runs = fan_outs () in
   let busy0 = List.init 4 busy in
-  Engines.apply_batch ~parallel:(Shard.create ~domains) eng batch;
+  Maintenance.Engine.apply_batch ~parallel:(Shard.create ~domains) eng batch;
   Alcotest.check relation "view tracks recomputation"
-    (Algebra.Eval.eval db view) (Engines.view_contents eng);
+    (Algebra.Eval.eval db view)
+    (Maintenance.Engine.view_contents eng);
   ( merged_batches () - merges,
     fan_outs () - runs,
-    List.mapi (fun w b0 -> busy w > b0) busy0 )
+    List.mapi (fun w b0 -> busy w > b0) busy0,
+    profile )
 
 let dispatch_tests =
   [
     test "floor - 1 root changes take the direct path" (fun () ->
-        let merges, runs, _ = dispatch_run ~domains:2 511 in
+        let merges, runs, _, _ = dispatch_run ~domains:2 511 in
         Alcotest.(check int) "no weighted merge" 0 merges;
         Alcotest.(check int) "no pool run" 0 runs);
     test "floor root changes take the merged path over 2 workers" (fun () ->
-        let merges, runs, workers = dispatch_run ~domains:2 512 in
+        let merges, runs, workers, _ = dispatch_run ~domains:2 512 in
         Alcotest.(check int) "one weighted merge" 1 merges;
         Alcotest.(check int) "prepare and apply fan out" 2 runs;
         Alcotest.(check (list bool)) "workers 0 and 1"
           [ true; true; false; false ] workers);
     test "4,096 distinct inserts on a 4-domain pool run 2 workers" (fun () ->
-        let merges, _, workers = dispatch_run ~domains:4 4_096 in
+        let merges, _, workers, _ = dispatch_run ~domains:4 4_096 in
         Alcotest.(check int) "one weighted merge" 1 merges;
         Alcotest.(check (list bool)) "workers 0 and 1"
           [ true; true; false; false ] workers);
     test "8,192 distinct inserts on a 4-domain pool run 4 workers" (fun () ->
-        let merges, _, workers = dispatch_run ~domains:4 8_192 in
+        let merges, _, workers, _ = dispatch_run ~domains:4 8_192 in
         Alcotest.(check int) "one weighted merge" 1 merges;
         Alcotest.(check (list bool)) "all four workers"
           [ true; true; true; true ] workers);
+    test "4,096 inserts on a one-domain pool take the direct path" (fun () ->
+        let merges, runs, _, profile = dispatch_run ~domains:1 4_096 in
+        Alcotest.(check int) "no weighted merge" 0 merges;
+        Alcotest.(check int) "no pool run" 0 runs;
+        Alcotest.(check int)
+          "net_profile applies the netted root changes" 4_096
+          profile.Maintenance.Engine.applied);
   ]
 
 (* A poisoned batch (NULL in a summed column) must raise under parallel
@@ -244,8 +255,9 @@ let sale id ?(timeid = 1) ?(price = 10) () =
   row [ i id; i timeid; i 1; i 1; i price ]
 
 let key_index tbl =
-  Relational.Schema.key_index
-    (Database.schema_of (Workload.Retail.empty ()) tbl)
+  Some
+    (Relational.Schema.key_index
+       (Database.schema_of (Workload.Retail.empty ()) tbl))
 
 let net deltas = Delta_batch.net ~key_index deltas
 
@@ -377,10 +389,202 @@ let profile_tests =
         Alcotest.(check int) "applied" 1 prof.Maintenance.Engine.applied);
   ]
 
+(* --- the warehouse's compacted path ------------------------------------- *)
+
+let compact_phases () =
+  Telemetry.Histogram.count
+    (Telemetry.Histogram.make
+       ~labels:[ ("phase", "compact") ]
+       "minview_engine_phase_seconds")
+
+let counter name = Telemetry.Counter.value (Telemetry.Counter.make name)
+let updates_only = { Workload.Delta_gen.insert = 0; delete = 0; update = 1 }
+
+(* Three views over a one-domain pool, fed batches of sale changes plus
+   product and store updates: [monthly_revenue] and [sales_by_time] read
+   neither dimension, [product_sales] reads product but not store. The
+   warehouse nets each batch once, and every view still reports its own
+   tables' counts — those of its engine's [net_profile]. *)
+let nets_once () =
+  Telemetry.Lineage.clear ();
+  let db = Workload.Retail.load tiny in
+  let wh = Warehouse.create db in
+  let views =
+    Workload.Retail.[ monthly_revenue; product_sales; sales_by_time ]
+  in
+  List.iter (Warehouse.add_view wh) views;
+  Warehouse.set_parallel wh (Some Shard.serial);
+  let mirrors =
+    List.map
+      (fun (v : View.t) ->
+        ( v.View.name,
+          Maintenance.Engine.init
+            (Warehouse.believed_source wh)
+            (Option.get (Warehouse.derivation_of wh v.View.name)) ))
+      views
+  in
+  let rng = Workload.Prng.create 19 in
+  let batches = 5 in
+  let compacts = compact_phases () in
+  for _ = 1 to batches do
+    let facts = Workload.Delta_gen.stream_for rng db ~tables:[ "sale" ] ~n:40 in
+    let dims =
+      Workload.Delta_gen.stream_for ~mix:updates_only rng db
+        ~tables:[ "product"; "store" ] ~n:6
+    in
+    let batch = facts @ dims in
+    let profiles =
+      List.map
+        (fun (name, e) -> (name, Maintenance.Engine.net_profile e batch))
+        mirrors
+    in
+    let deltas0 = counter "minview_engine_deltas_total"
+    and netted0 = counter "minview_engine_deltas_netted_total" in
+    let r = Warehouse.ingest_report wh batch in
+    Alcotest.(check int)
+      "nothing rejected" 0
+      (List.length r.Warehouse.rejected);
+    let flows =
+      match Telemetry.Lineage.recent ~txn:r.Warehouse.batch () with
+      | [ rc ] -> rc.Telemetry.Lineage.flows
+      | _ -> Alcotest.fail "one lineage record per batch"
+    in
+    List.iter
+      (fun (name, (p : Maintenance.Engine.batch_profile)) ->
+        let f =
+          List.find (fun f -> String.equal f.Telemetry.Lineage.view name) flows
+        in
+        Alcotest.(check int) (name ^ ": deltas_in") p.input
+          f.Telemetry.Lineage.deltas_in;
+        Alcotest.(check int) (name ^ ": netted") p.netted
+          f.Telemetry.Lineage.netted)
+      profiles;
+    let sum f = List.fold_left (fun acc (_, p) -> acc + f p) 0 profiles in
+    Alcotest.(check int)
+      "deltas counter: the views' own deltas"
+      (sum (fun p -> p.Maintenance.Engine.input))
+      (counter "minview_engine_deltas_total" - deltas0);
+    Alcotest.(check int)
+      "netted counter: the views' own netted deltas"
+      (sum (fun p -> p.Maintenance.Engine.netted))
+      (counter "minview_engine_deltas_netted_total" - netted0)
+  done;
+  Alcotest.(check int) "one compact phase per batch" batches
+    (compact_phases () - compacts);
+  List.iter
+    (fun (v : View.t) ->
+      Alcotest.(check (list (pair tuple int)))
+        (v.View.name ^ " tracks recomputation")
+        (Relation.to_sorted_list (Algebra.Eval.eval db v))
+        (snd (Warehouse.query_sorted wh v.View.name)))
+    views
+
+(* The tiny store with sale's key and day reference updatable, so a stream
+   can move a fact to a new key or to another day. *)
+let rekeyable_store seed =
+  let src = Workload.Retail.load { tiny with seed } in
+  let db = Database.create () in
+  List.iter
+    (fun tbl ->
+      let updatable = Database.updatable_columns src tbl in
+      let updatable =
+        if String.equal tbl "sale" then "id" :: "timeid" :: updatable
+        else updatable
+      in
+      Database.add_table db (Database.schema_of src tbl) ~updatable)
+    (Database.table_names src);
+  List.iter (Database.add_reference db) (Database.references src);
+  List.iter
+    (fun tbl ->
+      Database.fold src tbl (fun tup () -> Database.insert db tbl tup) ())
+    [ "time"; "product"; "store"; "sale" ];
+  db
+
+(* [n] sale rows moved to fresh keys, each applied to [db] as generated. *)
+let rekeys rng db ~next n =
+  List.init n (fun _ ->
+      let rows = Database.fold db "sale" (fun tup acc -> tup :: acc) [] in
+      let before = List.nth rows (Workload.Prng.int rng (List.length rows)) in
+      let after = Array.copy before in
+      incr next;
+      after.(0) <- i !next;
+      let d = Delta.update "sale" ~before ~after in
+      Database.apply db d;
+      d)
+
+let eager_pool = lazy (Shard.eager ~domains:2)
+
+(* The same stream — fact changes with deletes, key-changing and regrouping
+   updates, and dimension updates — through a warehouse with no pool, one
+   on [Shard.serial] and one on an eager pool: every view reads the same
+   rows after every batch, and they are the recomputed ones. *)
+let prop_pools_agree =
+  QCheck2.Test.make ~count:10
+    ~name:"warehouse: no pool == Shard.serial == Shard.eager"
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 10_000)
+    (fun seed ->
+      let db = rekeyable_store seed in
+      let views =
+        Workload.Retail.
+          [ monthly_revenue; product_sales; product_sales_max; sales_by_time ]
+      in
+      let warehouse pool =
+        let wh = Warehouse.create db in
+        List.iter (Warehouse.add_view wh) views;
+        Warehouse.set_parallel wh pool;
+        wh
+      in
+      let whs =
+        [ warehouse None; warehouse (Some Shard.serial);
+          warehouse (Some (Lazy.force eager_pool)) ]
+      in
+      let rng = Workload.Prng.create seed in
+      let next = ref 7_000_000 in
+      let rows_equal =
+        List.equal (fun (t, m) (t', m') -> Tuple.equal t t' && m = m')
+      in
+      let ok = ref true in
+      for _ = 1 to 5 do
+        let facts = Workload.Delta_gen.stream rng db ~n:30 in
+        let moved = rekeys rng db ~next 3 in
+        let dims =
+          Workload.Delta_gen.stream_for ~mix:updates_only rng db
+            ~tables:[ "time"; "product"; "store" ] ~n:4
+        in
+        let more =
+          Workload.Delta_gen.stream_for rng db ~tables:[ "sale" ] ~n:10
+        in
+        let batch = facts @ moved @ dims @ more in
+        List.iter
+          (fun wh ->
+            let r = Warehouse.ingest_report wh batch in
+            ok := !ok && r.Warehouse.rejected = [])
+          whs;
+        List.iter
+          (fun (v : View.t) ->
+            let expected = Relation.to_sorted_list (Algebra.Eval.eval db v) in
+            List.iter
+              (fun wh ->
+                ok :=
+                  !ok
+                  && rows_equal expected
+                       (snd (Warehouse.query_sorted wh v.View.name)))
+              whs)
+          views
+      done;
+      !ok)
+
+let warehouse_tests =
+  [
+    test "a pooled warehouse nets each batch once for every view" nets_once;
+    QCheck_alcotest.to_alcotest prop_pools_agree;
+  ]
+
 let () =
   Alcotest.run "parallel"
     [
       ("determinism", determinism_tests); ("parallel-rollback", rollback_tests);
       ("dispatch", dispatch_tests); ("delta-batch", compactor_tests);
-      ("net-profile", profile_tests);
+      ("net-profile", profile_tests); ("warehouse", warehouse_tests);
     ]

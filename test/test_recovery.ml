@@ -638,9 +638,44 @@ let v3_tests =
         Warehouse.close wh'');
   ]
 
+(* --- checksums ------------------------------------------------------------ *)
+
+(* The definition, one bit at a time: the oracle for the sliced tables. *)
+let crc32_bitwise s =
+  let crc = ref 0xffffffff in
+  String.iter
+    (fun ch ->
+      crc := !crc lxor Char.code ch;
+      for _ = 0 to 7 do
+        crc :=
+          if !crc land 1 = 1 then 0xedb88320 lxor (!crc lsr 1) else !crc lsr 1
+      done)
+    s;
+  !crc lxor 0xffffffff
+
+(* lengths [8k + r] for every residue [r], so each tail length of the
+   word loop is exercised with and without whole words before it *)
+let prop_crc32_matches_bitwise =
+  QCheck2.Test.make ~count:400 ~name:"CRC-32 == the bitwise definition"
+    ~print:(fun s -> Printf.sprintf "%S" s)
+    QCheck2.Gen.(
+      let* r = int_bound 7 and* k = int_bound 12 in
+      string_size ~gen:char (return ((8 * k) + r)))
+    (fun s -> Warehouse.Checksum.string s = crc32_bitwise s)
+
+let checksum_tests =
+  [
+    test "CRC-32 known answer" (fun () ->
+        Alcotest.(check int) "123456789" 0xCBF43926
+          (Warehouse.Checksum.string "123456789");
+        Alcotest.(check int) "empty string" 0 (Warehouse.Checksum.string ""));
+    QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+  ]
+
 let () =
   Alcotest.run "recovery"
     [
+      ("checksum", checksum_tests);
       ("crash-points", crash_tests); ("durability", durability_tests);
       ("generation-chain", chain_tests);
       ("snapshot-corruption", corruption_tests);
