@@ -541,6 +541,34 @@ let delete_base ?(count = 1) s tup =
   sh.total <- sh.total - count;
   if cnt = count then delete_row s sh ~hash r
 
+let adjust s ~before ~after =
+  if Array.length s.ext_src > 0 then
+    invalid_arg
+      (Printf.sprintf
+         "Aux_state.adjust(%s): append-only view holds MIN/MAX columns"
+         s.spec.Auxview.name);
+  check_aggregands s "adjust" before;
+  check_aggregands s "adjust" after;
+  let hash = hash_base s before in
+  let sh = s.shards.(hash land s.mask) in
+  let r = Rowmap.probe sh.map ~hash base_matches sh before in
+  if r < 0 then
+    invalid_arg
+      (Printf.sprintf "Aux_state.adjust(%s): group %s absent"
+         s.spec.Auxview.name
+         (Tuple.to_string (scratch_key sh before)));
+  if not (base_matches sh after r) then
+    invalid_arg
+      (Printf.sprintf "Aux_state.adjust(%s): the update moves its group"
+         s.spec.Auxview.name);
+  if sh.txn <> None then note_known sh (scratch_key sh before) r;
+  (* the order of a deletion then an insertion, so float sums agree *)
+  for i = 0 to Array.length s.sum_src - 1 do
+    let src = s.sum_src.(i) in
+    Column.sub_cell sh.sums.(i) r before.(src) 1;
+    Column.add_cell sh.sums.(i) r after.(src) 1
+  done
+
 let load s feed =
   if Array.exists (fun sh -> nrows sh > 0) s.shards || s.shards.(0).txn <> None
   then

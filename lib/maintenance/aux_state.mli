@@ -129,6 +129,19 @@ val insert_base : ?count:int -> t -> Relational.Tuple.t -> unit
     non-numeric value. *)
 val delete_base : ?count:int -> t -> Relational.Tuple.t -> unit
 
+(** [adjust s ~before ~after] applies an update of one base tuple whose
+    images agree on every plain column: one probe, then each running sum
+    moves by [after - before] (the before value subtracted first, as
+    {!delete_base} then {!insert_base} would). The count, the base-row
+    total and the group's row stay as they are. Journaled like any write.
+    @raise Invalid_argument, before any mutation, wherever {!delete_base}
+    of [before] then {!insert_base} of [after] would raise: the group is
+    absent, a summed column holds a non-numeric value, or the view carries
+    append-only MIN/MAX columns; and if the images differ on a plain
+    column. *)
+val adjust :
+  t -> before:Relational.Tuple.t -> after:Relational.Tuple.t -> unit
+
 (** [load s feed] is the initial load: it folds in every tuple [feed] passes
     to its argument, as {!insert_base} would, and then builds the secondary
     indexes in one pass over the rows, with no bucket growing on the way —

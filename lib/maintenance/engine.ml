@@ -121,6 +121,17 @@ type t = {
           (group/aggregate/local/join-fk/aux columns): two root tuples equal
           on this projection are interchangeable, so the fast path merges
           them into one weighted operation *)
+  exposing : int array array;
+      (** per slot, the base positions whose change an update must carry
+          into the stored state. The root's are its [root_reads] but the
+          arguments of non-DISTINCT SUM/AVG items and the root auxiliary
+          view's summed columns: an update equal on them keeps every group
+          and is applied in place. A dimension's are the columns its
+          auxiliary view keeps plainly or the view's local conditions read:
+          an update equal on them is ignored. *)
+  root_sums : (int * int) array;
+      (** per non-DISTINCT SUM/AVG item over a root column: the item and
+          the column's base position (the shifts of an in-place update) *)
   scratch_key : Tuple.t;  (** reusable group-key buffer, serial path only *)
   scratch_env : rowval array;
       (** reusable joined row of the coordinator's root feeds (serial
@@ -337,6 +348,12 @@ let rec row_holds conds row i =
     (match c.rhs with K v -> v | At p -> Aux_state.plain_at row p)
   && row_holds conds row (i + 1)
 
+(* Whether two images of a row differ at one of the positions [pos]. *)
+let rec differs pos (before : Tuple.t) (after : Tuple.t) i =
+  i < Array.length pos
+  && ((not (Value.equal before.(pos.(i)) after.(pos.(i))))
+     || differs pos before after (i + 1))
+
 let rec semis_hold t semis (tup : Tuple.t) i =
   i >= Array.length semis
   ||
@@ -441,29 +458,38 @@ let contribs_into t env ~cnt dst =
 
 (* --- root-table changes ----------------------------------------------- *)
 
-(* Coordinator only: joins through the engine's scratch row. *)
-let root_view_feed t tup ~sign =
+(* Coordinator only: the group key of root tuple [tup], joined through the
+   engine's scratch row into its scratch key (View_state copies what it
+   retains), counted as one workload write; false when [tup] lacks a join
+   partner. *)
+let root_group t tup =
   let env = t.scratch_env in
   env.(0) <- Base tup;
-  if extend t env 0 then begin
-    (* scratch buffers avoid a per-tuple key + contribution allocation;
-       View_state copies what it retains *)
-    let key = t.scratch_key in
-    group_key_into t env key;
-    (* the label thunk is forced synchronously (only on a top-k miss), so
-       handing it the reused scratch buffer is safe; hashing and the
-       closure are only paid on sampled events, and the exact counts go
-       through plain fields flushed once per batch *)
-    if t.wk_live && Telemetry.enabled () then begin
-      if t.wk_events land Telemetry.Workload.sample_mask = 0 then
-        Telemetry.Workload.note_hot_key t.wk ~hash:(Tuple.hash key)
-          ~label:(fun () -> Tuple.to_string key);
-      t.wk_writes <- t.wk_writes + 1;
-      t.wk_events <- t.wk_events + 1
-    end;
-    contribs_into t env ~cnt:1 t.scratch_cs;
-    if sign > 0 then View_state.feed t.vstate ~key ~cnt:1 t.scratch_cs
-    else View_state.unfeed t.vstate ~key ~cnt:1 t.scratch_cs
+  extend t env 0
+  && begin
+       let key = t.scratch_key in
+       group_key_into t env key;
+       (* the label thunk is forced synchronously (only on a top-k miss),
+          so handing it the reused scratch buffer is safe; hashing and the
+          closure are only paid on sampled events, and the exact counts go
+          through plain fields flushed once per batch *)
+       if t.wk_live && Telemetry.enabled () then begin
+         if t.wk_events land Telemetry.Workload.sample_mask = 0 then
+           Telemetry.Workload.note_hot_key t.wk ~hash:(Tuple.hash key)
+             ~label:(fun () -> Tuple.to_string key);
+         t.wk_writes <- t.wk_writes + 1;
+         t.wk_events <- t.wk_events + 1
+       end;
+       true
+     end
+
+let root_view_feed t tup ~sign =
+  if root_group t tup then begin
+    (* the scratch contribution buffer avoids a per-tuple allocation *)
+    contribs_into t t.scratch_env ~cnt:1 t.scratch_cs;
+    let key = t.scratch_key and cs = t.scratch_cs in
+    if sign > 0 then View_state.feed t.vstate ~key ~cnt:1 cs
+    else View_state.unfeed t.vstate ~key ~cnt:1 cs
   end
 
 let root_insert t tup =
@@ -473,6 +499,28 @@ let root_insert t tup =
 let root_delete t tup =
   if passes_locals t 0 tup then root_view_feed t tup ~sign:(-1);
   if in_aux t 0 tup then Aux_state.delete_base (slot_aux t 0) tup
+
+(* An update equal on the exposing positions keeps its row in the same
+   auxiliary group and view group (Section 2.2's non-exposed update): only
+   the SUM/AVG arguments and summed columns can move. *)
+let updates_in_place t ~before ~after =
+  not (differs t.exposing.(0) before after 0)
+
+(* One probe per store instead of a deletion and an insertion: membership,
+   local conditions and join partners are those of [before], as the images
+   agree on every column they read. *)
+let root_adjust t ~before ~after =
+  if in_aux t 0 before then Aux_state.adjust (slot_aux t 0) ~before ~after;
+  if passes_locals t 0 before && root_group t before then
+    View_state.adjust t.vstate ~key:t.scratch_key ~sums:t.root_sums ~before
+      ~after
+
+let root_update t ~before ~after =
+  if updates_in_place t ~before ~after then root_adjust t ~before ~after
+  else begin
+    root_delete t before;
+    root_insert t after
+  end
 
 (* --- dimension-table changes ------------------------------------------ *)
 
@@ -522,22 +570,6 @@ let keys_reaching t path key_val =
 
 (* Dimension update with unchanged key, root auxiliary view retained:
    contribution diffing through the root auxiliary view. *)
-(* Columns of [table] whose value matters to the warehouse: anything kept in
-   its auxiliary view or used in its local conditions. *)
-let relevant_change t table ~before ~after =
-  let sch = schema t table in
-  let kept =
-    match aux_of t table with
-    | Some st -> Auxview.group_columns (Aux_state.spec st)
-    | None -> []
-  in
-  let locals = View.local_columns t.view ~table in
-  List.exists
-    (fun i ->
-      let col = sch.Schema.columns.(i).Schema.col_name in
-      List.mem col kept || List.mem col locals)
-    (Delta.changed_indices (Delta.Update { before; after }))
-
 let dim_update_diff t s ~before ~after =
   let table = t.tables.(s) in
   let key_val = before.(Schema.key_index (schema t table)) in
@@ -718,7 +750,7 @@ let dim_update t s ~before ~after =
     dim_delete t s before;
     dim_insert t s after
   end
-  else if not (relevant_change t table ~before ~after) then ()
+  else if not (differs t.exposing.(s) before after 0) then ()
   else if t.determined then dim_update_rewrite t s ~before ~after
   else dim_update_diff t s ~before ~after
 
@@ -1163,42 +1195,77 @@ let init ?(fk_index = true) db (d : Derive.t) =
             (List.map (resolve plain) (Derive.residual_locals d tbl)))
       tables
   in
+  let positions ps = Array.of_list (List.sort_uniq compare ps) in
+  let columns tbl cols =
+    List.map (Schema.index_of (Hashtbl.find schemas tbl)) cols
+  in
   (* Everything the engine can ever read off a root base tuple: group-by and
      aggregate sources, view local-condition columns, outgoing join foreign
      keys, and — when the root auxiliary view is retained — its kept,
      summed, extremum, semijoin-fk and pushed-condition columns. Two root
-     tuples equal on this projection are indistinguishable to maintenance. *)
-  let root_reads =
-    let sch = Hashtbl.find schemas root in
-    let cols = ref [] in
-    let add_col c = cols := Schema.index_of sch c :: !cols in
-    let add_ref c = if c.slot = 0 then cols := c.base :: !cols in
+     tuples equal on this projection are indistinguishable to maintenance.
+     The same walk marks which of them expose an update: all but the
+     arguments of non-DISTINCT SUM/AVG items and the summed columns. *)
+  let root_reads, root_exposing =
+    let reads = ref [] and exposing = ref [] in
+    let add ?(exposes = true) ps =
+      reads := ps @ !reads;
+      if exposes then exposing := ps @ !exposing
+    in
+    let add_cols ?exposes cols = add ?exposes (columns root cols) in
+    let add_ref ?exposes c = if c.slot = 0 then add ?exposes [ c.base ] in
     Array.iter add_ref group_plan;
     Array.iter
       (function
-        | P_agg { src = A_attr { c; _ }; _ } -> add_ref c
+        | P_agg { agg; src = A_attr { c; _ } } ->
+          add_ref ~exposes:(not (is_csmas_sum agg)) c
         | P_agg _ | P_group _ -> ())
       plans;
-    List.iter add_col (View.local_columns view ~table:root);
-    List.iter
-      (fun (j : View.join) -> add_col j.View.src.Attr.column)
-      (View.joins_from view root);
+    add_cols (View.local_columns view ~table:root);
+    add_cols
+      (List.map
+         (fun (j : View.join) -> j.View.src.Attr.column)
+         (View.joins_from view root));
     (match Derive.spec_for d root with
     | None -> ()
     | Some spec ->
-      List.iter add_col (Auxview.group_columns spec);
-      List.iter add_col (Auxview.summed_columns spec);
-      List.iter (fun (c, _) -> add_col c) (Auxview.ext_columns spec);
-      List.iter
-        (fun (sj : Auxview.semijoin) -> add_col sj.Auxview.fk)
-        spec.Auxview.semijoins;
-      List.iter
-        (fun p ->
-          List.iter
-            (fun (a : Attr.t) -> add_col a.Attr.column)
-            (Predicate.attrs p))
-        spec.Auxview.locals);
-    Array.of_list (List.sort_uniq compare !cols)
+      add_cols (Auxview.group_columns spec);
+      add_cols ~exposes:false (Auxview.summed_columns spec);
+      add_cols (List.map fst (Auxview.ext_columns spec));
+      add_cols
+        (List.map
+           (fun (sj : Auxview.semijoin) -> sj.Auxview.fk)
+           spec.Auxview.semijoins);
+      add_cols
+        (List.concat_map
+           (fun p ->
+             List.map (fun (a : Attr.t) -> a.Attr.column) (Predicate.attrs p))
+           spec.Auxview.locals));
+    (positions !reads, positions !exposing)
+  in
+  let exposing =
+    Array.mapi
+      (fun s tbl ->
+        if s = 0 then root_exposing
+        else
+          let kept =
+            match Derive.spec_for d tbl with
+            | Some spec -> Auxview.group_columns spec
+            | None -> []
+          in
+          positions (columns tbl (kept @ View.local_columns view ~table:tbl)))
+      tables
+  in
+  let root_sums =
+    Array.to_list plans
+    |> List.mapi (fun item plan ->
+           match plan with
+           | P_agg { agg; src = A_attr { c; _ } }
+             when c.slot = 0 && is_csmas_sum agg ->
+             Some (item, c.base)
+           | P_agg _ | P_group _ -> None)
+    |> List.filter_map Fun.id
+    |> Array.of_list
   in
   (* one dictionary pool per engine: a string attribute kept in several
      states (a dimension column in both its auxiliary view and the view
@@ -1228,6 +1295,8 @@ let init ?(fk_index = true) db (d : Derive.t) =
       residuals;
       append_only = d.Derive.options.Derive.append_only;
       root_reads;
+      exposing;
+      root_sums;
       scratch_key = Array.make (Array.length group_plan) Value.Null;
       scratch_cs = Array.make (Array.length plans) None;
       scratch_env = Array.make (Array.length tables) (Base [||]);
@@ -1323,10 +1392,7 @@ let route t (delta : Delta.t) =
     match delta.Delta.change with
     | Delta.Insert tup -> root_insert t tup
     | Delta.Delete tup -> root_delete t tup
-    | Delta.Update { before; after } ->
-      (* exposed or not, a root update is a deletion then an insertion *)
-      root_delete t before;
-      root_insert t after)
+    | Delta.Update { before; after } -> root_update t ~before ~after)
   | s -> (
     match delta.Delta.change with
     | Delta.Insert tup -> dim_insert t s tup
@@ -1400,10 +1466,26 @@ let resident_rows t =
     (View_state.group_count t.vstate)
     t.view.View.tables
 
+(* Root changes of [ds] with each update split, as the merged path splits
+   them: the measure of the dispatch rule. *)
 let root_change_count ds =
   List.fold_left
     (fun acc (d : Delta.t) ->
       acc + match d.Delta.change with Delta.Update _ -> 2 | _ -> 1)
+    0 ds
+
+(* Operations the direct path issues for root changes [ds]: one per
+   insertion, deletion and in-place update, two per other update. *)
+let direct_op_count t ds =
+  List.fold_left
+    (fun acc (d : Delta.t) ->
+      acc
+      +
+      match d.Delta.change with
+      | Delta.Update { before; after }
+        when not (updates_in_place t ~before ~after) ->
+        2
+      | Delta.Update _ | Delta.Insert _ | Delta.Delete _ -> 1)
     0 ds
 
 let live_ops ops =
@@ -1534,20 +1616,33 @@ let apply_root_ops t pool ~workers:nw ops =
    and the view state (so fusing them per operation changes nothing), and
    a weighted fold of [k] identical projections equals [k] unit
    operations. Positive changes still go before negative ones — the same
-   transient-group discipline as phase B. *)
+   transient-group discipline as phase B. An update that goes in place is
+   applied in the positive pass, while its groups still hold their
+   pre-batch rows; it changes no count, so the discipline holds.
+   Returns the number of updates applied in place. *)
 let apply_root_direct t root_deltas =
+  let in_place = ref 0 in
   List.iter
     (fun (d : Delta.t) ->
       match d.Delta.change with
-      | Delta.Insert tup | Delta.Update { after = tup; _ } -> root_insert t tup
+      | Delta.Insert tup -> root_insert t tup
+      | Delta.Update { before; after } ->
+        if updates_in_place t ~before ~after then begin
+          root_adjust t ~before ~after;
+          incr in_place
+        end
+        else root_insert t after
       | Delta.Delete _ -> ())
     root_deltas;
   List.iter
     (fun (d : Delta.t) ->
       match d.Delta.change with
-      | Delta.Delete tup | Delta.Update { before = tup; _ } -> root_delete t tup
+      | Delta.Delete tup -> root_delete t tup
+      | Delta.Update { before; after } ->
+        if not (updates_in_place t ~before ~after) then root_delete t before
       | Delta.Insert _ -> ())
-    root_deltas
+    root_deltas;
+  !in_place
 
 (* --- lineage flow capture ---------------------------------------------- *)
 
@@ -1671,12 +1766,14 @@ let apply_batch_parallel t pool ?netted deltas =
   let applied_ops = ref 0 in
   (match dispatch t pool ~root_changes ~merge with
   | Direct ->
+    let in_place =
+      Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
+        "engine.shard-apply" (fun () -> apply_root_direct t !root_deltas)
+    in
     if Telemetry.enabled () then begin
-      applied_ops := dim_ops () + root_changes;
+      applied_ops := dim_ops () + root_changes - in_place;
       Telemetry.Counter.inc Obs.ops_applied !applied_ops
-    end;
-    Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
-      "engine.shard-apply" (fun () -> apply_root_direct t !root_deltas)
+    end
   | Merged { ops; workers } ->
     if Telemetry.enabled () then begin
       Telemetry.Counter.inc Obs.merge_folds (root_changes - Array.length ops);
@@ -1725,8 +1822,8 @@ type batch_profile = { input : int; netted : int; applied : int }
 
 (* Measure what compaction would do to [deltas] without applying them;
    outside the compact phase, which times applied batches only. A one-domain
-   pool applies the netted deltas as they are, root updates as a deletion
-   and an insertion. *)
+   pool applies the netted deltas as they are, a root update that does not
+   go in place as a deletion and an insertion. *)
 let net_profile t deltas =
   let net = Delta_batch.net ~key_index:(own_keys t) deltas in
   let applied =
@@ -1734,7 +1831,7 @@ let net_profile t deltas =
       (fun acc (tb : Delta_batch.table) ->
         acc
         +
-        if String.equal tb.name t.root then root_change_count tb.deltas
+        if String.equal tb.name t.root then direct_op_count t tb.deltas
         else List.length tb.deltas)
       0 net.Delta_batch.tables
   in

@@ -7,8 +7,11 @@
     store; this is the paper's self-maintainability in an executable form).
 
     Handled changes:
-    - insertions/deletions/updates of the root (fact) table — updates split
-      into deletion + insertion (Section 2.1);
+    - insertions/deletions/updates of the root (fact) table — an update
+      that changes only arguments of non-DISTINCT SUM/AVG items and the
+      root auxiliary view's summed columns is applied in place, one probe
+      per store (see {!updates_in_place}); any other update splits into
+      deletion + insertion (Section 2.1);
     - insertions/deletions of dimension tables (no view effect, by
       referential integrity);
     - dimension updates, including {e exposed} ones, by contribution diffing
@@ -129,13 +132,31 @@ val net :
 (** What {!apply_batch}'s fast path on a one-domain pool would do to a
     batch, without applying it: [input] deltas of the view's tables,
     [netted] after per-key compaction, [applied] operations actually
-    issued — the netted deltas as they are, a root update counting as a
+    issued — the netted deltas as they are, a root update counting once
+    when it goes in place ({!updates_in_place}) and otherwise as a
     deletion and an insertion (the direct path). A multi-domain pool that
-    merges a batch may issue fewer. The profile's netting is not timed as
-    the [compact] phase. *)
+    merges a batch splits every root update and may still issue fewer. The
+    profile's netting is not timed as the [compact] phase. *)
 type batch_profile = { input : int; netted : int; applied : int }
 
 val net_profile : t -> Relational.Delta.t list -> batch_profile
+
+(** [updates_in_place t ~before ~after] is whether the serial route and the
+    direct path apply the root-table update from [before] to [after] in
+    place. They do when the two images agree on every {e exposing}
+    position: every root column the engine reads — group-by columns,
+    aggregate arguments, local-condition columns, join foreign keys and
+    the root auxiliary view's kept, extremum, semijoin and condition
+    columns — except the arguments of non-DISTINCT SUM/AVG items and the
+    root auxiliary view's summed columns. Such an update keeps its row in
+    the same auxiliary and view group; it makes one probe into the root
+    auxiliary view and one into the view state, where each SUM/AVG cell
+    loses the before value and gains the after value, and no count
+    changes. Any other update is a deletion then an insertion, as is every
+    update on the merged path of a multi-domain pool. The test reads only
+    positions resolved at {!init}, not the engine's state. *)
+val updates_in_place :
+  t -> before:Relational.Tuple.t -> after:Relational.Tuple.t -> bool
 
 (** Current view contents, in select-list order. *)
 val view_contents : t -> Relational.Relation.t

@@ -535,6 +535,36 @@ let unfeed t ~key ~cnt contribs =
   end
   else apply_contribs t sh key ~sign:(-1) ~cnt r contribs
 
+let adjust t ~key ~sums ~before ~after =
+  let hash = Tuple.hash key in
+  let sh = t.shards.(hash land t.mask) in
+  let r = probe_row sh ~hash key in
+  if r < 0 then
+    invalid_arg
+      (Printf.sprintf "View_state.adjust: group %s absent"
+         (Tuple.to_string key));
+  (* everything is checked before the first write, so a rejected update
+     leaves the group as it was *)
+  for j = 0 to Array.length sums - 1 do
+    let item, pos = sums.(j) in
+    (match sh.slots.(item) with
+    | L_sum _ -> ()
+    | L_group | L_count _ | L_ext _ | L_dist _ ->
+      invalid_arg "View_state.adjust: item is not a SUM or AVG");
+    if not (Value.is_numeric before.(pos) && Value.is_numeric after.(pos)) then
+      invalid_arg "View_state.adjust: non-numeric value in a summed item"
+  done;
+  note_known sh key r;
+  (* the order of an unfeed then a feed, so float sums agree *)
+  for j = 0 to Array.length sums - 1 do
+    let item, pos = sums.(j) in
+    match sh.slots.(item) with
+    | L_sum { sum; _ } ->
+      Column.sub_cell sum r before.(pos) 1;
+      Column.add_cell sum r after.(pos) 1
+    | L_group | L_count _ | L_ext _ | L_dist _ -> ()
+  done
+
 (* Re-fold every DISTINCT result of the group at [r] from its multiset. *)
 let refold t (sh : shard) key r =
   note_known sh key r;

@@ -68,8 +68,8 @@ val equal : t -> t -> bool
 (** Whether an undo journal is currently open. *)
 val in_txn : t -> bool
 
-(** Opens an undo journal; subsequent {!feed}/{!unfeed}/{!set_value}/
-    {!adjust_group} calls are journaled.
+(** Opens an undo journal; subsequent {!feed}/{!unfeed}/{!adjust}/
+    {!set_value}/{!adjust_group} calls are journaled.
     @raise Invalid_argument if a transaction is already open. *)
 val begin_txn : t -> unit
 
@@ -98,6 +98,23 @@ val feed : t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> uni
     @raise Invalid_argument on underflow or missing group. *)
 val unfeed :
   t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> unit
+
+(** [adjust t ~key ~sums ~before ~after] applies an update of one base row
+    that stays in group [key]: for each [(item, pos)] of [sums], the
+    running sum of SUM or AVG item [item] loses [before.(pos)] and then
+    gains [after.(pos)] — the arithmetic of {!unfeed} then {!feed}. One
+    probe; the base-row count, every other component and the group's row
+    stay as they are. Journaled like {!feed}.
+    @raise Invalid_argument, before any mutation, if the group is absent,
+    an [item] is not a non-DISTINCT SUM or AVG, or a value it would fold is
+    non-numeric. *)
+val adjust :
+  t ->
+  key:Relational.Tuple.t ->
+  sums:(int * int) array ->
+  before:Relational.Tuple.t ->
+  after:Relational.Tuple.t ->
+  unit
 
 (** Settles the batch: re-folds, from its multiset, every MIN/MAX, AVG and
     float SUM DISTINCT result whose value set changed since the last call

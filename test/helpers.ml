@@ -124,6 +124,106 @@ let sale_inserts (p : Workload.Retail.params) ~first n =
              i ((j mod p.Workload.Retail.products) + 1);
              i ((j mod p.Workload.Retail.stores) + 1); i (j + 1) ]))
 
+(* --- a star whose facts carry a FLOAT measure ----------------------------- *)
+
+(* The retail star cut down to the columns views read, with a FLOAT
+   [amount] beside the INT [price] on every sale:
+   sale(id, timeid, productid, storeid, price, amount). [price], [amount]
+   and [timeid] are updatable, so an update may leave every group where it
+   is or move its sale to another day. Amounts are multiples of 0.25, so
+   every float sum is exact whatever order it is folded in. *)
+let measure_empty () =
+  let col name col_type = { Schema.col_name = name; col_type } in
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.make ~name:"time" ~key:"id"
+       [ col "id" Datatype.TInt; col "month" Datatype.TInt;
+         col "year" Datatype.TInt ])
+    ~updatable:[ "month" ];
+  Database.add_table db
+    (Schema.make ~name:"product" ~key:"id"
+       [ col "id" Datatype.TInt; col "brand" Datatype.TString ])
+    ~updatable:[ "brand" ];
+  Database.add_table db
+    (Schema.make ~name:"store" ~key:"id"
+       [ col "id" Datatype.TInt; col "city" Datatype.TString ])
+    ~updatable:[];
+  Database.add_table db
+    (Schema.make ~name:"sale" ~key:"id"
+       [ col "id" Datatype.TInt; col "timeid" Datatype.TInt;
+         col "productid" Datatype.TInt; col "storeid" Datatype.TInt;
+         col "price" Datatype.TInt; col "amount" Datatype.TFloat ])
+    ~updatable:[ "timeid"; "price"; "amount" ];
+  List.iter
+    (fun (src_col, dst_table) ->
+      Database.add_reference db
+        { Relational.Integrity.src_table = "sale"; src_col; dst_table })
+    [ ("timeid", "time"); ("productid", "product"); ("storeid", "store") ];
+  db
+
+let measure_days = 6
+let measure_products = 4
+let measure_stores = 3
+
+(* A random sale [id]: few distinct values per column, so groups collide. *)
+let measure_sale rng id =
+  let pick n = i (Workload.Prng.int rng n + 1) in
+  row
+    [ i id; pick measure_days; pick measure_products; pick measure_stores;
+      pick 20; f (float_of_int (Workload.Prng.int rng 40 + 1) *. 0.25) ]
+
+let measure_db ?(facts = 40) seed =
+  let db = measure_empty () in
+  for d = 1 to measure_days do
+    Database.insert db "time"
+      (row [ i d; i ((d mod 3) + 1); i (if d <= 3 then 1996 else 1997) ])
+  done;
+  for p = 1 to measure_products do
+    Database.insert db "product" (row [ i p; s (Printf.sprintf "b%d" (p mod 3)) ])
+  done;
+  for st = 1 to measure_stores do
+    Database.insert db "store" (row [ i st; s (Printf.sprintf "c%d" (st mod 2)) ])
+  done;
+  let rng = Workload.Prng.create seed in
+  for id = 1 to facts do
+    Database.insert db "sale" (measure_sale rng id)
+  done;
+  db
+
+(* [n] legal sale changes, applied to [db] as they are generated: one in
+   five an insertion, one in five a deletion, the rest updates of the
+   price, the amount, both (none of which moves a group of an all-SUM/AVG
+   view), the day, or all three. *)
+let measure_changes rng db ~n =
+  let sales () = Database.fold db "sale" (fun tup acc -> tup :: acc) [] in
+  let next_id () =
+    1
+    + Database.fold db "sale"
+        (fun tup m -> match tup.(0) with Value.Int id -> max m id | _ -> m)
+        0
+  in
+  let change () =
+    match sales (), Workload.Prng.int rng 10 with
+    | [], _ | _, (0 | 1) -> Delta.insert "sale" (measure_sale rng (next_id ()))
+    | rows, (2 | 3) -> Delta.delete "sale" (Workload.Prng.pick rng rows)
+    | rows, _ ->
+      let before = Workload.Prng.pick rng rows in
+      let fresh = measure_sale rng 0 in
+      let after = Array.copy before in
+      let take cols = List.iter (fun c -> after.(c) <- fresh.(c)) cols in
+      (match Workload.Prng.int rng 5 with
+      | 0 -> take [ 4 ]
+      | 1 -> take [ 5 ]
+      | 2 -> take [ 4; 5 ]
+      | 3 -> take [ 1 ]
+      | _ -> take [ 1; 4; 5 ]);
+      Delta.update "sale" ~before ~after
+  in
+  List.init n (fun _ ->
+      let d = change () in
+      Database.apply db d;
+      d)
+
 (* Which path batches took, read off counters the program keeps anyway:
    weighted merges run once per batch on the engine's merged two-phase
    path, and every multi-worker pool run is timed. *)

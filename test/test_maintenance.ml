@@ -942,6 +942,246 @@ let distinct_tests =
           (Engine.audit ~sample:8 e));
   ]
 
+(* --- root updates: exposed vs in place --------------------------------- *)
+
+let amount_by_city_sql =
+  "CREATE VIEW amount_by_city AS SELECT store.city, SUM(amount) AS Amount, \
+   AVG(amount) AS AvgAmount, COUNT(*) AS Sales FROM sale, store WHERE \
+   sale.storeid = store.id GROUP BY store.city;"
+
+let view_of_sql db sql =
+  match Sqlfront.Parser.statement sql with
+  | Sqlfront.Ast.Create_view { name; select } ->
+    Sqlfront.Elaborate.view_of_select db ~name select
+  | _ -> Alcotest.fail "expected CREATE VIEW"
+
+let retail_tiny () =
+  Workload.Retail.load
+    { Workload.Retail.small_params with days = 8; stores = 2; products = 12;
+      sold_per_store_day = 4; tx_per_product = 2; brands = 4 }
+
+let some_sale db table =
+  match Database.fold db table (fun tup acc -> tup :: acc) [] with
+  | tup :: _ -> tup
+  | [] -> Alcotest.fail "no sale"
+
+(* [tup] with column [c] set to [v]. *)
+let with_ tup c v =
+  let t = Array.copy tup in
+  t.(c) <- v;
+  t
+
+let in_place e before after = Engine.updates_in_place e ~before ~after
+
+(* Group keys in storage order: a group that is deleted and re-created moves
+   to the end. *)
+let aux_order st =
+  let keys = ref [] in
+  Aux_state.iter st (fun r -> keys := Aux_state.plains st r :: !keys);
+  List.rev !keys
+
+let view_order vs = List.rev (View_state.fold_groups vs (fun k _ acc -> k :: acc) [])
+
+let revenue_by_month =
+  {
+    View.name = "revenue_by_month";
+    having = [];
+    select = [ group (a "time" "month"); sum ~alias:"revenue" (a "sale" "price") ];
+    tables = [ "sale"; "time" ];
+    locals = [];
+    joins = [ join (a "sale" "timeid") (a "time" "id") ];
+  }
+
+let in_place_tests =
+  [
+    test "a price or amount update goes in place on the all-SUM/AVG views"
+      (fun () ->
+        let db = retail_tiny () in
+        let sale = some_sale db "sale" in
+        List.iter
+          (fun (v : View.t) ->
+            let e = Engine.init db (Derive.derive db v) in
+            Alcotest.(check bool)
+              (v.View.name ^ ": price") true
+              (in_place e sale (with_ sale 4 (i 1_000))))
+          Workload.Retail.[ sales_by_time; monthly_revenue; product_sales ];
+        let db = measure_db 3 in
+        let sale = some_sale db "sale" in
+        let e = Engine.init db (Derive.derive db (view_of_sql db amount_by_city_sql)) in
+        Alcotest.(check bool) "amount_by_city: amount" true
+          (in_place e sale (with_ sale 5 (f 99.25)));
+        Alcotest.(check bool) "amount_by_city: price and amount" true
+          (in_place e sale (with_ (with_ sale 4 (i 1_000)) 5 (f 0.5))));
+    test "MAX(price) and exposed updates take delete + insert" (fun () ->
+        let db = retail_tiny () in
+        let sale = some_sale db "sale" in
+        let day = match sale.(1) with Value.Int d -> d | _ -> assert false in
+        let other_day = with_ sale 1 (i ((day mod 8) + 1)) in
+        let e v = Engine.init db (Derive.derive db v) in
+        Alcotest.(check bool) "product_sales_max: price" false
+          (in_place (e Workload.Retail.product_sales_max) sale (with_ sale 4 (i 1_000)));
+        List.iter
+          (fun (v : View.t) ->
+            Alcotest.(check bool) (v.View.name ^ ": timeid") false
+              (in_place (e v) sale other_day))
+          Workload.Retail.[ sales_by_time; monthly_revenue; product_sales ];
+        (* price sits under a local condition: a repricing can move the sale
+           across it *)
+        let cheap =
+          { Workload.Retail.monthly_revenue with
+            View.name = "cheap_revenue";
+            locals = [ local (a "sale" "price") Cmp.Le (i 50) ] }
+        in
+        Alcotest.(check bool) "cheap_revenue: price" false
+          (in_place (e cheap) sale (with_ sale 4 (i 1_000)));
+        Alcotest.(check bool) "cheap_revenue: nothing it reads" true
+          (in_place (e cheap) sale (with_ sale 0 (i 1_000_000)));
+        (* the same condition where no auxiliary view keeps price: the root
+           auxiliary view is eliminated *)
+        let cheap_by_day =
+          { Workload.Retail.sales_by_time with
+            View.name = "cheap_by_day";
+            locals = [ local (a "sale" "price") Cmp.Le (i 50) ] }
+        in
+        Alcotest.(check bool) "cheap_by_day: root view eliminated" true
+          (Derive.spec_for (Derive.derive db cheap_by_day) "sale" = None);
+        Alcotest.(check bool) "cheap_by_day: price" false
+          (in_place (e cheap_by_day) sale (with_ sale 4 (i 1_000)));
+        let distinct_prices =
+          { Workload.Retail.monthly_revenue with
+            View.name = "distinct_prices";
+            select =
+              Workload.Retail.monthly_revenue.View.select
+              @ [ count_distinct ~alias:"prices" (a "sale" "price") ] }
+        in
+        Alcotest.(check bool) "distinct_prices: price" false
+          (in_place (e distinct_prices) sale (with_ sale 4 (i 1_000))));
+    test "a netted delete;reinsert that changes storeid takes delete + insert"
+      (fun () ->
+        let db = measure_db 4 in
+        let view = view_of_sql db amount_by_city_sql in
+        let e = Engine.init db (Derive.derive db view) in
+        let before = some_sale db "sale" in
+        let store = match before.(3) with Value.Int st -> st | _ -> assert false in
+        (* the other city: stores 1 and 3 are in c1, store 2 in c0 *)
+        let after = with_ before 3 (i (if store = 2 then 1 else 2)) in
+        let batch = [ Delta.delete "sale" before; Delta.insert "sale" after ] in
+        let key tbl =
+          Some (Schema.key_index (Database.schema_of db tbl))
+        in
+        (match (Engine.net ~key_index:key batch).Relational.Delta_batch.tables with
+        | [ { deltas = [ { Delta.change = Delta.Update u; _ } ]; _ } ] ->
+          Alcotest.(check bool) "netted into an update" true
+            (Tuple.equal u.before before && Tuple.equal u.after after)
+        | _ -> Alcotest.fail "expected one netted update");
+        Alcotest.(check bool) "storeid exposes" false (in_place e before after);
+        Database.apply_all db batch;
+        Engine.apply_batch ~parallel:Maintenance.Shard.serial e batch;
+        Alcotest.check relation "the sale changed city" (Algebra.Eval.eval db view)
+          (Engine.view_contents e));
+    test "an in-place update changes no count and keeps every group's row"
+      (fun () ->
+        let db = retail_tiny () in
+        let view = Workload.Retail.monthly_revenue in
+        let e = Engine.init db (Derive.derive db view) in
+        let vs = Engine.view_state e in
+        let counts () =
+          View_state.fold_groups vs (fun k n acc -> (k, n) :: acc) []
+        in
+        let counts0 = counts () and order0 = view_order vs in
+        let profile0 = Engine.storage_profile e in
+        let batch =
+          List.map
+            (fun tup -> Delta.update "sale" ~before:tup ~after:(with_ tup 4 (i 7)))
+            (Database.fold db "sale" (fun tup acc -> tup :: acc) [])
+        in
+        Database.apply_all db batch;
+        Engine.apply_batch e batch;
+        Alcotest.check relation "view" (Algebra.Eval.eval db view) (Engine.view_contents e);
+        Alcotest.(check (list (pair tuple int))) "counts" counts0 (counts ());
+        Alcotest.(check (list tuple)) "group rows" order0 (view_order vs);
+        Alcotest.(check (list (triple string int int)))
+          "stored rows" profile0 (Engine.storage_profile e));
+    test "a sole-member group keeps its row id across an in-place update"
+      (fun () ->
+        let db = Workload.Retail.empty () in
+        let st = Aux_state.create (sale_spec db) (sale_schema db) in
+        let a1 = row [ i 1; i 1; i 1; i 1; i 10 ] in
+        let a2 = row [ i 1; i 1; i 1; i 1; i 12 ] in
+        Aux_state.insert_base st a1;
+        Aux_state.insert_base st (row [ i 2; i 2; i 1; i 1; i 7 ]);
+        let split = Aux_state.copy st in
+        Aux_state.adjust st ~before:a1 ~after:a2;
+        Alcotest.(check (list tuple)) "aux: in place keeps the row"
+          [ row [ i 1; i 1 ]; row [ i 2; i 1 ] ] (aux_order st);
+        Alcotest.(check int) "aux: base rows" 2 (Aux_state.base_count st);
+        Aux_state.delete_base split a1;
+        Aux_state.insert_base split a2;
+        Alcotest.(check (list tuple)) "aux: delete + insert re-creates it"
+          [ row [ i 2; i 1 ]; row [ i 1; i 1 ] ] (aux_order split);
+        Alcotest.(check bool) "aux: same state either way" true
+          (Aux_state.equal st split);
+        let vs = View_state.create revenue_by_month ~determined:false in
+        let c p = [| None; Some (View_state.C_sum { amount = i p; n = 1 }) |] in
+        View_state.feed vs ~key:(row [ i 1 ]) ~cnt:1 (c 10);
+        View_state.feed vs ~key:(row [ i 2 ]) ~cnt:1 (c 7);
+        let split = View_state.copy vs in
+        View_state.adjust vs ~key:(row [ i 1 ]) ~sums:[| (1, 4) |] ~before:a1 ~after:a2;
+        Alcotest.(check (list tuple)) "view: in place keeps the row"
+          [ row [ i 1 ]; row [ i 2 ] ] (view_order vs);
+        View_state.unfeed split ~key:(row [ i 1 ]) ~cnt:1 (c 10);
+        View_state.feed split ~key:(row [ i 1 ]) ~cnt:1 (c 12);
+        Alcotest.(check (list tuple)) "view: delete + insert re-creates it"
+          [ row [ i 2 ]; row [ i 1 ] ] (view_order split);
+        Alcotest.(check bool) "view: same state either way" true
+          (View_state.equal vs split));
+    test "adjust rejects what delete + insert rejects, before any write"
+      (fun () ->
+        let db = Workload.Retail.empty () in
+        let st = Aux_state.create (sale_spec db) (sale_schema db) in
+        let a1 = row [ i 1; i 1; i 1; i 1; i 10 ] in
+        Aux_state.insert_base st a1;
+        let snapshot = Aux_state.copy st in
+        let rejects what f =
+          match f () with
+          | () -> Alcotest.failf "%s: expected Invalid_argument" what
+          | exception Invalid_argument _ -> ()
+        in
+        rejects "aux: absent group" (fun () ->
+            Aux_state.adjust st ~before:(with_ a1 1 (i 9)) ~after:(with_ a1 1 (i 9)));
+        rejects "aux: NULL price" (fun () ->
+            Aux_state.adjust st ~before:a1 ~after:(with_ a1 4 Value.Null));
+        rejects "aux: a moving update" (fun () ->
+            Aux_state.adjust st ~before:a1 ~after:(with_ a1 1 (i 2)));
+        Alcotest.(check bool) "aux: untouched" true (Aux_state.equal st snapshot);
+        let max_spec =
+          Option.get
+            (Derive.spec_for
+               (Derive.derive_with
+                  { Derive.append_only_options with Derive.elimination = false }
+                  db Workload.Retail.product_sales_max)
+               "sale")
+        in
+        let ext = Aux_state.create max_spec (sale_schema db) in
+        Aux_state.insert_base ext a1;
+        rejects "aux: MIN/MAX columns" (fun () ->
+            Aux_state.adjust ext ~before:a1 ~after:(with_ a1 4 (i 11)));
+        let vs = View_state.create revenue_by_month ~determined:false in
+        View_state.feed vs ~key:(row [ i 1 ]) ~cnt:1
+          [| None; Some (View_state.C_sum { amount = i 10; n = 1 }) |];
+        let snapshot = View_state.copy vs in
+        rejects "view: absent group" (fun () ->
+            View_state.adjust vs ~key:(row [ i 2 ]) ~sums:[| (1, 4) |] ~before:a1
+              ~after:a1);
+        rejects "view: NULL price" (fun () ->
+            View_state.adjust vs ~key:(row [ i 1 ]) ~sums:[| (1, 4) |] ~before:a1
+              ~after:(with_ a1 4 Value.Null));
+        rejects "view: not a SUM" (fun () ->
+            View_state.adjust vs ~key:(row [ i 1 ]) ~sums:[| (0, 4) |] ~before:a1
+              ~after:a1);
+        Alcotest.(check bool) "view: untouched" true (View_state.equal vs snapshot));
+  ]
+
 let () =
   Alcotest.run "maintenance"
     [
@@ -954,4 +1194,5 @@ let () =
       ("elimination", elimination_tests);
       ("engines", engines_tests);
       ("distinct", distinct_tests);
+      ("in-place", in_place_tests);
     ]

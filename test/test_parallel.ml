@@ -426,8 +426,17 @@ let nets_once () =
   let rng = Workload.Prng.create 19 in
   let batches = 5 in
   let compacts = compact_phases () in
+  let in_place = ref 0 in
   for _ = 1 to batches do
     let facts = Workload.Delta_gen.stream_for rng db ~tables:[ "sale" ] ~n:40 in
+    List.iter
+      (fun (d : Delta.t) ->
+        match d.Delta.change, mirrors with
+        | Delta.Update { before; after }, (_, e) :: _
+          when Maintenance.Engine.updates_in_place e ~before ~after ->
+          incr in_place
+        | _ -> ())
+      facts;
     let dims =
       Workload.Delta_gen.stream_for ~mix:updates_only rng db
         ~tables:[ "product"; "store" ] ~n:6
@@ -457,7 +466,10 @@ let nets_once () =
         Alcotest.(check int) (name ^ ": deltas_in") p.input
           f.Telemetry.Lineage.deltas_in;
         Alcotest.(check int) (name ^ ": netted") p.netted
-          f.Telemetry.Lineage.netted)
+          f.Telemetry.Lineage.netted;
+        (* a repricing goes in place, one operation instead of two *)
+        Alcotest.(check int) (name ^ ": applied") p.applied
+          f.Telemetry.Lineage.applied)
       profiles;
     let sum f = List.fold_left (fun acc (_, p) -> acc + f p) 0 profiles in
     Alcotest.(check int)
@@ -469,6 +481,7 @@ let nets_once () =
       (sum (fun p -> p.Maintenance.Engine.netted))
       (counter "minview_engine_deltas_netted_total" - netted0)
   done;
+  Alcotest.(check bool) "the stream repriced sales in place" true (!in_place > 0);
   Alcotest.(check int) "one compact phase per batch" batches
     (compact_phases () - compacts);
   List.iter

@@ -417,6 +417,104 @@ let prop_distinct_multisets =
       done;
       !ok)
 
+(* --- root updates applied in place ----------------------------------------
+
+   Random views over the measure star (helpers.ml): SUM/AVG over the INT
+   price and the FLOAT amount, which an update may move in place, beside
+   group columns, local conditions, MIN/MAX and COUNT DISTINCT, which
+   expose it. Its streams mix price/amount updates, timeid updates,
+   deletions and dimension updates. *)
+let measure_view_gen =
+  let on dims (at : Attr.t) =
+    String.equal at.Attr.table "sale" || List.mem at.Attr.table dims
+  in
+  let groups =
+    [ a "sale" "timeid"; a "sale" "productid"; a "sale" "storeid";
+      a "time" "month"; a "time" "year"; a "product" "brand"; a "store" "city" ]
+  in
+  let aggs =
+    [ sum ~alias:"total_price" (a "sale" "price");
+      sum ~alias:"total_amount" (a "sale" "amount");
+      avg ~alias:"avg_amount" (a "sale" "amount");
+      avg ~alias:"avg_price" (a "sale" "price");
+      count_star ~alias:"cnt" ();
+      max_ ~alias:"max_amount" (a "sale" "amount");
+      min_ ~alias:"min_price" (a "sale" "price");
+      count_distinct ~alias:"brands" (a "product" "brand") ]
+  in
+  let locals =
+    [ local (a "time" "year") Cmp.Eq (i 1997);
+      local (a "sale" "price") Cmp.Gt (i 5);
+      local (a "product" "brand") Cmp.Neq (s "b0") ]
+  in
+  let agg_attr = function
+    | Select_item.Agg g -> Aggregate.attr g
+    | Select_item.Group _ -> None
+  in
+  Gen.bind (sublist [ "time"; "product"; "store" ]) (fun dims ->
+      Gen.bind (sublist (List.filter (on dims) groups)) (fun groups ->
+          Gen.bind
+            (sublist
+               (List.filter
+                  (fun g -> Option.fold ~none:true ~some:(on dims) (agg_attr g))
+                  aggs))
+            (fun aggs ->
+              Gen.map
+                (fun locals ->
+                  let v = view_of_spec { dims; groups; aggs; locals } in
+                  { v with View.name = "measure_view" })
+                (sublist
+                   (List.filter (fun (p : Predicate.t) -> on dims p.left) locals)))))
+
+let eager_pool = lazy (Maintenance.Shard.eager ~domains:2)
+
+let prop_in_place_updates =
+  QCheck2.Test.make ~count
+    ~name:"in-place root updates: maintained == recomputed == split updates"
+    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
+    Gen.(pair measure_view_gen (int_bound 10_000))
+    (fun (view, seed) ->
+      let module Engine = Maintenance.Engine in
+      let db = measure_db seed in
+      View.validate db view;
+      let d = Derive.derive db view in
+      let serial = Engine.init db d and split = Engine.init db d in
+      let direct = Engine.init db d and merged = Engine.init db d in
+      let rng = Workload.Prng.create seed in
+      (* the root's updates as a deletion then an insertion; a dimension
+         update stays an update, as only it carries the change to its
+         referencing rows *)
+      let split_updates =
+        List.concat_map (fun (dl : Delta.t) ->
+            if String.equal dl.Delta.table "sale" then
+              List.map
+                (fun change -> { dl with Delta.change })
+                (Delta.as_delete_insert dl.Delta.change)
+            else [ dl ])
+      in
+      let dim_updates = { Workload.Delta_gen.insert = 0; delete = 0; update = 1 } in
+      let ok = ref true in
+      for _ = 1 to 4 do
+        let facts = measure_changes rng db ~n:25 in
+        let dims =
+          Workload.Delta_gen.stream_for ~mix:dim_updates rng db
+            ~tables:[ "time"; "product" ] ~n:2
+        in
+        let deltas = facts @ dims in
+        Engine.apply_batch serial deltas;
+        Engine.apply_batch split (split_updates deltas);
+        Engine.apply_batch ~parallel:Maintenance.Shard.serial direct deltas;
+        Engine.apply_batch ~parallel:(Lazy.force eager_pool) merged deltas;
+        let expected = Algebra.Eval.eval db view in
+        ok :=
+          !ok
+          && List.for_all
+               (fun e -> Relation.equal (Engine.view_contents e) expected)
+               [ serial; direct; merged ]
+          && Engine.equal_state serial split
+      done;
+      !ok)
+
 (* --- incremental epoch publication ----------------------------------------
 
    [Engines.publish] advances the previous publication by the groups the
@@ -1002,6 +1100,7 @@ let () =
             prop_publish_equals_capture;
             prop_psj_engine_agrees;
             prop_aux_state_matches_materialization;
+            prop_in_place_updates;
           ] );
       ( "derivation",
         List.map to_alcotest

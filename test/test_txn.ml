@@ -387,6 +387,82 @@ let abort_tests =
           (Warehouse.audit wh ~reference:(Warehouse.believed_source wh)));
   ]
 
+(* --- in-place root updates --------------------------------------------- *)
+
+(* A batch of nothing but in-place root updates — repricings, on views that
+   sum the price — fails midway: by the warehouse's mid-engine-apply abort
+   after the whole batch, or by a repricing to NULL at its end, which the
+   in-place adjustment must refuse as the deletion + insertion would.
+   Rollback restores the pre-batch copy exactly, on the serial route and on
+   the one-domain pool's direct path. *)
+let in_place_rollback ~failure ~parallel (view : View.t) () =
+  let module Engine = Maintenance.Engine in
+  let db = Workload.Retail.load tiny in
+  let e = Engine.init db (Derive.derive db view) in
+  let rng = Workload.Prng.create 29 in
+  Engine.apply_batch e (Workload.Delta_gen.stream rng db ~n:40);
+  let snapshot = Engine.copy e in
+  let repricings =
+    Workload.Delta_gen.stream_for
+      ~mix:{ Workload.Delta_gen.insert = 0; delete = 0; update = 1 }
+      rng db ~tables:[ "sale" ] ~n:12
+  in
+  List.iter
+    (fun (d : Delta.t) ->
+      match d.Delta.change with
+      | Delta.Update { before; after } ->
+        Alcotest.(check bool) "goes in place" true
+          (Engine.updates_in_place e ~before ~after)
+      | Delta.Insert _ | Delta.Delete _ -> Alcotest.fail "expected an update")
+    repricings;
+  Engine.begin_txn e;
+  (match failure with
+  | Poison -> (
+    (* a 1997 sale, so it passes every view's semijoins *)
+    let before =
+      List.find
+        (fun tup -> Value.compare tup.(1) (i 4) >= 0)
+        (Database.fold db "sale" (fun tup acc -> tup :: acc) [])
+    in
+    let after = Array.copy before in
+    after.(4) <- Value.Null;
+    let poisoned = repricings @ [ Delta.update "sale" ~before ~after ] in
+    match Engine.apply_batch ?parallel e poisoned with
+    | () -> Alcotest.fail "the NULL repricing must raise"
+    | exception Invalid_argument _ -> ())
+  | Abort_mid_engine_apply -> (
+    Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+    Fun.protect ~finally:Faults.disarm @@ fun () ->
+    match
+      Engine.apply_batch ?parallel e repricings;
+      Faults.hit Faults.Mid_engine_apply
+    with
+    | () -> Alcotest.fail "the armed point must fire"
+    | exception Faults.Injected Faults.Mid_engine_apply -> ()));
+  Engine.rollback e;
+  Alcotest.(check bool)
+    "rollback restores the pre-batch state" true
+    (Engine.equal_state e snapshot);
+  Engine.apply_batch ?parallel e repricings;
+  Alcotest.check relation "post-rollback maintenance tracks recomputation"
+    (Algebra.Eval.eval db view) (Engine.view_contents e)
+
+let in_place_tests =
+  List.concat_map
+    (fun (view : View.t) ->
+      List.concat_map
+        (fun (pool, parallel) ->
+          List.map
+            (fun (label, failure) ->
+              test
+                (Printf.sprintf "%s, %s: an all-in-place batch rolls back (%s)"
+                   view.View.name pool label)
+                (in_place_rollback ~failure ~parallel view))
+            [ ("mid-engine-apply abort", Abort_mid_engine_apply);
+              ("NULL repricing", Poison) ])
+        [ ("no pool", None); ("one-domain pool", Some Maintenance.Shard.serial) ])
+    Workload.Retail.[ monthly_revenue; sales_by_time; product_sales ]
+
 let () =
   Alcotest.run "txn"
     [
@@ -394,4 +470,5 @@ let () =
       ("null-poisoning", null_tests); ("index-strictness", index_tests);
       ("validator-journal", validator_tests);
       ("warehouse-abort", abort_tests);
+      ("in-place-rollback", in_place_tests);
     ]
