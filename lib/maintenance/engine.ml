@@ -1360,11 +1360,26 @@ let init ?(fk_index = true) db (d : Derive.t) =
         view.View.name
         (Array.fold_left (fun n st -> if st = None then n else n + 1) 0 t.aux)
         (if determined then "root view eliminated" else "root view retained"));
-  (* seed the view state from the root base rows *)
-  Database.fold db root
-    (fun tup () ->
-      if passes_locals t 0 tup then root_view_feed t tup ~sign:1)
-    ();
+  (* Seed the view state. A retained root auxiliary view already holds
+     every root row the view can see, compressed: each stored group is fed
+     once, weighted by its count — Section 3.2's f(a ⊗ cnt0), read as
+     [dim_update_diff] reads it. Only an eliminated root auxiliary view
+     leaves the root base rows to fold one by one. *)
+  (match t.aux.(0) with
+  | Some root_st ->
+    let env = t.scratch_env and key = t.scratch_key and cs = t.scratch_cs in
+    Aux_state.iter root_st (fun row ->
+        if extend_root t env row then begin
+          let cnt = Aux_state.cnt row in
+          group_key_into t env key;
+          contribs_into t env ~cnt cs;
+          View_state.feed t.vstate ~key ~cnt cs
+        end)
+  | None ->
+    Database.fold db root
+      (fun tup () ->
+        if passes_locals t 0 tup then root_view_feed t tup ~sign:1)
+      ());
   flush t;
   t.wk_live <- true;
   t

@@ -37,7 +37,10 @@ type t
 exception Invariant of string
 
 (** Load the initial state from the store. This is the only moment base data
-    is read (Figure 1's initial extract).
+    is read (Figure 1's initial extract): each auxiliary view is loaded from
+    its base table, and the view is then seeded from the root auxiliary
+    view, each stored row once, weighted by its count — or, when the root
+    auxiliary view is eliminated, from the root base rows.
 
     [fk_index] (default true) builds secondary indexes on the foreign-key
     columns of every auxiliary view, making dimension-update propagation

@@ -113,10 +113,6 @@ let scan path =
       ~finally:(fun () -> close_in_noerr ic)
       (fun () -> scan_channel path ic)
 
-let read_all path =
-  let s = scan path in
-  (s.s_records, s.s_damage = None)
-
 (* --- writing ----------------------------------------------------------- *)
 
 module Obs = struct
@@ -224,20 +220,30 @@ let salvage path =
 let reopen path =
   open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
 
+let open_scanned path s =
+  if not (Sys.file_exists path) then begin
+    (* create the log so appends always start on a record boundary *)
+    write_file path [];
+    fsync_dir path
+  end;
+  let oc = reopen path in
+  (* the file is not read again: its length alone says whether appends
+     land on the record boundary the scan found (a missing file scanned as
+     0 bytes and now holds just the header) *)
+  let length = out_channel_length oc in
+  if length <> max s.s_valid_bytes (String.length magic) then begin
+    close_out_noerr oc;
+    corrupt "%s: %d bytes, but its scan ended on a record boundary at %d" path
+      length s.s_valid_bytes
+  end;
+  { path; oc; pending = Buffer.create 256; staged = 0 }
+
 let open_append path =
-  let s =
-    if Sys.file_exists path then scan path
-    else begin
-      (* create the log so appends always start on a record boundary *)
-      write_file path [];
-      fsync_dir path;
-      { s_records = []; s_valid_bytes = 0; s_damage = None }
-    end
-  in
+  let s = scan path in
   (* a damaged tail is repaired by quarantining the bad bytes and atomically
      rewriting the valid prefix — see [salvage] *)
-  (match s.s_damage with Some _ -> ignore (salvage path) | None -> ());
-  { path; oc = reopen path; pending = Buffer.create 256; staged = 0 }
+  if s.s_damage <> None then ignore (salvage path);
+  open_scanned path s
 
 let fsync_channel oc =
   try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()

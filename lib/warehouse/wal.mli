@@ -2,8 +2,9 @@
 
     Accepted delta batches are appended (and flushed) here {e before} any
     maintenance engine applies them; the append is the commit point. After a
-    crash, {!read_all} recovers the committed batches and {!Warehouse.recover}
-    replays the ones newer than the latest snapshot.
+    crash, {!Warehouse.recover} {!scan}s the segments its snapshot does not
+    cover, replays the committed batches newer than the snapshot, and opens
+    the live log's writer from its scan ({!open_scanned}).
 
     On-disk format: a ["minview-wal/1\n"] header followed by records, each
     framed as [u32-le payload length], [u32-le CRC-32 of payload], payload
@@ -64,12 +65,6 @@ type scan = {
     @raise Corrupt if the file exists but is not a WAL. *)
 val scan : string -> scan
 
-(** [read_all path] returns the decodable records in order and whether the
-    file ended cleanly ([false] = damaged tail present). A missing file reads
-    as [([], true)].
-    @raise Corrupt as {!scan}. *)
-val read_all : string -> record list * bool
-
 (** [quarantine_path path] is where {!salvage} puts the bad tail
     ([path ^ ".quarantine"]). *)
 val quarantine_path : string -> string
@@ -89,11 +84,19 @@ type writer
     quarantine) as needed. @raise Corrupt as {!scan}. *)
 val open_append : string -> writer
 
+(** [open_scanned path s] opens for appending a log whose scan [s] the
+    caller has just taken — and, if [s] found damage, {!salvage}d since —
+    without reading it again; a missing file is created. Recovery uses it
+    so the live log is scanned once.
+    @raise Corrupt if [path]'s length is not where [s]'s decodable prefix
+    ends (appends would not start on a record boundary). *)
+val open_scanned : string -> scan -> writer
+
 (** [append ?sync w r] stages one record. With [~sync:true] (the default)
     the record — and anything staged before it — is immediately written and
     fsynced: once [append] returns, the record survives a power cut. With
     [~sync:false] the record only joins the writer's in-memory buffer;
-    nothing is durable (or even visible to {!read_all}) until the next
+    nothing is durable (or even visible to {!scan}) until the next
     {!sync}. Group commit: stage every batch of an ingest burst with
     [~sync:false], then pay one write and one fsync in a single {!sync}. *)
 val append : ?sync:bool -> writer -> record -> unit

@@ -431,7 +431,10 @@ let set_retry t retry =
 
 (* Registration-time initialization of a view's engine from the validator's
    committed shadow, the warehouse's belief of the current source. Engines
-   only read it (a [Replicate] engine copies it), so it is read in place.
+   only read it (a [Replicate] engine copies it), so it is read in place:
+   an incremental engine loads its auxiliary views from it, then seeds the
+   view from the root auxiliary view when that is retained, reading the
+   root base rows again only when it is eliminated ([Engine.init]).
    Shared by registration, [load]/[recover] and the wedge rebuild. *)
 let build_engine validator strategy view =
   let source = Validator.shadow validator in
@@ -580,8 +583,9 @@ let save t path =
      storage layer holds closures and Bigarray segments that [Marshal]
      rejects, and snapshots are taken between batches, when every engine is
      a pure function of the validator's committed shadow (the audit verb
-     checks exactly this). [load] rebuilds the engines from that shadow,
-     which also keeps snapshots portable across storage-layout changes. *)
+     checks exactly this). [load] rebuilds each engine from that shadow
+     ([build_engine]), which also keeps snapshots portable across
+     storage-layout changes. *)
   let payload =
     Marshal.to_string
       ( List.map (fun r -> (r.view, r.strategy)) t.views,
@@ -1433,17 +1437,18 @@ let quarantine_snapshot path =
   Wal.fsync_dir path;
   q
 
-(* Read one WAL segment for replay under the damage policy:
+(* Scan one WAL segment recovery replays — the live log, or an archived
+   segment the restored snapshot does not cover — under the damage policy:
    - a torn tail on the live log is the expected artifact of a crash during
      an append — salvage it (quarantining the tail) and keep the prefix;
-   - damage on a segment the restored snapshot does not cover may hide
-     committed batches — refuse, directing the operator to [minview repair];
-   - damage on a segment fully covered by the restored snapshot is harmless:
-     every record the segment could hold is skipped by replay anyway. *)
-let read_segment ~live ~needed path =
+   - any other damage may hide committed batches — refuse, directing the
+     operator to [minview repair].
+   Segments the snapshot covers are never opened: every record they hold is
+   at or below its sequence number. [fsck] still checks them. *)
+let read_segment ~live path =
   match Wal.scan path with
-  | { Wal.s_records; s_damage = None; _ } -> s_records
-  | { Wal.s_records; s_damage = Some d; _ } -> (
+  | { Wal.s_damage = None; _ } as s -> s
+  | { Wal.s_damage = Some d; _ } as s -> (
     match d.Wal.d_kind with
     | Wal.Torn_write when live ->
       Log.warn (fun m ->
@@ -1451,17 +1456,14 @@ let read_segment ~live ~needed path =
             d.Wal.d_reason d.Wal.d_bytes
             (Wal.quarantine_path path));
       ignore (Wal.salvage path);
-      s_records
-    | _ when not needed -> s_records
+      s
     | kind ->
       err Corrupt_state
         "%s: %s at offset %d (%s) may hide committed batches — run `minview \
          repair` to quarantine the damage, accepting the loss"
         path (Wal.damage_kind_label kind) d.Wal.d_offset d.Wal.d_reason)
   | exception Wal.Corrupt m ->
-    if needed then
-      err Corrupt_state "%s — run `minview repair` to quarantine the file" m
-    else []
+    err Corrupt_state "%s — run `minview repair` to quarantine the file" m
 
 (* Forward declaration break: [recover] needs [attach] (empty-directory
    initialization), which is defined above; nothing else is cyclic. *)
@@ -1537,19 +1539,20 @@ let recover ~dir =
                    to %s"
                   path q chosen_path))
           !failed;
-        (* replay every archived segment in chain order, live log last;
-           replay is sequence-guarded, so segments older than the restored
-           snapshot contribute nothing *)
-        let segments =
-          List.map
-            (fun (n, p) -> (false, n >= chosen_gen, p))
+        (* replay the archived segments from the chosen generation on, in
+           chain order, then the live log. An older segment holds only
+           batches the snapshot contains (the chain invariant), so it is
+           not read; replay stays sequence-guarded all the same *)
+        let archived =
+          List.filter_map
+            (fun (n, p) ->
+              if n >= chosen_gen then Some (read_segment ~live:false p)
+              else None)
             (generation_wals dir)
-          @ [ (true, true, wal_path dir) ]
         in
+        let live = read_segment ~live:true (wal_path dir) in
         let records =
-          List.concat_map
-            (fun (live, needed, path) -> read_segment ~live ~needed path)
-            segments
+          List.concat_map (fun s -> s.Wal.s_records) (archived @ [ live ])
         in
         let aborted =
           List.filter_map
@@ -1579,7 +1582,9 @@ let recover ~dir =
               else t.seq <- max t.seq seq)
           records;
         t.dir <- Some dir;
-        (match Wal.open_append (wal_path dir) with
+        (* the live log was scanned, and a torn tail salvaged, above: its
+           writer opens from that scan *)
+        (match Wal.open_scanned (wal_path dir) live with
         | w -> t.wal <- Some w
         | exception Wal.Corrupt m -> err Corrupt_state "%s" m);
         (* one publication for the whole recovery, not one per replayed

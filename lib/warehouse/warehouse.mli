@@ -478,10 +478,12 @@ val load : string -> t
     retained) instead of being destroyed. After a crash, {!recover} loads
     the newest snapshot that passes its CRC check — falling back along the
     chain past unverifiable ones — and replays the committed WAL records
-    newer than it (archived segments in chain order, then the live log,
-    skipping aborted batches and tolerating a torn tail on the live log),
-    so the warehouse comes back at the last committed batch even when the
-    latest snapshot is damaged. *)
+    newer than it (the archived segments from its generation on, in chain
+    order, then the live log, skipping aborted batches and tolerating a
+    torn tail on the live log), so the warehouse comes back at the last
+    committed batch even when the latest snapshot is damaged. Archived
+    segments older than the restored snapshot hold only batches it
+    contains; recovery does not read them ({!fsck} still checks them). *)
 
 (** [attach t ~dir] makes [t] durable: creates [dir] if needed, opens (or
     repairs) its WAL, and takes an initial checkpoint. With

@@ -515,6 +515,100 @@ let prop_in_place_updates =
       done;
       !ok)
 
+(* --- seeding from the root auxiliary view ---------------------------------
+
+   [Engine.init] seeds the view state from the root auxiliary view when it
+   is retained (each stored group once, weighted by its count) and from the
+   root base rows only when it is eliminated. Either way the result must be
+   the engine an empty store grows into when every row arrives as an
+   insertion, and the view must be what [Reconstruct] evaluates over the
+   auxiliary views. The facts of both stars collide wherever the root
+   auxiliary view keeps few columns, so about a quarter of the seedings
+   feed stored rows with counts above one, into DISTINCT multisets and
+   R_ext extrema among others. *)
+
+(* Every row of the view's tables as an insertion, dimensions first so the
+   facts find their join partners. *)
+let inserts_of db (view : View.t) =
+  let root = List.hd view.View.tables in
+  let rows tbl =
+    Database.fold db tbl (fun tup acc -> Delta.insert tbl tup :: acc) []
+  in
+  List.concat_map rows (List.tl view.View.tables) @ rows root
+
+(* A HAVING threshold on a COUNT( * ) output, added when absent; [k = 0]
+   leaves the view as it is. *)
+let with_having k (view : View.t) =
+  if k = 0 then view
+  else
+    let has_cnt =
+      List.exists
+        (fun item -> String.equal (Select_item.alias item) "cnt")
+        view.View.select
+    in
+    {
+      view with
+      View.select =
+        (if has_cnt then view.View.select
+         else view.View.select @ [ count_star ~alias:"cnt" () ]);
+      having = [ { View.h_column = "cnt"; h_op = Cmp.Ge; h_const = i k } ];
+    }
+
+(* The derivations whose engines seed differently: the paper's (MIN/MAX
+   from plain columns), append-only (MIN/MAX from the R_ext columns), the
+   no-pushdown ablation (residual conditions on the stored root rows) and
+   PSJ (an uncompressed root auxiliary view). *)
+let seed_derivations =
+  [ ("default", Derive.derive);
+    ("append-only", Derive.derive_with Derive.append_only_options);
+    ( "no-pushdown",
+      Derive.derive_with
+        { Derive.default_options with Derive.push_locals = false } );
+    ("psj", Mindetail.Psj.derive) ]
+
+let seed_case_gen =
+  Gen.(
+    quad
+      (oneof
+         [ map (fun v -> (`Retail, v)) view_gen;
+           map (fun v -> (`Retail, v)) minmax_view_gen;
+           map (fun v -> (`Retail, v)) distinct_view_gen;
+           map (fun v -> (`Measure, v)) measure_view_gen ])
+      (int_bound (List.length seed_derivations - 1))
+      (int_bound 3) (int_bound 10_000))
+
+let prop_seed_from_root_aux =
+  QCheck2.Test.make ~count
+    ~name:"seeded engine == engine fed every row == reconstruction"
+    ~print:(fun ((_, v), di, k, seed) ->
+      Printf.sprintf "%s / %s / HAVING cnt >= %d / seed %d" (print_view v)
+        (fst (List.nth seed_derivations di))
+        k seed)
+    seed_case_gen
+    (fun ((star, base), di, k, seed) ->
+      let module Engine = Maintenance.Engine in
+      let db, empty =
+        match star with
+        | `Retail -> (Workload.Retail.load tiny_params, Workload.Retail.empty ())
+        | `Measure -> (measure_db seed, measure_empty ())
+      in
+      let view = with_having k base in
+      View.validate db view;
+      let d = (snd (List.nth seed_derivations di)) db view in
+      let seeded = Engine.init db d in
+      let fed = Engine.init empty d in
+      Engine.apply_batch fed (inserts_of db view);
+      let got = Engine.view_contents seeded in
+      let x tbl = Mindetail.Materialize.aux db d tbl in
+      Engine.equal_state seeded fed
+      && Relation.equal got (Algebra.Eval.eval db view)
+      &&
+      match Mindetail.Reconstruct.view d x with
+      | from_aux -> Relation.equal got from_aux
+      | exception Mindetail.Reconstruct.Not_reconstructible _ ->
+        (* only an eliminated root auxiliary view, seeded from base rows *)
+        Derive.spec_for d (Derive.root d) = None)
+
 (* --- incremental epoch publication ----------------------------------------
 
    [Engines.publish] advances the previous publication by the groups the
@@ -996,6 +1090,29 @@ let prop_partitioned_random =
       done;
       !ok)
 
+(* The [Aged] strategy's old partition runs an append-only engine beside
+   the current one: both seed at [Partitioned.init]. *)
+let prop_seed_partitioned =
+  QCheck2.Test.make ~count
+    ~name:"seeded old/current partitions == partitions fed every row"
+    ~print:(fun (v, boundary) ->
+      Printf.sprintf "%s / old up to day %d" (print_view v) boundary)
+    Gen.(pair mergeable_view_gen (int_bound tiny_params.Workload.Retail.days))
+    (fun (view, boundary) ->
+      let module Partitioned = Maintenance.Partitioned in
+      let db = Workload.Retail.load tiny_params in
+      View.validate db view;
+      let is_old tup =
+        match tup.(1) with Value.Int t -> t <= boundary | _ -> false
+      in
+      let seeded = Partitioned.init db view ~is_old in
+      let fed = Partitioned.init (Workload.Retail.empty ()) view ~is_old in
+      Partitioned.apply_batch fed (inserts_of db view);
+      Partitioned.equal_state seeded fed
+      && Relation.equal
+           (Partitioned.view_contents seeded)
+           (Algebra.Eval.eval db view))
+
 let prop_batch_split_invariance =
   QCheck2.Test.make ~count
     ~name:"engine state independent of batch boundaries"
@@ -1101,6 +1218,7 @@ let () =
             prop_psj_engine_agrees;
             prop_aux_state_matches_materialization;
             prop_in_place_updates;
+            prop_seed_from_root_aux;
           ] );
       ( "derivation",
         List.map to_alcotest
@@ -1119,6 +1237,7 @@ let () =
             prop_exposed_updates_random;
             prop_having_random;
             prop_partitioned_random;
+            prop_seed_partitioned;
             prop_random_schemas;
             prop_random_schemas_reconstruct;
             prop_batch_split_invariance;

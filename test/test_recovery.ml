@@ -638,6 +638,117 @@ let v3_tests =
         Warehouse.close wh'');
   ]
 
+(* --- which WAL segments recovery reads --------------------------------------
+
+   Recovery reads the archived segments from its chosen generation on and
+   the live log, nothing older; the live log is scanned once and its writer
+   opened from that scan. *)
+
+let segment dir name = Filename.concat (Filename.concat dir "generations") name
+
+(* Every [.quarantine] file under the state directory. *)
+let quarantined dir =
+  let names sub =
+    match Sys.readdir sub with
+    | entries ->
+      List.filter
+        (fun f -> Helpers.contains f ".quarantine")
+        (Array.to_list entries)
+    | exception Sys_error _ -> []
+  in
+  names dir @ names (Filename.concat dir "generations")
+
+(* Three checkpoints deep, then one more batch in the live log: generations
+   2 and 3 survive pruning, each with a one-batch WAL segment. *)
+let chained name =
+  let db, wh = build () in
+  let dir = fresh_dir name in
+  Warehouse.attach ~keep_generations:2 wh ~dir;
+  let rng = Workload.Prng.create 41 in
+  for _ = 1 to 3 do
+    Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:20);
+    Warehouse.checkpoint wh
+  done;
+  Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:20);
+  Warehouse.close wh;
+  let _, wals = generation_files dir in
+  (db, dir, List.sort compare wals)
+
+let segment_tests =
+  [
+    test "a damaged segment the live snapshot covers is never read"
+      (fun () ->
+        let db, dir, wals = chained "wh_seg_covered_dir" in
+        let oldest = segment dir (List.hd wals) in
+        flip_last_byte oldest;
+        let flipped = read_file oldest in
+        let fsck = Warehouse.fsck ~dir in
+        Alcotest.(check bool) "fsck still reports it" false
+          (List.for_all (fun e -> e.Warehouse.f_ok) fsck.Warehouse.fsck_entries);
+        let wh' = Warehouse.recover ~dir in
+        Alcotest.(check int) "no committed batch lost" 4
+          (Warehouse.ingested_batches wh');
+        check_views wh' db;
+        Warehouse.close wh';
+        Alcotest.(check bool) "the segment is byte-identical" true
+          (String.equal flipped (read_file oldest));
+        Alcotest.(check (list string)) "nothing quarantined" [] (quarantined dir));
+    test "after a fallback to generation K, damage in segment K is refused"
+      (fun () ->
+        let _db, dir, wals = chained "wh_seg_needed_dir" in
+        (* the live snapshot no longer verifies: recovery falls back to the
+           newest generation, whose segment it now has to replay *)
+        flip_last_byte (Filename.concat dir "snapshot.bin");
+        flip_last_byte (segment dir (List.nth wals (List.length wals - 1)));
+        match Warehouse.recover ~dir with
+        | wh' ->
+          Warehouse.close wh';
+          Alcotest.fail "a needed damaged segment was accepted"
+        | exception Warehouse.Error { kind = Warehouse.Corrupt_state; _ } -> ());
+    test "a salvaged live log keeps appending on a record boundary"
+      (fun () ->
+        let db, wh = build () in
+        let dir = fresh_dir "wh_seg_torn_dir" in
+        Warehouse.attach wh ~dir;
+        let rng = Workload.Prng.create 43 in
+        for _ = 1 to 2 do
+          Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:20)
+        done;
+        Warehouse.close wh;
+        let oc =
+          open_out_gen
+            [ Open_wronly; Open_append; Open_binary ]
+            0o644
+            (Filename.concat dir "wal.bin")
+        in
+        output_string oc "a frame that never finished";
+        close_out oc;
+        let wh' = Warehouse.recover ~dir in
+        Alcotest.(check (list string)) "the torn tail was quarantined"
+          [ "wal.bin.quarantine" ] (quarantined dir);
+        (* the writer opened from recovery's scan: these batches follow the
+           salvaged prefix *)
+        for _ = 1 to 2 do
+          Warehouse.ingest wh' (Workload.Delta_gen.stream rng db ~n:20)
+        done;
+        let live =
+          List.map
+            (fun (v : View.t) -> snd (Warehouse.query wh' v.View.name))
+            all_views
+        in
+        Warehouse.close wh';
+        let wh'' = Warehouse.recover ~dir in
+        Alcotest.(check int) "every batch replayed" 4
+          (Warehouse.ingested_batches wh'');
+        List.iter2
+          (fun (v : View.t) rows ->
+            Alcotest.check relation v.View.name rows
+              (snd (Warehouse.query wh'' v.View.name)))
+          all_views live;
+        check_views wh'' db;
+        Warehouse.close wh'');
+  ]
+
 (* --- checksums ------------------------------------------------------------ *)
 
 (* The definition, one bit at a time: the oracle for the sliced tables. *)
@@ -678,6 +789,7 @@ let () =
       ("checksum", checksum_tests);
       ("crash-points", crash_tests); ("durability", durability_tests);
       ("generation-chain", chain_tests);
+      ("wal-segments", segment_tests);
       ("snapshot-corruption", corruption_tests);
       ("v3-compat", v3_tests); ("v4-compat", v4_tests);
     ]
