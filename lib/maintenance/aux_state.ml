@@ -4,13 +4,7 @@ module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Value = Relational.Value
 module Icol = Column.Icol
-
-module TH = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
+module Marks = Column.Marks
 
 module VH = Hashtbl.Make (struct
   type t = Value.t
@@ -27,15 +21,24 @@ end)
    internal and never escape: the public [row] record is materialized on
    demand. *)
 
-(* First-touch before-image of one group, taken when an open transaction
-   first mutates it. [Absent] marks a group the batch created. Before-images
-   are boxed (keyed by group key, not row id): swap-with-last deletion
-   renumbers rows, so only keys are stable across a batch. *)
-type saved_group =
-  | Absent
-  | Present of { cnt : int; sums : Value.t array; exts : Value.t array }
+(* The undo journal of a shard: a log of group images laid out as the
+   shard lays out its groups — typed plain, sum and extremum cells, the
+   count — plus each group key's hash. An entry is the before-image of a
+   group's first mutation in the transaction, or, with [lcnt = -1], the
+   record that the transaction created the group. Images are keyed by
+   group key, not row id (swap-with-last deletion renumbers rows), and
+   appended with the typed cell copies the shard itself uses, so
+   journaling boxes nothing; the log keeps its capacity from one
+   transaction to the next (see [clear_log]). *)
+type log = {
+  lplains : Column.t array;
+  lsums : Column.t array;
+  lexts : Column.t array;
+  lcnt : Icol.t;
+  lhash : Icol.t;
+}
 
-type txn = { saved : saved_group TH.t; total0 : int }
+type txn = { total0 : int }
 
 (* One secondary index: per distinct column value, an [Icol] bucket of row
    ids; [pos] is row-parallel and holds each row's offset within its bucket
@@ -46,6 +49,7 @@ type index = { buckets : Icol.t VH.t; pos : Icol.t }
    per shard, so during a parallel apply each domain owns a disjoint set of
    shards and never touches another domain's columns or tables. *)
 type shard = {
+  idx : int;  (** position among the state's shards *)
   plains : Column.t array;
   plain_src : int array;
       (** base-schema index of each plain column (the state's, shared), so
@@ -53,6 +57,10 @@ type shard = {
   sums : Column.t array;
   exts : Column.t array;
   cnts : Icol.t;
+  touched : Marks.t;
+      (** row-parallel: marked when the open transaction has journaled the
+          row's group, so a later write to it skips the journal without
+          hashing its key again *)
   map : Rowmap.t;  (** group key (= plain cells) -> row id *)
   by_key : Rowmap.t option;  (** base key value -> row id *)
   mutable indexes : (int * index) list;
@@ -60,9 +68,7 @@ type shard = {
           (empty while {!load} runs; it builds them at the end) *)
   mutable total : int;
   mutable txn : txn option;
-  scratch : Tuple.t;
-      (** reusable projection buffer for the journal path; copied only when
-          a key must be retained *)
+  mutable log : log;
 }
 
 type t = {
@@ -76,6 +82,7 @@ type t = {
       (** base-schema index and is-MIN flag of each extremum column *)
   key_plain_pos : int;  (** position of the base key among plains, or -1 *)
   mask : int;  (** shard count - 1; shard of a key is [hash land mask] *)
+  bits : int;  (** log2 of the shard count: a locator's shard field *)
   shards : shard array;
 }
 
@@ -99,6 +106,52 @@ let key_hash_cols (plains : Column.t array) r =
 
 let nrows sh = Icol.length sh.cnts
 
+let empty_log plains sums exts =
+  let like = Array.map Column.empty_like in
+  {
+    lplains = like plains;
+    lsums = like sums;
+    lexts = like exts;
+    lcnt = Icol.create ();
+    lhash = Icol.create ();
+  }
+
+let log_length lg = Icol.length lg.lcnt
+
+let truncate_log lg n =
+  let cut = Array.iter (fun c -> Column.truncate c n) in
+  cut lg.lplains;
+  cut lg.lsums;
+  cut lg.lexts;
+  Icol.truncate lg.lcnt n;
+  Icol.truncate lg.lhash n
+
+(* Appends the image of row [r] with [cnt] (-1: the group was created). *)
+let log_row (sh : shard) ~hash ~cnt r =
+  let lg = sh.log in
+  for i = 0 to Array.length lg.lplains - 1 do
+    Column.append_cell lg.lplains.(i) sh.plains.(i) r
+  done;
+  for i = 0 to Array.length lg.lsums - 1 do
+    Column.append_cell lg.lsums.(i) sh.sums.(i) r
+  done;
+  for i = 0 to Array.length lg.lexts - 1 do
+    Column.append_cell lg.lexts.(i) sh.exts.(i) r
+  done;
+  Icol.append lg.lcnt cnt;
+  Icol.append lg.lhash hash
+
+let log_cells cols e = Array.map (fun c -> Column.get c e) cols
+
+(* Empties the log of [sh]. It keeps its capacity for the next
+   transactions unless that is well beyond what it just held: then its
+   storage is released, so one large batch does not pin a large log. *)
+let clear_log (sh : shard) =
+  let lg = sh.log in
+  if Icol.capacity lg.lcnt > 4 * max 64 (log_length lg) then
+    sh.log <- empty_log lg.lplains lg.lsums lg.lexts
+  else truncate_log lg 0
+
 let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
   if shards < 1 || shards land (shards - 1) <> 0 then
     invalid_arg
@@ -119,7 +172,7 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
       (fun pool -> Dict.shared pool ~table:spec.Auxview.base ~column:col)
       dict_pool
   in
-  let mk_shard () =
+  let mk_shard idx =
     let plains =
       Array.of_list
         (List.map (fun col -> Column.create ?dict:(dict_for col) ()) plain_cols)
@@ -139,20 +192,25 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
                  spec.Auxview.name col))
         (List.sort_uniq String.compare indexed_columns)
     in
+    let sums =
+      Array.of_list
+        (List.map
+           (fun col -> Column.create ?dict:(dict_for col) ())
+           (Auxview.summed_columns spec))
+    and exts =
+      Array.of_list
+        (List.map
+           (fun (col, _) -> Column.create ?dict:(dict_for col) ())
+           (Auxview.ext_columns spec))
+    in
     {
+      idx;
       plains;
       plain_src;
-      sums =
-        Array.of_list
-          (List.map
-             (fun col -> Column.create ?dict:(dict_for col) ())
-             (Auxview.summed_columns spec));
-      exts =
-        Array.of_list
-          (List.map
-             (fun (col, _) -> Column.create ?dict:(dict_for col) ())
-             (Auxview.ext_columns spec));
+      sums;
+      exts;
       cnts = Icol.create ();
+      touched = Marks.create ();
       map = Rowmap.create ~hash:(fun r -> key_hash_cols plains r) ();
       by_key =
         (if key_plain_pos >= 0 then
@@ -164,9 +222,10 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
       indexes;
       total = 0;
       txn = None;
-      scratch = Array.make (Array.length plain_src) Value.Null;
+      log = empty_log plains sums exts;
     }
   in
+  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
   {
     spec;
     plain_pos;
@@ -179,7 +238,8 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
            (Auxview.ext_columns spec));
     key_plain_pos;
     mask = shards - 1;
-    shards = Array.init shards (fun _ -> mk_shard ());
+    bits = log2 shards;
+    shards = Array.init shards mk_shard;
   }
 
 let spec s = s.spec
@@ -218,8 +278,8 @@ let rec row_matches_key (sh : shard) r (key : Tuple.t) i =
 
 let cell_is col v r = Column.equal_cell col r v
 
-let find_row_key sh key =
-  Rowmap.find sh.map ~hash:(Tuple.hash key) ~eq:(fun r -> row_matches_key sh r key 0)
+let find_row_key sh ~hash key =
+  Rowmap.find sh.map ~hash ~eq:(fun r -> row_matches_key sh r key 0)
 
 let group_key_at (sh : shard) r =
   Array.init (Array.length sh.plains) (fun i -> Column.get sh.plains.(i) r)
@@ -322,9 +382,11 @@ let append_from_base s (sh : shard) ~hash tup count =
     Column.append sh.exts.(i) tup.(fst s.ext_src.(i))
   done;
   Icol.append sh.cnts count;
+  Marks.append sh.touched;
   Rowmap.add sh.map ~hash r;
   by_key_attach s sh r;
-  index_add_row sh r
+  index_add_row sh r;
+  r
 
 let append_from_values s (sh : shard) key cnt (sums : Value.t array) (exts : Value.t array) =
   let r = nrows sh in
@@ -332,9 +394,11 @@ let append_from_values s (sh : shard) key cnt (sums : Value.t array) (exts : Val
   Array.iteri (fun i v -> Column.append sh.sums.(i) v) sums;
   Array.iteri (fun i v -> Column.append sh.exts.(i) v) exts;
   Icol.append sh.cnts cnt;
+  Marks.append sh.touched;
   Rowmap.add sh.map ~hash:(Tuple.hash key) r;
   by_key_attach s sh r;
-  index_add_row sh r
+  index_add_row sh r;
+  r
 
 (* Swap-with-last removal of row [r], repairing every row-id holder: the
    key map, by_key (both the deleted row's entry, if it still points here,
@@ -379,6 +443,7 @@ let delete_row s (sh : shard) ~hash r =
   Array.iter (fun c -> Column.swap_delete c r) sh.sums;
   Array.iter (fun c -> Column.swap_delete c r) sh.exts;
   Icol.swap_delete sh.cnts r;
+  Marks.swap_delete sh.touched r;
   List.iter (fun (_, idx) -> Icol.swap_delete idx.pos r) sh.indexes
 
 (* --- transactions -------------------------------------------------------- *)
@@ -389,66 +454,82 @@ let begin_txn s =
       (Printf.sprintf "Aux_state.begin_txn(%s): transaction already open"
          s.spec.Auxview.name);
   Array.iter
-    (fun sh -> sh.txn <- Some { saved = TH.create 64; total0 = sh.total })
+    (fun sh ->
+      Marks.next_epoch sh.touched;
+      sh.txn <- Some { total0 = sh.total })
     s.shards
 
-(* Journal [key]'s before-image, once per transaction. Must run before any
-   mutation of the group at row [r] ([-1]: before its creation). [key] may
-   alias a scratch buffer; it is copied if retained. *)
-let note_known (sh : shard) key r =
+(* Before the first mutation of the group at row [r] in a transaction:
+   logs its image, once — a row already logged is recognized by its
+   [touched] mark, without a probe. [hash] is the group key's hash. *)
+let note_row (sh : shard) ~hash r =
   match sh.txn with
   | None -> ()
-  | Some { saved; _ } ->
-    if not (TH.mem saved key) then
-      TH.add saved (Array.copy key)
-        (if r < 0 then Absent
-         else
-          Present
-            {
-              cnt = Icol.get sh.cnts r;
-              sums =
-                Array.init (Array.length sh.sums) (fun i ->
-                    Column.get sh.sums.(i) r);
-              exts =
-                Array.init (Array.length sh.exts) (fun i ->
-                    Column.get sh.exts.(i) r);
-            })
+  | Some _ ->
+    if not (Marks.marked sh.touched r) then begin
+      log_row sh ~hash ~cnt:(Icol.get sh.cnts r) r;
+      Marks.mark sh.touched r
+    end
+
+(* After the creation of the group at row [r]. *)
+let note_created (sh : shard) ~hash r =
+  match sh.txn with
+  | None -> ()
+  | Some _ ->
+    log_row sh ~hash ~cnt:(-1) r;
+    Marks.mark sh.touched r
 
 let commit s =
   if s.shards.(0).txn = None then
     invalid_arg
       (Printf.sprintf "Aux_state.commit(%s): no open transaction"
          s.spec.Auxview.name);
-  Array.iter (fun sh -> sh.txn <- None) s.shards
+  Array.iter
+    (fun sh ->
+      clear_log sh;
+      sh.txn <- None)
+    s.shards
 
 let rollback_shard s sh =
   match sh.txn with
   | None -> ()
-  | Some { saved; total0 } ->
+  | Some { total0 } ->
     (* by_key and index membership are pure functions of the stored cells,
        so restoring group presence restores them too. Two phases: first
        drop every group created inside the transaction, then restore the
        pre-existing ones — a created and a restored group can share a base
        key value (e.g. a root-tuple update rewrote an aggregated column),
-       and removal must not clobber the restored by_key mapping. *)
-    TH.iter
-      (fun key before ->
-        match before, find_row_key sh key with
-        | Absent, Some r -> delete_row s sh ~hash:(Tuple.hash key) r
-        | Absent, None | Present _, _ -> ())
-      saved;
-    TH.iter
-      (fun key before ->
-        match before, find_row_key sh key with
-        | Absent, _ -> ()
-        | Present p, Some r ->
-          Icol.set sh.cnts r p.cnt;
-          Array.iteri (fun i v -> Column.set sh.sums.(i) r v) p.sums;
-          Array.iteri (fun i v -> Column.set sh.exts.(i) r v) p.exts;
+       and removal must not clobber the restored by_key mapping. A key may
+       carry both entries, when the transaction deleted its group and
+       created it again. *)
+    let lg = sh.log in
+    let n = log_length lg in
+    for e = 0 to n - 1 do
+      if Icol.get lg.lcnt e < 0 then
+        let hash = Icol.get lg.lhash e in
+        match find_row_key sh ~hash (log_cells lg.lplains e) with
+        | Some r -> delete_row s sh ~hash r
+        | None -> ()
+    done;
+    for e = 0 to n - 1 do
+      let cnt = Icol.get lg.lcnt e in
+      if cnt >= 0 then begin
+        let key = log_cells lg.lplains e in
+        match find_row_key sh ~hash:(Icol.get lg.lhash e) key with
+        | Some r ->
+          Icol.set sh.cnts r cnt;
+          Array.iteri (fun i c -> Column.set sh.sums.(i) r (Column.get c e)) lg.lsums;
+          Array.iteri (fun i c -> Column.set sh.exts.(i) r (Column.get c e)) lg.lexts;
           (* the mapping may have been stolen by a since-removed group *)
           by_key_attach s sh r
-        | Present p, None -> append_from_values s sh key p.cnt p.sums p.exts)
-      saved;
+        | None ->
+          ignore
+            (append_from_values s sh key cnt (log_cells lg.lsums e)
+               (log_cells lg.lexts e)
+              : int)
+      end
+    done;
+    clear_log sh;
     sh.total <- total0;
     sh.txn <- None
 
@@ -482,24 +563,14 @@ let check_aggregands s op tup =
            s.spec.Auxview.name src)
   done
 
-(* Project [tup]'s group key into the shard's scratch buffer — valid only
-   until the next projection on the same shard, and only retained via
-   copies (the journal path). *)
-let scratch_key (sh : shard) tup =
-  let key = sh.scratch in
-  for i = 0 to Array.length sh.plain_src - 1 do
-    key.(i) <- tup.(sh.plain_src.(i))
-  done;
-  key
-
 let insert_base ?(count = 1) s tup =
   if count < 1 then invalid_arg "Aux_state.insert_base: count must be >= 1";
   check_aggregands s "insert_base" tup;
   let hash = hash_base s tup in
   let sh = s.shards.(hash land s.mask) in
   let r = Rowmap.probe sh.map ~hash base_matches sh tup in
-  if sh.txn <> None then note_known sh (scratch_key sh tup) r;
   if r >= 0 then begin
+    note_row sh ~hash r;
     Icol.add sh.cnts r count;
     for i = 0 to Array.length s.sum_src - 1 do
       Column.add_cell sh.sums.(i) r tup.(s.sum_src.(i)) count
@@ -509,7 +580,7 @@ let insert_base ?(count = 1) s tup =
       Column.combine_ext sh.exts.(i) r tup.(src) ~is_min
     done
   end
-  else append_from_base s sh ~hash tup count;
+  else note_created sh ~hash (append_from_base s sh ~hash tup count);
   sh.total <- sh.total + count
 
 let delete_base ?(count = 1) s tup =
@@ -527,13 +598,13 @@ let delete_base ?(count = 1) s tup =
     invalid_arg
       (Printf.sprintf "Aux_state.delete_base(%s): group %s absent"
          s.spec.Auxview.name
-         (Tuple.to_string (scratch_key sh tup)));
+         (Tuple.to_string (Tuple.project tup sh.plain_src)));
   let cnt = Icol.get sh.cnts r in
   if cnt < count then
     invalid_arg
       (Printf.sprintf "Aux_state.delete_base(%s): count underflow"
          s.spec.Auxview.name);
-  if sh.txn <> None then note_known sh (scratch_key sh tup) r;
+  note_row sh ~hash r;
   Icol.set sh.cnts r (cnt - count);
   for i = 0 to Array.length s.sum_src - 1 do
     Column.sub_cell sh.sums.(i) r tup.(s.sum_src.(i)) count
@@ -556,12 +627,12 @@ let adjust s ~before ~after =
     invalid_arg
       (Printf.sprintf "Aux_state.adjust(%s): group %s absent"
          s.spec.Auxview.name
-         (Tuple.to_string (scratch_key sh before)));
+         (Tuple.to_string (Tuple.project before sh.plain_src)));
   if not (base_matches sh after r) then
     invalid_arg
       (Printf.sprintf "Aux_state.adjust(%s): the update moves its group"
          s.spec.Auxview.name);
-  if sh.txn <> None then note_known sh (scratch_key sh before) r;
+  note_row sh ~hash r;
   (* the order of a deletion then an insertion, so float sums agree *)
   for i = 0 to Array.length s.sum_src - 1 do
     let src = s.sum_src.(i) in
@@ -589,11 +660,13 @@ let copy s =
   let copy_shard (sh : shard) =
     let plains = Array.map Column.copy sh.plains in
     {
+      idx = sh.idx;
       plains;
       plain_src = sh.plain_src;
       sums = Array.map Column.copy sh.sums;
       exts = Array.map Column.copy sh.exts;
       cnts = Icol.copy sh.cnts;
+      touched = Marks.copy sh.touched;
       map = Rowmap.copy sh.map ~hash:(fun r -> key_hash_cols plains r);
       by_key =
         Option.map
@@ -610,7 +683,7 @@ let copy s =
           sh.indexes;
       total = sh.total;
       txn = None;
-      scratch = Array.copy sh.scratch;
+      log = empty_log sh.log.lplains sh.log.lsums sh.log.lexts;
     }
   in
   { s with shards = Array.map copy_shard s.shards }
@@ -686,8 +759,9 @@ let equal a b =
          for r = 0 to nrows sh - 1 do
            if !ok then begin
              let key = group_key_at sh r in
-             let sh' = b.shards.(shard_of_key b key) in
-             match find_row_key sh' key with
+             let hash = Tuple.hash key in
+             let sh' = b.shards.(hash land b.mask) in
+             match find_row_key sh' ~hash key with
              | Some r' ->
                let cnt = Icol.get sh.cnts r in
                let sums =
@@ -769,7 +843,7 @@ let exts _s (row : row) =
 let check_key_kept s =
   if s.key_plain_pos < 0 then
     invalid_arg
-      (Printf.sprintf "Aux_state.find_by_key(%s): key not kept"
+      (Printf.sprintf "Aux_state.locate_key(%s): key not kept"
          s.spec.Auxview.name)
 
 let key_row s (sh : shard) ~hash k =
@@ -777,24 +851,57 @@ let key_row s (sh : shard) ~hash k =
   | None -> -1
   | Some bk -> Rowmap.probe bk ~hash cell_is sh.plains.(s.key_plain_pos) k
 
-let rec find_key_from s ~hash k i =
-  if i >= Array.length s.shards then None
+(* --- locators ------------------------------------------------------------ *)
+
+(* A locator names a group as one int, [(row lsl bits) lor shard]: what a
+   typed reader keeps per joined table instead of a [row] handle. *)
+let loc s (sh : shard) r = (r lsl s.bits) lor sh.idx
+let loc_shard s l = s.shards.(l land s.mask)
+let loc_row s l = l lsr s.bits
+let loc_of_row s (row : row) = loc s row.sh_ row.r_
+let loc_cnt s l = Icol.get (loc_shard s l).cnts (loc_row s l)
+let plain_column s l i = (loc_shard s l).plains.(i)
+let sum_column s l i = (loc_shard s l).sums.(i)
+let ext_column s l i = (loc_shard s l).exts.(i)
+
+let iter_locs s f =
+  Array.iter
+    (fun sh ->
+      for r = 0 to nrows sh - 1 do
+        f (loc s sh r)
+      done)
+    s.shards
+
+let rec locate_from s ~hash k i =
+  if i >= Array.length s.shards then -1
   else
     let sh = s.shards.(i) in
     let r = key_row s sh ~hash k in
-    if r >= 0 then Some (row_of sh r) else find_key_from s ~hash k (i + 1)
+    if r >= 0 then loc s sh r else locate_from s ~hash k (i + 1)
 
-let rec mem_key_from s ~hash k i =
-  i < Array.length s.shards
-  && (key_row s s.shards.(i) ~hash k >= 0 || mem_key_from s ~hash k (i + 1))
-
-let find_by_key s k =
+let locate_key s k =
   check_key_kept s;
-  find_key_from s ~hash:(Value.hash k) k 0
+  locate_from s ~hash:(Value.hash k) k 0
 
-let mem_key s k =
+let mem_key s k = locate_key s k >= 0
+
+let key_cell_is col src j r = Column.equal_cells col r src j
+
+let rec locate_cell_from s ~hash src j i =
+  if i >= Array.length s.shards then -1
+  else
+    let sh = s.shards.(i) in
+    let r =
+      match sh.by_key with
+      | None -> -1
+      | Some bk ->
+        Rowmap.probe3 bk ~hash key_cell_is sh.plains.(s.key_plain_pos) src j
+    in
+    if r >= 0 then loc s sh r else locate_cell_from s ~hash src j (i + 1)
+
+let locate_key_cell s src j =
   check_key_kept s;
-  mem_key_from s ~hash:(Value.hash k) k 0
+  locate_cell_from s ~hash:(Column.hash_cell src j) src j 0
 
 let iter s f =
   Array.iter
@@ -884,8 +991,6 @@ let plain_of s (row : row) col =
   | None -> raise Not_found
 
 let plain_at (row : row) i = Column.get row.sh_.plains.(i) row.r_
-let sum_at (row : row) i = Column.get row.sh_.sums.(i) row.r_
-let ext_at (row : row) i = Column.get row.sh_.exts.(i) row.r_
 
 let to_relation s =
   let rel = Relation.create ~size_hint:(group_count s) () in
@@ -937,7 +1042,8 @@ let byte_size s =
   let structures =
     Array.fold_left
       (fun acc (sh : shard) ->
-        acc + Icol.byte_size sh.cnts + Rowmap.byte_size sh.map
+        acc + Icol.byte_size sh.cnts + Marks.byte_size sh.touched
+        + Rowmap.byte_size sh.map
         + (match sh.by_key with Some bk -> Rowmap.byte_size bk | None -> 0)
         + List.fold_left
             (fun acc (_, idx) ->

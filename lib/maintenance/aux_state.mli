@@ -157,14 +157,47 @@ val row_count : t -> int
 (** Total base tuples folded in (Σ counts). *)
 val base_count : t -> int
 
-(** Key-indexed lookup, available when the base key is kept plainly (always
-    true for semijoin targets and join destinations).
+(** Whether a group holds base key [k] (see {!locate_key}).
     @raise Invalid_argument when the key is not kept. *)
-val find_by_key : t -> Relational.Value.t -> row option
-
 val mem_key : t -> Relational.Value.t -> bool
 
 val iter : t -> (row -> unit) -> unit
+
+(** {2 Locators}
+
+    A locator names one group as an [int] — its row and shard — so that a
+    reader can hold a group, read its cells where they are stored and
+    probe with them, and allocate nothing. Like a {!row}, a locator is
+    invalidated by the next mutation of the state. *)
+
+(** [locate_key s k] is the group holding base key [k], [-1] when absent:
+    a key-indexed lookup, available when the base key is kept plainly
+    (always true for semijoin targets and join destinations).
+    @raise Invalid_argument when the key is not kept. *)
+val locate_key : t -> Relational.Value.t -> int
+
+(** [locate_key_cell s col j] is [locate_key s (Column.get col j)], without
+    boxing the cell. *)
+val locate_key_cell : t -> Column.t -> int -> int
+
+val iter_locs : t -> (int -> unit) -> unit
+val loc_of_row : t -> row -> int
+
+(** The group's ["COUNT(*)"]. *)
+val loc_cnt : t -> int -> int
+
+(** The group's row in the columns below. *)
+val loc_row : t -> int -> int
+
+(** The columns holding the group's [i]-th plain cell, running sum and
+    extremum: [i] is a position among the view's plain columns
+    ({!Mindetail.Auxview.plain_position}), running sums
+    ({!Mindetail.Auxview.sum_position}) or extrema
+    ({!Mindetail.Auxview.min_position} / {!Mindetail.Auxview.max_position}). *)
+val plain_column : t -> int -> int -> Column.t
+
+val sum_column : t -> int -> int -> Column.t
+val ext_column : t -> int -> int -> Column.t
 
 (** [iter_where s conds f] visits every group whose plain [column] takes one
     of the listed values, for every [(column, values)] of [conds] ([[]]
@@ -187,15 +220,9 @@ val rows_with : t -> column:string -> Relational.Value.t -> row list
     @raise Not_found if the column is not kept plainly. *)
 val plain_of : t -> row -> string -> Relational.Value.t
 
-(** Positional reads for callers that resolved a column once: [plain_at row
-    i] is the [i]-th plain cell ({!Mindetail.Auxview.plain_position}),
-    [sum_at] the [i]-th running sum ({!Mindetail.Auxview.sum_position}) and
-    [ext_at] the [i]-th extremum ({!Mindetail.Auxview.min_position} /
-    {!Mindetail.Auxview.max_position}). *)
+(** Positional read for callers that resolved a column once: [plain_at row
+    i] is the [i]-th plain cell ({!Mindetail.Auxview.plain_position}). *)
 val plain_at : row -> int -> Relational.Value.t
-
-val sum_at : row -> int -> Relational.Value.t
-val ext_at : row -> int -> Relational.Value.t
 
 (** Project one base tuple to the grouping key of this view. *)
 val group_key_of_base : t -> Relational.Tuple.t -> Relational.Tuple.t
@@ -210,9 +237,12 @@ val to_relation : t -> Relational.Relation.t
     every column knows its allocated cell bytes. *)
 
 (** Resident bytes of this state: column cells (including off-heap Bigarray
-    payloads), the count column, key map, by-key map, secondary indexes and
+    payloads), the count column, key map, by-key map, secondary indexes,
     string dictionaries (each dictionary counted once per state, even when
-    shared across shards). *)
+    shared across shards) and the journal's row marks. The undo log is
+    working memory of the transactions, not counted: emptied by {!commit}
+    and {!rollback}, it keeps its capacity only while that is within four
+    times what it held. *)
 val byte_size : t -> int
 
 (** Off-heap (Bigarray payload) bytes only — the part of {!byte_size} that

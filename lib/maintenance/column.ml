@@ -46,6 +46,54 @@ module Icol = struct
 
   let copy c = { len = c.len; cells = Array.copy c.cells }
   let byte_size c = 8 * Array.length c.cells
+  let capacity c = Array.length c.cells
+  let truncate c n = if n < c.len then c.len <- max 0 n
+end
+
+module Marks = struct
+  (* A row is marked when its byte holds the current epoch. Epochs run
+     from 1 to 255; past 255 every byte is cleared and the epochs start
+     again, so a stale byte never equals the current epoch. *)
+  type t = { mutable len : int; mutable cells : Bytes.t; mutable epoch : int }
+
+  let create () = { len = 0; cells = Bytes.empty; epoch = 0 }
+  let length c = c.len
+
+  let check c i op =
+    if i < 0 || i >= c.len then
+      invalid_arg (Printf.sprintf "Column.Marks.%s: row %d of %d" op i c.len)
+
+  let next_epoch c =
+    if c.epoch = 255 then begin
+      Bytes.fill c.cells 0 c.len '\000';
+      c.epoch <- 1
+    end
+    else c.epoch <- c.epoch + 1
+
+  let marked c i =
+    check c i "marked";
+    Char.code (Bytes.unsafe_get c.cells i) = c.epoch
+
+  let mark c i =
+    check c i "mark";
+    Bytes.unsafe_set c.cells i (Char.unsafe_chr c.epoch)
+
+  let append c =
+    if c.len = Bytes.length c.cells then begin
+      let cells = Bytes.create (max 16 (2 * c.len)) in
+      Bytes.blit c.cells 0 cells 0 c.len;
+      c.cells <- cells
+    end;
+    Bytes.unsafe_set c.cells c.len '\000';
+    c.len <- c.len + 1
+
+  let swap_delete c i =
+    check c i "swap_delete";
+    Bytes.unsafe_set c.cells i (Bytes.unsafe_get c.cells (c.len - 1));
+    c.len <- c.len - 1
+
+  let copy c = { c with cells = Bytes.copy c.cells }
+  let byte_size c = Bytes.length c.cells
 end
 
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) BA1.t
@@ -74,6 +122,8 @@ let create ?dict () =
 
 let create_boxed () =
   { len = 0; storage = S_empty; dict_hint = None; boxed_only = true }
+
+let empty_like c = { c with len = 0; storage = S_empty }
 
 let length c = c.len
 
@@ -210,6 +260,17 @@ let swap_delete c i =
     a.(l) <- Value.Null);
   c.len <- l
 
+(* Cells past the new length stay allocated, to be overwritten by the next
+   appends; boxed ones are released for the GC. *)
+let truncate c n =
+  if n < c.len then begin
+    let n = max 0 n in
+    (match c.storage with
+    | S_boxed a -> Array.fill a n (c.len - n) Value.Null
+    | S_empty | S_int _ | S_float _ | S_dict _ -> ());
+    c.len <- n
+  end
+
 let equal_cell c i v =
   check c i "equal_cell";
   match c.storage, v with
@@ -221,14 +282,22 @@ let equal_cell c i v =
   | S_boxed a, _ -> Value.equal a.(i) v
   | (S_int _ | S_float _ | S_dict _), _ -> false
 
+(* [Value.hash_float] of an unboxed float: the bits are split here, so
+   that no boxed float crosses the module boundary. *)
+let[@inline] float_hash x =
+  let b = Int64.bits_of_float x in
+  Value.hash_float_words
+    ~hi:(Int64.to_int (Int64.shift_right_logical b 32))
+    ~lo:(Int64.to_int b land 0xFFFF_FFFF)
+
 (* Must agree with [Value.hash] cell-for-cell: shard routing and map probes
    hash boxed tuples on one side and stored cells on the other. *)
 let hash_cell c i =
   check c i "hash_cell";
   match c.storage with
   | S_empty -> assert false
-  | S_int a -> Hashtbl.hash (0, a.{i})
-  | S_float a -> Hashtbl.hash (1, a.{i})
+  | S_int a -> Value.hash_int a.{i}
+  | S_float a -> float_hash a.{i}
   | S_dict { codes; dict } -> Dict.hash dict (Int32.to_int codes.{i})
   | S_boxed a -> Value.hash a.(i)
 
@@ -250,6 +319,76 @@ let sub_cell c i v n =
   | S_float a, Value.Float x -> a.{i} <- a.{i} -. (x *. float_of_int n)
   | S_float a, Value.Int x -> a.{i} <- a.{i} -. float_of_int (x * n)
   | _ -> set c i (Value.sub (get c i) (Value.scale v n))
+
+(* --- cell to cell ---------------------------------------------------------
+
+   Typed counterparts of the operations above whose operand is the cell
+   [j] of a second column: matching storages meet without boxing either
+   cell (two dictionary columns compare codes when they share their
+   dictionary), and the arithmetic is exactly that of the boxed operation
+   on [get src j]. *)
+
+let equal_cells c i src j =
+  check c i "equal_cells";
+  check src j "equal_cells";
+  match c.storage, src.storage with
+  | S_int a, S_int b -> a.{i} = b.{j}
+  | S_float a, S_float b -> Float.equal a.{i} b.{j}
+  | S_dict { codes; dict }, S_dict { codes = codes'; dict = dict' } ->
+    if dict == dict' then Int32.equal codes.{i} codes'.{j}
+    else
+      String.equal
+        (Dict.decode dict (Int32.to_int codes.{i}))
+        (Dict.decode dict' (Int32.to_int codes'.{j}))
+  | _ -> equal_cell c i (get src j)
+
+let append_cell c src j =
+  check src j "append_cell";
+  match c.storage, src.storage with
+  | S_int a, S_int b when c.len < BA1.dim a ->
+    a.{c.len} <- b.{j};
+    c.len <- c.len + 1
+  | S_float a, S_float b when c.len < BA1.dim a ->
+    a.{c.len} <- b.{j};
+    c.len <- c.len + 1
+  | S_dict { codes; dict }, S_dict { codes = codes'; dict = dict' }
+    when dict == dict' && c.len < BA1.dim codes ->
+    codes.{c.len} <- codes'.{j};
+    c.len <- c.len + 1
+  | _ -> append c (get src j)
+
+let add_cells c i src j n =
+  check c i "add_cells";
+  check src j "add_cells";
+  match c.storage, src.storage with
+  | S_int a, S_int b -> a.{i} <- a.{i} + (b.{j} * n)
+  | S_float a, S_float b -> a.{i} <- a.{i} +. (b.{j} *. float_of_int n)
+  | S_float a, S_int b -> a.{i} <- a.{i} +. float_of_int (b.{j} * n)
+  | _ -> add_cell c i (get src j) n
+
+let sub_cells c i src j n =
+  check c i "sub_cells";
+  check src j "sub_cells";
+  match c.storage, src.storage with
+  | S_int a, S_int b -> a.{i} <- a.{i} - (b.{j} * n)
+  | S_float a, S_float b -> a.{i} <- a.{i} -. (b.{j} *. float_of_int n)
+  | S_float a, S_int b -> a.{i} <- a.{i} -. float_of_int (b.{j} * n)
+  | _ -> sub_cell c i (get src j) n
+
+let zero_like_cell c i =
+  check c i "zero_like_cell";
+  match c.storage with
+  | S_int _ -> Value.Int 0
+  | S_float _ -> Value.Float 0.
+  | S_empty | S_dict _ | S_boxed _ -> Value.zero_like (get c i)
+
+let is_numeric_cell c i =
+  check c i "is_numeric_cell";
+  match c.storage with
+  | S_int _ | S_float _ -> true
+  | S_dict _ -> false
+  | S_empty -> assert false
+  | S_boxed a -> Value.is_numeric a.(i)
 
 let combine_ext c i v ~is_min =
   check c i "combine_ext";

@@ -38,6 +38,39 @@ module Icol : sig
 
   val copy : t -> t
   val byte_size : t -> int
+
+  (** The cells allocated: [length] plus the appends that fit unresized. *)
+  val capacity : t -> int
+
+  (** [truncate c n] drops every cell from [n] on, keeping the capacity. *)
+  val truncate : t -> int -> unit
+end
+
+module Marks : sig
+  (** One mark per row, a byte each: which rows were marked since the last
+      {!next_epoch}. The undo journals mark a row when they log its group,
+      so a second write to it in the same transaction skips the journal. *)
+
+  type t
+
+  val create : unit -> t
+  val length : t -> int
+
+  (** Unmarks every row, in O(1) on 254 calls of 255. *)
+  val next_epoch : t -> unit
+
+  val marked : t -> int -> bool
+  val mark : t -> int -> unit
+
+  (** [append c] adds an unmarked row. *)
+  val append : t -> unit
+
+  (** [swap_delete c i] moves the last row's mark into [i] and shrinks by
+      one. *)
+  val swap_delete : t -> int -> unit
+
+  val copy : t -> t
+  val byte_size : t -> int
 end
 
 type t
@@ -52,6 +85,9 @@ val create : ?dict:Dict.t -> unit -> t
     pending MIN/MAX components of the view state). *)
 val create_boxed : unit -> t
 
+(** An empty column created as [c] was (same dictionary, same boxing). *)
+val empty_like : t -> t
+
 val length : t -> int
 val append : t -> Relational.Value.t -> unit
 val get : t -> int -> Relational.Value.t
@@ -59,6 +95,10 @@ val set : t -> int -> Relational.Value.t -> unit
 
 (** [swap_delete c i] moves the last cell into [i] and shrinks by one. *)
 val swap_delete : t -> int -> unit
+
+(** [truncate c n] drops every cell from [n] on, keeping the capacity (and
+    the storage: the next appends reuse it). *)
+val truncate : t -> int -> unit
 
 (** [equal_cell c i v] is [Value.equal (get c i) v] without materializing
     the cell. *)
@@ -75,6 +115,30 @@ val hash_cell : t -> int -> int
 val add_cell : t -> int -> Relational.Value.t -> int -> unit
 
 val sub_cell : t -> int -> Relational.Value.t -> int -> unit
+
+(** {2 Cell to cell}
+
+    The operations above with the cell [j] of a second column [src] as the
+    operand: matching storages meet without boxing either cell, and each
+    result is exactly that of the boxed operation on [get src j]. *)
+
+(** [equal_cells c i src j] is [equal_cell c i (get src j)]. *)
+val equal_cells : t -> int -> t -> int -> bool
+
+(** [append_cell c src j] is [append c (get src j)]. *)
+val append_cell : t -> t -> int -> unit
+
+(** [add_cells c i src j n] is [add_cell c i (get src j) n]; [sub_cells]
+    likewise. *)
+val add_cells : t -> int -> t -> int -> int -> unit
+
+val sub_cells : t -> int -> t -> int -> int -> unit
+
+(** [zero_like_cell c i] is [Value.zero_like (get c i)]. *)
+val zero_like_cell : t -> int -> Relational.Value.t
+
+(** [is_numeric_cell c i] is [Value.is_numeric (get c i)]. *)
+val is_numeric_cell : t -> int -> bool
 
 (** [combine_ext c i v ~is_min] folds an append-only extremum:
     cell := min/max(cell, v) under [Value.compare]. *)

@@ -28,18 +28,13 @@ module VSet = Set.Make (struct
   let compare = Value.compare
 end)
 
-(* A row participating in a join: either a base tuple carried by a delta, or
-   a stored auxiliary row. *)
-type rowval = Base of Tuple.t | Auxrow of Aux_state.row
-
-(* One joined row: a [rowval] per view table, indexed by slot (the root is
-   slot 0). Slots the join has not reached yet hold stale values. *)
-type env = rowval array
-
 (* A column of a view table, resolved once at [init]: [base] is its index in
    the base schema (read off a delta's tuple), [plain] its position among
-   the plain columns of the table's auxiliary view (-1 when not kept). *)
-type cref = { slot : int; base : int; plain : int }
+   the plain columns of the table's auxiliary view (-1 when not kept).
+   Slots index [tables]; the root is slot 0. A joined row is a [Feed.t]:
+   each slot bound to a base tuple or to a group of its auxiliary view
+   (slots the join has not reached yet hold stale bindings). *)
+type cref = Feed.cell = { slot : int; base : int; plain : int }
 
 (* One outgoing key join: the parent's foreign-key column, the child's slot. *)
 type cjoin = { fk : cref; child : int }
@@ -57,14 +52,14 @@ type cond = { pos : int; op : Cmp.t; rhs : operand }
    foreign key and the slot whose auxiliary view must hold its value. *)
 type semi = { sj_fk : int; sj_slot : int }
 
-(* How an aggregate argument is read off an auxiliary row: from the running
-   SUM or the append-only MIN/MAX column the auxiliary view keeps for it,
-   else from its plain column. *)
-type aux_read = R_plain | R_sum of int | R_ext of int
+(* A select item and how its argument is read off a joined row (see
+   [Feed.arg]). *)
+type item_plan = P_group of cref | P_agg of { agg : Aggregate.t; arg : Feed.arg }
 
-type agg_src = A_count | A_attr of { c : cref; aux_read : aux_read }
-
-type item_plan = P_group of cref | P_agg of { agg : Aggregate.t; src : agg_src }
+(* The column an aggregate reads, if any. *)
+let arg_cell : Feed.arg -> cref option = function
+  | Feed.Sum { c; _ } | Feed.Value { c; _ } -> Some c
+  | Feed.Key | Feed.Weight -> None
 
 (* A MIN/MAX item recomputed from the auxiliary rows of its dirty groups;
    [ext] >= 0 reads the append-only extremum column at that position instead
@@ -132,12 +127,10 @@ type t = {
   root_sums : (int * int) array;
       (** per non-DISTINCT SUM/AVG item over a root column: the item and
           the column's base position (the shifts of an in-place update) *)
-  scratch_key : Tuple.t;  (** reusable group-key buffer, serial path only *)
-  scratch_env : rowval array;
-      (** reusable joined row of the coordinator's root feeds (serial
-          route, direct path, init); never touched by a worker *)
-  scratch_cs : View_state.contrib option array;
-      (** reusable contribution buffer, serial path only *)
+  feed : Feed.t;
+      (** the view's typed feed plan, and the joined row of the
+          coordinator's feeds (serial route, direct path, dimension
+          updates, init); a worker binds a [Feed.rebind] of its own *)
   obs_groups : Telemetry.Gauge.t;  (** resident view groups *)
   mutable obs_aux :
     (string * Telemetry.Gauge.t * Telemetry.Gauge.t * Telemetry.Gauge.t) list;
@@ -253,14 +246,13 @@ let derivation t = t.d
 (* Deep copy of all mutable state; the derivation, plans and schemas are
    immutable after [init] and stay shared. *)
 let copy t =
+  let aux = Array.map (Option.map Aux_state.copy) t.aux in
   {
     t with
-    aux = Array.map (Option.map Aux_state.copy) t.aux;
+    aux;
     vstate = View_state.copy t.vstate;
-    (* scratch buffers must never be shared between engines *)
-    scratch_key = Array.copy t.scratch_key;
-    scratch_cs = Array.copy t.scratch_cs;
-    scratch_env = Array.make (Array.length t.tables) (Base [||]);
+    (* a joined row must never be shared between engines *)
+    feed = Feed.rebind t.feed ~auxs:aux;
   }
 
 (* Structural equality of all mutable state: every auxiliary view (matched
@@ -312,22 +304,6 @@ let slot_aux t s =
   | Some st -> st
   | None -> invariant "auxiliary view for %s is missing" t.tables.(s)
 
-(* --- reading attribute values out of a joined row -------------------- *)
-
-let read (env : env) c =
-  match env.(c.slot) with
-  | Base tup -> tup.(c.base)
-  | Auxrow row -> Aux_state.plain_at row c.plain
-
-let group_key t env = Array.map (read env) t.group_plan
-
-(* Allocation-free variant for the hot path; [dst] must not be retained by
-   the callee (View_state copies keys on retention). *)
-let group_key_into t env dst =
-  for i = 0 to Array.length t.group_plan - 1 do
-    dst.(i) <- read env t.group_plan.(i)
-  done
-
 (* --- resolved local conditions and semijoin membership ------------------ *)
 
 (* Every check below is a loop over what [init] resolved for a slot: no
@@ -339,14 +315,16 @@ let rec tup_holds conds (tup : Tuple.t) i =
   Cmp.eval c.op tup.(c.pos) (match c.rhs with K v -> v | At p -> tup.(p))
   && tup_holds conds tup (i + 1)
 
-let rec row_holds conds row i =
+let plain_value st l pos =
+  Column.get (Aux_state.plain_column st l pos) (Aux_state.loc_row st l)
+
+let rec row_holds conds st l i =
   i >= Array.length conds
   ||
   let c = conds.(i) in
-  Cmp.eval c.op
-    (Aux_state.plain_at row c.pos)
-    (match c.rhs with K v -> v | At p -> Aux_state.plain_at row p)
-  && row_holds conds row (i + 1)
+  Cmp.eval c.op (plain_value st l c.pos)
+    (match c.rhs with K v -> v | At p -> plain_value st l p)
+  && row_holds conds st l (i + 1)
 
 (* Whether two images of a row differ at one of the positions [pos]. *)
 let rec differs pos (before : Tuple.t) (after : Tuple.t) i =
@@ -373,124 +351,74 @@ let in_aux t s tup =
   | Some _ -> tup_holds t.aux_conds.(s) tup 0 && semis_hold t t.semis.(s) tup 0
 
 (* View local conditions on slot [s] not already enforced by its auxiliary
-   view, evaluated against an auxiliary row. *)
-let residual_ok t s row = row_holds t.residuals.(s) row 0
+   view, evaluated against its group [l]. *)
+let residual_ok t s st l =
+  Array.length t.residuals.(s) = 0 || row_holds t.residuals.(s) st l 0
 
 (* --- joins ------------------------------------------------------------- *)
 
-let new_env t : env = Array.make (Array.length t.tables) (Base [||])
-
-(* Extend [env] along the join tree below slot [s]; key joins find at most
-   one partner per table, all of them in dimension auxiliary views. The
-   join list is walked directly, so no step allocates a closure. *)
-let rec extend t env s = join_all t env ~skip:(-1) t.joins.(s)
+(* Extend the joined row [f] along the join tree below slot [s]; key joins
+   find at most one partner per table, all of them in dimension auxiliary
+   views, probed with the foreign key's cell where it is stored. The join
+   list is walked directly, so no step allocates. *)
+let rec extend t f s = join_all t f ~skip:(-1) t.joins.(s)
 
 (* Joins every [j] of [js] but the one into slot [skip]. *)
-and join_all t env ~skip = function
+and join_all t f ~skip = function
   | [] -> true
-  | j :: js -> (j.child = skip || join_one t env j) && join_all t env ~skip js
+  | j :: js -> (j.child = skip || join_one t f j) && join_all t f ~skip js
 
-and join_one t env j =
-  match Aux_state.find_by_key (slot_aux t j.child) (read env j.fk) with
-  | None -> false
-  | Some row ->
-    residual_ok t j.child row
-    && begin
-         env.(j.child) <- Auxrow row;
-         extend t env j.child
-       end
-
-(* The joined row of a root base tuple, if it has every join partner, in a
-   fresh row: for the merged path's prepare, which runs on workers. *)
-let base_env t tup =
-  let env = new_env t in
-  env.(0) <- Base tup;
-  if extend t env 0 then Some env else None
+and join_one t f j =
+  let st = slot_aux t j.child in
+  let l = Feed.locate f j.fk st in
+  l >= 0
+  && residual_ok t j.child st l
+  && begin
+       Feed.bind_loc f j.child l;
+       extend t f j.child
+     end
 
 (* Root auxiliary rows participate in the view only when they pass the view
    conditions not already enforced by the root spec (no-pushdown ablation).
-   Joins [row] into [env]; the subtree of slot [skip], if given, is left as
-   the caller already joined it. *)
-let extend_root ?(skip = -1) t env row =
-  env.(0) <- Auxrow row;
-  residual_ok t 0 row && join_all t env ~skip t.joins.(0)
-
-(* --- contributions ---------------------------------------------------- *)
+   Joins the root group [l] into [f]; the subtree of slot [skip], if given,
+   is left as the caller already joined it. *)
+let extend_root ?(skip = -1) t f l =
+  Feed.bind_loc f 0 l;
+  residual_ok t 0 (slot_aux t 0) l && join_all t f ~skip t.joins.(0)
 
 let is_csmas_sum (agg : Aggregate.t) =
   (not agg.Aggregate.distinct)
   && (agg.Aggregate.func = Aggregate.Sum || agg.Aggregate.func = Aggregate.Avg)
 
-let value_contrib (agg : Aggregate.t) a ~cnt =
-  if agg.Aggregate.distinct then View_state.C_value a
-  else
-    match agg.Aggregate.func with
-    | Aggregate.Min | Aggregate.Max -> View_state.C_value a
-    | Aggregate.Sum | Aggregate.Avg ->
-      View_state.C_sum { amount = Value.scale a cnt; n = cnt }
-    | Aggregate.Count | Aggregate.Count_star ->
-      (* COUNTs are planned as A_count *)
-      assert false
-
-let contrib_of (env : env) ~cnt plan =
-  match plan with
-  | P_group _ -> None
-  | P_agg { agg; src } ->
-    Some
-      (match src with
-      | A_count -> View_state.C_count cnt
-      | A_attr { c; aux_read } -> (
-        match env.(c.slot) with
-        | Base tup -> value_contrib agg tup.(c.base) ~cnt
-        | Auxrow row -> (
-          match aux_read with
-          | R_sum i -> View_state.C_sum { amount = Aux_state.sum_at row i; n = cnt }
-          | R_ext i -> View_state.C_value (Aux_state.ext_at row i)
-          | R_plain -> value_contrib agg (Aux_state.plain_at row c.plain) ~cnt)))
-
-let contribs t env ~cnt = Array.map (contrib_of env ~cnt) t.plans
-
-(* Allocation-free variant; [dst] is not retained by View_state. *)
-let contribs_into t env ~cnt dst =
-  for i = 0 to Array.length t.plans - 1 do
-    dst.(i) <- contrib_of env ~cnt t.plans.(i)
-  done
-
 (* --- root-table changes ----------------------------------------------- *)
 
-(* Coordinator only: the group key of root tuple [tup], joined through the
-   engine's scratch row into its scratch key (View_state copies what it
-   retains), counted as one workload write; false when [tup] lacks a join
+(* A workload write of weight [w] to the group of the joined row [f]. The
+   label thunk is forced synchronously (only on a top-k miss); hashing and
+   the closure are only paid on sampled events, and the exact counts go
+   through plain fields flushed once per batch. *)
+let note_write t f w =
+  if t.wk_events land Telemetry.Workload.sample_mask = 0 then
+    Telemetry.Workload.note_hot_key ~weight:w t.wk ~hash:(Feed.hash_key f)
+      ~label:(fun () -> Tuple.to_string (Feed.key f));
+  t.wk_writes <- t.wk_writes + w;
+  t.wk_events <- t.wk_events + 1
+
+(* Coordinator only: joins root tuple [tup] through the engine's feed,
+   counted as one workload write; false when [tup] lacks a join
    partner. *)
 let root_group t tup =
-  let env = t.scratch_env in
-  env.(0) <- Base tup;
-  extend t env 0
+  let f = t.feed in
+  Feed.bind_base f 0 tup;
+  extend t f 0
   && begin
-       let key = t.scratch_key in
-       group_key_into t env key;
-       (* the label thunk is forced synchronously (only on a top-k miss),
-          so handing it the reused scratch buffer is safe; hashing and the
-          closure are only paid on sampled events, and the exact counts go
-          through plain fields flushed once per batch *)
-       if t.wk_live && Telemetry.enabled () then begin
-         if t.wk_events land Telemetry.Workload.sample_mask = 0 then
-           Telemetry.Workload.note_hot_key t.wk ~hash:(Tuple.hash key)
-             ~label:(fun () -> Tuple.to_string key);
-         t.wk_writes <- t.wk_writes + 1;
-         t.wk_events <- t.wk_events + 1
-       end;
+       if t.wk_live && Telemetry.enabled () then note_write t f 1;
        true
      end
 
 let root_view_feed t tup ~sign =
-  if root_group t tup then begin
-    (* the scratch contribution buffer avoids a per-tuple allocation *)
-    contribs_into t t.scratch_env ~cnt:1 t.scratch_cs;
-    let key = t.scratch_key and cs = t.scratch_cs in
-    if sign > 0 then View_state.feed t.vstate ~key ~cnt:1 cs
-    else View_state.unfeed t.vstate ~key ~cnt:1 cs
-  end
+  if root_group t tup then
+    if sign > 0 then View_state.feed t.vstate t.feed ~cnt:1
+    else View_state.unfeed t.vstate t.feed ~cnt:1
 
 let root_insert t tup =
   if in_aux t 0 tup then Aux_state.insert_base (slot_aux t 0) tup;
@@ -512,8 +440,7 @@ let updates_in_place t ~before ~after =
 let root_adjust t ~before ~after =
   if in_aux t 0 before then Aux_state.adjust (slot_aux t 0) ~before ~after;
   if passes_locals t 0 before && root_group t before then
-    View_state.adjust t.vstate ~key:t.scratch_key ~sums:t.root_sums ~before
-      ~after
+    View_state.adjust t.vstate t.feed ~sums:t.root_sums ~before ~after
 
 let root_update t ~before ~after =
   if updates_in_place t ~before ~after then root_adjust t ~before ~after
@@ -595,29 +522,22 @@ let dim_update_diff t s ~before ~after =
           Aux_state.rows_with root_st ~column:j1.View.src.Attr.column v @ acc)
         fk_targets []
   in
-  let env = new_env t in
-  let feeds () =
-    List.filter_map
-      (fun row ->
-        if extend_root t env row then
-          let cnt = Aux_state.cnt row in
-          Some (group_key t env, cnt, contribs t env ~cnt)
-        else None)
+  (* the root auxiliary view is not written here, so its locators hold
+     across the update of X_table: the old contributions are withdrawn
+     before it, the new ones fed after *)
+  let affected = List.map (Aux_state.loc_of_row root_st) affected in
+  let f = t.feed in
+  let each g =
+    List.iter
+      (fun l ->
+        if extend_root t f l then g (Aux_state.loc_cnt root_st l))
       affected
   in
-  (* capture the old contributions before mutating X_table *)
-  let old_feeds = feeds () in
-  let was_in = in_aux t s before in
+  each (fun cnt -> View_state.unfeed t.vstate f ~cnt);
   let st = slot_aux t s in
-  if was_in then Aux_state.delete_base st before;
+  if in_aux t s before then Aux_state.delete_base st before;
   if in_aux t s after then Aux_state.insert_base st after;
-  let new_feeds = feeds () in
-  List.iter
-    (fun (key, cnt, cs) -> View_state.unfeed t.vstate ~key ~cnt cs)
-    old_feeds;
-  List.iter
-    (fun (key, cnt, cs) -> View_state.feed t.vstate ~key ~cnt cs)
-    new_feeds
+  each (fun cnt -> View_state.feed t.vstate f ~cnt)
 
 (* Nearest key-annotated ancestor of [table] (possibly itself), strictly
    below the root. Elimination of the root auxiliary view guarantees its
@@ -710,7 +630,7 @@ let dim_update_rewrite t s ~before ~after =
       |> List.mapi (fun i plan -> (i, plan))
       |> List.filter_map (fun (i, plan) ->
              match plan with
-             | P_agg { agg; src = A_attr { c; _ } }
+             | P_agg { agg; arg = Feed.Sum { c; _ } | Feed.Value { c; _ } }
                when String.equal t.tables.(c.slot) table
                     && List.mem c.base changed ->
                let ci = c.base in
@@ -766,10 +686,11 @@ let live_driving t root_st =
     Some d
   | Some _ | None -> None
 
-(* [walk_groups t root_st groups f] calls [f v key env row] for every root
+(* [walk_groups t root_st groups f] calls [f v key feed row] for every root
    auxiliary row [row] whose joined group key [key] is bound to [v] in
    [groups] — "the root rows of these groups", for recomputation and the
-   audit alike. [key] and [env] are scratch buffers, valid during the call.
+   audit alike. [key] and the joined row [feed] are scratch buffers, valid
+   during the call.
    Returns the number of root auxiliary rows examined.
 
    Three paths, chosen per walk:
@@ -790,13 +711,13 @@ let live_driving t root_st =
    The last two are one [Aux_state.iter_where] call, which walks the
    buckets of the first indexed condition column. *)
 let walk_groups t root_st groups f =
-  let env = new_env t in
+  let feed = Feed.rebind t.feed ~auxs:t.aux in
   let key = Array.make (Array.length t.group_plan) Value.Null in
   let visit ?skip row =
-    if extend_root ?skip t env row then begin
-      group_key_into t env key;
+    if extend_root ?skip t feed (Aux_state.loc_of_row root_st row) then begin
+      Feed.key_into feed key;
       match TH.find_opt groups key with
-      | Some v -> f v key env row
+      | Some v -> f v key feed row
       | None -> ()
     end
   in
@@ -817,10 +738,12 @@ let walk_groups t root_st groups f =
     let part = Array.make (Array.length d.covered) Value.Null in
     let conds = root_conds () in
     let examined = ref 0 in
-    Aux_state.iter (slot_aux t child) (fun crow ->
-        env.(child) <- Auxrow crow;
-        if residual_ok t child crow && extend t env child then begin
-          Array.iteri (fun j (_, c) -> part.(j) <- read env c) d.covered;
+    let child_st = slot_aux t child in
+    Aux_state.iter child_st (fun crow ->
+        let l = Aux_state.loc_of_row child_st crow in
+        Feed.bind_loc feed child l;
+        if residual_ok t child child_st l && extend t feed child then begin
+          Array.iteri (fun j (_, c) -> part.(j) <- Feed.read feed c ~ext:(-1)) d.covered;
           if TH.mem wanted part then
             (* the child's key is the foreign key of its root rows *)
             let fk = Aux_state.plain_at crow d.child_key in
@@ -869,16 +792,10 @@ let flush_dirty t =
           TH.add dirty key (Array.make (Array.length t.rtargets) None))
       dirty_keys;
     t.walk_rows <-
-      walk_groups t root_st dirty (fun accs _key env _row ->
+      walk_groups t root_st dirty (fun accs _key feed _row ->
           Array.iteri
             (fun j r ->
-              let a =
-                match env.(r.rc.slot) with
-                | Base tup -> tup.(r.rc.base)
-                | Auxrow row ->
-                  if r.ext >= 0 then Aux_state.ext_at row r.ext
-                  else Aux_state.plain_at row r.rc.plain
-              in
+              let a = Feed.read feed r.rc ~ext:r.ext in
               accs.(j) <-
                 Some
                   (match accs.(j) with
@@ -1013,35 +930,29 @@ let init ?(fk_index = true) db (d : Derive.t) =
            match item with
            | Select_item.Group { attr; _ } -> P_group (aref attr)
            | Select_item.Agg agg ->
-             let src =
+             (* an argument is read off an auxiliary row from the running
+                SUM or the append-only MIN/MAX column its view keeps for
+                it, else from its plain column *)
+             let arg =
                match agg.Aggregate.func, agg.Aggregate.distinct, Aggregate.attr agg with
-               | Aggregate.Count_star, _, _ | Aggregate.Count, false, _ -> A_count
-               | _, _, Some (a : Attr.t) ->
+               | Aggregate.Count_star, _, _ | Aggregate.Count, false, _ -> Feed.Weight
+               | _, _, Some (a : Attr.t) -> (
                  let pos f =
-                   Option.bind (Derive.spec_for d a.Attr.table) (fun spec ->
-                       f spec a.Attr.column)
+                   match Derive.spec_for d a.Attr.table with
+                   | Some spec -> Option.value (f spec a.Attr.column) ~default:(-1)
+                   | None -> -1
                  in
-                 let plain_only = agg.Aggregate.distinct in
-                 let aux_read =
-                   match agg.Aggregate.func with
-                   | _ when is_csmas_sum agg -> (
-                     match pos Auxview.sum_position with
-                     | Some i -> R_sum i
-                     | None -> R_plain)
-                   | Aggregate.Min when not plain_only -> (
-                     match pos Auxview.min_position with
-                     | Some i -> R_ext i
-                     | None -> R_plain)
-                   | Aggregate.Max when not plain_only -> (
-                     match pos Auxview.max_position with
-                     | Some i -> R_ext i
-                     | None -> R_plain)
-                   | _ -> R_plain
-                 in
-                 A_attr { c = aref a; aux_read }
+                 let c = aref a in
+                 match agg.Aggregate.func with
+                 | _ when is_csmas_sum agg -> Feed.Sum { c; sum = pos Auxview.sum_position }
+                 | Aggregate.Min when not agg.Aggregate.distinct ->
+                   Feed.Value { c; ext = pos Auxview.min_position }
+                 | Aggregate.Max when not agg.Aggregate.distinct ->
+                   Feed.Value { c; ext = pos Auxview.max_position }
+                 | _ -> Feed.Value { c; ext = -1 })
                | _, _, None -> assert false
              in
-             P_agg { agg; src })
+             P_agg { agg; arg })
          view.View.select)
   in
   let group_plan = Array.of_list (List.map aref (View.group_attrs view)) in
@@ -1217,9 +1128,9 @@ let init ?(fk_index = true) db (d : Derive.t) =
     Array.iter add_ref group_plan;
     Array.iter
       (function
-        | P_agg { agg; src = A_attr { c; _ } } ->
-          add_ref ~exposes:(not (is_csmas_sum agg)) c
-        | P_agg _ | P_group _ -> ())
+        | P_agg { agg; arg } ->
+          Option.iter (add_ref ~exposes:(not (is_csmas_sum agg))) (arg_cell arg)
+        | P_group _ -> ())
       plans;
     add_cols (View.local_columns view ~table:root);
     add_cols
@@ -1260,7 +1171,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
     Array.to_list plans
     |> List.mapi (fun item plan ->
            match plan with
-           | P_agg { agg; src = A_attr { c; _ } }
+           | P_agg { agg; arg = Feed.Sum { c; _ } }
              when c.slot = 0 && is_csmas_sum agg ->
              Some (item, c.base)
            | P_agg _ | P_group _ -> None)
@@ -1271,6 +1182,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
      states (a dimension column in both its auxiliary view and the view
      state, say) interns each distinct string once *)
   let dict_pool = Dict.create_pool () in
+  let aux = Array.make (Array.length tables) None in
   let t =
     {
       d;
@@ -1279,7 +1191,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
       tables;
       slots;
       schemas;
-      aux = Array.make (Array.length tables) None;
+      aux;
       joins;
       vstate = View_state.create ~shards:nshards ~dict_pool view ~determined;
       plans;
@@ -1297,9 +1209,12 @@ let init ?(fk_index = true) db (d : Derive.t) =
       root_reads;
       exposing;
       root_sums;
-      scratch_key = Array.make (Array.length group_plan) Value.Null;
-      scratch_cs = Array.make (Array.length plans) None;
-      scratch_env = Array.make (Array.length tables) (Base [||]);
+      feed =
+        Feed.create ~auxs:aux ~key:group_plan
+          ~args:
+            (Array.map
+               (function P_group _ -> Feed.Key | P_agg { arg; _ } -> arg)
+               plans);
       obs_groups =
         Telemetry.Gauge.make
           ~labels:[ ("view", view.View.name) ]
@@ -1367,14 +1282,9 @@ let init ?(fk_index = true) db (d : Derive.t) =
      leaves the root base rows to fold one by one. *)
   (match t.aux.(0) with
   | Some root_st ->
-    let env = t.scratch_env and key = t.scratch_key and cs = t.scratch_cs in
-    Aux_state.iter root_st (fun row ->
-        if extend_root t env row then begin
-          let cnt = Aux_state.cnt row in
-          group_key_into t env key;
-          contribs_into t env ~cnt cs;
-          View_state.feed t.vstate ~key ~cnt cs
-        end)
+    Aux_state.iter_locs root_st (fun l ->
+        if extend_root t t.feed l then
+          View_state.feed t.vstate t.feed ~cnt:(Aux_state.loc_cnt root_st l))
   | None ->
     Database.fold db root
       (fun tup () ->
@@ -1423,7 +1333,9 @@ type root_op = {
   rep : Tuple.t;  (** representative full root tuple of the duplicate class *)
   mutable net : int;
   mutable aux_shard : int;  (** owning shard of the root aux group, or -1 *)
-  mutable feed : (Tuple.t * View_state.contrib option array) option;
+  mutable joined : int array option;
+      (** the join partners of [rep] that pass the view's conditions, as
+          [Feed.locs] *)
   mutable view_shard : int;
 }
 
@@ -1453,7 +1365,7 @@ let root_merge t root_deltas =
     | Some op -> op.net <- op.net + sign
     | None ->
       let op =
-        { rep = tup; net = sign; aux_shard = -1; feed = None; view_shard = 0 }
+        { rep = tup; net = sign; aux_shard = -1; joined = None; view_shard = 0 }
       in
       TH.add merged proj op;
       order := op :: !order
@@ -1549,11 +1461,13 @@ let apply_root_ops t pool ~workers:nw ops =
   let root_st = t.aux.(0) in
   (* Phase A — preparation, read-only on all shared state: membership
      tests and join probes read dimension auxiliary views (concurrent pure
-     reads of hash tables are safe; nothing mutates during this phase),
-     group keys and contributions are materialized per operation. *)
+     reads of hash tables are safe; nothing mutates during this phase);
+     each operation keeps its join partners and the shard of its group.
+     Each worker joins through a feed of its own. *)
   Telemetry.with_phase Obs.prepare ~alloc:Obs.prepare_alloc "engine.prepare"
     (fun () ->
       Shard.run pool ~workers:nw (fun w ->
+          let f = Feed.rebind t.feed ~auxs:t.aux in
           let lo = n * w / nw and hi = n * (w + 1) / nw in
           for i = lo to hi - 1 do
             let op = ops.(i) in
@@ -1562,13 +1476,13 @@ let apply_root_ops t pool ~workers:nw ops =
               | Some st when in_aux t 0 op.rep ->
                 op.aux_shard <- Aux_state.shard_of_base st op.rep
               | Some _ | None -> ());
-              if passes_locals t 0 op.rep then
-                match base_env t op.rep with
-                | None -> ()
-                | Some env ->
-                  let key = group_key t env in
-                  op.feed <- Some (key, contribs t env ~cnt:(abs op.net));
-                  op.view_shard <- View_state.shard_of_key t.vstate key
+              if passes_locals t 0 op.rep then begin
+                Feed.bind_base f 0 op.rep;
+                if extend t f 0 then begin
+                  op.joined <- Some (Feed.locs f);
+                  op.view_shard <- View_state.shard_of_feed t.vstate f
+                end
+              end
             end
           done));
   (* Workload accounting between the phases, on the coordinator: netted
@@ -1577,14 +1491,11 @@ let apply_root_ops t pool ~workers:nw ops =
     let per_shard = Array.make nshards 0 in
     Array.iter
       (fun op ->
-        match op.feed with
-        | Some (key, _) when op.net <> 0 ->
-          if t.wk_events land Telemetry.Workload.sample_mask = 0 then
-            Telemetry.Workload.note_hot_key ~weight:(abs op.net) t.wk
-              ~hash:(Tuple.hash key)
-              ~label:(fun () -> Tuple.to_string key);
-          t.wk_writes <- t.wk_writes + abs op.net;
-          t.wk_events <- t.wk_events + 1;
+        match op.joined with
+        | Some locs when op.net <> 0 ->
+          Feed.bind_base t.feed 0 op.rep;
+          Feed.restore t.feed locs;
+          note_write t t.feed (abs op.net);
           let sh = op.view_shard in
           if sh >= 0 && sh < nshards then
             per_shard.(sh) <- per_shard.(sh) + abs op.net
@@ -1601,6 +1512,7 @@ let apply_root_ops t pool ~workers:nw ops =
   Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
     "engine.shard-apply" (fun () ->
       Shard.run pool ~workers:nw (fun w ->
+          let f = Feed.rebind t.feed ~auxs:t.aux in
           let apply_op op =
             let cnt = abs op.net in
             (if
@@ -1610,11 +1522,12 @@ let apply_root_ops t pool ~workers:nw ops =
                let st = Option.get root_st in
                if op.net > 0 then Aux_state.insert_base ~count:cnt st op.rep
                else Aux_state.delete_base ~count:cnt st op.rep);
-            match op.feed with
-            | Some (key, cs)
-              when Shard.owns ~worker:w ~workers:nw op.view_shard ->
-              if op.net > 0 then View_state.feed t.vstate ~key ~cnt cs
-              else View_state.unfeed t.vstate ~key ~cnt cs
+            match op.joined with
+            | Some locs when Shard.owns ~worker:w ~workers:nw op.view_shard ->
+              Feed.bind_base f 0 op.rep;
+              Feed.restore f locs;
+              if op.net > 0 then View_state.feed t.vstate f ~cnt
+              else View_state.unfeed t.vstate f ~cnt
             | Some _ | None -> ()
           in
           Array.iter (fun op -> if op.net > 0 then apply_op op) ops;
@@ -1939,9 +1852,8 @@ let audit ~sample t =
        dirty-group recomputation, so the audit costs O(sampled rows) *)
     let scratch = View_state.create t.view ~determined:false in
     let (_ : int) =
-      walk_groups t root_st sampled (fun () key env row ->
-          let cnt = Aux_state.cnt row in
-          View_state.feed scratch ~key ~cnt (contribs t env ~cnt))
+      walk_groups t root_st sampled (fun () _key feed row ->
+          View_state.feed scratch feed ~cnt:(Aux_state.cnt row))
     in
     (* finalize DISTINCT results; feeds alone never lose an extremum, so
        nothing is left to recompute *)

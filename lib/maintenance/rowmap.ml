@@ -76,6 +76,15 @@ let rec probe_from slots mask eq a b i =
 
 let probe t ~hash eq a b = probe_from t.slots t.mask eq a b (hash land t.mask)
 
+let rec probe3_from slots mask eq a b c i =
+  let s = slot_get slots i in
+  if s = empty then -1
+  else if s >= 0 && eq a b c s then s
+  else probe3_from slots mask eq a b c ((i + 1) land mask)
+
+let probe3 t ~hash eq a b c =
+  probe3_from t.slots t.mask eq a b c (hash land t.mask)
+
 let add t ~hash row =
   maybe_grow t;
   let mask = t.mask and slots = t.slots in

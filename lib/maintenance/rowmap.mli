@@ -27,6 +27,10 @@ val find : t -> hash:int -> eq:(int -> bool) -> int option
     the probe allocates nothing. *)
 val probe : t -> hash:int -> ('a -> 'b -> int -> bool) -> 'a -> 'b -> int
 
+(** {!probe} with a three-part context. *)
+val probe3 :
+  t -> hash:int -> ('a -> 'b -> 'c -> int -> bool) -> 'a -> 'b -> 'c -> int
+
 (** [add t ~hash row] inserts an entry. The caller guarantees no entry with
     an equal key exists. *)
 val add : t -> hash:int -> int -> unit

@@ -6,6 +6,7 @@ module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Value = Relational.Value
 module Icol = Column.Icol
+module Marks = Column.Marks
 
 module TH = Hashtbl.Make (struct
   type t = Tuple.t
@@ -15,11 +16,6 @@ module TH = Hashtbl.Make (struct
 end)
 
 module VMap = Map.Make (Value)
-
-type contrib =
-  | C_count of int
-  | C_sum of { amount : Value.t; n : int }
-  | C_value of Value.t
 
 (* Physical layout mirrors {!Aux_state}: groups are row ids into parallel
    typed columns — one column per group-key attribute plus per-aggregate
@@ -62,9 +58,8 @@ type slot =
       (** DISTINCT result ([Null] = pending finalization) and the value
           multiset it is finalized from *)
 
-(* First-touch before-image of one group under an open transaction, keyed
-   by group key (row ids are renumbered by swap-with-last deletion, so only
-   keys are stable across a batch). *)
+(* The boxed components of one group: what a group move carries, and what
+   structural equality compares. *)
 type saved_acc =
   | Sv_group
   | Sv_count of int
@@ -72,11 +67,20 @@ type saved_acc =
   | Sv_value of Value.t  (** extremum cell, [Null] = pending *)
   | Sv_dist of { cell : Value.t; vals : int VMap.t }
 
-type saved_group =
-  | Absent
-  | Present of { cnt0 : int; accs : saved_acc array }
+(* The undo journal of a shard is a log of group images laid out as the
+   shard lays out its groups — typed key cells, component slots and the
+   base-row count — plus each key's hash. An entry is the before-image of
+   a group's first touch in a transaction, or, with [cnt0 = -1], the
+   record that the transaction created the group. Entries are appended
+   with the typed cell copies the shard itself uses, so journaling boxes
+   nothing; the log keeps its capacity from one transaction to the next
+   (see [clear_log]).
+   It also outlives its transaction: the entries since the last
+   {!publish} name every group changed since then. *)
+type log = { lkeys : Column.t array; lslots : slot array; lcnt0 : Icol.t; lhash : Icol.t }
 
-type txn = { saved : saved_group TH.t; dirty0 : int TH.t }
+(* The transaction's entries are the log's from [start] on. *)
+type txn = { dirty0 : int TH.t option; start : int }
 
 (* Why a group is pending in its shard's dirty table, as bits: the engine
    must recompute a MIN/MAX from the auxiliary views, or a DISTINCT result
@@ -87,21 +91,24 @@ let refinalize = 2
 (* One hash-shard of the view state: key columns, component columns, the
    dirty table and the undo journal all live per shard so parallel appliers
    owning disjoint shards never share a structure. Group keys entering the
-   dirty table or the journal are copied on retention, because callers may
-   pass reused scratch buffers. *)
+   dirty table are copied on retention, because callers may pass reused
+   scratch buffers. *)
 type shard = {
   keys : Column.t array;
   slots : slot array;
   cnt0 : Icol.t;
+  touched : Marks.t;
+      (** row-parallel: marked when the open transaction has journaled the
+          row's group, so a later write to it skips the journal without
+          hashing its key again *)
   map : Rowmap.t;  (** group key (= key cells) -> row id *)
   dirty : int TH.t;  (** group key -> [recompute]/[refinalize] bits *)
   mutable txn : txn option;
-  mutable kept : saved_group TH.t list;
-      (** journals of the transactions committed since the last
-          {!publish}: their keys are every group changed since then *)
+  mutable log : log;
   mutable untracked : bool;
       (** a group changed outside a transaction since the last {!publish},
-          so [kept] does not name every changed group *)
+          or the log was dropped: the log does not name every changed
+          group *)
 }
 
 type t = {
@@ -144,26 +151,32 @@ let create ?(shards = 1) ?dict_pool view ~determined =
           L_sum { sum = Column.create (); n = Icol.create () }
         | Aggregate.Min | Aggregate.Max -> L_ext (Column.create_boxed ()))
   in
+  let dicts =
+    Array.map
+      (fun (a : Attr.t) ->
+        Option.map
+          (fun pool -> Dict.shared pool ~table:a.Attr.table ~column:a.Attr.column)
+          dict_pool)
+      key_attrs
+  in
+  let mk_keys () = Array.map (fun dict -> Column.create ?dict ()) dicts in
   let mk_shard () =
-    let keys =
-      Array.map
-        (fun (a : Attr.t) ->
-          let dict =
-            Option.map
-              (fun pool -> Dict.shared pool ~table:a.Attr.table ~column:a.Attr.column)
-              dict_pool
-          in
-          Column.create ?dict ())
-        key_attrs
-    in
+    let keys = mk_keys () in
     {
       keys;
       slots = Array.map mk_slot items;
       cnt0 = Icol.create ();
+      touched = Marks.create ();
       map = Rowmap.create ~hash:(fun r -> key_hash_cols keys r) ();
       dirty = TH.create 16;
       txn = None;
-      kept = [];
+      log =
+        {
+          lkeys = mk_keys ();
+          lslots = Array.map mk_slot items;
+          lcnt0 = Icol.create ();
+          lhash = Icol.create ();
+        };
       untracked = false;
     }
   in
@@ -190,6 +203,7 @@ let shard_count t = Array.length t.shards
 (* The shard of a group key is its [Tuple.hash] masked: writers hash a key
    once and share the hash between the shard and the row probe. *)
 let shard_of_key t key = Tuple.hash key land t.mask
+let shard_of_feed t f = Feed.hash_key f land t.mask
 let shard_for t key = t.shards.(shard_of_key t key)
 
 (* Closed equality test for [Rowmap.probe]: the shard and the probed key
@@ -203,8 +217,8 @@ let key_matches sh key r = key_matches_from sh key r 0
 (* Row of group [key] in [sh], or -1; [hash] is [Tuple.hash key]. *)
 let probe_row (sh : shard) ~hash key = Rowmap.probe sh.map ~hash key_matches sh key
 
-let find_row (sh : shard) key =
-  let r = probe_row sh ~hash:(Tuple.hash key) key in
+let find_row (sh : shard) ~hash key =
+  let r = probe_row sh ~hash key in
   if r < 0 then None else Some r
 
 let key_at (sh : shard) r =
@@ -225,7 +239,7 @@ let saved_accs (sh : shard) r =
 
 (* Append a group with explicit component values (journal restore, group
    moves). *)
-let append_saved (sh : shard) key cnt0 accs =
+let append_saved (sh : shard) ~hash key cnt0 accs =
   let r = nrows sh in
   Array.iteri (fun i v -> Column.append sh.keys.(i) v) key;
   Array.iteri
@@ -244,27 +258,24 @@ let append_saved (sh : shard) key cnt0 accs =
         assert false)
     sh.slots;
   Icol.append sh.cnt0 cnt0;
-  Rowmap.add sh.map ~hash:(Tuple.hash key) r;
+  Marks.append sh.touched;
+  Rowmap.add sh.map ~hash r;
   r
 
-(* Append a fresh group. Sum components are seeded with the zero of their
-   first contribution's type so the column specializes to the right numeric
-   storage (a later type change demotes the column to boxed cells). *)
-let append_fresh (sh : shard) ~hash key (contribs : contrib option array) =
+(* Append a fresh group, its key read off [f]. Sum components are seeded
+   with the zero of their first argument's type so the column specializes
+   to the right numeric storage (a later type change demotes the column to
+   boxed cells). *)
+let append_fresh (sh : shard) ~hash f =
   let r = nrows sh in
-  Array.iteri (fun i v -> Column.append sh.keys.(i) v) key;
+  Feed.append_key f sh.keys;
   Array.iteri
     (fun i slot ->
       match slot with
       | L_group -> ()
       | L_count c -> Icol.append c 0
       | L_sum { sum; n } ->
-        let zero =
-          match contribs.(i) with
-          | Some (C_sum { amount; n = _ }) -> Value.zero_like amount
-          | Some (C_count _ | C_value _) | None -> Value.Int 0
-        in
-        Column.append sum zero;
+        Column.append sum (Feed.sum_zero f i);
         Icol.append n 0
       | L_ext v -> Column.append v Value.Null
       | L_dist { cell; vals } ->
@@ -272,6 +283,7 @@ let append_fresh (sh : shard) ~hash key (contribs : contrib option array) =
         mcol_append vals VMap.empty)
     sh.slots;
   Icol.append sh.cnt0 0;
+  Marks.append sh.touched;
   Rowmap.add sh.map ~hash r;
   r
 
@@ -297,7 +309,91 @@ let delete_row (sh : shard) r =
         Column.swap_delete cell r;
         mcol_swap_delete vals r)
     sh.slots;
-  Icol.swap_delete sh.cnt0 r
+  Icol.swap_delete sh.cnt0 r;
+  Marks.swap_delete sh.touched r
+
+(* --- the journal log ------------------------------------------------------- *)
+
+let empty_slot = function
+  | L_group -> L_group
+  | L_count _ -> L_count (Icol.create ())
+  | L_sum { sum; _ } -> L_sum { sum = Column.empty_like sum; n = Icol.create () }
+  | L_ext v -> L_ext (Column.empty_like v)
+  | L_dist { cell; _ } -> L_dist { cell = Column.empty_like cell; vals = mcol_create () }
+
+let empty_log lg =
+  {
+    lkeys = Array.map Column.empty_like lg.lkeys;
+    lslots = Array.map empty_slot lg.lslots;
+    lcnt0 = Icol.create ();
+    lhash = Icol.create ();
+  }
+
+let log_length lg = Icol.length lg.lcnt0
+
+(* Appends the image of row [r] — typed cells copied as they are stored —
+   with [cnt0] (-1: the group was created). *)
+let log_row (sh : shard) ~hash ~cnt0 r =
+  let lg = sh.log in
+  for i = 0 to Array.length lg.lkeys - 1 do
+    Column.append_cell lg.lkeys.(i) sh.keys.(i) r
+  done;
+  for i = 0 to Array.length lg.lslots - 1 do
+    match lg.lslots.(i), sh.slots.(i) with
+    | L_group, L_group -> ()
+    | L_count d, L_count c -> Icol.append d (Icol.get c r)
+    | L_sum { sum = d; n = dn }, L_sum { sum; n } ->
+      Column.append_cell d sum r;
+      Icol.append dn (Icol.get n r)
+    | L_ext d, L_ext v -> Column.append_cell d v r
+    | L_dist { cell = d; vals = dv }, L_dist { cell; vals } ->
+      Column.append_cell d cell r;
+      mcol_append dv vals.maps.(r)
+    | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ -> assert false
+  done;
+  Icol.append lg.lcnt0 cnt0;
+  Icol.append lg.lhash hash
+
+let log_key lg e = Array.map (fun c -> Column.get c e) lg.lkeys
+
+let log_accs lg e =
+  Array.map
+    (function
+      | L_group -> Sv_group
+      | L_count c -> Sv_count (Icol.get c e)
+      | L_sum { sum; n } -> Sv_sum { sum = Column.get sum e; n = Icol.get n e }
+      | L_ext v -> Sv_value (Column.get v e)
+      | L_dist { cell; vals } ->
+        Sv_dist { cell = Column.get cell e; vals = vals.maps.(e) })
+    lg.lslots
+
+let truncate_log lg n =
+  Array.iter (fun c -> Column.truncate c n) lg.lkeys;
+  Array.iter
+    (function
+      | L_group -> ()
+      | L_count c -> Icol.truncate c n
+      | L_sum { sum; n = cn } ->
+        Column.truncate sum n;
+        Icol.truncate cn n
+      | L_ext v -> Column.truncate v n
+      | L_dist { cell; vals } ->
+        Column.truncate cell n;
+        if n < vals.len then begin
+          Array.fill vals.maps n (vals.len - n) VMap.empty;
+          vals.len <- n
+        end)
+    lg.lslots;
+  Icol.truncate lg.lcnt0 n;
+  Icol.truncate lg.lhash n
+
+(* Empties the log of [sh]. It keeps its capacity for the next
+   transactions unless that is well beyond what it just held: then its
+   storage is released, so one large batch does not pin a large log. *)
+let clear_log (sh : shard) =
+  if Icol.capacity sh.log.lcnt0 > 4 * max 64 (log_length sh.log) then
+    sh.log <- empty_log sh.log
+  else truncate_log sh.log 0
 
 let copy t =
   let copy_slot = function
@@ -314,10 +410,11 @@ let copy t =
       keys;
       slots = Array.map copy_slot sh.slots;
       cnt0 = Icol.copy sh.cnt0;
+      touched = Marks.copy sh.touched;
       map = Rowmap.copy sh.map ~hash:(fun r -> key_hash_cols keys r);
       dirty = TH.copy sh.dirty;
       txn = None;
-      kept = [];
+      log = empty_log sh.log;
       untracked = false;
     }
   in
@@ -333,50 +430,52 @@ let begin_txn t =
   (* the dirty table is saved whole: flushed at the end of every batch, it
      is empty between batches, not sized by the resident state *)
   Array.iter
-    (fun sh -> sh.txn <- Some { saved = TH.create 64; dirty0 = TH.copy sh.dirty })
+    (fun sh ->
+      let dirty0 = if TH.length sh.dirty = 0 then None else Some (TH.copy sh.dirty) in
+      Marks.next_epoch sh.touched;
+      sh.txn <- Some { dirty0; start = log_length sh.log })
     t.shards
 
-(* Journal [key]'s before-image, once per transaction, before any mutation
-   of the group at row [r] ([-1]: before its creation). [key] may alias a
-   caller's scratch buffer; copied if retained. *)
-let note_known (sh : shard) key r =
+(* Before the first mutation of the group at row [r] in a transaction:
+   logs its image, once — a row already logged is recognized by its
+   [touched] mark, without a probe. [hash] is the group key's hash. *)
+let note_row (sh : shard) ~hash r =
   match sh.txn with
   | None -> sh.untracked <- true
-  | Some { saved; _ } ->
-    if not (TH.mem saved key) then
-      TH.add saved (Array.copy key)
-        (if r < 0 then Absent
-         else Present { cnt0 = Icol.get sh.cnt0 r; accs = saved_accs sh r })
+  | Some _ ->
+    if not (Marks.marked sh.touched r) then begin
+      log_row sh ~hash ~cnt0:(Icol.get sh.cnt0 r) r;
+      Marks.mark sh.touched r
+    end
+
+(* After the creation of the group at row [r]. *)
+let note_created (sh : shard) ~hash r =
+  match sh.txn with
+  | None -> sh.untracked <- true
+  | Some _ ->
+    log_row sh ~hash ~cnt0:(-1) r;
+    Marks.mark sh.touched r
 
 let group_count t = Array.fold_left (fun acc sh -> acc + nrows sh) 0 t.shards
 
-(* The journal's keys are kept for the next {!publish}. Keys of more groups
-   than the view holds are forgotten instead — {!publish} then renders in
-   full — which also bounds them for a state that is never published. *)
+(* The log is kept for the next {!publish}. A log of more entries than the
+   view holds groups is dropped instead — {!publish} then renders in full —
+   which also bounds it for a state that is never published. *)
 let commit t =
   if t.shards.(0).txn = None then
     invalid_arg "View_state.commit: no open transaction";
-  Array.iter
-    (fun sh ->
-      Option.iter
-        (fun { saved; _ } ->
-          if TH.length saved > 0 then sh.kept <- saved :: sh.kept)
-        sh.txn;
-      sh.txn <- None)
-    t.shards;
-  let kept =
-    Array.fold_left
-      (fun acc sh ->
-        List.fold_left (fun acc saved -> acc + TH.length saved) acc sh.kept)
-      0 t.shards
-  in
-  if kept > group_count t then
+  Array.iter (fun sh -> sh.txn <- None) t.shards;
+  let logged = Array.fold_left (fun acc sh -> acc + log_length sh.log) 0 t.shards in
+  if logged > group_count t then
     Array.iter
       (fun sh ->
-        sh.kept <- [];
+        clear_log sh;
         sh.untracked <- true)
       t.shards
 
+(* Undoes the transaction's entries: first every group it created is
+   removed, then every before-image is restored — a key may carry both,
+   when the transaction deleted a group and created it again. *)
 let rollback t =
   if t.shards.(0).txn = None then
     invalid_arg "View_state.rollback: no open transaction";
@@ -384,39 +483,47 @@ let rollback t =
     (fun (sh : shard) ->
       match sh.txn with
       | None -> ()
-      | Some { saved; dirty0 } ->
-        TH.iter
-          (fun key before ->
-            match before, find_row sh key with
-            | Absent, Some r -> delete_row sh r
-            | Absent, None | Present _, _ -> ())
-          saved;
-        TH.iter
-          (fun key before ->
-            match before, find_row sh key with
-            | Absent, _ -> ()
-            | Present p, Some r ->
-              Icol.set sh.cnt0 r p.cnt0;
+      | Some { dirty0; start; _ } ->
+        let lg = sh.log in
+        let n = log_length lg in
+        for e = start to n - 1 do
+          if Icol.get lg.lcnt0 e < 0 then
+            match find_row sh ~hash:(Icol.get lg.lhash e) (log_key lg e) with
+            | Some r -> delete_row sh r
+            | None -> ()
+        done;
+        for e = start to n - 1 do
+          let cnt0 = Icol.get lg.lcnt0 e in
+          if cnt0 >= 0 then begin
+            let key = log_key lg e in
+            match find_row sh ~hash:(Icol.get lg.lhash e) key with
+            | Some r ->
+              Icol.set sh.cnt0 r cnt0;
               Array.iteri
                 (fun i slot ->
-                  match slot, p.accs.(i) with
-                  | L_group, Sv_group -> ()
-                  | L_count c, Sv_count x -> Icol.set c r x
-                  | L_sum { sum; n }, Sv_sum { sum = s; n = m } ->
-                    Column.set sum r s;
-                    Icol.set n r m
-                  | L_ext v, Sv_value x -> Column.set v r x
-                  | L_dist { cell; vals }, Sv_dist { cell = x; vals = m } ->
-                    Column.set cell r x;
-                    vals.maps.(r) <- m
+                  match slot, lg.lslots.(i) with
+                  | L_group, L_group -> ()
+                  | L_count c, L_count x -> Icol.set c r (Icol.get x e)
+                  | L_sum { sum; n }, L_sum { sum = s; n = m } ->
+                    Column.set sum r (Column.get s e);
+                    Icol.set n r (Icol.get m e)
+                  | L_ext v, L_ext x -> Column.set v r (Column.get x e)
+                  | L_dist { cell; vals }, L_dist { cell = x; vals = m } ->
+                    Column.set cell r (Column.get x e);
+                    vals.maps.(r) <- m.maps.(e)
                   | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _
                     ->
                     assert false)
                 sh.slots
-            | Present p, None -> ignore (append_saved sh key p.cnt0 p.accs))
-          saved;
+            | None ->
+              ignore
+                (append_saved sh ~hash:(Icol.get lg.lhash e) key cnt0
+                   (log_accs lg e))
+          end
+        done;
+        truncate_log lg start;
         TH.reset sh.dirty;
-        TH.iter (TH.add sh.dirty) dirty0;
+        Option.iter (TH.iter (TH.add sh.dirty)) dirty0;
         sh.txn <- None)
     t.shards
 
@@ -454,28 +561,44 @@ let distinct_step (agg : Aggregate.t) cur v d =
   | Aggregate.Sum, Some n, Value.Int x -> Some (Value.Int (n + (d * x)))
   | _ -> None
 
-let apply_contrib t (sh : shard) key ~sign ~cnt r i (item : Select_item.t)
-    contrib =
-  let agg =
-    match item with
-    | Select_item.Agg a -> a
-    | Select_item.Group _ -> assert false (* group items carry no contrib *)
-  in
-  match sh.slots.(i), contrib with
-  | L_count c, C_count d -> Icol.add c r (sign * d)
-  | L_sum { sum; n }, C_sum { amount; n = dn } ->
-    if sign > 0 then Column.add_cell sum r amount 1
-    else Column.sub_cell sum r amount 1;
-    Icol.add n r (sign * dn)
-  | L_ext cell, C_value v ->
+(* Checked before the first write of a feed or an unfeed, so a rejected
+   row leaves the state as it was: every summed argument is numeric, and
+   every item's argument matches its component. *)
+let check_args t f =
+  let args = Feed.args f in
+  for i = 0 to Array.length args - 1 do
+    match t.shards.(0).slots.(i), args.(i) with
+    | L_group, Feed.Key | L_count _, Feed.Weight -> ()
+    | (L_ext _ | L_dist _), Feed.Value _ -> ()
+    | L_sum _, Feed.Sum _ ->
+      if not (Feed.sum_is_numeric f i) then
+        invalid_arg "View_state: non-numeric value in a summed item"
+    | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
+      invalid_arg "View_state: contribution does not match aggregate state"
+  done
+
+(* One item of a row weighted [cnt], added ([sign] = 1) or removed from the
+   group at row [r]. COUNT and SUM/AVG components move in their unboxed
+   cells; only extrema and DISTINCT multisets take the argument boxed. *)
+let apply_arg t (sh : shard) f ~sign ~cnt r i =
+  match sh.slots.(i) with
+  | L_group -> ()
+  | L_count c -> Icol.add c r (sign * cnt)
+  | L_sum { sum; n } ->
+    Feed.add_sum f i sum r ~cnt ~sign;
+    Icol.add n r (sign * cnt)
+  | L_ext cell ->
+    let v = Feed.arg_value f i in
     if sign > 0 then begin
       match Column.get cell r with
       | Value.Null -> Column.set cell r v
       | cur ->
         let better =
-          match agg.Aggregate.func with
-          | Aggregate.Min -> Value.compare v cur < 0
-          | Aggregate.Max -> Value.compare v cur > 0
+          match t.items.(i) with
+          | Select_item.Agg { Aggregate.func = Aggregate.Min; _ } ->
+            Value.compare v cur < 0
+          | Select_item.Agg { Aggregate.func = Aggregate.Max; _ } ->
+            Value.compare v cur > 0
           | _ -> assert false
         in
         if better then Column.set cell r v
@@ -484,9 +607,15 @@ let apply_contrib t (sh : shard) key ~sign ~cnt r i (item : Select_item.t)
       (* deletion of the current extremum invalidates the component *)
       match Column.get cell r with
       | Value.Null -> ()
-      | cur -> if Value.equal cur v then mark sh key recompute
+      | cur -> if Value.equal cur v then mark sh (key_at sh r) recompute
     end
-  | L_dist { cell; vals }, C_value v ->
+  | L_dist { cell; vals } ->
+    let agg =
+      match t.items.(i) with
+      | Select_item.Agg a -> a
+      | Select_item.Group _ -> assert false
+    in
+    let v = Feed.arg_value f i in
     let m = vals.maps.(r) in
     let before = Option.value (VMap.find_opt v m) ~default:0 in
     let after = before + (sign * cnt) in
@@ -496,53 +625,59 @@ let apply_contrib t (sh : shard) key ~sign ~cnt r i (item : Select_item.t)
     if before = 0 || after = 0 then begin
       match distinct_step agg (Column.get cell r) v sign with
       | Some x -> Column.set cell r x
-      | None -> mark sh key refinalize
+      | None -> mark sh (key_at sh r) refinalize
     end
-  | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
-    invalid_arg "View_state: contribution does not match aggregate state"
 
-let apply_contribs t sh key ~sign ~cnt r (contribs : contrib option array) =
-  for i = 0 to Array.length contribs - 1 do
-    match contribs.(i) with
-    | Some contrib -> apply_contrib t sh key ~sign ~cnt r i t.items.(i) contrib
-    | None -> ()
+let apply_args t sh f ~sign ~cnt r =
+  for i = 0 to Array.length sh.slots - 1 do
+    apply_arg t sh f ~sign ~cnt r i
   done
 
-let feed t ~key ~cnt contribs =
-  let hash = Tuple.hash key in
+let feed t f ~cnt =
+  check_args t f;
+  let hash = Feed.hash_key f in
   let sh = t.shards.(hash land t.mask) in
-  let row = probe_row sh ~hash key in
-  note_known sh key row;
-  let r = if row >= 0 then row else append_fresh sh ~hash key contribs in
+  let r = Rowmap.probe sh.map ~hash Feed.key_matches f sh.keys in
+  let r =
+    if r >= 0 then begin
+      note_row sh ~hash r;
+      r
+    end
+    else begin
+      let r = append_fresh sh ~hash f in
+      note_created sh ~hash r;
+      r
+    end
+  in
   Icol.add sh.cnt0 r cnt;
-  apply_contribs t sh key ~sign:1 ~cnt r contribs
+  apply_args t sh f ~sign:1 ~cnt r
 
-let unfeed t ~key ~cnt contribs =
-  let hash = Tuple.hash key in
+let absent what f =
+  invalid_arg
+    (Printf.sprintf "View_state.%s: group %s absent" what
+       (Tuple.to_string (Feed.key f)))
+
+let unfeed t f ~cnt =
+  check_args t f;
+  let hash = Feed.hash_key f in
   let sh = t.shards.(hash land t.mask) in
-  let r = probe_row sh ~hash key in
-  if r < 0 then
-    invalid_arg
-      (Printf.sprintf "View_state.unfeed: group %s absent"
-         (Tuple.to_string key));
+  let r = Rowmap.probe sh.map ~hash Feed.key_matches f sh.keys in
+  if r < 0 then absent "unfeed" f;
   if Icol.get sh.cnt0 r < cnt then
     invalid_arg "View_state.unfeed: count underflow";
-  note_known sh key r;
+  note_row sh ~hash r;
   Icol.add sh.cnt0 r (-cnt);
   if Icol.get sh.cnt0 r = 0 then begin
-    delete_row sh r;
-    TH.remove sh.dirty key
+    if TH.length sh.dirty > 0 then TH.remove sh.dirty (key_at sh r);
+    delete_row sh r
   end
-  else apply_contribs t sh key ~sign:(-1) ~cnt r contribs
+  else apply_args t sh f ~sign:(-1) ~cnt r
 
-let adjust t ~key ~sums ~before ~after =
-  let hash = Tuple.hash key in
+let adjust t f ~sums ~before ~after =
+  let hash = Feed.hash_key f in
   let sh = t.shards.(hash land t.mask) in
-  let r = probe_row sh ~hash key in
-  if r < 0 then
-    invalid_arg
-      (Printf.sprintf "View_state.adjust: group %s absent"
-         (Tuple.to_string key));
+  let r = Rowmap.probe sh.map ~hash Feed.key_matches f sh.keys in
+  if r < 0 then absent "adjust" f;
   (* everything is checked before the first write, so a rejected update
      leaves the group as it was *)
   for j = 0 to Array.length sums - 1 do
@@ -554,7 +689,7 @@ let adjust t ~key ~sums ~before ~after =
     if not (Value.is_numeric before.(pos) && Value.is_numeric after.(pos)) then
       invalid_arg "View_state.adjust: non-numeric value in a summed item"
   done;
-  note_known sh key r;
+  note_row sh ~hash r;
   (* the order of an unfeed then a feed, so float sums agree *)
   for j = 0 to Array.length sums - 1 do
     let item, pos = sums.(j) in
@@ -566,8 +701,8 @@ let adjust t ~key ~sums ~before ~after =
   done
 
 (* Re-fold every DISTINCT result of the group at [r] from its multiset. *)
-let refold t (sh : shard) key r =
-  note_known sh key r;
+let refold t (sh : shard) ~hash r =
+  note_row sh ~hash r;
   Array.iteri
     (fun i slot ->
       match slot, t.items.(i) with
@@ -582,8 +717,9 @@ let take_dirty t =
       let acc =
         TH.fold
           (fun key bits acc ->
-            if bits land refinalize <> 0 then
-              Option.iter (refold t sh key) (find_row sh key);
+            (if bits land refinalize <> 0 then
+               let hash = Tuple.hash key in
+               Option.iter (refold t sh ~hash) (find_row sh ~hash key));
             if bits land recompute <> 0 then key :: acc else acc)
           sh.dirty acc
       in
@@ -595,11 +731,12 @@ let is_dirty_pending t =
   Array.exists (fun (sh : shard) -> TH.length sh.dirty > 0) t.shards
 
 let set_value t ~key ~item v =
-  let sh = shard_for t key in
-  match find_row sh key with
+  let hash = Tuple.hash key in
+  let sh = t.shards.(hash land t.mask) in
+  match find_row sh ~hash key with
   | None -> ()
   | Some r -> (
-    note_known sh key r;
+    note_row sh ~hash r;
     match sh.slots.(item) with
     | L_ext cell -> Column.set cell r v
     | L_group | L_count _ | L_sum _ | L_dist _ ->
@@ -608,18 +745,18 @@ let set_value t ~key ~item v =
 type component_update = Shift_sum of Value.t | Set_current of Value.t
 
 let adjust_group t ~key ~new_key updates =
-  let sh = shard_for t key in
-  match find_row sh key with
+  let hash = Tuple.hash key in
+  let sh = t.shards.(hash land t.mask) in
+  match find_row sh ~hash key with
   | None ->
     invalid_arg
       (Printf.sprintf "View_state.adjust_group: group %s absent"
          (Tuple.to_string key))
   | Some r ->
     let moving = not (Tuple.equal key new_key) in
-    let sh' = if moving then shard_for t new_key else sh in
-    note_known sh key r;
-    if moving then
-      note_known sh' new_key (probe_row sh' ~hash:(Tuple.hash new_key) new_key);
+    let new_hash = if moving then Tuple.hash new_key else hash in
+    let sh' = t.shards.(new_hash land t.mask) in
+    note_row sh ~hash r;
     List.iter
       (fun (i, upd) ->
         match sh.slots.(i), t.items.(i), upd with
@@ -636,12 +773,13 @@ let adjust_group t ~key ~new_key updates =
           invalid_arg "View_state.adjust_group: update does not match state")
       updates;
     if moving then begin
-      if find_row sh' new_key <> None then
+      if find_row sh' ~hash:new_hash new_key <> None then
         invalid_arg "View_state.adjust_group: new key collides";
       let cnt0 = Icol.get sh.cnt0 r in
       let accs = saved_accs sh r in
       delete_row sh r;
-      ignore (append_saved sh' new_key cnt0 accs);
+      note_created sh' ~hash:new_hash
+        (append_saved sh' ~hash:new_hash new_key cnt0 accs);
       match TH.find_opt sh.dirty key with
       | Some bits ->
         TH.remove sh.dirty key;
@@ -650,8 +788,9 @@ let adjust_group t ~key ~new_key updates =
     end
 
 let multiset t ~key ~item =
-  let sh = shard_for t key in
-  match find_row sh key, sh.slots.(item) with
+  let hash = Tuple.hash key in
+  let sh = t.shards.(hash land t.mask) in
+  match find_row sh ~hash key, sh.slots.(item) with
   | Some r, L_dist { vals; _ } -> VMap.bindings vals.maps.(r)
   | Some _, (L_group | L_count _ | L_sum _ | L_ext _) | None, _ -> []
 
@@ -691,8 +830,9 @@ let equal a b =
          for r = 0 to nrows sh - 1 do
            if !ok then begin
              let key = key_at sh r in
-             let sh' = shard_for b key in
-             match find_row sh' key with
+             let hash = Tuple.hash key in
+             let sh' = b.shards.(hash land b.mask) in
+             match find_row sh' ~hash key with
              | Some r' ->
                if
                  not
@@ -776,32 +916,39 @@ let fresh_cell : Value.t -> Value.t = function
    emitted. *)
 let lay_row ((row : Tuple.t), m) = (Array.map fresh_cell row, m)
 
-(* The previous publication advanced by the kept keys: its rows of
+(* The previous publication advanced by the logged keys: its rows of
    untouched groups, merged with the fresh rows of the touched groups that
    still exist and pass HAVING. Rows hold their group key, so no two rows
    compare equal. *)
 let advance t prev =
-  let touched = TH.create 64 in
+  let logged = Array.fold_left (fun acc sh -> acc + log_length sh.log) 0 t.shards in
+  let touched = TH.create (max 16 logged) in
   Array.iter
     (fun sh ->
-      List.iter (TH.iter (fun key _ -> TH.replace touched key ())) sh.kept)
+      for e = 0 to log_length sh.log - 1 do
+        TH.replace touched (log_key sh.log e) (Icol.get sh.log.lhash e)
+      done)
     t.shards;
   if TH.length touched = 0 then prev
   else begin
-    let fresh =
-      Array.of_list
-        (TH.fold
-           (fun key () acc ->
-             let sh = shard_for t key in
-             match find_row sh key with
-             | Some r ->
-               let row = render_row t sh r in
-               if t.view.View.having = [] || View.passes_having t.view row
-               then (row, 1) :: acc
-               else acc
-             | None -> acc)
-           touched [])
+    let rows =
+      TH.fold
+        (fun key hash acc ->
+          let sh = t.shards.(hash land t.mask) in
+          match find_row sh ~hash key with
+          | Some r ->
+            let row = render_row t sh r in
+            if t.view.View.having = [] || View.passes_having t.view row then
+              (row, 1) :: acc
+            else acc
+          | None -> acc)
+        touched []
     in
+    (* Not [Array.of_list]: an array of more than 256 words made with a
+       young first element forces a minor collection (the runtime's
+       [caml_make_vect]); a static filler does not. *)
+    let fresh = Array.make (List.length rows) ([||], 0) in
+    List.iteri (fun i p -> fresh.(i) <- p) rows;
     Array.sort compare_rows fresh;
     let nf = Array.length fresh in
     let out = Array.make (Array.length prev + nf) ([||], 0) in
@@ -839,7 +986,7 @@ let publish t =
   in
   Array.iter
     (fun sh ->
-      sh.kept <- [];
+      clear_log sh;
       sh.untracked <- false)
     t.shards;
   t.published <- Some rows;
@@ -884,7 +1031,8 @@ let byte_size t =
             | L_count c -> acc + Icol.byte_size c
             | L_sum { n; _ } -> acc + Icol.byte_size n
             | L_dist { vals; _ } -> acc + mcol_byte_size vals)
-          (acc + Icol.byte_size sh.cnt0 + Rowmap.byte_size sh.map)
+          (acc + Icol.byte_size sh.cnt0 + Marks.byte_size sh.touched
+          + Rowmap.byte_size sh.map)
           sh.slots)
       0 t.shards
   in

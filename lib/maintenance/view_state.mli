@@ -22,11 +22,6 @@
     functionally determined by the group key) extrema are never dirtied
     and each DISTINCT multiset holds a single value. *)
 
-type contrib =
-  | C_count of int
-  | C_sum of { amount : Relational.Value.t; n : int }
-  | C_value of Relational.Value.t
-
 type t
 
 (** [create ?shards view ~determined] prepares empty state for a validated
@@ -45,8 +40,8 @@ val create :
 
 val shard_count : t -> int
 
-(** Shard that owns group key [key]. *)
-val shard_of_key : t -> Relational.Tuple.t -> int
+(** Shard that owns the group of the joined row [f]'s key. *)
+val shard_of_feed : t -> Feed.t -> int
 
 (** Deep copy: groups (and their component arrays) and the dirty table are
     duplicated so the copy and the original evolve independently (snapshot
@@ -88,19 +83,22 @@ val rollback : t -> unit
 val view : t -> Algebra.View.t
 val group_count : t -> int
 
-(** [feed t ~key ~cnt contribs] adds one (possibly weighted) row's
-    contribution; [contribs] has one entry per select item ([None] for
-    group-by items). Creates the group when new. *)
-val feed : t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> unit
+(** [feed t f ~cnt] adds the joined row of [f], weighted [cnt], to the
+    group of its key: [f]'s plan has one argument per select item (see
+    {!Feed}). Creates the group when new. The key is hashed once, for the
+    shard, the probe and the journal; COUNT and SUM/AVG components move in
+    their unboxed cells.
+    @raise Invalid_argument, before any mutation, if a summed argument is
+    non-numeric or an argument does not match its item. *)
+val feed : t -> Feed.t -> cnt:int -> unit
 
 (** Reverse of {!feed}; removes the group when its base-row count reaches
     zero.
     @raise Invalid_argument on underflow or missing group. *)
-val unfeed :
-  t -> key:Relational.Tuple.t -> cnt:int -> contrib option array -> unit
+val unfeed : t -> Feed.t -> cnt:int -> unit
 
-(** [adjust t ~key ~sums ~before ~after] applies an update of one base row
-    that stays in group [key]: for each [(item, pos)] of [sums], the
+(** [adjust t f ~sums ~before ~after] applies an update of one base row
+    that stays in the group of [f]'s key: for each [(item, pos)] of [sums], the
     running sum of SUM or AVG item [item] loses [before.(pos)] and then
     gains [after.(pos)] — the arithmetic of {!unfeed} then {!feed}. One
     probe; the base-row count, every other component and the group's row
@@ -110,7 +108,7 @@ val unfeed :
     non-numeric. *)
 val adjust :
   t ->
-  key:Relational.Tuple.t ->
+  Feed.t ->
   sums:(int * int) array ->
   before:Relational.Tuple.t ->
   after:Relational.Tuple.t ->
@@ -176,8 +174,11 @@ val publish : t -> (Relational.Tuple.t * int) array
 
 (** Resident bytes of this state: key and component columns (including
     off-heap Bigarray payloads), count columns, key maps, DISTINCT
-    multisets (map nodes and boxed values) and string dictionaries (each
-    counted once per state). *)
+    multisets (map nodes and boxed values), string dictionaries (each
+    counted once per state) and the journal's row marks. The undo log is
+    working memory of the transactions, not counted: emptied by
+    {!publish}, it keeps its capacity only while that is within four
+    times what it held. *)
 val byte_size : t -> int
 
 (** Off-heap (Bigarray payload) bytes only — the part of {!byte_size} that

@@ -25,4 +25,15 @@ let pp ppf t =
        Value.pp)
     (Array.to_list t)
 
-let to_string t = Format.asprintf "%a" pp t
+(* [pp]'s text without a formatter, which costs kilobytes per call: hot
+   group keys are labelled with it on the maintenance path. *)
+let to_string t =
+  let b = Buffer.create 32 in
+  Buffer.add_char b '(';
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_string b ", ";
+      Value.add_to_buffer b v)
+    t;
+  Buffer.add_char b ')';
+  Buffer.contents b

@@ -31,12 +31,76 @@ let compare a b =
   | (Null | Int _ | Float _ | String _ | Bool _), _ ->
     Int.compare (tag a) (tag b)
 
+(* [hash] is [Hashtbl.hash (tag, x)] — [Database]'s marshaled tables and
+   every stored hash depend on those values — computed without allocating
+   the pair: the runtime's mix (runtime/hash.c) over the pair's header and
+   its two fields, in 32-bit arithmetic on OCaml ints. *)
+let mask32 = 0xFFFF_FFFF
+let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
+
+let mix h d =
+  let d = d * 0xcc9e2d51 land mask32 in
+  let d = rotl32 d 15 * 0x1b873593 land mask32 in
+  let h = rotl32 (h lxor d) 13 in
+  ((h * 5) + 0xe6546b64) land mask32
+
+let final_mix h =
+  let h = h lxor (h lsr 16) in
+  let h = h * 0x85ebca6b land mask32 in
+  let h = h lxor (h lsr 13) in
+  let h = h * 0xc2b2ae35 land mask32 in
+  (h lxor (h lsr 16)) land 0x3FFF_FFFF
+
+(* An immediate: its tagged word [2x + 1], folded to 32 bits as
+   [caml_hash_mix_intnat] folds it. *)
+let mix_int h x = mix h ((x asr 31) lxor (x asr 62) lxor ((x lsl 1) lor 1) land mask32)
+
+(* [caml_hash_mix_double] on the double's high and low 32-bit words:
+   NaNs and -0.0 normalized, low word first. *)
+let mix_float_words h ~hi ~lo =
+  if hi land 0x7FF0_0000 = 0x7FF0_0000 && lo lor (hi land 0xF_FFFF) <> 0 then
+    mix (mix h 1) 0x7FF0_0000
+  else if hi = 0x8000_0000 && lo = 0 then mix (mix h 0) 0
+  else mix (mix h lo) hi
+
+(* [caml_hash_mix_string]: little-endian 32-bit words, then the length. *)
+let mix_string h s =
+  let len = String.length s in
+  let h = ref h and i = ref 0 in
+  while !i + 4 <= len do
+    h := mix !h (Int32.to_int (String.get_int32_le s !i) land mask32);
+    i := !i + 4
+  done;
+  let w = ref 0 in
+  for j = len - 1 downto !i do
+    w := (!w lsl 8) lor Char.code (String.unsafe_get s j)
+  done;
+  if len land 3 <> 0 then h := mix !h !w;
+  !h lxor (len land mask32)
+
+(* The pair's header (size 2, tag 0, colour bits clear) and its first
+   field, the tag. *)
+let pair_prefix tag = mix_int (mix 0 (2 lsl 10)) tag
+let prefix_int = pair_prefix 0
+let prefix_float = pair_prefix 1
+let prefix_string = pair_prefix 2
+let prefix_bool = pair_prefix 3
+let hash_null = Hashtbl.hash (-1)
+let hash_int x = final_mix (mix_int prefix_int x)
+let hash_float_words ~hi ~lo = final_mix (mix_float_words prefix_float ~hi ~lo)
+
+let hash_float x =
+  let b = Int64.bits_of_float x in
+  hash_float_words
+    ~hi:(Int64.to_int (Int64.shift_right_logical b 32))
+    ~lo:(Int64.to_int b land mask32)
+
 let hash = function
-  | Null -> Hashtbl.hash (-1)
-  | Int x -> Hashtbl.hash (0, x)
-  | Float x -> Hashtbl.hash (1, x)
-  | String x -> Hashtbl.hash (2, x)
-  | Bool x -> Hashtbl.hash (3, x)
+  | Null -> hash_null
+  | Int x -> hash_int x
+  | Float x -> hash_float x
+  | String x -> final_mix (mix_string prefix_string x)
+  | Bool x -> final_mix (mix_int prefix_bool (Bool.to_int x))
 
 (* Not through [Format.asprintf]: serving a view renders every cell, and a
    formatter costs about 3 KB per call. *)

@@ -22,7 +22,19 @@ val equal : t -> t -> bool
     between values of different columns, where any consistent order works. *)
 val compare : t -> t -> int
 
+(** [Hashtbl.hash (tag, x)] for a value of tag [tag] (0 for [Int], 1 for
+    [Float], 2 for [String], 3 for [Bool]) carrying [x], and
+    [Hashtbl.hash (-1)] for [Null] — computed without allocating. Stored
+    hashes (snapshots, dictionaries) depend on these exact values. *)
 val hash : t -> int
+
+(** [hash_int x] is [hash (Int x)], without the box. *)
+val hash_int : int -> int
+
+(** [hash_float_words ~hi ~lo] is [hash (Float x)] for the float [x] whose
+    IEEE bits are [hi] (upper 32) and [lo] (lower 32): a caller holding an
+    unboxed float hashes it without boxing it for the call. *)
+val hash_float_words : hi:int -> lo:int -> int
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

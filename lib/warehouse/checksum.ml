@@ -1,4 +1,4 @@
-(* CRC-32 (IEEE 802.3, reflected, polynomial 0xedb88320) over strings.
+(* CRC-32 (IEEE 802.3, reflected, polynomial 0xedb88320) over bytes.
    Used to detect torn writes and bit rot in WAL records and snapshots
    before any byte reaches [Marshal.from_string] — unmarshalling corrupt
    input is undefined behaviour, so every payload is checksum-gated.
@@ -23,13 +23,14 @@ let t3 = next t2
 
 (* Every index below is masked to a byte (or is a 32-bit value shifted
    right by 24), so the 256-entry tables are read without bounds checks. *)
-let string s =
-  let len = String.length s in
+let sub b off len =
+  if off < 0 || len < 0 || off > Bytes.length b - len then
+    invalid_arg "Checksum.sub";
   let crc = ref 0xffffffff in
-  let i = ref 0 in
-  while !i + 4 <= len do
+  let i = ref off and stop = off + len in
+  while !i + 4 <= stop do
     let c =
-      !crc lxor (Int32.to_int (String.get_int32_le s !i) land 0xffffffff)
+      !crc lxor (Int32.to_int (Bytes.get_int32_le b !i) land 0xffffffff)
     in
     crc :=
       Array.unsafe_get t3 (c land 0xff)
@@ -38,8 +39,10 @@ let string s =
       lxor Array.unsafe_get t0 (c lsr 24);
     i := !i + 4
   done;
-  for j = !i to len - 1 do
-    let c = !crc lxor Char.code (String.unsafe_get s j) in
+  for j = !i to stop - 1 do
+    let c = !crc lxor Char.code (Bytes.unsafe_get b j) in
     crc := Array.unsafe_get t0 (c land 0xff) lxor (!crc lsr 8)
   done;
   !crc lxor 0xffffffff
+
+let string s = sub (Bytes.unsafe_of_string s) 0 (String.length s)

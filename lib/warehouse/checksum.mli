@@ -4,3 +4,7 @@
 
 (** [string s] is the CRC-32 of [s], in [0, 0xffffffff]. *)
 val string : string -> int
+
+(** [sub b off len] is the CRC-32 of bytes [off .. off + len - 1] of [b].
+    @raise Invalid_argument if the range is outside [b]. *)
+val sub : bytes -> int -> int -> int

@@ -148,9 +148,12 @@ end
 type writer = {
   path : string;
   mutable oc : out_channel;
-  (* frames accepted with [append ~sync:false] but not yet written — a group
-     commit pushes the whole buffer to the OS in one write and one fsync *)
-  pending : Buffer.t;
+  (* frames accepted with [append ~sync:false] but not yet written, in
+     [pending.(0 .. used - 1)] — a group commit pushes them to the OS in
+     one write and one fsync. The buffer keeps its capacity between
+     groups. *)
+  mutable pending : Bytes.t;
+  mutable used : int;
   mutable staged : int;  (* records in [pending] — the group-commit burst *)
 }
 
@@ -236,7 +239,7 @@ let open_scanned path s =
     corrupt "%s: %d bytes, but its scan ended on a record boundary at %d" path
       length s.s_valid_bytes
   end;
-  { path; oc; pending = Buffer.create 256; staged = 0 }
+  { path; oc; pending = Bytes.create 4096; used = 0; staged = 0 }
 
 let open_append path =
   let s = scan path in
@@ -249,21 +252,22 @@ let fsync_channel oc =
   try Unix.fsync (Unix.descr_of_out_channel oc) with Unix.Unix_error _ -> ()
 
 let sync w =
-  if Buffer.length w.pending > 0 then begin
-    let bytes = Buffer.contents w.pending in
-    Buffer.clear w.pending;
+  if w.used > 0 then begin
+    let len = w.used in
+    w.used <- 0;
     Telemetry.Histogram.observe Obs.group_frames (float_of_int w.staged);
     w.staged <- 0;
-    Telemetry.Counter.inc Obs.bytes (String.length bytes);
+    Telemetry.Counter.inc Obs.bytes len;
     (* the crash point models a power cut mid-write: only a prefix of the
        group's frames reached the OS, so the log ends in a torn record that
        recovery must drop. Splitting the write in two halves (second half
-       only after the crash point) makes that state reachable from tests. *)
-    let half = String.length bytes / 2 in
-    output_string w.oc (String.sub bytes 0 half);
+       only after the crash point) makes that state reachable from tests.
+       Both halves are written from the staging buffer in place. *)
+    let half = len / 2 in
+    output w.oc w.pending 0 half;
     flush w.oc;
     Maintenance.Faults.hit Maintenance.Faults.Mid_group_commit;
-    output_string w.oc (String.sub bytes half (String.length bytes - half));
+    output w.oc w.pending half (len - half);
     flush w.oc
   end;
   (* the commit point: the records must survive a power cut, not just the
@@ -275,8 +279,33 @@ let sync w =
   Telemetry.Counter.one Obs.syncs;
   Telemetry.Histogram.time Obs.fsync_seconds (fun () -> fsync_channel w.oc)
 
+(* Marshals [record] straight into the staging buffer behind room for its
+   header, then writes the header in front: the bytes of [frame record],
+   with no intermediate copy. A buffer too small for the payload is
+   doubled and the record marshaled again. *)
+let grow w =
+  let bigger = Bytes.create (2 * Bytes.length w.pending) in
+  Bytes.blit w.pending 0 bigger 0 w.used;
+  w.pending <- bigger
+
+let rec stage w record =
+  let at = w.used + 8 in
+  let room = Bytes.length w.pending - at in
+  match
+    if room <= 0 then None
+    else Some (Marshal.to_buffer w.pending at room record [])
+  with
+  | Some len ->
+    Bytes.set_int32_le w.pending w.used (Int32.of_int len);
+    Bytes.set_int32_le w.pending (w.used + 4)
+      (Int32.of_int (Checksum.sub w.pending at len));
+    w.used <- at + len
+  | None | (exception Failure _) ->
+    grow w;
+    stage w record
+
 let append ?sync:(do_sync = true) w record =
-  Buffer.add_string w.pending (frame record);
+  stage w record;
   w.staged <- w.staged + 1;
   Telemetry.Counter.one Obs.appends;
   if do_sync then sync w
@@ -284,7 +313,7 @@ let append ?sync:(do_sync = true) w record =
 let truncate w =
   (* anything still buffered belongs to batches the snapshot already
      contains (the warehouse syncs before applying) — drop, don't replay *)
-  Buffer.clear w.pending;
+  w.used <- 0;
   w.staged <- 0;
   close_out_noerr w.oc;
   write_file w.path [];
@@ -297,7 +326,7 @@ let truncate w =
 let rotate w ~to_path =
   (* like [truncate], buffered-but-unsynced frames describe batches the
      just-taken checkpoint already contains — drop them *)
-  Buffer.clear w.pending;
+  w.used <- 0;
   w.staged <- 0;
   close_out_noerr w.oc;
   Sys.rename w.path to_path;

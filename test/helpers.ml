@@ -28,6 +28,32 @@ let b x = Value.Bool x
 
 let row vs = Array.of_list vs
 
+(* A one-table joined row for direct [View_state] feeds: [key]'s cells,
+   then per select item its argument — [`Key] for a group-by item,
+   [`Count] for a COUNT, [`Sum v] for a SUM/AVG argument, [`Val v] for a
+   MIN/MAX/DISTINCT one — read through the same typed plan the engine
+   compiles. *)
+let feed_row key args =
+  let module Feed = Maintenance.Feed in
+  let k = Array.length key in
+  let cell p = { Feed.slot = 0; base = p; plain = -1 } in
+  let f =
+    Feed.create ~auxs:[| None |]
+      ~key:(Array.init k cell)
+      ~args:
+        (Array.mapi
+           (fun j -> function
+             | `Key -> Feed.Key
+             | `Count -> Feed.Weight
+             | `Sum _ -> Feed.Sum { c = cell (k + j); sum = -1 }
+             | `Val _ -> Feed.Value { c = cell (k + j); ext = -1 })
+           args)
+  in
+  Feed.bind_base f 0
+    (Array.append key
+       (Array.map (function `Sum v | `Val v -> v | `Key | `Count -> Value.Null) args));
+  f
+
 (* relation from expanded tuple lists *)
 let rel rows = Relation.of_list (List.map (fun r -> (row r, 1)) rows)
 

@@ -13,6 +13,7 @@ module VS = Maintenance.View_state
 module VB = Maintenance.View_boxed
 module Column = Maintenance.Column
 module Icol = Maintenance.Column.Icol
+module Marks = Maintenance.Column.Marks
 module Dict = Maintenance.Dict
 module Rowmap = Maintenance.Rowmap
 module Engines = Maintenance.Engines
@@ -169,27 +170,21 @@ let vview =
     joins = [];
   }
 
-let vs_contribs ~v ~lbl =
-  [|
-    None;
-    Some (VS.C_sum { amount = i v; n = 1 });
-    Some (VS.C_count 1);
-    Some (VS.C_sum { amount = i v; n = 1 });
-    Some (VS.C_value (i v));
-    Some (VS.C_value (s lbl));
-  |]
+let vs_contribs key ~v ~lbl =
+  feed_row key [| `Key; `Sum (i v); `Count; `Sum (i v); `Val (i v); `Val (s lbl) |]
 
 (* The boxed oracle still marks a group dirty for every DISTINCT feed, so it
    maintains [vview] without its DISTINCT column: its dirty set is then
    exactly the MAX groups the columnar state must hand back. *)
 let oview = { vview with View.select = List.filteri (fun j _ -> j < 5) vview.View.select }
 
-let vb_contribs ~v ~lbl:_ =
+(* The boxed oracle takes each contribution already weighted by [cnt]. *)
+let vb_contribs ~v ~cnt =
   [|
     None;
-    Some (VB.C_sum { amount = i v; n = 1 });
-    Some (VB.C_count 1);
-    Some (VB.C_sum { amount = i v; n = 1 });
+    Some (VB.C_sum { amount = i (v * cnt); n = cnt });
+    Some (VB.C_count cnt);
+    Some (VB.C_sum { amount = i (v * cnt); n = cnt });
     Some (VB.C_value (i v));
   |]
 
@@ -214,14 +209,14 @@ let view_matrix seed =
   let ok = ref true in
   let key k = row [ i k ] in
   let feed_all (k, v, lbl, cnt) =
-    VS.feed s1 ~key:(key k) ~cnt (vs_contribs ~v ~lbl);
-    VS.feed s4 ~key:(key k) ~cnt (vs_contribs ~v ~lbl);
-    VB.feed oracle ~key:(key k) ~cnt (vb_contribs ~v ~lbl)
+    VS.feed s1 (vs_contribs (key k) ~v ~lbl) ~cnt;
+    VS.feed s4 (vs_contribs (key k) ~v ~lbl) ~cnt;
+    VB.feed oracle ~key:(key k) ~cnt (vb_contribs ~v ~cnt)
   in
   let unfeed_all (k, v, lbl, cnt) =
-    VS.unfeed s1 ~key:(key k) ~cnt (vs_contribs ~v ~lbl);
-    VS.unfeed s4 ~key:(key k) ~cnt (vs_contribs ~v ~lbl);
-    VB.unfeed oracle ~key:(key k) ~cnt (vb_contribs ~v ~lbl)
+    VS.unfeed s1 (vs_contribs (key k) ~v ~lbl) ~cnt;
+    VS.unfeed s4 (vs_contribs (key k) ~v ~lbl) ~cnt;
+    VB.unfeed oracle ~key:(key k) ~cnt (vb_contribs ~v ~cnt)
   in
   let op () =
     let n = List.length !present in
@@ -512,6 +507,28 @@ let column_tests =
         let c' = Icol.copy c in
         Icol.set c' 0 (-1);
         Alcotest.(check int) "copy independent" 1998 (Icol.get c 0));
+    test "Marks: an epoch unmarks every row, past its 255th too" (fun () ->
+        let m = Marks.create () in
+        for _ = 1 to 40 do Marks.append m done;
+        Marks.next_epoch m;
+        Marks.mark m 3;
+        Marks.mark m 39;
+        Alcotest.(check bool) "marked" true (Marks.marked m 3);
+        Alcotest.(check bool) "unmarked" false (Marks.marked m 4);
+        Marks.swap_delete m 3;
+        Alcotest.(check bool) "the last row's mark moved" true (Marks.marked m 3);
+        Alcotest.(check int) "shrunk" 39 (Marks.length m);
+        let m' = Marks.copy m in
+        Marks.mark m' 0;
+        Alcotest.(check bool) "copy independent" false (Marks.marked m 0);
+        Marks.append m;
+        Alcotest.(check bool) "appended unmarked" false (Marks.marked m 39);
+        (* row 3 holds epoch 1; 255 epochs later the epochs have wrapped
+           back to 1, and the row must not read as marked *)
+        for e = 2 to 256 do
+          Marks.next_epoch m;
+          Alcotest.(check bool) (Printf.sprintf "epoch %d" e) false (Marks.marked m 3)
+        done);
   ]
 
 (* --- directed: rowmap ---------------------------------------------------- *)
@@ -811,21 +828,21 @@ let undo_tests =
           (AS.to_relation st));
     test "view rollback restores components and the dirty set" (fun () ->
         let st = VS.create ~shards:2 vview ~determined:false in
-        let feed k v lbl = VS.feed st ~key:(row [ i k ]) ~cnt:1 (vs_contribs ~v ~lbl) in
+        let feed k v lbl = VS.feed st (vs_contribs (row [ i k ]) ~v ~lbl) ~cnt:1 in
         feed 1 10 "a";
         feed 1 20 "b";
         feed 1 30 "b";
         feed 2 5 "a";
         (* leave group 1 dirty on purpose (its MAX is gone): rollback must
            restore the set *)
-        VS.unfeed st ~key:(row [ i 1 ]) ~cnt:1 (vs_contribs ~v:30 ~lbl:"b");
+        VS.unfeed st (vs_contribs (row [ i 1 ]) ~v:30 ~lbl:"b") ~cnt:1;
         let snap = VS.copy st in
         Alcotest.(check bool) "dirty before txn" true (VS.is_dirty_pending st);
         VS.begin_txn st;
         ignore (VS.take_dirty st);
         feed 3 7 "c";
         (* drops "b" from group 1's DISTINCT multiset *)
-        VS.unfeed st ~key:(row [ i 1 ]) ~cnt:1 (vs_contribs ~v:20 ~lbl:"b");
+        VS.unfeed st (vs_contribs (row [ i 1 ]) ~v:20 ~lbl:"b") ~cnt:1;
         VS.set_value st ~key:(row [ i 2 ]) ~item:4 (i 999);
         VS.rollback st;
         Alcotest.(check bool) "structurally restored" true (VS.equal st snap);
@@ -850,10 +867,42 @@ let accounting_tests =
         let vs = VS.create vview ~determined:false in
         let before = VS.byte_size vs in
         for k = 0 to 199 do
-          VS.feed vs ~key:(row [ i k ]) ~cnt:1 (vs_contribs ~v:k ~lbl:"x")
+          VS.feed vs (vs_contribs (row [ i k ]) ~v:k ~lbl:"x") ~cnt:1
         done;
         Alcotest.(check bool) "view bytes grew" true (VS.byte_size vs > before);
         Alcotest.(check bool) "view off-heap payload" true (VS.offheap_bytes vs > 0));
+    test "an undo log far larger than its last use is released" (fun () ->
+        (* the log is not in [byte_size]; its count and hash columns are
+           OCaml arrays, so the heap words the state reaches show it *)
+        let words st = Obj.reachable_words (Obj.repr st) in
+        let spec, schema = specs_for "sale" in
+        let st = AS.create spec schema in
+        let sale k = row [ i k; i ((k mod 40) + 1); i ((k / 40) + 1); i 1; i 5 ] in
+        let txn ks =
+          AS.begin_txn st;
+          List.iter (fun k -> AS.insert_base st (sale k)) ks;
+          AS.commit st
+        in
+        txn (List.init 2000 succ);
+        let big = words st in
+        (* 1,000 entries keep a capacity of 2,048: within four times *)
+        txn (List.init 1000 succ);
+        Alcotest.(check int) "aux log kept" big (words st);
+        (* one entry: 2,048 is past four times 64 *)
+        txn [ 1 ];
+        Alcotest.(check bool) "aux log released" true (words st + 4000 < big);
+        let vs = VS.create vview ~determined:false in
+        let feed k = VS.feed vs (vs_contribs (row [ i k ]) ~v:k ~lbl:"x") ~cnt:1 in
+        let batch ks =
+          VS.begin_txn vs;
+          List.iter feed ks;
+          VS.commit vs;
+          ignore (VS.publish vs)
+        in
+        batch (List.init 2000 succ);
+        let big = words vs in
+        batch [ 1 ];
+        Alcotest.(check bool) "view log released" true (words vs + 4000 < big));
   ]
 
 let () =

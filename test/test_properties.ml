@@ -1203,6 +1203,168 @@ let prop_delta_stream_legal =
           Database.row_count replica tbl = Database.row_count db tbl)
         (Database.table_names db))
 
+(* --- hashing and grouping edge cases --------------------------------------- *)
+
+(* [Value.hash] is the runtime's [Hashtbl.hash] of the (tag, payload) pair
+   for every kind of value — the stored hashes of snapshots and dictionaries
+   depend on it — and a stored cell hashes as its value does. *)
+let value_gen =
+  Gen.oneof
+    [
+      Gen.map (fun x -> Value.Int x)
+        (Gen.oneof
+           [ Gen.int; Gen.small_signed_int;
+             Gen.oneofl [ min_int; max_int; 1 lsl 31; -(1 lsl 31); (1 lsl 31) - 1;
+                          -(1 lsl 31) - 1; 1 lsl 32; 0; -1 ] ]);
+      Gen.map (fun x -> Value.Float x)
+        (Gen.oneof
+           [ Gen.float;
+             Gen.map Int64.float_of_bits Gen.int64;
+             Gen.oneofl [ 0.; -0.; nan; -.nan; infinity; neg_infinity;
+                          Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+                          min_float; max_float; 5e-324 ] ]);
+      Gen.map (fun x -> Value.String x)
+        (Gen.oneof
+           [ Gen.string_size (Gen.int_bound 9);
+             Gen.string_size (Gen.int_range 100 3000);
+             Gen.return "" ]);
+      Gen.map (fun x -> Value.Bool x) Gen.bool;
+      Gen.return Value.Null;
+    ]
+
+let prop_value_hash =
+  QCheck2.Test.make ~count:2000 ~name:"Value.hash == Hashtbl.hash (tag, x), on cells too"
+    ~print:Value.to_string value_gen (fun v ->
+      let reference =
+        match v with
+        | Value.Null -> Hashtbl.hash (-1)
+        | Value.Int x -> Hashtbl.hash (0, x)
+        | Value.Float x -> Hashtbl.hash (1, x)
+        | Value.String x -> Hashtbl.hash (2, x)
+        | Value.Bool x -> Hashtbl.hash (3, x)
+      in
+      let col = Maintenance.Column.create () in
+      Maintenance.Column.append col v;
+      Value.hash v = reference
+      && Maintenance.Column.hash_cell col 0 = reference
+      &&
+      match v with
+      | Value.Int x -> Value.hash_int x = reference
+      | Value.Null | Value.Float _ | Value.String _ | Value.Bool _ -> true)
+
+(* A fact table grouped three ways: on a FLOAT column holding -0.0, 0.0
+   and NaNs (equal as values, distinct as bits), on an INT column holding
+   min_int, max_int and negatives, and on a dictionary-coded dimension
+   string spread over the view's hash shards. *)
+let edge_db () =
+  let col name ty = { Schema.col_name = name; col_type = ty } in
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.make ~name:"dim" ~key:"id"
+       [ col "id" Datatype.TInt; col "name" Datatype.TString ])
+    ~updatable:[];
+  Database.add_table db
+    (Schema.make ~name:"f" ~key:"id"
+       [ col "id" Datatype.TInt; col "g" Datatype.TFloat; col "k" Datatype.TInt;
+         col "d" Datatype.TInt; col "v" Datatype.TInt ])
+    ~updatable:[ "g"; "k"; "v" ];
+  Database.add_reference db
+    { Relational.Integrity.src_table = "f"; src_col = "d"; dst_table = "dim" };
+  List.iteri
+    (fun id name -> Database.insert db "dim" [| i id; s name |])
+    [ ""; "a"; "b"; "ab"; "abc"; "abcd"; "abcde"; String.make 40 'z'; "é" ];
+  db
+
+let edge_floats = [| 0.; -0.; nan; Int64.float_of_bits 0x7FF0_0000_0000_0001L; 1.5; -2.25 |]
+let edge_ints = [| min_int; max_int; -1; -7; 0; 3; min_int + 1 |]
+
+let edge_views =
+  let f = a "f" in
+  [
+    { View.name = "by_float"; having = [];
+      select = [ group (f "g"); sum ~alias:"s" (f "v"); count_star () ];
+      tables = [ "f" ]; locals = []; joins = [] };
+    { View.name = "by_int"; having = [];
+      select = [ group (f "k"); sum ~alias:"s" (f "v"); avg ~alias:"m" (f "v");
+                 count_star () ];
+      tables = [ "f" ]; locals = []; joins = [] };
+    { View.name = "by_name"; having = [];
+      select = [ group (a "dim" "name"); sum ~alias:"s" (f "v"); count_star () ];
+      tables = [ "f"; "dim" ]; locals = [];
+      joins = [ join (f "d") (a "dim" "id") ] };
+    { View.name = "by_all"; having = [];
+      select = [ group (f "g"); group (f "k"); group (a "dim" "name");
+                 sum ~alias:"s" (f "v"); count_star () ];
+      tables = [ "f"; "dim" ]; locals = [];
+      joins = [ join (f "d") (a "dim" "id") ] };
+  ]
+
+(* A legal batch against [db], applied to it: fresh facts, deletions and
+   updates that move a fact between groups or only change its measure. *)
+let edge_batch rng db next_id =
+  let pick arr = arr.(Workload.Prng.int rng (Array.length arr)) in
+  let fact () =
+    let id = !next_id in
+    incr next_id;
+    [| i id; f (pick edge_floats); i (pick edge_ints);
+       i (Workload.Prng.int rng 9); i (Workload.Prng.int rng 100 - 50) |]
+  in
+  List.init 12 (fun _ ->
+      let live = Database.fold db "f" (fun tup acc -> tup :: acc) [] in
+      let d =
+        match live, Workload.Prng.int rng 4 with
+        | [], _ | _, 0 -> Delta.insert "f" (fact ())
+        | _, 1 -> Delta.delete "f" (List.nth live (Workload.Prng.int rng (List.length live)))
+        | _, _ ->
+          let before = List.nth live (Workload.Prng.int rng (List.length live)) in
+          let after = Array.copy before in
+          (match Workload.Prng.int rng 3 with
+          | 0 -> after.(1) <- f (pick edge_floats)
+          | 1 -> after.(2) <- i (pick edge_ints)
+          | _ -> after.(4) <- i (Workload.Prng.int rng 100 - 50));
+          Delta.update "f" ~before ~after
+      in
+      Database.apply db d;
+      d)
+
+let prop_grouping_edge_cases =
+  QCheck2.Test.make ~count:60
+    ~name:"maintained == recomputed on -0.0/NaN, extreme int and dictionary keys (copies, rollbacks)"
+    ~print:string_of_int (Gen.int_bound 100_000) (fun seed ->
+      let db = edge_db () in
+      let rng = Workload.Prng.create seed in
+      let next_id = ref 0 in
+      let (_ : Delta.t list) = edge_batch rng db next_id in
+      let engines =
+        List.map (fun v -> (v, ref (Maintenance.Engines.minimal db v))) edge_views
+      in
+      let agrees () =
+        List.for_all
+          (fun (v, e) ->
+            Relation.equal
+              (Maintenance.Engines.view_contents !e)
+              (Algebra.Eval.eval db v))
+          engines
+      in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 8 do
+        let deltas = edge_batch rng db next_id in
+        let undo = Workload.Prng.int rng 4 = 0 in
+        List.iter
+          (fun (_, e) ->
+            (* a copy taken mid-stream carries on in place of its original *)
+            if Workload.Prng.int rng 3 = 0 then e := Maintenance.Engines.copy !e;
+            Maintenance.Engines.begin_txn !e;
+            Maintenance.Engines.apply_batch !e deltas;
+            if undo then Maintenance.Engines.rollback !e
+            else Maintenance.Engines.commit !e)
+          engines;
+        if undo then
+          List.iter (fun d -> Database.apply db (Delta.invert d)) (List.rev deltas);
+        ok := !ok && agrees ()
+      done;
+      !ok)
+
 let () =
   let to_alcotest = QCheck_alcotest.to_alcotest in
   Alcotest.run "properties"
@@ -1219,6 +1381,7 @@ let () =
             prop_aux_state_matches_materialization;
             prop_in_place_updates;
             prop_seed_from_root_aux;
+            prop_grouping_edge_cases;
           ] );
       ( "derivation",
         List.map to_alcotest
@@ -1245,6 +1408,7 @@ let () =
       ( "substrate",
         List.map to_alcotest
           [
+            prop_value_hash;
             prop_bag_insert_delete;
             prop_bag_cardinality;
             prop_bag_equal_of_list;

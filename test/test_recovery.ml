@@ -781,6 +781,52 @@ let checksum_tests =
           (Warehouse.Checksum.string "123456789");
         Alcotest.(check int) "empty string" 0 (Warehouse.Checksum.string ""));
     QCheck_alcotest.to_alcotest prop_crc32_matches_bitwise;
+    test "staged WAL frames are whole, checksummed records" (fun () ->
+        let db, wh = build () in
+        let dir = fresh_dir "wal_frames" in
+        Warehouse.attach wh ~dir;
+        let rng = Workload.Prng.create 8 in
+        let stream n = Workload.Delta_gen.stream rng db ~n in
+        (* one group commit whose middle record is larger than the staging
+           buffer, so it grows mid-group; then a batch synced on its own *)
+        ignore
+          (Warehouse.ingest_all wh [ stream 3; stream 400; stream 2 ]
+            : Warehouse.report list);
+        Warehouse.ingest wh (stream 5);
+        Warehouse.close wh;
+        let ic = open_in_bin (Filename.concat dir "wal.bin") in
+        let log = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let magic = "minview-wal/1\n" in
+        Alcotest.(check string) "magic" magic
+          (String.sub log 0 (String.length magic));
+        (* every frame: its length, the CRC-32 of its payload, and a
+           payload that is one whole marshaled value of that length *)
+        let rec frames at acc =
+          if at = String.length log then List.rev acc
+          else begin
+            let len = Int32.to_int (String.get_int32_le log at) in
+            let crc = Int32.to_int (String.get_int32_le log (at + 4)) land 0xFFFF_FFFF in
+            let payload = String.sub log (at + 8) len in
+            Alcotest.(check int) "frame checksum" (Warehouse.Checksum.string payload) crc;
+            Alcotest.(check int) "frame length" len
+              (Marshal.total_size (Bytes.unsafe_of_string payload) 0);
+            frames (at + 8 + len) (len :: acc)
+          end
+        in
+        let lens = frames (String.length magic) [] in
+        Alcotest.(check int) "one frame per batch" 4 (List.length lens);
+        Alcotest.(check bool) "a frame outgrew the staging buffer" true
+          (List.exists (fun len -> len > 4096) lens);
+        let wh' = Warehouse.recover ~dir in
+        Alcotest.(check int) "replayed" 4 (Warehouse.ingested_batches wh');
+        check_views wh' (Warehouse.believed_source wh');
+        Warehouse.close wh';
+        rm_rf dir);
+    test "Checksum.sub is the CRC-32 of the range" (fun () ->
+        let b = Bytes.of_string "xx123456789yy" in
+        Alcotest.(check int) "range" 0xCBF43926 (Warehouse.Checksum.sub b 2 9);
+        Alcotest.(check int) "empty range" 0 (Warehouse.Checksum.sub b 13 0));
   ]
 
 let () =

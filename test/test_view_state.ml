@@ -26,18 +26,11 @@ let view =
     joins = [];
   }
 
-let contribs ~v ~lbl =
-  [|
-    None;
-    Some (VS.C_sum { amount = i v; n = 1 });
-    Some (VS.C_count 1);
-    Some (VS.C_sum { amount = i v; n = 1 });
-    Some (VS.C_value (i v));
-    Some (VS.C_value (s lbl));
-  |]
+let contribs key ~v ~lbl =
+  feed_row key [| `Key; `Sum (i v); `Count; `Sum (i v); `Val (i v); `Val (s lbl) |]
 
-let feed st key ~v ~lbl = VS.feed st ~key ~cnt:1 (contribs ~v ~lbl)
-let unfeed st key ~v ~lbl = VS.unfeed st ~key ~cnt:1 (contribs ~v ~lbl)
+let feed st key ~v ~lbl = VS.feed st (contribs key ~v ~lbl) ~cnt:1
+let unfeed st key ~v ~lbl = VS.unfeed st (contribs key ~v ~lbl) ~cnt:1
 
 let fresh () = VS.create view ~determined:false
 
@@ -102,7 +95,7 @@ let tests =
     test "DISTINCT multiset counts base rows per value" (fun () ->
         let st = fresh () in
         let key = row [ i 1 ] in
-        VS.feed st ~key ~cnt:2 (contribs ~v:10 ~lbl:"a");
+        VS.feed st (contribs key ~v:10 ~lbl:"a") ~cnt:2;
         feed st key ~v:20 ~lbl:"b";
         Alcotest.check counts "two values" [ (s "a", 2); (s "b", 1) ] (multiset st key);
         unfeed st key ~v:10 ~lbl:"a";
@@ -140,10 +133,10 @@ let tests =
         in
         let st = VS.create dview ~determined:false in
         let key = row [ i 1 ] in
-        let cs x = Array.append [| None |] (Array.make 4 (Some (VS.C_value (f x)))) in
-        List.iter (fun x -> VS.feed st ~key ~cnt:1 (cs x)) [ 0.5; 1e16; 0.5; 0.25 ];
+        let cs x = feed_row key (Array.append [| `Key |] (Array.make 4 (`Val (f x)))) in
+        List.iter (fun x -> VS.feed st (cs x) ~cnt:1) [ 0.5; 1e16; 0.5; 0.25 ];
         settle st;
-        VS.unfeed st ~key ~cnt:1 (cs 1e16);
+        VS.unfeed st (cs 1e16) ~cnt:1;
         Alcotest.(check bool) "pending re-fold" true (VS.is_dirty_pending st);
         settle st;
         match rows st with
@@ -169,13 +162,13 @@ let tests =
     test "unfeed underflow raises" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
-        match VS.unfeed st ~key:(row [ i 1 ]) ~cnt:5 (contribs ~v:10 ~lbl:"a") with
+        match VS.unfeed st (contribs (row [ i 1 ]) ~v:10 ~lbl:"a") ~cnt:5 with
         | exception Invalid_argument _ -> ()
         | _ -> Alcotest.fail "expected Invalid_argument");
     test "determined mode keeps a one-value DISTINCT multiset" (fun () ->
         let st = VS.create view ~determined:true in
-        VS.feed st ~key:(row [ i 1 ]) ~cnt:1 (contribs ~v:10 ~lbl:"a");
-        VS.feed st ~key:(row [ i 1 ]) ~cnt:1 (contribs ~v:20 ~lbl:"a");
+        feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
+        feed st (row [ i 1 ]) ~v:20 ~lbl:"a";
         Alcotest.(check bool) "never dirty" false (VS.is_dirty_pending st);
         (match rows st with
         | [ (r, 1) ] -> Alcotest.check value "distinct count" (i 1) r.(5)
