@@ -151,53 +151,6 @@ let measure db (d : Derive.t) =
   let measured = List.map (fun tbl -> (tbl, measure_one tbl)) order in
   List.map (fun tbl -> List.assoc tbl measured) d.Derive.view.View.tables
 
-(* --- live gauges --------------------------------------------------------- *)
-
-let set_gauges ~view attrs =
-  if Telemetry.enabled () then
-    List.iter
-      (fun a ->
-        let labels = [ ("view", view); ("aux", a.aux); ("base", a.table) ] in
-        let gauge ?(extra = []) name help v =
-          Telemetry.Gauge.set
-            (Telemetry.Gauge.make ~help ~labels:(labels @ extra) name)
-            v
-        in
-        let b = bytes a in
-        gauge "minview_attr_raw_bytes"
-          "Raw detail footprint of the base table (bytes)"
-          (float_of_int b.raw_bytes);
-        gauge "minview_attr_stored_bytes"
-          "Auxview footprint actually stored (bytes)"
-          (float_of_int b.stored_bytes);
-        gauge "minview_attr_fold_factor"
-          "Detail rows per resident row after duplicate compression"
-          (fold_factor a);
-        let saved technique v =
-          gauge
-            ~extra:[ ("technique", technique) ]
-            "minview_attr_saved_bytes"
-            "Bytes saved by one minimization technique" (float_of_int v)
-        in
-        saved "local-selection" b.local_selection;
-        saved "local-projection" b.local_projection;
-        saved "join-reduction" b.join_reduction;
-        saved "duplicate-compression" b.compression;
-        saved "elimination" b.elimination;
-        let dropped technique v =
-          gauge
-            ~extra:[ ("technique", technique) ]
-            "minview_attr_rows_dropped"
-            "Detail rows dropped by one minimization technique"
-            (float_of_int v)
-        in
-        dropped "local-selection" (a.raw_rows - a.rows_after_local);
-        dropped "join-reduction" (a.rows_after_local - a.rows_after_join);
-        gauge "minview_attr_columns_dropped"
-          "Base columns dropped by local projection"
-          (float_of_int (a.raw_fields - a.kept_fields)))
-      attrs
-
 (* --- rendering ----------------------------------------------------------- *)
 
 let render ?(show_bytes = string_of_int) ?measured ~view attrs =

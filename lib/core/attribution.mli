@@ -63,14 +63,6 @@ val measure : Relational.Database.t -> Derive.t -> t list
     so each semijoin tests against the target's {e reduced} auxview
     contents, exactly as the maintenance engine stores them. *)
 
-val set_gauges : view:string -> t list -> unit
-(** Publish the decomposition as live gauges labelled
-    [{view; aux; base}]: [minview_attr_raw_bytes],
-    [minview_attr_stored_bytes], [minview_attr_fold_factor],
-    [minview_attr_saved_bytes{technique=...}] and
-    [minview_attr_rows_dropped{technique=...}]. No-op while telemetry is
-    disabled. *)
-
 val render :
   ?show_bytes:(int -> string) ->
   ?measured:(string -> int option) ->

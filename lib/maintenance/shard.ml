@@ -21,8 +21,9 @@
    slot is still awaited before [Wedged] is raised, so all non-wedged
    workers are quiescent — but the wedged domain itself may still be
    executing the job, and callers must treat any state it closes over as
-   unsalvageable. Both failure kinds bump
-   [minview_shard_worker_failures_total].
+   unsalvageable. The pool counts no failures itself: the supervising
+   warehouse counts every raised or wedged run in
+   [minview_warehouse_parallel_degradations_total].
 
    Workers are daemon-like: they are never joined, and the process exits
    normally while they are parked.  A pool must only be driven from one
@@ -160,17 +161,7 @@ module Obs = struct
       ~labels:[ ("worker", string_of_int w) ]
       ~help:"Cumulative busy time of this pool worker across runs"
       "minview_shard_worker_busy_seconds_total"
-
-  let failures kind =
-    Telemetry.Counter.make
-      ~labels:[ ("kind", kind) ]
-      ~help:"Shard workers that failed a pool run (raised or wedged)"
-      "minview_shard_worker_failures_total"
 end
-
-let raise_failure exn =
-  Telemetry.Counter.one (Obs.failures "raised");
-  raise exn
 
 let run_jobs pool n f =
   ensure_workers pool;
@@ -187,10 +178,8 @@ let run_jobs pool n f =
   (match pool.deadline with
   | None ->
     let errors = Array.init (n - 1) (fun i -> await pool.workers.(i)) in
-    (match err0 with Some exn -> raise_failure exn | None -> ());
-    Array.iter
-      (function Some exn -> raise_failure exn | None -> ())
-      errors
+    (match err0 with Some exn -> raise exn | None -> ());
+    Array.iter (function Some exn -> raise exn | None -> ()) errors
   | Some seconds ->
     (* drain the await of every worker before raising — even after a wedge —
        so every worker that still answers is provably quiescent when the
@@ -208,15 +197,12 @@ let run_jobs pool n f =
       | Ok e -> errors.(i) <- e
       | Error waited ->
         pool.poisoned <- true;
-        Telemetry.Counter.one (Obs.failures "wedged");
         if Option.is_none !wedged then
           wedged := Some (Wedged { worker = i + 1; waited })
     done;
     (match !wedged with Some exn -> raise exn | None -> ());
-    (match err0 with Some exn -> raise_failure exn | None -> ());
-    Array.iter
-      (function Some exn -> raise_failure exn | None -> ())
-      errors)
+    (match err0 with Some exn -> raise exn | None -> ());
+    Array.iter (function Some exn -> raise exn | None -> ()) errors)
 
 (* [run pool n f] executes [f w] for workers [w = 0 .. n-1] where
    [n = min pool.domains n_wanted]; worker 0 runs on the calling domain. *)

@@ -18,8 +18,8 @@
     its job and can resume mutating whatever state the job closes over at
     any later time — after {!Wedged}, callers must abandon that state
     (replace it wholesale), never roll it back or re-apply over it in
-    place. Worker failures of either kind are counted as
-    [minview_shard_worker_failures_total{kind="raised"|"wedged"}].
+    place. The supervising warehouse counts failures of either kind in
+    [minview_warehouse_parallel_degradations_total].
 
     A pool must be driven from one domain at a time.  Pools are runtime-only
     objects (they hold mutexes) and must not be marshalled. *)

@@ -6,71 +6,6 @@ let log_src = Logs.Src.create "minview.serve" ~doc:"warehouse query front-end"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-(* Registered at [create], not at module load: binaries that link the
-   warehouse library but never serve should not grow serve metrics in
-   their dumps. Registration is idempotent, so repeated [create]s share
-   the handles. *)
-type obs = {
-  o_requests : Telemetry.Counter.t;
-  o_request_seconds : Telemetry.Histogram.t;
-  o_connections : Telemetry.Gauge.t;
-  o_slow_queries : Telemetry.Counter.t;
-  o_reads : (string, Telemetry.Counter.t) Hashtbl.t;
-      (** per-(verb,view) read counters, keyed ["verb\x00view"]; the view
-          label is bounded — see [read_counter] *)
-  o_read_views : (string, unit) Hashtbl.t;
-      (** views granted their own label so far *)
-}
-
-(* Label-cardinality cap for minview_serve_reads_total: verbs are a closed
-   set, and at most this many distinct views get their own label — later
-   ones share view="_other" (same bounding rule as the workload registry). *)
-let max_read_views = 32
-
-let make_obs () =
-  {
-    o_requests =
-      Telemetry.Counter.make ~help:"Requests served by minview serve"
-        "minview_serve_requests_total";
-    o_request_seconds =
-      Telemetry.Histogram.make ~help:"Latency of one minview serve request"
-        "minview_serve_request_seconds";
-    o_connections =
-      Telemetry.Gauge.make ~help:"Open minview serve connections"
-        "minview_serve_connections";
-    o_slow_queries =
-      Telemetry.Counter.make
-        ~help:"QUERY/RECONSTRUCT requests at or above the slow threshold"
-        "minview_serve_slow_queries_total";
-    o_reads = Hashtbl.create 16;
-    o_read_views = Hashtbl.create 16;
-  }
-
-(* The serve loop is single-domain, so the caches need no lock. *)
-let read_counter obs ~verb ~view =
-  let view =
-    if Hashtbl.mem obs.o_read_views view then view
-    else if Hashtbl.length obs.o_read_views < max_read_views then begin
-      Hashtbl.replace obs.o_read_views view ();
-      view
-    end
-    else "_other"
-  in
-  let key = verb ^ "\x00" ^ view in
-  match Hashtbl.find_opt obs.o_reads key with
-  | Some c -> c
-  | None ->
-    let c =
-      Telemetry.Counter.make
-        ~labels:[ ("verb", verb); ("view", view) ]
-        ~help:
-          "Serve reads by verb and view (bounded: overflow views land in \
-           _other)"
-        "minview_serve_reads_total"
-    in
-    Hashtbl.replace obs.o_reads key c;
-    c
-
 type conn = {
   fd : Unix.file_descr;
   buf : Buffer.t;  (** bytes received ahead of the last complete line *)
@@ -86,7 +21,7 @@ type t = {
           response-sized block once it has grown to the largest one *)
   chunk : Bytes.t;  (** staging for socket reads, and for writes out of [out] *)
   bound_port : int;
-  obs : obs;
+  slow_queries : Telemetry.Counter.t;
   stop : bool Atomic.t;
   slowlog : Telemetry.Jsonl_sink.t option;
   slow_threshold_s : float;
@@ -128,7 +63,13 @@ let create ?(backlog = 16) ?slowlog ?(slow_threshold_s = 0.1) ~port wh =
     out = Buffer.create 4096;
     chunk = Bytes.create 65_536;
     bound_port;
-    obs = make_obs ();
+    (* registered here, not at module load: binaries that link the
+       warehouse library but never serve should not grow serve metrics in
+       their dumps; repeated [create]s share the handle *)
+    slow_queries =
+      Telemetry.Counter.make
+        ~help:"QUERY/RECONSTRUCT requests at or above the slow threshold"
+        "minview_serve_slow_queries_total";
     stop = Atomic.make false;
     slowlog;
     slow_threshold_s;
@@ -228,16 +169,12 @@ let note_query t conn ~span ~verb ~view ~rows ~start_s =
   let epoch = Warehouse.snapshot_epoch conn.pinned in
   let seq = Warehouse.snapshot_seq conn.pinned in
   if Telemetry.enabled () then begin
-    Telemetry.Counter.one
-      (read_counter t.obs ~verb:(String.lowercase_ascii verb) ~view);
     (* read-epoch lag: commits published since this connection pinned *)
     let head = Warehouse.snapshot_seq (Warehouse.current_snapshot t.wh) in
     Telemetry.Workload.note_read
       (Telemetry.Workload.view view)
       ~verb:(if String.equal verb "QUERY" then `Query else `Reconstruct)
-      ~lag:(head - seq)
-  end;
-  if Telemetry.enabled () then
+      ~lag:(head - seq);
     Telemetry.Trace.record
       {
         Telemetry.Trace.name = span;
@@ -251,9 +188,10 @@ let note_query t conn ~span ~verb ~view ~rows ~start_s =
             ("seq", string_of_int seq);
             ("rows", string_of_int rows);
           ];
-      };
+      }
+  end;
   if dur_s >= t.slow_threshold_s then begin
-    Telemetry.Counter.one t.obs.o_slow_queries;
+    Telemetry.Counter.one t.slow_queries;
     Option.iter
       (fun sink ->
         try
@@ -284,8 +222,6 @@ let handle_request t conn raw =
   in
   if verb <> "" then begin
     t.served <- t.served + 1;
-    Telemetry.Counter.one t.obs.o_requests;
-    Telemetry.Histogram.time t.obs.o_request_seconds @@ fun () ->
     match verb with
     | "PING" -> line conn "+PONG"
     | "EPOCH" -> epoch_line conn conn.pinned
@@ -339,8 +275,7 @@ let handle_request t conn raw =
 
 let close_conn t conn =
   (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  t.conns <- List.filter (fun c -> c != conn) t.conns;
-  Telemetry.Gauge.set t.obs.o_connections (float_of_int (List.length t.conns))
+  t.conns <- List.filter (fun c -> c != conn) t.conns
 
 let accept_conn t =
   match Unix.accept ~cloexec:true t.listen_fd with
@@ -355,9 +290,7 @@ let accept_conn t =
         closing = false;
       }
     in
-    t.conns <- conn :: t.conns;
-    Telemetry.Gauge.set t.obs.o_connections
-      (float_of_int (List.length t.conns))
+    t.conns <- conn :: t.conns
   | exception Unix.Unix_error _ -> ()
 
 let drain_conn t conn =

@@ -37,11 +37,13 @@
 type t
 
 (** [create ~port wh] binds and listens on [127.0.0.1:port] ([port = 0]
-    picks an ephemeral port — read it back with {!port}). Registers the
-    [minview_serve_*] metrics.
+    picks an ephemeral port — read it back with {!port}). Registers
+    [minview_serve_slow_queries_total], the one serve metric.
 
     Every [QUERY]/[RECONSTRUCT] records a [serve.query] /
-    [serve.reconstruct] span (attrs: verb, view, epoch, seq, rows). A
+    [serve.reconstruct] span (attrs: verb, view, epoch, seq, rows) and a
+    per-view read with its epoch lag in the workload profile
+    ({!Telemetry.Workload.note_read}). A
     request taking at least [?slow_threshold_s] seconds (default 0.1)
     additionally bumps [minview_serve_slow_queries_total] and — when
     [?slowlog] is given — appends one JSON line

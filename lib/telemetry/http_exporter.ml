@@ -13,37 +13,10 @@ type check = { check_name : string; check_ok : bool; check_detail : string }
 
 let healthy checks = List.for_all (fun c -> c.check_ok) checks
 
-type obs = { o_requests : string -> Metrics.Counter.t }
-
-(* Registered at [create]; the path label set is closed so scrapers cannot
-   mint unbounded label values. *)
-let make_obs () =
-  let mk path =
-    Metrics.Counter.make
-      ~help:"Requests handled by the metrics HTTP exporter"
-      ~labels:[ ("path", path) ]
-      "minview_export_requests_total"
-  in
-  let metrics = mk "metrics"
-  and healthz = mk "healthz"
-  and profile = mk "profile"
-  and workload = mk "workload"
-  and other = mk "other" in
-  {
-    o_requests =
-      (function
-      | "metrics" -> metrics
-      | "healthz" -> healthz
-      | "profile" -> profile
-      | "workload" -> workload
-      | _ -> other);
-  }
-
 type t = {
   health : unit -> check list;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  obs : obs;
   stop : bool Atomic.t;
   mutable served : int;
 }
@@ -71,7 +44,7 @@ let create ?(backlog = 16) ~port ~health () =
     | Unix.ADDR_INET (_, p) -> p
     | Unix.ADDR_UNIX _ -> port
   in
-  { health; listen_fd = fd; bound_port; obs = make_obs (); stop = Atomic.make false; served = 0 }
+  { health; listen_fd = fd; bound_port; stop = Atomic.make false; served = 0 }
 
 (* --- responses ----------------------------------------------------------- *)
 
@@ -142,28 +115,32 @@ let profile_json () =
 let read_request fd =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 1024 in
-  let rec go () =
-    if Buffer.length buf > 16 * 1024 then Buffer.contents buf
-    else
-      let seen = Buffer.contents buf in
-      let done_ =
-        let has sub =
-          let n = String.length sub and m = String.length seen in
-          let rec at i = i + n <= m && (String.sub seen i n = sub || at (i + 1)) in
-          at 0
-        in
-        has "\r\n\r\n" || has "\n\n"
-      in
-      if done_ then seen
-      else
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> seen
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          go ()
-        | exception Unix.Unix_error _ -> seen
+  let byte i = Buffer.nth buf i in
+  (* a terminator, "\n\n" or "\r\n\r\n", whose last byte is at [i] *)
+  let ends_at i =
+    byte i = '\n'
+    && i >= 1
+    && (byte (i - 1) = '\n'
+       || i >= 3
+          && byte (i - 1) = '\r'
+          && byte (i - 2) = '\n'
+          && byte (i - 3) = '\r')
   in
-  go ()
+  let rec go () =
+    if Buffer.length buf <= 16 * 1024 then
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+        (* earlier reads held no terminator, so one ends in the bytes this
+           read added: scan those, looking back at most 3 bytes *)
+        let rec scan i = i < Buffer.length buf && (ends_at i || scan (i + 1)) in
+        let from = Buffer.length buf in
+        Buffer.add_subbytes buf chunk 0 n;
+        if not (scan from) then go ()
+      | exception Unix.Unix_error _ -> ()
+  in
+  go ();
+  Buffer.contents buf
 
 let handle t fd =
   let raw = read_request fd in
@@ -184,38 +161,31 @@ let handle t fd =
     | None -> path
   in
   t.served <- t.served + 1;
-  let count p = Metrics.Counter.one (t.obs.o_requests p) in
-  if meth <> "GET" && meth <> "HEAD" then begin
-    count "other";
+  if meth <> "GET" && meth <> "HEAD" then
     respond fd ~status:405 ~content_type:"text/plain; charset=utf-8"
       "only GET is supported\n"
-  end
   else
     match path with
     | "/metrics" ->
-      count "metrics";
       Runtime.scrape_sample ();
-      (* freshen the minview_workload_* gauges before rendering *)
+      (* freshen the minview_workload_shard_imbalance gauge before
+         rendering *)
       Workload.refresh_gauges ();
       respond fd ~status:200
         ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         (Render.to_prometheus ())
     | "/healthz" ->
-      count "healthz";
       let checks = try t.health () with _ -> [] in
       respond fd
         ~status:(if healthy checks then 200 else 503)
         ~content_type:"application/json" (checks_json checks)
     | "/profile" ->
-      count "profile";
       Runtime.scrape_sample ();
       respond fd ~status:200 ~content_type:"application/json" (profile_json ())
     | "/workload" ->
-      count "workload";
       respond fd ~status:200 ~content_type:"application/json"
         (Workload.profile_json () ^ "\n")
     | _ ->
-      count "other";
       respond fd ~status:404 ~content_type:"text/plain; charset=utf-8"
         (Printf.sprintf
            "no route for %s (try /metrics, /healthz, /profile, /workload)\n"

@@ -27,9 +27,8 @@ val create : ?backlog:int -> port:int -> health:(unit -> check list) -> unit -> 
 (** Bind and listen on [127.0.0.1:port] ([port = 0] picks an ephemeral
     port — read it back with {!port}). [health] is evaluated per
     [/healthz] request, on the exporter's domain: it must only read
-    atomics/immutable state. Registers
-    [minview_export_requests_total{path}] over the closed path set
-    [metrics|healthz|profile|other].
+    atomics/immutable state. Registers no metric: {!requests} counts the
+    requests served, and {!run} logs the count at shutdown.
     @raise Sys_error when binding fails. *)
 
 val port : t -> int

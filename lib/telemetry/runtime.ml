@@ -1,70 +1,37 @@
-(* Runtime (GC + off-heap) profiling gauges.
+(* Runtime (heap + off-heap) profiling gauges.
 
-   [sample] publishes [Gc.quick_stat] and the registered off-heap source
-   as plain gauges; nothing here runs on its own. Two call paths feed it:
+   [sample] publishes the major heap size and the registered off-heap
+   source as plain gauges; nothing here runs on its own. Two call paths
+   feed it:
 
    - the warehouse commit hook ([tick], armed with [set_auto_sample true])
      samples from the writer domain on every published epoch, so the
      gauges describe the domain actually doing the maintenance work;
    - a scrape ([scrape_sample], the HTTP exporter) samples only when no
-     commit hook is armed — a scrape runs on the exporter's domain, and
-     OCaml 5 reports the allocation counters of the *calling* domain, so
-     overwriting commit-time values with exporter-domain ones would
-     replace signal with noise.
+     commit hook is armed — a scrape runs on the exporter's domain, so its
+     sample would overwrite the writer's commit-time values.
 
-   The gauges are registered lazily at the first sample: binaries that
+   The full [Gc.quick_stat] (collection counts, allocated words) is on the
+   exporter's [/profile]; only the two sizes an operator alerts on are
+   gauges. They are registered lazily at the first sample: binaries that
    never sample (every CLI verb except export/serve --metrics-port) keep
    their metric dumps unchanged. *)
 
-type handles = {
-  minor_collections : Metrics.Gauge.t;
-  major_collections : Metrics.Gauge.t;
-  compactions : Metrics.Gauge.t;
-  minor_words : Metrics.Gauge.t;
-  promoted_words : Metrics.Gauge.t;
-  major_words : Metrics.Gauge.t;
-  heap_words : Metrics.Gauge.t;
-  top_heap_words : Metrics.Gauge.t;
-  offheap_bytes : Metrics.Gauge.t;
-  sampled_at : Metrics.Gauge.t;
-}
+type handles = { heap_words : Metrics.Gauge.t; offheap_bytes : Metrics.Gauge.t }
 
 let handles =
   lazy
-    (let g help name = Metrics.Gauge.make ~help name in
-     {
-       minor_collections =
-         g "Minor collections since process start (Gc.quick_stat)"
-           "minview_runtime_gc_minor_collections";
-       major_collections =
-         g "Major collection cycles since process start"
-           "minview_runtime_gc_major_collections";
-       compactions =
-         g "Heap compactions since process start"
-           "minview_runtime_gc_compactions";
-       minor_words =
-         g "Words allocated in the minor heap (sampling domain)"
-           "minview_runtime_gc_minor_words";
-       promoted_words =
-         g "Words promoted from the minor to the major heap"
-           "minview_runtime_gc_promoted_words";
-       major_words =
-         g "Words allocated directly in the major heap (promotions included)"
-           "minview_runtime_gc_major_words";
-       heap_words =
-         g "Major heap size in words" "minview_runtime_gc_heap_words";
-       top_heap_words =
-         g "Largest major heap size reached, in words"
-           "minview_runtime_gc_top_heap_words";
-       offheap_bytes =
-         g
-           "Off-heap (Bigarray) bytes held by the columnar auxiliary-view \
-            storage"
-           "minview_runtime_offheap_bytes";
-       sampled_at =
-         g "Unix time of the last runtime sample"
-           "minview_runtime_sampled_at_seconds";
-     })
+    {
+      heap_words =
+        Metrics.Gauge.make ~help:"Major heap size in words"
+          "minview_runtime_gc_heap_words";
+      offheap_bytes =
+        Metrics.Gauge.make
+          ~help:
+            "Off-heap (Bigarray) bytes held by the columnar auxiliary-view \
+             storage"
+          "minview_runtime_offheap_bytes";
+    }
 
 (* The off-heap source walks live engine storage, which only the writer
    domain may do safely — it is read exclusively from [sample], which the
@@ -74,27 +41,18 @@ let set_offheap_source f = offheap_source := f
 
 let auto = Atomic.make false
 let set_auto_sample b = Atomic.set auto b
-let auto_sample () = Atomic.get auto
 
 let sample () =
   if Metrics.enabled () then begin
     let h = Lazy.force handles in
-    let s = Gc.quick_stat () in
-    Metrics.Gauge.set h.minor_collections (float_of_int s.Gc.minor_collections);
-    Metrics.Gauge.set h.major_collections (float_of_int s.Gc.major_collections);
-    Metrics.Gauge.set h.compactions (float_of_int s.Gc.compactions);
-    Metrics.Gauge.set h.minor_words s.Gc.minor_words;
-    Metrics.Gauge.set h.promoted_words s.Gc.promoted_words;
-    Metrics.Gauge.set h.major_words s.Gc.major_words;
-    Metrics.Gauge.set h.heap_words (float_of_int s.Gc.heap_words);
-    Metrics.Gauge.set h.top_heap_words (float_of_int s.Gc.top_heap_words);
-    (match !offheap_source with
+    Metrics.Gauge.set h.heap_words
+      (float_of_int (Gc.quick_stat ()).Gc.heap_words);
+    match !offheap_source with
     | Some f -> (
       match f () with
       | bytes -> Metrics.Gauge.set h.offheap_bytes (float_of_int bytes)
       | exception _ -> ())
-    | None -> ());
-    Metrics.Gauge.set h.sampled_at (Metrics.now_s ())
+    | None -> ()
   end
 
 let tick () = if Atomic.get auto then sample ()

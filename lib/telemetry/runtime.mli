@@ -1,17 +1,18 @@
-(** Runtime profiling gauges: [Gc.quick_stat] counters and the columnar
-    store's off-heap bytes, published under [minview_runtime_*].
+(** Runtime profiling gauges: the major heap size
+    ([minview_runtime_gc_heap_words]) and the columnar store's off-heap
+    bytes ([minview_runtime_offheap_bytes]). The rest of [Gc.quick_stat]
+    is served by the HTTP exporter's [/profile], not as gauges.
 
     Registration is lazy (first {!sample}), so binaries that never sample
     keep their metric dumps unchanged. Two call paths feed the gauges:
     the warehouse commit hook ({!tick}, armed via {!set_auto_sample})
     samples from the writer domain on every published epoch, and a scrape
-    ({!scrape_sample}) samples only when no commit hook is armed — OCaml 5
-    reports allocation counters for the calling domain, so scrape-domain
-    samples must not overwrite commit-time ones. *)
+    ({!scrape_sample}) samples only when no commit hook is armed, so a
+    scrape-domain sample never overwrites a commit-time one. *)
 
 val sample : unit -> unit
-(** Publish the current [Gc.quick_stat] (and off-heap bytes, when a
-    source is registered) unconditionally. No-op when telemetry is
+(** Publish the current heap size (and off-heap bytes, when a source is
+    registered) unconditionally. No-op when telemetry is
     disabled. *)
 
 val tick : unit -> unit
@@ -25,8 +26,6 @@ val scrape_sample : unit -> unit
 val set_auto_sample : bool -> unit
 (** Arm/disarm the per-commit hook. Armed by [minview serve
     --metrics-port]; everything else leaves it off. *)
-
-val auto_sample : unit -> bool
 
 val set_offheap_source : (unit -> int) option -> unit
 (** Register the off-heap byte source (the warehouse's summed columnar

@@ -51,6 +51,5 @@ let reset = Metrics.reset
 
 (* Renderers live in [Render] (so [Http_exporter] can use them without a
    cycle through this facade); the historical names stay. *)
-let snap_to_json = Render.snap_to_json
 let dump_json = Render.dump_json
 let to_prometheus = Render.to_prometheus

@@ -57,9 +57,6 @@ val snapshot : unit -> Metrics.snap list
 val reset : unit -> unit
 (** Zero all metrics (for tests/benchmarks). *)
 
-val snap_to_json : Metrics.snap -> string
-(** {!Render.snap_to_json}. *)
-
 val dump_json : unit -> string
 (** {!Render.dump_json}. *)
 

@@ -25,8 +25,6 @@ type state = {
   mutable next : int;  (* ring slot for the next span *)
   mutable total : int; (* spans recorded since last [clear] *)
   mutable jsonl : Jsonl_sink.t option;
-  mutable rotate_max_bytes : int;
-  mutable rotate_keep : int;
 }
 
 let state =
@@ -36,8 +34,6 @@ let state =
     next = 0;
     total = 0;
     jsonl = None;
-    rotate_max_bytes = Jsonl_sink.default_max_bytes;
-    rotate_keep = Jsonl_sink.default_keep;
   }
 
 let mutex = Mutex.create ()
@@ -79,32 +75,15 @@ let close_jsonl () =
     state.jsonl <- None
   | None -> ()
 
-let open_jsonl path =
-  state.jsonl <-
-    Some
-      (Jsonl_sink.open_ ~max_bytes:state.rotate_max_bytes
-         ~keep:state.rotate_keep path)
-
 let set_sink sink =
   locked (fun () ->
       close_jsonl ();
       state.sink <- sink;
       match sink with
-      | Jsonl path -> open_jsonl path
+      | Jsonl path -> state.jsonl <- Some (Jsonl_sink.open_ path)
       | Null | Memory -> ())
 
 let sink () = locked (fun () -> state.sink)
-
-let set_rotation ~max_bytes ~keep =
-  locked (fun () ->
-      state.rotate_max_bytes <- max_bytes;
-      state.rotate_keep <- max 1 keep;
-      (* reopen a live sink so the new caps take effect immediately *)
-      match state.sink with
-      | Jsonl path ->
-        close_jsonl ();
-        open_jsonl path
-      | Null | Memory -> ())
 
 let record span =
   locked (fun () ->

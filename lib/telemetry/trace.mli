@@ -24,21 +24,10 @@ val capacity : int
 
 val set_sink : sink -> unit
 (** Default is [Memory]. Switching away from [Jsonl] closes the file;
-    [Jsonl] opens it in append mode, size-capped and rotated per
-    {!set_rotation}. *)
+    [Jsonl] opens it in append mode, size-capped and rotated at
+    {!Jsonl_sink}'s defaults (64 MiB per file, 4 files). *)
 
 val sink : unit -> sink
-
-val set_rotation : max_bytes:int -> keep:int -> unit
-(** Configure rotation of the [Jsonl] sink file. When the active file
-    grows past [max_bytes] it is rotated shift-style ([path] becomes
-    [path.1], [path.1] becomes [path.2], ...) keeping at most [keep]
-    files including the active one, so the sink's total footprint is
-    bounded by roughly [max_bytes * keep]. Applies to the currently open
-    sink (reopened in place) and to sinks opened later. Defaults:
-    {!Jsonl_sink.default_max_bytes} (64 MiB) and
-    {!Jsonl_sink.default_keep} (4). [max_bytes <= 0] disables rotation;
-    [keep] is clamped to [>= 1]. *)
 
 val record : span -> unit
 (** Record a finished span as is (ignores the enabled switch; prefer

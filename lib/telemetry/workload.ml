@@ -499,39 +499,6 @@ let load_profile ~path =
 (* --- gauges -------------------------------------------------------------- *)
 
 let refresh_gauges () =
-  List.iter
-    (fun vs ->
-      if
-        Atomic.get vs.v_writes > 0
-        || reads_total vs > 0
-        || Atomic.get vs.v_batches > 0
-      then begin
-        let labels = [ ("view", vs.v_name) ] in
-        let g name help = Metrics.Gauge.make ~help ~labels name in
-        Metrics.Gauge.set
-          (g "minview_workload_hot_key_share"
-             "Share of the write stream held by the top hot keys")
-          (hot_key_share vs);
-        Metrics.Gauge.set
-          (g "minview_workload_update_read_ratio"
-             "Netted write weight per serve read")
-          (update_read_ratio vs);
-        Metrics.Gauge.set
-          (g "minview_workload_compaction_ratio"
-             "Netted ops over raw deltas (1 = netting won nothing)")
-          (compaction_ratio vs);
-        Metrics.Gauge.set
-          (g "minview_workload_write_rate_per_s"
-             "Netted write weight per observed second")
-          (let el = elapsed_s () in
-           if el > 0. then float_of_int (Atomic.get vs.v_writes) /. el else 0.);
-        Metrics.Gauge.set
-          (g "minview_workload_read_rate_per_s"
-             "Serve reads per observed second")
-          (let el = elapsed_s () in
-           if el > 0. then float_of_int (reads_total vs) /. el else 0.)
-      end)
-    (sorted_views ());
   let s = shards in
   Mutex.lock s.sh_m;
   let runs = s.sh_runs in

@@ -7,7 +7,11 @@
     per-worker busy time. Everything aggregates into one process-global
     registry (keyed by view name, bounded cardinality) that renders as
     [workload_profile.json] — the cost-model artifact view selection will
-    consume — and as [minview_workload_*] gauges.
+    consume. The per-view figures are read there (and through [minview
+    profile], serve's [PROFILE] and the exporter's [/workload]). The
+    registry holds only the [minview_workload_epoch_lag_batches] histogram
+    behind the profile's epoch-lag percentiles and the
+    [minview_workload_shard_imbalance] gauge.
 
     All note functions are cheap no-ops while {!Metrics.enabled} is
     false. *)
@@ -19,8 +23,7 @@ type view_stats
 
 val view : string -> view_stats
 (** Registry lookup-or-create. At most 64 distinct views are tracked;
-    later names share one ["_other"] accumulator (bounded cardinality, same
-    rule as the serve read counters). *)
+    later names share one ["_other"] accumulator (bounded cardinality). *)
 
 val view_name : view_stats -> string
 
@@ -85,9 +88,9 @@ val elapsed_s : unit -> float
     process plus any elapsed time restored by {!load_profile}. *)
 
 val refresh_gauges : unit -> unit
-(** Register/update the [minview_workload_*] gauges from current state so
-    a Prometheus scrape or JSON dump sees fresh values. Only views with
-    activity register anything. *)
+(** Register/update the [minview_workload_shard_imbalance] gauge (the last
+    shard dispatch's max/mean busy time) so a Prometheus scrape sees a
+    fresh value. Registers nothing before the first multi-worker run. *)
 
 val reset : unit -> unit
 (** Zero all accumulators in place (handles stay valid). *)

@@ -136,13 +136,6 @@ module Obs = struct
     Telemetry.Histogram.make ~lo:1. ~factor:2. ~buckets:12
       ~help:"Records made durable per group commit (burst size)"
       "minview_wal_group_commit_frames"
-
-  (* registered lazily: salvage is a repair-path event *)
-  let salvaged kind =
-    Telemetry.Counter.make
-      ~labels:[ ("kind", damage_kind_label kind) ]
-      ~help:"WAL tails quarantined and salvaged, by damage kind"
-      "minview_wal_salvage_total"
 end
 
 type writer = {
@@ -217,7 +210,6 @@ let salvage path =
     fsync_dir qpath;
     write_file path s.s_records;
     fsync_dir path;
-    Telemetry.Counter.one (Obs.salvaged d.d_kind);
     (s, Some qpath)
 
 let reopen path =

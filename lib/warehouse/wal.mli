@@ -74,7 +74,8 @@ val quarantine_path : string -> string
     survives), the valid prefix is atomically rewritten in place, and both
     renames are made durable with directory fsyncs. Returns the scan and the
     quarantine path ([None] if the log was already clean and nothing was
-    written). Counted as [minview_wal_salvage_total{kind}].
+    written). The callers report each salvage: [minview repair]'s report
+    and recovery's warning log line.
     @raise Corrupt as {!scan}. *)
 val salvage : string -> scan * string option
 

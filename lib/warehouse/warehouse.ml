@@ -327,7 +327,7 @@ let publish_epoch ?touched t =
   Atomic.set t.published
     { epoch = prev.epoch + 1; epoch_seq = t.seq; epoch_views };
   Telemetry.Counter.one Obs.epoch_publications;
-  (* the per-commit runtime sample (GC + off-heap gauges): a no-op unless
+  (* the per-commit runtime sample (heap + off-heap gauges): a no-op unless
      [Runtime.set_auto_sample true] armed it (serve --metrics-port) *)
   Telemetry.Runtime.tick ()
 
@@ -915,16 +915,13 @@ let delta_table_counts deltas =
 (* One lineage record per committed batch, keyed by its WAL sequence
    number. Called only after [commit_engines] (never on the rollback or
    quarantine paths), so every emitted record describes durable state.
-   [tables] is [delta_table_counts deltas] when the caller has it. *)
-let emit_lineage ?tables t ~seq deltas =
+   [tables] is the batch's [delta_table_counts]. *)
+let emit_lineage t ~seq ~tables =
   if Telemetry.enabled () then
     Telemetry.Lineage.emit
       {
         Telemetry.Lineage.txn = seq;
-        tables =
-          (match tables with
-          | Some counts -> counts
-          | None -> delta_table_counts deltas);
+        tables;
         flows =
           List.filter_map
             (fun r -> Engines.last_flow r.engine)
@@ -1294,7 +1291,7 @@ let ingest_report_inner ~sync t deltas =
          touch carry their captures over. *)
       let tables = delta_table_counts accepted in
       publish_epoch ~touched:(List.map fst tables) t;
-      emit_lineage ~tables t ~seq accepted;
+      emit_lineage t ~seq ~tables;
       (match t.checkpoint_every with
       | Some n when n > 0 && t.seq mod n = 0 && t.wal <> None -> checkpoint t
       | Some _ | None -> ());
@@ -1403,7 +1400,7 @@ let replay_batch t ~seq deltas =
     | () ->
       commit_engines t;
       Validator.commit t.validator;
-      emit_lineage t ~seq deltas
+      emit_lineage t ~seq ~tables:(delta_table_counts deltas)
     | exception (Faults.Crash _ as crash) -> raise crash
     | exception e ->
       rollback_engines t;
@@ -1799,9 +1796,7 @@ let attribution t =
     (fun r ->
       Option.map
         (fun d ->
-          let attrs = Mindetail.Attribution.measure source d in
-          Mindetail.Attribution.set_gauges ~view:r.view.View.name attrs;
-          (r.view.View.name, attrs))
+          (r.view.View.name, Mindetail.Attribution.measure source d))
         (Engines.derivation r.engine))
     (List.rev t.views)
 

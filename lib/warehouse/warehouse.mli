@@ -413,9 +413,9 @@ val self_audit : t -> sample:int -> (string * int * int) list
     elimination) is currently saving, per auxiliary view. *)
 
 (** [attribution t] measures every derivation-backed view against the
-    believed source ({!Mindetail.Attribution.measure}) and refreshes the
-    [minview_attr_*] gauges. Views without a derivation ([Replicate],
-    [Aged]) are skipped. *)
+    believed source ({!Mindetail.Attribution.measure}); it writes nothing
+    to the metric registry ([minview attribute] renders the result).
+    Views without a derivation ([Replicate], [Aged]) are skipped. *)
 val attribution : t -> (string * Mindetail.Attribution.t list) list
 
 (** One reconciliation check: the attribution waterfall's survivor counts

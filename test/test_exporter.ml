@@ -115,8 +115,50 @@ let metrics_tests =
         let code, resp = http_get port "/profile" in
         Alcotest.(check int) "status" 200 code;
         check_contains "gc section" resp "\"gc\":{\"minor_words\":";
-        check_contains "heap words" resp "\"heap_words\":";
+        (* the Gc.quick_stat fields that are not published as gauges *)
+        List.iter
+          (fun field ->
+            check_contains field resp (Printf.sprintf "\"%s\":" field))
+          [
+            "promoted_words"; "major_words"; "minor_collections";
+            "major_collections"; "compactions"; "heap_words"; "top_heap_words";
+          ];
         check_contains "histograms section" resp "\"histograms\":[");
+    test "a header block split across two writes is read whole" (fun () ->
+        let _db, wh = build () in
+        with_exporter ~health:(fun () -> Warehouse.health wh) @@ fun port ->
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        @@ fun () ->
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+        Unix.setsockopt fd Unix.TCP_NODELAY true;
+        let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+        (* the terminator's first "\r\n" in one write, its second in the
+           next: the exporter must see the blank line across reads *)
+        let t0 = Unix.gettimeofday () in
+        send "GET /healthz HTTP/1.1\r\nHost: localhost\r\n";
+        Unix.sleepf 0.05;
+        send "\r\n";
+        let buf = Buffer.create 512 and chunk = Bytes.create 512 in
+        let rec recv () =
+          match Unix.read fd chunk 0 (Bytes.length chunk) with
+          | 0 -> ()
+          | n ->
+            Buffer.add_subbytes buf chunk 0 n;
+            recv ()
+        in
+        recv ();
+        (* a missed terminator would only end at the exporter's 2 s read
+           timeout, with the same response *)
+        let waited = Unix.gettimeofday () -. t0 in
+        if waited > 1.5 then
+          Alcotest.failf "answered after %.2f s: the terminator was missed"
+            waited;
+        let resp = Buffer.contents buf in
+        check_contains "status line" resp "HTTP/1.1 200";
+        check_contains "health body" resp "\"status\":\"ok\"");
     test "unknown paths 404, non-GET 405" (fun () ->
         let _db, wh = build () in
         with_exporter ~health:(fun () -> Warehouse.health wh) @@ fun port ->

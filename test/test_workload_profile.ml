@@ -238,6 +238,8 @@ let profile_tests =
         let _ = feed_view "wkp_basic" in
         Wk.note_shard_run ~workers:2 ~busy:[| 0.3; 0.1 |];
         Wk.note_shard_ops [| 5; 7 |];
+        (* observed time is positive, so both rates are *)
+        Unix.sleepf 0.002;
         let j = parsed_profile () in
         Alcotest.(check (float 1e-9))
           "schema" (float_of_int Wk.profile_schema) (jnum [ "schema" ] j);
@@ -250,6 +252,17 @@ let profile_tests =
         Alcotest.(check (float 1e-9))
           "reconstruct reads" 1.
           (jnum [ "reads"; "reconstruct" ] v);
+        (* 200 netted write weight over 2 reads *)
+        Alcotest.(check (float 1e-9))
+          "update/read ratio" 100.
+          (jnum [ "update_read_ratio" ] v);
+        let write_rate = jnum [ "write_rate_per_s" ] v
+        and read_rate = jnum [ "read_rate_per_s" ] v in
+        Alcotest.(check bool) "read rate positive" true (read_rate > 0.);
+        (* both rates share one observed interval *)
+        Alcotest.(check (float 1e-4))
+          "write rate is 100 read rates" 1.
+          (write_rate /. (100. *. read_rate));
         Alcotest.(check (float 1e-9))
           "compaction ratio" 0.55
           (jnum [ "skew"; "compaction_ratio" ] v);
