@@ -2466,52 +2466,49 @@ let bench_regress () =
       exit 1
     end
 
+(* Which runs include an experiment: [Default] ones run with no argument
+   and with [all], [All] ones with [all] only, [Named] ones only when named.
+   endurance reports resident memory, which is only meaningful in a fresh
+   process; apply-scaling and parallel build million-row instances;
+   overhead (the CI gate) and workload set the global telemetry switch and
+   columnar retunes the process's GC; serve runs reader domains for timed
+   windows; history and regress only read the other experiments' result
+   files. *)
+type tier = Default | All | Named
+
 let experiments =
   [
-    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("e15", e15);
-    ("timings", timings); ("endurance", endurance);
-    ("apply-scaling", apply_scaling); ("parallel", parallel_scaling);
-    ("overhead", overhead); ("serve", serve_bench);
-    ("columnar", columnar_bench); ("workload", workload_bench);
-    ("history", bench_history); ("regress", bench_regress);
+    ("e1", Default, e1); ("e2", Default, e2); ("e3", Default, e3);
+    ("e4", Default, e4); ("e5", Default, e5); ("e6", Default, e6);
+    ("e7", Default, e7); ("e8", Default, e8); ("e9", Default, e9);
+    ("e10", Default, e10); ("e11", Default, e11); ("e12", Default, e12);
+    ("e13", Default, e13); ("e14", Default, e14); ("e15", Default, e15);
+    ("timings", All, timings); ("endurance", Named, endurance);
+    ("apply-scaling", Named, apply_scaling);
+    ("parallel", Named, parallel_scaling); ("overhead", Named, overhead);
+    ("serve", Named, serve_bench); ("columnar", Named, columnar_bench);
+    ("workload", Named, workload_bench); ("history", Named, bench_history);
+    ("regress", Named, bench_regress);
   ]
 
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
+  let names keep =
+    List.filter_map
+      (fun (n, tier, _) -> if keep tier then Some n else None)
+      experiments
+  in
   let selected =
-    match args with
-    | [] ->
-      List.filter
-        (fun (n, _) ->
-          n <> "timings" && n <> "endurance" && n <> "apply-scaling"
-          && n <> "parallel" && n <> "overhead" && n <> "serve"
-          && n <> "columnar" && n <> "workload" && n <> "history"
-          && n <> "regress")
-        experiments
-      |> List.map fst
-    | [ "all" ] ->
-      (* endurance reports resident memory, which is only meaningful in a
-         fresh process: run it standalone; apply-scaling and parallel build
-         million-row instances and are likewise opt-in; overhead is the CI
-         gate and toggles the global telemetry switch; history/regress only
-         read the other experiments' result files *)
-      List.filter
-        (fun (n, _) ->
-          n <> "endurance" && n <> "apply-scaling" && n <> "parallel"
-          && n <> "overhead" && n <> "serve" && n <> "columnar"
-          && n <> "workload" && n <> "history" && n <> "regress")
-        experiments
-      |> List.map fst
+    match List.tl (Array.to_list Sys.argv) with
+    | [] -> names (( = ) Default)
+    | [ "all" ] -> names (( <> ) Named)
     | xs -> xs
   in
   List.iter
     (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
+      match List.find_opt (fun (n, _, _) -> String.equal n name) experiments with
+      | Some (_, _, f) -> f ()
       | None ->
         Printf.eprintf "unknown experiment %s (available: %s)\n" name
-          (String.concat ", " (List.map fst experiments));
+          (String.concat ", " (names (fun _ -> true)));
         exit 1)
     selected

@@ -162,8 +162,8 @@ let audit ~view ~sample ~total ~check =
   in
   if Metrics.enabled () then begin
     Metrics.Counter.inc (audit_checked view) checked;
-    if divergences > 0 then
-      Metrics.Counter.inc (audit_divergences view) divergences;
+    (* registered even at 0: a clean audit must be told from no audit *)
+    Metrics.Counter.inc (audit_divergences view) divergences;
     Trace.event "lineage.audit"
       ~attrs:
         [

@@ -75,7 +75,8 @@ val record_to_json : record -> string
     recompute logic; the harness owns deterministic sample selection and
     the divergence accounting ([minview_lineage_audit_checked_total] /
     [minview_lineage_audit_divergences_total] counters, both labelled by
-    view, plus a [lineage.audit] trace event). *)
+    view and both registered by every audit, so a clean audit shows its
+    divergence series at 0; plus a [lineage.audit] trace event). *)
 
 val sample_indices : sample:int -> total:int -> int list
 (** Up to [sample] evenly spaced indices in [\[0, total)], ascending;

@@ -56,7 +56,9 @@ module Obs = struct
 
   let rollbacks =
     Telemetry.Counter.make
-      ~help:"Batches rolled back after a mid-batch engine failure"
+      ~help:
+        "Batches aborted: a failed WAL barrier, an engine failure, a wedged \
+         pool or a rejected replay"
       "minview_warehouse_txn_rollbacks_total"
 
   let recoveries =
@@ -264,12 +266,14 @@ type t = {
 
 let empty_snapshot = { epoch = 0; epoch_seq = 0; epoch_views = [] }
 
-let create source =
+(* The one constructor: [create] and [load] supply the persisted fields,
+   every runtime-only one starts here. *)
+let make ~views ~validator ~dead ~seq =
   {
-    views = [];
-    validator = Validator.of_database source;
-    dead = [];
-    seq = 0;
+    views;
+    validator;
+    dead;
+    seq;
     wal = None;
     dir = None;
     checkpoint_every = None;
@@ -283,6 +287,9 @@ let create source =
     last_commit_s = 0.;
     published = Atomic.make empty_snapshot;
   }
+
+let create source =
+  make ~views:[] ~validator:(Validator.of_database source) ~dead:[] ~seq:0
 
 (* Publish a fresh read epoch from the current committed engine state.
    Must only run with every engine transaction closed ([Engines.publish]
@@ -744,25 +751,7 @@ and load_channel path ic =
         err Corrupt_state "%s: undecodable payload (incompatible build?)" path
       | Some (persisted, validator, dead, seq, parallel_domains) ->
         let views = engines_of_persisted validator persisted in
-        ( {
-            views;
-            validator;
-            dead;
-            seq;
-            wal = None;
-            dir = None;
-            checkpoint_every = None;
-            keep_generations = default_keep_generations;
-            parallel = None;
-            retry = default_retry;
-            dead_cap = None;
-            degraded_until = 0;
-            backoff = initial_backoff;
-            clean_parallel = 0;
-            last_commit_s = 0.;
-            published = Atomic.make empty_snapshot;
-          },
-          parallel_domains )
+        (make ~views ~validator ~dead ~seq, parallel_domains)
 
 (* The structured warning for the set_parallel/recover interaction: the
    snapshot was taken by a warehouse with a domain pool, but pools are
@@ -1126,9 +1115,15 @@ let apply_in_place t ~pool deltas =
 
 let commit_engines t = List.iter (fun r -> Engines.commit r.engine) t.views
 
-let rollback_engines t = List.iter (fun r -> Engines.rollback r.engine) t.views
+(* Engines the batch never reached (a failed WAL barrier, a replayed batch
+   the validator refused) have no transaction open, and nothing to undo. *)
+let rollback_engines t =
+  List.iter
+    (fun r -> if Engines.in_txn r.engine then Engines.rollback r.engine)
+    t.views
 
-let engine_error_detail = function
+let failure_detail = function
+  | Error { detail; _ } -> detail
   | Maintenance.Engine.Invariant m -> m
   | Maintenance.Shard.Wedged { worker; waited } ->
     Printf.sprintf "shard worker %d wedged after %.3f s" worker waited
@@ -1171,9 +1166,9 @@ let note_parallel_failure t detail =
 
 (* Apply one accepted batch under supervision. A parallel attempt whose
    worker raised is rolled back and the batch is re-applied serially; a
-   *wedged* worker (deadline blown) re-raises instead — the batch is
-   aborted and quarantined by the ingest path and the engines are rebuilt,
-   because the stray domain forbids touching them in place. Either way
+   *wedged* worker (deadline blown) re-raises instead — {!abort} then
+   quarantines the batch and rebuilds the engines, because the stray
+   domain forbids touching them in place. Either way
    ingestion then stays serial until [t.degraded_until] clean batches have
    passed ([note_apply_outcome]). Returns how the batch was finally
    applied. *)
@@ -1186,10 +1181,9 @@ let apply_supervised t deltas =
     | exception (Maintenance.Shard.Wedged _ as wedge) ->
       (* the wedged domain may still be executing the batch against the
          engines, so neither an in-place rollback nor a serial re-apply is
-         safe here — degrade, and re-raise so ingest routes the batch to
-         the quarantine path, which rebuilds the engines instead of
-         touching them *)
-      note_parallel_failure t (engine_error_detail wedge);
+         safe here — degrade, and re-raise so the batch goes to {!abort},
+         which rebuilds the engines instead of touching them *)
+      note_parallel_failure t (failure_detail wedge);
       raise wedge
     | exception e ->
       (* a worker *raised*: the pool drained every worker before
@@ -1197,7 +1191,7 @@ let apply_supervised t deltas =
          undo journals open on every engine; close them before the serial
          retry opens fresh ones *)
       rollback_engines t;
-      note_parallel_failure t (engine_error_detail e);
+      note_parallel_failure t (failure_detail e);
       apply_in_place t ~pool:None deltas;
       `Degraded)
   | Some _ ->
@@ -1225,9 +1219,89 @@ let note_apply_outcome t = function
       end
     end
 
-(* [~sync:false] stages the WAL records in the writer's buffer instead of
-   fsyncing per batch — the group-commit path of {!ingest_all}, which pays
-   one durability barrier for the whole burst. *)
+(* The one exit of a batch that does not commit: a WAL barrier that stayed
+   down, an engine failure after supervision's serial retry, a wedged pool
+   or a replayed batch the validator refuses. Engines with an open
+   transaction roll back to their before-image (those past the failure have
+   empty journals). A wedge is the exception: the stray domain may still be
+   mutating the engines, so they cannot even be rolled back — they are
+   abandoned and rebuilt from the committed shadow. The validator rolls
+   back, batch [seq]'s number is consumed and the whole batch is
+   quarantined as [Engine_failure]; then, when a log is attached, an
+   [Abort] marker — synced like the batch's own record — keeps replay from
+   resurrecting a batch whose frame may already have reached the OS.
+   Returns the quarantined rejections. *)
+let abort ~sync t ~seq deltas cause =
+  (match cause with
+  | Maintenance.Shard.Wedged _ ->
+    Validator.rollback t.validator;
+    Log.warn (fun m ->
+        m
+          "wedged shard worker: abandoning the live engines to the stray \
+           domain and rebuilding them from the believed source");
+    rebuild_engines t
+  | _ ->
+    rollback_engines t;
+    Validator.rollback t.validator);
+  Telemetry.Counter.one Obs.rollbacks;
+  t.seq <- seq;
+  let detail = failure_detail cause in
+  let aborted =
+    List.map
+      (fun d -> { Delta.delta = d; reason = Delta.Engine_failure; detail })
+      deltas
+  in
+  quarantine t aborted;
+  Option.iter
+    (fun w ->
+      Wal.append ~sync:false w (Wal.Abort { seq });
+      if sync then with_retry t ~what:"wal-abort" (fun () -> Wal.sync w))
+    t.wal;
+  aborted
+
+(* The one commit path, shared by ingestion and WAL replay: batch [seq],
+   whose [deltas] the caller admitted under an open validator transaction,
+   is staged in the WAL when a log is attached, applied under supervision,
+   and committed in every engine and the validator; then [t.seq] advances
+   and the batch's lineage record is emitted. With [~sync:true] the staged
+   record is fsynced here — the commit point, transient fsync faults
+   absorbed by the retry policy — and with [~sync:false] by the group's
+   final {!Wal.sync}. Replay needs no flag: the writer opens only after it
+   and pools are never restored before it, so a replayed batch stages
+   nothing and applies serially. A failure leaves through {!abort}; a
+   failed WAL barrier is then re-raised, so the caller learns the batch did
+   not commit. *)
+let commit_batch ~sync t ~seq deltas =
+  (match
+     Option.iter
+       (fun w ->
+         Wal.append ~sync:false w (Wal.Batch { seq; deltas });
+         if sync then with_retry t ~what:"wal-commit" (fun () -> Wal.sync w);
+         Faults.hit Faults.After_wal_append)
+       t.wal
+   with
+  | () -> ()
+  | exception (Faults.Crash _ as crash) ->
+    (* simulated process death: no cleanup, recovery reloads from disk *)
+    raise crash
+  | exception e ->
+    ignore (abort ~sync t ~seq deltas e);
+    raise e);
+  match apply_supervised t deltas with
+  | mode ->
+    commit_engines t;
+    Validator.commit t.validator;
+    t.seq <- seq;
+    note_apply_outcome t mode;
+    let tables = delta_table_counts deltas in
+    emit_lineage t ~seq ~tables;
+    `Committed tables
+  | exception (Faults.Crash _ as crash) -> raise crash
+  | exception e -> `Aborted (abort ~sync t ~seq deltas e)
+
+(* Ingestion admits delta by delta: a rejected delta is quarantined on its
+   own and the rest of the batch still commits. [~sync:false] is the group
+   commit of {!ingest_all}. *)
 let ingest_report_inner ~sync t deltas =
   Validator.begin_txn t.validator;
   let accepted, rejected =
@@ -1244,97 +1318,23 @@ let ingest_report_inner ~sync t deltas =
     Validator.commit t.validator;
     { batch = t.seq; applied = 0; rejected }
   end
-  else begin
+  else
     let seq = t.seq + 1 in
-    (try
-       Option.iter
-         (fun w ->
-           Wal.append ~sync:false w (Wal.Batch { seq; deltas = accepted });
-           (* synced: the record is durable and this is the commit point
-              (transient fsync faults are absorbed by the retry policy);
-              unsynced: the group's final {!Wal.sync} is *)
-           if sync then with_retry t ~what:"wal-commit" (fun () -> Wal.sync w);
-           Faults.hit Faults.After_wal_append)
-         t.wal
-     with
-    | Faults.Crash _ as crash ->
-      (* simulated process death: no cleanup, recovery reloads from disk *)
-      raise crash
-    | e ->
-      (* retry exhaustion (or a Fail-mode injected fault): no engine has
-         seen the batch, only the validator transaction is open — close it
-         so the next ingest starts clean. The batch frame may already have
-         reached the OS even though the barrier failed, so consume the
-         sequence number under a best-effort abort marker rather than
-         letting replay resurrect a batch the caller was told failed. *)
-      Validator.rollback t.validator;
-      Option.iter
-        (fun w ->
-          try
-            Wal.append ~sync:false w (Wal.Abort { seq });
-            Wal.sync w
-          with _ -> ())
-        t.wal;
-      t.seq <- seq;
-      raise e);
-    match apply_supervised t accepted with
-    | mode ->
-      commit_engines t;
-      Validator.commit t.validator;
+    match commit_batch ~sync t ~seq accepted with
+    | `Committed tables ->
       Telemetry.Counter.one Obs.commits;
-      t.seq <- seq;
       t.last_commit_s <- Unix.gettimeofday ();
-      note_apply_outcome t mode;
       (* the read-side commit point: concurrent readers switch to the new
          epoch here, atomically; until this set they keep serving the
          previous committed state. Views whose tables the batch did not
          touch carry their captures over. *)
-      let tables = delta_table_counts accepted in
       publish_epoch ~touched:(List.map fst tables) t;
-      emit_lineage t ~seq ~tables;
       (match t.checkpoint_every with
       | Some n when n > 0 && t.seq mod n = 0 && t.wal <> None -> checkpoint t
       | Some _ | None -> ());
       { batch = seq; applied = List.length accepted; rejected }
-    | exception (Faults.Crash _ as crash) ->
-      (* a simulated process death: unwind without any cleanup (the open
-         journals die with the process; recovery reloads from disk) *)
-      raise crash
-    | exception e ->
-      (* an engine failed mid-batch even after supervision's serial retry:
-         roll every engine back to its before-image (engines past the
-         failure have empty journals), roll the shadow back, mark the WAL
-         record aborted and quarantine the whole batch. A wedged pool is
-         the exception: the stray domain may still be mutating the engines,
-         so they cannot even be rolled back — abandon them and rebuild
-         from the committed shadow instead. *)
-      (match e with
-      | Maintenance.Shard.Wedged _ ->
-        Validator.rollback t.validator;
-        Log.warn (fun m ->
-            m
-              "wedged shard worker: abandoning the live engines to the \
-               stray domain and rebuilding them from the believed source");
-        rebuild_engines t
-      | _ ->
-        rollback_engines t;
-        Validator.rollback t.validator);
-      Telemetry.Counter.one Obs.rollbacks;
-      Option.iter
-        (fun w ->
-          Wal.append ~sync:false w (Wal.Abort { seq });
-          if sync then with_retry t ~what:"wal-abort" (fun () -> Wal.sync w))
-        t.wal;
-      t.seq <- seq;
-      let detail = engine_error_detail e in
-      let aborted =
-        List.map
-          (fun d -> { Delta.delta = d; reason = Delta.Engine_failure; detail })
-          accepted
-      in
-      quarantine t aborted;
+    | `Aborted aborted ->
       { batch = seq; applied = 0; rejected = rejected @ aborted }
-  end
 
 let ingest_report_with ~sync t deltas =
   Telemetry.with_phase Obs.ingest_seconds ~alloc:Obs.ingest_alloc
@@ -1372,40 +1372,27 @@ let ingest_all ?(in_flight = 64) t batches =
 
 (* --- recovery ----------------------------------------------------------- *)
 
-(* Replay one committed batch during recovery. The batch was validated when
-   first ingested; a failure here (diverged shadow, deterministic engine
-   bug) quarantines it instead of making recovery itself fail. *)
+(* Replay one logged batch during recovery. It was validated when first
+   ingested, so admission is all or nothing: a delta the validator now
+   refuses (a diverged shadow) aborts the whole batch, as an engine failure
+   does. Either way the batch is quarantined instead of making recovery
+   itself fail. *)
 let replay_batch t ~seq deltas =
   Telemetry.Counter.one Obs.replayed;
   Validator.begin_txn t.validator;
-  let abandon detail =
-    (* undoes the admitted prefix of a batch whose validation failed midway *)
-    Validator.rollback t.validator;
-    quarantine t
-      (List.map
-         (fun d -> { Delta.delta = d; reason = Delta.Engine_failure; detail })
-         deltas)
-  in
-  (match
-     List.find_map
-       (fun d ->
-         match Validator.admit t.validator d with
-         | Ok _ -> None
-         | Error r -> Some r)
-       deltas
-   with
-  | Some r -> abandon ("replay validation failed: " ^ r.Delta.detail)
-  | None -> (
-    match apply_in_place t ~pool:None deltas with
-    | () ->
-      commit_engines t;
-      Validator.commit t.validator;
-      emit_lineage t ~seq ~tables:(delta_table_counts deltas)
-    | exception (Faults.Crash _ as crash) -> raise crash
-    | exception e ->
-      rollback_engines t;
-      abandon (engine_error_detail e)));
-  t.seq <- seq
+  match
+    List.find_map
+      (fun d ->
+        match Validator.admit t.validator d with
+        | Ok _ -> None
+        | Error r -> Some r)
+      deltas
+  with
+  | Some r ->
+    let detail = "replay validation failed: " ^ r.Delta.detail in
+    ignore
+      (abort ~sync:true t ~seq deltas (Error { kind = Corrupt_state; detail }))
+  | None -> ignore (commit_batch ~sync:true t ~seq deltas)
 
 (* Candidate snapshots, newest first: the live snapshot (if present), then
    the archived generations in descending chain order. The paired index
@@ -1461,9 +1448,6 @@ let read_segment ~live path =
         path (Wal.damage_kind_label kind) d.Wal.d_offset d.Wal.d_reason)
   | exception Wal.Corrupt m ->
     err Corrupt_state "%s — run `minview repair` to quarantine the file" m
-
-(* Forward declaration break: [recover] needs [attach] (empty-directory
-   initialization), which is defined above; nothing else is cyclic. *)
 
 let recover ~dir =
   Telemetry.Trace.with_span "warehouse.recover"
@@ -1551,11 +1535,12 @@ let recover ~dir =
         let records =
           List.concat_map (fun s -> s.Wal.s_records) (archived @ [ live ])
         in
-        let aborted =
-          List.filter_map
-            (function Wal.Abort { seq } -> Some seq | Wal.Batch _ -> None)
-            records
-        in
+        let aborted = Hashtbl.create 8 in
+        List.iter
+          (function
+            | Wal.Abort { seq } -> Hashtbl.replace aborted seq ()
+            | Wal.Batch _ -> ())
+          records;
         (* restore the persisted workload profile before replay — the same
            snapshot + WAL discipline as the data: replay re-feeds the
            sketches with post-checkpoint batches on top of the restored
@@ -1574,7 +1559,7 @@ let recover ~dir =
           (function
             | Wal.Abort { seq } -> t.seq <- max t.seq seq
             | Wal.Batch { seq; deltas } ->
-              if seq > t.seq && not (List.mem seq aborted) then
+              if seq > t.seq && not (Hashtbl.mem aborted seq) then
                 replay_batch t ~seq deltas
               else t.seq <- max t.seq seq)
           records;

@@ -104,9 +104,9 @@ val add_view_sql : ?strategy:strategy -> t -> string -> unit
     same batch still apply (graceful degradation).
 
     Accepted deltas apply {e atomically} across every registered view:
-    engines absorb the batch on private copies that are swapped in only once
-    all of them succeeded, so a mid-batch engine failure leaves every view
-    at its pre-batch state (and quarantines the batch). *)
+    engines absorb the batch in place under undo journals, committed only
+    once all of them succeeded, so a mid-batch engine failure leaves every
+    view at its pre-batch state (and quarantines the batch). *)
 
 (** Outcome of one {!ingest_report} call: [batch] is the WAL sequence number
     (unchanged if nothing was accepted), [applied] the number of deltas
@@ -150,11 +150,12 @@ val ingest_all : ?in_flight:int -> t -> Relational.Delta.t list list -> report l
     append (the frames are already staged, so a re-append would duplicate
     records); retries are counted as
     [minview_warehouse_ingest_retries_total]. Exhaustion surfaces as
-    {!Error} ([Io_error]) after rolling the validator transaction back
-    (no engine has seen the batch at that point) and consuming the batch's
-    sequence number under a best-effort WAL abort marker, so a replay
-    cannot resurrect a batch the caller was told failed and the next
-    ingest starts clean.
+    {!Error} ([Io_error]) after the batch is aborted like an engine
+    failure: the validator transaction rolls back (no engine has seen the
+    batch at that point), the batch's sequence number is consumed under a
+    WAL abort marker and its deltas are quarantined as [Engine_failure],
+    so a replay cannot resurrect a batch the caller was told failed and
+    the next ingest starts clean.
 
     {e Parallel-apply failures} — a shard worker that {e raises}
     ([Maintenance.Faults.In_shard_worker] in [Fail] mode) leaves a
@@ -522,7 +523,11 @@ val write_workload_profile : t -> string
     valid cold start: it is initialized in place instead of reported as
     corruption. A parallel pool active when the snapshot was taken is
     {e not} restored (see {!set_parallel}); the reset is reported through
-    the warning event and counter described there.
+    the warning event and counter described there. A replayed batch
+    commits exactly as an ingested one; one the validator now refuses, or
+    an engine fails on, is aborted and quarantined whole as
+    [Engine_failure] and keeps its sequence number, never failing the
+    recovery.
     @raise Error as {!load}; also [Corrupt_state] when WAL damage (a
     mid-stream bit flip, or any damage on an archived segment the restored
     snapshot does not cover) may hide committed batches — {!repair}

@@ -464,6 +464,16 @@ let retry_tests =
         | () -> Alcotest.fail "expected Io_error"
         | exception Warehouse.Error { kind = Warehouse.Io_error; _ } -> ());
         Faults.disarm ();
+        (* aborted like an engine failure: the whole batch is quarantined *)
+        let letters = Warehouse.dead_letters wh in
+        Alcotest.(check int) "the whole batch quarantined" 512
+          (List.length letters);
+        Alcotest.(check bool) "as engine failures of the WAL barrier" true
+          (List.for_all
+             (fun r ->
+               r.Delta.reason = Delta.Engine_failure
+               && contains r.Delta.detail "wal-commit")
+             letters);
         (* the validator transaction was rolled back: the next ingest must
            work instead of raising Invalid_argument, and the shadow must
            not contain the failed batch *)

@@ -317,7 +317,23 @@ let audit_tests =
           "divergence counter" 1
           (counter_value
              ~labels:[ ("view", "v1") ]
-             "minview_lineage_audit_divergences_total"));
+             "minview_lineage_audit_divergences_total");
+        (* a clean audit registers its divergence series at 0, so a scrape
+           tells it from no audit at all *)
+        ignore
+          (Lineage.audit ~view:"v2" ~sample:3 ~total:3 ~check:(fun _ -> true));
+        Alcotest.(check (list int))
+          "clean audit's divergence series" [ 0 ]
+          (List.filter_map
+             (fun (m : Metrics.snap) ->
+               match m.Metrics.s_value with
+               | Metrics.Counter_v n
+                 when String.equal m.Metrics.s_name
+                        "minview_lineage_audit_divergences_total"
+                      && m.Metrics.s_labels = [ ("view", "v2") ] ->
+                 Some n
+               | _ -> None)
+             (Metrics.snapshot ())));
     test "a maintained warehouse self-audits clean" (fun () ->
         Metrics.reset ();
         Lineage.clear ();

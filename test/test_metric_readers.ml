@@ -1,8 +1,8 @@
 (* Every metric has a reader. One representative run reaches every
    registration site in lib/ (ingest with no pool and on a two-domain
-   eager pool, an injected worker failure, checkpoint and recover, audits
-   with and without a divergence, a slow serve QUERY, exporter scrapes and
-   the attribution reconciliation), then the registry is walked against
+   eager pool, an injected worker failure, checkpoint and recover, a
+   self-audit, a slow serve QUERY, exporter scrapes and the attribution
+   reconciliation), then the registry is walked against
    [readers]: a registered name without an entry fails, and so does an
    entry the run never registered. This file is its own test executable,
    so no other test's ad-hoc metrics reach the registry it walks.
@@ -172,10 +172,6 @@ let registered =
      Warehouse.close wh;
      let wh = Warehouse.recover ~dir in
      ignore (Warehouse.self_audit wh ~sample:4);
-     (* the auditor's divergence counter registers on a divergence only *)
-     ignore
-       (Telemetry.Lineage.audit ~view:"product_sales" ~sample:1 ~total:1
-          ~check:(fun _ -> false));
      let srv = Serve.create ~slow_threshold_s:0. ~port:0 wh in
      on_domain
        (fun () -> Serve.run srv)

@@ -42,14 +42,17 @@ let all_views =
   [ Workload.Retail.product_sales; Workload.Retail.monthly_revenue;
     Workload.Retail.sales_by_time ]
 
-let build () =
-  let db = Workload.Retail.load tiny in
+let build_on db =
   let wh = Warehouse.create db in
   Warehouse.add_view wh Workload.Retail.product_sales;
   Warehouse.add_view ~strategy:Warehouse.Psj wh Workload.Retail.monthly_revenue;
   Warehouse.add_view ~strategy:Warehouse.Replicate wh
     Workload.Retail.sales_by_time;
-  (db, wh)
+  wh
+
+let build () =
+  let db = Workload.Retail.load tiny in
+  (db, build_on db)
 
 let check_views wh db =
   List.iter
@@ -829,12 +832,102 @@ let checksum_tests =
         Alcotest.(check int) "empty range" 0 (Warehouse.Checksum.sub b 13 0));
   ]
 
+(* --- replay failures ------------------------------------------------------ *)
+
+let copy_file src dst =
+  let bytes = In_channel.with_open_bin src In_channel.input_all in
+  Out_channel.with_open_bin dst (fun oc -> Out_channel.output_string oc bytes)
+
+(* A replayed batch that fails is quarantined, never a reason for recovery
+   itself to fail: the batch keeps its sequence number, its deltas land in
+   the dead-letter queue as engine failures, and the views stay at the
+   state before it. *)
+let replay_failure_tests =
+  [
+    test "a replayed batch the snapshot already holds is quarantined"
+      (fun () ->
+        let dir = fresh_dir "wh_replay_reject_dir" in
+        let foreign_dir = fresh_dir "wh_replay_reject_foreign" in
+        let new_store =
+          row [ i 99; s "99 Main St"; s "city0"; s "DK"; s "manager0" ]
+        in
+        let _db, wh = build () in
+        Warehouse.attach wh ~dir;
+        Warehouse.ingest wh [ Delta.insert "store" new_store ];
+        Warehouse.close wh;
+        (* a snapshot taken by a warehouse whose source already holds the
+           row the WAL inserts *)
+        let foreign = Workload.Retail.load tiny in
+        Database.insert foreign "store" new_store;
+        let other = build_on foreign in
+        Warehouse.attach other ~dir:foreign_dir;
+        Warehouse.close other;
+        copy_file
+          (Filename.concat foreign_dir "snapshot.bin")
+          (Filename.concat dir "snapshot.bin");
+        let wh' = Warehouse.recover ~dir in
+        Alcotest.(check int) "the batch keeps its number" 1
+          (Warehouse.ingested_batches wh');
+        (match Warehouse.dead_letters wh' with
+        | [ r ] ->
+          Alcotest.check reason_eq "reason" Delta.Engine_failure r.Delta.reason;
+          Alcotest.(check bool)
+            ("detail: " ^ r.Delta.detail)
+            true
+            (String.starts_with ~prefix:"replay validation failed: key"
+               r.Delta.detail
+            && contains r.Delta.detail "already present in store")
+        | l -> Alcotest.failf "%d dead letters" (List.length l));
+        check_views wh' foreign;
+        (* the validator transaction was closed: ingestion goes on *)
+        let batch = sale_inserts tiny ~first:9_000_000 4 in
+        let r = Warehouse.ingest_report wh' batch in
+        Alcotest.(check int) "the next batch commits" 4 r.Warehouse.applied;
+        Alcotest.(check int) "as batch 2" 2 r.Warehouse.batch;
+        List.iter (Database.apply foreign) batch;
+        check_views wh' foreign;
+        Warehouse.close wh';
+        rm_rf dir;
+        rm_rf foreign_dir);
+    test "an engine failure during replay quarantines the batch" (fun () ->
+        let dir = fresh_dir "wh_replay_engine_dir" in
+        let db, wh = build () in
+        Warehouse.attach wh ~dir;
+        Warehouse.ingest wh (sale_inserts tiny ~first:9_000_000 4);
+        Warehouse.close wh;
+        Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+        let wh' = Fun.protect ~finally:Faults.disarm (fun () ->
+            Warehouse.recover ~dir)
+        in
+        Alcotest.(check int) "the batch keeps its number" 1
+          (Warehouse.ingested_batches wh');
+        let letters = Warehouse.dead_letters wh' in
+        Alcotest.(check int) "the whole batch" 4 (List.length letters);
+        List.iter
+          (fun r ->
+            Alcotest.check reason_eq "reason" Delta.Engine_failure
+              r.Delta.reason;
+            Alcotest.(check string) "detail"
+              "injected fault at mid-engine-apply" r.Delta.detail)
+          letters;
+        (* the view that absorbed the batch before the fault was rolled
+           back: no group keeps any of it *)
+        check_views wh' db;
+        Alcotest.(check (list (pair string bool)))
+          "audit"
+          (List.map (fun v -> (v.View.name, true)) all_views)
+          (Warehouse.audit wh' ~reference:db);
+        Warehouse.close wh';
+        rm_rf dir);
+  ]
+
 let () =
   Alcotest.run "recovery"
     [
       ("checksum", checksum_tests);
       ("crash-points", crash_tests); ("durability", durability_tests);
       ("generation-chain", chain_tests);
+      ("replay-failures", replay_failure_tests);
       ("wal-segments", segment_tests);
       ("snapshot-corruption", corruption_tests);
       ("v3-compat", v3_tests); ("v4-compat", v4_tests);
