@@ -6,15 +6,16 @@ module VH = Hashtbl.Make (struct
 end)
 
 (* [by_key] is the table's only store: keys are unique, so key -> tuple
-   holds every row exactly once. *)
+   holds every row exactly once. [by_key] and [incoming] are replaced only
+   when a snapshot restores the table, by hashtables sized for it. *)
 type table = {
   schema : Schema.t;
   key : int;
-  by_key : Tuple.t VH.t;
+  mutable by_key : Tuple.t VH.t;
   updatable : string list;
   (* rows referencing this table's keys, per key value, across all incoming
      constraints; used for O(1) delete checks *)
-  incoming : int VH.t;
+  mutable incoming : int VH.t;
   (* the constraints this table is the source of, resolved when declared *)
   mutable outgoing : outgoing list;
 }
@@ -243,37 +244,126 @@ let fold db name f acc =
 let row_count db name = VH.length (table db name).by_key
 let reference_count db name k = reference_count_of (table db name) k
 
-(* A store of [tables], each converted by [table_of], whose references
-   resolve to the converted tables. *)
-let rebuild tables refs table_of =
-  let db = { tables = Hashtbl.create 8; refs } in
-  Hashtbl.iter (fun name t -> Hashtbl.add db.tables name (table_of t)) tables;
-  List.iter (resolve db) (List.rev refs);
+(* The references resolve to the copied tables. *)
+let copy db =
+  let c = { tables = Hashtbl.create 8; refs = db.refs } in
+  Hashtbl.iter
+    (fun name t ->
+      Hashtbl.add c.tables name
+        (new_table t.schema ~updatable:t.updatable (VH.copy t.by_key)
+           (VH.copy t.incoming)))
+    db.tables;
+  List.iter (resolve c) (List.rev db.refs);
+  c
+
+(* --- snapshot sections ----------------------------------------------------- *)
+
+let column_types (schema : Schema.t) =
+  Array.map (fun c -> c.Schema.col_type) schema.columns
+
+let key_type (schema : Schema.t) = Schema.type_of schema schema.key
+
+(* Tables by name, then references oldest first: [restore_catalog]
+   declares them in this order, so [references] comes back newest first. *)
+let add_catalog db w =
+  let names = table_names db in
+  Codec.add_varint w (List.length names);
+  List.iter
+    (fun name ->
+      let t = table db name in
+      Codec.add_string w name;
+      Codec.add_string w t.schema.key;
+      Codec.add_varint w (Array.length t.schema.columns);
+      Array.iter
+        (fun c ->
+          Codec.add_string w c.Schema.col_name;
+          Codec.add_datatype w c.Schema.col_type)
+        t.schema.columns;
+      Codec.add_varint w (List.length t.updatable);
+      List.iter (Codec.add_string w) t.updatable)
+    names;
+  Codec.add_varint w (List.length db.refs);
+  List.iter
+    (fun (r : Integrity.reference) ->
+      Codec.add_string w r.src_table;
+      Codec.add_string w r.src_col;
+      Codec.add_string w r.dst_table)
+    (List.rev db.refs)
+
+let list_of r f = List.init (Codec.count r) (fun _ -> f r)
+
+let restore_catalog r =
+  let db = create () in
+  let tables =
+    list_of r (fun r ->
+        let name = Codec.string r in
+        let key = Codec.string r in
+        let columns =
+          list_of r (fun r ->
+              let col_name = Codec.string r in
+              { Schema.col_name; col_type = Codec.datatype r })
+        in
+        let updatable = list_of r Codec.string in
+        (Schema.make ~name ~key columns, updatable))
+  in
+  List.iter (fun (schema, updatable) -> add_table db schema ~updatable) tables;
+  List.iter
+    (fun r -> add_reference db r)
+    (list_of r (fun r ->
+         let src_table = Codec.string r in
+         let src_col = Codec.string r in
+         { Integrity.src_table; src_col; dst_table = Codec.string r }));
   db
 
-let copy db =
-  rebuild db.tables db.refs (fun t ->
-      new_table t.schema ~updatable:t.updatable (VH.copy t.by_key)
-        (VH.copy t.incoming))
+let add_rows db name w =
+  let t = table db name in
+  let types = column_types t.schema in
+  VH.iter (fun _ tup -> Codec.add_row w types tup) t.by_key
 
-(* --- snapshot formats 3 and 4 -------------------------------------------- *)
+let add_incoming db name w =
+  let t = table db name in
+  let ty = key_type t.schema in
+  VH.iter
+    (fun k n ->
+      Codec.add_cell w ty k;
+      Codec.add_int w n)
+    t.incoming
 
-(* The table record those formats marshal: every row stored a second time
-   in [l_data], keyed by the whole tuple. *)
-type legacy_table = {
-  l_schema : Schema.t;
-  l_data : Relation.t;
-  l_by_key : Tuple.t VH.t;
-  l_updatable : string list;
-  l_incoming : int VH.t;
-}
-[@@warning "-69"]
+let incoming_count db name = VH.length (table db name).incoming
 
-type legacy = {
-  l_tables : (string, legacy_table) Hashtbl.t;
-  l_refs : Integrity.reference list;
-}
+(* An empty key index for [n] entries that [r] holds, each at least a
+   byte long. *)
+let sized what n r =
+  if n > Codec.remaining r then
+    Codec.malformed "%d %s in %d byte(s)" n what (Codec.remaining r);
+  VH.create n
 
-let of_legacy l =
-  rebuild l.l_tables l.l_refs (fun t ->
-      new_table t.l_schema ~updatable:t.l_updatable t.l_by_key t.l_incoming)
+(* [VH.replace] grows a table only by a new key, so a length short of
+   [n] after [n] entries means a key came twice. *)
+let check_distinct what name h n =
+  if VH.length h <> n then
+    Codec.malformed "a key of %s occurs twice among its %s" name what
+
+let restore_rows db name ~rows r =
+  let t = table db name in
+  let types = column_types t.schema in
+  let h = sized "rows" rows r in
+  for _ = 1 to rows do
+    let tup = Codec.row r types in
+    VH.replace h tup.(t.key) tup
+  done;
+  check_distinct "rows" name h rows;
+  t.by_key <- h
+
+let restore_incoming db name ~keys r =
+  let t = table db name in
+  let ty = key_type t.schema in
+  let h = sized "reference counts" keys r in
+  for _ = 1 to keys do
+    let k = Codec.cell r ty in
+    match Codec.int r with
+    | n when n > 0 -> VH.replace h k n
+    | n -> Codec.malformed "reference count %d" n
+  done;
+  check_distinct "reference counts" name h keys;
+  t.incoming <- h

@@ -70,12 +70,44 @@ val reference_count : t -> string -> Value.t -> int
     full replica of the sources). *)
 val copy : t -> t
 
-(** {2 Snapshot formats 3 and 4}
+(** {2 Snapshot sections}
 
-    Those formats marshal a store whose tables kept every row a second
-    time, keyed by the whole tuple. [legacy] is that layout, for decoding
-    them; [of_legacy] drops the second copy. *)
+    A snapshot stores a store as a catalog — every table's schema and
+    updatable columns, and the references — plus, per table, its rows and
+    its per-key reference counts, all through {!Codec}. Restoring declares
+    the catalog's tables empty, then fills each from its sections. *)
 
-type legacy
+val column_types : Schema.t -> Datatype.t array
 
-val of_legacy : legacy -> t
+(** The type of the schema's key column. *)
+val key_type : Schema.t -> Datatype.t
+
+val add_catalog : t -> Codec.writer -> unit
+
+(** [restore_catalog r] is the store {!add_catalog} wrote, every table
+    empty.
+    @raise Codec.Malformed, Violation or Schema.Invalid on a catalog that
+    does not decode or declare. *)
+val restore_catalog : Codec.reader -> t
+
+(** [add_rows db table w] writes every row of [table], {!row_count} of
+    them, in its column types. *)
+val add_rows : t -> string -> Codec.writer -> unit
+
+(** [add_incoming db table w] writes each key of [table] that rows
+    reference, with how many do: {!incoming_count} entries. *)
+val add_incoming : t -> string -> Codec.writer -> unit
+
+val incoming_count : t -> string -> int
+
+(** [restore_rows db table ~rows r] fills [table] with the [rows] rows [r]
+    decodes, into a key index sized for them. The reference counts are not
+    recounted: {!restore_incoming} reads them.
+    @raise Codec.Malformed if a key occurs twice or a cell overruns. *)
+val restore_rows : t -> string -> rows:int -> Codec.reader -> unit
+
+(** [restore_incoming db table ~keys r] sets [table]'s per-key reference
+    counts to the [keys] entries [r] decodes.
+    @raise Codec.Malformed if a key occurs twice, a count is not positive
+    or a cell overruns. *)
+val restore_incoming : t -> string -> keys:int -> Codec.reader -> unit

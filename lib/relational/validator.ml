@@ -7,7 +7,8 @@ type t = {
   mutable txn : Delta.t list option;
 }
 
-let of_database db = { shadow = Database.copy db; txn = None }
+let of_shadow db = { shadow = db; txn = None }
+let of_database db = of_shadow (Database.copy db)
 let believed_source v = Database.copy v.shadow
 let shadow v = v.shadow
 

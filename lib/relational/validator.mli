@@ -16,6 +16,10 @@ type t
     later mutations of [db] are invisible to the validator. *)
 val of_database : Database.t -> t
 
+(** [of_shadow db] takes [db] itself as the shadow, without a copy: for a
+    store no one else holds, such as one a snapshot just restored. *)
+val of_shadow : Database.t -> t
+
 (** {2 Batch transactions}
 
     [begin_txn] opens an undo journal, {!admit} records every accepted

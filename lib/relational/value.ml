@@ -31,10 +31,12 @@ let compare a b =
   | (Null | Int _ | Float _ | String _ | Bool _), _ ->
     Int.compare (tag a) (tag b)
 
-(* [hash] is [Hashtbl.hash (tag, x)] — [Database]'s marshaled tables and
-   every stored hash depend on those values — computed without allocating
-   the pair: the runtime's mix (runtime/hash.c) over the pair's header and
-   its two fields, in 32-bit arithmetic on OCaml ints. *)
+(* [hash] is [Hashtbl.hash (tag, x)], computed without allocating the
+   pair: the runtime's mix (runtime/hash.c) over the pair's header and its
+   two fields, in 32-bit arithmetic on OCaml ints. The dictionaries' stored
+   hashes depend on those values, and so do reads of version-5 snapshots,
+   whose tables were marshaled with their buckets; version 6 rebuilds its
+   tables on load. *)
 let mask32 = 0xFFFF_FFFF
 let rotl32 x n = ((x lsl n) lor (x lsr (32 - n))) land mask32
 

@@ -25,7 +25,8 @@ val compare : t -> t -> int
 (** [Hashtbl.hash (tag, x)] for a value of tag [tag] (0 for [Int], 1 for
     [Float], 2 for [String], 3 for [Bool]) carrying [x], and
     [Hashtbl.hash (-1)] for [Null] — computed without allocating. Stored
-    hashes (snapshots, dictionaries) depend on these exact values. *)
+    hashes (dictionaries, the tables of version-5 snapshots) depend on
+    these exact values. *)
 val hash : t -> int
 
 (** [hash_int x] is [hash (Int x)], without the box. *)

@@ -1,7 +1,7 @@
 (* CRC-32 (IEEE 802.3, reflected, polynomial 0xedb88320) over bytes.
-   Used to detect torn writes and bit rot in WAL records and snapshots
-   before any byte reaches [Marshal.from_string] — unmarshalling corrupt
-   input is undefined behaviour, so every payload is checksum-gated.
+   Used to detect torn writes and bit rot in WAL records and snapshot
+   sections before any byte is decoded — unmarshalling a corrupt WAL
+   record is undefined behaviour, so every payload is checksum-gated.
 
    Slicing-by-4: [t1], [t2], [t3] advance the register over one byte
    followed by one, two or three zero bytes, so four lookups consume a
@@ -23,10 +23,10 @@ let t3 = next t2
 
 (* Every index below is masked to a byte (or is a 32-bit value shifted
    right by 24), so the 256-entry tables are read without bounds checks. *)
-let sub b off len =
+let update crc b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
-    invalid_arg "Checksum.sub";
-  let crc = ref 0xffffffff in
+    invalid_arg "Checksum.update";
+  let crc = ref (crc lxor 0xffffffff) in
   let i = ref off and stop = off + len in
   while !i + 4 <= stop do
     let c =
@@ -45,4 +45,5 @@ let sub b off len =
   done;
   !crc lxor 0xffffffff
 
+let sub b off len = update 0 b off len
 let string s = sub (Bytes.unsafe_of_string s) 0 (String.length s)

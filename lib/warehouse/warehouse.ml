@@ -35,6 +35,7 @@ module Storage = struct
 end
 
 module Checksum = Checksum
+module Codec = Relational.Codec
 module Database = Relational.Database
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
@@ -563,11 +564,54 @@ let strategy_name = function
 
 (* --- persistence ------------------------------------------------------- *)
 
-let snapshot_magic = "minview-warehouse-state/5\n"
-let v4_magic = "minview-warehouse-state/4\n"
-let v3_magic = "minview-warehouse-state/3\n"
-let v2_magic = "minview-warehouse-state/2\n"
-let legacy_magic = "minview-warehouse-state/1\n"
+let snapshot_magic = "minview-warehouse-state/6\n"
+let v5_magic = "minview-warehouse-state/5\n"
+
+(* Magic lines of the formats this build refuses, and why. *)
+let refused_formats =
+  [
+    ( "minview-warehouse-state/1\n",
+      "uses the unchecksummed version-1 format; re-save it with this build" );
+    ( "minview-warehouse-state/2\n",
+      "uses the version-2 format without the parallel-pool record; re-save \
+       it with this build" );
+    ( "minview-warehouse-state/3\n",
+      "uses the version-3 format, whose shadow kept every row twice; load \
+       and save it with a build that writes version 5 first" );
+    ( "minview-warehouse-state/4\n",
+      "uses the version-4 format, whose shadow kept every row twice; load \
+       and save it with a build that writes version 5 first" );
+  ]
+
+(* Version 6: the magic line, then the sections in a fixed order — the
+   catalog, each table's rows and reference counts in the catalog's table
+   order, the dead letters. A section is framed as
+     u32-le header length, u64-le body length, u32-le CRC-32 of those
+     twelve bytes, the header and the body;
+     header: kind byte, name, row count, column count, column types;
+     body: the rows, through [Codec].
+   Only the catalog's view definitions are marshaled. Engines are never
+   saved: snapshots are taken between batches, when every engine is a pure
+   function of the validator's committed shadow (the audit verb checks
+   exactly this), and [load] rebuilds each from it ([build_engine]). *)
+type section = Catalog | Rows of string | Incoming of string | Dead_letters
+
+let section_kind = function
+  | Catalog -> 0
+  | Rows _ -> 1
+  | Incoming _ -> 2
+  | Dead_letters -> 3
+
+let section_name = function
+  | Catalog -> "catalog"
+  | Rows table -> "rows of " ^ table
+  | Incoming table -> "reference counts of " ^ table
+  | Dead_letters -> "dead letters"
+
+let frame_len = 16
+
+let incoming_types schema =
+  [| Database.key_type schema; Relational.Datatype.TInt |]
 
 let save t path =
   List.iter
@@ -579,45 +623,74 @@ let save t path =
           r.view.View.name
       | Minimal | Psj | Replicate -> ())
     t.views;
-  (* the pool itself is runtime-only and never marshaled, but its size is
+  (* the pool itself is runtime-only and never saved, but its size is
      recorded so a later load can warn that it was not restored *)
   let parallel_domains =
     match t.parallel with
     | Some pool -> Maintenance.Shard.domains pool
     | None -> 0
   in
-  (* The payload (since version 4) never marshals engine state: the columnar
-     storage layer holds closures and Bigarray segments that [Marshal]
-     rejects, and snapshots are taken between batches, when every engine is
-     a pure function of the validator's committed shadow (the audit verb
-     checks exactly this). [load] rebuilds each engine from that shadow
-     ([build_engine]), which also keeps snapshots portable across
-     storage-layout changes. *)
-  let payload =
-    Marshal.to_string
-      ( List.map (fun r -> (r.view, r.strategy)) t.views,
-        t.validator,
-        t.dead,
-        t.seq,
-        parallel_domains )
-      []
-  in
-  let header = Buffer.create 8 in
-  Buffer.add_int32_le header (Int32.of_int (String.length payload));
-  Buffer.add_int32_le header (Int32.of_int (Checksum.string payload));
+  let shadow = Validator.shadow t.validator in
+  let tables = Database.table_names shadow in
   let tmp = path ^ ".tmp" in
   let oc = try open_out_bin tmp with Sys_error m -> err Io_error "%s" m in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
       output_string oc snapshot_magic;
-      Buffer.output_buffer oc header;
-      (* crash point: half a payload behind a valid header — the torn temp
-         file must stay invisible to recovery (the rename never happens) *)
-      let half = String.length payload / 2 in
-      output_substring oc payload 0 half;
+      (* every section is staged in [body], one at a time *)
+      let frame = Bytes.create frame_len in
+      let head = Codec.writer 256 and body = Codec.writer 65536 in
+      let section s ~rows types fill =
+        Codec.clear body;
+        fill body;
+        Codec.clear head;
+        Codec.add_byte head (section_kind s);
+        Codec.add_string head (section_name s);
+        Codec.add_varint head rows;
+        Codec.add_varint head (Array.length types);
+        Array.iter (Codec.add_datatype head) types;
+        let hlen = Codec.length head and blen = Codec.length body in
+        Bytes.set_int32_le frame 0 (Int32.of_int hlen);
+        Bytes.set_int64_le frame 4 (Int64.of_int blen);
+        Bytes.set_int32_le frame 12
+          (Int32.of_int
+             (Checksum.update
+                (Checksum.update (Checksum.sub frame 0 12) (Codec.bytes head)
+                   0 hlen)
+                (Codec.bytes body) 0 blen));
+        output oc frame 0 frame_len;
+        output oc (Codec.bytes head) 0 hlen;
+        output oc (Codec.bytes body) 0 blen
+      in
+      section Catalog ~rows:(List.length tables) [||] (fun w ->
+          Codec.add_varint w t.seq;
+          Codec.add_varint w parallel_domains;
+          (* the view definitions, a few hundred bytes: the one part of a
+             snapshot whose encoding depends on the build *)
+          Codec.add_string w
+            (Marshal.to_string
+               (List.map (fun r -> (r.view, r.strategy)) t.views)
+               []);
+          Database.add_catalog shadow w);
+      (* crash point: a catalog and no table behind a valid magic line —
+         the torn temp file must stay invisible to recovery (the rename
+         never happens) *)
       Faults.hit Faults.Mid_checkpoint;
-      output_substring oc payload half (String.length payload - half);
+      List.iter
+        (fun name ->
+          let schema = Database.schema_of shadow name in
+          section (Rows name)
+            ~rows:(Database.row_count shadow name)
+            (Database.column_types schema)
+            (Database.add_rows shadow name);
+          section (Incoming name)
+            ~rows:(Database.incoming_count shadow name)
+            (incoming_types schema)
+            (Database.add_incoming shadow name))
+        tables;
+      section Dead_letters ~rows:(List.length t.dead) [||] (fun w ->
+          List.iter (Codec.add_rejection w) t.dead);
       flush oc;
       (* the snapshot must be on disk before the rename publishes it *)
       (try Unix.fsync (Unix.descr_of_out_channel oc)
@@ -625,133 +698,189 @@ let save t path =
   Sys.rename tmp path;
   Wal.fsync_dir path
 
-(* Versions 3 and 4 marshal the validator with the store layout of their
-   builds, whose tables kept every row twice: they decode through
-   [Database.legacy], never through today's record, and convert on load.
-   Both frames also carry a source slot (a shared reference to the shadow)
-   that [load] ignores. *)
-type legacy_validator = {
-  legacy_shadow : Database.legacy;
-  legacy_txn : Delta.t list option;
+(* What a snapshot holds, decoded and verified, before any engine is
+   built from it. *)
+type decoded = {
+  d_views : (View.t * strategy) list;  (** newest first *)
+  d_shadow : Database.t;
+  d_dead : Delta.rejection list;
+  d_seq : int;
+  d_domains : int;
 }
-[@@warning "-69"]
 
-let of_legacy v = Validator.of_database (Database.of_legacy v.legacy_shadow)
+let decode_v6 path ic =
+  let frame = Bytes.create frame_len in
+  let buf = ref (Bytes.create 65536) in
+  let corrupt s fmt =
+    Format.kasprintf
+      (err Corrupt_state "%s: section %s: %s" path (section_name s))
+      fmt
+  in
+  (* The next section, which must be [s]: its CRC is checked before any
+     of its bytes is decoded. [f ~rows types body] decodes its body. *)
+  let next s f =
+    let left = in_channel_length ic - pos_in ic in
+    if left < frame_len then err Corrupt_state "%s: truncated frame header" path;
+    really_input ic frame 0 frame_len;
+    let hlen = Int32.to_int (Bytes.get_int32_le frame 0) land 0xffffffff in
+    let blen = Int64.to_int (Bytes.get_int64_le frame 4) in
+    let avail = left - frame_len in
+    if blen < 0 || hlen > avail || blen > avail - hlen then
+      err Corrupt_state "%s: truncated section %s (%d byte(s) left)" path
+        (section_name s) avail;
+    let len = hlen + blen in
+    if Bytes.length !buf < len then
+      buf := Bytes.create (max len (2 * Bytes.length !buf));
+    really_input ic !buf 0 len;
+    if
+      Checksum.update (Checksum.sub frame 0 12) !buf 0 len
+      <> Int32.to_int (Bytes.get_int32_le frame 12) land 0xffffffff
+    then
+      err Corrupt_state "%s: checksum mismatch in section %s" path
+        (section_name s);
+    match
+      let h = Codec.reader !buf 0 hlen in
+      let kind = Codec.byte h in
+      let name = Codec.string h in
+      let rows = Codec.varint h in
+      let types = Array.init (Codec.count h) (fun _ -> Codec.datatype h) in
+      if kind <> section_kind s || not (String.equal name (section_name s))
+      then corrupt s "found %S (kind %d) in its place" name kind;
+      if rows < 0 then corrupt s "row count %d" rows;
+      let r = Codec.reader !buf hlen blen in
+      let v = f ~rows types r in
+      if Codec.remaining r > 0 then
+        corrupt s "%d byte(s) after its last row" (Codec.remaining r);
+      v
+    with
+    | v -> v
+    | exception
+        ( Codec.Malformed m
+        | Database.Violation m
+        | Relational.Schema.Invalid m ) ->
+      corrupt s "%s" m
+  in
+  let expect s expected types =
+    if types <> expected then
+      corrupt s "its column types differ from the catalog's"
+  in
+  (* the batch number, the pool size, the view definitions and what
+     [Database.add_catalog] wrote *)
+  let blob, seq, domains, shadow =
+    next Catalog (fun ~rows _ r ->
+        let seq = Codec.varint r in
+        let domains = Codec.varint r in
+        let blob = Codec.string r in
+        let shadow = Database.restore_catalog r in
+        if rows <> List.length (Database.table_names shadow) then
+          corrupt Catalog "row count %d" rows;
+        (blob, seq, domains, shadow))
+  in
+  let views =
+    match (Marshal.from_string blob 0 : (View.t * strategy) list) with
+    | views -> views
+    | exception _ ->
+      err Corrupt_state "%s: undecodable view definitions (incompatible build?)"
+        path
+  in
+  List.iter
+    (fun name ->
+      let schema = Database.schema_of shadow name in
+      next (Rows name) (fun ~rows types r ->
+          expect (Rows name) (Database.column_types schema) types;
+          Database.restore_rows shadow name ~rows r);
+      next (Incoming name) (fun ~rows types r ->
+          expect (Incoming name) (incoming_types schema) types;
+          Database.restore_incoming shadow name ~keys:rows r))
+    (Database.table_names shadow);
+  let dead =
+    next Dead_letters (fun ~rows _ r ->
+        List.init rows (fun _ -> Codec.rejection r))
+  in
+  if pos_in ic < in_channel_length ic then
+    err Corrupt_state "%s: %d byte(s) after the last section" path
+      (in_channel_length ic - pos_in ic);
+  { d_views = views; d_shadow = shadow; d_dead = dead; d_seq = seq;
+    d_domains = domains }
 
-(* The version-3 payload stored the [registered] list with each engine's
-   state marshaled inline. Its engine field is decoded as an opaque value
-   that is never touched — engines are rebuilt from the validator either
-   way — so pre-columnar snapshots stay loadable across the storage
-   change. *)
-type v3_registered = {
-  v3_view : View.t;
-  v3_strategy : strategy;
-  v3_engine : Obj.t;
-}
-[@@warning "-69"]
+(* Version 5: u32-le payload length, u32-le CRC-32, and a [Marshal]
+   payload of the views and their strategies, the validator, the dead
+   letters, the batch sequence number and the pool size. Its shadow's
+   hashtables are unmarshaled as they were saved, so it depends on
+   [Value.hash] returning what it returned then. *)
+let decode_v5 path ic =
+  let left = in_channel_length ic - pos_in ic in
+  if left < 8 then err Corrupt_state "%s: truncated frame header" path;
+  let frame = really_input_string ic 8 in
+  let u32 off = Int32.to_int (String.get_int32_le frame off) land 0xffffffff in
+  let len = u32 0 and crc = u32 4 in
+  if len > left - 8 then
+    err Corrupt_state "%s: truncated payload (%d of %d bytes)" path (left - 8)
+      len;
+  let payload = really_input_string ic len in
+  if Checksum.string payload <> crc then
+    err Corrupt_state "%s: checksum mismatch" path;
+  match
+    (Marshal.from_string payload 0
+      : (View.t * strategy) list * Validator.t * Delta.rejection list * int
+        * int)
+  with
+  | views, validator, dead, seq, domains ->
+    { d_views = views; d_shadow = Validator.shadow validator; d_dead = dead;
+      d_seq = seq; d_domains = domains }
+  | exception _ ->
+    err Corrupt_state "%s: undecodable payload (incompatible build?)" path
 
-(* Rebuild every engine from the validator's committed shadow, exactly like
-   [rebuild_engines] (below): registration-time initialization from the
-   believed source. Valid because [save] only runs between batches, when
-   engine state is derivable from the committed source. *)
-let engines_of_persisted validator persisted =
-  List.map
-    (fun (view, strategy) ->
-      (match strategy with
-      | Minimal | Psj | Replicate -> ()
-      | Aged _ ->
-        (* [save] refuses aged views; only a crafted file gets here *)
-        err Corrupt_state "view %s: aged views cannot appear in a snapshot"
-          view.View.name);
-      { view; strategy; engine = build_engine validator strategy view })
-    persisted
-
-(* Load a snapshot; also returns the saved pool size so callers can warn
-   about the reset (the pool is never restored — see [warn_parallel_reset]). *)
-let rec load_with path =
+(* Decode and verify a snapshot without building any engine: all that
+   [fsck] and [repair] need, and the first half of [load]. *)
+let decode path =
   let ic = try open_in_bin path with Sys_error m -> err Io_error "%s" m in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () ->
       (* an OS-level read failure (EISDIR, EIO, ...) is operational, not
          verification: it must surface as Io_error, never Corrupt_state *)
-      try load_channel path ic with Sys_error m -> err Io_error "%s" m)
+      try
+        let total = in_channel_length ic in
+        let magic_len = String.length snapshot_magic in
+        if total < magic_len then
+          err Corrupt_state "%s: truncated header (%d bytes)" path total;
+        let header = really_input_string ic magic_len in
+        let d =
+          if String.equal header snapshot_magic then decode_v6 path ic
+          else if String.equal header v5_magic then decode_v5 path ic
+          else
+            match List.assoc_opt header refused_formats with
+            | Some why -> err Incompatible_state "%s %s" path why
+            | None -> err Corrupt_state "%s is not a warehouse state file" path
+        in
+        List.iter
+          (fun (view, strategy) ->
+            match strategy with
+            | Minimal | Psj | Replicate -> ()
+            | Aged _ ->
+              (* [save] refuses aged views; only a crafted file gets here *)
+              err Corrupt_state "view %s: aged views cannot appear in a snapshot"
+                view.View.name)
+          d.d_views;
+        d
+      with Sys_error m -> err Io_error "%s" m)
 
-and load_channel path ic =
-      let total = in_channel_length ic in
-      let magic_len = String.length snapshot_magic in
-      if total < magic_len then
-        err Corrupt_state "%s: truncated header (%d bytes)" path total;
-      let header = really_input_string ic magic_len in
-      if String.equal header legacy_magic then
-        err Incompatible_state
-          "%s uses the unchecksummed version-1 format; re-save it with this \
-           build"
-          path;
-      if String.equal header v2_magic then
-        err Incompatible_state
-          "%s uses the version-2 format without the parallel-pool record; \
-           re-save it with this build"
-          path;
-      let version =
-        if String.equal header snapshot_magic then `V5
-        else if String.equal header v4_magic then `V4
-        else if String.equal header v3_magic then `V3
-        else err Corrupt_state "%s is not a warehouse state file" path
-      in
-      if total - magic_len < 8 then
-        err Corrupt_state "%s: truncated frame header" path;
-      let frame = really_input_string ic 8 in
-      let u32 off =
-        Int32.to_int (String.get_int32_le frame off) land 0xffffffff
-      in
-      let len = u32 0 and crc = u32 4 in
-      if len > total - magic_len - 8 then
-        err Corrupt_state "%s: truncated payload (%d of %d bytes)" path
-          (total - magic_len - 8) len;
-      let payload = really_input_string ic len in
-      if Checksum.string payload <> crc then
-        err Corrupt_state "%s: checksum mismatch" path;
-      let decoded =
-        match version with
-        | `V5 -> (
-          match
-            (Marshal.from_string payload 0
-              : (View.t * strategy) list * Validator.t * Delta.rejection list
-                * int * int)
-          with
-          | decoded -> Some decoded
-          | exception _ -> None)
-        | `V4 -> (
-          match
-            (Marshal.from_string payload 0
-              : (View.t * strategy) list * Obj.t * legacy_validator
-                * Delta.rejection list * int * int)
-          with
-          | persisted, _source, validator, dead, seq, domains ->
-            Some (persisted, of_legacy validator, dead, seq, domains)
-          | exception _ -> None)
-        | `V3 -> (
-          match
-            (Marshal.from_string payload 0
-              : v3_registered list * Obj.t * legacy_validator
-                * Delta.rejection list * int * int)
-          with
-          | olds, _source, validator, dead, seq, domains ->
-            Some
-              ( List.map (fun o -> (o.v3_view, o.v3_strategy)) olds,
-                of_legacy validator,
-                dead,
-                seq,
-                domains )
-          | exception _ -> None)
-      in
-      match decoded with
-      | None ->
-        err Corrupt_state "%s: undecodable payload (incompatible build?)" path
-      | Some (persisted, validator, dead, seq, parallel_domains) ->
-        let views = engines_of_persisted validator persisted in
-        (make ~views ~validator ~dead ~seq, parallel_domains)
+(* Load a snapshot: rebuild every engine from the restored shadow, exactly
+   like [rebuild_engines] (below) — registration-time initialization from
+   the believed source. Also returns the saved pool size so callers can
+   warn about the reset (the pool is never restored — see
+   [warn_parallel_reset]). *)
+let load_with path =
+  let d = decode path in
+  let validator = Validator.of_shadow d.d_shadow in
+  let views =
+    List.map
+      (fun (view, strategy) ->
+        { view; strategy; engine = build_engine validator strategy view })
+      d.d_views
+  in
+  (make ~views ~validator ~dead:d.d_dead ~seq:d.d_seq, d.d_domains)
 
 (* The structured warning for the set_parallel/recover interaction: the
    snapshot was taken by a warehouse with a domain pool, but pools are
@@ -1598,8 +1727,8 @@ let rel dir path =
   else path
 
 let verify_snapshot path =
-  match load_with path with
-  | t, _ -> Ok t.seq
+  match decode path with
+  | d -> Ok d.d_seq
   | exception Error { detail; _ } -> Error detail
 
 let describe_wal path =

@@ -444,16 +444,21 @@ val report : t -> string
 
 (** {2 Persistence}
 
-    A warehouse survives restarts: [save] writes the complete maintained
-    state — every view's groups and auxiliary views, the replicas of
-    [Replicate] views, the validator's believed source, the dead-letter
-    queue and the batch sequence number — and [load] restores it without
-    touching any source.
+    A warehouse survives restarts: [save] writes the view definitions,
+    the validator's believed source, the dead-letter queue and the batch
+    sequence number, and [load] restores the warehouse without touching
+    any source, rebuilding every view's groups and auxiliary views (and
+    the replicas of [Replicate] views) from the believed source.
 
-    The format is OCaml's [Marshal] behind a versioned, CRC-32-checksummed
-    header: portable across runs of the same binary, not across incompatible
-    builds. Truncated or bit-rotted files are detected before unmarshalling
-    and reported as {!Error} ([Corrupt_state]). [Aged] views carry a
+    The format (version 6) is a magic line and a sequence of typed
+    sections — a catalog, each base table's rows and reference counts, the
+    dead letters — each with its own CRC-32. Cells are written by their
+    column type ({!Relational.Codec}), so the data does not depend on the
+    build; only the view definitions inside the catalog are [Marshal]ed.
+    Every section is checked against its CRC before it is decoded: a
+    truncated or bit-rotted file is reported as {!Error} ([Corrupt_state])
+    naming the section. Version-5 files, one [Marshal] payload, still load;
+    older versions are refused ([Incompatible_state]). [Aged] views carry a
     partition predicate (a closure) and cannot be persisted; [save] raises
     {!Error} ([Not_persistable]) if one is registered. *)
 

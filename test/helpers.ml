@@ -117,6 +117,88 @@ let store_image db =
 
 let store_image_t = Alcotest.(list (pair string (list (pair tuple int))))
 
+(* --- version-6 snapshot sections, read independently of [Warehouse] ---
+
+   After the magic line, each section is framed as u32-le header length,
+   u64-le body length and u32-le CRC-32 of those twelve bytes, the header
+   and the body; the header is a kind byte, the name, the row count and
+   the column count and types. Tests use this to damage or rewrite one
+   section at a time. *)
+
+let snapshot_magic_len = String.length "minview-warehouse-state/6\n"
+
+(* A varint as [Relational.Codec] writes one: 7 bits a byte, low first. *)
+let read_varint s pos =
+  let rec go acc shift pos =
+    let b = Char.code s.[pos] in
+    let acc = acc lor ((b land 0x7f) lsl shift) in
+    if b land 0x80 = 0 then (acc, pos + 1) else go acc (shift + 7) (pos + 1)
+  in
+  go 0 0 pos
+
+let add_varint b n =
+  let rec go n =
+    if n lsr 7 = 0 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (n land 0x7f lor 0x80));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+type section = {
+  sec_off : int;  (** of its frame, in the file *)
+  sec_len : int;  (** frame, header and body *)
+  sec_kind : int;
+  sec_name : string;
+  sec_rows : int;
+  sec_types : string;  (** the column count and types, as stored *)
+  sec_body : string;
+}
+
+let snapshot_sections s =
+  let rec go off acc =
+    if off >= String.length s then List.rev acc
+    else begin
+      let hlen = Int32.to_int (String.get_int32_le s off) in
+      let blen = Int64.to_int (String.get_int64_le s (off + 4)) in
+      let h = off + 16 in
+      let name_len, p = read_varint s (h + 1) in
+      let rows, p' = read_varint s (p + name_len) in
+      let sec =
+        {
+          sec_off = off;
+          sec_len = 16 + hlen + blen;
+          sec_kind = Char.code s.[h];
+          sec_name = String.sub s p name_len;
+          sec_rows = rows;
+          sec_types = String.sub s p' (h + hlen - p');
+          sec_body = String.sub s (h + hlen) blen;
+        }
+      in
+      go (off + sec.sec_len) (sec :: acc)
+    end
+  in
+  go snapshot_magic_len []
+
+(* The section framed again, with a CRC of what it now holds. *)
+let frame_section sec =
+  let head = Buffer.create 64 in
+  Buffer.add_char head (Char.chr sec.sec_kind);
+  add_varint head (String.length sec.sec_name);
+  Buffer.add_string head sec.sec_name;
+  add_varint head sec.sec_rows;
+  Buffer.add_string head sec.sec_types;
+  let frame = Bytes.create 16 in
+  Bytes.set_int32_le frame 0 (Int32.of_int (Buffer.length head));
+  Bytes.set_int64_le frame 4 (Int64.of_int (String.length sec.sec_body));
+  let covered =
+    Bytes.sub_string frame 0 12 ^ Buffer.contents head ^ sec.sec_body
+  in
+  Bytes.set_int32_le frame 12
+    (Int32.of_int (Warehouse.Checksum.string covered));
+  Bytes.to_string frame ^ Buffer.contents head ^ sec.sec_body
+
 (* substring test used when checking rendered reports *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in

@@ -1,11 +1,12 @@
 (* The chaos harness: a randomized crash-point x corruption-kind x seed
    sweep over the self-healing storage stack. Every iteration crashes a
    batched ingestion run at an armed fault point, optionally damages the
-   state directory the way real hardware would (torn tail, snapshot rot,
-   mid-WAL bit flip), recovers — through [Warehouse.repair] when recovery
-   refuses — resumes the stream, and cross-checks the result against a
-   serial no-fault oracle (from-scratch view evaluation over the evolved
-   source) plus lineage-file/WAL-sequence agreement.
+   state directory the way real hardware would (torn tail, snapshot rot at
+   its end or inside one of its sections, mid-WAL bit flip), recovers —
+   through [Warehouse.repair] when recovery refuses — resumes the stream,
+   and cross-checks the result against a serial no-fault oracle
+   (from-scratch view evaluation over the evolved source) plus
+   lineage-file/WAL-sequence agreement.
 
    Plus directed tests for the supervision machinery (worker failure ->
    rollback -> serial degradation -> re-promotion), wedged-worker pools,
@@ -112,12 +113,13 @@ let max_lineage_txn dir =
 
 (* What the iteration does to the state directory after the crash, before
    recovery — the damage a real deployment could find on disk. *)
-type corruption = Clean | Torn_tail | Flip_snapshot | Flip_wal
+type corruption = Clean | Torn_tail | Flip_snapshot | Flip_section | Flip_wal
 
 let corruption_label = function
   | Clean -> "clean"
   | Torn_tail -> "torn-tail"
   | Flip_snapshot -> "flip-snapshot"
+  | Flip_section -> "flip-section"
   | Flip_wal -> "flip-wal"
 
 let wal_header_len = String.length "minview-wal/1\n"
@@ -131,8 +133,11 @@ let has_generation_snapshot dir =
 
 (* Apply [kind] if its precondition holds (e.g. a snapshot flip without an
    older generation to fall back to would be unrecoverable by design);
-   returns the corruption actually inflicted. *)
-let corrupt dir kind =
+   returns the corruption actually inflicted. [Flip_section] flips one
+   byte of section [3 k mod n] of the snapshot's [n] on the [k]-th seed
+   (from 0): over the seven seeds of the sweep that reaches the catalog,
+   rows, reference counts and the dead letters. *)
+let corrupt dir kind ~k =
   let wal = Filename.concat dir "wal.bin" in
   let snap = Filename.concat dir "snapshot.bin" in
   match kind with
@@ -148,6 +153,14 @@ let corrupt dir kind =
       let len = String.length (read_file snap) in
       flip_byte snap (len - 1);
       Flip_snapshot
+    end
+    else Clean
+  | Flip_section ->
+    if Sys.file_exists snap && has_generation_snapshot dir then begin
+      let sections = Array.of_list (snapshot_sections (read_file snap)) in
+      let sec = sections.(3 * k mod Array.length sections) in
+      flip_byte snap (sec.sec_off + (131 * (k + 1) mod sec.sec_len));
+      Flip_section
     end
     else Clean
   | Flip_wal ->
@@ -172,6 +185,8 @@ let robust_recover dir =
     Alcotest.(check bool) "repair quarantined something" true
       (r.Warehouse.repair_actions <> []);
     Warehouse.recover ~dir
+
+let chaos_seeds = [ 101; 102; 103; 104; 105; 106; 107 ]
 
 let total_batches = 8
 
@@ -221,8 +236,15 @@ let chaos_iteration point kind seed =
   Faults.disarm ();
   Alcotest.(check bool) ("the armed fault fired" ^ ctx) true !crashed;
   Warehouse.close wh;
-  let inflicted = corrupt dir kind in
+  let inflicted = corrupt dir kind ~k:(seed - List.hd chaos_seeds) in
   let wh' = robust_recover dir in
+  (match inflicted with
+  | Flip_snapshot | Flip_section ->
+    Alcotest.(check bool)
+      ("the damaged snapshot was set aside" ^ ctx)
+      true
+      (Sys.file_exists (Filename.concat dir "snapshot.bin.quarantine"))
+  | Clean | Torn_tail | Flip_wal -> ());
   let already = Warehouse.ingested_batches wh' in
   Alcotest.(check bool)
     ("recovery never invents batches" ^ ctx)
@@ -233,7 +255,7 @@ let chaos_iteration point kind seed =
      losing the records behind the flipped byte (still only a suffix: frames
      cannot resync past damage, so the survivors are a prefix) *)
   (match inflicted with
-  | Clean | Torn_tail | Flip_snapshot ->
+  | Clean | Torn_tail | Flip_snapshot | Flip_section ->
     Alcotest.(check bool)
       ("no committed batch lost" ^ ctx)
       true
@@ -257,16 +279,14 @@ let chaos_iteration point kind seed =
   Warehouse.close wh';
   rm_rf dir
 
-let chaos_seeds = [ 101; 102; 103; 104; 105; 106; 107 ]
-
 let chaos_tests =
   (* In_shard_worker never fires on this serial matrix; its recoverable-mode
      coverage is the supervision suite below *)
   let points =
     List.filter (fun p -> p <> Faults.In_shard_worker) Faults.all
   in
-  let kinds = [ Clean; Torn_tail; Flip_snapshot; Flip_wal ] in
-  (* 8 points x 4 corruption kinds x 7 seeds = 224 iterations *)
+  let kinds = [ Clean; Torn_tail; Flip_snapshot; Flip_section; Flip_wal ] in
+  (* 8 points x 5 corruption kinds x 7 seeds = 280 iterations *)
   List.concat_map
     (fun point ->
       List.map

@@ -127,4 +127,133 @@ let tests =
         Sys.remove path);
   ]
 
-let () = Alcotest.run "persistence" [ ("save-load", tests) ]
+(* --- the section codec: a round trip through save and load ------------- *)
+
+(* [Value.equal], except that a float is its bits: [-0.0] is not [0.0] and
+   each NaN payload is its own value. *)
+let same_value a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_tuple a b = Array.length a = Array.length b && Array.for_all2 same_value a b
+
+let edge_floats =
+  [ -0.0; 0.0; infinity; neg_infinity; Float.nan;
+    Int64.float_of_bits 0x7FF8_0000_0000_0001L;
+    Int64.float_of_bits 0xFFF8_0000_DEAD_BEEFL;
+    Int64.float_of_bits 0x7FF0_0000_0000_0001L; 4.9e-324; max_float; 0.1 ]
+
+let edge_ints = [ min_int; max_int; 0; -1; 1; 63; 64; -64; -65; 4095; 4096 ]
+
+let edge_texts =
+  [ ""; "\000"; "a\nb\r\n"; String.make 300 '\000' ^ String.init 256 Char.chr ]
+
+let col name ty = { Schema.col_name = name; col_type = ty }
+
+let edge_schema =
+  Schema.make ~name:"edge_cells" ~key:"id"
+    [ col "id" Datatype.TInt; col "f" Datatype.TFloat; col "t" Datatype.TString;
+      col "b" Datatype.TBool; col "i" Datatype.TInt ]
+
+(* The edge cells, each at least once, then the generated ones; keys
+   include [min_int] and [max_int]. *)
+let edge_rows extra =
+  let pick l k = List.nth l (k mod List.length l) in
+  let fixed =
+    List.init 12 (fun k ->
+        [| Value.Int (if k = 0 then min_int else if k = 1 then max_int else k);
+           Value.Float (pick edge_floats k); Value.String (pick edge_texts k);
+           Value.Bool (k land 1 = 0); Value.Int (pick edge_ints k) |])
+  in
+  fixed
+  @ List.mapi
+      (fun k (f, n, t, b) ->
+        [| Value.Int (100 + k); Value.Float f; Value.String t; Value.Bool b;
+           Value.Int n |])
+      extra
+
+(* Deltas the warehouse refuses, holding NULL and the edge cells: they
+   reach the dead-letter section through its tagged values. *)
+let refused rows =
+  List.concat_map
+    (fun row ->
+      [ Delta.insert "edge_cells" (Array.append row [| Value.Null |]);
+        Delta.insert "no_such_table" row;
+        Delta.update "edge_cells" ~before:(Array.map Fun.id row)
+          ~after:(Array.append [| Value.Null |] row) ])
+    rows
+
+let dead_letter_equal (a : Delta.rejection) (b : Delta.rejection) =
+  a.reason = b.reason && String.equal a.detail b.detail
+  && String.equal a.delta.table b.delta.table
+  &&
+  match (a.delta.change, b.delta.change) with
+  | Delta.Insert x, Delta.Insert y | Delta.Delete x, Delta.Delete y ->
+    same_tuple x y
+  | Delta.Update u, Delta.Update v ->
+    same_tuple u.before v.before && same_tuple u.after v.after
+  | _ -> false
+
+let prop_round_trip =
+  QCheck2.Test.make ~count:25 ~name:"save/load keeps store, views and dead letters"
+    QCheck2.Gen.(
+      pair (int_bound 100_000)
+        (small_list
+           (quad float int (string_size ~gen:char (int_bound 40)) bool)))
+    (fun (seed, extra) ->
+      let rng = Workload.Prng.create seed in
+      let inst = Workload.Schema_gen.random rng in
+      let db = inst.Workload.Schema_gen.db in
+      Database.add_table db edge_schema ~updatable:[];
+      let rows = edge_rows extra in
+      List.iter (Database.insert db "edge_cells") rows;
+      let wh = Warehouse.create db in
+      let views =
+        List.init 2 (fun k ->
+            { (Workload.Schema_gen.random_view rng inst) with
+              View.name = Printf.sprintf "v%d" k })
+      in
+      List.iter (Warehouse.add_view wh) views;
+      (* the stream leaves the edge rows as they are *)
+      Warehouse.ingest wh
+        (Workload.Delta_gen.stream_for rng db
+           ~tables:inst.Workload.Schema_gen.all_tables ~n:40);
+      ignore (Warehouse.ingest_report wh (refused rows) : Warehouse.report);
+      let path = tmp (Printf.sprintf "wh_codec_%d.bin" seed) in
+      Warehouse.save wh path;
+      let wh' = Warehouse.load path in
+      Sys.remove path;
+      let src = Warehouse.believed_source wh
+      and src' = Warehouse.believed_source wh' in
+      let check what ok = ok || QCheck2.Test.fail_reportf "%s differs" what in
+      let same_image (t, rows) (t', rows') =
+        String.equal t t'
+        && List.equal
+             (fun (r, n) (r', n') -> Tuple.equal r r' && n = n')
+             rows rows'
+      in
+      check "store image"
+        (List.equal same_image (store_image src) (store_image src'))
+      && check "an edge row"
+           (List.for_all
+              (fun row ->
+                match Database.find_by_key src' "edge_cells" row.(0) with
+                | Some row' -> same_tuple row row'
+                | None -> false)
+              rows)
+      && check "a view"
+           (List.for_all
+              (fun (v : View.t) ->
+                Relation.equal (contents wh v.View.name)
+                  (contents wh' v.View.name))
+              views)
+      && check "the dead letters"
+           (List.equal dead_letter_equal (Warehouse.dead_letters wh)
+              (Warehouse.dead_letters wh')))
+
+let () =
+  Alcotest.run "persistence"
+    [ ("save-load", tests);
+      ("codec", [ QCheck_alcotest.to_alcotest prop_round_trip ]) ]

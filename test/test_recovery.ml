@@ -416,6 +416,107 @@ let expect_corrupt path =
   | exception Warehouse.Error { kind = Warehouse.Corrupt_state; _ } -> ()
   | _ -> Alcotest.fail "expected Corrupt_state"
 
+let expect_corrupt_naming path name =
+  match Warehouse.load path with
+  | exception Warehouse.Error { kind = Warehouse.Corrupt_state; detail } ->
+    Alcotest.(check bool) (Printf.sprintf "names %s: %s" name detail) true
+      (contains detail name)
+  | _ -> Alcotest.failf "%s: expected Corrupt_state" name
+
+(* Replace the section named [name] by [f] of it, framed with a valid CRC:
+   damage only decoding can catch. *)
+let rewrite_section path name f =
+  let s = read_file path in
+  write_file path
+    (String.sub s 0 snapshot_magic_len
+    ^ String.concat ""
+        (List.map
+           (fun sec -> frame_section (if sec.sec_name = name then f sec else sec))
+           (snapshot_sections s)))
+
+let doubled sec =
+  { sec with sec_rows = 2 * sec.sec_rows; sec_body = sec.sec_body ^ sec.sec_body }
+
+let section_tests =
+  [
+    test "a flipped byte in any section names that section" (fun () ->
+        let path = tmp "wh_section_flip.bin" in
+        let _db, wh = build () in
+        ignore
+          (Warehouse.ingest_report wh [ Delta.insert "no_such_table" [| i 1 |] ]
+            : Warehouse.report);
+        Warehouse.save wh path;
+        let clean = read_file path in
+        let sections = snapshot_sections clean in
+        Alcotest.(check (list string)) "sections"
+          ("catalog"
+           :: List.concat_map
+                (fun t -> [ "rows of " ^ t; "reference counts of " ^ t ])
+                (Database.table_names (Warehouse.believed_source wh))
+          @ [ "dead letters" ])
+          (List.map (fun sec -> sec.sec_name) sections);
+        List.iter
+          (fun sec ->
+            (* a length in the frame, the header, the last byte *)
+            List.iter
+              (fun at ->
+                let b = Bytes.of_string clean in
+                Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0x41));
+                write_file path (Bytes.to_string b);
+                expect_corrupt_naming path sec.sec_name)
+              [ sec.sec_off + 2; sec.sec_off + 17; sec.sec_off + sec.sec_len - 1 ])
+          sections;
+        Sys.remove path);
+    test "a short section is refused" (fun () ->
+        let path = tmp "wh_section_short.bin" in
+        saved_snapshot path;
+        let s = read_file path in
+        let sale =
+          List.find (fun sec -> sec.sec_name = "rows of sale") (snapshot_sections s)
+        in
+        write_file path (String.sub s 0 (sale.sec_off + (sale.sec_len / 2)));
+        expect_corrupt_naming path "rows of sale";
+        Sys.remove path);
+    test "a key twice among a section's rows is refused" (fun () ->
+        let path = tmp "wh_section_dup.bin" in
+        List.iter
+          (fun name ->
+            saved_snapshot path;
+            rewrite_section path name doubled;
+            expect_corrupt_naming path name;
+            match Warehouse.load path with
+            | exception Warehouse.Error { detail; _ } ->
+              Alcotest.(check bool) ("says twice: " ^ detail) true
+                (contains detail "twice")
+            | _ -> ())
+          [ "rows of store"; "reference counts of store" ];
+        Sys.remove path);
+    test "a cell that overruns its section is refused" (fun () ->
+        let path = tmp "wh_section_overrun.bin" in
+        saved_snapshot path;
+        rewrite_section path "rows of product" (fun sec ->
+            { sec with
+              sec_body = String.sub sec.sec_body 0 (String.length sec.sec_body - 1)
+            });
+        expect_corrupt_naming path "rows of product";
+        Sys.remove path);
+    test "fsck decodes every section, not only its checksum" (fun () ->
+        let dir = fresh_dir "wh_fsck_decode_dir" in
+        let _db, wh = build () in
+        Warehouse.attach wh ~dir;
+        Warehouse.close wh;
+        let snap = Filename.concat dir "snapshot.bin" in
+        let report = Warehouse.fsck ~dir in
+        Alcotest.(check bool) "clean" true report.Warehouse.fsck_clean;
+        rewrite_section snap "rows of sale" doubled;
+        let report = Warehouse.fsck ~dir in
+        match report.Warehouse.fsck_entries with
+        | e :: _ ->
+          Alcotest.(check bool) ("damaged: " ^ e.Warehouse.f_detail) true
+            ((not e.Warehouse.f_ok) && contains e.Warehouse.f_detail "rows of sale")
+        | [] -> Alcotest.fail "no fsck entry");
+  ]
+
 let corruption_tests =
   [
     test "a flipped payload byte fails the checksum" (fun () ->
@@ -456,125 +557,79 @@ let corruption_tests =
         Sys.remove path);
   ]
 
-(* --- version-3 and version-4 snapshot compatibility ----------------------- *)
+(* --- snapshot format versions ----------------------------------------------
 
-(* CRC-32 (IEEE, reflected), mirroring lib/warehouse/checksum.ml — needed to
-   reframe a crafted legacy payload with a valid frame header. *)
-let crc32 s =
-  let table =
-    Array.init 256 (fun n ->
-        let c = ref n in
-        for _ = 0 to 7 do
-          c := if !c land 1 = 1 then 0xedb88320 lxor (!c lsr 1) else !c lsr 1
-        done;
-        !c)
-  in
-  let crc = ref 0xffffffff in
-  String.iter
-    (fun ch -> crc := table.((!crc lxor Char.code ch) land 0xff) lxor (!crc lsr 8))
-    s;
-  !crc lxor 0xffffffff
+   Version 6 is written; version 5, one [Marshal] payload, still loads and
+   is upgraded by the next checkpoint; versions 1 to 4 are refused. *)
 
-(* The payload of the version-5 snapshot at [path], with its parts left
-   opaque: (persisted views, validator, dead letters, seq, pool size). *)
-let v5_parts path =
-  let v5_magic = "minview-warehouse-state/5\n" in
-  let s = read_file path in
-  let mlen = String.length v5_magic in
-  if not (String.length s > mlen + 8 && String.sub s 0 mlen = v5_magic) then
-    Alcotest.fail (path ^ ": not a version-5 snapshot");
-  let payload = String.sub s (mlen + 8) (String.length s - mlen - 8) in
-  (Marshal.from_string payload 0 : Obj.t * Obj.t * Obj.t * Obj.t * Obj.t)
-
-(* Rewrite, in place, the validator's shadow into the store layout of the
-   version-3 and version-4 builds and return the shadow. Their table record
-   was { schema; data; by_key; updatable; incoming }: [data] held every row
-   a second time, keyed by the whole tuple. Today's record is { schema; key;
-   by_key; updatable; incoming; outgoing }. A loader that decoded the old
-   layout with today's record would read [data] as the key index and run
-   off the end of the block for [outgoing]. *)
-let legacy_shadow validator =
-  let shadow = Obj.field validator 0 in
-  let tables = (Obj.obj (Obj.field shadow 0) : (string, Obj.t) Hashtbl.t) in
-  Hashtbl.filter_map_inplace
-    (fun _ t ->
-      let by_key = Obj.field t 2 in
-      let rows =
-        Hashtbl.fold
-          (fun _ tup acc -> (tup, 1) :: acc)
-          (Obj.obj by_key : (Obj.t, Tuple.t) Hashtbl.t)
-          []
-      in
-      let old = Obj.new_block 0 5 in
-      Obj.set_field old 0 (Obj.field t 0);
-      Obj.set_field old 1 (Obj.repr (Relation.of_list rows));
-      Obj.set_field old 2 by_key;
-      Obj.set_field old 3 (Obj.field t 3);
-      Obj.set_field old 4 (Obj.field t 4);
-      Some old)
-    tables;
-  shadow
+let v5_magic = "minview-warehouse-state/5\n"
 
 let reframe path magic payload =
   let b = Buffer.create (String.length payload + String.length magic + 8) in
   Buffer.add_string b magic;
   Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (crc32 payload));
+  Buffer.add_int32_le b (Int32.of_int (Warehouse.Checksum.string payload));
   Buffer.add_string b payload;
   write_file path (Buffer.contents b)
 
-(* Rewrite a version-5 snapshot into the version-4 format: the legacy store
-   layout, and a source slot sharing the shadow. *)
-let to_v4 path =
-  let persisted, validator, dead, seq, domains = v5_parts path in
-  let source = legacy_shadow validator in
-  reframe path "minview-warehouse-state/4\n"
-    (Marshal.to_string (persisted, source, validator, dead, seq, domains) [])
+(* The strategies [build_on] registers. *)
+let strategy_of (v : View.t) =
+  match v.View.name with
+  | "monthly_revenue" -> Warehouse.Psj
+  | "sales_by_time" -> Warehouse.Replicate
+  | _ -> Warehouse.Minimal
 
-(* Rewrite a version-5 snapshot into the version-3 format the boxed builds
-   wrote: the version-4 frame, but with three-field registration records
-   { view; strategy; engine } carrying the marshaled engine state in the
-   last field. The loader must ignore that field entirely, so a placeholder
-   stands in for the engine graph. *)
-let to_v3 path =
-  let persisted, validator, dead, seq, domains = v5_parts path in
-  let source = legacy_shadow validator in
-  let olds =
-    List.map
-      (fun p ->
-        let r = Obj.new_block 0 3 in
-        Obj.set_field r 0 (Obj.field p 0);
-        Obj.set_field r 1 (Obj.field p 1);
-        Obj.set_field r 2 (Obj.repr "boxed engine state (ignored)");
-        r)
-      (Obj.obj persisted : Obj.t list)
-  in
-  reframe path "minview-warehouse-state/3\n"
-    (Marshal.to_string (olds, source, validator, dead, seq, domains) [])
+(* Rewrite the snapshot at [path] as the version-5 build wrote it: a frame
+   (u32-le length, u32-le CRC-32) around one [Marshal] payload of the views
+   with their strategies and the dead letters, both newest first, the
+   validator, the batch number and the pool size. *)
+let to_v5 path =
+  let wh = Warehouse.load path in
+  reframe path v5_magic
+    (Marshal.to_string
+       ( List.rev_map (fun v -> (v, strategy_of v)) (Warehouse.views wh),
+         Relational.Validator.of_database (Warehouse.believed_source wh),
+         List.rev (Warehouse.dead_letters wh),
+         Warehouse.ingested_batches wh,
+         0 )
+       [])
 
-(* A legacy snapshot of [wh] loads into a warehouse that believes the same
-   source, serves the same views and keeps maintaining them. *)
-let check_legacy_load ~rewrite name =
-  let db = Workload.Retail.load tiny in
-  let wh = Warehouse.create db in
-  Warehouse.add_view wh Workload.Retail.product_sales;
-  Warehouse.add_view ~strategy:Warehouse.Psj wh Workload.Retail.monthly_revenue;
+let magic_of path = String.sub (read_file path) 0 snapshot_magic_len
+
+let letter_image (r : Delta.rejection) =
+  Format.asprintf "%a" Delta.pp_rejection r
+
+(* A version-5 snapshot of [wh], dead letters included, loads into a
+   warehouse that believes the same source, serves the same views and
+   keeps maintaining them. *)
+let check_v5_load name =
+  let db, wh = build () in
   let rng = Workload.Prng.create 23 in
   Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:30);
+  ignore
+    (Warehouse.ingest_report wh
+       [ Delta.insert "no_such_table" [| i 1; Value.Null |] ]
+      : Warehouse.report);
   let path = tmp name in
   Warehouse.save wh path;
-  rewrite path;
+  to_v5 path;
+  Alcotest.(check string) "crafted as version 5" v5_magic (magic_of path);
   let wh' = Warehouse.load path in
   Alcotest.check store_image_t "believed source"
     (store_image (Warehouse.believed_source wh))
     (store_image (Warehouse.believed_source wh'));
+  Alcotest.(check (list string)) "dead letters"
+    (List.map letter_image (Warehouse.dead_letters wh))
+    (List.map letter_image (Warehouse.dead_letters wh'));
+  Alcotest.(check int) "batch number" (Warehouse.ingested_batches wh)
+    (Warehouse.ingested_batches wh');
   List.iter
     (fun (v : View.t) ->
       Alcotest.check relation v.View.name
         (snd (Warehouse.query wh v.View.name))
         (snd (Warehouse.query wh' v.View.name)))
-    [ Workload.Retail.product_sales; Workload.Retail.monthly_revenue ];
-  (* the converted shadow keeps checking: a replayed insert is a duplicate
+    all_views;
+  (* the loaded shadow keeps checking: a replayed insert is a duplicate
      and a fresh stream is admitted and maintained *)
   let replayed =
     Database.fold db "sale" (fun tup _ -> Some (Delta.insert "sale" tup)) None
@@ -582,63 +637,124 @@ let check_legacy_load ~rewrite name =
   let r = Warehouse.ingest_report wh' (Option.to_list replayed) in
   Alcotest.(check int) "replayed insert rejected" 0 r.Warehouse.applied;
   Warehouse.ingest wh' (Workload.Delta_gen.stream rng db ~n:20);
-  Alcotest.check relation "still maintained"
-    (Algebra.Eval.eval db Workload.Retail.product_sales)
-    (snd (Warehouse.query wh' "product_sales"));
+  check_views wh' db;
   Sys.remove path
 
-let v4_tests =
-  [
-    test "a version-4 snapshot loads through the legacy store layout"
-      (fun () -> check_legacy_load ~rewrite:to_v4 "wh_v4_compat.bin");
-  ]
+(* Every snapshot of a state directory — live and archived — rewritten by
+   [rewrite], as if an older build had written the whole chain. *)
+let rewrite_chain dir rewrite =
+  rewrite (Filename.concat dir "snapshot.bin");
+  let gens = Filename.concat dir "generations" in
+  Array.iter
+    (fun f_name ->
+      if String.starts_with ~prefix:"snapshot-" f_name then
+        rewrite (Filename.concat gens f_name))
+    (try Sys.readdir gens with Sys_error _ -> [||])
 
-let v3_tests =
+(* Three checkpoints and a batch in the live log: [build], the directory
+   and the stream's generator. *)
+let chain_of name =
+  let db, wh = build () in
+  let dir = fresh_dir name in
+  Warehouse.attach ~keep_generations:2 wh ~dir;
+  let rng = Workload.Prng.create 29 in
+  for _ = 1 to 3 do
+    Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:15);
+    Warehouse.checkpoint wh
+  done;
+  Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:15);
+  Warehouse.close wh;
+  (db, dir, rng)
+
+let v5_upgrade_tests =
   [
-    test "a version-3 snapshot loads and rebuilds engines" (fun () ->
-        check_legacy_load ~rewrite:to_v3 "wh_v3_compat.bin");
-    test "recover replays a generation chain of version-3 snapshots"
+    test "a version-5 snapshot loads with its views and believed source"
+      (fun () -> check_v5_load "wh_v5_upgrade.bin");
+    test "recover replays a version-5 chain and checkpoints version 6"
       (fun () ->
-        let db, wh = build () in
-        let dir = fresh_dir "wh_v3_chain_dir" in
-        Warehouse.attach ~keep_generations:2 wh ~dir;
-        let rng = Workload.Prng.create 29 in
-        for _ = 1 to 3 do
-          Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:15);
-          Warehouse.checkpoint wh
-        done;
-        Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:15);
-        Warehouse.close wh;
-        (* the deployment that wrote this chain ran a boxed build: every
-           snapshot on disk — live and archived — is version-3 *)
-        to_v3 (Filename.concat dir "snapshot.bin");
-        let gens = Filename.concat dir "generations" in
-        Array.iter
-          (fun f_name ->
-            if String.starts_with ~prefix:"snapshot-" f_name then
-              to_v3 (Filename.concat gens f_name))
-          (try Sys.readdir gens with Sys_error _ -> [||]);
+        let db, dir, rng = chain_of "wh_v5_chain_dir" in
+        rewrite_chain dir to_v5;
         let report = Warehouse.fsck ~dir in
-        Alcotest.(check bool) "v3 chain verifies" true
+        Alcotest.(check bool) "v5 chain verifies" true
           report.Warehouse.fsck_clean;
         let wh' = Warehouse.recover ~dir in
         Alcotest.(check int) "no committed batch lost" 4
           (Warehouse.ingested_batches wh');
         check_views wh' db;
         Warehouse.close wh';
-        (* corrupt the (v3) newest snapshot: recovery must fall back to the
-           v3 generation K-1 and replay its archived WAL segment *)
-        flip_last_byte (Filename.concat dir "snapshot.bin");
+        (* corrupt the (v5) newest snapshot: recovery must fall back to the
+           v5 generation K-1 and replay its archived WAL segment *)
+        let snap = Filename.concat dir "snapshot.bin" in
+        flip_last_byte snap;
         let wh'' = Warehouse.recover ~dir in
         Alcotest.(check int) "generation K-1 replayed" 4
           (Warehouse.ingested_batches wh'');
         check_views wh'' db;
-        (* the healed warehouse checkpoints in the current format and keeps
-           running *)
+        (* the next checkpoint writes version 6, and it keeps running *)
         Warehouse.checkpoint wh'';
+        Alcotest.(check string) "upgraded"
+          "minview-warehouse-state/6\n" (magic_of snap);
         Warehouse.ingest wh'' (Workload.Delta_gen.stream rng db ~n:15);
         check_views wh'' db;
-        Warehouse.close wh'');
+        Warehouse.close wh'';
+        let wh3 = Warehouse.recover ~dir in
+        check_views wh3 db;
+        Warehouse.close wh3);
+  ]
+
+(* A snapshot whose magic line says [version], with a whole version-6 body
+   behind it: the version alone decides. *)
+let as_version version path =
+  let s = read_file path in
+  write_file path
+    (Printf.sprintf "minview-warehouse-state/%d\n" version
+    ^ String.sub s snapshot_magic_len (String.length s - snapshot_magic_len))
+
+let expect_refused version path =
+  match Warehouse.load path with
+  | exception Warehouse.Error { kind = Warehouse.Incompatible_state; detail }
+    ->
+    Alcotest.(check bool)
+      ("names the version: " ^ detail)
+      true
+      (contains detail (Printf.sprintf "version-%d" version))
+  | _ -> Alcotest.fail "expected Incompatible_state"
+
+let refused_test version =
+  test
+    (Printf.sprintf "a version-%d snapshot is refused as incompatible" version)
+    (fun () ->
+      let path = tmp (Printf.sprintf "wh_v%d_refused.bin" version) in
+      saved_snapshot path;
+      as_version version path;
+      expect_refused version path;
+      Sys.remove path)
+
+let v4_tests = [ refused_test 4 ]
+
+let v3_tests =
+  [
+    refused_test 3;
+    test "recover refuses a version-3 chain and leaves it as it was"
+      (fun () ->
+        let _db, dir, _rng = chain_of "wh_v3_chain_dir" in
+        rewrite_chain dir (as_version 3);
+        let report = Warehouse.fsck ~dir in
+        Alcotest.(check bool) "unrecoverable" false
+          report.Warehouse.fsck_recoverable;
+        (match Warehouse.recover ~dir with
+        | exception
+            Warehouse.Error { kind = Warehouse.Incompatible_state; detail } ->
+          Alcotest.(check bool) ("names the version: " ^ detail) true
+            (contains detail "version-3")
+        | wh ->
+          Warehouse.close wh;
+          Alcotest.fail "expected Incompatible_state");
+        Alcotest.(check (list string)) "nothing quarantined" []
+          (List.filter
+             (fun f -> contains f ".quarantine")
+             (Array.to_list (Sys.readdir dir)
+             @ Array.to_list (Sys.readdir (Filename.concat dir "generations")))));
   ]
 
 (* --- which WAL segments recovery reads --------------------------------------
@@ -930,5 +1046,7 @@ let () =
       ("replay-failures", replay_failure_tests);
       ("wal-segments", segment_tests);
       ("snapshot-corruption", corruption_tests);
+      ("snapshot-sections", section_tests);
       ("v3-compat", v3_tests); ("v4-compat", v4_tests);
+      ("v5-upgrade", v5_upgrade_tests);
     ]
