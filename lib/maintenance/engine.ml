@@ -1270,11 +1270,6 @@ let init ?(fk_index = true) db (d : Derive.t) =
                    ~help:"Detail rows per resident row (compression factor)"
                    "minview_aux_compression_ratio" ))
              (aux_of t tbl));
-  Log.info (fun m ->
-      m "initializing %s: %d auxiliary view(s), %s"
-        view.View.name
-        (Array.fold_left (fun n st -> if st = None then n else n + 1) 0 t.aux)
-        (if determined then "root view eliminated" else "root view retained"));
   (* Seed the view state. A retained root auxiliary view already holds
      every root row the view can see, compressed: each stored group is fed
      once, weighted by its count — Section 3.2's f(a ⊗ cnt0), read as
@@ -1293,6 +1288,16 @@ let init ?(fk_index = true) db (d : Derive.t) =
   flush t;
   t.wk_live <- true;
   t
+
+(* Apart from [init], so that engines built on several domains at once
+   ({!Shard.fan_out}) are announced from the calling domain, in view order:
+   the Logs reporter is not domain-safe. *)
+let announce t =
+  Log.info (fun m ->
+      m "initializing %s: %d auxiliary view(s), %s"
+        t.view.View.name
+        (Array.fold_left (fun n st -> if st = None then n else n + 1) 0 t.aux)
+        (if t.determined then "root view eliminated" else "root view retained"))
 
 (* --- delta routing ----------------------------------------------------- *)
 

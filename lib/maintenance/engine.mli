@@ -50,6 +50,13 @@ exception Invariant of string
     auxiliary view on the root group columns. *)
 val init : ?fk_index:bool -> Relational.Database.t -> Mindetail.Derive.t -> t
 
+(** Log the INFO line "initializing <view>: N auxiliary view(s), ..." for an
+    engine {!init} built. [init] itself logs nothing and only reads the
+    store, so several engines may be initialized on one shared store from
+    several domains at once; the caller announces them afterwards, from one
+    domain (the Logs reporter is not domain-safe). *)
+val announce : t -> unit
+
 val derivation : t -> Mindetail.Derive.t
 
 (** Deep copy of the engine's mutable state (auxiliary views and view

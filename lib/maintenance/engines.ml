@@ -35,6 +35,11 @@ let append_only db view =
 
 let partitioned db view ~is_old = Split (Partitioned.init db view ~is_old)
 
+let announce = function
+  | Incremental { engine; _ } -> Engine.announce engine
+  | Split p -> Partitioned.announce p
+  | Recompute _ -> ()
+
 let as_partitioned = function
   | Split p -> Some p
   | Incremental _ | Recompute _ -> None

@@ -41,6 +41,15 @@ val partitioned :
   is_old:(Relational.Tuple.t -> bool) ->
   t
 
+(** The builders above only read the store they are given and log
+    nothing, so several configurations may be built on one shared store
+    from several domains at once ({!Shard.fan_out}); a [partitioned] one
+    calls its [is_old] predicate on the building domain. [announce] then
+    logs each incremental engine's "initializing <view>" INFO line
+    ({!Engine.announce}), from one domain; the recompute baseline logs
+    nothing. *)
+val announce : t -> unit
+
 (** The partitioned engine behind an [partitioned] configuration, for
     warehouse-internal aging. *)
 val as_partitioned : t -> Partitioned.t option

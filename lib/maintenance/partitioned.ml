@@ -85,6 +85,10 @@ let init db (v : View.t) ~is_old =
       |> Array.of_list;
   }
 
+let announce t =
+  Engine.announce t.old_engine;
+  Engine.announce t.current_engine
+
 type side = Old | Current | Both
 
 (* Where one source change goes: a root change to the partition [is_old]

@@ -33,6 +33,9 @@ val init :
   is_old:(Relational.Tuple.t -> bool) ->
   t
 
+(** {!Engine.announce} both partition engines, old first. *)
+val announce : t -> unit
+
 (** Process a batch. Every change is routed before either engine runs: a
     root-table change goes to the partition [is_old] picks for it (an
     update by its before-image), a dimension change to both engines. Each

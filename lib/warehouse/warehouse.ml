@@ -443,7 +443,8 @@ let set_retry t retry =
    an incremental engine loads its auxiliary views from it, then seeds the
    view from the root auxiliary view when that is retained, reading the
    root base rows again only when it is eliminated ([Engine.init]).
-   Shared by registration, [load]/[recover] and the wedge rebuild. *)
+   Registration builds its one engine inline; [load]/[recover] and the wedge
+   rebuild build them all through [build_engines]. *)
 let build_engine validator strategy view =
   let source = Validator.shadow validator in
   match strategy with
@@ -452,6 +453,31 @@ let build_engine validator strategy view =
   | Replicate -> Engines.recompute source view
   | Aged is_old -> Engines.partitioned source view ~is_old
 
+(* The registrations of [specs] (view and strategy, newest first, as
+   [t.views] keeps them), their engines built at once on one domain per
+   core ([Shard.fan_out]), in registration order: Algorithm 3.2 derives
+   each view's auxiliary views from that view alone, and every build only
+   reads the shared shadow. A failed build re-raises what the serial loop
+   would have raised first. The engines are announced afterwards, from
+   this domain, in registration order. *)
+let build_engines validator specs =
+  let specs = Array.of_list (List.rev specs) in
+  let n = Array.length specs in
+  let engines =
+    Maintenance.Shard.fan_out
+      ~domains:(Maintenance.Shard.fan_out_domains n)
+      n
+      (fun i ->
+        let view, strategy = specs.(i) in
+        build_engine validator strategy view)
+  in
+  Array.iter Engines.announce engines;
+  List.rev
+    (Array.to_list
+       (Array.mapi
+          (fun i (view, strategy) -> { view; strategy; engine = engines.(i) })
+          specs))
+
 let add_view ?(strategy = Minimal) t view =
   if
     List.exists
@@ -459,6 +485,7 @@ let add_view ?(strategy = Minimal) t view =
       t.views
   then err Duplicate_view "a view named %s is already registered" view.View.name;
   let engine = build_engine t.validator strategy view in
+  Engines.announce engine;
   t.views <- { view; strategy; engine } :: t.views;
   (* immediately visible to readers; previously registered views kept their
      contents, so their captures carry over ([touched = []]) *)
@@ -866,20 +893,15 @@ let decode path =
         d
       with Sys_error m -> err Io_error "%s" m)
 
-(* Load a snapshot: rebuild every engine from the restored shadow, exactly
-   like [rebuild_engines] (below) — registration-time initialization from
-   the believed source. Also returns the saved pool size so callers can
+(* Restore a decoded snapshot: rebuild every engine from the restored
+   shadow, exactly like [rebuild_engines] (below) — registration-time
+   initialization from the believed source, every view at once
+   ([build_engines]). Also returns the saved pool size so callers can
    warn about the reset (the pool is never restored — see
    [warn_parallel_reset]). *)
-let load_with path =
-  let d = decode path in
+let restore d =
   let validator = Validator.of_shadow d.d_shadow in
-  let views =
-    List.map
-      (fun (view, strategy) ->
-        { view; strategy; engine = build_engine validator strategy view })
-      d.d_views
-  in
+  let views = build_engines validator d.d_views in
   (make ~views ~validator ~dead:d.d_dead ~seq:d.d_seq, d.d_domains)
 
 (* The structured warning for the set_parallel/recover interaction: the
@@ -899,7 +921,7 @@ let warn_parallel_reset path domains =
   end
 
 let load path =
-  let t, parallel_domains = load_with path in
+  let t, parallel_domains = restore (decode path) in
   warn_parallel_reset path parallel_domains;
   publish_epoch t;
   t
@@ -1273,9 +1295,7 @@ let failure_detail = function
    contents alone. *)
 let rebuild_engines t =
   t.views <-
-    List.map
-      (fun r -> { r with engine = build_engine t.validator r.strategy r.view })
-      t.views
+    build_engines t.validator (List.map (fun r -> (r.view, r.strategy)) t.views)
 
 (* --- supervised apply ---------------------------------------------------- *)
 
@@ -1587,7 +1607,7 @@ let recover ~dir =
       in
       (* a missing (or non-directory) state dir keeps the original error
          shape: attempting the load surfaces the OS-level Io_error *)
-      if not dir_exists then ignore (load_with (snapshot_path dir));
+      if not dir_exists then ignore (decode (snapshot_path dir));
       let candidates = snapshot_candidates dir in
       if
         candidates = []
@@ -1619,7 +1639,21 @@ let recover ~dir =
                 "%s holds WAL records but no snapshot to replay them onto"
                 dir)
           | (gen, path) :: rest -> (
-            match load_with path with
+            match
+              let d =
+                Telemetry.Trace.with_span "warehouse.recover.decode" (fun () ->
+                    decode path)
+              in
+              let views = List.length d.d_views in
+              Telemetry.Trace.with_span "warehouse.recover.build"
+                ~attrs:
+                  [
+                    ("views", string_of_int views);
+                    ( "domains",
+                      string_of_int (Maintenance.Shard.fan_out_domains views) );
+                  ]
+                (fun () -> restore d)
+            with
             | t, parallel_domains ->
               warn_parallel_reset path parallel_domains;
               (t, gen, path)
@@ -1684,14 +1718,27 @@ let recover ~dir =
         (* open the sink before replay so replayed batches leave their
            lineage records in the same file as live ingestion *)
         Telemetry.Lineage.set_sink (Some (lineage_path dir));
-        List.iter
-          (function
-            | Wal.Abort { seq } -> t.seq <- max t.seq seq
-            | Wal.Batch { seq; deltas } ->
-              if seq > t.seq && not (Hashtbl.mem aborted seq) then
-                replay_batch t ~seq deltas
-              else t.seq <- max t.seq seq)
-          records;
+        (* a batch is replayed when it is newer than every record before
+           it and no abort marker names it; the others only advance the
+           sequence number *)
+        let pending, last_seq =
+          List.fold_left
+            (fun (pending, hi) -> function
+              | Wal.Abort { seq } -> (pending, max hi seq)
+              | Wal.Batch { seq; deltas } ->
+                ( (if seq > hi && not (Hashtbl.mem aborted seq) then
+                     (seq, deltas) :: pending
+                   else pending),
+                  max hi seq ))
+            ([], t.seq) records
+        in
+        Telemetry.Trace.with_span "warehouse.recover.replay"
+          ~attrs:[ ("batches", string_of_int (List.length pending)) ]
+          (fun () ->
+            List.iter
+              (fun (seq, deltas) -> replay_batch t ~seq deltas)
+              (List.rev pending));
+        t.seq <- last_seq;
         t.dir <- Some dir;
         (* the live log was scanned, and a torn tail salvaged, above: its
            writer opens from that scan *)
@@ -1700,7 +1747,8 @@ let recover ~dir =
         | exception Wal.Corrupt m -> err Corrupt_state "%s" m);
         (* one publication for the whole recovery, not one per replayed
            batch: readers only ever see the fully recovered state *)
-        publish_epoch t;
+        Telemetry.Trace.with_span "warehouse.recover.publish" (fun () ->
+            publish_epoch t);
         Telemetry.Counter.one Obs.recoveries;
         t
       end)

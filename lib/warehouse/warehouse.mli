@@ -72,7 +72,9 @@ type strategy =
   | Aged of (Relational.Tuple.t -> bool)
       (** current/old split of the fact table: the predicate selects the
           append-only old partition (Figure 1 + Section 4); the view must be
-          distributively mergeable (no AVG/DISTINCT) *)
+          distributively mergeable (no AVG/DISTINCT). The predicate must be
+          safe to call from any domain: the wedge rebuild builds every
+          view's engine at once, and may call it on a worker domain *)
 
 type t
 
@@ -166,7 +168,7 @@ val ingest_all : ?in_flight:int -> t -> Relational.Delta.t list list -> report l
     cannot be cancelled — so the batch is aborted and quarantined instead
     (reported as [Engine_failure] rejections, never re-applied in place)
     and every registered engine is rebuilt from the validator's committed
-    shadow. Either way ingestion then stays serial until a backoff period
+    shadow, all views at once (as {!load} does). Either way ingestion then stays serial until a backoff period
     of clean batches has passed, after which parallel apply is retried
     (exponential period growth on repeated failures, reset after a long
     clean streak). Counted as
@@ -467,7 +469,12 @@ val report : t -> string
 val save : t -> string -> unit
 
 (** [load path] restores a saved warehouse (not attached to a state
-    directory — see {!attach} / {!recover}).
+    directory — see {!attach} / {!recover}). The views' engines are built
+    concurrently on the one restored shadow, which they only read: one
+    domain per core, never more than there are views, the calling domain
+    among them (inline on a one-core host). Every domain is joined before
+    [load] returns or raises; if builds fail, the exception of the
+    earliest-registered failing view is re-raised, as a serial build would.
     @raise Error ([Io_error] on unreadable files, [Corrupt_state] on
     truncated/garbage/checksum-mismatched ones, [Incompatible_state] on old
     format versions). *)
@@ -532,7 +539,13 @@ val write_workload_profile : t -> string
     commits exactly as an ingested one; one the validator now refuses, or
     an engine fails on, is aborted and quarantined whole as
     [Engine_failure] and keeps its sequence number, never failing the
-    recovery.
+    recovery. Engines are built as by {!load}, concurrently; only a snapshot
+    that fails verification falls back down the chain, never one whose
+    views fail to build. Inside its [warehouse.recover] trace span,
+    recovery records the flat spans [warehouse.recover.decode] (once per
+    snapshot tried), [warehouse.recover.build] (attributes [views] and
+    [domains]), [warehouse.recover.replay] (attribute [batches]) and
+    [warehouse.recover.publish].
     @raise Error as {!load}; also [Corrupt_state] when WAL damage (a
     mid-stream bit flip, or any damage on an archived segment the restored
     snapshot does not cover) may hide committed batches — {!repair}

@@ -1037,10 +1037,222 @@ let replay_failure_tests =
         rm_rf dir);
   ]
 
+(* --- engines built at once ------------------------------------------------
+
+   Load, recovery and the wedge rebuild build every view's engine through
+   [Shard.fan_out]: one domain per core, each build reading the one shared
+   shadow. Whatever the number of domains, the engines are the serial
+   loop's, and a failed build raises what the serial loop raised first. *)
+
+module Engines = Maintenance.Engines
+module Shard = Maintenance.Shard
+
+let engine_of db strategy view =
+  match strategy with
+  | Warehouse.Minimal -> Engines.minimal db view
+  | Warehouse.Psj -> Engines.psj db view
+  | Warehouse.Replicate -> Engines.recompute db view
+  | Warehouse.Aged is_old -> Engines.partitioned db view ~is_old
+
+let prop_fan_out_builds_serial_engines =
+  QCheck2.Test.make ~count:20
+    ~name:"engines built on 1, 2 and more domains than views == serial"
+    QCheck2.Gen.(pair (int_bound 100_000) (int_range 1 4))
+    (fun (seed, nviews) ->
+      let rng = Workload.Prng.create seed in
+      let inst = Workload.Schema_gen.random rng in
+      let db = inst.Workload.Schema_gen.db in
+      let specs =
+        Array.init nviews (fun k ->
+            ( { (Workload.Schema_gen.random_view rng inst) with
+                View.name = Printf.sprintf "v%d" k },
+              Workload.Prng.pick rng
+                [ Warehouse.Minimal; Warehouse.Psj; Warehouse.Replicate ] ))
+      in
+      let build i =
+        let view, strategy = specs.(i) in
+        engine_of db strategy view
+      in
+      let serial = Array.init nviews build in
+      let check what ok = ok || QCheck2.Test.fail_reportf "%s differs" what in
+      List.for_all
+        (fun domains ->
+          let built = Shard.fan_out ~domains nviews build in
+          check
+            (Printf.sprintf "state on %d domain(s)" domains)
+            (Array.for_all2 Engines.equal_state serial built)
+          && check
+               (Printf.sprintf "rows on %d domain(s)" domains)
+               (Array.for_all2
+                  (fun a b -> Engines.publish a = Engines.publish b)
+                  serial built))
+        [ 1; 2; nviews + 3 ]
+      &&
+      (* and through the warehouse: a load serves what registration served *)
+      let wh = Warehouse.create db in
+      Array.iter
+        (fun (view, strategy) -> Warehouse.add_view ~strategy wh view)
+        specs;
+      let path = tmp (Printf.sprintf "wh_fan_out_%d.bin" seed) in
+      Warehouse.save wh path;
+      let wh' = Warehouse.load path in
+      Sys.remove path;
+      check "query_sorted after load"
+        (Array.for_all
+           (fun ((v : View.t), _) ->
+             Warehouse.query_sorted wh v.View.name
+             = Warehouse.query_sorted wh' v.View.name)
+           specs))
+
+exception Task of int
+
+(* Rewrite the catalog of the snapshot at [path] so that its views are
+   [views] (newest first, as the catalog keeps them). *)
+let rewrite_views path views =
+  rewrite_section path "catalog" (fun sec ->
+      let body = sec.sec_body in
+      let seq, p = read_varint body 0 in
+      let domains, p = read_varint body p in
+      let blob_len, p = read_varint body p in
+      let rest = String.sub body (p + blob_len) (String.length body - p - blob_len) in
+      let b = Buffer.create (String.length body) in
+      add_varint b seq;
+      add_varint b domains;
+      let blob = Marshal.to_string (views : (View.t * Warehouse.strategy) list) [] in
+      add_varint b (String.length blob);
+      Buffer.add_string b blob;
+      Buffer.add_string b rest;
+      { sec with sec_body = Buffer.contents b })
+
+(* a view no shadow can build: it names a table the store lacks *)
+let unbuildable (v : View.t) = { v with View.tables = v.View.tables @ [ "no_such_table" ] }
+
+let fan_out_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_fan_out_builds_serial_engines;
+    test "fan_out joins every worker, then raises the lowest failing task"
+      (fun () ->
+        List.iter
+          (fun domains ->
+            let started = Atomic.make 0 and finished = Atomic.make 0 in
+            let task i =
+              Atomic.incr started;
+              Unix.sleepf 0.01;
+              Atomic.incr finished;
+              if i = 1 || i = 3 then raise (Task i);
+              i
+            in
+            (match Shard.fan_out ~domains 6 task with
+            | _ -> Alcotest.fail "expected Task 1"
+            | exception Task k ->
+              Alcotest.(check int)
+                (Printf.sprintf "lowest failing task, %d domain(s)" domains)
+                1 k);
+            Alcotest.(check int)
+              (Printf.sprintf "every started task finished, %d domain(s)" domains)
+              (Atomic.get started) (Atomic.get finished);
+            Alcotest.(check (array int))
+              "results in task order" [| 0; 1; 2 |]
+              (Shard.fan_out ~domains 3 Fun.id))
+          [ 1; 2; 4 ]);
+    test "a view that fails to build fails load as the serial loop did"
+      (fun () ->
+        let dir = fresh_dir "wh_unbuildable_dir" in
+        let db, wh = build () in
+        Warehouse.attach wh ~dir;
+        Warehouse.ingest wh
+          (Workload.Delta_gen.stream (Workload.Prng.create 9) db ~n:20);
+        Warehouse.checkpoint wh;
+        Warehouse.close wh;
+        let snap = Filename.concat dir "snapshot.bin" in
+        (* registered first to last: product_sales, monthly_revenue,
+           sales_by_time; the second one breaks *)
+        let bad = unbuildable Workload.Retail.monthly_revenue in
+        rewrite_views snap
+          [ (Workload.Retail.sales_by_time, Warehouse.Replicate);
+            (bad, Warehouse.Psj);
+            (Workload.Retail.product_sales, Warehouse.Minimal) ];
+        let serial =
+          match engine_of (Warehouse.believed_source wh) Warehouse.Psj bad with
+          | _ -> Alcotest.fail "the broken view built"
+          | exception e -> Printexc.to_string e
+        in
+        let raised f =
+          match f () with
+          | _ -> Alcotest.fail "expected the build failure"
+          | exception e -> Printexc.to_string e
+        in
+        Alcotest.(check string) "load" serial
+          (raised (fun () -> Warehouse.load snap));
+        let files () =
+          let snaps, wals = generation_files dir in
+          List.sort compare (snaps @ wals)
+        in
+        let before = files () in
+        Alcotest.(check string) "recover" serial
+          (raised (fun () -> Warehouse.recover ~dir));
+        Alcotest.(check bool) "snapshot left in place" true
+          (Sys.file_exists snap);
+        Alcotest.(check (list string)) "no quarantine, no fallback" before
+          (files ());
+        Alcotest.(check (list string)) "nothing quarantined" []
+          (List.filter
+             (fun f -> contains f "quarantine")
+             (Array.to_list (Sys.readdir dir)));
+        rm_rf dir);
+    test "recovery traces decode, build, replay and publish" (fun () ->
+        let dir = fresh_dir "wh_recover_spans_dir" in
+        let db, wh = build () in
+        Warehouse.attach wh ~dir;
+        let rng = Workload.Prng.create 12 in
+        Warehouse.checkpoint wh;
+        for _ = 1 to 3 do
+          Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:10)
+        done;
+        Warehouse.close wh;
+        Telemetry.Trace.clear ();
+        let wh' = Warehouse.recover ~dir in
+        Warehouse.close wh';
+        let spans = Telemetry.Trace.recent () in
+        let named name =
+          match
+            List.filter
+              (fun (sp : Telemetry.Trace.span) -> String.equal sp.name name)
+              spans
+          with
+          | [ sp ] -> sp
+          | l -> Alcotest.failf "%d %s span(s)" (List.length l) name
+        in
+        let outer = named "warehouse.recover" in
+        let parts =
+          List.map named
+            [ "warehouse.recover.decode"; "warehouse.recover.build";
+              "warehouse.recover.replay"; "warehouse.recover.publish" ]
+        in
+        Alcotest.(check bool) "the parts fit in the recovery" true
+          (List.fold_left
+             (fun acc (sp : Telemetry.Trace.span) -> acc +. sp.dur_s)
+             0. parts
+          <= outer.dur_s);
+        let attr name key =
+          List.assoc key (named name).Telemetry.Trace.attrs
+        in
+        Alcotest.(check string) "views" "3" (attr "warehouse.recover.build" "views");
+        (* one domain per core, never more than there are views: under a
+           one-CPU affinity the build runs inline and spawns no domain *)
+        Alcotest.(check string) "domains"
+          (string_of_int (min 3 (Domain.recommended_domain_count ())))
+          (attr "warehouse.recover.build" "domains");
+        Alcotest.(check string) "batches" "3"
+          (attr "warehouse.recover.replay" "batches");
+        rm_rf dir);
+  ]
+
 let () =
   Alcotest.run "recovery"
     [
       ("checksum", checksum_tests);
+      ("parallel-build", fan_out_tests);
       ("crash-points", crash_tests); ("durability", durability_tests);
       ("generation-chain", chain_tests);
       ("replay-failures", replay_failure_tests);
