@@ -5,7 +5,8 @@
     PSJ views use the same representation — their grouping key is the whole
     kept tuple and the count is the tuple multiplicity.
 
-    Physically, groups live in typed columnar segments ({!Column}): one
+    Physically, groups live in a {!Groups} store, the one {!View_state}
+    also keeps its groups in: typed columnar segments ({!Column}), one
     column per view attribute plus a dense count column, with numeric cells
     unboxed in Bigarrays and string cells dictionary-encoded ({!Dict}).
     Groups are row ids into those columns; deletion swaps the last row into
@@ -80,7 +81,9 @@ val shard_of_key : t -> Relational.Tuple.t -> int
 val spec : t -> Mindetail.Auxview.t
 
 (** Deep copy: groups, key index and secondary indexes are duplicated so the
-    copy and the original evolve independently (snapshot checkpoints). The
+    copy and the original evolve independently. O(state), never on the
+    batch path: {!Engine.copy} uses it, for the tests' rollback and
+    serial/parallel oracles and the bench's copy-and-swap baseline. The
     copy carries no open transaction. *)
 val copy : t -> t
 

@@ -60,9 +60,9 @@ val announce : t -> unit
 val derivation : t -> Mindetail.Derive.t
 
 (** Deep copy of the engine's mutable state (auxiliary views and view
-    groups); the derivation and plans are shared. Snapshot-grade (O(state)):
-    used for checkpoints, never on the batch path — batches run in place
-    under {!begin_txn}. *)
+    groups); the derivation and plans are shared. O(state), never on the
+    batch path — batches run in place under {!begin_txn}: {!Engines.copy}
+    names its callers. *)
 val copy : t -> t
 
 (** Structural equality of the mutable state (auxiliary views and view

@@ -54,10 +54,13 @@ val announce : t -> unit
     warehouse-internal aging. *)
 val as_partitioned : t -> Partitioned.t option
 
-(** Deep copy of the configuration's mutable state. Snapshot-grade
-    (O(state)): used for checkpoints and tests, never on the batch path —
-    the warehouse applies batches in place under {!begin_txn} and rolls
-    back only the touched groups on failure. *)
+(** Deep copy of the configuration's mutable state, O(state). No code in
+    the library calls it: checkpoints write the validator's shadow, and the
+    warehouse applies batches in place under {!begin_txn} and rolls back
+    only the touched groups on failure. Its callers are the tests (the
+    pre-batch state a rollback must restore, and the serial twin a
+    parallel apply must equal) and the bench's copy-and-swap baseline
+    ([bench/main.exe apply-scaling]). *)
 val copy : t -> t
 
 (** Structural equality of the mutable state of two same-shaped

@@ -50,7 +50,8 @@ val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
 val apply : t -> Relational.Delta.t -> unit
 
 (** Deep copy of both partition engines (the partition predicate is
-    shared). Snapshot-grade; batches run in place under {!begin_txn}. *)
+    shared). O(state), for {!Engines.copy}; batches run in place under
+    {!begin_txn}. *)
 val copy : t -> t
 
 (** Structural equality of both partition engines' mutable state. *)

@@ -6,7 +6,6 @@ module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Value = Relational.Value
 module Icol = Column.Icol
-module Marks = Column.Marks
 
 module TH = Hashtbl.Make (struct
   type t = Tuple.t
@@ -15,72 +14,26 @@ module TH = Hashtbl.Make (struct
   let hash = Tuple.hash
 end)
 
-module VMap = Map.Make (Value)
+module VMap = Groups.VMap
 
-(* Physical layout mirrors {!Aux_state}: groups are row ids into parallel
-   typed columns — one column per group-key attribute plus per-aggregate
-   component columns ([slot]s below) and a dense base-row-count column.
-   Extremum and DISTINCT results live in boxed columns because they need
-   an absent state; [Value.Null] is the [None] sentinel (base data is
-   null-free, Section 2.1). *)
+(* The groups live in a {!Groups} store keyed by the view's group key: its
+   count column is the base-row count [cnt0], and each aggregate keeps its
+   components in the store's columns ([slot]s below). Extremum and
+   DISTINCT results live in boxed cells because they need an absent
+   state; [Value.Null] is the [None] sentinel (base data is null-free,
+   Section 2.1). This module adds the aggregate semantics, the dirty table
+   and the log retention that {!publish} advances by. *)
 
-(* Per-group multiplicities of one DISTINCT argument: a persistent map from
-   value to the number of base rows carrying it, one per group row. Being
-   persistent, a map is its own before-image — journaling a group costs a
-   pointer, never a copy. *)
-type mcol = { mutable maps : int VMap.t array; mutable len : int }
-
-let mcol_create () = { maps = [||]; len = 0 }
-
-let mcol_append c m =
-  if c.len = Array.length c.maps then begin
-    let maps = Array.make (max 8 (2 * c.len)) VMap.empty in
-    Array.blit c.maps 0 maps 0 c.len;
-    c.maps <- maps
-  end;
-  c.maps.(c.len) <- m;
-  c.len <- c.len + 1
-
-let mcol_swap_delete c r =
-  c.len <- c.len - 1;
-  c.maps.(r) <- c.maps.(c.len);
-  c.maps.(c.len) <- VMap.empty
-
-let mcol_copy c = { c with maps = Array.copy c.maps }
-
-(* One aggregate's component storage across all groups of a shard. *)
+(* One aggregate's component columns in a shard: the store's own columns,
+   resolved once per shard. *)
 type slot =
   | L_group  (** group-by item: its cells live in the key columns *)
   | L_count of Icol.t
   | L_sum of { sum : Column.t; n : Icol.t }
   | L_ext of Column.t  (** current extremum; [Null] = pending recompute *)
-  | L_dist of { cell : Column.t; vals : mcol }
+  | L_dist of { cell : Column.t; vals : Groups.sets }
       (** DISTINCT result ([Null] = pending finalization) and the value
           multiset it is finalized from *)
-
-(* The boxed components of one group: what a group move carries, and what
-   structural equality compares. *)
-type saved_acc =
-  | Sv_group
-  | Sv_count of int
-  | Sv_sum of { sum : Value.t; n : int }
-  | Sv_value of Value.t  (** extremum cell, [Null] = pending *)
-  | Sv_dist of { cell : Value.t; vals : int VMap.t }
-
-(* The undo journal of a shard is a log of group images laid out as the
-   shard lays out its groups — typed key cells, component slots and the
-   base-row count — plus each key's hash. An entry is the before-image of
-   a group's first touch in a transaction, or, with [cnt0 = -1], the
-   record that the transaction created the group. Entries are appended
-   with the typed cell copies the shard itself uses, so journaling boxes
-   nothing; the log keeps its capacity from one transaction to the next
-   (see [clear_log]).
-   It also outlives its transaction: the entries since the last
-   {!publish} name every group changed since then. *)
-type log = { lkeys : Column.t array; lslots : slot array; lcnt0 : Icol.t; lhash : Icol.t }
-
-(* The transaction's entries are the log's from [start] on. *)
-type txn = { dirty0 : int TH.t option; start : int }
 
 (* Why a group is pending in its shard's dirty table, as bits: the engine
    must recompute a MIN/MAX from the auxiliary views, or a DISTINCT result
@@ -88,27 +41,17 @@ type txn = { dirty0 : int TH.t option; start : int }
 let recompute = 1
 let refinalize = 2
 
-(* One hash-shard of the view state: key columns, component columns, the
-   dirty table and the undo journal all live per shard so parallel appliers
-   owning disjoint shards never share a structure. Group keys entering the
-   dirty table are copied on retention, because callers may pass reused
-   scratch buffers. *)
+(* One hash-shard of the view state: the store's shard, the slots over its
+   columns and the dirty table, so parallel appliers owning disjoint
+   shards never share a structure. Group keys entering the dirty table are
+   copied on retention, because callers may pass reused scratch buffers.
+   The store's log outlives its transaction: the entries since the last
+   {!publish} name every group changed since then. *)
 type shard = {
-  keys : Column.t array;
+  g : Groups.shard;
   slots : slot array;
-  cnt0 : Icol.t;
-  touched : Marks.t;
-      (** row-parallel: marked when the open transaction has journaled the
-          row's group, so a later write to it skips the journal without
-          hashing its key again *)
-  map : Rowmap.t;  (** group key (= key cells) -> row id *)
   dirty : int TH.t;  (** group key -> [recompute]/[refinalize] bits *)
-  mutable txn : txn option;
-  mutable log : log;
-  mutable untracked : bool;
-      (** a group changed outside a transaction since the last {!publish},
-          or the log was dropped: the log does not name every changed
-          group *)
+  mutable dirty0 : int TH.t option;  (** the dirty table at {!begin_txn} *)
 }
 
 type t = {
@@ -116,69 +59,78 @@ type t = {
   determined : bool;
   items : Select_item.t array;
   key_pos : int array;  (** positions of the group key in a rendered row *)
-  mask : int;  (** shard count - 1 *)
-  shards : shard array;
+  groups : Groups.t;
+  shards : shard array;  (** over [groups]' shards, in order *)
   mutable published : (Tuple.t * int) array option;
       (** the rows last returned by {!publish}, never mutated *)
 }
 
-(* Row-key hash over the key cells; must agree with [Tuple.hash] of the
-   boxed group key. *)
-let key_hash_cols (keys : Column.t array) r =
-  let h = ref 17 in
-  for i = 0 to Array.length keys - 1 do
-    h := (!h * 31) + Column.hash_cell keys.(i) r
-  done;
-  !h
+let nrows (sh : shard) = Groups.nrows sh.g
 
-let nrows (sh : shard) = Icol.length sh.cnt0
+(* What each item keeps in the store: SUM/AVG a running sum and a count,
+   COUNT a count, MIN/MAX a boxed extremum, DISTINCT a boxed result and a
+   multiset. [slots] reads them back in the same order. *)
+let components items =
+  Array.fold_left
+    (fun (cells, ints, sets) (item : Select_item.t) ->
+      match item with
+      | Select_item.Group _ -> (cells, ints, sets)
+      | Select_item.Agg agg -> (
+        if agg.Aggregate.distinct then
+          (Column.create_boxed :: cells, ints, sets + 1)
+        else
+          match agg.Aggregate.func with
+          | Aggregate.Count | Aggregate.Count_star -> (cells, ints + 1, sets)
+          | Aggregate.Sum | Aggregate.Avg ->
+            ((fun () -> Column.create ()) :: cells, ints + 1, sets)
+          | Aggregate.Min | Aggregate.Max ->
+            (Column.create_boxed :: cells, ints, sets)))
+    ([], 0, 0) items
+
+let slots items (g : Groups.shard) =
+  let c = ref 0 and k = ref 0 and m = ref 0 in
+  let next cols i =
+    incr i;
+    cols.(!i - 1)
+  in
+  Array.map
+    (fun (item : Select_item.t) ->
+      match item with
+      | Select_item.Group _ -> L_group
+      | Select_item.Agg agg -> (
+        if agg.Aggregate.distinct then
+          let cell = next g.cells c in
+          L_dist { cell; vals = next g.sets m }
+        else
+          match agg.Aggregate.func with
+          | Aggregate.Count | Aggregate.Count_star -> L_count (next g.ints k)
+          | Aggregate.Sum | Aggregate.Avg ->
+            let sum = next g.cells c in
+            L_sum { sum; n = next g.ints k }
+          | Aggregate.Min | Aggregate.Max -> L_ext (next g.cells c)))
+    items
+
+let shard_over items (g : Groups.shard) =
+  { g; slots = slots items g; dirty = TH.create 16; dirty0 = None }
 
 let create ?(shards = 1) ?dict_pool view ~determined =
   if shards < 1 || shards land (shards - 1) <> 0 then
     invalid_arg "View_state.create: shard count is not a power of two";
   let items = Array.of_list view.View.select in
-  let key_attrs = Array.of_list (View.group_attrs view) in
-  let mk_slot (item : Select_item.t) =
-    match item with
-    | Select_item.Group _ -> L_group
-    | Select_item.Agg agg -> (
-      if agg.Aggregate.distinct then
-        L_dist { cell = Column.create_boxed (); vals = mcol_create () }
-      else
-        match agg.Aggregate.func with
-        | Aggregate.Count | Aggregate.Count_star -> L_count (Icol.create ())
-        | Aggregate.Sum | Aggregate.Avg ->
-          L_sum { sum = Column.create (); n = Icol.create () }
-        | Aggregate.Min | Aggregate.Max -> L_ext (Column.create_boxed ()))
-  in
   let dicts =
     Array.map
       (fun (a : Attr.t) ->
         Option.map
           (fun pool -> Dict.shared pool ~table:a.Attr.table ~column:a.Attr.column)
           dict_pool)
-      key_attrs
+      (Array.of_list (View.group_attrs view))
   in
-  let mk_keys () = Array.map (fun dict -> Column.create ?dict ()) dicts in
-  let mk_shard () =
-    let keys = mk_keys () in
-    {
-      keys;
-      slots = Array.map mk_slot items;
-      cnt0 = Icol.create ();
-      touched = Marks.create ();
-      map = Rowmap.create ~hash:(fun r -> key_hash_cols keys r) ();
-      dirty = TH.create 16;
-      txn = None;
-      log =
-        {
-          lkeys = mk_keys ();
-          lslots = Array.map mk_slot items;
-          lcnt0 = Icol.create ();
-          lhash = Icol.create ();
-        };
-      untracked = false;
-    }
+  let cells, ints, sets = components items in
+  let groups =
+    Groups.create ~shards
+      ~keys:(fun () -> Array.map (fun dict -> Column.create ?dict ()) dicts)
+      ~cells:(fun () -> Array.of_list (List.rev_map (fun mk -> mk ()) cells))
+      ~ints ~sets
   in
   let key_pos =
     Array.of_list
@@ -194,235 +146,41 @@ let create ?(shards = 1) ?dict_pool view ~determined =
     determined;
     items;
     key_pos;
-    mask = shards - 1;
-    shards = Array.init shards (fun _ -> mk_shard ());
+    groups;
+    shards = Array.map (shard_over items) groups.shards;
     published = None;
   }
 
 let shard_count t = Array.length t.shards
 (* The shard of a group key is its [Tuple.hash] masked: writers hash a key
    once and share the hash between the shard and the row probe. *)
-let shard_of_key t key = Tuple.hash key land t.mask
-let shard_of_feed t f = Feed.hash_key f land t.mask
+let shard_of_key t key = Tuple.hash key land t.groups.mask
+let shard_of_feed t f = Feed.hash_key f land t.groups.mask
 let shard_for t key = t.shards.(shard_of_key t key)
 
-(* Closed equality test for [Rowmap.probe]: the shard and the probed key
-   are its context, so a probe allocates nothing. *)
-let rec key_matches_from (sh : shard) (key : Tuple.t) r i =
-  i >= Array.length key
-  || Column.equal_cell sh.keys.(i) r key.(i) && key_matches_from sh key r (i + 1)
+(* The shard of group [key], and the group's row there or -1. *)
+let find_group t key =
+  let hash = Tuple.hash key in
+  let sh = t.shards.(hash land t.groups.mask) in
+  (sh, hash, Groups.find sh.g ~hash key)
 
-let key_matches sh key r = key_matches_from sh key r 0
-
-(* Row of group [key] in [sh], or -1; [hash] is [Tuple.hash key]. *)
-let probe_row (sh : shard) ~hash key = Rowmap.probe sh.map ~hash key_matches sh key
-
-let find_row (sh : shard) ~hash key =
-  let r = probe_row sh ~hash key in
-  if r < 0 then None else Some r
-
-let key_at (sh : shard) r =
-  Array.init (Array.length sh.keys) (fun i -> Column.get sh.keys.(i) r)
-
-(* --- row attach / detach ------------------------------------------------- *)
-
-let saved_accs (sh : shard) r =
-  Array.map
-    (function
-      | L_group -> Sv_group
-      | L_count c -> Sv_count (Icol.get c r)
-      | L_sum { sum; n } -> Sv_sum { sum = Column.get sum r; n = Icol.get n r }
-      | L_ext v -> Sv_value (Column.get v r)
-      | L_dist { cell; vals } ->
-        Sv_dist { cell = Column.get cell r; vals = vals.maps.(r) })
-    sh.slots
-
-(* Append a group with explicit component values (journal restore, group
-   moves). *)
-let append_saved (sh : shard) ~hash key cnt0 accs =
-  let r = nrows sh in
-  Array.iteri (fun i v -> Column.append sh.keys.(i) v) key;
-  Array.iteri
-    (fun i slot ->
-      match slot, accs.(i) with
-      | L_group, Sv_group -> ()
-      | L_count c, Sv_count x -> Icol.append c x
-      | L_sum { sum; n }, Sv_sum { sum = s; n = m } ->
-        Column.append sum s;
-        Icol.append n m
-      | L_ext v, Sv_value x -> Column.append v x
-      | L_dist { cell; vals }, Sv_dist { cell = x; vals = m } ->
-        Column.append cell x;
-        mcol_append vals m
-      | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ ->
-        assert false)
-    sh.slots;
-  Icol.append sh.cnt0 cnt0;
-  Marks.append sh.touched;
-  Rowmap.add sh.map ~hash r;
-  r
-
-(* Append a fresh group, its key read off [f]. Sum components are seeded
-   with the zero of their first argument's type so the column specializes
-   to the right numeric storage (a later type change demotes the column to
-   boxed cells). *)
-let append_fresh (sh : shard) ~hash f =
-  let r = nrows sh in
-  Feed.append_key f sh.keys;
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | L_group -> ()
-      | L_count c -> Icol.append c 0
-      | L_sum { sum; n } ->
-        Column.append sum (Feed.sum_zero f i);
-        Icol.append n 0
-      | L_ext v -> Column.append v Value.Null
-      | L_dist { cell; vals } ->
-        Column.append cell Value.Null;
-        mcol_append vals VMap.empty)
-    sh.slots;
-  Icol.append sh.cnt0 0;
-  Marks.append sh.touched;
-  Rowmap.add sh.map ~hash r;
-  r
-
-(* Swap-with-last removal of row [r], re-pointing the moved row's map
-   entry. *)
-let delete_row (sh : shard) r =
-  let l = nrows sh - 1 in
-  ignore (Rowmap.remove_value sh.map ~hash:(key_hash_cols sh.keys r) r);
-  if r <> l then
-    ignore
-      (Rowmap.rename_value sh.map ~hash:(key_hash_cols sh.keys l) ~old_row:l
-         ~new_row:r);
-  Array.iter (fun c -> Column.swap_delete c r) sh.keys;
-  Array.iter
-    (function
-      | L_group -> ()
-      | L_count c -> Icol.swap_delete c r
-      | L_sum { sum; n } ->
-        Column.swap_delete sum r;
-        Icol.swap_delete n r
-      | L_ext v -> Column.swap_delete v r
-      | L_dist { cell; vals } ->
-        Column.swap_delete cell r;
-        mcol_swap_delete vals r)
-    sh.slots;
-  Icol.swap_delete sh.cnt0 r;
-  Marks.swap_delete sh.touched r
-
-(* --- the journal log ------------------------------------------------------- *)
-
-let empty_slot = function
-  | L_group -> L_group
-  | L_count _ -> L_count (Icol.create ())
-  | L_sum { sum; _ } -> L_sum { sum = Column.empty_like sum; n = Icol.create () }
-  | L_ext v -> L_ext (Column.empty_like v)
-  | L_dist { cell; _ } -> L_dist { cell = Column.empty_like cell; vals = mcol_create () }
-
-let empty_log lg =
-  {
-    lkeys = Array.map Column.empty_like lg.lkeys;
-    lslots = Array.map empty_slot lg.lslots;
-    lcnt0 = Icol.create ();
-    lhash = Icol.create ();
-  }
-
-let log_length lg = Icol.length lg.lcnt0
-
-(* Appends the image of row [r] — typed cells copied as they are stored —
-   with [cnt0] (-1: the group was created). *)
-let log_row (sh : shard) ~hash ~cnt0 r =
-  let lg = sh.log in
-  for i = 0 to Array.length lg.lkeys - 1 do
-    Column.append_cell lg.lkeys.(i) sh.keys.(i) r
-  done;
-  for i = 0 to Array.length lg.lslots - 1 do
-    match lg.lslots.(i), sh.slots.(i) with
-    | L_group, L_group -> ()
-    | L_count d, L_count c -> Icol.append d (Icol.get c r)
-    | L_sum { sum = d; n = dn }, L_sum { sum; n } ->
-      Column.append_cell d sum r;
-      Icol.append dn (Icol.get n r)
-    | L_ext d, L_ext v -> Column.append_cell d v r
-    | L_dist { cell = d; vals = dv }, L_dist { cell; vals } ->
-      Column.append_cell d cell r;
-      mcol_append dv vals.maps.(r)
-    | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ -> assert false
-  done;
-  Icol.append lg.lcnt0 cnt0;
-  Icol.append lg.lhash hash
-
-let log_key lg e = Array.map (fun c -> Column.get c e) lg.lkeys
-
-let log_accs lg e =
-  Array.map
-    (function
-      | L_group -> Sv_group
-      | L_count c -> Sv_count (Icol.get c e)
-      | L_sum { sum; n } -> Sv_sum { sum = Column.get sum e; n = Icol.get n e }
-      | L_ext v -> Sv_value (Column.get v e)
-      | L_dist { cell; vals } ->
-        Sv_dist { cell = Column.get cell e; vals = vals.maps.(e) })
-    lg.lslots
-
-let truncate_log lg n =
-  Array.iter (fun c -> Column.truncate c n) lg.lkeys;
-  Array.iter
-    (function
-      | L_group -> ()
-      | L_count c -> Icol.truncate c n
-      | L_sum { sum; n = cn } ->
-        Column.truncate sum n;
-        Icol.truncate cn n
-      | L_ext v -> Column.truncate v n
-      | L_dist { cell; vals } ->
-        Column.truncate cell n;
-        if n < vals.len then begin
-          Array.fill vals.maps n (vals.len - n) VMap.empty;
-          vals.len <- n
-        end)
-    lg.lslots;
-  Icol.truncate lg.lcnt0 n;
-  Icol.truncate lg.lhash n
-
-(* Empties the log of [sh]. It keeps its capacity for the next
-   transactions unless that is well beyond what it just held: then its
-   storage is released, so one large batch does not pin a large log. *)
-let clear_log (sh : shard) =
-  if Icol.capacity sh.log.lcnt0 > 4 * max 64 (log_length sh.log) then
-    sh.log <- empty_log sh.log
-  else truncate_log sh.log 0
+let key_at (sh : shard) r = Groups.key_at sh.g r
 
 let copy t =
-  let copy_slot = function
-    | L_group -> L_group
-    | L_count c -> L_count (Icol.copy c)
-    | L_sum { sum; n } -> L_sum { sum = Column.copy sum; n = Icol.copy n }
-    | L_ext v -> L_ext (Column.copy v)
-    | L_dist { cell; vals } ->
-      L_dist { cell = Column.copy cell; vals = mcol_copy vals }
-  in
-  let copy_shard (sh : shard) =
-    let keys = Array.map Column.copy sh.keys in
-    {
-      keys;
-      slots = Array.map copy_slot sh.slots;
-      cnt0 = Icol.copy sh.cnt0;
-      touched = Marks.copy sh.touched;
-      map = Rowmap.copy sh.map ~hash:(fun r -> key_hash_cols keys r);
-      dirty = TH.copy sh.dirty;
-      txn = None;
-      log = empty_log sh.log;
-      untracked = false;
-    }
-  in
-  { t with shards = Array.map copy_shard t.shards; published = None }
+  let groups = Groups.copy t.groups in
+  {
+    t with
+    groups;
+    shards =
+      Array.map2
+        (fun sh g -> { (shard_over t.items g) with dirty = TH.copy sh.dirty })
+        t.shards groups.shards;
+    published = None;
+  }
 
 (* --- transactions -------------------------------------------------------- *)
 
-let in_txn t = t.shards.(0).txn <> None
+let in_txn t = Groups.in_txn t.shards.(0).g
 
 let begin_txn t =
   if in_txn t then
@@ -431,100 +189,34 @@ let begin_txn t =
      is empty between batches, not sized by the resident state *)
   Array.iter
     (fun sh ->
-      let dirty0 = if TH.length sh.dirty = 0 then None else Some (TH.copy sh.dirty) in
-      Marks.next_epoch sh.touched;
-      sh.txn <- Some { dirty0; start = log_length sh.log })
+      sh.dirty0 <-
+        (if TH.length sh.dirty = 0 then None else Some (TH.copy sh.dirty));
+      Groups.begin_txn sh.g)
     t.shards
 
-(* Before the first mutation of the group at row [r] in a transaction:
-   logs its image, once — a row already logged is recognized by its
-   [touched] mark, without a probe. [hash] is the group key's hash. *)
-let note_row (sh : shard) ~hash r =
-  match sh.txn with
-  | None -> sh.untracked <- true
-  | Some _ ->
-    if not (Marks.marked sh.touched r) then begin
-      log_row sh ~hash ~cnt0:(Icol.get sh.cnt0 r) r;
-      Marks.mark sh.touched r
-    end
-
-(* After the creation of the group at row [r]. *)
-let note_created (sh : shard) ~hash r =
-  match sh.txn with
-  | None -> sh.untracked <- true
-  | Some _ ->
-    log_row sh ~hash ~cnt0:(-1) r;
-    Marks.mark sh.touched r
-
-let group_count t = Array.fold_left (fun acc sh -> acc + nrows sh) 0 t.shards
+let group_count t = Groups.group_count t.groups
+let logged t =
+  Array.fold_left (fun acc sh -> acc + Groups.log_length sh.g) 0 t.shards
 
 (* The log is kept for the next {!publish}. A log of more entries than the
    view holds groups is dropped instead — {!publish} then renders in full —
    which also bounds it for a state that is never published. *)
 let commit t =
-  if t.shards.(0).txn = None then
+  if not (in_txn t) then
     invalid_arg "View_state.commit: no open transaction";
-  Array.iter (fun sh -> sh.txn <- None) t.shards;
-  let logged = Array.fold_left (fun acc sh -> acc + log_length sh.log) 0 t.shards in
-  if logged > group_count t then
-    Array.iter
-      (fun sh ->
-        clear_log sh;
-        sh.untracked <- true)
-      t.shards
+  Array.iter (fun sh -> Groups.commit sh.g) t.shards;
+  if logged t > group_count t then
+    Array.iter (fun sh -> Groups.drop_log sh.g) t.shards
 
-(* Undoes the transaction's entries: first every group it created is
-   removed, then every before-image is restored — a key may carry both,
-   when the transaction deleted a group and created it again. *)
 let rollback t =
-  if t.shards.(0).txn = None then
+  if not (in_txn t) then
     invalid_arg "View_state.rollback: no open transaction";
   Array.iter
     (fun (sh : shard) ->
-      match sh.txn with
-      | None -> ()
-      | Some { dirty0; start; _ } ->
-        let lg = sh.log in
-        let n = log_length lg in
-        for e = start to n - 1 do
-          if Icol.get lg.lcnt0 e < 0 then
-            match find_row sh ~hash:(Icol.get lg.lhash e) (log_key lg e) with
-            | Some r -> delete_row sh r
-            | None -> ()
-        done;
-        for e = start to n - 1 do
-          let cnt0 = Icol.get lg.lcnt0 e in
-          if cnt0 >= 0 then begin
-            let key = log_key lg e in
-            match find_row sh ~hash:(Icol.get lg.lhash e) key with
-            | Some r ->
-              Icol.set sh.cnt0 r cnt0;
-              Array.iteri
-                (fun i slot ->
-                  match slot, lg.lslots.(i) with
-                  | L_group, L_group -> ()
-                  | L_count c, L_count x -> Icol.set c r (Icol.get x e)
-                  | L_sum { sum; n }, L_sum { sum = s; n = m } ->
-                    Column.set sum r (Column.get s e);
-                    Icol.set n r (Icol.get m e)
-                  | L_ext v, L_ext x -> Column.set v r (Column.get x e)
-                  | L_dist { cell; vals }, L_dist { cell = x; vals = m } ->
-                    Column.set cell r (Column.get x e);
-                    vals.maps.(r) <- m.maps.(e)
-                  | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _
-                    ->
-                    assert false)
-                sh.slots
-            | None ->
-              ignore
-                (append_saved sh ~hash:(Icol.get lg.lhash e) key cnt0
-                   (log_accs lg e))
-          end
-        done;
-        truncate_log lg start;
-        TH.reset sh.dirty;
-        Option.iter (TH.iter (TH.add sh.dirty)) dirty0;
-        sh.txn <- None)
+      Groups.rollback sh.g;
+      TH.reset sh.dirty;
+      Option.iter (TH.iter (TH.add sh.dirty)) sh.dirty0;
+      sh.dirty0 <- None)
     t.shards
 
 let view t = t.view
@@ -633,23 +325,45 @@ let apply_args t sh f ~sign ~cnt r =
     apply_arg t sh f ~sign ~cnt r i
   done
 
+(* Append a fresh group, its key read off [f]. Sum components are seeded
+   with the zero of their first argument's type so the column specializes
+   to the right numeric storage (a later type change demotes the column to
+   boxed cells). *)
+let append_fresh (sh : shard) ~hash f =
+  Feed.append_key f sh.g.keys;
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | L_group -> ()
+      | L_count c -> Icol.append c 0
+      | L_sum { sum; n } ->
+        Column.append sum (Feed.sum_zero f i);
+        Icol.append n 0
+      | L_ext v -> Column.append v Value.Null
+      | L_dist { cell; vals } ->
+        Column.append cell Value.Null;
+        Groups.sets_append vals VMap.empty)
+    sh.slots;
+  Groups.add_row sh.g ~hash 0
+
 let feed t f ~cnt =
   check_args t f;
   let hash = Feed.hash_key f in
-  let sh = t.shards.(hash land t.mask) in
-  let r = Rowmap.probe sh.map ~hash Feed.key_matches f sh.keys in
+  let sh = t.shards.(hash land t.groups.mask) in
+  let g = sh.g in
+  let r = Rowmap.probe g.map ~hash Feed.key_matches f g.keys in
   let r =
     if r >= 0 then begin
-      note_row sh ~hash r;
+      Groups.note_row g ~hash r;
       r
     end
     else begin
       let r = append_fresh sh ~hash f in
-      note_created sh ~hash r;
+      Groups.note_created g ~hash r;
       r
     end
   in
-  Icol.add sh.cnt0 r cnt;
+  Icol.add g.cnts r cnt;
   apply_args t sh f ~sign:1 ~cnt r
 
 let absent what f =
@@ -660,23 +374,24 @@ let absent what f =
 let unfeed t f ~cnt =
   check_args t f;
   let hash = Feed.hash_key f in
-  let sh = t.shards.(hash land t.mask) in
-  let r = Rowmap.probe sh.map ~hash Feed.key_matches f sh.keys in
+  let sh = t.shards.(hash land t.groups.mask) in
+  let g = sh.g in
+  let r = Rowmap.probe g.map ~hash Feed.key_matches f g.keys in
   if r < 0 then absent "unfeed" f;
-  if Icol.get sh.cnt0 r < cnt then
+  if Icol.get g.cnts r < cnt then
     invalid_arg "View_state.unfeed: count underflow";
-  note_row sh ~hash r;
-  Icol.add sh.cnt0 r (-cnt);
-  if Icol.get sh.cnt0 r = 0 then begin
+  Groups.note_row g ~hash r;
+  Icol.add g.cnts r (-cnt);
+  if Icol.get g.cnts r = 0 then begin
     if TH.length sh.dirty > 0 then TH.remove sh.dirty (key_at sh r);
-    delete_row sh r
+    ignore (Groups.delete_row g ~hash r : int)
   end
   else apply_args t sh f ~sign:(-1) ~cnt r
 
 let adjust t f ~sums ~before ~after =
   let hash = Feed.hash_key f in
-  let sh = t.shards.(hash land t.mask) in
-  let r = Rowmap.probe sh.map ~hash Feed.key_matches f sh.keys in
+  let sh = t.shards.(hash land t.groups.mask) in
+  let r = Rowmap.probe sh.g.map ~hash Feed.key_matches f sh.g.keys in
   if r < 0 then absent "adjust" f;
   (* everything is checked before the first write, so a rejected update
      leaves the group as it was *)
@@ -689,7 +404,7 @@ let adjust t f ~sums ~before ~after =
     if not (Value.is_numeric before.(pos) && Value.is_numeric after.(pos)) then
       invalid_arg "View_state.adjust: non-numeric value in a summed item"
   done;
-  note_row sh ~hash r;
+  Groups.note_row sh.g ~hash r;
   (* the order of an unfeed then a feed, so float sums agree *)
   for j = 0 to Array.length sums - 1 do
     let item, pos = sums.(j) in
@@ -702,7 +417,7 @@ let adjust t f ~sums ~before ~after =
 
 (* Re-fold every DISTINCT result of the group at [r] from its multiset. *)
 let refold t (sh : shard) ~hash r =
-  note_row sh ~hash r;
+  Groups.note_row sh.g ~hash r;
   Array.iteri
     (fun i slot ->
       match slot, t.items.(i) with
@@ -719,7 +434,8 @@ let take_dirty t =
           (fun key bits acc ->
             (if bits land refinalize <> 0 then
                let hash = Tuple.hash key in
-               Option.iter (refold t sh ~hash) (find_row sh ~hash key));
+               let r = Groups.find sh.g ~hash key in
+               if r >= 0 then refold t sh ~hash r);
             if bits land recompute <> 0 then key :: acc else acc)
           sh.dirty acc
       in
@@ -731,32 +447,28 @@ let is_dirty_pending t =
   Array.exists (fun (sh : shard) -> TH.length sh.dirty > 0) t.shards
 
 let set_value t ~key ~item v =
-  let hash = Tuple.hash key in
-  let sh = t.shards.(hash land t.mask) in
-  match find_row sh ~hash key with
-  | None -> ()
-  | Some r -> (
-    note_row sh ~hash r;
+  let sh, hash, r = find_group t key in
+  if r >= 0 then begin
+    Groups.note_row sh.g ~hash r;
     match sh.slots.(item) with
     | L_ext cell -> Column.set cell r v
     | L_group | L_count _ | L_sum _ | L_dist _ ->
-      invalid_arg "View_state.set_value: item is not recomputed")
+      invalid_arg "View_state.set_value: item is not recomputed"
+  end
 
 type component_update = Shift_sum of Value.t | Set_current of Value.t
 
 let adjust_group t ~key ~new_key updates =
-  let hash = Tuple.hash key in
-  let sh = t.shards.(hash land t.mask) in
-  match find_row sh ~hash key with
-  | None ->
+  let sh, hash, r = find_group t key in
+  if r < 0 then
     invalid_arg
       (Printf.sprintf "View_state.adjust_group: group %s absent"
          (Tuple.to_string key))
-  | Some r ->
+  else begin
     let moving = not (Tuple.equal key new_key) in
     let new_hash = if moving then Tuple.hash new_key else hash in
-    let sh' = t.shards.(new_hash land t.mask) in
-    note_row sh ~hash r;
+    let sh' = t.shards.(new_hash land t.groups.mask) in
+    Groups.note_row sh.g ~hash r;
     List.iter
       (fun (i, upd) ->
         match sh.slots.(i), t.items.(i), upd with
@@ -766,54 +478,40 @@ let adjust_group t ~key ~new_key updates =
         | L_dist { cell; vals }, Select_item.Agg agg, Set_current v ->
           (* the argument is determined by the group key: every base row
              of the group now carries [v] *)
-          let m = VMap.singleton v (Icol.get sh.cnt0 r) in
+          let m = VMap.singleton v (Icol.get sh.g.cnts r) in
           vals.maps.(r) <- m;
           Column.set cell r (finalize_distinct agg m)
         | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _, _ ->
           invalid_arg "View_state.adjust_group: update does not match state")
       updates;
     if moving then begin
-      if find_row sh' ~hash:new_hash new_key <> None then
+      if Groups.find sh'.g ~hash:new_hash new_key >= 0 then
         invalid_arg "View_state.adjust_group: new key collides";
-      let cnt0 = Icol.get sh.cnt0 r in
-      let accs = saved_accs sh r in
-      delete_row sh r;
-      note_created sh' ~hash:new_hash
-        (append_saved sh' ~hash:new_hash new_key cnt0 accs);
+      Groups.note_created sh'.g ~hash:new_hash
+        (Groups.move_row ~src:sh.g r ~hash ~dst:sh'.g ~key:new_key ~new_hash);
       match TH.find_opt sh.dirty key with
       | Some bits ->
         TH.remove sh.dirty key;
         TH.add sh'.dirty (Array.copy new_key) bits
       | None -> ()
     end
+  end
 
 let multiset t ~key ~item =
-  let hash = Tuple.hash key in
-  let sh = t.shards.(hash land t.mask) in
-  match find_row sh ~hash key, sh.slots.(item) with
-  | Some r, L_dist { vals; _ } -> VMap.bindings vals.maps.(r)
-  | Some _, (L_group | L_count _ | L_sum _ | L_ext _) | None, _ -> []
+  let sh, _, r = find_group t key in
+  match sh.slots.(item) with
+  | L_dist { vals; _ } when r >= 0 -> VMap.bindings vals.maps.(r)
+  | L_group | L_count _ | L_sum _ | L_ext _ | L_dist _ -> []
 
 let fold_groups t f acc =
   Array.fold_left
     (fun acc (sh : shard) ->
       let acc = ref acc in
       for r = 0 to nrows sh - 1 do
-        acc := f (key_at sh r) (Icol.get sh.cnt0 r) !acc
+        acc := f (key_at sh r) (Icol.get sh.g.cnts r) !acc
       done;
       !acc)
     acc t.shards
-
-let saved_acc_equal a b =
-  match a, b with
-  | Sv_group, Sv_group -> true
-  | Sv_count n, Sv_count m -> n = m
-  | Sv_sum { sum; n }, Sv_sum { sum = sum'; n = m } ->
-    Value.equal sum sum' && n = m
-  | Sv_value x, Sv_value y -> Value.equal x y
-  | Sv_dist { cell; vals }, Sv_dist { cell = cell'; vals = vals' } ->
-    Value.equal cell cell' && VMap.equal Int.equal vals vals'
-  | (Sv_group | Sv_count _ | Sv_sum _ | Sv_value _ | Sv_dist _), _ -> false
 
 let dirty_count t =
   Array.fold_left (fun acc (sh : shard) -> acc + TH.length sh.dirty) 0 t.shards
@@ -823,28 +521,7 @@ let dirty_count t =
    Deliberately independent of the shard layout and of physical row order;
    open transactions are ignored. *)
 let equal a b =
-  group_count a = group_count b
-  && Array.for_all
-       (fun (sh : shard) ->
-         let ok = ref true in
-         for r = 0 to nrows sh - 1 do
-           if !ok then begin
-             let key = key_at sh r in
-             let hash = Tuple.hash key in
-             let sh' = b.shards.(hash land b.mask) in
-             match find_row sh' ~hash key with
-             | Some r' ->
-               if
-                 not
-                   (Icol.get sh.cnt0 r = Icol.get sh'.cnt0 r'
-                   && Array.for_all2 saved_acc_equal (saved_accs sh r)
-                        (saved_accs sh' r'))
-               then ok := false
-             | None -> ok := false
-           end
-         done;
-         !ok)
-       a.shards
+  Groups.equal a.groups b.groups
   && dirty_count a = dirty_count b
   && Array.for_all
        (fun (sh : shard) ->
@@ -861,7 +538,7 @@ let render_row t (sh : shard) r =
     (fun i item ->
       match (item : Select_item.t) with
       | Select_item.Group _ ->
-        let v = Column.get sh.keys.(!gi) r in
+        let v = Column.get sh.g.keys.(!gi) r in
         incr gi;
         v
       | Select_item.Agg agg -> (
@@ -921,12 +598,11 @@ let lay_row ((row : Tuple.t), m) = (Array.map fresh_cell row, m)
    still exist and pass HAVING. Rows hold their group key, so no two rows
    compare equal. *)
 let advance t prev =
-  let logged = Array.fold_left (fun acc sh -> acc + log_length sh.log) 0 t.shards in
-  let touched = TH.create (max 16 logged) in
+  let touched = TH.create (max 16 (logged t)) in
   Array.iter
     (fun sh ->
-      for e = 0 to log_length sh.log - 1 do
-        TH.replace touched (log_key sh.log e) (Icol.get sh.log.lhash e)
+      for e = 0 to Groups.log_length sh.g - 1 do
+        TH.replace touched (Groups.log_key sh.g e) (Groups.log_hash sh.g e)
       done)
     t.shards;
   if TH.length touched = 0 then prev
@@ -934,14 +610,14 @@ let advance t prev =
     let rows =
       TH.fold
         (fun key hash acc ->
-          let sh = t.shards.(hash land t.mask) in
-          match find_row sh ~hash key with
-          | Some r ->
+          let sh = t.shards.(hash land t.groups.mask) in
+          let r = Groups.find sh.g ~hash key in
+          if r < 0 then acc
+          else
             let row = render_row t sh r in
             if t.view.View.having = [] || View.passes_having t.view row then
               (row, 1) :: acc
-            else acc
-          | None -> acc)
+            else acc)
         touched []
     in
     (* Not [Array.of_list]: an array of more than 256 words made with a
@@ -980,69 +656,16 @@ let publish t =
   if in_txn t then invalid_arg "View_state.publish: transaction open";
   let rows =
     match t.published with
-    | Some prev when not (Array.exists (fun sh -> sh.untracked) t.shards) ->
+    | Some prev
+      when not (Array.exists (fun sh -> sh.g.Groups.untracked) t.shards) ->
       advance t prev
     | Some _ | None -> Array.map lay_row (Relation.to_sorted_array (render t))
   in
-  Array.iter
-    (fun sh ->
-      clear_log sh;
-      sh.untracked <- false)
-    t.shards;
+  Array.iter (fun sh -> Groups.clear_log sh.g) t.shards;
   t.published <- Some rows;
   rows
 
 (* --- byte accounting ----------------------------------------------------- *)
 
-(* A multiset column: its row array plus, per entry, one map node (header,
-   two subtrees, key, count, height: 6 words) and the boxed key. *)
-let mcol_byte_size c =
-  let bytes = ref (8 * Array.length c.maps) in
-  for r = 0 to c.len - 1 do
-    VMap.iter (fun v _ -> bytes := !bytes + 48 + Column.boxed_bytes v) c.maps.(r)
-  done;
-  !bytes
-
-let fold_columns t f acc =
-  Array.fold_left
-    (fun acc (sh : shard) ->
-      let acc = Array.fold_left f acc sh.keys in
-      Array.fold_left
-        (fun acc slot ->
-          match slot with
-          | L_group | L_count _ -> acc
-          | L_sum { sum; _ } -> f acc sum
-          | L_ext v | L_dist { cell = v; _ } -> f acc v)
-        acc sh.slots)
-    acc t.shards
-
-let offheap_bytes t =
-  fold_columns t (fun acc c -> acc + Column.offheap_bytes c) 0
-
-let byte_size t =
-  let cells = fold_columns t (fun acc c -> acc + Column.byte_size c) 0 in
-  let icols =
-    Array.fold_left
-      (fun acc (sh : shard) ->
-        Array.fold_left
-          (fun acc slot ->
-            match slot with
-            | L_group | L_ext _ -> acc
-            | L_count c -> acc + Icol.byte_size c
-            | L_sum { n; _ } -> acc + Icol.byte_size n
-            | L_dist { vals; _ } -> acc + mcol_byte_size vals)
-          (acc + Icol.byte_size sh.cnt0 + Marks.byte_size sh.touched
-          + Rowmap.byte_size sh.map)
-          sh.slots)
-      0 t.shards
-  in
-  let dicts =
-    fold_columns t
-      (fun acc c ->
-        match Column.dict c with
-        | Some d when not (List.memq d acc) -> d :: acc
-        | Some _ | None -> acc)
-      []
-  in
-  cells + icols
-  + List.fold_left (fun acc d -> acc + Dict.byte_size d) 0 dicts
+let offheap_bytes t = Groups.offheap_bytes t.groups
+let byte_size t = Groups.byte_size t.groups

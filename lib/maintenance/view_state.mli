@@ -30,10 +30,11 @@ type t
     disjoint shards to disjoint domains; sharding is invisible to accessors
     and to {!equal}.
 
-    Groups are stored columnar ({!Column}): typed key and component columns
-    with row ids as group identity, materialized back to boxed tuples only
-    at the interface. [dict_pool] shares string dictionaries per
-    (table, column) with the auxiliary-view states built from the same pool.
+    Groups are stored in a {!Groups} store, as {!Aux_state}'s are: typed
+    key and component columns ({!Column}) with row ids as group identity,
+    materialized back to boxed tuples only at the interface. [dict_pool]
+    shares string dictionaries per (table, column) with the auxiliary-view
+    states built from the same pool.
     @raise Invalid_argument if [shards] is not a positive power of two. *)
 val create :
   ?shards:int -> ?dict_pool:Dict.pool -> Algebra.View.t -> determined:bool -> t
@@ -44,8 +45,10 @@ val shard_count : t -> int
 val shard_of_feed : t -> Feed.t -> int
 
 (** Deep copy: groups (and their component arrays) and the dirty table are
-    duplicated so the copy and the original evolve independently (snapshot
-    checkpoints). The copy carries no open transaction. *)
+    duplicated so the copy and the original evolve independently. O(state),
+    never on the batch path: {!Engine.copy} uses it, for the tests'
+    rollback and serial/parallel oracles and the bench's copy-and-swap
+    baseline. The copy carries no open transaction. *)
 val copy : t -> t
 
 (** Structural equality of the resident state: groups (base count, every

@@ -1250,8 +1250,8 @@ let net_batch t deltas =
 (* Transactional apply, in place: every engine opens an undo journal and
    absorbs the batch directly; a mid-batch failure rolls back only the
    touched groups, so the registered views can never disagree about which
-   deltas they have seen — at O(delta) cost. The hot path never deep-copies
-   engine state ([Engines.copy] is reserved for snapshot checkpoints). With
+   deltas they have seen — at O(delta) cost. Nothing here deep-copies
+   engine state: [Engines.copy] serves only tests and the bench. With
    a pool the batch is netted once, inside the transaction (an illegal
    batch fails like an engine would), and dropped with this frame once the
    last engine has used it. *)

@@ -645,6 +645,148 @@ let prop_rowmap_probe =
           agree ())
         ops)
 
+(* --- the grouped store on its own ----------------------------------------- *)
+
+module Groups = Maintenance.Groups
+module VMap = Groups.VMap
+
+module KM = Map.Make (struct
+  type t = Tuple.t
+
+  let compare = Tuple.compare
+end)
+
+(* A group as the boxed model keeps it: the count, one typed cell, one int
+   component and one multiset. *)
+type mgroup = { mcnt : int; mcell : Value.t; mint : int; mset : int VMap.t }
+
+(* Keys of an int and a dictionary-encoded string. *)
+let new_store shards =
+  Groups.create ~shards
+    ~keys:(fun () -> [| Column.create (); Column.create () |])
+    ~cells:(fun () -> [| Column.create () |])
+    ~ints:1 ~sets:1
+
+let locate (st : Groups.t) key =
+  let hash = Tuple.hash key in
+  let sh = st.shards.(hash land st.mask) in
+  (sh, hash, Groups.find sh ~hash key)
+
+let add_group (st : Groups.t) key m =
+  let sh, hash, _ = locate st key in
+  Array.iteri (fun j c -> Column.append c key.(j)) sh.keys;
+  Column.append sh.cells.(0) m.mcell;
+  Icol.append sh.ints.(0) m.mint;
+  Groups.sets_append sh.sets.(0) m.mset;
+  Groups.note_created sh ~hash (Groups.add_row sh ~hash m.mcnt)
+
+let agrees (st : Groups.t) model =
+  Groups.group_count st = KM.cardinal model
+  && KM.for_all
+       (fun key m ->
+         let sh, _, r = locate st key in
+         r >= 0
+         && Tuple.equal (Groups.key_at sh r) key
+         && Icol.get sh.cnts r = m.mcnt
+         && Value.equal (Column.get sh.cells.(0) r) m.mcell
+         && Icol.get sh.ints.(0) r = m.mint
+         && VMap.equal Int.equal sh.sets.(0).maps.(r) m.mset)
+       model
+
+let log_words (st : Groups.t) =
+  Array.fold_left
+    (fun acc (sh : Groups.shard) -> acc + Obj.reachable_words (Obj.repr sh.log))
+    0 st.shards
+
+(* 300 transactions of random appends, journaled cell updates and
+   swap-deletes, committed (the log emptied, or kept past its transaction
+   as a view state keeps it for publication) or rolled back, against a
+   boxed model: the marks' epochs wrap past 255. Transaction 100 creates
+   1,200 groups and rolls back, so committing the small transaction 101
+   releases its log; a copy taken at transaction 150 must keep its
+   contents while the original moves on; at the end a one-shard store
+   rebuilt from the model is [Groups.equal] to the four-shard one. *)
+let groups_run seed =
+  let rng = Prng.create seed in
+  let st = new_store 4 in
+  let model = ref KM.empty in
+  let ok = ref true in
+  let expect b = ok := !ok && b in
+  let key k = row [ i k; s (Printf.sprintf "g%d" (k mod 5)) ] in
+  let append k =
+    let v = Prng.int rng 100 in
+    let m =
+      { mcnt = 1; mcell = i v; mint = 2 * v; mset = VMap.singleton (i v) 1 }
+    in
+    add_group st (key k) m;
+    model := KM.add (key k) m !model
+  in
+  let update key m ((sh : Groups.shard), hash, r) =
+    let d = 1 + Prng.int rng 5 in
+    let had = Option.value (VMap.find_opt (i d) m.mset) ~default:0 in
+    let mset = VMap.add (i d) (had + d) m.mset in
+    Groups.note_row sh ~hash r;
+    Icol.add sh.cnts r d;
+    Column.add_cell sh.cells.(0) r (i d) 1;
+    Icol.add sh.ints.(0) r (-d);
+    sh.sets.(0).maps.(r) <- mset;
+    model :=
+      KM.add key
+        {
+          mcnt = m.mcnt + d;
+          mcell = Value.add m.mcell (i d);
+          mint = m.mint - d;
+          mset;
+        }
+        !model
+  in
+  let delete key ((sh : Groups.shard), hash, r) =
+    Groups.note_row sh ~hash r;
+    let moved = Groups.delete_row sh ~hash r in
+    (* the moved group is now found at [r] *)
+    if moved >= 0 then begin
+      let k = Groups.key_at sh r in
+      expect (Groups.find sh ~hash:(Tuple.hash k) k = r)
+    end;
+    model := KM.remove key !model
+  in
+  let op k =
+    let ((_, _, r) as at) = locate st (key k) in
+    if r < 0 then append k
+    else if Prng.int rng 3 = 0 then delete (key k) at
+    else update (key k) (KM.find (key k) !model) at
+  in
+  let copy = ref None in
+  for txn = 1 to 300 do
+    let before = !model in
+    let starts = Array.map Groups.log_length st.shards in
+    Array.iter Groups.begin_txn st.shards;
+    if txn = 100 then for k = 1_000 to 2_199 do op k done
+    else for _ = 0 to Prng.int rng 4 do op (Prng.int rng 24) done;
+    if txn = 100 || (txn <> 101 && Prng.int rng 4 = 0) then begin
+      Array.iter (fun sh -> Groups.rollback sh) st.shards;
+      model := before;
+      (* entries logged before the transaction stay *)
+      expect (Array.map Groups.log_length st.shards = starts)
+    end
+    else begin
+      Array.iter Groups.commit st.shards;
+      let words = log_words st in
+      if txn = 101 || Prng.int rng 2 = 0 then Array.iter Groups.clear_log st.shards;
+      if txn = 101 then expect (log_words st * 4 < words)
+    end;
+    expect (agrees st !model);
+    if txn = 150 then copy := Some (Groups.copy st, !model)
+  done;
+  let rebuilt = new_store 1 in
+  KM.iter (add_group rebuilt) !model;
+  (match !copy with Some (c, m) -> expect (agrees c m) | None -> expect false);
+  !ok && Groups.equal st rebuilt && Groups.equal rebuilt st
+
+let prop_groups =
+  QCheck2.Test.make ~count:(max 10 (count / 4))
+    ~name:"grouped store == boxed model (300 transactions)" Gen.int groups_run
+
 (* --- directed: swap-delete index repair ---------------------------------- *)
 
 let row_sig st (r : AS.row) = (AS.plains st r, AS.cnt r, AS.sums st r, AS.exts st r)
@@ -916,6 +1058,7 @@ let () =
             prop_view_matrix;
             prop_parallel_equivalence;
             prop_copy_isolation;
+            prop_groups;
           ] );
       ("dict", dict_tests);
       ("column", column_tests);
