@@ -1794,11 +1794,13 @@ let serve_bench () =
    Two sections, both gated (exit 1 on failure) so CI can hold the line:
 
    1. Resident bytes per auxiliary-view row: identical content is loaded
-      into the columnar [Aux_state] and the boxed reference [Aux_boxed];
-      footprints are [Obj.reachable_words] x word size, plus the off-heap
-      Bigarray payload for the columnar side (reachable_words cannot see
-      it). Two shapes: the all-int root auxview of sales_by_time and the
-      dictionary-encoded product dimension of product_sales. The same
+      into the columnar [Aux_state] and the frozen one-record-per-group
+      baseline [Boxed] (bench/boxed.ml), the layout the columnar store
+      replaced; footprints are [Obj.reachable_words] x word size, plus
+      the off-heap Bigarray payload for the columnar side
+      (reachable_words cannot see it). Two shapes: the all-int root
+      auxview of sales_by_time and the dictionary-encoded product
+      dimension of product_sales. The same
       states also time the storage phases — apply (insert/delete churn),
       scan (full iteration) and merge (to_relation) — columnar must stay
       within BENCH_COLUMNAR_MAX_PHASE_PCT of boxed on every phase.
@@ -1829,7 +1831,6 @@ let columnar_bench () =
     { (Gc.get ()) with Gc.minor_heap_size = 64 * 1024 * 1024;
       space_overhead = 10_000 };
   let module AS = Maintenance.Aux_state in
-  let module AB = Maintenance.Aux_boxed in
   let module Engine = Maintenance.Engine in
   let module Shard = Maintenance.Shard in
   let ints_env var default =
@@ -1925,9 +1926,9 @@ let columnar_bench () =
     in
     let boxed_apply, boxed =
       apply_best
-        (fun () -> AB.create spec schema)
-        (fun st t -> AB.insert_base st t)
-        (fun st t -> AB.delete_base st t)
+        (fun () -> Boxed.create spec schema)
+        (fun st t -> Boxed.insert_base st t)
+        (fun st t -> Boxed.delete_base st t)
     in
     Gc.compact ();
     let col_scan = ref infinity
@@ -1944,10 +1945,10 @@ let columnar_bench () =
       upd boxed_scan
         (sample (fun () ->
              let total = ref 0 in
-             AB.iter boxed (fun r -> total := !total + AB.cnt r);
+             Boxed.iter boxed (fun r -> total := !total + Boxed.cnt r);
              ignore !total));
       upd col_merge (sample (fun () -> ignore (AS.to_relation col)));
-      upd boxed_merge (sample (fun () -> ignore (AB.to_relation boxed)))
+      upd boxed_merge (sample (fun () -> ignore (Boxed.to_relation boxed)))
     done;
     Gc.compact ();
     let col_bytes = heap_bytes col + AS.offheap_bytes col in

@@ -156,7 +156,6 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
   }
 
 let spec s = s.spec
-let shard_count s = Array.length s.shards
 
 let group_key_of_base s tup = Tuple.project tup s.plain_src
 
@@ -172,7 +171,6 @@ let hash_base s tup =
   !h
 
 let shard_of_base s tup = hash_base s tup land s.groups.mask
-let shard_of_key s key = Tuple.hash key land s.groups.mask
 
 (* --- probes -------------------------------------------------------------- *)
 

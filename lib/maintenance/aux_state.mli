@@ -69,14 +69,9 @@ val create :
   Relational.Schema.t ->
   t
 
-val shard_count : t -> int
-
 (** Shard that owns the group of base tuple [tup] (computed without
     materializing the projection). *)
 val shard_of_base : t -> Relational.Tuple.t -> int
-
-(** Shard that owns group key [key]. *)
-val shard_of_key : t -> Relational.Tuple.t -> int
 
 val spec : t -> Mindetail.Auxview.t
 

@@ -151,7 +151,6 @@ let create ?(shards = 1) ?dict_pool view ~determined =
     published = None;
   }
 
-let shard_count t = Array.length t.shards
 (* The shard of a group key is its [Tuple.hash] masked: writers hash a key
    once and share the hash between the shard and the row probe. *)
 let shard_of_key t key = Tuple.hash key land t.groups.mask

@@ -39,8 +39,6 @@ type t
 val create :
   ?shards:int -> ?dict_pool:Dict.pool -> Algebra.View.t -> determined:bool -> t
 
-val shard_count : t -> int
-
 (** Shard that owns the group of the joined row [f]'s key. *)
 val shard_of_feed : t -> Feed.t -> int
 

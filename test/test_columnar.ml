@@ -1,16 +1,15 @@
-(* Columnar storage equivalence: the typed-segment Aux_state / View_state
-   must be observationally identical to the boxed reference implementations
-   (Aux_boxed / View_boxed) under random insert/delete/update/rollback
-   sequences, serial and parallel. Plus directed tests for the physical
-   layer: dictionary growth (including concurrent intern), column
-   specialization and demotion, swap-with-last index repair, and
-   undo-journal cell restoration. *)
+(* Columnar storage against the paper's definitions: the typed-segment
+   Aux_state must hold the group-by of its live weighted tuples
+   (Algorithm 3.1: Plain columns, COUNT( * ), the SUM replacements) and
+   View_state must render what Algebra.Eval recomputes from the live rows,
+   under random insert/delete/update/rollback sequences, serial and
+   parallel. Plus directed tests for the physical layer: dictionary growth
+   (including concurrent intern), column specialization and demotion,
+   swap-with-last index repair, and undo-journal cell restoration. *)
 
 open Helpers
 module AS = Maintenance.Aux_state
-module AB = Maintenance.Aux_boxed
 module VS = Maintenance.View_state
-module VB = Maintenance.View_boxed
 module Column = Maintenance.Column
 module Icol = Maintenance.Column.Icol
 module Marks = Maintenance.Column.Marks
@@ -22,6 +21,12 @@ module Derive = Mindetail.Derive
 module Auxview = Mindetail.Auxview
 module Prng = Workload.Prng
 module Gen = QCheck2.Gen
+
+module KM = Map.Make (struct
+  type t = Tuple.t
+
+  let compare = Tuple.compare
+end)
 
 let test case fn = Alcotest.test_case case `Quick fn
 
@@ -51,38 +56,72 @@ let specs_for table =
   | Some spec -> (spec, Database.schema_of db table)
   | None -> Alcotest.fail (table ^ ": expected a retained auxview")
 
-(* rows materialized through either implementation, as comparable data *)
+(* one group through the cursor accessors, as comparable data *)
+let row_sig st (r : AS.row) = (AS.plains st r, AS.cnt r, AS.sums st r, AS.exts st r)
+
 let as_rows st =
   let acc = ref [] in
-  AS.iter st (fun r -> acc := (AS.plains st r, AS.cnt r, AS.sums st r, AS.exts st r) :: !acc);
+  AS.iter st (fun r -> acc := row_sig st r :: !acc);
   List.sort compare !acc
 
-let ab_rows st =
-  let acc = ref [] in
-  AB.iter st (fun r -> acc := (AB.plains st r, AB.cnt r, AB.sums st r, AB.exts st r) :: !acc);
-  List.sort compare !acc
+(* --- aux state == group-by of its live tuples ---------------------------- *)
 
-(* --- random aux-state equivalence matrix -------------------------------- *)
+(* The rule [Materialize.aux] applies after its semijoins, over weighted
+   tuples: group by the spec's Plain columns, adding up COUNT( * ) and each
+   Sum_of. As [row_sig]s (these specs keep no extrema), sorted. *)
+let group_by spec schema live =
+  let idx c = Schema.index_of schema c in
+  let plain = Array.of_list (List.map idx (Auxview.group_columns spec)) in
+  let summed = List.map idx (Auxview.summed_columns spec) in
+  let add (tup, cnt) =
+    let weighted = List.map (fun src -> Value.scale tup.(src) cnt) summed in
+    KM.update (Tuple.project tup plain) (function
+      | None -> Some (cnt, weighted)
+      | Some (c, sums) -> Some (c + cnt, List.map2 Value.add sums weighted))
+  in
+  KM.fold
+    (fun key (c, sums) acc -> (key, c, Array.of_list sums, [||]) :: acc)
+    (List.fold_right add live KM.empty) []
+  |> List.sort compare
 
-(* Drive a 1-shard columnar state, a 4-shard columnar state and the boxed
-   oracle through the same random weighted insert/delete stream, in
-   committed and rolled-back transaction segments, comparing the full
-   observable state after every segment. *)
+(* Those groups as the view's rows, in spec column order. *)
+let relation_of spec groups =
+  let rel = Relation.create () in
+  List.iter
+    (fun (key, c, sums, _) ->
+      let cell (_, def) =
+        match def with
+        | Auxview.Plain col -> key.(Option.get (Auxview.plain_position spec col))
+        | Auxview.Sum_of col -> sums.(Option.get (Auxview.sum_position spec col))
+        | Auxview.Count_star -> i c
+        | Auxview.Min_of _ | Auxview.Max_of _ -> assert false
+      in
+      let r = Array.of_list (List.map cell spec.Auxview.columns) in
+      if spec.Auxview.compressed then Relation.insert rel r
+      else Relation.insert ~count:c rel r)
+    groups;
+  rel
+
+(* Drive a 1-shard and a 4-shard columnar state through the same random
+   weighted insert/delete stream, in committed and rolled-back transaction
+   segments, comparing the full observable state after every segment with
+   the group-by of the live tuples. *)
 let aux_matrix ~gen_tup seed (spec, schema) =
   let st1 = AS.create spec schema in
   let st4 = AS.create ~shards:4 spec schema in
-  let oracle = AB.create spec schema in
   let rng = Prng.create seed in
   let present = ref [] in
   let ok = ref true in
   let check () =
+    let groups = group_by spec schema !present in
     ok :=
       !ok
-      && Relation.equal (AS.to_relation st1) (AB.to_relation oracle)
-      && as_rows st1 = ab_rows oracle
+      && Relation.equal (AS.to_relation st1) (relation_of spec groups)
+      && as_rows st1 = groups
       && AS.equal st1 st4
-      && AS.row_count st1 = AB.row_count oracle
-      && AS.base_count st1 = AB.base_count oracle
+      && AS.row_count st1 = List.length groups
+      && AS.base_count st1
+         = List.fold_left (fun acc (_, c) -> acc + c) 0 !present
   in
   let op () =
     let n = List.length !present in
@@ -91,28 +130,26 @@ let aux_matrix ~gen_tup seed (spec, schema) =
       let tup, cnt = List.nth !present idx in
       present := List.filteri (fun j _ -> j <> idx) !present;
       AS.delete_base ~count:cnt st1 tup;
-      AS.delete_base ~count:cnt st4 tup;
-      AB.delete_base ~count:cnt oracle tup
+      AS.delete_base ~count:cnt st4 tup
     end
     else begin
       let tup = gen_tup rng in
       let cnt = 1 + Prng.int rng 3 in
       present := (tup, cnt) :: !present;
       AS.insert_base ~count:cnt st1 tup;
-      AS.insert_base ~count:cnt st4 tup;
-      AB.insert_base ~count:cnt oracle tup
+      AS.insert_base ~count:cnt st4 tup
     end
   in
-  let all3 f g = f st1; f st4; g oracle in
+  let both f = f st1; f st4 in
   for _ = 1 to 3 do
-    all3 AS.begin_txn AB.begin_txn;
+    both AS.begin_txn;
     for _ = 1 to 15 do op () done;
-    all3 AS.commit AB.commit;
+    both AS.commit;
     check ();
     let saved = !present in
-    all3 AS.begin_txn AB.begin_txn;
+    both AS.begin_txn;
     for _ = 1 to 15 do op () done;
-    all3 AS.rollback AB.rollback;
+    both AS.rollback;
     present := saved;
     check ()
   done;
@@ -138,17 +175,18 @@ let product_tup rng =
     ]
 
 let prop_aux_root =
-  QCheck2.Test.make ~count ~name:"aux state == boxed oracle (root, int columns)"
+  QCheck2.Test.make ~count
+    ~name:"aux state == group-by of live tuples (root, int columns)"
     ~print:string_of_int (Gen.int_bound 100_000) (fun seed ->
       aux_matrix ~gen_tup:sale_tup seed (specs_for "sale"))
 
 let prop_aux_dimension =
   QCheck2.Test.make ~count
-    ~name:"aux state == boxed oracle (dimension, dictionary columns)"
+    ~name:"aux state == group-by of live tuples (dimension, dictionary columns)"
     ~print:string_of_int (Gen.int_bound 100_000) (fun seed ->
       aux_matrix ~gen_tup:product_tup seed (specs_for "product"))
 
-(* --- random view-state equivalence matrix ------------------------------- *)
+(* --- view state == recomputation ----------------------------------------- *)
 
 (* group g, SUM(v), COUNT( * ), AVG(v), MAX(v), COUNT(DISTINCT lbl): CSMAS
    components plus both non-CSMAS kinds (extremum + distinct). *)
@@ -173,125 +211,93 @@ let vview =
 let vs_contribs key ~v ~lbl =
   feed_row key [| `Key; `Sum (i v); `Count; `Sum (i v); `Val (i v); `Val (s lbl) |]
 
-(* The boxed oracle still marks a group dirty for every DISTINCT feed, so it
-   maintains [vview] without its DISTINCT column: its dirty set is then
-   exactly the MAX groups the columnar state must hand back. *)
-let oview = { vview with View.select = List.filteri (fun j _ -> j < 5) vview.View.select }
-
-(* The boxed oracle takes each contribution already weighted by [cnt]. *)
-let vb_contribs ~v ~cnt =
-  [|
-    None;
-    Some (VB.C_sum { amount = i (v * cnt); n = cnt });
-    Some (VB.C_count cnt);
-    Some (VB.C_sum { amount = i (v * cnt); n = cnt });
-    Some (VB.C_value (i v));
-  |]
-
-(* The view rows without the DISTINCT column, and that column by group. *)
-let without_distinct rel =
-  let out = Relation.create () in
-  Relation.iter (fun r m -> Relation.insert ~count:m out (Array.sub r 0 5)) rel;
-  out
-
-let distinct_column rel =
-  List.sort compare (List.map (fun (r, _) -> (r.(0), r.(5))) (Relation.to_sorted_list rel))
-
-let vs_groups st = List.sort compare (VS.fold_groups st (fun k c acc -> (k, c) :: acc) [])
-let vb_groups st = List.sort compare (VB.fold_groups st (fun k c acc -> (k, c) :: acc) [])
+(* The live entries as base table [t]: entry (g, v, lbl, cnt) is [cnt]
+   rows, each under a fresh id. *)
+let t_db entries =
+  let col name col_type = { Schema.col_name = name; col_type } in
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.make ~name:"t" ~key:"id"
+       [ col "id" Datatype.TInt; col "g" Datatype.TInt; col "v" Datatype.TInt;
+         col "lbl" Datatype.TString ])
+    ~updatable:[];
+  let id = ref 0 in
+  List.iter
+    (fun (k, v, lbl, cnt) ->
+      for _ = 1 to cnt do
+        incr id;
+        Database.insert db "t" (row [ i !id; i k; i v; s lbl ])
+      done)
+    entries;
+  db
 
 let view_matrix seed =
   let s1 = VS.create vview ~determined:false in
   let s4 = VS.create ~shards:4 vview ~determined:false in
-  let oracle = VB.create oview ~determined:false in
   let rng = Prng.create seed in
   let present = ref [] in
   let ok = ref true in
-  let key k = row [ i k ] in
-  let feed_all (k, v, lbl, cnt) =
-    VS.feed s1 (vs_contribs (key k) ~v ~lbl) ~cnt;
-    VS.feed s4 (vs_contribs (key k) ~v ~lbl) ~cnt;
-    VB.feed oracle ~key:(key k) ~cnt (vb_contribs ~v ~cnt)
-  in
-  let unfeed_all (k, v, lbl, cnt) =
-    VS.unfeed s1 (vs_contribs (key k) ~v ~lbl) ~cnt;
-    VS.unfeed s4 (vs_contribs (key k) ~v ~lbl) ~cnt;
-    VB.unfeed oracle ~key:(key k) ~cnt (vb_contribs ~v ~cnt)
-  in
+  let both f = f s1; f s4 in
+  let contribs (k, v, lbl, _) = vs_contribs (row [ i k ]) ~v ~lbl in
   let op () =
     let n = List.length !present in
     if n > 0 && Prng.int rng 3 = 0 then begin
       let idx = Prng.int rng n in
-      let entry = List.nth !present idx in
+      let ((_, _, _, cnt) as entry) = List.nth !present idx in
       present := List.filteri (fun j _ -> j <> idx) !present;
-      unfeed_all entry
+      both (fun st -> VS.unfeed st (contribs entry) ~cnt)
     end
     else begin
-      let entry =
+      let ((_, _, _, cnt) as entry) =
         ( Prng.int rng 5, Prng.int rng 25,
           Printf.sprintf "l%d" (Prng.int rng 4), 1 + Prng.int rng 3 )
       in
       present := entry :: !present;
-      feed_all entry
+      both (fun st -> VS.feed st (contribs entry) ~cnt)
     end
   in
-  (* stand-in for the engine's MAX recomputation: the three states must
-     dirty the same groups; resolve them all to the same value so renders
-     stay comparable *)
+  (* the engine's MAX recomputation: both states must dirty the same
+     groups, and each takes the maximum of its live entries *)
   let resolve () =
     let d1 = List.sort Tuple.compare (VS.take_dirty s1) in
     let d4 = List.sort Tuple.compare (VS.take_dirty s4) in
-    let db_ = List.sort Tuple.compare (VB.take_dirty oracle) in
-    ok := !ok && List.equal Tuple.equal d1 d4 && List.equal Tuple.equal d1 db_;
+    ok := !ok && List.equal Tuple.equal d1 d4;
     List.iter
-      (fun k ->
-        VS.set_value s1 ~key:k ~item:4 (i 7);
-        VS.set_value s4 ~key:k ~item:4 (i 7);
-        VB.set_value oracle ~key:k ~item:4 (i 7))
-      d1
-  in
-  (* COUNT(DISTINCT lbl) per group, straight from the live entries *)
-  let expected_distinct () =
-    let groups = List.sort_uniq compare (List.map (fun (k, _, _, _) -> k) !present) in
-    List.map
-      (fun k ->
-        let lbls =
-          List.filter_map
-            (fun (k', _, lbl, _) -> if k' = k then Some lbl else None)
-            !present
+      (fun key ->
+        let mx =
+          List.fold_left
+            (fun m (k, v, _, _) ->
+              if Value.equal key.(0) (i k) then max m v else m)
+            min_int !present
         in
-        (i k, i (List.length (List.sort_uniq compare lbls))))
-      groups
+        both (fun st -> VS.set_value st ~key ~item:4 (i mx)))
+      d1
   in
   let check () =
     resolve ();
-    let r1 = VS.render s1 in
     ok :=
       !ok
-      && Relation.equal (without_distinct r1) (VB.render oracle)
-      && distinct_column r1 = expected_distinct ()
+      && Relation.equal (VS.render s1) (Algebra.Eval.eval (t_db !present) vview)
       && VS.equal s1 s4
-      && vs_groups s1 = vb_groups oracle
-      && VS.group_count s1 = VB.group_count oracle
   in
   for _ = 1 to 3 do
-    VS.begin_txn s1; VS.begin_txn s4; VB.begin_txn oracle;
+    both VS.begin_txn;
     for _ = 1 to 15 do op () done;
-    VS.commit s1; VS.commit s4; VB.commit oracle;
+    both VS.commit;
     check ();
     let saved = !present in
-    VS.begin_txn s1; VS.begin_txn s4; VB.begin_txn oracle;
+    both VS.begin_txn;
     for _ = 1 to 15 do op () done;
-    VS.rollback s1; VS.rollback s4; VB.rollback oracle;
+    both VS.rollback;
     present := saved;
     (* rollback also restores the (empty, post-resolve) dirty sets *)
-    ok := !ok && (not (VS.is_dirty_pending s1)) && not (VB.is_dirty_pending oracle);
+    ok := !ok && not (VS.is_dirty_pending s1 || VS.is_dirty_pending s4);
     check ()
   done;
   !ok
 
 let prop_view_matrix =
-  QCheck2.Test.make ~count ~name:"view state == boxed oracle (random feeds)"
+  QCheck2.Test.make ~count ~name:"view state == recomputation (random feeds)"
     ~print:string_of_int (Gen.int_bound 100_000) view_matrix
 
 (* --- forced-parallel engine equivalence --------------------------------- *)
@@ -650,12 +656,6 @@ let prop_rowmap_probe =
 module Groups = Maintenance.Groups
 module VMap = Groups.VMap
 
-module KM = Map.Make (struct
-  type t = Tuple.t
-
-  let compare = Tuple.compare
-end)
-
 (* A group as the boxed model keeps it: the count, one typed cell, one int
    component and one multiset. *)
 type mgroup = { mcnt : int; mcell : Value.t; mint : int; mset : int VMap.t }
@@ -788,8 +788,6 @@ let prop_groups =
     ~name:"grouped store == boxed model (300 transactions)" Gen.int groups_run
 
 (* --- directed: swap-delete index repair ---------------------------------- *)
-
-let row_sig st (r : AS.row) = (AS.plains st r, AS.cnt r, AS.sums st r, AS.exts st r)
 
 (* rows_with through the secondary index vs. a full scan: must agree after
    swap-with-last deletions renumber rows *)
