@@ -614,13 +614,13 @@ let e14 () =
   let is_old tup =
     match tup.(1) with Value.Int t -> t <= boundary | _ -> false
   in
-  let p = Maintenance.Partitioned.init db view ~is_old in
+  let p = Maintenance.Engines.partitioned db view ~is_old in
   print_endline
     "the fact table is split at the age boundary: the old half is\n\
      append-only, so MIN/MAX compress into columns and nothing in it can be\n\
      invalidated; the current half stays fully mutable:";
   print_string
-    (Storage.render_profile model (Maintenance.Partitioned.detail_profile p));
+    (Storage.render_profile model (Maintenance.Engines.detail_profile p));
   (* live traffic: inserts everywhere, deletes/updates only on current *)
   let rng = Workload.Prng.create 4 in
   let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
@@ -628,11 +628,11 @@ let e14 () =
     Workload.Delta_gen.stream_for ~mix:inserts rng db ~tables:[ "sale" ]
       ~n:2_000
   in
-  Maintenance.Partitioned.apply_batch p stream;
+  Maintenance.Engines.apply_batch p stream;
   Printf.printf "after %d insertions: merged view == recomputed: %b\n"
     (List.length stream)
     (Relation.equal
-       (Maintenance.Partitioned.view_contents p)
+       (Maintenance.Engines.view_contents p)
        (Algebra.Eval.eval db view));
   (* nightly aging: everything below a new boundary moves to old *)
   let aged =
@@ -643,14 +643,14 @@ let e14 () =
         | _ -> acc)
       []
   in
-  let before = Maintenance.Partitioned.view_contents p in
-  Maintenance.Partitioned.age_out p aged;
+  let before = Maintenance.Engines.view_contents p in
+  Option.get (Maintenance.Engines.age_out p) aged;
   Printf.printf
     "aged out %d facts (boundary %d -> %d): view unchanged: %b\n" 
     (List.length aged) boundary (boundary + 5)
-    (Relation.equal before (Maintenance.Partitioned.view_contents p));
+    (Relation.equal before (Maintenance.Engines.view_contents p));
   print_string
-    (Storage.render_profile model (Maintenance.Partitioned.detail_profile p))
+    (Storage.render_profile model (Maintenance.Engines.detail_profile p))
 
 (* ------------------------------------------------------------------ E15 *)
 
@@ -1883,9 +1883,9 @@ let columnar_bench () =
   (* Measurement discipline: the applies run one implementation at a time
      (columnar first — Bigarray allocation pays GC pacing proportional to
      the live heap, so it must not run with the boxed state resident),
-     best-of-3 full rebuilds each; the read phases then interleave their
-     samples across the two resident states so machine and GC noise hits
-     both sides equally. *)
+     best-of-3 full rebuilds each; the read phases then interleave 9
+     samples per side across the two resident states, so machine and GC
+     noise hits both sides equally, and compare their medians. *)
   let bytes_case cname table tup =
     let spec, schema = spec_of table in
     let churn = rows_n / 2 in
@@ -1931,32 +1931,46 @@ let columnar_bench () =
         (fun st t -> Boxed.delete_base st t)
     in
     Gc.compact ();
-    let col_scan = ref infinity
-    and boxed_scan = ref infinity
-    and col_merge = ref infinity
-    and boxed_merge = ref infinity in
-    let upd r v = if v < !r then r := v in
-    for _ = 1 to 9 do
-      upd col_scan
+    let col_scan = ref []
+    and boxed_scan = ref []
+    and col_merge = ref []
+    and boxed_merge = ref [] in
+    let add r v = r := v :: !r in
+    let read_col () =
+      add col_scan
         (sample (fun () ->
              let total = ref 0 in
              AS.iter col (fun r -> total := !total + AS.cnt r);
              ignore !total));
-      upd boxed_scan
+      add col_merge (sample (fun () -> ignore (AS.to_relation col)))
+    in
+    let read_boxed () =
+      add boxed_scan
         (sample (fun () ->
              let total = ref 0 in
              Boxed.iter boxed (fun r -> total := !total + Boxed.cnt r);
              ignore !total));
-      upd col_merge (sample (fun () -> ignore (AS.to_relation col)));
-      upd boxed_merge (sample (fun () -> ignore (Boxed.to_relation boxed)))
+      add boxed_merge (sample (fun () -> ignore (Boxed.to_relation boxed)))
+    in
+    (* the sides alternate which reads first; a median, unlike a minimum,
+       does not follow one side's luckiest sample *)
+    for k = 1 to 9 do
+      if k land 1 = 1 then (read_col (); read_boxed ())
+      else (read_boxed (); read_col ())
     done;
+    let median r =
+      let a = Array.of_list !r in
+      Array.sort Float.compare a;
+      a.(Array.length a / 2)
+    in
     Gc.compact ();
     let col_bytes = heap_bytes col + AS.offheap_bytes col in
     let col_accounted = AS.byte_size col in
     let boxed_bytes = heap_bytes boxed in
     let phases =
-      [ ("apply", col_apply, boxed_apply); ("scan", !col_scan, !boxed_scan);
-        ("merge", !col_merge, !boxed_merge) ]
+      [ ("apply", col_apply, boxed_apply);
+        ("scan", median col_scan, median boxed_scan);
+        ("merge", median col_merge, median boxed_merge) ]
     in
     bytes_results :=
       (cname, col_bytes, col_accounted, boxed_bytes, phases)

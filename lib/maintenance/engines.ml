@@ -3,190 +3,210 @@ module Relation = Relational.Relation
 module Schema = Relational.Schema
 module Tuple = Relational.Tuple
 module Delta = Relational.Delta
+module Validator = Relational.Validator
 module View = Algebra.View
 module Derive = Mindetail.Derive
 
-type t =
-  | Incremental of { name : string; engine : Engine.t }
-  | Recompute of {
-      replica : Database.t;
-      view : View.t;
-      (* undo journal: deltas applied since begin_txn, newest first *)
-      mutable txn : Delta.t list option;
-    }
-  | Split of Partitioned.t
+(* The one engine signature. Every configuration is a module of this type
+   packed with its state; [id] witnesses the state's type, so two packed
+   configurations compare their states only when they are the same
+   implementation. An operation is added here, once in each
+   implementation, and as one forwarder at the end of this file. *)
+module type S = sig
+  type t
 
-let name = function
-  | Incremental { name; _ } -> name
-  | Recompute _ -> "recompute"
-  | Split _ -> "partitioned"
+  val id : t Type.Id.t
+  val announce : t -> unit
+  val copy : t -> t
+  val equal_state : t -> t -> bool
+  val in_txn : t -> bool
+  val begin_txn : t -> unit
+  val commit : t -> unit
+  val rollback : t -> unit
 
-let minimal db view =
-  Incremental { name = "minimal"; engine = Engine.init db (Derive.derive db view) }
+  val apply_batch :
+    ?parallel:Shard.pool ->
+    ?netted:Relational.Delta_batch.t ->
+    t ->
+    Delta.t list ->
+    unit
 
-let psj db view =
-  Incremental { name = "psj"; engine = Engine.init db (Mindetail.Psj.derive db view) }
+  val takes_netted : bool
+  val view_contents : t -> Relation.t
+  val publish : t -> (Tuple.t * int) array
+  val detail_profile : t -> (string * int * int) list
+  val measured_bytes : t -> (string * int) list option
+  val offheap_bytes : t -> int
+  val derivation : t -> Derive.t option
+  val last_flow : t -> Telemetry.Lineage.view_flow option
+  val self_audit : sample:int -> t -> (int * int) option
+  val age_out : (t -> Tuple.t list -> unit) option
+end
+
+module Incremental : S with type t = Engine.t = struct
+  include Engine
+
+  let id = Type.Id.make ()
+  let takes_netted = true
+
+  (* drop the view itself: only detail data counts *)
+  let detail_profile e = List.tl (storage_profile e)
+  let measured_bytes e = Some (measured_bytes e)
+  let derivation e = Some (derivation e)
+  let self_audit = audit
+  let age_out = None
+end
+
+(* The partitioned engine nets each side of its split itself, and renders
+   its merged view in full. *)
+module Split : S with type t = Partitioned.t = struct
+  include Partitioned
+
+  let id = Type.Id.make ()
+  let apply_batch ?parallel ?netted:_ p deltas = apply_batch ?parallel p deltas
+  let takes_netted = false
+  let publish p = Relation.to_sorted_array (view_contents p)
+  let measured_bytes p = Some (measured_bytes p)
+  let derivation _ = None
+  let last_flow _ = None
+  let self_audit ~sample:_ _ = None
+  let age_out = Some age_out
+end
+
+(* The recompute baseline: a full replica of the sources, recomputing the
+   view from scratch on every read. The replica is a validator's shadow, so
+   a batch transaction is the validator's undo journal. *)
+module Replica = struct
+  type t = { replica : Validator.t; view : View.t }
+
+  let id : t Type.Id.t = Type.Id.make ()
+  let db r = Validator.shadow r.replica
+  let announce _ = ()
+  let copy r = { r with replica = Validator.of_database (db r) }
+
+  let equal_state a b =
+    let tables r = List.sort String.compare (Database.table_names (db r)) in
+    let rows r tbl =
+      List.sort Tuple.compare (Database.fold (db r) tbl List.cons [])
+    in
+    tables a = tables b
+    && List.for_all
+         (fun tbl -> List.equal Tuple.equal (rows a tbl) (rows b tbl))
+         (tables a)
+
+  let in_txn r = Validator.in_txn r.replica
+  let begin_txn r = Validator.begin_txn r.replica
+  let commit r = Validator.commit r.replica
+  let rollback r = Validator.rollback r.replica
+
+  let apply_batch ?parallel:_ ?netted:_ r deltas =
+    List.iter
+      (fun d ->
+        match Validator.admit r.replica d with
+        | Ok _ -> ()
+        | Error rej ->
+          raise
+            (Database.Violation (Format.asprintf "%a" Delta.pp_rejection rej)))
+      deltas
+
+  let takes_netted = false
+  let view_contents r = Algebra.Eval.eval (db r) r.view
+  let publish r = Relation.to_sorted_array (view_contents r)
+
+  let detail_profile r =
+    List.map
+      (fun tbl ->
+        (tbl, Database.row_count (db r) tbl,
+          Schema.arity (Database.schema_of (db r) tbl)))
+      r.view.View.tables
+
+  (* the boxed replica has no measured size and no columnar storage *)
+  let measured_bytes _ = None
+  let offheap_bytes _ = 0
+  let derivation _ = None
+  let last_flow _ = None
+  let self_audit ~sample:_ _ = None
+  let age_out = None
+end
+
+type t = T : { impl : (module S with type t = 'a); state : 'a; name : string } -> t
+
+let name (T e) = e.name
+
+let incremental name db derivation =
+  T { impl = (module Incremental); state = Engine.init db derivation; name }
+
+let minimal db view = incremental "minimal" db (Derive.derive db view)
+let psj db view = incremental "psj" db (Mindetail.Psj.derive db view)
 
 let with_options ~name options db view =
-  Incremental { name; engine = Engine.init db (Derive.derive_with options db view) }
+  incremental name db (Derive.derive_with options db view)
 
 let append_only db view =
   with_options ~name:"append-only" Derive.append_only_options db view
 
-let partitioned db view ~is_old = Split (Partitioned.init db view ~is_old)
-
-let announce = function
-  | Incremental { engine; _ } -> Engine.announce engine
-  | Split p -> Partitioned.announce p
-  | Recompute _ -> ()
-
-let as_partitioned = function
-  | Split p -> Some p
-  | Incremental _ | Recompute _ -> None
+let partitioned db view ~is_old =
+  T
+    {
+      impl = (module Split);
+      state = Partitioned.init db view ~is_old;
+      name = "partitioned";
+    }
 
 let recompute db view =
   View.validate db view;
-  Recompute { replica = Database.copy db; view; txn = None }
+  T
+    {
+      impl = (module Replica);
+      state = { Replica.replica = Validator.of_database db; view };
+      name = "recompute";
+    }
 
-let copy = function
-  | Incremental { name; engine } -> Incremental { name; engine = Engine.copy engine }
-  | Recompute { replica; view; txn = _ } ->
-    Recompute { replica = Database.copy replica; view; txn = None }
-  | Split p -> Split (Partitioned.copy p)
+let announce (T { impl = (module M); state; _ }) = M.announce state
 
-let db_equal a b =
-  let ta = List.sort String.compare (Database.table_names a) in
-  ta = List.sort String.compare (Database.table_names b)
-  && List.for_all
-       (fun tbl ->
-         let ki = Schema.key_index (Database.schema_of a tbl) in
-         Database.row_count a tbl = Database.row_count b tbl
-         && Database.fold a tbl
-              (fun tup acc ->
-                acc
-                &&
-                match Database.find_by_key b tbl tup.(ki) with
-                | Some tup' -> Tuple.equal tup tup'
-                | None -> false)
-              true)
-       ta
+let copy (T { impl; state; name }) =
+  let (module M) = impl in
+  T { impl; state = M.copy state; name }
 
-let equal_state a b =
-  match a, b with
-  | Incremental { engine; _ }, Incremental { engine = engine'; _ } ->
-    Engine.equal_state engine engine'
-  | Recompute { replica; _ }, Recompute { replica = replica'; _ } ->
-    db_equal replica replica'
-  | Split p, Split p' -> Partitioned.equal_state p p'
-  | (Incremental _ | Recompute _ | Split _), _ -> false
+let equal_state (T { impl = (module A); state = a; _ })
+    (T { impl = (module B); state = b; _ }) =
+  match Type.Id.provably_equal A.id B.id with
+  | Some Type.Equal -> A.equal_state a b
+  | None -> false
 
-let in_txn = function
-  | Incremental { engine; _ } -> Engine.in_txn engine
-  | Recompute r -> r.txn <> None
-  | Split p -> Partitioned.in_txn p
+let in_txn (T { impl = (module M); state; _ }) = M.in_txn state
+let begin_txn (T { impl = (module M); state; _ }) = M.begin_txn state
+let commit (T { impl = (module M); state; _ }) = M.commit state
+let rollback (T { impl = (module M); state; _ }) = M.rollback state
 
-let begin_txn = function
-  | Incremental { engine; _ } -> Engine.begin_txn engine
-  | Recompute r ->
-    if r.txn <> None then invalid_arg "Engines.begin_txn: transaction open";
-    r.txn <- Some []
-  | Split p -> Partitioned.begin_txn p
+let apply_batch ?parallel ?netted (T { impl = (module M); state; _ }) deltas =
+  M.apply_batch ?parallel ?netted state deltas
 
-let commit = function
-  | Incremental { engine; _ } -> Engine.commit engine
-  | Recompute r ->
-    if r.txn = None then invalid_arg "Engines.commit: no open transaction";
-    r.txn <- None
-  | Split p -> Partitioned.commit p
+let takes_netted (T { impl = (module M); _ }) = M.takes_netted
 
-let rollback = function
-  | Incremental { engine; _ } -> Engine.rollback engine
-  | Recompute r -> (
-    match r.txn with
-    | None -> invalid_arg "Engines.rollback: no open transaction"
-    | Some journal ->
-      (* newest-first journal: applying the inverses in list order replays
-         the applied prefix backwards *)
-      List.iter (fun d -> Database.apply r.replica (Delta.invert d)) journal;
-      r.txn <- None)
-  | Split p -> Partitioned.rollback p
+let view_contents (T { impl = (module M); state; _ }) = M.view_contents state
 
-let takes_netted = function
-  | Incremental _ -> true
-  | Recompute _ | Split _ -> false
-
-let apply_batch ?parallel ?netted t deltas =
-  match t with
-  | Incremental { engine; _ } ->
-    Engine.apply_batch ?parallel ?netted engine deltas
-  | Recompute r -> (
-    match r.txn with
-    | None -> Database.apply_all r.replica deltas
-    | Some _ ->
-      List.iter
-        (fun d ->
-          Database.apply r.replica d;
-          match r.txn with
-          | Some journal -> r.txn <- Some (d :: journal)
-          | None -> assert false)
-        deltas)
-  | Split p -> Partitioned.apply_batch ?parallel p deltas
-
-let view_contents = function
-  | Incremental { engine; _ } -> Engine.view_contents engine
-  | Recompute { replica; view; _ } -> Algebra.Eval.eval replica view
-  | Split p -> Partitioned.view_contents p
-
-(* [view_contents] behind a guard: rendering mid-transaction would freeze
-   uncommitted group state. *)
-let capture t =
+(* Rendering mid-transaction would freeze uncommitted state. *)
+let committed what t =
   if in_txn t then
-    invalid_arg "Engines.capture: transaction open (capture only at commit)";
+    invalid_arg ("Engines." ^ what ^ ": transaction open (only at commit)")
+
+let capture t =
+  committed "capture" t;
   view_contents t
 
-(* Only an incremental engine knows which groups a batch touched; the others
-   render in full. *)
-let publish = function
-  | Incremental { engine; _ } -> Engine.publish engine
-  | (Recompute _ | Split _) as t -> Relation.to_sorted_array (capture t)
+let publish (T { impl = (module M); state; _ } as t) =
+  committed "publish" t;
+  M.publish state
 
-let detail_profile = function
-  | Incremental { engine; _ } ->
-    (* drop the view itself: only detail data counts *)
-    (match Engine.storage_profile engine with
-    | _view :: aux -> aux
-    | [] -> [])
-  | Split p -> Partitioned.detail_profile p
-  | Recompute { replica; view; _ } ->
-    List.map
-      (fun tbl ->
-        ( tbl,
-          Database.row_count replica tbl,
-          Schema.arity (Database.schema_of replica tbl) ))
-      view.View.tables
+let detail_profile (T { impl = (module M); state; _ }) = M.detail_profile state
+let measured_bytes (T { impl = (module M); state; _ }) = M.measured_bytes state
+let offheap_bytes (T { impl = (module M); state; _ }) = M.offheap_bytes state
+let derivation (T { impl = (module M); state; _ }) = M.derivation state
+let last_flow (T { impl = (module M); state; _ }) = M.last_flow state
 
-(* Measured bytes only exist for columnar state; the recompute baseline
-   stores a boxed replica, so it keeps the estimate-only path. *)
-let measured_bytes = function
-  | Incremental { engine; _ } -> Some (Engine.measured_bytes engine)
-  | Split p -> Some (Partitioned.measured_bytes p)
-  | Recompute _ -> None
+let self_audit ~sample (T { impl = (module M); state; _ }) =
+  M.self_audit ~sample state
 
-(* Off-heap bytes exist only where columnar state does; the boxed-replica
-   baseline contributes zero. *)
-let offheap_bytes = function
-  | Incremental { engine; _ } -> Engine.offheap_bytes engine
-  | Split p -> Partitioned.offheap_bytes p
-  | Recompute _ -> 0
-
-let derivation = function
-  | Incremental { engine; _ } -> Some (Engine.derivation engine)
-  | Recompute _ | Split _ -> None
-
-let last_flow = function
-  | Incremental { engine; _ } -> Engine.last_flow engine
-  | Recompute _ | Split _ -> None
-
-let self_audit ~sample = function
-  | Incremental { engine; _ } -> Engine.audit ~sample engine
-  | Recompute _ | Split _ -> None
+let age_out (T { impl = (module M); state; _ }) =
+  Option.map (fun age -> age state) M.age_out

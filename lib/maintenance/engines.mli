@@ -1,4 +1,4 @@
-(** The three warehouse configurations the evaluation compares.
+(** The warehouse configurations the evaluation compares.
 
     - [minimal] — the paper's contribution: Algorithm 3.2 auxiliary views,
       incrementally maintained.
@@ -6,9 +6,12 @@
       compression), incrementally maintained by the same engine.
     - [recompute] — a full replica of the sources; the view is recomputed
       from scratch whenever it is read.
+    - [partitioned] — current detail over append-only old detail.
 
-    All three expose the same interface so benchmarks and tests can treat
-    them uniformly. *)
+    Each is one implementation of a single engine signature ({!Engine},
+    {!Partitioned} or the replica baseline) packed with its state, so
+    benchmarks, tests and the warehouse treat them uniformly and no caller
+    asks which one it holds. *)
 
 type t
 
@@ -44,23 +47,15 @@ val partitioned :
 (** The builders above only read the store they are given and log
     nothing, so several configurations may be built on one shared store
     from several domains at once ({!Shard.fan_out}); a [partitioned] one
-    calls its [is_old] predicate on the building domain. [announce] then
-    logs each incremental engine's "initializing <view>" INFO line
-    ({!Engine.announce}), from one domain; the recompute baseline logs
-    nothing. *)
+    calls [is_old] on the building domain. [announce] then logs
+    each engine's "initializing <view>" INFO line ({!Engine.announce}),
+    from one domain; the recompute baseline logs nothing. *)
 val announce : t -> unit
 
-(** The partitioned engine behind an [partitioned] configuration, for
-    warehouse-internal aging. *)
-val as_partitioned : t -> Partitioned.t option
-
-(** Deep copy of the configuration's mutable state, O(state). No code in
-    the library calls it: checkpoints write the validator's shadow, and the
-    warehouse applies batches in place under {!begin_txn} and rolls back
-    only the touched groups on failure. Its callers are the tests (the
-    pre-batch state a rollback must restore, and the serial twin a
-    parallel apply must equal) and the bench's copy-and-swap baseline
-    ([bench/main.exe apply-scaling]). *)
+(** Deep copy of the configuration's mutable state, O(state). The warehouse
+    applies batches in place under {!begin_txn}; only the tests' oracles (a
+    rollback's pre-batch state, a parallel apply's serial twin) and
+    [bench/main.exe apply-scaling]'s copy-and-swap baseline copy. *)
 val copy : t -> t
 
 (** Structural equality of the mutable state of two same-shaped
@@ -105,15 +100,11 @@ val apply_batch :
     configurations only. *)
 val takes_netted : t -> bool
 
-(** Current contents of the materialized view.
-
-    The returned relation is freshly built on every call and never aliases
-    the engine's mutable internals. Its hash-iteration order
-    ({!Relational.Relation.fold}/[iter]) depends on insertion history —
-    serial and shard-parallel application of the same batches can differ —
-    so any consumer that needs a deterministic row order must use the
-    canonical order, {!Relational.Relation.to_sorted_list}
-    ([Tuple.compare] ascending). *)
+(** Current contents of the materialized view, freshly built on every call.
+    Its hash-iteration order depends on insertion history (serial and
+    shard-parallel application of the same batches can differ); a consumer
+    that needs a deterministic row order must use the canonical order,
+    {!Relational.Relation.to_sorted_list}. *)
 val view_contents : t -> Relational.Relation.t
 
 (** [capture t] is {!view_contents} as of the last commit: the full render,
@@ -159,3 +150,8 @@ val last_flow : t -> Telemetry.Lineage.view_flow option
     [None] when the configuration cannot recompute from retained detail
     (recompute baseline, partitioned, or an eliminated root auxview). *)
 val self_audit : sample:int -> t -> (int * int) option
+
+(** [age_out t] moves current facts into the old partition of a
+    [partitioned] configuration ({!Partitioned.age_out}); [None] for every
+    other configuration. *)
+val age_out : t -> (Relational.Tuple.t list -> unit) option

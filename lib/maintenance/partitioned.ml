@@ -72,17 +72,10 @@ let init db (v : View.t) ~is_old =
     old_engine = Engine.init old_db (Derive.derive_with Derive.append_only_options old_db v);
     current_engine = Engine.init current_db (Derive.derive current_db v);
     group_positions =
-      List.filteri
-        (fun _ item ->
-          match item with Select_item.Group _ -> true | Select_item.Agg _ -> false)
+      List.mapi
+        (fun i -> function Select_item.Group _ -> [ i ] | Select_item.Agg _ -> [])
         v.View.select
-      |> List.map (fun item ->
-             let rec index i = function
-               | [] -> assert false
-               | x :: rest -> if x == item then i else index (i + 1) rest
-             in
-             index 0 v.View.select)
-      |> Array.of_list;
+      |> List.concat |> Array.of_list;
   }
 
 let announce t =
@@ -125,8 +118,6 @@ let apply_batch ?parallel t deltas =
       deltas ([], [])
   in
   apply_sides ?parallel t ~olds ~currents
-
-let apply t d = apply_batch t [ d ]
 
 let copy t =
   {
@@ -205,21 +196,19 @@ let view_contents t =
     (Engine.view_contents t.old_engine)
     (Engine.view_contents t.current_engine)
 
+(* [f] of both engines, each object named by its partition *)
+let prefixed t rename f =
+  List.map (rename "old/") (f t.old_engine)
+  @ List.map (rename "current/") (f t.current_engine)
+
+(* the partial views themselves are not detail data *)
 let detail_profile t =
-  List.map
-    (fun (n, r, f) -> ("old/" ^ n, r, f))
-    (match Engine.storage_profile t.old_engine with _ :: aux -> aux | [] -> [])
-  @ List.map
-      (fun (n, r, f) -> ("current/" ^ n, r, f))
-      (match Engine.storage_profile t.current_engine with
-      | _ :: aux -> aux
-      | [] -> [])
+  prefixed t
+    (fun side (n, r, f) -> (side ^ n, r, f))
+    (fun e -> List.tl (Engine.storage_profile e))
 
 let measured_bytes t =
-  List.map (fun (n, b) -> ("old/" ^ n, b)) (Engine.measured_bytes t.old_engine)
-  @ List.map
-      (fun (n, b) -> ("current/" ^ n, b))
-      (Engine.measured_bytes t.current_engine)
+  prefixed t (fun side (n, b) -> (side ^ n, b)) Engine.measured_bytes
 
 let offheap_bytes t =
   Engine.offheap_bytes t.old_engine + Engine.offheap_bytes t.current_engine

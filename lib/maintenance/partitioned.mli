@@ -46,20 +46,11 @@ val announce : t -> unit
     or if a deletion/update targets the append-only old partition. *)
 val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
 
-(** [apply t d] is [apply_batch t [d]]. *)
-val apply : t -> Relational.Delta.t -> unit
-
-(** Deep copy of both partition engines (the partition predicate is
-    shared). O(state), for {!Engines.copy}; batches run in place under
-    {!begin_txn}. *)
+(** The rest of the engine interface ({!Engines}) over both partition
+    engines: a deep copy (the partition predicate is shared), structural
+    equality, and undo journals opened and closed in both. *)
 val copy : t -> t
-
-(** Structural equality of both partition engines' mutable state. *)
 val equal_state : t -> t -> bool
-
-(** Open / close undo journals in both partition engines (see
-    {!Engine.begin_txn}). *)
-
 val in_txn : t -> bool
 val begin_txn : t -> unit
 val commit : t -> unit
@@ -80,15 +71,10 @@ val age_out : t -> Relational.Tuple.t list -> unit
 (** The merged view contents. *)
 val view_contents : t -> Relational.Relation.t
 
-(** (name, rows, fields) across both partitions' detail data, with
-    "old/"- and "current/"-prefixed object names. *)
+(** Storage across both partitions, object names prefixed "old/" and
+    "current/": (name, rows, fields) of the detail data, measured resident
+    bytes of every stored object ({!Engine.measured_bytes}), and off-heap
+    bytes. *)
 val detail_profile : t -> (string * int * int) list
-
-(** Measured resident bytes across both partitions' stored objects (views
-    included), with "old/"- and "current/"-prefixed names — see
-    {!Engine.measured_bytes}. *)
 val measured_bytes : t -> (string * int) list
-
-(** Off-heap (Bigarray) bytes across both partitions — see
-    {!Engine.offheap_bytes}. *)
 val offheap_bytes : t -> int

@@ -12,6 +12,8 @@ let of_database db = of_shadow (Database.copy db)
 let believed_source v = Database.copy v.shadow
 let shadow v = v.shadow
 
+let in_txn v = v.txn <> None
+
 let begin_txn v =
   if v.txn <> None then invalid_arg "Validator.begin_txn: transaction open";
   v.txn <- Some []

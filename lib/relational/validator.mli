@@ -27,6 +27,9 @@ val of_shadow : Database.t -> t
     against the shadow — undoing exactly the admitted prefix of the batch
     without copying the shadow. *)
 
+(** Whether a journal is open. *)
+val in_txn : t -> bool
+
 (** Opens a journal. Raises [Invalid_argument] if one is already open. *)
 val begin_txn : t -> unit
 

@@ -160,19 +160,27 @@ let fsync_dir path =
     (try Unix.fsync fd with Unix.Unix_error _ -> ());
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
-let write_file path records =
+(* The content must be on disk before the rename publishes it: a failed
+   fsync raises [Sys_error] and removes the temporary file instead, so
+   [path] keeps its previous content. *)
+let replace_file path fill =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      output_string oc magic;
-      List.iter (fun r -> output_string oc (frame r)) records;
+      fill oc;
       flush oc;
-      (* the content must be on disk before the rename publishes it *)
       try Unix.fsync (Unix.descr_of_out_channel oc)
-      with Unix.Unix_error _ -> ());
+      with Unix.Unix_error (e, _, _) ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        raise (Sys_error (tmp ^ ": fsync: " ^ Unix.error_message e)));
   Sys.rename tmp path
+
+let write_file path records =
+  replace_file path (fun oc ->
+      output_string oc magic;
+      List.iter (fun r -> output_string oc (frame r)) records)
 
 (* --- salvage ------------------------------------------------------------ *)
 
@@ -197,16 +205,7 @@ let salvage path =
   | Some d ->
     let tail = read_span path ~offset:d.d_offset ~bytes:d.d_bytes in
     let qpath = quarantine_path path in
-    let qtmp = qpath ^ ".tmp" in
-    let oc = open_out_bin qtmp in
-    Fun.protect
-      ~finally:(fun () -> close_out_noerr oc)
-      (fun () ->
-        output_string oc tail;
-        flush oc;
-        try Unix.fsync (Unix.descr_of_out_channel oc)
-        with Unix.Unix_error _ -> ());
-    Sys.rename qtmp qpath;
+    replace_file qpath (fun oc -> output_string oc tail);
     fsync_dir qpath;
     write_file path s.s_records;
     fsync_dir path;

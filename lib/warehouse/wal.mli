@@ -132,6 +132,12 @@ val rotate : writer -> to_path:string -> unit
 (** Flushes buffered records (best-effort) and closes the file. *)
 val close : writer -> unit
 
+(** [replace_file path fill] publishes [path] atomically: [fill] writes
+    [path ^ ".tmp"], which is fsynced and then renamed over [path].
+    @raise Sys_error if the fsync fails; the temporary file is then
+    removed and [path] is left as it was. *)
+val replace_file : string -> (out_channel -> unit) -> unit
+
 (** [fsync_dir path] fsyncs the directory containing [path], making a
     completed rename within it durable. Best-effort: errors from filesystems
     that refuse directory fsync are swallowed. *)

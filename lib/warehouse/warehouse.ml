@@ -556,9 +556,8 @@ let query_sorted t name =
 let derivation_of t name = Engines.derivation (find t name).engine
 
 let age_out t name facts =
-  let r = find t name in
-  match Engines.as_partitioned r.engine with
-  | Some p -> Maintenance.Partitioned.age_out p facts
+  match Engines.age_out (find t name).engine with
+  | Some age -> age facts
   | None -> err Not_aged "view %s is not registered with the Aged strategy" name
 
 let detail_profile t =
@@ -659,11 +658,8 @@ let save t path =
   in
   let shadow = Validator.shadow t.validator in
   let tables = Database.table_names shadow in
-  let tmp = path ^ ".tmp" in
-  let oc = try open_out_bin tmp with Sys_error m -> err Io_error "%s" m in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
+  match
+    Wal.replace_file path @@ fun oc ->
       output_string oc snapshot_magic;
       (* every section is staged in [body], one at a time *)
       let frame = Bytes.create frame_len in
@@ -717,13 +713,10 @@ let save t path =
             (Database.add_incoming shadow name))
         tables;
       section Dead_letters ~rows:(List.length t.dead) [||] (fun w ->
-          List.iter (Codec.add_rejection w) t.dead);
-      flush oc;
-      (* the snapshot must be on disk before the rename publishes it *)
-      (try Unix.fsync (Unix.descr_of_out_channel oc)
-       with Unix.Unix_error _ -> ()));
-  Sys.rename tmp path;
-  Wal.fsync_dir path
+          List.iter (Codec.add_rejection w) t.dead)
+  with
+  | () -> Wal.fsync_dir path
+  | exception Sys_error m -> err Io_error "%s" m
 
 (* What a snapshot holds, decoded and verified, before any engine is
    built from it. *)

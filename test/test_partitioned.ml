@@ -1,8 +1,10 @@
 (* Tests for the current/old detail split (Figure 1, Section 4): the
-   partitioned engine with an append-only old partition. *)
+   partitioned engine with an append-only old partition, reached through
+   the engine interface. *)
 
 open Helpers
 module Partitioned = Maintenance.Partitioned
+module Engines = Maintenance.Engines
 module Engine = Maintenance.Engine
 
 let test case fn = Alcotest.test_case case `Quick fn
@@ -42,7 +44,7 @@ let sales_profile =
 
 let check_merged ?(msg = "merged view") p db view =
   Alcotest.check relation msg (Algebra.Eval.eval db view)
-    (Partitioned.view_contents p)
+    (Engines.view_contents p)
 
 let current_facts db boundary =
   Database.fold db "sale"
@@ -54,40 +56,40 @@ let tests =
     test "init rejects AVG and DISTINCT" (fun () ->
         let db = Workload.Retail.load tiny_params in
         (match
-           Partitioned.init db Workload.Retail.monthly_revenue
+           Engines.partitioned db Workload.Retail.monthly_revenue
              ~is_old:(is_old 5)
          with
         | exception Partitioned.Unsupported _ -> ()
         | _ -> Alcotest.fail "AVG should be rejected");
         match
-          Partitioned.init db Workload.Retail.product_sales ~is_old:(is_old 5)
+          Engines.partitioned db Workload.Retail.product_sales ~is_old:(is_old 5)
         with
         | exception Partitioned.Unsupported _ -> ()
         | _ -> Alcotest.fail "DISTINCT should be rejected");
     test "initial merge equals evaluation over the whole store" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
         check_merged p db sales_profile);
     test "everything-old and everything-current degenerate cases" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let all_old = Partitioned.init db sales_profile ~is_old:(fun _ -> true) in
+        let all_old = Engines.partitioned db sales_profile ~is_old:(fun _ -> true) in
         check_merged ~msg:"all old" all_old db sales_profile;
-        let all_cur = Partitioned.init db sales_profile ~is_old:(fun _ -> false) in
+        let all_cur = Engines.partitioned db sales_profile ~is_old:(fun _ -> false) in
         check_merged ~msg:"all current" all_cur db sales_profile);
     test "fact inserts route to the right partition" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
         (* a late-arriving old fact and a current fact *)
         let old_fact = row [ i 90_001; i 2; i 1; i 1; i 7 ] in
         let cur_fact = row [ i 90_002; i 9; i 1; i 1; i 70 ] in
         List.iter (Database.apply db)
           [ Delta.insert "sale" old_fact; Delta.insert "sale" cur_fact ];
-        Partitioned.apply_batch p
+        Engines.apply_batch p
           [ Delta.insert "sale" old_fact; Delta.insert "sale" cur_fact ];
         check_merged p db sales_profile);
     test "current facts remain deletable and updatable" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
         match current_facts db 5 with
         | victim :: target :: _ ->
           let updated = Array.copy target in
@@ -97,43 +99,44 @@ let tests =
               Delta.update "sale" ~before:target ~after:updated ]
           in
           Database.apply_all db deltas;
-          Partitioned.apply_batch p deltas;
+          Engines.apply_batch p deltas;
           check_merged p db sales_profile
         | _ -> Alcotest.fail "need at least two current facts");
     test "old facts reject deletion" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
         let old_fact =
           Database.fold db "sale"
             (fun tup acc -> if is_old 5 tup then Some tup else acc)
             None
           |> Option.get
         in
-        match Partitioned.apply p (Delta.delete "sale" old_fact) with
+        match Engines.apply_batch p [ Delta.delete "sale" old_fact ] with
         | exception Engine.Invariant _ -> ()
         | _ -> Alcotest.fail "expected Engine.Invariant");
     test "cross-partition updates are rejected" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
         match current_facts db 5 with
         | fact :: _ ->
           let moved = Array.copy fact in
           moved.(1) <- i 1 (* now old *);
           (match
-             Partitioned.apply p (Delta.update "sale" ~before:fact ~after:moved)
+             Engines.apply_batch p
+               [ Delta.update "sale" ~before:fact ~after:moved ]
            with
           | exception Engine.Invariant _ -> ()
           | _ -> Alcotest.fail "expected Engine.Invariant")
         | [] -> Alcotest.fail "no current fact");
     test "dimension changes reach both partitions" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
         (* month is a group attribute of both partial views *)
         let before = Option.get (Database.find_by_key db "time" (i 3)) in
         let after = Array.copy before in
         after.(2) <- i 12;
         Database.apply db (Delta.update "time" ~before ~after);
-        Partitioned.apply p (Delta.update "time" ~before ~after);
+        Engines.apply_batch p [ Delta.update "time" ~before ~after ];
         check_merged p db sales_profile;
         (* and a new dimension member plus facts on both sides of it *)
         let deltas =
@@ -141,13 +144,13 @@ let tests =
             Delta.insert "sale" (row [ i 90_010; i 99; i 1; i 1; i 4 ]) ]
         in
         Database.apply_all db deltas;
-        Partitioned.apply_batch p deltas;
+        Engines.apply_batch p deltas;
         check_merged p db sales_profile);
     test "age_out keeps the merged view intact and shrinks current detail"
       (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
-        let before_view = Partitioned.view_contents p in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
+        let before_view = Engines.view_contents p in
         let current_rows profile =
           List.fold_left
             (fun acc (n, r, _) ->
@@ -156,7 +159,7 @@ let tests =
               else acc)
             0 profile
         in
-        let before_rows = current_rows (Partitioned.detail_profile p) in
+        let before_rows = current_rows (Engines.detail_profile p) in
         (* age out every current fact referencing timeid 6 *)
         let aged =
           Database.fold db "sale"
@@ -164,15 +167,15 @@ let tests =
             []
         in
         Alcotest.(check bool) "something to age" true (aged <> []);
-        Partitioned.age_out p aged;
+        Option.get (Engines.age_out p) aged;
         Alcotest.check relation "view unchanged" before_view
-          (Partitioned.view_contents p);
+          (Engines.view_contents p);
         Alcotest.(check bool) "current shrank" true
-          (current_rows (Partitioned.detail_profile p) < before_rows);
+          (current_rows (Engines.detail_profile p) < before_rows);
         check_merged p db sales_profile);
     test "sustained mixed stream stays correct" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
         let rng = Workload.Prng.create 7 in
         let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
         for round = 1 to 6 do
@@ -187,16 +190,16 @@ let tests =
             Workload.Delta_gen.stream_for rng db ~tables:[ "time"; "product" ]
               ~n:10
           in
-          Partitioned.apply_batch p (fact_stream @ dim_stream);
+          Engines.apply_batch p (fact_stream @ dim_stream);
           Alcotest.check relation
             (Printf.sprintf "round %d" round)
             (Algebra.Eval.eval db sales_profile)
-            (Partitioned.view_contents p)
+            (Engines.view_contents p)
         done);
     test "old partition pre-aggregates MIN/MAX" (fun () ->
         let db = Workload.Retail.load tiny_params in
-        let p = Partitioned.init db sales_profile ~is_old:(is_old 5) in
-        let profile = Partitioned.detail_profile p in
+        let p = Engines.partitioned db sales_profile ~is_old:(is_old 5) in
+        let profile = Engines.detail_profile p in
         (* both partitions present and prefixed *)
         Alcotest.(check bool) "old side" true
           (List.exists (fun (n, _, _) -> String.sub n 0 4 = "old/") profile);

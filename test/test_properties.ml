@@ -1054,7 +1054,7 @@ let prop_partitioned_random =
       let is_old tup =
         match tup.(1) with Value.Int t -> t <= !boundary | _ -> false
       in
-      let p = Maintenance.Partitioned.init db view ~is_old in
+      let p = Maintenance.Engines.partitioned db view ~is_old in
       let rng = Workload.Prng.create seed in
       let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
       let ok = ref true in
@@ -1067,7 +1067,7 @@ let prop_partitioned_random =
           Workload.Delta_gen.stream_for rng db
             ~tables:[ "product"; "store" ] ~n:10
         in
-        Maintenance.Partitioned.apply_batch p (facts @ dims);
+        Maintenance.Engines.apply_batch p (facts @ dims);
         (* occasionally age out a slice of the current partition *)
         if round = 2 then begin
           (* nightly job: advance the boundary by one day *)
@@ -1079,19 +1079,19 @@ let prop_partitioned_random =
                 | _ -> acc)
               []
           in
-          Maintenance.Partitioned.age_out p aged;
+          Option.get (Maintenance.Engines.age_out p) aged;
           incr boundary
         end;
         ok :=
           !ok
           && Relation.equal
-               (Maintenance.Partitioned.view_contents p)
+               (Maintenance.Engines.view_contents p)
                (Algebra.Eval.eval db view)
       done;
       !ok)
 
 (* The [Aged] strategy's old partition runs an append-only engine beside
-   the current one: both seed at [Partitioned.init]. *)
+   the current one: both seed at [Engines.partitioned]. *)
 let prop_seed_partitioned =
   QCheck2.Test.make ~count
     ~name:"seeded old/current partitions == partitions fed every row"
@@ -1099,18 +1099,18 @@ let prop_seed_partitioned =
       Printf.sprintf "%s / old up to day %d" (print_view v) boundary)
     Gen.(pair mergeable_view_gen (int_bound tiny_params.Workload.Retail.days))
     (fun (view, boundary) ->
-      let module Partitioned = Maintenance.Partitioned in
+      let module Engines = Maintenance.Engines in
       let db = Workload.Retail.load tiny_params in
       View.validate db view;
       let is_old tup =
         match tup.(1) with Value.Int t -> t <= boundary | _ -> false
       in
-      let seeded = Partitioned.init db view ~is_old in
-      let fed = Partitioned.init (Workload.Retail.empty ()) view ~is_old in
-      Partitioned.apply_batch fed (inserts_of db view);
-      Partitioned.equal_state seeded fed
+      let seeded = Engines.partitioned db view ~is_old in
+      let fed = Engines.partitioned (Workload.Retail.empty ()) view ~is_old in
+      Engines.apply_batch fed (inserts_of db view);
+      Engines.equal_state seeded fed
       && Relation.equal
-           (Partitioned.view_contents seeded)
+           (Engines.view_contents seeded)
            (Algebra.Eval.eval db view))
 
 let prop_batch_split_invariance =

@@ -189,6 +189,34 @@ let durability_tests =
         Alcotest.(check int) "batch count" 2 (Warehouse.ingested_batches wh');
         check_views wh' db;
         Warehouse.close wh');
+    test "a failed snapshot fsync publishes nothing" (fun () ->
+        let db, wh = build () in
+        let dir = fresh_dir "wh_fsync_dir" in
+        Warehouse.attach wh ~dir;
+        let rng = Workload.Prng.create 9 in
+        let batch () =
+          Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:30)
+        in
+        batch ();
+        batch ();
+        let snap = Filename.concat dir "snapshot.bin" in
+        let slurp path = In_channel.with_open_bin path In_channel.input_all in
+        let live = slurp snap in
+        (* the checkpoint writes snapshot.bin.new.tmp, fsyncs it and renames
+           it to snapshot.bin.new; fsync on /dev/null fails with EINVAL *)
+        Unix.symlink "/dev/null" (snap ^ ".new.tmp");
+        (match Warehouse.checkpoint wh with
+        | exception Warehouse.Error { kind = Warehouse.Io_error; _ } -> ()
+        | () -> Alcotest.fail "expected Io_error");
+        Alcotest.(check string) "live snapshot unchanged" live (slurp snap);
+        Alcotest.(check bool) "temporary file removed" false
+          (Sys.file_exists (snap ^ ".new.tmp"));
+        batch ();
+        Warehouse.close wh;
+        let wh' = Warehouse.recover ~dir in
+        Alcotest.(check int) "batch count" 3 (Warehouse.ingested_batches wh');
+        check_views wh' db;
+        Warehouse.close wh');
     test "recovery tolerates a torn WAL tail" (fun () ->
         let db, wh = build () in
         let dir = fresh_dir "wh_torn_dir" in
