@@ -1,8 +1,8 @@
 (** Fault injection: named crash points in the ingestion pipeline.
 
     A crash point marks a place where a real deployment could lose the
-    process — power cut, OOM kill, operator error — or hit a transient
-    failure (a flaky fsync, a worker domain dying). Tests (and the CLI, via
+    process — power cut, OOM kill, operator error — or hit a recoverable
+    failure (a failed fsync, a worker domain dying). Tests (and the CLI, via
     the [MINVIEW_FAULT] environment variable) {!arm} a point; when the
     pipeline reaches it, {!hit} raises.
 
@@ -12,8 +12,9 @@
       on-disk state exactly as a real crash would. Recovery code then has to
       cope with whatever was left behind.
     - [Fail] raises {!Injected}, a {e recoverable} fault: the supervised
-      paths (WAL durability barriers, shard workers) catch it and exercise
-      their retry / rollback / degradation machinery instead of dying.
+      paths catch it instead of dying. A shard worker's is rolled back and
+      degrades ingestion to serial; at the WAL barrier it is raised as the
+      fsync error it models, which fails the log.
     - [Stall seconds] sleeps at the point instead of raising, and only on a
       spawned (non-main) domain: it wedges a shard worker past a supervised
       pool's deadline while the worker eventually resumes — the
@@ -43,19 +44,21 @@ type point =
           was not yet fsynced: a power cut may resurrect the previous
           snapshot, and the generation chain must still recover *)
   | Mid_group_commit
-      (** a group commit flushed only part of its buffered frames to the OS
-          before the power cut: the WAL ends in a torn record and replay must
-          recover the durable prefix *)
+      (** a WAL append wrote only the first half of its batch's frame to
+          the OS before the power cut: the WAL ends in a torn record and
+          replay must recover the durable prefix. (The name is older than
+          one fsync per batch.) *)
   | In_shard_worker
       (** inside a shard worker's job, mid-parallel-apply: with [Fail] the
           supervisor must roll the transaction back and degrade to serial *)
   | Wal_fsync
-      (** at the WAL durability barrier: with [Fail] models a transient
-          fsync failure that the ingest retry policy must absorb *)
+      (** at the WAL durability barrier, before its fsync: with [Fail]
+          models a failed fsync ([EIO]), which is never retried — the batch
+          is aborted and the log replaced *)
 
 (** How an armed point fires: [Kill] simulates process death ({!Crash},
-    never caught by the pipeline); [Fail] simulates a transient, recoverable
-    fault ({!Injected}, absorbed by supervision/retry); [Stall seconds]
+    never caught by the pipeline); [Fail] simulates a recoverable fault
+    ({!Injected}, caught by the supervised paths); [Stall seconds]
     sleeps at the point instead of raising — it models a wedged worker, so
     it only fires on a spawned (non-main) domain, and hits on the main
     domain neither fire nor consume the trigger. *)
@@ -65,7 +68,7 @@ type mode = Kill | Fail | Stall of float
     exception: only test harnesses and the CLI top level may catch it. *)
 exception Crash of point
 
-(** The simulated transient fault; supervised paths catch it. *)
+(** The simulated recoverable fault; supervised paths catch it. *)
 exception Injected of point
 
 val all : point list

@@ -1,7 +1,9 @@
 (** The warehouse's write-ahead log.
 
-    Accepted delta batches are appended (and flushed) here {e before} any
-    maintenance engine applies them; the append is the commit point. After a
+    Accepted delta batches are appended here {e before} any maintenance
+    engine applies them, each written and fsynced on its own; the append
+    is the commit point. Every file operation goes through {!Durable}, so
+    a failed write or fsync raises and is never retried. After a
     crash, {!Warehouse.recover} {!scan}s the segments its snapshot does not
     cover, replays the committed batches newer than the snapshot, and opens
     the live log's writer from its scan ({!open_scanned}).
@@ -65,24 +67,22 @@ type scan = {
     @raise Corrupt if the file exists but is not a WAL. *)
 val scan : string -> scan
 
-(** [quarantine_path path] is where {!salvage} puts the bad tail
-    ([path ^ ".quarantine"]). *)
-val quarantine_path : string -> string
-
-(** [salvage path] repairs a damaged log: the undecodable tail is copied to
-    {!quarantine_path} (fsynced before the log is touched, so the evidence
-    survives), the valid prefix is atomically rewritten in place, and both
-    renames are made durable with directory fsyncs. Returns the scan and the
-    quarantine path ([None] if the log was already clean and nothing was
-    written). The callers report each salvage: [minview repair]'s report
-    and recovery's warning log line.
-    @raise Corrupt as {!scan}. *)
-val salvage : string -> scan * string option
+(** [salvage path] repairs a damaged log: the undecodable tail is
+    quarantined beside it ({!Durable.quarantine}, made durable before the
+    log is touched, so the evidence survives; an earlier salvage's tail is
+    never overwritten), then the valid prefix is atomically rewritten in
+    place. Returns the quarantine file ([None] if the log was already
+    clean and nothing was written). The callers report each
+    salvage: [minview repair]'s report and recovery's warning log line.
+    @raise Corrupt as {!scan}.
+    @raise Sys_error if a file operation fails. *)
+val salvage : string -> string option
 
 type writer
 
 (** Open for appending, creating the file (or salvaging a damaged tail, with
-    quarantine) as needed. @raise Corrupt as {!scan}. *)
+    quarantine) as needed. @raise Corrupt as {!scan}.
+    @raise Sys_error as {!salvage}. *)
 val open_append : string -> writer
 
 (** [open_scanned path s] opens for appending a log whose scan [s] the
@@ -90,55 +90,29 @@ val open_append : string -> writer
     without reading it again; a missing file is created. Recovery uses it
     so the live log is scanned once.
     @raise Corrupt if [path]'s length is not where [s]'s decodable prefix
-    ends (appends would not start on a record boundary). *)
+    ends (appends would not start on a record boundary).
+    @raise Sys_error if a file operation fails. *)
 val open_scanned : string -> scan -> writer
 
-(** [append ?sync w r] stages one record. With [~sync:true] (the default)
-    the record — and anything staged before it — is immediately written and
-    fsynced: once [append] returns, the record survives a power cut. With
-    [~sync:false] the record only joins the writer's in-memory buffer;
-    nothing is durable (or even visible to {!scan}) until the next
-    {!sync}. Group commit: stage every batch of an ingest burst with
-    [~sync:false], then pay one write and one fsync in a single {!sync}. *)
-val append : ?sync:bool -> writer -> record -> unit
+(** [create path] atomically replaces [path] with an empty log and opens
+    it for appending: after a checkpoint, whose snapshot holds every
+    record of the log it replaces. The new file is fsynced before its
+    rename and the directory after it (crash point between the two:
+    [Maintenance.Faults.After_truncate_rename]).
+    @raise Sys_error if a file operation fails. *)
+val create : string -> writer
 
-(** Write all buffered records to the OS in one write and fsync the log.
-    The durability barrier of a group commit (crash points:
-    [Maintenance.Faults.Mid_group_commit] — a power cut mid-write leaves a
-    torn tail that recovery salvages — and [Maintenance.Faults.Wal_fsync] —
-    in [Fail] mode, a transient fsync failure the ingest retry policy
-    absorbs by calling [sync] again). A no-op buffer still fsyncs, so [sync]
-    is also a plain durability barrier. *)
-val sync : writer -> unit
+(** [append w r] writes one record and fsyncs the log: once [append]
+    returns, the record survives a power cut. Crash points:
+    [Maintenance.Faults.Mid_group_commit] between the two halves of the
+    frame's write (a power cut there leaves a torn tail that recovery
+    salvages) and [Maintenance.Faults.Wal_fsync] at the barrier
+    ({!Durable.barrier}).
+    @raise Sys_error if the write or the fsync fails. The log has then
+    failed: what reached its disk is unknown, so nothing more may be
+    written to it. *)
+val append : writer -> record -> unit
 
-(** Atomically reset the log to empty (after a checkpoint made its records
-    redundant). Buffered-but-unsynced records are dropped — they describe
-    batches the checkpoint already contains. The replacement file is fsynced
-    before the rename and the containing directory after it, so the reset
-    cannot be undone by a crash (crash point:
-    [Maintenance.Faults.After_truncate_rename]). *)
-val truncate : writer -> unit
-
-(** [rotate w ~to_path] archives the live log: the current file is renamed
-    to [to_path] (directory-fsynced), a fresh empty log is atomically
-    created in its place, and the writer continues on it. The checkpoint
-    generation chain uses this instead of {!truncate} so the replaced log's
-    records stay replayable from the archive. Buffered-but-unsynced records
-    are dropped as in {!truncate}; the same
-    [Maintenance.Faults.After_truncate_rename] crash point covers the fresh
-    log's publication. *)
-val rotate : writer -> to_path:string -> unit
-
-(** Flushes buffered records (best-effort) and closes the file. *)
+(** Closes the file. Every record was synced by its own {!append}, so
+    nothing is lost. *)
 val close : writer -> unit
-
-(** [replace_file path fill] publishes [path] atomically: [fill] writes
-    [path ^ ".tmp"], which is fsynced and then renamed over [path].
-    @raise Sys_error if the fsync fails; the temporary file is then
-    removed and [path] is left as it was. *)
-val replace_file : string -> (out_channel -> unit) -> unit
-
-(** [fsync_dir path] fsyncs the directory containing [path], making a
-    completed rename within it durable. Best-effort: errors from filesystems
-    that refuse directory fsync are swallowed. *)
-val fsync_dir : string -> unit

@@ -105,11 +105,6 @@ module Obs = struct
       ~help:"1 while ingestion is degraded to serial apply, else 0"
       "minview_warehouse_parallel_degraded"
 
-  let ingest_retries =
-    Telemetry.Counter.make
-      ~help:"Transient ingest faults absorbed by the retry policy"
-      "minview_warehouse_ingest_retries_total"
-
   let dead_letters_dropped =
     Telemetry.Counter.make
       ~help:"Oldest dead letters dropped past the dead-letter cap"
@@ -180,6 +175,10 @@ let kind_label = function
 let err kind fmt =
   Format.kasprintf (fun detail -> raise (Error { kind; detail })) fmt
 
+(* The boundary where a failed file operation ([Durable] raises
+   [Sys_error]) becomes [Error Io_error]. *)
+let io f = try f () with Sys_error m -> err Io_error "%s" m
+
 (* --- state ------------------------------------------------------------- *)
 
 type strategy =
@@ -216,13 +215,6 @@ type snapshot = {
   epoch_views : view_snap list;  (** registration order *)
 }
 
-(* Jittered exponential backoff for transient ingest faults (a failed WAL
-   durability barrier). The jitter keeps concurrent recovering writers from
-   hammering a struggling disk in lockstep. *)
-type retry = { attempts : int; base_delay : float; max_delay : float }
-
-let default_retry = { attempts = 4; base_delay = 0.002; max_delay = 0.25 }
-
 (* Supervision policy for parallel apply: after a worker failure the
    warehouse runs serially for [backoff] clean batches (starting at
    [initial_backoff], doubling per repeated failure up to [max_backoff]);
@@ -248,7 +240,6 @@ type t = {
   (* runtime-only (like [wal]): never marshaled, so snapshots stay portable
      to hosts with different core counts; [load]/[recover] reset it *)
   mutable parallel : Maintenance.Shard.pool option;
-  mutable retry : retry;
   mutable dead_cap : int option;
   (* supervision state: [degraded_until] counts the serial batches left
      before parallel apply is retried; [backoff] is the next degradation
@@ -280,7 +271,6 @@ let make ~views ~validator ~dead ~seq =
     checkpoint_every = None;
     keep_generations = default_keep_generations;
     parallel = None;
-    retry = default_retry;
     dead_cap = None;
     degraded_until = 0;
     backoff = initial_backoff;
@@ -431,11 +421,6 @@ let health ?(require_wal = false) ?max_commit_age_s ?max_epoch_lag t =
     }
   in
   [ wal_check; apply_check; age_check; lag_check ]
-
-let set_retry t retry =
-  if retry.attempts < 0 || retry.base_delay < 0. || retry.max_delay < 0. then
-    err Invalid_request "set_retry: attempts and delays must be non-negative";
-  t.retry <- retry
 
 (* Registration-time initialization of a view's engine from the validator's
    committed shadow, the warehouse's belief of the current source. Engines
@@ -658,8 +643,8 @@ let save t path =
   in
   let shadow = Validator.shadow t.validator in
   let tables = Database.table_names shadow in
-  match
-    Wal.replace_file path @@ fun oc ->
+  io @@ fun () ->
+    Durable.replace_file path @@ fun oc ->
       output_string oc snapshot_magic;
       (* every section is staged in [body], one at a time *)
       let frame = Bytes.create frame_len in
@@ -714,9 +699,6 @@ let save t path =
         tables;
       section Dead_letters ~rows:(List.length t.dead) [||] (fun w ->
           List.iter (Codec.add_rejection w) t.dead)
-  with
-  | () -> Wal.fsync_dir path
-  | exception Sys_error m -> err Io_error "%s" m
 
 (* What a snapshot holds, decoded and verified, before any engine is
    built from it. *)
@@ -1024,12 +1006,15 @@ let prune_generations dir ~keep =
         List.filter (fun (n, _) -> n < cutoff)
           (generation_snapshots dir @ generation_wals dir)
       in
-      if stale <> [] then begin
-        List.iter
-          (fun (_, p) -> try Sys.remove p with Sys_error _ -> ())
-          stale;
-        Wal.fsync_dir (gen_snapshot_path dir 0)
-      end
+      if stale <> [] then
+        try
+          List.iter (fun (_, p) -> Durable.remove p) stale;
+          Durable.fsync_dir (gen_snapshot_path dir 0)
+        with Sys_error m ->
+          (* a stale generation left behind only costs disk space, and the
+             next checkpoint prunes it again: warn, and let the checkpoint
+             that made it stale stand *)
+          Log.warn (fun f -> f "%s: pruning stale generations: %s" dir m)
 
 (* --- lineage ----------------------------------------------------------- *)
 
@@ -1061,12 +1046,20 @@ let emit_lineage t ~seq ~tables =
             (List.rev t.views);
       }
 
+(* Stop writing to the log: after [checkpoint] has replaced it, or when a
+   write or barrier of it failed, so that what reached its disk is
+   unknown. *)
+let drop_log t =
+  Option.iter Wal.close t.wal;
+  t.wal <- None
+
 let checkpoint t =
-  match (t.dir, t.wal) with
-  | Some dir, Some wal ->
+  match t.dir with
+  | Some dir ->
     Telemetry.with_phase Obs.checkpoint_seconds "warehouse.checkpoint"
       ~attrs:[ ("dir", dir) ]
       (fun () ->
+        io @@ fun () ->
         let snap = snapshot_path dir in
         let fresh = snap ^ ".new" in
         (* build the new snapshot off to the side: a crash while it is
@@ -1075,42 +1068,44 @@ let checkpoint t =
         let n =
           if not (t.keep_generations > 0 && Sys.file_exists snap) then None
           else begin
-            (try Sys.mkdir (generations_dir dir) 0o755
-             with Sys_error _ -> ());
+            Durable.mkdir (generations_dir dir);
             let n = next_generation_index dir in
             (* the outgoing snapshot becomes generation [n]; its WAL segment
                — the batches between it and the new snapshot — is archived
                under the same index below *)
-            Sys.rename snap (gen_snapshot_path dir n);
-            Wal.fsync_dir (gen_snapshot_path dir n);
-            Wal.fsync_dir snap;
+            Durable.rename snap (gen_snapshot_path dir n);
             Some n
           end
         in
-        Sys.rename fresh snap;
         (* crash point: the new snapshot is renamed into place but the
            directory entry is not yet durable — a power cut can leave the
            directory without snapshot.bin, which recovery must serve from
            the generation chain plus the still-unrotated WAL *)
-        Faults.hit Faults.After_checkpoint_rename;
-        Wal.fsync_dir snap;
+        Durable.rename ~window:Faults.After_checkpoint_rename fresh snap;
         (* crash point: new snapshot in place, WAL not yet rotated — replay
            must recognize the WAL's batches as already checkpointed *)
         Faults.hit Faults.Before_wal_truncate;
+        (* the snapshot holds every record of the log, which restarts
+           empty. The old log is archived beside the outgoing snapshot;
+           without one (the first checkpoint, or the chain disabled) no
+           older snapshot needs its records. Until [Wal.create] returns
+           the warehouse has no log, and a failure leaves it without one
+           until a checkpoint succeeds; [wal] is missing only when such a
+           failure had already archived it. *)
+        drop_log t;
+        let wal = wal_path dir in
         (match n with
-        | Some n -> Wal.rotate wal ~to_path:(gen_wal_path dir n)
-        | None ->
-          (* nothing was archived (first checkpoint, or the chain is
-             disabled): no older generation needs the replaced records *)
-          Wal.truncate wal);
+        | Some n when Sys.file_exists wal ->
+          Durable.rename wal (gen_wal_path dir n)
+        | Some _ | None -> ());
+        t.wal <- Some (Wal.create wal);
         prune_generations dir ~keep:t.keep_generations;
         (* the workload profile is advisory state: write it beside the WAL
            at every checkpoint, but never fail the checkpoint over it *)
-        (try
-           Telemetry.Workload.write_profile
-             ~path:(workload_profile_path dir)
-         with Sys_error _ | Unix.Unix_error _ -> ()))
-  | _ ->
+        try
+          Telemetry.Workload.write_profile ~path:(workload_profile_path dir)
+        with Sys_error _ | Unix.Unix_error _ -> ())
+  | None ->
     err Not_durable "checkpoint: attach the warehouse to a state directory first"
 
 (* On-demand profile write (the CLI's [minview profile --state] and the
@@ -1132,8 +1127,7 @@ let attach ?checkpoint_every ?keep_generations t ~dir =
   (match Sys.is_directory dir with
   | true -> ()
   | false -> err Io_error "%s exists and is not a directory" dir
-  | exception Sys_error _ -> (
-    try Sys.mkdir dir 0o755 with Sys_error m -> err Io_error "%s" m));
+  | exception Sys_error _ -> io (fun () -> Durable.mkdir dir));
   t.dir <- Some dir;
   t.checkpoint_every <- checkpoint_every;
   (match keep_generations with
@@ -1141,7 +1135,7 @@ let attach ?checkpoint_every ?keep_generations t ~dir =
     err Invalid_request "attach: keep_generations must be >= 0"
   | Some k -> t.keep_generations <- k
   | None -> ());
-  (match Wal.open_append (wal_path dir) with
+  (match io (fun () -> Wal.open_append (wal_path dir)) with
   | w -> t.wal <- Some w
   | exception Wal.Corrupt m -> err Corrupt_state "%s" m);
   (* lineage records persist next to the WAL commit markers they mirror *)
@@ -1150,9 +1144,8 @@ let attach ?checkpoint_every ?keep_generations t ~dir =
   checkpoint t
 
 let close t =
-  Option.iter Wal.close t.wal;
+  drop_log t;
   if t.dir <> None then Telemetry.Lineage.set_sink None;
-  t.wal <- None;
   t.dir <- None
 
 (* --- ingestion --------------------------------------------------------- *)
@@ -1187,43 +1180,6 @@ let quarantine t rejections =
 
 let believed_source t = Validator.believed_source t.validator
 let ingested_batches t = t.seq
-
-(* --- transient-fault retry ----------------------------------------------- *)
-
-let jitter_state = lazy (Random.State.make [| 0x6d76; 0x7265 |])
-
-(* Retry a transient durability barrier with jittered exponential backoff.
-   Only the barrier itself is ever retried — the WAL frames are already
-   staged (or written to the OS), so re-appending would duplicate records.
-   Transient faults surface as [Faults.Injected]; anything else, including
-   a simulated [Faults.Crash], propagates untouched. *)
-let with_retry t ~what f =
-  let rec go attempt =
-    match f () with
-    | () -> ()
-    | exception Faults.Injected point ->
-      if attempt >= t.retry.attempts then
-        err Io_error "%s: transient fault (%s) persisted after %d attempt(s)"
-          what (Faults.to_string point) t.retry.attempts;
-      Telemetry.Counter.one Obs.ingest_retries;
-      let cap =
-        Float.min t.retry.max_delay
-          (t.retry.base_delay *. (2. ** float_of_int attempt))
-      in
-      let delay =
-        cap *. (0.5 +. Random.State.float (Lazy.force jitter_state) 0.5)
-      in
-      Log.warn (fun m ->
-          m "%s: transient fault (%s); retry %d/%d in %.1f ms" what
-            (Faults.to_string point) (attempt + 1) t.retry.attempts
-            (delay *. 1000.));
-      if delay > 0. then (try Unix.sleepf delay with Unix.Unix_error _ -> ());
-      go (attempt + 1)
-  in
-  go 0
-
-let sync_wal t ~what =
-  Option.iter (fun w -> with_retry t ~what (fun () -> Wal.sync w)) t.wal
 
 (* The batch netted once for every incremental view on the compacted path:
    only the tables some of them read, keyed as the shadow keys them. [None]
@@ -1272,7 +1228,7 @@ let failure_detail = function
   | Maintenance.Shard.Wedged { worker; waited } ->
     Printf.sprintf "shard worker %d wedged after %.3f s" worker waited
   | Faults.Injected p -> "injected fault at " ^ Faults.to_string p
-  | Failure m | Invalid_argument m -> m
+  | Failure m | Invalid_argument m | Sys_error m -> m
   | e -> Printexc.to_string e
 
 (* The wedge remedy. After [Shard.Wedged] the abandoned worker domain may
@@ -1361,19 +1317,37 @@ let note_apply_outcome t = function
       end
     end
 
-(* The one exit of a batch that does not commit: a WAL barrier that stayed
-   down, an engine failure after supervision's serial retry, a wedged pool
-   or a replayed batch the validator refuses. Engines with an open
+(* The log failed (see [drop_log], which the caller has called): replace
+   it the way [checkpoint] does — a snapshot of the committed state, whose
+   sequence number covers the failed batch, then a fresh, empty log — and
+   raise [Io_error]. Were the failed frame to reach the disk after all,
+   [recover] would not replay it past that snapshot. If the checkpoint
+   fails too, the warehouse keeps no log and refuses to ingest until a
+   checkpoint succeeds. *)
+let replace_failed_log t ~seq detail =
+  Log.warn (fun m -> m "batch %d: %s; replacing the log" seq detail);
+  (match checkpoint t with
+  | () -> ()
+  | exception Error { detail = why; _ } ->
+    err Io_error
+      "batch %d: %s; replacing the log failed too (%s): no batch is \
+       ingested until a checkpoint succeeds"
+      seq detail why);
+  err Io_error "batch %d: %s" seq detail
+
+(* The one exit of a batch that does not commit: a failed WAL write or
+   barrier, an engine failure after supervision's serial retry, a wedged
+   pool or a replayed batch the validator refuses. Engines with an open
    transaction roll back to their before-image (those past the failure have
    empty journals). A wedge is the exception: the stray domain may still be
    mutating the engines, so they cannot even be rolled back — they are
    abandoned and rebuilt from the committed shadow. The validator rolls
    back, batch [seq]'s number is consumed and the whole batch is
    quarantined as [Engine_failure]; then, when a log is attached, an
-   [Abort] marker — synced like the batch's own record — keeps replay from
-   resurrecting a batch whose frame may already have reached the OS.
-   Returns the quarantined rejections. *)
-let abort ~sync t ~seq deltas cause =
+   [Abort] marker keeps replay from resurrecting a batch whose frame is
+   already in the log. A failed marker write fails the log like a failed
+   batch record. Returns the quarantined rejections. *)
+let abort t ~seq deltas cause =
   (match cause with
   | Maintenance.Shard.Wedged _ ->
     Validator.rollback t.validator;
@@ -1396,40 +1370,44 @@ let abort ~sync t ~seq deltas cause =
   quarantine t aborted;
   Option.iter
     (fun w ->
-      Wal.append ~sync:false w (Wal.Abort { seq });
-      if sync then with_retry t ~what:"wal-abort" (fun () -> Wal.sync w))
+      match Wal.append w (Wal.Abort { seq }) with
+      | () -> ()
+      | exception (Faults.Crash _ as crash) -> raise crash
+      | exception e ->
+        drop_log t;
+        replace_failed_log t ~seq
+          ("the WAL abort marker failed: " ^ failure_detail e))
     t.wal;
   aborted
 
 (* The one commit path, shared by ingestion and WAL replay: batch [seq],
    whose [deltas] the caller admitted under an open validator transaction,
-   is staged in the WAL when a log is attached, applied under supervision,
-   and committed in every engine and the validator; then [t.seq] advances
-   and the batch's lineage record is emitted. With [~sync:true] the staged
-   record is fsynced here — the commit point, transient fsync faults
-   absorbed by the retry policy — and with [~sync:false] by the group's
-   final {!Wal.sync}. Replay needs no flag: the writer opens only after it
-   and pools are never restored before it, so a replayed batch stages
-   nothing and applies serially. A failure leaves through {!abort}; a
-   failed WAL barrier is then re-raised, so the caller learns the batch did
-   not commit. *)
-let commit_batch ~sync t ~seq deltas =
-  (match
-     Option.iter
-       (fun w ->
-         Wal.append ~sync:false w (Wal.Batch { seq; deltas });
-         if sync then with_retry t ~what:"wal-commit" (fun () -> Wal.sync w);
-         Faults.hit Faults.After_wal_append)
-       t.wal
-   with
-  | () -> ()
-  | exception (Faults.Crash _ as crash) ->
-    (* simulated process death: no cleanup, recovery reloads from disk *)
-    raise crash
-  | exception e ->
-    ignore (abort ~sync t ~seq deltas e);
-    raise e);
-  match apply_supervised t deltas with
+   is written and fsynced to the WAL when a log is attached, applied under
+   supervision, and committed in every engine and the validator; then
+   [t.seq] advances and the batch's lineage record is emitted. Replay
+   writes nothing: the writer opens only after it, and pools are never
+   restored before it, so a replayed batch applies serially. A failed WAL
+   write or barrier fails the log: the batch is aborted before any engine
+   sees it, and [Io_error] is raised ([replace_failed_log]). Any other
+   failure leaves through {!abort}. *)
+let commit_batch t ~seq deltas =
+  Option.iter
+    (fun w ->
+      match Wal.append w (Wal.Batch { seq; deltas }) with
+      | () -> ()
+      | exception (Faults.Crash _ as crash) ->
+        (* simulated process death: no cleanup, recovery reloads from disk *)
+        raise crash
+      | exception e ->
+        let detail = "the WAL commit barrier failed: " ^ failure_detail e in
+        drop_log t;
+        ignore (abort t ~seq deltas (Error { kind = Io_error; detail }));
+        replace_failed_log t ~seq detail)
+    t.wal;
+  match
+    if t.wal <> None then Faults.hit Faults.After_wal_append;
+    apply_supervised t deltas
+  with
   | mode ->
     commit_engines t;
     Validator.commit t.validator;
@@ -1439,12 +1417,19 @@ let commit_batch ~sync t ~seq deltas =
     emit_lineage t ~seq ~tables;
     `Committed tables
   | exception (Faults.Crash _ as crash) -> raise crash
-  | exception e -> `Aborted (abort ~sync t ~seq deltas e)
+  | exception e -> `Aborted (abort t ~seq deltas e)
 
 (* Ingestion admits delta by delta: a rejected delta is quarantined on its
-   own and the rest of the batch still commits. [~sync:false] is the group
-   commit of {!ingest_all}. *)
-let ingest_report_inner ~sync t deltas =
+   own and the rest of the batch still commits. A warehouse whose log
+   failed admits nothing until a checkpoint has opened a fresh one. *)
+let ingest_report_inner t deltas =
+  (match t.dir with
+  | Some dir when t.wal = None ->
+    err Io_error
+      "%s: the write-ahead log failed and was not replaced; checkpoint to \
+       open a fresh one"
+      dir
+  | Some _ | None -> ());
   Validator.begin_txn t.validator;
   let accepted, rejected =
     List.fold_left
@@ -1462,7 +1447,7 @@ let ingest_report_inner ~sync t deltas =
   end
   else
     let seq = t.seq + 1 in
-    match commit_batch ~sync t ~seq accepted with
+    match commit_batch t ~seq accepted with
     | `Committed tables ->
       Telemetry.Counter.one Obs.commits;
       t.last_commit_s <- Unix.gettimeofday ();
@@ -1478,39 +1463,11 @@ let ingest_report_inner ~sync t deltas =
     | `Aborted aborted ->
       { batch = seq; applied = 0; rejected = rejected @ aborted }
 
-let ingest_report_with ~sync t deltas =
+let ingest_report t deltas =
   Telemetry.with_phase Obs.ingest_seconds ~alloc:Obs.ingest_alloc
-    "warehouse.ingest" (fun () -> ingest_report_inner ~sync t deltas)
+    "warehouse.ingest" (fun () -> ingest_report_inner t deltas)
 
-let ingest_report t deltas = ingest_report_with ~sync:true t deltas
 let ingest t deltas = ignore (ingest_report t deltas)
-
-(* Group commit: every batch of the burst stages its WAL record in the
-   writer's buffer; one [Wal.sync] then makes the whole burst durable with a
-   single write and fsync. Deferred acknowledgement — a crash inside the
-   burst can lose a suffix of the staged batches, but recovery always comes
-   back at a batch boundary of the durable prefix, so the resume cursor
-   ({!ingested_batches}) stays valid. [in_flight] bounds the exposure: an
-   intermediate durability barrier is issued before more than that many
-   batches ride on un-fsynced WAL frames. *)
-let ingest_all ?(in_flight = 64) t batches =
-  if in_flight < 1 then
-    err Invalid_request "ingest_all: in_flight must be >= 1";
-  let pending = ref 0 in
-  let reports =
-    List.map
-      (fun batch ->
-        let r = ingest_report_with ~sync:false t batch in
-        incr pending;
-        if !pending >= in_flight then begin
-          sync_wal t ~what:"wal-group-commit";
-          pending := 0
-        end;
-        r)
-      batches
-  in
-  if !pending > 0 || batches = [] then sync_wal t ~what:"wal-group-commit";
-  reports
 
 (* --- recovery ----------------------------------------------------------- *)
 
@@ -1532,9 +1489,8 @@ let replay_batch t ~seq deltas =
   with
   | Some r ->
     let detail = "replay validation failed: " ^ r.Delta.detail in
-    ignore
-      (abort ~sync:true t ~seq deltas (Error { kind = Corrupt_state; detail }))
-  | None -> ignore (commit_batch ~sync:true t ~seq deltas)
+    ignore (abort t ~seq deltas (Error { kind = Corrupt_state; detail }))
+  | None -> ignore (commit_batch t ~seq deltas)
 
 (* Candidate snapshots, newest first: the live snapshot (if present), then
    the archived generations in descending chain order. The paired index
@@ -1544,24 +1500,6 @@ let snapshot_candidates dir =
   let live = snapshot_path dir in
   (if Sys.file_exists live then [ (max_int, live) ] else [])
   @ List.rev (generation_snapshots dir)
-
-(* Quarantine names are never reused: if [path ^ ".quarantine"] already
-   holds earlier evidence (a previous fallback of the same path, or of a
-   reallocated generation index), a numbered suffix is chosen instead of
-   clobbering it — quarantining must never destroy bytes, including bytes
-   a previous quarantine preserved. *)
-let quarantine_snapshot path =
-  let rec fresh n =
-    let q =
-      if n = 0 then path ^ ".quarantine"
-      else Printf.sprintf "%s.quarantine.%d" path n
-    in
-    if Sys.file_exists q then fresh (n + 1) else q
-  in
-  let q = fresh 0 in
-  (try Sys.rename path q with Sys_error _ -> ());
-  Wal.fsync_dir path;
-  q
 
 (* Scan one WAL segment recovery replays — the live log, or an archived
    segment the restored snapshot does not cover — under the damage policy:
@@ -1577,11 +1515,10 @@ let read_segment ~live path =
   | { Wal.s_damage = Some d; _ } as s -> (
     match d.Wal.d_kind with
     | Wal.Torn_write when live ->
+      let q = Option.get (Wal.salvage path) in
       Log.warn (fun m ->
-          m "%s: torn tail (%s): salvaging, %d byte(s) quarantined to %s" path
-            d.Wal.d_reason d.Wal.d_bytes
-            (Wal.quarantine_path path));
-      ignore (Wal.salvage path);
+          m "%s: torn tail (%s): salvaged, %d byte(s) quarantined to %s" path
+            d.Wal.d_reason d.Wal.d_bytes q);
       s
     | kind ->
       err Corrupt_state
@@ -1595,6 +1532,7 @@ let recover ~dir =
   Telemetry.Trace.with_span "warehouse.recover"
     ~attrs:[ ("dir", dir) ]
     (fun () ->
+      io @@ fun () ->
       let dir_exists =
         try Sys.is_directory dir with Sys_error _ -> false
       in
@@ -1669,7 +1607,7 @@ let recover ~dir =
         List.iter
           (fun path ->
             Telemetry.Counter.one Obs.snapshot_fallbacks;
-            let q = quarantine_snapshot path in
+            let q = Durable.quarantine path in
             Log.warn (fun m ->
                 m
                   "%s failed verification: quarantined to %s; falling back \
@@ -1846,6 +1784,7 @@ type repair_report = {
 
 let repair ~dir =
   require_state_dir dir;
+  io @@ fun () ->
   let actions = ref [] in
   let act file what = actions := (rel dir file, what) :: !actions in
   (* WAL segments first: salvage damaged tails (quarantining the bad bytes),
@@ -1855,16 +1794,14 @@ let repair ~dir =
       match Wal.scan path with
       | { Wal.s_damage = None; _ } -> ()
       | { Wal.s_damage = Some d; _ } ->
-        ignore (Wal.salvage path);
+        let q = Option.get (Wal.salvage path) in
         act path
           (Printf.sprintf "salvaged: %d byte(s) of %s tail quarantined to %s"
              d.Wal.d_bytes
              (Wal.damage_kind_label d.Wal.d_kind)
-             (rel dir (Wal.quarantine_path path)))
+             (rel dir q))
       | exception Wal.Corrupt _ ->
-        let q = path ^ ".quarantine" in
-        (try Sys.rename path q with Sys_error _ -> ());
-        Wal.fsync_dir path;
+        let q = Durable.quarantine path in
         act path ("unreadable: quarantined to " ^ rel dir q)
   in
   List.iter (fun (_, p) -> heal_wal p) (generation_wals dir);
@@ -1875,7 +1812,7 @@ let repair ~dir =
     match verify_snapshot path with
     | Ok _ -> true
     | Error detail ->
-      let q = quarantine_snapshot path in
+      let q = Durable.quarantine path in
       act path
         (Printf.sprintf "unverifiable (%s): quarantined to %s" detail
            (rel dir q));

@@ -120,44 +120,34 @@ type report = {
 }
 
 (** Feed source changes to every registered view (see above for the
-    validation and atomicity contract). *)
+    validation and atomicity contract). On an attached warehouse each
+    batch is written and fsynced to the log on its own before any engine
+    applies it.
+    @raise Error ([Io_error]) if the log fails, or has failed and was not
+    replaced (see Fault tolerance below). *)
 val ingest : t -> Relational.Delta.t list -> unit
 
 (** As {!ingest}, returning what happened. *)
 val ingest_report : t -> Relational.Delta.t list -> report
 
-(** [ingest_all t batches] ingests a burst of batches under {e group
-    commit}: each batch stages its WAL record in the writer's buffer and a
-    single {!Wal.sync} — one write, one fsync — makes the whole burst
-    durable before the reports are returned. Durability acknowledgement is
-    deferred to that final sync: a crash inside the burst can lose staged
-    batches, but recovery still comes back at a batch boundary of the
-    durable prefix and {!ingested_batches} remains a valid resume cursor.
-    [?in_flight] (default 64) bounds the exposure: an intermediate
-    durability barrier is issued before more than that many batches ride on
-    un-fsynced WAL frames. Validation, atomicity and quarantine behave
-    exactly as [List.map (ingest_report t) batches]. On an unattached
-    warehouse the two are indistinguishable.
-    @raise Error ([Invalid_request] if [in_flight < 1]). *)
-val ingest_all : ?in_flight:int -> t -> Relational.Delta.t list list -> report list
-
 (** {2 Fault tolerance}
 
-    Two layers keep ingestion going through recoverable trouble:
-
-    {e Transient faults} — a failed WAL durability barrier
-    ([Maintenance.Faults.Wal_fsync] in [Fail] mode models a transient fsync
-    failure) — are retried with jittered exponential backoff under the
-    warehouse's {!retry} policy. Only the barrier is retried, never the
-    append (the frames are already staged, so a re-append would duplicate
-    records); retries are counted as
-    [minview_warehouse_ingest_retries_total]. Exhaustion surfaces as
-    {!Error} ([Io_error]) after the batch is aborted like an engine
-    failure: the validator transaction rolls back (no engine has seen the
-    batch at that point), the batch's sequence number is consumed under a
-    WAL abort marker and its deltas are quarantined as [Engine_failure],
-    so a replay cannot resurrect a batch the caller was told failed and
-    the next ingest starts clean.
+    {e A failed write-ahead log} — a write or fsync of a batch's record
+    that fails, a real [EIO] or [ENOSPC] as much as
+    [Maintenance.Faults.Wal_fsync] in [Fail] mode — is never retried:
+    after a failed fsync the kernel may have dropped the pages, and a
+    second fsync can report success for data that never reached the disk.
+    The batch is aborted before any engine sees it: the validator
+    transaction rolls back, the batch's sequence number is consumed and
+    its deltas are quarantined as [Engine_failure], with a detail naming
+    the barrier. Nothing more is written to that log. The warehouse
+    replaces it as {!checkpoint} does — a snapshot of the committed state,
+    whose sequence number covers the failed batch, then a fresh, empty
+    log — and {!ingest} raises {!Error} ([Io_error]). If that checkpoint
+    fails too, the warehouse keeps no log: {!wal_attached} is [false] and
+    every {!ingest} raises [Io_error] before it admits anything, until a
+    {!checkpoint} succeeds and opens a fresh log. The [Abort] marker
+    written after an engine failure follows the same rule.
 
     {e Parallel-apply failures} — a shard worker that {e raises}
     ([Maintenance.Faults.In_shard_worker] in [Fail] mode) leaves a
@@ -175,16 +165,6 @@ val ingest_all : ?in_flight:int -> t -> Relational.Delta.t list list -> report l
     [minview_warehouse_parallel_degradations_total] /
     [..._promotions_total], with the [minview_warehouse_parallel_degraded]
     gauge up while degraded. *)
-
-(** Retry policy for transient ingest faults: up to [attempts] retries, the
-    [k]-th delayed by [base_delay * 2^k] seconds (capped at [max_delay],
-    jittered). *)
-type retry = { attempts : int; base_delay : float; max_delay : float }
-
-val default_retry : retry
-
-(** @raise Error ([Invalid_request] on negative fields). *)
-val set_retry : t -> retry -> unit
 
 (** How the next batch will be applied (see the supervision contract
     above). *)
@@ -483,7 +463,7 @@ val load : string -> t
 (** {2 Durability}
 
     An {e attached} warehouse writes every accepted batch to a write-ahead
-    log under its state directory before any engine applies it; the flushed
+    log under its state directory before any engine applies it; the fsynced
     append is the commit point. {!checkpoint} snapshots the full state and
     {e rotates} the log into a checkpoint generation chain: the outgoing
     snapshot and its WAL segment are archived under [dir/generations/]
@@ -514,8 +494,12 @@ val attach : ?checkpoint_every:int -> ?keep_generations:int -> t -> dir:string -
 (** Snapshot the state directory, archive the previous generation and
     rotate the WAL (see the chain contract above). Also writes the current
     workload profile beside the WAL (best-effort — a failed profile write
-    never fails the checkpoint).
-    @raise Error ([Not_durable] if not attached). *)
+    never fails the checkpoint). A failure before the new snapshot is in
+    place leaves the log as it was; one while the log is being replaced
+    leaves the warehouse without a log, as a failed log does (see Fault
+    tolerance), until a checkpoint succeeds.
+    @raise Error ([Not_durable] if not attached, [Io_error] if a file
+    operation fails). *)
 val checkpoint : t -> unit
 
 (** Where {!checkpoint} persists the workload profile

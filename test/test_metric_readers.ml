@@ -54,15 +54,13 @@ let readers =
     ("minview_wal_appends_total", "test_telemetry.ml; test/cram/metrics.t");
     ("minview_wal_bytes_written_total", "test/cram/metrics.t");
     ("minview_wal_fsync_seconds", "perfbench/pipeline.ml; test/cram/metrics.t");
-    ("minview_wal_group_commit_frames", "test/cram/metrics.t");
-    ("minview_wal_syncs_total", "test/cram/metrics.t");
+    ("minview_wal_syncs_total", "test_recovery.ml; test/cram/metrics.t");
     ("minview_warehouse_checkpoint_seconds", "test/cram/metrics.t");
     ("minview_warehouse_dead_letters_dropped_total", "test/cram/metrics.t");
     ("minview_warehouse_epoch_lag_batches", "test/cram/metrics.t");
     ( "minview_warehouse_epoch_publications_total",
       "test/cram/metrics.t; TUTORIAL.md" );
     ("minview_warehouse_ingest_alloc_bytes", "test_exporter.ml");
-    ("minview_warehouse_ingest_retries_total", "test/cram/metrics.t");
     ("minview_warehouse_ingest_seconds", "test/cram/metrics.t");
     ("minview_warehouse_parallel_degradations_total", "test/cram/metrics.t");
     ("minview_warehouse_parallel_degraded", "test/cram/metrics.t");
