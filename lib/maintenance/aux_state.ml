@@ -481,29 +481,6 @@ let load s feed =
         s.shards)
     (fun () -> feed (fun tup -> insert_base s tup))
 
-let copy s =
-  let groups = Groups.copy s.groups in
-  let copy_shard (sh : shard) (g : Groups.shard) =
-    {
-      sh with
-      g;
-      by_key =
-        Option.map
-          (fun bk ->
-            Rowmap.copy bk ~hash:(fun r ->
-                Column.hash_cell g.keys.(s.key_plain_pos) r))
-          sh.by_key;
-      indexes =
-        List.map
-          (fun (pos, idx) ->
-            let buckets = VH.create (max 16 (VH.length idx.buckets)) in
-            VH.iter (fun v b -> VH.add buckets v (Icol.copy b)) idx.buckets;
-            (pos, { buckets; pos = Icol.copy idx.pos }))
-          sh.indexes;
-    }
-  in
-  { s with groups; shards = Array.map2 copy_shard s.shards groups.shards }
-
 let sum_over_shards s f = Array.fold_left (fun acc sh -> acc + f sh) 0 s.shards
 let group_count s = Groups.group_count s.groups
 

@@ -75,13 +75,6 @@ val shard_of_base : t -> Relational.Tuple.t -> int
 
 val spec : t -> Mindetail.Auxview.t
 
-(** Deep copy: groups, key index and secondary indexes are duplicated so the
-    copy and the original evolve independently. O(state), never on the
-    batch path: {!Engine.copy} uses it, for the tests' rollback and
-    serial/parallel oracles and the bench's copy-and-swap baseline. The
-    copy carries no open transaction. *)
-val copy : t -> t
-
 (** Structural equality of the resident state: groups (count, sums, extrema),
     by-key map, secondary-index membership, and the base-row total. Open
     transactions are ignored. *)

@@ -44,7 +44,6 @@ module Icol = struct
     c.cells.(i) <- c.cells.(c.len - 1);
     c.len <- c.len - 1
 
-  let copy c = { len = c.len; cells = Array.copy c.cells }
   let byte_size c = 8 * Array.length c.cells
   let capacity c = Array.length c.cells
   let truncate c n = if n < c.len then c.len <- max 0 n
@@ -92,7 +91,6 @@ module Marks = struct
     Bytes.unsafe_set c.cells i (Bytes.unsafe_get c.cells (c.len - 1));
     c.len <- c.len - 1
 
-  let copy c = { c with cells = Bytes.copy c.cells }
   let byte_size c = Bytes.length c.cells
 end
 
@@ -399,26 +397,6 @@ let combine_ext c i v ~is_min =
     let cur = get c i in
     let cmp = Value.compare v cur in
     if (is_min && cmp < 0) || ((not is_min) && cmp > 0) then set c i v
-
-let copy c =
-  let storage =
-    match c.storage with
-    | S_empty -> S_empty
-    | S_int a ->
-      let b = BA1.create Bigarray.int Bigarray.c_layout (BA1.dim a) in
-      BA1.blit a b;
-      S_int b
-    | S_float a ->
-      let b = BA1.create Bigarray.float64 Bigarray.c_layout (BA1.dim a) in
-      BA1.blit a b;
-      S_float b
-    | S_dict { codes; dict } ->
-      let b = BA1.create Bigarray.int32 Bigarray.c_layout (BA1.dim codes) in
-      BA1.blit codes b;
-      S_dict { codes = b; dict }
-    | S_boxed a -> S_boxed (Array.copy a)
-  in
-  { c with storage }
 
 let boxed_bytes v =
   match v with

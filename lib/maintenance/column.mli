@@ -36,7 +36,6 @@ module Icol : sig
   (** [swap_delete c i] moves the last cell into [i] and shrinks by one. *)
   val swap_delete : t -> int -> unit
 
-  val copy : t -> t
   val byte_size : t -> int
 
   (** The cells allocated: [length] plus the appends that fit unresized. *)
@@ -69,7 +68,6 @@ module Marks : sig
       one. *)
   val swap_delete : t -> int -> unit
 
-  val copy : t -> t
   val byte_size : t -> int
 end
 
@@ -143,10 +141,6 @@ val is_numeric_cell : t -> int -> bool
 (** [combine_ext c i v ~is_min] folds an append-only extremum:
     cell := min/max(cell, v) under [Value.compare]. *)
 val combine_ext : t -> int -> Relational.Value.t -> is_min:bool -> unit
-
-(** Deep copy of the cells; a shared dictionary stays shared (codes are
-    append-only, so they remain valid in both copies). *)
-val copy : t -> t
 
 (** Bytes held by this column's cells: Bigarray payloads (which
     [Obj.reachable_words] cannot see — they live off-heap) plus an estimate

@@ -59,21 +59,15 @@ val announce : t -> unit
 
 val derivation : t -> Mindetail.Derive.t
 
-(** Deep copy of the engine's mutable state (auxiliary views and view
-    groups); the derivation and plans are shared. O(state), never on the
-    batch path — batches run in place under {!begin_txn}: {!Engines.copy}
-    names its callers. *)
-val copy : t -> t
-
 (** Structural equality of the mutable state (auxiliary views and view
     groups) of two engines over the same derivation. *)
 val equal_state : t -> t -> bool
 
 (** {2 Batch transactions}
 
-    O(delta) alternative to [copy]-and-swap: {!begin_txn} opens undo
-    journals in every auxiliary view and the view state; {!rollback}
-    restores exactly the groups the batch touched. *)
+    Batches run in place: {!begin_txn} opens undo journals in every
+    auxiliary view and the view state; {!rollback} restores exactly the
+    groups the batch touched. *)
 
 (** Whether undo journals are currently open. *)
 val in_txn : t -> bool
@@ -173,7 +167,7 @@ val view_contents : t -> Relational.Relation.t
 
 (** The view's rows in canonical order, advanced from the previous call by
     the groups the batches committed since then touched — see
-    {!View_state.publish}. An engine fresh from {!init} or {!copy} renders
+    {!View_state.publish}. An engine fresh from {!init} renders
     in full on its first call.
     @raise Invalid_argument if a transaction is open. *)
 val publish : t -> (Relational.Tuple.t * int) array

@@ -17,7 +17,6 @@ module type S = sig
 
   val id : t Type.Id.t
   val announce : t -> unit
-  val copy : t -> t
   val equal_state : t -> t -> bool
   val in_txn : t -> bool
   val begin_txn : t -> unit
@@ -82,7 +81,6 @@ module Replica = struct
   let id : t Type.Id.t = Type.Id.make ()
   let db r = Validator.shadow r.replica
   let announce _ = ()
-  let copy r = { r with replica = Validator.of_database (db r) }
 
   let equal_state a b =
     let tables r = List.sort String.compare (Database.table_names (db r)) in
@@ -163,10 +161,6 @@ let recompute db view =
     }
 
 let announce (T { impl = (module M); state; _ }) = M.announce state
-
-let copy (T { impl; state; name }) =
-  let (module M) = impl in
-  T { impl; state = M.copy state; name }
 
 let equal_state (T { impl = (module A); state = a; _ })
     (T { impl = (module B); state = b; _ }) =

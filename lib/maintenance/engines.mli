@@ -52,12 +52,6 @@ val partitioned :
     from one domain; the recompute baseline logs nothing. *)
 val announce : t -> unit
 
-(** Deep copy of the configuration's mutable state, O(state). The warehouse
-    applies batches in place under {!begin_txn}; only the tests' oracles (a
-    rollback's pre-batch state, a parallel apply's serial twin) and
-    [bench/main.exe apply-scaling]'s copy-and-swap baseline copy. *)
-val copy : t -> t
-
 (** Structural equality of the mutable state of two same-shaped
     configurations (auxiliary views, view groups, replica contents). *)
 val equal_state : t -> t -> bool
@@ -118,7 +112,7 @@ val capture : t -> Relational.Relation.t
     publication. An incremental engine keeps the rows it last published and
     advances them by the groups the transactions committed since then
     touched — O(k log k) for k touched groups plus one pass over the rows;
-    its first call (after construction or {!copy}), the recompute baseline
+    its first call (after construction), the recompute baseline
     and partitioned configurations render in full. The array is never
     mutated afterwards, so it may be shared with concurrent readers for as
     long as they like.

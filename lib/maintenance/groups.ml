@@ -87,28 +87,23 @@ let empty_log keys cells ints sets =
     lhash = Icol.create ();
   }
 
-(* [map_with hash] is the key map, [hash] reading the new shard's keys. *)
-let make_shard keys cells ints sets cnts touched map_with =
-  {
-    keys;
-    cells;
-    ints;
-    sets;
-    cnts;
-    touched;
-    map = map_with (fun r -> key_hash_cols keys r);
-    log = empty_log keys cells ints sets;
-    start = -1;
-    untracked = false;
-  }
-
 let create ~shards ~keys ~cells ~ints ~sets =
   let mk _ =
-    make_shard (keys ()) (cells ())
-      (Array.init ints (fun _ -> Icol.create ()))
-      (Array.init sets (fun _ -> sets_create ()))
-      (Icol.create ()) (Marks.create ())
-      (fun hash -> Rowmap.create ~hash ())
+    let keys = keys () and cells = cells () in
+    let ints = Array.init ints (fun _ -> Icol.create ()) in
+    let sets = Array.init sets (fun _ -> sets_create ()) in
+    {
+      keys;
+      cells;
+      ints;
+      sets;
+      cnts = Icol.create ();
+      touched = Marks.create ();
+      map = Rowmap.create ~hash:(fun r -> key_hash_cols keys r) ();
+      log = empty_log keys cells ints sets;
+      start = -1;
+      untracked = false;
+    }
   in
   { mask = shards - 1; shards = Array.init shards mk }
 
@@ -301,16 +296,6 @@ let rollback ?delete ?(restored = fun ~appended:_ _ -> ()) sh =
   end
 
 (* --- whole store ---------------------------------------------------------- *)
-
-let copy t =
-  let copy_shard sh =
-    make_shard (Array.map Column.copy sh.keys) (Array.map Column.copy sh.cells)
-      (Array.map Icol.copy sh.ints)
-      (Array.map (fun c -> { c with maps = Array.copy c.maps }) sh.sets)
-      (Icol.copy sh.cnts) (Marks.copy sh.touched)
-      (fun hash -> Rowmap.copy sh.map ~hash)
-  in
-  { t with shards = Array.map copy_shard t.shards }
 
 let rows_equal sh r sh' r' =
   let rec all a f i = i >= Array.length a || (f i && all a f (i + 1)) in

@@ -15,7 +15,7 @@
     {!add_row}, and reads and writes cells in place. The store owns what
     every owner needs the same way: probes, swap-with-last deletion that
     reports the row it moved, the typed undo log with its two-phase
-    rollback, copies, layout-independent equality and byte accounting. *)
+    rollback, layout-independent equality and byte accounting. *)
 
 module VMap : Map.S with type key = Relational.Value.t
 
@@ -144,9 +144,6 @@ val log_key : shard -> int -> Relational.Tuple.t
 val log_hash : shard -> int -> int
 
 (** {2 Whole store} *)
-
-(** Deep copy, with an empty log and no open transaction. *)
-val copy : t -> t
 
 (** Same groups with equal counts and components, independent of the
     shard count and of row order. *)

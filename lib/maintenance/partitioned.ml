@@ -119,13 +119,6 @@ let apply_batch ?parallel t deltas =
   in
   apply_sides ?parallel t ~olds ~currents
 
-let copy t =
-  {
-    t with
-    old_engine = Engine.copy t.old_engine;
-    current_engine = Engine.copy t.current_engine;
-  }
-
 let equal_state a b =
   Engine.equal_state a.old_engine b.old_engine
   && Engine.equal_state a.current_engine b.current_engine

@@ -47,9 +47,8 @@ val announce : t -> unit
 val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
 
 (** The rest of the engine interface ({!Engines}) over both partition
-    engines: a deep copy (the partition predicate is shared), structural
-    equality, and undo journals opened and closed in both. *)
-val copy : t -> t
+    engines: structural equality, and undo journals opened and closed in
+    both. *)
 val equal_state : t -> t -> bool
 val in_txn : t -> bool
 val begin_txn : t -> unit

@@ -149,5 +149,4 @@ let iter t f =
     if s >= 0 then f s
   done
 
-let copy t ~hash = { t with hash; slots = Bytes.copy t.slots }
 let byte_size t = Bytes.length t.slots

@@ -51,8 +51,4 @@ val rename_value : t -> hash:int -> old_row:int -> new_row:int -> bool
 (** Iterate over live rows (arbitrary order). *)
 val iter : t -> (int -> unit) -> unit
 
-(** [copy t ~hash] duplicates the slot table; [hash] must read the {e new}
-    owner's columns. *)
-val copy : t -> hash:(int -> int) -> t
-
 val byte_size : t -> int

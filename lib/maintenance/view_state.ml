@@ -165,18 +165,6 @@ let find_group t key =
 
 let key_at (sh : shard) r = Groups.key_at sh.g r
 
-let copy t =
-  let groups = Groups.copy t.groups in
-  {
-    t with
-    groups;
-    shards =
-      Array.map2
-        (fun sh g -> { (shard_over t.items g) with dirty = TH.copy sh.dirty })
-        t.shards groups.shards;
-    published = None;
-  }
-
 (* --- transactions -------------------------------------------------------- *)
 
 let in_txn t = Groups.in_txn t.shards.(0).g

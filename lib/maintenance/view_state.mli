@@ -42,13 +42,6 @@ val create :
 (** Shard that owns the group of the joined row [f]'s key. *)
 val shard_of_feed : t -> Feed.t -> int
 
-(** Deep copy: groups (and their component arrays) and the dirty table are
-    duplicated so the copy and the original evolve independently. O(state),
-    never on the batch path: {!Engine.copy} uses it, for the tests'
-    rollback and serial/parallel oracles and the bench's copy-and-swap
-    baseline. The copy carries no open transaction. *)
-val copy : t -> t
-
 (** Structural equality of the resident state: groups (base count, every
     aggregate component and DISTINCT multiset) and the dirty table. Open
     transactions are ignored. *)
@@ -168,8 +161,8 @@ val render : t -> Relational.Relation.t
     changed groups are merged with the freshly rendered rows of the changed
     groups that still exist — O(k log k) for k changed groups plus one pass
     over the rows, no full sort. The first publication, and one after a
-    change outside a transaction, a {!copy} or forgotten keys, renders in
-    full. The returned array is never mutated, by this or any later call.
+    change outside a transaction or forgotten keys, renders in full. The
+    returned array is never mutated, by this or any later call.
     @raise Invalid_argument if a transaction is open. *)
 val publish : t -> (Relational.Tuple.t * int) array
 

@@ -171,6 +171,22 @@ let salvage path =
     write_file path s.s_records;
     Some q
 
+(* Nothing more may be written to a failed log, so its archive is a new
+   file: the decodable prefix and an abort marker for the batch that
+   failed it. An undecodable tail — normally that batch's torn frame — is
+   set aside beside the archive first, as [salvage] does. *)
+let archive_failed path ~dst ~seq =
+  let s = scan path in
+  Option.iter
+    (fun d ->
+      ignore
+        (Durable.quarantine
+           ~contents:(read_span path ~offset:d.d_offset ~bytes:d.d_bytes)
+           dst))
+    s.s_damage;
+  write_file dst (s.s_records @ [ Abort { seq } ]);
+  Durable.remove path
+
 let writer path =
   match
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0o644

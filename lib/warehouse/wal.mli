@@ -78,6 +78,17 @@ val scan : string -> scan
     @raise Sys_error if a file operation fails. *)
 val salvage : string -> string option
 
+(** [archive_failed path ~dst ~seq] archives the log [path], which failed
+    while writing batch [seq], as [dst]: a new file ({!Durable.replace_file})
+    holding [path]'s decodable prefix followed by [Abort {seq}], so a
+    replay of the archive never resurrects the failed batch. An
+    undecodable tail is quarantined beside [dst] first
+    ({!Durable.quarantine}). Then [path] is removed; nothing is written to
+    it.
+    @raise Corrupt as {!scan}.
+    @raise Sys_error if a file operation fails. *)
+val archive_failed : string -> dst:string -> seq:int -> unit
+
 type writer
 
 (** Open for appending, creating the file (or salvaging a damaged tail, with

@@ -1053,7 +1053,9 @@ let drop_log t =
   Option.iter Wal.close t.wal;
   t.wal <- None
 
-let checkpoint t =
+(* [failed], when given, is the batch that failed the log this checkpoint
+   replaces: the log is archived with an abort marker for it. *)
+let rotate ?failed t =
   match t.dir with
   | Some dir ->
     Telemetry.with_phase Obs.checkpoint_seconds "warehouse.checkpoint"
@@ -1091,12 +1093,16 @@ let checkpoint t =
            older snapshot needs its records. Until [Wal.create] returns
            the warehouse has no log, and a failure leaves it without one
            until a checkpoint succeeds; [wal] is missing only when such a
-           failure had already archived it. *)
+           failure had already archived it. A failed log is archived
+           with an abort marker for its failed batch, so a recovery that
+           falls back to generation [n] does not replay that batch. *)
         drop_log t;
         let wal = wal_path dir in
         (match n with
-        | Some n when Sys.file_exists wal ->
-          Durable.rename wal (gen_wal_path dir n)
+        | Some n when Sys.file_exists wal -> (
+          match failed with
+          | None -> Durable.rename wal (gen_wal_path dir n)
+          | Some seq -> Wal.archive_failed wal ~dst:(gen_wal_path dir n) ~seq)
         | Some _ | None -> ());
         t.wal <- Some (Wal.create wal);
         prune_generations dir ~keep:t.keep_generations;
@@ -1107,6 +1113,8 @@ let checkpoint t =
         with Sys_error _ | Unix.Unix_error _ -> ())
   | None ->
     err Not_durable "checkpoint: attach the warehouse to a state directory first"
+
+let checkpoint t = rotate t
 
 (* On-demand profile write (the CLI's [minview profile --state] and the
    serve PROFILE verb persist through this). *)
@@ -1199,9 +1207,8 @@ let net_batch t deltas =
 (* Transactional apply, in place: every engine opens an undo journal and
    absorbs the batch directly; a mid-batch failure rolls back only the
    touched groups, so the registered views can never disagree about which
-   deltas they have seen — at O(delta) cost. Nothing here deep-copies
-   engine state: [Engines.copy] serves only tests and the bench. With
-   a pool the batch is netted once, inside the transaction (an illegal
+   deltas they have seen — at O(delta) cost. No engine state is ever
+   copied: the engines have no copy operation. With a pool the batch is netted once, inside the transaction (an illegal
    batch fails like an engine would), and dropped with this frame once the
    last engine has used it. *)
 let apply_in_place t ~pool deltas =
@@ -1321,12 +1328,13 @@ let note_apply_outcome t = function
    it the way [checkpoint] does — a snapshot of the committed state, whose
    sequence number covers the failed batch, then a fresh, empty log — and
    raise [Io_error]. Were the failed frame to reach the disk after all,
-   [recover] would not replay it past that snapshot. If the checkpoint
-   fails too, the warehouse keeps no log and refuses to ingest until a
-   checkpoint succeeds. *)
+   [recover] would not replay it past that snapshot, nor from the archived
+   log, which ends in an abort marker for it. If the checkpoint fails too,
+   the warehouse keeps no log and refuses to ingest until a checkpoint
+   succeeds. *)
 let replace_failed_log t ~seq detail =
   Log.warn (fun m -> m "batch %d: %s; replacing the log" seq detail);
-  (match checkpoint t with
+  (match rotate ~failed:seq t with
   | () -> ()
   | exception Error { detail = why; _ } ->
     err Io_error

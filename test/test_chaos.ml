@@ -445,8 +445,39 @@ let expect_io_error what f =
 
 let sale_rows db = Database.row_count db "sale"
 
+(* A failed batch stays failed in the archived log: with batch 2 failed at
+   [point] and the live snapshot unverifiable, recovery falls back to the
+   generation the log's replacement archived and replays its segment —
+   batch 1, not batch 2. *)
+let failed_log_fallback point () =
+  let db, wh = build () in
+  let dir = fresh_dir ("wh_failed_log_" ^ Faults.to_string point ^ "_dir") in
+  Warehouse.attach wh ~dir;
+  Warehouse.ingest wh (sale_batch 0);
+  let committed = Warehouse.believed_source wh in
+  Faults.arm ~mode:Faults.Fail point;
+  ignore
+    (expect_io_error "the failed batch" (fun () ->
+         Warehouse.ingest wh (sale_batch 1)));
+  Faults.disarm ();
+  Warehouse.close wh;
+  let snap = Filename.concat dir "snapshot.bin" in
+  flip_byte snap (String.length (read_file snap) - 1);
+  let wh' = Warehouse.recover ~dir in
+  Alcotest.(check int) "batch 1 served, batch 2 not" (sale_rows db + 512)
+    (sale_rows (Warehouse.believed_source wh'));
+  check_views wh' committed;
+  Alcotest.(check int) "both sequence numbers consumed" 2
+    (Warehouse.ingested_batches wh');
+  Warehouse.close wh';
+  rm_rf dir
+
 let retry_tests =
   [
+    test "a batch failed at its barrier is not replayed from the archive"
+      (failed_log_fallback Faults.Wal_fsync);
+    test "a torn failed batch leaves a replayable archive"
+      (failed_log_fallback Faults.Mid_group_commit);
     test "a failed WAL barrier is not retried" (fun () ->
         let db, wh = build () in
         let dir = fresh_dir "wh_barrier_dir" in

@@ -1,6 +1,7 @@
 (* Engine interface conformance: every configuration [Engines] builds runs
    through the same script, through [Engines] calls only — rollback
-   restores a pre-batch copy, commit keeps the batch, publish agrees with
+   restores the state a rebuild from the unchanged source holds, commit
+   keeps the batch, publish agrees with
    capture, rendering refuses an open transaction, only the replica
    baseline lacks measured and off-heap bytes, and a netted batch gives the
    same view as a raw one wherever the engine takes netted batches. *)
@@ -71,8 +72,9 @@ let script (label, build) () =
     Alcotest.check relation msg (Algebra.Eval.eval db view)
       (Engines.capture e)
   in
-  (* rollback restores the pre-batch state *)
-  let before = Engines.copy e in
+  (* rollback restores the pre-batch state: a second engine built on the
+     unchanged source *)
+  let before = build db view in
   Engines.begin_txn e;
   Engines.apply_batch e (batch rng (Database.copy db));
   Alcotest.(check bool) "capture refuses an open transaction" true
@@ -80,7 +82,7 @@ let script (label, build) () =
   Alcotest.(check bool) "publish refuses an open transaction" true
     (raises_invalid (fun () -> Engines.publish e));
   Engines.rollback e;
-  Alcotest.(check bool) "rollback restores the copy" true
+  Alcotest.(check bool) "rollback restores the rebuild" true
     (Engines.equal_state e before);
   check_view "rolled back";
   (* commit keeps the batch *)

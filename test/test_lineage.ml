@@ -140,15 +140,18 @@ let record_tests =
         Metrics.reset ();
         Lineage.clear ();
         let db = Workload.Retail.load tiny in
-        let eng =
+        let build () =
           Engine.init db
             (Mindetail.Derive.derive db Workload.Retail.monthly_revenue)
         in
+        let ser = build () in
         let rng = Workload.Prng.create 13 in
-        Engine.apply_batch eng (Workload.Delta_gen.stream rng db ~n:40);
+        Engine.apply_batch ser (Workload.Delta_gen.stream rng db ~n:40);
+        (* the parallel twin is built from the source the serial engine
+           has absorbed *)
+        let par = build () in
         let batch = Workload.Delta_gen.stream rng db ~n:120 in
-        let profile = Engine.net_profile eng batch in
-        let ser = Engine.copy eng and par = Engine.copy eng in
+        let profile = Engine.net_profile ser batch in
         Engine.apply_batch ser batch;
         let serial_flow = Option.get (Engine.last_flow ser) in
         Metrics.reset ();

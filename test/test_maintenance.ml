@@ -1105,12 +1105,17 @@ let in_place_tests =
     test "a sole-member group keeps its row id across an in-place update"
       (fun () ->
         let db = Workload.Retail.empty () in
-        let st = Aux_state.create (sale_spec db) (sale_schema db) in
         let a1 = row [ i 1; i 1; i 1; i 1; i 10 ] in
         let a2 = row [ i 1; i 1; i 1; i 1; i 12 ] in
-        Aux_state.insert_base st a1;
-        Aux_state.insert_base st (row [ i 2; i 2; i 1; i 1; i 7 ]);
-        let split = Aux_state.copy st in
+        (* two stores fed the same rows: one updates in place, its twin
+           deletes and inserts *)
+        let aux () =
+          let st = Aux_state.create (sale_spec db) (sale_schema db) in
+          Aux_state.insert_base st a1;
+          Aux_state.insert_base st (row [ i 2; i 2; i 1; i 1; i 7 ]);
+          st
+        in
+        let st = aux () and split = aux () in
         Aux_state.adjust st ~before:a1 ~after:a2;
         Alcotest.(check (list tuple)) "aux: in place keeps the row"
           [ row [ i 1; i 1 ]; row [ i 2; i 1 ] ] (aux_order st);
@@ -1121,11 +1126,14 @@ let in_place_tests =
           [ row [ i 2; i 1 ]; row [ i 1; i 1 ] ] (aux_order split);
         Alcotest.(check bool) "aux: same state either way" true
           (Aux_state.equal st split);
-        let vs = View_state.create revenue_by_month ~determined:false in
         let c k p = feed_row (row [ i k ]) [| `Key; `Sum (i p) |] in
-        View_state.feed vs (c 1 10) ~cnt:1;
-        View_state.feed vs (c 2 7) ~cnt:1;
-        let split = View_state.copy vs in
+        let view () =
+          let vs = View_state.create revenue_by_month ~determined:false in
+          View_state.feed vs (c 1 10) ~cnt:1;
+          View_state.feed vs (c 2 7) ~cnt:1;
+          vs
+        in
+        let vs = view () and split = view () in
         View_state.adjust vs (c 1 10) ~sums:[| (1, 4) |] ~before:a1 ~after:a2;
         Alcotest.(check (list tuple)) "view: in place keeps the row"
           [ row [ i 1 ]; row [ i 2 ] ] (view_order vs);
@@ -1138,10 +1146,14 @@ let in_place_tests =
     test "adjust rejects what delete + insert rejects, before any write"
       (fun () ->
         let db = Workload.Retail.empty () in
-        let st = Aux_state.create (sale_spec db) (sale_schema db) in
         let a1 = row [ i 1; i 1; i 1; i 1; i 10 ] in
-        Aux_state.insert_base st a1;
-        let snapshot = Aux_state.copy st in
+        (* the oracle of "untouched": a second store fed the same row *)
+        let aux () =
+          let st = Aux_state.create (sale_spec db) (sale_schema db) in
+          Aux_state.insert_base st a1;
+          st
+        in
+        let st = aux () and snapshot = aux () in
         let rejects what f =
           match f () with
           | () -> Alcotest.failf "%s: expected Invalid_argument" what
@@ -1166,10 +1178,13 @@ let in_place_tests =
         Aux_state.insert_base ext a1;
         rejects "aux: MIN/MAX columns" (fun () ->
             Aux_state.adjust ext ~before:a1 ~after:(with_ a1 4 (i 11)));
-        let vs = View_state.create revenue_by_month ~determined:false in
         let c k p = feed_row (row [ i k ]) [| `Key; `Sum (i p) |] in
-        View_state.feed vs (c 1 10) ~cnt:1;
-        let snapshot = View_state.copy vs in
+        let view () =
+          let vs = View_state.create revenue_by_month ~determined:false in
+          View_state.feed vs (c 1 10) ~cnt:1;
+          vs
+        in
+        let vs = view () and snapshot = view () in
         rejects "view: absent group" (fun () ->
             View_state.adjust vs (c 2 10) ~sums:[| (1, 4) |] ~before:a1
               ~after:a1);

@@ -187,12 +187,15 @@ let storage_gauges () =
    logic must not. *)
 let serial_parallel_counters seed domains n () =
   let db = Workload.Retail.load { tiny with seed } in
-  let serial =
+  let build () =
     Engine.init db (Mindetail.Derive.derive db Workload.Retail.monthly_revenue)
   in
+  let serial = build () in
   let rng = Workload.Prng.create ((seed * 31) + domains) in
   Engine.apply_batch serial (Workload.Delta_gen.stream rng db ~n:40);
-  let par = Engine.copy serial in
+  (* the parallel twin is built from the source the serial engine has
+     absorbed *)
+  let par = build () in
   let batch = Workload.Delta_gen.stream rng db ~n in
   let profile = Engine.net_profile par batch in
   Metrics.reset ();

@@ -1,9 +1,10 @@
 (* Transactional-apply tests: rollback after a mid-batch failure restores
-   state structurally identical to a pre-batch [Engines.copy] — groups,
-   by-key maps, secondary indexes, totals, DISTINCT value multisets and the
-   dirty set all compared — for every engine configuration, across seeds
-   and failure positions, and for DISTINCT views also after a warehouse
-   abort at the mid-engine-apply point; plus
+   state structurally identical to an engine built afresh from the source
+   as it stood before the batch — groups, by-key maps, secondary indexes,
+   totals, DISTINCT value multisets and the dirty set all compared — for
+   every engine configuration, across seeds and failure positions, and for
+   DISTINCT views also after a warehouse abort at the mid-engine-apply
+   point; plus
    the NULL-poisoning regression, strict index-column validation, and the
    warehouse-level all-or-nothing abort path. *)
 
@@ -132,18 +133,19 @@ let cases =
    prefix, end-of-batch flush included, before the batch is aborted. *)
 type failure = Poison | Abort_mid_engine_apply
 
-(* The property: warm the engine up, snapshot it, fail a batch after
-   [pos] valid deltas — rollback must restore the snapshot exactly, and the
-   engine must keep maintaining correctly afterwards. *)
+(* The property: warm the engine up, rebuild it from the evolved source,
+   fail a batch after [pos] valid deltas — rollback must restore the
+   rebuilt state exactly, and the engine must keep maintaining correctly
+   afterwards. *)
 let rollback_restores ?(failure = Poison) case seed pos () =
   let db = Workload.Retail.load { tiny with seed } in
   let eng = case.build db in
   let rng = Workload.Prng.create ((seed * 13) + 1) in
   Engines.apply_batch eng
     (Workload.Delta_gen.stream ~mix:case.mix rng db ~n:40);
-  let snapshot = Engines.copy eng in
+  let snapshot = case.build db in
   Alcotest.(check bool)
-    "snapshot equals live state" true
+    "the warm engine equals a rebuild" true
     (Engines.equal_state eng snapshot);
   let valid = Workload.Delta_gen.stream ~mix:case.mix rng db ~n:12 in
   let pos = min pos (List.length valid) in
@@ -207,7 +209,7 @@ let null_tests =
     test "NULL in a summed column is rejected atomically" (fun () ->
         let db = Workload.Retail.load tiny in
         let eng = Engines.minimal db Workload.Retail.monthly_revenue in
-        let snapshot = Engines.copy eng in
+        let snapshot = Engines.minimal db Workload.Retail.monthly_revenue in
         let null_tup = row [ i (next_id ()); i 1; i 1; i 1; Value.Null ] in
         (* the historic bug: the raise fired after cnt was bumped, leaving
            the group poisoned; both insert and delete must now reject the
@@ -393,15 +395,16 @@ let abort_tests =
    sum the price — fails midway: by the warehouse's mid-engine-apply abort
    after the whole batch, or by a repricing to NULL at its end, which the
    in-place adjustment must refuse as the deletion + insertion would.
-   Rollback restores the pre-batch copy exactly, on the serial route and on
-   the one-domain pool's direct path. *)
+   Rollback restores the pre-batch state, as a rebuild from the source
+   finds it, on the serial route and on the one-domain pool's direct
+   path. *)
 let in_place_rollback ~failure ~parallel (view : View.t) () =
   let module Engine = Maintenance.Engine in
   let db = Workload.Retail.load tiny in
   let e = Engine.init db (Derive.derive db view) in
   let rng = Workload.Prng.create 29 in
   Engine.apply_batch e (Workload.Delta_gen.stream rng db ~n:40);
-  let snapshot = Engine.copy e in
+  let snapshot = Engine.init db (Derive.derive db view) in
   let repricings =
     Workload.Delta_gen.stream_for
       ~mix:{ Workload.Delta_gen.insert = 0; delete = 0; update = 1 }
