@@ -1300,14 +1300,57 @@ let main =
       serve_cmd;
       export_cmd; slowlog_cmd; demo_cmd ]
 
+(* The fault-injection harness: MINVIEW_FAULT=<point>[:skip] kills the
+   process at the named crash point, fail:<point>[:skip] raises the
+   recoverable injected fault instead.
+   @raise Invalid_argument on an unknown point name or a bad skip count. *)
+let arm_fault spec =
+  let module Faults = Maintenance.Faults in
+  let env_var = "MINVIEW_FAULT" in
+  let mode, spec =
+    let prefix = "fail:" in
+    let n = String.length prefix in
+    if String.length spec > n && String.starts_with ~prefix spec then
+      (Faults.Fail, String.sub spec n (String.length spec - n))
+    else (Faults.Kill, spec)
+  in
+  let name, skip =
+    match String.index_opt spec ':' with
+    | None -> (spec, 0)
+    | Some i -> (
+      ( String.sub spec 0 i,
+        match
+          int_of_string_opt (String.sub spec (i + 1) (String.length spec - i - 1))
+        with
+        | Some n when n >= 0 -> n
+        | Some _ | None ->
+          invalid_arg (Printf.sprintf "%s: bad skip count in %S" env_var spec) ))
+  in
+  match Faults.of_string name with
+  | Some p -> Faults.arm ~skip ~mode p
+  | None ->
+    invalid_arg
+      (Printf.sprintf "%s: unknown crash point %S (known: %s)" env_var name
+         (String.concat ", " (List.map Faults.to_string Faults.all)))
+
 let () =
-  (* the fault-injection harness: MINVIEW_FAULT=<point>[:skip] arms a named
-     crash point before any command runs *)
-  (match Maintenance.Faults.arm_from_env () with
-  | () -> ()
-  | exception Invalid_argument m ->
-    prerr_endline m;
-    exit 2);
+  (* the only environment the program reads; the library is handed typed
+     values *)
+  (match Sys.getenv_opt "MINVIEW_FAULT" with
+  | None | Some "" -> ()
+  | Some spec -> (
+    match arm_fault spec with
+    | () -> ()
+    | exception Invalid_argument m ->
+      prerr_endline m;
+      exit 2));
   (* TELEMETRY=off disables all metric collection and span recording *)
-  Telemetry.configure_from_env ();
+  Telemetry.set_enabled
+    (match Sys.getenv_opt "TELEMETRY" with
+    | Some ("off" | "0" | "false" | "no") -> false
+    | Some _ | None -> true);
+  (* CI exports MINVIEW_BUILD_SHA=$GITHUB_SHA *)
+  (match Sys.getenv_opt "MINVIEW_BUILD_SHA" with
+  | Some sha when sha <> "" -> Telemetry.Render.set_build_sha sha
+  | Some _ | None -> ());
   exit (Cmd.eval' main)

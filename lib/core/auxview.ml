@@ -36,13 +36,6 @@ let ext_columns spec =
       | Plain _ | Sum_of _ | Count_star -> None)
     spec.columns
 
-let column_index spec name =
-  let rec loop i = function
-    | [] -> raise Not_found
-    | (n, _) :: rest -> if String.equal n name then i else loop (i + 1) rest
-  in
-  loop 0 spec.columns
-
 let find_index p spec =
   let rec loop i = function
     | [] -> None

@@ -42,9 +42,6 @@ val column_names : t -> string list
 (** Grouping (Plain) columns, in order. *)
 val group_columns : t -> string list
 
-(** Position of the output column, by name. @raise Not_found if absent. *)
-val column_index : t -> string -> int
-
 (** Position of [Count_star] in the output, if present. *)
 val count_index : t -> int option
 

@@ -72,42 +72,3 @@ let hit point =
     end
     else decr remaining
   | Some _ | None -> ()
-
-let env_var = "MINVIEW_FAULT"
-
-let arm_from_env () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> ()
-  | Some spec ->
-    (* "<point>[:skip]" kills the process at the point; "fail:<point>[:skip]"
-       raises the recoverable Injected fault instead *)
-    let mode, spec =
-      let prefix = "fail:" in
-      if
-        String.length spec > String.length prefix
-        && String.equal (String.sub spec 0 (String.length prefix)) prefix
-      then
-        (Fail, String.sub spec (String.length prefix)
-                 (String.length spec - String.length prefix))
-      else (Kill, spec)
-    in
-    let name, skip =
-      match String.index_opt spec ':' with
-      | None -> (spec, 0)
-      | Some i ->
-        ( String.sub spec 0 i,
-          match
-            int_of_string_opt
-              (String.sub spec (i + 1) (String.length spec - i - 1))
-          with
-          | Some n when n >= 0 -> n
-          | Some _ | None ->
-            invalid_arg
-              (Printf.sprintf "%s: bad skip count in %S" env_var spec) )
-    in
-    (match of_string name with
-    | Some p -> arm ~skip ~mode p
-    | None ->
-      invalid_arg
-        (Printf.sprintf "%s: unknown crash point %S (known: %s)" env_var name
-           (String.concat ", " (List.map to_string all))))

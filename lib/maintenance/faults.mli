@@ -89,11 +89,3 @@ val armed : unit -> point option
 
 (** Called by the pipeline at each crash point; no-op unless armed. *)
 val hit : point -> unit
-
-(** ["MINVIEW_FAULT"] — set to ["<point>"] or ["<point>:<skip>"] for a kill,
-    or ["fail:<point>[:<skip>]"] for a recoverable injected fault. *)
-val env_var : string
-
-(** Arm from the environment (CLI entry point).
-    @raise Invalid_argument on an unknown point name or bad skip. *)
-val arm_from_env : unit -> unit

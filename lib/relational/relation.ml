@@ -31,7 +31,6 @@ let delete ?(count = 1) r tup =
 let mem r tup = multiplicity r tup > 0
 let cardinality r = r.total
 let distinct_cardinality r = H.length r.tbl
-let is_empty r = r.total = 0
 let fold f r acc = H.fold f r.tbl acc
 let iter f r = H.iter f r.tbl
 

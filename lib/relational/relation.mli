@@ -26,8 +26,6 @@ val cardinality : t -> int
 (** Number of distinct tuples. *)
 val distinct_cardinality : t -> int
 
-val is_empty : t -> bool
-
 (** [fold f r acc] folds over distinct tuples with their multiplicities. *)
 val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 

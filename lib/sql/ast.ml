@@ -74,72 +74,9 @@ let func_name = function
   | F_min -> "MIN"
   | F_max -> "MAX"
 
-let pp_expr ppf = function
-  | E_column c -> pp_column_ref ppf c
-  | E_agg { func; distinct; arg } -> (
-    match arg with
-    | None -> Format.fprintf ppf "COUNT(*)"
-    | Some c ->
-      Format.fprintf ppf "%s(%s%a)" (func_name func)
-        (if distinct then "DISTINCT " else "")
-        pp_column_ref c)
-
 let pp_operand ppf = function
   | O_column c -> pp_column_ref ppf c
   | O_literal l -> pp_literal ppf l
 
 let pp_condition ppf { left; op; right } =
   Format.fprintf ppf "%a %s %a" pp_operand left op pp_operand right
-
-let pp_list pp ppf = function
-  | [] -> ()
-  | xs ->
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-      pp ppf xs
-
-let pp_select ppf s =
-  Format.fprintf ppf "SELECT %a FROM %s"
-    (pp_list (fun ppf (i : select_item) ->
-         match i.alias with
-         | Some a -> Format.fprintf ppf "%a AS %s" pp_expr i.expr a
-         | None -> pp_expr ppf i.expr))
-    s.items
-    (String.concat ", " s.from);
-  if s.where <> [] then begin
-    Format.fprintf ppf " WHERE ";
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.fprintf ppf " AND ")
-      pp_condition ppf s.where
-  end;
-  if s.group_by <> [] then
-    Format.fprintf ppf " GROUP BY %a" (pp_list pp_column_ref) s.group_by;
-  if s.having <> [] then
-    Format.fprintf ppf " HAVING %s"
-      (String.concat " AND "
-         (List.map
-            (fun h ->
-              Format.asprintf "%s %s %a" h.having_column h.having_op
-                pp_literal h.having_value)
-            s.having))
-
-let pp_statement ppf = function
-  | Create_table { name; columns; _ } ->
-    Format.fprintf ppf "CREATE TABLE %s (%a)" name
-      (pp_list (fun ppf (c : column_def) ->
-           Format.fprintf ppf "%s %s%s" c.col_name c.col_type
-             (if c.primary_key then " PRIMARY KEY" else "")))
-      columns
-  | Create_view { name; select } ->
-    Format.fprintf ppf "CREATE VIEW %s AS %a" name pp_select select
-  | Insert { table; values } ->
-    Format.fprintf ppf "INSERT INTO %s VALUES (%a)" table (pp_list pp_literal)
-      values
-  | Delete { table; where } ->
-    Format.fprintf ppf "DELETE FROM %s WHERE %a" table (pp_list pp_condition)
-      where
-  | Update { table; assignments; where } ->
-    Format.fprintf ppf "UPDATE %s SET %a WHERE %a" table
-      (pp_list (fun ppf (c, l) -> Format.fprintf ppf "%s = %a" c pp_literal l))
-      assignments (pp_list pp_condition) where
-  | Select_stmt s -> pp_select ppf s

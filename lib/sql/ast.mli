@@ -63,6 +63,4 @@ type statement =
 (** SQL spelling of an aggregate function, e.g. ["SUM"]. *)
 val func_name : agg_func -> string
 
-val pp_statement : Format.formatter -> statement -> unit
-val pp_select : Format.formatter -> select -> unit
 val pp_condition : Format.formatter -> condition -> unit

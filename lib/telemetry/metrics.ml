@@ -28,13 +28,6 @@ let enabled_flag = Atomic.make true
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 
-let env_var = "TELEMETRY"
-
-let configure_from_env () =
-  match Sys.getenv_opt env_var with
-  | Some ("off" | "0" | "false" | "no") -> set_enabled false
-  | Some _ | None -> set_enabled true
-
 let now_s () = Unix.gettimeofday ()
 
 (* --- atomic float helpers ---------------------------------------------- *)

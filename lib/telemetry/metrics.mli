@@ -18,13 +18,6 @@ val set_enabled : bool -> unit
 (** When disabled, every write is an atomic flag check and an early return.
     Registration and reads are unaffected. *)
 
-val env_var : string
-(** ["TELEMETRY"] — see {!configure_from_env}. *)
-
-val configure_from_env : unit -> unit
-(** Disable collection when [$TELEMETRY] is [off]/[0]/[false]/[no];
-    enable otherwise (including when unset). *)
-
 val now_s : unit -> float
 (** Wall-clock seconds ([Unix.gettimeofday]); the clock used by
     {!Histogram.time}. *)

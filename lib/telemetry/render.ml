@@ -92,14 +92,13 @@ let prom_labels = function
 
 (* Build identity, scrape-only: emitted as literal lines rather than a
    registered gauge so [reset] cannot zero it, TELEMETRY=off cannot blank
-   it, and the JSON dump (cram-pinned) stays unchanged. The sha comes from
-   the environment — CI exports MINVIEW_BUILD_SHA=$GITHUB_SHA. *)
+   it, and the JSON dump (cram-pinned) stays unchanged. The sha is the
+   program's to set. *)
+let build_sha = Atomic.make "unknown"
+let set_build_sha sha = Atomic.set build_sha sha
+
 let build_info_lines () =
-  let sha =
-    match Sys.getenv_opt "MINVIEW_BUILD_SHA" with
-    | Some s when s <> "" -> s
-    | Some _ | None -> "unknown"
-  in
+  let sha = Atomic.get build_sha in
   Printf.sprintf
     "# HELP minview_build_info Build identity of this binary (value is \
      always 1)\n\

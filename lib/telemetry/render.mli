@@ -23,6 +23,9 @@ val to_prometheus : unit -> string
     histograms emit cumulative [_bucket{le=...}] series plus
     [_sum]/[_count], followed by [NAME_p50]/[_p95]/[_p99] gauge families
     with per-label-set percentile estimates. The output opens with a
-    [minview_build_info{ocaml_version,sha}] gauge (sha from
-    [$MINVIEW_BUILD_SHA], ["unknown"] otherwise) so scrapes are
+    [minview_build_info{ocaml_version,sha}] gauge (sha as last
+    {!set_build_sha}, ["unknown"] until then) so scrapes are
     self-describing. *)
+
+val set_build_sha : string -> unit
+(** The [sha] label of [minview_build_info]. *)

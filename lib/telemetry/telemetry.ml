@@ -44,7 +44,6 @@ let with_phase ?(attrs = []) ?alloc hist name f =
   end
 
 let set_enabled = Metrics.set_enabled
-let configure_from_env = Metrics.configure_from_env
 let now_s = Metrics.now_s
 let snapshot = Metrics.snapshot
 let reset = Metrics.reset

@@ -33,9 +33,6 @@ module Histogram = Metrics.Histogram
 val enabled : unit -> bool
 val set_enabled : bool -> unit
 
-val configure_from_env : unit -> unit
-(** Disable collection when [$TELEMETRY] is [off]/[0]/[false]/[no]. *)
-
 val now_s : unit -> float
 
 val with_phase :
