@@ -143,7 +143,9 @@ val ingest_report : t -> Relational.Delta.t list -> report
     the barrier. Nothing more is written to that log. The warehouse
     replaces it as {!checkpoint} does — a snapshot of the committed state,
     whose sequence number covers the failed batch, then a fresh, empty
-    log — and {!ingest} raises {!Error} ([Io_error]). If that checkpoint
+    log, the failed one archived with an [Abort] marker for the batch
+    ({!Wal.archive_failed}) — and {!ingest} raises {!Error}
+    ([Io_error]). If that checkpoint
     fails too, the warehouse keeps no log: {!wal_attached} is [false] and
     every {!ingest} raises [Io_error] before it admits anything, until a
     {!checkpoint} succeeds and opens a fresh log. The [Abort] marker
