@@ -22,7 +22,7 @@ let create ~auxs ~key ~args =
   let n = Array.length auxs in
   { auxs; key; args; tups = Array.make n [||]; locs = Array.make n (-1) }
 
-let rebind f ~auxs = create ~auxs ~key:f.key ~args:f.args
+let rebind f = create ~auxs:f.auxs ~key:f.key ~args:f.args
 let args f = f.args
 
 let bind_base f s tup =

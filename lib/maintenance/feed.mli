@@ -36,8 +36,8 @@ type t
 val create :
   auxs:Aux_state.t option array -> key:cell array -> args:arg array -> t
 
-(** The same plan over [auxs], with a row of its own. *)
-val rebind : t -> auxs:Aux_state.t option array -> t
+(** The same plan over the same auxiliary views, with a row of its own. *)
+val rebind : t -> t
 
 val args : t -> arg array
 
