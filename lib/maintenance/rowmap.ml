@@ -16,6 +16,12 @@ type t = {
   mutable fill : int;  (** live + tombstones *)
 }
 
+(* A slot's home takes the high bits of a multiplicative mix of the hash
+   (Fibonacci hashing). The low bits alone would not do: they also bucket
+   [Database]'s key tables and pick a store's shard, so the keys a map
+   receives can arrive sorted by, or all agree in, exactly those bits. *)
+let home hash mask = ((hash * 0x9E3779B97F4A7C1) lsr 29) land mask
+
 let slot_get slots i = Int32.to_int (Bytes.get_int32_ne slots (4 * i))
 let slot_set slots i v = Bytes.set_int32_ne slots (4 * i) (Int32.of_int v)
 
@@ -37,7 +43,7 @@ let rehash t cap =
   for s = 0 to (Bytes.length old / 4) - 1 do
     let row = slot_get old s in
     if row >= 0 then begin
-      let i = ref (t.hash row land mask) in
+      let i = ref (home (t.hash row) mask) in
       while slot_get slots !i <> empty do
         i := (!i + 1) land mask
       done;
@@ -64,7 +70,7 @@ let find t ~hash ~eq =
     else if s >= 0 && eq s then Some s
     else probe ((i + 1) land mask)
   in
-  probe (hash land mask)
+  probe (home hash mask)
 
 (* A top-level loop: [eq] and its context travel as arguments, so a probe
    with a closed [eq] allocates nothing. *)
@@ -74,7 +80,7 @@ let rec probe_from slots mask eq a b i =
   else if s >= 0 && eq a b s then s
   else probe_from slots mask eq a b ((i + 1) land mask)
 
-let probe t ~hash eq a b = probe_from t.slots t.mask eq a b (hash land t.mask)
+let probe t ~hash eq a b = probe_from t.slots t.mask eq a b (home hash t.mask)
 
 let rec probe3_from slots mask eq a b c i =
   let s = slot_get slots i in
@@ -83,7 +89,7 @@ let rec probe3_from slots mask eq a b c i =
   else probe3_from slots mask eq a b c ((i + 1) land mask)
 
 let probe3 t ~hash eq a b c =
-  probe3_from t.slots t.mask eq a b c (hash land t.mask)
+  probe3_from t.slots t.mask eq a b c (home hash t.mask)
 
 let add t ~hash row =
   maybe_grow t;
@@ -97,7 +103,7 @@ let add t ~hash row =
     end
     else probe ((i + 1) land mask)
   in
-  probe (hash land mask)
+  probe (home hash mask)
 
 let replace t ~hash ~eq row =
   let mask = t.mask and slots = t.slots in
@@ -110,7 +116,7 @@ let replace t ~hash ~eq row =
     end
     else probe ((i + 1) land mask)
   in
-  match probe (hash land mask) with
+  match probe (home hash mask) with
   | Some _ as prev -> prev
   | None ->
     add t ~hash row;
@@ -128,7 +134,7 @@ let remove_value t ~hash row =
     end
     else probe ((i + 1) land mask)
   in
-  probe (hash land mask)
+  probe (home hash mask)
 
 let rename_value t ~hash ~old_row ~new_row =
   let mask = t.mask and slots = t.slots in
@@ -141,7 +147,7 @@ let rename_value t ~hash ~old_row ~new_row =
     end
     else probe ((i + 1) land mask)
   in
-  probe (hash land mask)
+  probe (home hash mask)
 
 let iter t f =
   for i = 0 to t.mask do

@@ -6,7 +6,9 @@
     hash plus an equality closure over row ids; resizing rehashes via the
     [hash] closure given at creation (which reads the current cells of a
     row). Linear probing with tombstones — removals never break probe
-    chains. *)
+    chains. A key's first slot comes from the high bits of a mix of its
+    hash, so keys that agree in their low hash bits (one shard's), or
+    arrive sorted by them, still spread over the table. *)
 
 type t
 

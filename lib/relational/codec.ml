@@ -171,9 +171,8 @@ let byte r =
   r.pos <- r.pos + 1;
   c
 
-(* One loop over the bytes, with no call per byte: a fact row is mostly
-   varints. *)
-let varint r =
+(* One loop over the bytes, with no call per byte. *)
+let varint_loop r =
   let src = r.src and stop = r.stop in
   let p = ref r.pos and acc = ref 0 and shift = ref 0 and last = ref false in
   while not !last do
@@ -189,6 +188,32 @@ let varint r =
   done;
   r.pos <- !p;
   !acc
+
+(* A fact row is mostly varints of one to three bytes: those are read
+   without the loop. *)
+let varint r =
+  let src = r.src and p = r.pos in
+  if p + 3 <= r.stop then begin
+    let b0 = Char.code (Bytes.unsafe_get src p) in
+    if b0 < 0x80 then begin
+      r.pos <- p + 1;
+      b0
+    end
+    else
+      let b1 = Char.code (Bytes.unsafe_get src (p + 1)) in
+      if b1 < 0x80 then begin
+        r.pos <- p + 2;
+        (b0 land 0x7f) lor (b1 lsl 7)
+      end
+      else
+        let b2 = Char.code (Bytes.unsafe_get src (p + 2)) in
+        if b2 < 0x80 then begin
+          r.pos <- p + 3;
+          (b0 land 0x7f) lor ((b1 land 0x7f) lsl 7) lor (b2 lsl 14)
+        end
+        else varint_loop r
+  end
+  else varint_loop r
 
 let int r =
   let z = varint r in

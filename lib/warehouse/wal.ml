@@ -1,26 +1,251 @@
 (* Write-ahead log: length-prefixed, CRC-checksummed records (see wal.mli). *)
 
+module Codec = Relational.Codec
+module Datatype = Relational.Datatype
+module Delta = Relational.Delta
+module Value = Relational.Value
+
 type record =
-  | Batch of { seq : int; deltas : Relational.Delta.t list }
+  | Batch of { seq : int; deltas : Delta.t list }
   | Abort of { seq : int }
 
 let seq_of = function Batch { seq; _ } -> seq | Abort { seq } -> seq
 
 exception Corrupt of string
+exception Unencodable of string
 
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
+let unencodable fmt = Printf.ksprintf (fun m -> raise (Unencodable m)) fmt
 
-let magic = "minview-wal/1\n"
+(* The writer's format; [magic_v1] logs are read, never appended to. *)
+let magic = "minview-wal/2\n"
+let magic_v1 = "minview-wal/1\n"
+
+(* --- version-2 payloads ------------------------------------------------ *)
+
+(* A payload is a kind byte (0: batch, 1: abort) and the seq as a varint.
+   A batch goes on with its table dictionary — a count, then per table its
+   name and its column types — then its delta count and its deltas. A
+   delta is a varint [4 * table index + change kind] (0 insert, 1 delete,
+   2 update: one byte while the batch touches fewer than 32 tables), then
+   its rows as untagged cells ([Codec.add_row]). An update writes its full
+   before-image, then per run of up to 63 columns a varint mask of the
+   columns whose cell changed and those cells of the after-image. *)
+
+let kind_batch = 0
+let kind_abort = 1
+let mask_width = 63
+
+(* A table of the batch being encoded: its dictionary index and the types
+   its rows must have. *)
+type entry = { e_name : string; e_index : int; e_types : Datatype.t array }
+
+(* The types come from the rows themselves: a logged delta was admitted, so
+   it conforms to its table's schema and holds no NULL. The first row of a
+   table in the batch fixes its types; every later row is checked against
+   them as it is written. *)
+let row_types table tup =
+  Array.map
+    (function
+      | Value.Null -> unencodable "a NULL cell in a row of %s" table
+      | v -> Datatype.of_value v)
+    tup
+
+let image (d : Delta.t) =
+  match d.change with
+  | Delta.Insert tup | Delta.Delete tup | Delta.Update { before = tup; _ } ->
+    tup
+
+let rec lookup name = function
+  | [] -> None
+  | e :: rest -> if String.equal e.e_name name then Some e else lookup name rest
+
+(* The batch's tables in order of first use, newest first. *)
+let dictionary deltas =
+  List.fold_left
+    (fun dict (d : Delta.t) ->
+      match dict with
+      | e :: _ when String.equal e.e_name d.table -> dict
+      | _ when Option.is_some (lookup d.table dict) -> dict
+      | _ ->
+        { e_name = d.table; e_index = List.length dict;
+          e_types = row_types d.table (image d) }
+        :: dict)
+    [] deltas
+
+let same_cell a b =
+  a == b
+  ||
+  match (a, b) with
+  | Value.Int x, Value.Int y -> x = y
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Value.String x, Value.String y -> String.equal x y
+  | Value.Bool x, Value.Bool y -> x = y
+  | _ -> false
+
+let add_row w e tup =
+  if Array.length tup <> Array.length e.e_types then
+    unencodable "a %d-cell row in %s, whose first logged row has %d"
+      (Array.length tup) e.e_name (Array.length e.e_types);
+  Codec.add_row w e.e_types tup
+
+let add_changed w e before after =
+  let types = e.e_types in
+  let n = Array.length types in
+  if Array.length after <> n then
+    unencodable "a %d-cell after-image in %s, whose rows have %d"
+      (Array.length after) e.e_name n;
+  let base = ref 0 in
+  while !base < n do
+    let stop = min n (!base + mask_width) in
+    let mask = ref 0 in
+    for i = !base to stop - 1 do
+      if not (same_cell (Array.unsafe_get before i) (Array.unsafe_get after i))
+      then mask := !mask lor (1 lsl (i - !base))
+    done;
+    Codec.add_varint w !mask;
+    for i = !base to stop - 1 do
+      if !mask land (1 lsl (i - !base)) <> 0 then
+        Codec.add_cell w (Array.unsafe_get types i) (Array.unsafe_get after i)
+    done;
+    base := stop
+  done
+
+let add_batch w seq deltas =
+  let dict = dictionary deltas in
+  Codec.add_byte w kind_batch;
+  Codec.add_varint w seq;
+  Codec.add_varint w (List.length dict);
+  List.iter
+    (fun e ->
+      Codec.add_string w e.e_name;
+      Codec.add_varint w (Array.length e.e_types);
+      Array.iter (Codec.add_datatype w) e.e_types)
+    (List.rev dict);
+  Codec.add_varint w (List.length deltas);
+  match dict with
+  | [] -> ()
+  | first :: _ ->
+    (* a batch's deltas mostly keep to one table *)
+    let last = ref first in
+    List.iter
+      (fun (d : Delta.t) ->
+        if not (String.equal !last.e_name d.table) then
+          last := Option.get (lookup d.table dict);
+        let e = !last in
+        match d.change with
+        | Delta.Insert tup ->
+          Codec.add_varint w (e.e_index lsl 2);
+          add_row w e tup
+        | Delta.Delete tup ->
+          Codec.add_varint w ((e.e_index lsl 2) lor 1);
+          add_row w e tup
+        | Delta.Update { before; after } ->
+          Codec.add_varint w ((e.e_index lsl 2) lor 2);
+          add_row w e before;
+          add_changed w e before after)
+      deltas
+
+let encode_into w record =
+  match record with
+  | Abort { seq } ->
+    Codec.add_byte w kind_abort;
+    Codec.add_varint w seq
+  | Batch { seq; deltas } -> (
+    (* [Codec.add_cell] refuses a cell of the wrong type: that too is a
+       row the log cannot hold *)
+    try add_batch w seq deltas
+    with Invalid_argument m -> raise (Unencodable m))
+
+let encode record =
+  let w = Codec.writer 256 in
+  encode_into w record;
+  Bytes.sub_string (Codec.bytes w) 0 (Codec.length w)
+
+let decode_delta r tables =
+  let tag = Codec.varint r in
+  let index = tag lsr 2 in
+  if index >= Array.length tables then
+    Codec.malformed "table %d of a %d-table dictionary" index
+      (Array.length tables);
+  let table, types = Array.unsafe_get tables index in
+  match tag land 3 with
+  | 0 -> { Delta.table; change = Delta.Insert (Codec.row r types) }
+  | 1 -> { Delta.table; change = Delta.Delete (Codec.row r types) }
+  | 2 ->
+    let before = Codec.row r types in
+    (* unchanged cells share the before-image's boxes *)
+    let after = Array.copy before in
+    let n = Array.length types in
+    let base = ref 0 in
+    while !base < n do
+      let stop = min n (!base + mask_width) in
+      let mask = Codec.varint r in
+      if mask lsr (stop - !base) <> 0 then
+        Codec.malformed "an update mask marks columns past %d" n;
+      for i = !base to stop - 1 do
+        if mask land (1 lsl (i - !base)) <> 0 then
+          Array.unsafe_set after i (Codec.cell r (Array.unsafe_get types i))
+      done;
+      base := stop
+    done;
+    { Delta.table; change = Delta.Update { before; after } }
+  | k -> Codec.malformed "change kind %d" k
+
+let decode_batch r seq =
+  let tables =
+    Array.init (Codec.count r) (fun _ ->
+        let name = Codec.string r in
+        (name, Array.init (Codec.count r) (fun _ -> Codec.datatype r)))
+  in
+  let[@tail_mod_cons] rec deltas n =
+    if n = 0 then []
+    else
+      let d = decode_delta r tables in
+      d :: deltas (n - 1)
+  in
+  Batch { seq; deltas = deltas (Codec.count r) }
+
+let decode_v2 payload =
+  let r =
+    Codec.reader (Bytes.unsafe_of_string payload) 0 (String.length payload)
+  in
+  let record =
+    match Codec.byte r with
+    | 0 -> decode_batch r (Codec.varint r)
+    | 1 -> Abort { seq = Codec.varint r }
+    | k -> Codec.malformed "record kind %d" k
+  in
+  if Codec.remaining r <> 0 then
+    Codec.malformed "%d byte(s) after the record" (Codec.remaining r);
+  record
+
+(* The one legacy decoder: version 1 logged each record as a [Marshal]
+   payload, readable only by a build whose [record] has the same layout. *)
+let decode_v1 payload : record = Marshal.from_string payload 0
+
+let decode ~version payload =
+  match version with
+  | 1 -> decode_v1 payload
+  | 2 -> decode_v2 payload
+  | v -> invalid_arg (Printf.sprintf "Wal.decode: version %d" v)
 
 (* --- framing ----------------------------------------------------------- *)
 
-let frame record =
-  let payload = Marshal.to_string record [] in
-  let buf = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le buf (Int32.of_int (String.length payload));
-  Buffer.add_int32_le buf (Int32.of_int (Checksum.string payload));
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+(* Appends [record]'s frame to [w]: room for the 8 header bytes, the
+   payload encoded straight behind them, then the header written in
+   front. An encoding error leaves a partial frame in [w], which no caller
+   writes out. *)
+let frame_into w record =
+  let at = Codec.length w in
+  for _ = 1 to 8 do
+    Codec.add_byte w 0
+  done;
+  encode_into w record;
+  let b = Codec.bytes w and len = Codec.length w - at - 8 in
+  Bytes.set_int32_le b at (Int32.of_int len);
+  Bytes.set_int32_le b (at + 4) (Int32.of_int (Checksum.sub b (at + 8) len))
 
 let u32 s off = Int32.to_int (String.get_int32_le s off) land 0xffffffff
 
@@ -40,6 +265,7 @@ type damage = {
 }
 
 type scan = {
+  s_version : int;
   s_records : record list;
   s_valid_bytes : int;  (** header + every decodable record *)
   s_damage : damage option;
@@ -51,7 +277,7 @@ type scan = {
    checksum or payload is wrong is mid-stream bit rot. Frame boundaries
    cannot be resynchronized past either (records carry no per-frame magic),
    so everything from the damage offset belongs to the quarantined tail. *)
-let read_record ic remaining =
+let read_record ~version ic remaining =
   if remaining < 8 then
     Error (Torn_write, Printf.sprintf "incomplete frame header (%d bytes)" remaining)
   else
@@ -67,8 +293,10 @@ let read_record ic remaining =
       if Checksum.string payload <> crc then
         Error (Bit_flip, "payload checksum mismatch")
       else
-        match (Marshal.from_string payload 0 : record) with
+        match decode ~version payload with
         | r -> Ok r
+        | exception Codec.Malformed m ->
+          Error (Bit_flip, "checksummed payload is undecodable: " ^ m)
         | exception _ -> Error (Bit_flip, "checksummed payload is undecodable")
 
 (* --- reading ----------------------------------------------------------- *)
@@ -78,17 +306,27 @@ let scan_channel path ic =
   if total < String.length magic then corrupt "%s: missing header" path
   else begin
     let header = really_input_string ic (String.length magic) in
-    if not (String.equal header magic) then corrupt "%s: not a WAL file" path;
+    let version =
+      if String.equal header magic then 2
+      else if String.equal header magic_v1 then 1
+      else corrupt "%s: not a WAL file" path
+    in
     let rec loop acc =
       let at = pos_in ic in
       let remaining = total - at in
       if remaining = 0 then
-        { s_records = List.rev acc; s_valid_bytes = at; s_damage = None }
+        {
+          s_version = version;
+          s_records = List.rev acc;
+          s_valid_bytes = at;
+          s_damage = None;
+        }
       else
-        match read_record ic remaining with
+        match read_record ~version ic remaining with
         | Ok r -> loop (r :: acc)
         | Error (kind, reason) ->
           {
+            s_version = version;
             s_records = List.rev acc;
             s_valid_bytes = at;
             s_damage =
@@ -106,7 +344,7 @@ let scan_channel path ic =
 
 let scan path =
   if not (Sys.file_exists path) then
-    { s_records = []; s_valid_bytes = 0; s_damage = None }
+    { s_version = 2; s_records = []; s_valid_bytes = 0; s_damage = None }
   else
     let ic = open_in_bin path in
     Fun.protect
@@ -140,13 +378,20 @@ type writer = {
   fd : Unix.file_descr;
   (* where [append] frames its record; it keeps its capacity between
      appends *)
-  mutable pending : Bytes.t;
+  pending : Codec.writer;
 }
 
+(* Every frame is encoded before the file is touched, so a record that
+   cannot be encoded — one a legacy log held — leaves [path] as it was. *)
 let write_file ?window path records =
+  let w = Codec.writer 4096 in
+  (try List.iter (frame_into w) records
+   with Unencodable m ->
+     corrupt "%s: a record cannot be rewritten in the current format: %s" path
+       m);
   Durable.replace_file ?window path (fun oc ->
       output_string oc magic;
-      List.iter (fun r -> output_string oc (frame r)) records)
+      output oc (Codec.bytes w) 0 (Codec.length w))
 
 (* --- salvage ------------------------------------------------------------ *)
 
@@ -191,7 +436,7 @@ let writer path =
   match
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CLOEXEC ] 0o644
   with
-  | fd -> { path; fd; pending = Bytes.create 4096 }
+  | fd -> { path; fd; pending = Codec.writer 4096 }
   | exception Unix.Unix_error (e, _, _) -> Durable.fail path "open" e
 
 (* every record was synced by its own append: nothing is buffered, so
@@ -199,14 +444,19 @@ let writer path =
 let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
 
 let open_scanned path s =
-  (* create the log so appends always start on a record boundary *)
-  if not (Sys.file_exists path) then write_file path [];
+  let legacy = s.s_version <> 2 && Sys.file_exists path in
+  (* create the log so appends always start on a record boundary; a
+     legacy log is never appended to: its decodable prefix (all of it,
+     once salvaged) is rewritten in the current format first *)
+  if legacy then write_file path s.s_records
+  else if not (Sys.file_exists path) then write_file path [];
   let w = writer path in
   (* the file is not read again: its length alone says whether appends
      land on the record boundary the scan found (a missing file scanned as
      0 bytes and now holds just the header) *)
   let length = (Unix.fstat w.fd).Unix.st_size in
-  if length <> max s.s_valid_bytes (String.length magic) then begin
+  if (not legacy) && length <> max s.s_valid_bytes (String.length magic)
+  then begin
     close w;
     corrupt "%s: %d bytes, but its scan ended on a record boundary at %d" path
       length s.s_valid_bytes
@@ -226,19 +476,12 @@ let create path =
   write_file ~window:Maintenance.Faults.After_truncate_rename path [];
   writer path
 
-(* Marshals [record] into the staging buffer behind room for its header,
-   then writes the header in front: the bytes of [frame record], with no
-   intermediate copy. Returns the frame's length. A buffer too small for
-   the payload is doubled and the record marshaled again. *)
-let rec stage w record =
-  match Marshal.to_buffer w.pending 8 (Bytes.length w.pending - 8) record [] with
-  | len ->
-    Bytes.set_int32_le w.pending 0 (Int32.of_int len);
-    Bytes.set_int32_le w.pending 4 (Int32.of_int (Checksum.sub w.pending 8 len));
-    8 + len
-  | exception Failure _ ->
-    w.pending <- Bytes.create (2 * Bytes.length w.pending);
-    stage w record
+(* Encodes [record]'s frame into the staging buffer, which keeps its
+   capacity between appends. Returns the frame's length. *)
+let stage w record =
+  Codec.clear w.pending;
+  frame_into w.pending record;
+  Codec.length w.pending
 
 let append w record =
   let len = stage w record in
@@ -248,8 +491,9 @@ let append w record =
      frame reached the OS, so the log ends in a torn record that recovery
      must drop. Splitting the write in two halves (second half only after
      the crash point) makes that state reachable from tests. *)
+  let frame = Codec.bytes w.pending in
   let write off n =
-    try ignore (Unix.write w.fd w.pending off n)
+    try ignore (Unix.write w.fd frame off n)
     with Unix.Unix_error (e, _, _) -> Durable.fail w.path "write" e
   in
   let half = len / 2 in

@@ -8,12 +8,24 @@
     cover, replays the committed batches newer than the snapshot, and opens
     the live log's writer from its scan ({!open_scanned}).
 
-    On-disk format: a ["minview-wal/1\n"] header followed by records, each
-    framed as [u32-le payload length], [u32-le CRC-32 of payload], payload
-    ([Marshal]ed {!record}). An undecodable tail is detected, classified
-    ({!damage_kind}) and — on the repair paths — quarantined next to the log
-    ({!salvage}); {!open_append} repairs the file by atomically rewriting the
-    valid prefix. *)
+    On-disk format: a ["minview-wal/2\n"] header followed by records, each
+    framed as [u32-le payload length], [u32-le CRC-32 of payload], payload.
+    A payload is typed and depends on no build: a kind byte and the
+    record's seq; a batch goes on with a dictionary of the tables it
+    touches (name and column {!Relational.Datatype.t}s, so a log decodes
+    without the catalog), its delta count, and per delta one varint (table
+    index and change kind) and its rows as untagged cells
+    ({!Relational.Codec.add_row}). Inserts and deletes write their row; an
+    update writes its full before-image, then a mask of the columns whose
+    cell changed and only those cells. An undecodable tail is detected,
+    classified ({!damage_kind}) and — on the repair paths — quarantined
+    next to the log ({!salvage}); {!open_append} repairs the file by
+    atomically rewriting the valid prefix.
+
+    Logs of the legacy ["minview-wal/1\n"] format ([Marshal]ed {!record}
+    payloads) still {!scan} and replay. Nothing is appended to one: opening
+    it for appending first rewrites its decodable prefix in the current
+    format, and {!salvage} and {!archive_failed} always write it. *)
 
 type record =
   | Batch of { seq : int; deltas : Relational.Delta.t list }
@@ -23,6 +35,27 @@ type record =
           replay must skip its [Batch] record *)
 
 val seq_of : record -> int
+
+(** {2 Payloads} *)
+
+(** A batch the log cannot hold: a [NULL] cell, or a row whose arity or
+    cell types differ from the first row of its table in the batch. Every
+    logged batch was admitted, so its rows conform to their schemas and
+    this never happens on the commit path. *)
+exception Unencodable of string
+
+(** [encode r] is [r]'s current-format payload.
+    @raise Unencodable *)
+val encode : record -> string
+
+(** [decode ~version payload] reads one payload of format [version] (1,
+    the legacy [Marshal] records, or 2): {!encode}'s inverse for
+    version 2, with the cells of an update's after-image that did not
+    change sharing the before-image's values.
+    @raise Relational.Codec.Malformed if a version-2 payload does not decode
+    (a version-1 one raises what [Marshal] raises).
+    @raise Invalid_argument on another version. *)
+val decode : version:int -> string -> record
 
 (** A structurally damaged log (bad header) — distinct from a damaged tail,
     which is tolerated and salvageable. *)
@@ -57,6 +90,8 @@ type damage = {
 }
 
 type scan = {
+  s_version : int;
+      (** the header's format: 1 (legacy) or 2; 2 for a missing file *)
   s_records : record list;  (** the decodable prefix, in order *)
   s_valid_bytes : int;  (** header plus every decodable record *)
   s_damage : damage option;  (** [None] = the file ended cleanly *)
@@ -98,8 +133,9 @@ val open_append : string -> writer
 
 (** [open_scanned path s] opens for appending a log whose scan [s] the
     caller has just taken — and, if [s] found damage, {!salvage}d since —
-    without reading it again; a missing file is created. Recovery uses it
-    so the live log is scanned once.
+    without reading it again; a missing file is created, and a legacy
+    (version-1) log is first rewritten from [s]'s records in the current
+    format. Recovery uses it so the live log is scanned once.
     @raise Corrupt if [path]'s length is not where [s]'s decodable prefix
     ends (appends would not start on a record boundary).
     @raise Sys_error if a file operation fails. *)
@@ -114,11 +150,13 @@ val open_scanned : string -> scan -> writer
 val create : string -> writer
 
 (** [append w r] writes one record and fsyncs the log: once [append]
-    returns, the record survives a power cut. Crash points:
+    returns, the record survives a power cut. The frame is encoded whole
+    before anything is written. Crash points:
     [Maintenance.Faults.Mid_group_commit] between the two halves of the
     frame's write (a power cut there leaves a torn tail that recovery
     salvages) and [Maintenance.Faults.Wal_fsync] at the barrier
     ({!Durable.barrier}).
+    @raise Unencodable before writing anything: the log is intact.
     @raise Sys_error if the write or the fsync fails. The log has then
     failed: what reached its disk is unknown, so nothing more may be
     written to it. *)

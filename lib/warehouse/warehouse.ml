@@ -35,6 +35,7 @@ module Storage = struct
 end
 
 module Checksum = Checksum
+module Wal = Wal
 module Codec = Relational.Codec
 module Database = Relational.Database
 module Relation = Relational.Relation
@@ -1236,6 +1237,7 @@ let failure_detail = function
     Printf.sprintf "shard worker %d wedged after %.3f s" worker waited
   | Faults.Injected p -> "injected fault at " ^ Faults.to_string p
   | Failure m | Invalid_argument m | Sys_error m -> m
+  | Wal.Unencodable m -> "the batch cannot be logged: " ^ m
   | e -> Printexc.to_string e
 
 (* The wedge remedy. After [Shard.Wedged] the abandoned worker domain may
@@ -1396,23 +1398,29 @@ let abort t ~seq deltas cause =
    writes nothing: the writer opens only after it, and pools are never
    restored before it, so a replayed batch applies serially. A failed WAL
    write or barrier fails the log: the batch is aborted before any engine
-   sees it, and [Io_error] is raised ([replace_failed_log]). Any other
-   failure leaves through {!abort}. *)
+   sees it, and [Io_error] is raised ([replace_failed_log]). A batch the
+   log cannot encode was not written, so the log stays attached. That and
+   any other failure leave through {!abort}. *)
 let commit_batch t ~seq deltas =
-  Option.iter
-    (fun w ->
+  let logged =
+    match t.wal with
+    | None -> Ok ()
+    | Some w -> (
       match Wal.append w (Wal.Batch { seq; deltas }) with
-      | () -> ()
+      | () -> Ok ()
       | exception (Faults.Crash _ as crash) ->
         (* simulated process death: no cleanup, recovery reloads from disk *)
         raise crash
+      (* nothing was written: the log stays attached *)
+      | exception (Wal.Unencodable _ as e) -> Error e
       | exception e ->
         let detail = "the WAL commit barrier failed: " ^ failure_detail e in
         drop_log t;
         ignore (abort t ~seq deltas (Error { kind = Io_error; detail }));
         replace_failed_log t ~seq detail)
-    t.wal;
+  in
   match
+    Result.iter_error raise logged;
     if t.wal <> None then Faults.hit Faults.After_wal_append;
     apply_supervised t deltas
   with
@@ -1720,12 +1728,13 @@ let verify_snapshot path =
 
 let describe_wal path =
   match Wal.scan path with
-  | { Wal.s_records; s_damage = None; _ } ->
+  | { Wal.s_records; s_damage = None; s_version; _ } ->
     Ok
-      (Printf.sprintf "%d record(s)%s" (List.length s_records)
+      (Printf.sprintf "%d record(s)%s%s" (List.length s_records)
          (match List.rev s_records with
          | last :: _ -> Printf.sprintf ", through batch %d" (Wal.seq_of last)
-         | [] -> ""))
+         | [] -> "")
+         (if s_version = 1 then ", legacy version-1 format" else ""))
   | { Wal.s_records; s_damage = Some d; _ } ->
     Error
       (Printf.sprintf "%s at offset %d: %s (%d intact record(s) before it)"

@@ -29,6 +29,10 @@ end
 (** CRC-32 of the WAL records and snapshot payloads. *)
 module Checksum = Checksum
 
+(** The write-ahead log: its typed payloads and {!Wal.scan}, which decodes
+    and classifies a log without the catalog. *)
+module Wal = Wal
+
 (** {2 Errors} *)
 
 type error_kind =

@@ -123,7 +123,7 @@ let corruption_label = function
   | Flip_section -> "flip-section"
   | Flip_wal -> "flip-wal"
 
-let wal_header_len = String.length "minview-wal/1\n"
+let wal_header_len = String.length "minview-wal/2\n"
 
 let has_generation_snapshot dir =
   let gdir = Filename.concat dir "generations" in
@@ -801,6 +801,113 @@ let fsck_tests =
         rm_rf dir);
   ]
 
+(* --- frame-level corruption of the typed WAL ------------------------------- *)
+
+module Wal = Warehouse.Wal
+
+(* The records of a log compared by their encoding, which is canonical. *)
+let same_records a b =
+  List.length a = List.length b
+  && List.for_all2 (fun x y -> String.equal (Wal.encode x) (Wal.encode y)) a b
+
+(* A committed version-2 log of three small batches, cut at every byte
+   and, separately, with one bit flipped in every byte of every frame. The
+   scan keeps only records that were written, never one past the damage,
+   and classifies the damage; recovery follows its policy: a torn tail of
+   the live log is salvaged and the batches before it are served as they
+   were committed, bit rot is refused with [Corrupt_state]. *)
+let frame_tests =
+  [
+    test "every truncation and every bit flip of a committed log is caught"
+      (fun () ->
+        let db, wh = build () in
+        let dir = fresh_dir "wh_frames_dir" in
+        Warehouse.attach wh ~dir;
+        let rng = Workload.Prng.create 33 in
+        let views () =
+          List.map
+            (fun (v : View.t) -> snd (Warehouse.query wh v.View.name))
+            all_views
+        in
+        (* served.(k): the views after the first k batches *)
+        let served = Array.make 4 (views ()) in
+        for k = 1 to 3 do
+          Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:3);
+          served.(k) <- views ()
+        done;
+        Warehouse.close wh;
+        let wal = read_file (Filename.concat dir "wal.bin") in
+        let snapshot = read_file (Filename.concat dir "snapshot.bin") in
+        let written = (Wal.scan (Filename.concat dir "wal.bin")).Wal.s_records in
+        Alcotest.(check int) "three frames" 3 (List.length written);
+        (* the frame boundaries *)
+        let rec ends at acc =
+          if at >= String.length wal then List.rev acc
+          else
+            let next = at + 8 + Int32.to_int (String.get_int32_le wal at) in
+            ends next (next :: acc)
+        in
+        let ends = ends wal_header_len [] in
+        let whole_frames before =
+          List.length (List.filter (fun e -> e <= before) ends)
+        in
+        let case = fresh_dir "wh_frames_case" in
+        let try_log what log ~intact ~clean =
+          rm_rf case;
+          Sys.mkdir case 0o755;
+          write_file (Filename.concat case "snapshot.bin") snapshot;
+          write_file (Filename.concat case "wal.bin") log;
+          let s = Wal.scan (Filename.concat case "wal.bin") in
+          let kept = List.length s.Wal.s_records in
+          if not (same_records s.Wal.s_records (List.filteri (fun i _ -> i < kept) written))
+          then Alcotest.failf "%s: scan returned a record that was not written" what;
+          if kept > intact then
+            Alcotest.failf "%s: %d record(s) past the damage" what kept;
+          let kind =
+            match s.Wal.s_damage with
+            | None when clean && kept = intact -> None
+            | None -> Alcotest.failf "%s: damage not detected" what
+            | Some _ when clean -> Alcotest.failf "%s: a whole frame refused" what
+            | Some d -> Some d.Wal.d_kind
+          in
+          (* the recovery policy: a torn tail of the live log is salvaged
+             and the batches before it served; bit rot is refused *)
+          match (Warehouse.recover ~dir:case, kind) with
+          | wh', (None | Some Wal.Torn_write) ->
+            let k = Warehouse.ingested_batches wh' in
+            if k <> kept then
+              Alcotest.failf "%s: batch %d served, %d scanned" what k kept;
+            List.iter2
+              (fun (v : View.t) rows ->
+                Alcotest.check relation (what ^ ": " ^ v.View.name) rows
+                  (snd (Warehouse.query wh' v.View.name)))
+              all_views served.(k);
+            Warehouse.close wh'
+          | wh', Some Wal.Bit_flip ->
+            Warehouse.close wh';
+            Alcotest.failf "%s: bit rot recovered" what
+          | exception Warehouse.Error { kind = Warehouse.Corrupt_state; _ }
+            when kind = Some Wal.Bit_flip ->
+            ()
+        in
+        for cut = wal_header_len to String.length wal - 1 do
+          try_log
+            (Printf.sprintf "cut at %d" cut)
+            (String.sub wal 0 cut) ~intact:(whole_frames cut)
+            ~clean:(List.mem cut (wal_header_len :: ends))
+        done;
+        for at = wal_header_len to String.length wal - 1 do
+          let b = Bytes.of_string wal in
+          Bytes.set b at
+            (Char.chr (Char.code (Bytes.get b at) lxor (1 lsl (at mod 8))));
+          try_log
+            (Printf.sprintf "bit %d of byte %d flipped" (at mod 8) at)
+            (Bytes.to_string b) ~intact:(whole_frames at) ~clean:false
+        done;
+        rm_rf case;
+        rm_rf dir);
+  ]
+
 (* --- TELEMETRY=off regression -------------------------------------------- *)
 
 let telemetry_off_tests =
@@ -841,5 +948,6 @@ let () =
     [
       ("chaos", chaos_tests); ("supervision", supervision_tests);
       ("retry", retry_tests); ("fsck", fsck_tests);
+      ("wal-frames", frame_tests);
       ("telemetry-off", telemetry_off_tests);
     ]

@@ -998,11 +998,12 @@ let checksum_tests =
         let ic = open_in_bin (Filename.concat dir "wal.bin") in
         let log = really_input_string ic (in_channel_length ic) in
         close_in ic;
-        let magic = "minview-wal/1\n" in
+        let magic = "minview-wal/2\n" in
         Alcotest.(check string) "magic" magic
           (String.sub log 0 (String.length magic));
         (* every frame: its length, the CRC-32 of its payload, and a
-           payload that is one whole marshaled value of that length *)
+           payload that decodes as one whole record of that length, whose
+           re-encoding is the payload itself *)
         let rec frames at acc =
           if at = String.length log then List.rev acc
           else begin
@@ -1010,8 +1011,8 @@ let checksum_tests =
             let crc = Int32.to_int (String.get_int32_le log (at + 4)) land 0xFFFF_FFFF in
             let payload = String.sub log (at + 8) len in
             Alcotest.(check int) "frame checksum" (Warehouse.Checksum.string payload) crc;
-            Alcotest.(check int) "frame length" len
-              (Marshal.total_size (Bytes.unsafe_of_string payload) 0);
+            Alcotest.(check string) "one whole record" payload
+              (Warehouse.Wal.encode (Warehouse.Wal.decode ~version:2 payload));
             frames (at + 8 + len) (len :: acc)
           end
         in
@@ -1330,10 +1331,257 @@ let fan_out_tests =
         rm_rf dir);
   ]
 
+(* --- typed WAL frames ------------------------------------------------------- *)
+
+module Wal = Warehouse.Wal
+
+(* Cells compared by their encoding: floats by their bits, so [-0.0] and
+   NaN payloads must survive. *)
+let same_cell a b =
+  match (a, b) with
+  | Value.Float x, Value.Float y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> Value.equal a b
+
+let same_row a b = Array.length a = Array.length b && Array.for_all2 same_cell a b
+
+let same_delta (a : Delta.t) (b : Delta.t) =
+  String.equal a.table b.table
+  &&
+  match (a.change, b.change) with
+  | Delta.Insert x, Delta.Insert y | Delta.Delete x, Delta.Delete y ->
+    same_row x y
+  | Delta.Update u, Delta.Update v ->
+    same_row u.before v.before && same_row u.after v.after
+  | _ -> false
+
+let same_record a b =
+  match (a, b) with
+  | Wal.Batch x, Wal.Batch y ->
+    x.seq = y.seq
+    && List.length x.deltas = List.length y.deltas
+    && List.for_all2 same_delta x.deltas y.deltas
+  | Wal.Abort x, Wal.Abort y -> x.seq = y.seq
+  | _ -> false
+
+let same_records a b = List.length a = List.length b && List.for_all2 same_record a b
+
+let float_cells =
+  [ 0.; -0.; nan; Int64.float_of_bits 0x7FF0_0000_0000_0001L;
+    Int64.float_of_bits 0xFFF8_0000_0000_0ABCL; infinity; neg_infinity;
+    4.9e-324; 1e300; 0.25 ]
+
+let string_cells = [ ""; "x"; "\xc3\xa9t\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; "\000"; "a longer label" ]
+
+let random_cell rng = function
+  | Datatype.TInt ->
+    Value.Int
+      (Workload.Prng.pick rng
+         [ min_int; max_int; 0; -1; 1; 4095; 4096; Workload.Prng.int rng 1_000_000 ])
+  | Datatype.TFloat ->
+    Value.Float
+      (if Workload.Prng.chance rng 0.3 then
+         float_of_int (Workload.Prng.int rng 1000) /. 8.
+       else Workload.Prng.pick rng float_cells)
+  | Datatype.TString -> Value.String (Workload.Prng.pick rng string_cells)
+  | Datatype.TBool -> Value.Bool (Workload.Prng.chance rng 0.5)
+
+(* The tables of a [Schema_gen] instance as (name, column types). It draws
+   no FLOAT attribute, so every table gets a FLOAT column at the end, and a
+   table with a non-ASCII name holds one column of each type. *)
+let random_tables rng =
+  let inst = Workload.Schema_gen.random rng in
+  let db = inst.Workload.Schema_gen.db in
+  ("r\xc3\xa9sum\xc3\xa9", [| Datatype.TInt; Datatype.TFloat; Datatype.TString; Datatype.TBool |])
+  :: List.map
+       (fun name ->
+         let schema = Database.schema_of db name in
+         ( name,
+           Array.append
+             (Array.map (fun c -> c.Schema.col_type) schema.Schema.columns)
+             [| Datatype.TFloat |] ))
+       inst.Workload.Schema_gen.all_tables
+
+(* An update changes a random subset of its columns, the key included. *)
+let random_delta rng tables =
+  let table, types = Workload.Prng.pick rng tables in
+  let row () = Array.map (random_cell rng) types in
+  match Workload.Prng.int rng 3 with
+  | 0 -> Delta.insert table (row ())
+  | 1 -> Delta.delete table (row ())
+  | _ ->
+    let before = row () in
+    let after =
+      Array.mapi
+        (fun i v -> if Workload.Prng.chance rng 0.4 then random_cell rng types.(i) else v)
+        before
+    in
+    Delta.update table ~before ~after
+
+let random_records seed =
+  let rng = Workload.Prng.create seed in
+  let tables = random_tables rng in
+  List.init (1 + Workload.Prng.int rng 4) (fun k ->
+      let seq = if Workload.Prng.chance rng 0.1 then max_int - k else k + 1 in
+      if Workload.Prng.chance rng 0.2 then Wal.Abort { seq }
+      else
+        Wal.Batch
+          { seq; deltas = List.init (Workload.Prng.int rng 24) (fun _ -> random_delta rng tables) })
+
+(* The after-image's unchanged cells are the before-image's boxes. *)
+let shares_unchanged = function
+  | Wal.Abort _ -> true
+  | Wal.Batch { deltas; _ } ->
+    List.for_all
+      (fun (d : Delta.t) ->
+        match d.change with
+        | Delta.Update { before; after } ->
+          Array.for_all2 (fun b a -> (not (same_cell b a)) || b == a) before after
+        | Delta.Insert _ | Delta.Delete _ -> true)
+      deltas
+
+let print_records seed =
+  Printf.sprintf "seed %d: %s" seed
+    (String.concat "; "
+       (List.map
+          (function
+            | Wal.Abort { seq } -> Printf.sprintf "abort %d" seq
+            | Wal.Batch { seq; deltas } ->
+              Printf.sprintf "batch %d [%s]" seq
+                (String.concat ", " (List.map (Format.asprintf "%a" Delta.pp) deltas)))
+          (random_records seed)))
+
+let write_v1 path records =
+  let oc = open_out_bin path in
+  output_string oc "minview-wal/1\n";
+  List.iter
+    (fun (r : Wal.record) ->
+      let payload = Marshal.to_string r [] in
+      let header = Bytes.create 8 in
+      Bytes.set_int32_le header 0 (Int32.of_int (String.length payload));
+      Bytes.set_int32_le header 4
+        (Int32.of_int (Warehouse.Checksum.string payload));
+      output_bytes oc header;
+      output_string oc payload)
+    records;
+  close_out oc
+
+let prop_wal_round_trip =
+  QCheck2.Test.make ~count:200
+    ~name:"typed WAL frame: decode (encode r) == r, through a log file too"
+    ~print:print_records QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let records = random_records seed in
+      let check what ok = ok || QCheck2.Test.fail_reportf "%s" what in
+      let decoded = List.map (fun r -> Wal.decode ~version:2 (Wal.encode r)) records in
+      let path = tmp "wal_round_trip.bin" in
+      let w = Wal.create path in
+      List.iter (Wal.append w) records;
+      Wal.close w;
+      let s = Wal.scan path in
+      Sys.remove path;
+      check "payload round trip" (same_records records decoded)
+      && check "unchanged cells shared" (List.for_all shares_unchanged decoded)
+      && check "scan of the written log"
+           (s.Wal.s_version = 2 && s.Wal.s_damage = None
+           && same_records records s.Wal.s_records))
+
+let prop_wal_v1_same_record =
+  QCheck2.Test.make ~count:100
+    ~name:"a version-1 frame of the same batch decodes to the same record"
+    ~print:print_records QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let records = random_records seed in
+      let check what ok = ok || QCheck2.Test.fail_reportf "%s" what in
+      let path = tmp "wal_v1_frames.bin" in
+      write_v1 path records;
+      let v1 = Wal.scan path in
+      (* opening it for appending rewrites it in the current format *)
+      Wal.close (Wal.open_append path);
+      let v2 = Wal.scan path in
+      Sys.remove path;
+      check "payloads"
+        (List.for_all
+           (fun r -> same_record r (Wal.decode ~version:1 (Marshal.to_string r [])))
+           records)
+      && check "version-1 scan" (v1.Wal.s_version = 1 && same_records records v1.Wal.s_records)
+      && check "rewritten as version 2"
+           (v2.Wal.s_version = 2 && v2.Wal.s_damage = None
+           && same_records records v2.Wal.s_records))
+
+let wal_format_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_wal_round_trip;
+    QCheck_alcotest.to_alcotest prop_wal_v1_same_record;
+    test "an unencodable batch is refused before any byte is written"
+      (fun () ->
+        let path = tmp "wal_unencodable.bin" in
+        let w = Wal.create path in
+        let good = Wal.Batch { seq = 1; deltas = [ Delta.insert "t" [| i 1; s "a" |] ] } in
+        Wal.append w good;
+        let length () = (Unix.stat path).Unix.st_size in
+        let before = length () in
+        List.iter
+          (fun (what, deltas) ->
+            match Wal.append w (Wal.Batch { seq = 2; deltas }) with
+            | () -> Alcotest.failf "%s was logged" what
+            | exception Wal.Unencodable _ ->
+              Alcotest.(check int) (what ^ ": log untouched") before (length ()))
+          [
+            ("a NULL cell", [ Delta.insert "t" [| i 2; Value.Null |] ]);
+            ( "a mistyped cell",
+              [ Delta.insert "t" [| i 2; s "b" |]; Delta.insert "t" [| i 3; i 4 |] ] );
+            ( "a short row",
+              [ Delta.insert "t" [| i 2; s "b" |]; Delta.delete "t" [| i 3 |] ] );
+            ( "a long after-image",
+              [ Delta.update "t" ~before:[| i 2; s "b" |] ~after:[| i 2; s "b"; s "c" |] ] );
+          ];
+        (* the log is intact: the next batch appends on a record boundary *)
+        Wal.append w (Wal.Abort { seq = 2 });
+        Wal.close w;
+        let s = Wal.scan path in
+        Sys.remove path;
+        Alcotest.(check bool) "both records, nothing else" true
+          (s.Wal.s_damage = None
+          && same_records [ good; Wal.Abort { seq = 2 } ] s.Wal.s_records));
+    test "a version-1 live log recovers and is rewritten before the next append"
+      (fun () ->
+        let db, wh = build () in
+        let dir = fresh_dir "wh_wal_v1_dir" in
+        Warehouse.attach wh ~dir;
+        let rng = Workload.Prng.create 47 in
+        for _ = 1 to 3 do
+          Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:25)
+        done;
+        Warehouse.close wh;
+        (* the same log as the previous format wrote it *)
+        let wal = Filename.concat dir "wal.bin" in
+        let logged = (Wal.scan wal).Wal.s_records in
+        write_v1 wal logged;
+        let wh' = Warehouse.recover ~dir in
+        Alcotest.(check int) "every batch replayed" 3 (Warehouse.ingested_batches wh');
+        check_views wh' db;
+        let s = Wal.scan wal in
+        Alcotest.(check int) "rewritten as version 2" 2 s.Wal.s_version;
+        Alcotest.(check bool) "with the same records" true
+          (same_records logged s.Wal.s_records);
+        Warehouse.ingest wh' (Workload.Delta_gen.stream rng db ~n:25);
+        Warehouse.close wh';
+        let s = Wal.scan wal in
+        Alcotest.(check bool) "the next batch follows them" true
+          (s.Wal.s_version = 2 && s.Wal.s_damage = None
+          && List.length s.Wal.s_records = 4);
+        let wh'' = Warehouse.recover ~dir in
+        Alcotest.(check int) "four batches" 4 (Warehouse.ingested_batches wh'');
+        check_views wh'' db;
+        Warehouse.close wh'');
+  ]
+
 let () =
   Alcotest.run "recovery"
     [
       ("checksum", checksum_tests);
+      ("wal-format", wal_format_tests);
       ("parallel-build", fan_out_tests);
       ("crash-points", crash_tests); ("durability", durability_tests);
       ("generation-chain", chain_tests);
