@@ -1583,9 +1583,8 @@ let flow_finish t pre ~mode ~deltas_in ~netted ~applied =
   | None -> ()
   | Some (pre_aux, pre_groups) ->
     if t.wk_live then begin
-      Telemetry.Workload.note_batch t.wk ~deltas_in ~netted ~applied;
-      Telemetry.Workload.flush_writes t.wk ~writes:t.wk_writes
-        ~events:t.wk_events;
+      Telemetry.Workload.note_batch t.wk ~deltas_in ~netted ~applied
+        ~writes:t.wk_writes ~events:t.wk_events;
       t.wk_writes <- 0;
       t.wk_events <- 0
     end;

@@ -1,3 +1,10 @@
+(* Display width of a UTF-8 string: one column per code point, so every
+   byte except a continuation byte (0x80-0xBF) counts. *)
+let width s =
+  let n = ref 0 in
+  String.iter (fun c -> if Char.code c land 0xC0 <> 0x80 then incr n) s;
+  !n
+
 let render ~header rows =
   let ncols = List.length header in
   List.iter
@@ -5,11 +12,9 @@ let render ~header rows =
       if List.length r <> ncols then
         invalid_arg "Table_printer.render: ragged row")
     rows;
-  let widths = Array.of_list (List.map String.length header) in
+  let widths = Array.of_list (List.map width header) in
   List.iter
-    (List.iteri (fun i cell ->
-         if String.length cell > widths.(i) then
-           widths.(i) <- String.length cell))
+    (List.iteri (fun i cell -> widths.(i) <- max widths.(i) (width cell)))
     rows;
   let buf = Buffer.create 256 in
   let sep () =
@@ -27,7 +32,7 @@ let render ~header rows =
       (fun i cell ->
         Buffer.add_char buf ' ';
         Buffer.add_string buf cell;
-        Buffer.add_string buf (String.make (widths.(i) - String.length cell) ' ');
+        Buffer.add_string buf (String.make (widths.(i) - width cell) ' ');
         Buffer.add_string buf " |")
       cells;
     Buffer.add_char buf '\n'

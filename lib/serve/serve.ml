@@ -33,7 +33,9 @@ let port t = t.bound_port
 let requests t = t.served
 let request_stop t = Atomic.set t.stop true
 
-let create ?(backlog = 16) ?slowlog ?(slow_threshold_s = 0.1) ~port wh =
+let backlog = 16
+
+let create ?slowlog ?(slow_threshold_s = 0.1) ~port wh =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (match
      Unix.setsockopt fd Unix.SO_REUSEADDR true;

@@ -36,8 +36,9 @@
 
 type t
 
-(** [create ~port wh] binds and listens on [127.0.0.1:port] ([port = 0]
-    picks an ephemeral port — read it back with {!port}). Registers
+(** [create ~port wh] binds and listens on [127.0.0.1:port] with a
+    backlog of 16 ([port = 0] picks an ephemeral port — read it back with
+    {!port}). Registers
     [minview_serve_slow_queries_total], the one serve metric.
 
     Every [QUERY]/[RECONSTRUCT] records a [serve.query] /
@@ -54,7 +55,6 @@ type t
     returns.
     @raise Warehouse.Error ([Io_error]) when binding fails. *)
 val create :
-  ?backlog:int ->
   ?slowlog:Telemetry.Jsonl_sink.t ->
   ?slow_threshold_s:float ->
   port:int ->

@@ -25,7 +25,9 @@ let port t = t.bound_port
 let requests t = t.served
 let request_stop t = Atomic.set t.stop true
 
-let create ?(backlog = 16) ~port ~health () =
+let backlog = 16
+
+let create ~port ~health () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (match
      Unix.setsockopt fd Unix.SO_REUSEADDR true;
@@ -168,9 +170,6 @@ let handle t fd =
     match path with
     | "/metrics" ->
       Runtime.scrape_sample ();
-      (* freshen the minview_workload_shard_imbalance gauge before
-         rendering *)
-      Workload.refresh_gauges ();
       respond fd ~status:200
         ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         (Render.to_prometheus ())

@@ -23,12 +23,12 @@ val healthy : check list -> bool
 
 type t
 
-val create : ?backlog:int -> port:int -> health:(unit -> check list) -> unit -> t
-(** Bind and listen on [127.0.0.1:port] ([port = 0] picks an ephemeral
-    port — read it back with {!port}). [health] is evaluated per
-    [/healthz] request, on the exporter's domain: it must only read
-    atomics/immutable state. Registers no metric: {!requests} counts the
-    requests served, and {!run} logs the count at shutdown.
+val create : port:int -> health:(unit -> check list) -> unit -> t
+(** Bind and listen on [127.0.0.1:port] with a backlog of 16 ([port = 0]
+    picks an ephemeral port — read it back with {!port}). [health] is
+    evaluated per [/healthz] request, on the exporter's domain: it must
+    only read atomics/immutable state. Registers no metric: {!requests}
+    counts the requests served, and {!run} logs the count at shutdown.
     @raise Sys_error when binding fails. *)
 
 val port : t -> int

@@ -1,22 +1,17 @@
 (* Domain-safe metrics: counters, gauges and fixed-log-bucket histograms
    behind a process-global registry.
 
-   Write-side contention model: every metric splits its hot cells across
-   [ncells] slots indexed by the writing domain's id, so the shard-parallel
-   maintenance path (one resident domain per shard set) never has two
-   domains bouncing the same cache line in the common case. Collisions
-   (domain ids equal modulo [ncells]) stay correct — cells are [Atomic]s —
-   they just contend. Reads merge all cells, so they are O(ncells) and
-   linearizable enough for dashboards (a read concurrent with writes sees
-   some interleaving, never a torn value).
+   Each metric is one set of atomics. Measured writers (perfbench, all three
+   workloads): the maintenance pipeline writes every metric from one
+   domain; only the derive/compression counters (bumped once per engine
+   build on the fan-out build domains) and the warehouse read counter and
+   histogram (main and the serve domain) see a second writer. Atomics keep
+   those correct, and a read concurrent with writes sees some
+   interleaving, never a torn value.
 
    Registration is idempotent: [Counter.make name ~labels] returns the
    already-registered metric when (name, labels) exists, so call sites can
    register at module-init time or lazily without coordination. *)
-
-let ncells = 16
-let cell_mask = ncells - 1
-let cell_index () = (Domain.self () :> int) land cell_mask
 
 (* --- global switch ------------------------------------------------------ *)
 
@@ -56,16 +51,12 @@ let atomic_max_float a x =
 (* --- counters ----------------------------------------------------------- *)
 
 module Counter_impl = struct
-  type t = { cells : int Atomic.t array }
+  type t = int Atomic.t
 
-  let create () = { cells = Array.init ncells (fun _ -> Atomic.make 0) }
-
-  let inc t n =
-    if enabled () && n <> 0 then
-      ignore (Atomic.fetch_and_add t.cells.(cell_index ()) n)
-
-  let value t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.cells
-  let reset t = Array.iter (fun c -> Atomic.set c 0) t.cells
+  let create () = Atomic.make 0
+  let inc t n = if enabled () && n <> 0 then ignore (Atomic.fetch_and_add t n)
+  let value = Atomic.get
+  let reset t = Atomic.set t 0
 end
 
 (* --- gauges ------------------------------------------------------------- *)
@@ -86,21 +77,17 @@ module Histogram_impl = struct
   (* Fixed log-scale buckets: bucket [0] holds values <= [lo]; bucket [i]
      (0 < i < n-1) holds values in (lo*factor^(i-1), lo*factor^i]; the last
      bucket is the +Inf overflow. The layout is fixed at registration, so
-     merging cells (and scraping over time) is just integer addition. *)
-  type cell = {
-    buckets : int Atomic.t array;
-    count : int Atomic.t;
-    sum : float Atomic.t;
-    mn : float Atomic.t;
-    mx : float Atomic.t;
-  }
-
+     scraping over time is just reading integer counts. *)
   type t = {
     lo : float;
     factor : float;
     nbuckets : int;
     log_factor : float;
-    cells : cell array;
+    buckets : int Atomic.t array;
+    count : int Atomic.t;
+    sum : float Atomic.t;
+    mn : float Atomic.t;
+    mx : float Atomic.t;
   }
 
   let create ~lo ~factor ~buckets:nbuckets =
@@ -114,15 +101,11 @@ module Histogram_impl = struct
       factor;
       nbuckets;
       log_factor = Float.log factor;
-      cells =
-        Array.init ncells (fun _ ->
-            {
-              buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
-              count = Atomic.make 0;
-              sum = Atomic.make 0.;
-              mn = Atomic.make infinity;
-              mx = Atomic.make neg_infinity;
-            });
+      buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
+      count = Atomic.make 0;
+      sum = Atomic.make 0.;
+      mn = Atomic.make infinity;
+      mx = Atomic.make neg_infinity;
     }
 
   (* The 1e-9 slack keeps exact boundaries (v = lo * factor^i computed in
@@ -137,32 +120,22 @@ module Histogram_impl = struct
 
   let observe t v =
     if enabled () then begin
-      let c = t.cells.(cell_index ()) in
-      ignore (Atomic.fetch_and_add c.buckets.(bucket_of t v) 1);
-      ignore (Atomic.fetch_and_add c.count 1);
-      atomic_add_float c.sum v;
-      atomic_min_float c.mn v;
-      atomic_max_float c.mx v
+      ignore (Atomic.fetch_and_add t.buckets.(bucket_of t v) 1);
+      ignore (Atomic.fetch_and_add t.count 1);
+      atomic_add_float t.sum v;
+      atomic_min_float t.mn v;
+      atomic_max_float t.mx v
     end
 
-  let count t =
-    Array.fold_left (fun acc c -> acc + Atomic.get c.count) 0 t.cells
-
-  let sum t = Array.fold_left (fun acc c -> acc +. Atomic.get c.sum) 0. t.cells
+  let count t = Atomic.get t.count
+  let sum t = Atomic.get t.sum
 
   let min_value t =
-    let m =
-      Array.fold_left (fun acc c -> Float.min acc (Atomic.get c.mn)) infinity
-        t.cells
-    in
+    let m = Atomic.get t.mn in
     if m = infinity then Float.nan else m
 
   let max_value t =
-    let m =
-      Array.fold_left
-        (fun acc c -> Float.max acc (Atomic.get c.mx))
-        neg_infinity t.cells
-    in
+    let m = Atomic.get t.mx in
     if m = neg_infinity then Float.nan else m
 
   (* Upper bound of bucket [i]; the last is +Inf. *)
@@ -171,21 +144,14 @@ module Histogram_impl = struct
         if i = t.nbuckets - 1 then infinity
         else t.lo *. (t.factor ** float_of_int i))
 
-  let bucket_counts t =
-    Array.init t.nbuckets (fun i ->
-        Array.fold_left
-          (fun acc c -> acc + Atomic.get c.buckets.(i))
-          0 t.cells)
+  let bucket_counts t = Array.map Atomic.get t.buckets
 
   let reset t =
-    Array.iter
-      (fun c ->
-        Array.iter (fun b -> Atomic.set b 0) c.buckets;
-        Atomic.set c.count 0;
-        Atomic.set c.sum 0.;
-        Atomic.set c.mn infinity;
-        Atomic.set c.mx neg_infinity)
-      t.cells
+    Array.iter (fun b -> Atomic.set b 0) t.buckets;
+    Atomic.set t.count 0;
+    Atomic.set t.sum 0.;
+    Atomic.set t.mn infinity;
+    Atomic.set t.mx neg_infinity
 
   let time t f =
     if enabled () then begin

@@ -1,14 +1,10 @@
 (** Domain-safe metrics registry: counters, gauges and fixed log-scale
     histograms.
 
-    Writes go to per-domain sharded atomic cells (no locks, no cross-domain
-    cache-line bouncing in the common case); reads merge the cells. Metrics
-    are registered in a process-global registry keyed by (name, labels);
-    registration is idempotent, so call sites may create handles eagerly or
-    lazily without coordination. *)
-
-val ncells : int
-(** Number of write cells per metric (power of two). *)
+    Each metric is one set of atomics, so concurrent writers stay correct
+    without locks. Metrics are registered in a process-global registry
+    keyed by (name, labels); registration is idempotent, so call sites may
+    create handles eagerly or lazily without coordination. *)
 
 (** {1 Global switch} *)
 
@@ -81,7 +77,7 @@ module Histogram : sig
   (** Inclusive upper bound per bucket; the last is [infinity]. *)
 
   val bucket_counts : t -> int array
-  (** Per-bucket (non-cumulative) observation counts, cells merged. *)
+  (** Per-bucket (non-cumulative) observation counts. *)
 end
 
 (** {1 Snapshots} *)
@@ -116,7 +112,7 @@ type snap = {
 }
 
 val snapshot : unit -> snap list
-(** Every registered metric with its merged value, sorted by (name, labels)
+(** Every registered metric with its current value, sorted by (name, labels)
     for deterministic output. *)
 
 val reset : unit -> unit

@@ -1,13 +1,8 @@
-(* Streaming sketches with the registry's per-domain cell layout (see
-   metrics.ml): [ncells] cells indexed by the writing domain's id, merged
-   on read. Unlike counters, a sketch update mutates several words (heap
-   slots, an index table), so each cell carries a mutex instead of relying
-   on atomics; the writer's own cell lock is uncontended unless two domain
-   ids collide modulo [ncells], which stays correct and merely contends. *)
-
-let ncells = 16
-let cell_mask = ncells - 1
-let cell_index () = (Domain.self () :> int) land cell_mask
+(* Streaming sketches, one summary each under one mutex. An update
+   mutates several words (heap slots, an index table), so the mutex, not
+   atomics, keeps it whole while serve and exporter domains render the
+   profile. Every measured update runs on one domain, so the lock is
+   uncontended. *)
 
 let with_lock m f =
   Mutex.lock m;
@@ -19,10 +14,10 @@ let with_lock m f =
    counts instead of the classic stream-summary list: the list gives O(1)
    unit increments but weighted increments (the engine feeds compacted
    operations whose net count exceeds 1) degrade it to O(k); the heap is
-   O(log k) for both. Invariants per cell: every tracked key overcounts
-   ([count >= true]) and overcounts by at most [err] ([count - err <=
-   true]); a key with true frequency > n/k is always tracked, because the
-   evicted minimum can never exceed n/k. *)
+   O(log k) for both. Invariants: every tracked key overcounts ([count >=
+   true]) and overcounts by at most [err] ([count - err <= true]); a key
+   with true frequency > n/k is always tracked, because the evicted minimum
+   can never exceed n/k. *)
 module Space_saving = struct
   type slot = {
     mutable hash : int;
@@ -32,15 +27,14 @@ module Space_saving = struct
     mutable pos : int;  (* index in the heap array, kept by sifts *)
   }
 
-  type cell = {
+  type t = {
+    k : int;
     m : Mutex.t;
-    mutable n : int;  (* stream weight seen by this cell *)
+    mutable n : int;  (* stream weight seen *)
     heap : slot array;  (* slots [0 .. size-1] live, min-heap on count *)
     mutable size : int;
     index : (int, slot) Hashtbl.t;  (* key hash -> live slot *)
   }
-
-  type t = { k : int; cells : cell array }
 
   type entry = { e_key : string; e_hash : int; e_est : int; e_err : int }
 
@@ -50,189 +44,131 @@ module Space_saving = struct
     if k < 1 then invalid_arg "Sketch.Space_saving.create: k must be >= 1";
     {
       k;
-      cells =
-        Array.init ncells (fun _ ->
-            {
-              m = Mutex.create ();
-              n = 0;
-              heap = Array.make k dummy;
-              size = 0;
-              index = Hashtbl.create (2 * k);
-            });
+      m = Mutex.create ();
+      n = 0;
+      heap = Array.make k dummy;
+      size = 0;
+      index = Hashtbl.create (2 * k);
     }
 
   let capacity t = t.k
 
-  let swap c i j =
-    let a = c.heap.(i) and b = c.heap.(j) in
-    c.heap.(i) <- b;
-    c.heap.(j) <- a;
+  let swap t i j =
+    let a = t.heap.(i) and b = t.heap.(j) in
+    t.heap.(i) <- b;
+    t.heap.(j) <- a;
     b.pos <- i;
     a.pos <- j
 
-  let rec sift_up c i =
+  let rec sift_up t i =
     if i > 0 then begin
       let parent = (i - 1) / 2 in
-      if c.heap.(parent).count > c.heap.(i).count then begin
-        swap c i parent;
-        sift_up c parent
+      if t.heap.(parent).count > t.heap.(i).count then begin
+        swap t i parent;
+        sift_up t parent
       end
     end
 
-  let rec sift_down c i =
+  let rec sift_down t i =
     let l = (2 * i) + 1 and r = (2 * i) + 2 in
     let smallest = ref i in
-    if l < c.size && c.heap.(l).count < c.heap.(!smallest).count then
+    if l < t.size && t.heap.(l).count < t.heap.(!smallest).count then
       smallest := l;
-    if r < c.size && c.heap.(r).count < c.heap.(!smallest).count then
+    if r < t.size && t.heap.(r).count < t.heap.(!smallest).count then
       smallest := r;
     if !smallest <> i then begin
-      swap c i !smallest;
-      sift_down c !smallest
+      swap t i !smallest;
+      sift_down t !smallest
     end
 
-  (* Core update against one cell, caller holds the lock. *)
-  let touch_cell t c ~weight ~hash ~label =
-    c.n <- c.n + weight;
-    match Hashtbl.find_opt c.index hash with
+  (* A new key takes a free slot; the caller knows one is free. *)
+  let insert t ~hash ~label ~count ~err =
+    let s = { hash; label; count; err; pos = t.size } in
+    t.heap.(t.size) <- s;
+    t.size <- t.size + 1;
+    sift_up t s.pos;
+    Hashtbl.replace t.index hash s
+
+  (* Core update, caller holds the lock. *)
+  let touch_locked t ~weight ~hash ~label =
+    t.n <- t.n + weight;
+    match Hashtbl.find_opt t.index hash with
     | Some s ->
       s.count <- s.count + weight;
-      sift_down c s.pos
+      sift_down t s.pos
     | None ->
-      if c.size < t.k then begin
-        let s = { hash; label = label (); count = weight; err = 0; pos = c.size } in
-        c.heap.(c.size) <- s;
-        c.size <- c.size + 1;
-        sift_up c s.pos;
-        Hashtbl.replace c.index hash s
-      end
+      if t.size < t.k then insert t ~hash ~label:(label ()) ~count:weight ~err:0
       else begin
         (* evict the minimum: the classic over-count hand-off — the new
            key inherits the minimum as both baseline and error bound *)
-        let s = c.heap.(0) in
-        Hashtbl.remove c.index s.hash;
+        let s = t.heap.(0) in
+        Hashtbl.remove t.index s.hash;
         s.err <- s.count;
         s.count <- s.count + weight;
         s.hash <- hash;
         s.label <- label ();
-        Hashtbl.replace c.index hash s;
-        sift_down c 0
+        Hashtbl.replace t.index hash s;
+        sift_down t 0
       end
 
   let touch ?(weight = 1) t ~hash ~label =
-    if weight > 0 && Metrics.enabled () then begin
-      let c = t.cells.(cell_index ()) in
-      with_lock c.m (fun () -> touch_cell t c ~weight ~hash ~label)
-    end
+    if weight > 0 && Metrics.enabled () then
+      with_lock t.m (fun () -> touch_locked t ~weight ~hash ~label)
 
-  let total t =
-    Array.fold_left
-      (fun acc c -> acc + with_lock c.m (fun () -> c.n))
-      0 t.cells
-
-  (* Conservative mergeable-summary combine (Agarwal et al.): sum the
-     estimates of cells tracking the key; a full cell not tracking it may
-     have absorbed up to its minimum counter of the key's occurrences, so
-     charge that minimum to both the estimate and the error term. Keeps
-     both per-entry bounds and the guaranteed-hitter property for the
-     unlimited list (a key absent from every cell has true frequency at
-     most the sum of the cell minima <= n/k). *)
-  let merged t =
-    let snaps =
-      Array.map
-        (fun c ->
-          with_lock c.m (fun () ->
-              let mn = if c.size = t.k then c.heap.(0).count else 0 in
-              ( Array.init c.size (fun i ->
-                    let s = c.heap.(i) in
-                    { e_key = s.label; e_hash = s.hash; e_est = s.count;
-                      e_err = s.err }),
-                mn )))
-        t.cells
-    in
-    let combined : (int, entry) Hashtbl.t = Hashtbl.create 64 in
-    Array.iter
-      (fun (entries, _) ->
-        Array.iter
-          (fun e ->
-            match Hashtbl.find_opt combined e.e_hash with
-            | None -> Hashtbl.replace combined e.e_hash e
-            | Some prev ->
-              Hashtbl.replace combined e.e_hash
-                {
-                  prev with
-                  e_est = prev.e_est + e.e_est;
-                  e_err = prev.e_err + e.e_err;
-                })
-          entries)
-      snaps;
-    Hashtbl.fold
-      (fun hash e acc ->
-        let e =
-          Array.fold_left
-            (fun e (entries, mn) ->
-              if
-                mn > 0
-                && not (Array.exists (fun x -> x.e_hash = hash) entries)
-              then { e with e_est = e.e_est + mn; e_err = e.e_err + mn }
-              else e)
-            e snaps
-        in
-        e :: acc)
-      combined []
+  let total t = with_lock t.m (fun () -> t.n)
 
   let top ?n t =
     let n = Option.value n ~default:t.k in
-    let sorted =
-      List.sort (fun a b -> compare (b.e_est, a.e_hash) (a.e_est, b.e_hash))
-        (merged t)
+    let entries =
+      with_lock t.m (fun () ->
+          List.init t.size (fun i ->
+              let s = t.heap.(i) in
+              { e_key = s.label; e_hash = s.hash; e_est = s.count;
+                e_err = s.err }))
     in
-    List.filteri (fun i _ -> i < n) sorted
+    List.sort (fun a b -> compare (b.e_est, a.e_hash) (a.e_est, b.e_hash))
+      entries
+    |> List.filteri (fun i _ -> i < n)
 
   let restore t entries ~total =
-    let c = t.cells.(cell_index ()) in
-    with_lock c.m (fun () ->
+    with_lock t.m (fun () ->
         let entries =
           List.sort (fun a b -> compare b.e_est a.e_est) entries
         in
         List.iter
           (fun e ->
-            (* additive: merge with whatever the cell already tracks *)
-            match Hashtbl.find_opt c.index e.e_hash with
+            (* additive: merge with whatever the summary already tracks *)
+            match Hashtbl.find_opt t.index e.e_hash with
             | Some s ->
               s.count <- s.count + e.e_est;
               s.err <- s.err + e.e_err;
-              sift_down c s.pos
+              sift_down t s.pos
             | None ->
-              if c.size < t.k then begin
-                let s =
-                  { hash = e.e_hash; label = e.e_key; count = e.e_est;
-                    err = e.e_err; pos = c.size }
-                in
-                c.heap.(c.size) <- s;
-                c.size <- c.size + 1;
-                sift_up c s.pos;
-                Hashtbl.replace c.index e.e_hash s
-              end)
+              if t.size < t.k then
+                insert t ~hash:e.e_hash ~label:e.e_key ~count:e.e_est
+                  ~err:e.e_err)
           entries;
-        c.n <- c.n + total)
+        t.n <- t.n + total)
 
   let reset t =
-    Array.iter
-      (fun c ->
-        with_lock c.m (fun () ->
-            Hashtbl.reset c.index;
-            Array.fill c.heap 0 t.k dummy;
-            c.size <- 0;
-            c.n <- 0))
-      t.cells
+    with_lock t.m (fun () ->
+        Hashtbl.reset t.index;
+        Array.fill t.heap 0 t.k dummy;
+        t.size <- 0;
+        t.n <- 0)
 end
 
 (* --- count-min ----------------------------------------------------------- *)
 
 module Count_min = struct
-  type cell = { m : Mutex.t; rows : int array array; mutable n : int }
-  type t = { depth : int; width : int; mask : int; cells : cell array }
+  type t = {
+    depth : int;
+    width : int;
+    mask : int;
+    m : Mutex.t;
+    rows : int array array;
+    mutable n : int;
+  }
 
   (* Row hashes derived from the caller's single hash by splitmix-style
      finalization with a per-row odd seed: cheap, stateless, and distinct
@@ -255,13 +191,9 @@ module Count_min = struct
       depth;
       width;
       mask = width - 1;
-      cells =
-        Array.init ncells (fun _ ->
-            {
-              m = Mutex.create ();
-              rows = Array.init depth (fun _ -> Array.make width 0);
-              n = 0;
-            });
+      m = Mutex.create ();
+      rows = Array.init depth (fun _ -> Array.make width 0);
+      n = 0;
     }
 
   let depth t = t.depth
@@ -269,66 +201,39 @@ module Count_min = struct
   let bucket t r hash = mix hash (row_seed r) land t.mask
 
   let add ?(weight = 1) t ~hash =
-    if weight > 0 && Metrics.enabled () then begin
-      let c = t.cells.(cell_index ()) in
-      with_lock c.m (fun () ->
+    if weight > 0 && Metrics.enabled () then
+      with_lock t.m (fun () ->
           for r = 0 to t.depth - 1 do
             let b = bucket t r hash in
-            c.rows.(r).(b) <- c.rows.(r).(b) + weight
+            t.rows.(r).(b) <- t.rows.(r).(b) + weight
           done;
-          c.n <- c.n + weight)
-    end
+          t.n <- t.n + weight)
 
   let estimate t ~hash =
-    (* minimum over rows of the cell-summed (merged) matrix *)
-    let est = ref max_int in
-    for r = 0 to t.depth - 1 do
-      let b = bucket t r hash in
-      let v =
-        Array.fold_left
-          (fun acc c -> acc + with_lock c.m (fun () -> c.rows.(r).(b)))
-          0 t.cells
-      in
-      if v < !est then est := v
-    done;
-    if !est = max_int then 0 else !est
+    with_lock t.m (fun () ->
+        let est = ref max_int in
+        for r = 0 to t.depth - 1 do
+          est := min !est t.rows.(r).(bucket t r hash)
+        done;
+        !est)
 
-  let rows t =
-    let out = Array.init t.depth (fun _ -> Array.make t.width 0) in
-    Array.iter
-      (fun c ->
-        with_lock c.m (fun () ->
-            for r = 0 to t.depth - 1 do
-              for b = 0 to t.width - 1 do
-                out.(r).(b) <- out.(r).(b) + c.rows.(r).(b)
-              done
-            done))
-      t.cells;
-    out
-
-  let total t =
-    Array.fold_left
-      (fun acc c -> acc + with_lock c.m (fun () -> c.n))
-      0 t.cells
+  let rows t = with_lock t.m (fun () -> Array.map Array.copy t.rows)
+  let total t = with_lock t.m (fun () -> t.n)
 
   let restore t ~rows ~total =
-    let c = t.cells.(cell_index ()) in
-    with_lock c.m (fun () ->
+    with_lock t.m (fun () ->
         Array.iteri
           (fun r row ->
             if r < t.depth then
               Array.iteri
                 (fun b v ->
-                  if b < t.width then c.rows.(r).(b) <- c.rows.(r).(b) + v)
+                  if b < t.width then t.rows.(r).(b) <- t.rows.(r).(b) + v)
                 row)
           rows;
-        c.n <- c.n + total)
+        t.n <- t.n + total)
 
   let reset t =
-    Array.iter
-      (fun c ->
-        with_lock c.m (fun () ->
-            Array.iter (fun row -> Array.fill row 0 t.width 0) c.rows;
-            c.n <- 0))
-      t.cells
+    with_lock t.m (fun () ->
+        Array.iter (fun row -> Array.fill row 0 t.width 0) t.rows;
+        t.n <- 0)
 end

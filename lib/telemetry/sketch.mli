@@ -1,10 +1,8 @@
 (** Domain-safe streaming sketches over integer-hashed keys: Space-Saving
     top-k heavy hitters and a count-min frequency sketch. Both use fixed
-    memory regardless of stream length and split their hot state across
-    per-domain cells merged on read — the same write-contention model as
-    the {!Metrics} registry, except each cell is a multi-word structure, so
-    cells are mutex-guarded rather than atomic (the writer's own cell lock
-    is uncontended in the common case of one resident writer per domain).
+    memory regardless of stream length. Each is one summary under one
+    mutex, so updates from any domain and reads from serve or exporter
+    domains stay consistent.
 
     Updates are keyed by an integer hash supplied by the caller (e.g.
     [Tuple.hash] of a group key); the printable label is only materialized
@@ -18,13 +16,13 @@ module Space_saving : sig
   type t
 
   val create : k:int -> t
-  (** [k >= 1] counters per cell. @raise Invalid_argument otherwise. *)
+  (** [k >= 1] counters. @raise Invalid_argument otherwise. *)
 
   val capacity : t -> int
 
   val touch : ?weight:int -> t -> hash:int -> label:(unit -> string) -> unit
   (** Count [weight] (default 1) occurrences of the key; non-positive
-      weights are ignored. O(log k) against the calling domain's cell. *)
+      weights are ignored. O(log k). *)
 
   type entry = {
     e_key : string;  (** label captured when the key entered the summary *)
@@ -34,20 +32,17 @@ module Space_saving : sig
   }
 
   val top : ?n:int -> t -> entry list
-  (** Merged across cells, descending estimate, at most [n] (default [k])
-      entries. The conservative cell merge sums estimates and error terms,
-      charging a key absent from a full cell that cell's minimum counter —
-      so the per-entry bounds above survive the merge. Any key whose true
-      frequency exceeds [total t / k] is present in the unlimited
-      ([n = max_int]) merged list. *)
+  (** Descending estimate (ties by ascending hash), at most [n] (default
+      [k]) entries. Any key whose true frequency exceeds [total t / k] is
+      present in the unlimited ([n = max_int]) list. *)
 
   val total : t -> int
-  (** Stream length seen (sum of all weights, all cells). *)
+  (** Stream length seen (sum of all weights). *)
 
   val restore : t -> entry list -> total:int -> unit
-  (** Additively merge a persisted summary into the calling domain's cell
-      (entries beyond [k] are dropped lowest-first); used to re-seed the
-      sketch from a saved workload profile on recovery. *)
+  (** Additively merge a persisted summary into this one (entries beyond
+      [k] are dropped lowest-first); used to re-seed the sketch from a
+      saved workload profile on recovery. *)
 
   val reset : t -> unit
 end
@@ -68,16 +63,16 @@ module Count_min : sig
   (** Non-positive weights are ignored. O(depth), no allocation. *)
 
   val estimate : t -> hash:int -> int
-  (** Merged over cells (matrix addition); never under-estimates. *)
+  (** Minimum over the rows; never under-estimates. *)
 
   val rows : t -> int array array
-  (** The merged [depth x width] counter matrix, for persistence. *)
+  (** A copy of the [depth x width] counter matrix, for persistence. *)
 
   val total : t -> int
 
   val restore : t -> rows:int array array -> total:int -> unit
-  (** Additively merge a persisted matrix into the calling domain's cell;
-      rows/columns beyond this sketch's shape are ignored. *)
+  (** Additively merge a persisted matrix into this one; rows/columns
+      beyond this sketch's shape are ignored. *)
 
   val reset : t -> unit
 end

@@ -1,9 +1,9 @@
 (** Minview telemetry: domain-safe metrics + span tracing, rendered as
     JSON lines or Prometheus text.
 
-    See {!Metrics} for the registry semantics (per-domain sharded cells,
-    idempotent registration, global enable switch) and {!Trace} for the
-    span ring and sinks. This module re-exports both plus the renderers
+    See {!Metrics} for the registry semantics (one set of atomics per
+    metric, idempotent registration, global enable switch) and {!Trace}
+    for the span ring and sinks. This module re-exports both plus the renderers
     used by [minview metrics] / [minview trace], the {!Runtime} profiling
     gauges, and the {!Http_exporter} scrape endpoint. *)
 

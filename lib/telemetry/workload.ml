@@ -1,7 +1,7 @@
 (* Process-global workload registry. Cardinality is bounded the same way
    everywhere: at most [max_views] named accumulators, overflow shares
-   "_other". The note_* paths touch only atomics and the caller's own
-   sketch cell; everything string- or list-shaped happens on read. *)
+   "_other". The note_* paths touch only atomics and the view's sketches;
+   everything string- or list-shaped happens on read. *)
 
 let max_views = 64
 let overflow_view = "_other"
@@ -14,8 +14,8 @@ type view_stats = {
   v_name : string;
   v_hot : Sketch.Space_saving.t;
   v_freq : Sketch.Count_min.t;
-  v_writes : int Atomic.t; (* exact netted write weight, via flush_writes *)
-  v_write_events : int Atomic.t; (* exact group-key touches, via flush_writes *)
+  v_writes : int Atomic.t; (* exact netted write weight, via note_batch *)
+  v_write_events : int Atomic.t; (* exact group-key touches, via note_batch *)
   v_batches : int Atomic.t;
   v_deltas_in : int Atomic.t;
   v_netted : int Atomic.t;
@@ -72,8 +72,8 @@ let get_lag_hist () =
 
 (* Shard heat: cumulative per-shard busy seconds and applied ops, plus a
    bounded ring of per-dispatch imbalance samples (max/mean busy) — the
-   time series the scalar imbalance gauge cannot give. Updated once per
-   batch, so a single mutex is cheap. *)
+   time series Shard's scalar [minview_shard_imbalance_ratio] cannot give.
+   Updated once per batch, so a single mutex is cheap. *)
 type shard_state = {
   sh_m : Mutex.t;
   mutable sh_runs : int;
@@ -134,16 +134,14 @@ let view name =
 
 let view_name vs = vs.v_name
 
-let rec atomic_add a d =
-  let v = Atomic.get a in
-  if not (Atomic.compare_and_set a v (v + d)) then atomic_add a d
+let atomic_add a d = ignore (Atomic.fetch_and_add a d)
 
 (* Sketch updates are sampled one write event in [1 lsl sample_shift],
    with the fed weight scaled back up so frequency estimates stay
    unbiased: the producer keeps its own plain event counter (single
    domain, no synchronization), feeds a sampled event through
    [note_hot_key] when [counter land sample_mask = 0], and pushes the
-   exact write/event totals here once per batch with [flush_writes] — so
+   exact write/event totals here once per batch with [note_batch] — so
    the engine's per-tuple hot path touches nothing shared (the overhead
    gate budgets the whole telemetry layer at a few percent). *)
 let sample_shift = 5
@@ -156,16 +154,11 @@ let note_hot_key ?(weight = 1) vs ~hash ~label =
     Sketch.Count_min.add vs.v_freq ~weight ~hash
   end
 
-let flush_writes vs ~writes ~events =
-  if (writes > 0 || events > 0) && Metrics.enabled () then begin
-    mark_active ();
-    atomic_add vs.v_writes writes;
-    atomic_add vs.v_write_events events
-  end
-
-let note_batch vs ~deltas_in ~netted ~applied =
+let note_batch vs ~deltas_in ~netted ~applied ~writes ~events =
   if Metrics.enabled () then begin
     mark_active ();
+    atomic_add vs.v_writes writes;
+    atomic_add vs.v_write_events events;
     atomic_add vs.v_batches 1;
     atomic_add vs.v_deltas_in deltas_in;
     atomic_add vs.v_netted netted;
@@ -495,24 +488,6 @@ let load_profile ~path =
           Mutex.unlock s.sh_m);
         true
       | _ -> false))
-
-(* --- gauges -------------------------------------------------------------- *)
-
-let refresh_gauges () =
-  let s = shards in
-  Mutex.lock s.sh_m;
-  let runs = s.sh_runs in
-  let last =
-    if s.sh_ring_len = 0 then 0.
-    else s.sh_ring.((s.sh_ring_pos - 1 + ring_cap) mod ring_cap)
-  in
-  Mutex.unlock s.sh_m;
-  if runs > 0 then
-    Metrics.Gauge.set
-      (Metrics.Gauge.make
-         ~help:"Max/mean per-worker busy time of the last shard dispatch"
-         "minview_workload_shard_imbalance")
-      last
 
 let reset () =
   Mutex.lock views_m;

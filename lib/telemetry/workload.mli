@@ -9,9 +9,8 @@
     [workload_profile.json] — the cost-model artifact view selection will
     consume. The per-view figures are read there (and through [minview
     profile], serve's [PROFILE] and the exporter's [/workload]). The
-    registry holds only the [minview_workload_epoch_lag_batches] histogram
-    behind the profile's epoch-lag percentiles and the
-    [minview_workload_shard_imbalance] gauge.
+    metrics registry holds only the [minview_workload_epoch_lag_batches]
+    histogram behind the profile's epoch-lag percentiles.
 
     All note functions are cheap no-ops while {!Metrics.enabled} is
     false. *)
@@ -41,15 +40,18 @@ val note_hot_key :
     unbiased) into the Space-Saving top-k and count-min sketches. [label]
     is only forced when the key first enters the top-k summary. *)
 
-val flush_writes : view_stats -> writes:int -> events:int -> unit
-(** Fold a producer's locally accumulated exact totals — [writes] netted
-    operations over [events] group-key touches — into the view's
-    counters; the engine calls this once per applied batch. *)
-
 val note_batch :
-  view_stats -> deltas_in:int -> netted:int -> applied:int -> unit
-(** Netting outcome of one maintenance batch ([netted <= deltas_in];
-    their ratio is the skew-driven compaction win). *)
+  view_stats ->
+  deltas_in:int ->
+  netted:int ->
+  applied:int ->
+  writes:int ->
+  events:int ->
+  unit
+(** One maintenance batch, recorded once: its netting outcome ([netted <=
+    deltas_in]; their ratio is the skew-driven compaction win) and the
+    producer's locally accumulated exact totals, [writes] netted
+    operations over [events] group-key touches. *)
 
 val note_read :
   view_stats -> verb:[ `Query | `Reconstruct ] -> lag:int -> unit
@@ -86,11 +88,6 @@ val load_profile : path:string -> bool
 val elapsed_s : unit -> float
 (** Observed workload seconds: time since the first recorded event in this
     process plus any elapsed time restored by {!load_profile}. *)
-
-val refresh_gauges : unit -> unit
-(** Register/update the [minview_workload_shard_imbalance] gauge (the last
-    shard dispatch's max/mean busy time) so a Prometheus scrape sees a
-    fresh value. Registers nothing before the first multi-worker run. *)
 
 val reset : unit -> unit
 (** Zero all accumulators in place (handles stay valid). *)

@@ -78,7 +78,6 @@ let readers =
       "test_lineage.ml; test_telemetry.ml" );
     ( "minview_workload_epoch_lag_batches",
       "minview profile's epoch_lag percentiles (Workload.lag_snapshot)" );
-    ("minview_workload_shard_imbalance", "TUTORIAL.md section 13");
   ]
 
 let test case fn = Alcotest.test_case case `Quick fn

@@ -434,6 +434,19 @@ let printer_tests =
         in
         Alcotest.(check bool) "frame" true (out.[0] = '+');
         Alcotest.(check bool) "row" true (contains ~needle:"| 10 | 200 |" out));
+    test "render pads multi-byte UTF-8 by code points" (fun () ->
+        let out =
+          Relational.Table_printer.render ~header:[ "name"; "n" ]
+            [ [ "Z\xc3\xbcrich"; "1" ]; [ "north"; "2" ] ]
+        in
+        Alcotest.(check string) "aligned"
+          "+--------+---+\n\
+           | name   | n |\n\
+           +--------+---+\n\
+           | Z\xc3\xbcrich | 1 |\n\
+           | north  | 2 |\n\
+           +--------+---+\n"
+          out);
     test "render rejects ragged rows" (fun () ->
         match
           Relational.Table_printer.render ~header:[ "a"; "b" ] [ [ "1" ] ]

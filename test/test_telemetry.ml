@@ -1,5 +1,5 @@
 (* The telemetry layer: histogram bucket geometry, registry semantics,
-   multi-domain write merging, the serial-vs-parallel logical-counter
+   concurrent writes from many domains, the serial-vs-parallel logical-counter
    property, the warehouse rollback/recovery/fault counters, and the trace
    ring. *)
 
@@ -128,11 +128,11 @@ let registry_tests =
         | l -> Alcotest.fail (Printf.sprintf "got %d snaps" (List.length l)));
   ]
 
-(* --- multi-domain merge -------------------------------------------------- *)
+(* --- concurrent writers -------------------------------------------------- *)
 
-let merge_tests =
+let concurrent_tests =
   [
-    test "writes from many domains merge on read" (fun () ->
+    test "concurrent writes from many domains into one cell add up" (fun () ->
         Metrics.reset ();
         let c = Counter.make "tele_test_domains" in
         let h = Histogram.make ~lo:1. ~factor:2. ~buckets:4 "tele_test_dhist" in
@@ -146,8 +146,8 @@ let merge_tests =
         let domains = List.init 4 (fun _ -> Domain.spawn worker) in
         worker ();
         List.iter Domain.join domains;
-        Alcotest.(check int) "counter merged" (5 * per_domain) (Counter.value c);
-        Alcotest.(check int) "histogram merged" (5 * per_domain)
+        Alcotest.(check int) "counter total" (5 * per_domain) (Counter.value c);
+        Alcotest.(check int) "histogram count" (5 * per_domain)
           (Histogram.count h);
         Alcotest.(check (float 1e-9)) "min across domains" 0.
           (Histogram.min_value h);
@@ -410,6 +410,6 @@ let () =
   Alcotest.run "telemetry"
     [
       ("histograms", histogram_tests); ("registry", registry_tests);
-      ("domain-merge", merge_tests); ("serial-vs-parallel", property_tests);
+      ("concurrent-writes", concurrent_tests); ("serial-vs-parallel", property_tests);
       ("warehouse-counters", warehouse_tests); ("trace", trace_tests);
     ]

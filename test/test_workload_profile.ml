@@ -1,6 +1,6 @@
 (* Workload intelligence: the streaming sketch error bounds (Space-Saving
-   guaranteed heavy hitters, count-min one-sided error), multi-domain cell
-   merging against a single-domain oracle, and the persisted workload
+   guaranteed heavy hitters, count-min one-sided error), concurrent writers
+   on one sketch against a single-domain oracle, and the persisted workload
    profile round-trip — standalone and through a warehouse
    checkpoint/recover cycle. *)
 
@@ -137,7 +137,7 @@ let sketch_props =
         check_ss_bounds ~k:8 ss2 (true_counts stream));
   ]
 
-(* --- multi-domain cells vs a single-domain oracle ------------------------ *)
+(* --- concurrent writers on one sketch vs a single-domain oracle ---------- *)
 
 let split4 stream =
   let parts = [| []; []; []; [] |] in
@@ -147,7 +147,7 @@ let split4 stream =
 let domain_props =
   [
     QCheck2.Test.make ~count:30
-      ~name:"count-min: 4-domain split stream equals the serial oracle"
+      ~name:"count-min: 4 domains writing one matrix equal the serial oracle"
       stream_gen
       (fun stream ->
         Metrics.reset ();
@@ -158,8 +158,8 @@ let domain_props =
         Array.to_list parts
         |> List.map (fun part -> Domain.spawn (fun () -> feed_cms par part))
         |> List.iter Domain.join;
-        (* cell sums are additive, so the merged matrix is independent of
-           which domain's cell received each update *)
+        (* additions commute, so the matrix is independent of the order
+           in which the domains' updates took the lock *)
         if Sketch.Count_min.total par <> Sketch.Count_min.total ser then
           Alcotest.failf "totals differ: %d vs %d"
             (Sketch.Count_min.total par)
@@ -173,7 +173,7 @@ let domain_props =
           (true_counts stream);
         true);
     QCheck2.Test.make ~count:30
-      ~name:"space-saving: 4-domain merge keeps bounds and guaranteed hitters"
+      ~name:"space-saving: 4 domains writing one summary keep bounds and hitters"
       stream_gen
       (fun stream ->
         Metrics.reset ();
@@ -213,7 +213,7 @@ let parsed_profile () = Json.parse_exn (Wk.profile_json ())
 let feed_view name =
   let vs = Wk.view name in
   (* a producer's local accounting, the engine's discipline: sample the
-     sketch feeds, flush the exact totals once *)
+     sketch feeds, record the batch with its exact totals once *)
   let events = ref 0 and writes = ref 0 in
   for round = 1 to 100 do
     (* zipf-ish: key 1 dominates *)
@@ -224,8 +224,8 @@ let feed_view name =
     incr events;
     writes := !writes + 2
   done;
-  Wk.flush_writes vs ~writes:!writes ~events:!events;
-  Wk.note_batch vs ~deltas_in:200 ~netted:110 ~applied:110;
+  Wk.note_batch vs ~deltas_in:200 ~netted:110 ~applied:110 ~writes:!writes
+    ~events:!events;
   Wk.note_read vs ~verb:`Query ~lag:0;
   Wk.note_read vs ~verb:`Reconstruct ~lag:3;
   vs
@@ -390,7 +390,7 @@ let () =
   Alcotest.run "workload_profile"
     [
       ("sketch bounds", List.map to_alcotest sketch_props);
-      ("multi-domain merge", List.map to_alcotest domain_props);
+      ("concurrent writers", List.map to_alcotest domain_props);
       ("profile round-trip", profile_tests);
       ("warehouse round-trip", warehouse_tests);
     ]
