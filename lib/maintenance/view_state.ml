@@ -61,9 +61,14 @@ type t = {
   key_pos : int array;  (** positions of the group key in a rendered row *)
   groups : Groups.t;
   shards : shard array;  (** over [groups]' shards, in order *)
-  mutable published : (Tuple.t * int) array option;
-      (** the rows last returned by {!publish}, never mutated *)
+  mutable published : publication option;  (** the last {!publish} *)
 }
+
+(* The rows last returned by {!publish}, never mutated, and the hash of
+   each row's group key ([Tuple.hash] of its key cells): a publication
+   finds the rows of touched groups from the hashes alone, without reading
+   the rows, which lie scattered over the heap. *)
+and publication = { rows : (Tuple.t * int) array; hashes : int array }
 
 let nrows (sh : shard) = Groups.nrows sh.g
 
@@ -562,95 +567,187 @@ let render t =
 
 let compare_rows ((x : Tuple.t), _) ((y : Tuple.t), _) = Tuple.compare x y
 
-(* Not the identity: the cell in a new block (string payloads are
-   shared). *)
-let fresh_cell : Value.t -> Value.t = function
-  | Value.Int x -> Value.Int x
-  | Value.Float x -> Value.Float x
-  | Value.String x -> Value.String x
-  | Value.Bool x -> Value.Bool x
-  | Value.Null -> Value.Null
+(* [Tuple.hash] of [row]'s group key, without building the key. *)
+let key_hash t (row : Tuple.t) =
+  let h = ref 17 in
+  for k = 0 to Array.length t.key_pos - 1 do
+    h := (!h * 31) + Value.hash row.(t.key_pos.(k))
+  done;
+  !h
 
-(* A walk over a publication — every read, and the next [advance] — is
-   bound by cache misses, not by work: rows kept from earlier publications
-   end up scattered over the heap (a walk over 2,000 such rows took 0.42
-   ms, against 0.06 ms once they were copied in order; EXPERIMENTS.md E23).
-   So every publication is laid out anew, each row (its pair, tuple and
-   boxed cells) copied into fresh blocks in canonical order as it is
-   emitted. *)
-let lay_row ((row : Tuple.t), m) = (Array.map fresh_cell row, m)
+(* A touched group: its key hash and its fresh row, [no_row] when the group
+   is gone or fails HAVING. *)
+type touched = {
+  hash : int;
+  row : Tuple.t * int;
+  mutable placed : bool;  (** emitted where its old row was *)
+}
+
+(* Also the filler of fresh arrays: not [Array.of_list] or a young first
+   element, which make an array of more than 256 words force a minor
+   collection (the runtime's [caml_make_vect]). *)
+let no_row : Tuple.t * int = ([||], 0)
+
+let no_entry = { hash = 0; row = no_row; placed = false }
 
 (* The previous publication advanced by the logged keys: its rows of
-   untouched groups, merged with the fresh rows of the touched groups that
-   still exist and pass HAVING. Rows hold their group key, so no two rows
-   compare equal. *)
+   untouched groups — the very pairs, not copies — and the fresh rows of
+   the touched groups that still exist and pass HAVING. Rows hold their
+   group key, so no two rows compare equal.
+
+   The previous rows are walked by their key hashes: a bit filter over the
+   touched keys' hashes passes most rows without reading them. A touched
+   group's fresh row takes the place of its old row when it sorts between
+   the row emitted before and the next kept row, as it does whenever its
+   ordering cells kept their values; the others (new groups, rows that
+   moved) are sorted and merged in by binary search. So the rows of
+   untouched groups are never read, and a touched group costs O(1)
+   compares, O(log n) when its row moves. *)
 let advance t prev =
-  let touched = TH.create (max 16 (logged t)) in
-  Array.iter
-    (fun sh ->
-      for e = 0 to Groups.log_length sh.g - 1 do
-        TH.replace touched (Groups.log_key sh.g e) (Groups.log_hash sh.g e)
-      done)
-    t.shards;
-  if TH.length touched = 0 then prev
+  let nt = logged t in
+  if nt = 0 then prev
   else begin
-    let rows =
-      TH.fold
-        (fun key hash acc ->
-          let sh = t.shards.(hash land t.groups.mask) in
-          let r = Groups.find sh.g ~hash key in
-          if r < 0 then acc
-          else
-            let row = render_row t sh r in
-            if t.view.View.having = [] || View.passes_having t.view row then
-              (row, 1) :: acc
-            else acc)
-        touched []
-    in
-    (* Not [Array.of_list]: an array of more than 256 words made with a
-       young first element forces a minor collection (the runtime's
-       [caml_make_vect]); a static filler does not. *)
-    let fresh = Array.make (List.length rows) ([||], 0) in
-    List.iteri (fun i p -> fresh.(i) <- p) rows;
-    Array.sort compare_rows fresh;
-    let nf = Array.length fresh in
-    let out = Array.make (Array.length prev + nf) ([||], 0) in
-    let n = ref 0 and j = ref 0 in
-    let key = Array.make (Array.length t.key_pos) Value.Null in
+    (* 16 bits a touched key: about one untouched row in 16 passes *)
+    let bits = ref 64 in
+    while !bits < 16 * nt && !bits < 1 lsl 23 do
+      bits := 2 * !bits
+    done;
+    let mask = !bits - 1 in
+    let filter = Bytes.make (!bits lsr 3) '\000' in
+    let entries = TH.create nt in
     Array.iter
-      (fun ((row, _) as p) ->
+      (fun sh ->
+        for e = 0 to Groups.log_length sh.g - 1 do
+          let key = Groups.log_key sh.g e in
+          if not (TH.mem entries key) then begin
+            let hash = Groups.log_hash sh.g e in
+            let b = hash land mask in
+            Bytes.unsafe_set filter (b lsr 3)
+              (Char.unsafe_chr
+                 (Char.code (Bytes.unsafe_get filter (b lsr 3))
+                 lor (1 lsl (b land 7))));
+            let r = Groups.find sh.g ~hash key in
+            let row =
+              if r < 0 then no_row
+              else
+                let row = render_row t sh r in
+                if t.view.View.having = [] || View.passes_having t.view row
+                then (row, 1)
+                else no_row
+            in
+            TH.add entries key { hash; row; placed = false }
+          end
+        done)
+      t.shards;
+    let nt = TH.length entries in
+    let filtered h =
+      let b = h land mask in
+      Char.code (Bytes.unsafe_get filter (b lsr 3)) land (1 lsl (b land 7)) <> 0
+    in
+    let np = Array.length prev.rows in
+    let key = Array.make (Array.length t.key_pos) Value.Null in
+    (* the touched entry of previous row [j], if its group was touched *)
+    let entry_of j =
+      if not (filtered prev.hashes.(j)) then None
+      else begin
+        let row = fst prev.rows.(j) in
         for k = 0 to Array.length key - 1 do
           key.(k) <- row.(t.key_pos.(k))
         done;
-        if not (TH.mem touched key) then begin
-          while !j < nf && compare_rows fresh.(!j) p < 0 do
-            out.(!n) <- lay_row fresh.(!j);
-            incr n;
-            incr j
-          done;
-          out.(!n) <- lay_row p;
-          incr n
-        end)
-      prev;
-    for j = !j to nf - 1 do
-      out.(!n) <- lay_row fresh.(j);
+        TH.find_opt entries key
+      end
+    in
+    let cap = np + nt in
+    let out = Array.make cap no_row and out_h = Array.make cap 0 in
+    let n = ref 0 in
+    let emit row h =
+      out.(!n) <- row;
+      out_h.(!n) <- h;
       incr n
+    in
+    (* the fresh rows of the touched groups whose old rows came since the
+       last kept row, newest first: each takes its old row's place if it
+       sorts between the row emitted before it and [next], the next kept
+       row ([no_row]: none) *)
+    let pending = ref [] in
+    let settle next =
+      List.iter
+        (fun e ->
+          if
+            (!n = 0 || compare_rows out.(!n - 1) e.row < 0)
+            && (next == no_row || compare_rows e.row next < 0)
+          then begin
+            emit e.row e.hash;
+            e.placed <- true
+          end)
+        (List.rev !pending);
+      pending := []
+    in
+    for j = 0 to np - 1 do
+      match entry_of j with
+      | None ->
+        let row = prev.rows.(j) in
+        if !pending <> [] then settle row;
+        emit row prev.hashes.(j)
+      | Some e -> if e.row != no_row then pending := e :: !pending
     done;
-    if !n = Array.length out then out else Array.sub out 0 !n
+    settle no_row;
+    (* the rest: new groups and rows that moved *)
+    let rest =
+      TH.fold
+        (fun _ e acc -> if e.row != no_row && not e.placed then e :: acc else acc)
+        entries []
+    in
+    if rest = [] then
+      if !n = cap then { rows = out; hashes = out_h }
+      else { rows = Array.sub out 0 !n; hashes = Array.sub out_h 0 !n }
+    else begin
+      let rest =
+        let a = Array.make (List.length rest) no_entry in
+        List.iteri (fun i e -> a.(i) <- e) rest;
+        a
+      in
+      Array.sort (fun a b -> compare_rows a.row b.row) rest;
+      let m = !n + Array.length rest in
+      let rows = Array.make m no_row and hashes = Array.make m 0 in
+      let w = ref 0 and from = ref 0 in
+      Array.iter
+        (fun e ->
+          (* the first emitted row at or after [from] that sorts after it *)
+          let lo = ref !from and hi = ref !n in
+          while !lo < !hi do
+            let mid = (!lo + !hi) / 2 in
+            if compare_rows out.(mid) e.row < 0 then lo := mid + 1 else hi := mid
+          done;
+          let len = !lo - !from in
+          Array.blit out !from rows !w len;
+          Array.blit out_h !from hashes !w len;
+          w := !w + len;
+          from := !lo;
+          rows.(!w) <- e.row;
+          hashes.(!w) <- e.hash;
+          incr w)
+        rest;
+      Array.blit out !from rows !w (!n - !from);
+      Array.blit out_h !from hashes !w (!n - !from);
+      { rows; hashes }
+    end
   end
 
 let publish t =
   if in_txn t then invalid_arg "View_state.publish: transaction open";
-  let rows =
+  let pub =
     match t.published with
     | Some prev
       when not (Array.exists (fun sh -> sh.g.Groups.untracked) t.shards) ->
       advance t prev
-    | Some _ | None -> Array.map lay_row (Relation.to_sorted_array (render t))
+    | Some _ | None ->
+      let rows = Relation.to_sorted_array (render t) in
+      { rows; hashes = Array.map (fun (row, _) -> key_hash t row) rows }
   in
   Array.iter (fun sh -> Groups.clear_log sh.g) t.shards;
-  t.published <- Some rows;
-  rows
+  t.published <- Some pub;
+  pub.rows
 
 (* --- byte accounting ----------------------------------------------------- *)
 

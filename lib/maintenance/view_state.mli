@@ -157,12 +157,18 @@ val render : t -> Relational.Relation.t
 (** [publish t] is the view's rows in canonical order ([Tuple.compare]
     ascending, with multiplicities): equal to
     [Relation.to_sorted_array (render t)], but advanced from the previous
-    [publish]'s rows by the groups changed since. Those rows minus the
-    changed groups are merged with the freshly rendered rows of the changed
-    groups that still exist — O(k log k) for k changed groups plus one pass
-    over the rows, no full sort. The first publication, and one after a
-    change outside a transaction or forgotten keys, renders in full. The
-    returned array is never mutated, by this or any later call.
+    [publish]'s rows by the groups changed since. A changed group's fresh
+    row replaces its old one where it still sorts there; new groups and
+    rows that moved are merged in by binary search; the rows of unchanged
+    groups are passed by their key hashes, never read — O(k log n) compares
+    at most for k changed groups, usually O(k), plus one pass over the row
+    pointers, no full sort. The first publication, and one after a change
+    outside a transaction or forgotten keys, renders in full. The
+    returned array is never mutated, by this or any later call, and the row
+    of an untouched group is the previous publication's pair itself, never
+    a copy: a consumer holding that array tells kept rows from re-rendered
+    ones by physical equality ([==]), as the warehouse's rendered lines do.
+    A touched group's row, and every row of a full render, is a fresh pair.
     @raise Invalid_argument if a transaction is open. *)
 val publish : t -> (Relational.Tuple.t * int) array
 

@@ -38,6 +38,12 @@ val hash_int : int -> int
 val hash_float_words : hi:int -> lo:int -> int
 
 val pp : Format.formatter -> t -> unit
+
+(** [to_string v] is the text of [v] as served and printed: [NULL], an
+    int's decimal digits, a string verbatim, [true]/[false], and a float
+    as the shortest of [%.15g], [%.16g] and [%.17g] that reads back
+    ([float_of_string]) to the same bits — [1234567.5], not [1.23457e+06].
+    nan, [inf], [-inf], [0] and [-0] print as [%g] prints them. *)
 val to_string : t -> string
 
 (** [add_to_buffer b v] appends exactly the bytes of [to_string v]. Ints,

@@ -1,5 +1,3 @@
-module Relation = Relational.Relation
-module Value = Relational.Value
 module View = Algebra.View
 
 let log_src = Logs.Src.create "minview.serve" ~doc:"warehouse query front-end"
@@ -135,28 +133,18 @@ let epoch_line conn s =
   line conn "+EPOCH %d %d" (Warehouse.snapshot_epoch s)
     (Warehouse.snapshot_seq s)
 
-(* One row as [mult<TAB>cell...<LF>], each cell the bytes of
-   [Value.to_string]. *)
-let add_row b ((tup : Relational.Tuple.t), mult) =
-  Value.add_int_to_buffer b mult;
-  for i = 0 to Array.length tup - 1 do
-    Buffer.add_char b '\t';
-    Value.add_to_buffer b tup.(i)
-  done;
-  Buffer.add_char b '\n'
-
-(* The epoch's rows are already in canonical order: the response is one
-   walk over them into the reused buffer. *)
+(* The epoch carries the view's rows rendered ({!Warehouse.read_lines}):
+   the response is its header, those bytes and the terminator, copied into
+   the reused buffer. *)
 let query_response conn t name =
   let s = conn.pinned in
-  let columns, rows = Warehouse.read_sorted ~snapshot:s t.wh name in
-  let n = Array.length rows in
+  let columns, n, lines = Warehouse.read_lines ~snapshot:s t.wh name in
   let b = t.out in
   Buffer.clear b;
   Printf.bprintf b "+ROWS %d %d %d\n#\t%s\n" n (Warehouse.snapshot_epoch s)
     (Warehouse.snapshot_seq s)
     (String.concat "\t" columns);
-  Array.iter (add_row b) rows;
+  Buffer.add_string b lines;
   Buffer.add_string b ".\n";
   send_out t conn;
   n

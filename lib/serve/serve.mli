@@ -24,8 +24,13 @@
     {- [VIEWS] → [+VIEWS <n>], one view name per line, [.].}
     {- [QUERY <view>] → [+ROWS <n> <epoch> <seq>], a header line
        [#<TAB><col>...], then [n] rows in canonical order
-       ([Tuple.compare] ascending), each [<multiplicity><TAB><val>...],
-       then [.]. Served from the connection's pinned epoch.}
+       ([Tuple.compare] ascending), each [<multiplicity><TAB><val>...]
+       with every value as [Relational.Value.to_string] prints it, then
+       [.]. Served from the connection's pinned epoch, whose rows come
+       rendered ({!Warehouse.read_lines}): the reply is the header, the
+       epoch's bytes and the terminator, and renders no cell. The first
+       QUERY of a view renders its rows on the fly; every epoch published
+       after it carries them.}
     {- [RECONSTRUCT <view>] → [+SQL <n>], the reconstruction query of
        Section 3.2 ({!Mindetail.Reconstruct.to_sql}) as [n] lines, [.].}
     {- [METRICS] → [+METRICS <n>], the telemetry dump as [n] JSON lines,

@@ -199,11 +199,17 @@ type registered = {
 (* One view's state frozen into an epoch: the output columns and its rows
    in canonical order, an array never mutated after publication
    ([Engines.publish] builds each one fresh and reuses it only as the basis
-   of the next). *)
+   of the next), and — once a reader has asked for the view's lines — the
+   rows rendered as a QUERY body. [snap_read] is one cell shared by every
+   epoch of the view: the first line read sets it, and from the next
+   publication on every epoch carries its lines, rendered only for the rows
+   that publication changed ([Lines.render]). *)
 type view_snap = {
   snap_view : View.t;
   snap_columns : string list;
   snap_rows : (Tuple.t * int) array;
+  snap_lines : Lines.t option;  (** [None]: rendered per read, on the fly *)
+  snap_read : bool Atomic.t;
 }
 
 (* An immutable read epoch. Readers obtain the current one with a single
@@ -255,6 +261,10 @@ type t = {
      domains, so the cell must be an [Atomic.t]); never marshaled —
      [load]/[recover] republish from the restored engines *)
   published : snapshot Atomic.t;
+  (* the writer's staging for the lines a publication renders: it keeps
+     the capacity of the largest body yet, no more than one epoch's lines
+     of one view; runtime-only *)
+  line_scratch : Buffer.t;
 }
 
 let empty_snapshot = { epoch = 0; epoch_seq = 0; epoch_views = [] }
@@ -278,6 +288,7 @@ let make ~views ~validator ~dead ~seq =
     clean_parallel = 0;
     last_commit_s = 0.;
     published = Atomic.make empty_snapshot;
+    line_scratch = Buffer.create 4096;
   }
 
 let create source =
@@ -295,34 +306,59 @@ let create source =
    re-used as they are (the common case for wide warehouses where a batch
    hits one fact table). Omitting [touched] re-publishes every view; an
    incremental engine still re-renders only the groups its batches
-   touched. *)
+   touched.
+
+   A view a reader has asked lines of gets them here: the rows the engine
+   kept from the previous publication ([==] the previous epoch's) take
+   their lines from it, and only the others are rendered. *)
 let publish_epoch ?touched t =
   let prev = Atomic.get t.published in
-  let reused r =
-    match touched with
-    | None -> None
-    | Some tables ->
-      if List.exists (fun tbl -> List.mem tbl r.view.View.tables) tables then
-        None
-      else
-        List.find_opt
-          (fun vs -> String.equal vs.snap_view.View.name r.view.View.name)
-          prev.epoch_views
+  let snap r =
+    let old =
+      List.find_opt
+        (fun vs -> String.equal vs.snap_view.View.name r.view.View.name)
+        prev.epoch_views
+    in
+    let untouched =
+      match touched with
+      | Some tables ->
+        not (List.exists (fun tbl -> List.mem tbl r.view.View.tables) tables)
+      | None -> false
+    in
+    match old with
+    | Some vs
+      when untouched
+           && (Option.is_some vs.snap_lines || not (Atomic.get vs.snap_read))
+      ->
+      vs
+    | Some _ | None ->
+      let read =
+        match old with Some vs -> vs.snap_read | None -> Atomic.make false
+      in
+      let rows =
+        match old with
+        | Some vs when untouched -> vs.snap_rows
+        | Some _ | None -> Engines.publish r.engine
+      in
+      let lines =
+        if not (Atomic.get read) then None
+        else
+          let prev =
+            Option.bind old (fun vs ->
+                Option.map (fun l -> (vs.snap_rows, l)) vs.snap_lines)
+          in
+          Some (Lines.render ~scratch:t.line_scratch ?prev rows)
+      in
+      {
+        snap_view = r.view;
+        snap_columns = Algebra.Eval.output_columns r.view;
+        snap_rows = rows;
+        snap_lines = lines;
+        snap_read = read;
+      }
   in
-  let epoch_views =
-    (* [t.views] is newest-first; rev_map restores registration order *)
-    List.rev_map
-      (fun r ->
-        match reused r with
-        | Some vs -> vs
-        | None ->
-          {
-            snap_view = r.view;
-            snap_columns = Algebra.Eval.output_columns r.view;
-            snap_rows = Engines.publish r.engine;
-          })
-      t.views
-  in
+  (* [t.views] is newest-first; rev_map restores registration order *)
+  let epoch_views = List.rev_map snap t.views in
   Atomic.set t.published
     { epoch = prev.epoch + 1; epoch_seq = t.seq; epoch_views };
   Telemetry.Counter.one Obs.epoch_publications;
@@ -528,6 +564,23 @@ let read_sorted ?snapshot t name =
   let vs = find_snap s name in
   observe_read t s (Unix.gettimeofday () -. t0);
   (vs.snap_columns, vs.snap_rows)
+
+let read_lines ?snapshot t name =
+  let t0 = Unix.gettimeofday () in
+  let s =
+    match snapshot with Some s -> s | None -> Atomic.get t.published
+  in
+  let vs = find_snap s name in
+  if not (Atomic.get vs.snap_read) then Atomic.set vs.snap_read true;
+  let lines =
+    match vs.snap_lines with
+    | Some l -> l
+    | None -> Lines.render ~scratch:(Buffer.create 4096) vs.snap_rows
+  in
+  observe_read t s (Unix.gettimeofday () -. t0);
+  (vs.snap_columns, Lines.count lines, Lines.body lines)
+
+let epoch_lines s name = Option.map Lines.body (find_snap s name).snap_lines
 
 let read_view ?snapshot t name =
   let columns, rows = read_sorted ?snapshot t name in

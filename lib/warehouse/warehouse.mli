@@ -263,7 +263,11 @@ val ingested_batches : t -> int
     frozen data. A commit re-renders only the groups its batch touched and
     merges them into the previous epoch's rows ({!Maintenance.Engines.publish});
     the first epoch after registration, {!load}, {!recover} or an engine
-    rebuild renders in full. The contract this buys:
+    rebuild renders in full. Once a reader has asked for a view's lines
+    ({!read_lines}), every epoch also carries the view's rows rendered as a
+    QUERY body: a commit renders the lines of the rows it re-rendered and
+    copies the rest from the previous epoch, so a read copies bytes and
+    renders nothing. The contract this buys:
 
     {ul
     {- {e No torn reads.} A reader racing {!ingest} sees the state before
@@ -338,6 +342,27 @@ val read_sorted :
   t ->
   string ->
   string list * (Relational.Tuple.t * int) array
+
+(** [read_lines ?snapshot t name] is [name]'s rows in the epoch as the body
+    of a QUERY response: the output column names, the row count, and one
+    line per row in canonical order, [mult<TAB>cell...<LF>] with each cell
+    the bytes of [Relational.Value.to_string] — the same rows
+    {!read_sorted} returns. The first call for a view marks it as read, and
+    from the next publication on every epoch carries the view's lines,
+    rendered at publication for the rows that publication changed and
+    copied from the previous epoch for the rest: the call then returns the
+    epoch's own string in O(1), never mutated. On an epoch published before
+    the view was first read it renders the lines on the fly, in
+    O(rows). Counted and timed as {!read_sorted}.
+    @raise Error ([Unknown_view]) if the view is not in the epoch. *)
+val read_lines :
+  ?snapshot:snapshot -> t -> string -> string list * int * string
+
+(** [epoch_lines s name] is the lines [s] carries for [name], [None] when
+    [s] was published before a reader first asked {!read_lines} of the
+    view. For tests: it does not mark the view as read.
+    @raise Error ([Unknown_view]) if the view is not in the epoch. *)
+val epoch_lines : snapshot -> string -> string option
 
 (** {!read_sorted} as a relation built from the rows (O(rows)).
     @raise Error ([Unknown_view]) if the view is not in the epoch. *)

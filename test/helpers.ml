@@ -54,6 +54,17 @@ let feed_row key args =
        (Array.map (function `Sum v | `Val v -> v | `Key | `Count -> Value.Null) args));
   f
 
+(* [rows] (tuple, multiplicity) rendered afresh as the body of a QUERY
+   reply: [mult<TAB>cell...<LF>] lines, each cell [Value.to_string]. *)
+let render_lines rows =
+  String.concat ""
+    (List.map
+       (fun (tup, m) ->
+         String.concat "\t"
+           (string_of_int m :: List.map Value.to_string (Array.to_list tup))
+         ^ "\n")
+       rows)
+
 (* relation from expanded tuple lists *)
 let rel rows = Relation.of_list (List.map (fun r -> (row r, 1)) rows)
 

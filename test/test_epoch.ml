@@ -230,15 +230,28 @@ let rewrite_batch n =
 let sorted_rows = Alcotest.(list (pair tuple int))
 
 (* Every registered view, read from the latest epoch, equals recomputation
-   from the committed source, byte for byte in canonical order. *)
-let check_quiesced what wh views =
+   from the committed source, byte for byte in canonical order, and so do
+   the lines a QUERY reads; [carried]: the epoch carries them, as every
+   epoch published after a view's first read does. *)
+let check_quiesced ?(carried = false) what wh views =
   List.iter
     (fun view ->
-      Alcotest.check sorted_rows
-        (what ^ ": " ^ view.View.name)
-        (Relation.to_sorted_list
-           (Algebra.Eval.eval (Warehouse.believed_source wh) view))
-        (snd (Warehouse.query_sorted wh view.View.name)))
+      let name = view.View.name in
+      let expected =
+        Relation.to_sorted_list
+          (Algebra.Eval.eval (Warehouse.believed_source wh) view)
+      in
+      Alcotest.check sorted_rows (what ^ ": " ^ name) expected
+        (snd (Warehouse.query_sorted wh name));
+      let s = Warehouse.current_snapshot wh in
+      let stored = Warehouse.epoch_lines s name in
+      let _, _, read = Warehouse.read_lines ~snapshot:s wh name in
+      Alcotest.(check string) (what ^ ": lines of " ^ name)
+        (render_lines expected) read;
+      if carried then
+        Alcotest.(check (option string))
+          (what ^ ": lines carried by the epoch of " ^ name)
+          (Some read) stored)
     views
 
 let rec rm_rf path =
@@ -282,6 +295,53 @@ let incremental_tests =
                  | Value.Int g, Value.Int total -> total = (7 * g) + 50
                  | _ -> false)
                rows));
+    test "a view first queried after several commits is served right, and \
+          the next publication carries its lines" (fun () ->
+        let wh = Warehouse.create (fact_db ()) in
+        Warehouse.add_view wh by_k;
+        for n = 0 to 3 do
+          Warehouse.ingest wh (fact_batch n)
+        done;
+        let reply () =
+          let s = Warehouse.current_snapshot wh in
+          let columns, rows = Warehouse.read_sorted ~snapshot:s wh "by_k" in
+          Printf.sprintf "+ROWS %d %d %d\n#\t%s\n%s.\n" (Array.length rows)
+            (Warehouse.snapshot_epoch s) (Warehouse.snapshot_seq s)
+            (String.concat "\t" columns)
+            (render_lines (Array.to_list rows))
+        in
+        let lines () =
+          let s = Warehouse.current_snapshot wh in
+          Warehouse.epoch_lines s "by_k"
+        in
+        Alcotest.(check (option string)) "no reader yet: the epoch has no lines"
+          None (lines ());
+        let srv = Serve.create ~port:0 wh in
+        let d = Domain.spawn (fun () -> Serve.run srv) in
+        Fun.protect
+          ~finally:(fun () ->
+            Serve.request_stop srv;
+            Domain.join d)
+        @@ fun () ->
+        with_connection (Serve.port srv) (fun query ->
+            Alcotest.(check string) "the first QUERY, rendered on the fly"
+              (reply ()) (query "by_k"));
+        Alcotest.(check (option string)) "the read epoch gains no lines" None
+          (lines ());
+        (* new groups, and a rewrite of every group of batch 0 *)
+        Warehouse.ingest wh (fact_batch 4 @ rewrite_batch 1);
+        let s = Warehouse.current_snapshot wh in
+        let _, rows = Warehouse.read_sorted ~snapshot:s wh "by_k" in
+        Alcotest.(check (option string)) "the next publication carries them"
+          (Some (render_lines (Array.to_list rows)))
+          (lines ());
+        with_connection (Serve.port srv) (fun query ->
+            Alcotest.(check string) "and a QUERY serves them" (reply ())
+              (query "by_k"));
+        Warehouse.ingest wh (rewrite_batch 2);
+        let _, rows = Warehouse.query_sorted wh "by_k" in
+        Alcotest.(check (option string)) "so does every later one"
+          (Some (render_lines rows)) (lines ()));
     test "the first publication after load, recover and a wedge rebuild \
           equals quiesced recomputation" (fun () ->
         let db = Workload.Retail.load prop_params in
@@ -304,14 +364,14 @@ let incremental_tests =
         let wh = Warehouse.recover ~dir in
         check_quiesced "after recover" wh views;
         ingest wh;
-        check_quiesced "the commit after recover" wh views;
+        check_quiesced ~carried:true "the commit after recover" wh views;
         let path = Filename.concat dir "saved.bin" in
         Warehouse.save wh path;
         Warehouse.close wh;
         let wh = Warehouse.load path in
         check_quiesced "after load" wh views;
         ingest wh;
-        check_quiesced "the commit after load" wh views;
+        check_quiesced ~carried:true "the commit after load" wh views;
         Warehouse.set_parallel wh
           (Some (Shard.supervised ~domains:2 ~deadline:0.05));
         (* the stall outlives the deadline on the spawned worker: the batch
@@ -324,11 +384,11 @@ let incremental_tests =
         in
         Faults.disarm ();
         Alcotest.(check int) "the wedged batch aborts" 0 r.Warehouse.applied;
-        check_quiesced "after the wedge" wh views;
+        check_quiesced ~carried:true "after the wedge" wh views;
         ingest wh;
-        check_quiesced "the first commit of the rebuilt engines" wh views;
+        check_quiesced ~carried:true "the first commit of the rebuilt engines" wh views;
         ingest wh;
-        check_quiesced "the commit after it" wh views;
+        check_quiesced ~carried:true "the commit after it" wh views;
         Warehouse.set_parallel wh None;
         rm_rf dir);
   ]

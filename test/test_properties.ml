@@ -612,9 +612,15 @@ let prop_seed_from_root_aux =
 (* --- incremental epoch publication ----------------------------------------
 
    [Engines.publish] advances the previous publication by the groups the
-   committed batches touched; [Engines.capture] renders every group. A star
-   of its own, with a FLOAT measure and updatable dimension columns to group
-   on, so dimension updates move groups to new keys. *)
+   committed batches touched; [Engines.capture] renders every group. A
+   warehouse fed the same batches carries the view's rendered lines in every
+   epoch published after its first read, copied from the previous epoch for
+   the rows the engine kept and rendered for the rest: they must equal a
+   fresh rendering of the epoch's rows, also in the first publication after
+   [recover], [load] and (one case in eight, four at most) a wedge rebuild,
+   which a companion view of every fact makes possible. A star of its own,
+   with a FLOAT measure and updatable dimension columns to group on, so
+   dimension updates move groups to new keys. *)
 
 let pub_db () =
   let db = Database.create () in
@@ -670,8 +676,8 @@ let pub_view_gen =
                 h_const = f (float_of_int x) } ])
           (Gen.int_range 0 8) ]
   in
-  Gen.map3
-    (fun groups aggs having ->
+  Gen.map4
+    (fun groups aggs having aggs_first ->
       let aggs =
         if
           List.exists (fun h -> h.View.h_column = "total_amount") having
@@ -685,22 +691,64 @@ let pub_view_gen =
       {
         View.name = "pub_view";
         select =
-          List.map
-            (fun at -> group ~alias:(at.Attr.table ^ "_" ^ at.Attr.column) at)
-            groups
-          @ aggs
-          @ [ count_star ~alias:"cnt" () ];
+          (let groups =
+             List.map
+               (fun at -> group ~alias:(at.Attr.table ^ "_" ^ at.Attr.column) at)
+               groups
+           in
+           (* aggregates first: rows then sort by values a batch moves *)
+           if aggs_first then (count_star ~alias:"cnt" () :: aggs) @ groups
+           else groups @ aggs @ [ count_star ~alias:"cnt" () ]);
         tables = [ "fact"; "dim" ];
         locals = [];
         joins = [ join (a "fact" "dimid") (a "dim" "id") ];
         having;
       })
     (sublist [ a "fact" "g"; a "dim" "cat"; a "dim" "grp" ])
-    (sublist pub_aggs) having_gen
+    (sublist pub_aggs) having_gen Gen.bool
 
 (* one pool for every case: a pool's worker domains stay parked until exit;
    eager, so even these small batches fan out over both domains *)
 let pub_pool = lazy (Maintenance.Shard.eager ~domains:2)
+
+(* The lines a QUERY of [name] reads from the latest epoch, and the lines
+   that epoch carries, equal a fresh rendering of its rows; [carried]: the
+   epoch must carry them (a reader asked before it was published). *)
+let epoch_lines_ok ~carried wh name =
+  let s = Warehouse.current_snapshot wh in
+  let _, rows = Warehouse.read_sorted ~snapshot:s wh name in
+  let expected = render_lines (Array.to_list rows) in
+  let stored = Warehouse.epoch_lines s name in
+  let _, n, read = Warehouse.read_lines ~snapshot:s wh name in
+  n = Array.length rows
+  && String.equal read expected
+  &&
+  match stored with
+  | Some l -> String.equal l expected
+  | None -> not carried
+
+(* Every fact a group of its own: the [pub_wide_batch] below merges into
+   512 root operations of this view, enough to fan it out over a pool. *)
+let pub_ids =
+  {
+    View.name = "pub_ids";
+    select = [ group ~alias:"id" (a "fact" "id"); count_star ~alias:"n" () ];
+    tables = [ "fact" ];
+    locals = [];
+    joins = [];
+    having = [];
+  }
+
+(* A wedged worker domain cannot be killed: it stays parked after its
+   stall, so one process wedges at most this many cases. *)
+let pub_wedges_left = ref 4
+
+let pub_wide_batch () =
+  List.init 512 (fun j ->
+      Delta.insert "fact"
+        (row
+           [ i (1_000_000 + j); i (1 + (j mod 6)); i (j mod 5);
+             i (1 + (j mod 50)); f 0.5 ]))
 
 let prop_publish_equals_capture =
   QCheck2.Test.make ~count
@@ -713,6 +761,15 @@ let prop_publish_equals_capture =
       let db = pub_db () in
       View.validate db view;
       let e = Engines.minimal db view in
+      let dir = Filename.temp_dir "publish_lines" "" in
+      let wh = Warehouse.create (Database.copy db) in
+      Warehouse.add_view wh view;
+      Warehouse.add_view wh pub_ids;
+      Warehouse.attach wh ~dir;
+      let lines_ok ~carried wh = epoch_lines_ok ~carried wh "pub_view" in
+      (* the first read: from the next commit on, epochs carry the lines *)
+      let lines = ref (lines_ok ~carried:false wh) in
+      let committed = ref false in
       let pool = Lazy.force pub_pool in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 2; delete = 2; update = 3 } in
@@ -750,7 +807,11 @@ let prop_publish_equals_capture =
           Engines.rollback e;
           List.iter
             (fun d -> Database.apply db (Delta.invert d))
-            (List.rev deltas)
+            (List.rev deltas);
+          (* the warehouse aborts the batch: no epoch is published *)
+          Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+          Fun.protect ~finally:Faults.disarm (fun () ->
+              ignore (Warehouse.ingest_report wh deltas))
         end
         else begin
           (match parallel with
@@ -758,12 +819,55 @@ let prop_publish_equals_capture =
             fanned_out "an eager batch" (fun () ->
                 Engines.apply_batch ?parallel e deltas)
           | None -> Engines.apply_batch e deltas);
-          Engines.commit e
+          Engines.commit e;
+          Warehouse.set_parallel wh parallel;
+          Warehouse.ingest wh deltas;
+          committed := true
         end;
+        lines := !lines && lines_ok ~carried:!committed wh;
         (* most commits publish; the others leave their groups to the next *)
         if round = 8 || Workload.Prng.int rng 3 > 0 then
           ok := !ok && published_ok ()
       done;
+      Warehouse.set_parallel wh None;
+      (* an epoch right after [recover] or [load] carries no lines; a read
+         asks for them and the next commit renders them all *)
+      let first_commit wh =
+        let fresh = lines_ok ~carried:false wh in
+        Warehouse.ingest wh
+          (Workload.Delta_gen.stream_for ~mix rng db ~tables:[ "fact" ] ~n:15);
+        fresh && lines_ok ~carried:true wh
+      in
+      Warehouse.close wh;
+      let wh = Warehouse.recover ~dir in
+      lines := !lines && first_commit wh;
+      let saved = Filename.concat dir "saved.bin" in
+      Warehouse.save wh saved;
+      Warehouse.close wh;
+      let wh = Warehouse.load saved in
+      lines := !lines && first_commit wh;
+      if seed mod 8 = 0 && !pub_wedges_left > 0 then begin
+        decr pub_wedges_left;
+        (* a wedged worker: the batch aborts and the engines are rebuilt,
+           so the next commit publishes no row of the previous epoch *)
+        Warehouse.set_parallel wh
+          (Some (Maintenance.Shard.supervised ~domains:2 ~deadline:0.05));
+        Faults.arm ~mode:(Faults.Stall 0.2) Faults.In_shard_worker;
+        let r =
+          Fun.protect ~finally:Faults.disarm (fun () ->
+              Warehouse.ingest_report wh (pub_wide_batch ()))
+        in
+        Warehouse.set_parallel wh None;
+        lines :=
+          !lines && r.Warehouse.applied = 0 && lines_ok ~carried:true wh;
+        Warehouse.ingest wh
+          (Workload.Delta_gen.stream_for ~mix rng db ~tables:[ "fact" ] ~n:15);
+        lines := !lines && lines_ok ~carried:true wh
+      end;
+      Warehouse.close wh;
+      rm_rf dir;
+      if not !lines then
+        QCheck2.Test.fail_report "an epoch's lines differ from its rows";
       !ok)
 
 let prop_psj_engine_agrees =

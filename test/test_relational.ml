@@ -59,14 +59,16 @@ let value_tests =
         Alcotest.(check string) "int" "42" (Value.to_string (i 42));
         Alcotest.(check string) "string" "abc" (Value.to_string (s "abc"));
         Alcotest.(check string) "bool" "true" (Value.to_string (b true)));
-    test "to_string renders floats as %g and strings verbatim" (fun () ->
+    test "to_string renders floats exactly and strings verbatim" (fun () ->
         List.iter
           (fun (x, expected) ->
             Alcotest.(check string) expected expected (Value.to_string (f x)))
           [
             (1.5, "1.5"); (0.1, "0.1"); (1e21, "1e+21"); (1e-7, "1e-07");
-            (123456789., "1.23457e+08"); (-0., "-0"); (nan, "nan");
-            (infinity, "inf"); (neg_infinity, "-inf");
+            (123456789., "123456789"); (1234567.5, "1234567.5");
+            (1. /. 3., "0.3333333333333333"); (0.1 +. 0.2, "0.30000000000000004");
+            (-0., "-0"); (0., "0"); (nan, "nan"); (infinity, "inf");
+            (neg_infinity, "-inf");
           ];
         Alcotest.(check string) "null" "NULL" (Value.to_string Value.Null);
         (* no formatter in the way: no escapes, no line breaks at a margin *)
@@ -105,6 +107,21 @@ let value_tests =
               (Buffer.contents buf))
           ints);
   ]
+
+(* Every float reads back from its text to the same bits (nan to a
+   nan). *)
+let prop_float_round_trip =
+  QCheck2.Test.make ~count:2000 ~name:"to_string of a float reads back exactly"
+    ~print:(fun x -> Printf.sprintf "%h" x)
+    QCheck2.Gen.(
+      oneof
+        [ float; map Int64.float_of_bits int64; map float_of_int int;
+          map (fun k -> float_of_int k /. 100.) (int_range (-100_000) 100_000) ])
+    (fun x ->
+      let text = Value.to_string (f x) in
+      let back = float_of_string text in
+      if Float.is_nan x then Float.is_nan back
+      else Int64.equal (Int64.bits_of_float back) (Int64.bits_of_float x))
 
 (* --- datatypes ---------------------------------------------------------- *)
 
@@ -462,7 +479,7 @@ let printer_tests =
 let () =
   Alcotest.run "relational"
     [
-      ("value", value_tests);
+      ("value", value_tests @ [ QCheck_alcotest.to_alcotest prop_float_round_trip ]);
       ("datatype", datatype_tests);
       ("schema", schema_tests);
       ("relation", relation_tests);

@@ -252,6 +252,90 @@ let slowlog_tests =
              (Telemetry.Metrics.snapshot ())));
   ]
 
+(* --- allocation ------------------------------------------------------------ *)
+
+(* fact(id, k, x FLOAT) with [groups] groups of one fact each, summarized
+   per group with a FLOAT mean: every row has a cell that is not an int. *)
+let mean_db groups =
+  let open Helpers in
+  let db = Database.create () in
+  Database.add_table db
+    (Schema.make ~name:"fact" ~key:"id"
+       [ { Schema.col_name = "id"; col_type = Datatype.TInt };
+         { Schema.col_name = "k"; col_type = Datatype.TInt };
+         { Schema.col_name = "x"; col_type = Datatype.TFloat } ])
+    ~updatable:[ "x" ];
+  for g = 1 to groups do
+    Database.insert db "fact" (row [ i g; i g; f (float_of_int g /. 3.) ])
+  done;
+  db
+
+let mean_by_k =
+  let open Helpers in
+  {
+    View.name = "mean_by_k";
+    select =
+      [ group (a "fact" "k"); avg ~alias:"mean" (a "fact" "x");
+        count_star ~alias:"cnt" () ];
+    tables = [ "fact" ];
+    locals = [];
+    joins = [];
+    having = [];
+  }
+
+(* Minor-heap words the serving domain allocates over one connection that
+   sends [queries] QUERYs of [view], then SHUTDOWN. *)
+let serve_words wh view ~queries =
+  let srv = Serve.create ~port:0 wh in
+  let d =
+    Domain.spawn (fun () ->
+        let w0 = Gc.minor_words () in
+        Serve.run srv;
+        Gc.minor_words () -. w0)
+  in
+  let c = connect (Serve.port srv) in
+  for _ = 1 to queries do
+    send c ("QUERY " ^ view);
+    ignore (recv_body c)
+  done;
+  send c "SHUTDOWN";
+  ignore (recv c);
+  let words = Domain.join d in
+  disconnect c;
+  words
+
+(* A warehouse over [groups] groups whose latest epoch was published after
+   a first QUERY of the view. *)
+let read_warehouse groups =
+  let db = mean_db groups in
+  let wh = Warehouse.create db in
+  Warehouse.add_view wh mean_by_k;
+  ignore (serve_words wh "mean_by_k" ~queries:1);
+  Warehouse.ingest wh
+    Helpers.
+      [ Delta.update "fact"
+          ~before:(row [ i 1; i 1; f (1. /. 3.) ])
+          ~after:(row [ i 1; i 1; f 0.5 ]) ];
+  wh
+
+let alloc_tests =
+  [
+    test "a QUERY of a rendered epoch allocates words independent of its rows"
+      (fun () ->
+        let queries = 20 in
+        let per_query groups =
+          serve_words (read_warehouse groups) "mean_by_k" ~queries
+          /. float_of_int queries
+        in
+        let small = per_query 20 and large = per_query 2_000 in
+        (* rendering each FLOAT cell alone would cost thousands of words on
+           2,000 rows; the allowance covers the select loop's jitter *)
+        if large -. small > 200. then
+          Alcotest.failf
+            "a QUERY of 2,000 rows allocated %.0f words, of 20 rows %.0f"
+            large small);
+  ]
+
 let () =
   Alcotest.run "serve"
     [
@@ -259,4 +343,5 @@ let () =
       ("pinning", pinning_tests);
       ("shutdown", shutdown_tests);
       ("slowlog", slowlog_tests);
+      ("alloc", alloc_tests);
     ]
