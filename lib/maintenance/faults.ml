@@ -1,11 +1,6 @@
 type point =
   | After_wal_append
   | Mid_engine_apply
-  | Mid_checkpoint
-  | Before_wal_truncate
-  | After_truncate_rename
-  | After_checkpoint_rename
-  | Mid_group_commit
   | In_shard_worker
   | Wal_fsync
 
@@ -15,20 +10,11 @@ exception Crash of point
 exception Injected of point
 
 let all =
-  [
-    After_wal_append; Mid_engine_apply; Mid_checkpoint; Before_wal_truncate;
-    After_truncate_rename; After_checkpoint_rename; Mid_group_commit;
-    In_shard_worker; Wal_fsync;
-  ]
+  [ After_wal_append; Mid_engine_apply; In_shard_worker; Wal_fsync ]
 
 let to_string = function
   | After_wal_append -> "after-wal-append"
   | Mid_engine_apply -> "mid-engine-apply"
-  | Mid_checkpoint -> "mid-checkpoint"
-  | Before_wal_truncate -> "before-wal-truncate"
-  | After_truncate_rename -> "after-truncate-rename"
-  | After_checkpoint_rename -> "after-checkpoint-rename"
-  | Mid_group_commit -> "mid-group-commit"
   | In_shard_worker -> "in-shard-worker"
   | Wal_fsync -> "wal-fsync"
 
@@ -39,7 +25,6 @@ let state : (point * mode * int ref) option ref = ref None
 
 let arm ?(skip = 0) ?(mode = Kill) point = state := Some (point, mode, ref skip)
 let disarm () = state := None
-let armed () = Option.map (fun (p, _, _) -> p) !state
 
 let hit point =
   match !state with

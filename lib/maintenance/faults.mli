@@ -1,9 +1,9 @@
-(** Fault injection: named crash points in the ingestion pipeline.
+(** Fault injection: named points in the ingestion pipeline.
 
-    A crash point marks a place where a real deployment could lose the
-    process — power cut, OOM kill, operator error — or hit a recoverable
-    failure (a failed fsync, a worker domain dying). Tests (and the CLI, via
-    the [MINVIEW_FAULT] environment variable) {!arm} a point; when the
+    A point marks a place where an in-process fault can strike: the
+    process dies between two steps of a batch, a worker domain fails or
+    wedges, the WAL barrier fails. Tests (and the CLI, via the
+    [MINVIEW_FAULT] environment variable) {!arm} a point; when the
     pipeline reaches it, {!hit} raises.
 
     Three failure modes:
@@ -20,8 +20,9 @@
       pool's deadline while the worker eventually resumes — the
       slow-but-alive domain the wedge remedy must survive.
 
-    The crash-point matrix (what is on disk when each point fires) is
-    documented in DESIGN.md. *)
+    Crashes between two durable file operations are not placed here:
+    tests take them from a trace of those operations (DESIGN.md, "Crash
+    states"). *)
 
 type point =
   | After_wal_append
@@ -29,25 +30,6 @@ type point =
   | Mid_engine_apply
       (** the batch is durable; some engines applied it, the warehouse state
           was not yet swapped in *)
-  | Mid_checkpoint
-      (** a snapshot temp file is partially written; the previous snapshot
-          and the full WAL are intact *)
-  | Before_wal_truncate
-      (** the new snapshot is in place; the WAL still holds the batches the
-          snapshot already contains *)
-  | After_truncate_rename
-      (** the truncated WAL was renamed into place but the directory entry
-          was not yet fsynced: after a power cut the old (stale) WAL may
-          reappear, and replay must still converge *)
-  | After_checkpoint_rename
-      (** the new snapshot was renamed into place but the directory entry
-          was not yet fsynced: a power cut may resurrect the previous
-          snapshot, and the generation chain must still recover *)
-  | Mid_group_commit
-      (** a WAL append wrote only the first half of its batch's frame to
-          the OS before the power cut: the WAL ends in a torn record and
-          replay must recover the durable prefix. (The name is older than
-          one fsync per batch.) *)
   | In_shard_worker
       (** inside a shard worker's job, mid-parallel-apply: with [Fail] the
           supervisor must roll the transaction back and degrade to serial *)
@@ -85,7 +67,6 @@ val of_string : string -> point option
 val arm : ?skip:int -> ?mode:mode -> point -> unit
 
 val disarm : unit -> unit
-val armed : unit -> point option
 
 (** Called by the pipeline at each crash point; no-op unless armed. *)
 val hit : point -> unit

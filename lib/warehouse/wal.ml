@@ -383,13 +383,13 @@ type writer = {
 
 (* Every frame is encoded before the file is touched, so a record that
    cannot be encoded — one a legacy log held — leaves [path] as it was. *)
-let write_file ?window path records =
+let write_file path records =
   let w = Codec.writer 4096 in
   (try List.iter (frame_into w) records
    with Unencodable m ->
      corrupt "%s: a record cannot be rewritten in the current format: %s" path
        m);
-  Durable.replace_file ?window path (fun oc ->
+  Durable.replace_file path (fun oc ->
       output_string oc magic;
       output oc (Codec.bytes w) 0 (Codec.length w))
 
@@ -471,35 +471,16 @@ let open_append path =
   open_scanned path s
 
 let create path =
-  (* the empty log is renamed into place, but until the directory entry is
-     synced a crash can bring the old log back — replay must converge then *)
-  write_file ~window:Maintenance.Faults.After_truncate_rename path [];
+  write_file path [];
   writer path
 
-(* Encodes [record]'s frame into the staging buffer, which keeps its
-   capacity between appends. Returns the frame's length. *)
-let stage w record =
+let append w record =
   Codec.clear w.pending;
   frame_into w.pending record;
-  Codec.length w.pending
-
-let append w record =
-  let len = stage w record in
+  let len = Codec.length w.pending in
   Telemetry.Counter.one Obs.appends;
   Telemetry.Counter.inc Obs.bytes len;
-  (* the crash point models a power cut mid-write: only a prefix of the
-     frame reached the OS, so the log ends in a torn record that recovery
-     must drop. Splitting the write in two halves (second half only after
-     the crash point) makes that state reachable from tests. *)
-  let frame = Codec.bytes w.pending in
-  let write off n =
-    try ignore (Unix.write w.fd frame off n)
-    with Unix.Unix_error (e, _, _) -> Durable.fail w.path "write" e
-  in
-  let half = len / 2 in
-  write 0 half;
-  Maintenance.Faults.hit Maintenance.Faults.Mid_group_commit;
-  write half (len - half);
+  Durable.write w.path w.fd (Codec.bytes w.pending) 0 len;
   (* the commit point: the record must survive a power cut, not just the
      process, before any engine applies it *)
   Telemetry.Counter.one Obs.syncs;

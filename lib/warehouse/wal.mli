@@ -143,19 +143,14 @@ val open_scanned : string -> scan -> writer
 
 (** [create path] atomically replaces [path] with an empty log and opens
     it for appending: after a checkpoint, whose snapshot holds every
-    record of the log it replaces. The new file is fsynced before its
-    rename and the directory after it (crash point between the two:
-    [Maintenance.Faults.After_truncate_rename]).
+    record of the log it replaces ({!Durable.replace_file}).
     @raise Sys_error if a file operation fails. *)
 val create : string -> writer
 
 (** [append w r] writes one record and fsyncs the log: once [append]
     returns, the record survives a power cut. The frame is encoded whole
-    before anything is written. Crash points:
-    [Maintenance.Faults.Mid_group_commit] between the two halves of the
-    frame's write (a power cut there leaves a torn tail that recovery
-    salvages) and [Maintenance.Faults.Wal_fsync] at the barrier
-    ({!Durable.barrier}).
+    before anything is written, then handed to the file in one
+    {!Durable.write} and made durable by {!Durable.barrier}.
     @raise Unencodable before writing anything: the log is intact.
     @raise Sys_error if the write or the fsync fails. The log has then
     failed: what reached its disk is unknown, so nothing more may be

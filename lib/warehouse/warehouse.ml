@@ -36,6 +36,7 @@ end
 
 module Checksum = Checksum
 module Wal = Wal
+module Durable = Durable
 module Codec = Relational.Codec
 module Database = Relational.Database
 module Relation = Relational.Relation
@@ -735,10 +736,6 @@ let save t path =
                (List.map (fun r -> (r.view, r.strategy)) t.views)
                []);
           Database.add_catalog shadow w);
-      (* crash point: a catalog and no table behind a valid magic line —
-         the torn temp file must stay invisible to recovery (the rename
-         never happens) *)
-      Faults.hit Faults.Mid_checkpoint;
       List.iter
         (fun name ->
           let schema = Database.schema_of shadow name in
@@ -1133,14 +1130,9 @@ let rotate ?failed t =
             Some n
           end
         in
-        (* crash point: the new snapshot is renamed into place but the
-           directory entry is not yet durable — a power cut can leave the
-           directory without snapshot.bin, which recovery must serve from
-           the generation chain plus the still-unrotated WAL *)
-        Durable.rename ~window:Faults.After_checkpoint_rename fresh snap;
-        (* crash point: new snapshot in place, WAL not yet rotated — replay
-           must recognize the WAL's batches as already checkpointed *)
-        Faults.hit Faults.Before_wal_truncate;
+        (* a crash from here on leaves the new snapshot, or (before the
+           directory fsync) the generation chain, plus the unrotated WAL *)
+        Durable.rename fresh snap;
         (* the snapshot holds every record of the log, which restarts
            empty. The old log is archived beside the outgoing snapshot;
            without one (the first checkpoint, or the chain disabled) no

@@ -33,6 +33,9 @@ module Checksum = Checksum
     and classifies a log without the catalog. *)
 module Wal = Wal
 
+(** The durable file operations of a state directory, and their hook. *)
+module Durable = Durable
+
 (** {2 Errors} *)
 
 type error_kind =

@@ -66,48 +66,29 @@ let reason_eq : Delta.reason Alcotest.testable =
     (fun ppf r -> Format.pp_print_string ppf (Delta.reason_label r))
     ( = )
 
-(* The property: crash at [point] somewhere inside a batched ingestion run,
+(* The property: crash at [site] somewhere inside a batched ingestion run,
    recover from disk, resume the stream from the batch count the recovered
    warehouse reports — and end up indistinguishable from a run that never
    crashed. *)
-let crash_and_recover point seed () =
+let crash_and_recover site seed () =
   let db, wh = build () in
-  let dir =
-    fresh_dir (Printf.sprintf "wh_crash_%s_%d" (Faults.to_string point) seed)
+  let root =
+    fresh_dir
+      (Printf.sprintf "wh_crash_%s_%d" (Crash_model.site_label site) seed)
   in
-  Warehouse.attach ~checkpoint_every:3 wh ~dir;
+  Sys.mkdir root 0o755;
   let rng = Workload.Prng.create seed in
   (* generate everything up front: the batches evolve db to its final state,
      which is the ground truth the recovered warehouse must reach *)
   let batches = List.init 8 (fun _ -> Workload.Delta_gen.stream rng db ~n:12) in
-  let skip =
-    match point with
-    (* let attach's initial checkpoint through; crash on the first automatic
-       one (after the third batch) *)
-    | Faults.Mid_checkpoint | Faults.Before_wal_truncate
-    | Faults.After_truncate_rename | Faults.After_checkpoint_rename ->
-      1
-    | Faults.After_wal_append | Faults.Mid_engine_apply
-    (* every append passes both WAL points; crash on the third batch's
-       write, leaving its frame torn on disk, or at its barrier *)
-    | Faults.Mid_group_commit | Faults.Wal_fsync ->
-      2
-    | Faults.In_shard_worker -> 0
-  in
-  Faults.arm ~skip point;
-  let crashed = ref false in
-  (try List.iter (Warehouse.ingest wh) batches
-   with Faults.Crash p ->
-     crashed := true;
-     Alcotest.check
-       (Alcotest.testable
-          (fun ppf p -> Format.pp_print_string ppf (Faults.to_string p))
-          ( = ))
-       "crashed at the armed point" point p);
-  Faults.disarm ();
-  Alcotest.(check bool) "the armed fault fired" true !crashed;
+  (* the third batch's append, or the first automatic checkpoint, which
+     follows it *)
+  ignore
+    (Crash_model.crash ~root
+       ~attach:(fun dir -> Warehouse.attach ~checkpoint_every:3 wh ~dir)
+       ~ingest:(Warehouse.ingest wh) batches ~batch:3 site ~seed);
   Warehouse.close wh;
-  let wh' = Warehouse.recover ~dir in
+  let wh' = Warehouse.recover ~dir:(Filename.concat root "state") in
   Alcotest.(check (list reason_eq)) "no dead letters after replay" []
     (List.map (fun r -> r.Delta.reason) (Warehouse.dead_letters wh'));
   (* each batch bumps the count by exactly one, so it doubles as the resume
@@ -118,25 +99,23 @@ let crash_and_recover point seed () =
     (fun idx batch -> if idx >= already then Warehouse.ingest wh' batch)
     batches;
   check_views wh' db;
-  Warehouse.close wh'
+  Warehouse.close wh';
+  rm_rf root
 
 let crash_tests =
   (* In_shard_worker only fires on the parallel apply path; the serial crash
      matrix here never reaches it (it is covered by the supervision tests in
      test_chaos.ml) *)
-  let serial_points =
-    List.filter (fun p -> p <> Faults.In_shard_worker) Faults.all
-  in
   List.concat_map
-    (fun point ->
+    (fun site ->
       List.map
         (fun seed ->
           test
             (Printf.sprintf "crash at %s, seed %d (recover == no crash)"
-               (Faults.to_string point) seed)
-            (crash_and_recover point seed))
+               (Crash_model.site_label site) seed)
+            (crash_and_recover site seed))
         [ 11; 12; 13 ])
-    serial_points
+    Crash_model.serial_sites
 
 let durability_tests =
   [
@@ -284,25 +263,26 @@ let durability_tests =
         check_views wh' db;
         Warehouse.close wh';
         rm_rf dir);
-    test "crash mid group commit loses only a burst suffix" (fun () ->
+    test "a power cut mid-frame loses only the torn batch" (fun () ->
         let db, wh = build () in
-        let dir = fresh_dir "wh_group_crash_dir" in
-        Warehouse.attach wh ~dir;
+        let root = fresh_dir "wh_torn_frame_dir" in
+        Sys.mkdir root 0o755;
+        let dir = Filename.concat root "state" in
         let rng = Workload.Prng.create 10 in
         let batches =
           List.init 6 (fun _ -> Workload.Delta_gen.stream rng db ~n:15)
         in
-        (* every batch is synced on its own; the power cut hits mid-write
-           of the fourth batch's frame *)
-        Faults.arm ~skip:3 Faults.Mid_group_commit;
-        (match List.iter (Warehouse.ingest wh) batches with
-        | () -> Alcotest.fail "expected a crash"
-        | exception Faults.Crash p ->
-          Alcotest.(check bool)
-            "crashed at mid-group-commit" true
-            (p = Faults.Mid_group_commit));
-        Faults.disarm ();
+        (* every batch is synced on its own; the power cut hits after the
+           fourth batch's frame was written, before its barrier: seed 2
+           picks the torn frame *)
+        let acked =
+          Crash_model.crash ~root
+            ~attach:(fun dir -> Warehouse.attach wh ~dir)
+            ~ingest:(Warehouse.ingest wh) batches ~batch:4
+            Crash_model.In_wal_append ~seed:2
+        in
         Warehouse.close wh;
+        Alcotest.(check int) "three batches acknowledged" 3 acked;
         let wh' = Warehouse.recover ~dir in
         (* the torn frame is set aside; every batch before it survives and
            the resume cursor is exact *)
@@ -315,7 +295,7 @@ let durability_tests =
           batches;
         check_views wh' db;
         Warehouse.close wh';
-        rm_rf dir);
+        rm_rf root);
     test "repeated salvages keep every torn tail" (fun () ->
         let db, wh = build () in
         let dir = fresh_dir "wh_two_tails_dir" in
