@@ -3,6 +3,7 @@ module Schema = Relational.Schema
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Value = Relational.Value
+module Rowmap = Relational.Rowmap
 module Icol = Column.Icol
 
 module VH = Hashtbl.Make (struct

@@ -1,5 +1,6 @@
 module Value = Relational.Value
 module Tuple = Relational.Tuple
+module Rowmap = Relational.Rowmap
 module Icol = Column.Icol
 module Marks = Column.Marks
 module VMap = Map.Make (Value)

@@ -6,7 +6,7 @@
     CSMAS replacement columns — the same shape as the view it serves. The
     store keeps such groups and nothing else: per hash shard, one typed
     {!Column} per key attribute, the component columns, a dense count
-    column, one journal mark per row and a {!Rowmap} from group key to
+    column, one journal mark per row and a {!Relational.Rowmap} from group key to
     row. A group is a row id into those columns; deletion swaps the last
     row into the hole, so row ids are internal to the owner.
 
@@ -40,7 +40,7 @@ type shard = private {
   touched : Column.Marks.t;
       (** row-parallel: marked when the open transaction has journaled
           the row's group *)
-  map : Rowmap.t;  (** group key -> row *)
+  map : Relational.Rowmap.t;  (** group key -> row *)
   mutable log : log;
   mutable start : int;
       (** the log length at {!begin_txn}; [-1] outside a transaction *)

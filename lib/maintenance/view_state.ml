@@ -5,6 +5,7 @@ module Attr = Algebra.Attr
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Value = Relational.Value
+module Rowmap = Relational.Rowmap
 module Icol = Column.Icol
 
 module TH = Hashtbl.Make (struct

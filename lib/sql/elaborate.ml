@@ -228,11 +228,12 @@ let holds_on db table tup (c : Ast.condition) =
   in
   Cmp.eval (cmp_of_string c.Ast.op) (value c.Ast.left) (value c.Ast.right)
 
+(* In key order, whatever the store's: a statement's changes come out in
+   an order that depends only on the rows. *)
 let matching_rows db table where =
-  Database.fold db table
-    (fun tup acc ->
-      if List.for_all (holds_on db table tup) where then tup :: acc else acc)
-    []
+  List.filter
+    (fun tup -> List.for_all (holds_on db table tup) where)
+    (Database.rows_by_key db table)
 
 let run db (stmt : Ast.statement) =
   match stmt with

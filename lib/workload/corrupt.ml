@@ -54,8 +54,9 @@ let schema_mismatch rng db =
   { delta; reason = Delta.Schema_mismatch }
 
 let some_row rng db table =
-  let rows = Database.fold db table (fun tup acc -> tup :: acc) [] in
-  match rows with [] -> None | rows -> Some (Prng.pick rng rows)
+  match Database.rows_by_key db table with
+  | [] -> None
+  | rows -> Some (Prng.pick rng rows)
 
 let duplicate_key rng db =
   let candidates =

@@ -17,17 +17,18 @@ let random_value rng = function
   | Datatype.TString -> Value.String string_pool.(Prng.int rng (Array.length string_pool))
   | Datatype.TBool -> Value.Bool (Prng.int rng 2 = 0)
 
+(* Rows and keys are picked from in key order, never in the store's: a
+   seeded stream must not move when the store's layout does. *)
+let rows_of = Database.rows_by_key
+
 let keys_of db table =
-  Database.fold db table
-    (fun tup acc ->
-      tup.(Schema.key_index (Database.schema_of db table)) :: acc)
-    []
+  let key = Schema.key_index (Database.schema_of db table) in
+  List.map (fun tup -> tup.(key)) (rows_of db table)
 
 let fresh_key rng db table =
-  let existing = keys_of db table in
   let rec loop () =
     let k = Value.Int (Prng.int rng 1_000_000 + 1_000) in
-    if List.exists (Value.equal k) existing then loop () else k
+    if Option.is_some (Database.find_by_key db table k) then loop () else k
   in
   loop ()
 
@@ -57,8 +58,6 @@ let synthesize_insert rng db table =
   let cols = Array.map make_col schema.Schema.columns in
   if Array.exists Option.is_none cols then None
   else Some (Array.map Option.get cols)
-
-let rows_of db table = Database.fold db table (fun tup acc -> tup :: acc) []
 
 let deletable_rows db table =
   let schema = Database.schema_of db table in

@@ -14,7 +14,7 @@ module Column = Maintenance.Column
 module Icol = Maintenance.Column.Icol
 module Marks = Maintenance.Column.Marks
 module Dict = Maintenance.Dict
-module Rowmap = Maintenance.Rowmap
+module Rowmap = Relational.Rowmap
 module Engines = Maintenance.Engines
 module Shard = Maintenance.Shard
 module Derive = Mindetail.Derive
