@@ -36,6 +36,13 @@ val add_varint : writer -> int -> unit
 val add_int : writer -> int -> unit
 
 val add_string : writer -> string -> unit
+
+(** A FLOAT cell: its 8 bytes, little-endian. *)
+val add_float : writer -> float -> unit
+
+(** A BOOL cell: one byte, 0 or 1. *)
+val add_bool : writer -> bool -> unit
+
 val add_datatype : writer -> Datatype.t -> unit
 
 (** [add_cell w ty v] writes [v] without a tag.
@@ -74,6 +81,12 @@ val byte : reader -> int
 val varint : reader -> int
 val int : reader -> int
 val string : reader -> string
+
+(** A FLOAT cell, as {!add_float} wrote it. Inlined where it is called,
+    so a caller that stores the float unboxed allocates nothing. *)
+val float : reader -> float
+
+val bool : reader -> bool
 val datatype : reader -> Datatype.t
 
 (** [count r] is a varint that must be at most {!remaining}: the number

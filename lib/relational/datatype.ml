@@ -1,6 +1,9 @@
 type t = TInt | TFloat | TString | TBool
 
-let equal (a : t) b = a = b
+let equal (a : t) b =
+  match (a, b) with
+  | TInt, TInt | TFloat, TFloat | TString, TString | TBool, TBool -> true
+  | (TInt | TFloat | TString | TBool), _ -> false
 
 let to_string = function
   | TInt -> "INT"
@@ -27,5 +30,12 @@ let of_value = function
 
 (* NULL inhabits no column type: the schema check is where the no-null
    assumption (paper Section 2.1) is enforced at the ingestion boundary. *)
-let check t v = (not (Value.is_null v)) && equal t (of_value v)
+let check t v =
+  match (t, v) with
+  | TInt, Value.Int _
+  | TFloat, Value.Float _
+  | TString, Value.String _
+  | TBool, Value.Bool _ ->
+    true
+  | (TInt | TFloat | TString | TBool), _ -> false
 let is_numeric = function TInt | TFloat -> true | TString | TBool -> false

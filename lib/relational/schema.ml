@@ -35,9 +35,15 @@ let type_of s col = s.columns.(index_of s col).col_type
 let key_index s = index_of s s.key
 let column_names s = Array.to_list s.columns |> List.map (fun c -> c.col_name)
 
+(* A top-level loop: [Array.for_all2] would allocate a closure per call,
+   and every admitted delta is checked here. *)
+let rec conforms_from columns tup i =
+  i >= Array.length columns
+  || Datatype.check columns.(i).col_type tup.(i)
+     && conforms_from columns tup (i + 1)
+
 let conforms s tup =
-  Array.length tup = Array.length s.columns
-  && Array.for_all2 (fun c v -> Datatype.check c.col_type v) s.columns tup
+  Array.length tup = Array.length s.columns && conforms_from s.columns tup 0
 
 let pp ppf s =
   Format.fprintf ppf "@[<hov 2>%s(%a)@]" s.name

@@ -1,9 +1,12 @@
 type t = Value.t array
 
-let equal a b =
-  Array.length a = Array.length b && Array.for_all2 Value.equal a b
+(* Top-level loops: a local one, or [Array.for_all2]'s, would allocate
+   its closure per call. *)
+let rec equal_from a b i =
+  i >= Array.length a || (Value.equal a.(i) b.(i) && equal_from a b (i + 1))
 
-(* A top-level loop: a local one would allocate its closure per call. *)
+let equal a b = Array.length a = Array.length b && equal_from a b 0
+
 let rec compare_from a b i =
   if i >= Array.length a then 0
   else
