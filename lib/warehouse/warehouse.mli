@@ -520,10 +520,22 @@ val load : string -> t
     checkpoint, the pre-chain behaviour). Also points the lineage sink at
     [dir/lineage.jsonl], so every committed batch leaves a lineage record
     next to its WAL commit marker (see {!Telemetry.Lineage}).
-    @raise Error ([Invalid_request] if already attached or
-    [keep_generations < 0], [Io_error], [Corrupt_state],
+    @raise Error ([Invalid_request] if already attached or the policy is
+    refused, as by {!set_checkpoint_policy}; [Io_error], [Corrupt_state],
     [Not_persistable]). *)
 val attach : ?checkpoint_every:int -> ?keep_generations:int -> t -> dir:string -> unit
+
+(** [set_checkpoint_policy t] sets what {!attach} sets, and is how a
+    warehouse from {!recover} gets it back: with [~checkpoint_every:n],
+    every batch whose number is a multiple of [n] checkpoints once it
+    commits; [~keep_generations:k] archived generations survive pruning.
+    An argument left out keeps its setting; a warehouse starts with no
+    automatic checkpoint and 2 generations, and so does a recovered one.
+    Both arguments are checked before either is set.
+    @raise Error ([Invalid_request] if [checkpoint_every < 1] or
+    [keep_generations < 0]). *)
+val set_checkpoint_policy :
+  ?checkpoint_every:int -> ?keep_generations:int -> t -> unit
 
 (** Snapshot the state directory, archive the previous generation and
     rotate the WAL (see the chain contract above). Also writes the current
@@ -563,7 +575,9 @@ val write_workload_profile : t -> string
     recovery records the flat spans [warehouse.recover.decode] (once per
     snapshot tried), [warehouse.recover.build] (attributes [views] and
     [domains]), [warehouse.recover.replay] (attribute [batches]) and
-    [warehouse.recover.publish].
+    [warehouse.recover.publish]. The recovered warehouse checkpoints
+    only when asked until {!set_checkpoint_policy} sets a policy: none is
+    stored in [dir].
     @raise Error as {!load}; also [Corrupt_state] when WAL damage (a
     mid-stream bit flip, or any damage on an archived segment the restored
     snapshot does not cover) may hide committed batches — {!repair}

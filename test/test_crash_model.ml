@@ -121,10 +121,11 @@ let n_batches = 8
    and the batch commits as seq 5 *)
 let failed_seq = 4
 
-(* attach with generations archived and pruned, three automatic and two
-   explicit checkpoints, a batch whose barrier fails (its log is archived
-   with an abort marker; the batch commits when ingested again), a torn
-   tail that a recovery salvages, and ingest after that recovery *)
+(* attach with generations archived and pruned, four automatic
+   checkpoints and one explicit, a batch whose barrier fails (its log is
+   archived with an abort marker; the batch commits when ingested again),
+   a torn tail that a recovery salvages, and ingest after that recovery,
+   whose last batch the recovered warehouse checkpoints by itself *)
 let scenario () =
   let root = fresh_root "cm_scenario" in
   let dir = Filename.concat root "state" in
@@ -170,8 +171,8 @@ let scenario () =
   Durable.write wal fd torn 0 (Bytes.length torn);
   Unix.close fd;
   wh := Warehouse.recover ~dir;
+  Warehouse.set_checkpoint_policy ~checkpoint_every:3 ~keep_generations:2 !wh;
   List.iter ingest [ 6; 7 ];
-  Warehouse.checkpoint !wh;
   Warehouse.close !wh;
   let trace = Cm.stop r in
   (* the scenario did what it says *)
@@ -179,6 +180,12 @@ let scenario () =
     (Sys.file_exists (wal ^ ".quarantine"));
   Alcotest.(check bool) "generations were pruned" false
     (Sys.file_exists (Filename.concat gdir "snapshot-1.bin"));
+  Alcotest.(check bool) "the recovered warehouse checkpointed batch 9" true
+    (List.exists
+       (fun e ->
+         String.equal e.Warehouse.f_file "snapshot.bin"
+         && String.equal e.Warehouse.f_detail "verified, batch 9")
+       (Warehouse.fsck ~dir).Warehouse.fsck_entries);
   rm_rf root;
   { trace; batches; sources; acks = !acks }
 
