@@ -328,9 +328,90 @@ let never_half_applies =
         before_batch (store_image shadow);
       true)
 
+(* --- admission is O(delta) ---------------------------------------------------
+
+   The validator's row of the O(delta) matrix: each change kind costs the
+   same minor words and the same key-index probes on a fact table of
+   2,000 rows as on one of 32,000. Exact counts, no timing. *)
+
+(* [facts] facts over ten dimension rows; the fact's amount, quantity and
+   dimension are updatable. *)
+let star facts =
+  let db = Database.create () in
+  let col name ty = { Schema.col_name = name; col_type = ty } in
+  Database.add_table db
+    (Schema.make ~name:"dim" ~key:"id"
+       [ col "id" Datatype.TInt; col "name" Datatype.TString ])
+    ~updatable:[];
+  Database.add_table db
+    (Schema.make ~name:"fact" ~key:"id"
+       [ col "id" Datatype.TInt; col "dimid" Datatype.TInt;
+         col "amount" Datatype.TFloat; col "qty" Datatype.TInt ])
+    ~updatable:[ "dimid"; "amount"; "qty" ];
+  Database.add_reference db
+    { Relational.Integrity.src_table = "fact"; src_col = "dimid";
+      dst_table = "dim" };
+  for d = 1 to 10 do
+    Database.insert db "dim" (row [ i d; s (Printf.sprintf "d%d" d) ])
+  done;
+  for k = 1 to facts do
+    Database.insert db "fact"
+      (row [ i k; i (1 + (k mod 10)); f (float_of_int k /. 4.); i (k mod 7) ])
+  done;
+  db
+
+(* The changes, each valid where it stands in the list, then one refused
+   (a duplicate key): the same deltas on every size. *)
+let admission_changes =
+  let fresh = row [ i 1_000_000; i 3; f 2.5; i 1 ] in
+  let moved = row [ i 1_000_000; i 4; f 2.5; i 1 ] in
+  let repriced = row [ i 1_000_000; i 4; f 7.25; i 1 ] in
+  [
+    ("insert", Delta.insert "fact" fresh);
+    ("exposed update", Delta.update "fact" ~before:fresh ~after:moved);
+    ("update in place", Delta.update "fact" ~before:moved ~after:repriced);
+    ("delete", Delta.delete "fact" repriced);
+    ("refused", Delta.insert "fact" (row [ i 7; i 1; f 0.; i 0 ]));
+  ]
+
+(* Per change: its minor words and key-index probes on [db]. A first pass
+   over the changes warms what a first call sets up. *)
+let admission_costs db =
+  let run () =
+    List.map
+      (fun (kind, d) ->
+        let p0 = Database.probes db in
+        let w0 = Gc.minor_words () in
+        let r = Database.admit db d in
+        let w1 = Gc.minor_words () in
+        let p1 = Database.probes db in
+        (match (kind, r) with
+        | "refused", Error _ | _, Ok () -> ()
+        | _ -> Alcotest.failf "%s: unexpected verdict" kind);
+        (kind, w1 -. w0, p1 - p0))
+      admission_changes
+  in
+  ignore (run ());
+  run ()
+
+let admission_tests =
+  [
+    test "admission costs the same words and probes at 2,000 and 32,000 facts"
+      (fun () ->
+        let small = admission_costs (star 2_000)
+        and large = admission_costs (star 32_000) in
+        List.iter2
+          (fun (kind, w, p) (_, w', p') ->
+            Alcotest.(check (float 0.)) (kind ^ ": minor words") w w';
+            Alcotest.(check int) (kind ^ ": probes") p p';
+            Alcotest.(check bool) (kind ^ ": probes some key") true (p > 0))
+          small large);
+  ]
+
 let () =
   Alcotest.run "validate"
     [
       ("dead-letter-queue", tests);
       ("rejections", [ QCheck_alcotest.to_alcotest never_half_applies ]);
+      ("o-delta", admission_tests);
     ]
