@@ -1,7 +1,6 @@
 type t = Eq | Neq | Lt | Le | Gt | Ge
 
-let eval op a b =
-  let c = Relational.Value.compare a b in
+let holds op c =
   match op with
   | Eq -> c = 0
   | Neq -> c <> 0
@@ -9,6 +8,8 @@ let eval op a b =
   | Le -> c <= 0
   | Gt -> c > 0
   | Ge -> c >= 0
+
+let eval op a b = holds op (Relational.Value.compare a b)
 
 let to_string = function
   | Eq -> "="

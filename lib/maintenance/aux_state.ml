@@ -4,6 +4,7 @@ module Relation = Relational.Relation
 module Tuple = Relational.Tuple
 module Value = Relational.Value
 module Rowmap = Relational.Rowmap
+module Database = Relational.Database
 module Icol = Column.Icol
 
 module VH = Hashtbl.Make (struct
@@ -160,49 +161,29 @@ let spec s = s.spec
 
 let group_key_of_base s tup = Tuple.project tup s.plain_src
 
-(* The group-key hash of a base tuple: agrees with [Tuple.hash
-   (group_key_of_base s tup)] without materializing the projection (it
-   mirrors [Tuple.hash]'s fold). Writers compute it once and use it for
-   both the shard and the probe: the shard of a hash is [hash land mask]. *)
-let hash_base s tup =
-  let h = ref 17 in
-  for i = 0 to Array.length s.plain_src - 1 do
-    h := (!h * 31) + Value.hash tup.(s.plain_src.(i))
-  done;
-  !h
-
-let shard_of_base s tup = hash_base s tup land s.groups.mask
-
-(* --- probes -------------------------------------------------------------- *)
-
-(* Closed equality tests for [Rowmap.probe]: the shard (or column) and the
-   probed value are its context, so a probe allocates nothing. *)
-let rec base_matches_from (sh : shard) tup r i =
-  i >= Array.length sh.plain_src
-  || Column.equal_cell sh.g.keys.(i) r tup.(sh.plain_src.(i))
-     && base_matches_from sh tup r (i + 1)
-
-let base_matches sh tup r = base_matches_from sh tup r 0
-
+(* Closed equality test for [Rowmap.probe]: the column and the probed
+   value are its context, so a probe allocates nothing. *)
 let cell_is col v r = Column.equal_cell col r v
 
 (* --- secondary indexes --------------------------------------------------- *)
 
-let index_add_row (sh : shard) r =
-  List.iter
-    (fun (pos, idx) ->
-      let v = Column.get sh.g.keys.(pos) r in
-      let bucket =
-        match VH.find_opt idx.buckets v with
-        | Some b -> b
-        | None ->
-          let b = Icol.create () in
-          VH.add idx.buckets v b;
-          b
-      in
-      Icol.append bucket r;
-      Icol.append idx.pos (Icol.length bucket - 1))
-    sh.indexes
+let rec index_add (sh : shard) r = function
+  | [] -> ()
+  | (pos, idx) :: rest ->
+    let v = Column.get sh.g.keys.(pos) r in
+    let bucket =
+      match VH.find_opt idx.buckets v with
+      | Some b -> b
+      | None ->
+        let b = Icol.create () in
+        VH.add idx.buckets v b;
+        b
+    in
+    Icol.append bucket r;
+    Icol.append idx.pos (Icol.length bucket - 1);
+    index_add sh r rest
+
+let index_add_row (sh : shard) r = index_add sh r sh.indexes
 
 (* Remove row [r] from every bucket (its [pos] slot is reclaimed by the
    caller's row-parallel swap-delete). *)
@@ -233,9 +214,9 @@ let build_index (sh : shard) pos =
   for r = 0 to n - 1 do
     let v = Column.get col r in
     let id =
-      match VH.find_opt ids v with
-      | Some id -> id
-      | None ->
+      match VH.find ids v with
+      | id -> id
+      | exception Not_found ->
         let id = VH.length ids in
         VH.add ids v id;
         Icol.append sizes 0;
@@ -258,34 +239,19 @@ let build_index (sh : shard) pos =
 
 (* --- row attach / detach ------------------------------------------------- *)
 
-let by_key_attach s (sh : shard) r =
-  Option.iter
-    (fun bk ->
-      let col = sh.g.keys.(s.key_plain_pos) in
-      let v = Column.get col r in
-      (* steal semantics: a new group with the same base key value takes
-         over the mapping *)
-      ignore
-        (Rowmap.replace bk ~hash:(Column.hash_cell col r)
-           ~eq:(fun r' -> Column.equal_cell col r' v)
-           r))
-    sh.by_key
+(* [r] holds the key in cell [j] of [src]. *)
+let key_cell_is col src j r = Column.equal_cells col r src j
 
-let append_from_base s (sh : shard) ~hash tup count =
-  let g = sh.g in
-  for i = 0 to Array.length s.plain_src - 1 do
-    Column.append g.keys.(i) tup.(s.plain_src.(i))
-  done;
-  for i = 0 to Array.length s.sum_src - 1 do
-    Column.append g.cells.(i) (Value.scale tup.(s.sum_src.(i)) count)
-  done;
-  for i = 0 to Array.length s.ext_src - 1 do
-    Column.append (ext_col s sh i) tup.(fst s.ext_src.(i))
-  done;
-  let r = Groups.add_row g ~hash count in
-  by_key_attach s sh r;
-  index_add_row sh r;
-  r
+let by_key_attach s (sh : shard) r =
+  match sh.by_key with
+  | None -> ()
+  | Some bk ->
+    let col = sh.g.keys.(s.key_plain_pos) in
+    (* steal semantics: a new group with the same base key value takes
+       over the mapping *)
+    ignore
+      (Rowmap.replace3 bk ~hash:(Column.hash_cell col r) key_cell_is col col r r
+        : int)
 
 (* Swap-with-last removal of row [r], repairing every row-id holder the
    store does not own: by_key (the deleted row's entry, if it still points
@@ -364,49 +330,148 @@ let rollback s =
       sh.total <- sh.total0)
     s.shards
 
-(* Reject NULL (and any other non-aggregatable value) in aggregated columns
-   before mutating anything, so a poisoned tuple cannot leave a group with
-   its count bumped but its sums untouched. *)
-let check_aggregands s op tup =
-  for i = 0 to Array.length s.sum_src - 1 do
-    let src = s.sum_src.(i) in
-    if not (Value.is_numeric tup.(src)) then
-      invalid_arg
-        (Printf.sprintf
-           "Aux_state.%s(%s): %s value in summed column (index %d)" op
-           s.spec.Auxview.name
-           (Value.type_name tup.(src))
-           src)
-  done;
-  for i = 0 to Array.length s.ext_src - 1 do
-    let src = fst s.ext_src.(i) in
-    if Value.is_null tup.(src) then
-      invalid_arg
-        (Printf.sprintf
-           "Aux_state.%s(%s): NULL value in MIN/MAX column (index %d)" op
-           s.spec.Auxview.name src)
-  done
+(* --- writes from base rows ------------------------------------------------ *)
 
-let insert_base ?(count = 1) s tup =
-  if count < 1 then invalid_arg "Aux_state.insert_base: count must be >= 1";
-  check_aggregands s "insert_base" tup;
-  let hash = hash_base s tup in
-  let sh = s.shards.(hash land s.groups.mask) in
-  let g = sh.g in
-  let r = Rowmap.probe g.map ~hash base_matches sh tup in
-  if r >= 0 then begin
-    Groups.note_row g ~hash r;
-    Icol.add g.cnts r count;
+(* A base key's by-key entry lives in the shard of its group key, which
+   the key alone does not name: a lookup probes the shards' by-key maps in
+   turn (a dimension view, the usual target, has one shard). *)
+let check_key_kept s =
+  if s.key_plain_pos < 0 then
+    invalid_arg
+      (Printf.sprintf "Aux_state.locate_key(%s): key not kept"
+         s.spec.Auxview.name)
+
+(* A locator names a group as one int, [(row lsl bits) lor shard]: what a
+   typed reader keeps per joined table instead of a [row] handle. *)
+let loc s (sh : shard) r = (r lsl s.bits) lor sh.idx
+
+module type ROWS = sig
+  type row
+
+  val insert : ?count:int -> t -> row -> unit
+  val locate_key : t -> row -> int -> int
+end
+
+(* The one probe-and-add path of a base row into the groups, wherever the
+   row's cells are: a delta's tuple or a shadow row ({!Cells}). Probes
+   are closed equality tests, so a write allocates nothing but the cells
+   a new group appends. *)
+module Rows (C : Cells.S) = struct
+  type row = C.row
+
+  (* The group-key hash of a base row: agrees with [Tuple.hash
+     (group_key_of_base s tup)] without materializing the projection (it
+     mirrors [Tuple.hash]'s fold). Writers compute it once and use it for
+     both the shard and the probe: the shard of a hash is [hash land
+     mask]. *)
+  let hash s row =
+    let h = ref 17 in
+    for i = 0 to Array.length s.plain_src - 1 do
+      h := (!h * 31) + C.hash row s.plain_src.(i)
+    done;
+    !h
+
+  let rec matches_from (sh : shard) row r i =
+    i >= Array.length sh.plain_src
+    || C.equal sh.g.keys.(i) r row sh.plain_src.(i)
+       && matches_from sh row r (i + 1)
+
+  let matches sh row r = matches_from sh row r 0
+
+  (* Reject NULL (and any other non-aggregatable value) in aggregated
+     columns before mutating anything, so a poisoned row cannot leave a
+     group with its count bumped but its sums untouched. *)
+  let check_aggregands s op row =
     for i = 0 to Array.length s.sum_src - 1 do
-      Column.add_cell g.cells.(i) r tup.(s.sum_src.(i)) count
+      let src = s.sum_src.(i) in
+      if not (C.is_numeric row src) then
+        invalid_arg
+          (Printf.sprintf
+             "Aux_state.%s(%s): %s value in summed column (index %d)" op
+             s.spec.Auxview.name
+             (Value.type_name (C.value row src))
+             src)
     done;
     for i = 0 to Array.length s.ext_src - 1 do
-      let src, is_min = s.ext_src.(i) in
-      Column.combine_ext (ext_col s sh i) r tup.(src) ~is_min
+      let src = fst s.ext_src.(i) in
+      if C.is_null row src then
+        invalid_arg
+          (Printf.sprintf
+             "Aux_state.%s(%s): NULL value in MIN/MAX column (index %d)" op
+             s.spec.Auxview.name src)
     done
-  end
-  else Groups.note_created g ~hash (append_from_base s sh ~hash tup count);
-  sh.total <- sh.total + count
+
+  let append s (sh : shard) ~hash row count =
+    let g = sh.g in
+    for i = 0 to Array.length s.plain_src - 1 do
+      C.append g.keys.(i) row s.plain_src.(i)
+    done;
+    for i = 0 to Array.length s.sum_src - 1 do
+      C.append_scaled g.cells.(i) row s.sum_src.(i) count
+    done;
+    for i = 0 to Array.length s.ext_src - 1 do
+      C.append (ext_col s sh i) row (fst s.ext_src.(i))
+    done;
+    let r = Groups.add_row g ~hash count in
+    by_key_attach s sh r;
+    index_add_row sh r;
+    r
+
+  (* Folds [count] copies of [row] into its group; a new group is created
+     only if [admit row] holds. *)
+  let write s row count ~admit =
+    let hash = hash s row in
+    let sh = s.shards.(hash land s.groups.mask) in
+    let g = sh.g in
+    let r = Rowmap.probe g.map ~hash matches sh row in
+    if r >= 0 then begin
+      Groups.note_row g ~hash r;
+      Icol.add g.cnts r count;
+      for i = 0 to Array.length s.sum_src - 1 do
+        C.add g.cells.(i) r row s.sum_src.(i) count
+      done;
+      for i = 0 to Array.length s.ext_src - 1 do
+        let src, is_min = s.ext_src.(i) in
+        C.combine_ext (ext_col s sh i) r row src ~is_min
+      done;
+      sh.total <- sh.total + count
+    end
+    else if admit row then begin
+      Groups.note_created g ~hash (append s sh ~hash row count);
+      sh.total <- sh.total + count
+    end
+
+  let always _ = true
+
+  let insert ?(count = 1) s row =
+    if count < 1 then invalid_arg "Aux_state.insert_base: count must be >= 1";
+    check_aggregands s "insert_base" row;
+    write s row count ~admit:always
+
+  let key_is col row pos r = C.equal col r row pos
+
+  let rec locate_from s ~hash row pos i =
+    if i >= Array.length s.shards then -1
+    else
+      let sh = s.shards.(i) in
+      let r =
+        match sh.by_key with
+        | None -> -1
+        | Some bk ->
+          Rowmap.probe3 bk ~hash key_is sh.g.keys.(s.key_plain_pos) row pos
+      in
+      if r >= 0 then loc s sh r else locate_from s ~hash row pos (i + 1)
+
+  let locate_key s row pos =
+    check_key_kept s;
+    locate_from s ~hash:(C.hash row pos) row pos 0
+end
+
+module Tuples = Rows (Cells.Tuple)
+module Stored = Rows (Cells.Stored)
+
+let shard_of_base s tup = Tuples.hash s tup land s.groups.mask
+let insert_base = Tuples.insert
 
 let delete_base ?(count = 1) s tup =
   if count < 1 then invalid_arg "Aux_state.delete_base: count must be >= 1";
@@ -415,11 +480,11 @@ let delete_base ?(count = 1) s tup =
       (Printf.sprintf
          "Aux_state.delete_base(%s): append-only view holds MIN/MAX columns"
          s.spec.Auxview.name);
-  check_aggregands s "delete_base" tup;
-  let hash = hash_base s tup in
+  Tuples.check_aggregands s "delete_base" tup;
+  let hash = Tuples.hash s tup in
   let sh = s.shards.(hash land s.groups.mask) in
   let g = sh.g in
-  let r = Rowmap.probe g.map ~hash base_matches sh tup in
+  let r = Rowmap.probe g.map ~hash Tuples.matches sh tup in
   if r < 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.delete_base(%s): group %s absent"
@@ -444,18 +509,18 @@ let adjust s ~before ~after =
       (Printf.sprintf
          "Aux_state.adjust(%s): append-only view holds MIN/MAX columns"
          s.spec.Auxview.name);
-  check_aggregands s "adjust" before;
-  check_aggregands s "adjust" after;
-  let hash = hash_base s before in
+  Tuples.check_aggregands s "adjust" before;
+  Tuples.check_aggregands s "adjust" after;
+  let hash = Tuples.hash s before in
   let sh = s.shards.(hash land s.groups.mask) in
   let g = sh.g in
-  let r = Rowmap.probe g.map ~hash base_matches sh before in
+  let r = Rowmap.probe g.map ~hash Tuples.matches sh before in
   if r < 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.adjust(%s): group %s absent"
          s.spec.Auxview.name
          (Tuple.to_string (Tuple.project before sh.plain_src)));
-  if not (base_matches sh after r) then
+  if not (Tuples.matches sh after r) then
     invalid_arg
       (Printf.sprintf "Aux_state.adjust(%s): the update moves its group"
          s.spec.Auxview.name);
@@ -467,7 +532,7 @@ let adjust s ~before ~after =
     Column.add_cell g.cells.(i) r after.(src) 1
   done
 
-let load s feed =
+let load s cur ~keep ~admit =
   if Groups.group_count s.groups > 0 || Groups.in_txn s.shards.(0).g then
     invalid_arg
       (Printf.sprintf "Aux_state.load(%s): state not empty or in a transaction"
@@ -480,7 +545,20 @@ let load s feed =
         (fun sh ->
           sh.indexes <- List.map (fun pos -> (pos, build_index sh pos)) positions)
         s.shards)
-    (fun () -> feed (fun tup -> insert_base s tup))
+    (fun () ->
+      (* a shadow row holds no NULL and its cells have its table's types:
+         the first row kept answers for every other *)
+      let checked = ref false in
+      for r = 0 to Database.Cursor.rows cur - 1 do
+        Database.Cursor.seek cur r;
+        if keep cur then begin
+          if not !checked then begin
+            Stored.check_aggregands s "load" cur;
+            checked := true
+          end;
+          Stored.write s cur 1 ~admit
+        end
+      done)
 
 let sum_over_shards s f = Array.fold_left (fun acc sh -> acc + f sh) 0 s.shards
 let group_count s = Groups.group_count s.groups
@@ -595,25 +673,8 @@ let exts s (row : row) =
   Array.init (Array.length s.ext_src) (fun i ->
       Column.get (ext_col s row.sh_ i) row.r_)
 
-(* A base key's by-key entry lives in the shard of its group key, which
-   the key alone does not name: both lookups probe the shards' by-key maps
-   in turn (a dimension view, the usual target, has one shard). *)
-let check_key_kept s =
-  if s.key_plain_pos < 0 then
-    invalid_arg
-      (Printf.sprintf "Aux_state.locate_key(%s): key not kept"
-         s.spec.Auxview.name)
-
-let key_row s (sh : shard) ~hash k =
-  match sh.by_key with
-  | None -> -1
-  | Some bk -> Rowmap.probe bk ~hash cell_is sh.g.keys.(s.key_plain_pos) k
-
 (* --- locators ------------------------------------------------------------ *)
 
-(* A locator names a group as one int, [(row lsl bits) lor shard]: what a
-   typed reader keeps per joined table instead of a [row] handle. *)
-let loc s (sh : shard) r = (r lsl s.bits) lor sh.idx
 let loc_shard s l = s.shards.(l land s.groups.mask)
 let loc_row s l = l lsr s.bits
 let loc_of_row s (row : row) = loc s row.sh_ row.r_
@@ -630,20 +691,9 @@ let iter_locs s f =
       done)
     s.shards
 
-let rec locate_from s ~hash k i =
-  if i >= Array.length s.shards then -1
-  else
-    let sh = s.shards.(i) in
-    let r = key_row s sh ~hash k in
-    if r >= 0 then loc s sh r else locate_from s ~hash k (i + 1)
-
-let locate_key s k =
-  check_key_kept s;
-  locate_from s ~hash:(Value.hash k) k 0
+let locate_key s k = Tuples.locate_key s [| k |] 0
 
 let mem_key s k = locate_key s k >= 0
-
-let key_cell_is col src j r = Column.equal_cells col r src j
 
 let rec locate_cell_from s ~hash src j i =
   if i >= Array.length s.shards then -1

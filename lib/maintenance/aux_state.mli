@@ -133,14 +133,45 @@ val delete_base : ?count:int -> t -> Relational.Tuple.t -> unit
 val adjust :
   t -> before:Relational.Tuple.t -> after:Relational.Tuple.t -> unit
 
-(** [load s feed] is the initial load: it folds in every tuple [feed] passes
-    to its argument, as {!insert_base} would, and then builds the secondary
-    indexes in one pass over the rows, with no bucket growing on the way —
-    each is allocated once, at the capacity appends would have reached
-    (DESIGN.md "Physical representation").
+(** [load s cur ~keep ~admit] is the initial load: it scans every row of
+    the cursor's table, in row order, and folds in each that [keep] and
+    [admit] accept, as {!insert_base} would — through {!Stored}, so no row
+    becomes a tuple — and then builds the secondary indexes in one pass
+    over the groups, with no bucket growing on the way: each is allocated
+    once, at the capacity appends would have reached (DESIGN.md "Physical
+    representation"). Both read the row under [cur]. [admit] is asked
+    only of a row whose group is not there yet, so it must depend only on
+    the columns [s] keeps plainly: a row that joins an existing group has
+    those of a row it admitted. A semijoin on a kept foreign key is such
+    a condition, and is then probed once per group instead of once per
+    row.
     @raise Invalid_argument if [s] already holds a group or has an open
     transaction. *)
-val load : t -> ((Relational.Tuple.t -> unit) -> unit) -> unit
+val load :
+  t ->
+  Relational.Database.Cursor.t ->
+  keep:(Relational.Database.Cursor.t -> bool) ->
+  admit:(Relational.Database.Cursor.t -> bool) ->
+  unit
+
+(** {2 Base rows wherever they are}
+
+    The write and probe paths of a base row, over the cell sources of
+    {!Cells}: one implementation, read from a delta's tuple ({!Tuples})
+    or a shadow row under a cursor ({!Stored}). *)
+
+module type ROWS = sig
+  type row
+
+  (** {!insert_base} of the row. *)
+  val insert : ?count:int -> t -> row -> unit
+
+  (** [locate_key s row pos] is {!locate_key} of the row's cell [pos]. *)
+  val locate_key : t -> row -> int -> int
+end
+
+module Tuples : ROWS with type row = Relational.Tuple.t
+module Stored : ROWS with type row = Relational.Database.Cursor.t
 
 (** Number of groups (= stored rows). *)
 val row_count : t -> int

@@ -398,6 +398,72 @@ let combine_ext c i v ~is_min =
     let cmp = Value.compare v cur in
     if (is_min && cmp < 0) || ((not is_min) && cmp > 0) then set c i v
 
+(* --- cells of a stored base row ------------------------------------------
+
+   The operations above with cell [j] of the row under a shadow cursor as
+   the operand, read from its word where storage and column type agree,
+   and with the arithmetic of the boxed operation on [Cursor.cell cur j].
+   Anything else takes the boxed path. *)
+
+module Cursor = Relational.Database.Cursor
+module Datatype = Relational.Datatype
+
+(* The row's words, read in place. *)
+let[@inline] stored_int (cur : Cursor.t) j =
+  Int64.to_int (Bytes.get_int64_ne cur.block (cur.base + (8 * j)))
+
+let[@inline] stored_float (cur : Cursor.t) j =
+  Int64.float_of_bits (Bytes.get_int64_ne cur.block (cur.base + (8 * j)))
+
+let equal_stored c i (cur : Cursor.t) j =
+  check c i "equal_stored";
+  match c.storage, Array.unsafe_get cur.types j with
+  | S_int a, Datatype.TInt -> a.{i} = stored_int cur j
+  | S_float a, Datatype.TFloat -> Float.equal a.{i} (stored_float cur j)
+  | S_dict { codes; dict }, Datatype.TString ->
+    String.equal (Dict.decode dict (Int32.to_int codes.{i})) cur.texts.(j).(cur.row)
+  | _ -> equal_cell c i (Cursor.cell cur j)
+
+let append_stored c (cur : Cursor.t) j =
+  match c.storage, Array.unsafe_get cur.types j with
+  | S_int a, Datatype.TInt when c.len < BA1.dim a ->
+    a.{c.len} <- stored_int cur j;
+    c.len <- c.len + 1
+  | S_float a, Datatype.TFloat when c.len < BA1.dim a ->
+    a.{c.len} <- stored_float cur j;
+    c.len <- c.len + 1
+  | S_dict { codes; dict }, Datatype.TString when c.len < BA1.dim codes ->
+    codes.{c.len} <- intern_code dict cur.texts.(j).(cur.row);
+    c.len <- c.len + 1
+  | _ -> append c (Cursor.cell cur j)
+
+let append_scaled_stored c (cur : Cursor.t) j n =
+  match c.storage, Array.unsafe_get cur.types j with
+  | S_int a, Datatype.TInt when c.len < BA1.dim a ->
+    a.{c.len} <- stored_int cur j * n;
+    c.len <- c.len + 1
+  | S_float a, Datatype.TFloat when c.len < BA1.dim a ->
+    a.{c.len} <- stored_float cur j *. float_of_int n;
+    c.len <- c.len + 1
+  | _ -> append c (Value.scale (Cursor.cell cur j) n)
+
+let add_stored c i (cur : Cursor.t) j n =
+  check c i "add_stored";
+  match c.storage, Array.unsafe_get cur.types j with
+  | S_int a, Datatype.TInt -> a.{i} <- a.{i} + (stored_int cur j * n)
+  | S_float a, Datatype.TFloat ->
+    a.{i} <- a.{i} +. (stored_float cur j *. float_of_int n)
+  | S_float a, Datatype.TInt -> a.{i} <- a.{i} +. float_of_int (stored_int cur j * n)
+  | _ -> add_cell c i (Cursor.cell cur j) n
+
+let combine_ext_stored c i (cur : Cursor.t) j ~is_min =
+  check c i "combine_ext_stored";
+  match c.storage, Array.unsafe_get cur.types j with
+  | S_int a, Datatype.TInt ->
+    let x = stored_int cur j in
+    if (is_min && x < a.{i}) || ((not is_min) && x > a.{i}) then a.{i} <- x
+  | _ -> combine_ext c i (Cursor.cell cur j) ~is_min
+
 let boxed_bytes v =
   match v with
   | Value.Null -> 0

@@ -142,6 +142,31 @@ val is_numeric_cell : t -> int -> bool
     cell := min/max(cell, v) under [Value.compare]. *)
 val combine_ext : t -> int -> Relational.Value.t -> is_min:bool -> unit
 
+(** {2 Stored cell to cell}
+
+    The operations above with cell [j] of the row under a shadow cursor as
+    the operand: where storage and column type agree the cell is read from
+    its word, boxing nothing, and each result is exactly that of the boxed
+    operation on [Cursor.cell cur j]. *)
+
+(** [equal_stored c i cur j] is [equal_cell c i (Cursor.cell cur j)]. *)
+val equal_stored : t -> int -> Relational.Database.Cursor.t -> int -> bool
+
+(** [append_stored c cur j] is [append c (Cursor.cell cur j)], and
+    [append_scaled_stored c cur j n] appends it scaled by [n]
+    ([Value.scale]). *)
+val append_stored : t -> Relational.Database.Cursor.t -> int -> unit
+
+val append_scaled_stored : t -> Relational.Database.Cursor.t -> int -> int -> unit
+
+(** [add_stored c i cur j n] is [add_cell c i (Cursor.cell cur j) n]. *)
+val add_stored : t -> int -> Relational.Database.Cursor.t -> int -> int -> unit
+
+(** [combine_ext_stored c i cur j ~is_min] is [combine_ext c i
+    (Cursor.cell cur j) ~is_min]. *)
+val combine_ext_stored :
+  t -> int -> Relational.Database.Cursor.t -> int -> is_min:bool -> unit
+
 (** Bytes held by this column's cells: Bigarray payloads (which
     [Obj.reachable_words] cannot see — they live off-heap) plus an estimate
     of boxed storage. Excludes the dictionary (shared; account it once via

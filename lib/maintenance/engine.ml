@@ -294,13 +294,40 @@ let slot_aux t s =
 (* --- resolved local conditions and semijoin membership ------------------ *)
 
 (* Every check below is a loop over what [init] resolved for a slot: no
-   name lookup, no closure. *)
-let rec tup_holds conds (tup : Tuple.t) i =
-  i >= Array.length conds
-  ||
-  let c = conds.(i) in
-  Cmp.eval c.op tup.(c.pos) (match c.rhs with K v -> v | At p -> tup.(p))
-  && tup_holds conds tup (i + 1)
+   name lookup, no closure. A base row is read through {!Cells}: a delta's
+   tuple, or the shadow row under the cursor of an [init] scan. *)
+module Checks (C : Cells.S) (R : Aux_state.ROWS with type row = C.row) =
+struct
+  let rec holds conds row i =
+    i >= Array.length conds
+    ||
+    let c = conds.(i) in
+    Cmp.holds c.op
+      (match c.rhs with
+      | K v -> C.compare row c.pos v
+      | At p -> C.compare_cells row c.pos p)
+    && holds conds row (i + 1)
+
+  (* A semijoin probes its target's key map with the foreign-key cell. *)
+  let rec semis_hold t semis row i =
+    i >= Array.length semis
+    ||
+    let sj = semis.(i) in
+    R.locate_key (slot_aux t sj.sj_slot) row sj.sj_fk >= 0
+    && semis_hold t semis row (i + 1)
+
+  (* Membership in slot [s]'s auxiliary view is governed by the spec's own
+     pushed-down conditions and semijoins; the view's full conditions only
+     gate the view feed (they coincide except in the no-pushdown
+     ablation). *)
+  let in_aux t s row =
+    match t.aux.(s) with
+    | None -> false
+    | Some _ -> holds t.aux_conds.(s) row 0 && semis_hold t t.semis.(s) row 0
+end
+
+module On_tuples = Checks (Cells.Tuple) (Aux_state.Tuples)
+module On_stored = Checks (Cells.Stored) (Aux_state.Stored)
 
 let plain_value st l pos =
   Column.get (Aux_state.plain_column st l pos) (Aux_state.loc_row st l)
@@ -319,23 +346,10 @@ let rec differs pos (before : Tuple.t) (after : Tuple.t) i =
   && ((not (Value.equal before.(pos.(i)) after.(pos.(i))))
      || differs pos before after (i + 1))
 
-let rec semis_hold t semis (tup : Tuple.t) i =
-  i >= Array.length semis
-  ||
-  let sj = semis.(i) in
-  Aux_state.mem_key (slot_aux t sj.sj_slot) tup.(sj.sj_fk)
-  && semis_hold t semis tup (i + 1)
-
 (* The view's local conditions on a base tuple of slot [s]. *)
-let passes_locals t s tup = tup_holds t.locals.(s) tup 0
+let passes_locals t s tup = On_tuples.holds t.locals.(s) tup 0
 
-(* Membership in slot [s]'s auxiliary view is governed by the spec's own
-   pushed-down conditions and semijoins; the view's full conditions only
-   gate the view feed (they coincide except in the no-pushdown ablation). *)
-let in_aux t s tup =
-  match t.aux.(s) with
-  | None -> false
-  | Some _ -> tup_holds t.aux_conds.(s) tup 0 && semis_hold t t.semis.(s) tup 0
+let in_aux = On_tuples.in_aux
 
 (* View local conditions on slot [s] not already enforced by its auxiliary
    view, evaluated against its group [l]. *)
@@ -872,6 +886,66 @@ let find_driving ~joins ~group_plan ~root_indexed ~key_ref =
       Option.bind (List.assoc_opt j.fk.base root_indexed) (candidate j))
     joins.(0)
 
+(* The groups an eliminated root's rows are compressed into before they
+   seed the view state: every root column the view reads off a root row
+   is kept plainly — its group-by columns, the arguments of its non-CSMAS
+   aggregates and its join foreign keys — and the arguments of its CSMAS
+   SUM/AVG items are summed. The view's local conditions on the root
+   select the rows. Rows equal on the kept columns join and feed the view
+   alike, so each group is fed once, weighted by its count. *)
+let seed_spec (view : View.t) root =
+  let on_root (a : Attr.t) =
+    if String.equal a.Attr.table root then [ a.Attr.column ] else []
+  in
+  let aggs =
+    List.filter_map
+      (function Select_item.Agg agg -> Some agg | Select_item.Group _ -> None)
+      view.View.select
+  in
+  let args keep =
+    List.concat_map
+      (fun agg ->
+        match Aggregate.attr agg with
+        | Some a when keep agg -> on_root a
+        | Some _ | None -> [])
+      aggs
+  in
+  let read_as_value (agg : Aggregate.t) =
+    match agg.Aggregate.func with
+    | Aggregate.Count_star -> false
+    | Aggregate.Count -> agg.Aggregate.distinct
+    | Aggregate.Sum | Aggregate.Avg | Aggregate.Min | Aggregate.Max ->
+      not (is_csmas_sum agg)
+  in
+  let plains =
+    List.sort_uniq String.compare
+      (List.concat_map on_root (View.group_attrs view)
+      @ args read_as_value
+      @ List.map
+          (fun (j : View.join) -> j.View.src.Attr.column)
+          (View.joins_from view root))
+  in
+  {
+    Auxview.base = root;
+    name = Auxview.default_name root;
+    locals = View.locals_of view ~table:root;
+    columns =
+      List.map (fun c -> (c, Auxview.Plain c)) plains
+      @ List.map
+          (fun c -> ("SUM(" ^ c ^ ")", Auxview.Sum_of c))
+          (List.sort_uniq String.compare (args is_csmas_sum))
+      @ [ ("COUNT(*)", Auxview.Count_star) ];
+    semijoins = [];
+    compressed = true;
+  }
+
+(* Feeds every group of [st] that [joined] joins into [f] once, weighted
+   by its count: Section 3.2's f(a ⊗ cnt0), read as [dim_update_diff]
+   reads it. *)
+let seed t f st ~joined =
+  Aux_state.iter_locs st (fun l ->
+      if joined l then View_state.feed t.vstate f ~cnt:(Aux_state.loc_cnt st l))
+
 let init ?(fk_index = true) db (d : Derive.t) =
   let view = d.Derive.view in
   let root = Derive.root d in
@@ -880,6 +954,13 @@ let init ?(fk_index = true) db (d : Derive.t) =
     (fun tbl -> Hashtbl.add schemas tbl (Database.schema_of db tbl))
     view.View.tables;
   let determined = Option.is_none (Derive.spec_for d root) in
+  let root_seed = if determined then Some (seed_spec view root) else None in
+  (* where a group-bound slot's cells are: its auxiliary view, or for an
+     eliminated root the seed's groups *)
+  let layout tbl =
+    if determined && String.equal tbl root then root_seed
+    else Derive.spec_for d tbl
+  in
   let tables =
     Array.of_list
       (root :: List.filter (fun tbl -> not (String.equal tbl root)) view.View.tables)
@@ -891,7 +972,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
       slot = Hashtbl.find slots table;
       base = Schema.index_of (Hashtbl.find schemas table) column;
       plain =
-        (match Derive.spec_for d table with
+        (match layout table with
         | Some spec -> Option.value (Auxview.plain_position spec column) ~default:(-1)
         | None -> -1);
     }
@@ -921,7 +1002,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
                | Aggregate.Count_star, _, _ | Aggregate.Count, false, _ -> Feed.Weight
                | _, _, Some (a : Attr.t) -> (
                  let pos f =
-                   match Derive.spec_for d a.Attr.table with
+                   match layout a.Attr.table with
                    | Some spec -> Option.value (f spec a.Attr.column) ~default:(-1)
                    | None -> -1
                  in
@@ -1225,10 +1306,21 @@ let init ?(fk_index = true) db (d : Derive.t) =
         in
         let s = Hashtbl.find slots tbl in
         t.aux.(s) <- Some st;
-        Aux_state.load st (fun add ->
-            Database.fold db tbl
-              (fun tup () -> if in_aux t s tup then add tup)
-              ()))
+        (* a semijoin on a foreign key the view keeps plainly holds of a
+           group's every row or none: it decides new groups only *)
+        let on_group =
+          List.for_all
+            (fun (sj : Auxview.semijoin) ->
+              Auxview.plain_position spec sj.Auxview.fk <> None)
+            spec.Auxview.semijoins
+        in
+        let locals row = On_stored.holds t.aux_conds.(s) row 0
+        and semis row = On_stored.semis_hold t t.semis.(s) row 0 in
+        let keep, admit =
+          if on_group then (locals, semis)
+          else ((fun row -> locals row && semis row), fun _ -> true)
+        in
+        Aux_state.load st (Database.Cursor.create db tbl) ~keep ~admit)
     (post_order d.Derive.graph);
   t.obs_aux <-
     Array.to_list tables
@@ -1254,20 +1346,24 @@ let init ?(fk_index = true) db (d : Derive.t) =
                    "minview_aux_compression_ratio" ))
              (aux_of t tbl));
   (* Seed the view state. A retained root auxiliary view already holds
-     every root row the view can see, compressed: each stored group is fed
-     once, weighted by its count — Section 3.2's f(a ⊗ cnt0), read as
-     [dim_update_diff] reads it. Only an eliminated root auxiliary view
-     leaves the root base rows to fold one by one. *)
-  (match t.aux.(0) with
-  | Some root_st ->
-    Aux_state.iter_locs root_st (fun l ->
-        if extend_root t t.feed l then
-          View_state.feed t.vstate t.feed ~cnt:(Aux_state.loc_cnt root_st l))
-  | None ->
-    Database.fold db root
-      (fun tup () ->
-        if passes_locals t 0 tup then root_view_feed t tup ~sign:1)
-      ());
+     every root row the view can see, compressed: each stored group is
+     seeded once. An eliminated one leaves the root rows to seed from: they
+     are compressed the same way first, into a state of [seed_spec] that
+     lives only for the seeding, whose groups a feed of their own reads. *)
+  (match root_seed with
+  | None -> seed t t.feed (slot_aux t 0) ~joined:(extend_root t t.feed)
+  | Some spec ->
+    let st = Aux_state.create spec (schema t root) in
+    Aux_state.load st
+      (Database.Cursor.create db root)
+      ~keep:(fun row -> On_stored.holds t.locals.(0) row 0)
+      ~admit:(fun _ -> true);
+    let auxs = Array.copy t.aux in
+    auxs.(0) <- Some st;
+    let f = Feed.create ~auxs ~key:t.group_plan ~args:(Feed.args t.feed) in
+    seed t f st ~joined:(fun l ->
+        Feed.bind_loc f 0 l;
+        join_all t f ~skip:(-1) t.joins.(0)));
   flush t;
   t.wk_live <- true;
   t

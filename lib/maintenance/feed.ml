@@ -43,7 +43,7 @@ let aux f s =
 
 let locate f c st =
   let l = f.locs.(c.slot) in
-  if l < 0 then Aux_state.locate_key st f.tups.(c.slot).(c.base)
+  if l < 0 then Aux_state.Tuples.locate_key st f.tups.(c.slot) c.base
   else
     let src = aux f c.slot in
     Aux_state.locate_key_cell st

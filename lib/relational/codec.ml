@@ -282,12 +282,10 @@ let cell r = function
   | Datatype.TString -> Value.String (string r)
   | Datatype.TBool -> Value.Bool (bool r)
 
-let row r types =
-  let tup = Array.make (Array.length types) Value.Null in
-  for i = 0 to Array.length types - 1 do
-    Array.unsafe_set tup i (cell r (Array.unsafe_get types i))
-  done;
-  tup
+let typed_cell r types i = cell r (Array.unsafe_get types i)
+
+(* The cells are read in column order, as they were written. *)
+let row r types = Tuple.init_with (Array.length types) typed_cell r types
 
 let value r =
   match byte r with

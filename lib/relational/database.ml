@@ -74,17 +74,20 @@ let cell_equal t r c v =
   | Datatype.TString, Value.String x -> String.equal t.texts.(c).(r) x
   | _ -> false
 
-(* [Value.hash] of cell [c] of row [r], without building the cell. *)
-let cell_hash t r c =
-  let w = get64u (block t r) (word t r c) in
-  match Array.unsafe_get t.types c with
+(* [Value.hash] of cell [c] of row [r], whose block is [b] and whose
+   first word is at [o] of it, without building the cell. *)
+let hash_at types texts b o r c =
+  let w = get64u b (o + (8 * c)) in
+  match Array.unsafe_get types c with
   | Datatype.TInt -> Value.hash_int (Int64.to_int w)
   | Datatype.TFloat ->
     Value.hash_float_words
       ~hi:(Int64.to_int (Int64.shift_right_logical w 32))
       ~lo:(Int64.to_int w land 0xFFFF_FFFF)
   | Datatype.TBool -> Value.hash_bool (not (Int64.equal w 0L))
-  | Datatype.TString -> Value.hash_string t.texts.(c).(r)
+  | Datatype.TString -> Value.hash_string texts.(c).(r)
+
+let cell_hash t r c = hash_at t.types t.texts (block t r) (word t r 0) r c
 
 (* [v] inhabits the column's type: the row conforms. *)
 let set_cell t r c v =
@@ -108,30 +111,22 @@ let rec row_equal t r tup c =
   c >= Array.length tup
   || (cell_equal t r c (Array.unsafe_get tup c) && row_equal t r tup (c + 1))
 
-(* Cell [c] of row [r], whose block is [b] and whose first word is at
-   [o] of it. *)
-let cell t b o r c =
+(* Cell [c] of row [r], as [hash_at] finds it. *)
+let cell_at types texts b o r c =
   let w = get64u b (o + (8 * c)) in
-  match Array.unsafe_get t.types c with
+  match Array.unsafe_get types c with
   | Datatype.TInt -> Value.int (Int64.to_int w)
   | Datatype.TFloat -> Value.Float (Int64.float_of_bits w)
   | Datatype.TBool -> Value.Bool (not (Int64.equal w 0L))
-  | Datatype.TString -> Value.String t.texts.(c).(r)
+  | Datatype.TString -> Value.String texts.(c).(r)
 
-(* A row as a fresh tuple. The usual arities are array literals, which
-   allocate inline; [Array.make] and [Array.init] call into the runtime,
-   and that call was half of what a fold of the fact table cost. *)
-let tuple_of t r =
-  let b = block t r and o = word t r 0 in
-  let v c = cell t b o r c in
-  match Array.length t.types with
-  | 1 -> [| v 0 |]
-  | 2 -> [| v 0; v 1 |]
-  | 3 -> [| v 0; v 1; v 2 |]
-  | 4 -> [| v 0; v 1; v 2; v 3 |]
-  | 5 -> [| v 0; v 1; v 2; v 3; v 4 |]
-  | 6 -> [| v 0; v 1; v 2; v 3; v 4; v 5 |]
-  | n -> Array.init n v
+(* Cell [c] of row [r]. *)
+let row_cell t r c = cell_at t.types t.texts (block t r) (word t r 0) r c
+
+(* A row as a fresh tuple, built without a call into the runtime
+   ([Tuple.init_with]): that call was half of what a fold of the fact
+   table cost. *)
+let tuple_of t r = Tuple.init_with (Array.length t.types) row_cell t r
 
 let count t r = get_int (block t r) (count_word t r)
 let set_count t r n = set_int (block t r) (count_word t r) n
@@ -481,6 +476,76 @@ let fold db name f acc =
     acc := f (tuple_of t r) !acc
   done;
   !acc
+
+(* --- cursors ------------------------------------------------------------ *)
+
+module Cursor = struct
+  (* [block] is row [row]'s block and [base] the offset of its first word
+     there, both set by [seek]. *)
+  type nonrec t = {
+    types : Datatype.t array;
+    texts : string array array;
+    blocks : Bytes.t array;
+    width : int;
+    rows : int;
+    mutable row : int;
+    mutable block : Bytes.t;
+    mutable base : int;
+  }
+
+  let create db name =
+    let t = table db name in
+    { types = t.types; texts = t.texts; blocks = t.blocks; width = t.width;
+      rows = t.rows; row = -1; block = Bytes.empty; base = 0 }
+
+  let rows c = c.rows
+
+  let seek c r =
+    if r < 0 || r >= c.rows then
+      invalid_arg (Printf.sprintf "Database.Cursor.seek: row %d of %d" r c.rows);
+    c.row <- r;
+    c.block <- Array.unsafe_get c.blocks (r lsr block_bits);
+    c.base <- (r land (block_rows - 1)) * c.width
+
+  let text c j = c.texts.(j).(c.row)
+  let cell c j = cell_at c.types c.texts c.block c.base c.row j
+  let hash c j = hash_at c.types c.texts c.block c.base c.row j
+
+  (* The rank of a type in [Value.compare]'s order of values of different
+     types. *)
+  let tag = function
+    | Datatype.TInt -> 1
+    | Datatype.TFloat -> 2
+    | Datatype.TString -> 3
+    | Datatype.TBool -> 4
+
+  let value_tag = function
+    | Value.Null -> 0
+    | Value.Int _ -> 1
+    | Value.Float _ -> 2
+    | Value.String _ -> 3
+    | Value.Bool _ -> 4
+
+  let compare c j v =
+    let w = get64u c.block (c.base + (8 * j)) in
+    match Array.unsafe_get c.types j, v with
+    | Datatype.TInt, Value.Int x -> Int.compare (Int64.to_int w) x
+    | Datatype.TFloat, Value.Float x -> Float.compare (Int64.float_of_bits w) x
+    | Datatype.TString, Value.String x -> String.compare (text c j) x
+    | Datatype.TBool, Value.Bool x -> Bool.compare (not (Int64.equal w 0L)) x
+    | ty, _ -> Int.compare (tag ty) (value_tag v)
+
+  let compare_cells c i j =
+    let wi = get64u c.block (c.base + (8 * i))
+    and wj = get64u c.block (c.base + (8 * j)) in
+    match Array.unsafe_get c.types i, Array.unsafe_get c.types j with
+    | Datatype.TInt, Datatype.TInt | Datatype.TBool, Datatype.TBool ->
+      Int.compare (Int64.to_int wi) (Int64.to_int wj)
+    | Datatype.TFloat, Datatype.TFloat ->
+      Float.compare (Int64.float_of_bits wi) (Int64.float_of_bits wj)
+    | Datatype.TString, Datatype.TString -> String.compare (text c i) (text c j)
+    | ti, tj -> Int.compare (tag ti) (tag tj)
+end
 
 let rows_by_key db name =
   let key = (table db name).key in

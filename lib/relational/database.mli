@@ -62,6 +62,57 @@ val find_by_key : t -> string -> Value.t -> Tuple.t option
     built tuple, in an unspecified order. *)
 val fold : t -> string -> (Tuple.t -> 'a -> 'a) -> 'a -> 'a
 
+(** {2 Cursors}
+
+    A cursor reads the rows of one table where they are stored: typed cell
+    reads, and no tuple. A build scans a table as [for r = 0 to rows c - 1
+    do seek c r; ... done]. A write to the table invalidates its cursors. *)
+
+module Cursor : sig
+  type db := t
+
+  (** The row under the cursor, read in place: cell [j] is the
+      native-endian 8-byte word at [base + 8 * j] of [block], typed
+      [types.(j)] — an INT or BOOL word the value (BOOL as 0 or 1), a
+      FLOAT word its IEEE bits — except a TEXT cell, which is
+      [texts.(j).(row)]. A hot loop reads the fields with
+      [Bytes.get_int64_ne] and [Int64.float_of_bits], which box nothing;
+      the functions below read them for everyone else. *)
+  type t = private {
+    types : Datatype.t array;
+    texts : string array array;
+    blocks : Bytes.t array;
+    width : int;  (** bytes per row *)
+    rows : int;
+    mutable row : int;
+    mutable block : Bytes.t;
+    mutable base : int;
+  }
+
+  (** [create db table] is a cursor over the rows [table] holds now, on
+      no row yet.
+      @raise Violation if the table is unknown. *)
+  val create : db -> string -> t
+
+  val rows : t -> int
+
+  (** [seek c r] moves [c] to row [r], [0 <= r < rows c].
+      @raise Invalid_argument otherwise. *)
+  val seek : t -> int -> unit
+
+  (** The cell as a value (boxed). *)
+  val cell : t -> int -> Value.t
+
+  (** [Value.hash] of the cell. *)
+  val hash : t -> int -> int
+
+  (** [compare c j v] is [Value.compare (cell c j) v]; [compare_cells c i
+      j] compares two cells of the row so. *)
+  val compare : t -> int -> Value.t -> int
+
+  val compare_cells : t -> int -> int -> int
+end
+
 (** [rows_by_key db table] is every row of [table], ascending by key: an
     order that no change to the store's layout moves, for callers whose
     output must not depend on it (seeded generators, DML row order). *)

@@ -116,23 +116,28 @@ let add t ~hash row =
   t.probes <- t.probes + 1;
   insert t ~hash row
 
-let replace t ~hash ~eq row =
+(* Like [probe3]: a closed [eq] and its context, so nothing is allocated. *)
+let rec replace3_from t slots mask eq a b c row i =
+  let s = slot_get slots i in
+  if s = empty then -1
+  else if s >= 0 && eq a b c s then begin
+    slot_set slots i row;
+    s
+  end
+  else replace3_from t slots mask eq a b c row ((i + 1) land mask)
+
+let replace3 t ~hash eq a b c row =
   t.probes <- t.probes + 1;
-  let mask = t.mask and slots = t.slots in
-  let rec probe i =
-    let s = slot_get slots i in
-    if s = empty then None
-    else if s >= 0 && eq s then begin
-      slot_set slots i row;
-      Some s
-    end
-    else probe ((i + 1) land mask)
-  in
-  match probe (home hash mask) with
-  | Some _ as prev -> prev
-  | None ->
+  match replace3_from t t.slots t.mask eq a b c row (home hash t.mask) with
+  | -1 ->
     insert t ~hash row;
-    None
+    -1
+  | prev -> prev
+
+let replace t ~hash ~eq row =
+  match replace3 t ~hash (fun eq () () s -> eq s) eq () () row with
+  | -1 -> None
+  | prev -> Some prev
 
 (* The slot from [i] on that holds [row], or [-1]. *)
 let rec slot_of slots mask row i =

@@ -25,7 +25,7 @@ val copy : t -> hash:(int -> int) -> t
 val length : t -> int
 
 (** The probe chains walked since [create] or [copy]: one per {!find},
-    {!probe}, {!probe3}, {!add}, {!replace}, {!remove_value} and
+    {!probe}, {!probe3}, {!add}, {!replace}, {!replace3}, {!remove_value} and
     {!rename_value}, however many slots it visits. A count that does not
     grow with the map is what shows a path is O(delta). *)
 val probes : t -> int
@@ -51,6 +51,12 @@ val add : t -> hash:int -> int -> unit
 (** [replace t ~hash ~eq row] upserts, returning the replaced entry's row
     (steal semantics for by-key maps). *)
 val replace : t -> hash:int -> eq:(int -> bool) -> int -> int option
+
+(** [replace3 t ~hash eq a b c row] is {!replace} with the closed test [eq
+    a b c] of {!probe3}, allocating nothing; the replaced entry's row, or
+    [-1] when [row] was inserted. *)
+val replace3 :
+  t -> hash:int -> ('a -> 'b -> 'c -> int -> bool) -> 'a -> 'b -> 'c -> int -> int
 
 (** [remove_value t ~hash row] removes the entry holding exactly [row]
     (searched along [hash]'s probe chain); [false] if absent. *)

@@ -19,6 +19,51 @@ let compare a b =
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 let project tup idxs = Array.map (fun i -> tup.(i)) idxs
+
+(* The usual arities are array literals, which allocate inline;
+   [Array.init] calls into the runtime ([caml_make_vect]) for every row.
+   The cells are bound in index order first: a literal's elements are
+   evaluated in an unspecified order (right to left under ocamlopt), and
+   [f] may read a stream. *)
+let init_with n f a b =
+  match n with
+  | 1 -> [| f a b 0 |]
+  | 2 ->
+    let v0 = f a b 0 in
+    let v1 = f a b 1 in
+    [| v0; v1 |]
+  | 3 ->
+    let v0 = f a b 0 in
+    let v1 = f a b 1 in
+    let v2 = f a b 2 in
+    [| v0; v1; v2 |]
+  | 4 ->
+    let v0 = f a b 0 in
+    let v1 = f a b 1 in
+    let v2 = f a b 2 in
+    let v3 = f a b 3 in
+    [| v0; v1; v2; v3 |]
+  | 5 ->
+    let v0 = f a b 0 in
+    let v1 = f a b 1 in
+    let v2 = f a b 2 in
+    let v3 = f a b 3 in
+    let v4 = f a b 4 in
+    [| v0; v1; v2; v3; v4 |]
+  | 6 ->
+    let v0 = f a b 0 in
+    let v1 = f a b 1 in
+    let v2 = f a b 2 in
+    let v3 = f a b 3 in
+    let v4 = f a b 4 in
+    let v5 = f a b 5 in
+    [| v0; v1; v2; v3; v4; v5 |]
+  | n ->
+    let tup = Array.make n Value.Null in
+    for i = 0 to n - 1 do
+      Array.unsafe_set tup i (f a b i)
+    done;
+    tup
 let concat = Array.append
 
 let pp ppf t =

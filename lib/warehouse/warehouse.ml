@@ -464,8 +464,9 @@ let health ?(require_wal = false) ?max_commit_age_s ?max_epoch_lag t =
    committed shadow, the warehouse's belief of the current source. Engines
    only read it (a [Replicate] engine copies it), so it is read in place:
    an incremental engine loads its auxiliary views from it, then seeds the
-   view from the root auxiliary view when that is retained, reading the
-   root base rows again only when it is eliminated ([Engine.init]).
+   view from the root auxiliary view when that is retained, or from the
+   root base rows compressed the same way when it is eliminated
+   ([Engine.init]).
    Registration builds its one engine inline; [load]/[recover] and the wedge
    rebuild build them all through [build_engines]. *)
 let build_engine validator strategy view =

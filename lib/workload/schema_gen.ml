@@ -20,12 +20,16 @@ let col name ty = { Schema.col_name = name; col_type = ty }
 
 let string_pool = [| "x"; "y"; "z"; "w" |]
 
+(* Signed zeros and a NaN beside values whose sums stay exact in any
+   order. *)
+let float_pool = [| 0.; -0.; nan; 0.25; -1.5; 2.75 |]
+
 let random_value rng = function
   | Datatype.TInt -> Value.Int (Prng.int rng 6)
   | Datatype.TString ->
     Value.String string_pool.(Prng.int rng (Array.length string_pool))
   | Datatype.TBool -> Value.Bool (Prng.int rng 2 = 0)
-  | Datatype.TFloat -> Value.Float (float_of_int (Prng.int rng 6))
+  | Datatype.TFloat -> Value.Float float_pool.(Prng.int rng (Array.length float_pool))
 
 (* attribute columns for one table: 1-3 of mixed types (no floats: exact
    incremental arithmetic keeps comparisons strict) *)
@@ -54,7 +58,7 @@ let load_table rng db name ~rows =
     Database.insert db name tup
   done
 
-let random rng =
+let random ?(floats = false) rng =
   let db = Database.create () in
   let ndims = Prng.int rng 4 in
   let dims = List.init ndims (fun i -> Printf.sprintf "dim%d" i) in
@@ -112,6 +116,7 @@ let random rng =
   let measures =
     col "m0" Datatype.TInt
     :: (if Prng.chance rng 0.5 then [ col "m1" Datatype.TInt ] else [])
+    @ if floats then [ col "mf" Datatype.TFloat ] else []
   in
   let fact_cols =
     (col "id" Datatype.TInt :: List.map (fun f -> col f Datatype.TInt) fks)
@@ -168,7 +173,7 @@ let attrs_of inst table =
 
 let sublist rng xs = List.filter (fun _ -> Prng.chance rng 0.4) xs
 
-let random_view rng inst =
+let random_view ?(extended = false) rng inst =
   (* pick the dims to join; include sub0 only below dim0 *)
   let dims = sublist rng inst.dims in
   let with_sub =
@@ -204,6 +209,12 @@ let random_view rng inst =
   let int_attrs =
     List.filter (fun (_, ty) -> ty = Datatype.TInt) candidates
   in
+  (* the measures [extended] also aggregates: FLOAT ones, and MIN *)
+  let numeric_attrs =
+    if extended then
+      List.filter (fun (_, ty) -> Datatype.is_numeric ty) candidates
+    else int_attrs
+  in
   let fresh =
     let n = ref 0 in
     fun prefix ->
@@ -223,8 +234,14 @@ let random_view rng inst =
                   (Aggregate.make ~alias:(fresh "mx") Aggregate.Max (Some at)))
           @ pick 0.2 (fun () ->
                 Select_item.Agg
-                  (Aggregate.make ~alias:(fresh "av") Aggregate.Avg (Some at))))
-        int_attrs
+                  (Aggregate.make ~alias:(fresh "av") Aggregate.Avg (Some at)))
+          @
+          if extended then
+            pick 0.25 (fun () ->
+                Select_item.Agg
+                  (Aggregate.make ~alias:(fresh "mn") Aggregate.Min (Some at)))
+          else [])
+        numeric_attrs
     @
     (* a DISTINCT over some candidate attribute *)
     match candidates with
@@ -269,8 +286,12 @@ let random_view rng inst =
       groups
     @ aggs
   in
-  let view =
-    { View.name = "gen_view"; select; tables; locals; joins; having = [] }
+  let having =
+    if extended && Prng.chance rng 0.3 then
+      [ { View.h_column = "cnt"; h_op = Cmp.Ge;
+          h_const = Value.Int (1 + Prng.int rng 3) } ]
+    else []
   in
+  let view = { View.name = "gen_view"; select; tables; locals; joins; having } in
   View.validate inst.db view;
   view

@@ -15,8 +15,14 @@ type t = {
   all_tables : string list;
 }
 
-(** Generate and load a random schema instance. *)
-val random : Prng.t -> t
+(** Generate and load a random schema instance. [floats] (default
+    [false]) gives the fact table a FLOAT measure, [mf], whose values
+    include both signed zeros and a NaN; every sum of them is exact in any
+    order. *)
+val random : ?floats:bool -> Prng.t -> t
 
-(** A random valid GPSJ view over the instance (always validated). *)
-val random_view : Prng.t -> t -> Algebra.View.t
+(** A random valid GPSJ view over the instance (always validated).
+    [extended] (default [false]) also draws MIN items, aggregates over
+    FLOAT measures and a HAVING condition on [cnt]. Without it, the view
+    drawn for an instance without floats is what earlier versions drew. *)
+val random_view : ?extended:bool -> Prng.t -> t -> Algebra.View.t

@@ -841,6 +841,23 @@ let check_index st ~column values =
         (indexed = List.sort compare !scanned))
     values
 
+(* [AS.load] of [tups], in order, from a shadow table: [schema]'s columns
+   and then a row number as the key, so that a multiset of rows can be
+   stored. *)
+let load_rows st (schema : Schema.t) tups =
+  let db = Database.create () in
+  let n = { Schema.col_name = "row_number"; col_type = Datatype.TInt } in
+  Database.add_table db
+    (Schema.make ~name:schema.name ~key:n.col_name
+       (Array.to_list schema.columns @ [ n ]))
+    ~updatable:[];
+  List.iteri
+    (fun k tup -> Database.insert db schema.name (Array.append tup [| i k |]))
+    tups;
+  AS.load st
+    (Database.Cursor.create db schema.name)
+    ~keep:(fun _ -> true) ~admit:(fun _ -> true)
+
 (* The root auxiliary view of a MIN/MAX view, indexed on its group
    columns as the engine does, loaded and then under random inserts,
    swap-with-last deletes and rollbacks: after every step each bucket
@@ -860,18 +877,16 @@ let check_buckets_fresh () =
   let present = ref [] in
   (* start from a loaded state, so that churn also runs on buckets and
      offsets built in one pass *)
-  AS.load st (fun add ->
-      for _ = 1 to 40 do
-        let tup = sale_tup rng in
-        present := tup :: !present;
-        add tup
-      done);
+  for _ = 1 to 40 do
+    present := sale_tup rng :: !present
+  done;
+  load_rows st schema (List.rev !present);
   (* every value sale_tup can draw in these columns, and one it cannot *)
   let domain = List.init 21 (fun k -> i k) in
   let check what =
     let fresh = mk ~indexed_columns:columns () and plain = mk () in
-    AS.load fresh (fun add -> List.iter add !present);
-    AS.load plain (fun add -> List.iter add !present);
+    load_rows fresh schema !present;
+    load_rows plain schema !present;
     Alcotest.(check bool) (what ^ ": buckets == fresh build") true
       (AS.equal st fresh);
     List.iter
