@@ -1258,8 +1258,7 @@ let overhead () =
    the marginal cost of the engine's workload feeds, measured with the
    same interleaved on/off discipline as the overhead gate. Hard gates
    (exit 1): every guaranteed heavy hitter (true count > n/k) is tracked,
-   count-min never under-estimates, the Space-Saving per-entry bounds
-   hold, the zipf stream shows more hot-key skew than the uniform one, and
+   the Space-Saving per-entry bounds hold, the zipf stream shows more hot-key skew than the uniform one, and
    the pipeline feed cost stays within the budget. CI runs this and feeds
    BENCH_workload.json into the history/regression gate.
 
@@ -1312,14 +1311,12 @@ let workload_bench () =
               (1 + Option.value ~default:0 (Hashtbl.find_opt truth key)))
           keys;
         let ss = Sketch.Space_saving.create ~k in
-        let cms = Sketch.Count_min.create () in
         Gc.minor ();
         let t0 = Sys.time () in
         Array.iter
           (fun key ->
             Sketch.Space_saving.touch ss ~hash:key ~label:(fun () ->
-                string_of_int key);
-            Sketch.Count_min.add cms ~hash:key)
+                string_of_int key))
           keys;
         let ns_per_op = (Sys.time () -. t0) *. 1e9 /. float_of_int n in
         let entries = Sketch.Space_saving.top ~n:max_int ss in
@@ -1357,13 +1354,6 @@ let workload_bench () =
             (0, 0.) entries
         in
         let max_err_ratio = max_err /. float_of_int n in
-        let underestimates =
-          Hashtbl.fold
-            (fun key c acc ->
-              if Sketch.Count_min.estimate cms ~hash:key < c then acc + 1
-              else acc)
-            truth 0
-        in
         let hot_share =
           let top8 = Sketch.Space_saving.top ~n:8 ss in
           let s =
@@ -1378,7 +1368,6 @@ let workload_bench () =
           recall,
           !guaranteed,
           max_err_ratio,
-          underestimates,
           bound_violations,
           hot_share,
           ns_per_op ))
@@ -1387,14 +1376,13 @@ let workload_bench () =
   print_string
     (table
        ~header:
-         [ "stream"; "distinct"; "recall"; "hitters"; "max err"; "under";
-           "hot share"; "ns/op" ]
+         [ "stream"; "distinct"; "recall"; "hitters"; "max err"; "hot share";
+           "ns/op" ]
        (List.map
-          (fun (stream, distinct, recall, hitters, err, under, _, share, ns) ->
+          (fun (stream, distinct, recall, hitters, err, _, share, ns) ->
             [ stream; string_of_int distinct; Printf.sprintf "%.3f" recall;
               string_of_int hitters; Printf.sprintf "%.5f" err;
-              string_of_int under; Printf.sprintf "%.2f" share;
-              Printf.sprintf "%.0f" ns ])
+              Printf.sprintf "%.2f" share; Printf.sprintf "%.0f" ns ])
           results));
   (* the engine pipeline with the workload feeds: interleaved on/off
      best-of, the overhead gate's discipline on one serial point *)
@@ -1429,45 +1417,39 @@ let workload_bench () =
   let overhead_pct = 100. *. (!best_on -. !best_off) /. !best_off in
   let skew_of name =
     List.fold_left
-      (fun acc (s, _, _, _, _, _, _, share, _) ->
+      (fun acc (s, _, _, _, _, _, share, _) ->
         if String.equal s name then share else acc)
       0. results
   in
   let recall_min =
     List.fold_left
-      (fun acc (_, _, r, _, _, _, _, _, _) -> Float.min acc r)
+      (fun acc (_, _, r, _, _, _, _, _) -> Float.min acc r)
       1.0 results
   in
   let err_max =
     List.fold_left
-      (fun acc (_, _, _, _, e', _, _, _, _) -> Float.max acc e')
+      (fun acc (_, _, _, _, e', _, _, _) -> Float.max acc e')
       0. results
   in
   let ns_max =
     List.fold_left
-      (fun acc (_, _, _, _, _, _, _, _, ns) -> Float.max acc ns)
+      (fun acc (_, _, _, _, _, _, _, ns) -> Float.max acc ns)
       0. results
-  in
-  let under_total =
-    List.fold_left
-      (fun acc (_, _, _, _, _, u, _, _, _) -> acc + u)
-      0 results
   in
   let viol_total =
     List.fold_left
-      (fun acc (_, _, _, _, _, _, v, _, _) -> acc + v)
+      (fun acc (_, _, _, _, _, v, _, _) -> acc + v)
       0 results
   in
   let skew_ordered = skew_of "zipf" > skew_of "uniform" in
   let pass =
-    recall_min >= 1.0 && under_total = 0 && viol_total = 0 && skew_ordered
+    recall_min >= 1.0 && viol_total = 0 && skew_ordered
     && overhead_pct <= budget_pct
   in
   Printf.printf
-    "guaranteed-hitter recall %.3f, cms underestimates %d, bound violations \
-     %d\nzipf hot share %.2f vs uniform %.2f, pipeline feed overhead %+.2f%% \
+    "guaranteed-hitter recall %.3f, bound violations %d\nzipf hot share %.2f vs uniform %.2f, pipeline feed overhead %+.2f%% \
      (budget %.1f%%) -> %s\n"
-    recall_min under_total viol_total (skew_of "zipf") (skew_of "uniform")
+    recall_min viol_total (skew_of "zipf") (skew_of "uniform")
     overhead_pct budget_pct
     (if pass then "PASS" else "FAIL");
   let out =
@@ -1479,23 +1461,21 @@ let workload_bench () =
   Printf.fprintf oc
     "{\n  \"benchmark\": \"workload-sketches\",\n  \"n\": %d,\n  \"k\": %d,\n\
     \  \"streams\": [\n%s\n  ],\n  \"topk_recall_min\": %.4f,\n  \
-     \"max_err_ratio\": %.6f,\n  \"cms_underestimates\": %d,\n  \
-     \"bound_violations\": %d,\n  \"sketch_ns_per_op\": %.1f,\n  \
+     \"max_err_ratio\": %.6f,\n  \"bound_violations\": %d,\n  \"sketch_ns_per_op\": %.1f,\n  \
      \"skew_zipf_gt_uniform\": %b,\n  \"pipeline_overhead_pct\": %.4f,\n  \
      \"budget_pct\": %.2f,\n  \"pass\": %b\n}\n"
     n k
     (String.concat ",\n"
        (List.map
-          (fun (stream, distinct, recall, hitters, err, under, viol, share, ns)
-               ->
+          (fun (stream, distinct, recall, hitters, err, viol, share, ns) ->
             Printf.sprintf
               "    { \"stream\": %S, \"distinct\": %d, \"recall\": %.4f, \
                \"guaranteed_hitters\": %d, \"max_err_ratio\": %.6f, \
-               \"cms_underestimates\": %d, \"bound_violations\": %d, \
+               \"bound_violations\": %d, \
                \"hot_key_share\": %.4f, \"sketch_ns_per_op\": %.1f }"
-              stream distinct recall hitters err under viol share ns)
+              stream distinct recall hitters err viol share ns)
           results))
-    recall_min err_max under_total viol_total ns_max skew_ordered overhead_pct
+    recall_min err_max viol_total ns_max skew_ordered overhead_pct
     budget_pct pass;
   close_out oc;
   Printf.printf "wrote %s\n" out;

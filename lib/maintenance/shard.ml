@@ -12,18 +12,18 @@
    calling domain and no domain is ever spawned.
 
    Supervision: worker exceptions are captured and re-raised on the caller
-   (lowest worker index wins, deterministically), after every worker has
-   finished its job, so a failing phase never leaves a worker mid-run. A
-   pool created with a [deadline] additionally bounds how long the caller
-   waits for each spawned worker; a worker that blows the deadline raises
-   [Wedged] on the caller and poisons the pool — the wedged domain cannot
-   be killed (OCaml domains are not cancellable), so it is abandoned and a
-   fresh worker set is spawned on the next multi-worker run. Every worker
-   slot is still awaited before [Wedged] is raised, so all non-wedged
-   workers are quiescent — but the wedged domain itself may still be
-   executing the job, and callers must treat any state it closes over as
-   unsalvageable. The pool counts no failures itself: the supervising
-   warehouse counts every raised or wedged run in
+   as [Worker_failed] (lowest worker index wins, deterministically), after
+   every worker has finished its job, so a failing phase never leaves a
+   worker mid-run. A pool created with a [deadline] additionally bounds
+   how long the caller waits for each spawned worker; a worker that blows
+   the deadline raises [Wedged] on the caller and poisons the pool — the
+   wedged domain cannot be killed (OCaml domains are not cancellable), so
+   it is abandoned and a fresh worker set is spawned on the next
+   multi-worker run. Every worker slot is still awaited before [Wedged] is
+   raised, so all non-wedged workers are quiescent — but the wedged domain
+   itself may still be executing the job, and callers must treat any state
+   it closes over as unsalvageable. The pool counts no failures itself: the
+   supervising warehouse counts every raised or wedged run in
    [minview_warehouse_parallel_degradations_total].
 
    Workers are daemon-like: they are never joined, and the process exits
@@ -47,6 +47,7 @@ type pool = {
 }
 
 exception Wedged of { worker : int; waited : float }
+exception Worker_failed of exn
 
 let make ~eager deadline domains =
   if domains < 1 then invalid_arg "Shard.create: domains must be >= 1";
@@ -176,11 +177,18 @@ let run_jobs pool n f =
     post pool.workers.(w - 1) f
   done;
   let err0 = (try f 0; None with exn -> Some exn) in
+  (* a simulated process death unwinds as itself, not as a worker's
+     failure *)
+  let reraise = function
+    | Some (Faults.Crash _ as crash) -> raise crash
+    | Some exn -> raise (Worker_failed exn)
+    | None -> ()
+  in
   (match pool.deadline with
   | None ->
     let errors = Array.init (n - 1) (fun i -> await pool.workers.(i)) in
-    (match err0 with Some exn -> raise exn | None -> ());
-    Array.iter (function Some exn -> raise exn | None -> ()) errors
+    reraise err0;
+    Array.iter reraise errors
   | Some seconds ->
     (* drain the await of every worker before raising — even after a wedge —
        so every worker that still answers is provably quiescent when the
@@ -202,8 +210,8 @@ let run_jobs pool n f =
           wedged := Some (Wedged { worker = i + 1; waited })
     done;
     (match !wedged with Some exn -> raise exn | None -> ());
-    (match err0 with Some exn -> raise exn | None -> ());
-    Array.iter (function Some exn -> raise exn | None -> ()) errors)
+    reraise err0;
+    Array.iter reraise errors)
 
 (* [run pool n f] executes [f w] for workers [w = 0 .. n-1] where
    [n = min pool.domains n_wanted]; worker 0 runs on the calling domain. *)

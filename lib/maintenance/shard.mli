@@ -32,6 +32,13 @@ type pool
     workers. *)
 exception Wedged of { worker : int; waited : float }
 
+(** A job of a multi-worker {!run} raised the carried exception. A
+    one-worker run executes inline and lets the job's exception through
+    unchanged, and so does every run for a simulated process death
+    ([Maintenance.Faults.Crash]). The wrapper lets a supervisor tell a
+    worker's failure from one raised by its own code around the run. *)
+exception Worker_failed of exn
+
 (** @raise Invalid_argument if [domains < 1]. *)
 val create : domains:int -> pool
 
@@ -52,10 +59,11 @@ val serial : pool
 
 (** [run pool ~workers f] runs [f w] for [w = 0 .. min pool.domains workers - 1],
     worker 0 on the calling domain, the rest on the pool's resident worker
-    domains.  Returns once every worker has finished; if any worker raised,
-    the exception of the lowest-indexed failing worker is re-raised (after
-    all workers finished, so the pool is quiescent). With a pool deadline, a
-    worker that overruns it raises {!Wedged} instead.
+    domains.  Returns once every worker has finished; if any worker of a
+    multi-worker run raised, the exception of the lowest-indexed failing
+    worker is re-raised as {!Worker_failed}, a simulated crash as itself
+    (after all workers finished, so the pool is quiescent). With a pool deadline, a worker that overruns it
+    raises {!Wedged} instead.
 
     Multi-worker runs pass the [Maintenance.Faults.In_shard_worker] fault
     point inside every worker's job — arming it in [Fail] mode injects a

@@ -1,8 +1,8 @@
-(* Streaming sketches, one summary each under one mutex. An update
-   mutates several words (heap slots, an index table), so the mutex, not
-   atomics, keeps it whole while serve and exporter domains render the
-   profile. Every measured update runs on one domain, so the lock is
-   uncontended. *)
+(* A streaming heavy-hitter sketch, one summary under one mutex. An
+   update mutates several words (heap slots, an index table), so the
+   mutex, not atomics, keeps it whole while serve and exporter domains
+   render the profile. Every measured update runs on one domain, so the
+   lock is uncontended. *)
 
 let with_lock m f =
   Mutex.lock m;
@@ -155,85 +155,5 @@ module Space_saving = struct
         Hashtbl.reset t.index;
         Array.fill t.heap 0 t.k dummy;
         t.size <- 0;
-        t.n <- 0)
-end
-
-(* --- count-min ----------------------------------------------------------- *)
-
-module Count_min = struct
-  type t = {
-    depth : int;
-    width : int;
-    mask : int;
-    m : Mutex.t;
-    rows : int array array;
-    mutable n : int;
-  }
-
-  (* Row hashes derived from the caller's single hash by splitmix-style
-     finalization with a per-row odd seed: cheap, stateless, and distinct
-     rows see effectively independent bucket choices. *)
-  let mix h seed =
-    let h = (h lxor seed) * 0x2545F4914F6CDD1 in
-    let h = h lxor (h lsr 29) in
-    let h = h * 0x9E3779B97F4A7C1 in
-    h lxor (h lsr 32)
-
-  let row_seed r = (2 * r) + 0x9E3779B9
-
-  let rec pow2_at_least n acc = if acc >= n then acc else pow2_at_least n (2 * acc)
-
-  let create ?(depth = 3) ?(width = 512) () =
-    if depth < 1 then invalid_arg "Sketch.Count_min.create: depth must be >= 1";
-    if width < 1 then invalid_arg "Sketch.Count_min.create: width must be >= 1";
-    let width = pow2_at_least width 1 in
-    {
-      depth;
-      width;
-      mask = width - 1;
-      m = Mutex.create ();
-      rows = Array.init depth (fun _ -> Array.make width 0);
-      n = 0;
-    }
-
-  let depth t = t.depth
-  let width t = t.width
-  let bucket t r hash = mix hash (row_seed r) land t.mask
-
-  let add ?(weight = 1) t ~hash =
-    if weight > 0 && Metrics.enabled () then
-      with_lock t.m (fun () ->
-          for r = 0 to t.depth - 1 do
-            let b = bucket t r hash in
-            t.rows.(r).(b) <- t.rows.(r).(b) + weight
-          done;
-          t.n <- t.n + weight)
-
-  let estimate t ~hash =
-    with_lock t.m (fun () ->
-        let est = ref max_int in
-        for r = 0 to t.depth - 1 do
-          est := min !est t.rows.(r).(bucket t r hash)
-        done;
-        !est)
-
-  let rows t = with_lock t.m (fun () -> Array.map Array.copy t.rows)
-  let total t = with_lock t.m (fun () -> t.n)
-
-  let restore t ~rows ~total =
-    with_lock t.m (fun () ->
-        Array.iteri
-          (fun r row ->
-            if r < t.depth then
-              Array.iteri
-                (fun b v ->
-                  if b < t.width then t.rows.(r).(b) <- t.rows.(r).(b) + v)
-                row)
-          rows;
-        t.n <- t.n + total)
-
-  let reset t =
-    with_lock t.m (fun () ->
-        Array.iter (fun row -> Array.fill row 0 t.width 0) t.rows;
         t.n <- 0)
 end

@@ -1,8 +1,7 @@
-(** Domain-safe streaming sketches over integer-hashed keys: Space-Saving
-    top-k heavy hitters and a count-min frequency sketch. Both use fixed
-    memory regardless of stream length. Each is one summary under one
-    mutex, so updates from any domain and reads from serve or exporter
-    domains stay consistent.
+(** A domain-safe streaming sketch over integer-hashed keys: Space-Saving
+    top-k heavy hitters, in fixed memory regardless of stream length. It
+    is one summary under one mutex, so updates from any domain and reads
+    from serve or exporter domains stay consistent.
 
     Updates are keyed by an integer hash supplied by the caller (e.g.
     [Tuple.hash] of a group key); the printable label is only materialized
@@ -43,36 +42,6 @@ module Space_saving : sig
   (** Additively merge a persisted summary into this one (entries beyond
       [k] are dropped lowest-first); used to re-seed the sketch from a
       saved workload profile on recovery. *)
-
-  val reset : t -> unit
-end
-
-module Count_min : sig
-  type t
-
-  val create : ?depth:int -> ?width:int -> unit -> t
-  (** [depth] hash rows (default 3) x [width] counters (default 512,
-      rounded up to a power of two). Estimates overshoot by at most
-      [e * total / width] with probability [1 - e^-depth].
-      @raise Invalid_argument when either is < 1. *)
-
-  val depth : t -> int
-  val width : t -> int
-
-  val add : ?weight:int -> t -> hash:int -> unit
-  (** Non-positive weights are ignored. O(depth), no allocation. *)
-
-  val estimate : t -> hash:int -> int
-  (** Minimum over the rows; never under-estimates. *)
-
-  val rows : t -> int array array
-  (** A copy of the [depth x width] counter matrix, for persistence. *)
-
-  val total : t -> int
-
-  val restore : t -> rows:int array array -> total:int -> unit
-  (** Additively merge a persisted matrix into this one; rows/columns
-      beyond this sketch's shape are ignored. *)
 
   val reset : t -> unit
 end

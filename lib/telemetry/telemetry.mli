@@ -19,7 +19,7 @@ module Json = Json
 (** Minimal JSON reader for the repo's own machine output. *)
 
 module Sketch = Sketch
-(** Streaming heavy-hitter / frequency sketches. *)
+(** Streaming heavy-hitter sketch. *)
 
 module Workload = Workload
 (** Per-view access accounting and the persisted workload profile. *)

@@ -1,6 +1,6 @@
 (* Process-global workload registry. Cardinality is bounded the same way
    everywhere: at most [max_views] named accumulators, overflow shares
-   "_other". The note_* paths touch only atomics and the view's sketches;
+   "_other". The note_* paths touch only atomics and the view's sketch;
    everything string- or list-shaped happens on read. *)
 
 let max_views = 64
@@ -13,7 +13,6 @@ let max_shards = 64
 type view_stats = {
   v_name : string;
   v_hot : Sketch.Space_saving.t;
-  v_freq : Sketch.Count_min.t;
   v_writes : int Atomic.t; (* exact netted write weight, via note_batch *)
   v_write_events : int Atomic.t; (* exact group-key touches, via note_batch *)
   v_batches : int Atomic.t;
@@ -101,7 +100,6 @@ let make_stats name =
   {
     v_name = name;
     v_hot = Sketch.Space_saving.create ~k:topk;
-    v_freq = Sketch.Count_min.create ~depth:3 ~width:256 ();
     v_writes = Atomic.make 0;
     v_write_events = Atomic.make 0;
     v_batches = Atomic.make 0;
@@ -148,11 +146,8 @@ let sample_shift = 5
 let sample_mask = (1 lsl sample_shift) - 1
 
 let note_hot_key ?(weight = 1) vs ~hash ~label =
-  if weight > 0 && Metrics.enabled () then begin
-    let weight = weight lsl sample_shift in
-    Sketch.Space_saving.touch vs.v_hot ~weight ~hash ~label;
-    Sketch.Count_min.add vs.v_freq ~weight ~hash
-  end
+  Sketch.Space_saving.touch vs.v_hot ~weight:(weight lsl sample_shift) ~hash
+    ~label
 
 let note_batch vs ~deltas_in ~netted ~applied ~writes ~events =
   if Metrics.enabled () then begin
@@ -281,23 +276,8 @@ let view_json vs =
            (Trace.json_escape e.e_key) e.e_hash e.e_est e.e_err))
     (Sketch.Space_saving.top vs.v_hot);
   Buffer.add_string b
-    (Printf.sprintf "],\"sketch_total\":%d,\"cms\":{\"depth\":%d,\"width\":%d,\"total\":%d,\"rows\":["
-       (Sketch.Space_saving.total vs.v_hot)
-       (Sketch.Count_min.depth vs.v_freq)
-       (Sketch.Count_min.width vs.v_freq)
-       (Sketch.Count_min.total vs.v_freq));
-  Array.iteri
-    (fun r row ->
-      if r > 0 then Buffer.add_char b ',';
-      Buffer.add_char b '[';
-      Array.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int v))
-        row;
-      Buffer.add_char b ']')
-    (Sketch.Count_min.rows vs.v_freq);
-  Buffer.add_string b "]}}";
+    (Printf.sprintf "],\"sketch_total\":%d}"
+       (Sketch.Space_saving.total vs.v_hot));
   Buffer.contents b
 
 let lag_snapshot () =
@@ -449,22 +429,7 @@ let load_profile ~path =
                        | _ -> None)
               in
               Sketch.Space_saving.restore vs.v_hot entries
-                ~total:(inum (Json.member "sketch_total" vj));
-              (match Json.member "cms" vj with
-              | None -> ()
-              | Some cj ->
-                let rows =
-                  Json.member "rows" cj
-                  |> Option.map Json.to_list
-                  |> Option.value ~default:[]
-                  |> List.map (fun row ->
-                         Json.to_list row
-                         |> List.map (fun v -> inum (Some v))
-                         |> Array.of_list)
-                  |> Array.of_list
-                in
-                Sketch.Count_min.restore vs.v_freq ~rows
-                  ~total:(inum (Json.member "total" cj))))
+                ~total:(inum (Json.member "sketch_total" vj)))
           (Json.member "views" j |> Option.map Json.to_list
          |> Option.value ~default:[]);
         (match Json.member "shards" j with
@@ -494,7 +459,6 @@ let reset () =
   Hashtbl.iter
     (fun _ vs ->
       Sketch.Space_saving.reset vs.v_hot;
-      Sketch.Count_min.reset vs.v_freq;
       Atomic.set vs.v_writes 0;
       Atomic.set vs.v_write_events 0;
       Atomic.set vs.v_batches 0;

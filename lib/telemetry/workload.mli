@@ -1,22 +1,22 @@
-(** Workload intelligence: per-view access accounting backed by the
-    {!Sketch} structures, shard heat accounting, and a schema-versioned
-    persisted workload profile.
+(** Workload intelligence: per-view access accounting backed by a
+    {!Sketch.Space_saving} top-k, shard heat accounting, and a
+    schema-versioned persisted workload profile.
 
     The maintenance engine feeds group-key touches and batch netting stats,
     the serve front-end feeds reads and epoch lag, and [Shard.run] feeds
     per-worker busy time. Everything aggregates into one process-global
     registry (keyed by view name, bounded cardinality) that renders as
-    [workload_profile.json] — the cost-model artifact view selection will
-    consume. The per-view figures are read there (and through [minview
-    profile], serve's [PROFILE] and the exporter's [/workload]). The
-    metrics registry holds only the [minview_workload_epoch_lag_batches]
-    histogram behind the profile's epoch-lag percentiles.
+    [workload_profile.json]. The per-view figures are read there (and
+    through [minview profile], serve's [PROFILE] and the exporter's
+    [/workload]). The metrics registry holds only the
+    [minview_workload_epoch_lag_batches] histogram behind the profile's
+    epoch-lag percentiles.
 
     All note functions are cheap no-ops while {!Metrics.enabled} is
     false. *)
 
 type view_stats
-(** Per-view accumulator: hot-key sketches plus read/write/netting
+(** Per-view accumulator: a hot-key sketch plus read/write/netting
     counters. Handles are stable for the process lifetime — {!reset} zeroes
     them in place, so engines and servers may cache one per view. *)
 
@@ -37,8 +37,8 @@ val note_hot_key :
   ?weight:int -> view_stats -> hash:int -> label:(unit -> string) -> unit
 (** Feed one {e sampled} group-key touch of [weight] netted operations
     (the sampling scale-up happens here, keeping frequency estimates
-    unbiased) into the Space-Saving top-k and count-min sketches. [label]
-    is only forced when the key first enters the top-k summary. *)
+    unbiased) into the view's Space-Saving top-k. [label] is only forced
+    when the key first enters the summary. *)
 
 val note_batch :
   view_stats ->
@@ -71,10 +71,10 @@ val profile_schema : int
 val profile_json : unit -> string
 (** The full workload profile as one line of JSON: per-view write/read
     counts and rates, update/read ratio, skew (hot-key share, compaction
-    ratio), top-k hot keys with estimate and error bound, the count-min
-    matrix, the epoch-lag distribution, and the shard heat map. Sketch
-    hashes are serialized as strings — OCaml ints exceed exact-double
-    range. *)
+    ratio), top-k hot keys with estimate and error bound and the sketch's
+    stream total, the epoch-lag distribution, and the shard heat map.
+    Sketch hashes are serialized as strings — OCaml ints exceed
+    exact-double range. *)
 
 val write_profile : path:string -> unit
 (** Atomically (tmp + rename) write {!profile_json} to [path]. *)
@@ -83,7 +83,9 @@ val load_profile : path:string -> bool
 (** Additively merge a persisted profile (same schema) back into the live
     registry: sketch contents, counters and observed elapsed time all
     accumulate, so restore-then-replay matches the snapshot + WAL
-    discipline. [false] when the file is missing or unreadable. *)
+    discipline. Fields it does not know are ignored, so a schema-1 file
+    that still carries a per-view ["cms"] matrix loads. [false] when the
+    file is missing or unreadable. *)
 
 val elapsed_s : unit -> float
 (** Observed workload seconds: time since the first recorded event in this

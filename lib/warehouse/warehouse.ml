@@ -1338,19 +1338,20 @@ let note_parallel_failure t detail =
         detail t.degraded_until)
 
 (* Apply one accepted batch under supervision. A parallel attempt whose
-   worker raised is rolled back and the batch is re-applied serially; a
-   *wedged* worker (deadline blown) re-raises instead — {!abort} then
-   quarantines the batch and rebuilds the engines, because the stray
-   domain forbids touching them in place. Either way
+   pool worker raised ([Shard.Worker_failed]) is rolled back and the batch
+   is re-applied serially; a *wedged* worker (deadline blown) re-raises
+   instead — {!abort} then quarantines the batch and rebuilds the engines,
+   because the stray domain forbids touching them in place. Either way
    ingestion then stays serial until [t.degraded_until] clean batches have
-   passed ([note_apply_outcome]). Returns how the batch was finally
-   applied. *)
+   passed ([note_apply_outcome]). Any other failure — one raised on the
+   calling domain, outside a pool job — propagates as it would on a serial
+   warehouse, so the batch leaves through {!abort}. Returns how the batch
+   was finally applied. *)
 let apply_supervised t deltas =
   match t.parallel with
   | Some pool when t.degraded_until = 0 -> (
     match apply_in_place t ~pool:(Some pool) deltas with
     | () -> `Parallel
-    | exception (Faults.Crash _ as crash) -> raise crash
     | exception (Maintenance.Shard.Wedged _ as wedge) ->
       (* the wedged domain may still be executing the batch against the
          engines, so neither an in-place rollback nor a serial re-apply is
@@ -1358,7 +1359,7 @@ let apply_supervised t deltas =
          which rebuilds the engines instead of touching them *)
       note_parallel_failure t (failure_detail wedge);
       raise wedge
-    | exception e ->
+    | exception Maintenance.Shard.Worker_failed e ->
       (* a worker *raised*: the pool drained every worker before
          re-raising, so the engines are quiescent. The failed attempt left
          undo journals open on every engine; close them before the serial

@@ -350,6 +350,45 @@ let supervision_tests =
           (Warehouse.Degraded { remaining = 7; next_backoff = 16 })
           (Warehouse.apply_mode wh);
         check_views wh (Warehouse.believed_source wh));
+    test "a failure outside the pool's workers aborts, without a retry"
+      (fun () ->
+        let _db, wh = build () in
+        Warehouse.set_parallel wh
+          (Some (Shard.supervised ~domains:2 ~deadline:10.));
+        let contents v = snd (Warehouse.query wh v.View.name) in
+        let views0 = List.map contents all_views in
+        let source0 = store_image (Warehouse.believed_source wh) in
+        let degradations =
+          Telemetry.Counter.make "minview_warehouse_parallel_degradations_total"
+        in
+        let degraded0 = Telemetry.Counter.value degradations in
+        (* the fault strikes on the calling domain, after the first view
+           applied the batch: the batch must abort as it would on a serial
+           warehouse, not be re-applied serially once the fault has fired *)
+        Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+        let r =
+          Fun.protect ~finally:Faults.disarm (fun () ->
+              Warehouse.ingest_report wh (sale_batch 0))
+        in
+        Alcotest.(check int) "the batch aborts" 0 r.Warehouse.applied;
+        Alcotest.(check int)
+          "every delta is quarantined as an engine failure" 512
+          (List.length
+             (List.filter
+                (fun rj -> rj.Delta.reason = Delta.Engine_failure)
+                r.Warehouse.rejected));
+        List.iter2
+          (fun v before ->
+            Alcotest.check relation ("unchanged " ^ v.View.name) before
+              (contents v))
+          all_views views0;
+        Alcotest.check store_image_t "the believed source is unchanged" source0
+          (store_image (Warehouse.believed_source wh));
+        Alcotest.(check int)
+          "no degradation counted" degraded0
+          (Telemetry.Counter.value degradations);
+        Alcotest.check mode "still parallel" Warehouse.Parallel
+          (Warehouse.apply_mode wh));
     test "set_parallel resets the supervision slate" (fun () ->
         let _db, wh = build () in
         Warehouse.set_parallel wh

@@ -302,7 +302,8 @@ let prop_minmax_walks =
               Faults.In_shard_worker;
             Fun.protect ~finally:Faults.disarm @@ fun () ->
             try Engine.apply_batch ?parallel e deltas
-            with Faults.Injected Faults.In_shard_worker -> ())
+            with Maintenance.Shard.Worker_failed
+                   (Faults.Injected Faults.In_shard_worker) -> ())
           | None ->
             let cut = Workload.Prng.int rng (List.length deltas + 1) in
             Engine.apply_batch e (List.filteri (fun k _ -> k < cut) deltas));
@@ -777,6 +778,9 @@ let prop_publish_equals_capture =
       let lines = ref (lines_ok ~carried:false wh) in
       let wedge_applied = ref 0 in
       let committed = ref false in
+      (* the first round whose end finds the warehouse's source apart from
+         the mirror [db], which holds exactly the committed rounds *)
+      let diverged = ref None in
       let pool = Lazy.force pub_pool in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 2; delete = 2; update = 3 } in
@@ -807,7 +811,8 @@ let prop_publish_equals_capture =
               Faults.In_shard_worker;
             Fun.protect ~finally:Faults.disarm @@ fun () ->
             try Engines.apply_batch ?parallel e deltas
-            with Faults.Injected Faults.In_shard_worker -> ())
+            with Maintenance.Shard.Worker_failed
+                   (Faults.Injected Faults.In_shard_worker) -> ())
           | None ->
             let cut = Workload.Prng.int rng (List.length deltas + 1) in
             Engines.apply_batch e (List.filteri (fun k _ -> k < cut) deltas));
@@ -832,6 +837,10 @@ let prop_publish_equals_capture =
           committed := true
         end;
         lines := !lines && lines_ok ~carried:!committed wh;
+        if
+          !diverged = None
+          && store_image (Warehouse.believed_source wh) <> store_image db
+        then diverged := Some round;
         (* most commits publish; the others leave their groups to the next *)
         if round = 8 || Workload.Prng.int rng 3 > 0 then
           ok := !ok && published_ok ()
@@ -878,6 +887,11 @@ let prop_publish_equals_capture =
       end;
       Warehouse.close wh;
       rm_rf dir;
+      Option.iter
+        (QCheck2.Test.fail_reportf
+           "after round %d the warehouse's source differs from the mirror: \
+            it committed a batch the round rolled back, or lost one")
+        !diverged;
       if !wedge_applied <> 0 then
         QCheck2.Test.fail_reportf
           "the wedged batch applied %d of its deltas; a wedge applies none"

@@ -1,7 +1,7 @@
 (* The telemetry layer: histogram bucket geometry, registry semantics,
    concurrent writes from many domains, the serial-vs-parallel logical-counter
-   property, the warehouse rollback/recovery/fault counters, and the trace
-   ring. *)
+   property, the warehouse rollback/recovery/fault counters, the trace
+   ring, and the exact allocation cost of telemetry on an ingest. *)
 
 open Helpers
 module Metrics = Telemetry.Metrics
@@ -406,10 +406,59 @@ let trace_tests =
           (List.length (Trace.recent ())));
   ]
 
+(* --- the cost of telemetry, in exact counts ------------------------------ *)
+
+(* The minor words one ingest of a fixed 512-insert batch allocates on a
+   serial warehouse of three views. A first batch registers every metric
+   and fills every lazy cache; the workload registry is then reset, so
+   each key of the measured batch misses the top-k whatever earlier tests
+   fed it. Everything the ingest does is deterministic, so the count is
+   exact. *)
+let ingest_words ~telemetry =
+  Telemetry.set_enabled telemetry;
+  Fun.protect ~finally:(fun () -> Telemetry.set_enabled true) @@ fun () ->
+  let wh = Warehouse.create (Workload.Retail.load tiny) in
+  List.iter (Warehouse.add_view wh)
+    [ Workload.Retail.product_sales; Workload.Retail.monthly_revenue;
+      Workload.Retail.sales_by_time ];
+  Warehouse.ingest wh (sale_inserts tiny ~first:8_000_000 512);
+  Telemetry.Workload.reset ();
+  let batch = sale_inserts tiny ~first:8_001_000 512 in
+  let w0 = Gc.minor_words () in
+  Warehouse.ingest wh batch;
+  let w1 = Gc.minor_words () in
+  int_of_float (w1 -. w0)
+
+(* What telemetry adds to that ingest: counters, histograms, trace spans,
+   lineage and the workload profile's sampled top-k feed. A state the
+   profile grows (a second sketch fed per sampled write, say) shows here
+   as words, where the timed overhead gate would see noise. *)
+let telemetry_words_budget = 2251
+
+let exact_count_tests =
+  [
+    test "telemetry adds a fixed number of minor words to an ingest"
+      (fun () ->
+        let off = ingest_words ~telemetry:false in
+        let on = ingest_words ~telemetry:true in
+        Printf.printf "ingest of 512 deltas: %d minor words off, %d on (+%d, \
+                       %.3f per delta)\n"
+          off on (on - off)
+          (float_of_int (on - off) /. 512.);
+        if on - off > telemetry_words_budget then
+          Alcotest.failf
+            "telemetry adds %d minor words to the ingest (%.3f per delta), \
+             over its budget of %d"
+            (on - off)
+            (float_of_int (on - off) /. 512.)
+            telemetry_words_budget);
+  ]
+
 let () =
   Alcotest.run "telemetry"
     [
       ("histograms", histogram_tests); ("registry", registry_tests);
       ("concurrent-writes", concurrent_tests); ("serial-vs-parallel", property_tests);
       ("warehouse-counters", warehouse_tests); ("trace", trace_tests);
+      ("exact-counts", exact_count_tests);
     ]

@@ -1,8 +1,7 @@
-(* Workload intelligence: the streaming sketch error bounds (Space-Saving
-   guaranteed heavy hitters, count-min one-sided error), concurrent writers
-   on one sketch against a single-domain oracle, and the persisted workload
-   profile round-trip — standalone and through a warehouse
-   checkpoint/recover cycle. *)
+(* Workload intelligence: the Space-Saving error bounds and guaranteed
+   heavy hitters, concurrent writers on one sketch, and the persisted
+   workload profile round-trip — standalone, from a file that still holds
+   a count-min block, and through a warehouse checkpoint/recover cycle. *)
 
 open Helpers
 module Gen = QCheck2.Gen
@@ -60,9 +59,6 @@ let feed_ss ss stream =
         ~label:(fun () -> string_of_int key))
     stream
 
-let feed_cms cms stream =
-  List.iter (fun (key, w) -> Sketch.Count_min.add ~weight:w cms ~hash:key) stream
-
 (* check est >= true and est - err <= true for every merged entry, plus the
    guaranteed-hitter property: true count > total/k implies tracked *)
 let check_ss_bounds ~k ss truth =
@@ -102,20 +98,6 @@ let sketch_props =
         let ss = Sketch.Space_saving.create ~k in
         feed_ss ss stream;
         check_ss_bounds ~k ss (true_counts stream));
-    QCheck2.Test.make ~count:200 ~name:"count-min never under-estimates"
-      stream_gen
-      (fun stream ->
-        Metrics.reset ();
-        let cms = Sketch.Count_min.create ~depth:3 ~width:32 () in
-        feed_cms cms stream;
-        let truth = true_counts stream in
-        Hashtbl.iter
-          (fun key t ->
-            let est = Sketch.Count_min.estimate cms ~hash:key in
-            if est < t then
-              Alcotest.failf "key %d: cms estimate %d < true %d" key est t)
-          truth;
-        true);
     QCheck2.Test.make ~count:60
       ~name:"space-saving totals and restore are additive" stream_gen
       (fun stream ->
@@ -146,32 +128,6 @@ let split4 stream =
 
 let domain_props =
   [
-    QCheck2.Test.make ~count:30
-      ~name:"count-min: 4 domains writing one matrix equal the serial oracle"
-      stream_gen
-      (fun stream ->
-        Metrics.reset ();
-        let par = Sketch.Count_min.create ~depth:3 ~width:32 () in
-        let ser = Sketch.Count_min.create ~depth:3 ~width:32 () in
-        feed_cms ser stream;
-        let parts = split4 stream in
-        Array.to_list parts
-        |> List.map (fun part -> Domain.spawn (fun () -> feed_cms par part))
-        |> List.iter Domain.join;
-        (* additions commute, so the matrix is independent of the order
-           in which the domains' updates took the lock *)
-        if Sketch.Count_min.total par <> Sketch.Count_min.total ser then
-          Alcotest.failf "totals differ: %d vs %d"
-            (Sketch.Count_min.total par)
-            (Sketch.Count_min.total ser);
-        Hashtbl.iter
-          (fun key _ ->
-            let a = Sketch.Count_min.estimate par ~hash:key in
-            let b = Sketch.Count_min.estimate ser ~hash:key in
-            if a <> b then
-              Alcotest.failf "key %d: parallel %d <> serial %d" key a b)
-          (true_counts stream);
-        true);
     QCheck2.Test.make ~count:30
       ~name:"space-saving: 4 domains writing one summary keep bounds and hitters"
       stream_gen
@@ -229,6 +185,21 @@ let feed_view name =
   Wk.note_read vs ~verb:`Query ~lag:0;
   Wk.note_read vs ~verb:`Reconstruct ~lag:3;
   vs
+
+(* One view of a profile as `minview profile examples/sql/retail.sql -n 60
+   --state DIR` wrote it while the profile still kept a count-min sketch:
+   a 3x256 matrix under "cms", one non-zero cell per row. *)
+let legacy_profile =
+  let row col =
+    "["
+    ^ String.concat ","
+        (List.init 256 (fun i -> if i = col then "32" else "0"))
+    ^ "]"
+  in
+  Printf.sprintf
+    {|{"schema":1,"generated_unix_s":1.79245e+09,"elapsed_s":0.000891924,"views":[{"view":"busy_months","writes":18,"write_events":18,"batches":1,"deltas_in":27,"netted":27,"applied":27,"reads":{"query":0,"reconstruct":0},"write_rate_per_s":20159.5,"read_rate_per_s":0.0,"update_read_ratio":18.0,"skew":{"hot_key_share":1.0,"compaction_ratio":1.0},"hot_keys":[{"key":"(1)","hash":"418056499","est":32,"err":0}],"sketch_total":32,"cms":{"depth":3,"width":256,"total":32,"rows":[%s,%s,%s]}}],"epoch_lag":{"count":0},"shards":{"runs":0,"workers":0,"busy_s":[],"ops":[],"recent_imbalance":[]}}
+|}
+    (row 255) (row 194) (row 82)
 
 let profile_tests =
   [
@@ -313,6 +284,32 @@ let profile_tests =
         Alcotest.(check (float 1e-9))
           "additive merge" (2. *. jnum [ "writes" ] v0)
           (jnum [ "writes" ] twice));
+    test "a schema-1 profile with a count-min block still loads" (fun () ->
+        Metrics.reset ();
+        Wk.reset ();
+        let path = tmp "wkp_legacy_profile.json" in
+        let oc = open_out path in
+        output_string oc legacy_profile;
+        close_out oc;
+        Alcotest.(check bool) "load succeeds" true (Wk.load_profile ~path);
+        let v = view_obj "busy_months" (parsed_profile ()) in
+        List.iter
+          (fun (field, want) ->
+            Alcotest.(check (float 1e-9)) field want (jnum [ field ] v))
+          [ ("writes", 18.); ("write_events", 18.); ("batches", 1.);
+            ("deltas_in", 27.); ("netted", 27.); ("applied", 27.);
+            ("sketch_total", 32.) ];
+        match Json.to_list (jget [ "hot_keys" ] v) with
+        | [ hot ] ->
+          Alcotest.(check (option string))
+            "hot key" (Some "(1)")
+            (Option.bind (Json.member "key" hot) Json.to_string);
+          Alcotest.(check (option string))
+            "hot key hash" (Some "418056499")
+            (Option.bind (Json.member "hash" hot) Json.to_string);
+          Alcotest.(check (float 1e-9)) "est" 32. (jnum [ "est" ] hot);
+          Alcotest.(check (float 1e-9)) "err" 0. (jnum [ "err" ] hot)
+        | hot -> Alcotest.failf "%d hot keys restored, want 1" (List.length hot));
     test "load_profile is false on a missing file" (fun () ->
         Metrics.reset ();
         Wk.reset ();
