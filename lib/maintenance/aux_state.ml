@@ -201,46 +201,52 @@ let index_remove_row (sh : shard) r =
       if Icol.length bucket = 0 then VH.remove idx.buckets v)
     sh.indexes
 
+(* [r] holds the key in cell [j] of [src]. *)
+let key_cell_is col src j r = Column.equal_cells col r src j
+
 (* The index of plain column [pos] over a shard's present rows, built in
-   two sequential passes: number each row's value (a probe into a table of
-   the distinct values) and count its rows, then append every row to its
-   bucket, reserved at its final size so that no append grows one. The
-   row-parallel offsets hold each row's value number in between. *)
+   two sequential passes: number each row's value and count its rows,
+   then append every row to its bucket, reserved at its final size so
+   that no append grows one. A value's first row stands for it: a closed
+   probe on the column's cells finds it, and the bucket table, made at
+   its final size, boxes the value from that row alone. The row-parallel
+   offsets hold each row's value number in between. *)
 let build_index (sh : shard) pos =
   let col = sh.g.keys.(pos) in
   let n = nrows sh in
-  let ids = VH.create 64 and sizes = Icol.create () in
-  let offsets = Icol.reserve n in
+  let firsts = Rowmap.create ~hash:(Column.hash_cell col) () in
+  let sizes = Icol.create () and offsets = Icol.reserve n in
   for r = 0 to n - 1 do
-    let v = Column.get col r in
+    let hash = Column.hash_cell col r in
+    let first = Rowmap.probe3 firsts ~hash key_cell_is col col r in
     let id =
-      match VH.find ids v with
-      | id -> id
-      | exception Not_found ->
-        let id = VH.length ids in
-        VH.add ids v id;
+      if first >= 0 then Icol.get offsets first
+      else begin
+        Rowmap.add firsts ~hash r;
         Icol.append sizes 0;
-        id
+        Icol.length sizes - 1
+      end
     in
     Icol.append offsets id;
     Icol.add sizes id 1
   done;
-  let buckets =
-    Array.init (Icol.length sizes) (fun id -> Icol.reserve (Icol.get sizes id))
+  let buckets = Array.make (Icol.length sizes) (Icol.create ()) in
+  for id = 0 to Array.length buckets - 1 do
+    Array.unsafe_set buckets id (Icol.reserve (Icol.get sizes id))
+  done;
+  let idx =
+    { buckets = VH.create (max 16 (Array.length buckets)); pos = offsets }
   in
+  Rowmap.iter firsts (fun r ->
+      VH.add idx.buckets (Column.get col r) buckets.(Icol.get offsets r));
   for r = 0 to n - 1 do
-    let bucket = buckets.(Icol.get offsets r) in
+    let bucket = Array.unsafe_get buckets (Icol.get offsets r) in
     Icol.append bucket r;
     Icol.set offsets r (Icol.length bucket - 1)
   done;
-  let idx = { buckets = VH.create (max 16 (VH.length ids)); pos = offsets } in
-  VH.iter (fun v id -> VH.add idx.buckets v buckets.(id)) ids;
   idx
 
 (* --- row attach / detach ------------------------------------------------- *)
-
-(* [r] holds the key in cell [j] of [src]. *)
-let key_cell_is col src j r = Column.equal_cells col r src j
 
 let by_key_attach s (sh : shard) r =
   match sh.by_key with

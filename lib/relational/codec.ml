@@ -2,15 +2,30 @@
 
 (* --- writing ------------------------------------------------------------ *)
 
-type writer = { mutable buf : bytes; mutable len : int }
+type writer = {
+  mutable buf : bytes;
+  mutable len : int;
+  spill : (bytes -> int -> unit) option;  (** a chunk writer's consumer *)
+}
 
-let writer n = { buf = Bytes.create (max n 16); len = 0 }
+let writer n = { buf = Bytes.create (max n 16); len = 0; spill = None }
+let chunks n spill = { buf = Bytes.create (max n 16); len = 0; spill = Some spill }
 let clear w = w.len <- 0
 let length w = w.len
 let bytes w = w.buf
 
-(* Room for [n] more bytes; every [add_*] below writes unchecked after it. *)
-let reserve w n =
+let flush w =
+  match w.spill with
+  | Some spill when w.len > 0 ->
+    spill w.buf w.len;
+    w.len <- 0
+  | _ -> ()
+
+(* The slow path of [reserve]: a chunk writer spills its bytes, and grows
+   only for a caller that reserved more than it holds, which [room]'s
+   callers do not. *)
+let make_room w n =
+  flush w;
   let need = w.len + n in
   if need > Bytes.length w.buf then begin
     let b = Bytes.create (max need (2 * Bytes.length w.buf)) in
@@ -18,25 +33,49 @@ let reserve w n =
     w.buf <- b
   end
 
-let add_byte w c =
-  reserve w 1;
+(* Room for [n] more bytes; every [put_*] below writes unchecked after it. *)
+let reserve w n = if w.len + n > Bytes.length w.buf then make_room w n
+
+let room w n =
+  match w.spill with
+  | Some _ when n > Bytes.length w.buf -> false
+  | _ ->
+    reserve w n;
+    true
+
+let[@inline] put_byte w c =
   Bytes.unsafe_set w.buf w.len (Char.unsafe_chr (c land 0xff));
   w.len <- w.len + 1
 
-(* [lsr] treats the int as 63 unsigned bits, so at most 9 bytes. *)
-let add_varint w n =
-  reserve w 9;
-  let n = ref n and i = ref w.len in
+let add_byte w c =
+  reserve w 1;
+  put_byte w c
+
+(* The varint of [n] at [i] of [b], and the position after it. [lsr]
+   treats the int as 63 unsigned bits, so at most 9 bytes. *)
+let varint_at b i n =
+  let n = ref n and i = ref i in
   while !n lsr 7 <> 0 do
-    Bytes.unsafe_set w.buf !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
+    Bytes.unsafe_set b !i (Char.unsafe_chr (!n land 0x7f lor 0x80));
     n := !n lsr 7;
     incr i
   done;
-  Bytes.unsafe_set w.buf !i (Char.unsafe_chr !n);
-  w.len <- !i + 1
+  Bytes.unsafe_set b !i (Char.unsafe_chr !n);
+  !i + 1
+
+let put_varint w n = w.len <- varint_at w.buf w.len n
+
+let add_varint w n =
+  reserve w 9;
+  put_varint w n
 
 (* An OCaml int has 63 bits, so its sign is bit 62. *)
-let add_int w n = add_varint w ((n lsl 1) lxor (n asr 62))
+let[@inline] zigzag n = (n lsl 1) lxor (n asr 62)
+let put_int w n = put_varint w (zigzag n)
+
+let add_int w n =
+  reserve w 9;
+  put_int w n
 
 (* The stdlib's [Bytes.set_int64_le] is not inlined here and would box
    its argument: the primitives keep a float cell allocation-free. *)
@@ -44,18 +83,53 @@ external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external swap64 : int64 -> int64 = "%bswap_int64"
 
-let[@inline] add_float w x =
-  reserve w 8;
-  let bits = Int64.bits_of_float x in
+let[@inline] put_float_bits w bits =
   set64u w.buf w.len (if Sys.big_endian then swap64 bits else bits);
   w.len <- w.len + 8
 
+let[@inline] add_float w x =
+  reserve w 8;
+  put_float_bits w (Int64.bits_of_float x)
+
+let put_words w ty src off n =
+  match ty with
+  | Datatype.TInt ->
+    let i = ref w.len in
+    for k = 0 to n - 1 do
+      i := varint_at w.buf !i (zigzag (Int64.to_int (get64u src (off + (8 * k)))))
+    done;
+    w.len <- !i
+  | Datatype.TFloat ->
+    for k = 0 to n - 1 do
+      put_float_bits w (get64u src (off + (8 * k)))
+    done
+  | Datatype.TBool ->
+    for k = 0 to n - 1 do
+      put_byte w (if Int64.to_int (get64u src (off + (8 * k))) <> 0 then 1 else 0)
+    done
+  | Datatype.TString -> invalid_arg "Codec.put_words: a TEXT cell is a string"
+
+let put_string w s =
+  let n = String.length s in
+  put_varint w n;
+  Bytes.blit_string s 0 w.buf w.len n;
+  w.len <- w.len + n
+
+(* A string longer than a chunk writer's room crosses chunks. *)
 let add_string w s =
   let n = String.length s in
-  add_varint w n;
-  reserve w n;
-  Bytes.unsafe_blit_string s 0 w.buf w.len n;
-  w.len <- w.len + n
+  if room w (9 + n) then put_string w s
+  else begin
+    add_varint w n;
+    let pos = ref 0 in
+    while !pos < n do
+      if w.len = Bytes.length w.buf then flush w;
+      let k = min (n - !pos) (Bytes.length w.buf - w.len) in
+      Bytes.unsafe_blit_string s !pos w.buf w.len k;
+      w.len <- w.len + k;
+      pos := !pos + k
+    done
+  end
 
 let add_bool w b = add_byte w (Bool.to_int b)
 

@@ -12,10 +12,11 @@
 
 (** {2 Writing} *)
 
-(** A growable byte buffer, reused across the sections of a snapshot. *)
+(** A byte buffer: a growable one, or a chunk of fixed size that hands
+    its bytes on each time it fills. *)
 type writer
 
-(** [writer n] is an empty writer with room for [n] bytes. *)
+(** [writer n] is an empty, growable writer with room for [n] bytes. *)
 val writer : int -> writer
 
 (** Empties the writer, keeping its capacity. *)
@@ -97,3 +98,41 @@ val cell : reader -> Datatype.t -> Value.t
 val row : reader -> Datatype.t array -> Tuple.t
 val delta : reader -> Delta.t
 val rejection : reader -> Delta.rejection
+
+(** {2 Streaming}
+
+    A snapshot section streams through one chunk writer: its bytes are
+    handed on, a chunk at a time, as they are written. *)
+
+(** [chunks n spill] is an empty writer of [n] bytes that does not grow:
+    whenever a write finds it full, and at {!flush}, [spill b len] is
+    handed its bytes, the first [len] of [b], and it is emptied. What
+    [spill] receives, chunk after chunk, is what a growable writer would
+    hold; a string longer than the chunk crosses chunks. *)
+val chunks : int -> (bytes -> int -> unit) -> writer
+
+(** Hands a chunk writer's bytes to its [spill], if it holds any, and
+    empties it; does nothing to a growable writer. *)
+val flush : writer -> unit
+
+(** {3 Unchecked writes}
+
+    A caller that knows a bound on what it writes checks room once and
+    then writes without checks: a stored row, from its words. *)
+
+(** [room w n] makes room for [n] more bytes — a full chunk writer spills
+    first — and is [true]; it is [false], and [w] unchanged, when [n] is
+    more than a chunk writer holds. *)
+val room : writer -> int -> bool
+
+(** [put_words w ty b off n] writes, as {!add_cell} does, [n] cells of
+    type [ty] held in the native-endian 8-byte words at [off], [off + 8],
+    ... of [b]: an INT or BOOL word holds the value (BOOL as 0 or 1), a
+    FLOAT word its IEEE bits, which are never boxed. At most 9 bytes a
+    cell, and no room check.
+    @raise Invalid_argument if [ty] is TEXT, whose cells are strings. *)
+val put_words : writer -> Datatype.t -> bytes -> int -> int -> unit
+
+(** A string as {!add_string} writes it, at most 9 bytes and its length,
+    with no room check. *)
+val put_string : writer -> string -> unit

@@ -639,21 +639,59 @@ let restore_catalog r =
          { Integrity.src_table; src_col; dst_table = Codec.string r }));
   db
 
-(* Cell [c] of row [r], encoded straight from its word. *)
-let add_stored_cell w t r c =
-  let b = block t r and o = word t r c in
-  match Array.unsafe_get t.types c with
-  | Datatype.TInt -> Codec.add_int w (get_int b o)
-  | Datatype.TFloat -> Codec.add_float w (Int64.float_of_bits (get64u b o))
-  | Datatype.TBool -> Codec.add_bool w (get_int b o <> 0)
+(* Cell [c] of row [r], whose first word is at [o] of block [b], after a
+   room check of its own: a TEXT cell longer than a chunk goes through
+   [Codec.add_string], which splits it. *)
+let add_cell w t b o r c =
+  match t.types.(c) with
   | Datatype.TString -> Codec.add_string w t.texts.(c).(r)
+  | ty ->
+    ignore (Codec.room w 9 : bool);
+    Codec.put_words w ty b (o + (8 * c)) 1
 
+(* A table's columns as runs [(ty, first, len)] of adjacent columns of one
+   type; a TEXT column is a run of its own. *)
+let runs t =
+  let n = Array.length t.types in
+  let rec from c =
+    if c = n then []
+    else begin
+      let ty = t.types.(c) in
+      let len = ref 1 in
+      if ty <> Datatype.TString then
+        while c + !len < n && t.types.(c + !len) = ty do
+          incr len
+        done;
+      (ty, c, !len) :: from (c + !len)
+    end
+  in
+  Array.of_list (from 0)
+
+(* Rows stream a row at a time: one room check covers a row's cells, 9
+   bytes per non-TEXT cell (the longest varint) and a TEXT cell's 9 plus
+   its length, and the cells follow unchecked, a run of words at a time.
+   A row that does not fit in a chunk goes cell by cell. *)
 let add_rows db name w =
   let t = table db name in
+  let n = Array.length t.types and runs = runs t in
+  let fixed = 9 * (n - Array.length t.text_cols) in
   for r = 0 to t.rows - 1 do
-    for c = 0 to Array.length t.types - 1 do
-      add_stored_cell w t r c
-    done
+    let b = block t r and o = word t r 0 in
+    let bound = ref fixed in
+    for i = 0 to Array.length t.text_cols - 1 do
+      let c = Array.unsafe_get t.text_cols i in
+      bound := !bound + 9 + String.length t.texts.(c).(r)
+    done;
+    if Codec.room w !bound then
+      for i = 0 to Array.length runs - 1 do
+        match Array.unsafe_get runs i with
+        | Datatype.TString, c, _ -> Codec.put_string w t.texts.(c).(r)
+        | ty, c, len -> Codec.put_words w ty b (o + (8 * c)) len
+      done
+    else
+      for c = 0 to n - 1 do
+        add_cell w t b o r c
+      done
   done
 
 let add_incoming db name w =
@@ -661,7 +699,7 @@ let add_incoming db name w =
   for r = 0 to t.rows - 1 do
     let n = count t r in
     if n > 0 then begin
-      add_stored_cell w t r t.key;
+      add_cell w t (block t r) (word t r 0) r t.key;
       Codec.add_int w n
     end
   done

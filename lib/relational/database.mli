@@ -154,7 +154,10 @@ val add_catalog : t -> Codec.writer -> unit
 val restore_catalog : Codec.reader -> t
 
 (** [add_rows db table w] writes every row of [table], {!row_count} of
-    them, in its column types. *)
+    them, in its column types: a row at a time, each after one
+    {!Codec.room} check, its cells straight from their stored words. Into
+    a {!Codec.chunks} writer it streams in the chunk's memory, however
+    large the table. *)
 val add_rows : t -> string -> Codec.writer -> unit
 
 (** [add_incoming db table w] writes each key of [table] that rows

@@ -15,3 +15,11 @@ val sub : bytes -> int -> int -> int
     computed over pieces that are never concatenated.
     @raise Invalid_argument if the range is outside [b]. *)
 val update : int -> bytes -> int -> int -> int
+
+(** [combine crc1 crc2 len2] is the CRC-32 of [a] followed by [b], where
+    [crc1] is the CRC-32 of [a] and [crc2] that of [b], [len2] bytes long
+    (zlib's [crc32_combine]): a body checksummed as it streams out joins
+    the checksum of what precedes it without being read again. It costs
+    O(log len2), whatever [a]'s length.
+    @raise Invalid_argument if [len2] is negative. *)
+val combine : int -> int -> int -> int

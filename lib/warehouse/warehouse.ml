@@ -657,10 +657,16 @@ let refused_formats =
      twelve bytes, the header and the body;
      header: kind byte, name, row count, column count, column types;
      body: the rows, through [Codec].
-   Only the catalog's view definitions are marshaled. Engines are never
-   saved: snapshots are taken between batches, when every engine is a pure
-   function of the validator's committed shadow (the audit verb checks
-   exactly this), and [load] rebuilds each from it ([build_engine]). *)
+   [save] streams every body through one chunk of [chunk_len] bytes,
+   checksummed and written each time it fills, and patches the frame in
+   after the body: its CRC joins that of the twelve bytes and the header
+   to the body's with [Checksum.combine]. So a checkpoint holds one chunk
+   in memory whatever the store's size, and writes the bytes a section
+   staged whole would have. Only the catalog's view definitions are
+   marshaled. Engines are never saved: snapshots are taken between
+   batches, when every engine is a pure function of the validator's
+   committed shadow (the audit verb checks exactly this), and [load]
+   rebuilds each from it ([build_engine]). *)
 type section = Catalog | Rows of string | Incoming of string | Dead_letters
 
 let section_kind = function
@@ -676,6 +682,9 @@ let section_name = function
   | Dead_letters -> "dead letters"
 
 let frame_len = 16
+
+(* The one buffer a snapshot's sections stream through. *)
+let chunk_len = 65536
 
 let incoming_types schema =
   [| Database.key_type schema; Relational.Datatype.TInt |]
@@ -702,30 +711,44 @@ let save t path =
   io @@ fun () ->
     Durable.replace_file path @@ fun oc ->
       output_string oc snapshot_magic;
-      (* every section is staged in [body], one at a time *)
-      let frame = Bytes.create frame_len in
-      let head = Codec.writer 256 and body = Codec.writer 65536 in
+      (* every section's body streams through [chunk]: each time it fills
+         it is checksummed, while its bytes are still in cache, and
+         written. The frame holds the body's length and the CRC, so it is
+         written as a placeholder and patched once the body is out. *)
+      let frame = Bytes.make frame_len '\000' and head = Codec.writer 256 in
+      let crc = ref 0 and blen = ref 0 in
+      let chunk =
+        Codec.chunks chunk_len (fun b len ->
+            crc := Checksum.update !crc b 0 len;
+            blen := !blen + len;
+            output oc b 0 len)
+      in
       let section s ~rows types fill =
-        Codec.clear body;
-        fill body;
         Codec.clear head;
         Codec.add_byte head (section_kind s);
         Codec.add_string head (section_name s);
         Codec.add_varint head rows;
         Codec.add_varint head (Array.length types);
         Array.iter (Codec.add_datatype head) types;
-        let hlen = Codec.length head and blen = Codec.length body in
-        Bytes.set_int32_le frame 0 (Int32.of_int hlen);
-        Bytes.set_int64_le frame 4 (Int64.of_int blen);
-        Bytes.set_int32_le frame 12
-          (Int32.of_int
-             (Checksum.update
-                (Checksum.update (Checksum.sub frame 0 12) (Codec.bytes head)
-                   0 hlen)
-                (Codec.bytes body) 0 blen));
+        let hlen = Codec.length head and at = pos_out oc in
         output oc frame 0 frame_len;
         output oc (Codec.bytes head) 0 hlen;
-        output oc (Codec.bytes body) 0 blen
+        crc := 0;
+        blen := 0;
+        fill chunk;
+        Codec.flush chunk;
+        Bytes.set_int32_le frame 0 (Int32.of_int hlen);
+        Bytes.set_int64_le frame 4 (Int64.of_int !blen);
+        Bytes.set_int32_le frame 12
+          (Int32.of_int
+             (Checksum.combine
+                (Checksum.update (Checksum.sub frame 0 12) (Codec.bytes head)
+                   0 hlen)
+                !crc !blen));
+        let next = pos_out oc in
+        seek_out oc at;
+        output oc frame 0 frame_len;
+        seek_out oc next
       in
       section Catalog ~rows:(List.length tables) [||] (fun w ->
           Codec.add_varint w t.seq;

@@ -210,6 +210,86 @@ let frame_section sec =
     (Int32.of_int (Warehouse.Checksum.string covered));
   Bytes.to_string frame ^ Buffer.contents head ^ sec.sec_body
 
+(* --- the version-6 encoder, each section staged whole -------------------
+
+   [Warehouse.save] as it was before its sections streamed: every body
+   staged in a growable writer, its cells read as values through a
+   cursor, and the frame checksummed over the whole section at once. The
+   oracle for the streamed writer, for a warehouse without a parallel
+   pool whose views all have [strategy]. *)
+let buffered_v6 ?(strategy = Warehouse.Minimal) wh =
+  let module Codec = Relational.Codec in
+  let out = Buffer.create 4096 in
+  Buffer.add_string out "minview-warehouse-state/6\n";
+  let staged fill =
+    let w = Codec.writer 16 in
+    fill w;
+    Bytes.sub_string (Codec.bytes w) 0 (Codec.length w)
+  in
+  let section kind name ~rows types fill =
+    let head =
+      staged (fun w ->
+          Codec.add_byte w kind;
+          Codec.add_string w name;
+          Codec.add_varint w rows;
+          Codec.add_varint w (Array.length types);
+          Array.iter (Codec.add_datatype w) types)
+    and body = staged fill in
+    let frame = Bytes.create 16 in
+    Bytes.set_int32_le frame 0 (Int32.of_int (String.length head));
+    Bytes.set_int64_le frame 4 (Int64.of_int (String.length body));
+    Bytes.set_int32_le frame 12
+      (Int32.of_int
+         (Warehouse.Checksum.string (Bytes.sub_string frame 0 12 ^ head ^ body)));
+    Buffer.add_bytes out frame;
+    Buffer.add_string out head;
+    Buffer.add_string out body
+  in
+  let shadow = Warehouse.believed_source wh in
+  let tables = Database.table_names shadow in
+  section 0 "catalog" ~rows:(List.length tables) [||] (fun w ->
+      Codec.add_varint w (Warehouse.ingested_batches wh);
+      Codec.add_varint w 0;
+      Codec.add_string w
+        (Marshal.to_string
+           (List.rev_map (fun v -> (v, strategy)) (Warehouse.views wh))
+           []);
+      Database.add_catalog shadow w);
+  List.iter
+    (fun name ->
+      let schema = Database.schema_of shadow name in
+      let types = Database.column_types schema
+      and key = Schema.key_index schema in
+      let cur = Database.Cursor.create shadow name in
+      let each_row f =
+        for r = 0 to Database.Cursor.rows cur - 1 do
+          Database.Cursor.seek cur r;
+          f ()
+        done
+      in
+      section 1 ("rows of " ^ name) ~rows:(Database.Cursor.rows cur) types
+        (fun w ->
+          each_row (fun () ->
+              Array.iteri
+                (fun j ty -> Codec.add_cell w ty (Database.Cursor.cell cur j))
+                types));
+      section 2 ("reference counts of " ^ name)
+        ~rows:(Database.incoming_count shadow name)
+        [| types.(key); Datatype.TInt |]
+        (fun w ->
+          each_row (fun () ->
+              let k = Database.Cursor.cell cur key in
+              let n = Database.reference_count shadow name k in
+              if n > 0 then begin
+                Codec.add_cell w types.(key) k;
+                Codec.add_int w n
+              end)))
+    tables;
+  let dead = List.rev (Warehouse.dead_letters wh) in
+  section 3 "dead letters" ~rows:(List.length dead) [||] (fun w ->
+      List.iter (Codec.add_rejection w) dead);
+  Buffer.contents out
+
 (* substring test used when checking rendered reports *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in

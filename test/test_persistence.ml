@@ -253,7 +253,128 @@ let prop_round_trip =
            (List.equal dead_letter_equal (Warehouse.dead_letters wh)
               (Warehouse.dead_letters wh')))
 
+(* --- the streamed writer == the whole-section encoder ------------------ *)
+
+(* QCHECK_COUNT=200 dune exec test/test_persistence.exe  — soak mode *)
+let count =
+  match Sys.getenv_opt "QCHECK_COUNT" with
+  | Some n -> int_of_string n
+  | None -> 8
+
+(* [save] streams a section through 64 KiB chunks. A [bulk] table's rows
+   span three or more of them: thousands of short rows, the edge floats
+   (both zeros, NaNs) and edge ints, and a TEXT cell longer than a chunk
+   every thousand rows. [empty] holds no row and has a TEXT key. *)
+let chunk = 65_536
+
+let bulk_schema =
+  Schema.make ~name:"bulk" ~key:"id"
+    [ col "id" Datatype.TInt; col "t" Datatype.TString; col "f" Datatype.TFloat;
+      col "b" Datatype.TBool; col "n" Datatype.TInt ]
+
+let empty_schema =
+  Schema.make ~name:"empty" ~key:"k"
+    [ col "k" Datatype.TString; col "x" Datatype.TFloat ]
+
+let bulk_rows rng =
+  List.init
+    (3_000 + Workload.Prng.int rng 3_000)
+    (fun k ->
+      let text =
+        if k mod 1_000 = 7 then
+          String.make (chunk + 1 + Workload.Prng.int rng chunk)
+            (Char.chr (Workload.Prng.int rng 256))
+        else String.init (Workload.Prng.int rng 40) (fun j -> Char.chr (j + 48))
+      in
+      [| Value.Int k; Value.String text;
+         Value.Float (Workload.Prng.pick rng edge_floats);
+         Value.Bool (Workload.Prng.int rng 2 = 0);
+         Value.Int
+           (if Workload.Prng.int rng 2 = 0 then Workload.Prng.pick rng edge_ints
+            else Workload.Prng.int rng 1_000_000) |])
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let prop_streamed_equals_buffered =
+  QCheck2.Test.make ~count
+    ~name:"a streamed snapshot == each section staged whole"
+    QCheck2.Gen.(int_bound 100_000)
+    (fun seed ->
+      let rng = Workload.Prng.create seed in
+      let inst = Workload.Schema_gen.random ~floats:true rng in
+      let db = inst.Workload.Schema_gen.db in
+      Database.add_table db bulk_schema ~updatable:[];
+      Database.add_table db empty_schema ~updatable:[];
+      List.iter (Database.insert db "bulk") (bulk_rows rng);
+      let wh = Warehouse.create db in
+      List.iter
+        (fun k ->
+          Warehouse.add_view wh
+            { (Workload.Schema_gen.random_view ~extended:true rng inst) with
+              View.name = Printf.sprintf "v%d" k })
+        [ 0; 1 ];
+      Warehouse.ingest wh
+        (Workload.Delta_gen.stream_for rng db
+           ~tables:inst.Workload.Schema_gen.all_tables ~n:40);
+      ignore
+        (Warehouse.ingest_report wh (refused (edge_rows [])) : Warehouse.report);
+      let path = tmp (Printf.sprintf "wh_streamed_%d.bin" seed) in
+      Warehouse.save wh path;
+      let saved = read_file path in
+      Sys.remove path;
+      let spans =
+        List.exists
+          (fun sec ->
+            String.equal sec.sec_name "rows of bulk"
+            && String.length sec.sec_body >= 3 * chunk)
+          (snapshot_sections saved)
+      in
+      (spans || QCheck2.Test.fail_report "the bulk rows span under 3 chunks")
+      && (String.equal saved (buffered_v6 wh)
+         || QCheck2.Test.fail_reportf "%d-byte snapshot differs from the oracle"
+              (String.length saved)))
+
+(* The words one [save] allocates, after a first save: a table of
+   [facts] rows of every cell type. A major collection on each side folds
+   the words allocated straight into the major heap (a chunk, a grown
+   buffer) into the counters, which otherwise count them at the next
+   slice; the paths have one length. *)
+let save_words facts =
+  let db = Database.create () in
+  Database.add_table db bulk_schema ~updatable:[];
+  for k = 1 to facts do
+    Database.insert db "bulk"
+      [| Value.Int k; Value.String (string_of_int (k * 7919));
+         Value.Float (float_of_int k /. 4.); Value.Bool (k land 1 = 0);
+         Value.Int (k * 104_729) |]
+  done;
+  let wh = Warehouse.create db in
+  let path = tmp (Printf.sprintf "wh_save_words_%06d.bin" facts) in
+  Warehouse.save wh path;
+  let words () =
+    Gc.full_major ();
+    let s = Gc.quick_stat () in
+    s.minor_words +. s.major_words -. s.promoted_words
+  in
+  let w0 = words () in
+  Warehouse.save wh path;
+  let w1 = words () in
+  Sys.remove path;
+  int_of_float (w1 -. w0)
+
+let streaming_tests =
+  [
+    QCheck_alcotest.to_alcotest prop_streamed_equals_buffered;
+    test "save allocates the same words at 2,000 and at 32,000 facts"
+      (fun () ->
+        let small = save_words 2_000 and large = save_words 32_000 in
+        Printf.printf "save: %d words at 2,000 facts, %d at 32,000\n" small
+          large;
+        Alcotest.(check int) "words at 32,000 facts" small large);
+  ]
+
 let () =
   Alcotest.run "persistence"
     [ ("save-load", tests);
-      ("codec", [ QCheck_alcotest.to_alcotest prop_round_trip ]) ]
+      ("codec", [ QCheck_alcotest.to_alcotest prop_round_trip ]);
+      ("streamed", streaming_tests) ]

@@ -835,7 +835,9 @@ let golden name =
   in
   Filename.concat dir name
 
-let check_golden_v5 () =
+(* The warehouse of golden/snapshot-v<n>.bin, checked against
+   golden/schema.sql after golden/batch{1,2,3}.sql. *)
+let load_golden name magic =
   let db = Database.create () in
   let views =
     Sqlfront.Elaborate.views
@@ -847,8 +849,8 @@ let check_golden_v5 () =
         (Sqlfront.Elaborate.run_script db
            (read_file (golden (Printf.sprintf "batch%d.sql" i)))))
     [ 1; 2; 3 ];
-  let path = golden "snapshot-v5.bin" in
-  Alcotest.(check string) "version 5" v5_magic (magic_of path);
+  let path = golden name in
+  Alcotest.(check string) "magic" magic (magic_of path);
   let wh = Warehouse.load path in
   Alcotest.(check int) "batch number" 3 (Warehouse.ingested_batches wh);
   Alcotest.check store_image_t "believed source" (store_image db)
@@ -860,7 +862,24 @@ let check_golden_v5 () =
     (fun (v : View.t) ->
       Alcotest.check relation v.View.name (Algebra.Eval.eval db v)
         (snd (Warehouse.query wh v.View.name)))
-    views
+    views;
+  (path, wh)
+
+let check_golden_v5 () = ignore (load_golden "snapshot-v5.bin" v5_magic)
+
+(* golden/snapshot-v6.bin is the same warehouse checkpointed by the last
+   build whose sections were staged whole, before they streamed
+   (make_golden.exe, then [minview recover --checkpoint]): a save of what
+   it loads writes it again, byte for byte. *)
+let check_golden_v6 () =
+  let path, wh = load_golden "snapshot-v6.bin" "minview-warehouse-state/6\n" in
+  let expected = read_file path
+  and again = Filename.concat (Filename.get_temp_dir_name ()) "wh_golden_v6.bin" in
+  Warehouse.save wh again;
+  let saved = read_file again in
+  Sys.remove again;
+  Alcotest.(check int) "length" (String.length expected) (String.length saved);
+  Alcotest.(check bool) "the same bytes" true (String.equal expected saved)
 
 let v5_upgrade_tests =
   [
@@ -898,6 +917,8 @@ let v5_upgrade_tests =
         let wh3 = Warehouse.recover ~dir in
         check_views wh3 db;
         Warehouse.close wh3);
+    test "the golden version-6 snapshot loads and saves to the same bytes"
+      check_golden_v6;
   ]
 
 (* A snapshot whose magic line says [version], with a whole version-6 body
@@ -1081,15 +1102,34 @@ let crc32_bitwise s =
     s;
   !crc lxor 0xffffffff
 
-(* lengths [8k + r] for every residue [r], so each tail length of the
-   word loop is exercised with and without whole words before it *)
+(* lengths [16k + r] for every residue [r], so each tail length of the
+   eight-byte loop, and a whole step more, is exercised with and without
+   whole steps before it *)
 let prop_crc32_matches_bitwise =
   QCheck2.Test.make ~count:400 ~name:"CRC-32 == the bitwise definition"
     ~print:(fun s -> Printf.sprintf "%S" s)
     QCheck2.Gen.(
-      let* r = int_bound 7 and* k = int_bound 12 in
-      string_size ~gen:char (return ((8 * k) + r)))
+      let* r = int_bound 15 and* k = int_bound 12 in
+      string_size ~gen:char (return ((16 * k) + r)))
     (fun s -> Warehouse.Checksum.string s = crc32_bitwise s)
+
+(* [combine] joins the CRCs of two pieces, whatever their lengths: an
+   empty one, short ones, and a second piece long enough that its length
+   has high bits set *)
+let prop_crc32_combine =
+  QCheck2.Test.make ~count:300 ~name:"Checksum.combine (crc a) (crc b) |b| = crc (a ^ b)"
+    ~print:
+      QCheck2.Print.(
+        pair (Printf.sprintf "%S") (fun s ->
+            Printf.sprintf "%d bytes" (String.length s)))
+    QCheck2.Gen.(
+      pair
+        (string_size ~gen:char (int_bound 40))
+        (let* n = oneof [ int_bound 40; int_range 65_000 140_000 ] in
+         string_size ~gen:char (return n)))
+    (fun (a, b) ->
+      let c = Warehouse.Checksum.string in
+      Warehouse.Checksum.combine (c a) (c b) (String.length b) = c (a ^ b))
 
 let checksum_tests =
   [
@@ -1145,6 +1185,7 @@ let checksum_tests =
         let b = Bytes.of_string "xx123456789yy" in
         Alcotest.(check int) "range" 0xCBF43926 (Warehouse.Checksum.sub b 2 9);
         Alcotest.(check int) "empty range" 0 (Warehouse.Checksum.sub b 13 0));
+    QCheck_alcotest.to_alcotest prop_crc32_combine;
   ]
 
 (* --- replay failures ------------------------------------------------------ *)
