@@ -83,8 +83,9 @@ val varint : reader -> int
 val int : reader -> int
 val string : reader -> string
 
-(** A FLOAT cell, as {!add_float} wrote it. Inlined where it is called,
-    so a caller that stores the float unboxed allocates nothing. *)
+(** A FLOAT cell, as {!add_float} wrote it. The float is boxed unless
+    the call is inlined, which no call from another module is under
+    [-opaque] (dune's dev profile, the one tests and perfbench build). *)
 val float : reader -> float
 
 val bool : reader -> bool

@@ -287,6 +287,7 @@ let table_names db =
   Hashtbl.fold (fun name _ acc -> name :: acc) db.tables []
   |> List.sort String.compare
 
+let table_count db = Hashtbl.length db.tables
 let mem_table db name = Hashtbl.mem db.tables name
 
 (* --- checks ------------------------------------------------------------- *)

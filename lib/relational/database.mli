@@ -30,6 +30,7 @@ val schema_of : t -> string -> Schema.t
 val references : t -> Integrity.reference list
 val updatable_columns : t -> string -> string list
 val table_names : t -> string list
+val table_count : t -> int
 val mem_table : t -> string -> bool
 
 (** [admit db d] checks every constraint on [d] — the table exists, the

@@ -1,0 +1,50 @@
+(** The snapshot format, which {!Warehouse.save} writes.
+
+    Version 6 is a magic line and typed sections — a catalog, each base
+    table's rows and reference counts, the dead letters — each with its
+    own CRC-32, checked before any of its bytes is decoded. Cells are
+    written by their column type ({!Relational.Codec}); only the view
+    definitions inside the catalog are [Marshal]ed. Version-5 files, one
+    [Marshal] payload, still decode; older versions are refused. *)
+
+(** How a view is maintained ({!Warehouse.strategy} documents each). *)
+type strategy =
+  | Minimal
+  | Psj
+  | Replicate
+  | Aged of (Relational.Tuple.t -> bool)
+
+type contents = {
+  views : (Algebra.View.t * strategy) list;  (** newest first *)
+  shadow : Relational.Database.t;  (** the believed source *)
+  dead : Relational.Delta.rejection list;  (** the dead letters *)
+  seq : int;  (** the last batch it holds *)
+  domains : int;  (** the saving warehouse's pool size, [0] for none *)
+}
+
+(** A damaged file, or not a snapshot; the message names the file and,
+    in version 6, the section. *)
+exception Corrupt of string
+
+(** A format version this build refuses, and why. *)
+exception Incompatible of string
+
+(** An [Aged] view, whose partition predicate is a closure. *)
+exception Not_persistable of string
+
+(** [save c path] writes [c] atomically ({!Durable.replace_file}), each
+    section streamed through one 64 KiB buffer.
+    @raise Not_persistable before touching [path]; [Sys_error]. *)
+val save : contents -> string -> unit
+
+(** @raise Corrupt (also for an [Aged] view), [Incompatible] or
+    [Sys_error]. *)
+val decode : string -> contents
+
+(** The batch number of the snapshot at [path], or why it does not
+    {!decode}. *)
+val verify : string -> (int, string) result
+
+(** The kind byte of every section kind, in the order of their first
+    section in a file. *)
+val kinds : int list

@@ -35,9 +35,9 @@ module Storage = struct
 end
 
 module Checksum = Checksum
+module Snapshot = Snapshot
 module Wal = Wal
 module Durable = Durable
-module Codec = Relational.Codec
 module Database = Relational.Database
 module Relation = Relational.Relation
 module Tuple = Relational.Tuple
@@ -178,12 +178,18 @@ let err kind fmt =
   Format.kasprintf (fun detail -> raise (Error { kind; detail })) fmt
 
 (* The boundary where a failed file operation ([Durable] raises
-   [Sys_error]) becomes [Error Io_error]. *)
-let io f = try f () with Sys_error m -> err Io_error "%s" m
+   [Sys_error]) becomes [Error Io_error], and a [Snapshot] failure the
+   warehouse's. *)
+let io f =
+  try f () with
+  | Sys_error m -> err Io_error "%s" m
+  | Snapshot.Corrupt m -> err Corrupt_state "%s" m
+  | Snapshot.Incompatible m -> err Incompatible_state "%s" m
+  | Snapshot.Not_persistable m -> err Not_persistable "%s" m
 
 (* --- state ------------------------------------------------------------- *)
 
-type strategy =
+type strategy = Snapshot.strategy =
   | Minimal
   | Psj
   | Replicate
@@ -631,339 +637,24 @@ let strategy_name = function
 
 (* --- persistence ------------------------------------------------------- *)
 
-let snapshot_magic = "minview-warehouse-state/6\n"
-let v5_magic = "minview-warehouse-state/5\n"
-
-(* Magic lines of the formats this build refuses, and why. *)
-let refused_formats =
-  [
-    ( "minview-warehouse-state/1\n",
-      "uses the unchecksummed version-1 format; re-save it with this build" );
-    ( "minview-warehouse-state/2\n",
-      "uses the version-2 format without the parallel-pool record; re-save \
-       it with this build" );
-    ( "minview-warehouse-state/3\n",
-      "uses the version-3 format, whose shadow kept every row twice; load \
-       and save it with a build that writes version 5 first" );
-    ( "minview-warehouse-state/4\n",
-      "uses the version-4 format, whose shadow kept every row twice; load \
-       and save it with a build that writes version 5 first" );
-  ]
-
-(* Version 6: the magic line, then the sections in a fixed order — the
-   catalog, each table's rows and reference counts in the catalog's table
-   order, the dead letters. A section is framed as
-     u32-le header length, u64-le body length, u32-le CRC-32 of those
-     twelve bytes, the header and the body;
-     header: kind byte, name, row count, column count, column types;
-     body: the rows, through [Codec].
-   [save] streams every body through one chunk of [chunk_len] bytes,
-   checksummed and written each time it fills, and patches the frame in
-   after the body: its CRC joins that of the twelve bytes and the header
-   to the body's with [Checksum.combine]. So a checkpoint holds one chunk
-   in memory whatever the store's size, and writes the bytes a section
-   staged whole would have. Only the catalog's view definitions are
-   marshaled. Engines are never saved: snapshots are taken between
-   batches, when every engine is a pure function of the validator's
-   committed shadow (the audit verb checks exactly this), and [load]
-   rebuilds each from it ([build_engine]). *)
-type section = Catalog | Rows of string | Incoming of string | Dead_letters
-
-let section_kind = function
-  | Catalog -> 0
-  | Rows _ -> 1
-  | Incoming _ -> 2
-  | Dead_letters -> 3
-
-let section_name = function
-  | Catalog -> "catalog"
-  | Rows table -> "rows of " ^ table
-  | Incoming table -> "reference counts of " ^ table
-  | Dead_letters -> "dead letters"
-
-let frame_len = 16
-
-(* The one buffer a snapshot's sections stream through. *)
-let chunk_len = 65536
-
-let incoming_types schema =
-  [| Database.key_type schema; Relational.Datatype.TInt |]
-
 let save t path =
-  List.iter
-    (fun r ->
-      match r.strategy with
-      | Aged _ ->
-        err Not_persistable
-          "view %s uses an Aged partition predicate and cannot be persisted"
-          r.view.View.name
-      | Minimal | Psj | Replicate -> ())
-    t.views;
-  (* the pool itself is runtime-only and never saved, but its size is
-     recorded so a later load can warn that it was not restored *)
-  let parallel_domains =
-    match t.parallel with
-    | Some pool -> Maintenance.Shard.domains pool
-    | None -> 0
-  in
-  let shadow = Validator.shadow t.validator in
-  let tables = Database.table_names shadow in
   io @@ fun () ->
-    Durable.replace_file path @@ fun oc ->
-      output_string oc snapshot_magic;
-      (* every section's body streams through [chunk]: each time it fills
-         it is checksummed, while its bytes are still in cache, and
-         written. The frame holds the body's length and the CRC, so it is
-         written as a placeholder and patched once the body is out. *)
-      let frame = Bytes.make frame_len '\000' and head = Codec.writer 256 in
-      let crc = ref 0 and blen = ref 0 in
-      let chunk =
-        Codec.chunks chunk_len (fun b len ->
-            crc := Checksum.update !crc b 0 len;
-            blen := !blen + len;
-            output oc b 0 len)
-      in
-      let section s ~rows types fill =
-        Codec.clear head;
-        Codec.add_byte head (section_kind s);
-        Codec.add_string head (section_name s);
-        Codec.add_varint head rows;
-        Codec.add_varint head (Array.length types);
-        Array.iter (Codec.add_datatype head) types;
-        let hlen = Codec.length head and at = pos_out oc in
-        output oc frame 0 frame_len;
-        output oc (Codec.bytes head) 0 hlen;
-        crc := 0;
-        blen := 0;
-        fill chunk;
-        Codec.flush chunk;
-        Bytes.set_int32_le frame 0 (Int32.of_int hlen);
-        Bytes.set_int64_le frame 4 (Int64.of_int !blen);
-        Bytes.set_int32_le frame 12
-          (Int32.of_int
-             (Checksum.combine
-                (Checksum.update (Checksum.sub frame 0 12) (Codec.bytes head)
-                   0 hlen)
-                !crc !blen));
-        let next = pos_out oc in
-        seek_out oc at;
-        output oc frame 0 frame_len;
-        seek_out oc next
-      in
-      section Catalog ~rows:(List.length tables) [||] (fun w ->
-          Codec.add_varint w t.seq;
-          Codec.add_varint w parallel_domains;
-          (* the view definitions, a few hundred bytes: the one part of a
-             snapshot whose encoding depends on the build *)
-          Codec.add_string w
-            (Marshal.to_string
-               (List.map (fun r -> (r.view, r.strategy)) t.views)
-               []);
-          Database.add_catalog shadow w);
-      List.iter
-        (fun name ->
-          let schema = Database.schema_of shadow name in
-          section (Rows name)
-            ~rows:(Database.row_count shadow name)
-            (Database.column_types schema)
-            (Database.add_rows shadow name);
-          section (Incoming name)
-            ~rows:(Database.incoming_count shadow name)
-            (incoming_types schema)
-            (Database.add_incoming shadow name))
-        tables;
-      section Dead_letters ~rows:(List.length t.dead) [||] (fun w ->
-          List.iter (Codec.add_rejection w) t.dead)
+  Snapshot.save
+    {
+      Snapshot.views = List.map (fun r -> (r.view, r.strategy)) t.views;
+      shadow = Validator.shadow t.validator;
+      dead = t.dead;
+      seq = t.seq;
+      (* the pool itself is runtime-only and never saved, but its size is
+         recorded so a later load can warn that it was not restored *)
+      domains =
+        (match t.parallel with
+        | Some pool -> Maintenance.Shard.domains pool
+        | None -> 0);
+    }
+    path
 
-(* What a snapshot holds, decoded and verified, before any engine is
-   built from it. *)
-type decoded = {
-  d_views : (View.t * strategy) list;  (** newest first *)
-  d_shadow : Database.t;
-  d_dead : Delta.rejection list;
-  d_seq : int;
-  d_domains : int;
-}
-
-let decode_v6 path ic =
-  let frame = Bytes.create frame_len in
-  let buf = ref (Bytes.create 65536) in
-  let corrupt s fmt =
-    Format.kasprintf
-      (err Corrupt_state "%s: section %s: %s" path (section_name s))
-      fmt
-  in
-  (* The next section, which must be [s]: its CRC is checked before any
-     of its bytes is decoded. [f ~rows types body] decodes its body. *)
-  let next s f =
-    let left = in_channel_length ic - pos_in ic in
-    if left < frame_len then err Corrupt_state "%s: truncated frame header" path;
-    really_input ic frame 0 frame_len;
-    let hlen = Int32.to_int (Bytes.get_int32_le frame 0) land 0xffffffff in
-    let blen = Int64.to_int (Bytes.get_int64_le frame 4) in
-    let avail = left - frame_len in
-    if blen < 0 || hlen > avail || blen > avail - hlen then
-      err Corrupt_state "%s: truncated section %s (%d byte(s) left)" path
-        (section_name s) avail;
-    let len = hlen + blen in
-    if Bytes.length !buf < len then
-      buf := Bytes.create (max len (2 * Bytes.length !buf));
-    really_input ic !buf 0 len;
-    if
-      Checksum.update (Checksum.sub frame 0 12) !buf 0 len
-      <> Int32.to_int (Bytes.get_int32_le frame 12) land 0xffffffff
-    then
-      err Corrupt_state "%s: checksum mismatch in section %s" path
-        (section_name s);
-    match
-      let h = Codec.reader !buf 0 hlen in
-      let kind = Codec.byte h in
-      let name = Codec.string h in
-      let rows = Codec.varint h in
-      let types = Array.init (Codec.count h) (fun _ -> Codec.datatype h) in
-      if kind <> section_kind s || not (String.equal name (section_name s))
-      then corrupt s "found %S (kind %d) in its place" name kind;
-      if rows < 0 then corrupt s "row count %d" rows;
-      let r = Codec.reader !buf hlen blen in
-      let v = f ~rows types r in
-      if Codec.remaining r > 0 then
-        corrupt s "%d byte(s) after its last row" (Codec.remaining r);
-      v
-    with
-    | v -> v
-    | exception
-        ( Codec.Malformed m
-        | Database.Violation m
-        | Relational.Schema.Invalid m ) ->
-      corrupt s "%s" m
-  in
-  let expect s expected types =
-    if types <> expected then
-      corrupt s "its column types differ from the catalog's"
-  in
-  (* the batch number, the pool size, the view definitions and what
-     [Database.add_catalog] wrote *)
-  let blob, seq, domains, shadow =
-    next Catalog (fun ~rows _ r ->
-        let seq = Codec.varint r in
-        let domains = Codec.varint r in
-        let blob = Codec.string r in
-        let shadow = Database.restore_catalog r in
-        if rows <> List.length (Database.table_names shadow) then
-          corrupt Catalog "row count %d" rows;
-        (blob, seq, domains, shadow))
-  in
-  let views =
-    match (Marshal.from_string blob 0 : (View.t * strategy) list) with
-    | views -> views
-    | exception _ ->
-      err Corrupt_state "%s: undecodable view definitions (incompatible build?)"
-        path
-  in
-  List.iter
-    (fun name ->
-      let schema = Database.schema_of shadow name in
-      next (Rows name) (fun ~rows types r ->
-          expect (Rows name) (Database.column_types schema) types;
-          Database.restore_rows shadow name ~rows r);
-      next (Incoming name) (fun ~rows types r ->
-          expect (Incoming name) (incoming_types schema) types;
-          Database.restore_incoming shadow name ~keys:rows r))
-    (Database.table_names shadow);
-  let dead =
-    next Dead_letters (fun ~rows _ r ->
-        List.init rows (fun _ -> Codec.rejection r))
-  in
-  if pos_in ic < in_channel_length ic then
-    err Corrupt_state "%s: %d byte(s) after the last section" path
-      (in_channel_length ic - pos_in ic);
-  { d_views = views; d_shadow = shadow; d_dead = dead; d_seq = seq;
-    d_domains = domains }
-
-(* The validator as version 5 marshaled it: its shadow in the frozen
-   layout of [Database.V5], and its undo journal (empty between batches). *)
-type v5_validator = {
-  v5_shadow : Database.V5.t;
-  v5_txn : Delta.t list option;
-}
-
-(* Version 5: u32-le payload length, u32-le CRC-32, and a [Marshal]
-   payload of the views and their strategies, the validator, the dead
-   letters, the batch sequence number and the pool size. Its shadow is
-   converted to the current store, row by row. *)
-let decode_v5 path ic =
-  let left = in_channel_length ic - pos_in ic in
-  if left < 8 then err Corrupt_state "%s: truncated frame header" path;
-  let frame = really_input_string ic 8 in
-  let u32 off = Int32.to_int (String.get_int32_le frame off) land 0xffffffff in
-  let len = u32 0 and crc = u32 4 in
-  if len > left - 8 then
-    err Corrupt_state "%s: truncated payload (%d of %d bytes)" path (left - 8)
-      len;
-  let payload = really_input_string ic len in
-  if Checksum.string payload <> crc then
-    err Corrupt_state "%s: checksum mismatch" path;
-  match
-    (Marshal.from_string payload 0
-      : (View.t * strategy) list * v5_validator * Delta.rejection list
-        * int
-        * int)
-  with
-  | exception _ ->
-    err Corrupt_state "%s: undecodable payload (incompatible build?)" path
-  | views, validator, dead, seq, domains -> (
-    match Database.of_v5 validator.v5_shadow with
-    | shadow ->
-      { d_views = views; d_shadow = shadow; d_dead = dead; d_seq = seq;
-        d_domains = domains }
-    | exception Database.Violation m ->
-      err Corrupt_state "%s: %s" path m)
-
-(* Decode and verify a snapshot without building any engine: all that
-   [fsck] and [repair] need, and the first half of [load]. *)
-let decode path =
-  let ic = try open_in_bin path with Sys_error m -> err Io_error "%s" m in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      (* an OS-level read failure (EISDIR, EIO, ...) is operational, not
-         verification: it must surface as Io_error, never Corrupt_state *)
-      try
-        let total = in_channel_length ic in
-        let magic_len = String.length snapshot_magic in
-        if total < magic_len then
-          err Corrupt_state "%s: truncated header (%d bytes)" path total;
-        let header = really_input_string ic magic_len in
-        let d =
-          if String.equal header snapshot_magic then decode_v6 path ic
-          else if String.equal header v5_magic then decode_v5 path ic
-          else
-            match List.assoc_opt header refused_formats with
-            | Some why -> err Incompatible_state "%s %s" path why
-            | None -> err Corrupt_state "%s is not a warehouse state file" path
-        in
-        List.iter
-          (fun (view, strategy) ->
-            match strategy with
-            | Minimal | Psj | Replicate -> ()
-            | Aged _ ->
-              (* [save] refuses aged views; only a crafted file gets here *)
-              err Corrupt_state "view %s: aged views cannot appear in a snapshot"
-                view.View.name)
-          d.d_views;
-        d
-      with Sys_error m -> err Io_error "%s" m)
-
-(* Restore a decoded snapshot: rebuild every engine from the restored
-   shadow, exactly like [rebuild_engines] (below) — registration-time
-   initialization from the believed source, every view at once
-   ([build_engines]). Also returns the saved pool size so callers can
-   warn about the reset (the pool is never restored — see
-   [warn_parallel_reset]). *)
-let restore d =
-  let validator = Validator.of_shadow d.d_shadow in
-  let views = build_engines validator d.d_views in
-  (make ~views ~validator ~dead:d.d_dead ~seq:d.d_seq, d.d_domains)
+let decode path = io @@ fun () -> Snapshot.decode path
 
 (* The structured warning for the set_parallel/recover interaction: the
    snapshot was taken by a warehouse with a domain pool, but pools are
@@ -981,9 +672,21 @@ let warn_parallel_reset path domains =
       ~attrs:[ ("path", path); ("domains", string_of_int domains) ]
   end
 
+(* Restore the snapshot decoded from [path]: rebuild every engine from the
+   restored shadow, exactly like [rebuild_engines] (below) —
+   registration-time initialization from the believed source, every view
+   at once ([build_engines]). Engines are never saved: snapshots are taken
+   between batches, when every engine is a pure function of the
+   validator's committed shadow (the audit verb checks exactly this). The
+   pool is never restored either ([warn_parallel_reset]). *)
+let restore path (d : Snapshot.contents) =
+  let validator = Validator.of_shadow d.shadow in
+  let views = build_engines validator d.views in
+  warn_parallel_reset path d.domains;
+  make ~views ~validator ~dead:d.dead ~seq:d.seq
+
 let load path =
-  let t, parallel_domains = restore (decode path) in
-  warn_parallel_reset path parallel_domains;
+  let t = restore path (decode path) in
   publish_epoch t;
   t
 
@@ -1013,71 +716,43 @@ let gen_snapshot_path dir n =
 let gen_wal_path dir n =
   Filename.concat (generations_dir dir) (Printf.sprintf "wal-%08d.bin" n)
 
-(* "snapshot-<n>.bin" / "wal-<n>.bin", nothing else — quarantined copies and
-   temp files never parse as chain members. *)
+(* A file of the generations directory named "snapshot-<n>..." or
+   "wal-<n>...": its kind, its index, and whether it is a chain member —
+   named exactly "snapshot-<n>.bin" or "wal-<n>.bin"; quarantined copies
+   and temp files are not. *)
 let parse_generation name =
-  let indexed prefix =
-    let plen = String.length prefix in
-    if String.length name > plen && String.equal (String.sub name 0 plen) prefix
-    then
-      Scanf.sscanf_opt
-        (String.sub name plen (String.length name - plen))
-        "%d.bin%!" Fun.id
-    else None
+  let indexed fmt =
+    Scanf.sscanf_opt name fmt (fun n at ->
+        (n, String.equal (String.sub name at (String.length name - at)) ".bin"))
   in
-  match indexed "snapshot-" with
-  | Some n -> Some (`Snapshot, n)
-  | None -> (
-    match indexed "wal-" with Some n -> Some (`Wal, n) | None -> None)
+  match indexed "snapshot-%d%n" with
+  | Some (n, member) -> Some (`Snapshot, n, member)
+  | None -> Option.map (fun (n, member) -> (`Wal, n, member)) (indexed "wal-%d%n")
 
-let list_generations dir =
+let generation_files dir =
   match Sys.readdir (generations_dir dir) with
   | exception Sys_error _ -> []
   | names -> List.filter_map parse_generation (Array.to_list names)
 
-(* (index, path), ascending chain order *)
-let generation_snapshots dir =
+(* (index, path) of the chain members of [kind], ascending chain order *)
+let chain dir kind path =
   List.filter_map
-    (function `Snapshot, n -> Some (n, gen_snapshot_path dir n) | _ -> None)
-    (list_generations dir)
+    (function k, n, true when k = kind -> Some (n, path dir n) | _ -> None)
+    (generation_files dir)
   |> List.sort compare
 
-let generation_wals dir =
-  List.filter_map
-    (function `Wal, n -> Some (n, gen_wal_path dir n) | _ -> None)
-    (list_generations dir)
-  |> List.sort compare
+let generation_snapshots dir = chain dir `Snapshot gen_snapshot_path
+let generation_wals dir = chain dir `Wal gen_wal_path
 
 (* The next chain index: one past the highest index embedded in {e any}
    file of the generations directory — including quarantined copies
-   ("snapshot-<n>.bin.quarantine"), which [parse_generation] rejects as
-   chain members. A quarantined index must never be reallocated: the
-   re-used generation would pair a fresh snapshot with the old index's
-   archived [wal-<n>] segment, and the next WAL rotation would clobber
-   that segment's committed records. *)
-let generation_file_index name =
-  let num prefix =
-    let plen = String.length prefix in
-    if String.length name > plen && String.equal (String.sub name 0 plen) prefix
-    then
-      Scanf.sscanf_opt
-        (String.sub name plen (String.length name - plen))
-        "%d" Fun.id
-    else None
-  in
-  match num "snapshot-" with Some n -> Some n | None -> num "wal-"
-
+   ("snapshot-<n>.bin.quarantine"), which are not chain members. A
+   quarantined index must never be reallocated: the re-used generation
+   would pair a fresh snapshot with the old index's archived [wal-<n>]
+   segment, and the next WAL rotation would clobber that segment's
+   committed records. *)
 let next_generation_index dir =
-  match Sys.readdir (generations_dir dir) with
-  | exception Sys_error _ -> 1
-  | names ->
-    1
-    + Array.fold_left
-        (fun acc name ->
-          match generation_file_index name with
-          | Some n -> max acc n
-          | None -> acc)
-        0 names
+  List.fold_left (fun acc (_, n, _) -> max acc (n + 1)) 1 (generation_files dir)
 
 (* Retire everything older than the [keep]-th newest archived snapshot.
    Safe by the chain invariant: sequence numbers grow along the chain, so a
@@ -1598,6 +1273,9 @@ let replay_batch t ~seq deltas =
     ignore (abort t ~seq deltas (Error { kind = Corrupt_state; detail }))
   | None -> ignore (commit_batch t ~seq deltas)
 
+(* Whether [dir] holds WAL records, live or archived. *)
+let holds_log dir = Sys.file_exists (wal_path dir) || generation_wals dir <> []
+
 (* Candidate snapshots, newest first: the live snapshot (if present), then
    the archived generations in descending chain order. The paired index
    decides which WAL segments the snapshot covers ([max_int]: the live
@@ -1646,11 +1324,7 @@ let recover ~dir =
          shape: attempting the load surfaces the OS-level Io_error *)
       if not dir_exists then ignore (decode (snapshot_path dir));
       let candidates = snapshot_candidates dir in
-      if
-        candidates = []
-        && (not (Sys.file_exists (wal_path dir)))
-        && generation_wals dir = []
-      then begin
+      if candidates = [] && not (holds_log dir) then begin
         (* an existing-but-empty state directory is a valid cold start, not
            corruption: initialize it in place *)
         Log.info (fun m ->
@@ -1681,7 +1355,7 @@ let recover ~dir =
                 Telemetry.Trace.with_span "warehouse.recover.decode" (fun () ->
                     decode path)
               in
-              let views = List.length d.d_views in
+              let views = List.length d.Snapshot.views in
               Telemetry.Trace.with_span "warehouse.recover.build"
                 ~attrs:
                   [
@@ -1689,11 +1363,9 @@ let recover ~dir =
                     ( "domains",
                       string_of_int (Maintenance.Shard.fan_out_domains views) );
                   ]
-                (fun () -> restore d)
+                (fun () -> restore path d)
             with
-            | t, parallel_domains ->
-              warn_parallel_reset path parallel_domains;
-              (t, gen, path)
+            | t -> (t, gen, path)
             (* only failed *verification* falls back down the chain: an
                operational failure (EACCES, EMFILE, ...) says nothing about
                the snapshot's integrity, so quarantining it and demoting to
@@ -1811,11 +1483,6 @@ let rel dir path =
       (String.length path - String.length prefix)
   else path
 
-let verify_snapshot path =
-  match decode path with
-  | d -> Ok d.d_seq
-  | exception Error { detail; _ } -> Error detail
-
 let describe_wal path =
   match Wal.scan path with
   | { Wal.s_records; s_damage = None; s_version; _ } ->
@@ -1845,23 +1512,20 @@ let fsck ~dir =
   let snap = snapshot_path dir in
   let verified path =
     entry (rel dir path)
-      (Result.map (Printf.sprintf "verified, batch %d") (verify_snapshot path))
+      (Result.map (Printf.sprintf "verified, batch %d") (Snapshot.verify path))
   in
   let snap_entries =
-    if Sys.file_exists snap then
-      verified snap :: List.rev_map (fun (_, p) -> verified p)
-                         (generation_snapshots dir)
-    else if
-      Sys.file_exists (wal_path dir)
-      || generation_snapshots dir <> []
-      || generation_wals dir <> []
-    then
+    let archived =
+      List.rev_map (fun (_, p) -> verified p) (generation_snapshots dir)
+    in
+    if Sys.file_exists snap then verified snap :: archived
+    else if archived <> [] || holds_log dir then
       {
         f_file = rel dir snap;
         f_ok = false;
         f_detail = "missing (recovery falls back to the generation chain)";
       }
-      :: List.rev_map (fun (_, p) -> verified p) (generation_snapshots dir)
+      :: archived
     else []
   in
   let wal_entries =
@@ -1916,7 +1580,7 @@ let repair ~dir =
   (* snapshots: quarantine the unverifiable ones; at least one must survive
      (or the directory must end up empty) for the store to be recoverable *)
   let heal_snapshot path =
-    match verify_snapshot path with
+    match Snapshot.verify path with
     | Ok _ -> true
     | Error detail ->
       let q = Durable.quarantine path in
@@ -1931,14 +1595,9 @@ let repair ~dir =
         else [])
       @ List.map snd (generation_snapshots dir))
   in
-  let empty =
-    survivors = []
-    && (not (Sys.file_exists (wal_path dir)))
-    && generation_wals dir = []
-  in
   {
     repair_actions = List.rev !actions;
-    repair_recoverable = survivors <> [] || empty;
+    repair_recoverable = survivors <> [] || not (holds_log dir);
   }
 
 (* --- audit ------------------------------------------------------------- *)

@@ -29,6 +29,9 @@ end
 (** CRC-32 of the WAL records and snapshot payloads. *)
 module Checksum = Checksum
 
+(** The snapshot format, which {!save} writes and {!load} reads. *)
+module Snapshot = Snapshot
+
 (** The write-ahead log: its typed payloads and {!Wal.scan}, which decodes
     and classifies a log without the catalog. *)
 module Wal = Wal
@@ -72,7 +75,7 @@ val kind_label : error_kind -> string
     accepted batches are written ahead to a log and {!recover} replays the
     tail after a crash. *)
 
-type strategy =
+type strategy = Snapshot.strategy =
   | Minimal  (** Algorithm 3.2 auxiliary views (the paper) *)
   | Psj  (** Quass et al. tuple-level auxiliary views *)
   | Replicate  (** full base replica + recomputation *)
@@ -466,15 +469,9 @@ val report : t -> string
     any source, rebuilding every view's groups and auxiliary views (and
     the replicas of [Replicate] views) from the believed source.
 
-    The format (version 6) is a magic line and a sequence of typed
-    sections — a catalog, each base table's rows and reference counts, the
-    dead letters — each with its own CRC-32. Cells are written by their
-    column type ({!Relational.Codec}), so the data does not depend on the
-    build; only the view definitions inside the catalog are [Marshal]ed.
-    Every section is checked against its CRC before it is decoded: a
-    truncated or bit-rotted file is reported as {!Error} ([Corrupt_state])
-    naming the section. Version-5 files, one [Marshal] payload, still load;
-    older versions are refused ([Incompatible_state]). [Aged] views carry a
+    The format is {!Snapshot}'s: a truncated or bit-rotted file is
+    reported as {!Error} ([Corrupt_state]) naming the damaged section, and
+    a refused older version as [Incompatible_state]. [Aged] views carry a
     partition predicate (a closure) and cannot be persisted; [save] raises
     {!Error} ([Not_persistable]) if one is registered. *)
 

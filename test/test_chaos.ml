@@ -135,12 +135,14 @@ let has_generation_snapshot dir =
     Array.exists (fun f -> String.starts_with ~prefix:"snapshot-" f) entries
   | exception Sys_error _ -> false
 
+let chaos_seeds = [ 101; 102; 103; 104; 105; 106; 107 ]
+
 (* Apply [kind] if its precondition holds (e.g. a snapshot flip without an
    older generation to fall back to would be unrecoverable by design);
    returns the corruption actually inflicted. [Flip_section] flips one
-   byte of section [3 k mod n] of the snapshot's [n] on the [k]-th seed
-   (from 0): over the seven seeds of the sweep that reaches the catalog,
-   rows, reference counts and the dead letters. *)
+   byte of a section of kind [k mod n] of the [n] in
+   [Warehouse.Snapshot.kinds] on the [k]-th seed (from 0), so the seven
+   seeds of the sweep reach every kind while there are at most seven. *)
 let corrupt dir kind ~k =
   let wal = Filename.concat dir "wal.bin" in
   let snap = Filename.concat dir "snapshot.bin" in
@@ -161,8 +163,19 @@ let corrupt dir kind ~k =
     else Clean
   | Flip_section ->
     if Sys.file_exists snap && has_generation_snapshot dir then begin
-      let sections = Array.of_list (snapshot_sections (read_file snap)) in
-      let sec = sections.(3 * k mod Array.length sections) in
+      let kinds = Warehouse.Snapshot.kinds in
+      let nk = List.length kinds in
+      if nk > List.length chaos_seeds then
+        Alcotest.failf "%d section kinds, fewer seeds" nk;
+      let sections = snapshot_sections (read_file snap) in
+      Alcotest.(check (list int))
+        "the snapshot holds a section of every kind, and no other"
+        (List.sort compare kinds)
+        (List.sort_uniq compare (List.map (fun sec -> sec.sec_kind) sections));
+      let of_kind =
+        List.filter (fun sec -> sec.sec_kind = List.nth kinds (k mod nk)) sections
+      in
+      let sec = List.nth of_kind (k / nk mod List.length of_kind) in
       flip_byte snap (sec.sec_off + (131 * (k + 1) mod sec.sec_len));
       Flip_section
     end
@@ -189,8 +202,6 @@ let robust_recover dir =
     Alcotest.(check bool) "repair quarantined something" true
       (r.Warehouse.repair_actions <> []);
     Warehouse.recover ~dir
-
-let chaos_seeds = [ 101; 102; 103; 104; 105; 106; 107 ]
 
 let total_batches = 8
 
