@@ -1125,29 +1125,32 @@ let parallel_scaling () =
 
 (* --------------------------------------------------------- overhead *)
 
-(* The telemetry overhead gate: the instrumented maintenance pipeline, with
-   collection enabled, must run within BENCH_OVERHEAD_MAX_PCT (default 3%)
-   of the same pipeline with TELEMETRY=off. On/off samples interleave so
-   frequency scaling and cache drift hit both modes alike; per-mode cost is
-   the sum of best-of estimates over a small batch grid. Exits 1 on breach —
-   CI runs this. Also writes the full metrics dump accumulated during the
-   enabled runs, as the build's telemetry artifact.
+(* A report, not a gate: the instrumented maintenance pipeline with
+   collection enabled against the same pipeline with TELEMETRY=off, at
+   three grid points. Telemetry's cost is gated in exact minor words by
+   test_telemetry's "exact-counts" group. A best-of over a few short
+   samples spread as widely as the 3% budget (E18), so this reports each
+   point's median per-sample overhead with its interquartile range. Each
+   sample times both modes back to back, and the two modes take turns
+   running first, so frequency scaling and cache drift hit both alike.
 
    Environment knobs:
-     BENCH_OVERHEAD_MAX_PCT  failure threshold (default 3.0)
-     BENCH_OVERHEAD_OUT      result path (default BENCH_overhead.json)
-     BENCH_OVERHEAD_DUMP     metrics dump path (default TELEMETRY_dump.json) *)
+     BENCH_OVERHEAD_OUT      result path (default BENCH_overhead.json) *)
+
+(* the [q]-quantile of [xs], interpolated between the nearest ranks *)
+let quantile xs q =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let pos = q *. float_of_int (Array.length a - 1) in
+  let i = int_of_float pos in
+  let j = min (i + 1) (Array.length a - 1) in
+  a.(i) +. ((pos -. float_of_int i) *. (a.(j) -. a.(i)))
 
 let overhead () =
-  header "overhead: telemetry on vs off";
+  header "overhead: telemetry on vs off (report)";
   Gc.set
     { (Gc.get ()) with Gc.minor_heap_size = 64 * 1024 * 1024;
       space_overhead = 10_000 };
-  let max_pct =
-    match Sys.getenv_opt "BENCH_OVERHEAD_MAX_PCT" with
-    | Some s -> (try float_of_string (String.trim s) with _ -> 3.0)
-    | None -> 3.0
-  in
   let module Engine = Maintenance.Engine in
   let module Shard = Maintenance.Shard in
   let db = R.load medium_params in
@@ -1158,7 +1161,8 @@ let overhead () =
      back after. The batch is fixed per grid point so both modes apply
      identical work. Serial points use CPU time; the parallel point uses
      wall clock (worker domains burn CPU concurrently). *)
-  let measure_point ?parallel ~point ~n ~samples ~reps () =
+  let samples = 31 in
+  let measure_point ?parallel ~point ~n ~reps () =
     let batch = batch_of_inserts db rng ~n ~next_id in
     let clock =
       match parallel with
@@ -1173,49 +1177,47 @@ let overhead () =
       Engine.rollback e
     in
     run () (* warm-up *);
-    let best_on = ref infinity and best_off = ref infinity in
-    for _ = 1 to samples do
-      (* interleaved: on-sample then off-sample, every iteration *)
-      Telemetry.set_enabled true;
+    let time telemetry =
+      Telemetry.set_enabled telemetry;
       Gc.minor ();
       let t0 = clock () in
       run ();
-      let on = (clock () -. t0) /. float_of_int reps in
-      Telemetry.set_enabled false;
-      Gc.minor ();
-      let t1 = clock () in
-      run ();
-      let off = (clock () -. t1) /. float_of_int reps in
-      Telemetry.set_enabled true;
-      if on < !best_on then best_on := on;
-      if off < !best_off then best_off := off
-    done;
-    (point, !best_on *. 1000., !best_off *. 1000.)
+      (clock () -. t0) *. 1000. /. float_of_int reps
+    in
+    let pairs =
+      List.init samples (fun k ->
+          if k land 1 = 0 then
+            let on = time true in
+            (on, time false)
+          else
+            let off = time false in
+            (time true, off))
+    in
+    Telemetry.set_enabled true;
+    let pct = List.map (fun (on, off) -> 100. *. (on -. off) /. off) pairs in
+    ( point,
+      quantile (List.map fst pairs) 0.5,
+      quantile (List.map snd pairs) 0.5,
+      (quantile pct 0.25, quantile pct 0.5, quantile pct 0.75) )
   in
   let pool = Shard.create ~domains:2 in
   let grid =
-    [ measure_point ~point:"serial-200" ~n:200 ~samples:9 ~reps:8 ();
-      measure_point ~point:"serial-2000" ~n:2_000 ~samples:7 ~reps:2 ();
+    [ measure_point ~point:"serial-200" ~n:200 ~reps:32 ();
+      measure_point ~point:"serial-2000" ~n:2_000 ~reps:4 ();
       (* >512 compacted root ops, so both shard phases really fan out *)
-      measure_point ~parallel:pool ~point:"parallel2-2000" ~n:2_000
-        ~samples:7 ~reps:2 () ]
+      measure_point ~parallel:pool ~point:"parallel2-2000" ~n:2_000 ~reps:4
+        () ]
   in
+  Printf.printf "%d on/off samples per point, medians\n" samples;
   print_string
     (table
-       ~header:[ "point"; "on ms"; "off ms"; "overhead" ]
+       ~header:[ "point"; "on ms"; "off ms"; "overhead"; "IQR" ]
        (List.map
-          (fun (point, on, off) ->
+          (fun (point, on, off, (q1, med, q3)) ->
             [ point; Printf.sprintf "%.3f" on; Printf.sprintf "%.3f" off;
-              Printf.sprintf "%+.2f%%" (100. *. (on -. off) /. off) ])
+              Printf.sprintf "%+.2f%%" med;
+              Printf.sprintf "%.2f pts (%+.2f%% .. %+.2f%%)" (q3 -. q1) q1 q3 ])
           grid));
-  let sum f = List.fold_left (fun acc p -> acc +. f p) 0. grid in
-  let total_on = sum (fun (_, on, _) -> on) in
-  let total_off = sum (fun (_, _, off) -> off) in
-  let pct = 100. *. (total_on -. total_off) /. total_off in
-  let pass = pct <= max_pct in
-  Printf.printf "aggregate overhead: %+.2f%% (budget %.1f%%) -> %s\n" pct
-    max_pct
-    (if pass then "PASS" else "FAIL");
   let out =
     Option.value
       (Sys.getenv_opt "BENCH_OVERHEAD_OUT")
@@ -1223,263 +1225,20 @@ let overhead () =
   in
   let oc = open_out out in
   Printf.fprintf oc
-    "{\n  \"benchmark\": \"telemetry-overhead\",\n  \"grid\": [\n%s\n  ],\n  \
-     \"total_on_ms\": %.4f,\n  \"total_off_ms\": %.4f,\n  \
-     \"overhead_pct\": %.4f,\n  \"budget_pct\": %.2f,\n  \"pass\": %b\n}\n"
+    "{\n  \"benchmark\": \"telemetry-overhead\",\n  \"samples\": %d,\n  \
+     \"grid\": [\n%s\n  ]\n}\n"
+    samples
     (String.concat ",\n"
        (List.map
-          (fun (point, on, off) ->
+          (fun (point, on, off, (q1, med, q3)) ->
             Printf.sprintf
-              "    { \"point\": %S, \"on_ms\": %.4f, \"off_ms\": %.4f }" point
-              on off)
-          grid))
-    total_on total_off pct max_pct pass;
+              "    { \"point\": %S, \"on_ms_median\": %.4f, \
+               \"off_ms_median\": %.4f, \"overhead_pct_median\": %.4f, \
+               \"overhead_pct_q1\": %.4f, \"overhead_pct_q3\": %.4f }"
+              point on off med q1 q3)
+          grid));
   close_out oc;
-  Printf.printf "wrote %s\n" out;
-  (* the build's telemetry artifact: everything the instrumented pipeline
-     recorded during the enabled runs *)
-  let dump =
-    Option.value
-      (Sys.getenv_opt "BENCH_OVERHEAD_DUMP")
-      ~default:"TELEMETRY_dump.json"
-  in
-  let oc = open_out dump in
-  output_string oc (Telemetry.dump_json ());
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" dump;
-  if not pass then exit 1
-
-(* ------------------------------------------------- workload sketches *)
-
-(* Not part of the default run: accuracy and cost of the workload
-   intelligence sketches (Telemetry.Sketch) against an exact oracle on
-   three stream shapes — zipfian, uniform, and a churning key space — plus
-   the marginal cost of the engine's workload feeds, measured with the
-   same interleaved on/off discipline as the overhead gate. Hard gates
-   (exit 1): every guaranteed heavy hitter (true count > n/k) is tracked,
-   the Space-Saving per-entry bounds hold, the zipf stream shows more hot-key skew than the uniform one, and
-   the pipeline feed cost stays within the budget. CI runs this and feeds
-   BENCH_workload.json into the history/regression gate.
-
-   Environment knobs:
-     BENCH_WORKLOAD_N                stream length per shape (default 200000)
-     BENCH_WORKLOAD_MAX_OVERHEAD_PCT pipeline feed budget (default 3.0)
-     BENCH_WORKLOAD_OUT              output path (default BENCH_workload.json) *)
-
-let workload_bench () =
-  header "workload: sketch accuracy and feed cost";
-  let module Sketch = Telemetry.Sketch in
-  Telemetry.set_enabled true;
-  let n =
-    match Sys.getenv_opt "BENCH_WORKLOAD_N" with
-    | Some s -> (try max 1_000 (int_of_string (String.trim s)) with _ -> 200_000)
-    | None -> 200_000
-  in
-  let budget_pct =
-    match Sys.getenv_opt "BENCH_WORKLOAD_MAX_OVERHEAD_PCT" with
-    | Some s -> (try float_of_string (String.trim s) with _ -> 3.0)
-    | None -> 3.0
-  in
-  let k = 64 in
-  let universe = 10_000 in
-  (* zipf-ish: exponentiating a uniform [0,1) draw makes low keys
-     exponentially more likely (log-uniform ranks) *)
-  let zipfish rng range =
-    let u = float_of_int (Workload.Prng.int rng 1_000_000) /. 1e6 in
-    int_of_float (float_of_int range ** u) - 1
-  in
-  let streams =
-    [ ("zipf", fun rng _ -> zipfish rng universe);
-      ("uniform", fun rng _ -> Workload.Prng.int rng universe);
-      (* ten disjoint key phases: hot keys from early phases must age out
-         of the summary as later phases take over *)
-      ("churn",
-       fun rng idx ->
-         let phase = idx * 10 / n in
-         (phase * universe) + zipfish rng 1_000) ]
-  in
-  let results =
-    List.map
-      (fun (stream, gen) ->
-        let rng = Workload.Prng.create 97 in
-        let keys = Array.init n (fun idx -> gen rng idx) in
-        let truth = Hashtbl.create (2 * universe) in
-        Array.iter
-          (fun key ->
-            Hashtbl.replace truth key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt truth key)))
-          keys;
-        let ss = Sketch.Space_saving.create ~k in
-        Gc.minor ();
-        let t0 = Sys.time () in
-        Array.iter
-          (fun key ->
-            Sketch.Space_saving.touch ss ~hash:key ~label:(fun () ->
-                string_of_int key))
-          keys;
-        let ns_per_op = (Sys.time () -. t0) *. 1e9 /. float_of_int n in
-        let entries = Sketch.Space_saving.top ~n:max_int ss in
-        let true_count key =
-          Option.value ~default:0 (Hashtbl.find_opt truth key)
-        in
-        let tracked = Hashtbl.create k in
-        List.iter
-          (fun e -> Hashtbl.replace tracked e.Sketch.Space_saving.e_hash ())
-          entries;
-        let guaranteed = ref 0 and missed = ref 0 in
-        Hashtbl.iter
-          (fun key c ->
-            if c * k > n then begin
-              incr guaranteed;
-              if not (Hashtbl.mem tracked key) then incr missed
-            end)
-          truth;
-        let recall =
-          if !guaranteed = 0 then 1.0
-          else float_of_int (!guaranteed - !missed) /. float_of_int !guaranteed
-        in
-        let bound_violations, max_err =
-          List.fold_left
-            (fun (viol, err) e ->
-              let t = true_count e.Sketch.Space_saving.e_hash in
-              ( (if
-                   e.Sketch.Space_saving.e_est < t
-                   || e.Sketch.Space_saving.e_est - e.Sketch.Space_saving.e_err
-                      > t
-                 then viol + 1
-                 else viol),
-                Float.max err (float_of_int (e.Sketch.Space_saving.e_est - t))
-              ))
-            (0, 0.) entries
-        in
-        let max_err_ratio = max_err /. float_of_int n in
-        let hot_share =
-          let top8 = Sketch.Space_saving.top ~n:8 ss in
-          let s =
-            List.fold_left
-              (fun acc e -> acc + e.Sketch.Space_saving.e_est)
-              0 top8
-          in
-          Float.min 1.0 (float_of_int s /. float_of_int n)
-        in
-        ( stream,
-          Hashtbl.length truth,
-          recall,
-          !guaranteed,
-          max_err_ratio,
-          bound_violations,
-          hot_share,
-          ns_per_op ))
-      streams
-  in
-  print_string
-    (table
-       ~header:
-         [ "stream"; "distinct"; "recall"; "hitters"; "max err"; "hot share";
-           "ns/op" ]
-       (List.map
-          (fun (stream, distinct, recall, hitters, err, _, share, ns) ->
-            [ stream; string_of_int distinct; Printf.sprintf "%.3f" recall;
-              string_of_int hitters; Printf.sprintf "%.5f" err;
-              Printf.sprintf "%.2f" share; Printf.sprintf "%.0f" ns ])
-          results));
-  (* the engine pipeline with the workload feeds: interleaved on/off
-     best-of, the overhead gate's discipline on one serial point *)
-  let module Engine = Maintenance.Engine in
-  let db = R.load medium_params in
-  let e = Engine.init db (Derive.derive db R.product_sales) in
-  let rng = Workload.Prng.create 4711 in
-  let next_id = ref 0 in
-  let batch = batch_of_inserts db rng ~n:500 ~next_id in
-  let run reps =
-    Engine.begin_txn e;
-    for _ = 1 to reps do
-      Engine.apply_batch e batch
-    done;
-    Engine.rollback e
-  in
-  run 1 (* warm-up *);
-  let best_on = ref infinity and best_off = ref infinity in
-  for _ = 1 to 9 do
-    Telemetry.set_enabled true;
-    Gc.minor ();
-    let t0 = Sys.time () in
-    run 4;
-    if Sys.time () -. t0 < !best_on then best_on := Sys.time () -. t0;
-    Telemetry.set_enabled false;
-    Gc.minor ();
-    let t1 = Sys.time () in
-    run 4;
-    if Sys.time () -. t1 < !best_off then best_off := Sys.time () -. t1;
-    Telemetry.set_enabled true
-  done;
-  let overhead_pct = 100. *. (!best_on -. !best_off) /. !best_off in
-  let skew_of name =
-    List.fold_left
-      (fun acc (s, _, _, _, _, _, share, _) ->
-        if String.equal s name then share else acc)
-      0. results
-  in
-  let recall_min =
-    List.fold_left
-      (fun acc (_, _, r, _, _, _, _, _) -> Float.min acc r)
-      1.0 results
-  in
-  let err_max =
-    List.fold_left
-      (fun acc (_, _, _, _, e', _, _, _) -> Float.max acc e')
-      0. results
-  in
-  let ns_max =
-    List.fold_left
-      (fun acc (_, _, _, _, _, _, _, ns) -> Float.max acc ns)
-      0. results
-  in
-  let viol_total =
-    List.fold_left
-      (fun acc (_, _, _, _, _, v, _, _) -> acc + v)
-      0 results
-  in
-  let skew_ordered = skew_of "zipf" > skew_of "uniform" in
-  let pass =
-    recall_min >= 1.0 && viol_total = 0 && skew_ordered
-    && overhead_pct <= budget_pct
-  in
-  Printf.printf
-    "guaranteed-hitter recall %.3f, bound violations %d\nzipf hot share %.2f vs uniform %.2f, pipeline feed overhead %+.2f%% \
-     (budget %.1f%%) -> %s\n"
-    recall_min viol_total (skew_of "zipf") (skew_of "uniform")
-    overhead_pct budget_pct
-    (if pass then "PASS" else "FAIL");
-  let out =
-    Option.value
-      (Sys.getenv_opt "BENCH_WORKLOAD_OUT")
-      ~default:"BENCH_workload.json"
-  in
-  let oc = open_out out in
-  Printf.fprintf oc
-    "{\n  \"benchmark\": \"workload-sketches\",\n  \"n\": %d,\n  \"k\": %d,\n\
-    \  \"streams\": [\n%s\n  ],\n  \"topk_recall_min\": %.4f,\n  \
-     \"max_err_ratio\": %.6f,\n  \"bound_violations\": %d,\n  \"sketch_ns_per_op\": %.1f,\n  \
-     \"skew_zipf_gt_uniform\": %b,\n  \"pipeline_overhead_pct\": %.4f,\n  \
-     \"budget_pct\": %.2f,\n  \"pass\": %b\n}\n"
-    n k
-    (String.concat ",\n"
-       (List.map
-          (fun (stream, distinct, recall, hitters, err, viol, share, ns) ->
-            Printf.sprintf
-              "    { \"stream\": %S, \"distinct\": %d, \"recall\": %.4f, \
-               \"guaranteed_hitters\": %d, \"max_err_ratio\": %.6f, \
-               \"bound_violations\": %d, \
-               \"hot_key_share\": %.4f, \"sketch_ns_per_op\": %.1f }"
-              stream distinct recall hitters err viol share ns)
-          results))
-    recall_min err_max viol_total ns_max skew_ordered overhead_pct
-    budget_pct pass;
-  close_out oc;
-  Printf.printf "wrote %s\n" out;
-  if not pass then exit 1
+  Printf.printf "wrote %s\n" out
 
 (* -------------------------------------------------------- endurance *)
 
@@ -1937,11 +1696,7 @@ let columnar_bench () =
       if k land 1 = 1 then (read_col (); read_boxed ())
       else (read_boxed (); read_col ())
     done;
-    let median r =
-      let a = Array.of_list !r in
-      Array.sort Float.compare a;
-      a.(Array.length a / 2)
-    in
+    let median r = quantile !r 0.5 in
     Gc.compact ();
     let col_bytes = heap_bytes col + AS.offheap_bytes col in
     let col_accounted = AS.byte_size col in
@@ -2194,13 +1949,12 @@ let columnar_bench () =
 (* --- E21: bench history + regression gate --------------------------------
 
    [history] distills the key metrics out of whatever BENCH_*.json result
-   files the other experiments left behind (plus the overhead gate's
-   telemetry dump) into one schema-versioned JSONL record — git sha, date,
-   cores, flat metric map — appended to a history file. [regress] compares
-   the current result files against the last recorded baseline and exits 1
-   when any metric moved in its bad direction by more than the tolerance
-   AND more than a per-metric absolute floor (so microscopic baselines
-   cannot produce giant relative "regressions").
+   files the other experiments left behind into one schema-versioned JSONL
+   record — git sha, date, cores, flat metric map — appended to a history
+   file. [regress] compares the current result files against the last
+   recorded baseline and exits 1 when any metric moved in its bad direction
+   by more than the tolerance AND more than a per-metric absolute floor (so
+   microscopic baselines cannot produce giant relative "regressions").
 
    Env knobs:
      BENCH_HISTORY_OUT           history path (default BENCH_history.jsonl)
@@ -2277,8 +2031,6 @@ let extract_metrics () =
         (num j "root_heavy_speedup_at_max_domains");
       add "parallel.zipf_compaction_ratio" Higher_better 0.5
         (num j "zipf_compaction_ratio"));
-  with_json "BENCH_OVERHEAD_OUT" "BENCH_overhead.json" (fun j ->
-      add "overhead.overhead_pct" Lower_better 1.0 (num j "overhead_pct"));
   with_json "BENCH_SERVE_OUT" "BENCH_serve.json" (fun j ->
       add "serve.writer_ratio_at_max_readers" Higher_better 0.1
         (num j "writer_ratio_at_max_readers");
@@ -2299,14 +2051,6 @@ let extract_metrics () =
         add "serve.read_p95_ms_at_max_readers" Lower_better 0.5
           (num entry "read_p95_ms")
       | None -> ());
-  with_json "BENCH_WORKLOAD_OUT" "BENCH_workload.json" (fun j ->
-      add "workload.topk_recall_min" Higher_better 0.01
-        (num j "topk_recall_min");
-      add "workload.max_err_ratio" Lower_better 0.005 (num j "max_err_ratio");
-      add "workload.sketch_ns_per_op" Lower_better 50.
-        (num j "sketch_ns_per_op");
-      add "workload.pipeline_overhead_pct" Lower_better 1.0
-        (num j "pipeline_overhead_pct"));
   with_json "BENCH_COLUMNAR_OUT" "BENCH_columnar.json" (fun j ->
       add "columnar.bytes_ratio_overall" Higher_better 0.2
         (num j "bytes_ratio_overall");
@@ -2322,33 +2066,6 @@ let extract_metrics () =
               (num entry "columnar_bytes_per_row")
           | None -> ())
         (J.to_list (Option.value ~default:J.Null (J.member "bytes" j))));
-  (* phase p95s from the overhead gate's telemetry dump (one JSON object
-     per line) *)
-  (match
-     read_file_opt
-       (Option.value
-          (Sys.getenv_opt "BENCH_OVERHEAD_DUMP")
-          ~default:"TELEMETRY_dump.json")
-   with
-  | Some dump ->
-    List.iter
-      (fun line ->
-        match J.parse (String.trim line) with
-        | Ok j
-          when Option.bind (J.member "name" j) J.to_string
-               = Some "minview_engine_phase_seconds" -> (
-          match Option.bind (J.path [ "labels"; "phase" ] j) J.to_string with
-          | Some phase ->
-            add
-              (Printf.sprintf "phase_p95_ms.%s" phase)
-              Lower_better 1.0
-              (Option.map
-                 (fun s -> s *. 1000.)
-                 (Option.bind (J.member "p95" j) J.to_float))
-          | None -> ())
-        | Ok _ | Error _ -> ())
-      (String.split_on_char '\n' dump)
-  | None -> ());
   List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !out
 
 let history_record metrics =
@@ -2464,8 +2181,8 @@ let bench_regress () =
    and with [all], [All] ones with [all] only, [Named] ones only when named.
    endurance reports resident memory, which is only meaningful in a fresh
    process; apply-scaling and parallel build million-row instances;
-   overhead (the CI gate) and workload set the global telemetry switch and
-   columnar retunes the process's GC; serve runs reader domains for timed
+   overhead (a report) sets the global telemetry switch and, with
+   columnar, retunes the process's GC; serve runs reader domains for timed
    windows; history and regress only read the other experiments' result
    files. *)
 type tier = Default | All | Named
@@ -2481,7 +2198,7 @@ let experiments =
     ("apply-scaling", Named, apply_scaling);
     ("parallel", Named, parallel_scaling); ("overhead", Named, overhead);
     ("serve", Named, serve_bench); ("columnar", Named, columnar_bench);
-    ("workload", Named, workload_bench); ("history", Named, bench_history);
+    ("history", Named, bench_history);
     ("regress", Named, bench_regress);
   ]
 

@@ -34,7 +34,7 @@ let readers =
     ("minview_engine_merge_folds_total", "test/cram/metrics.t");
     ("minview_engine_ops_applied_total", "test_lineage.ml; test_telemetry.ml");
     ("minview_engine_phase_alloc_bytes", "test_exporter.ml; TUTORIAL.md");
-    ("minview_engine_phase_seconds", "perfbench/pipeline.ml; bench/main.ml");
+    ("minview_engine_phase_seconds", "perfbench/pipeline.ml");
     ("minview_faults_crashes_total", "test_telemetry.ml; TUTORIAL.md");
     ("minview_lineage_audit_checked_total", "test_lineage.ml");
     ("minview_lineage_audit_divergences_total", "test_lineage.ml");

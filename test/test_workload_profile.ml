@@ -166,14 +166,16 @@ let view_obj name j =
 
 let parsed_profile () = Json.parse_exn (Wk.profile_json ())
 
-let feed_view name =
+(* zipf-ish: key 1 dominates *)
+let zipfish round = if round mod 10 = 0 then round / 10 else 1
+
+let feed_view ?(rounds = 100) ?(key = zipfish) name =
   let vs = Wk.view name in
   (* a producer's local accounting, the engine's discipline: sample the
      sketch feeds, record the batch with its exact totals once *)
   let events = ref 0 and writes = ref 0 in
-  for round = 1 to 100 do
-    (* zipf-ish: key 1 dominates *)
-    let key = if round mod 10 = 0 then round / 10 else 1 in
+  for round = 1 to rounds do
+    let key = key round in
     if !events land Wk.sample_mask = 0 then
       Wk.note_hot_key ~weight:2 vs ~hash:key ~label:(fun () ->
           "k" ^ string_of_int key);
@@ -207,6 +209,15 @@ let profile_tests =
         Metrics.reset ();
         Wk.reset ();
         let _ = feed_view "wkp_basic" in
+        (* uniform over 1,000 keys: the 1-in-32 sampled feed of 3,200
+           rounds touches about 95 of them, more than the top-k's 32
+           slots, so the top entries' estimates include evicted weight *)
+        let rng = Workload.Prng.create 97 in
+        let _ =
+          feed_view ~rounds:3_200
+            ~key:(fun _ -> Workload.Prng.int rng 1_000)
+            "wkp_uniform"
+        in
         Wk.note_shard_run ~workers:2 ~busy:[| 0.3; 0.1 |];
         Wk.note_shard_ops [| 5; 7 |];
         (* observed time is positive, so both rates are *)
@@ -241,15 +252,20 @@ let profile_tests =
         Alcotest.(check bool)
           "hot-key share is skewed" true
           (jnum [ "skew"; "hot_key_share" ] v > 0.8);
+        let uniform = view_obj "wkp_uniform" j in
+        Alcotest.(check bool)
+          "a uniform stream is less skewed than a zipf one" true
+          (jnum [ "skew"; "hot_key_share" ] uniform
+           < jnum [ "skew"; "hot_key_share" ] v);
         let hot = Json.to_list (jget [ "hot_keys" ] v) in
         Alcotest.(check bool) "hot keys non-empty" true (hot <> []);
         let first = List.hd hot in
         Alcotest.(check (option string))
           "hottest key label" (Some "k1")
           (Option.bind (Json.member "key" first) Json.to_string);
-        (* epoch lag: two reads observed *)
+        (* epoch lag: two reads of each view observed *)
         Alcotest.(check (float 1e-9))
-          "lag count" 2.
+          "lag count" 4.
           (jnum [ "epoch_lag"; "count" ] j);
         Alcotest.(check (float 1e-9))
           "shard runs" 1.
