@@ -1,10 +1,19 @@
-(* Experiment harness: regenerates every table and figure of the paper (see
-   DESIGN.md's experiment index E1-E10) plus timing benchmarks.
+(* Experiment harness: regenerates every table and figure of the paper
+   (EXPERIMENTS.md E1-E15) plus timing benchmarks (E16-E20).
 
-     dune exec bench/main.exe            # run E1..E10
+     dune exec bench/main.exe            # run E1..E15
      dune exec bench/main.exe -- e4 e7   # run selected experiments
+     dune exec bench/main.exe -- all     # E1..E15 and the timings
      dune exec bench/main.exe -- timings    # bechamel micro-benchmarks
-     dune exec bench/main.exe -- endurance  # 200k-delta soak with RSS *)
+     dune exec bench/main.exe -- endurance  # 200k-delta soak with RSS
+     dune exec bench/main.exe -- columnar   # one named benchmark
+
+   Each named benchmark (apply-scaling E16, parallel E17, overhead E18,
+   serve E19, columnar E20) runs one grid fixed in its code and writes
+   BENCH_<name>.json to the working directory; history and regress read
+   those files. The harness reads no environment variable but
+   MINVIEW_BUILD_SHA, the sha a history record carries when git cannot
+   name the commit. *)
 
 module R = Workload.Retail
 module S = Workload.Snowflake
@@ -22,7 +31,6 @@ let header title =
 
 let table = Relational.Table_printer.render
 let show = Storage.show_bytes
-let model = Storage.paper_model
 
 (* medium-size measured instance used by several experiments *)
 let medium_params =
@@ -37,7 +45,6 @@ let medium_params =
   }
 
 let total_rows profile = List.fold_left (fun acc (_, r, _) -> acc + r) 0 profile
-let total_bytes profile = Storage.profile_bytes model profile
 
 (* Bench timings flow through the same histogram type the pipeline itself
    uses: every sample is observed into a labelled bench histogram and the
@@ -71,11 +78,11 @@ let e1 () =
      transactions\n"
     p.R.days p.R.stores p.R.sold_per_store_day p.R.tx_per_product;
   let fact_rows = R.fact_rows p in
-  let fact_bytes = Storage.bytes model ~rows:fact_rows ~fields:5 in
+  let fact_bytes = Storage.bytes ~rows:fact_rows ~fields:5 in
   (* product_sales only covers 1997 (half the time dimension); worst case all
      30,000 products sell each day *)
   let aux_rows = p.R.days / 2 * p.R.products in
-  let aux_bytes = Storage.bytes model ~rows:aux_rows ~fields:4 in
+  let aux_bytes = Storage.bytes ~rows:aux_rows ~fields:4 in
   print_string
     (table
        ~header:[ "object"; "tuples"; "fields"; "size" ]
@@ -107,12 +114,13 @@ let e1 () =
        ~header:[ "strategy"; "detail rows"; "detail size" ]
        (List.map
           (fun (name, p) ->
-            [ name; string_of_int (total_rows p); show (total_bytes p) ])
+            [ name; string_of_int (total_rows p);
+              show (Storage.profile_bytes p) ])
           profiles));
   let find n = List.assoc n profiles in
   Printf.printf "measured reduction vs full replication: %.1fx\n"
-    (float_of_int (total_bytes (find "recompute"))
-    /. float_of_int (total_bytes (find "minimal")))
+    (float_of_int (Storage.profile_bytes (find "recompute"))
+    /. float_of_int (Storage.profile_bytes (find "minimal")))
 
 (* ------------------------------------------------------------------ E2 *)
 
@@ -290,7 +298,7 @@ let e6 () =
         (Relation.equal got (Algebra.Eval.eval db view)))
     [ R.product_sales; R.monthly_revenue; R.sales_by_time ];
   print_endline "detail data held by the warehouse:";
-  print_string (Storage.render_profile model (Warehouse.detail_profile wh))
+  print_string (Storage.render_profile (Warehouse.detail_profile wh))
 
 (* ------------------------------------------------------------------ E7 *)
 
@@ -313,9 +321,9 @@ let e7 () =
         [
           string_of_int tx;
           string_of_int fact;
-          show (Storage.bytes model ~rows:fact ~fields:5);
+          show (Storage.bytes ~rows:fact ~fields:5);
           string_of_int aux;
-          show (Storage.bytes model ~rows:aux ~fields:4);
+          show (Storage.bytes ~rows:aux ~fields:4);
           Printf.sprintf "%.1fx" (float_of_int fact /. float_of_int aux);
         ])
       [ 1; 2; 5; 10; 20 ]
@@ -399,7 +407,8 @@ let e9 () =
        ~header:[ "strategy"; "detail rows"; "detail size" ]
        (List.map
           (fun (n, p) ->
-            [ n; string_of_int (total_rows p); show (total_bytes p) ])
+            [ n; string_of_int (total_rows p);
+              show (Storage.profile_bytes p) ])
           profiles));
   (* maintenance with zero fact detail *)
   let e = Engines.minimal db view in
@@ -431,7 +440,7 @@ let e10 () =
       Engines.apply_batch e (Workload.Delta_gen.stream rng db ~n:1_500);
       Printf.printf "maintained == recomputed: %b\n"
         (Relation.equal (Engines.view_contents e) (Algebra.Eval.eval db view));
-      print_string (Storage.render_profile model (Engines.detail_profile e));
+      print_string (Storage.render_profile (Engines.detail_profile e));
       print_newline ())
     [ S.category_revenue; S.product_brand_profile ]
 
@@ -473,7 +482,7 @@ let e11 () =
         [
           label;
           string_of_int (total_rows profile);
-          show (total_bytes profile);
+          show (Storage.profile_bytes profile);
         ])
       variants
   in
@@ -620,7 +629,7 @@ let e14 () =
      append-only, so MIN/MAX compress into columns and nothing in it can be\n\
      invalidated; the current half stays fully mutable:";
   print_string
-    (Storage.render_profile model (Maintenance.Engines.detail_profile p));
+    (Storage.render_profile (Maintenance.Engines.detail_profile p));
   (* live traffic: inserts everywhere, deletes/updates only on current *)
   let rng = Workload.Prng.create 4 in
   let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
@@ -650,7 +659,7 @@ let e14 () =
     (List.length aged) boundary (boundary + 5)
     (Relation.equal before (Maintenance.Engines.view_contents p));
   print_string
-    (Storage.render_profile model (Maintenance.Engines.detail_profile p))
+    (Storage.render_profile (Maintenance.Engines.detail_profile p))
 
 (* ------------------------------------------------------------------ E15 *)
 
@@ -744,10 +753,7 @@ let e15 () =
    delta stream is confined to a bounded (day, product) region so every grid
    point applies the same per-batch work and working set.
 
-   Not part of the default run. Environment knobs:
-     BENCH_APPLY_SIZES  comma-separated resident-row targets
-                        (default 10000,100000,1000000)
-     BENCH_APPLY_OUT    output path (default BENCH_apply.json) *)
+   Not part of the default run. Writes BENCH_apply.json. *)
 
 let apply_scaling () =
   header "apply-scaling: transactional apply vs resident rows";
@@ -757,13 +763,7 @@ let apply_scaling () =
   Gc.set
     { (Gc.get ()) with Gc.minor_heap_size = 64 * 1024 * 1024;
       space_overhead = 10_000 };
-  let sizes =
-    match Sys.getenv_opt "BENCH_APPLY_SIZES" with
-    | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-    | None -> [ 10_000; 100_000; 1_000_000 ]
-  in
+  let sizes = [ 10_000; 100_000; 1_000_000 ] in
   let batch_size = 64 in
   (* fresh fact ids far above anything the loader produces *)
   let next_id = ref 100_000_000 in
@@ -840,9 +840,7 @@ let apply_scaling () =
           points speedups));
   Printf.printf
     "journal max/min over the grid: %.2fx (flat == O(delta) apply)\n" ratio;
-  let out =
-    Option.value (Sys.getenv_opt "BENCH_APPLY_OUT") ~default:"BENCH_apply.json"
-  in
+  let out = "BENCH_apply.json" in
   let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"apply-scaling\",\n  \"batch_size\": %d,\n  \
@@ -880,27 +878,16 @@ let apply_scaling () =
    test_parallel.ml). Timings are wall-clock: domains burn CPU concurrently,
    so process CPU time would charge the parallel path for its own overlap.
 
-   Not part of the default run. Environment knobs:
-     BENCH_PARALLEL_DOMAINS  comma-separated domain counts (default 1,2,4)
-     BENCH_PARALLEL_BATCHES  comma-separated batch sizes (default 10000,100000)
-     BENCH_PARALLEL_SIZES    resident-row targets (default 50000,500000)
-     BENCH_PARALLEL_OUT      output path (default BENCH_parallel.json) *)
+   Not part of the default run. Writes BENCH_parallel.json. *)
 
 let parallel_scaling () =
   header "parallel: net-effect compaction + shard-parallel apply";
   Gc.set
     { (Gc.get ()) with Gc.minor_heap_size = 64 * 1024 * 1024;
       space_overhead = 10_000 };
-  let ints_env var default =
-    match Sys.getenv_opt var with
-    | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-    | None -> default
-  in
-  let domain_counts = ints_env "BENCH_PARALLEL_DOMAINS" [ 1; 2; 4 ] in
-  let batch_sizes = ints_env "BENCH_PARALLEL_BATCHES" [ 10_000; 100_000 ] in
-  let sizes = ints_env "BENCH_PARALLEL_SIZES" [ 50_000; 500_000 ] in
+  let domain_counts = [ 1; 2; 4 ] in
+  let batch_sizes = [ 10_000; 100_000 ] in
+  let sizes = [ 50_000; 500_000 ] in
   let next_id = ref 500_000_000 in
   (* fresh facts from a bounded region: at most 200 x 50 price points per
      timeid share the read-set projection, so a large batch merges hard *)
@@ -1089,11 +1076,7 @@ let parallel_scaling () =
     "root-heavy %dk-delta speedup at %d domains: %.1fx\n\
      zipf compaction input/applied: %.0fx\n"
     (biggest_batch / 1000) max_domains root_heavy_speedup zipf_ratio;
-  let out =
-    Option.value
-      (Sys.getenv_opt "BENCH_PARALLEL_OUT")
-      ~default:"BENCH_parallel.json"
-  in
+  let out = "BENCH_parallel.json" in
   let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"parallel-apply\",\n  \"domains\": [%s],\n  \
@@ -1133,9 +1116,7 @@ let parallel_scaling () =
    point's median per-sample overhead with its interquartile range. Each
    sample times both modes back to back, and the two modes take turns
    running first, so frequency scaling and cache drift hit both alike.
-
-   Environment knobs:
-     BENCH_OVERHEAD_OUT      result path (default BENCH_overhead.json) *)
+   Writes BENCH_overhead.json. *)
 
 (* the [q]-quantile of [xs], interpolated between the nearest ranks *)
 let quantile xs q =
@@ -1218,11 +1199,7 @@ let overhead () =
               Printf.sprintf "%+.2f%%" med;
               Printf.sprintf "%.2f pts (%+.2f%% .. %+.2f%%)" (q3 -. q1) q1 q3 ])
           grid));
-  let out =
-    Option.value
-      (Sys.getenv_opt "BENCH_OVERHEAD_OUT")
-      ~default:"BENCH_overhead.json"
-  in
+  let out = "BENCH_overhead.json" in
   let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"telemetry-overhead\",\n  \"samples\": %d,\n  \
@@ -1350,46 +1327,20 @@ let timings () =
    reader-free baseline: epoch publication is the writer's only read-side
    cost, so readers must not slow ingestion down materially.
 
-   Readers are paced ([BENCH_SERVE_READ_QPS] per reader, default 1000):
-   epoch reads are sub-microsecond, so unpaced readers measure nothing but
-   CPU preemption of the writer on small machines. Pacing bounds the
-   readers' CPU draw so the ratio isolates actual blocking (of which the
-   epoch path has none — no lock is ever taken); set it to 0 for
-   spin-at-full-speed readers to measure raw read capacity instead.
-
-   Env:
-     BENCH_SERVE_READERS   comma-separated reader counts (default 0,1,4)
-     BENCH_SERVE_SECONDS   seconds per grid point (default 2.0)
-     BENCH_SERVE_BATCH     deltas per ingested batch (default 500)
-     BENCH_SERVE_READ_QPS  target reads/s per reader; 0 = unpaced (default 1000)
-     BENCH_SERVE_OUT       output path (default BENCH_serve.json) *)
+   Readers are paced (1,000 reads/s each): epoch reads are
+   sub-microsecond, so unpaced readers measure nothing but CPU preemption
+   of the writer on small machines. Pacing bounds the readers' CPU draw so
+   the ratio isolates actual blocking (of which the epoch path has none —
+   no lock is ever taken). Each grid point ingests 500-delta batches for
+   2 s. Writes BENCH_serve.json. *)
 
 let serve_bench () =
   header "serve: epoch reads under sustained ingest";
-  let ints_env var default =
-    match Sys.getenv_opt var with
-    | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-    | None -> default
-  in
-  let reader_grid = ints_env "BENCH_SERVE_READERS" [ 0; 1; 4 ] in
-  let seconds =
-    match Sys.getenv_opt "BENCH_SERVE_SECONDS" with
-    | Some s -> (match float_of_string_opt s with Some f -> f | None -> 2.0)
-    | None -> 2.0
-  in
-  let batch_size =
-    match Sys.getenv_opt "BENCH_SERVE_BATCH" with
-    | Some s -> (match int_of_string_opt s with Some n -> n | None -> 500)
-    | None -> 500
-  in
-  let read_qps =
-    match Sys.getenv_opt "BENCH_SERVE_READ_QPS" with
-    | Some s -> (match int_of_string_opt s with Some n -> n | None -> 1000)
-    | None -> 1000
-  in
-  let pause = if read_qps > 0 then 1. /. float_of_int read_qps else 0. in
+  let reader_grid = [ 0; 1; 4 ] in
+  let seconds = 2.0 in
+  let batch_size = 500 in
+  let read_qps = 1000 in
+  let pause = 1. /. float_of_int read_qps in
   let next_id = ref 600_000_000 in
   let fresh_batch rng n =
     List.init n (fun _ ->
@@ -1431,8 +1382,7 @@ let serve_bench () =
                     ignore
                       (Warehouse.read_view ~snapshot:s wh "product_sales"));
                 incr n;
-                if pause > 0. then
-                  try Unix.sleepf pause with Unix.Unix_error _ -> ()
+                try Unix.sleepf pause with Unix.Unix_error _ -> ()
               done;
               !n))
     in
@@ -1498,9 +1448,7 @@ let serve_bench () =
          blocking (the epoch path takes no lock)\n"
         cores (max_readers + 1)
   end;
-  let out =
-    Option.value (Sys.getenv_opt "BENCH_SERVE_OUT") ~default:"BENCH_serve.json"
-  in
+  let out = "BENCH_serve.json" in
   let json_f x = if Float.is_nan x then "null" else Printf.sprintf "%.3f" x in
   let oc = open_out out in
   Printf.fprintf oc
@@ -1529,7 +1477,8 @@ let serve_bench () =
 
 (* --- E20: columnar storage vs the boxed baseline -------------------------
 
-   Two sections, both gated (exit 1 on failure) so CI can hold the line:
+   Two sections, gated by three bounds (exit 1 on failure) so CI can hold
+   the line:
 
    1. Resident bytes per auxiliary-view row: identical content is loaded
       into the columnar [Aux_state] and the frozen one-record-per-group
@@ -1541,7 +1490,8 @@ let serve_bench () =
       dimension of product_sales. The same
       states also time the storage phases — apply (insert/delete churn),
       scan (full iteration) and merge (to_relation) — columnar must stay
-      within BENCH_COLUMNAR_MAX_PHASE_PCT of boxed on every phase.
+      within 5% of boxed on every phase, and boxed must take at least 3x
+      columnar's bytes over both shapes.
 
    2. Apply-latency grid over uniform fresh-fact batches (the [parallel]
       experiment's workload): serial vs the pooled dispatch. The committed
@@ -1550,18 +1500,9 @@ let serve_bench () =
       the old fixed 512-op cutoff was ~3x slower than serial there. The
       dispatch rule's resident-scaled serial floor applies such batches
       directly at serial speed, and its speedup-vs-serial must beat that
-      committed baseline by >= BENCH_COLUMNAR_MIN_IMPROVEMENT on at least
-      one such point (gated only when the grid has a >= 400k point).
+      committed baseline by >= 1.5x on at least one such point.
 
-   Not part of the default run. Environment knobs:
-     BENCH_COLUMNAR_ROWS           bytes-section resident rows (default 200000)
-     BENCH_COLUMNAR_SIZES          grid resident targets (default 50000,500000)
-     BENCH_COLUMNAR_BATCHES        grid batch sizes (default 10000,100000)
-     BENCH_COLUMNAR_DOMAINS        grid domain counts (default 2,4)
-     BENCH_COLUMNAR_MIN_RATIO      bytes gate (default 3.0)
-     BENCH_COLUMNAR_MAX_PHASE_PCT  phase gate (default 5.0)
-     BENCH_COLUMNAR_MIN_IMPROVEMENT  dispatch gate (default 1.5)
-     BENCH_COLUMNAR_OUT            output path (default BENCH_columnar.json) *)
+   Not part of the default run. Writes BENCH_columnar.json. *)
 
 let columnar_bench () =
   header "columnar: unboxed segment storage vs boxed baseline";
@@ -1571,26 +1512,10 @@ let columnar_bench () =
   let module AS = Maintenance.Aux_state in
   let module Engine = Maintenance.Engine in
   let module Shard = Maintenance.Shard in
-  let ints_env var default =
-    match Sys.getenv_opt var with
-    | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
-    | None -> default
-  in
-  let float_env var default =
-    match Option.bind (Sys.getenv_opt var) float_of_string_opt with
-    | Some v -> v
-    | None -> default
-  in
-  let rows_n =
-    match Option.bind (Sys.getenv_opt "BENCH_COLUMNAR_ROWS") int_of_string_opt with
-    | Some n -> n
-    | None -> 200_000
-  in
-  let min_ratio = float_env "BENCH_COLUMNAR_MIN_RATIO" 3.0 in
-  let max_phase_pct = float_env "BENCH_COLUMNAR_MAX_PHASE_PCT" 5.0 in
-  let min_improvement = float_env "BENCH_COLUMNAR_MIN_IMPROVEMENT" 1.5 in
+  let rows_n = 200_000 in
+  let min_ratio = 3.0 in
+  let max_phase_pct = 5.0 in
+  let min_improvement = 1.5 in
 
   (* --- section 1: bytes per row + storage phases ----------------------- *)
   let db =
@@ -1755,9 +1680,9 @@ let columnar_bench () =
   in
 
   (* --- section 2: dispatch grid ---------------------------------------- *)
-  let sizes = ints_env "BENCH_COLUMNAR_SIZES" [ 50_000; 500_000 ] in
-  let batch_sizes = ints_env "BENCH_COLUMNAR_BATCHES" [ 10_000; 100_000 ] in
-  let domain_counts = ints_env "BENCH_COLUMNAR_DOMAINS" [ 2; 4 ] in
+  let sizes = [ 50_000; 500_000 ] in
+  let batch_sizes = [ 10_000; 100_000 ] in
+  let domain_counts = [ 2; 4 ] in
   let pools = List.map (fun d -> (d, Shard.create ~domains:d)) domain_counts in
   let next_id = ref 500_000_000 in
   let uniform rng ~days ~n =
@@ -1843,7 +1768,6 @@ let columnar_bench () =
      PR 7): on the 500k-resident 10k-input uniform points the pooled
      apply ran at 0.32x (2 domains) / 0.35x (4 domains) of serial — the
      regression this dispatcher exists to fix. *)
-  let has_large = List.exists (fun (r, _, _, _) -> r >= 400_000) grid in
   let baseline_speedup = function
     | 2 -> Some 0.32
     | 4 -> Some 0.35
@@ -1864,22 +1788,16 @@ let columnar_bench () =
   in
   let bytes_ok = bytes_ratio >= min_ratio in
   let phase_ok = max_phase_regression <= max_phase_pct in
-  let dispatch_ok = (not has_large) || best_improvement >= min_improvement in
+  let dispatch_ok = best_improvement >= min_improvement in
   Printf.printf
     "bytes ratio (boxed/columnar): %.2fx (gate >= %.1fx)\n\
      worst phase regression: %+.1f%% (gate <= %.1f%%)\n"
     bytes_ratio min_ratio max_phase_regression max_phase_pct;
-  if has_large then
-    Printf.printf
-      "dispatch speedup on >=400k-resident small batches vs committed \
-       pre-columnar baseline (0.32x/0.35x of serial): %.2fx (gate >= \
-       %.1fx)\n"
-      best_improvement min_improvement;
-  let out =
-    Option.value
-      (Sys.getenv_opt "BENCH_COLUMNAR_OUT")
-      ~default:"BENCH_columnar.json"
-  in
+  Printf.printf
+    "dispatch speedup on >=400k-resident small batches vs committed \
+     pre-columnar baseline (0.32x/0.35x of serial): %.2fx (gate >= %.1fx)\n"
+    best_improvement min_improvement;
+  let out = "BENCH_columnar.json" in
   let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"columnar-storage\",\n  \"rows\": %d,\n  \
@@ -1950,17 +1868,12 @@ let columnar_bench () =
 
    [history] distills the key metrics out of whatever BENCH_*.json result
    files the other experiments left behind into one schema-versioned JSONL
-   record — git sha, date, cores, flat metric map — appended to a history
-   file. [regress] compares the current result files against the last
-   recorded baseline and exits 1 when any metric moved in its bad direction
-   by more than the tolerance AND more than a per-metric absolute floor (so
-   microscopic baselines cannot produce giant relative "regressions").
-
-   Env knobs:
-     BENCH_HISTORY_OUT           history path (default BENCH_history.jsonl)
-     BENCH_REGRESS_TOLERANCE_PCT relative tolerance (default 10)
-   The BENCH_*_OUT knobs of the producing experiments are honoured when
-   locating the result files. *)
+   record — git sha, date, cores, flat metric map — appended to
+   BENCH_history.jsonl. [regress] compares the current result files against
+   the last recorded baseline and exits 1 when any metric moved in its bad
+   direction by more than [tolerance_pct] AND more than a per-metric
+   absolute floor (so microscopic baselines cannot produce giant relative
+   "regressions"). *)
 
 module J = Telemetry.Json
 
@@ -1968,9 +1881,8 @@ type direction = Higher_better | Lower_better
 
 let history_schema = 1
 
-let history_path () =
-  Option.value (Sys.getenv_opt "BENCH_HISTORY_OUT")
-    ~default:"BENCH_history.jsonl"
+let history_path = "BENCH_history.jsonl"
+let tolerance_pct = 10.
 
 let read_file_opt path =
   if Sys.file_exists path then
@@ -2013,25 +1925,23 @@ let extract_metrics () =
     | Some v when Float.is_finite v -> out := (key, dir, floor, v) :: !out
     | Some _ | None -> ()
   in
-  let with_json env default f =
+  let with_json path f =
     match
-      Option.bind
-        (read_file_opt (Option.value (Sys.getenv_opt env) ~default))
-        (fun s -> Result.to_option (J.parse s))
+      Option.bind (read_file_opt path) (fun s -> Result.to_option (J.parse s))
     with
     | Some j -> f j
     | None -> ()
   in
   let num j k = Option.bind (J.member k j) J.to_float in
-  with_json "BENCH_APPLY_OUT" "BENCH_apply.json" (fun j ->
+  with_json "BENCH_apply.json" (fun j ->
       add "apply.journal_ratio_max_over_min" Lower_better 0.3
         (num j "ratio_max_over_min"));
-  with_json "BENCH_PARALLEL_OUT" "BENCH_parallel.json" (fun j ->
+  with_json "BENCH_parallel.json" (fun j ->
       add "parallel.root_heavy_speedup" Higher_better 0.2
         (num j "root_heavy_speedup_at_max_domains");
       add "parallel.zipf_compaction_ratio" Higher_better 0.5
         (num j "zipf_compaction_ratio"));
-  with_json "BENCH_SERVE_OUT" "BENCH_serve.json" (fun j ->
+  with_json "BENCH_serve.json" (fun j ->
       add "serve.writer_ratio_at_max_readers" Higher_better 0.1
         (num j "writer_ratio_at_max_readers");
       let at_max =
@@ -2051,7 +1961,7 @@ let extract_metrics () =
         add "serve.read_p95_ms_at_max_readers" Lower_better 0.5
           (num entry "read_p95_ms")
       | None -> ());
-  with_json "BENCH_COLUMNAR_OUT" "BENCH_columnar.json" (fun j ->
+  with_json "BENCH_columnar.json" (fun j ->
       add "columnar.bytes_ratio_overall" Higher_better 0.2
         (num j "bytes_ratio_overall");
       add "columnar.best_improvement" Higher_better 0.2
@@ -2079,14 +1989,12 @@ let history_record metrics =
           metrics))
 
 let append_history metrics =
-  let path = history_path () in
   let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
+    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 history_path
   in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Printf.fprintf oc "%s\n" (history_record metrics));
-  path
+    (fun () -> Printf.fprintf oc "%s\n" (history_record metrics))
 
 let bench_history () =
   let metrics = extract_metrics () in
@@ -2094,12 +2002,13 @@ let bench_history () =
     Printf.eprintf
       "warning: no BENCH_*.json result files found — recording an empty \
        history entry\n";
-  let path = append_history metrics in
-  Printf.printf "appended %d metric(s) to %s\n" (List.length metrics) path
+  append_history metrics;
+  Printf.printf "appended %d metric(s) to %s\n" (List.length metrics)
+    history_path
 
 (* the newest parseable record with a metrics object wins *)
 let last_baseline () =
-  Option.bind (read_file_opt (history_path ())) (fun data ->
+  Option.bind (read_file_opt history_path) (fun data ->
       List.fold_left
         (fun acc line ->
           match J.parse (String.trim line) with
@@ -2109,23 +2018,14 @@ let last_baseline () =
         (String.split_on_char '\n' data))
 
 let bench_regress () =
-  let tolerance =
-    match
-      Option.bind
-        (Sys.getenv_opt "BENCH_REGRESS_TOLERANCE_PCT")
-        float_of_string_opt
-    with
-    | Some t when t >= 0. -> t
-    | Some _ | None -> 10.
-  in
   let current = extract_metrics () in
   match last_baseline () with
   | None ->
-    let path = append_history current in
+    append_history current;
     Printf.printf
       "no baseline in %s: recorded the current run as the initial baseline \
        (%d metrics)\n"
-      path (List.length current)
+      history_path (List.length current)
   | Some base ->
     let base_sha =
       Option.value ~default:"?"
@@ -2135,7 +2035,7 @@ let bench_regress () =
     Printf.printf
       "regression gate: tolerance %.0f%% against baseline %s (%s)\n%-42s %12s \
        %12s %9s  %s\n"
-      tolerance base_sha
+      tolerance_pct base_sha
       (Option.value ~default:"?"
          (Option.bind (J.member "date" base) J.to_string))
       "metric" "baseline" "current" "delta" "status";
@@ -2155,11 +2055,11 @@ let bench_regress () =
             let rel_pct =
               worsening /. Float.max (Float.abs bv) 1e-9 *. 100.
             in
-            let regressed = rel_pct > tolerance && worsening > floor in
+            let regressed = rel_pct > tolerance_pct && worsening > floor in
             Printf.printf "%-42s %12.4g %12.4g %8.1f%%  %s\n" key bv cur
               rel_pct
               (if regressed then "REGRESSED"
-               else if rel_pct > tolerance then "ok (within floor)"
+               else if rel_pct > tolerance_pct then "ok (within floor)"
                else "ok");
             if regressed then (key, bv, cur, rel_pct) :: failures
             else failures)

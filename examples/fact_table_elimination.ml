@@ -23,8 +23,7 @@ let () =
   Warehouse.add_view wh view;
   print_endline "\ndetail storage (note: no saleDTL):";
   print_string
-    (Warehouse.Storage.render_profile Warehouse.Storage.paper_model
-       (Warehouse.detail_profile wh));
+    (Warehouse.Storage.render_profile (Warehouse.detail_profile wh));
 
   (* maintenance still works on fact inserts, deletes and price updates *)
   let rng = Workload.Prng.create 77 in

@@ -37,8 +37,7 @@ let profile =
 
 let show_profile p =
   print_string
-    (Warehouse.Storage.render_profile Warehouse.Storage.paper_model
-       (P.detail_profile p))
+    (Warehouse.Storage.render_profile (P.detail_profile p))
 
 let () =
   let db = R.load params in

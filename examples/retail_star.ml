@@ -49,8 +49,7 @@ let () =
       Printf.printf "%-22s %8d rows  %10s\n" label
         (List.fold_left (fun acc (_, r, _) -> acc + r) 0 profile)
         (Warehouse.Storage.show_bytes
-           (Warehouse.Storage.profile_bytes Warehouse.Storage.paper_model
-              profile)))
+           (Warehouse.Storage.profile_bytes profile)))
     warehouses;
 
   (* a month of source activity *)

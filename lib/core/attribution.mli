@@ -53,9 +53,9 @@ type bytes_breakdown = {
   stored_bytes : int;
 }
 
-val bytes : ?bytes_per_field:int -> t -> bytes_breakdown
-(** Byte decomposition at [bytes_per_field] (default 8) per stored
-    field. Satisfies the telescoping invariant above exactly. *)
+val bytes : t -> bytes_breakdown
+(** Byte decomposition at 8 bytes per stored field. Satisfies the
+    telescoping invariant above exactly. *)
 
 val measure : Relational.Database.t -> Derive.t -> t list
 (** Measure every base table of the derivation against [db], in view
@@ -64,14 +64,13 @@ val measure : Relational.Database.t -> Derive.t -> t list
     contents, exactly as the maintenance engine stores them. *)
 
 val render :
-  ?show_bytes:(int -> string) ->
   ?measured:(string -> int option) ->
   view:string ->
   t list ->
   string
 (** The paper's Table-style breakdown: one row per auxview with
-    per-technique byte savings, a TOTAL row, and the row-flow waterfall.
-    [show_bytes] formats byte counts (default [string_of_int]).
+    per-technique byte savings as plain byte counts, a TOTAL row, and the
+    row-flow waterfall.
 
     [measured] maps an auxview name to its measured resident bytes (the
     columnar segments' byte accounting, via

@@ -303,7 +303,9 @@ let drain_conn t conn =
   | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> conn.closing <- true
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
 
-let run ?tick ?(tick_period = 0.05) t =
+let tick_period = 0.05 (* seconds between two calls of [run]'s [?tick] *)
+
+let run ?tick t =
   (* a client that disconnects mid-response must surface as EPIPE on the
      write, not kill the process *)
   (try ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore)

@@ -72,10 +72,10 @@ val port : t -> int
 (** [run t] accepts and serves connections until {!request_stop} is called
     or a client sends [SHUTDOWN]; then closes every connection and the
     listening socket and returns. [?tick] is invoked between polls, at
-    most every [?tick_period] seconds (default 0.05) — the hook used by
-    [minview serve --simulate] to ingest batches on the serving domain,
-    and by tests to interleave writes. *)
-val run : ?tick:(unit -> unit) -> ?tick_period:float -> t -> unit
+    most every 0.05 seconds — the hook [minview serve --simulate] uses to
+    ingest batches on the serving domain, so readers see epochs advance
+    while they are connected (test/test_serve.ml drives it). *)
+val run : ?tick:(unit -> unit) -> t -> unit
 
 (** Ask a running {!run} to stop after the current poll. Async-signal-safe
     (one atomic store): wire it to SIGINT/SIGTERM for graceful shutdown. *)

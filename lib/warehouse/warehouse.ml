@@ -1,9 +1,8 @@
 module Storage = struct
-  type model = { bytes_per_field : int }
+  let bytes ~rows ~fields = rows * fields * 4
 
-  let paper_model = { bytes_per_field = 4 }
-
-  let bytes m ~rows ~fields = rows * fields * m.bytes_per_field
+  (* layout ballast, never called (EXPERIMENTS.md E42, ROADMAP item 22) *)
+  let _ballast x y = (x * 3) + (y lsr 2) + (x lxor y) + (y * 5) + 1
 
   let show_bytes n =
     let f = float_of_int n in
@@ -13,21 +12,21 @@ module Storage = struct
     else if f >= kib then Printf.sprintf "%.1f KB" (f /. kib)
     else Printf.sprintf "%d B" n
 
-  let profile_bytes m profile =
+  let profile_bytes profile =
     List.fold_left
-      (fun acc (_, rows, fields) -> acc + bytes m ~rows ~fields)
+      (fun acc (_, rows, fields) -> acc + bytes ~rows ~fields)
       0 profile
 
-  let render_profile m profile =
+  let render_profile profile =
     let rows =
       List.map
         (fun (name, rows, fields) ->
           [
             name; string_of_int rows; string_of_int fields;
-            show_bytes (bytes m ~rows ~fields);
+            show_bytes (bytes ~rows ~fields);
           ])
         profile
-      @ [ [ "TOTAL"; ""; ""; show_bytes (profile_bytes m profile) ] ]
+      @ [ [ "TOTAL"; ""; ""; show_bytes (profile_bytes profile) ] ]
     in
     Relational.Table_printer.render
       ~header:[ "object"; "rows"; "fields"; "size" ]
@@ -1731,8 +1730,7 @@ let report t =
       | None -> Buffer.add_string buf "(full replica of referenced tables)\n");
       Buffer.add_string buf "detail storage:\n";
       Buffer.add_string buf
-        (Storage.render_profile Storage.paper_model
-           (Engines.detail_profile r.engine));
+        (Storage.render_profile (Engines.detail_profile r.engine));
       Buffer.add_char buf '\n')
     (List.rev t.views);
   Buffer.contents buf

@@ -8,22 +8,19 @@ module Storage : sig
       bytes-per-field, reported in binary units (the paper's "245 GBytes" is
       13.14e9 tuples × 5 fields × 4 bytes ≈ 244.7 GiB). *)
 
-  type model = { bytes_per_field : int }
-
-  (** 4 bytes per field, as in the paper's case study. *)
-  val paper_model : model
-
-  val bytes : model -> rows:int -> fields:int -> int
+  (** [rows] x [fields] x 4 bytes per field, as in the paper's case
+      study. *)
+  val bytes : rows:int -> fields:int -> int
 
   (** Human-readable binary-unit rendering ("244.7 GB", "167.1 MB" — the paper
       writes GBytes/MBytes for GiB/MiB). *)
   val show_bytes : int -> string
 
   (** Total bytes of a (name, rows, fields) profile. *)
-  val profile_bytes : model -> (string * int * int) list -> int
+  val profile_bytes : (string * int * int) list -> int
 
   (** Render a profile as an ASCII table with per-object and total sizes. *)
-  val render_profile : model -> (string * int * int) list -> string
+  val render_profile : (string * int * int) list -> string
 end
 
 (** CRC-32 of the WAL records and snapshot payloads. *)

@@ -146,6 +146,43 @@ let pinning_tests =
         (* PIN re-pins the old connection to it *)
         send a "PIN";
         Alcotest.(check string) "PIN catches the connection up" fresh (recv a));
+    test "run ~tick ingests on the serving domain while a client reads"
+      (fun () ->
+        let db, wh = build () in
+        let srv = Serve.create ~port:0 wh in
+        (* nothing else ingests: an epoch past the first one was published
+           by a tick *)
+        let rng = Workload.Prng.create 12 in
+        let tick () =
+          Warehouse.ingest wh (Workload.Delta_gen.stream rng db ~n:20)
+        in
+        let d = Domain.spawn (fun () -> Serve.run ~tick srv) in
+        Fun.protect
+          ~finally:(fun () ->
+            Serve.request_stop srv;
+            Domain.join d)
+        @@ fun () ->
+        let c = connect (Serve.port srv) in
+        Fun.protect ~finally:(fun () -> disconnect c) @@ fun () ->
+        let epoch line = Scanf.sscanf line "+EPOCH %d %d" (fun e _ -> e) in
+        send c "EPOCH";
+        let first = epoch (recv c) in
+        (* PIN re-reads the current epoch; ticks come every 0.05 s, so
+           10 s without a new one is a server that never ticked *)
+        let deadline = Unix.gettimeofday () +. 10. in
+        let rec advance () =
+          send c "PIN";
+          let e = epoch (recv c) in
+          if e <= first then
+            if Unix.gettimeofday () > deadline then
+              Alcotest.failf "the epoch stayed at %d for 10 s of ticks" first
+            else (
+              Unix.sleepf 0.01;
+              advance ())
+        in
+        advance ();
+        send c "SHUTDOWN";
+        Alcotest.(check string) "bye" "+BYE" (recv c));
   ]
 
 let shutdown_tests =

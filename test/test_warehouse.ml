@@ -10,36 +10,28 @@ let storage_tests =
   [
     test "bytes = rows x fields x 4 under the paper model" (fun () ->
         Alcotest.(check int) "bytes" 240
-          (Storage.bytes Storage.paper_model ~rows:12 ~fields:5));
+          (Storage.bytes ~rows:12 ~fields:5));
     test "Section 1.1 fact table is ~245 GB" (fun () ->
         let p = Workload.Retail.paper_params in
         Alcotest.(check int) "13.14e9 tuples" 13_140_000_000
           (Workload.Retail.fact_rows p);
-        let size =
-          Storage.bytes Storage.paper_model
-            ~rows:(Workload.Retail.fact_rows p)
-            ~fields:5
-        in
+        let size = Storage.bytes ~rows:(Workload.Retail.fact_rows p) ~fields:5 in
         Alcotest.(check string) "245 GB" "244.8 GB" (Storage.show_bytes size));
     test "Section 1.1 auxiliary view is ~167 MB" (fun () ->
         (* 365 days of 1997 x 30,000 products = 10.95e6 rows x 4 fields *)
         let rows = 365 * 30_000 in
         Alcotest.(check int) "10.95e6" 10_950_000 rows;
         Alcotest.(check string) "167 MB" "167.1 MB"
-          (Storage.show_bytes
-             (Storage.bytes Storage.paper_model ~rows ~fields:4)));
+          (Storage.show_bytes (Storage.bytes ~rows ~fields:4)));
     test "show_bytes unit boundaries" (fun () ->
         Alcotest.(check string) "B" "512 B" (Storage.show_bytes 512);
         Alcotest.(check string) "KB" "1.0 KB" (Storage.show_bytes 1024);
         Alcotest.(check string) "MB" "2.0 MB" (Storage.show_bytes (2 * 1024 * 1024)));
     test "profile_bytes sums objects" (fun () ->
         Alcotest.(check int) "sum" ((3 * 2 * 4) + (5 * 4 * 4))
-          (Storage.profile_bytes Storage.paper_model
-             [ ("a", 3, 2); ("b", 5, 4) ]));
+          (Storage.profile_bytes [ ("a", 3, 2); ("b", 5, 4) ]));
     test "render_profile includes a TOTAL row" (fun () ->
-        let out =
-          Storage.render_profile Storage.paper_model [ ("a", 3, 2) ]
-        in
+        let out = Storage.render_profile [ ("a", 3, 2) ] in
         let contains needle = contains out needle in
         Alcotest.(check bool) "total" true (contains "TOTAL"));
   ]
@@ -120,9 +112,7 @@ let warehouse_tests =
         Warehouse.add_view wh1 Workload.Retail.product_sales;
         let wh2 = Warehouse.create db in
         Warehouse.add_view wh2 Workload.Retail.sales_by_time;
-        let total wh =
-          Storage.profile_bytes Storage.paper_model (Warehouse.detail_profile wh)
-        in
+        let total wh = Storage.profile_bytes (Warehouse.detail_profile wh) in
         Alcotest.(check bool) "eliminated smaller" true (total wh2 < total wh1));
   ]
 
