@@ -3,17 +3,15 @@
 
      dune exec bench/main.exe            # run E1..E15
      dune exec bench/main.exe -- e4 e7   # run selected experiments
-     dune exec bench/main.exe -- all     # E1..E15 and the timings
-     dune exec bench/main.exe -- timings    # bechamel micro-benchmarks
      dune exec bench/main.exe -- endurance  # 200k-delta soak with RSS
      dune exec bench/main.exe -- columnar   # one named benchmark
+     dune exec bench/main.exe -- regress DIR  # gate these results on DIR's
 
    Each named benchmark (apply-scaling E16, parallel E17, overhead E18,
    serve E19, columnar E20) runs one grid fixed in its code and writes
-   BENCH_<name>.json to the working directory; history and regress read
-   those files. The harness reads no environment variable but
-   MINVIEW_BUILD_SHA, the sha a history record carries when git cannot
-   name the commit. *)
+   BENCH_<name>.json to the working directory; regress compares those files
+   with the ones another checkout wrote. The harness reads no environment
+   variable. *)
 
 module R = Workload.Retail
 module S = Workload.Snowflake
@@ -46,27 +44,87 @@ let medium_params =
 
 let total_rows profile = List.fold_left (fun acc (_, r, _) -> acc + r) 0 profile
 
-(* Bench timings flow through the same histogram type the pipeline itself
-   uses: every sample is observed into a labelled bench histogram and the
-   best-of estimate is read back as the histogram minimum. [series] must be
-   unique per grid point — the registry merges same-labelled handles. *)
-let bench_hist series =
-  Telemetry.Histogram.make
-    ~labels:[ ("series", series) ]
-    ~help:"Bench harness sample durations" "bench_sample_seconds"
+(* ------------------------------------------------------------ harness *)
 
-(* minimum over [samples] CPU-time measurements of [reps] runs, in ms *)
-let best_of ~series ~samples ~reps f =
-  let h = bench_hist series in
-  for _ = 1 to samples do
-    Gc.minor ();
-    let t0 = Sys.time () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    Telemetry.Histogram.observe h ((Sys.time () -. t0) /. float_of_int reps)
+(* Every timed figure a named benchmark prints or writes is a [stats]: the
+   median and quartiles of [n] samples, in ms. A median, unlike a minimum,
+   does not follow one side's luckiest sample. *)
+type stats = { med : float; q1 : float; q3 : float; n : int }
+
+(* the [q]-quantile of [xs], interpolated between the nearest ranks *)
+let quantile xs q =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let pos = q *. float_of_int (Array.length a - 1) in
+  let i = int_of_float pos in
+  let j = min (i + 1) (Array.length a - 1) in
+  a.(i) +. ((pos -. float_of_int i) *. (a.(j) -. a.(i)))
+
+let stats xs =
+  { med = quantile xs 0.5; q1 = quantile xs 0.25; q3 = quantile xs 0.75;
+    n = List.length xs }
+
+let show_stats ?(digits = 2) s =
+  Printf.sprintf "%.*f (%.*f..%.*f, n=%d)" digits s.med digits s.q1 digits s.q3
+    s.n
+
+let json_stats s =
+  Printf.sprintf "{ \"median\": %.4f, \"q1\": %.4f, \"q3\": %.4f, \"n\": %d }"
+    s.med s.q1 s.q3 s.n
+
+(* Process CPU time for work on one domain; wall clock where worker domains
+   burn CPU concurrently, which CPU time would charge to the parallel path
+   for its own overlap. *)
+type clock = Cpu | Wall
+
+(* One sample, in ms per call: [before ()] and a minor collection, then
+   [reps] calls of [f] between two readings of [clock], then [after ()].
+   [before] and [after] stay outside the timed region: a transaction's
+   begin and rollback, or a fresh state to fill. *)
+let time ?(clock = Cpu) ?(reps = 1) ?(before = ignore) ?(after = ignore) f =
+  let now () =
+    match clock with Cpu -> Sys.time () | Wall -> Unix.gettimeofday ()
+  in
+  before ();
+  Gc.minor ();
+  let t0 = now () in
+  for _ = 1 to reps do
+    f ()
   done;
-  Telemetry.Histogram.min_value h *. 1000.
+  let dt = now () -. t0 in
+  after ();
+  dt *. 1000. /. float_of_int reps
+
+let sample ?clock ?reps ?before ?after ~n f =
+  stats (List.init n (fun _ -> time ?clock ?reps ?before ?after f))
+
+(* [n] rounds over [sides], each side once per round; round [k] starts at
+   side [k mod (number of sides)], so drift through the run (frequency
+   scaling, cache and heap state) hits every side alike. Returns each
+   side's [n] results in round order. *)
+let alternate ~n sides =
+  let m = Array.length sides in
+  let out = Array.make m [] in
+  for k = 0 to n - 1 do
+    for i = 0 to m - 1 do
+      let s = (k + i) mod m in
+      out.(s) <- sides.(s) () :: out.(s)
+    done
+  done;
+  Array.map List.rev out
+
+(* [n] fresh sale facts with ids counted up from [next_id]: timeid,
+   productid, storeid and price are uniform over [1, days], [1, products],
+   [1, stores] and [1, prices]. A range of one is the constant 1 and takes
+   no draw. *)
+let sale_rows rng ~next_id ~days ~products ~stores ~prices n =
+  let draw k = if k = 1 then 1 else Workload.Prng.int rng k + 1 in
+  List.init n (fun _ ->
+      incr next_id;
+      [| Value.Int !next_id; Value.Int (draw days); Value.Int (draw products);
+         Value.Int (draw stores); Value.Int (draw prices) |])
+
+let sale_inserts rows = List.map (Relational.Delta.insert "sale") rows
 
 (* ------------------------------------------------------------------ E1 *)
 
@@ -337,50 +395,73 @@ let e7 () =
 
 (* ------------------------------------------------------------------ E8 *)
 
-let batch_of_inserts db rng ~n ~next_id =
-  let products = Database.row_count db "product" in
-  let days = Database.row_count db "time" in
-  let stores = Database.row_count db "store" in
-  List.init n (fun _ ->
-      incr next_id;
-      Relational.Delta.insert "sale"
-        [| Value.Int (1_000_000 + !next_id);
-           Value.Int (Workload.Prng.int rng days + 1);
-           Value.Int (Workload.Prng.int rng products + 1);
-           Value.Int (Workload.Prng.int rng stores + 1);
-           Value.Int (Workload.Prng.int rng 100 + 1) |])
+(* fresh facts over medium_params' dimensions *)
+let medium_sales rng ~next_id n =
+  sale_inserts
+    (sale_rows rng ~next_id ~days:medium_params.R.days
+       ~products:medium_params.R.products ~stores:medium_params.R.stores
+       ~prices:100 n)
 
 let e8 () =
   header "E8: maintenance cost - minimal vs PSJ vs full recomputation";
   let db = R.load medium_params in
   let view = R.product_sales in
-  let engines =
-    [ Engines.minimal db view; Engines.psj db view; Engines.recompute db view ]
+  let strategies = [ Engines.minimal; Engines.psj; Engines.recompute ] in
+  let next_id = ref 1_000_000 in
+  (* Each sample admits one fresh batch for good. No engine reads [db]
+     after its init (recompute admits into its own copy), so [db] never
+     takes the batches and [derive] and [eval] below see the loaded
+     instance. *)
+  let ingest e rng ~size ~read n =
+    let batches = List.init n (fun _ -> medium_sales rng ~next_id size) in
+    stats
+      (List.map
+         (fun batch ->
+           time (fun () ->
+               Engines.apply_batch e batch;
+               if read then ignore (Engines.view_contents e)))
+         batches)
   in
   let rng = Workload.Prng.create 777 in
-  let next_id = ref 0 in
-  print_endline
-    "per batch of 200 fact inserts, including one view read (ms, lower is \
-     better):";
-  let rows =
+  let with_read =
     List.map
-      (fun e ->
-        let batches = 10 in
-        let t0 = Sys.time () in
-        for _ = 1 to batches do
-          let deltas = batch_of_inserts db rng ~n:200 ~next_id in
-          Database.apply_all db deltas;
-          Engines.apply_batch e deltas;
-          ignore (Engines.view_contents e)
-        done;
-        let dt = (Sys.time () -. t0) /. float_of_int batches *. 1000. in
-        [ Engines.name e; Printf.sprintf "%.2f" dt ])
-      engines
+      (fun strategy ->
+        let e = strategy db view in
+        ( Engines.name e ^ ": 200 inserts + read",
+          ingest e rng ~size:200 ~read:true 10 ))
+      strategies
   in
-  print_string (table ~header:[ "strategy"; "ms/batch" ] rows);
-  (* the slower engines missed some batches above? No: every engine saw only
-     its own inserts; re-sync all of them against the final state instead *)
-  print_endline "(run `bench/main.exe timings` for bechamel statistics)"
+  let ingest_only =
+    List.map
+      (fun strategy ->
+        let e = strategy db view in
+        ( Engines.name e ^ ": 50 inserts",
+          ingest e (Workload.Prng.create 99) ~size:50 ~read:false 30 ))
+      strategies
+  in
+  let derive =
+    sample ~n:30 ~reps:200 (fun () -> ignore (Derive.derive db view))
+  in
+  let eval = sample ~n:30 (fun () -> ignore (Algebra.Eval.eval db view)) in
+  let minimal = Engines.minimal db view in
+  let read_minimal =
+    sample ~n:30 ~reps:5_000 (fun () -> ignore (Engines.view_contents minimal))
+  in
+  let recompute = Engines.recompute db view in
+  let read_recompute =
+    sample ~n:30 (fun () -> ignore (Engines.view_contents recompute))
+  in
+  print_endline "CPU time per case (ms, lower is better):";
+  print_string
+    (table
+       ~header:[ "case"; "median (q1..q3, samples)" ]
+       (List.map
+          (fun (case, s) -> [ case; show_stats ~digits:5 s ])
+          (with_read @ ingest_only
+          @ [ ("derive product_sales", derive);
+              ("evaluate product_sales", eval);
+              ("minimal: read", read_minimal);
+              ("recompute: read", read_recompute) ])))
 
 (* ------------------------------------------------------------------ E9 *)
 
@@ -768,20 +849,13 @@ let apply_scaling () =
   (* fresh fact ids far above anything the loader produces *)
   let next_id = ref 100_000_000 in
   let confined rng ~n =
-    List.init n (fun _ ->
-        incr next_id;
-        Relational.Delta.insert "sale"
-          [| Value.Int !next_id;
-             Value.Int (Workload.Prng.int rng 5 + 1);
-             Value.Int (Workload.Prng.int rng 50 + 1);
-             Value.Int 1;
-             Value.Int (Workload.Prng.int rng 100 + 1) |])
+    sale_inserts
+      (sale_rows rng ~next_id ~days:5 ~products:50 ~stores:1 ~prices:100 n)
   in
   (* Each sample times a run of consecutive batches in CPU time, well above
-     the clock granularity and the scheduler noise floor; the minimum over
-     samples estimates the true per-batch cost. The minor heap is emptied
-     before each sample and large enough to absorb a whole one, so GC does
-     not leak into the timings. *)
+     the clock granularity and the scheduler noise floor. The minor heap is
+     emptied before each sample and large enough to absorb a whole one, so
+     GC does not leak into the timings. *)
   let measure target =
     (* resident rows = aux rows (one per day) + view groups (one per day) *)
     let days = max 10 (target / 2) in
@@ -799,20 +873,15 @@ let apply_scaling () =
     let rng = Workload.Prng.create 808 in
     Engines.apply_batch e (confined rng ~n:batch_size) (* warm-up *);
     let journal =
-      best_of
-        ~series:(Printf.sprintf "apply-journal-%d" target)
-        ~samples:10 ~reps:25
-        (fun () ->
+      sample ~n:10 ~reps:25 (fun () ->
           Engines.begin_txn e;
           Engines.apply_batch e (confined rng ~n:batch_size);
           Engines.commit e)
     in
     (* O(state) per batch: build the engine from the source, then apply *)
-    let rebuild_reps = if target > 200_000 then 1 else 5 in
     let rebuild =
-      best_of
-        ~series:(Printf.sprintf "apply-rebuild-%d" target)
-        ~samples:3 ~reps:rebuild_reps
+      sample ~n:3
+        ~reps:(if target > 200_000 then 1 else 5)
         (fun () ->
           let c = Engines.minimal db R.sales_by_time in
           Engines.apply_batch c (confined rng ~n:batch_size))
@@ -820,26 +889,26 @@ let apply_scaling () =
     (target, resident, journal, rebuild)
   in
   let points = List.map measure sizes in
-  let journals = List.map (fun (_, _, j, _) -> j) points in
+  let journals = List.map (fun (_, _, j, _) -> j.med) points in
   let ratio =
     List.fold_left Float.max 0. journals
     /. Float.max 1e-9 (List.fold_left Float.min infinity journals)
   in
-  let speedups =
-    List.map (fun (_, _, j, c) -> c /. Float.max 1e-9 j) points
-  in
+  let speedup (_, _, j, c) = c.med /. Float.max 1e-9 j.med in
   print_string
     (table
        ~header:
          [ "target"; "resident rows"; "journal ms/batch"; "rebuild ms/batch";
            "speedup" ]
-       (List.map2
-          (fun (t, r, j, c) s ->
-            [ string_of_int t; string_of_int r; Printf.sprintf "%.4f" j;
-              Printf.sprintf "%.2f" c; Printf.sprintf "%.0fx" s ])
-          points speedups));
+       (List.map
+          (fun ((t, r, j, c) as p) ->
+            [ string_of_int t; string_of_int r; show_stats ~digits:4 j;
+              show_stats c; Printf.sprintf "%.0fx" (speedup p) ])
+          points));
   Printf.printf
-    "journal max/min over the grid: %.2fx (flat == O(delta) apply)\n" ratio;
+    "journal max/min of medians over the grid: %.2fx (flat == O(delta) \
+     apply)\n"
+    ratio;
   let out = "BENCH_apply.json" in
   let oc = open_out out in
   Printf.fprintf oc
@@ -847,14 +916,13 @@ let apply_scaling () =
      \"points\": [\n%s\n  ],\n  \"ratio_max_over_min\": %.4f\n}\n"
     batch_size
     (String.concat ",\n"
-       (List.map2
-          (fun (t, r, j, c) s ->
+       (List.map
+          (fun ((t, r, j, c) as p) ->
             Printf.sprintf
               "    { \"target\": %d, \"resident_rows\": %d, \
-               \"journal_ms\": %.4f, \"rebuild_ms\": %.4f, \
-               \"speedup\": %.1f }"
-              t r j c s)
-          points speedups))
+               \"journal_ms\": %s, \"rebuild_ms\": %s, \"speedup\": %.1f }"
+              t r (json_stats j) (json_stats c) (speedup p))
+          points))
     ratio;
   close_out oc;
   Printf.printf "wrote %s\n" out
@@ -878,6 +946,14 @@ let apply_scaling () =
    test_parallel.ml). Timings are wall-clock: domains burn CPU concurrently,
    so process CPU time would charge the parallel path for its own overlap.
 
+   One gate (exit 1 on failure): the dispatch rule. The committed
+   BENCH_parallel.json baseline for the 500k-resident 10k-input uniform
+   points was 0.32x of serial at 2 domains and 0.35x at 4 — parallel
+   apply under the old fixed 512-op cutoff was ~3x slower than serial
+   there. The dispatch rule's resident-scaled serial floor applies such
+   batches directly at serial speed, and its speedup-vs-serial must beat
+   that baseline by >= 1.5x on at least one such point.
+
    Not part of the default run. Writes BENCH_parallel.json. *)
 
 let parallel_scaling () =
@@ -888,31 +964,18 @@ let parallel_scaling () =
   let domain_counts = [ 1; 2; 4 ] in
   let batch_sizes = [ 10_000; 100_000 ] in
   let sizes = [ 50_000; 500_000 ] in
+  let min_improvement = 1.5 in
   let next_id = ref 500_000_000 in
   (* fresh facts from a bounded region: at most 200 x 50 price points per
      timeid share the read-set projection, so a large batch merges hard *)
-  let uniform rng ~days ~n =
-    List.init n (fun _ ->
-        incr next_id;
-        Relational.Delta.insert "sale"
-          [| Value.Int !next_id;
-             Value.Int (Workload.Prng.int rng (min 200 days) + 1);
-             Value.Int (Workload.Prng.int rng 50 + 1);
-             Value.Int 1;
-             Value.Int (Workload.Prng.int rng 50 + 1) |])
+  let uniform_rows rng ~days n =
+    sale_rows rng ~next_id ~days:(min 200 days) ~products:50 ~stores:1
+      ~prices:50 n
   in
   (* [rows] fresh facts, then [n] price updates whose victims follow a
      Zipf(1) law over those facts: heavy churn on a few hot rows *)
   let zipf_churn rng ~days ~rows ~n =
-    let base =
-      Array.init rows (fun _ ->
-          incr next_id;
-          [| Value.Int !next_id;
-             Value.Int (Workload.Prng.int rng (min 200 days) + 1);
-             Value.Int (Workload.Prng.int rng 50 + 1);
-             Value.Int 1;
-             Value.Int (Workload.Prng.int rng 50 + 1) |])
-    in
+    let base = Array.of_list (uniform_rows rng ~days rows) in
     let cdf = Array.make rows 0. in
     let acc = ref 0. in
     Array.iteri
@@ -932,10 +995,7 @@ let parallel_scaling () =
       done;
       !lo
     in
-    let inserts =
-      Array.to_list
-        (Array.map (fun t -> Relational.Delta.insert "sale" (Array.copy t)) base)
-    in
+    let inserts = sale_inserts (List.map Array.copy (Array.to_list base)) in
     let churn =
       List.init n (fun _ ->
           let r = pick () in
@@ -950,23 +1010,7 @@ let parallel_scaling () =
   in
   let module Engine = Maintenance.Engine in
   let module Shard = Maintenance.Shard in
-  (* wall-clock, not CPU time: worker domains burn CPU concurrently, so
-     process CPU time would charge the parallel path for its own overlap *)
-  let best_ms e ~series ~samples f =
-    let h = bench_hist series in
-    for _ = 1 to samples do
-      Gc.minor ();
-      Engine.begin_txn e;
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      Engine.rollback e;
-      Telemetry.Histogram.observe h dt
-    done;
-    Telemetry.Histogram.min_value h *. 1000.
-  in
   let results = ref [] in
-  let rows_out = ref [] in
   (* one resident pool per domain count for the whole grid — worker domains
      stay parked between grid points instead of piling up per measurement *)
   let pools = List.map (fun d -> (d, Shard.create ~domains:d)) domain_counts in
@@ -985,15 +1029,14 @@ let parallel_scaling () =
       in
       let measure workload batch =
         let prof = Engine.net_profile e batch in
-        let n = prof.Engine.input in
-        let samples = if n >= 50_000 then 4 else 8 in
-        let point = Printf.sprintf "%s-%d-%d" workload resident n in
-        let serial_ms =
-          best_ms e
-            ~series:(Printf.sprintf "par-serial-%s" point)
-            ~samples
-            (fun () -> Engine.apply_batch e batch)
+        let apply ?parallel () =
+          sample ~clock:Wall
+            ~n:(if prof.Engine.input >= 50_000 then 4 else 8)
+            ~before:(fun () -> Engine.begin_txn e)
+            ~after:(fun () -> Engine.rollback e)
+            (fun () -> Engine.apply_batch ?parallel e batch)
         in
+        let serial = apply () in
         (* operations a pool really issued: a one-domain pool applies the
            netted deltas directly, a wider one may merge them (the lineage
            flow outlives the rollback; the profile stands in when telemetry
@@ -1001,61 +1044,67 @@ let parallel_scaling () =
         let runs =
           List.map
             (fun (d, pool) ->
-              let ms =
-                best_ms e
-                  ~series:(Printf.sprintf "par-%d-%s" d point)
-                  ~samples
-                  (fun () -> Engine.apply_batch ~parallel:pool e batch)
-              in
+              let s = apply ~parallel:pool () in
               let applied =
                 match Engine.last_flow e with
                 | Some f -> f.Telemetry.Lineage.applied
                 | None -> prof.Engine.applied
               in
-              (d, ms, serial_ms /. Float.max 1e-9 ms, applied))
+              (d, s, serial.med /. Float.max 1e-9 s.med, applied))
             pools
         in
-        results :=
-          (resident, workload, prof, serial_ms, runs) :: !results;
-        List.iter
-          (fun (d, ms, sp, applied) ->
-            rows_out :=
-              [ string_of_int resident; workload; string_of_int n;
-                string_of_int applied;
-                Printf.sprintf "%.1f" serial_ms; string_of_int d;
-                Printf.sprintf "%.1f" ms; Printf.sprintf "%.1fx" sp ]
-              :: !rows_out)
-          runs
+        results := (resident, workload, prof, serial, runs) :: !results
       in
       List.iter
         (fun n ->
           let rng = Workload.Prng.create (809 + n) in
-          measure "uniform" (uniform rng ~days ~n))
+          measure "uniform" (sale_inserts (uniform_rows rng ~days n)))
         batch_sizes;
       let rng = Workload.Prng.create 811 in
       measure "zipf"
         (zipf_churn rng ~days ~rows:2_000
            ~n:(List.fold_left max 10_000 batch_sizes)))
     sizes;
+  let results = List.rev !results in
   print_string
     (table
        ~header:
          [ "resident"; "workload"; "input"; "applied"; "serial ms"; "domains";
            "ms"; "speedup" ]
-       (List.rev !rows_out));
-  let results = List.rev !results in
+       (List.concat_map
+          (fun (resident, w, (prof : Engine.batch_profile), serial, runs) ->
+            List.map
+              (fun (d, s, sp, applied) ->
+                [ string_of_int resident; w; string_of_int prof.Engine.input;
+                  string_of_int applied; show_stats ~digits:1 serial;
+                  string_of_int d; show_stats ~digits:1 s;
+                  Printf.sprintf "%.2fx" sp ])
+              runs)
+          results));
   let max_domains = List.fold_left max 1 domain_counts in
   let biggest_batch = List.fold_left max 0 batch_sizes in
-  let root_heavy_speedup =
+  (* the best speedup over [runs] of the uniform points [keep] selects *)
+  let best_uniform keep score =
     List.fold_left
-      (fun acc (_, w, (prof : Engine.batch_profile), _, runs) ->
-        if String.equal w "uniform" && prof.Engine.input = biggest_batch then
-          List.fold_left
-            (fun acc (d, _, sp, _) ->
-              if d = max_domains then Float.max acc sp else acc)
-            acc runs
+      (fun acc (resident, w, (prof : Engine.batch_profile), _, runs) ->
+        if String.equal w "uniform" && keep resident prof.Engine.input then
+          List.fold_left (fun acc run -> Float.max acc (score run)) acc runs
         else acc)
       0. results
+  in
+  let root_heavy_speedup =
+    best_uniform
+      (fun _ input -> input = biggest_batch)
+      (fun (d, _, sp, _) -> if d = max_domains then sp else 0.)
+  in
+  (* the regime the dispatcher exists to fix: large resident state,
+     batches below the serial floor, against the pre-columnar baseline *)
+  let baseline_speedup = function 2 -> Some 0.32 | 4 -> Some 0.35 | _ -> None in
+  let dispatch_improvement =
+    best_uniform
+      (fun resident input -> resident >= 400_000 && input <= 20_000)
+      (fun (d, _, sp, _) ->
+        match baseline_speedup d with Some b -> sp /. b | None -> 0.)
   in
   (* the best compression any pool reached: the weighted merge's, when a
      pool of two or more domains ran *)
@@ -1072,39 +1121,52 @@ let parallel_scaling () =
         else acc)
       0. results
   in
+  let dispatch_ok = dispatch_improvement >= min_improvement in
   Printf.printf
     "root-heavy %dk-delta speedup at %d domains: %.1fx\n\
-     zipf compaction input/applied: %.0fx\n"
-    (biggest_batch / 1000) max_domains root_heavy_speedup zipf_ratio;
+     zipf compaction input/applied: %.0fx\n\
+     dispatch speedup on >=400k-resident small batches vs committed \
+     pre-columnar baseline (0.32x/0.35x of serial): %.2fx (gate >= %.1fx)\n"
+    (biggest_batch / 1000) max_domains root_heavy_speedup zipf_ratio
+    dispatch_improvement min_improvement;
   let out = "BENCH_parallel.json" in
   let oc = open_out out in
   Printf.fprintf oc
     "{\n  \"benchmark\": \"parallel-apply\",\n  \"domains\": [%s],\n  \
      \"grid\": [\n%s\n  ],\n  \
      \"root_heavy_speedup_at_max_domains\": %.2f,\n  \
-     \"zipf_compaction_ratio\": %.2f\n}\n"
+     \"zipf_compaction_ratio\": %.2f,\n  \
+     \"legacy_baseline_speedup_500k_10k\": { \"2\": 0.32, \"4\": 0.35 },\n  \
+     \"dispatch_improvement_vs_baseline\": %.2f,\n  \
+     \"gates\": { \"min_improvement\": %.2f, \"passed\": %b }\n}\n"
     (String.concat ", " (List.map string_of_int domain_counts))
     (String.concat ",\n"
        (List.map
-          (fun (resident, w, (prof : Engine.batch_profile), serial_ms, runs) ->
+          (fun (resident, w, (prof : Engine.batch_profile), serial, runs) ->
             Printf.sprintf
               "    { \"resident_rows\": %d, \"workload\": %S, \
                \"input\": %d, \"netted\": %d, \"applied\": %d, \
-               \"serial_ms\": %.2f, \"runs\": [%s] }"
+               \"serial_ms\": %s, \"runs\": [%s] }"
               resident w prof.Engine.input prof.Engine.netted
-              prof.Engine.applied serial_ms
+              prof.Engine.applied (json_stats serial)
               (String.concat ", "
                  (List.map
-                    (fun (d, ms, sp, applied) ->
+                    (fun (d, s, sp, applied) ->
                       Printf.sprintf
-                        "{ \"domains\": %d, \"ms\": %.2f, \"speedup\": \
+                        "{ \"domains\": %d, \"ms\": %s, \"speedup\": \
                          %.2f, \"applied\": %d }"
-                        d ms sp applied)
+                        d (json_stats s) sp applied)
                     runs)))
           results))
-    root_heavy_speedup zipf_ratio;
+    root_heavy_speedup zipf_ratio dispatch_improvement min_improvement
+    dispatch_ok;
   close_out oc;
-  Printf.printf "wrote %s\n" out
+  Printf.printf "wrote %s\n" out;
+  if not dispatch_ok then begin
+    Printf.eprintf "FAIL: dispatch improvement %.2fx below the %.1fx gate\n"
+      dispatch_improvement min_improvement;
+    exit 1
+  end
 
 (* --------------------------------------------------------- overhead *)
 
@@ -1118,15 +1180,6 @@ let parallel_scaling () =
    running first, so frequency scaling and cache drift hit both alike.
    Writes BENCH_overhead.json. *)
 
-(* the [q]-quantile of [xs], interpolated between the nearest ranks *)
-let quantile xs q =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  let pos = q *. float_of_int (Array.length a - 1) in
-  let i = int_of_float pos in
-  let j = min (i + 1) (Array.length a - 1) in
-  a.(i) +. ((pos -. float_of_int i) *. (a.(j) -. a.(i)))
-
 let overhead () =
   header "overhead: telemetry on vs off (report)";
   Gc.set
@@ -1137,19 +1190,14 @@ let overhead () =
   let db = R.load medium_params in
   let e = Engine.init db (Derive.derive db R.product_sales) in
   let rng = Workload.Prng.create 4711 in
-  let next_id = ref 0 in
+  let next_id = ref 1_000_000 in
   (* state held constant across samples: time inside a transaction, roll
      back after. The batch is fixed per grid point so both modes apply
      identical work. Serial points use CPU time; the parallel point uses
      wall clock (worker domains burn CPU concurrently). *)
   let samples = 31 in
   let measure_point ?parallel ~point ~n ~reps () =
-    let batch = batch_of_inserts db rng ~n ~next_id in
-    let clock =
-      match parallel with
-      | Some _ -> Unix.gettimeofday
-      | None -> Sys.time
-    in
+    let batch = medium_sales rng ~next_id n in
     let run () =
       Engine.begin_txn e;
       for _ = 1 to reps do
@@ -1158,28 +1206,18 @@ let overhead () =
       Engine.rollback e
     in
     run () (* warm-up *);
-    let time telemetry =
-      Telemetry.set_enabled telemetry;
-      Gc.minor ();
-      let t0 = clock () in
-      run ();
-      (clock () -. t0) *. 1000. /. float_of_int reps
+    let mode telemetry () =
+      time
+        ~clock:(if parallel = None then Cpu else Wall)
+        ~before:(fun () -> Telemetry.set_enabled telemetry)
+        run
+      /. float_of_int reps
     in
-    let pairs =
-      List.init samples (fun k ->
-          if k land 1 = 0 then
-            let on = time true in
-            (on, time false)
-          else
-            let off = time false in
-            (time true, off))
-    in
+    let on_off = alternate ~n:samples [| mode true; mode false |] in
     Telemetry.set_enabled true;
-    let pct = List.map (fun (on, off) -> 100. *. (on -. off) /. off) pairs in
-    ( point,
-      quantile (List.map fst pairs) 0.5,
-      quantile (List.map snd pairs) 0.5,
-      (quantile pct 0.25, quantile pct 0.5, quantile pct 0.75) )
+    let on = on_off.(0) and off = on_off.(1) in
+    ( point, stats on, stats off,
+      stats (List.map2 (fun on off -> 100. *. (on -. off) /. off) on off) )
   in
   let pool = Shard.create ~domains:2 in
   let grid =
@@ -1189,15 +1227,14 @@ let overhead () =
       measure_point ~parallel:pool ~point:"parallel2-2000" ~n:2_000 ~reps:4
         () ]
   in
-  Printf.printf "%d on/off samples per point, medians\n" samples;
+  Printf.printf "%d on/off samples per point, medians (q1..q3)\n" samples;
   print_string
     (table
-       ~header:[ "point"; "on ms"; "off ms"; "overhead"; "IQR" ]
+       ~header:[ "point"; "on ms"; "off ms"; "overhead %" ]
        (List.map
-          (fun (point, on, off, (q1, med, q3)) ->
-            [ point; Printf.sprintf "%.3f" on; Printf.sprintf "%.3f" off;
-              Printf.sprintf "%+.2f%%" med;
-              Printf.sprintf "%.2f pts (%+.2f%% .. %+.2f%%)" (q3 -. q1) q1 q3 ])
+          (fun (point, on, off, pct) ->
+            [ point; show_stats ~digits:3 on; show_stats ~digits:3 off;
+              show_stats pct ])
           grid));
   let out = "BENCH_overhead.json" in
   let oc = open_out out in
@@ -1207,12 +1244,11 @@ let overhead () =
     samples
     (String.concat ",\n"
        (List.map
-          (fun (point, on, off, (q1, med, q3)) ->
+          (fun (point, on, off, pct) ->
             Printf.sprintf
-              "    { \"point\": %S, \"on_ms_median\": %.4f, \
-               \"off_ms_median\": %.4f, \"overhead_pct_median\": %.4f, \
-               \"overhead_pct_q1\": %.4f, \"overhead_pct_q3\": %.4f }"
-              point on off med q1 q3)
+              "    { \"point\": %S, \"on_ms\": %s, \"off_ms\": %s, \
+               \"overhead_pct\": %s }"
+              point (json_stats on) (json_stats off) (json_stats pct))
           grid));
   close_out oc;
   Printf.printf "wrote %s\n" out
@@ -1259,64 +1295,6 @@ let endurance () =
       (rss ())
   done
 
-(* ------------------------------------------------------------ timings *)
-
-let timings () =
-  header "bechamel timings (ns per operation, OLS estimate)";
-  let open Bechamel in
-  let open Toolkit in
-  let db = R.load medium_params in
-  let view = R.product_sales in
-  let next_id = ref 0 in
-  let mk_ingest name strategy =
-    let e = strategy db view in
-    let rng = Workload.Prng.create 99 in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           let deltas = batch_of_inserts db rng ~n:50 ~next_id in
-           Database.apply_all db deltas;
-           Engines.apply_batch e deltas))
-  in
-  let tests =
-    [
-      mk_ingest "ingest50-minimal" Engines.minimal;
-      mk_ingest "ingest50-psj" Engines.psj;
-      mk_ingest "ingest50-recompute" Engines.recompute;
-      Test.make ~name:"derive-product_sales"
-        (Staged.stage (fun () -> ignore (Derive.derive db view)));
-      Test.make ~name:"eval-product_sales"
-        (Staged.stage (fun () -> ignore (Algebra.Eval.eval db view)));
-      Test.make ~name:"read-minimal-view"
-        (let e = Engines.minimal db view in
-         Staged.stage (fun () -> ignore (Engines.view_contents e)));
-      Test.make ~name:"read-recompute-view"
-        (let e = Engines.recompute db view in
-         Staged.stage (fun () -> ignore (Engines.view_contents e)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"bench" ~fmt:"%s/%s" tests in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name r acc ->
-        let est =
-          match Analyze.OLS.estimates r with
-          | Some (e :: _) -> Printf.sprintf "%.0f" e
-          | _ -> "n/a"
-        in
-        [ name; est ] :: acc)
-      results []
-    |> List.sort compare
-  in
-  print_string (table ~header:[ "benchmark"; "ns/run" ] rows)
-
 (* ----------------------------------------------------------- serve *)
 
 (* Mixed read/write workload over the epoch read path: the main domain
@@ -1342,16 +1320,6 @@ let serve_bench () =
   let read_qps = 1000 in
   let pause = 1. /. float_of_int read_qps in
   let next_id = ref 600_000_000 in
-  let fresh_batch rng n =
-    List.init n (fun _ ->
-        incr next_id;
-        Relational.Delta.insert "sale"
-          [| Value.Int !next_id;
-             Value.Int (Workload.Prng.int rng 40 + 1);
-             Value.Int (Workload.Prng.int rng 150 + 1);
-             Value.Int (Workload.Prng.int rng 4 + 1);
-             Value.Int (Workload.Prng.int rng 100 + 1) |])
-  in
   let read_hist_snapshot () =
     List.find_map
       (fun (s : Telemetry.Metrics.snap) ->
@@ -1391,7 +1359,7 @@ let serve_bench () =
     let t_end = t0 +. seconds in
     let batches = ref 0 in
     while Unix.gettimeofday () < t_end do
-      Warehouse.ingest wh (fresh_batch rng batch_size);
+      Warehouse.ingest wh (medium_sales rng ~next_id batch_size);
       incr batches
     done;
     let elapsed = Unix.gettimeofday () -. t0 in
@@ -1473,34 +1441,21 @@ let serve_bench () =
   close_out oc;
   Printf.printf "wrote %s\n" out
 
-(* --------------------------------------------------------------- main *)
-
 (* --- E20: columnar storage vs the boxed baseline -------------------------
 
-   Two sections, gated by three bounds (exit 1 on failure) so CI can hold
-   the line:
-
-   1. Resident bytes per auxiliary-view row: identical content is loaded
-      into the columnar [Aux_state] and the frozen one-record-per-group
-      baseline [Boxed] (bench/boxed.ml), the layout the columnar store
-      replaced; footprints are [Obj.reachable_words] x word size, plus
-      the off-heap Bigarray payload for the columnar side
-      (reachable_words cannot see it). Two shapes: the all-int root
-      auxview of sales_by_time and the dictionary-encoded product
-      dimension of product_sales. The same
-      states also time the storage phases — apply (insert/delete churn),
-      scan (full iteration) and merge (to_relation) — columnar must stay
-      within 5% of boxed on every phase, and boxed must take at least 3x
-      columnar's bytes over both shapes.
-
-   2. Apply-latency grid over uniform fresh-fact batches (the [parallel]
-      experiment's workload): serial vs the pooled dispatch. The committed
-      BENCH_parallel.json baseline for the 500k-resident 10k-input uniform
-      points is 0.32x at 2 domains and 0.35x at 4 — parallel apply under
-      the old fixed 512-op cutoff was ~3x slower than serial there. The
-      dispatch rule's resident-scaled serial floor applies such batches
-      directly at serial speed, and its speedup-vs-serial must beat that
-      committed baseline by >= 1.5x on at least one such point.
+   Resident bytes per auxiliary-view row, gated by two bounds (exit 1 on
+   failure) so CI can hold the line: identical content is loaded into the
+   columnar [Aux_state] and the frozen one-record-per-group baseline
+   [Boxed] (bench/boxed.ml), the layout the columnar store replaced;
+   footprints are [Obj.reachable_words] x word size, plus the off-heap
+   Bigarray payload for the columnar side (reachable_words cannot see it).
+   Two shapes: the all-int root auxview of sales_by_time and the
+   dictionary-encoded product dimension of product_sales. The same states
+   also time the storage phases — apply (insert/delete churn), scan (full
+   iteration) and merge (to_relation) — columnar must stay within 5% of
+   boxed on every phase, and boxed must take at least 3x columnar's bytes
+   over both shapes. (The dispatch grid over the same resident sizes is
+   the [parallel] experiment's, with its gate.)
 
    Not part of the default run. Writes BENCH_columnar.json. *)
 
@@ -1510,14 +1465,9 @@ let columnar_bench () =
     { (Gc.get ()) with Gc.minor_heap_size = 64 * 1024 * 1024;
       space_overhead = 10_000 };
   let module AS = Maintenance.Aux_state in
-  let module Engine = Maintenance.Engine in
-  let module Shard = Maintenance.Shard in
   let rows_n = 200_000 in
   let min_ratio = 3.0 in
   let max_phase_pct = 5.0 in
-  let min_improvement = 1.5 in
-
-  (* --- section 1: bytes per row + storage phases ----------------------- *)
   let db =
     R.load
       { R.days = 16; stores = 2; products = 60; sold_per_store_day = 2;
@@ -1542,102 +1492,76 @@ let columnar_bench () =
     | Some spec -> (spec, Database.schema_of db table)
     | None -> failwith (table ^ ": no retained auxview")
   in
-  let bytes_results = ref [] in
   (* Measurement discipline: the applies run one implementation at a time
      (columnar first — Bigarray allocation pays GC pacing proportional to
-     the live heap, so it must not run with the boxed state resident),
-     best-of-3 full rebuilds each; the read phases then interleave 9
-     samples per side across the two resident states, so machine and GC
-     noise hits both sides equally, and compare their medians. *)
+     the live heap, so it must not run with the boxed state resident), 3
+     full rebuilds each; the read phases then interleave 9 samples per
+     side across the two resident states, the sides alternating which
+     reads first, so machine and GC noise hits both sides equally. Every
+     phase compares medians. *)
   let bytes_case cname table tup =
     let spec, schema = spec_of table in
     let churn = rows_n / 2 in
-    let sample f =
-      Gc.minor ();
-      let t0 = Sys.time () in
-      f ();
-      (Sys.time () -. t0) *. 1000.
-    in
-    let apply_best create insert delete =
+    let apply_phase create insert delete =
       Gc.compact ();
-      let stref = ref None in
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let st = create () in
-        let dt =
-          sample (fun () ->
-              for r = 0 to rows_n - 1 do
-                insert st (tup r)
-              done;
-              for r = 0 to churn - 1 do
-                delete st (tup r)
-              done;
-              for r = 0 to churn - 1 do
-                insert st (tup r)
-              done)
-        in
-        if dt < !best then best := dt;
-        stref := Some st
-      done;
-      (!best, Option.get !stref)
+      let st = ref None in
+      let s =
+        sample ~n:3
+          ~before:(fun () -> st := Some (create ()))
+          (fun () ->
+            let st = Option.get !st in
+            for r = 0 to rows_n - 1 do
+              insert st (tup r)
+            done;
+            for r = 0 to churn - 1 do
+              delete st (tup r)
+            done;
+            for r = 0 to churn - 1 do
+              insert st (tup r)
+            done)
+      in
+      (s, Option.get !st)
     in
     let col_apply, col =
-      apply_best
+      apply_phase
         (fun () -> AS.create spec schema)
         (fun st t -> AS.insert_base st t)
         (fun st t -> AS.delete_base st t)
     in
     let boxed_apply, boxed =
-      apply_best
+      apply_phase
         (fun () -> Boxed.create spec schema)
         (fun st t -> Boxed.insert_base st t)
         (fun st t -> Boxed.delete_base st t)
     in
     Gc.compact ();
-    let col_scan = ref []
-    and boxed_scan = ref []
-    and col_merge = ref []
-    and boxed_merge = ref [] in
-    let add r v = r := v :: !r in
-    let read_col () =
-      add col_scan
-        (sample (fun () ->
-             let total = ref 0 in
-             AS.iter col (fun r -> total := !total + AS.cnt r);
-             ignore !total));
-      add col_merge (sample (fun () -> ignore (AS.to_relation col)))
+    let reads =
+      alternate ~n:9
+        [| (fun () ->
+             ( time (fun () ->
+                   let total = ref 0 in
+                   AS.iter col (fun r -> total := !total + AS.cnt r);
+                   ignore !total),
+               time (fun () -> ignore (AS.to_relation col)) ));
+           (fun () ->
+             ( time (fun () ->
+                   let total = ref 0 in
+                   Boxed.iter boxed (fun r -> total := !total + Boxed.cnt r);
+                   ignore !total),
+               time (fun () -> ignore (Boxed.to_relation boxed)) )) |]
     in
-    let read_boxed () =
-      add boxed_scan
-        (sample (fun () ->
-             let total = ref 0 in
-             Boxed.iter boxed (fun r -> total := !total + Boxed.cnt r);
-             ignore !total));
-      add boxed_merge (sample (fun () -> ignore (Boxed.to_relation boxed)))
-    in
-    (* the sides alternate which reads first; a median, unlike a minimum,
-       does not follow one side's luckiest sample *)
-    for k = 1 to 9 do
-      if k land 1 = 1 then (read_col (); read_boxed ())
-      else (read_boxed (); read_col ())
-    done;
-    let median r = quantile !r 0.5 in
+    let scan side = stats (List.map fst reads.(side))
+    and merge side = stats (List.map snd reads.(side)) in
     Gc.compact ();
-    let col_bytes = heap_bytes col + AS.offheap_bytes col in
-    let col_accounted = AS.byte_size col in
-    let boxed_bytes = heap_bytes boxed in
-    let phases =
-      [ ("apply", col_apply, boxed_apply);
-        ("scan", median col_scan, median boxed_scan);
-        ("merge", median col_merge, median boxed_merge) ]
-    in
-    bytes_results :=
-      (cname, col_bytes, col_accounted, boxed_bytes, phases)
-      :: !bytes_results
+    ( cname, heap_bytes col + AS.offheap_bytes col, AS.byte_size col,
+      heap_bytes boxed,
+      [ ("apply", col_apply, boxed_apply); ("scan", scan 0, scan 1);
+        ("merge", merge 0, merge 1) ] )
   in
-  bytes_case "root-int" "sale" sale_tup;
-  bytes_case "dimension-dict" "product" product_tup;
-  let bytes_results = List.rev !bytes_results in
+  let root = bytes_case "root-int" "sale" sale_tup in
+  let dimension = bytes_case "dimension-dict" "product" product_tup in
+  let bytes_results = [ root; dimension ] in
+  let pct c b = (c.med -. b.med) /. b.med *. 100. in
   print_string
     (table
        ~header:
@@ -1658,8 +1582,8 @@ let columnar_bench () =
           (fun (cname, _, _, _, phases) ->
             List.map
               (fun (p, c, b) ->
-                [ cname; p; Printf.sprintf "%.1f" c; Printf.sprintf "%.1f" b;
-                  Printf.sprintf "%+.1f%%" ((c -. b) /. b *. 100.) ])
+                [ cname; p; show_stats ~digits:1 c; show_stats ~digits:1 b;
+                  Printf.sprintf "%+.1f%%" (pct c b) ])
               phases)
           bytes_results));
   let bytes_ratio =
@@ -1673,130 +1597,15 @@ let columnar_bench () =
   let max_phase_regression =
     List.fold_left
       (fun acc (_, _, _, _, phases) ->
-        List.fold_left
-          (fun acc (_, c, b) -> Float.max acc ((c -. b) /. b *. 100.))
-          acc phases)
+        List.fold_left (fun acc (_, c, b) -> Float.max acc (pct c b)) acc phases)
       neg_infinity bytes_results
-  in
-
-  (* --- section 2: dispatch grid ---------------------------------------- *)
-  let sizes = [ 50_000; 500_000 ] in
-  let batch_sizes = [ 10_000; 100_000 ] in
-  let domain_counts = [ 2; 4 ] in
-  let pools = List.map (fun d -> (d, Shard.create ~domains:d)) domain_counts in
-  let next_id = ref 500_000_000 in
-  let uniform rng ~days ~n =
-    List.init n (fun _ ->
-        incr next_id;
-        Relational.Delta.insert "sale"
-          [| Value.Int !next_id;
-             Value.Int (Workload.Prng.int rng (min 200 days) + 1);
-             Value.Int (Workload.Prng.int rng 50 + 1);
-             Value.Int 1;
-             Value.Int (Workload.Prng.int rng 50 + 1) |])
-  in
-  let best_ms e ~series ~samples f =
-    let h = bench_hist series in
-    for _ = 1 to samples do
-      Gc.minor ();
-      Engine.begin_txn e;
-      let t0 = Unix.gettimeofday () in
-      f ();
-      let dt = Unix.gettimeofday () -. t0 in
-      Engine.rollback e;
-      Telemetry.Histogram.observe h dt
-    done;
-    Telemetry.Histogram.min_value h *. 1000.
-  in
-  let grid = ref [] in
-  let rows_out = ref [] in
-  List.iter
-    (fun target ->
-      let days = max 10 (target / 2) in
-      let p =
-        { R.days; stores = 1; products = 50; sold_per_store_day = 3;
-          tx_per_product = 1; brands = 5; seed = 7 }
-      in
-      let gdb = R.load p in
-      let e = Engine.init gdb (Derive.derive gdb R.sales_by_time) in
-      let resident =
-        List.fold_left (fun acc (_, r, _) -> acc + r) 0
-          (Engine.storage_profile e)
-      in
-      List.iter
-        (fun n ->
-          let rng = Workload.Prng.create (809 + n) in
-          let batch = uniform rng ~days ~n in
-          let samples = if n >= 50_000 then 4 else 6 in
-          let point = Printf.sprintf "%d-%d" resident n in
-          let serial_ms =
-            best_ms e ~series:("col-serial-" ^ point) ~samples (fun () ->
-                Engine.apply_batch e batch)
-          in
-          let runs =
-            List.map
-              (fun (d, pool) ->
-                ( d,
-                  best_ms e
-                    ~series:(Printf.sprintf "col-auto-%d-%s" d point)
-                    ~samples
-                    (fun () -> Engine.apply_batch ~parallel:pool e batch) ))
-              pools
-          in
-          grid := (resident, n, serial_ms, runs) :: !grid;
-          List.iter
-            (fun (d, auto_ms) ->
-              rows_out :=
-                [ string_of_int resident; string_of_int n;
-                  Printf.sprintf "%.1f" serial_ms; string_of_int d;
-                  Printf.sprintf "%.1f" auto_ms;
-                  Printf.sprintf "%.2fx" (serial_ms /. auto_ms) ]
-                :: !rows_out)
-            runs)
-        batch_sizes)
-    sizes;
-  let grid = List.rev !grid in
-  print_string
-    (table
-       ~header:
-         [ "resident"; "input"; "serial ms"; "domains"; "auto ms";
-           "vs serial" ]
-       (List.rev !rows_out));
-  (* gate only the regime the dispatcher exists to fix: large resident
-     state, batches below the serial floor. The improvement is measured
-     against the committed pre-columnar baseline (BENCH_parallel.json,
-     PR 7): on the 500k-resident 10k-input uniform points the pooled
-     apply ran at 0.32x (2 domains) / 0.35x (4 domains) of serial — the
-     regression this dispatcher exists to fix. *)
-  let baseline_speedup = function
-    | 2 -> Some 0.32
-    | 4 -> Some 0.35
-    | _ -> None
-  in
-  let best_improvement =
-    List.fold_left
-      (fun acc (r, n, serial_ms, runs) ->
-        if r >= 400_000 && n <= 20_000 then
-          List.fold_left
-            (fun acc (d, auto_ms) ->
-              match baseline_speedup d with
-              | Some b -> Float.max acc (serial_ms /. auto_ms /. b)
-              | None -> acc)
-            acc runs
-        else acc)
-      0. grid
   in
   let bytes_ok = bytes_ratio >= min_ratio in
   let phase_ok = max_phase_regression <= max_phase_pct in
-  let dispatch_ok = best_improvement >= min_improvement in
   Printf.printf
     "bytes ratio (boxed/columnar): %.2fx (gate >= %.1fx)\n\
      worst phase regression: %+.1f%% (gate <= %.1f%%)\n"
     bytes_ratio min_ratio max_phase_regression max_phase_pct;
-  Printf.printf
-    "dispatch speedup on >=400k-resident small batches vs committed \
-     pre-columnar baseline (0.32x/0.35x of serial): %.2fx (gate >= %.1fx)\n"
-    best_improvement min_improvement;
   let out = "BENCH_columnar.json" in
   let oc = open_out out in
   Printf.fprintf oc
@@ -1804,11 +1613,8 @@ let columnar_bench () =
      \"bytes\": [\n%s\n  ],\n  \
      \"bytes_ratio_overall\": %.2f,\n  \
      \"max_phase_regression_pct\": %.2f,\n  \
-     \"grid\": [\n%s\n  ],\n  \
-     \"legacy_baseline_speedup_500k_10k\": { \"2\": 0.32, \"4\": 0.35 },\n  \
-     \"best_improvement_vs_baseline\": %.2f,\n  \
      \"gates\": { \"min_bytes_ratio\": %.2f, \"max_phase_regression_pct\": \
-     %.2f, \"min_improvement\": %.2f, \"passed\": %b }\n}\n"
+     %.2f, \"passed\": %b }\n}\n"
     rows_n
     (String.concat ",\n"
        (List.map
@@ -1826,31 +1632,13 @@ let columnar_bench () =
                  (List.map
                     (fun (p, c, b) ->
                       Printf.sprintf
-                        "{ \"phase\": %S, \"columnar_ms\": %.2f, \
-                         \"boxed_ms\": %.2f, \"regression_pct\": %.2f }"
-                        p c b
-                        ((c -. b) /. b *. 100.))
+                        "{ \"phase\": %S, \"columnar_ms\": %s, \
+                         \"boxed_ms\": %s, \"regression_pct\": %.2f }"
+                        p (json_stats c) (json_stats b) (pct c b))
                     phases)))
           bytes_results))
-    bytes_ratio max_phase_regression
-    (String.concat ",\n"
-       (List.map
-          (fun (resident, n, serial_ms, runs) ->
-            Printf.sprintf
-              "    { \"resident_rows\": %d, \"workload\": \"uniform\", \
-               \"input\": %d, \"serial_ms\": %.2f, \"runs\": [%s] }"
-              resident n serial_ms
-              (String.concat ", "
-                 (List.map
-                    (fun (d, auto_ms) ->
-                      Printf.sprintf
-                        "{ \"domains\": %d, \"auto_ms\": %.2f, \
-                         \"auto_speedup\": %.2f }"
-                        d auto_ms (serial_ms /. auto_ms))
-                    runs)))
-          grid))
-    best_improvement min_ratio max_phase_pct min_improvement
-    (bytes_ok && phase_ok && dispatch_ok);
+    bytes_ratio max_phase_regression min_ratio max_phase_pct
+    (bytes_ok && phase_ok);
   close_out oc;
   Printf.printf "wrote %s\n" out;
   if not bytes_ok then
@@ -1859,80 +1647,43 @@ let columnar_bench () =
   if not phase_ok then
     Printf.eprintf "FAIL: phase regression %.1f%% above the %.1f%% gate\n"
       max_phase_regression max_phase_pct;
-  if not dispatch_ok then
-    Printf.eprintf "FAIL: dispatch improvement %.2fx below the %.1fx gate\n"
-      best_improvement min_improvement;
-  if not (bytes_ok && phase_ok && dispatch_ok) then exit 1
+  if not (bytes_ok && phase_ok) then exit 1
 
-(* --- E21: bench history + regression gate --------------------------------
+(* --- regress: this checkout's results against another's -------------------
 
-   [history] distills the key metrics out of whatever BENCH_*.json result
-   files the other experiments left behind into one schema-versioned JSONL
-   record — git sha, date, cores, flat metric map — appended to
-   BENCH_history.jsonl. [regress] compares the current result files against
-   the last recorded baseline and exits 1 when any metric moved in its bad
-   direction by more than [tolerance_pct] AND more than a per-metric
-   absolute floor (so microscopic baselines cannot produce giant relative
-   "regressions"). *)
+   [regress DIR] reads the tracked metrics from the BENCH_*.json files in
+   the working directory and in DIR, where the same experiments ran at
+   another commit (CI: the parent, in a worktree of the same job, the two
+   sides taking turns to run first). It exits 1 when a metric moved
+   in its bad direction by more than [tolerance_pct] AND by more than its
+   absolute floor (so a microscopic baseline cannot produce a giant
+   relative "regression"), or when a metric DIR holds is missing here. A
+   metric only this checkout wrote is new, and passes. *)
 
 module J = Telemetry.Json
 
 type direction = Higher_better | Lower_better
 
-let history_schema = 1
-
-let history_path = "BENCH_history.jsonl"
 let tolerance_pct = 10.
 
-let read_file_opt path =
-  if Sys.file_exists path then
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  else None
-
-let git_sha () =
-  let from_git () =
-    try
-      let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-      let line = try input_line ic with End_of_file -> "" in
-      match Unix.close_process_in ic with
-      | Unix.WEXITED 0 when line <> "" -> Some (String.trim line)
-      | _ -> None
-    with _ -> None
-  in
-  match from_git () with
-  | Some sha -> sha
-  | None -> (
-    match Sys.getenv_opt "MINVIEW_BUILD_SHA" with
-    | Some s when s <> "" -> s
-    | Some _ | None -> "unknown")
-
-let iso_date () =
-  let tm = Unix.gmtime (Unix.gettimeofday ()) in
-  Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
-    (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
-    tm.Unix.tm_sec
-
-(* The tracked metrics: (key, direction, absolute floor). Extraction pulls
-   each one from its producing experiment's result file when present —
-   records carry whatever subset of the registry was found, so partial
-   bench runs still produce comparable history. *)
-let extract_metrics () =
+(* The tracked metrics of [dir]'s result files: (key, direction, absolute
+   floor, value), sorted by key, for whichever files and fields are
+   present. *)
+let extract_metrics dir =
   let out = ref [] in
   let add key dir floor = function
     | Some v when Float.is_finite v -> out := (key, dir, floor, v) :: !out
     | Some _ | None -> ()
   in
-  let with_json path f =
-    match
-      Option.bind (read_file_opt path) (fun s -> Result.to_option (J.parse s))
-    with
-    | Some j -> f j
-    | None -> ()
+  let with_json file f =
+    let path = Filename.concat dir file in
+    if Sys.file_exists path then
+      match J.parse (In_channel.with_open_bin path In_channel.input_all) with
+      | Ok j -> f j
+      | Error _ -> ()
   in
   let num j k = Option.bind (J.member k j) J.to_float in
+  let list j k = J.to_list (Option.value ~default:J.Null (J.member k j)) in
   with_json "BENCH_apply.json" (fun j ->
       add "apply.journal_ratio_max_over_min" Lower_better 0.3
         (num j "ratio_max_over_min"));
@@ -1940,7 +1691,9 @@ let extract_metrics () =
       add "parallel.root_heavy_speedup" Higher_better 0.2
         (num j "root_heavy_speedup_at_max_domains");
       add "parallel.zipf_compaction_ratio" Higher_better 0.5
-        (num j "zipf_compaction_ratio"));
+        (num j "zipf_compaction_ratio");
+      add "parallel.dispatch_improvement" Higher_better 0.2
+        (num j "dispatch_improvement_vs_baseline"));
   with_json "BENCH_serve.json" (fun j ->
       add "serve.writer_ratio_at_max_readers" Higher_better 0.1
         (num j "writer_ratio_at_max_readers");
@@ -1953,19 +1706,17 @@ let extract_metrics () =
               | Some (br, _) when br >= r -> best
               | _ -> Some (r, entry))
             | _ -> best)
-          None
-          (J.to_list (Option.value ~default:J.Null (J.member "grid" j)))
+          None (list j "grid")
       in
       match at_max with
       | Some (_, entry) ->
-        add "serve.read_p95_ms_at_max_readers" Lower_better 0.5
+        (* written to 1 us, and it reads 1 us: a 4 us p95 fails *)
+        add "serve.read_p95_ms_at_max_readers" Lower_better 0.002
           (num entry "read_p95_ms")
       | None -> ());
   with_json "BENCH_columnar.json" (fun j ->
       add "columnar.bytes_ratio_overall" Higher_better 0.2
         (num j "bytes_ratio_overall");
-      add "columnar.best_improvement" Higher_better 0.2
-        (num j "best_improvement_vs_baseline");
       List.iter
         (fun entry ->
           match Option.bind (J.member "case" entry) J.to_string with
@@ -1975,117 +1726,85 @@ let extract_metrics () =
               Lower_better 2.0
               (num entry "columnar_bytes_per_row")
           | None -> ())
-        (J.to_list (Option.value ~default:J.Null (J.member "bytes" j))));
+        (list j "bytes"));
   List.sort (fun (a, _, _, _) (b, _, _, _) -> compare a b) !out
 
-let history_record metrics =
-  Printf.sprintf
-    "{\"schema\":%d,\"sha\":\"%s\",\"date\":\"%s\",\"cores\":%d,\"metrics\":{%s}}"
-    history_schema (git_sha ()) (iso_date ())
-    (Domain.recommended_domain_count ())
-    (String.concat ","
-       (List.map
-          (fun (k, _, _, v) -> Printf.sprintf "\"%s\":%.6g" k v)
-          metrics))
-
-let append_history metrics =
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 history_path
+let regress base_dir =
+  let current = extract_metrics Filename.current_dir_name in
+  let base = extract_metrics base_dir in
+  if base = [] then begin
+    Printf.eprintf "regress: no BENCH_*.json metric in %s\n" base_dir;
+    exit 2
+  end;
+  let value_in metrics key =
+    List.find_map
+      (fun (k, _, _, v) -> if String.equal k key then Some v else None)
+      metrics
   in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> Printf.fprintf oc "%s\n" (history_record metrics))
+  let row key bv cur delta status =
+    Printf.printf "%-42s %12s %12s %9s  %s\n" key bv cur delta status
+  in
+  let num = Printf.sprintf "%.4g" in
+  Printf.printf "regression gate: tolerance %.0f%% against %s\n"
+    tolerance_pct base_dir;
+  row "metric" "baseline" "current" "delta" "status";
+  let regressions =
+    List.filter_map
+      (fun (key, dir, floor, cur) ->
+        match value_in base key with
+        | None ->
+          row key "-" (num cur) "-" "new";
+          None
+        | Some bv ->
+          let worsening =
+            match dir with
+            | Lower_better -> cur -. bv
+            | Higher_better -> bv -. cur
+          in
+          let rel_pct = worsening /. Float.max (Float.abs bv) 1e-9 *. 100. in
+          let regressed = rel_pct > tolerance_pct && worsening > floor in
+          row key (num bv) (num cur)
+            (Printf.sprintf "%.1f%%" rel_pct)
+            (if regressed then "REGRESSED"
+             else if rel_pct > tolerance_pct then "ok (within floor)"
+             else "ok");
+          if regressed then
+            Some
+              (Printf.sprintf "%s regressed %.1f%% (%.4g -> %.4g)" key rel_pct
+                 bv cur)
+          else None)
+      current
+  in
+  (* a metric this checkout tracks but did not write: its experiment
+     failed, or wrote null *)
+  let missing =
+    List.filter_map
+      (fun (key, _, _, bv) ->
+        match value_in current key with
+        | Some _ -> None
+        | None ->
+          row key (num bv) "-" "-" "gone";
+          Some (key ^ " is missing from this checkout's results"))
+      base
+  in
+  match regressions @ missing with
+  | [] ->
+    Printf.printf "regression gate passed (%d metric(s) compared)\n"
+      (List.length
+         (List.filter (fun (k, _, _, _) -> value_in base k <> None) current))
+  | failures ->
+    List.iter (Printf.eprintf "FAIL: %s\n") failures;
+    exit 1
 
-let bench_history () =
-  let metrics = extract_metrics () in
-  if metrics = [] then
-    Printf.eprintf
-      "warning: no BENCH_*.json result files found — recording an empty \
-       history entry\n";
-  append_history metrics;
-  Printf.printf "appended %d metric(s) to %s\n" (List.length metrics)
-    history_path
+(* --------------------------------------------------------------- main *)
 
-(* the newest parseable record with a metrics object wins *)
-let last_baseline () =
-  Option.bind (read_file_opt history_path) (fun data ->
-      List.fold_left
-        (fun acc line ->
-          match J.parse (String.trim line) with
-          | Ok j when J.member "metrics" j <> None -> Some j
-          | Ok _ | Error _ -> acc)
-        None
-        (String.split_on_char '\n' data))
-
-let bench_regress () =
-  let current = extract_metrics () in
-  match last_baseline () with
-  | None ->
-    append_history current;
-    Printf.printf
-      "no baseline in %s: recorded the current run as the initial baseline \
-       (%d metrics)\n"
-      history_path (List.length current)
-  | Some base ->
-    let base_sha =
-      Option.value ~default:"?"
-        (Option.bind (J.member "sha" base) J.to_string)
-    in
-    let base_of k = Option.bind (J.path [ "metrics"; k ] base) J.to_float in
-    Printf.printf
-      "regression gate: tolerance %.0f%% against baseline %s (%s)\n%-42s %12s \
-       %12s %9s  %s\n"
-      tolerance_pct base_sha
-      (Option.value ~default:"?"
-         (Option.bind (J.member "date" base) J.to_string))
-      "metric" "baseline" "current" "delta" "status";
-    let failures =
-      List.fold_left
-        (fun failures (key, dir, floor, cur) ->
-          match base_of key with
-          | None ->
-            Printf.printf "%-42s %12s %12.4g %9s  new\n" key "-" cur "-";
-            failures
-          | Some bv ->
-            let worsening =
-              match dir with
-              | Lower_better -> cur -. bv
-              | Higher_better -> bv -. cur
-            in
-            let rel_pct =
-              worsening /. Float.max (Float.abs bv) 1e-9 *. 100.
-            in
-            let regressed = rel_pct > tolerance_pct && worsening > floor in
-            Printf.printf "%-42s %12.4g %12.4g %8.1f%%  %s\n" key bv cur
-              rel_pct
-              (if regressed then "REGRESSED"
-               else if rel_pct > tolerance_pct then "ok (within floor)"
-               else "ok");
-            if regressed then (key, bv, cur, rel_pct) :: failures
-            else failures)
-        [] current
-    in
-    if failures = [] then
-      Printf.printf "regression gate passed (%d metric(s) compared)\n"
-        (List.length current)
-    else begin
-      List.iter
-        (fun (key, bv, cur, pct) ->
-          Printf.eprintf "FAIL: %s regressed %.1f%% (%.4g -> %.4g)\n" key pct
-            bv cur)
-        (List.rev failures);
-      exit 1
-    end
-
-(* Which runs include an experiment: [Default] ones run with no argument
-   and with [all], [All] ones with [all] only, [Named] ones only when named.
-   endurance reports resident memory, which is only meaningful in a fresh
-   process; apply-scaling and parallel build million-row instances;
-   overhead (a report) sets the global telemetry switch and, with
-   columnar, retunes the process's GC; serve runs reader domains for timed
-   windows; history and regress only read the other experiments' result
-   files. *)
-type tier = Default | All | Named
+(* [Default] experiments run with no argument, [Named] ones only when
+   named. endurance reports resident memory, which is only meaningful in a
+   fresh process; apply-scaling and parallel build million-row instances;
+   overhead (a report) sets the global telemetry switch and, with parallel
+   and columnar, retunes the process's GC; serve runs reader domains for
+   timed windows. *)
+type tier = Default | Named
 
 let experiments =
   [
@@ -2094,12 +1813,9 @@ let experiments =
     ("e7", Default, e7); ("e8", Default, e8); ("e9", Default, e9);
     ("e10", Default, e10); ("e11", Default, e11); ("e12", Default, e12);
     ("e13", Default, e13); ("e14", Default, e14); ("e15", Default, e15);
-    ("timings", All, timings); ("endurance", Named, endurance);
-    ("apply-scaling", Named, apply_scaling);
+    ("endurance", Named, endurance); ("apply-scaling", Named, apply_scaling);
     ("parallel", Named, parallel_scaling); ("overhead", Named, overhead);
     ("serve", Named, serve_bench); ("columnar", Named, columnar_bench);
-    ("history", Named, bench_history);
-    ("regress", Named, bench_regress);
   ]
 
 let () =
@@ -2108,18 +1824,21 @@ let () =
       (fun (n, tier, _) -> if keep tier then Some n else None)
       experiments
   in
-  let selected =
-    match List.tl (Array.to_list Sys.argv) with
-    | [] -> names (( = ) Default)
-    | [ "all" ] -> names (( <> ) Named)
-    | xs -> xs
-  in
-  List.iter
-    (fun name ->
-      match List.find_opt (fun (n, _, _) -> String.equal n name) experiments with
-      | Some (_, _, f) -> f ()
-      | None ->
-        Printf.eprintf "unknown experiment %s (available: %s)\n" name
-          (String.concat ", " (names (fun _ -> true)));
-        exit 1)
-    selected
+  match List.tl (Array.to_list Sys.argv) with
+  | [ "regress"; dir ] -> regress dir
+  | "regress" :: _ ->
+    prerr_endline "usage: main.exe regress DIR";
+    exit 2
+  | args ->
+    List.iter
+      (fun name ->
+        match
+          List.find_opt (fun (n, _, _) -> String.equal n name) experiments
+        with
+        | Some (_, _, f) -> f ()
+        | None ->
+          Printf.eprintf "unknown experiment %s (available: %s, regress DIR)\n"
+            name
+            (String.concat ", " (names (fun _ -> true)));
+          exit 1)
+      (if args = [] then names (( = ) Default) else args)

@@ -140,8 +140,8 @@ let atomic_add a d = ignore (Atomic.fetch_and_add a d)
    domain, no synchronization), feeds a sampled event through
    [note_hot_key] when [counter land sample_mask = 0], and pushes the
    exact write/event totals here once per batch with [note_batch] — so
-   the engine's per-tuple hot path touches nothing shared (the overhead
-   gate budgets the whole telemetry layer at a few percent). *)
+   the engine's per-tuple hot path touches nothing shared (telemetry's
+   cost is budgeted in exact minor words per ingest, E41). *)
 let sample_shift = 5
 let sample_mask = (1 lsl sample_shift) - 1
 
