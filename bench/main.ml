@@ -72,9 +72,8 @@ let json_stats s =
   Printf.sprintf "{ \"median\": %.4f, \"q1\": %.4f, \"q3\": %.4f, \"n\": %d }"
     s.med s.q1 s.q3 s.n
 
-(* Process CPU time for work on one domain; wall clock where worker domains
-   burn CPU concurrently, which CPU time would charge to the parallel path
-   for its own overlap. *)
+(* Process CPU time, or wall clock: the parallel experiment's figures have
+   been wall-clock since it first ran on several domains. *)
 type clock = Cpu | Wall
 
 (* One sample, in ms per call: [before ()] and a minor collection, then
@@ -929,45 +928,40 @@ let apply_scaling () =
 
 (* -------------------------------------------------------- parallel *)
 
-(* Batch apply under the netted + shard-parallel fast path
-   ([Engine.apply_batch ?parallel]) against plain serial routing, over a
-   grid of batch size x domain count x resident rows, on two root-heavy
-   workloads:
+(* Batch apply on the netted path ([Engine.apply_batch ~parallel:
+   Shard.serial]: net once, apply directly) against plain serial routing,
+   over a grid of batch size x resident rows, on two root-heavy workloads:
 
    - "uniform": fresh fact insertions drawn from a bounded
-     (timeid, productid, price) region, so many tuples agree on the
-     engine's read-set projection and merge into weighted operations;
+     (timeid, productid, price) region;
    - "zipf": a base set of insertions followed by a Zipf-skewed churn of
      price updates over them — the net-effect compactor collapses each
      row's history to a single insertion.
 
    The engine state is held constant across samples by timing inside a
    transaction and rolling back after each sample (rollback is exact — see
-   test_parallel.ml). Timings are wall-clock: domains burn CPU concurrently,
-   so process CPU time would charge the parallel path for its own overlap.
+   test_parallel.ml). Timings are wall-clock.
 
-   One gate (exit 1 on failure): the dispatch rule. The committed
-   BENCH_parallel.json baseline for the 500k-resident 10k-input uniform
-   points was 0.32x of serial at 2 domains and 0.35x at 4 — parallel
-   apply under the old fixed 512-op cutoff was ~3x slower than serial
-   there. The dispatch rule's resident-scaled serial floor applies such
-   batches directly at serial speed, and its speedup-vs-serial must beat
-   that baseline by >= 1.5x on at least one such point.
+   One gate (exit 1 on failure). The committed BENCH_parallel.json
+   baseline for the 500k-resident 10k-input uniform points was 0.32x of
+   serial at 2 domains and 0.35x at 4 — parallel apply under the old fixed
+   512-op cutoff was ~3x slower than serial there. The netted path's
+   speedup-vs-serial on such a point must beat that baseline by >= 1.5x.
 
    Not part of the default run. Writes BENCH_parallel.json. *)
 
 let parallel_scaling () =
-  header "parallel: net-effect compaction + shard-parallel apply";
+  header "parallel: net-effect compaction, applied directly";
   Gc.set
     { (Gc.get ()) with Gc.minor_heap_size = 64 * 1024 * 1024;
       space_overhead = 10_000 };
-  let domain_counts = [ 1; 2; 4 ] in
   let batch_sizes = [ 10_000; 100_000 ] in
   let sizes = [ 50_000; 500_000 ] in
   let min_improvement = 1.5 in
+  let baselines = [ 0.32; 0.35 ] in
   let next_id = ref 500_000_000 in
   (* fresh facts from a bounded region: at most 200 x 50 price points per
-     timeid share the read-set projection, so a large batch merges hard *)
+     timeid *)
   let uniform_rows rng ~days n =
     sale_rows rng ~next_id ~days:(min 200 days) ~products:50 ~stores:1
       ~prices:50 n
@@ -1009,11 +1003,7 @@ let parallel_scaling () =
     inserts @ churn
   in
   let module Engine = Maintenance.Engine in
-  let module Shard = Maintenance.Shard in
   let results = ref [] in
-  (* one resident pool per domain count for the whole grid — worker domains
-     stay parked between grid points instead of piling up per measurement *)
-  let pools = List.map (fun d -> (d, Shard.create ~domains:d)) domain_counts in
   List.iter
     (fun target ->
       let days = max 10 (target / 2) in
@@ -1037,23 +1027,10 @@ let parallel_scaling () =
             (fun () -> Engine.apply_batch ?parallel e batch)
         in
         let serial = apply () in
-        (* operations a pool really issued: a one-domain pool applies the
-           netted deltas directly, a wider one may merge them (the lineage
-           flow outlives the rollback; the profile stands in when telemetry
-           is off) *)
-        let runs =
-          List.map
-            (fun (d, pool) ->
-              let s = apply ~parallel:pool () in
-              let applied =
-                match Engine.last_flow e with
-                | Some f -> f.Telemetry.Lineage.applied
-                | None -> prof.Engine.applied
-              in
-              (d, s, serial.med /. Float.max 1e-9 s.med, applied))
-            pools
-        in
-        results := (resident, workload, prof, serial, runs) :: !results
+        let netted = apply ~parallel:Maintenance.Shard.serial () in
+        let speedup = serial.med /. Float.max 1e-9 netted.med in
+        results :=
+          (resident, workload, prof, serial, netted, speedup) :: !results
       in
       List.iter
         (fun n ->
@@ -1069,94 +1046,74 @@ let parallel_scaling () =
   print_string
     (table
        ~header:
-         [ "resident"; "workload"; "input"; "applied"; "serial ms"; "domains";
-           "ms"; "speedup" ]
-       (List.concat_map
-          (fun (resident, w, (prof : Engine.batch_profile), serial, runs) ->
-            List.map
-              (fun (d, s, sp, applied) ->
-                [ string_of_int resident; w; string_of_int prof.Engine.input;
-                  string_of_int applied; show_stats ~digits:1 serial;
-                  string_of_int d; show_stats ~digits:1 s;
-                  Printf.sprintf "%.2fx" sp ])
-              runs)
+         [ "resident"; "workload"; "input"; "applied"; "serial ms";
+           "netted ms"; "speedup" ]
+       (List.map
+          (fun (resident, w, (prof : Engine.batch_profile), serial, netted, sp) ->
+            [ string_of_int resident; w; string_of_int prof.Engine.input;
+              string_of_int prof.Engine.applied; show_stats ~digits:1 serial;
+              show_stats ~digits:1 netted; Printf.sprintf "%.2fx" sp ])
           results));
-  let max_domains = List.fold_left max 1 domain_counts in
   let biggest_batch = List.fold_left max 0 batch_sizes in
-  (* the best speedup over [runs] of the uniform points [keep] selects *)
+  (* the best of [score] over the uniform points [keep] selects *)
   let best_uniform keep score =
     List.fold_left
-      (fun acc (resident, w, (prof : Engine.batch_profile), _, runs) ->
+      (fun acc (resident, w, (prof : Engine.batch_profile), _, _, sp) ->
         if String.equal w "uniform" && keep resident prof.Engine.input then
-          List.fold_left (fun acc run -> Float.max acc (score run)) acc runs
+          Float.max acc (score sp)
         else acc)
       0. results
   in
   let root_heavy_speedup =
-    best_uniform
-      (fun _ input -> input = biggest_batch)
-      (fun (d, _, sp, _) -> if d = max_domains then sp else 0.)
+    best_uniform (fun _ input -> input = biggest_batch) Fun.id
   in
-  (* the regime the dispatcher exists to fix: large resident state,
-     batches below the serial floor, against the pre-columnar baseline *)
-  let baseline_speedup = function 2 -> Some 0.32 | 4 -> Some 0.35 | _ -> None in
+  (* the regime the old dispatcher existed to fix: large resident state,
+     small batches, against the pre-columnar baseline *)
   let dispatch_improvement =
     best_uniform
       (fun resident input -> resident >= 400_000 && input <= 20_000)
-      (fun (d, _, sp, _) ->
-        match baseline_speedup d with Some b -> sp /. b | None -> 0.)
+      (fun sp ->
+        List.fold_left (fun acc b -> Float.max acc (sp /. b)) 0. baselines)
   in
-  (* the best compression any pool reached: the weighted merge's, when a
-     pool of two or more domains ran *)
   let zipf_ratio =
     List.fold_left
-      (fun acc (_, w, (prof : Engine.batch_profile), _, runs) ->
+      (fun acc (_, w, (prof : Engine.batch_profile), _, _, _) ->
         if String.equal w "zipf" then
-          List.fold_left
-            (fun acc (_, _, _, applied) ->
-              Float.max acc
-                (float_of_int prof.Engine.input
-                /. float_of_int (max 1 applied)))
-            acc runs
+          Float.max acc
+            (float_of_int prof.Engine.input
+            /. float_of_int (max 1 prof.Engine.applied))
         else acc)
       0. results
   in
   let dispatch_ok = dispatch_improvement >= min_improvement in
   Printf.printf
-    "root-heavy %dk-delta speedup at %d domains: %.1fx\n\
+    "root-heavy %dk-delta speedup: %.1fx\n\
      zipf compaction input/applied: %.0fx\n\
-     dispatch speedup on >=400k-resident small batches vs committed \
-     pre-columnar baseline (0.32x/0.35x of serial): %.2fx (gate >= %.1fx)\n"
-    (biggest_batch / 1000) max_domains root_heavy_speedup zipf_ratio
-    dispatch_improvement min_improvement;
+     speedup on >=400k-resident small batches vs committed pre-columnar \
+     baseline (0.32x/0.35x of serial): %.2fx (gate >= %.1fx)\n"
+    (biggest_batch / 1000) root_heavy_speedup zipf_ratio dispatch_improvement
+    min_improvement;
+  (* the summary keys keep the names a multi-domain grid gave them, so
+     [regress] reads the same three metrics on either side of a change *)
   let out = "BENCH_parallel.json" in
   let oc = open_out out in
   Printf.fprintf oc
-    "{\n  \"benchmark\": \"parallel-apply\",\n  \"domains\": [%s],\n  \
+    "{\n  \"benchmark\": \"parallel-apply\",\n  \
      \"grid\": [\n%s\n  ],\n  \
      \"root_heavy_speedup_at_max_domains\": %.2f,\n  \
      \"zipf_compaction_ratio\": %.2f,\n  \
      \"legacy_baseline_speedup_500k_10k\": { \"2\": 0.32, \"4\": 0.35 },\n  \
      \"dispatch_improvement_vs_baseline\": %.2f,\n  \
      \"gates\": { \"min_improvement\": %.2f, \"passed\": %b }\n}\n"
-    (String.concat ", " (List.map string_of_int domain_counts))
     (String.concat ",\n"
        (List.map
-          (fun (resident, w, (prof : Engine.batch_profile), serial, runs) ->
+          (fun (resident, w, (prof : Engine.batch_profile), serial, netted, sp) ->
             Printf.sprintf
               "    { \"resident_rows\": %d, \"workload\": %S, \
                \"input\": %d, \"netted\": %d, \"applied\": %d, \
-               \"serial_ms\": %s, \"runs\": [%s] }"
+               \"serial_ms\": %s, \"netted_ms\": %s, \"speedup\": %.2f }"
               resident w prof.Engine.input prof.Engine.netted
-              prof.Engine.applied (json_stats serial)
-              (String.concat ", "
-                 (List.map
-                    (fun (d, s, sp, applied) ->
-                      Printf.sprintf
-                        "{ \"domains\": %d, \"ms\": %s, \"speedup\": \
-                         %.2f, \"applied\": %d }"
-                        d (json_stats s) sp applied)
-                    runs)))
+              prof.Engine.applied (json_stats serial) (json_stats netted) sp)
           results))
     root_heavy_speedup zipf_ratio dispatch_improvement min_improvement
     dispatch_ok;
@@ -1186,15 +1143,13 @@ let overhead () =
     { (Gc.get ()) with Gc.minor_heap_size = 64 * 1024 * 1024;
       space_overhead = 10_000 };
   let module Engine = Maintenance.Engine in
-  let module Shard = Maintenance.Shard in
   let db = R.load medium_params in
   let e = Engine.init db (Derive.derive db R.product_sales) in
   let rng = Workload.Prng.create 4711 in
   let next_id = ref 1_000_000 in
   (* state held constant across samples: time inside a transaction, roll
      back after. The batch is fixed per grid point so both modes apply
-     identical work. Serial points use CPU time; the parallel point uses
-     wall clock (worker domains burn CPU concurrently). *)
+     identical work, timed in CPU time. *)
   let samples = 31 in
   let measure_point ?parallel ~point ~n ~reps () =
     let batch = medium_sales rng ~next_id n in
@@ -1208,7 +1163,6 @@ let overhead () =
     run () (* warm-up *);
     let mode telemetry () =
       time
-        ~clock:(if parallel = None then Cpu else Wall)
         ~before:(fun () -> Telemetry.set_enabled telemetry)
         run
       /. float_of_int reps
@@ -1219,13 +1173,11 @@ let overhead () =
     ( point, stats on, stats off,
       stats (List.map2 (fun on off -> 100. *. (on -. off) /. off) on off) )
   in
-  let pool = Shard.create ~domains:2 in
   let grid =
     [ measure_point ~point:"serial-200" ~n:200 ~reps:32 ();
       measure_point ~point:"serial-2000" ~n:2_000 ~reps:4 ();
-      (* >512 compacted root ops, so both shard phases really fan out *)
-      measure_point ~parallel:pool ~point:"parallel2-2000" ~n:2_000 ~reps:4
-        () ]
+      measure_point ~parallel:Maintenance.Shard.serial ~point:"netted-2000"
+        ~n:2_000 ~reps:4 () ]
   in
   Printf.printf "%d on/off samples per point, medians (q1..q3)\n" samples;
   print_string
@@ -1348,7 +1300,7 @@ let serve_bench () =
               while not (Atomic.get stop) do
                 Warehouse.with_snapshot wh (fun s ->
                     ignore
-                      (Warehouse.read_view ~snapshot:s wh "product_sales"));
+                      (Warehouse.query ~snapshot:s wh "product_sales"));
                 incr n;
                 try Unix.sleepf pause with Unix.Unix_error _ -> ()
               done;

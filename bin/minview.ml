@@ -446,25 +446,12 @@ let json_flag =
     value & flag
     & info [ "json" ] ~doc:"Machine-readable output (one JSON object per line).")
 
-let parallel_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "parallel" ] ~docv:"DOMAINS"
-        ~doc:
-          "Apply batches through a supervised shard-parallel pool of \
-           $(docv) domains (0 or 1 = serial). A worker failure rolls the \
-           batch back, re-applies it serially and degrades ingestion until \
-           re-promotion — see the minview_warehouse_parallel_* metrics.")
-
 (* Load, register, optionally ingest — the shared pipeline behind the
    telemetry verbs. *)
-let run_pipeline script changes strategy parallel =
+let run_pipeline script changes strategy =
   let db, views = load_script script in
   let wh = Warehouse.create db in
   List.iter (Warehouse.add_view ~strategy wh) views;
-  if parallel > 1 then
-    Warehouse.set_parallel wh
-      (Some (Maintenance.Shard.supervised ~domains:parallel ~deadline:10.));
   (match changes with
   | Some file ->
     let outcomes = Sqlfront.Elaborate.run_script db (read_file file) in
@@ -588,9 +575,9 @@ let metrics_cmd =
       & info [ "prometheus" ]
           ~doc:"Prometheus text exposition instead of the dashboard.")
   in
-  let run () script changes strategy parallel json prometheus =
+  let run () script changes strategy json prometheus =
     with_errors (fun () ->
-        let wh = run_pipeline script changes strategy parallel in
+        let wh = run_pipeline script changes strategy in
         if json then print_endline (Telemetry.dump_json ())
         else if prometheus then print_string (Telemetry.to_prometheus ())
         else print_metrics_human ();
@@ -606,12 +593,12 @@ let metrics_cmd =
           maintenance counters, and phase latency histograms.")
     Term.(
       const run $ setup_term $ script_arg $ changes_opt $ strategy_arg
-      $ parallel_arg $ json_flag $ prometheus_flag)
+      $ json_flag $ prometheus_flag)
 
 let trace_cmd =
-  let run () script changes strategy parallel json =
+  let run () script changes strategy json =
     with_errors (fun () ->
-        let wh = run_pipeline script changes strategy parallel in
+        let wh = run_pipeline script changes strategy in
         let spans = Telemetry.Trace.recent () in
         if json then
           List.iter
@@ -638,7 +625,7 @@ let trace_cmd =
           --json adds timings as JSONL).")
     Term.(
       const run $ setup_term $ script_arg $ changes_opt $ strategy_arg
-      $ parallel_arg $ json_flag)
+      $ json_flag)
 
 (* --- workload profile ---------------------------------------------------- *)
 
@@ -713,29 +700,7 @@ let print_profile_human ~top raw =
       (fnum j [ "epoch_lag"; "p50" ])
       (fnum j [ "epoch_lag"; "p95" ])
       (fnum j [ "epoch_lag"; "p99" ])
-      (fnum j [ "epoch_lag"; "max" ]);
-  let runs = fnum j [ "shards"; "runs" ] in
-  if runs > 0. then begin
-    Printf.printf "== shard heat (%.0f parallel dispatch(es)) ==\n" runs;
-    let busy = jlist j [ "shards"; "busy_s" ] in
-    let ops = jlist j [ "shards"; "ops" ] in
-    let f v = Option.value ~default:0. (J.to_float v) in
-    print_string
-      (Relational.Table_printer.render ~header:[ "shard"; "busy_s"; "ops" ]
-         (List.mapi
-            (fun i b ->
-              [
-                string_of_int i;
-                Printf.sprintf "%.4f" (f b);
-                count (match List.nth_opt ops i with Some o -> f o | None -> 0.);
-              ])
-            busy));
-    let recent = jlist j [ "shards"; "recent_imbalance" ] in
-    if recent <> [] then
-      Printf.printf "recent imbalance (max/mean busy): %s\n"
-        (String.concat " "
-           (List.map (fun v -> Printf.sprintf "%.2f" (f v)) recent))
-  end
+      (fnum j [ "epoch_lag"; "max" ])
 
 let profile_cmd =
   let script_opt =
@@ -776,7 +741,7 @@ let profile_cmd =
       & info [ "top" ] ~docv:"N"
           ~doc:"Hot keys to print per view (human output).")
   in
-  let run () script dir changes n seed strategy parallel state as_json top =
+  let run () script dir changes n seed strategy state as_json top =
     with_errors (fun () ->
         let raw =
           match (dir, script) with
@@ -794,11 +759,6 @@ let profile_cmd =
             let wh = Warehouse.create db in
             List.iter (Warehouse.add_view ~strategy wh) views;
             Option.iter (fun dir -> Warehouse.attach wh ~dir) state;
-            if parallel > 1 then
-              Warehouse.set_parallel wh
-                (Some
-                   (Maintenance.Shard.supervised ~domains:parallel
-                      ~deadline:10.));
             let deltas =
               match changes with
               | Some file ->
@@ -826,13 +786,12 @@ let profile_cmd =
        ~doc:
          "The workload profile: per-view read/write rates, top-k hot group \
           keys with sketch error bounds, update/read ratio, skew \
-          coefficient, and the shard heat map. Runs a pipeline (generated \
-          or scripted changes) or, with $(b,--dir), prints the profile a \
-          checkpoint persisted.")
+          coefficient and the epoch-lag distribution. Runs a pipeline \
+          (generated or scripted changes) or, with $(b,--dir), prints the \
+          profile a checkpoint persisted.")
     Term.(
       const run $ setup_term $ script_opt $ dir_opt $ changes_opt $ n_arg
-      $ seed_arg $ strategy_arg $ parallel_arg $ state_arg $ json_flag
-      $ top_arg)
+      $ seed_arg $ strategy_arg $ state_arg $ json_flag $ top_arg)
 
 (* --- lineage / attribution / explain ------------------------------------ *)
 
@@ -851,9 +810,9 @@ let lineage_cmd =
       & info [ "table" ] ~docv:"TABLE"
           ~doc:"Only records whose batch touched base table $(docv).")
   in
-  let run () script changes strategy parallel txn table json =
+  let run () script changes strategy txn table json =
     with_errors (fun () ->
-        let wh = run_pipeline script changes strategy parallel in
+        let wh = run_pipeline script changes strategy in
         let records = Telemetry.Lineage.recent ?txn ?table () in
         if records = [] then
           print_endline
@@ -877,12 +836,12 @@ let lineage_cmd =
           vs. folded rows) and the view groups.")
     Term.(
       const run $ setup_term $ script_arg $ changes_opt $ strategy_arg
-      $ parallel_arg $ txn_opt $ table_opt $ json_flag)
+      $ txn_opt $ table_opt $ json_flag)
 
 let attribute_cmd =
-  let run () script changes strategy parallel json =
+  let run () script changes strategy json =
     with_errors (fun () ->
-        let wh = run_pipeline script changes strategy parallel in
+        let wh = run_pipeline script changes strategy in
         let attrs = Warehouse.attribution wh in
         (* exact resident bytes per auxview from the columnar byte
            accounting; auxviews absent from the lookup render the
@@ -943,7 +902,7 @@ let attribute_cmd =
           gauges; exit non-zero on a reconciliation mismatch.")
     Term.(
       const run $ setup_term $ script_arg $ changes_opt $ strategy_arg
-      $ parallel_arg $ json_flag)
+      $ json_flag)
 
 let explain_cmd =
   let dot_flag =
@@ -1121,7 +1080,7 @@ let export_cmd =
   in
   let run () script changes strategy port =
     with_errors (fun () ->
-        let wh = run_pipeline script changes strategy 0 in
+        let wh = run_pipeline script changes strategy in
         let exp =
           Telemetry.Http_exporter.create ~port
             ~health:(fun () -> Warehouse.health wh)

@@ -28,8 +28,7 @@ end)
 type index = { buckets : Icol.t VH.t; pos : Icol.t }
 
 (* One hash-shard of the resident state. Every row-parallel structure lives
-   per shard, so during a parallel apply each domain owns a disjoint set of
-   shards and never touches another domain's columns or tables. *)
+   per shard. *)
 type shard = {
   idx : int;  (** position among the state's shards *)
   g : Groups.shard;
@@ -476,7 +475,6 @@ end
 module Tuples = Rows (Cells.Tuple)
 module Stored = Rows (Cells.Stored)
 
-let shard_of_base s tup = Tuples.hash s tup land s.groups.mask
 let insert_base = Tuples.insert
 
 let delete_base ?(count = 1) s tup =
@@ -616,8 +614,8 @@ let index_mem b pos v key =
 (* Structural equality of the full resident state: groups (counts, sums,
    extrema), the by-key map, every secondary index (positions and bucket
    membership), and the base-row total. Deliberately independent of the
-   shard layout and of physical row order, so a 1-shard serial state
-   compares equal to a 16-shard parallel one. Open transactions are
+   shard layout and of physical row order, so a 1-shard state compares
+   equal to a 16-shard one. Open transactions are
    ignored. *)
 let equal a b =
   sum_over_shards a (fun sh -> sh.total) = sum_over_shards b (fun sh -> sh.total)

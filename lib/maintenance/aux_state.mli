@@ -49,8 +49,7 @@ val exts : t -> row -> Relational.Value.t array
 
     [shards] (a power of two, default 1) splits every group-keyed structure
     — groups, by-key map, secondary indexes, undo journal, totals — into
-    hash shards so a parallel applier can hand disjoint shards to disjoint
-    domains. Sharding is invisible to every accessor and to {!equal};
+    hash shards. Sharding is invisible to every accessor and to {!equal};
     states with different shard counts compare structurally.
 
     [dict_pool] shares string dictionaries per (base table, column) with
@@ -68,10 +67,6 @@ val create :
   Mindetail.Auxview.t ->
   Relational.Schema.t ->
   t
-
-(** Shard that owns the group of base tuple [tup] (computed without
-    materializing the projection). *)
-val shard_of_base : t -> Relational.Tuple.t -> int
 
 val spec : t -> Mindetail.Auxview.t
 

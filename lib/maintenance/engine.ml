@@ -111,26 +111,21 @@ type t = {
           view, on plain positions (non-empty only in the no-pushdown
           ablation) *)
   append_only : bool;
-  root_reads : int array;
-      (** root-schema positions the engine ever reads off a root base tuple
-          (group/aggregate/local/join-fk/aux columns): two root tuples equal
-          on this projection are interchangeable, so the fast path merges
-          them into one weighted operation *)
   exposing : int array array;
       (** per slot, the base positions whose change an update must carry
-          into the stored state. The root's are its [root_reads] but the
-          arguments of non-DISTINCT SUM/AVG items and the root auxiliary
-          view's summed columns: an update equal on them keeps every group
-          and is applied in place. A dimension's are the columns its
+          into the stored state. The root's are every column the engine
+          reads off a root base tuple (group/aggregate/local/join-fk/aux
+          columns) but the arguments of non-DISTINCT SUM/AVG items and the
+          root auxiliary view's summed columns: an update equal on them
+          keeps every group and is applied in place. A dimension's are the columns its
           auxiliary view keeps plainly or the view's local conditions read:
           an update equal on them is ignored. *)
   root_sums : (int * int) array;
       (** per non-DISTINCT SUM/AVG item over a root column: the item and
           the column's base position (the shifts of an in-place update) *)
   feed : Feed.t;
-      (** the view's typed feed plan, and the joined row of the
-          coordinator's feeds (serial route, direct path, dimension
-          updates, init); a worker binds a [Feed.rebind] of its own *)
+      (** the view's typed feed plan, and the joined row of every feed
+          (serial route, direct path, dimension updates, init) *)
   obs_groups : Telemetry.Gauge.t;  (** resident view groups *)
   mutable obs_aux :
     (Aux_state.t * Telemetry.Gauge.t * Telemetry.Gauge.t * Telemetry.Gauge.t)
@@ -177,15 +172,12 @@ module Obs = struct
       "minview_engine_phase_seconds"
 
   let compact = phase "compact"
-  let weighted_merge = phase "weighted-merge"
   let dim_apply = phase "dim-apply"
-  let prepare = phase "prepare"
   let shard_apply = phase "shard-apply"
   let view_update = phase "view-update"
 
-  (* Allocation profile next to the latency profile: the coordinating
-     domain's [Gc.allocated_bytes] delta over each phase (worker-domain
-     allocations in sharded phases are not attributed). Log-scale from
+  (* Allocation profile next to the latency profile: the applying
+     domain's [Gc.allocated_bytes] delta over each phase. Log-scale from
      4 KiB: phase footprints span batch sizes, not microseconds. *)
   let phase_alloc p =
     Telemetry.Histogram.make
@@ -194,9 +186,7 @@ module Obs = struct
       ~lo:4096. ~factor:4. ~buckets:24 "minview_engine_phase_alloc_bytes"
 
   let compact_alloc = phase_alloc "compact"
-  let weighted_merge_alloc = phase_alloc "weighted-merge"
   let dim_apply_alloc = phase_alloc "dim-apply"
-  let prepare_alloc = phase_alloc "prepare"
   let shard_apply_alloc = phase_alloc "shard-apply"
   let view_update_alloc = phase_alloc "view-update"
 
@@ -231,13 +221,6 @@ module Obs = struct
     Telemetry.Counter.make
       ~help:"Compacted operations actually applied (parallel path)"
       "minview_engine_ops_applied_total"
-
-  let merge_folds =
-    Telemetry.Counter.make
-      ~help:
-        "Root changes folded away by the weighted duplicate merge (the \
-         paper's smart duplicate compression on the delta stream)"
-      "minview_engine_merge_folds_total"
 end
 
 let derivation t = t.d
@@ -1174,19 +1157,15 @@ let init ?(fk_index = true) db (d : Derive.t) =
   let columns tbl cols =
     List.map (Schema.index_of (Hashtbl.find schemas tbl)) cols
   in
-  (* Everything the engine can ever read off a root base tuple: group-by and
-     aggregate sources, view local-condition columns, outgoing join foreign
-     keys, and — when the root auxiliary view is retained — its kept,
-     summed, extremum, semijoin-fk and pushed-condition columns. Two root
-     tuples equal on this projection are indistinguishable to maintenance.
-     The same walk marks which of them expose an update: all but the
-     arguments of non-DISTINCT SUM/AVG items and the summed columns. *)
-  let root_reads, root_exposing =
-    let reads = ref [] and exposing = ref [] in
-    let add ?(exposes = true) ps =
-      reads := ps @ !reads;
-      if exposes then exposing := ps @ !exposing
-    in
+  (* Everything the engine can ever read off a root base tuple that exposes
+     an update: group-by and aggregate sources, view local-condition
+     columns, outgoing join foreign keys, and — when the root auxiliary
+     view is retained — its kept, extremum, semijoin-fk and
+     pushed-condition columns; not the arguments of non-DISTINCT SUM/AVG
+     items nor the summed columns. *)
+  let root_exposing =
+    let exposing = ref [] in
+    let add ?(exposes = true) ps = if exposes then exposing := ps @ !exposing in
     let add_cols ?exposes cols = add ?exposes (columns root cols) in
     let add_ref ?exposes c = if c.slot = 0 then add ?exposes [ c.base ] in
     Array.iter add_ref group_plan;
@@ -1216,7 +1195,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
            (fun p ->
              List.map (fun (a : Attr.t) -> a.Attr.column) (Predicate.attrs p))
            spec.Auxview.locals));
-    (positions !reads, positions !exposing)
+    positions !exposing
   in
   let exposing =
     Array.mapi
@@ -1270,7 +1249,6 @@ let init ?(fk_index = true) db (d : Derive.t) =
       semis;
       residuals;
       append_only = d.Derive.options.Derive.append_only;
-      root_reads;
       exposing;
       root_sums;
       feed =
@@ -1408,20 +1386,7 @@ let route t (delta : Delta.t) =
     | Delta.Delete tup -> dim_delete t s tup
     | Delta.Update { before; after } -> dim_update t s ~before ~after)
 
-(* --- netted + shard-parallel batch fast path ---------------------------- *)
-
-(* One compacted root-table operation: [net] identical (on [root_reads])
-   tuples inserted (net > 0) or deleted (net < 0). The prepare phase fills
-   the placement fields; the apply phase consumes them. *)
-type root_op = {
-  rep : Tuple.t;  (** representative full root tuple of the duplicate class *)
-  mutable net : int;
-  mutable aux_shard : int;  (** owning shard of the root aux group, or -1 *)
-  mutable joined : int array option;
-      (** the join partners of [rep] that pass the view's conditions, as
-          [Feed.locs] *)
-  mutable view_shard : int;
-}
+(* --- the netted batch path ---------------------------------------------- *)
 
 let known t (d : Delta.t) = Hashtbl.mem t.slots d.Delta.table
 
@@ -1434,51 +1399,7 @@ let net ~key_index deltas =
   Telemetry.with_phase Obs.compact ~alloc:Obs.compact_alloc "engine.compact"
     (fun () -> Delta_batch.net ~key_index deltas)
 
-(* Merge net root changes into signed weighted operations keyed by the
-   [root_reads] projection — the delta-stream counterpart of the paper's
-   smart duplicate compression: tuples that agree on every column the
-   engine reads collapse to one operation with a count. *)
-let root_merge t root_deltas =
-  (* sized for the worst case (no two deltas share a projection) so the
-     table never rehashes mid-merge *)
-  let merged : root_op TH.t = TH.create (max 1024 (List.length root_deltas)) in
-  let order = ref [] in
-  let add sign tup =
-    let proj = Tuple.project tup t.root_reads in
-    match TH.find_opt merged proj with
-    | Some op -> op.net <- op.net + sign
-    | None ->
-      let op =
-        { rep = tup; net = sign; aux_shard = -1; joined = None; view_shard = 0 }
-      in
-      TH.add merged proj op;
-      order := op :: !order
-  in
-  List.iter
-    (fun (d : Delta.t) ->
-      match d.Delta.change with
-      | Delta.Insert tup -> add 1 tup
-      | Delta.Delete tup -> add (-1) tup
-      | Delta.Update { before; after } ->
-        add (-1) before;
-        add 1 after)
-    root_deltas;
-  Array.of_list (List.rev !order)
-
-(* Stored rows a batch's application can touch: view groups, the root
-   auxiliary view it writes, and the dimension auxiliary views the prepare
-   probes read — the cache footprint that sets the parallel break-even. *)
-let resident_rows t =
-  List.fold_left
-    (fun acc tbl ->
-      match aux_of t tbl with
-      | Some st -> acc + Aux_state.row_count st
-      | None -> acc)
-    (View_state.group_count t.vstate)
-    t.view.View.tables
-
-(* Root changes of [ds] with each update split, as the merged path splits
-   them: the measure of the dispatch rule. *)
+(* Root changes of [ds] with each update split in two. *)
 let root_change_count ds =
   List.fold_left
     (fun acc (d : Delta.t) ->
@@ -1499,138 +1420,14 @@ let direct_op_count t ds =
       | Delta.Update _ | Delta.Insert _ | Delta.Delete _ -> 1)
     0 ds
 
-let live_ops ops =
-  Array.fold_left (fun acc op -> if op.net <> 0 then acc + 1 else acc) 0 ops
-
-(* Below this many root operations, domain spawns cost more than they
-   recover. *)
-let min_serial_floor = 512
-
-(* Target slice per domain once dispatch does go parallel: below ~2k ops a
-   worker's share of the fixed costs (undo-journal bookkeeping, two shard
-   barriers, cache refill on its shard partition) outweighs its slice. *)
-let ops_per_domain = 2048
-
-type dispatch = Direct | Merged of { ops : root_op array; workers : int }
-
-(* The one dispatch rule, decided once per batch from its netted root
-   changes. A one-domain pool applies them directly, whatever their number:
-   with no second worker, the merge and the prepare/apply split only add
-   an op record, a projection hash and a shard test per operation. On more
-   domains, each worker re-touches its whole shard partition's cache
-   footprint, so the parallel break-even grows with the resident state —
-   10k-op batches over 500k resident rows ran ~3x slower parallel than
-   serial (BENCH_parallel.json). Hence the serial floor
-   [max 512 (resident / 32)]: root changes below it are applied directly;
-   the rest are merged ([merge]) into [n] weighted operations run inline
-   while [n] is below the floor, else over [max 2 (n / ops_per_domain)]
-   workers (at most [cap]). An eager pool always merges and uses [cap]. *)
-let dispatch t pool ~root_changes ~merge =
-  let cap = min (Shard.domains pool) nshards in
-  if Shard.is_eager pool then Merged { ops = merge (); workers = cap }
-  else if cap = 1 then Direct
-  else
-    let floor = max min_serial_floor (resident_rows t / 32) in
-    if root_changes < floor then Direct
-    else
-      let ops = merge () in
-      let n = Array.length ops in
-      let workers =
-        if n < floor then 1 else min cap (max 2 (n / ops_per_domain))
-      in
-      Merged { ops; workers }
-
-let apply_root_ops t pool ~workers:nw ops =
-  let n = Array.length ops in
-  let root_st = t.aux.(0) in
-  (* Phase A — preparation, read-only on all shared state: membership
-     tests and join probes read dimension auxiliary views (concurrent pure
-     reads of hash tables are safe; nothing mutates during this phase);
-     each operation keeps its join partners and the shard of its group.
-     Each worker joins through a feed of its own. *)
-  Telemetry.with_phase Obs.prepare ~alloc:Obs.prepare_alloc "engine.prepare"
-    (fun () ->
-      Shard.run pool ~workers:nw (fun w ->
-          let f = Feed.rebind t.feed in
-          let lo = n * w / nw and hi = n * (w + 1) / nw in
-          for i = lo to hi - 1 do
-            let op = ops.(i) in
-            if op.net <> 0 then begin
-              (match root_st with
-              | Some st when in_aux t 0 op.rep ->
-                op.aux_shard <- Aux_state.shard_of_base st op.rep
-              | Some _ | None -> ());
-              if passes_locals t 0 op.rep then begin
-                Feed.bind_base f 0 op.rep;
-                if extend t f 0 then begin
-                  op.joined <- Some (Feed.locs f);
-                  op.view_shard <- View_state.shard_of_feed t.vstate f
-                end
-              end
-            end
-          done));
-  (* Workload accounting between the phases, on the coordinator: netted
-     weights per group key plus the per-shard op heat of this batch. *)
-  if t.wk_live && Telemetry.enabled () then begin
-    let per_shard = Array.make nshards 0 in
-    Array.iter
-      (fun op ->
-        match op.joined with
-        | Some locs when op.net <> 0 ->
-          Feed.bind_base t.feed 0 op.rep;
-          Feed.restore t.feed locs;
-          note_write t t.feed (abs op.net);
-          let sh = op.view_shard in
-          if sh >= 0 && sh < nshards then
-            per_shard.(sh) <- per_shard.(sh) + abs op.net
-        | Some _ | None -> ())
-      ops;
-    Telemetry.Workload.note_shard_ops per_shard
-  end;
-  (* Phase B — application: every shard (root aux and view state) is owned
-     by exactly one worker, so no hash table is ever shared. Each worker
-     applies all positive operations before any negative one: counts then
-     stay at or above their final value throughout, so a group whose net
-     change is zero is never transiently destroyed (which would lose
-     extremum/DISTINCT components and dirty marks). *)
-  Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
-    "engine.shard-apply" (fun () ->
-      Shard.run pool ~workers:nw (fun w ->
-          let f = Feed.rebind t.feed in
-          let apply_op op =
-            let cnt = abs op.net in
-            (if
-               op.aux_shard >= 0
-               && Shard.owns ~worker:w ~workers:nw op.aux_shard
-             then
-               let st = Option.get root_st in
-               if op.net > 0 then Aux_state.insert_base ~count:cnt st op.rep
-               else Aux_state.delete_base ~count:cnt st op.rep);
-            match op.joined with
-            | Some locs when Shard.owns ~worker:w ~workers:nw op.view_shard ->
-              Feed.bind_base f 0 op.rep;
-              Feed.restore f locs;
-              if op.net > 0 then View_state.feed t.vstate f ~cnt
-              else View_state.unfeed t.vstate f ~cnt
-            | Some _ | None -> ()
-          in
-          Array.iter (fun op -> if op.net > 0 then apply_op op) ops;
-          Array.iter (fun op -> if op.net < 0 then apply_op op) ops))
-
-(* Direct path: a batch on a one-domain pool, or one whose netted root
-   changes are below the serial floor, skips the weighted merge and the
-   prepare/apply split — per operation, the dimension probes feed the
-   root-aux and view-state writes directly through the serial route's
-   writers, with no op records, no projection hashing and no
-   shard-ownership hashing. Exactly equivalent to
-   [root_merge] + [apply_root_ops]: preparation reads only dimension
-   auxiliary views while application writes only the root auxiliary view
-   and the view state (so fusing them per operation changes nothing), and
-   a weighted fold of [k] identical projections equals [k] unit
-   operations. Positive changes still go before negative ones — the same
-   transient-group discipline as phase B. An update that goes in place is
-   applied in the positive pass, while its groups still hold their
-   pre-batch rows; it changes no count, so the discipline holds.
+(* The netted root changes, applied directly through the serial route's
+   writers: per change, the dimension probes feed the root-aux and
+   view-state writes. Positive changes go before negative ones: counts
+   then stay at or above their final value throughout, so a group whose
+   net change is zero is never transiently destroyed (which would lose
+   extremum/DISTINCT components and dirty marks). An update that goes in
+   place is applied in the positive pass, while its groups still hold
+   their pre-batch rows; it changes no count, so the discipline holds.
    Returns the number of updates applied in place. *)
 let apply_root_direct t root_deltas =
   let in_place = ref 0 in
@@ -1715,12 +1512,13 @@ let flow_finish t pre ~mode ~deltas_in ~netted ~applied =
 
 let last_flow t = t.last_flow
 
-(* Netted batch application: dimension phases run serially in join-tree
-   order (inserts leaves-first so join partners exist, deletes root-first so
-   references are gone), root operations run compacted and shard-parallel.
-   Equivalent to the serial replay for any batch that is legal against the
-   pre-batch state — see DESIGN.md, "Concurrency model". *)
-let apply_batch_parallel t pool ?netted deltas =
+(* Netted batch application: the batch is netted once, dimension changes
+   run in join-tree order (inserts leaves-first so join partners exist,
+   deletes root-first so references are gone) around the root changes,
+   applied directly. Equivalent to the serial replay for any batch that is
+   legal against the pre-batch state — see DESIGN.md, "Concurrency
+   model". *)
+let apply_batch_netted t ?netted deltas =
   (* append-only violations must reject the batch whether or not the
      offending change nets out — match the serial path's verdict *)
   if t.append_only then List.iter (check_append_only t) deltas;
@@ -1766,32 +1564,18 @@ let apply_batch_parallel t pool ?netted deltas =
       each_dim deep_first (fun s -> function
         | Delta.Update { before; after } -> dim_update t s ~before ~after
         | Delta.Insert _ | Delta.Delete _ -> ()));
-  let root_changes = root_change_count !root_deltas in
-  let dim_ops () =
-    List.fold_left (fun acc (_, _, ds) -> acc + List.length ds) 0 deep_first
-  in
-  let merge () =
-    Telemetry.with_phase Obs.weighted_merge ~alloc:Obs.weighted_merge_alloc
-      "engine.weighted-merge" (fun () -> root_merge t !root_deltas)
+  let in_place =
+    Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
+      "engine.shard-apply" (fun () -> apply_root_direct t !root_deltas)
   in
   let applied_ops = ref 0 in
-  (match dispatch t pool ~root_changes ~merge with
-  | Direct ->
-    let in_place =
-      Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
-        "engine.shard-apply" (fun () -> apply_root_direct t !root_deltas)
+  if Telemetry.enabled () then begin
+    let dim_ops =
+      List.fold_left (fun acc (_, _, ds) -> acc + List.length ds) 0 deep_first
     in
-    if Telemetry.enabled () then begin
-      applied_ops := dim_ops () + root_changes - in_place;
-      Telemetry.Counter.inc Obs.ops_applied !applied_ops
-    end
-  | Merged { ops; workers } ->
-    if Telemetry.enabled () then begin
-      Telemetry.Counter.inc Obs.merge_folds (root_changes - Array.length ops);
-      applied_ops := dim_ops () + live_ops ops;
-      Telemetry.Counter.inc Obs.ops_applied !applied_ops
-    end;
-    apply_root_ops t pool ~workers ops);
+    applied_ops := dim_ops + root_change_count !root_deltas - in_place;
+    Telemetry.Counter.inc Obs.ops_applied !applied_ops
+  end;
   Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
     "engine.dim-apply" (fun () ->
       each_dim shallow_first (fun s -> function
@@ -1823,17 +1607,17 @@ let apply_batch ?parallel ?netted t deltas =
        applied as is *)
     flow_finish t pre_flow ~mode:"serial" ~deltas_in:known ~netted:known
       ~applied:known
-  | Some pool ->
+  | Some _ ->
     Telemetry.Counter.one Obs.batches_parallel;
     Telemetry.with_phase Obs.apply_parallel "engine.apply-batch"
       ~attrs:[ ("mode", "parallel"); ("view", t.view.View.name) ]
-      (fun () -> apply_batch_parallel t pool ?netted deltas)
+      (fun () -> apply_batch_netted t ?netted deltas)
 
 type batch_profile = { input : int; netted : int; applied : int }
 
 (* Measure what compaction would do to [deltas] without applying them;
-   outside the compact phase, which times applied batches only. A one-domain
-   pool applies the netted deltas as they are, a root update that does not
+   outside the compact phase, which times applied batches only. The netted
+   path applies the netted deltas as they are, a root update that does not
    go in place as a deletion and an insertion. *)
 let net_profile t deltas =
   let net = Delta_batch.net ~key_index:(own_keys t) deltas in

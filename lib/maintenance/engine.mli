@@ -93,24 +93,13 @@ val rollback : t -> unit
     [Invalid_argument] / {!Invariant} — but a fabricated change that happens
     to match existing state is indistinguishable from a legal one.
 
-    With [?parallel], the batch takes the compacted fast path: deltas are
-    netted per (table, key) ({!net}) and one dispatch rule, decided once per
-    batch, places the netted root-table changes. A one-domain pool applies
-    them directly, positive changes first, whatever their number; so does
-    any pool below the serial floor [max 512 (resident / 32)] ([resident]:
-    view groups plus auxiliary-view rows). Otherwise they are merged into
-    weighted operations keyed by the engine's read-set projection (the
-    paper's duplicate compression applied to the delta stream) and applied
-    inline while the [n] merged operations are below the floor, else across
-    [max 2 (n / 2048)] pool workers (at most the pool's domains), each
-    owning a disjoint set of hash shards of the root auxiliary view and the
-    view state. A {!Shard.eager} pool always merges and uses every domain.
-    Dimension changes and cross-group work (key changes, regrouping
-    updates, eliminated-root rewrites) run on the calling domain. The final
-    state is structurally equal to the serial replay for any batch that is
-    legal against the pre-batch state, and {!begin_txn}/{!rollback}
-    semantics are preserved: shard undo journals are only ever touched by
-    the shard's owning domain.
+    With [?parallel] ({!Shard.serial}), the batch takes the compacted path:
+    deltas are netted per (table, key) ({!net}), dimension changes are
+    applied in join-tree order, and the netted root-table changes are
+    applied directly, positive changes first, on the calling domain. The
+    final state is structurally equal to the serial replay for any batch
+    that is legal against the pre-batch state, and
+    {!begin_txn}/{!rollback} semantics are preserved.
 
     [?netted] is [deltas] already netted by {!net}, shared by every view
     maintained from the batch: it must cover at least the view's tables,
@@ -133,14 +122,12 @@ val net :
   Relational.Delta.t list ->
   Relational.Delta_batch.t
 
-(** What {!apply_batch}'s fast path on a one-domain pool would do to a
-    batch, without applying it: [input] deltas of the view's tables,
-    [netted] after per-key compaction, [applied] operations actually
-    issued — the netted deltas as they are, a root update counting once
-    when it goes in place ({!updates_in_place}) and otherwise as a
-    deletion and an insertion (the direct path). A multi-domain pool that
-    merges a batch splits every root update and may still issue fewer. The
-    profile's netting is not timed as the [compact] phase. *)
+(** What {!apply_batch}'s compacted path would do to a batch, without
+    applying it: [input] deltas of the view's tables, [netted] after
+    per-key compaction, [applied] operations actually issued — the netted
+    deltas as they are, a root update counting once when it goes in place
+    ({!updates_in_place}) and otherwise as a deletion and an insertion.
+    The profile's netting is not timed as the [compact] phase. *)
 type batch_profile = { input : int; netted : int; applied : int }
 
 val net_profile : t -> Relational.Delta.t list -> batch_profile
@@ -156,9 +143,8 @@ val net_profile : t -> Relational.Delta.t list -> batch_profile
     the same auxiliary and view group; it makes one probe into the root
     auxiliary view and one into the view state, where each SUM/AVG cell
     loses the before value and gains the after value, and no count
-    changes. Any other update is a deletion then an insertion, as is every
-    update on the merged path of a multi-domain pool. The test reads only
-    positions resolved at {!init}, not the engine's state. *)
+    changes. Any other update is a deletion then an insertion. The test
+    reads only positions resolved at {!init}, not the engine's state. *)
 val updates_in_place :
   t -> before:Relational.Tuple.t -> after:Relational.Tuple.t -> bool
 

@@ -78,7 +78,7 @@ val commit : t -> unit
 val rollback : t -> unit
 
 (** Process a batch of source changes. [?parallel] selects the compacted
-    shard-parallel fast path on incremental (and partitioned) engines — see
+    path on incremental (and partitioned) engines — see
     {!Engine.apply_batch}; the recompute baseline ignores it. [?netted] is
     the batch netted once for several views ({!Engine.net}); only an
     incremental configuration takes its tables from it (see
@@ -96,7 +96,7 @@ val takes_netted : t -> bool
 
 (** Current contents of the materialized view, freshly built on every call.
     Its hash-iteration order depends on insertion history (serial and
-    shard-parallel application of the same batches can differ); a consumer
+    netted application of the same batches can differ); a consumer
     that needs a deterministic row order must use the canonical order,
     {!Relational.Relation.to_sorted_list}. *)
 val view_contents : t -> Relational.Relation.t

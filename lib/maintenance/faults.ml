@@ -1,21 +1,18 @@
 type point =
   | After_wal_append
   | Mid_engine_apply
-  | In_shard_worker
   | Wal_fsync
 
-type mode = Kill | Fail | Stall of float
+type mode = Kill | Fail
 
 exception Crash of point
 exception Injected of point
 
-let all =
-  [ After_wal_append; Mid_engine_apply; In_shard_worker; Wal_fsync ]
+let all = [ After_wal_append; Mid_engine_apply; Wal_fsync ]
 
 let to_string = function
   | After_wal_append -> "after-wal-append"
   | Mid_engine_apply -> "mid-engine-apply"
-  | In_shard_worker -> "in-shard-worker"
   | Wal_fsync -> "wal-fsync"
 
 let of_string s = List.find_opt (fun p -> String.equal (to_string p) s) all
@@ -28,9 +25,6 @@ let disarm () = state := None
 
 let hit point =
   match !state with
-  (* a stall models a wedged *worker*: hits on the main domain neither fire
-     nor consume the trigger, so the sleep always lands on a spawned domain *)
-  | Some (p, Stall _, _) when p = point && Domain.is_main_domain () -> ()
   | Some (p, mode, remaining) when p = point ->
     if !remaining = 0 then begin
       (* disarm first: recovery code running in the same process after the
@@ -42,18 +36,13 @@ let hit point =
            ~labels:
              [
                ("point", to_string point);
-               ( "mode",
-                 match mode with
-                 | Kill -> "kill"
-                 | Fail -> "fail"
-                 | Stall _ -> "stall" );
+               ("mode", match mode with Kill -> "kill" | Fail -> "fail");
              ]
            ~help:"Injected faults raised at this crash point"
            "minview_faults_crashes_total");
       match mode with
       | Kill -> raise (Crash point)
       | Fail -> raise (Injected point)
-      | Stall seconds -> Unix.sleepf seconds
     end
     else decr remaining
   | Some _ | None -> ()

@@ -1,24 +1,20 @@
 (** Fault injection: named points in the ingestion pipeline.
 
     A point marks a place where an in-process fault can strike: the
-    process dies between two steps of a batch, a worker domain fails or
-    wedges, the WAL barrier fails. Tests (and the CLI, via the
+    process dies between two steps of a batch, an engine fails mid-batch,
+    the WAL barrier fails. Tests (and the CLI, via the
     [MINVIEW_FAULT] environment variable) {!arm} a point; when the
     pipeline reaches it, {!hit} raises.
 
-    Three failure modes:
+    Two failure modes:
     - [Kill] (the default) raises {!Crash}, which the warehouse deliberately
       never catches: the exception unwinds like a [kill -9], leaving the
       on-disk state exactly as a real crash would. Recovery code then has to
       cope with whatever was left behind.
-    - [Fail] raises {!Injected}, a {e recoverable} fault: the supervised
-      paths catch it instead of dying. A shard worker's is rolled back and
-      degrades ingestion to serial; at the WAL barrier it is raised as the
-      fsync error it models, which fails the log.
-    - [Stall seconds] sleeps at the point instead of raising, and only on a
-      spawned (non-main) domain: it wedges a shard worker past a supervised
-      pool's deadline while the worker eventually resumes — the
-      slow-but-alive domain the wedge remedy must survive.
+    - [Fail] raises {!Injected}, a {e recoverable} fault: the warehouse
+      catches it instead of dying. Mid-apply, the batch is rolled back and
+      quarantined; at the WAL barrier it is raised as the fsync error it
+      models, which fails the log.
 
     Crashes between two durable file operations are not placed here:
     tests take them from a trace of those operations (DESIGN.md, "Crash
@@ -30,9 +26,6 @@ type point =
   | Mid_engine_apply
       (** the batch is durable; some engines applied it, the warehouse state
           was not yet swapped in *)
-  | In_shard_worker
-      (** inside a shard worker's job, mid-parallel-apply: with [Fail] the
-          supervisor must roll the transaction back and degrade to serial *)
   | Wal_fsync
       (** at the WAL durability barrier, before its fsync: with [Fail]
           models a failed fsync ([EIO]), which is never retried — the batch
@@ -40,17 +33,14 @@ type point =
 
 (** How an armed point fires: [Kill] simulates process death ({!Crash},
     never caught by the pipeline); [Fail] simulates a recoverable fault
-    ({!Injected}, caught by the supervised paths); [Stall seconds]
-    sleeps at the point instead of raising — it models a wedged worker, so
-    it only fires on a spawned (non-main) domain, and hits on the main
-    domain neither fire nor consume the trigger. *)
-type mode = Kill | Fail | Stall of float
+    ({!Injected}, caught by the warehouse). *)
+type mode = Kill | Fail
 
 (** The simulated process death. Deliberately not an [Error]-style
     exception: only test harnesses and the CLI top level may catch it. *)
 exception Crash of point
 
-(** The simulated recoverable fault; supervised paths catch it. *)
+(** The simulated recoverable fault; the warehouse catches it. *)
 exception Injected of point
 
 val all : point list

@@ -30,8 +30,6 @@ let bind_base f s tup =
   f.locs.(s) <- -1
 
 let bind_loc f s l = f.locs.(s) <- l
-let locs f = Array.copy f.locs
-let restore f locs = Array.blit locs 0 f.locs 0 (Array.length locs)
 
 let aux f s =
   match f.auxs.(s) with

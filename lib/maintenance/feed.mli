@@ -48,12 +48,6 @@ val bind_base : t -> int -> Relational.Tuple.t -> unit
 (** [bind_loc f s l] binds slot [s] to the group of locator [l]. *)
 val bind_loc : t -> int -> int -> unit
 
-(** The locators of every slot ([-1]: bound to a base tuple); [restore]
-    rebinds them, for a row prepared once and fed later. *)
-val locs : t -> int array
-
-val restore : t -> int array -> unit
-
 (** [locate f c st] is the locator of the group of [st] whose key is cell
     [c] of the joined row, or [-1]. *)
 val locate : t -> cell -> Aux_state.t -> int

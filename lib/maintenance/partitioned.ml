@@ -106,7 +106,7 @@ let apply_sides ?parallel t ~olds ~currents =
 
 (* Every change is routed before either engine runs, so a boundary
    violation rejects the batch before any of it is applied, and each engine
-   sees its share as one batch (the compacted fast path with [?parallel]). *)
+   sees its share as one batch (the compacted path with [?parallel]). *)
 let apply_batch ?parallel t deltas =
   let olds, currents =
     List.fold_right

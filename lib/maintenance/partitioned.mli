@@ -40,7 +40,7 @@ val announce : t -> unit
     root-table change goes to the partition [is_old] picks for it (an
     update by its before-image), a dimension change to both engines. Each
     engine then applies its share as one batch through
-    {!Engine.apply_batch} — with [?parallel], on its compacted fast path.
+    {!Engine.apply_batch} — with [?parallel], on its compacted path.
     @raise Maintenance.Engine.Invariant if an update would move a tuple
     across partitions (raised while routing, before anything is applied),
     or if a deletion/update targets the append-only old partition. *)

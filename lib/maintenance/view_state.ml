@@ -43,8 +43,7 @@ let recompute = 1
 let refinalize = 2
 
 (* One hash-shard of the view state: the store's shard, the slots over its
-   columns and the dirty table, so parallel appliers owning disjoint
-   shards never share a structure. Group keys entering the dirty table are
+   columns and the dirty table. Group keys entering the dirty table are
    copied on retention, because callers may pass reused scratch buffers.
    The store's log outlives its transaction: the entries since the last
    {!publish} name every group changed since then. *)
@@ -160,7 +159,6 @@ let create ?(shards = 1) ?dict_pool view ~determined =
 (* The shard of a group key is its [Tuple.hash] masked: writers hash a key
    once and share the hash between the shard and the row probe. *)
 let shard_of_key t key = Tuple.hash key land t.groups.mask
-let shard_of_feed t f = Feed.hash_key f land t.groups.mask
 let shard_for t key = t.shards.(shard_of_key t key)
 
 (* The shard of group [key], and the group's row there or -1. *)

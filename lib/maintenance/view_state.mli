@@ -26,9 +26,8 @@ type t
 
 (** [create ?shards view ~determined] prepares empty state for a validated
     view. [shards] (a power of two, default 1) splits groups, the dirty set
-    and the undo journal into hash shards so a parallel applier can hand
-    disjoint shards to disjoint domains; sharding is invisible to accessors
-    and to {!equal}.
+    and the undo journal into hash shards; sharding is invisible to
+    accessors and to {!equal}.
 
     Groups are stored in a {!Groups} store, as {!Aux_state}'s are: typed
     key and component columns ({!Column}) with row ids as group identity,
@@ -38,9 +37,6 @@ type t
     @raise Invalid_argument if [shards] is not a positive power of two. *)
 val create :
   ?shards:int -> ?dict_pool:Dict.pool -> Algebra.View.t -> determined:bool -> t
-
-(** Shard that owns the group of the joined row [f]'s key. *)
-val shard_of_feed : t -> Feed.t -> int
 
 (** Structural equality of the resident state: groups (base count, every
     aggregate component and DISTINCT multiset) and the dirty table. Open

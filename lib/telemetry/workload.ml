@@ -7,8 +7,6 @@ let max_views = 64
 let overflow_view = "_other"
 let topk = 32
 let hot_share_n = 8 (* top-N estimates summed into the skew coefficient *)
-let ring_cap = 512
-let max_shards = 64
 
 type view_stats = {
   v_name : string;
@@ -68,33 +66,6 @@ let get_lag_hist () =
     in
     Mutex.unlock views_m;
     h
-
-(* Shard heat: cumulative per-shard busy seconds and applied ops, plus a
-   bounded ring of per-dispatch imbalance samples (max/mean busy) — the
-   time series Shard's scalar [minview_shard_imbalance_ratio] cannot give.
-   Updated once per batch, so a single mutex is cheap. *)
-type shard_state = {
-  sh_m : Mutex.t;
-  mutable sh_runs : int;
-  mutable sh_workers : int; (* worker count of the last dispatch *)
-  sh_busy_s : float array;
-  sh_ops : int array;
-  sh_ring : float array;
-  mutable sh_ring_pos : int;
-  mutable sh_ring_len : int;
-}
-
-let shards =
-  {
-    sh_m = Mutex.create ();
-    sh_runs = 0;
-    sh_workers = 0;
-    sh_busy_s = Array.make max_shards 0.;
-    sh_ops = Array.make max_shards 0;
-    sh_ring = Array.make ring_cap 0.;
-    sh_ring_pos = 0;
-    sh_ring_len = 0;
-  }
 
 let make_stats name =
   {
@@ -167,38 +138,6 @@ let note_read vs ~verb ~lag =
     | `Query -> atomic_add vs.v_reads_query 1
     | `Reconstruct -> atomic_add vs.v_reads_reconstruct 1);
     Metrics.Histogram.observe (get_lag_hist ()) (float_of_int (max 0 lag))
-  end
-
-let note_shard_run ~workers ~busy =
-  if Metrics.enabled () && workers > 0 then begin
-    mark_active ();
-    let s = shards in
-    Mutex.lock s.sh_m;
-    s.sh_runs <- s.sh_runs + 1;
-    s.sh_workers <- workers;
-    let total = ref 0. and hot = ref 0. in
-    Array.iteri
-      (fun i b ->
-        if i < max_shards then s.sh_busy_s.(i) <- s.sh_busy_s.(i) +. b;
-        total := !total +. b;
-        if b > !hot then hot := b)
-      busy;
-    let mean = !total /. float_of_int (Array.length busy) in
-    let imbalance = if mean > 0. then !hot /. mean else 1. in
-    s.sh_ring.(s.sh_ring_pos) <- imbalance;
-    s.sh_ring_pos <- (s.sh_ring_pos + 1) mod ring_cap;
-    if s.sh_ring_len < ring_cap then s.sh_ring_len <- s.sh_ring_len + 1;
-    Mutex.unlock s.sh_m
-  end
-
-let note_shard_ops ops =
-  if Metrics.enabled () then begin
-    let s = shards in
-    Mutex.lock s.sh_m;
-    Array.iteri
-      (fun i n -> if i < max_shards && n > 0 then s.sh_ops.(i) <- s.sh_ops.(i) + n)
-      ops;
-    Mutex.unlock s.sh_m
   end
 
 (* --- profile rendering --------------------------------------------------- *)
@@ -295,36 +234,6 @@ let lag_snapshot () =
         h_buckets = Array.mapi (fun i le -> (le, counts.(i))) bounds;
       }
 
-let shards_json () =
-  let s = shards in
-  Mutex.lock s.sh_m;
-  let runs = s.sh_runs and workers = s.sh_workers in
-  let busy = Array.copy s.sh_busy_s and ops = Array.copy s.sh_ops in
-  let recent =
-    let n = min 32 s.sh_ring_len in
-    List.init n (fun i ->
-        let idx = (s.sh_ring_pos - n + i + ring_cap) mod ring_cap in
-        s.sh_ring.(idx))
-  in
-  Mutex.unlock s.sh_m;
-  (* trim trailing idle shards so 4-worker runs do not print 64 zeros *)
-  let live = ref 0 in
-  Array.iteri
-    (fun i b -> if b > 0. || ops.(i) > 0 then live := i + 1)
-    busy;
-  let live = max !live workers in
-  let floats a =
-    String.concat ","
-      (List.init live (fun i -> fmt_f a.(i)))
-  in
-  let ints a =
-    String.concat "," (List.init live (fun i -> string_of_int a.(i)))
-  in
-  Printf.sprintf
-    "{\"runs\":%d,\"workers\":%d,\"busy_s\":[%s],\"ops\":[%s],\"recent_imbalance\":[%s]}"
-    runs workers (floats busy) (ints ops)
-    (String.concat "," (List.map fmt_f recent))
-
 let profile_json () =
   let b = Buffer.create 4096 in
   Buffer.add_string b
@@ -350,8 +259,6 @@ let profile_json () =
          (fmt_f (Metrics.percentile h 0.95))
          (fmt_f (Metrics.percentile h 0.99))
          (fmt_f h.Metrics.h_max)));
-  Buffer.add_string b ",\"shards\":";
-  Buffer.add_string b (shards_json ());
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -432,25 +339,6 @@ let load_profile ~path =
                 ~total:(inum (Json.member "sketch_total" vj)))
           (Json.member "views" j |> Option.map Json.to_list
          |> Option.value ~default:[]);
-        (match Json.member "shards" j with
-        | None -> ()
-        | Some sj ->
-          let s = shards in
-          Mutex.lock s.sh_m;
-          s.sh_runs <- s.sh_runs + inum (Json.member "runs" sj);
-          s.sh_workers <- max s.sh_workers (inum (Json.member "workers" sj));
-          let add_arr name f =
-            Json.member name sj
-            |> Option.map Json.to_list
-            |> Option.value ~default:[]
-            |> List.iteri (fun i v ->
-                   if i < max_shards then f i (num (Some v)))
-          in
-          add_arr "busy_s" (fun i v ->
-              s.sh_busy_s.(i) <- s.sh_busy_s.(i) +. v);
-          add_arr "ops" (fun i v ->
-              s.sh_ops.(i) <- s.sh_ops.(i) + int_of_float v);
-          Mutex.unlock s.sh_m);
         true
       | _ -> false))
 
@@ -469,15 +357,5 @@ let reset () =
       Atomic.set vs.v_reads_reconstruct 0)
     views;
   Mutex.unlock views_m;
-  let s = shards in
-  Mutex.lock s.sh_m;
-  s.sh_runs <- 0;
-  s.sh_workers <- 0;
-  Array.fill s.sh_busy_s 0 max_shards 0.;
-  Array.fill s.sh_ops 0 max_shards 0;
-  Array.fill s.sh_ring 0 ring_cap 0.;
-  s.sh_ring_pos <- 0;
-  s.sh_ring_len <- 0;
-  Mutex.unlock s.sh_m;
   first_event_s := 0.;
   restored_elapsed_s := 0.

@@ -1,12 +1,11 @@
 (** Workload intelligence: per-view access accounting backed by a
-    {!Sketch.Space_saving} top-k, shard heat accounting, and a
-    schema-versioned persisted workload profile.
+    {!Sketch.Space_saving} top-k, and a schema-versioned persisted workload
+    profile.
 
     The maintenance engine feeds group-key touches and batch netting stats,
-    the serve front-end feeds reads and epoch lag, and [Shard.run] feeds
-    per-worker busy time. Everything aggregates into one process-global
-    registry (keyed by view name, bounded cardinality) that renders as
-    [workload_profile.json]. The per-view figures are read there (and
+    and the serve front-end feeds reads and epoch lag. Everything
+    aggregates into one process-global registry (keyed by view name,
+    bounded cardinality) that renders as [workload_profile.json]. The per-view figures are read there (and
     through [minview profile], serve's [PROFILE] and the exporter's
     [/workload]). The metrics registry holds only the
     [minview_workload_epoch_lag_batches] histogram behind the profile's
@@ -57,13 +56,6 @@ val note_read :
   view_stats -> verb:[ `Query | `Reconstruct ] -> lag:int -> unit
 (** One serve-path read pinned [lag] epochs behind the published head. *)
 
-val note_shard_run : workers:int -> busy:float array -> unit
-(** Per-worker busy seconds of one parallel shard dispatch; accumulates
-    the heat map and appends max/mean imbalance to the time-series ring. *)
-
-val note_shard_ops : int array -> unit
-(** Per-shard applied-operation counts for one batch (index = shard id). *)
-
 (** {1 Profile} *)
 
 val profile_schema : int
@@ -72,7 +64,7 @@ val profile_json : unit -> string
 (** The full workload profile as one line of JSON: per-view write/read
     counts and rates, update/read ratio, skew (hot-key share, compaction
     ratio), top-k hot keys with estimate and error bound and the sketch's
-    stream total, the epoch-lag distribution, and the shard heat map.
+    stream total, and the epoch-lag distribution.
     Sketch hashes are serialized as strings — OCaml ints exceed
     exact-double range. *)
 
@@ -84,7 +76,8 @@ val load_profile : path:string -> bool
     registry: sketch contents, counters and observed elapsed time all
     accumulate, so restore-then-replay matches the snapshot + WAL
     discipline. Fields it does not know are ignored, so a schema-1 file
-    that still carries a per-view ["cms"] matrix loads. [false] when the
+    that still carries a per-view ["cms"] matrix or a ["shards"] heat map
+    loads. [false] when the
     file is missing or unreadable. *)
 
 val elapsed_s : unit -> float

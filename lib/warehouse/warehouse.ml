@@ -59,8 +59,8 @@ module Obs = struct
   let rollbacks =
     Telemetry.Counter.make
       ~help:
-        "Batches aborted: a failed WAL barrier, an engine failure, a wedged \
-         pool or a rejected replay"
+        "Batches aborted: a failed WAL barrier, an engine failure or a \
+         rejected replay"
       "minview_warehouse_txn_rollbacks_total"
 
   let recoveries =
@@ -88,23 +88,6 @@ module Obs = struct
         "Recoveries that fell back past an unverifiable snapshot to an \
          older generation"
       "minview_warehouse_snapshot_fallbacks_total"
-
-  let degradations =
-    Telemetry.Counter.make
-      ~help:
-        "Parallel-apply failures that rolled back and degraded ingestion \
-         to serial"
-      "minview_warehouse_parallel_degradations_total"
-
-  let promotions =
-    Telemetry.Counter.make
-      ~help:"Re-promotions from degraded serial apply back to parallel"
-      "minview_warehouse_parallel_promotions_total"
-
-  let degraded =
-    Telemetry.Gauge.make
-      ~help:"1 while ingestion is degraded to serial apply, else 0"
-      "minview_warehouse_parallel_degraded"
 
   let dead_letters_dropped =
     Telemetry.Counter.make
@@ -228,16 +211,6 @@ type snapshot = {
   epoch_views : view_snap list;  (** registration order *)
 }
 
-(* Supervision policy for parallel apply: after a worker failure the
-   warehouse runs serially for [backoff] clean batches (starting at
-   [initial_backoff], doubling per repeated failure up to [max_backoff]);
-   a failure arriving after [stable_parallel] clean parallel batches is
-   treated as fresh bad luck and the backoff resets. *)
-let initial_backoff = 4
-
-let max_backoff = 256
-let stable_parallel = 16
-
 (* Archived checkpoint generations kept beside the live snapshot. *)
 let default_keep_generations = 2
 
@@ -250,16 +223,9 @@ type t = {
   mutable dir : string option;
   mutable checkpoint_every : int option;
   mutable keep_generations : int;
-  (* runtime-only (like [wal]): never marshaled, so snapshots stay portable
-     to hosts with different core counts; [load]/[recover] reset it *)
+  (* runtime-only (like [wal]): never saved; [load]/[recover] reset it *)
   mutable parallel : Maintenance.Shard.pool option;
   mutable dead_cap : int option;
-  (* supervision state: [degraded_until] counts the serial batches left
-     before parallel apply is retried; [backoff] is the next degradation
-     period; [clean_parallel] the parallel batches since the last failure *)
-  mutable degraded_until : int;
-  mutable backoff : int;
-  mutable clean_parallel : int;
   (* wall-clock time of the last committed batch, 0. before the first:
      feeds the health endpoint's commit-age check; runtime-only *)
   mutable last_commit_s : float;
@@ -289,9 +255,6 @@ let make ~views ~validator ~dead ~seq =
     keep_generations = default_keep_generations;
     parallel = None;
     dead_cap = None;
-    degraded_until = 0;
-    backoff = initial_backoff;
-    clean_parallel = 0;
     last_commit_s = 0.;
     published = Atomic.make empty_snapshot;
     line_scratch = Buffer.create 4096;
@@ -372,25 +335,7 @@ let publish_epoch ?touched t =
      [Runtime.set_auto_sample true] armed it (serve --metrics-port) *)
   Telemetry.Runtime.tick ()
 
-let set_parallel t pool =
-  t.parallel <- pool;
-  (* a fresh pool starts with a clean supervision slate *)
-  t.degraded_until <- 0;
-  t.backoff <- initial_backoff;
-  t.clean_parallel <- 0;
-  Telemetry.Gauge.set Obs.degraded 0.
-
-type apply_mode =
-  | Serial
-  | Parallel
-  | Degraded of { remaining : int; next_backoff : int }
-
-let apply_mode t =
-  match t.parallel with
-  | None -> Serial
-  | Some _ when t.degraded_until > 0 ->
-    Degraded { remaining = t.degraded_until; next_backoff = t.backoff }
-  | Some _ -> Parallel
+let set_parallel t pool = t.parallel <- pool
 
 (* --- health and runtime profiling hooks --------------------------------- *)
 
@@ -419,23 +364,6 @@ let health ?(require_wal = false) ?max_commit_age_s ?max_epoch_lag t =
       check_detail = (if attached then "attached" else "not attached");
     }
   in
-  let apply_check =
-    match apply_mode t with
-    | Serial ->
-      { check_name = "apply"; check_ok = true; check_detail = "serial" }
-    | Parallel ->
-      { check_name = "apply"; check_ok = true; check_detail = "parallel" }
-    | Degraded { remaining; next_backoff } ->
-      {
-        check_name = "apply";
-        check_ok = false;
-        check_detail =
-          Printf.sprintf
-            "degraded to serial (%d clean batches before retry, next backoff \
-             %d)"
-            remaining next_backoff;
-      }
-  in
   let age_check =
     match last_commit_age_s t with
     | None ->
@@ -463,7 +391,7 @@ let health ?(require_wal = false) ?max_commit_age_s ?max_epoch_lag t =
       check_detail = Printf.sprintf "%d batch(es)" lag;
     }
   in
-  [ wal_check; apply_check; age_check; lag_check ]
+  [ wal_check; age_check; lag_check ]
 
 (* Registration-time initialization of a view's engine from the validator's
    committed shadow, the warehouse's belief of the current source. Engines
@@ -472,8 +400,8 @@ let health ?(require_wal = false) ?max_commit_age_s ?max_epoch_lag t =
    view from the root auxiliary view when that is retained, or from the
    root base rows compressed the same way when it is eliminated
    ([Engine.init]).
-   Registration builds its one engine inline; [load]/[recover] and the wedge
-   rebuild build them all through [build_engines]. *)
+   Registration builds its one engine inline; [load]/[recover] build them
+   all through [build_engines]. *)
 let build_engine validator strategy view =
   let source = Validator.shadow validator in
   match strategy with
@@ -589,11 +517,9 @@ let read_lines ?snapshot t name =
 
 let epoch_lines s name = Option.map Lines.body (find_snap s name).snap_lines
 
-let read_view ?snapshot t name =
+let query ?snapshot t name =
   let columns, rows = read_sorted ?snapshot t name in
   (columns, Relation.of_list (Array.to_list rows))
-
-let query t name = read_view t name
 
 let query_sorted t name =
   let columns, rows = read_sorted t name in
@@ -646,10 +572,7 @@ let save t path =
       seq = t.seq;
       (* the pool itself is runtime-only and never saved, but its size is
          recorded so a later load can warn that it was not restored *)
-      domains =
-        (match t.parallel with
-        | Some pool -> Maintenance.Shard.domains pool
-        | None -> 0);
+      domains = (match t.parallel with Some _ -> 1 | None -> 0);
     }
     path
 
@@ -672,12 +595,12 @@ let warn_parallel_reset path domains =
   end
 
 (* Restore the snapshot decoded from [path]: rebuild every engine from the
-   restored shadow, exactly like [rebuild_engines] (below) —
-   registration-time initialization from the believed source, every view
-   at once ([build_engines]). Engines are never saved: snapshots are taken
-   between batches, when every engine is a pure function of the
-   validator's committed shadow (the audit verb checks exactly this). The
-   pool is never restored either ([warn_parallel_reset]). *)
+   restored shadow — registration-time initialization from the believed
+   source, every view at once ([build_engines]). Engines are never saved:
+   snapshots are taken between batches, when every engine is a pure
+   function of the validator's committed shadow (the audit verb checks
+   exactly this). The pool is never restored either
+   ([warn_parallel_reset]). *)
 let restore path (d : Snapshot.contents) =
   let validator = Validator.of_shadow d.shadow in
   let views = build_engines validator d.views in
@@ -972,15 +895,16 @@ let net_batch t deltas =
    absorbs the batch directly; a mid-batch failure rolls back only the
    touched groups, so the registered views can never disagree about which
    deltas they have seen — at O(delta) cost. No engine state is ever
-   copied: the engines have no copy operation. With a pool the batch is netted once, inside the transaction (an illegal
-   batch fails like an engine would), and dropped with this frame once the
-   last engine has used it. *)
-let apply_in_place t ~pool deltas =
+   copied: the engines have no copy operation. With a pool the batch is
+   netted once, inside the transaction (an illegal batch fails like an
+   engine would), and dropped with this frame once the last engine has
+   used it. *)
+let apply_in_place t deltas =
   List.iter (fun r -> Engines.begin_txn r.engine) t.views;
-  let netted = Option.bind pool (fun _ -> net_batch t deltas) in
+  let netted = Option.bind t.parallel (fun _ -> net_batch t deltas) in
   List.iteri
     (fun i r ->
-      Engines.apply_batch ?parallel:pool ?netted r.engine deltas;
+      Engines.apply_batch ?parallel:t.parallel ?netted r.engine deltas;
       if i = 0 then Faults.hit Faults.Mid_engine_apply)
     t.views
 
@@ -996,99 +920,10 @@ let rollback_engines t =
 let failure_detail = function
   | Error { detail; _ } -> detail
   | Maintenance.Engine.Invariant m -> m
-  | Maintenance.Shard.Wedged { worker; waited } ->
-    Printf.sprintf "shard worker %d wedged after %.3f s" worker waited
   | Faults.Injected p -> "injected fault at " ^ Faults.to_string p
   | Failure m | Invalid_argument m | Sys_error m -> m
   | Wal.Unencodable m -> "the batch cannot be logged: " ^ m
   | e -> Printexc.to_string e
-
-(* The wedge remedy. After [Shard.Wedged] the abandoned worker domain may
-   still be executing the batch against the engines its job closes over —
-   OCaml domains cannot be cancelled — so nothing that touches the current
-   engine state (rollback, serial re-apply) can run without racing it.
-   Instead the old engines are abandoned to the stray domain and every
-   registered view gets a fresh engine initialized from the validator's
-   committed shadow, exactly like registration: O(state), but paid only on
-   a wedge. Call with no validator transaction open (the shadow must be the
-   committed source). [Aged] views revert their current/old split to the
-   registration predicate — [age_out] placement is not derivable from
-   contents alone. *)
-let rebuild_engines t =
-  t.views <-
-    build_engines t.validator (List.map (fun r -> (r.view, r.strategy)) t.views)
-
-(* --- supervised apply ---------------------------------------------------- *)
-
-let note_parallel_failure t detail =
-  Telemetry.Counter.one Obs.degradations;
-  Telemetry.Gauge.set Obs.degraded 1.;
-  (* a failure after a long clean parallel streak is fresh bad luck, not a
-     recurring problem: forgive the accumulated backoff *)
-  if t.clean_parallel >= stable_parallel then t.backoff <- initial_backoff;
-  t.degraded_until <- t.backoff;
-  t.backoff <- min (t.backoff * 2) max_backoff;
-  t.clean_parallel <- 0;
-  Log.warn (fun m ->
-      m "parallel apply failed (%s): rolled back, degrading to serial for %d \
-         batch(es)"
-        detail t.degraded_until)
-
-(* Apply one accepted batch under supervision. A parallel attempt whose
-   pool worker raised ([Shard.Worker_failed]) is rolled back and the batch
-   is re-applied serially; a *wedged* worker (deadline blown) re-raises
-   instead — {!abort} then quarantines the batch and rebuilds the engines,
-   because the stray domain forbids touching them in place. Either way
-   ingestion then stays serial until [t.degraded_until] clean batches have
-   passed ([note_apply_outcome]). Any other failure — one raised on the
-   calling domain, outside a pool job — propagates as it would on a serial
-   warehouse, so the batch leaves through {!abort}. Returns how the batch
-   was finally applied. *)
-let apply_supervised t deltas =
-  match t.parallel with
-  | Some pool when t.degraded_until = 0 -> (
-    match apply_in_place t ~pool:(Some pool) deltas with
-    | () -> `Parallel
-    | exception (Maintenance.Shard.Wedged _ as wedge) ->
-      (* the wedged domain may still be executing the batch against the
-         engines, so neither an in-place rollback nor a serial re-apply is
-         safe here — degrade, and re-raise so the batch goes to {!abort},
-         which rebuilds the engines instead of touching them *)
-      note_parallel_failure t (failure_detail wedge);
-      raise wedge
-    | exception Maintenance.Shard.Worker_failed e ->
-      (* a worker *raised*: the pool drained every worker before
-         re-raising, so the engines are quiescent. The failed attempt left
-         undo journals open on every engine; close them before the serial
-         retry opens fresh ones *)
-      rollback_engines t;
-      note_parallel_failure t (failure_detail e);
-      apply_in_place t ~pool:None deltas;
-      `Degraded)
-  | Some _ ->
-    apply_in_place t ~pool:None deltas;
-    `Degraded
-  | None ->
-    apply_in_place t ~pool:None deltas;
-    `Serial
-
-(* Post-commit bookkeeping for the degradation clock: every committed
-   serial-degraded batch brings re-promotion one step closer. *)
-let note_apply_outcome t = function
-  | `Serial -> ()
-  | `Parallel -> t.clean_parallel <- t.clean_parallel + 1
-  | `Degraded ->
-    if t.degraded_until > 0 then begin
-      t.degraded_until <- t.degraded_until - 1;
-      if t.degraded_until = 0 then begin
-        Telemetry.Counter.one Obs.promotions;
-        Telemetry.Gauge.set Obs.degraded 0.;
-        Log.info (fun m ->
-            m "degradation period over: re-promoting to parallel apply (next \
-               backoff %d batches)"
-              t.backoff)
-      end
-    end
 
 (* The log failed (see [drop_log], which the caller has called): replace
    it the way [checkpoint] does — a snapshot of the committed state, whose
@@ -1110,29 +945,16 @@ let replace_failed_log t ~seq detail =
   err Io_error "batch %d: %s" seq detail
 
 (* The one exit of a batch that does not commit: a failed WAL write or
-   barrier, an engine failure after supervision's serial retry, a wedged
-   pool or a replayed batch the validator refuses. Engines with an open
-   transaction roll back to their before-image (those past the failure have
-   empty journals). A wedge is the exception: the stray domain may still be
-   mutating the engines, so they cannot even be rolled back — they are
-   abandoned and rebuilt from the committed shadow. The validator rolls
-   back, batch [seq]'s number is consumed and the whole batch is
+   barrier, an engine failure or a replayed batch the validator refuses.
+   Engines with an open transaction roll back to their before-image (those
+   past the failure have empty journals). The validator rolls back, batch [seq]'s number is consumed and the whole batch is
    quarantined as [Engine_failure]; then, when a log is attached, an
    [Abort] marker keeps replay from resurrecting a batch whose frame is
    already in the log. A failed marker write fails the log like a failed
    batch record. Returns the quarantined rejections. *)
 let abort t ~seq deltas cause =
-  (match cause with
-  | Maintenance.Shard.Wedged _ ->
-    Validator.rollback t.validator;
-    Log.warn (fun m ->
-        m
-          "wedged shard worker: abandoning the live engines to the stray \
-           domain and rebuilding them from the believed source");
-    rebuild_engines t
-  | _ ->
-    rollback_engines t;
-    Validator.rollback t.validator);
+  rollback_engines t;
+  Validator.rollback t.validator;
   Telemetry.Counter.one Obs.rollbacks;
   t.seq <- seq;
   let detail = failure_detail cause in
@@ -1156,8 +978,8 @@ let abort t ~seq deltas cause =
 
 (* The one commit path, shared by ingestion and WAL replay: batch [seq],
    whose [deltas] the caller admitted under an open validator transaction,
-   is written and fsynced to the WAL when a log is attached, applied under
-   supervision, and committed in every engine and the validator; then
+   is written and fsynced to the WAL when a log is attached, applied in
+   place, and committed in every engine and the validator; then
    [t.seq] advances and the batch's lineage record is emitted. Replay
    writes nothing: the writer opens only after it, and pools are never
    restored before it, so a replayed batch applies serially. A failed WAL
@@ -1186,13 +1008,12 @@ let commit_batch t ~seq deltas =
   match
     Result.iter_error raise logged;
     if t.wal <> None then Faults.hit Faults.After_wal_append;
-    apply_supervised t deltas
+    apply_in_place t deltas
   with
-  | mode ->
+  | () ->
     commit_engines t;
     Validator.commit t.validator;
     t.seq <- seq;
-    note_apply_outcome t mode;
     let tables = delta_table_counts deltas in
     emit_lineage t ~seq ~tables;
     `Committed tables

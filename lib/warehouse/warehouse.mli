@@ -80,7 +80,7 @@ type strategy = Snapshot.strategy =
       (** current/old split of the fact table: the predicate selects the
           append-only old partition (Figure 1 + Section 4); the view must be
           distributively mergeable (no AVG/DISTINCT). The predicate must be
-          safe to call from any domain: the wedge rebuild builds every
+          safe to call from any domain: load and recovery build every
           view's engine at once, and may call it on a worker domain *)
 
 type t
@@ -156,34 +156,7 @@ val ingest_report : t -> Relational.Delta.t list -> report
     fails too, the warehouse keeps no log: {!wal_attached} is [false] and
     every {!ingest} raises [Io_error] before it admits anything, until a
     {!checkpoint} succeeds and opens a fresh log. The [Abort] marker
-    written after an engine failure follows the same rule.
-
-    {e Parallel-apply failures} — a shard worker that {e raises}
-    ([Maintenance.Faults.In_shard_worker] in [Fail] mode) leaves a
-    quiescent pool (every worker is awaited first), so the transaction is
-    rolled back and the batch re-applied serially. A worker that {e
-    wedges} past a supervised pool's deadline ({!Maintenance.Shard.Wedged})
-    may still be executing against the engines — the abandoned domain
-    cannot be cancelled — so the batch is aborted and quarantined instead
-    (reported as [Engine_failure] rejections, never re-applied in place)
-    and every registered engine is rebuilt from the validator's committed
-    shadow, all views at once (as {!load} does). Either way ingestion then stays serial until a backoff period
-    of clean batches has passed, after which parallel apply is retried
-    (exponential period growth on repeated failures, reset after a long
-    clean streak). Counted as
-    [minview_warehouse_parallel_degradations_total] /
-    [..._promotions_total], with the [minview_warehouse_parallel_degraded]
-    gauge up while degraded. *)
-
-(** How the next batch will be applied (see the supervision contract
-    above). *)
-type apply_mode =
-  | Serial  (** no parallel pool configured *)
-  | Parallel
-  | Degraded of { remaining : int; next_backoff : int }
-      (** serial fallback: [remaining] clean batches until re-promotion *)
-
-val apply_mode : t -> apply_mode
+    written after an engine failure follows the same rule. *)
 
 (** {2 Health and runtime profiling}
 
@@ -207,9 +180,9 @@ val offheap_bytes : t -> int
     registration wins. *)
 val publish_offheap : t -> unit
 
-(** Health checks for {!Telemetry.Http_exporter}. Always four checks:
+(** Health checks for {!Telemetry.Http_exporter}. Always three checks:
     [wal] (fails only with [~require_wal:true] and no directory attached),
-    [apply] (fails while ingestion is degraded to serial), [last_commit]
+    [last_commit]
     (fails when [?max_commit_age_s] is given and exceeded; "no commits
     yet" passes) and [epoch_lag] (fails when [?max_epoch_lag] batches is
     given and exceeded). Safe to call from another domain: every read is
@@ -229,8 +202,8 @@ val health :
 val set_dead_letter_cap : t -> int option -> unit
 
 (** [set_parallel t (Some pool)] makes every subsequent batch apply through
-    the compacted shard-parallel fast path ({!Maintenance.Engine.apply_batch}
-    with [?parallel]) on engines that support it; [None] (the initial state)
+    the compacted path ({!Maintenance.Engine.apply_batch} with
+    [?parallel]) on engines that support it; [None] (the initial state)
     restores plain serial application. With a pool, each batch is netted
     once ({!Maintenance.Engine.net}) and every incremental view takes its
     tables from that one result. Runtime configuration, not state: the
@@ -262,11 +235,11 @@ val ingested_batches : t -> int
     maintenance engines. Every commit — and every registration, load and
     recovery — freezes each view's rows, in canonical order, into a
     snapshot and publishes it with a single atomic pointer swap; {!query},
-    {!read_view}, {!read_sorted} and {!with_snapshot} then work entirely on
+    {!read_sorted} and {!with_snapshot} then work entirely on
     frozen data. A commit re-renders only the groups its batch touched and
     merges them into the previous epoch's rows ({!Maintenance.Engines.publish});
-    the first epoch after registration, {!load}, {!recover} or an engine
-    rebuild renders in full. Once a reader has asked for a view's lines
+    the first epoch after registration, {!load} or {!recover} renders in
+    full. Once a reader has asked for a view's lines
     ({!read_lines}), every epoch also carries the view's rows rendered as a
     QUERY body: a commit renders the lines of the rows it re-rendered and
     copies the rest from the previous epoch, so a read copies bytes and
@@ -275,9 +248,8 @@ val ingested_batches : t -> int
     {ul
     {- {e No torn reads.} A reader racing {!ingest} sees the state before
        the batch or after it, never between: the publication swap at the
-       commit point is the only transition. Rollback, quarantine, engine
-       rebuild after a wedged shard worker, and crash recovery publish
-       nothing partial — an aborted batch is invisible to readers.}
+       commit point is the only transition. Rollback, quarantine and crash
+       recovery publish nothing partial — an aborted batch is invisible to readers.}
     {- {e Readers never block the writer} (and vice versa). A read is one
        [Atomic.get] plus traversal of immutable data; readers may run on
        any number of concurrent domains while ingestion commits continue.
@@ -296,8 +268,8 @@ val ingested_batches : t -> int
     ([Tuple.compare] ascending, as [Relational.Relation.to_sorted_list]
     gives it), so {!read_sorted}, {!query_sorted} and the [minview serve]
     protocol walk them without sorting, and their output is stable across
-    serial and shard-parallel apply. The relations {!query} and
-    {!read_view} build iterate in hashtable order instead.
+    serial and netted apply. The relation {!query} builds iterates in
+    hashtable order instead.
 
     {e Aged views.} {!query} on a view registered with the {!Aged}
     strategy returns the {e merged} contents: old-partition rows are
@@ -311,21 +283,23 @@ val view_names : t -> string list
 (** Registered view definitions, in registration order. *)
 val views : t -> Algebra.View.t list
 
-(** Contents of a view as of the latest published epoch: output column
-    names and a relation built from the epoch's rows (O(rows)).
-    @raise Error ([Unknown_view]) for unknown names. *)
-val query : t -> string -> string list * Relational.Relation.t
-
-(** As {!query}, with the rows in canonical order ((tuple, multiplicity),
-    [Tuple.compare] ascending) — a list walked off the epoch, no sort. *)
-val query_sorted :
-  t -> string -> string list * (Relational.Tuple.t * int) list
-
 (** An immutable read epoch: the per-view output state captured at one
     commit point. Snapshots are plain frozen values — hold one as long as
     you like (a pinned snapshot is immune to later commits), share it
     across domains, read it repeatedly for identical results. *)
 type snapshot
+
+(** Contents of a view as of the latest published epoch, or of a pinned
+    one with [?snapshot]: output column names and a relation built from
+    the epoch's rows ({!read_sorted}'s, O(rows)).
+    @raise Error ([Unknown_view]) if the view is not in the epoch. *)
+val query :
+  ?snapshot:snapshot -> t -> string -> string list * Relational.Relation.t
+
+(** As {!query}, with the rows in canonical order ((tuple, multiplicity),
+    [Tuple.compare] ascending) — a list walked off the epoch, no sort. *)
+val query_sorted :
+  t -> string -> string list * (Relational.Tuple.t * int) list
 
 (** The latest published epoch (one atomic load; never blocks). *)
 val current_snapshot : t -> snapshot
@@ -366,11 +340,6 @@ val read_lines :
     view. For tests: it does not mark the view as read.
     @raise Error ([Unknown_view]) if the view is not in the epoch. *)
 val epoch_lines : snapshot -> string -> string option
-
-(** {!read_sorted} as a relation built from the rows (O(rows)).
-    @raise Error ([Unknown_view]) if the view is not in the epoch. *)
-val read_view :
-  ?snapshot:snapshot -> t -> string -> string list * Relational.Relation.t
 
 (** Monotonic publication counter of an epoch (0 = nothing published). *)
 val snapshot_epoch : snapshot -> int

@@ -260,11 +260,9 @@ let site_label = function
   | After_truncate_rename -> "after-truncate-rename"
   | In_wal_append -> "in-wal-append"
 
-(* every site of a serial run: In_shard_worker fires only on a pool *)
+(* every site of a serial run *)
 let serial_sites =
-  List.filter_map
-    (fun p -> if p = Faults.In_shard_worker then None else Some (Point p))
-    Faults.all
+  List.map (fun p -> Point p) Faults.all
   @ [
       In_checkpoint;
       Before_wal_truncate;

@@ -10,9 +10,8 @@
    (from-scratch view evaluation over the evolved source) plus
    lineage-file/WAL-sequence agreement.
 
-   Plus directed tests for the supervision machinery (worker failure ->
-   rollback -> serial degradation -> re-promotion), wedged-worker pools,
-   a failed WAL write or barrier (never retried: the log is replaced, or ingestion
+   Plus directed tests for an engine failure on the netted path, a failed
+   WAL write or barrier (never retried: the log is replaced, or ingestion
    stops until a checkpoint), the dead-letter cap, and a TELEMETRY=off
    regression sweep. *)
 
@@ -280,8 +279,6 @@ let chaos_iteration site kind seed =
   rm_rf root
 
 let chaos_tests =
-  (* In_shard_worker never fires on this serial matrix; its recoverable-mode
-     coverage is the supervision suite below *)
   let kinds = [ Clean; Torn_tail; Flip_snapshot; Flip_section; Flip_wal ] in
   (* 8 sites x 5 corruption kinds x 7 seeds = 280 iterations *)
   List.concat_map
@@ -295,87 +292,21 @@ let chaos_tests =
         kinds)
     Crash_model.serial_sites
 
-(* --- supervised parallel apply ------------------------------------------- *)
+(* --- an engine failure on the netted path -------------------------------- *)
 
-(* Batch [k] of 512 distinct sale inserts: past the engine's serial floor
-   on the tiny store, so a pooled batch fans out over worker domains. *)
+(* Batch [k] of 512 distinct sale inserts. *)
 let sale_batch k = sale_inserts tiny ~first:(3_000_000 + (k * 512)) 512
 
-let mode : Warehouse.apply_mode Alcotest.testable =
-  Alcotest.testable
-    (fun ppf -> function
-      | Warehouse.Serial -> Format.pp_print_string ppf "serial"
-      | Warehouse.Parallel -> Format.pp_print_string ppf "parallel"
-      | Warehouse.Degraded { remaining; next_backoff } ->
-        Format.fprintf ppf "degraded(%d,%d)" remaining next_backoff)
-    ( = )
-
-let supervision_tests =
+let engine_failure_tests =
   [
-    test "worker failure: rollback, degrade to serial, re-promote" (fun () ->
+    test "an engine failure on the netted path aborts the batch" (fun () ->
         let _db, wh = build () in
-        Warehouse.set_parallel wh
-          (Some (Shard.supervised ~domains:2 ~deadline:10.));
-        Alcotest.check mode "starts parallel" Warehouse.Parallel
-          (Warehouse.apply_mode wh);
-        (* the injected worker failure is recoverable: the batch must still
-           commit (serially) and the warehouse must degrade *)
-        Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        fanned_out "the faulted batch" (fun () ->
-            Warehouse.ingest wh (sale_batch 0));
-        Faults.disarm ();
-        Alcotest.check mode "degraded after the failure"
-          (Warehouse.Degraded { remaining = 3; next_backoff = 8 })
-          (Warehouse.apply_mode wh);
-        check_views wh (Warehouse.believed_source wh);
-        (* three clean serial batches walk the degradation clock down *)
-        Warehouse.ingest wh (sale_batch 1);
-        Warehouse.ingest wh (sale_batch 2);
-        Alcotest.check mode "still degraded"
-          (Warehouse.Degraded { remaining = 1; next_backoff = 8 })
-          (Warehouse.apply_mode wh);
-        Warehouse.ingest wh (sale_batch 3);
-        Alcotest.check mode "re-promoted to parallel" Warehouse.Parallel
-          (Warehouse.apply_mode wh);
-        (* and the parallel path really is taken again, correctly *)
-        fanned_out "the re-promoted batch" (fun () ->
-            Warehouse.ingest wh (sale_batch 4));
-        check_views wh (Warehouse.believed_source wh));
-    test "repeated failures double the degradation period" (fun () ->
-        let _db, wh = build () in
-        Warehouse.set_parallel wh
-          (Some (Shard.supervised ~domains:2 ~deadline:10.));
-        Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        fanned_out "the first faulted batch" (fun () ->
-            Warehouse.ingest wh (sale_batch 0));
-        Faults.disarm ();
-        for k = 1 to 3 do
-          Warehouse.ingest wh (sale_batch k)
-        done;
-        (* promoted; fail again immediately: backoff doubles *)
-        Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        fanned_out "the second faulted batch" (fun () ->
-            Warehouse.ingest wh (sale_batch 4));
-        Faults.disarm ();
-        Alcotest.check mode "second degradation runs twice as long"
-          (Warehouse.Degraded { remaining = 7; next_backoff = 16 })
-          (Warehouse.apply_mode wh);
-        check_views wh (Warehouse.believed_source wh));
-    test "a failure outside the pool's workers aborts, without a retry"
-      (fun () ->
-        let _db, wh = build () in
-        Warehouse.set_parallel wh
-          (Some (Shard.supervised ~domains:2 ~deadline:10.));
+        Warehouse.set_parallel wh (Some Shard.serial);
         let contents v = snd (Warehouse.query wh v.View.name) in
         let views0 = List.map contents all_views in
         let source0 = store_image (Warehouse.believed_source wh) in
-        let degradations =
-          Telemetry.Counter.make "minview_warehouse_parallel_degradations_total"
-        in
-        let degraded0 = Telemetry.Counter.value degradations in
-        (* the fault strikes on the calling domain, after the first view
-           applied the batch: the batch must abort as it would on a serial
-           warehouse, not be re-applied serially once the fault has fired *)
+        (* the fault strikes after the first view applied the batch: the
+           batch must abort as it would on a serial warehouse *)
         Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
         let r =
           Fun.protect ~finally:Faults.disarm (fun () ->
@@ -395,78 +326,9 @@ let supervision_tests =
           all_views views0;
         Alcotest.check store_image_t "the believed source is unchanged" source0
           (store_image (Warehouse.believed_source wh));
-        Alcotest.(check int)
-          "no degradation counted" degraded0
-          (Telemetry.Counter.value degradations);
-        Alcotest.check mode "still parallel" Warehouse.Parallel
-          (Warehouse.apply_mode wh));
-    test "set_parallel resets the supervision slate" (fun () ->
-        let _db, wh = build () in
-        Warehouse.set_parallel wh
-          (Some (Shard.supervised ~domains:2 ~deadline:10.));
-        Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        fanned_out "the faulted batch" (fun () ->
-            Warehouse.ingest wh (sale_batch 0));
-        Faults.disarm ();
-        Warehouse.set_parallel wh (Some (Shard.create ~domains:2));
-        Alcotest.check mode "fresh pool starts parallel" Warehouse.Parallel
-          (Warehouse.apply_mode wh);
-        Warehouse.set_parallel wh None;
-        Alcotest.check mode "no pool is serial" Warehouse.Serial
-          (Warehouse.apply_mode wh));
-    test "a wedge aborts the batch, rebuilds engines, keeps ingesting"
-      (fun () ->
-        let _db, wh = build () in
-        Warehouse.set_parallel wh
-          (Some (Shard.supervised ~domains:2 ~deadline:0.05));
-        (* the stall outlives the deadline only on the spawned worker
-           domain: the caller sees Wedged while the stray domain is still
-           inside the batch, so nothing the batch touched may be reused —
-           the batch must abort and the engines must be rebuilt, never
-           rolled back or serially re-applied in place *)
-        Faults.arm ~mode:(Faults.Stall 0.3) Faults.In_shard_worker;
-        let r =
-          fanned_out "the wedged batch" (fun () ->
-              Warehouse.ingest_report wh (sale_batch 0))
-        in
-        Faults.disarm ();
-        Alcotest.(check int) "the wedged batch aborts" 0 r.Warehouse.applied;
-        Alcotest.(check bool) "the batch is quarantined as a wedge" true
-          (List.exists
-             (fun rj -> contains rj.Delta.detail "wedged")
-             r.Warehouse.rejected);
-        Alcotest.check mode "degraded after the wedge"
-          (Warehouse.Degraded { remaining = 4; next_backoff = 8 })
-          (Warehouse.apply_mode wh);
-        (* the rebuilt engines carry exactly the committed state — checked
-           while the stray domain may still be scribbling on the abandoned
-           ones *)
-        check_views wh (Warehouse.believed_source wh);
-        (* ingestion continues serially and re-promotes after the backoff *)
-        for k = 1 to 4 do
-          Warehouse.ingest wh (sale_batch k)
-        done;
-        Alcotest.check mode "re-promoted after the backoff" Warehouse.Parallel
-          (Warehouse.apply_mode wh);
-        fanned_out "the re-promoted batch" (fun () ->
-            Warehouse.ingest wh (sale_batch 5));
+        (* and the next batch commits on the same path *)
+        Warehouse.ingest wh (sale_batch 1);
         check_views wh (Warehouse.believed_source wh));
-    test "a wedged worker raises Wedged and the pool respawns" (fun () ->
-        let pool = Shard.supervised ~domains:2 ~deadline:0.05 in
-        (match
-           Shard.run pool ~workers:2 (fun w ->
-               if w > 0 then Unix.sleepf 0.4)
-         with
-        | () -> Alcotest.fail "expected Wedged"
-        | exception Shard.Wedged { worker; waited } ->
-          Alcotest.(check int) "the spawned worker wedged" 1 worker;
-          Alcotest.(check bool) "waited at least the deadline" true
-            (waited >= 0.05));
-        (* the poisoned pool replaces its workers on the next run *)
-        let hits = Atomic.make 0 in
-        Shard.run pool ~workers:2 (fun _ -> Atomic.incr hits);
-        Alcotest.(check int) "respawned pool runs both workers" 2
-          (Atomic.get hits));
   ]
 
 (* --- a failed WAL write or barrier: never retried ---------------------------
@@ -1006,7 +868,7 @@ let telemetry_off_tests =
 let () =
   Alcotest.run "chaos"
     [
-      ("chaos", chaos_tests); ("supervision", supervision_tests);
+      ("chaos", chaos_tests); ("engine-failure", engine_failure_tests);
       ("failed-log", failed_log_tests); ("fsck", fsck_tests);
       ("wal-frames", frame_tests);
       ("telemetry-off", telemetry_off_tests);

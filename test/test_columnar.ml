@@ -300,27 +300,21 @@ let prop_view_matrix =
   QCheck2.Test.make ~count ~name:"view state == recomputation (random feeds)"
     ~print:string_of_int (Gen.int_bound 100_000) view_matrix
 
-(* --- forced-parallel engine equivalence --------------------------------- *)
+(* --- netted engine equivalence -------------------------------------------- *)
 
-(* One eager pool for every case (a pool's worker domains stay parked until
-   exit): it fans these small batches out over all four domains. *)
-let eager_pool = lazy (Shard.eager ~domains:4)
-
-let prop_parallel_equivalence =
+let prop_netted_equivalence =
   QCheck2.Test.make ~count:(max 15 (count / 2))
-    ~name:"columnar engines: forced-parallel == serial (random streams)"
+    ~name:"columnar engines: netted == serial (random streams)"
     ~print:string_of_int (Gen.int_bound 100_000) (fun seed ->
       let db = Workload.Retail.load tiny_params in
       let ser = Engines.minimal db Workload.Retail.product_sales in
       let par = Engines.minimal db Workload.Retail.product_sales in
-      let pool = Lazy.force eager_pool in
       let rng = Prng.create seed in
       let ok = ref true in
       for _ = 1 to 3 do
         let deltas = Workload.Delta_gen.stream rng db ~n:25 in
         Engines.apply_batch ser deltas;
-        fanned_out "the eager batch" (fun () ->
-            Engines.apply_batch ~parallel:pool par deltas);
+        Engines.apply_batch ~parallel:Shard.serial par deltas;
         ok :=
           !ok
           && Relation.equal (Engines.view_contents ser)
@@ -334,9 +328,8 @@ let prop_parallel_equivalence =
 (* The serial feed joins through a per-engine scratch row. An engine and
    its twin, built from a copy of the source the engine has absorbed and
    fed interleaved batches from the two diverging sources, must each equal
-   recomputation over its own source; the original then takes the merged
-   path on an eager pool (fresh rows per operation, on workers) after all
-   those serial batches. *)
+   recomputation over its own source; the original then takes the netted
+   path after all those serial batches. *)
 let prop_twin_isolation =
   let views =
     [|
@@ -369,10 +362,8 @@ let prop_twin_isolation =
         Engines.apply_batch c (Workload.Delta_gen.stream rng' db' ~n:12);
         ok := !ok && agrees c db' && agrees e db
       done;
-      let pool = Lazy.force eager_pool in
-      fanned_out "the eager batch" (fun () ->
-          Engines.apply_batch ~parallel:pool e
-            (Workload.Delta_gen.stream rng db ~n:20));
+      Engines.apply_batch ~parallel:Shard.serial e
+        (Workload.Delta_gen.stream rng db ~n:20);
       Engines.apply_batch c (Workload.Delta_gen.stream rng' db' ~n:12);
       !ok && agrees e db && agrees c db')
 
@@ -1109,7 +1100,7 @@ let () =
             prop_aux_root;
             prop_aux_dimension;
             prop_view_matrix;
-            prop_parallel_equivalence;
+            prop_netted_equivalence;
             prop_twin_isolation;
             prop_groups;
           ] );

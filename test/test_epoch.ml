@@ -1,6 +1,6 @@
 (* Tests for the epoch read path: the torn-read regression (a reader racing
    ingest must never observe a state between two commits, under serial and
-   shard-parallel apply), the publication discipline (epochs appear at
+   netted apply), the publication discipline (epochs appear at
    registration and commit only — rollback, rejection and age-out publish
    nothing), pinned-snapshot immutability, and the snapshot/quiesced-query
    equivalence property over random workloads. *)
@@ -51,10 +51,7 @@ let fact_batch ?(groups = groups_per_batch) n =
 let torn_read_run ~parallel =
   let wh = Warehouse.create (fact_db ()) in
   Warehouse.add_view wh by_k;
-  if parallel then Warehouse.set_parallel wh (Some (Shard.create ~domains:2));
-  (* 512 keys a batch cross the engine's serial floor, so a pooled batch
-     fans out over worker domains; 12 batches keep the resident state small
-     enough that the floor stays at 512 *)
+  if parallel then Warehouse.set_parallel wh (Some Shard.serial);
   let groups = 512 and batches = 12 in
   let stop = Atomic.make false in
   let reader =
@@ -69,9 +66,7 @@ let torn_read_run ~parallel =
         (!reads, !bad))
   in
   for n = 0 to batches - 1 do
-    let ingest () = Warehouse.ingest wh (fact_batch ~groups n) in
-    if parallel then fanned_out (Printf.sprintf "batch %d" n) ingest
-    else ingest ()
+    Warehouse.ingest wh (fact_batch ~groups n)
   done;
   Atomic.set stop true;
   let reads, bad = Domain.join reader in
@@ -89,7 +84,7 @@ let torn_read_tests =
   [
     test "reader racing serial ingest never sees a torn state" (fun () ->
         torn_read_run ~parallel:false);
-    test "reader racing shard-parallel ingest never sees a torn state"
+    test "reader racing netted ingest never sees a torn state"
       (fun () -> torn_read_run ~parallel:true);
   ]
 
@@ -167,7 +162,7 @@ let pinned_tests =
         Warehouse.ingest wh (fact_batch 0);
         let pin = Warehouse.current_snapshot wh in
         let read_pinned () =
-          render_rows (snd (Warehouse.read_view ~snapshot:pin wh "by_k"))
+          render_rows (snd (Warehouse.query ~snapshot:pin wh "by_k"))
         in
         let before = read_pinned () in
         for n = 1 to 3 do
@@ -342,8 +337,8 @@ let incremental_tests =
         let _, rows = Warehouse.query_sorted wh "by_k" in
         Alcotest.(check (option string)) "so does every later one"
           (Some (render_lines rows)) (lines ()));
-    test "the first publication after load, recover and a wedge rebuild \
-          equals quiesced recomputation" (fun () ->
+    test "the first publication after load and recover equals quiesced \
+          recomputation" (fun () ->
         let db = Workload.Retail.load prop_params in
         let views =
           [ Workload.Retail.product_sales; Workload.Retail.sales_by_time ]
@@ -372,24 +367,6 @@ let incremental_tests =
         check_quiesced "after load" wh views;
         ingest wh;
         check_quiesced ~carried:true "the commit after load" wh views;
-        Warehouse.set_parallel wh
-          (Some (Shard.supervised ~domains:2 ~deadline:0.05));
-        (* the stall outlives the deadline on the spawned worker: the batch
-           aborts and every engine is rebuilt from the committed source *)
-        let wedged = sale_inserts prop_params ~first:5_000_000 512 in
-        Faults.arm ~mode:(Faults.Stall 0.3) Faults.In_shard_worker;
-        let r =
-          fanned_out "the wedged batch" (fun () ->
-              Warehouse.ingest_report wh wedged)
-        in
-        Faults.disarm ();
-        Alcotest.(check int) "the wedged batch aborts" 0 r.Warehouse.applied;
-        check_quiesced ~carried:true "after the wedge" wh views;
-        ingest wh;
-        check_quiesced ~carried:true "the first commit of the rebuilt engines" wh views;
-        ingest wh;
-        check_quiesced ~carried:true "the commit after it" wh views;
-        Warehouse.set_parallel wh None;
         rm_rf dir);
   ]
 
@@ -465,7 +442,7 @@ let prop_snapshot_quiesced =
             List.iter
               (fun view ->
                 let _, rows =
-                  Warehouse.read_view ~snapshot:s wh view.View.name
+                  Warehouse.query ~snapshot:s wh view.View.name
                 in
                 let expected =
                   Algebra.Eval.eval (Warehouse.believed_source wh) view

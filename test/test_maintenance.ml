@@ -899,7 +899,7 @@ let distinct_tests =
                 Delta.delete "item" (item 7 1 0.1) ])
           (List.concat_map
              (fun view ->
-               [ (view, None); (view, Some (Maintenance.Shard.create ~domains:1)) ])
+               [ (view, None); (view, Some Maintenance.Shard.serial) ])
              views));
     test "determined view: dimension updates rewrite the multiset" (fun () ->
         let db = paper_example_db () in

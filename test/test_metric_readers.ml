@@ -1,6 +1,6 @@
 (* Every metric has a reader. One representative run reaches every
-   registration site in lib/ (ingest with no pool and on a two-domain
-   eager pool, an injected worker failure, checkpoint and recover, a
+   registration site in lib/ (ingest with no pool and on the netted
+   path, an injected engine failure, checkpoint and recover, a
    self-audit, a slow serve QUERY, exporter scrapes and the attribution
    reconciliation), then the registry is walked against
    [readers]: a registered name without an entry fails, and so does an
@@ -31,7 +31,6 @@ let readers =
     ( "minview_engine_deltas_netted_total",
       "test_parallel.ml; test_telemetry.ml" );
     ("minview_engine_deltas_total", "test_parallel.ml; test_telemetry.ml");
-    ("minview_engine_merge_folds_total", "test/cram/metrics.t");
     ("minview_engine_ops_applied_total", "test_lineage.ml; test_telemetry.ml");
     ("minview_engine_phase_alloc_bytes", "test_exporter.ml; TUTORIAL.md");
     ("minview_engine_phase_seconds", "perfbench/pipeline.ml");
@@ -46,10 +45,6 @@ let readers =
     ("minview_runtime_gc_heap_words", "test_exporter.ml; TUTORIAL.md");
     ("minview_runtime_offheap_bytes", "test_exporter.ml; TUTORIAL.md");
     ("minview_serve_slow_queries_total", "test_serve.ml");
-    ("minview_shard_imbalance_ratio", "test/cram/metrics.t");
-    ( "minview_shard_run_seconds",
-      "test/helpers.ml fanned_out; test/cram/metrics.t" );
-    ("minview_shard_worker_busy_seconds_total", "test_parallel.ml");
     ("minview_view_groups", "test_telemetry.ml; test/cram/metrics.t");
     ("minview_wal_appends_total", "test_telemetry.ml; test/cram/metrics.t");
     ("minview_wal_bytes_written_total", "test/cram/metrics.t");
@@ -62,9 +57,6 @@ let readers =
       "test/cram/metrics.t; TUTORIAL.md" );
     ("minview_warehouse_ingest_alloc_bytes", "test_exporter.ml");
     ("minview_warehouse_ingest_seconds", "test/cram/metrics.t");
-    ("minview_warehouse_parallel_degradations_total", "test/cram/metrics.t");
-    ("minview_warehouse_parallel_degraded", "test/cram/metrics.t");
-    ("minview_warehouse_parallel_promotions_total", "test/cram/metrics.t");
     ( "minview_warehouse_parallel_resets_total",
       "test_telemetry.ml; TUTORIAL.md" );
     ("minview_warehouse_quarantined_deltas_total", "test_telemetry.ml");
@@ -157,11 +149,10 @@ let registered =
      let dir = fresh_dir () in
      Warehouse.attach wh ~dir;
      Warehouse.ingest wh (sale_batch 0);
-     Warehouse.set_parallel wh (Some (Shard.eager ~domains:2));
-     fanned_out "the pooled batch" (fun () ->
-         Warehouse.ingest wh (sale_batch 1));
-     (* a recoverable worker failure: rolled back, re-applied serially *)
-     Faults.arm ~mode:Faults.Fail Faults.In_shard_worker;
+     Warehouse.set_parallel wh (Some Shard.serial);
+     Warehouse.ingest wh (sale_batch 1);
+     (* a recoverable engine failure: rolled back and quarantined *)
+     Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
      Fun.protect ~finally:Faults.disarm (fun () ->
          Warehouse.ingest wh (sale_batch 2));
      Warehouse.checkpoint wh;

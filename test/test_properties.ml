@@ -241,9 +241,6 @@ let minmax_view_gen =
           view_of_spec { dims; groups; aggs = ext @ aggs; locals })
         (nonempty extrema) (sublist others) (sublist (local_candidates dims)))
 
-(* eager: even these small batches fan out over both domains *)
-let minmax_pool = lazy (Maintenance.Shard.eager ~domains:2)
-
 let rec rm_rf path =
   if Sys.is_directory path then begin
     Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
@@ -252,11 +249,11 @@ let rec rm_rf path =
   else Sys.remove path
 
 (* Delete-heavy streams with dimension updates, alternating serial and
-   shard-parallel batches; a third of the batches fail mid-apply and roll
+   netted batches; a third of the batches apply only a prefix and roll
    back. After every batch the view equals recomputation. At the end the
    maintained state equals the state rebuilt from the evolved source, and
-   one more batch, serial on the maintained engine and shard-parallel on
-   the rebuilt one, keeps the two equal to each other and to
+   one more batch, serial on the maintained engine and netted on the
+   rebuilt one, keeps the two equal to each other and to
    recomputation. A warehouse fed the committed batches, checkpointed
    halfway, serves the recomputed view after recovery and audits clean. *)
 let prop_minmax_walks =
@@ -266,7 +263,6 @@ let prop_minmax_walks =
     Gen.(pair minmax_view_gen (int_bound 10_000))
     (fun (view, seed) ->
       let module Engine = Maintenance.Engine in
-      let module Faults = Maintenance.Faults in
       let db = Workload.Retail.load tiny_params in
       View.validate db view;
       let d = Derive.derive db view in
@@ -275,7 +271,7 @@ let prop_minmax_walks =
       let wh = Warehouse.create (Database.copy db) in
       Warehouse.add_view wh view;
       Warehouse.attach wh ~dir;
-      let pool = Lazy.force minmax_pool in
+      let pool = Maintenance.Shard.serial in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 1; delete = 4; update = 2 } in
       let batch () =
@@ -296,28 +292,16 @@ let prop_minmax_walks =
         let parallel = if round land 1 = 0 then Some pool else None in
         Engine.begin_txn e;
         if Workload.Prng.int rng 3 = 0 then begin
-          (match parallel with
-          | Some _ -> (
-            Faults.arm ~skip:(Workload.Prng.int rng 3) ~mode:Faults.Fail
-              Faults.In_shard_worker;
-            Fun.protect ~finally:Faults.disarm @@ fun () ->
-            try Engine.apply_batch ?parallel e deltas
-            with Maintenance.Shard.Worker_failed
-                   (Faults.Injected Faults.In_shard_worker) -> ())
-          | None ->
-            let cut = Workload.Prng.int rng (List.length deltas + 1) in
-            Engine.apply_batch e (List.filteri (fun k _ -> k < cut) deltas));
+          let cut = Workload.Prng.int rng (List.length deltas + 1) in
+          Engine.apply_batch ?parallel e
+            (List.filteri (fun k _ -> k < cut) deltas);
           Engine.rollback e;
           List.iter
             (fun d -> Database.apply db (Delta.invert d))
             (List.rev deltas)
         end
         else begin
-          (match parallel with
-          | Some _ ->
-            fanned_out "an eager batch" (fun () ->
-                Engine.apply_batch ?parallel e deltas)
-          | None -> Engine.apply_batch e deltas);
+          Engine.apply_batch ?parallel e deltas;
           Engine.commit e;
           Warehouse.ingest wh deltas
         end;
@@ -391,7 +375,7 @@ let prop_distinct_multisets =
       let db = Workload.Retail.load tiny_params in
       View.validate db view;
       let e = Maintenance.Engine.init db (Derive.derive db view) in
-      let pool = Maintenance.Shard.create ~domains:1 in
+      let pool = Maintenance.Shard.serial in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 1; delete = 2; update = 3 } in
       let ok = ref true in
@@ -467,8 +451,6 @@ let measure_view_gen =
                 (sublist
                    (List.filter (fun (p : Predicate.t) -> on dims p.left) locals)))))
 
-let eager_pool = lazy (Maintenance.Shard.eager ~domains:2)
-
 let prop_in_place_updates =
   QCheck2.Test.make ~count
     ~name:"in-place root updates: maintained == recomputed == split updates"
@@ -480,7 +462,7 @@ let prop_in_place_updates =
       View.validate db view;
       let d = Derive.derive db view in
       let serial = Engine.init db d and split = Engine.init db d in
-      let direct = Engine.init db d and merged = Engine.init db d in
+      let direct = Engine.init db d in
       let rng = Workload.Prng.create seed in
       (* the root's updates as a deletion then an insertion; a dimension
          update stays an update, as only it carries the change to its
@@ -505,13 +487,12 @@ let prop_in_place_updates =
         Engine.apply_batch serial deltas;
         Engine.apply_batch split (split_updates deltas);
         Engine.apply_batch ~parallel:Maintenance.Shard.serial direct deltas;
-        Engine.apply_batch ~parallel:(Lazy.force eager_pool) merged deltas;
         let expected = Algebra.Eval.eval db view in
         ok :=
           !ok
           && List.for_all
                (fun e -> Relation.equal (Engine.view_contents e) expected)
-               [ serial; direct; merged ]
+               [ serial; direct ]
           && Engine.equal_state serial split
       done;
       !ok)
@@ -618,8 +599,7 @@ let prop_seed_from_root_aux =
    epoch published after its first read, copied from the previous epoch for
    the rows the engine kept and rendered for the rest: they must equal a
    fresh rendering of the epoch's rows, also in the first publication after
-   [recover], [load] and (one case in eight, four at most) a wedge rebuild,
-   which a companion view of every fact makes possible. A star of its own,
+   [recover] and [load]. A star of its own,
    with a FLOAT measure and updatable dimension columns to group on, so
    dimension updates move groups to new keys. *)
 
@@ -708,10 +688,6 @@ let pub_view_gen =
     (sublist [ a "fact" "g"; a "dim" "cat"; a "dim" "grp" ])
     (sublist pub_aggs) having_gen Gen.bool
 
-(* one pool for every case: a pool's worker domains stay parked until exit;
-   eager, so even these small batches fan out over both domains *)
-let pub_pool = lazy (Maintenance.Shard.eager ~domains:2)
-
 (* The lines a QUERY of [name] reads from the latest epoch, and the lines
    that epoch carries, equal a fresh rendering of its rows; [carried]: the
    epoch must carry them (a reader asked before it was published). *)
@@ -728,35 +704,6 @@ let epoch_lines_ok ~carried wh name =
   | Some l -> String.equal l expected
   | None -> not carried
 
-(* Every fact a group of its own: the [pub_wide_batch] below merges into
-   512 root operations of this view, enough to fan it out over a pool. *)
-let pub_ids =
-  {
-    View.name = "pub_ids";
-    select = [ group ~alias:"id" (a "fact" "id"); count_star ~alias:"n" () ];
-    tables = [ "fact" ];
-    locals = [];
-    joins = [];
-    having = [];
-  }
-
-(* A wedged worker domain cannot be killed: it stays parked after its
-   stall, so one process wedges at most this many cases. *)
-let pub_wedges_left = ref 4
-
-(* Every one of its 512 inserts must be admitted, or the batch stays under
-   the engine's serial floor and never reaches a worker: its ids lie above
-   [Delta_gen.fresh_key]'s range (1,000 to 1,000,999), which earlier
-   rounds draw from, and its facts reference the dimension rows [dims]
-   the warehouse holds, since earlier rounds delete some. *)
-let pub_wide_batch dims =
-  let dims = Array.of_list dims in
-  List.init 512 (fun j ->
-      Delta.insert "fact"
-        (row
-           [ i (2_000_000 + j); dims.(j mod Array.length dims); i (j mod 5);
-             i (1 + (j mod 50)); f 0.5 ]))
-
 let prop_publish_equals_capture =
   QCheck2.Test.make ~count
     ~name:"incremental publication == full render (rollbacks, serial+parallel)"
@@ -771,17 +718,15 @@ let prop_publish_equals_capture =
       let dir = Filename.temp_dir "publish_lines" "" in
       let wh = Warehouse.create (Database.copy db) in
       Warehouse.add_view wh view;
-      Warehouse.add_view wh pub_ids;
       Warehouse.attach wh ~dir;
       let lines_ok ~carried wh = epoch_lines_ok ~carried wh "pub_view" in
       (* the first read: from the next commit on, epochs carry the lines *)
       let lines = ref (lines_ok ~carried:false wh) in
-      let wedge_applied = ref 0 in
       let committed = ref false in
       (* the first round whose end finds the warehouse's source apart from
          the mirror [db], which holds exactly the committed rounds *)
       let diverged = ref None in
-      let pool = Lazy.force pub_pool in
+      let pool = Maintenance.Shard.serial in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 2; delete = 2; update = 3 } in
       let published_ok () =
@@ -802,20 +747,11 @@ let prop_publish_equals_capture =
         let parallel = if round land 1 = 0 then Some pool else None in
         Engines.begin_txn e;
         if Workload.Prng.int rng 3 = 0 then begin
-          (* a failure mid-apply: a shard worker raises (parallel), or the
-             warehouse stops after part of the batch (serial); either way
-             the batch is rolled back, at the engine and at the source *)
-          (match parallel with
-          | Some _ -> (
-            Faults.arm ~skip:(Workload.Prng.int rng 3) ~mode:Faults.Fail
-              Faults.In_shard_worker;
-            Fun.protect ~finally:Faults.disarm @@ fun () ->
-            try Engines.apply_batch ?parallel e deltas
-            with Maintenance.Shard.Worker_failed
-                   (Faults.Injected Faults.In_shard_worker) -> ())
-          | None ->
-            let cut = Workload.Prng.int rng (List.length deltas + 1) in
-            Engines.apply_batch e (List.filteri (fun k _ -> k < cut) deltas));
+          (* a failure mid-apply: the warehouse stops after part of the
+             batch, which is rolled back, at the engine and at the source *)
+          let cut = Workload.Prng.int rng (List.length deltas + 1) in
+          Engines.apply_batch ?parallel e
+            (List.filteri (fun k _ -> k < cut) deltas);
           Engines.rollback e;
           List.iter
             (fun d -> Database.apply db (Delta.invert d))
@@ -826,11 +762,7 @@ let prop_publish_equals_capture =
               ignore (Warehouse.ingest_report wh deltas))
         end
         else begin
-          (match parallel with
-          | Some _ ->
-            fanned_out "an eager batch" (fun () ->
-                Engines.apply_batch ?parallel e deltas)
-          | None -> Engines.apply_batch e deltas);
+          Engines.apply_batch ?parallel e deltas;
           Engines.commit e;
           Warehouse.set_parallel wh parallel;
           Warehouse.ingest wh deltas;
@@ -862,29 +794,6 @@ let prop_publish_equals_capture =
       Warehouse.close wh;
       let wh = Warehouse.load saved in
       lines := !lines && first_commit wh;
-      let dims =
-        List.map
-          (fun d -> d.(0))
-          (Database.rows_by_key (Warehouse.believed_source wh) "dim")
-      in
-      if seed mod 8 = 0 && !pub_wedges_left > 0 && dims <> [] then begin
-        decr pub_wedges_left;
-        (* a wedged worker: the batch aborts and the engines are rebuilt,
-           so the next commit publishes no row of the previous epoch *)
-        Warehouse.set_parallel wh
-          (Some (Maintenance.Shard.supervised ~domains:2 ~deadline:0.05));
-        Faults.arm ~mode:(Faults.Stall 0.2) Faults.In_shard_worker;
-        let r =
-          Fun.protect ~finally:Faults.disarm (fun () ->
-              Warehouse.ingest_report wh (pub_wide_batch dims))
-        in
-        Warehouse.set_parallel wh None;
-        wedge_applied := r.Warehouse.applied;
-        lines := !lines && lines_ok ~carried:true wh;
-        Warehouse.ingest wh
-          (Workload.Delta_gen.stream_for ~mix rng db ~tables:[ "fact" ] ~n:15);
-        lines := !lines && lines_ok ~carried:true wh
-      end;
       Warehouse.close wh;
       rm_rf dir;
       Option.iter
@@ -892,10 +801,6 @@ let prop_publish_equals_capture =
            "after round %d the warehouse's source differs from the mirror: \
             it committed a batch the round rolled back, or lost one")
         !diverged;
-      if !wedge_applied <> 0 then
-        QCheck2.Test.fail_reportf
-          "the wedged batch applied %d of its deltas; a wedge applies none"
-          !wedge_applied;
       if not !lines then
         QCheck2.Test.fail_report "an epoch's lines differ from its rows";
       !ok)

@@ -103,9 +103,6 @@ let crash_and_recover site seed () =
   rm_rf root
 
 let crash_tests =
-  (* In_shard_worker only fires on the parallel apply path; the serial crash
-     matrix here never reaches it (it is covered by the supervision tests in
-     test_chaos.ml) *)
   List.concat_map
     (fun site ->
       List.map
@@ -1279,7 +1276,7 @@ let replay_failure_tests =
 
 (* --- engines built at once ------------------------------------------------
 
-   Load, recovery and the wedge rebuild build every view's engine through
+   Load and recovery build every view's engine through
    [Shard.fan_out]: one domain per core, each build reading the one shared
    shadow. Whatever the number of domains, the engines are the serial
    loop's, and a failed build raises what the serial loop raised first. *)

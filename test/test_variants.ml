@@ -221,13 +221,10 @@ let col_vs_col_views =
     };
   ]
 
-(* eager: even these small batches fan out over both domains *)
-let col_pool = lazy (Maintenance.Shard.eager ~domains:2)
-
 let col_vs_col_tests =
   List.map
     (fun (name, options) ->
-      test (name ^ ": column-vs-column conditions, serial == eager pool")
+      test (name ^ ": column-vs-column conditions, serial == netted")
         (fun () ->
           List.iteri
             (fun idx view ->
@@ -235,7 +232,6 @@ let col_vs_col_tests =
               View.validate db view;
               let ser = Engines.with_options ~name options db view in
               let par = Engines.with_options ~name options db view in
-              let pool = Lazy.force col_pool in
               let rng = Workload.Prng.create (300 + idx) in
               let mix = { Workload.Delta_gen.insert = 2; delete = 2; update = 2 } in
               for round = 1 to 5 do
@@ -247,13 +243,13 @@ let col_vs_col_tests =
                 in
                 let deltas = facts @ dims in
                 Engines.apply_batch ser deltas;
-                fanned_out "the eager batch" (fun () ->
-                    Engines.apply_batch ~parallel:pool par deltas);
+                Engines.apply_batch ~parallel:Maintenance.Shard.serial par
+                  deltas;
                 let what = Printf.sprintf "%s/%s round %d" name view.View.name round in
                 Alcotest.check relation what
                   (Algebra.Eval.eval db view)
                   (Engines.view_contents ser);
-                Alcotest.check relation (what ^ " (eager pool)")
+                Alcotest.check relation (what ^ " (netted)")
                   (Engines.view_contents ser)
                   (Engines.view_contents par);
                 Alcotest.(check bool) (what ^ ": equal state") true
