@@ -928,9 +928,10 @@ let apply_scaling () =
 
 (* -------------------------------------------------------- parallel *)
 
-(* Batch apply on the netted path ([Engine.apply_batch ~parallel:
-   Shard.serial]: net once, apply directly) against plain serial routing,
-   over a grid of batch size x resident rows, on two root-heavy workloads:
+(* Batch apply ([Engine.apply_batch]: net once, apply directly) against the
+   same deltas applied one per batch through the same route, in stream
+   order (the "serial" column), over a grid of batch size x resident rows,
+   on two root-heavy workloads:
 
    - "uniform": fresh fact insertions drawn from a bounded
      (timeid, productid, price) region;
@@ -947,6 +948,9 @@ let apply_scaling () =
    serial at 2 domains and 0.35x at 4 — parallel apply under the old fixed
    512-op cutoff was ~3x slower than serial there. The netted path's
    speedup-vs-serial on such a point must beat that baseline by >= 1.5x.
+   The serial column pays a batch's fixed cost (spans, flush, flow) once
+   per delta, so its speedups read higher than those of the per-delta
+   route it replaced (EXPERIMENTS.md E45).
 
    Not part of the default run. Writes BENCH_parallel.json. *)
 
@@ -1019,15 +1023,17 @@ let parallel_scaling () =
       in
       let measure workload batch =
         let prof = Engine.net_profile e batch in
-        let apply ?parallel () =
+        let apply run =
           sample ~clock:Wall
             ~n:(if prof.Engine.input >= 50_000 then 4 else 8)
             ~before:(fun () -> Engine.begin_txn e)
             ~after:(fun () -> Engine.rollback e)
-            (fun () -> Engine.apply_batch ?parallel e batch)
+            run
         in
-        let serial = apply () in
-        let netted = apply ~parallel:Maintenance.Shard.serial () in
+        let serial =
+          apply (fun () -> List.iter (fun d -> Engine.apply_batch e [ d ]) batch)
+        in
+        let netted = apply (fun () -> Engine.apply_batch e batch) in
         let speedup = serial.med /. Float.max 1e-9 netted.med in
         results :=
           (resident, workload, prof, serial, netted, speedup) :: !results
@@ -1129,7 +1135,7 @@ let parallel_scaling () =
 
 (* A report, not a gate: the instrumented maintenance pipeline with
    collection enabled against the same pipeline with TELEMETRY=off, at
-   three grid points. Telemetry's cost is gated in exact minor words by
+   two grid points: batches of 200 and of 2,000 inserts. Telemetry's cost is gated in exact minor words by
    test_telemetry's "exact-counts" group. A best-of over a few short
    samples spread as widely as the 3% budget (E18), so this reports each
    point's median per-sample overhead with its interquartile range. Each
@@ -1151,12 +1157,12 @@ let overhead () =
      back after. The batch is fixed per grid point so both modes apply
      identical work, timed in CPU time. *)
   let samples = 31 in
-  let measure_point ?parallel ~point ~n ~reps () =
+  let measure_point ~point ~n ~reps () =
     let batch = medium_sales rng ~next_id n in
     let run () =
       Engine.begin_txn e;
       for _ = 1 to reps do
-        Engine.apply_batch ?parallel e batch
+        Engine.apply_batch e batch
       done;
       Engine.rollback e
     in
@@ -1174,10 +1180,8 @@ let overhead () =
       stats (List.map2 (fun on off -> 100. *. (on -. off) /. off) on off) )
   in
   let grid =
-    [ measure_point ~point:"serial-200" ~n:200 ~reps:32 ();
-      measure_point ~point:"serial-2000" ~n:2_000 ~reps:4 ();
-      measure_point ~parallel:Maintenance.Shard.serial ~point:"netted-2000"
-        ~n:2_000 ~reps:4 () ]
+    [ measure_point ~point:"netted-200" ~n:200 ~reps:32 ();
+      measure_point ~point:"netted-2000" ~n:2_000 ~reps:4 () ]
   in
   Printf.printf "%d on/off samples per point, medians (q1..q3)\n" samples;
   print_string

@@ -7,8 +7,9 @@
     view, the dimension auxiliary views and the view state all intern e.g.
     "product.brand" values once.
 
-    Concurrency: {!intern} takes a mutex (writers are the serial routing
-    phase or shard-owned appliers interning pre-routed values). {!decode},
+    Concurrency: {!intern} takes a mutex (writers are the batch apply and
+    the engine builds of load and recovery, which may run on several
+    domains). {!decode},
     {!hash} and {!size} are lock-free: the backing arrays are published with
     [Atomic.set] before the size bump, and readers load the size first, so
     any code below the observed size reads fully-initialized slots (the

@@ -125,7 +125,7 @@ type t = {
           the column's base position (the shifts of an in-place update) *)
   feed : Feed.t;
       (** the view's typed feed plan, and the joined row of every feed
-          (serial route, direct path, dimension updates, init) *)
+          (root and dimension changes, init) *)
   obs_groups : Telemetry.Gauge.t;  (** resident view groups *)
   mutable obs_aux :
     (Aux_state.t * Telemetry.Gauge.t * Telemetry.Gauge.t * Telemetry.Gauge.t)
@@ -151,6 +151,9 @@ type t = {
   mutable walk_rows : int;
       (** root auxiliary rows examined by the latest dirty-group
           recomputation *)
+  keys : Delta_batch.keys Lazy.t;
+      (** the key table of the batches it nets itself, made at the first *)
+  apply_attrs : (string * string) list;  (** the apply span's attributes *)
 }
 
 exception Invariant of string
@@ -173,7 +176,6 @@ module Obs = struct
 
   let compact = phase "compact"
   let dim_apply = phase "dim-apply"
-  let shard_apply = phase "shard-apply"
   let view_update = phase "view-update"
 
   (* Allocation profile next to the latency profile: the applying
@@ -187,39 +189,33 @@ module Obs = struct
 
   let compact_alloc = phase_alloc "compact"
   let dim_apply_alloc = phase_alloc "dim-apply"
-  let shard_apply_alloc = phase_alloc "shard-apply"
   let view_update_alloc = phase_alloc "view-update"
 
-  let apply_mode m =
+  (* every batch is netted: the [mode] label has the one value *)
+  let apply =
     Telemetry.Histogram.make
-      ~labels:[ ("mode", m) ]
+      ~labels:[ ("mode", "netted") ]
       ~help:"End-to-end latency of Engine.apply_batch"
       "minview_engine_apply_seconds"
 
-  let apply_serial = apply_mode "serial"
-  let apply_parallel = apply_mode "parallel"
-
-  let batches m =
+  let batches =
     Telemetry.Counter.make
-      ~labels:[ ("mode", m) ]
+      ~labels:[ ("mode", "netted") ]
       ~help:"Batches applied" "minview_engine_batches_total"
-
-  let batches_serial = batches "serial"
-  let batches_parallel = batches "parallel"
 
   let deltas_total =
     Telemetry.Counter.make
-      ~help:"Deltas received that touch a view table (both apply modes)"
+      ~help:"Deltas received that touch a view table"
       "minview_engine_deltas_total"
 
   let deltas_netted =
     Telemetry.Counter.make
-      ~help:"Deltas surviving net-effect compaction (parallel path)"
+      ~help:"Deltas surviving net-effect compaction"
       "minview_engine_deltas_netted_total"
 
   let ops_applied =
     Telemetry.Counter.make
-      ~help:"Compacted operations actually applied (parallel path)"
+      ~help:"Compacted operations actually applied"
       "minview_engine_ops_applied_total"
 end
 
@@ -425,13 +421,6 @@ let root_adjust t ~before ~after =
   if in_aux t 0 before then Aux_state.adjust (slot_aux t 0) ~before ~after;
   if passes_locals t 0 before && root_group t before then
     View_state.adjust t.vstate t.feed ~sums:t.root_sums ~before ~after
-
-let root_update t ~before ~after =
-  if updates_in_place t ~before ~after then root_adjust t ~before ~after
-  else begin
-    root_delete t before;
-    root_insert t after
-  end
 
 (* --- dimension-table changes ------------------------------------------ *)
 
@@ -1269,6 +1258,8 @@ let init ?(fk_index = true) db (d : Derive.t) =
       wk_writes = 0;
       wk_events = 0;
       walk_rows = 0;
+      keys = lazy (Delta_batch.keys ());
+      apply_attrs = [ ("mode", "netted"); ("view", view.View.name) ];
     }
   in
   (* build auxiliary states children-first so semijoin targets exist *)
@@ -1369,89 +1360,41 @@ let check_append_only t (d : Delta.t) =
         "append-only warehouse: root table %s received a deletion or update"
         d.Delta.table
 
-(* One lookup maps the delta's table to its slot; a table outside the view
-   has none. *)
-let route t (delta : Delta.t) =
-  match Hashtbl.find t.slots delta.Delta.table with
-  | exception Not_found -> ()
-  | 0 -> (
-    check_append_only t delta;
-    match delta.Delta.change with
-    | Delta.Insert tup -> root_insert t tup
-    | Delta.Delete tup -> root_delete t tup
-    | Delta.Update { before; after } -> root_update t ~before ~after)
-  | s -> (
-    match delta.Delta.change with
-    | Delta.Insert tup -> dim_insert t s tup
-    | Delta.Delete tup -> dim_delete t s tup
-    | Delta.Update { before; after } -> dim_update t s ~before ~after)
-
 (* --- the netted batch path ---------------------------------------------- *)
-
-let known t (d : Delta.t) = Hashtbl.mem t.slots d.Delta.table
 
 (* The key positions of the view's own tables; the others are dropped. *)
 let own_keys t tbl =
   if Hashtbl.mem t.slots tbl then Some (Schema.key_index (schema t tbl))
   else None
 
-let net ~key_index deltas =
+let net keys ~key_index deltas =
   Telemetry.with_phase Obs.compact ~alloc:Obs.compact_alloc "engine.compact"
-    (fun () -> Delta_batch.net ~key_index deltas)
+    (fun () -> Delta_batch.net keys ~key_index deltas)
 
-(* Root changes of [ds] with each update split in two. *)
-let root_change_count ds =
-  List.fold_left
-    (fun acc (d : Delta.t) ->
-      acc + match d.Delta.change with Delta.Update _ -> 2 | _ -> 1)
-    0 ds
+let ignore_row (_ : Tuple.t) = ()
 
-(* Operations the direct path issues for root changes [ds]: one per
-   insertion, deletion and in-place update, two per other update. *)
-let direct_op_count t ds =
-  List.fold_left
-    (fun acc (d : Delta.t) ->
-      acc
-      +
-      match d.Delta.change with
-      | Delta.Update { before; after }
-        when not (updates_in_place t ~before ~after) ->
-        2
-      | Delta.Update _ | Delta.Insert _ | Delta.Delete _ -> 1)
-    0 ds
-
-(* The netted root changes, applied directly through the serial route's
-   writers: per change, the dimension probes feed the root-aux and
-   view-state writes. Positive changes go before negative ones: counts
-   then stay at or above their final value throughout, so a group whose
-   net change is zero is never transiently destroyed (which would lose
-   extremum/DISTINCT components and dirty marks). An update that goes in
-   place is applied in the positive pass, while its groups still hold
-   their pre-batch rows; it changes no count, so the discipline holds.
-   Returns the number of updates applied in place. *)
-let apply_root_direct t root_deltas =
-  let in_place = ref 0 in
-  List.iter
-    (fun (d : Delta.t) ->
-      match d.Delta.change with
-      | Delta.Insert tup -> root_insert t tup
-      | Delta.Update { before; after } ->
-        if updates_in_place t ~before ~after then begin
-          root_adjust t ~before ~after;
-          incr in_place
-        end
-        else root_insert t after
-      | Delta.Delete _ -> ())
-    root_deltas;
-  List.iter
-    (fun (d : Delta.t) ->
-      match d.Delta.change with
-      | Delta.Delete tup -> root_delete t tup
-      | Delta.Update { before; after } ->
-        if not (updates_in_place t ~before ~after) then root_delete t before
-      | Delta.Insert _ -> ())
-    root_deltas;
-  !in_place
+(* The netted root changes, applied directly: per change, the dimension
+   probes feed the root-aux and view-state writes. Positive changes go
+   before negative ones: counts then stay at or above their final value
+   throughout, so a group whose net change is zero is never transiently
+   destroyed (which would lose extremum/DISTINCT components and dirty
+   marks). An update that goes in place is applied in the positive pass,
+   while its groups still hold their pre-batch rows; it changes no count,
+   so the discipline holds. Returns the number of updates split into a
+   deletion and an insertion. *)
+let apply_root_direct t root =
+  let split = ref 0 in
+  Delta_batch.iter root ~insert:(root_insert t) ~delete:ignore_row
+    ~update:(fun before after ->
+      if updates_in_place t ~before ~after then root_adjust t ~before ~after
+      else begin
+        incr split;
+        root_insert t after
+      end);
+  Delta_batch.iter root ~insert:ignore_row ~delete:(root_delete t)
+    ~update:(fun before after ->
+      if not (updates_in_place t ~before ~after) then root_delete t before);
+  !split
 
 (* --- lineage flow capture ---------------------------------------------- *)
 
@@ -1471,7 +1414,7 @@ let flow_pre t =
           t.view.View.tables,
         View_state.group_count t.vstate )
 
-let flow_finish t pre ~mode ~deltas_in ~netted ~applied =
+let flow_finish t pre ~deltas_in ~netted ~applied =
   match pre with
   | None -> ()
   | Some (pre_aux, pre_groups) ->
@@ -1502,7 +1445,7 @@ let flow_finish t pre ~mode ~deltas_in ~netted ~applied =
       Some
         {
           Telemetry.Lineage.view = t.view.View.name;
-          mode;
+          mode = "netted";
           deltas_in;
           netted;
           applied;
@@ -1512,35 +1455,41 @@ let flow_finish t pre ~mode ~deltas_in ~netted ~applied =
 
 let last_flow t = t.last_flow
 
-(* Netted batch application: the batch is netted once, dimension changes
-   run in join-tree order (inserts leaves-first so join partners exist,
-   deletes root-first so references are gone) around the root changes,
-   applied directly. Equivalent to the serial replay for any batch that is
-   legal against the pre-batch state — see DESIGN.md, "Concurrency
-   model". *)
-let apply_batch_netted t ?netted deltas =
+(* Netted batch application, the one route: the batch is netted once (by
+   the caller for several views, or here), dimension changes run in
+   join-tree order (inserts leaves-first so join partners exist, deletes
+   root-first so references are gone) around the root changes, applied
+   directly. Equivalent to applying the batch's deltas one at a time, in
+   order, for any batch that is legal against the pre-batch state — see
+   DESIGN.md, "Concurrency model". Per batch it opens the [apply] span,
+   the [compact] phase when it nets its own batch, the two [dim-apply]
+   phases when the batch changes a dimension table, and [view-update]. *)
+let apply_batch ?netted t deltas =
+  Telemetry.Counter.one Obs.batches;
+  Telemetry.with_phase Obs.apply ~attrs:t.apply_attrs "engine.apply-batch"
+  @@ fun () ->
   (* append-only violations must reject the batch whether or not the
-     offending change nets out — match the serial path's verdict *)
+     offending change nets out *)
   if t.append_only then List.iter (check_append_only t) deltas;
   let pre_flow = flow_pre t in
   let net =
     match netted with
     | Some net -> net
-    | None -> net ~key_index:(own_keys t) deltas
+    | None -> net (Lazy.force t.keys) ~key_index:(own_keys t) deltas
   in
   (* this view's tables of the batch: a shared netted batch may hold others *)
-  let root_deltas = ref [] in
-  let dims = ref [] in
+  let root = ref None and dims = ref [] in
   let deltas_in = ref 0 and net_count = ref 0 in
   List.iter
-    (fun (tb : Delta_batch.table) ->
-      match Hashtbl.find_opt t.slots tb.name with
-      | None -> ()
-      | Some s ->
-        deltas_in := !deltas_in + tb.input;
-        net_count := !net_count + List.length tb.deltas;
-        if s = 0 then root_deltas := tb.deltas
-        else dims := (List.length (path_to t tb.name), s, tb.deltas) :: !dims)
+    (fun tb ->
+      let name = Delta_batch.name tb in
+      match Hashtbl.find t.slots name with
+      | exception Not_found -> ()
+      | s ->
+        deltas_in := !deltas_in + Delta_batch.input tb;
+        net_count := !net_count + Delta_batch.output tb;
+        if s = 0 then root := Some tb
+        else dims := (List.length (path_to t name), s, tb) :: !dims)
     net.Delta_batch.tables;
   if Telemetry.enabled () then begin
     Telemetry.Counter.inc Obs.deltas_total !deltas_in;
@@ -1549,69 +1498,36 @@ let apply_batch_netted t ?netted deltas =
   let deep_first =
     List.sort (fun (a, _, _) (b, _, _) -> compare b a) (List.rev !dims)
   in
-  let shallow_first = List.rev deep_first in
-  let each_dim tables f =
+  let each_dim tables ~insert ~delete ~update =
     List.iter
-      (fun (_, s, ds) ->
-        List.iter (fun (d : Delta.t) -> f s d.Delta.change) ds)
+      (fun (_, s, tb) ->
+        Delta_batch.iter tb ~insert:(insert s) ~delete:(delete s)
+          ~update:(update s))
       tables
   in
-  Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
-    "engine.dim-apply" (fun () ->
-      each_dim deep_first (fun s -> function
-        | Delta.Insert tup -> dim_insert t s tup
-        | Delta.Delete _ | Delta.Update _ -> ());
-      each_dim deep_first (fun s -> function
-        | Delta.Update { before; after } -> dim_update t s ~before ~after
-        | Delta.Insert _ | Delta.Delete _ -> ()));
-  let in_place =
-    Telemetry.with_phase Obs.shard_apply ~alloc:Obs.shard_apply_alloc
-      "engine.shard-apply" (fun () -> apply_root_direct t !root_deltas)
+  let skip _ (_ : Tuple.t) = () in
+  if deep_first <> [] then
+    Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
+      "engine.dim-apply" (fun () ->
+        each_dim deep_first ~insert:(dim_insert t) ~delete:skip
+          ~update:(fun _ _ _ -> ());
+        each_dim deep_first ~insert:skip ~delete:skip
+          ~update:(fun s before after -> dim_update t s ~before ~after));
+  let split =
+    match !root with None -> 0 | Some tb -> apply_root_direct t tb
   in
-  let applied_ops = ref 0 in
-  if Telemetry.enabled () then begin
-    let dim_ops =
-      List.fold_left (fun acc (_, _, ds) -> acc + List.length ds) 0 deep_first
-    in
-    applied_ops := dim_ops + root_change_count !root_deltas - in_place;
-    Telemetry.Counter.inc Obs.ops_applied !applied_ops
-  end;
-  Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
-    "engine.dim-apply" (fun () ->
-      each_dim shallow_first (fun s -> function
-        | Delta.Delete tup -> dim_delete t s tup
-        | Delta.Insert _ | Delta.Update _ -> ()));
+  if deep_first <> [] then
+    Telemetry.with_phase Obs.dim_apply ~alloc:Obs.dim_apply_alloc
+      "engine.dim-apply" (fun () ->
+        each_dim (List.rev deep_first) ~insert:skip ~delete:(dim_delete t)
+          ~update:(fun _ _ _ -> ()));
   Telemetry.with_phase Obs.view_update ~alloc:Obs.view_update_alloc
     "engine.view-update" (fun () -> flush t);
-  flow_finish t pre_flow ~mode:"parallel" ~deltas_in:!deltas_in
-    ~netted:!net_count ~applied:!applied_ops
-
-let apply_batch ?parallel ?netted t deltas =
-  match parallel with
-  | None ->
-    Telemetry.Counter.one Obs.batches_serial;
-    let known =
-      if Telemetry.enabled () then
-        List.fold_left (fun n d -> if known t d then n + 1 else n) 0 deltas
-      else 0
-    in
-    Telemetry.Counter.inc Obs.deltas_total known;
-    let pre_flow = flow_pre t in
-    Telemetry.with_phase Obs.apply_serial "engine.apply-batch"
-      ~attrs:[ ("mode", "serial"); ("view", t.view.View.name) ]
-      (fun () ->
-        List.iter (route t) deltas;
-        Telemetry.with_phase Obs.view_update ~alloc:Obs.view_update_alloc
-          "engine.view-update" (fun () -> flush t));
-    (* the serial path neither compacts nor merges: every known delta is
-       applied as is *)
-    flow_finish t pre_flow ~mode:"serial" ~deltas_in:known ~netted:known
-      ~applied:known
-  | Some _ ->
-    Telemetry.Counter.one Obs.batches_parallel;
-    Telemetry.with_phase Obs.apply_parallel "engine.apply-batch"
-      ~attrs:[ ("mode", "parallel"); ("view", t.view.View.name) ]
-      (fun () -> apply_batch_netted t ?netted deltas)
+  (* an update that does not go in place is two operations *)
+  let applied = !net_count + split in
+  if Telemetry.enabled () then Telemetry.Counter.inc Obs.ops_applied applied;
+  if netted == None then Delta_batch.release net;
+  flow_finish t pre_flow ~deltas_in:!deltas_in ~netted:!net_count ~applied
 
 type batch_profile = { input : int; netted : int; applied : int }
 
@@ -1620,21 +1536,18 @@ type batch_profile = { input : int; netted : int; applied : int }
    path applies the netted deltas as they are, a root update that does not
    go in place as a deletion and an insertion. *)
 let net_profile t deltas =
-  let net = Delta_batch.net ~key_index:(own_keys t) deltas in
-  let applied =
-    List.fold_left
-      (fun acc (tb : Delta_batch.table) ->
-        acc
-        +
-        if String.equal tb.name t.root then direct_op_count t tb.deltas
-        else List.length tb.deltas)
-      0 net.Delta_batch.tables
-  in
-  {
-    input = net.Delta_batch.stats.input;
-    netted = net.Delta_batch.stats.output;
-    applied;
-  }
+  let net = Delta_batch.net (Lazy.force t.keys) ~key_index:(own_keys t) deltas in
+  let split = ref 0 in
+  List.iter
+    (fun tb ->
+      if String.equal (Delta_batch.name tb) t.root then
+        Delta_batch.iter tb ~insert:ignore_row ~delete:ignore_row
+          ~update:(fun before after ->
+            if not (updates_in_place t ~before ~after) then incr split))
+    net.Delta_batch.tables;
+  Delta_batch.release net;
+  let { Delta_batch.input; output } = net.Delta_batch.stats in
+  { input; netted = output; applied = output + !split }
 
 (* --- inspection -------------------------------------------------------- *)
 

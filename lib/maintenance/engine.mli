@@ -93,36 +93,33 @@ val rollback : t -> unit
     [Invalid_argument] / {!Invariant} — but a fabricated change that happens
     to match existing state is indistinguishable from a legal one.
 
-    With [?parallel] ({!Shard.serial}), the batch takes the compacted path:
-    deltas are netted per (table, key) ({!net}), dimension changes are
-    applied in join-tree order, and the netted root-table changes are
-    applied directly, positive changes first, on the calling domain. The
-    final state is structurally equal to the serial replay for any batch
-    that is legal against the pre-batch state, and
-    {!begin_txn}/{!rollback} semantics are preserved.
+    Every batch is netted: deltas are netted per (table, key)
+    ({!net}), dimension changes are applied in join-tree order, and the
+    netted root-table changes are applied directly, positive changes
+    first. The final state is structurally equal to applying the batch's
+    deltas one at a time, in order, for any batch that is legal against
+    the pre-batch state, and {!begin_txn}/{!rollback} semantics are
+    preserved.
 
     [?netted] is [deltas] already netted by {!net}, shared by every view
     maintained from the batch: it must cover at least the view's tables,
     and the engine takes only those from it. Without it, the engine nets
-    its own tables. It is ignored without [?parallel]; append-only checks
-    always run on the raw [deltas]. *)
+    its own tables through a key table it keeps. Append-only checks always
+    run on the raw [deltas]. *)
 val apply_batch :
-  ?parallel:Shard.pool ->
-  ?netted:Relational.Delta_batch.t ->
-  t ->
-  Relational.Delta.t list ->
-  unit
+  ?netted:Relational.Delta_batch.t -> t -> Relational.Delta.t list -> unit
 
-(** [net ~key_index deltas] is {!Relational.Delta_batch.net}, timed as the
-    [compact] maintenance phase: the one netting of the compacted path,
-    whether an engine nets its own batch or a caller nets one batch for
-    several views. *)
+(** [net keys ~key_index deltas] is {!Relational.Delta_batch.net}, timed as
+    the [compact] maintenance phase: the one netting of a batch, whether an
+    engine nets its own batch or a caller nets one batch for several
+    views. *)
 val net :
+  Relational.Delta_batch.keys ->
   key_index:(string -> int option) ->
   Relational.Delta.t list ->
   Relational.Delta_batch.t
 
-(** What {!apply_batch}'s compacted path would do to a batch, without
+(** What {!apply_batch} would do to a batch, without
     applying it: [input] deltas of the view's tables, [netted] after
     per-key compaction, [applied] operations actually issued — the netted
     deltas as they are, a root update counting once when it goes in place
@@ -132,9 +129,8 @@ type batch_profile = { input : int; netted : int; applied : int }
 
 val net_profile : t -> Relational.Delta.t list -> batch_profile
 
-(** [updates_in_place t ~before ~after] is whether the serial route and the
-    direct path apply the root-table update from [before] to [after] in
-    place. They do when the two images agree on every {e exposing}
+(** [updates_in_place t ~before ~after] is whether {!apply_batch} applies
+    the root-table update from [before] to [after] in place. They do when the two images agree on every {e exposing}
     position: every root column the engine reads — group-by columns,
     aggregate arguments, local-condition columns, join foreign keys and
     the root auxiliary view's kept, extremum, semijoin and condition

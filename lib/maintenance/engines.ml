@@ -23,14 +23,8 @@ module type S = sig
   val commit : t -> unit
   val rollback : t -> unit
 
-  val apply_batch :
-    ?parallel:Shard.pool ->
-    ?netted:Relational.Delta_batch.t ->
-    t ->
-    Delta.t list ->
-    unit
+  val apply_batch : ?netted:Relational.Delta_batch.t -> t -> Delta.t list -> unit
 
-  val takes_netted : bool
   val view_contents : t -> Relation.t
   val publish : t -> (Tuple.t * int) array
   val detail_profile : t -> (string * int * int) list
@@ -46,7 +40,6 @@ module Incremental : S with type t = Engine.t = struct
   include Engine
 
   let id = Type.Id.make ()
-  let takes_netted = true
 
   (* drop the view itself: only detail data counts *)
   let detail_profile e = List.tl (storage_profile e)
@@ -62,8 +55,7 @@ module Split : S with type t = Partitioned.t = struct
   include Partitioned
 
   let id = Type.Id.make ()
-  let apply_batch ?parallel ?netted:_ p deltas = apply_batch ?parallel p deltas
-  let takes_netted = false
+  let apply_batch ?netted:_ p deltas = apply_batch p deltas
   let publish p = Relation.to_sorted_array (view_contents p)
   let measured_bytes p = Some (measured_bytes p)
   let derivation _ = None
@@ -97,7 +89,7 @@ module Replica = struct
   let commit r = Validator.commit r.replica
   let rollback r = Validator.rollback r.replica
 
-  let apply_batch ?parallel:_ ?netted:_ r deltas =
+  let apply_batch ?netted:_ r deltas =
     List.iter
       (fun d ->
         match Validator.admit r.replica d with
@@ -107,7 +99,6 @@ module Replica = struct
             (Database.Violation (Format.asprintf "%a" Delta.pp_rejection rej)))
       deltas
 
-  let takes_netted = false
   let view_contents r = Algebra.Eval.eval (db r) r.view
   let publish r = Relation.to_sorted_array (view_contents r)
 
@@ -173,10 +164,9 @@ let begin_txn (T { impl = (module M); state; _ }) = M.begin_txn state
 let commit (T { impl = (module M); state; _ }) = M.commit state
 let rollback (T { impl = (module M); state; _ }) = M.rollback state
 
-let apply_batch ?parallel ?netted (T { impl = (module M); state; _ }) deltas =
-  M.apply_batch ?parallel ?netted state deltas
+let apply_batch ?parallel:_ ?netted (T { impl = (module M); state; _ }) deltas =
+  M.apply_batch ?netted state deltas
 
-let takes_netted (T { impl = (module M); _ }) = M.takes_netted
 
 let view_contents (T { impl = (module M); state; _ }) = M.view_contents state
 

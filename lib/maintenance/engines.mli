@@ -77,12 +77,14 @@ val commit : t -> unit
 (** @raise Invalid_argument if no transaction is open. *)
 val rollback : t -> unit
 
-(** Process a batch of source changes. [?parallel] selects the compacted
-    path on incremental (and partitioned) engines — see
-    {!Engine.apply_batch}; the recompute baseline ignores it. [?netted] is
+(** Process a batch of source changes. Incremental (and partitioned)
+    engines net every batch — see {!Engine.apply_batch}; the recompute
+    baseline admits the deltas one by one into its replica. [?netted] is
     the batch netted once for several views ({!Engine.net}); only an
-    incremental configuration takes its tables from it (see
-    {!takes_netted}), a partitioned one nets each side of its split. *)
+    incremental configuration takes its tables from it, a partitioned one
+    nets each side of its split and the baseline ignores it.
+    [?parallel] is ignored: it is kept, as a no-op, for callers written
+    when a pool selected the netted path. *)
 val apply_batch :
   ?parallel:Shard.pool ->
   ?netted:Relational.Delta_batch.t ->
@@ -90,13 +92,9 @@ val apply_batch :
   Relational.Delta.t list ->
   unit
 
-(** Whether {!apply_batch} uses a [?netted] batch: true for incremental
-    configurations only. *)
-val takes_netted : t -> bool
-
 (** Current contents of the materialized view, freshly built on every call.
-    Its hash-iteration order depends on insertion history (serial and
-    netted application of the same batches can differ); a consumer
+    Its hash-iteration order depends on insertion history (the same
+    deltas cut into batches differently can leave it different); a consumer
     that needs a deterministic row order must use the canonical order,
     {!Relational.Relation.to_sorted_list}. *)
 val view_contents : t -> Relational.Relation.t

@@ -100,14 +100,14 @@ let side t (d : Delta.t) =
               old/current boundary")
       else pick before
 
-let apply_sides ?parallel t ~olds ~currents =
-  Engine.apply_batch ?parallel t.old_engine olds;
-  Engine.apply_batch ?parallel t.current_engine currents
+let apply_sides t ~olds ~currents =
+  Engine.apply_batch t.old_engine olds;
+  Engine.apply_batch t.current_engine currents
 
 (* Every change is routed before either engine runs, so a boundary
    violation rejects the batch before any of it is applied, and each engine
-   sees its share as one batch (the compacted path with [?parallel]). *)
-let apply_batch ?parallel t deltas =
+   sees its share as one batch, netted on its own. *)
+let apply_batch t deltas =
   let olds, currents =
     List.fold_right
       (fun d (olds, currents) ->
@@ -117,7 +117,7 @@ let apply_batch ?parallel t deltas =
         | Both -> (d :: olds, d :: currents))
       deltas ([], [])
   in
-  apply_sides ?parallel t ~olds ~currents
+  apply_sides t ~olds ~currents
 
 let equal_state a b =
   Engine.equal_state a.old_engine b.old_engine

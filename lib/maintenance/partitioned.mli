@@ -40,11 +40,11 @@ val announce : t -> unit
     root-table change goes to the partition [is_old] picks for it (an
     update by its before-image), a dimension change to both engines. Each
     engine then applies its share as one batch through
-    {!Engine.apply_batch} — with [?parallel], on its compacted path.
+    {!Engine.apply_batch}, which nets it.
     @raise Maintenance.Engine.Invariant if an update would move a tuple
     across partitions (raised while routing, before anything is applied),
     or if a deletion/update targets the append-only old partition. *)
-val apply_batch : ?parallel:Shard.pool -> t -> Relational.Delta.t list -> unit
+val apply_batch : t -> Relational.Delta.t list -> unit
 
 (** The rest of the engine interface ({!Engines}) over both partition
     engines: structural equality, and undo journals opened and closed in

@@ -1,5 +1,5 @@
-(* The pool that selects the netted apply path (it holds no domain), and
-   the one-shot [fan_out] of load and recovery's engine builds. *)
+(* A pool marker that selects nothing (every batch is netted), and the
+   one-shot [fan_out] of load and recovery's engine builds. *)
 
 type pool = Serial
 

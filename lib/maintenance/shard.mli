@@ -1,15 +1,14 @@
-(** The pool that selects the netted apply path, and a one-shot fan-out
-    ({!fan_out}) for the engine builds of load and recovery.
+(** A pool marker, and a one-shot fan-out ({!fan_out}) for the engine
+    builds of load and recovery.
 
-    A pool carries no domains: passing one as [?parallel] to
-    {!Engine.apply_batch} selects the compacted path (net once, apply
-    directly, positive changes first), which runs on the calling domain.
-    {!serial} is the only pool. Pools are runtime-only and are never
-    saved. *)
+    A pool carries no domains and selects nothing: every batch is netted
+    ({!Engine.apply_batch}). {!serial}, the only pool, is kept for callers
+    that still pass one to {!Engines.apply_batch} or
+    [Warehouse.set_parallel], both of which ignore it. *)
 
 type pool
 
-(** The one pool: the netted path, run inline on the calling domain. *)
+(** The one pool, ignored wherever it is passed. *)
 val serial : pool
 
 (** {2 One-shot fan-out}

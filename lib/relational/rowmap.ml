@@ -37,6 +37,11 @@ let create ?(hint = 8) ~hash () =
     probes = 0 }
 
 let copy t ~hash = { t with hash; slots = Bytes.copy t.slots; probes = 0 }
+
+let clear t =
+  Bytes.fill t.slots 0 (Bytes.length t.slots) '\xff';
+  t.live <- 0;
+  t.fill <- 0
 let length t = t.live
 let probes t = t.probes
 

@@ -21,6 +21,10 @@ val create : ?hint:int -> hash:(int -> int) -> unit -> t
     through [hash]: the copied owner's cells. *)
 val copy : t -> hash:(int -> int) -> t
 
+(** [clear t] removes every entry and keeps the capacity, so a map
+    refilled to the same size allocates nothing. *)
+val clear : t -> unit
+
 (** Number of live entries. *)
 val length : t -> int
 

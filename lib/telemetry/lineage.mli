@@ -31,9 +31,9 @@ type aux_flow = {
 
 type view_flow = {
   view : string;
-  mode : string;  (** ["serial"] or ["parallel"] *)
+  mode : string;  (** ["netted"]: every batch is netted *)
   deltas_in : int;  (** deltas routed to this view's engine *)
-  netted : int;  (** after net-effect compaction (= [deltas_in] serially) *)
+  netted : int;  (** after net-effect compaction *)
   applied : int;  (** operations actually issued to aux/view state *)
   group_delta : int;  (** net change in view group count *)
   aux_flows : aux_flow list;  (** in view table order *)

@@ -21,25 +21,25 @@ let enabled = Metrics.enabled
    span — the common shape for pipeline phases. When [alloc] is given, the
    calling domain's [Gc.allocated_bytes] delta over the thunk is observed
    too, so phases report bytes-allocated next to latency. *)
+let finish_phase hist alloc name attrs t0 a0 =
+  let dur_s = Metrics.now_s () -. t0 in
+  Metrics.Histogram.observe hist dur_s;
+  (match alloc with
+  | Some h -> Metrics.Histogram.observe h (Gc.allocated_bytes () -. a0)
+  | None -> ());
+  Trace.record { Trace.name; start_s = t0; dur_s; attrs }
+
 let with_phase ?(attrs = []) ?alloc hist name f =
   if not (Metrics.enabled ()) then f ()
   else begin
     let t0 = Metrics.now_s () in
     let a0 = match alloc with Some _ -> Gc.allocated_bytes () | None -> 0. in
-    let finish () =
-      let dur_s = Metrics.now_s () -. t0 in
-      Metrics.Histogram.observe hist dur_s;
-      (match alloc with
-      | Some h -> Metrics.Histogram.observe h (Gc.allocated_bytes () -. a0)
-      | None -> ());
-      Trace.record { Trace.name; start_s = t0; dur_s; attrs }
-    in
     match f () with
     | r ->
-      finish ();
+      finish_phase hist alloc name attrs t0 a0;
       r
     | exception e ->
-      finish ();
+      finish_phase hist alloc name attrs t0 a0;
       raise e
   end
 

@@ -38,9 +38,17 @@ let state =
 
 let mutex = Mutex.create ()
 
+(* [f ()] under [mutex], without [Fun.protect]'s closure: [record] runs
+   it for every span. *)
 let locked f =
   Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+  match f () with
+  | v ->
+    Mutex.unlock mutex;
+    v
+  | exception e ->
+    Mutex.unlock mutex;
+    raise e
 
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in

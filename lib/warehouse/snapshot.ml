@@ -91,8 +91,8 @@ let column_types c = function
     [| Database.key_type (Database.schema_of c.shadow table);
        Relational.Datatype.TInt |]
 
-(* The catalog holds the batch number, the pool size, the view
-   definitions and what [Database.add_catalog] writes. The view
+(* The catalog holds the batch number, a pool-size record (always 0), the
+   view definitions and what [Database.add_catalog] writes. The view
    definitions, a few hundred bytes, are the one part of a snapshot whose
    encoding depends on the build. *)
 let encode c w = function

@@ -19,7 +19,7 @@ type contents = {
   shadow : Relational.Database.t;  (** the believed source *)
   dead : Relational.Delta.rejection list;  (** the dead letters *)
   seq : int;  (** the last batch it holds *)
-  domains : int;  (** the saving warehouse's pool size, [0] for none *)
+  domains : int;  (** a pool size, from before every batch was netted *)
 }
 
 (** A damaged file, or not a snapshot; the message names the file and,

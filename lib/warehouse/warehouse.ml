@@ -75,13 +75,6 @@ module Obs = struct
     Telemetry.Counter.make ~help:"Deltas quarantined to the dead-letter queue"
       "minview_warehouse_quarantined_deltas_total"
 
-  let parallel_resets =
-    Telemetry.Counter.make
-      ~help:
-        "Snapshot loads that dropped a saved parallel pool (pools are \
-         runtime-only)"
-      "minview_warehouse_parallel_resets_total"
-
   let snapshot_fallbacks =
     Telemetry.Counter.make
       ~help:
@@ -223,8 +216,8 @@ type t = {
   mutable dir : string option;
   mutable checkpoint_every : int option;
   mutable keep_generations : int;
-  (* runtime-only (like [wal]): never saved; [load]/[recover] reset it *)
-  mutable parallel : Maintenance.Shard.pool option;
+  (* the key table every batch is netted through; runtime-only *)
+  net_keys : Relational.Delta_batch.keys;
   mutable dead_cap : int option;
   (* wall-clock time of the last committed batch, 0. before the first:
      feeds the health endpoint's commit-age check; runtime-only *)
@@ -253,7 +246,7 @@ let make ~views ~validator ~dead ~seq =
     dir = None;
     checkpoint_every = None;
     keep_generations = default_keep_generations;
-    parallel = None;
+    net_keys = Relational.Delta_batch.keys ();
     dead_cap = None;
     last_commit_s = 0.;
     published = Atomic.make empty_snapshot;
@@ -335,7 +328,7 @@ let publish_epoch ?touched t =
      [Runtime.set_auto_sample true] armed it (serve --metrics-port) *)
   Telemetry.Runtime.tick ()
 
-let set_parallel t pool = t.parallel <- pool
+let set_parallel _ _ = ()
 
 (* --- health and runtime profiling hooks --------------------------------- *)
 
@@ -570,45 +563,25 @@ let save t path =
       shadow = Validator.shadow t.validator;
       dead = t.dead;
       seq = t.seq;
-      (* the pool itself is runtime-only and never saved, but its size is
-         recorded so a later load can warn that it was not restored *)
-      domains = (match t.parallel with Some _ -> 1 | None -> 0);
+      domains = 0;
     }
     path
 
 let decode path = io @@ fun () -> Snapshot.decode path
-
-(* The structured warning for the set_parallel/recover interaction: the
-   snapshot was taken by a warehouse with a domain pool, but pools are
-   runtime-only, so the loaded warehouse is serial until [set_parallel] is
-   called again. *)
-let warn_parallel_reset path domains =
-  if domains > 0 then begin
-    Log.warn (fun m ->
-        m
-          "%s was saved with a %d-domain parallel pool; pools are \
-           runtime-only and are not restored — call set_parallel again"
-          path domains);
-    Telemetry.Counter.one Obs.parallel_resets;
-    Telemetry.Trace.event "warehouse.parallel-reset"
-      ~attrs:[ ("path", path); ("domains", string_of_int domains) ]
-  end
 
 (* Restore the snapshot decoded from [path]: rebuild every engine from the
    restored shadow — registration-time initialization from the believed
    source, every view at once ([build_engines]). Engines are never saved:
    snapshots are taken between batches, when every engine is a pure
    function of the validator's committed shadow (the audit verb checks
-   exactly this). The pool is never restored either
-   ([warn_parallel_reset]). *)
-let restore path (d : Snapshot.contents) =
+   exactly this). *)
+let restore (d : Snapshot.contents) =
   let validator = Validator.of_shadow d.shadow in
   let views = build_engines validator d.views in
-  warn_parallel_reset path d.domains;
   make ~views ~validator ~dead:d.dead ~seq:d.seq
 
 let load path =
-  let t = restore path (decode path) in
+  let t = restore (decode path) in
   publish_epoch t;
   t
 
@@ -876,37 +849,35 @@ let quarantine t rejections =
 let believed_source t = Validator.believed_source t.validator
 let ingested_batches t = t.seq
 
-(* The batch netted once for every incremental view on the compacted path:
-   only the tables some of them read, keyed as the shadow keys them. [None]
-   when no view takes a netted batch. *)
+(* The batch netted once for every view: only the tables some view reads,
+   keyed as the shadow keys them. An incremental view takes its tables
+   from it; the others apply the raw batch. *)
 let net_batch t deltas =
-  let takers = List.filter (fun r -> Engines.takes_netted r.engine) t.views in
-  if takers = [] then None
-  else
-    let shadow = Validator.shadow t.validator in
-    let key_index tbl =
-      if List.exists (fun r -> List.mem tbl r.view.View.tables) takers then
-        Some (Relational.Schema.key_index (Database.schema_of shadow tbl))
-      else None
-    in
-    Some (Maintenance.Engine.net ~key_index deltas)
+  let shadow = Validator.shadow t.validator in
+  let key_index tbl =
+    if List.exists (fun r -> List.mem tbl r.view.View.tables) t.views then
+      Some (Relational.Schema.key_index (Database.schema_of shadow tbl))
+    else None
+  in
+  Maintenance.Engine.net t.net_keys ~key_index deltas
 
 (* Transactional apply, in place: every engine opens an undo journal and
    absorbs the batch directly; a mid-batch failure rolls back only the
    touched groups, so the registered views can never disagree about which
    deltas they have seen — at O(delta) cost. No engine state is ever
-   copied: the engines have no copy operation. With a pool the batch is
-   netted once, inside the transaction (an illegal batch fails like an
-   engine would), and dropped with this frame once the last engine has
-   used it. *)
+   copied: the engines have no copy operation. The batch is netted once,
+   inside the transaction (an illegal batch fails like an engine would),
+   through the warehouse's key table, and every incremental view reads
+   that netting. *)
 let apply_in_place t deltas =
   List.iter (fun r -> Engines.begin_txn r.engine) t.views;
-  let netted = Option.bind t.parallel (fun _ -> net_batch t deltas) in
+  let netted = net_batch t deltas in
   List.iteri
     (fun i r ->
-      Engines.apply_batch ?parallel:t.parallel ?netted r.engine deltas;
+      Engines.apply_batch ~netted r.engine deltas;
       if i = 0 then Faults.hit Faults.Mid_engine_apply)
-    t.views
+    t.views;
+  Relational.Delta_batch.release netted
 
 let commit_engines t = List.iter (fun r -> Engines.commit r.engine) t.views
 
@@ -981,8 +952,9 @@ let abort t ~seq deltas cause =
    is written and fsynced to the WAL when a log is attached, applied in
    place, and committed in every engine and the validator; then
    [t.seq] advances and the batch's lineage record is emitted. Replay
-   writes nothing: the writer opens only after it, and pools are never
-   restored before it, so a replayed batch applies serially. A failed WAL
+   writes nothing: the writer opens only after it. Both net the batch
+   once ([apply_in_place]), so a replayed batch is applied exactly as its
+   ingest was. A failed WAL
    write or barrier fails the log: the batch is aborted before any engine
    sees it, and [Io_error] is raised ([replace_failed_log]). A batch the
    log cannot encode was not written, so the log stays attached. That and
@@ -1183,7 +1155,7 @@ let recover ~dir =
                     ( "domains",
                       string_of_int (Maintenance.Shard.fan_out_domains views) );
                   ]
-                (fun () -> restore path d)
+                (fun () -> restore d)
             with
             | t -> (t, gen, path)
             (* only failed *verification* falls back down the chain: an

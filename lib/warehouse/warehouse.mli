@@ -201,18 +201,11 @@ val health :
     the cap. @raise Error ([Invalid_request] if [n < 1]). *)
 val set_dead_letter_cap : t -> int option -> unit
 
-(** [set_parallel t (Some pool)] makes every subsequent batch apply through
-    the compacted path ({!Maintenance.Engine.apply_batch} with
-    [?parallel]) on engines that support it; [None] (the initial state)
-    restores plain serial application. With a pool, each batch is netted
-    once ({!Maintenance.Engine.net}) and every incremental view takes its
-    tables from that one result. Runtime configuration, not state: the
-    pool is never persisted, and {!load}/{!recover} reset it to [None] — a
-    recovered warehouse runs serially until [set_parallel] is called again.
-    Snapshots record the pool {e size}, so a load that drops a pool emits a
-    [minview.warehouse] warning, a [warehouse.parallel-reset] trace event and
-    bumps the [minview_warehouse_parallel_resets_total] counter instead of
-    resetting silently. *)
+(** A no-op. Every batch, ingested or replayed, is netted once through a
+    key table the warehouse keeps ({!Maintenance.Engine.net}), and every
+    incremental view takes its tables from that one result; no pool
+    selects it. Kept, with {!Maintenance.Shard.serial}, for callers that
+    still pass a pool; it goes when they stop. *)
 val set_parallel : t -> Maintenance.Shard.pool option -> unit
 
 (** The dead-letter queue, oldest first. *)
@@ -267,8 +260,8 @@ val ingested_batches : t -> int
     {e Row order.} An epoch holds each view's rows in the canonical order
     ([Tuple.compare] ascending, as [Relational.Relation.to_sorted_list]
     gives it), so {!read_sorted}, {!query_sorted} and the [minview serve]
-    protocol walk them without sorting, and their output is stable across
-    serial and netted apply. The relation {!query} builds iterates in
+    protocol walk them without sorting, and their output does not depend
+    on how the deltas were cut into batches. The relation {!query} builds iterates in
     hashtable order instead.
 
     {e Aged views.} {!query} on a view registered with the {!Aged}
@@ -526,10 +519,8 @@ val write_workload_profile : t -> string
     counted as [minview_warehouse_snapshot_fallbacks_total]) once an older
     generation has verified. An existing-but-empty state directory is a
     valid cold start: it is initialized in place instead of reported as
-    corruption. A parallel pool active when the snapshot was taken is
-    {e not} restored (see {!set_parallel}); the reset is reported through
-    the warning event and counter described there. A replayed batch
-    commits exactly as an ingested one; one the validator now refuses, or
+    corruption. A replayed batch commits exactly as an ingested one,
+    netted once through the same path; one the validator now refuses, or
     an engine fails on, is aborted and quarantined whole as
     [Engine_failure] and keeps its sequence number, never failing the
     recovery. Engines are built as by {!load}, concurrently; only a snapshot

@@ -326,6 +326,24 @@ let sale_inserts (p : Workload.Retail.params) ~first n =
    negative changes after the positive ones) and one that mostly updates
    (repricings go in place, and chains of updates to one row net to one).
    The default's label is empty. *)
+(* The per-delta oracle of the netted route: each delta applied as its own
+   batch, in stream order, so no netting ever combines two of them. *)
+let apply_each apply e deltas = List.iter (fun d -> apply e [ d ]) deltas
+
+(* A netted batch's net changes as fresh deltas, tables in first-touch
+   order. *)
+let netted_deltas (t : Relational.Delta_batch.t) =
+  List.concat_map
+    (fun tb ->
+      let name = Relational.Delta_batch.name tb and acc = ref [] in
+      Relational.Delta_batch.iter tb
+        ~insert:(fun t -> acc := Delta.insert name t :: !acc)
+        ~delete:(fun t -> acc := Delta.delete name t :: !acc)
+        ~update:(fun before after ->
+          acc := Delta.update name ~before ~after :: !acc);
+      List.rev !acc)
+    t.Relational.Delta_batch.tables
+
 let op_mixes =
   [ ("", Workload.Delta_gen.default_mix);
     ("delete-heavy", { Workload.Delta_gen.insert = 2; delete = 6; update = 1 });

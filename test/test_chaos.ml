@@ -17,7 +17,6 @@
 
 open Helpers
 module Faults = Maintenance.Faults
-module Shard = Maintenance.Shard
 module Durable = Warehouse.Durable
 
 let test case fn = Alcotest.test_case case `Quick fn
@@ -301,12 +300,11 @@ let engine_failure_tests =
   [
     test "an engine failure on the netted path aborts the batch" (fun () ->
         let _db, wh = build () in
-        Warehouse.set_parallel wh (Some Shard.serial);
         let contents v = snd (Warehouse.query wh v.View.name) in
         let views0 = List.map contents all_views in
         let source0 = store_image (Warehouse.believed_source wh) in
         (* the fault strikes after the first view applied the batch: the
-           batch must abort as it would on a serial warehouse *)
+           batch must abort whole *)
         Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
         let r =
           Fun.protect ~finally:Faults.disarm (fun () ->

@@ -2,8 +2,8 @@
    Aux_state must hold the group-by of its live weighted tuples
    (Algorithm 3.1: Plain columns, COUNT( * ), the SUM replacements) and
    View_state must render what Algebra.Eval recomputes from the live rows,
-   under random insert/delete/update/rollback sequences, serial and
-   parallel. Plus directed tests for the physical layer: dictionary growth
+   under random insert/delete/update/rollback sequences, applied one
+   delta per batch and netted. Plus directed tests for the physical layer: dictionary growth
    (including concurrent intern), column specialization and demotion,
    swap-with-last index repair, and undo-journal cell restoration. *)
 
@@ -16,7 +16,6 @@ module Marks = Maintenance.Column.Marks
 module Dict = Maintenance.Dict
 module Rowmap = Relational.Rowmap
 module Engines = Maintenance.Engines
-module Shard = Maintenance.Shard
 module Derive = Mindetail.Derive
 module Auxview = Mindetail.Auxview
 module Prng = Workload.Prng
@@ -313,8 +312,8 @@ let prop_netted_equivalence =
       let ok = ref true in
       for _ = 1 to 3 do
         let deltas = Workload.Delta_gen.stream rng db ~n:25 in
-        Engines.apply_batch ser deltas;
-        Engines.apply_batch ~parallel:Shard.serial par deltas;
+        apply_each Engines.apply_batch ser deltas;
+        Engines.apply_batch par deltas;
         ok :=
           !ok
           && Relation.equal (Engines.view_contents ser)
@@ -362,8 +361,7 @@ let prop_twin_isolation =
         Engines.apply_batch c (Workload.Delta_gen.stream rng' db' ~n:12);
         ok := !ok && agrees c db' && agrees e db
       done;
-      Engines.apply_batch ~parallel:Shard.serial e
-        (Workload.Delta_gen.stream rng db ~n:20);
+      Engines.apply_batch e (Workload.Delta_gen.stream rng db ~n:20);
       Engines.apply_batch c (Workload.Delta_gen.stream rng' db' ~n:12);
       !ok && agrees e db && agrees c db')
 

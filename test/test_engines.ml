@@ -104,17 +104,19 @@ let script (label, build) () =
     (Engines.measured_bytes e = None);
   Alcotest.(check bool) "off-heap bytes only for columnar state" replica
     (Engines.offheap_bytes e = 0);
-  (* a netted batch is the raw batch, on every engine that takes one *)
-  if Engines.takes_netted e then begin
+  (* a netted batch is the raw batch, on every engine; only incremental
+     ones take it *)
+  begin
     let raw = build db view and netted = build db view in
     let deltas = batch rng db in
     let key_index tbl =
       Some (Schema.key_index (Database.schema_of db tbl))
     in
-    let parallel = Maintenance.Shard.serial in
-    Engines.apply_batch ~parallel raw deltas;
-    Engines.apply_batch ~parallel
-      ~netted:(Relational.Delta_batch.net ~key_index deltas)
+    Engines.apply_batch raw deltas;
+    Engines.apply_batch
+      ~netted:
+        (Relational.Delta_batch.net (Relational.Delta_batch.keys ()) ~key_index
+           deltas)
       netted deltas;
     Alcotest.check relation "netted == raw" (Engines.view_contents raw)
       (Engines.view_contents netted)

@@ -6,7 +6,6 @@
    equivalence property over random workloads. *)
 
 open Helpers
-module Shard = Maintenance.Shard
 module Faults = Maintenance.Faults
 
 let test case fn = Alcotest.test_case case `Quick fn
@@ -48,10 +47,9 @@ let fact_batch ?(groups = groups_per_batch) n =
       let g = (n * groups) + j in
       Delta.insert "fact" (row [ i g; i g; i (7 * g) ]))
 
-let torn_read_run ~parallel =
+let torn_read_run () =
   let wh = Warehouse.create (fact_db ()) in
   Warehouse.add_view wh by_k;
-  if parallel then Warehouse.set_parallel wh (Some Shard.serial);
   let groups = 512 and batches = 12 in
   let stop = Atomic.make false in
   let reader =
@@ -70,7 +68,6 @@ let torn_read_run ~parallel =
   done;
   Atomic.set stop true;
   let reads, bad = Domain.join reader in
-  if parallel then Warehouse.set_parallel wh None;
   Alcotest.(check bool) "reader observed the run" true (reads > 0);
   (match bad with
   | None -> ()
@@ -82,10 +79,7 @@ let torn_read_run ~parallel =
 
 let torn_read_tests =
   [
-    test "reader racing serial ingest never sees a torn state" (fun () ->
-        torn_read_run ~parallel:false);
-    test "reader racing netted ingest never sees a torn state"
-      (fun () -> torn_read_run ~parallel:true);
+    test "reader racing netted ingest never sees a torn state" torn_read_run;
   ]
 
 (* --- publication discipline ---------------------------------------------- *)

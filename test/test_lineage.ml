@@ -12,7 +12,6 @@ module Lineage = Telemetry.Lineage
 module Jsonl_sink = Telemetry.Jsonl_sink
 module Attribution = Mindetail.Attribution
 module Engine = Maintenance.Engine
-module Shard = Maintenance.Shard
 
 let test case fn = Alcotest.test_case case `Quick fn
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
@@ -42,17 +41,22 @@ let valid_sale () =
 
 let record_tests =
   [
-    test "a committed serial batch leaves one record matching the counters"
+    test "a committed batch leaves one record matching the counters"
       (fun () ->
         Metrics.reset ();
         Lineage.clear ();
         let db = Workload.Retail.load tiny in
         let wh = Warehouse.create db in
         Warehouse.add_view wh Workload.Retail.monthly_revenue;
+        let mirror =
+          Engine.init db
+            (Mindetail.Derive.derive db Workload.Retail.monthly_revenue)
+        in
         Metrics.reset ();
         Lineage.clear ();
         let rng = Workload.Prng.create 5 in
         let deltas = Workload.Delta_gen.stream rng db ~n:25 in
+        let profile = Engine.net_profile mirror deltas in
         let r = Warehouse.ingest_report wh deltas in
         Alcotest.(check int) "all applied" 25 r.Warehouse.applied;
         match Lineage.recent () with
@@ -66,16 +70,16 @@ let record_tests =
             (counter_value "minview_lineage_records_total");
           match rc.Lineage.flows with
           | [ flow ] ->
-            Alcotest.(check string) "mode" "serial" flow.Lineage.mode;
+            Alcotest.(check string) "mode" "netted" flow.Lineage.mode;
             Alcotest.(check int)
               "deltas_in equals the engine counter"
               (counter_value "minview_engine_deltas_total")
               flow.Lineage.deltas_in;
             Alcotest.(check int)
-              "serial netting is the identity" flow.Lineage.deltas_in
+              "netted equals the compaction profile" profile.Engine.netted
               flow.Lineage.netted;
             Alcotest.(check int)
-              "serial apply is one op per delta" flow.Lineage.deltas_in
+              "applied equals the compaction profile" profile.Engine.applied
               flow.Lineage.applied
           | l -> Alcotest.fail (Printf.sprintf "got %d flows" (List.length l)))
         | l -> Alcotest.fail (Printf.sprintf "got %d records" (List.length l)));
@@ -146,18 +150,46 @@ let record_tests =
         in
         let ser = build () in
         let rng = Workload.Prng.create 13 in
-        Engine.apply_batch ser (Workload.Delta_gen.stream rng db ~n:40);
+        apply_each Engine.apply_batch ser
+          (Workload.Delta_gen.stream rng db ~n:40);
         (* the netted twin is built from the source the serial engine
            has absorbed *)
         let par = build () in
         let batch = Workload.Delta_gen.stream rng db ~n:120 in
         let profile = Engine.net_profile ser batch in
-        Engine.apply_batch ser batch;
-        let serial_flow = Option.get (Engine.last_flow ser) in
+        (* the serial flow: the sum of one flow per delta *)
+        let serial_flow =
+          List.fold_left
+            (fun (acc : Lineage.view_flow option) d ->
+              Engine.apply_batch ser [ d ];
+              let f = Option.get (Engine.last_flow ser) in
+              match acc with
+              | None -> Some f
+              | Some a ->
+                Some
+                  {
+                    a with
+                    Lineage.deltas_in = a.Lineage.deltas_in + f.Lineage.deltas_in;
+                    group_delta = a.Lineage.group_delta + f.Lineage.group_delta;
+                    aux_flows =
+                      List.map2
+                        (fun (x : Lineage.aux_flow) (y : Lineage.aux_flow) ->
+                          {
+                            x with
+                            Lineage.resident_delta =
+                              x.Lineage.resident_delta + y.Lineage.resident_delta;
+                            detail_delta =
+                              x.Lineage.detail_delta + y.Lineage.detail_delta;
+                          })
+                        a.Lineage.aux_flows f.Lineage.aux_flows;
+                  })
+            None batch
+          |> Option.get
+        in
         Metrics.reset ();
-        Engine.apply_batch ~parallel:Shard.serial par batch;
+        Engine.apply_batch par batch;
         let flow = Option.get (Engine.last_flow par) in
-        Alcotest.(check string) "mode" "parallel" flow.Lineage.mode;
+        Alcotest.(check string) "mode" "netted" flow.Lineage.mode;
         Alcotest.(check int)
           "deltas_in equals the engine counter"
           (counter_value "minview_engine_deltas_total")

@@ -872,12 +872,12 @@ let distinct_tests =
             [ [ Aggregate.Sum ]; [ Aggregate.Avg ]; [ Aggregate.Sum; Aggregate.Avg ] ]
         in
         List.iter
-          (fun (view, parallel) ->
+          (fun (view, apply) ->
             let db = float_db () in
             let e = Engine.init db (Derive.derive db view) in
             let step deltas =
               Database.apply_all db deltas;
-              Engine.apply_batch ?parallel e deltas;
+              apply e deltas;
               (* exact equality: no tolerance *)
               Alcotest.check relation "maintained == recomputed"
                 (Algebra.Eval.eval db view) (Engine.view_contents e)
@@ -899,7 +899,8 @@ let distinct_tests =
                 Delta.delete "item" (item 7 1 0.1) ])
           (List.concat_map
              (fun view ->
-               [ (view, None); (view, Some Maintenance.Shard.serial) ])
+               [ (view, apply_each Engine.apply_batch);
+                 (view, fun e ds -> Engine.apply_batch e ds) ])
              views));
     test "determined view: dimension updates rewrite the multiset" (fun () ->
         let db = paper_example_db () in
@@ -1069,14 +1070,17 @@ let in_place_tests =
         let key tbl =
           Some (Schema.key_index (Database.schema_of db tbl))
         in
-        (match (Engine.net ~key_index:key batch).Relational.Delta_batch.tables with
-        | [ { deltas = [ { Delta.change = Delta.Update u; _ } ]; _ } ] ->
+        (match
+           netted_deltas
+             (Engine.net (Relational.Delta_batch.keys ()) ~key_index:key batch)
+         with
+        | [ { Delta.change = Delta.Update u; _ } ] ->
           Alcotest.(check bool) "netted into an update" true
             (Tuple.equal u.before before && Tuple.equal u.after after)
         | _ -> Alcotest.fail "expected one netted update");
         Alcotest.(check bool) "storeid exposes" false (in_place e before after);
         Database.apply_all db batch;
-        Engine.apply_batch ~parallel:Maintenance.Shard.serial e batch;
+        Engine.apply_batch e batch;
         Alcotest.check relation "the sale changed city" (Algebra.Eval.eval db view)
           (Engine.view_contents e));
     test "an in-place update changes no count and keeps every group's row"

@@ -14,7 +14,6 @@
    registered on paths this run cannot reach. *)
 
 open Helpers
-module Shard = Maintenance.Shard
 module Faults = Maintenance.Faults
 
 let readers =
@@ -57,8 +56,6 @@ let readers =
       "test/cram/metrics.t; TUTORIAL.md" );
     ("minview_warehouse_ingest_alloc_bytes", "test_exporter.ml");
     ("minview_warehouse_ingest_seconds", "test/cram/metrics.t");
-    ( "minview_warehouse_parallel_resets_total",
-      "test_telemetry.ml; TUTORIAL.md" );
     ("minview_warehouse_quarantined_deltas_total", "test_telemetry.ml");
     ("minview_warehouse_read_seconds", "bench/main.ml; TUTORIAL.md");
     ("minview_warehouse_reads_total", "test/cram/metrics.t");
@@ -149,7 +146,6 @@ let registered =
      let dir = fresh_dir () in
      Warehouse.attach wh ~dir;
      Warehouse.ingest wh (sale_batch 0);
-     Warehouse.set_parallel wh (Some Shard.serial);
      Warehouse.ingest wh (sale_batch 1);
      (* a recoverable engine failure: rolled back and quarantined *)
      Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;

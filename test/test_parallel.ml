@@ -1,13 +1,14 @@
-(* Netted-apply determinism: the compacted path of
-   [Engine.apply_batch ~parallel:Shard.serial] must leave state structurally
-   identical ([Engines.equal_state]) to serial application of the same
-   batch — across engine configurations, op mixes, seeds and batch shapes,
-   including a rejected batch rolled back wherever the poison sits. Plus
-   unit tests for the net-effect compactor ([Delta_batch]). *)
+(* Netted-apply determinism: [Engines.apply_batch], which nets every
+   batch, must leave state structurally identical ([Engines.equal_state])
+   to the same deltas applied one per batch, in stream order — across
+   engine configurations, op mixes, seeds and batch shapes, including a
+   rejected batch rolled back wherever the poison sits. Plus unit tests
+   for the net-effect compactor ([Delta_batch]): its answers against the
+   netting it replaced ([Net_oracle]) and its allocation in exact
+   counts. *)
 
 open Helpers
 module Engines = Maintenance.Engines
-module Shard = Maintenance.Shard
 module Delta_batch = Relational.Delta_batch
 
 let test case fn = Alcotest.test_case case `Quick fn
@@ -82,20 +83,21 @@ let cases =
     };
   ]
 
-(* The property: warm an engine up, build its twin from the evolved
-   source, apply the same fresh batch serially to the warm engine and on
-   the netted path to the twin — the two must be structurally equal to
-   each other and to a rebuild from the source after the batch, and must
-   match recomputation over it. *)
+(* The property: warm an engine up one delta per batch, build its twin
+   from the evolved source, apply the same fresh batch one delta per batch
+   to the warm engine and as one netted batch to the twin — the two must
+   be structurally equal to each other and to a rebuild from the source
+   after the batch, and must match recomputation over it. *)
 let netted_matches_serial case mix seed n () =
   let db = Workload.Retail.load { tiny with seed } in
   let serial = case.build db in
   let rng = Workload.Prng.create ((seed * 17) + 1) in
-  Engines.apply_batch serial (Workload.Delta_gen.stream ~mix rng db ~n:40);
+  apply_each Engines.apply_batch serial
+    (Workload.Delta_gen.stream ~mix rng db ~n:40);
   let par = case.build db in
   let batch = Workload.Delta_gen.stream ~mix rng db ~n in
-  Engines.apply_batch serial batch;
-  Engines.apply_batch ~parallel:Shard.serial par batch;
+  apply_each Engines.apply_batch serial batch;
+  Engines.apply_batch par batch;
   Alcotest.(check bool) "netted state == serial state" true
     (Engines.equal_state serial par);
   Alcotest.(check bool) "netted state == rebuild" true
@@ -112,7 +114,7 @@ let big_batch_netted () =
   let db = Workload.Retail.load tiny in
   let serial = Engines.minimal db Workload.Retail.sales_by_time in
   let rng = Workload.Prng.create 41 in
-  Engines.apply_batch serial (Workload.Delta_gen.stream rng db ~n:40);
+  apply_each Engines.apply_batch serial (Workload.Delta_gen.stream rng db ~n:40);
   let par = Engines.minimal db Workload.Retail.sales_by_time in
   let sale j =
     row
@@ -122,8 +124,8 @@ let big_batch_netted () =
   List.iter
     (fun (label, batch) ->
       Database.apply_all db batch;
-      Engines.apply_batch serial batch;
-      Engines.apply_batch ~parallel:Shard.serial par batch;
+      apply_each Engines.apply_batch serial batch;
+      Engines.apply_batch par batch;
       Alcotest.(check bool)
         (Printf.sprintf "big-batch %s netted == serial" label)
         true
@@ -152,18 +154,19 @@ let determinism_tests =
     cases
   @ [ test "1,000 inserts, then 600 deletes" big_batch_netted ]
 
-(* A poisoned batch (NULL in a summed column) must raise on the netted path
-   exactly as under serial, and rollback must restore the pre-batch state
-   bit for bit: the state of an engine built from the source as it stood
-   before the batch. The poison goes first, mid-batch or last: the netted
-   path reorders the batch (positive changes first), so the changes it
-   applied before raising differ with the position. *)
+(* A poisoned batch (NULL in a summed column) must raise, and rollback
+   must restore the pre-batch state bit for bit: the state of an engine
+   built from the source as it stood before the batch. The poison goes
+   first, mid-batch or last: netting reorders the batch (positive changes
+   first), so the changes applied before raising differ with the
+   position. *)
 let netted_rollback case place () =
   let db = Workload.Retail.load tiny in
   let mix = snd (List.hd case.mixes) in
   let eng = case.build db in
   let rng = Workload.Prng.create 23 in
-  Engines.apply_batch eng (Workload.Delta_gen.stream ~mix rng db ~n:40);
+  apply_each Engines.apply_batch eng
+    (Workload.Delta_gen.stream ~mix rng db ~n:40);
   let snapshot = case.build db in
   let valid = Workload.Delta_gen.stream ~mix rng db ~n:10 in
   (* timeid 6 passes monthly_revenue's 1997 semijoin and lies in the
@@ -173,7 +176,7 @@ let netted_rollback case place () =
     Delta.insert "sale" (row [ i 1_000_001; i 6; i 1; i 1; Value.Null ])
   in
   Engines.begin_txn eng;
-  (match Engines.apply_batch ~parallel:Shard.serial eng (place valid poison) with
+  (match Engines.apply_batch eng (place valid poison) with
   | () -> Alcotest.fail "the poisoned batch must raise"
   | exception _ -> ());
   Engines.rollback eng;
@@ -181,7 +184,7 @@ let netted_rollback case place () =
     "rollback restores the pre-batch state" true
     (Engines.equal_state eng snapshot);
   (* the engine stays fully usable afterwards *)
-  Engines.apply_batch ~parallel:Shard.serial eng valid;
+  Engines.apply_batch eng valid;
   Alcotest.check relation "post-rollback maintenance tracks recomputation"
     (Algebra.Eval.eval db case.cview)
     (Engines.view_contents eng)
@@ -216,7 +219,7 @@ let key_index tbl =
     (Relational.Schema.key_index
        (Database.schema_of (Workload.Retail.empty ()) tbl))
 
-let net deltas = Delta_batch.net ~key_index deltas
+let net deltas = Delta_batch.net (Delta_batch.keys ()) ~key_index deltas
 
 let delta : Delta.t Alcotest.testable =
   Alcotest.testable Delta.pp (fun a b ->
@@ -236,7 +239,7 @@ let compactor_tests =
           net [ Delta.insert "sale" (sale 1 ());
                 Delta.delete "sale" (sale 1 ()) ]
         in
-        Alcotest.(check (list delta)) "no net deltas" [] (Delta_batch.deltas t);
+        Alcotest.(check (list delta)) "no net deltas" [] (netted_deltas t);
         Alcotest.(check int) "stats.input" 2 t.Delta_batch.stats.input;
         Alcotest.(check int) "stats.output" 0 t.Delta_batch.stats.output);
     test "insert then update nets to one insert" (fun () ->
@@ -249,7 +252,7 @@ let compactor_tests =
         Alcotest.(check (list delta))
           "net insert of the after-image"
           [ Delta.insert "sale" (sale 1 ~price:25 ()) ]
-          (Delta_batch.deltas t));
+          (netted_deltas t));
     test "update chain composes endpoints" (fun () ->
         let t =
           net
@@ -262,7 +265,7 @@ let compactor_tests =
           "one composed update"
           [ Delta.update "sale" ~before:(sale 1 ~price:10 ())
               ~after:(sale 1 ~price:30 ()) ]
-          (Delta_batch.deltas t));
+          (netted_deltas t));
     test "a round-tripping update chain cancels" (fun () ->
         let t =
           net
@@ -271,7 +274,7 @@ let compactor_tests =
               Delta.update "sale" ~before:(sale 1 ~price:20 ())
                 ~after:(sale 1 ~price:10 ()) ]
         in
-        Alcotest.(check (list delta)) "no net deltas" [] (Delta_batch.deltas t));
+        Alcotest.(check (list delta)) "no net deltas" [] (netted_deltas t));
     test "delete then reinsert nets to an update" (fun () ->
         let t =
           net
@@ -282,14 +285,14 @@ let compactor_tests =
           "one update"
           [ Delta.update "sale" ~before:(sale 1 ~price:10 ())
               ~after:(sale 1 ~price:40 ()) ]
-          (Delta_batch.deltas t));
+          (netted_deltas t));
     test "delete then identical reinsert cancels" (fun () ->
         let t =
           net
             [ Delta.delete "sale" (sale 1 ());
                 Delta.insert "sale" (sale 1 ()) ]
         in
-        Alcotest.(check (list delta)) "no net deltas" [] (Delta_batch.deltas t));
+        Alcotest.(check (list delta)) "no net deltas" [] (netted_deltas t));
     test "a key-changing update decomposes into delete + insert" (fun () ->
         let t =
           net
@@ -300,14 +303,14 @@ let compactor_tests =
           "delete old slot, insert new slot"
           [ Delta.delete "sale" (sale 1 ~price:10 ());
             Delta.insert "sale" (sale 2 ~price:10 ()) ]
-          (Delta_batch.deltas t));
+          (netted_deltas t));
     test "untouched slots pass through in first-touch order" (fun () ->
         let ds =
           [ Delta.insert "sale" (sale 3 ()); Delta.insert "sale" (sale 1 ());
             Delta.insert "sale" (sale 2 ()) ]
         in
         Alcotest.(check (list delta)) "order preserved" ds
-          (Delta_batch.deltas (net ds)));
+          (netted_deltas (net ds)));
     test "a duplicate insert is rejected" (fun () ->
         (* the delete forces the table through the netting path; a
            pure-insert batch passes through untouched, deferring duplicate
@@ -379,7 +382,6 @@ let nets_once () =
     Workload.Retail.[ monthly_revenue; product_sales; sales_by_time ]
   in
   List.iter (Warehouse.add_view wh) views;
-  Warehouse.set_parallel wh (Some Shard.serial);
   let mirrors =
     List.map
       (fun (v : View.t) ->
@@ -492,9 +494,10 @@ let rekeys rng db ~next n =
       d)
 
 (* The same stream — fact changes with deletes, key-changing and regrouping
-   updates, and dimension updates — through a warehouse with no pool and
-   one on [Shard.serial]: every view reads the same rows after every
-   batch, and they are the recomputed ones. *)
+   updates, and dimension updates — through a warehouse that ingests each
+   delta as its own batch and one that ingests the stream in netted
+   batches: every view reads the same rows after every batch, and they
+   are the recomputed ones. *)
 let prop_pools_agree =
   QCheck2.Test.make ~count:10
     ~name:"warehouse: no pool == Shard.serial"
@@ -506,13 +509,16 @@ let prop_pools_agree =
         Workload.Retail.
           [ monthly_revenue; product_sales; product_sales_max; sales_by_time ]
       in
-      let warehouse pool =
+      let warehouse ingest =
         let wh = Warehouse.create db in
         List.iter (Warehouse.add_view wh) views;
-        Warehouse.set_parallel wh pool;
-        wh
+        (wh, ingest)
       in
-      let whs = [ warehouse None; warehouse (Some Shard.serial) ] in
+      let whs =
+        [ warehouse (fun wh ds ->
+              List.map (fun d -> Warehouse.ingest_report wh [ d ]) ds);
+          warehouse (fun wh ds -> [ Warehouse.ingest_report wh ds ]) ]
+      in
       let rng = Workload.Prng.create seed in
       let next = ref 7_000_000 in
       let rows_equal =
@@ -531,15 +537,16 @@ let prop_pools_agree =
         in
         let batch = facts @ moved @ dims @ more in
         List.iter
-          (fun wh ->
-            let r = Warehouse.ingest_report wh batch in
-            ok := !ok && r.Warehouse.rejected = [])
+          (fun (wh, ingest) ->
+            List.iter
+              (fun r -> ok := !ok && r.Warehouse.rejected = [])
+              (ingest wh batch))
           whs;
         List.iter
           (fun (v : View.t) ->
             let expected = Relation.to_sorted_list (Algebra.Eval.eval db v) in
             List.iter
-              (fun wh ->
+              (fun (wh, _) ->
                 ok :=
                   !ok
                   && rows_equal expected
@@ -549,9 +556,152 @@ let prop_pools_agree =
       done;
       !ok)
 
+(* --- the kernel against the netting it replaced --------------------------- *)
+
+(* [batch] with a change no starting state can replay added after a
+   random delta: that delta again (a duplicate insert or a double delete;
+   a repeated update stays legal), or a change of a row it deleted. *)
+let spoil rng batch =
+  let n = List.length batch in
+  let k = Workload.Prng.int rng n in
+  let d = List.nth batch k in
+  let extra =
+    match d.Delta.change with
+    | Delta.Delete tup when Workload.Prng.int rng 2 = 0 ->
+      Delta.update d.Delta.table ~before:tup ~after:(Array.copy tup)
+    | _ -> d
+  in
+  List.filteri (fun j _ -> j <= k) batch
+  @ (extra :: List.filteri (fun j _ -> j > k) batch)
+
+let netting_of f =
+  match f () with
+  | r -> Ok r
+  | exception Invalid_argument m -> Error m
+
+(* Streams over every op mix, with key-changing updates, dimension
+   changes, a table the key index drops and, in every other batch, an
+   illegal sequence: one key table nets them all in turn, and each
+   batch's tables, counts and net changes — or its error message — are
+   the old netting's. *)
+let prop_kernel_matches_oracle =
+  QCheck2.Test.make ~count:30
+    ~name:"Delta_batch.net == the per-batch netting it replaced"
+    ~print:string_of_int
+    QCheck2.Gen.(int_bound 10_000)
+    (fun seed ->
+      let db = rekeyable_store seed in
+      let rng = Workload.Prng.create seed in
+      let next = ref 8_000_000 in
+      let dropped = [| "store"; "time"; "" |].(seed mod 3) in
+      let key_index tbl =
+        if String.equal tbl dropped then None
+        else Some (Relational.Schema.key_index (Database.schema_of db tbl))
+      in
+      let keys = Delta_batch.keys () in
+      List.for_all
+        (fun (round, (_, mix)) ->
+          let legal =
+            Workload.Delta_gen.stream ~mix rng db ~n:(10 + Workload.Prng.int rng 60)
+            @ rekeys rng db ~next (Workload.Prng.int rng 4)
+            @ Workload.Delta_gen.stream ~mix rng db ~n:20
+          in
+          let batch = if round land 1 = 1 then spoil rng legal else legal in
+          let expected = netting_of (fun () -> Net_oracle.net ~key_index batch) in
+          let got =
+            netting_of (fun () ->
+                let t = Delta_batch.net keys ~key_index batch in
+                ( List.map
+                    (fun tb ->
+                      ( Delta_batch.name tb,
+                        Delta_batch.input tb,
+                        Delta_batch.output tb ))
+                    t.Delta_batch.tables,
+                  t.Delta_batch.stats,
+                  netted_deltas t ))
+          in
+          match (expected, got) with
+          | Error m, Error m' -> String.equal m m'
+          | Ok tables, Ok (counts, stats, deltas) ->
+            List.equal ( = ) counts
+              (List.map (fun (n, i, ds) -> (n, i, List.length ds)) tables)
+            && stats.Delta_batch.input
+               = List.fold_left (fun a (_, i, _) -> a + i) 0 tables
+            && stats.Delta_batch.output = List.length deltas
+            && List.equal
+                 (fun (a : Delta.t) (b : Delta.t) ->
+                   String.equal a.Delta.table b.Delta.table
+                   &&
+                   match (a.Delta.change, b.Delta.change) with
+                   | Delta.Insert x, Delta.Insert y
+                   | Delta.Delete x, Delta.Delete y ->
+                     Tuple.equal x y
+                   | Delta.Update u, Delta.Update v ->
+                     Tuple.equal u.before v.before && Tuple.equal u.after v.after
+                   | _ -> false)
+                 (List.concat_map (fun (_, _, ds) -> ds) tables)
+                 deltas
+          | Ok _, Error m | Error m, Ok _ ->
+            QCheck2.Test.fail_reportf "round %d: only one netting raised %S"
+              round m)
+        (List.mapi (fun round mix -> (round, mix)) (op_mixes @ op_mixes)))
+
+(* [n] sale changes, each to its own key: inserts of fresh ids, updates
+   and deletes of existing ones, in turn. *)
+let distinct_mixed n =
+  List.init n (fun j ->
+      let id = 1 + j in
+      match j mod 3 with
+      | 0 -> Delta.insert "sale" (sale (5_000_000 + id) ())
+      | 1 ->
+        Delta.update "sale" ~before:(sale id ~price:10 ())
+          ~after:(sale id ~price:11 ())
+      | _ -> Delta.delete "sale" (sale id ()))
+
+let sale_key tbl = if String.equal tbl "sale" then Some 0 else None
+
+let net_words keys batch =
+  let w0 = Gc.minor_words () in
+  let (_ : Delta_batch.t) = Delta_batch.net keys ~key_index:sale_key batch in
+  int_of_float (Gc.minor_words () -. w0)
+
+let kernel_tests =
+  [
+    test "one key table nets 500 and 5,000 distinct keys in the same words"
+      (fun () ->
+        let keys = Delta_batch.keys () in
+        let small = distinct_mixed 500 and large = distinct_mixed 5_000 in
+        (* the first batch grows the slot arrays and the key index *)
+        ignore (net_words keys large);
+        let w_small = net_words keys small and w_large = net_words keys large in
+        Printf.printf "net: %d minor words for 500 deltas, %d for 5,000\n"
+          w_small w_large;
+        Alcotest.(check int) "words independent of the batch size" w_small
+          w_large;
+        (* repeated keys compose in the slots, with no further words *)
+        let churn =
+          List.init 5_000 (fun j ->
+              let id = 1 + (j mod 500) in
+              Delta.update "sale"
+                ~before:(sale id ~price:(10 + (j / 500)) ())
+                ~after:(sale id ~price:(11 + (j / 500)) ()))
+        in
+        Alcotest.(check int) "nor on 5,000 updates of 500 keys" w_small
+          (net_words keys churn));
+    test "a netted batch read after its key table nets again raises"
+      (fun () ->
+        let keys = Delta_batch.keys () in
+        let first = Delta_batch.net keys ~key_index:sale_key (distinct_mixed 9) in
+        ignore (Delta_batch.net keys ~key_index:sale_key (distinct_mixed 6));
+        match netted_deltas first with
+        | _ -> Alcotest.fail "expected Assert_failure"
+        | exception Assert_failure _ -> ());
+    QCheck_alcotest.to_alcotest prop_kernel_matches_oracle;
+  ]
+
 let warehouse_tests =
   [
-    test "a pooled warehouse nets each batch once for every view" nets_once;
+    test "a warehouse nets each batch once for every view" nets_once;
     QCheck_alcotest.to_alcotest prop_pools_agree;
   ]
 
@@ -559,6 +709,6 @@ let () =
   Alcotest.run "parallel"
     [
       ("determinism", determinism_tests); ("parallel-rollback", rollback_tests);
-      ("delta-batch", compactor_tests);
+      ("delta-batch", compactor_tests @ kernel_tests);
       ("net-profile", profile_tests); ("warehouse", warehouse_tests);
     ]

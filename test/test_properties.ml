@@ -271,7 +271,6 @@ let prop_minmax_walks =
       let wh = Warehouse.create (Database.copy db) in
       Warehouse.add_view wh view;
       Warehouse.attach wh ~dir;
-      let pool = Maintenance.Shard.serial in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 1; delete = 4; update = 2 } in
       let batch () =
@@ -289,19 +288,22 @@ let prop_minmax_walks =
       let ok = ref true in
       for round = 1 to 6 do
         let deltas = batch () in
-        let parallel = if round land 1 = 0 then Some pool else None in
+        (* alternate one netted batch and one batch per delta *)
+        let apply =
+          if round land 1 = 0 then fun e ds -> Engine.apply_batch e ds
+          else apply_each Engine.apply_batch
+        in
         Engine.begin_txn e;
         if Workload.Prng.int rng 3 = 0 then begin
           let cut = Workload.Prng.int rng (List.length deltas + 1) in
-          Engine.apply_batch ?parallel e
-            (List.filteri (fun k _ -> k < cut) deltas);
+          apply e (List.filteri (fun k _ -> k < cut) deltas);
           Engine.rollback e;
           List.iter
             (fun d -> Database.apply db (Delta.invert d))
             (List.rev deltas)
         end
         else begin
-          Engine.apply_batch ?parallel e deltas;
+          apply e deltas;
           Engine.commit e;
           Warehouse.ingest wh deltas
         end;
@@ -323,8 +325,8 @@ let prop_minmax_walks =
       let rebuilt = Engine.init db d in
       ok := !ok && Engine.equal_state e rebuilt;
       let deltas = batch () in
-      Engine.apply_batch e deltas;
-      Engine.apply_batch ~parallel:pool rebuilt deltas;
+      apply_each Engine.apply_batch e deltas;
+      Engine.apply_batch rebuilt deltas;
       !ok && agrees e && agrees rebuilt && Engine.equal_state e rebuilt)
 
 (* Random views whose aggregates are all DISTINCT — every kind, over a
@@ -375,7 +377,6 @@ let prop_distinct_multisets =
       let db = Workload.Retail.load tiny_params in
       View.validate db view;
       let e = Maintenance.Engine.init db (Derive.derive db view) in
-      let pool = Maintenance.Shard.serial in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 1; delete = 2; update = 3 } in
       let ok = ref true in
@@ -387,9 +388,9 @@ let prop_distinct_multisets =
             ~tables:[ "product"; "time" ] ~n:4
         in
         let deltas = facts @ dims in
-        (* alternate the serial route and the netted batch path *)
-        let parallel = if round land 1 = 0 then Some pool else None in
-        Maintenance.Engine.apply_batch ?parallel e deltas;
+        (* alternate one batch per delta and one netted batch *)
+        if round land 1 = 0 then Maintenance.Engine.apply_batch e deltas
+        else apply_each Maintenance.Engine.apply_batch e deltas;
         ok :=
           !ok
           && Relation.equal
@@ -484,9 +485,10 @@ let prop_in_place_updates =
             ~tables:[ "time"; "product" ] ~n:2
         in
         let deltas = facts @ dims in
-        Engine.apply_batch serial deltas;
-        Engine.apply_batch split (split_updates deltas);
-        Engine.apply_batch ~parallel:Maintenance.Shard.serial direct deltas;
+        apply_each Engine.apply_batch serial deltas;
+        (* one delta per batch, so netting never rejoins a split update *)
+        apply_each Engine.apply_batch split (split_updates deltas);
+        Engine.apply_batch direct deltas;
         let expected = Algebra.Eval.eval db view in
         ok :=
           !ok
@@ -726,7 +728,6 @@ let prop_publish_equals_capture =
       (* the first round whose end finds the warehouse's source apart from
          the mirror [db], which holds exactly the committed rounds *)
       let diverged = ref None in
-      let pool = Maintenance.Shard.serial in
       let rng = Workload.Prng.create seed in
       let mix = { Workload.Delta_gen.insert = 2; delete = 2; update = 3 } in
       let published_ok () =
@@ -744,14 +745,17 @@ let prop_publish_equals_capture =
           Workload.Delta_gen.stream_for ~mix rng db ~tables:[ "dim" ] ~n:3
         in
         let deltas = facts @ dims in
-        let parallel = if round land 1 = 0 then Some pool else None in
+        (* alternate one netted batch and one batch per delta *)
+        let apply =
+          if round land 1 = 0 then fun e ds -> Engines.apply_batch e ds
+          else apply_each Engines.apply_batch
+        in
         Engines.begin_txn e;
         if Workload.Prng.int rng 3 = 0 then begin
           (* a failure mid-apply: the warehouse stops after part of the
              batch, which is rolled back, at the engine and at the source *)
           let cut = Workload.Prng.int rng (List.length deltas + 1) in
-          Engines.apply_batch ?parallel e
-            (List.filteri (fun k _ -> k < cut) deltas);
+          apply e (List.filteri (fun k _ -> k < cut) deltas);
           Engines.rollback e;
           List.iter
             (fun d -> Database.apply db (Delta.invert d))
@@ -762,9 +766,8 @@ let prop_publish_equals_capture =
               ignore (Warehouse.ingest_report wh deltas))
         end
         else begin
-          Engines.apply_batch ?parallel e deltas;
+          apply e deltas;
           Engines.commit e;
-          Warehouse.set_parallel wh parallel;
           Warehouse.ingest wh deltas;
           committed := true
         end;
@@ -777,7 +780,6 @@ let prop_publish_equals_capture =
         if round = 8 || Workload.Prng.int rng 3 > 0 then
           ok := !ok && published_ok ()
       done;
-      Warehouse.set_parallel wh None;
       (* an epoch right after [recover] or [load] carries no lines; a read
          asks for them and the next commit renders them all *)
       let first_commit wh =

@@ -102,8 +102,95 @@ let crash_and_recover site seed () =
   Warehouse.close wh';
   rm_rf root
 
+(* [n] repricings of [hot], each row picked by a Zipf(1) law over its
+   rank, applied to [db] as generated: a batch whose keys repeat. *)
+let zipf_repricings rng db (hot : Relational.Tuple.t array) n =
+  let h = Array.length hot in
+  let cdf = Array.make h 0 in
+  Array.iteri
+    (fun r _ -> cdf.(r) <- (if r = 0 then 0 else cdf.(r - 1)) + (720 / (r + 1)))
+    cdf;
+  List.init n (fun _ ->
+      let u = Workload.Prng.int rng cdf.(h - 1) in
+      let r = ref 0 in
+      while cdf.(!r) <= u do
+        incr r
+      done;
+      let before = hot.(!r) in
+      let after = Array.copy before in
+      (after.(4) <-
+         match before.(4) with Value.Int p -> Value.Int ((p mod 97) + 1) | v -> v);
+      hot.(!r) <- after;
+      let d = Delta.update "sale" ~before ~after in
+      Database.apply db d;
+      d)
+
+let compact_phases () =
+  Telemetry.Histogram.count
+    (Telemetry.Histogram.make
+       ~labels:[ ("phase", "compact") ]
+       "minview_engine_phase_seconds")
+
+(* A warehouse ingests batches of Zipf repricings and dies after the last
+   one's WAL append; its recovery replays the tail and nets each batch as
+   ingest did (one compact phase per replayed batch), and its views read
+   what a warehouse that never crashed reads. *)
+let zipf_replay_nets () =
+  let db = Workload.Retail.load tiny in
+  let views = [ Workload.Retail.product_sales; Workload.Retail.monthly_revenue ] in
+  let warehouse () =
+    let wh = Warehouse.create db in
+    List.iter (Warehouse.add_view wh) views;
+    wh
+  in
+  let live = warehouse () and crashed = warehouse () in
+  let root = fresh_dir "wh_zipf_replay" in
+  Warehouse.attach crashed ~dir:root;
+  let hot =
+    Array.sub
+      (Array.of_list (Database.fold db "sale" (fun tup acc -> tup :: acc) []))
+      0 12
+  in
+  let rng = Workload.Prng.create 61 in
+  let batches = List.init 4 (fun _ -> zipf_repricings rng db hot 40) in
+  Faults.arm ~skip:(List.length batches - 1) Faults.After_wal_append;
+  Fun.protect ~finally:Faults.disarm (fun () ->
+      List.iter
+        (fun b ->
+          Warehouse.ingest live b;
+          match Warehouse.ingest crashed b with
+          | () -> ()
+          | exception Faults.Crash Faults.After_wal_append -> ())
+        batches);
+  Warehouse.close crashed;
+  let compacts = compact_phases () in
+  let replayed () =
+    Telemetry.Counter.value
+      (Telemetry.Counter.make "minview_warehouse_replayed_batches_total")
+  in
+  let replayed0 = replayed () in
+  let recovered = Warehouse.recover ~dir:root in
+  Alcotest.(check int) "every batch replays" (List.length batches)
+    (replayed () - replayed0);
+  Alcotest.(check int) "one compact phase per replayed batch"
+    (List.length batches) (compact_phases () - compacts);
+  List.iter
+    (fun (v : View.t) ->
+      Alcotest.(check (list (pair tuple int)))
+        (v.View.name ^ ": recovered == live")
+        (snd (Warehouse.query_sorted live v.View.name))
+        (snd (Warehouse.query_sorted recovered v.View.name));
+      Alcotest.(check (list (pair tuple int)))
+        (v.View.name ^ ": live == recomputed")
+        (Relation.to_sorted_list (Algebra.Eval.eval db v))
+        (snd (Warehouse.query_sorted live v.View.name)))
+    views;
+  Warehouse.close recovered;
+  rm_rf root
+
 let crash_tests =
-  List.concat_map
+  test "Zipf batches replay netted: recovered == live" zipf_replay_nets
+  :: List.concat_map
     (fun site ->
       List.map
         (fun seed ->

@@ -1,5 +1,5 @@
 (* The telemetry layer: histogram bucket geometry, registry semantics,
-   concurrent writes from many domains, the serial-vs-parallel logical-counter
+   concurrent writes from many domains, the per-delta-vs-netted logical-counter
    property, the warehouse rollback/recovery/fault counters, the trace
    ring, and the exact allocation cost of telemetry on an ingest. *)
 
@@ -11,7 +11,6 @@ module Histogram = Telemetry.Histogram
 module Trace = Telemetry.Trace
 module Engine = Maintenance.Engine
 module Engines = Maintenance.Engines
-module Shard = Maintenance.Shard
 module Faults = Maintenance.Faults
 
 let test case fn = Alcotest.test_case case `Quick fn
@@ -182,27 +181,29 @@ let storage_gauges () =
 
 (* The property: the logical counters — deltas seen, deltas surviving
    compaction, operations applied, and the storage gauges after the flush —
-   must describe the same batch identically whether it was applied serially
-   or on the netted path. Timing histograms differ; the logic must not. It
-   is checked for monthly revenue (SUM, AVG, COUNT), product sales (with a
-   DISTINCT count) and sales by day, under each of [op_mixes]. *)
+   must describe the same deltas identically whether they were applied one
+   per batch or as one netted batch. Timing histograms differ; the logic
+   must not. It is checked for monthly revenue (SUM, AVG, COUNT), product
+   sales (with a DISTINCT count) and sales by day, under each of
+   [op_mixes]. *)
 let serial_parallel_counters view mix seed n () =
   let db = Workload.Retail.load { tiny with seed } in
   let build () = Engine.init db (Mindetail.Derive.derive db view) in
   let serial = build () in
   let rng = Workload.Prng.create ((seed * 31) + 1) in
-  Engine.apply_batch serial (Workload.Delta_gen.stream ~mix rng db ~n:40);
+  apply_each Engine.apply_batch serial
+    (Workload.Delta_gen.stream ~mix rng db ~n:40);
   (* the netted twin is built from the source the serial engine has
      absorbed *)
   let par = build () in
   let batch = Workload.Delta_gen.stream ~mix rng db ~n in
   let profile = Engine.net_profile par batch in
   Metrics.reset ();
-  Engine.apply_batch serial batch;
+  apply_each Engine.apply_batch serial batch;
   let serial_deltas = counter_value "minview_engine_deltas_total" in
   let serial_gauges = storage_gauges () in
   Metrics.reset ();
-  Engine.apply_batch ~parallel:Shard.serial par batch;
+  Engine.apply_batch par batch;
   Alcotest.(check int)
     "deltas_total agrees across modes" serial_deltas
     (counter_value "minview_engine_deltas_total");
@@ -336,34 +337,6 @@ let warehouse_tests =
           "WAL work is visible" true
           (counter_value "minview_wal_appends_total" > 0);
         Warehouse.close wh2);
-    test "dropping a saved parallel pool warns through the counter" (fun () ->
-        Metrics.reset ();
-        Trace.clear ();
-        let db = Workload.Retail.load tiny in
-        let wh = Warehouse.create db in
-        Warehouse.add_view wh Workload.Retail.monthly_revenue;
-        Warehouse.set_parallel wh (Some Shard.serial);
-        let path = tmp "tele_pool_snapshot.bin" in
-        Warehouse.save wh path;
-        Metrics.reset ();
-        let _wh2 = Warehouse.load path in
-        Alcotest.(check int)
-          "reset counted" 1
-          (counter_value "minview_warehouse_parallel_resets_total");
-        Alcotest.(check bool)
-          "reset traced" true
-          (List.exists
-             (fun (s : Trace.span) ->
-               String.equal s.Trace.name "warehouse.parallel-reset")
-             (Trace.recent ()));
-        (* a snapshot without a pool loads silently *)
-        Metrics.reset ();
-        Warehouse.set_parallel wh None;
-        Warehouse.save wh path;
-        let _wh3 = Warehouse.load path in
-        Alcotest.(check int)
-          "no spurious warning" 0
-          (counter_value "minview_warehouse_parallel_resets_total"));
   ]
 
 (* --- the trace ring ------------------------------------------------------ *)
@@ -416,19 +389,18 @@ let trace_tests =
 (* --- the cost of telemetry, in exact counts ------------------------------ *)
 
 (* The minor words one ingest of a fixed batch of [n] inserts allocates
-   on a warehouse of three views, serial or on [pool].
+   on a warehouse of three views.
    A first batch registers every metric and fills every lazy cache; the
    workload registry is then reset, so each key of
    the measured batch misses the top-k whatever earlier tests fed it.
    Everything the ingest does is deterministic, so the count is exact. *)
-let ingest_words ?pool ~n ~telemetry () =
+let ingest_words ~n ~telemetry () =
   Telemetry.set_enabled telemetry;
   Fun.protect ~finally:(fun () -> Telemetry.set_enabled true) @@ fun () ->
   let wh = Warehouse.create (Workload.Retail.load tiny) in
   List.iter (Warehouse.add_view wh)
     [ Workload.Retail.product_sales; Workload.Retail.monthly_revenue;
       Workload.Retail.sales_by_time ];
-  Warehouse.set_parallel wh pool;
   Warehouse.ingest wh (sale_inserts tiny ~first:8_000_000 n);
   Telemetry.Workload.reset ();
   let batch = sale_inserts tiny ~first:9_000_000 n in
@@ -441,9 +413,9 @@ let ingest_words ?pool ~n ~telemetry () =
    lineage and the workload profile's sampled top-k feed. A state the
    profile grows (a second sketch fed per sampled write, say) shows here
    as words, where a timed comparison would see noise. *)
-let check_telemetry_words ?pool ~n ~budget () =
-  let off = ingest_words ?pool ~n ~telemetry:false () in
-  let on = ingest_words ?pool ~n ~telemetry:true () in
+let check_telemetry_words ~n ~budget () =
+  let off = ingest_words ~n ~telemetry:false () in
+  let on = ingest_words ~n ~telemetry:true () in
   Printf.printf "ingest of %d deltas: %d minor words off, %d on (+%d, \
                  %.3f per delta)\n"
     n off on (on - off)
@@ -459,12 +431,11 @@ let check_telemetry_words ?pool ~n ~budget () =
 let exact_count_tests =
   [
     test "telemetry adds a fixed number of minor words to an ingest"
-      (fun () -> check_telemetry_words ~n:512 ~budget:2251 ());
-    (* the netted path churn_compact runs: one netting for all three views,
-       every batch applied directly on the calling domain *)
+      (fun () -> check_telemetry_words ~n:512 ~budget:2220 ());
+    (* a batch the size of churn_compact's: one netting for all three
+       views, every batch applied directly on the calling domain *)
     test "telemetry adds a fixed number of minor words to a netted ingest"
-      (fun () ->
-        check_telemetry_words ~pool:Shard.serial ~n:2_000 ~budget:6106 ());
+      (fun () -> check_telemetry_words ~n:2_000 ~budget:5170 ());
   ]
 
 let () =

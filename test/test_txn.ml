@@ -396,14 +396,14 @@ let abort_tests =
    after the whole batch, or by a repricing to NULL at its end, which the
    in-place adjustment must refuse as the deletion + insertion would.
    Rollback restores the pre-batch state, as a rebuild from the source
-   finds it, on the serial route and on the one-domain pool's direct
-   path. *)
-let in_place_rollback ~failure ~parallel (view : View.t) () =
+   finds it, whether the batch was applied one delta per batch or as one
+   netted batch. *)
+let in_place_rollback ~failure ~apply (view : View.t) () =
   let module Engine = Maintenance.Engine in
   let db = Workload.Retail.load tiny in
   let e = Engine.init db (Derive.derive db view) in
   let rng = Workload.Prng.create 29 in
-  Engine.apply_batch e (Workload.Delta_gen.stream rng db ~n:40);
+  apply e (Workload.Delta_gen.stream rng db ~n:40);
   let snapshot = Engine.init db (Derive.derive db view) in
   let repricings =
     Workload.Delta_gen.stream_for
@@ -430,14 +430,14 @@ let in_place_rollback ~failure ~parallel (view : View.t) () =
     let after = Array.copy before in
     after.(4) <- Value.Null;
     let poisoned = repricings @ [ Delta.update "sale" ~before ~after ] in
-    match Engine.apply_batch ?parallel e poisoned with
+    match apply e poisoned with
     | () -> Alcotest.fail "the NULL repricing must raise"
     | exception Invalid_argument _ -> ())
   | Abort_mid_engine_apply -> (
     Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
     Fun.protect ~finally:Faults.disarm @@ fun () ->
     match
-      Engine.apply_batch ?parallel e repricings;
+      apply e repricings;
       Faults.hit Faults.Mid_engine_apply
     with
     | () -> Alcotest.fail "the armed point must fire"
@@ -446,7 +446,7 @@ let in_place_rollback ~failure ~parallel (view : View.t) () =
   Alcotest.(check bool)
     "rollback restores the pre-batch state" true
     (Engine.equal_state e snapshot);
-  Engine.apply_batch ?parallel e repricings;
+  apply e repricings;
   Alcotest.check relation "post-rollback maintenance tracks recomputation"
     (Algebra.Eval.eval db view) (Engine.view_contents e)
 
@@ -454,16 +454,17 @@ let in_place_tests =
   List.concat_map
     (fun (view : View.t) ->
       List.concat_map
-        (fun (pool, parallel) ->
+        (fun (how, apply) ->
           List.map
             (fun (label, failure) ->
               test
                 (Printf.sprintf "%s, %s: an all-in-place batch rolls back (%s)"
-                   view.View.name pool label)
-                (in_place_rollback ~failure ~parallel view))
+                   view.View.name how label)
+                (in_place_rollback ~failure ~apply view))
             [ ("mid-engine-apply abort", Abort_mid_engine_apply);
               ("NULL repricing", Poison) ])
-        [ ("no pool", None); ("one-domain pool", Some Maintenance.Shard.serial) ])
+        [ ("per-delta batches", apply_each Maintenance.Engine.apply_batch);
+          ("netted batch", fun e ds -> Maintenance.Engine.apply_batch e ds) ])
     Workload.Retail.[ monthly_revenue; sales_by_time; product_sales ]
 
 let () =

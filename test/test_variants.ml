@@ -242,9 +242,8 @@ let col_vs_col_tests =
                     ~tables:[ "time"; "product" ] ~n:4
                 in
                 let deltas = facts @ dims in
-                Engines.apply_batch ser deltas;
-                Engines.apply_batch ~parallel:Maintenance.Shard.serial par
-                  deltas;
+                apply_each Engines.apply_batch ser deltas;
+                Engines.apply_batch par deltas;
                 let what = Printf.sprintf "%s/%s round %d" name view.View.name round in
                 Alcotest.check relation what
                   (Algebra.Eval.eval db view)
