@@ -2,11 +2,10 @@
    view kept as one record per group, the layout [Aux_state] replaced.
    Groups live in a [Tuple]-keyed hash table of [{cnt; sums; exts}]
    records, and a [by_key] table maps each base key to its group, with the
-   same project, probe and update code the replaced store ran on one
-   shard outside a transaction. The bench times [insert_base],
-   [delete_base], [iter] and [to_relation] and measures the heap bytes of
-   a loaded state, so nothing else is kept: no shards, undo journal,
-   secondary indexes, copy or equality. Frozen: it is the fixed reference
+   same project, probe and update code the replaced store ran outside a
+   transaction. The bench times [insert_base], [delete_base], [iter] and
+   [to_relation] and measures the heap bytes of a loaded state, so nothing
+   else is kept: no undo journal, secondary indexes, copy or equality. Frozen: it is the fixed reference
    the columnar store's footprint and phase gates compare against. *)
 
 module Auxview = Mindetail.Auxview

@@ -27,22 +27,6 @@ end)
    so removal is O(1) swap-with-last on the bucket. *)
 type index = { buckets : Icol.t VH.t; pos : Icol.t }
 
-(* One hash-shard of the resident state. Every row-parallel structure lives
-   per shard. *)
-type shard = {
-  idx : int;  (** position among the state's shards *)
-  g : Groups.shard;
-  plain_src : int array;
-      (** base-schema index of each plain column (the state's, shared), so
-          a probe needs only the shard and the base tuple *)
-  by_key : Rowmap.t option;  (** base key value -> row id *)
-  mutable indexes : (int * index) list;
-      (** per indexed column: its position among plains, and its index
-          (empty while {!load} runs; it builds them at the end) *)
-  mutable total : int;
-  mutable total0 : int;  (** [total] at {!begin_txn} *)
-}
-
 type t = {
   spec : Auxview.t;
   plain_pos : (string, int) Hashtbl.t;
@@ -53,29 +37,27 @@ type t = {
   ext_src : (int * bool) array;
       (** base-schema index and is-MIN flag of each extremum column *)
   key_plain_pos : int;  (** position of the base key among plains, or -1 *)
-  bits : int;  (** log2 of the shard count: a locator's shard field *)
-  groups : Groups.t;
-  shards : shard array;  (** over [groups]' shards, in order *)
+  g : Groups.t;
+  by_key : Rowmap.t option;  (** base key value -> row id *)
+  mutable indexes : (int * index) list;
+      (** per indexed column: its position among plains, and its index
+          (empty while {!load} runs; it builds them at the end) *)
+  mutable total : int;
+  mutable total0 : int;  (** [total] at {!begin_txn} *)
 }
 
-(* A row is a cursor into a shard's columns, not a materialized record: a
-   count-only scan over a million groups allocates one 4-word handle per
+(* A row is a cursor into the store's columns, not a materialized record:
+   a count-only scan over a million groups allocates one 4-word handle per
    group and nothing else. Accessors fetch (and box) cells on demand. The
    snapshotted count keeps the handle meaningful for the engine's
    capture-then-mutate pattern; positional cells are invalidated by the
    next mutation of the owning state (swap-with-last moves rows). *)
-type row = { sh_ : shard; r_ : int; cnt_ : int }
-
-let nrows sh = Groups.nrows sh.g
+type row = { g_ : Groups.t; r_ : int; cnt_ : int }
 
 (* The extremum columns follow the sums among the store's cells. *)
-let ext_col s (sh : shard) i = sh.g.cells.(Array.length s.sum_src + i)
+let ext_col s i = s.g.cells.(Array.length s.sum_src + i)
 
-let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
-  if shards < 1 || shards land (shards - 1) <> 0 then
-    invalid_arg
-      (Printf.sprintf "Aux_state.create(%s): shard count %d is not a power of two"
-         spec.Auxview.name shards);
+let create ?(indexed_columns = []) ?dict_pool spec schema =
   let idx c = Schema.index_of schema c in
   let plain_cols = Auxview.group_columns spec in
   let plain_pos = Hashtbl.create 8 in
@@ -85,8 +67,7 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
   let key_plain_pos =
     Option.value (Hashtbl.find_opt plain_pos schema.Schema.key) ~default:(-1)
   in
-  let plain_src = Array.of_list (List.map idx plain_cols) in
-  let columns cols () =
+  let columns cols =
     Array.of_list
       (List.map
          (fun col ->
@@ -99,51 +80,33 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
              ())
          cols)
   in
-  let groups =
-    Groups.create ~shards ~keys:(columns plain_cols)
+  let g =
+    Groups.create ~keys:(columns plain_cols)
       ~cells:
         (columns
            (Auxview.summed_columns spec
            @ List.map fst (Auxview.ext_columns spec)))
       ~ints:0 ~sets:0
   in
-  let mk_shard idx (g : Groups.shard) =
-    let indexes =
-      List.map
-        (fun col ->
-          match Hashtbl.find_opt plain_pos col with
-          | Some pos -> (pos, { buckets = VH.create 64; pos = Icol.create () })
-          | None ->
-            (* a misspelled index column must not degrade to a silent full
-               scan on every probe *)
-            invalid_arg
-              (Printf.sprintf
-                 "Aux_state.create(%s): indexed column %s is not a plain \
-                  column of the view"
-                 spec.Auxview.name col))
-        (List.sort_uniq String.compare indexed_columns)
-    in
-    {
-      idx;
-      g;
-      plain_src;
-      by_key =
-        (if key_plain_pos >= 0 then
-           Some
-             (Rowmap.create
-                ~hash:(fun r -> Column.hash_cell g.keys.(key_plain_pos) r)
-                ())
-         else None);
-      indexes;
-      total = 0;
-      total0 = 0;
-    }
+  let indexes =
+    List.map
+      (fun col ->
+        match Hashtbl.find_opt plain_pos col with
+        | Some pos -> (pos, { buckets = VH.create 64; pos = Icol.create () })
+        | None ->
+          (* a misspelled index column must not degrade to a silent full
+             scan on every probe *)
+          invalid_arg
+            (Printf.sprintf
+               "Aux_state.create(%s): indexed column %s is not a plain column \
+                of the view"
+               spec.Auxview.name col))
+      (List.sort_uniq String.compare indexed_columns)
   in
-  let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2) in
   {
     spec;
     plain_pos;
-    plain_src;
+    plain_src = Array.of_list (List.map idx plain_cols);
     sum_src = Array.of_list (List.map idx (Auxview.summed_columns spec));
     ext_src =
       Array.of_list
@@ -151,9 +114,17 @@ let create ?(indexed_columns = []) ?(shards = 1) ?dict_pool spec schema =
            (fun (c, is_min) -> (idx c, is_min))
            (Auxview.ext_columns spec));
     key_plain_pos;
-    bits = log2 shards;
-    groups;
-    shards = Array.mapi mk_shard groups.shards;
+    g;
+    by_key =
+      (if key_plain_pos >= 0 then
+         Some
+           (Rowmap.create
+              ~hash:(fun r -> Column.hash_cell g.keys.(key_plain_pos) r)
+              ())
+       else None);
+    indexes;
+    total = 0;
+    total0 = 0;
   }
 
 let spec s = s.spec
@@ -166,10 +137,10 @@ let cell_is col v r = Column.equal_cell col r v
 
 (* --- secondary indexes --------------------------------------------------- *)
 
-let rec index_add (sh : shard) r = function
+let rec index_add s r = function
   | [] -> ()
   | (pos, idx) :: rest ->
-    let v = Column.get sh.g.keys.(pos) r in
+    let v = Column.get s.g.keys.(pos) r in
     let bucket =
       match VH.find_opt idx.buckets v with
       | Some b -> b
@@ -180,16 +151,16 @@ let rec index_add (sh : shard) r = function
     in
     Icol.append bucket r;
     Icol.append idx.pos (Icol.length bucket - 1);
-    index_add sh r rest
+    index_add s r rest
 
-let index_add_row (sh : shard) r = index_add sh r sh.indexes
+let index_add_row s r = index_add s r s.indexes
 
 (* Remove row [r] from every bucket (its [pos] slot is reclaimed by the
    caller's row-parallel swap-delete). *)
-let index_remove_row (sh : shard) r =
+let index_remove_row s r =
   List.iter
     (fun (pos, idx) ->
-      let v = Column.get sh.g.keys.(pos) r in
+      let v = Column.get s.g.keys.(pos) r in
       let bucket = VH.find idx.buckets v in
       let p = Icol.get idx.pos r in
       let last = Icol.length bucket - 1 in
@@ -198,21 +169,21 @@ let index_remove_row (sh : shard) r =
       Icol.set idx.pos moved p;
       Icol.swap_delete bucket last;
       if Icol.length bucket = 0 then VH.remove idx.buckets v)
-    sh.indexes
+    s.indexes
 
 (* [r] holds the key in cell [j] of [src]. *)
 let key_cell_is col src j r = Column.equal_cells col r src j
 
-(* The index of plain column [pos] over a shard's present rows, built in
-   two sequential passes: number each row's value and count its rows,
-   then append every row to its bucket, reserved at its final size so
-   that no append grows one. A value's first row stands for it: a closed
-   probe on the column's cells finds it, and the bucket table, made at
-   its final size, boxes the value from that row alone. The row-parallel
-   offsets hold each row's value number in between. *)
-let build_index (sh : shard) pos =
-  let col = sh.g.keys.(pos) in
-  let n = nrows sh in
+(* The index of plain column [pos] over the present rows, built in two
+   sequential passes: number each row's value and count its rows, then
+   append every row to its bucket, reserved at its final size so that no
+   append grows one. A value's first row stands for it: a closed probe on
+   the column's cells finds it, and the bucket table, made at its final
+   size, boxes the value from that row alone. The row-parallel offsets
+   hold each row's value number in between. *)
+let build_index s pos =
+  let col = s.g.keys.(pos) in
+  let n = Groups.group_count s.g in
   let firsts = Rowmap.create ~hash:(Column.hash_cell col) () in
   let sizes = Icol.create () and offsets = Icol.reserve n in
   for r = 0 to n - 1 do
@@ -247,22 +218,21 @@ let build_index (sh : shard) pos =
 
 (* --- row attach / detach ------------------------------------------------- *)
 
-let by_key_attach s (sh : shard) r =
-  match sh.by_key with
-  | None -> ()
+(* Points row [r]'s base key at [r]. Steal semantics: a new group with the
+   same base key value takes over the mapping, and the row it took the
+   mapping from is returned ([-1] when there was none). *)
+let by_key_attach s r =
+  match s.by_key with
+  | None -> -1
   | Some bk ->
-    let col = sh.g.keys.(s.key_plain_pos) in
-    (* steal semantics: a new group with the same base key value takes
-       over the mapping *)
-    ignore
-      (Rowmap.replace3 bk ~hash:(Column.hash_cell col r) key_cell_is col col r r
-        : int)
+    let col = s.g.keys.(s.key_plain_pos) in
+    Rowmap.replace3 bk ~hash:(Column.hash_cell col r) key_cell_is col col r r
 
 (* Swap-with-last removal of row [r], repairing every row-id holder the
    store does not own: by_key (the deleted row's entry, if it still points
    here, and the moved row's) and each secondary index. [hash] is row
    [r]'s group-key hash, which every caller already has in hand. *)
-let delete_row s (sh : shard) ~hash r =
+let delete_row s ~hash r =
   Option.iter
     (fun bk ->
       (* remove only if the mapping still points at this row — reordered
@@ -271,51 +241,45 @@ let delete_row s (sh : shard) ~hash r =
          clobbered *)
       ignore
         (Rowmap.remove_value bk
-           ~hash:(Column.hash_cell sh.g.keys.(s.key_plain_pos) r)
+           ~hash:(Column.hash_cell s.g.keys.(s.key_plain_pos) r)
            r))
-    sh.by_key;
-  index_remove_row sh r;
-  let moved = Groups.delete_row sh.g ~hash r in
+    s.by_key;
+  index_remove_row s r;
+  let moved = Groups.delete_row s.g ~hash r in
   if moved >= 0 then begin
     (* the row that was at [moved] is now at [r] *)
     Option.iter
       (fun bk ->
         ignore
           (Rowmap.rename_value bk
-             ~hash:(Column.hash_cell sh.g.keys.(s.key_plain_pos) r)
+             ~hash:(Column.hash_cell s.g.keys.(s.key_plain_pos) r)
              ~old_row:moved ~new_row:r))
-      sh.by_key;
+      s.by_key;
     List.iter
       (fun (pos, idx) ->
-        let bucket = VH.find idx.buckets (Column.get sh.g.keys.(pos) r) in
+        let bucket = VH.find idx.buckets (Column.get s.g.keys.(pos) r) in
         Icol.set bucket (Icol.get idx.pos moved) r)
-      sh.indexes
+      s.indexes
   end;
-  List.iter (fun (_, idx) -> Icol.swap_delete idx.pos r) sh.indexes
+  List.iter (fun (_, idx) -> Icol.swap_delete idx.pos r) s.indexes
 
 (* --- transactions -------------------------------------------------------- *)
 
 let check_txn s what ~open_ =
-  if Groups.in_txn s.shards.(0).g <> open_ then
+  if Groups.in_txn s.g <> open_ then
     invalid_arg
       (Printf.sprintf "Aux_state.%s(%s): %s" what s.spec.Auxview.name
          (if open_ then "no open transaction" else "transaction already open"))
 
 let begin_txn s =
   check_txn s "begin_txn" ~open_:false;
-  Array.iter
-    (fun sh ->
-      Groups.begin_txn sh.g;
-      sh.total0 <- sh.total)
-    s.shards
+  Groups.begin_txn s.g;
+  s.total0 <- s.total
 
 let commit s =
   check_txn s "commit" ~open_:true;
-  Array.iter
-    (fun sh ->
-      Groups.commit sh.g;
-      Groups.clear_log sh.g)
-    s.shards
+  Groups.commit s.g;
+  Groups.clear_log s.g
 
 (* by_key and index membership are pure functions of the stored cells, so
    restoring group presence restores them too. Created groups leave
@@ -324,31 +288,21 @@ let commit s =
    clobber the restored by_key mapping. *)
 let rollback s =
   check_txn s "rollback" ~open_:true;
-  Array.iter
-    (fun sh ->
-      Groups.rollback sh.g
-        ~delete:(fun ~hash r -> delete_row s sh ~hash r)
-        ~restored:(fun ~appended r ->
-          if appended then index_add_row sh r;
-          (* the mapping may have been stolen by a since-removed group *)
-          by_key_attach s sh r);
-      sh.total <- sh.total0)
-    s.shards
+  Groups.rollback s.g
+    ~delete:(fun ~hash r -> delete_row s ~hash r)
+    ~restored:(fun ~appended r ->
+      if appended then index_add_row s r;
+      (* the mapping may have been stolen by a since-removed group *)
+      ignore (by_key_attach s r : int));
+  s.total <- s.total0
 
 (* --- writes from base rows ------------------------------------------------ *)
 
-(* A base key's by-key entry lives in the shard of its group key, which
-   the key alone does not name: a lookup probes the shards' by-key maps in
-   turn (a dimension view, the usual target, has one shard). *)
 let check_key_kept s =
   if s.key_plain_pos < 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.locate_key(%s): key not kept"
          s.spec.Auxview.name)
-
-(* A locator names a group as one int, [(row lsl bits) lor shard]: what a
-   typed reader keeps per joined table instead of a [row] handle. *)
-let loc s (sh : shard) r = (r lsl s.bits) lor sh.idx
 
 module type ROWS = sig
   type row
@@ -366,9 +320,7 @@ module Rows (C : Cells.S) = struct
 
   (* The group-key hash of a base row: agrees with [Tuple.hash
      (group_key_of_base s tup)] without materializing the projection (it
-     mirrors [Tuple.hash]'s fold). Writers compute it once and use it for
-     both the shard and the probe: the shard of a hash is [hash land
-     mask]. *)
+     mirrors [Tuple.hash]'s fold). *)
   let hash s row =
     let h = ref 17 in
     for i = 0 to Array.length s.plain_src - 1 do
@@ -376,12 +328,12 @@ module Rows (C : Cells.S) = struct
     done;
     !h
 
-  let rec matches_from (sh : shard) row r i =
-    i >= Array.length sh.plain_src
-    || C.equal sh.g.keys.(i) r row sh.plain_src.(i)
-       && matches_from sh row r (i + 1)
+  let rec matches_from s row r i =
+    i >= Array.length s.plain_src
+    || C.equal s.g.keys.(i) r row s.plain_src.(i)
+       && matches_from s row r (i + 1)
 
-  let matches sh row r = matches_from sh row r 0
+  let matches s row r = matches_from s row r 0
 
   (* Reject NULL (and any other non-aggregatable value) in aggregated
      columns before mutating anything, so a poisoned row cannot leave a
@@ -406,8 +358,8 @@ module Rows (C : Cells.S) = struct
              s.spec.Auxview.name src)
     done
 
-  let append s (sh : shard) ~hash row count =
-    let g = sh.g in
+  let append s ~hash row count =
+    let g = s.g in
     for i = 0 to Array.length s.plain_src - 1 do
       C.append g.keys.(i) row s.plain_src.(i)
     done;
@@ -415,20 +367,23 @@ module Rows (C : Cells.S) = struct
       C.append_scaled g.cells.(i) row s.sum_src.(i) count
     done;
     for i = 0 to Array.length s.ext_src - 1 do
-      C.append (ext_col s sh i) row (fst s.ext_src.(i))
+      C.append (ext_col s i) row (fst s.ext_src.(i))
     done;
     let r = Groups.add_row g ~hash count in
-    by_key_attach s sh r;
-    index_add_row sh r;
+    let stolen = by_key_attach s r in
+    (* the group that held the mapping is journaled too, untouched as it
+       is: a rollback deletes [r] with its entry, and restoring the
+       group's image gives the mapping back *)
+    if stolen >= 0 then Groups.note_row g ~hash:(Groups.row_hash g stolen) stolen;
+    index_add_row s r;
     r
 
   (* Folds [count] copies of [row] into its group; a new group is created
      only if [admit row] holds. *)
   let write s row count ~admit =
     let hash = hash s row in
-    let sh = s.shards.(hash land s.groups.mask) in
-    let g = sh.g in
-    let r = Rowmap.probe g.map ~hash matches sh row in
+    let g = s.g in
+    let r = Rowmap.probe g.map ~hash matches s row in
     if r >= 0 then begin
       Groups.note_row g ~hash r;
       Icol.add g.cnts r count;
@@ -437,13 +392,13 @@ module Rows (C : Cells.S) = struct
       done;
       for i = 0 to Array.length s.ext_src - 1 do
         let src, is_min = s.ext_src.(i) in
-        C.combine_ext (ext_col s sh i) r row src ~is_min
+        C.combine_ext (ext_col s i) r row src ~is_min
       done;
-      sh.total <- sh.total + count
+      s.total <- s.total + count
     end
     else if admit row then begin
-      Groups.note_created g ~hash (append s sh ~hash row count);
-      sh.total <- sh.total + count
+      Groups.note_created g ~hash (append s ~hash row count);
+      s.total <- s.total + count
     end
 
   let always _ = true
@@ -455,21 +410,13 @@ module Rows (C : Cells.S) = struct
 
   let key_is col row pos r = C.equal col r row pos
 
-  let rec locate_from s ~hash row pos i =
-    if i >= Array.length s.shards then -1
-    else
-      let sh = s.shards.(i) in
-      let r =
-        match sh.by_key with
-        | None -> -1
-        | Some bk ->
-          Rowmap.probe3 bk ~hash key_is sh.g.keys.(s.key_plain_pos) row pos
-      in
-      if r >= 0 then loc s sh r else locate_from s ~hash row pos (i + 1)
-
   let locate_key s row pos =
     check_key_kept s;
-    locate_from s ~hash:(C.hash row pos) row pos 0
+    match s.by_key with
+    | None -> -1
+    | Some bk ->
+      Rowmap.probe3 bk ~hash:(C.hash row pos) key_is
+        s.g.keys.(s.key_plain_pos) row pos
 end
 
 module Tuples = Rows (Cells.Tuple)
@@ -486,14 +433,13 @@ let delete_base ?(count = 1) s tup =
          s.spec.Auxview.name);
   Tuples.check_aggregands s "delete_base" tup;
   let hash = Tuples.hash s tup in
-  let sh = s.shards.(hash land s.groups.mask) in
-  let g = sh.g in
-  let r = Rowmap.probe g.map ~hash Tuples.matches sh tup in
+  let g = s.g in
+  let r = Rowmap.probe g.map ~hash Tuples.matches s tup in
   if r < 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.delete_base(%s): group %s absent"
          s.spec.Auxview.name
-         (Tuple.to_string (Tuple.project tup sh.plain_src)));
+         (Tuple.to_string (Tuple.project tup s.plain_src)));
   let cnt = Icol.get g.cnts r in
   if cnt < count then
     invalid_arg
@@ -504,8 +450,8 @@ let delete_base ?(count = 1) s tup =
   for i = 0 to Array.length s.sum_src - 1 do
     Column.sub_cell g.cells.(i) r tup.(s.sum_src.(i)) count
   done;
-  sh.total <- sh.total - count;
-  if cnt = count then delete_row s sh ~hash r
+  s.total <- s.total - count;
+  if cnt = count then delete_row s ~hash r
 
 let adjust s ~before ~after =
   if Array.length s.ext_src > 0 then
@@ -516,15 +462,14 @@ let adjust s ~before ~after =
   Tuples.check_aggregands s "adjust" before;
   Tuples.check_aggregands s "adjust" after;
   let hash = Tuples.hash s before in
-  let sh = s.shards.(hash land s.groups.mask) in
-  let g = sh.g in
-  let r = Rowmap.probe g.map ~hash Tuples.matches sh before in
+  let g = s.g in
+  let r = Rowmap.probe g.map ~hash Tuples.matches s before in
   if r < 0 then
     invalid_arg
       (Printf.sprintf "Aux_state.adjust(%s): group %s absent"
          s.spec.Auxview.name
-         (Tuple.to_string (Tuple.project before sh.plain_src)));
-  if not (Tuples.matches sh after r) then
+         (Tuple.to_string (Tuple.project before s.plain_src)));
+  if not (Tuples.matches s after r) then
     invalid_arg
       (Printf.sprintf "Aux_state.adjust(%s): the update moves its group"
          s.spec.Auxview.name);
@@ -536,19 +481,19 @@ let adjust s ~before ~after =
     Column.add_cell g.cells.(i) r after.(src) 1
   done
 
+let row_count s = Groups.group_count s.g
+let base_count s = s.total
+
 let load s cur ~keep ~admit =
-  if Groups.group_count s.groups > 0 || Groups.in_txn s.shards.(0).g then
+  if row_count s > 0 || Groups.in_txn s.g then
     invalid_arg
       (Printf.sprintf "Aux_state.load(%s): state not empty or in a transaction"
          s.spec.Auxview.name);
-  let positions = List.map fst s.shards.(0).indexes in
-  Array.iter (fun sh -> sh.indexes <- []) s.shards;
+  let positions = List.map fst s.indexes in
+  s.indexes <- [];
   Fun.protect
     ~finally:(fun () ->
-      Array.iter
-        (fun sh ->
-          sh.indexes <- List.map (fun pos -> (pos, build_index sh pos)) positions)
-        s.shards)
+      s.indexes <- List.map (fun pos -> (pos, build_index s pos)) positions)
     (fun () ->
       (* a shadow row holds no NULL and its cells have its table's types:
          the first row kept answers for every other *)
@@ -564,44 +509,33 @@ let load s cur ~keep ~admit =
         end
       done)
 
-let sum_over_shards s f = Array.fold_left (fun acc sh -> acc + f sh) 0 s.shards
-let group_count s = Groups.group_count s.groups
-
 let by_key_size s =
-  sum_over_shards s (fun sh ->
-      match sh.by_key with Some bk -> Rowmap.length bk | None -> 0)
+  match s.by_key with Some bk -> Rowmap.length bk | None -> 0
 
-(* The row of group [key] in [b], with its shard. *)
-let find_group b key =
-  let hash = Tuple.hash key in
-  let sh = b.shards.(hash land b.groups.mask) in
-  (sh, Groups.find sh.g ~hash key)
+(* The row of group [key] in [b]. *)
+let find_group b key = Groups.find b.g ~hash:(Tuple.hash key) key
 
-(* b's by_key mapping for a base key lives in the shard of its *group* key. *)
+(* Whether [b] maps base key [k] to group [gkey]. *)
 let by_key_mem b k gkey =
-  let sh, r = find_group b gkey in
-  match sh.by_key with
+  match b.by_key with
   | None -> false
   | Some bk ->
+    let r = find_group b gkey in
     r >= 0
-    && Rowmap.probe bk ~hash:(Value.hash k) cell_is sh.g.keys.(b.key_plain_pos) k
+    && Rowmap.probe bk ~hash:(Value.hash k) cell_is b.g.keys.(b.key_plain_pos) k
        = r
 
-let index_positions s =
-  match Array.to_list s.shards with
-  | [] -> []
-  | sh :: _ -> List.map fst sh.indexes
+let index_positions s = List.map fst s.indexes
 
 let index_size s pos =
-  sum_over_shards s (fun sh ->
-      match List.assoc_opt pos sh.indexes with
-      | None -> 0
-      | Some idx ->
-        VH.fold (fun _ bucket acc -> acc + Icol.length bucket) idx.buckets 0)
+  match List.assoc_opt pos s.indexes with
+  | None -> 0
+  | Some idx ->
+    VH.fold (fun _ bucket acc -> acc + Icol.length bucket) idx.buckets 0
 
 let index_mem b pos v key =
-  let sh, r = find_group b key in
-  match List.assoc_opt pos sh.indexes with
+  let r = find_group b key in
+  match List.assoc_opt pos b.indexes with
   | None -> false
   | Some idx -> (
     match VH.find_opt idx.buckets v with
@@ -613,115 +547,82 @@ let index_mem b pos v key =
 
 (* Structural equality of the full resident state: groups (counts, sums,
    extrema), the by-key map, every secondary index (positions and bucket
-   membership), and the base-row total. Deliberately independent of the
-   shard layout and of physical row order, so a 1-shard state compares
-   equal to a 16-shard one. Open transactions are
-   ignored. *)
+   membership), and the base-row total. Deliberately independent of
+   physical row order. Open transactions are ignored. *)
 let equal a b =
-  sum_over_shards a (fun sh -> sh.total) = sum_over_shards b (fun sh -> sh.total)
-  && Groups.equal a.groups b.groups
+  a.total = b.total
+  && Groups.equal a.g b.g
   && by_key_size a = by_key_size b
-  && Array.for_all
-       (fun sh ->
-         match sh.by_key with
-         | None -> true
-         | Some bk ->
-           let ok = ref true in
-           Rowmap.iter bk (fun r ->
-               if !ok then begin
-                 let k = Column.get sh.g.keys.(a.key_plain_pos) r in
-                 if not (by_key_mem b k (Groups.key_at sh.g r)) then ok := false
-               end);
-           !ok)
-       a.shards
-  && (match a.shards.(0).by_key, b.shards.(0).by_key with
-     | None, None | Some _, Some _ -> true
+  && (match a.by_key, b.by_key with
+     | None, None -> true
+     | Some bk, Some _ ->
+       let ok = ref true in
+       Rowmap.iter bk (fun r ->
+           if !ok then begin
+             let k = Column.get a.g.keys.(a.key_plain_pos) r in
+             if not (by_key_mem b k (Groups.key_at a.g r)) then ok := false
+           end);
+       !ok
      | Some _, None | None, Some _ -> false)
   && index_positions a = index_positions b
   && List.for_all
-       (fun pos ->
+       (fun (pos, idx) ->
          index_size a pos = index_size b pos
-         && Array.for_all
-              (fun sh ->
-                match List.assoc_opt pos sh.indexes with
-                | None -> true
-                | Some idx ->
-                  VH.fold
-                    (fun v bucket acc ->
-                      acc
-                      &&
-                      let n = Icol.length bucket in
-                      let rec scan i =
-                        i >= n
-                        || index_mem b pos v
-                             (Groups.key_at sh.g (Icol.get bucket i))
-                           && scan (i + 1)
-                      in
-                      scan 0)
-                    idx.buckets true)
-              a.shards)
-       (index_positions a)
+         && VH.fold
+              (fun v bucket acc ->
+                acc
+                &&
+                let n = Icol.length bucket in
+                let rec scan i =
+                  i >= n
+                  || index_mem b pos v (Groups.key_at a.g (Icol.get bucket i))
+                     && scan (i + 1)
+                in
+                scan 0)
+              idx.buckets true)
+       a.indexes
 
-let row_count = group_count
-let base_count s = sum_over_shards s (fun sh -> sh.total)
-
-let row_of (sh : shard) r : row = { sh_ = sh; r_ = r; cnt_ = Icol.get sh.g.cnts r }
+let row_of s r : row = { g_ = s.g; r_ = r; cnt_ = Icol.get s.g.cnts r }
 let cnt (row : row) = row.cnt_
-let plains _s (row : row) = Groups.key_at row.sh_.g row.r_
+let plains _s (row : row) = Groups.key_at row.g_ row.r_
 
 let sums s (row : row) =
-  Array.init (Array.length s.sum_src) (fun i ->
-      Column.get row.sh_.g.cells.(i) row.r_)
+  Array.init (Array.length s.sum_src) (fun i -> Column.get s.g.cells.(i) row.r_)
 
 let exts s (row : row) =
-  Array.init (Array.length s.ext_src) (fun i ->
-      Column.get (ext_col s row.sh_ i) row.r_)
+  Array.init (Array.length s.ext_src) (fun i -> Column.get (ext_col s i) row.r_)
 
 (* --- locators ------------------------------------------------------------ *)
 
-let loc_shard s l = s.shards.(l land s.groups.mask)
-let loc_row s l = l lsr s.bits
-let loc_of_row s (row : row) = loc s row.sh_ row.r_
-let loc_cnt s l = Icol.get (loc_shard s l).g.cnts (loc_row s l)
-let plain_column s l i = (loc_shard s l).g.keys.(i)
-let sum_column s l i = (loc_shard s l).g.cells.(i)
-let ext_column s l i = ext_col s (loc_shard s l) i
+(* A locator is the group's row: what a typed reader keeps per joined
+   table instead of a [row] handle. *)
+let loc_of_row _s (row : row) = row.r_
+let loc_cnt s l = Icol.get s.g.cnts l
+let plain_column s i = s.g.keys.(i)
+let sum_column s i = s.g.cells.(i)
+let ext_column = ext_col
 
 let iter_locs s f =
-  Array.iter
-    (fun sh ->
-      for r = 0 to nrows sh - 1 do
-        f (loc s sh r)
-      done)
-    s.shards
+  for r = 0 to row_count s - 1 do
+    f r
+  done
 
 let locate_key s k = Tuples.locate_key s [| k |] 0
 
 let mem_key s k = locate_key s k >= 0
 
-let rec locate_cell_from s ~hash src j i =
-  if i >= Array.length s.shards then -1
-  else
-    let sh = s.shards.(i) in
-    let r =
-      match sh.by_key with
-      | None -> -1
-      | Some bk ->
-        Rowmap.probe3 bk ~hash key_cell_is sh.g.keys.(s.key_plain_pos) src j
-    in
-    if r >= 0 then loc s sh r else locate_cell_from s ~hash src j (i + 1)
-
 let locate_key_cell s src j =
   check_key_kept s;
-  locate_cell_from s ~hash:(Column.hash_cell src j) src j 0
+  match s.by_key with
+  | None -> -1
+  | Some bk ->
+    Rowmap.probe3 bk ~hash:(Column.hash_cell src j) key_cell_is
+      s.g.keys.(s.key_plain_pos) src j
 
 let iter s f =
-  Array.iter
-    (fun sh ->
-      for r = 0 to nrows sh - 1 do
-        f (row_of sh r)
-      done)
-    s.shards
+  for r = 0 to row_count s - 1 do
+    f (row_of s r)
+  done
 
 let plain_position s col = Hashtbl.find_opt s.plain_pos col
 
@@ -755,40 +656,36 @@ let iter_where s conds f =
       conds
   in
   let sets = List.map (fun (pos, vs) -> (pos, value_set vs)) conds in
-  let passes (sh : shard) r =
-    List.for_all (fun (pos, set) -> cell_in set sh.g.keys.(pos) r) sets
+  let passes r =
+    List.for_all (fun (pos, set) -> cell_in set s.g.keys.(pos) r) sets
   in
-  let examined = ref 0 in
-  Array.iter
-    (fun (sh : shard) ->
-      (* an indexed condition column turns the scan into bucket walks *)
-      match
-        List.find_map
-          (fun (pos, vs) ->
-            Option.map (fun idx -> (idx, vs)) (List.assoc_opt pos sh.indexes))
-          conds
-      with
-      | Some (idx, vs) ->
-        List.iter
-          (fun v ->
-            match VH.find_opt idx.buckets v with
-            | None -> ()
-            | Some bucket ->
-              let n = Icol.length bucket in
-              examined := !examined + n;
-              for i = 0 to n - 1 do
-                let r = Icol.get bucket i in
-                if passes sh r then f (row_of sh r)
-              done)
-          (List.sort_uniq Value.compare vs)
-      | None ->
-        let n = nrows sh in
-        examined := !examined + n;
-        for r = 0 to n - 1 do
-          if passes sh r then f (row_of sh r)
-        done)
-    s.shards;
-  !examined
+  (* an indexed condition column turns the scan into bucket walks *)
+  match
+    List.find_map
+      (fun (pos, vs) ->
+        Option.map (fun idx -> (idx, vs)) (List.assoc_opt pos s.indexes))
+      conds
+  with
+  | Some (idx, vs) ->
+    List.fold_left
+      (fun examined v ->
+        match VH.find_opt idx.buckets v with
+        | None -> examined
+        | Some bucket ->
+          let n = Icol.length bucket in
+          for i = 0 to n - 1 do
+            let r = Icol.get bucket i in
+            if passes r then f (row_of s r)
+          done;
+          examined + n)
+      0
+      (List.sort_uniq Value.compare vs)
+  | None ->
+    let n = row_count s in
+    for r = 0 to n - 1 do
+      if passes r then f (row_of s r)
+    done;
+    n
 
 let rows_with s ~column v =
   let acc = ref [] in
@@ -799,52 +696,47 @@ let rows_with s ~column v =
 
 let plain_of s (row : row) col =
   match plain_position s col with
-  | Some i -> Column.get row.sh_.g.keys.(i) row.r_
+  | Some i -> Column.get row.g_.keys.(i) row.r_
   | None -> raise Not_found
 
-let plain_at (row : row) i = Column.get row.sh_.g.keys.(i) row.r_
+let plain_at (row : row) i = Column.get row.g_.keys.(i) row.r_
 
 let to_relation s =
-  let rel = Relation.create ~size_hint:(group_count s) () in
-  Array.iter
-    (fun (sh : shard) ->
-      for r = 0 to nrows sh - 1 do
-        let gi = ref 0 and si = ref 0 and ei = ref 0 in
-        let next col i =
-          let v = Column.get col r in
-          incr i;
-          v
-        in
-        let cell (_, def) =
-          match def with
-          | Auxview.Plain _ -> next sh.g.keys.(!gi) gi
-          | Auxview.Sum_of _ -> next sh.g.cells.(!si) si
-          | Auxview.Min_of _ | Auxview.Max_of _ -> next (ext_col s sh !ei) ei
-          | Auxview.Count_star -> Value.Int (Icol.get sh.g.cnts r)
-        in
-        let row = Array.of_list (List.map cell s.spec.Auxview.columns) in
-        if s.spec.Auxview.compressed then Relation.insert rel row
-        else Relation.insert ~count:(Icol.get sh.g.cnts r) rel row
-      done)
-    s.shards;
+  let rel = Relation.create ~size_hint:(row_count s) () in
+  for r = 0 to row_count s - 1 do
+    let gi = ref 0 and si = ref 0 and ei = ref 0 in
+    let next col i =
+      let v = Column.get col r in
+      incr i;
+      v
+    in
+    let cell (_, def) =
+      match def with
+      | Auxview.Plain _ -> next s.g.keys.(!gi) gi
+      | Auxview.Sum_of _ -> next s.g.cells.(!si) si
+      | Auxview.Min_of _ | Auxview.Max_of _ -> next (ext_col s !ei) ei
+      | Auxview.Count_star -> Value.Int (Icol.get s.g.cnts r)
+    in
+    let row = Array.of_list (List.map cell s.spec.Auxview.columns) in
+    if s.spec.Auxview.compressed then Relation.insert rel row
+    else Relation.insert ~count:(Icol.get s.g.cnts r) rel row
+  done;
   rel
 
 (* --- byte accounting ----------------------------------------------------- *)
 
-let offheap_bytes s = Groups.offheap_bytes s.groups
+let offheap_bytes s = Groups.offheap_bytes s.g
 
 (* Per-entry estimate for a stdlib Hashtbl bucket (Cons: 4 words). *)
 let table_entry_bytes = 32
 
 let byte_size s =
-  Groups.byte_size s.groups
-  + sum_over_shards s (fun sh ->
-        (match sh.by_key with Some bk -> Rowmap.byte_size bk | None -> 0)
-        + List.fold_left
-            (fun acc (_, idx) ->
-              VH.fold
-                (fun _ bucket acc ->
-                  acc + Icol.byte_size bucket + table_entry_bytes)
-                idx.buckets
-                (acc + Icol.byte_size idx.pos))
-            0 sh.indexes)
+  Groups.byte_size s.g
+  + (match s.by_key with Some bk -> Rowmap.byte_size bk | None -> 0)
+  + List.fold_left
+      (fun acc (_, idx) ->
+        VH.fold
+          (fun _ bucket acc -> acc + Icol.byte_size bucket + table_entry_bytes)
+          idx.buckets
+          (acc + Icol.byte_size idx.pos))
+      0 s.indexes

@@ -40,17 +40,12 @@ val sums : t -> row -> Relational.Value.t array
 (** Fresh boxed extrema, in {!Mindetail.Auxview.ext_columns} order. *)
 val exts : t -> row -> Relational.Value.t array
 
-(** [create ?indexed_columns ?shards spec schema] prepares empty state.
+(** [create ?indexed_columns spec schema] prepares empty state.
     [indexed_columns] (plain columns: the foreign keys of a view, and the
     root group columns of a MIN/MAX view) get secondary indexes so
     {!rows_with} and {!iter_where} are O(matching groups) instead of a scan
     — the engine uses this to make dimension-update propagation and
     dirty-group recomputation proportional to the affected rows.
-
-    [shards] (a power of two, default 1) splits every group-keyed structure
-    — groups, by-key map, secondary indexes, undo journal, totals — into
-    hash shards. Sharding is invisible to every accessor and to {!equal};
-    states with different shard counts compare structurally.
 
     [dict_pool] shares string dictionaries per (base table, column) with
     other states built from the same pool (the engine passes one pool per
@@ -58,11 +53,9 @@ val exts : t -> row -> Relational.Value.t array
     and the view state interns each distinct string once). Without a pool,
     string columns use private dictionaries.
     @raise Invalid_argument if an indexed column is not a plain column of
-    [spec] — a misspelled index column must not become a silent full scan —
-    or if [shards] is not a positive power of two. *)
+    [spec] — a misspelled index column must not become a silent full scan. *)
 val create :
   ?indexed_columns:string list ->
-  ?shards:int ->
   ?dict_pool:Dict.pool ->
   Mindetail.Auxview.t ->
   Relational.Schema.t ->
@@ -168,10 +161,10 @@ end
 module Tuples : ROWS with type row = Relational.Tuple.t
 module Stored : ROWS with type row = Relational.Database.Cursor.t
 
-(** Number of groups (= stored rows). *)
+(** Number of groups (= stored rows). O(1). *)
 val row_count : t -> int
 
-(** Total base tuples folded in (Σ counts). *)
+(** Total base tuples folded in (Σ counts). O(1): a running total. *)
 val base_count : t -> int
 
 (** Whether a group holds base key [k] (see {!locate_key}).
@@ -182,10 +175,10 @@ val iter : t -> (row -> unit) -> unit
 
 (** {2 Locators}
 
-    A locator names one group as an [int] — its row and shard — so that a
-    reader can hold a group, read its cells where they are stored and
-    probe with them, and allocate nothing. Like a {!row}, a locator is
-    invalidated by the next mutation of the state. *)
+    A locator names one group as an [int] — its row in the columns below —
+    so that a reader can hold a group, read its cells where they are
+    stored and probe with them, and allocate nothing. Like a {!row}, a
+    locator is invalidated by the next mutation of the state. *)
 
 (** [locate_key s k] is the group holding base key [k], [-1] when absent:
     a key-indexed lookup, available when the base key is kept plainly
@@ -203,18 +196,15 @@ val loc_of_row : t -> row -> int
 (** The group's ["COUNT(*)"]. *)
 val loc_cnt : t -> int -> int
 
-(** The group's row in the columns below. *)
-val loc_row : t -> int -> int
-
-(** The columns holding the group's [i]-th plain cell, running sum and
-    extremum: [i] is a position among the view's plain columns
-    ({!Mindetail.Auxview.plain_position}), running sums
+(** The columns holding every group's [i]-th plain cell, running sum and
+    extremum, read at a locator: [i] is a position among the view's plain
+    columns ({!Mindetail.Auxview.plain_position}), running sums
     ({!Mindetail.Auxview.sum_position}) or extrema
     ({!Mindetail.Auxview.min_position} / {!Mindetail.Auxview.max_position}). *)
-val plain_column : t -> int -> int -> Column.t
+val plain_column : t -> int -> Column.t
 
-val sum_column : t -> int -> int -> Column.t
-val ext_column : t -> int -> int -> Column.t
+val sum_column : t -> int -> Column.t
+val ext_column : t -> int -> Column.t
 
 (** [iter_where s conds f] visits every group whose plain [column] takes one
     of the listed values, for every [(column, values)] of [conds] ([[]]
@@ -256,7 +246,7 @@ val to_relation : t -> Relational.Relation.t
 (** Resident bytes of this state: column cells (including off-heap Bigarray
     payloads), the count column, key map, by-key map, secondary indexes,
     string dictionaries (each dictionary counted once per state, even when
-    shared across shards) and the journal's row marks. The undo log is
+    shared across columns) and the journal's row marks. The undo log is
     working memory of the transactions, not counted: emptied by {!commit}
     and {!rollback}, it keeps its capacity only while that is within four
     times what it held. *)

@@ -288,8 +288,8 @@ let[@inline] float_hash x =
     ~hi:(Int64.to_int (Int64.shift_right_logical b 32))
     ~lo:(Int64.to_int b land 0xFFFF_FFFF)
 
-(* Must agree with [Value.hash] cell-for-cell: shard routing and map probes
-   hash boxed tuples on one side and stored cells on the other. *)
+(* Must agree with [Value.hash] cell-for-cell: map probes hash boxed
+   tuples on one side and stored cells on the other. *)
 let hash_cell c i =
   check c i "hash_cell";
   match c.storage with

@@ -309,7 +309,7 @@ module On_tuples = Checks (Cells.Tuple) (Aux_state.Tuples)
 module On_stored = Checks (Cells.Stored) (Aux_state.Stored)
 
 let plain_value st l pos =
-  Column.get (Aux_state.plain_column st l pos) (Aux_state.loc_row st l)
+  Column.get (Aux_state.plain_column st pos) l
 
 let rec row_holds conds st l i =
   i >= Array.length conds
@@ -793,7 +793,7 @@ let flush_dirty t =
 (* The paper-facing dashboard: per auxiliary view, resident rows vs. the
    detail rows they stand for (the sum of the stored count weights) — the
    live analogue of the 245 GB → 167 MB table. [row_count]/[base_count] are
-   O(shards), so refreshing after every batch is cheap. *)
+   O(1), so refreshing after every batch is cheap. *)
 let update_storage_gauges t =
   if Telemetry.enabled () then begin
     Telemetry.Gauge.set t.obs_groups
@@ -820,11 +820,6 @@ let post_order g =
     List.concat_map walk (Join_graph.children g tbl) @ [ tbl ]
   in
   walk (Join_graph.root g)
-
-(* Shard count for the root auxiliary view and the view state. A power of
-   two; dimension auxiliary views stay single-shard — they are join
-   destinations, and their by-key probe must remain a single lookup. *)
-let nshards = 16
 
 (* The driving join of [walk_groups], if the view has one: a first hop from
    the root whose foreign key is indexed in the root auxiliary view, whose
@@ -1225,7 +1220,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
       schemas;
       aux;
       joins;
-      vstate = View_state.create ~shards:nshards ~dict_pool view ~determined;
+      vstate = View_state.create ~dict_pool view ~determined;
       plans;
       group_plan;
       rtargets;
@@ -1269,9 +1264,8 @@ let init ?(fk_index = true) db (d : Derive.t) =
       | None -> ()
       | Some spec ->
         let st =
-          Aux_state.create ~indexed_columns:(indexed_columns tbl)
-            ~shards:(if String.equal tbl root then nshards else 1)
-            ~dict_pool spec (schema t tbl)
+          Aux_state.create ~indexed_columns:(indexed_columns tbl) ~dict_pool
+            spec (schema t tbl)
         in
         let s = Hashtbl.find slots tbl in
         t.aux.(s) <- Some st;
@@ -1398,8 +1392,8 @@ let apply_root_direct t root =
 
 (* --- lineage flow capture ---------------------------------------------- *)
 
-(* Cheap pre/post snapshots — O(auxviews x shards) per batch, nothing on
-   the per-row hot path — turn a batch into per-auxview net flows for the
+(* Cheap pre/post snapshots — O(auxviews) per batch, nothing on the
+   per-row hot path — turn a batch into per-auxview net flows for the
    lineage record the warehouse emits at commit. *)
 let flow_pre t =
   if not (Telemetry.enabled ()) then None

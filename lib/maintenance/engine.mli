@@ -227,8 +227,8 @@ val view_state : t -> View_state.t
 (** Lineage flow of the most recent {!apply_batch}: deltas in -> netted ->
     applied, plus the per-auxview net change in resident and represented
     detail rows. [None] before the first batch and while telemetry is
-    disabled (capture costs two O(auxviews x shards) row-count sweeps per
-    batch, nothing on the per-row hot path). *)
+    disabled (capture reads two O(1) counts per auxiliary view per batch,
+    nothing on the per-row hot path). *)
 val last_flow : t -> Telemetry.Lineage.view_flow option
 
 (** [audit ~sample t] recomputes up to [sample] maintained group keys from

@@ -45,22 +45,21 @@ let locate f c st =
   else
     let src = aux f c.slot in
     Aux_state.locate_key_cell st
-      (Aux_state.plain_column src l c.plain)
-      (Aux_state.loc_row src l)
+      (Aux_state.plain_column src c.plain) l
 
 let value f c =
   let l = f.locs.(c.slot) in
   if l < 0 then f.tups.(c.slot).(c.base)
   else
     let st = aux f c.slot in
-    Column.get (Aux_state.plain_column st l c.plain) (Aux_state.loc_row st l)
+    Column.get (Aux_state.plain_column st c.plain) l
 
 let hash_cell f c =
   let l = f.locs.(c.slot) in
   if l < 0 then Value.hash f.tups.(c.slot).(c.base)
   else
     let st = aux f c.slot in
-    Column.hash_cell (Aux_state.plain_column st l c.plain) (Aux_state.loc_row st l)
+    Column.hash_cell (Aux_state.plain_column st c.plain) l
 
 (* [Tuple.hash]'s fold, over the cells where they are. *)
 let rec hash_from f h i =
@@ -75,8 +74,7 @@ let cell_matches f c col r =
   else
     let st = aux f c.slot in
     Column.equal_cells col r
-      (Aux_state.plain_column st l c.plain)
-      (Aux_state.loc_row st l)
+      (Aux_state.plain_column st c.plain) l
 
 let rec matches_from f keys r i =
   i >= Array.length f.key
@@ -92,8 +90,7 @@ let append_key f keys =
     else
       let st = aux f c.slot in
       Column.append_cell keys.(i)
-        (Aux_state.plain_column st l c.plain)
-        (Aux_state.loc_row st l)
+        (Aux_state.plain_column st c.plain) l
   done
 
 let key_into f dst =
@@ -117,22 +114,21 @@ let add_sum f i dst r ~cnt ~sign =
     end
     else
       let st = aux f c.slot in
-      let row = Aux_state.loc_row st l in
       (* a running sum already carries its group's weight *)
       if sum >= 0 then begin
-        let src = Aux_state.sum_column st l sum in
-        if sign > 0 then Column.add_cells dst r src row 1
-        else Column.sub_cells dst r src row 1
+        let src = Aux_state.sum_column st sum in
+        if sign > 0 then Column.add_cells dst r src l 1
+        else Column.sub_cells dst r src l 1
       end
       else
-        let src = Aux_state.plain_column st l c.plain in
-        if sign > 0 then Column.add_cells dst r src row cnt
-        else Column.sub_cells dst r src row cnt
+        let src = Aux_state.plain_column st c.plain in
+        if sign > 0 then Column.add_cells dst r src l cnt
+        else Column.sub_cells dst r src l cnt
 
-(* The column and row a group-bound SUM argument is read from. *)
-let sum_column st l c sum =
-  if sum >= 0 then Aux_state.sum_column st l sum
-  else Aux_state.plain_column st l c.plain
+(* The column a group-bound SUM argument is read from. *)
+let sum_column st c sum =
+  if sum >= 0 then Aux_state.sum_column st sum
+  else Aux_state.plain_column st c.plain
 
 let sum_zero f i =
   match f.args.(i) with
@@ -142,7 +138,7 @@ let sum_zero f i =
     if l < 0 then Value.zero_like f.tups.(c.slot).(c.base)
     else
       let st = aux f c.slot in
-      Column.zero_like_cell (sum_column st l c sum) (Aux_state.loc_row st l)
+      Column.zero_like_cell (sum_column st c sum) l
 
 let sum_is_numeric f i =
   match f.args.(i) with
@@ -152,13 +148,13 @@ let sum_is_numeric f i =
     if l < 0 then Value.is_numeric f.tups.(c.slot).(c.base)
     else
       let st = aux f c.slot in
-      Column.is_numeric_cell (sum_column st l c sum) (Aux_state.loc_row st l)
+      Column.is_numeric_cell (sum_column st c sum) l
 
 let read f c ~ext =
   let l = f.locs.(c.slot) in
   if l >= 0 && ext >= 0 then
     let st = aux f c.slot in
-    Column.get (Aux_state.ext_column st l ext) (Aux_state.loc_row st l)
+    Column.get (Aux_state.ext_column st ext) l
   else value f c
 
 let arg_value f i =

@@ -38,11 +38,11 @@ let sets_byte_size c =
   done;
   !bytes
 
-(* The undo log of a shard: group images laid out as the shard lays out
-   its groups, appended with the typed cell copies the shard itself uses,
-   so journaling boxes nothing, plus each key's hash. [lcnt = -1] records
-   a group the transaction created. Images are keyed by group key, not
-   row id: swap-with-last deletion renumbers rows. *)
+(* The undo log: group images laid out as the store lays out its groups,
+   appended with the typed cell copies the store itself uses, so
+   journaling boxes nothing, plus each key's hash. [lcnt = -1] records a
+   group the transaction created. Images are keyed by group key, not row
+   id: swap-with-last deletion renumbers rows. *)
 type log = {
   lkeys : Column.t array;
   lcells : Column.t array;
@@ -52,7 +52,7 @@ type log = {
   lhash : Icol.t;
 }
 
-type shard = {
+type t = {
   keys : Column.t array;
   cells : Column.t array;
   ints : Icol.t array;
@@ -65,8 +65,6 @@ type shard = {
   mutable untracked : bool;
 }
 
-type t = { mask : int; shards : shard array }
-
 (* Agrees with [Tuple.hash] of the boxed key. *)
 let key_hash_cols (keys : Column.t array) r =
   let h = ref 17 in
@@ -75,8 +73,8 @@ let key_hash_cols (keys : Column.t array) r =
   done;
   !h
 
-let nrows sh = Icol.length sh.cnts
-let group_count t = Array.fold_left (fun acc sh -> acc + nrows sh) 0 t.shards
+let row_hash g r = key_hash_cols g.keys r
+let group_count g = Icol.length g.cnts
 
 let empty_log keys cells ints sets =
   {
@@ -88,109 +86,100 @@ let empty_log keys cells ints sets =
     lhash = Icol.create ();
   }
 
-let create ~shards ~keys ~cells ~ints ~sets =
-  let mk _ =
-    let keys = keys () and cells = cells () in
-    let ints = Array.init ints (fun _ -> Icol.create ()) in
-    let sets = Array.init sets (fun _ -> sets_create ()) in
-    {
-      keys;
-      cells;
-      ints;
-      sets;
-      cnts = Icol.create ();
-      touched = Marks.create ();
-      map = Rowmap.create ~hash:(fun r -> key_hash_cols keys r) ();
-      log = empty_log keys cells ints sets;
-      start = -1;
-      untracked = false;
-    }
-  in
-  { mask = shards - 1; shards = Array.init shards mk }
+let create ~keys ~cells ~ints ~sets =
+  let ints = Array.init ints (fun _ -> Icol.create ()) in
+  let sets = Array.init sets (fun _ -> sets_create ()) in
+  {
+    keys;
+    cells;
+    ints;
+    sets;
+    cnts = Icol.create ();
+    touched = Marks.create ();
+    map = Rowmap.create ~hash:(fun r -> key_hash_cols keys r) ();
+    log = empty_log keys cells ints sets;
+    start = -1;
+    untracked = false;
+  }
 
 (* --- probes -------------------------------------------------------------- *)
 
 (* Closed equality tests for [Rowmap.probe]: a probe allocates nothing. *)
-let rec key_matches_from sh (key : Tuple.t) r i =
+let rec key_matches_from g (key : Tuple.t) r i =
   i >= Array.length key
-  || Column.equal_cell sh.keys.(i) r key.(i) && key_matches_from sh key r (i + 1)
+  || Column.equal_cell g.keys.(i) r key.(i) && key_matches_from g key r (i + 1)
 
-let key_matches sh key r = key_matches_from sh key r 0
-let find sh ~hash key = Rowmap.probe sh.map ~hash key_matches sh key
+let key_matches g key r = key_matches_from g key r 0
+let find g ~hash key = Rowmap.probe g.map ~hash key_matches g key
 
-(* Row [r] of [sh] holds the key in cells [j] of [src]. *)
-let rec cells_match_from sh src j r i =
+(* Row [r] of [g] holds the key in cells [j] of [src]. *)
+let rec cells_match_from g src j r i =
   i >= Array.length src
-  || Column.equal_cells sh.keys.(i) r src.(i) j
-     && cells_match_from sh src j r (i + 1)
+  || Column.equal_cells g.keys.(i) r src.(i) j
+     && cells_match_from g src j r (i + 1)
 
-let cells_match sh src j r = cells_match_from sh src j r 0
-let find_cells sh ~hash src j = Rowmap.probe3 sh.map ~hash cells_match sh src j
+let cells_match g src j r = cells_match_from g src j r 0
+let find_cells g ~hash src j = Rowmap.probe3 g.map ~hash cells_match g src j
 
-let key_at sh r =
-  Array.init (Array.length sh.keys) (fun i -> Column.get sh.keys.(i) r)
+let key_at g r =
+  Array.init (Array.length g.keys) (fun i -> Column.get g.keys.(i) r)
 
 (* --- rows ----------------------------------------------------------------- *)
 
-let add_row sh ~hash cnt =
-  let r = nrows sh in
-  Icol.append sh.cnts cnt;
-  Marks.append sh.touched;
-  Rowmap.add sh.map ~hash r;
+let add_row g ~hash cnt =
+  let r = group_count g in
+  Icol.append g.cnts cnt;
+  Marks.append g.touched;
+  Rowmap.add g.map ~hash r;
   r
 
-let delete_row sh ~hash r =
-  let l = nrows sh - 1 in
-  ignore (Rowmap.remove_value sh.map ~hash r);
+let delete_row g ~hash r =
+  let l = group_count g - 1 in
+  ignore (Rowmap.remove_value g.map ~hash r);
   if r <> l then
     ignore
-      (Rowmap.rename_value sh.map ~hash:(key_hash_cols sh.keys l) ~old_row:l
+      (Rowmap.rename_value g.map ~hash:(key_hash_cols g.keys l) ~old_row:l
          ~new_row:r);
-  for i = 0 to Array.length sh.keys - 1 do
-    Column.swap_delete sh.keys.(i) r
+  for i = 0 to Array.length g.keys - 1 do
+    Column.swap_delete g.keys.(i) r
   done;
-  for i = 0 to Array.length sh.cells - 1 do
-    Column.swap_delete sh.cells.(i) r
+  for i = 0 to Array.length g.cells - 1 do
+    Column.swap_delete g.cells.(i) r
   done;
-  for i = 0 to Array.length sh.ints - 1 do
-    Icol.swap_delete sh.ints.(i) r
+  for i = 0 to Array.length g.ints - 1 do
+    Icol.swap_delete g.ints.(i) r
   done;
-  for i = 0 to Array.length sh.sets - 1 do
-    sets_swap_delete sh.sets.(i) r
+  for i = 0 to Array.length g.sets - 1 do
+    sets_swap_delete g.sets.(i) r
   done;
-  Icol.swap_delete sh.cnts r;
-  Marks.swap_delete sh.touched r;
+  Icol.swap_delete g.cnts r;
+  Marks.swap_delete g.touched r;
   if r <> l then l else -1
 
 (* Appends the components and count of row [r] of [src] (shaped like
-   [dst]) to [dst], whose key the caller has appended. *)
-let append_from dst ~hash ~src_cells ~src_ints ~src_sets ~cnt r =
-  for i = 0 to Array.length dst.cells - 1 do
-    Column.append_cell dst.cells.(i) src_cells.(i) r
+   [g]) to [g], whose key the caller has appended. *)
+let append_from g ~hash ~src_cells ~src_ints ~src_sets ~cnt r =
+  for i = 0 to Array.length g.cells - 1 do
+    Column.append_cell g.cells.(i) src_cells.(i) r
   done;
-  for i = 0 to Array.length dst.ints - 1 do
-    Icol.append dst.ints.(i) (Icol.get src_ints.(i) r)
+  for i = 0 to Array.length g.ints - 1 do
+    Icol.append g.ints.(i) (Icol.get src_ints.(i) r)
   done;
-  for i = 0 to Array.length dst.sets - 1 do
-    sets_append dst.sets.(i) src_sets.(i).maps.(r)
+  for i = 0 to Array.length g.sets - 1 do
+    sets_append g.sets.(i) src_sets.(i).maps.(r)
   done;
-  add_row dst ~hash cnt
+  add_row g ~hash cnt
 
-let move_row ~src r ~hash ~dst ~key ~new_hash =
-  Array.iteri (fun i v -> Column.append dst.keys.(i) v) key;
-  let r' =
-    append_from dst ~hash:new_hash ~src_cells:src.cells ~src_ints:src.ints
-      ~src_sets:src.sets ~cnt:(Icol.get src.cnts r) r
-  in
-  let moved = delete_row src ~hash r in
-  (* in one shard the new row is the last, so the deletion moves it *)
-  if src == dst && moved = r' then r else r'
+let rekey g r ~hash ~key ~new_hash =
+  ignore (Rowmap.remove_value g.map ~hash r : bool);
+  Array.iteri (fun i v -> Column.set g.keys.(i) r v) key;
+  Rowmap.add g.map ~hash:new_hash r
 
 (* --- undo journal -------------------------------------------------------- *)
 
-let log_length sh = Icol.length sh.log.lcnt
-let log_hash sh e = Icol.get sh.log.lhash e
-let log_key sh e = Array.map (fun c -> Column.get c e) sh.log.lkeys
+let log_length g = Icol.length g.log.lcnt
+let log_hash g e = Icol.get g.log.lhash e
+let log_key g e = Array.map (fun c -> Column.get c e) g.log.lkeys
 
 let truncate_log lg n =
   Array.iter (fun c -> Column.truncate c n) lg.lkeys;
@@ -200,157 +189,145 @@ let truncate_log lg n =
   Icol.truncate lg.lcnt n;
   Icol.truncate lg.lhash n
 
-let release_log sh =
-  let lg = sh.log in
-  if Icol.capacity lg.lcnt > 4 * max 64 (log_length sh) then
-    sh.log <- empty_log lg.lkeys lg.lcells lg.lints lg.lsets
+let release_log g =
+  let lg = g.log in
+  if Icol.capacity lg.lcnt > 4 * max 64 (log_length g) then
+    g.log <- empty_log lg.lkeys lg.lcells lg.lints lg.lsets
   else truncate_log lg 0
 
-let clear_log sh =
-  release_log sh;
-  sh.untracked <- false
+let clear_log g =
+  release_log g;
+  g.untracked <- false
 
-let drop_log sh =
-  release_log sh;
-  sh.untracked <- true
+let drop_log g =
+  release_log g;
+  g.untracked <- true
 
 (* Appends the image of row [r] with [cnt] (-1: the group was created). *)
-let log_row sh ~hash ~cnt r =
-  let lg = sh.log in
+let log_row g ~hash ~cnt r =
+  let lg = g.log in
   for i = 0 to Array.length lg.lkeys - 1 do
-    Column.append_cell lg.lkeys.(i) sh.keys.(i) r
+    Column.append_cell lg.lkeys.(i) g.keys.(i) r
   done;
   for i = 0 to Array.length lg.lcells - 1 do
-    Column.append_cell lg.lcells.(i) sh.cells.(i) r
+    Column.append_cell lg.lcells.(i) g.cells.(i) r
   done;
   for i = 0 to Array.length lg.lints - 1 do
-    Icol.append lg.lints.(i) (Icol.get sh.ints.(i) r)
+    Icol.append lg.lints.(i) (Icol.get g.ints.(i) r)
   done;
   for i = 0 to Array.length lg.lsets - 1 do
-    sets_append lg.lsets.(i) sh.sets.(i).maps.(r)
+    sets_append lg.lsets.(i) g.sets.(i).maps.(r)
   done;
   Icol.append lg.lcnt cnt;
   Icol.append lg.lhash hash
 
-let in_txn sh = sh.start >= 0
+let in_txn g = g.start >= 0
 
-let begin_txn sh =
-  Marks.next_epoch sh.touched;
-  sh.start <- log_length sh
+let begin_txn g =
+  Marks.next_epoch g.touched;
+  g.start <- log_length g
 
-let note_row sh ~hash r =
-  if sh.start < 0 then sh.untracked <- true
-  else if not (Marks.marked sh.touched r) then begin
-    log_row sh ~hash ~cnt:(Icol.get sh.cnts r) r;
-    Marks.mark sh.touched r
+let note_row g ~hash r =
+  if g.start < 0 then g.untracked <- true
+  else if not (Marks.marked g.touched r) then begin
+    log_row g ~hash ~cnt:(Icol.get g.cnts r) r;
+    Marks.mark g.touched r
   end
 
-let note_created sh ~hash r =
-  if sh.start < 0 then sh.untracked <- true
+let note_created g ~hash r =
+  if g.start < 0 then g.untracked <- true
   else begin
-    log_row sh ~hash ~cnt:(-1) r;
-    Marks.mark sh.touched r
+    log_row g ~hash ~cnt:(-1) r;
+    Marks.mark g.touched r
   end
 
-let commit sh = sh.start <- -1
+let commit g = g.start <- -1
 
 (* Cells are boxed only here, on the cold path. *)
-let restore_row sh lg e r =
-  Icol.set sh.cnts r (Icol.get lg.lcnt e);
-  Array.iteri (fun i c -> Column.set c r (Column.get lg.lcells.(i) e)) sh.cells;
-  Array.iteri (fun i c -> Icol.set c r (Icol.get lg.lints.(i) e)) sh.ints;
-  Array.iteri (fun i c -> c.maps.(r) <- lg.lsets.(i).maps.(e)) sh.sets
+let restore_row g lg e r =
+  Icol.set g.cnts r (Icol.get lg.lcnt e);
+  Array.iteri (fun i c -> Column.set c r (Column.get lg.lcells.(i) e)) g.cells;
+  Array.iteri (fun i c -> Icol.set c r (Icol.get lg.lints.(i) e)) g.ints;
+  Array.iteri (fun i c -> c.maps.(r) <- lg.lsets.(i).maps.(e)) g.sets
 
-let rollback ?delete ?(restored = fun ~appended:_ _ -> ()) sh =
-  if sh.start >= 0 then begin
-    let lg = sh.log and start = sh.start in
-    let n = log_length sh in
+let rollback ?delete ?(restored = fun ~appended:_ _ -> ()) g =
+  if g.start >= 0 then begin
+    let lg = g.log and start = g.start in
+    let n = log_length g in
     for e = start to n - 1 do
       if Icol.get lg.lcnt e < 0 then begin
         let hash = Icol.get lg.lhash e in
-        let r = find_cells sh ~hash lg.lkeys e in
+        let r = find_cells g ~hash lg.lkeys e in
         if r >= 0 then
           match delete with
           | Some delete -> delete ~hash r
-          | None -> ignore (delete_row sh ~hash r : int)
+          | None -> ignore (delete_row g ~hash r : int)
       end
     done;
     for e = start to n - 1 do
       let cnt = Icol.get lg.lcnt e in
       if cnt >= 0 then begin
         let hash = Icol.get lg.lhash e in
-        let r = find_cells sh ~hash lg.lkeys e in
+        let r = find_cells g ~hash lg.lkeys e in
         if r >= 0 then begin
-          restore_row sh lg e r;
+          restore_row g lg e r;
           restored ~appended:false r
         end
         else begin
-          Array.iteri (fun i c -> Column.append_cell c lg.lkeys.(i) e) sh.keys;
+          Array.iteri (fun i c -> Column.append_cell c lg.lkeys.(i) e) g.keys;
           restored ~appended:true
-            (append_from sh ~hash ~src_cells:lg.lcells ~src_ints:lg.lints
+            (append_from g ~hash ~src_cells:lg.lcells ~src_ints:lg.lints
                ~src_sets:lg.lsets ~cnt e)
         end
       end
     done;
-    if start = 0 then release_log sh else truncate_log lg start;
-    sh.start <- -1
+    if start = 0 then release_log g else truncate_log lg start;
+    g.start <- -1
   end
 
 (* --- whole store ---------------------------------------------------------- *)
 
-let rows_equal sh r sh' r' =
+let rows_equal g r g' r' =
   let rec all a f i = i >= Array.length a || (f i && all a f (i + 1)) in
-  Icol.get sh.cnts r = Icol.get sh'.cnts r'
-  && all sh.cells (fun i -> Column.equal_cells sh'.cells.(i) r' sh.cells.(i) r) 0
-  && all sh.ints (fun i -> Icol.get sh.ints.(i) r = Icol.get sh'.ints.(i) r') 0
-  && all sh.sets
-       (fun i -> VMap.equal Int.equal sh.sets.(i).maps.(r) sh'.sets.(i).maps.(r'))
+  Icol.get g.cnts r = Icol.get g'.cnts r'
+  && all g.cells (fun i -> Column.equal_cells g'.cells.(i) r' g.cells.(i) r) 0
+  && all g.ints (fun i -> Icol.get g.ints.(i) r = Icol.get g'.ints.(i) r') 0
+  && all g.sets
+       (fun i -> VMap.equal Int.equal g.sets.(i).maps.(r) g'.sets.(i).maps.(r'))
        0
 
 let equal a b =
   group_count a = group_count b
-  && Array.for_all
-       (fun sh ->
-         let rec from r =
-           r >= nrows sh
-           ||
-           let hash = key_hash_cols sh.keys r in
-           let sh' = b.shards.(hash land b.mask) in
-           let r' = find_cells sh' ~hash sh.keys r in
-           r' >= 0 && rows_equal sh r sh' r' && from (r + 1)
-         in
-         from 0)
-       a.shards
+  &&
+  let rec from r =
+    r >= group_count a
+    ||
+    let r' = find_cells b ~hash:(key_hash_cols a.keys r) a.keys r in
+    r' >= 0 && rows_equal a r b r' && from (r + 1)
+  in
+  from 0
 
 (* --- byte accounting ----------------------------------------------------- *)
 
-let fold_columns t f acc =
-  Array.fold_left
-    (fun acc sh -> Array.fold_left f (Array.fold_left f acc sh.keys) sh.cells)
-    acc t.shards
+let columns g = Array.append g.keys g.cells
+let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a
+let offheap_bytes g = sum Column.offheap_bytes (columns g)
 
-let offheap_bytes t = fold_columns t (fun acc c -> acc + Column.offheap_bytes c) 0
-
-let byte_size t =
-  let cells = fold_columns t (fun acc c -> acc + Column.byte_size c) 0 in
-  let sum f a = Array.fold_left (fun acc x -> acc + f x) 0 a in
+let byte_size g =
   let structures =
-    sum
-      (fun sh ->
-        Icol.byte_size sh.cnts + Marks.byte_size sh.touched
-        + Rowmap.byte_size sh.map + sum Icol.byte_size sh.ints
-        + sum sets_byte_size sh.sets)
-      t.shards
+    Icol.byte_size g.cnts + Marks.byte_size g.touched + Rowmap.byte_size g.map
+    + sum Icol.byte_size g.ints + sum sets_byte_size g.sets
   in
-  (* dictionaries, deduplicated by physical identity: shards share
-     per-column dictionaries (and pooled stores share across stores —
-     those are charged once per store here, which over-reports slightly) *)
+  (* dictionaries, deduplicated by physical identity: columns can share a
+     dictionary (and pooled stores share across stores — those are
+     charged once per store here, which over-reports slightly) *)
   let dicts =
-    fold_columns t
+    Array.fold_left
       (fun acc c ->
         match Column.dict c with
         | Some d when not (List.memq d acc) -> d :: acc
         | Some _ | None -> acc)
-      []
+      [] (columns g)
   in
-  cells + structures + List.fold_left (fun acc d -> acc + Dict.byte_size d) 0 dicts
+  sum Column.byte_size (columns g) + structures
+  + List.fold_left (fun acc d -> acc + Dict.byte_size d) 0 dicts

@@ -1,21 +1,21 @@
-(** A sharded, grouped column store: the physical storage of both
+(** A grouped column store: the physical storage of both
     {!Aux_state} (an auxiliary view) and {!View_state} (a GPSJ view).
 
     Algorithm 3.2's smart duplicate compression makes every auxiliary view
     a generalized projection — a group key, its ["COUNT(*)"] and the
     CSMAS replacement columns — the same shape as the view it serves. The
-    store keeps such groups and nothing else: per hash shard, one typed
-    {!Column} per key attribute, the component columns, a dense count
-    column, one journal mark per row and a {!Relational.Rowmap} from group key to
-    row. A group is a row id into those columns; deletion swaps the last
-    row into the hole, so row ids are internal to the owner.
+    store keeps such groups and nothing else: one typed {!Column} per key
+    attribute, the component columns, a dense count column, one journal
+    mark per row and a {!Relational.Rowmap} from group key to row. A
+    group is a row id into those columns; deletion swaps the last row into
+    the hole, so row ids are internal to the owner.
 
     What the components mean is the owner's business: it appends a new
     group's key and component cells itself, then registers the row with
     {!add_row}, and reads and writes cells in place. The store owns what
     every owner needs the same way: probes, swap-with-last deletion that
     reports the row it moved, the typed undo log with its two-phase
-    rollback, layout-independent equality and byte accounting. *)
+    rollback, row-order-independent equality and byte accounting. *)
 
 module VMap : Map.S with type key = Relational.Value.t
 
@@ -27,11 +27,11 @@ type sets = { mutable maps : int VMap.t array; mutable len : int }
 (** [sets_append c m] appends a row holding [m]. *)
 val sets_append : sets -> int VMap.t -> unit
 
-(** One shard's undo log: group images laid out as the shard lays out its
+(** The undo log: group images laid out as the store lays out its
     groups. *)
 type log
 
-type shard = private {
+type t = private {
   keys : Column.t array;  (** the group key, one column per attribute *)
   cells : Column.t array;  (** typed component columns *)
   ints : Column.Icol.t array;  (** integer component columns *)
@@ -50,50 +50,37 @@ type shard = private {
           changed group *)
 }
 
-(** The shard of a group is its key hash ([Tuple.hash]) [land mask]. *)
-type t = private { mask : int; shards : shard array }
-
-(** [create ~shards ~keys ~cells ~ints ~sets] is an empty store of
-    [shards] (a power of two, checked by the owner) shards; [keys ()] and
-    [cells ()] make one shard's key and cell columns. *)
+(** [create ~keys ~cells ~ints ~sets] is an empty store over the owner's
+    empty key and cell columns, with [ints] integer and [sets] multiset
+    component columns. *)
 val create :
-  shards:int ->
-  keys:(unit -> Column.t array) ->
-  cells:(unit -> Column.t array) ->
-  ints:int ->
-  sets:int ->
-  t
+  keys:Column.t array -> cells:Column.t array -> ints:int -> sets:int -> t
 
-val nrows : shard -> int
+(** Number of groups (= rows). *)
 val group_count : t -> int
 
-(** [find sh ~hash key] is the row of group [key], or [-1]. *)
-val find : shard -> hash:int -> Relational.Tuple.t -> int
+(** [find g ~hash key] is the row of group [key], or [-1]. *)
+val find : t -> hash:int -> Relational.Tuple.t -> int
 
 (** Fresh boxed key of row [r]. *)
-val key_at : shard -> int -> Relational.Tuple.t
+val key_at : t -> int -> Relational.Tuple.t
 
-(** [add_row sh ~hash cnt] registers the row whose key and component
+(** [Tuple.hash] of row [r]'s key, read from its cells. *)
+val row_hash : t -> int -> int
+
+(** [add_row g ~hash cnt] registers the row whose key and component
     cells the owner has just appended, with count [cnt]; returns it. *)
-val add_row : shard -> hash:int -> int -> int
+val add_row : t -> hash:int -> int -> int
 
-(** [delete_row sh ~hash r] removes row [r] ([hash] is its key's) by
+(** [delete_row g ~hash r] removes row [r] ([hash] is its key's) by
     swapping the last row into its place. Returns the moved row's old id,
     now at [r], or [-1] when [r] was the last row. *)
-val delete_row : shard -> hash:int -> int -> int
+val delete_row : t -> hash:int -> int -> int
 
-(** [move_row ~src r ~hash ~dst ~key ~new_hash] re-keys group [r] of
-    [src] (key hash [hash]) as [key] (hash [new_hash]) in [dst], carrying
-    every component and the count; returns its row in [dst]. [src] and
-    [dst] may be the same shard. Not journaled: see {!note_created}. *)
-val move_row :
-  src:shard ->
-  int ->
-  hash:int ->
-  dst:shard ->
-  key:Relational.Tuple.t ->
-  new_hash:int ->
-  int
+(** [rekey g r ~hash ~key ~new_hash] re-keys group [r] (key hash [hash])
+    as [key] (hash [new_hash]) in place: the row, its components and its
+    count stay. Not journaled: see {!note_created}. *)
+val rekey : t -> int -> hash:int -> key:Relational.Tuple.t -> new_hash:int -> unit
 
 (** {2 Undo journal}
 
@@ -102,18 +89,18 @@ val move_row :
     row already journaled is known by its [touched] mark, without a
     probe; {!begin_txn} unmarks every row. *)
 
-val in_txn : shard -> bool
-val begin_txn : shard -> unit
+val in_txn : t -> bool
+val begin_txn : t -> unit
 
 (** Before the first mutation of row [r] in a transaction: logs its image
-    once. Outside a transaction it marks the shard [untracked]. *)
-val note_row : shard -> hash:int -> int -> unit
+    once. Outside a transaction it marks the store [untracked]. *)
+val note_row : t -> hash:int -> int -> unit
 
 (** After the creation of row [r]. *)
-val note_created : shard -> hash:int -> int -> unit
+val note_created : t -> hash:int -> int -> unit
 
 (** Closes the transaction; the log keeps its entries. *)
-val commit : shard -> unit
+val commit : t -> unit
 
 (** Undoes the transaction's entries and closes it: first every group it
     created is removed through [delete] (default {!delete_row}), then
@@ -124,29 +111,29 @@ val commit : shard -> unit
 val rollback :
   ?delete:(hash:int -> int -> unit) ->
   ?restored:(appended:bool -> int -> unit) ->
-  shard ->
+  t ->
   unit
 
 (** Empties the log: it names no group from now on. It keeps its
     capacity for the next transactions unless that is well beyond what it
     just held: then its storage is released, so one large batch does not
     pin a large log. *)
-val clear_log : shard -> unit
+val clear_log : t -> unit
 
 (** {!clear_log}, remembering that changed groups went unnamed. *)
-val drop_log : shard -> unit
+val drop_log : t -> unit
 
-val log_length : shard -> int
+val log_length : t -> int
 
 (** The key and the key hash of log entry [e]. *)
-val log_key : shard -> int -> Relational.Tuple.t
+val log_key : t -> int -> Relational.Tuple.t
 
-val log_hash : shard -> int -> int
+val log_hash : t -> int -> int
 
 (** {2 Whole store} *)
 
-(** Same groups with equal counts and components, independent of the
-    shard count and of row order. *)
+(** Same groups with equal counts and components, independent of row
+    order. *)
 val equal : t -> t -> bool
 
 (** Resident bytes: columns, count and integer columns, multisets (map

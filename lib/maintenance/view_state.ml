@@ -25,8 +25,8 @@ module VMap = Groups.VMap
    Section 2.1). This module adds the aggregate semantics, the dirty table
    and the log retention that {!publish} advances by. *)
 
-(* One aggregate's component columns in a shard: the store's own columns,
-   resolved once per shard. *)
+(* One aggregate's component columns: the store's own columns, resolved
+   once at [create]. *)
 type slot =
   | L_group  (** group-by item: its cells live in the key columns *)
   | L_count of Icol.t
@@ -36,31 +36,26 @@ type slot =
       (** DISTINCT result ([Null] = pending finalization) and the value
           multiset it is finalized from *)
 
-(* Why a group is pending in its shard's dirty table, as bits: the engine
-   must recompute a MIN/MAX from the auxiliary views, or a DISTINCT result
-   must be re-folded from its multiset. *)
+(* Why a group is pending in the dirty table, as bits: the engine must
+   recompute a MIN/MAX from the auxiliary views, or a DISTINCT result must
+   be re-folded from its multiset. *)
 let recompute = 1
 let refinalize = 2
 
-(* One hash-shard of the view state: the store's shard, the slots over its
-   columns and the dirty table. Group keys entering the dirty table are
-   copied on retention, because callers may pass reused scratch buffers.
-   The store's log outlives its transaction: the entries since the last
-   {!publish} name every group changed since then. *)
-type shard = {
-  g : Groups.shard;
-  slots : slot array;
-  dirty : int TH.t;  (** group key -> [recompute]/[refinalize] bits *)
-  mutable dirty0 : int TH.t option;  (** the dirty table at {!begin_txn} *)
-}
-
+(* The store, the slots over its columns and the dirty table. Group keys
+   entering the dirty table are copied on retention, because callers may
+   pass reused scratch buffers. The store's log outlives its transaction:
+   the entries since the last {!publish} name every group changed since
+   then. *)
 type t = {
   view : View.t;
   determined : bool;
   items : Select_item.t array;
   key_pos : int array;  (** positions of the group key in a rendered row *)
-  groups : Groups.t;
-  shards : shard array;  (** over [groups]' shards, in order *)
+  g : Groups.t;
+  slots : slot array;
+  dirty : int TH.t;  (** group key -> [recompute]/[refinalize] bits *)
+  mutable dirty0 : int TH.t option;  (** the dirty table at {!begin_txn} *)
   mutable published : publication option;  (** the last {!publish} *)
 }
 
@@ -69,8 +64,6 @@ type t = {
    finds the rows of touched groups from the hashes alone, without reading
    the rows, which lie scattered over the heap. *)
 and publication = { rows : (Tuple.t * int) array; hashes : int array }
-
-let nrows (sh : shard) = Groups.nrows sh.g
 
 (* What each item keeps in the store: SUM/AVG a running sum and a count,
    COUNT a count, MIN/MAX a boxed extremum, DISTINCT a boxed result and a
@@ -92,7 +85,7 @@ let components items =
             (Column.create_boxed :: cells, ints, sets)))
     ([], 0, 0) items
 
-let slots items (g : Groups.shard) =
+let slots items (g : Groups.t) =
   let c = ref 0 and k = ref 0 and m = ref 0 in
   let next cols i =
     incr i;
@@ -115,26 +108,25 @@ let slots items (g : Groups.shard) =
           | Aggregate.Min | Aggregate.Max -> L_ext (next g.cells c)))
     items
 
-let shard_over items (g : Groups.shard) =
-  { g; slots = slots items g; dirty = TH.create 16; dirty0 = None }
-
-let create ?(shards = 1) ?dict_pool view ~determined =
-  if shards < 1 || shards land (shards - 1) <> 0 then
-    invalid_arg "View_state.create: shard count is not a power of two";
+let create ?dict_pool view ~determined =
   let items = Array.of_list view.View.select in
-  let dicts =
-    Array.map
-      (fun (a : Attr.t) ->
-        Option.map
-          (fun pool -> Dict.shared pool ~table:a.Attr.table ~column:a.Attr.column)
-          dict_pool)
-      (Array.of_list (View.group_attrs view))
-  in
   let cells, ints, sets = components items in
-  let groups =
-    Groups.create ~shards
-      ~keys:(fun () -> Array.map (fun dict -> Column.create ?dict ()) dicts)
-      ~cells:(fun () -> Array.of_list (List.rev_map (fun mk -> mk ()) cells))
+  let g =
+    Groups.create
+      ~keys:
+        (Array.of_list
+           (List.map
+              (fun (a : Attr.t) ->
+                Column.create
+                  ?dict:
+                    (Option.map
+                       (fun pool ->
+                         Dict.shared pool ~table:a.Attr.table
+                           ~column:a.Attr.column)
+                       dict_pool)
+                  ())
+              (View.group_attrs view)))
+      ~cells:(Array.of_list (List.rev_map (fun mk -> mk ()) cells))
       ~ints ~sets
   in
   let key_pos =
@@ -151,43 +143,33 @@ let create ?(shards = 1) ?dict_pool view ~determined =
     determined;
     items;
     key_pos;
-    groups;
-    shards = Array.map (shard_over items) groups.shards;
+    g;
+    slots = slots items g;
+    dirty = TH.create 16;
+    dirty0 = None;
     published = None;
   }
 
-(* The shard of a group key is its [Tuple.hash] masked: writers hash a key
-   once and share the hash between the shard and the row probe. *)
-let shard_of_key t key = Tuple.hash key land t.groups.mask
-let shard_for t key = t.shards.(shard_of_key t key)
-
-(* The shard of group [key], and the group's row there or -1. *)
+(* The row of group [key], or -1, with the key's hash. *)
 let find_group t key =
   let hash = Tuple.hash key in
-  let sh = t.shards.(hash land t.groups.mask) in
-  (sh, hash, Groups.find sh.g ~hash key)
+  (hash, Groups.find t.g ~hash key)
 
-let key_at (sh : shard) r = Groups.key_at sh.g r
+let key_at t r = Groups.key_at t.g r
 
 (* --- transactions -------------------------------------------------------- *)
 
-let in_txn t = Groups.in_txn t.shards.(0).g
+let in_txn t = Groups.in_txn t.g
 
 let begin_txn t =
   if in_txn t then
     invalid_arg "View_state.begin_txn: transaction already open";
   (* the dirty table is saved whole: flushed at the end of every batch, it
      is empty between batches, not sized by the resident state *)
-  Array.iter
-    (fun sh ->
-      sh.dirty0 <-
-        (if TH.length sh.dirty = 0 then None else Some (TH.copy sh.dirty));
-      Groups.begin_txn sh.g)
-    t.shards
+  t.dirty0 <- (if TH.length t.dirty = 0 then None else Some (TH.copy t.dirty));
+  Groups.begin_txn t.g
 
-let group_count t = Groups.group_count t.groups
-let logged t =
-  Array.fold_left (fun acc sh -> acc + Groups.log_length sh.g) 0 t.shards
+let group_count t = Groups.group_count t.g
 
 (* The log is kept for the next {!publish}. A log of more entries than the
    view holds groups is dropped instead — {!publish} then renders in full —
@@ -195,28 +177,24 @@ let logged t =
 let commit t =
   if not (in_txn t) then
     invalid_arg "View_state.commit: no open transaction";
-  Array.iter (fun sh -> Groups.commit sh.g) t.shards;
-  if logged t > group_count t then
-    Array.iter (fun sh -> Groups.drop_log sh.g) t.shards
+  Groups.commit t.g;
+  if Groups.log_length t.g > group_count t then Groups.drop_log t.g
 
 let rollback t =
   if not (in_txn t) then
     invalid_arg "View_state.rollback: no open transaction";
-  Array.iter
-    (fun (sh : shard) ->
-      Groups.rollback sh.g;
-      TH.reset sh.dirty;
-      Option.iter (TH.iter (TH.add sh.dirty)) sh.dirty0;
-      sh.dirty0 <- None)
-    t.shards
+  Groups.rollback t.g;
+  TH.reset t.dirty;
+  Option.iter (TH.iter (TH.add t.dirty)) t.dirty0;
+  t.dirty0 <- None
 
 let view t = t.view
 
-let mark (sh : shard) key bit =
-  match TH.find_opt sh.dirty key with
-  | None -> TH.add sh.dirty (Array.copy key) bit
+let mark t key bit =
+  match TH.find_opt t.dirty key with
+  | None -> TH.add t.dirty (Array.copy key) bit
   | Some bits ->
-    if bits land bit = 0 then TH.replace sh.dirty (Array.copy key) (bits lor bit)
+    if bits land bit = 0 then TH.replace t.dirty (Array.copy key) (bits lor bit)
 
 (* The DISTINCT result over a value multiset, folded in [Value.compare]
    order — the order in which recomputation from base tables sees the
@@ -250,7 +228,7 @@ let distinct_step (agg : Aggregate.t) cur v d =
 let check_args t f =
   let args = Feed.args f in
   for i = 0 to Array.length args - 1 do
-    match t.shards.(0).slots.(i), args.(i) with
+    match t.slots.(i), args.(i) with
     | L_group, Feed.Key | L_count _, Feed.Weight -> ()
     | (L_ext _ | L_dist _), Feed.Value _ -> ()
     | L_sum _, Feed.Sum _ ->
@@ -263,8 +241,8 @@ let check_args t f =
 (* One item of a row weighted [cnt], added ([sign] = 1) or removed from the
    group at row [r]. COUNT and SUM/AVG components move in their unboxed
    cells; only extrema and DISTINCT multisets take the argument boxed. *)
-let apply_arg t (sh : shard) f ~sign ~cnt r i =
-  match sh.slots.(i) with
+let apply_arg t f ~sign ~cnt r i =
+  match t.slots.(i) with
   | L_group -> ()
   | L_count c -> Icol.add c r (sign * cnt)
   | L_sum { sum; n } ->
@@ -290,7 +268,7 @@ let apply_arg t (sh : shard) f ~sign ~cnt r i =
       (* deletion of the current extremum invalidates the component *)
       match Column.get cell r with
       | Value.Null -> ()
-      | cur -> if Value.equal cur v then mark sh (key_at sh r) recompute
+      | cur -> if Value.equal cur v then mark t (key_at t r) recompute
     end
   | L_dist { cell; vals } ->
     let agg =
@@ -308,20 +286,20 @@ let apply_arg t (sh : shard) f ~sign ~cnt r i =
     if before = 0 || after = 0 then begin
       match distinct_step agg (Column.get cell r) v sign with
       | Some x -> Column.set cell r x
-      | None -> mark sh (key_at sh r) refinalize
+      | None -> mark t (key_at t r) refinalize
     end
 
-let apply_args t sh f ~sign ~cnt r =
-  for i = 0 to Array.length sh.slots - 1 do
-    apply_arg t sh f ~sign ~cnt r i
+let apply_args t f ~sign ~cnt r =
+  for i = 0 to Array.length t.slots - 1 do
+    apply_arg t f ~sign ~cnt r i
   done
 
 (* Append a fresh group, its key read off [f]. Sum components are seeded
    with the zero of their first argument's type so the column specializes
    to the right numeric storage (a later type change demotes the column to
    boxed cells). *)
-let append_fresh (sh : shard) ~hash f =
-  Feed.append_key f sh.g.keys;
+let append_fresh t ~hash f =
+  Feed.append_key f t.g.keys;
   Array.iteri
     (fun i slot ->
       match slot with
@@ -334,14 +312,13 @@ let append_fresh (sh : shard) ~hash f =
       | L_dist { cell; vals } ->
         Column.append cell Value.Null;
         Groups.sets_append vals VMap.empty)
-    sh.slots;
-  Groups.add_row sh.g ~hash 0
+    t.slots;
+  Groups.add_row t.g ~hash 0
 
 let feed t f ~cnt =
   check_args t f;
   let hash = Feed.hash_key f in
-  let sh = t.shards.(hash land t.groups.mask) in
-  let g = sh.g in
+  let g = t.g in
   let r = Rowmap.probe g.map ~hash Feed.key_matches f g.keys in
   let r =
     if r >= 0 then begin
@@ -349,13 +326,13 @@ let feed t f ~cnt =
       r
     end
     else begin
-      let r = append_fresh sh ~hash f in
+      let r = append_fresh t ~hash f in
       Groups.note_created g ~hash r;
       r
     end
   in
   Icol.add g.cnts r cnt;
-  apply_args t sh f ~sign:1 ~cnt r
+  apply_args t f ~sign:1 ~cnt r
 
 let absent what f =
   invalid_arg
@@ -365,8 +342,7 @@ let absent what f =
 let unfeed t f ~cnt =
   check_args t f;
   let hash = Feed.hash_key f in
-  let sh = t.shards.(hash land t.groups.mask) in
-  let g = sh.g in
+  let g = t.g in
   let r = Rowmap.probe g.map ~hash Feed.key_matches f g.keys in
   if r < 0 then absent "unfeed" f;
   if Icol.get g.cnts r < cnt then
@@ -374,32 +350,31 @@ let unfeed t f ~cnt =
   Groups.note_row g ~hash r;
   Icol.add g.cnts r (-cnt);
   if Icol.get g.cnts r = 0 then begin
-    if TH.length sh.dirty > 0 then TH.remove sh.dirty (key_at sh r);
+    if TH.length t.dirty > 0 then TH.remove t.dirty (key_at t r);
     ignore (Groups.delete_row g ~hash r : int)
   end
-  else apply_args t sh f ~sign:(-1) ~cnt r
+  else apply_args t f ~sign:(-1) ~cnt r
 
 let adjust t f ~sums ~before ~after =
   let hash = Feed.hash_key f in
-  let sh = t.shards.(hash land t.groups.mask) in
-  let r = Rowmap.probe sh.g.map ~hash Feed.key_matches f sh.g.keys in
+  let r = Rowmap.probe t.g.map ~hash Feed.key_matches f t.g.keys in
   if r < 0 then absent "adjust" f;
   (* everything is checked before the first write, so a rejected update
      leaves the group as it was *)
   for j = 0 to Array.length sums - 1 do
     let item, pos = sums.(j) in
-    (match sh.slots.(item) with
+    (match t.slots.(item) with
     | L_sum _ -> ()
     | L_group | L_count _ | L_ext _ | L_dist _ ->
       invalid_arg "View_state.adjust: item is not a SUM or AVG");
     if not (Value.is_numeric before.(pos) && Value.is_numeric after.(pos)) then
       invalid_arg "View_state.adjust: non-numeric value in a summed item"
   done;
-  Groups.note_row sh.g ~hash r;
+  Groups.note_row t.g ~hash r;
   (* the order of an unfeed then a feed, so float sums agree *)
   for j = 0 to Array.length sums - 1 do
     let item, pos = sums.(j) in
-    match sh.slots.(item) with
+    match t.slots.(item) with
     | L_sum { sum; _ } ->
       Column.sub_cell sum r before.(pos) 1;
       Column.add_cell sum r after.(pos) 1
@@ -407,41 +382,36 @@ let adjust t f ~sums ~before ~after =
   done
 
 (* Re-fold every DISTINCT result of the group at [r] from its multiset. *)
-let refold t (sh : shard) ~hash r =
-  Groups.note_row sh.g ~hash r;
+let refold t ~hash r =
+  Groups.note_row t.g ~hash r;
   Array.iteri
     (fun i slot ->
       match slot, t.items.(i) with
       | L_dist { cell; vals }, Select_item.Agg agg ->
         Column.set cell r (finalize_distinct agg vals.maps.(r))
       | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _ -> ())
-    sh.slots
+    t.slots
 
 let take_dirty t =
-  Array.fold_left
-    (fun acc (sh : shard) ->
-      let acc =
-        TH.fold
-          (fun key bits acc ->
-            (if bits land refinalize <> 0 then
-               let hash = Tuple.hash key in
-               let r = Groups.find sh.g ~hash key in
-               if r >= 0 then refold t sh ~hash r);
-            if bits land recompute <> 0 then key :: acc else acc)
-          sh.dirty acc
-      in
-      TH.reset sh.dirty;
-      acc)
-    [] t.shards
+  let acc =
+    TH.fold
+      (fun key bits acc ->
+        (if bits land refinalize <> 0 then
+           let hash, r = find_group t key in
+           if r >= 0 then refold t ~hash r);
+        if bits land recompute <> 0 then key :: acc else acc)
+      t.dirty []
+  in
+  TH.reset t.dirty;
+  acc
 
-let is_dirty_pending t =
-  Array.exists (fun (sh : shard) -> TH.length sh.dirty > 0) t.shards
+let is_dirty_pending t = TH.length t.dirty > 0
 
 let set_value t ~key ~item v =
-  let sh, hash, r = find_group t key in
+  let hash, r = find_group t key in
   if r >= 0 then begin
-    Groups.note_row sh.g ~hash r;
-    match sh.slots.(item) with
+    Groups.note_row t.g ~hash r;
+    match t.slots.(item) with
     | L_ext cell -> Column.set cell r v
     | L_group | L_count _ | L_sum _ | L_dist _ ->
       invalid_arg "View_state.set_value: item is not recomputed"
@@ -450,7 +420,7 @@ let set_value t ~key ~item v =
 type component_update = Shift_sum of Value.t | Set_current of Value.t
 
 let adjust_group t ~key ~new_key updates =
-  let sh, hash, r = find_group t key in
+  let hash, r = find_group t key in
   if r < 0 then
     invalid_arg
       (Printf.sprintf "View_state.adjust_group: group %s absent"
@@ -458,82 +428,71 @@ let adjust_group t ~key ~new_key updates =
   else begin
     let moving = not (Tuple.equal key new_key) in
     let new_hash = if moving then Tuple.hash new_key else hash in
-    let sh' = t.shards.(new_hash land t.groups.mask) in
-    Groups.note_row sh.g ~hash r;
+    Groups.note_row t.g ~hash r;
     List.iter
       (fun (i, upd) ->
-        match sh.slots.(i), t.items.(i), upd with
+        match t.slots.(i), t.items.(i), upd with
         | L_sum { sum; n }, _, Shift_sum delta ->
           Column.add_cell sum r delta (Icol.get n r)
         | L_ext cell, _, Set_current v -> Column.set cell r v
         | L_dist { cell; vals }, Select_item.Agg agg, Set_current v ->
           (* the argument is determined by the group key: every base row
              of the group now carries [v] *)
-          let m = VMap.singleton v (Icol.get sh.g.cnts r) in
+          let m = VMap.singleton v (Icol.get t.g.cnts r) in
           vals.maps.(r) <- m;
           Column.set cell r (finalize_distinct agg m)
         | (L_group | L_count _ | L_sum _ | L_ext _ | L_dist _), _, _ ->
           invalid_arg "View_state.adjust_group: update does not match state")
       updates;
     if moving then begin
-      if Groups.find sh'.g ~hash:new_hash new_key >= 0 then
+      if Groups.find t.g ~hash:new_hash new_key >= 0 then
         invalid_arg "View_state.adjust_group: new key collides";
-      Groups.note_created sh'.g ~hash:new_hash
-        (Groups.move_row ~src:sh.g r ~hash ~dst:sh'.g ~key:new_key ~new_hash);
-      match TH.find_opt sh.dirty key with
+      Groups.rekey t.g r ~hash ~key:new_key ~new_hash;
+      Groups.note_created t.g ~hash:new_hash r;
+      match TH.find_opt t.dirty key with
       | Some bits ->
-        TH.remove sh.dirty key;
-        TH.add sh'.dirty (Array.copy new_key) bits
+        TH.remove t.dirty key;
+        TH.add t.dirty (Array.copy new_key) bits
       | None -> ()
     end
   end
 
 let multiset t ~key ~item =
-  let sh, _, r = find_group t key in
-  match sh.slots.(item) with
+  let _, r = find_group t key in
+  match t.slots.(item) with
   | L_dist { vals; _ } when r >= 0 -> VMap.bindings vals.maps.(r)
   | L_group | L_count _ | L_sum _ | L_ext _ | L_dist _ -> []
 
 let fold_groups t f acc =
-  Array.fold_left
-    (fun acc (sh : shard) ->
-      let acc = ref acc in
-      for r = 0 to nrows sh - 1 do
-        acc := f (key_at sh r) (Icol.get sh.g.cnts r) !acc
-      done;
-      !acc)
-    acc t.shards
-
-let dirty_count t =
-  Array.fold_left (fun acc (sh : shard) -> acc + TH.length sh.dirty) 0 t.shards
+  let acc = ref acc in
+  for r = 0 to group_count t - 1 do
+    acc := f (key_at t r) (Icol.get t.g.cnts r) !acc
+  done;
+  !acc
 
 (* Structural equality of the resident view state: groups (base counts,
    every aggregate component and DISTINCT multiset) and the dirty table.
-   Deliberately independent of the shard layout and of physical row order;
-   open transactions are ignored. *)
+   Deliberately independent of physical row order; open transactions are
+   ignored. *)
 let equal a b =
-  Groups.equal a.groups b.groups
-  && dirty_count a = dirty_count b
-  && Array.for_all
-       (fun (sh : shard) ->
-         TH.fold
-           (fun key bits acc ->
-             acc && TH.find_opt (shard_for b key).dirty key = Some bits)
-           sh.dirty true)
-       a.shards
+  Groups.equal a.g b.g
+  && TH.length a.dirty = TH.length b.dirty
+  && TH.fold
+       (fun key bits acc -> acc && TH.find_opt b.dirty key = Some bits)
+       a.dirty true
 
 (* The select-list row of the group at [r]. *)
-let render_row t (sh : shard) r =
+let render_row t r =
   let gi = ref 0 in
   Array.mapi
     (fun i item ->
       match (item : Select_item.t) with
       | Select_item.Group _ ->
-        let v = Column.get sh.g.keys.(!gi) r in
+        let v = Column.get t.g.keys.(!gi) r in
         incr gi;
         v
       | Select_item.Agg agg -> (
-        match sh.slots.(i) with
+        match t.slots.(i) with
         | L_group -> assert false
         | L_count c -> Value.Int (Icol.get c r)
         | L_sum { sum; n } -> (
@@ -552,12 +511,9 @@ let render_row t (sh : shard) r =
 
 let render t =
   let result = Relation.create ~size_hint:(group_count t) () in
-  Array.iter
-    (fun (sh : shard) ->
-      for r = 0 to nrows sh - 1 do
-        Relation.insert result (render_row t sh r)
-      done)
-    t.shards;
+  for r = 0 to group_count t - 1 do
+    Relation.insert result (render_row t r)
+  done;
   (* restrictions on groups (HAVING) are applied at read time: the full group
      state is what gets maintained *)
   View.filter_having t.view result
@@ -603,7 +559,7 @@ let no_entry = { hash = 0; row = no_row; placed = false }
    untouched groups are never read, and a touched group costs O(1)
    compares, O(log n) when its row moves. *)
 let advance t prev =
-  let nt = logged t in
+  let nt = Groups.log_length t.g in
   if nt = 0 then prev
   else begin
     (* 16 bits a touched key: about one untouched row in 16 passes *)
@@ -614,30 +570,27 @@ let advance t prev =
     let mask = !bits - 1 in
     let filter = Bytes.make (!bits lsr 3) '\000' in
     let entries = TH.create nt in
-    Array.iter
-      (fun sh ->
-        for e = 0 to Groups.log_length sh.g - 1 do
-          let key = Groups.log_key sh.g e in
-          if not (TH.mem entries key) then begin
-            let hash = Groups.log_hash sh.g e in
-            let b = hash land mask in
-            Bytes.unsafe_set filter (b lsr 3)
-              (Char.unsafe_chr
-                 (Char.code (Bytes.unsafe_get filter (b lsr 3))
-                 lor (1 lsl (b land 7))));
-            let r = Groups.find sh.g ~hash key in
-            let row =
-              if r < 0 then no_row
-              else
-                let row = render_row t sh r in
-                if t.view.View.having = [] || View.passes_having t.view row
-                then (row, 1)
-                else no_row
-            in
-            TH.add entries key { hash; row; placed = false }
-          end
-        done)
-      t.shards;
+    for e = 0 to nt - 1 do
+      let key = Groups.log_key t.g e in
+      if not (TH.mem entries key) then begin
+        let hash = Groups.log_hash t.g e in
+        let b = hash land mask in
+        Bytes.unsafe_set filter (b lsr 3)
+          (Char.unsafe_chr
+             (Char.code (Bytes.unsafe_get filter (b lsr 3))
+             lor (1 lsl (b land 7))));
+        let r = Groups.find t.g ~hash key in
+        let row =
+          if r < 0 then no_row
+          else
+            let row = render_row t r in
+            if t.view.View.having = [] || View.passes_having t.view row
+            then (row, 1)
+            else no_row
+        in
+        TH.add entries key { hash; row; placed = false }
+      end
+    done;
     let nt = TH.length entries in
     let filtered h =
       let b = h land mask in
@@ -737,18 +690,16 @@ let publish t =
   if in_txn t then invalid_arg "View_state.publish: transaction open";
   let pub =
     match t.published with
-    | Some prev
-      when not (Array.exists (fun sh -> sh.g.Groups.untracked) t.shards) ->
-      advance t prev
+    | Some prev when not t.g.Groups.untracked -> advance t prev
     | Some _ | None ->
       let rows = Relation.to_sorted_array (render t) in
       { rows; hashes = Array.map (fun (row, _) -> key_hash t row) rows }
   in
-  Array.iter (fun sh -> Groups.clear_log sh.g) t.shards;
+  Groups.clear_log t.g;
   t.published <- Some pub;
   pub.rows
 
 (* --- byte accounting ----------------------------------------------------- *)
 
-let offheap_bytes t = Groups.offheap_bytes t.groups
-let byte_size t = Groups.byte_size t.groups
+let offheap_bytes t = Groups.offheap_bytes t.g
+let byte_size t = Groups.byte_size t.g

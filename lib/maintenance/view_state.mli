@@ -24,19 +24,14 @@
 
 type t
 
-(** [create ?shards view ~determined] prepares empty state for a validated
-    view. [shards] (a power of two, default 1) splits groups, the dirty set
-    and the undo journal into hash shards; sharding is invisible to
-    accessors and to {!equal}.
+(** [create view ~determined] prepares empty state for a validated view.
 
     Groups are stored in a {!Groups} store, as {!Aux_state}'s are: typed
     key and component columns ({!Column}) with row ids as group identity,
     materialized back to boxed tuples only at the interface. [dict_pool]
     shares string dictionaries per (table, column) with the auxiliary-view
-    states built from the same pool.
-    @raise Invalid_argument if [shards] is not a positive power of two. *)
-val create :
-  ?shards:int -> ?dict_pool:Dict.pool -> Algebra.View.t -> determined:bool -> t
+    states built from the same pool. *)
+val create : ?dict_pool:Dict.pool -> Algebra.View.t -> determined:bool -> t
 
 (** Structural equality of the resident state: groups (base count, every
     aggregate component and DISTINCT multiset) and the dirty table. Open
@@ -76,7 +71,7 @@ val group_count : t -> int
 (** [feed t f ~cnt] adds the joined row of [f], weighted [cnt], to the
     group of its key: [f]'s plan has one argument per select item (see
     {!Feed}). Creates the group when new. The key is hashed once, for the
-    shard, the probe and the journal; COUNT and SUM/AVG components move in
+    probe and the journal; COUNT and SUM/AVG components move in
     their unboxed cells.
     @raise Invalid_argument, before any mutation, if a summed argument is
     non-numeric or an argument does not match its item. *)

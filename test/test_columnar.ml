@@ -101,23 +101,26 @@ let relation_of spec groups =
     groups;
   rel
 
-(* Drive a 1-shard and a 4-shard columnar state through the same random
-   weighted insert/delete stream, in committed and rolled-back transaction
-   segments, comparing the full observable state after every segment with
-   the group-by of the live tuples. *)
+(* Drive a columnar state through a random weighted insert/delete
+   stream, in committed and rolled-back transaction segments, comparing
+   the full observable state after every segment with the group-by of the
+   live tuples, and with a twin fed the live tuples in reverse order: its
+   rows lie in another order, which [equal] must not see. *)
 let aux_matrix ~gen_tup seed (spec, schema) =
   let st1 = AS.create spec schema in
-  let st4 = AS.create ~shards:4 spec schema in
   let rng = Prng.create seed in
   let present = ref [] in
   let ok = ref true in
   let check () =
     let groups = group_by spec schema !present in
+    let twin = AS.create spec schema in
+    List.iter (fun (tup, count) -> AS.insert_base ~count twin tup) (List.rev !present);
     ok :=
       !ok
       && Relation.equal (AS.to_relation st1) (relation_of spec groups)
       && as_rows st1 = groups
-      && AS.equal st1 st4
+      && AS.equal st1 twin
+      && AS.equal twin st1
       && AS.row_count st1 = List.length groups
       && AS.base_count st1
          = List.fold_left (fun acc (_, c) -> acc + c) 0 !present
@@ -128,27 +131,24 @@ let aux_matrix ~gen_tup seed (spec, schema) =
       let idx = Prng.int rng n in
       let tup, cnt = List.nth !present idx in
       present := List.filteri (fun j _ -> j <> idx) !present;
-      AS.delete_base ~count:cnt st1 tup;
-      AS.delete_base ~count:cnt st4 tup
+      AS.delete_base ~count:cnt st1 tup
     end
     else begin
       let tup = gen_tup rng in
       let cnt = 1 + Prng.int rng 3 in
       present := (tup, cnt) :: !present;
-      AS.insert_base ~count:cnt st1 tup;
-      AS.insert_base ~count:cnt st4 tup
+      AS.insert_base ~count:cnt st1 tup
     end
   in
-  let both f = f st1; f st4 in
   for _ = 1 to 3 do
-    both AS.begin_txn;
+    AS.begin_txn st1;
     for _ = 1 to 15 do op () done;
-    both AS.commit;
+    AS.commit st1;
     check ();
     let saved = !present in
-    both AS.begin_txn;
+    AS.begin_txn st1;
     for _ = 1 to 15 do op () done;
-    both AS.rollback;
+    AS.rollback st1;
     present := saved;
     check ()
   done;
@@ -230,13 +230,14 @@ let t_db entries =
     entries;
   db
 
+(* A view state under random feeds and unfeeds, in committed and
+   rolled-back segments, against recomputation from base tables and a twin
+   fed the live entries in reverse order. *)
 let view_matrix seed =
   let s1 = VS.create vview ~determined:false in
-  let s4 = VS.create ~shards:4 vview ~determined:false in
   let rng = Prng.create seed in
   let present = ref [] in
   let ok = ref true in
-  let both f = f s1; f s4 in
   let contribs (k, v, lbl, _) = vs_contribs (row [ i k ]) ~v ~lbl in
   let op () =
     let n = List.length !present in
@@ -244,7 +245,7 @@ let view_matrix seed =
       let idx = Prng.int rng n in
       let ((_, _, _, cnt) as entry) = List.nth !present idx in
       present := List.filteri (fun j _ -> j <> idx) !present;
-      both (fun st -> VS.unfeed st (contribs entry) ~cnt)
+      VS.unfeed s1 (contribs entry) ~cnt
     end
     else begin
       let ((_, _, _, cnt) as entry) =
@@ -252,15 +253,12 @@ let view_matrix seed =
           Printf.sprintf "l%d" (Prng.int rng 4), 1 + Prng.int rng 3 )
       in
       present := entry :: !present;
-      both (fun st -> VS.feed st (contribs entry) ~cnt)
+      VS.feed s1 (contribs entry) ~cnt
     end
   in
-  (* the engine's MAX recomputation: both states must dirty the same
-     groups, and each takes the maximum of its live entries *)
+  (* the engine's MAX recomputation: a dirtied group takes the maximum of
+     its live entries *)
   let resolve () =
-    let d1 = List.sort Tuple.compare (VS.take_dirty s1) in
-    let d4 = List.sort Tuple.compare (VS.take_dirty s4) in
-    ok := !ok && List.equal Tuple.equal d1 d4;
     List.iter
       (fun key ->
         let mx =
@@ -269,28 +267,33 @@ let view_matrix seed =
               if Value.equal key.(0) (i k) then max m v else m)
             min_int !present
         in
-        both (fun st -> VS.set_value st ~key ~item:4 (i mx)))
-      d1
+        VS.set_value s1 ~key ~item:4 (i mx))
+      (VS.take_dirty s1)
   in
   let check () =
     resolve ();
+    let twin = VS.create vview ~determined:false in
+    List.iter
+      (fun ((_, _, _, cnt) as entry) -> VS.feed twin (contribs entry) ~cnt)
+      (List.rev !present);
     ok :=
       !ok
       && Relation.equal (VS.render s1) (Algebra.Eval.eval (t_db !present) vview)
-      && VS.equal s1 s4
+      && VS.equal s1 twin
+      && VS.equal twin s1
   in
   for _ = 1 to 3 do
-    both VS.begin_txn;
+    VS.begin_txn s1;
     for _ = 1 to 15 do op () done;
-    both VS.commit;
+    VS.commit s1;
     check ();
     let saved = !present in
-    both VS.begin_txn;
+    VS.begin_txn s1;
     for _ = 1 to 15 do op () done;
-    both VS.rollback;
+    VS.rollback s1;
     present := saved;
-    (* rollback also restores the (empty, post-resolve) dirty sets *)
-    ok := !ok && not (VS.is_dirty_pending s1 || VS.is_dirty_pending s4);
+    (* rollback also restores the (empty, post-resolve) dirty set *)
+    ok := !ok && not (VS.is_dirty_pending s1);
     check ()
   done;
   !ok
@@ -571,9 +574,9 @@ let rowmap_tests =
   ]
 
 (* A slot's home must not be the low bits of the hash alone: those bits
-   also bucket [Database]'s key tables and pick a store's shard, so a load
-   in a table's fold order, or a shard's share of the keys, arrives sorted
-   by, or agreeing in, exactly those bits. A load sorted by more low bits
+   also bucket a [Hashtbl], so a load in such a table's fold order, or
+   any set of keys filtered on a low bit, arrives sorted by, or agreeing
+   in, exactly those bits. A load sorted by more low bits
    than the growing map has slots piles every key into one run, and a
    shared low bit leaves half the slots without a key to start there.
    Counted: [eq] calls per key while loading the keys with [replace] (the
@@ -616,7 +619,7 @@ let rowmap_home_tests =
         check_probes (mean_probes ~hash keys));
     test "rowmap: keys that share their low hash bits probe short runs"
       (fun () ->
-        (* the keys of one shard of four *)
+        (* the keys whose two low hash bits are zero *)
         let keys =
           Seq.ints 0
           |> Seq.filter (fun k -> hash k land 3 = 0)
@@ -690,53 +693,49 @@ module VMap = Groups.VMap
 type mgroup = { mcnt : int; mcell : Value.t; mint : int; mset : int VMap.t }
 
 (* Keys of an int and a dictionary-encoded string. *)
-let new_store shards =
-  Groups.create ~shards
-    ~keys:(fun () -> [| Column.create (); Column.create () |])
-    ~cells:(fun () -> [| Column.create () |])
+let new_store () =
+  Groups.create
+    ~keys:[| Column.create (); Column.create () |]
+    ~cells:[| Column.create () |]
     ~ints:1 ~sets:1
 
 let locate (st : Groups.t) key =
   let hash = Tuple.hash key in
-  let sh = st.shards.(hash land st.mask) in
-  (sh, hash, Groups.find sh ~hash key)
+  (hash, Groups.find st ~hash key)
 
 let add_group (st : Groups.t) key m =
-  let sh, hash, _ = locate st key in
-  Array.iteri (fun j c -> Column.append c key.(j)) sh.keys;
-  Column.append sh.cells.(0) m.mcell;
-  Icol.append sh.ints.(0) m.mint;
-  Groups.sets_append sh.sets.(0) m.mset;
-  Groups.note_created sh ~hash (Groups.add_row sh ~hash m.mcnt)
+  let hash, _ = locate st key in
+  Array.iteri (fun j c -> Column.append c key.(j)) st.keys;
+  Column.append st.cells.(0) m.mcell;
+  Icol.append st.ints.(0) m.mint;
+  Groups.sets_append st.sets.(0) m.mset;
+  Groups.note_created st ~hash (Groups.add_row st ~hash m.mcnt)
 
 let agrees (st : Groups.t) model =
   Groups.group_count st = KM.cardinal model
   && KM.for_all
        (fun key m ->
-         let sh, _, r = locate st key in
+         let _, r = locate st key in
          r >= 0
-         && Tuple.equal (Groups.key_at sh r) key
-         && Icol.get sh.cnts r = m.mcnt
-         && Value.equal (Column.get sh.cells.(0) r) m.mcell
-         && Icol.get sh.ints.(0) r = m.mint
-         && VMap.equal Int.equal sh.sets.(0).maps.(r) m.mset)
+         && Tuple.equal (Groups.key_at st r) key
+         && Icol.get st.cnts r = m.mcnt
+         && Value.equal (Column.get st.cells.(0) r) m.mcell
+         && Icol.get st.ints.(0) r = m.mint
+         && VMap.equal Int.equal st.sets.(0).maps.(r) m.mset)
        model
 
-let log_words (st : Groups.t) =
-  Array.fold_left
-    (fun acc (sh : Groups.shard) -> acc + Obj.reachable_words (Obj.repr sh.log))
-    0 st.shards
+let log_words (st : Groups.t) = Obj.reachable_words (Obj.repr st.log)
 
 (* 300 transactions of random appends, journaled cell updates and
    swap-deletes, committed (the log emptied, or kept past its transaction
    as a view state keeps it for publication) or rolled back, against a
    boxed model: the marks' epochs wrap past 255. Transaction 100 creates
    1,200 groups and rolls back, so committing the small transaction 101
-   releases its log; at the end a one-shard store rebuilt from the model
-   is [Groups.equal] to the four-shard one. *)
+   releases its log; at the end a store rebuilt from the model, in
+   reverse key order, is [Groups.equal] to it. *)
 let groups_run seed =
   let rng = Prng.create seed in
-  let st = new_store 4 in
+  let st = new_store () in
   let model = ref KM.empty in
   let ok = ref true in
   let expect b = ok := !ok && b in
@@ -749,15 +748,15 @@ let groups_run seed =
     add_group st (key k) m;
     model := KM.add (key k) m !model
   in
-  let update key m ((sh : Groups.shard), hash, r) =
+  let update key m (hash, r) =
     let d = 1 + Prng.int rng 5 in
     let had = Option.value (VMap.find_opt (i d) m.mset) ~default:0 in
     let mset = VMap.add (i d) (had + d) m.mset in
-    Groups.note_row sh ~hash r;
-    Icol.add sh.cnts r d;
-    Column.add_cell sh.cells.(0) r (i d) 1;
-    Icol.add sh.ints.(0) r (-d);
-    sh.sets.(0).maps.(r) <- mset;
+    Groups.note_row st ~hash r;
+    Icol.add st.cnts r d;
+    Column.add_cell st.cells.(0) r (i d) 1;
+    Icol.add st.ints.(0) r (-d);
+    st.sets.(0).maps.(r) <- mset;
     model :=
       KM.add key
         {
@@ -768,44 +767,44 @@ let groups_run seed =
         }
         !model
   in
-  let delete key ((sh : Groups.shard), hash, r) =
-    Groups.note_row sh ~hash r;
-    let moved = Groups.delete_row sh ~hash r in
+  let delete key (hash, r) =
+    Groups.note_row st ~hash r;
+    let moved = Groups.delete_row st ~hash r in
     (* the moved group is now found at [r] *)
     if moved >= 0 then begin
-      let k = Groups.key_at sh r in
-      expect (Groups.find sh ~hash:(Tuple.hash k) k = r)
+      let k = Groups.key_at st r in
+      expect (Groups.find st ~hash:(Tuple.hash k) k = r)
     end;
     model := KM.remove key !model
   in
   let op k =
-    let ((_, _, r) as at) = locate st (key k) in
+    let ((_, r) as at) = locate st (key k) in
     if r < 0 then append k
     else if Prng.int rng 3 = 0 then delete (key k) at
     else update (key k) (KM.find (key k) !model) at
   in
   for txn = 1 to 300 do
     let before = !model in
-    let starts = Array.map Groups.log_length st.shards in
-    Array.iter Groups.begin_txn st.shards;
+    let start = Groups.log_length st in
+    Groups.begin_txn st;
     if txn = 100 then for k = 1_000 to 2_199 do op k done
     else for _ = 0 to Prng.int rng 4 do op (Prng.int rng 24) done;
     if txn = 100 || (txn <> 101 && Prng.int rng 4 = 0) then begin
-      Array.iter (fun sh -> Groups.rollback sh) st.shards;
+      Groups.rollback st;
       model := before;
       (* entries logged before the transaction stay *)
-      expect (Array.map Groups.log_length st.shards = starts)
+      expect (Groups.log_length st = start)
     end
     else begin
-      Array.iter Groups.commit st.shards;
+      Groups.commit st;
       let words = log_words st in
-      if txn = 101 || Prng.int rng 2 = 0 then Array.iter Groups.clear_log st.shards;
+      if txn = 101 || Prng.int rng 2 = 0 then Groups.clear_log st;
       if txn = 101 then expect (log_words st * 4 < words)
     end;
     expect (agrees st !model)
   done;
-  let rebuilt = new_store 1 in
-  KM.iter (add_group rebuilt) !model;
+  let rebuilt = new_store () in
+  List.iter (fun (key, m) -> add_group rebuilt key m) (List.rev (KM.bindings !model));
   !ok && Groups.equal st rebuilt && Groups.equal rebuilt st
 
 let prop_groups =
@@ -858,9 +857,7 @@ let check_buckets_fresh () =
   let spec = Option.get (Derive.spec_for d "sale") in
   let schema = Database.schema_of db "sale" in
   let columns = Auxview.group_columns spec in
-  let mk ?indexed_columns () =
-    AS.create ?indexed_columns ~shards:16 spec schema
-  in
+  let mk ?indexed_columns () = AS.create ?indexed_columns spec schema in
   let st = mk ~indexed_columns:columns () in
   let rng = Prng.create 23 in
   let present = ref [] in
@@ -974,12 +971,12 @@ let undo_tests =
     test "aux rollback restores cells, indexes and totals" (fun () ->
         let spec, schema = specs_for "sale" in
         let column = List.hd (Auxview.group_columns spec) in
-        let st = AS.create ~indexed_columns:[ column ] ~shards:2 spec schema in
+        let st = AS.create ~indexed_columns:[ column ] spec schema in
         let rng = Prng.create 7 in
         let committed = List.init 30 (fun _ -> sale_tup rng) in
         List.iter (AS.insert_base st) committed;
         (* the oracle: a second store fed the committed rows only *)
-        let snap = AS.create ~indexed_columns:[ column ] ~shards:2 spec schema in
+        let snap = AS.create ~indexed_columns:[ column ] spec schema in
         List.iter (AS.insert_base snap) committed;
         AS.begin_txn st;
         (* touch existing cells, create new groups, delete groups to zero *)
@@ -1013,7 +1010,7 @@ let undo_tests =
         let feed st k v lbl = VS.feed st (vs_contribs (row [ i k ]) ~v ~lbl) ~cnt:1 in
         (* the oracle: a second state fed the committed contributions only *)
         let committed () =
-          let st = VS.create ~shards:2 vview ~determined:false in
+          let st = VS.create vview ~determined:false in
           feed st 1 10 "a";
           feed st 1 20 "b";
           feed st 1 30 "b";

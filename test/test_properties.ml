@@ -1296,7 +1296,7 @@ let prop_value_hash =
 (* A fact table grouped three ways: on a FLOAT column holding -0.0, 0.0
    and NaNs (equal as values, distinct as bits), on an INT column holding
    min_int, max_int and negatives, and on a dictionary-coded dimension
-   string spread over the view's hash shards. *)
+   string. *)
 let edge_db () =
   let col name ty = { Schema.col_name = name; col_type = ty } in
   let db = Database.create () in

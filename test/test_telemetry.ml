@@ -431,11 +431,11 @@ let check_telemetry_words ~n ~budget () =
 let exact_count_tests =
   [
     test "telemetry adds a fixed number of minor words to an ingest"
-      (fun () -> check_telemetry_words ~n:512 ~budget:2220 ());
+      (fun () -> check_telemetry_words ~n:512 ~budget:2130 ());
     (* a batch the size of churn_compact's: one netting for all three
        views, every batch applied directly on the calling domain *)
     test "telemetry adds a fixed number of minor words to a netted ingest"
-      (fun () -> check_telemetry_words ~n:2_000 ~budget:5170 ());
+      (fun () -> check_telemetry_words ~n:2_000 ~budget:5080 ());
   ]
 
 let () =

@@ -192,8 +192,8 @@ let rollback_tests =
                   (Printf.sprintf "%s: rollback == snapshot (seed %d, %s at %d)"
                      case.cname seed label pos)
                   (rollback_restores ?failure case seed pos))
-              [ 0; 6; 12 ])
-          [ 41; 42 ])
+              [ 0; 6; 9; 12 ])
+          [ 12; 41; 42 ])
       cases
   in
   matrix "fail" cases

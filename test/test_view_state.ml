@@ -191,6 +191,32 @@ let tests =
           Alcotest.check value "new key" (i 2) r.(0);
           Alcotest.check value "sum shifted by 2x5" (i 40) r.(1)
         | _ -> Alcotest.fail "expected one row"));
+    test "a re-keyed group rolls back and publishes under its new key"
+      (fun () ->
+        let build () =
+          let st = fresh () in
+          List.iter (fun k -> feed st (row [ i k ]) ~v:(10 * k) ~lbl:"a") [ 1; 2; 3 ];
+          settle st;
+          st
+        in
+        let st = build () and snap = build () in
+        ignore (VS.publish st);
+        let rekey () =
+          VS.adjust_group st ~key:(row [ i 1 ]) ~new_key:(row [ i 9 ])
+            [ (1, VS.Shift_sum (i 5)) ]
+        in
+        VS.begin_txn st;
+        rekey ();
+        VS.rollback st;
+        Alcotest.(check bool) "rolled back" true (VS.equal st snap);
+        Alcotest.(check (list (pair tuple int))) "rows restored" (rows snap) (rows st);
+        VS.begin_txn st;
+        rekey ();
+        VS.commit st;
+        Alcotest.(check (list (pair tuple int)))
+          "publication == full render"
+          (Array.to_list (Relation.to_sorted_array (VS.render st)))
+          (Array.to_list (VS.publish st)));
     test "adjust_group rejects key collisions" (fun () ->
         let st = fresh () in
         feed st (row [ i 1 ]) ~v:10 ~lbl:"a";
