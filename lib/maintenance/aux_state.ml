@@ -174,46 +174,40 @@ let index_remove_row s r =
 (* [r] holds the key in cell [j] of [src]. *)
 let key_cell_is col src j r = Column.equal_cells col r src j
 
-(* The index of plain column [pos] over the present rows, built in two
-   sequential passes: number each row's value and count its rows, then
-   append every row to its bucket, reserved at its final size so that no
-   append grows one. A value's first row stands for it: a closed probe on
-   the column's cells finds it, and the bucket table, made at its final
-   size, boxes the value from that row alone. The row-parallel offsets
-   hold each row's value number in between. *)
+(* The index of plain column [pos] over the present rows: each row's
+   value is numbered, then each value's rows are laid into a bucket
+   allocated once at its final size. A column that is the whole group key
+   numbers its values by the rows themselves; another, through the cells'
+   codes where it has them ({!Column.number}), else through a closed
+   probe on its cells. A value's first row stands for it: the bucket
+   table, made at its final size, boxes the value from that row alone. *)
 let build_index s pos =
   let col = s.g.keys.(pos) in
   let n = Groups.group_count s.g in
-  let firsts = Rowmap.create ~hash:(Column.hash_cell col) () in
-  let sizes = Icol.create () and offsets = Icol.reserve n in
-  for r = 0 to n - 1 do
-    let hash = Column.hash_cell col r in
-    let first = Rowmap.probe3 firsts ~hash key_cell_is col col r in
-    let id =
-      if first >= 0 then Icol.get offsets first
-      else begin
-        Rowmap.add firsts ~hash r;
-        Icol.append sizes 0;
-        Icol.length sizes - 1
-      end
-    in
-    Icol.append offsets id;
-    Icol.add sizes id 1
-  done;
-  let buckets = Array.make (Icol.length sizes) (Icol.create ()) in
-  for id = 0 to Array.length buckets - 1 do
-    Array.unsafe_set buckets id (Icol.reserve (Icol.get sizes id))
-  done;
-  let idx =
-    { buckets = VH.create (max 16 (Array.length buckets)); pos = offsets }
+  let ids, values =
+    if Array.length s.g.keys = 1 then (Array.init n Fun.id, n)
+    else if n = 0 || Column.coded col then Column.number col n
+    else begin
+      let ids = Array.make n 0 and values = ref 0 in
+      let firsts = Rowmap.create ~hash:(Column.hash_cell col) () in
+      for r = 0 to n - 1 do
+        let hash = Column.hash_cell col r in
+        let first = Rowmap.probe3 firsts ~hash key_cell_is col col r in
+        if first >= 0 then ids.(r) <- ids.(first)
+        else begin
+          Rowmap.add firsts ~hash r;
+          ids.(r) <- !values;
+          incr values
+        end
+      done;
+      (ids, !values)
+    end
   in
-  Rowmap.iter firsts (fun r ->
-      VH.add idx.buckets (Column.get col r) buckets.(Icol.get offsets r));
-  for r = 0 to n - 1 do
-    let bucket = Array.unsafe_get buckets (Icol.get offsets r) in
-    Icol.append bucket r;
-    Icol.set offsets r (Icol.length bucket - 1)
-  done;
+  let buckets, offsets = Icol.buckets ~ids ~values in
+  let idx = { buckets = VH.create (max 16 values); pos = offsets } in
+  Array.iter
+    (fun bucket -> VH.add idx.buckets (Column.get col (Icol.get bucket 0)) bucket)
+    buckets;
   idx
 
 (* --- row attach / detach ------------------------------------------------- *)
@@ -378,9 +372,8 @@ module Rows (C : Cells.S) = struct
     index_add_row s r;
     r
 
-  (* Folds [count] copies of [row] into its group; a new group is created
-     only if [admit row] holds. *)
-  let write s row count ~admit =
+  (* Folds [count] copies of [row] into its group. *)
+  let write s row count =
     let hash = hash s row in
     let g = s.g in
     let r = Rowmap.probe g.map ~hash matches s row in
@@ -396,17 +389,15 @@ module Rows (C : Cells.S) = struct
       done;
       s.total <- s.total + count
     end
-    else if admit row then begin
+    else begin
       Groups.note_created g ~hash (append s ~hash row count);
       s.total <- s.total + count
     end
 
-  let always _ = true
-
   let insert ?(count = 1) s row =
     if count < 1 then invalid_arg "Aux_state.insert_base: count must be >= 1";
     check_aggregands s "insert_base" row;
-    write s row count ~admit:always
+    write s row count
 
   let key_is col row pos r = C.equal col r row pos
 
@@ -484,6 +475,67 @@ let adjust s ~before ~after =
 let row_count s = Groups.group_count s.g
 let base_count s = s.total
 
+(* A build's scan of the rows: the row under the cursor and its key
+   hash, and the groups found so far. Its probe table holds a (key hash,
+   group) pair in each slot (group [-1]: empty), placed and grown as the
+   store's key map places and grows its slots, so the map can take them
+   as they lie ({!Rowmap.load}): a probe compares the key cells only
+   of a group whose hash is the row's, and reads no memory but its slots
+   on the way. *)
+type scan = {
+  st : t;
+  cur : Database.Cursor.t;
+  mutable hash : int;
+  mutable slots : int array;
+  mutable found : int;  (** groups found *)
+}
+
+(* The group of the scanned row, or [-1 - i] for the empty slot [i] that
+   ends its chain. *)
+let rec scan_find sc mask i =
+  let id = Array.unsafe_get sc.slots ((2 * i) + 1) in
+  if id < 0 then -1 - i
+  else if
+    Array.unsafe_get sc.slots (2 * i) = sc.hash
+    && Stored.matches sc.st sc.cur id
+  then id
+  else scan_find sc mask ((i + 1) land mask)
+
+let rec free_slot slots mask i =
+  if Array.unsafe_get slots ((2 * i) + 1) < 0 then i
+  else free_slot slots mask ((i + 1) land mask)
+
+(* Numbers group [id], new, with the scanned row's key in slot [i] of the
+   probe table: its key cells are appended, for the next rows' probes. *)
+let scan_add sc i =
+  let id = sc.found in
+  for k = 0 to Array.length sc.st.plain_src - 1 do
+    Cells.Stored.append sc.st.g.keys.(k) sc.cur sc.st.plain_src.(k)
+  done;
+  sc.slots.(2 * i) <- sc.hash;
+  sc.slots.((2 * i) + 1) <- id;
+  sc.found <- id + 1;
+  let old = sc.slots in
+  let cap = Array.length old / 2 in
+  if 4 * sc.found > 3 * cap then begin
+    let slots = Array.make (4 * cap) (-1) and mask = (2 * cap) - 1 in
+    for j = 0 to cap - 1 do
+      let hash = old.(2 * j) and g = old.((2 * j) + 1) in
+      if g >= 0 then begin
+        let k = free_slot slots mask (Rowmap.home hash mask) in
+        slots.(2 * k) <- hash;
+        slots.((2 * k) + 1) <- g
+      end
+    done;
+    sc.slots <- slots
+  end;
+  id
+
+(* A build in column passes. The one pass over the rows finds each kept
+   row's group, numbered in order of first appearance. The store then
+   registers the groups and their counts, and each component column is
+   folded from the rows in its own typed loop, in row order; the maps are
+   made at their final sizes. *)
 let load s cur ~keep ~admit =
   if row_count s > 0 || Groups.in_txn s.g then
     invalid_arg
@@ -495,18 +547,58 @@ let load s cur ~keep ~admit =
     ~finally:(fun () ->
       s.indexes <- List.map (fun pos -> (pos, build_index s pos)) positions)
     (fun () ->
+      let rows = Database.Cursor.rows cur in
+      let into = Array.make rows (-1) in
+      let sc =
+        {
+          st = s;
+          cur;
+          hash = 0;
+          slots = Array.make 128 (-1);
+          found = 0;
+        }
+      in
       (* a shadow row holds no NULL and its cells have its table's types:
          the first row kept answers for every other *)
       let checked = ref false in
-      for r = 0 to Database.Cursor.rows cur - 1 do
+      for r = 0 to rows - 1 do
         Database.Cursor.seek cur r;
         if keep cur then begin
           if not !checked then begin
             Stored.check_aggregands s "load" cur;
             checked := true
           end;
-          Stored.write s cur 1 ~admit
+          sc.hash <- Database.Cursor.hash_key cur s.plain_src;
+          let mask = (Array.length sc.slots / 2) - 1 in
+          let id = scan_find sc mask (Rowmap.home sc.hash mask) in
+          let id =
+            if id >= 0 then id
+            else if admit cur then scan_add sc (-1 - id)
+            else -1
+          in
+          if id >= 0 then begin
+            into.(r) <- id;
+            s.total <- s.total + 1
+          end
         end
+      done;
+      let groups = sc.found in
+      let g = s.g in
+      Groups.load_rows g ~into ~pairs:sc.slots groups;
+      Array.iteri
+        (fun i src ->
+          Column.fold_stored g.cells.(i) cur src ~into ~groups Column.Sum)
+        s.sum_src;
+      Array.iteri
+        (fun i (src, is_min) ->
+          Column.fold_stored (ext_col s i) cur src ~into ~groups
+            (if is_min then Column.Min else Column.Max))
+        s.ext_src;
+      Option.iter (fun bk -> Rowmap.reserve bk groups) s.by_key;
+      for r = 0 to groups - 1 do
+        let stolen = by_key_attach s r in
+        if stolen >= 0 then
+          Groups.note_row g ~hash:(Groups.row_hash g stolen) stolen
       done)
 
 let by_key_size s =
@@ -598,14 +690,10 @@ let exts s (row : row) =
    table instead of a [row] handle. *)
 let loc_of_row _s (row : row) = row.r_
 let loc_cnt s l = Icol.get s.g.cnts l
+let counts s = s.g.cnts
 let plain_column s i = s.g.keys.(i)
 let sum_column s i = s.g.cells.(i)
 let ext_column = ext_col
-
-let iter_locs s f =
-  for r = 0 to row_count s - 1 do
-    f r
-  done
 
 let locate_key s k = Tuples.locate_key s [| k |] 0
 

@@ -121,18 +121,20 @@ val delete_base : ?count:int -> t -> Relational.Tuple.t -> unit
 val adjust :
   t -> before:Relational.Tuple.t -> after:Relational.Tuple.t -> unit
 
-(** [load s cur ~keep ~admit] is the initial load: it scans every row of
-    the cursor's table, in row order, and folds in each that [keep] and
-    [admit] accept, as {!insert_base} would — through {!Stored}, so no row
-    becomes a tuple — and then builds the secondary indexes in one pass
-    over the groups, with no bucket growing on the way: each is allocated
-    once, at the capacity appends would have reached (DESIGN.md "Physical
-    representation"). Both read the row under [cur]. [admit] is asked
-    only of a row whose group is not there yet, so it must depend only on
-    the columns [s] keeps plainly: a row that joins an existing group has
-    those of a row it admitted. A semijoin on a kept foreign key is such
-    a condition, and is then probed once per group instead of once per
-    row.
+(** [load s cur ~keep ~admit] is the initial load: the state {!insert_base}
+    of each row of the cursor's table that [keep] and [admit] accept, in
+    row order, would reach — built a column at a time. One pass over the
+    rows finds each kept row's group, hashing and matching its key in the
+    stored cells; then the groups' counts, key map and component columns
+    are filled, each column in its own typed loop over the rows, in row
+    order, with the arithmetic of single writes; and then the secondary
+    indexes, bucket by bucket. The key columns grow as groups are found;
+    every other structure is allocated once, at the capacity appends
+    would have reached (DESIGN.md "Physical representation"). Both read the row under [cur]. [admit] is asked only
+    of a row whose group is not there yet, so it must depend only on the
+    columns [s] keeps plainly: a row that joins an existing group has
+    those of a row it admitted. A semijoin on a kept foreign key is such a
+    condition, and is then probed once per group instead of once per row.
     @raise Invalid_argument if [s] already holds a group or has an open
     transaction. *)
 val load :
@@ -190,11 +192,14 @@ val locate_key : t -> Relational.Value.t -> int
     boxing the cell. *)
 val locate_key_cell : t -> Column.t -> int -> int
 
-val iter_locs : t -> (int -> unit) -> unit
 val loc_of_row : t -> row -> int
 
 (** The group's ["COUNT(*)"]. *)
 val loc_cnt : t -> int -> int
+
+(** Every group's ["COUNT(*)"], by locator: the store's own column, to be
+    read, not written. *)
+val counts : t -> Column.Icol.t
 
 (** The columns holding every group's [i]-th plain cell, running sum and
     extremum, read at a locator: [i] is a position among the view's plain

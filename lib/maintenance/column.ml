@@ -26,9 +26,17 @@ module Icol = struct
   (* Capacities double from 2 cells: an index bucket holds a handful of
      rows, so a larger first allocation would be mostly empty (see DESIGN.md
      "Physical representation"). *)
+  let rec grown n cap = if cap >= n then cap else grown n (2 * cap)
+
   let reserve n =
-    let rec grown cap = if cap >= n then cap else grown (2 * cap) in
-    if n = 0 then create () else { len = 0; cells = Array.make (grown 2) 0 }
+    if n = 0 then create () else { len = 0; cells = Array.make (grown n 2) 0 }
+
+  let ensure c n =
+    if n > Array.length c.cells then begin
+      let cells = Array.make (grown n (max 2 (Array.length c.cells))) 0 in
+      Array.blit c.cells 0 cells 0 c.len;
+      c.cells <- cells
+    end
 
   let append c v =
     if c.len = Array.length c.cells then begin
@@ -43,6 +51,37 @@ module Icol = struct
     check c i "swap_delete";
     c.cells.(i) <- c.cells.(c.len - 1);
     c.len <- c.len - 1
+
+  let buckets ~ids ~values =
+    let n = Array.length ids in
+    let sizes = Array.make values 0 in
+    Array.iter (fun id -> sizes.(id) <- sizes.(id) + 1) ids;
+    let buckets = Array.map reserve sizes in
+    let pos = reserve n in
+    for r = 0 to n - 1 do
+      let b = buckets.(ids.(r)) in
+      pos.cells.(r) <- b.len;
+      b.cells.(b.len) <- r;
+      b.len <- b.len + 1
+    done;
+    pos.len <- n;
+    (buckets, pos)
+
+  let add_at c ~into ~by =
+    Array.iteri
+      (fun k r -> if r >= 0 then c.cells.(r) <- c.cells.(r) + by.(k))
+      into
+
+  let to_array c = Array.sub c.cells 0 c.len
+
+  let append_counts c ~into n =
+    ensure c (c.len + n);
+    let base = c.len in
+    Array.fill c.cells base n 0;
+    c.len <- base + n;
+    Array.iter
+      (fun r -> if r >= 0 then c.cells.(base + r) <- c.cells.(base + r) + 1)
+      into
 
   let byte_size c = 8 * Array.length c.cells
   let capacity c = Array.length c.cells
@@ -90,6 +129,17 @@ module Marks = struct
     check c i "swap_delete";
     Bytes.unsafe_set c.cells i (Bytes.unsafe_get c.cells (c.len - 1));
     c.len <- c.len - 1
+
+  let append_n c n =
+    if c.len + n > Bytes.length c.cells then begin
+      let cells =
+        Bytes.create (Icol.grown (c.len + n) (max 16 (Bytes.length c.cells)))
+      in
+      Bytes.blit c.cells 0 cells 0 c.len;
+      c.cells <- cells
+    end;
+    Bytes.fill c.cells c.len n '\000';
+    c.len <- c.len + n
 
   let byte_size c = Bytes.length c.cells
 end
@@ -463,6 +513,207 @@ let combine_ext_stored c i (cur : Cursor.t) j ~is_min =
     let x = stored_int cur j in
     if (is_min && x < a.{i}) || ((not is_min) && x > a.{i}) then a.{i} <- x
   | _ -> combine_ext c i (Cursor.cell cur j) ~is_min
+
+let numeric c =
+  match c.storage with
+  | S_int _ | S_float _ -> true
+  | S_empty | S_dict _ | S_boxed _ -> false
+
+let coded c =
+  match c.storage with
+  | S_int _ | S_dict _ -> true
+  | S_empty | S_float _ | S_boxed _ -> false
+
+let code c i =
+  check c i "code";
+  match c.storage with
+  | S_int a -> a.{i}
+  | S_dict { codes; _ } -> Int32.to_int codes.{i}
+  | S_empty | S_float _ | S_boxed _ -> invalid_arg "Column.code: not coded"
+
+(* Numbers codes [code 0 .. code (n - 1)] in order of first appearance:
+   through an array over their range when it is under [4 n] wide, as a
+   dimension's surrogate keys are, else through a {!Memo}. *)
+let number_codes code n =
+  let ids = Array.make n 0 and values = ref 0 in
+  let lo = ref max_int and hi = ref min_int in
+  for r = 0 to n - 1 do
+    let k = code r in
+    if k < !lo then lo := k;
+    if k > !hi then hi := k
+  done;
+  let width = !hi - !lo in
+  if n > 0 && width >= 0 && width < 4 * n then begin
+    let lo = !lo and seen = Array.make (width + 1) (-1) in
+    for r = 0 to n - 1 do
+      let k = code r - lo in
+      let id = Array.unsafe_get seen k in
+      if id >= 0 then ids.(r) <- id
+      else begin
+        Array.unsafe_set seen k !values;
+        ids.(r) <- !values;
+        incr values
+      end
+    done
+  end
+  else begin
+    let seen = Memo.create () in
+    for r = 0 to n - 1 do
+      let k = code r in
+      let id = Memo.find seen k in
+      if id <> Memo.absent then ids.(r) <- id
+      else begin
+        Memo.add seen k !values;
+        ids.(r) <- !values;
+        incr values
+      end
+    done
+  end;
+  (ids, !values)
+
+let number c n =
+  if n > c.len then invalid_arg "Column.number: past the column's end";
+  match c.storage with
+  | S_int a -> number_codes (fun r -> a.{r}) n
+  | S_dict { codes; _ } -> number_codes (fun r -> Int32.to_int codes.{r}) n
+  | S_empty when n = 0 -> ([||], 0)
+  | S_empty | S_float _ | S_boxed _ -> invalid_arg "Column.number: not coded"
+
+(* --- bulk builds -----------------------------------------------------------
+
+   The loops of a build, one column at a time: the storage match is made
+   once a column, not once a cell. Each folds its cells in the order a
+   row-at-a-time build does, with the same arithmetic, so float sums and
+   tied extrema come out bit for bit as before. *)
+
+type fold = Sum | Min | Max
+
+(* The capacity [n] appends reach from an empty column: 16 cells,
+   doubled. *)
+let grown n = Icol.grown n 16
+
+(* Groups are numbered in the order their first rows come, so a row is
+   its group's first exactly when its group is the next unseen one. *)
+let fold_stored c (cur : Cursor.t) j ~into ~groups op =
+  if c.len > 0 then invalid_arg "Column.fold_stored: column not empty";
+  let fresh = ref 0 in
+  let first g =
+    g = !fresh
+    && begin
+         incr fresh;
+         true
+       end
+  in
+  match Array.unsafe_get cur.types j with
+  | Datatype.TInt when groups > 0 && not c.boxed_only ->
+    let a = BA1.create Bigarray.int Bigarray.c_layout (grown groups) in
+    for r = 0 to Array.length into - 1 do
+      let g = into.(r) in
+      if g >= 0 then begin
+        Cursor.seek cur r;
+        let x = stored_int cur j in
+        if first g then a.{g} <- x
+        else
+          match op with
+          | Sum -> a.{g} <- a.{g} + x
+          | Min -> if x < a.{g} then a.{g} <- x
+          | Max -> if x > a.{g} then a.{g} <- x
+      end
+    done;
+    c.storage <- S_int a;
+    c.len <- groups
+  | Datatype.TFloat when groups > 0 && not c.boxed_only ->
+    let a = BA1.create Bigarray.float64 Bigarray.c_layout (grown groups) in
+    for r = 0 to Array.length into - 1 do
+      let g = into.(r) in
+      if g >= 0 then begin
+        Cursor.seek cur r;
+        let x = stored_float cur j in
+        (* a summed cell is scaled by its count of 1, as a single write
+           scales it *)
+        match op with
+        | Sum -> if first g then a.{g} <- x *. 1. else a.{g} <- a.{g} +. (x *. 1.)
+        | Min ->
+          if first g || Float.compare x a.{g} < 0 then a.{g} <- x
+        | Max ->
+          if first g || Float.compare x a.{g} > 0 then a.{g} <- x
+      end
+    done;
+    c.storage <- S_float a;
+    c.len <- groups
+  | _ ->
+    for r = 0 to Array.length into - 1 do
+      let g = into.(r) in
+      if g >= 0 then begin
+        Cursor.seek cur r;
+        if first g then
+          match op with
+          | Sum -> append_scaled_stored c cur j 1
+          | Min | Max -> append_stored c cur j
+        else
+          match op with
+          | Sum -> add_stored c g cur j 1
+          | Min -> combine_ext_stored c g cur j ~is_min:true
+          | Max -> combine_ext_stored c g cur j ~is_min:false
+      end
+    done
+
+let fold_add c ~into src ~at ~by =
+  let w k = if Array.length by = 0 then 1 else Array.unsafe_get by k in
+  match c.storage, src.storage with
+  | S_int a, S_int b ->
+    for k = 0 to Array.length into - 1 do
+      let i = into.(k) in
+      if i >= 0 then a.{i} <- a.{i} + (b.{at.(k)} * w k)
+    done
+  | S_float a, S_float b ->
+    for k = 0 to Array.length into - 1 do
+      let i = into.(k) in
+      if i >= 0 then a.{i} <- a.{i} +. (b.{at.(k)} *. float_of_int (w k))
+    done
+  | _ ->
+    for k = 0 to Array.length into - 1 do
+      let i = into.(k) in
+      if i >= 0 then add_cells c i src at.(k) (w k)
+    done
+
+(* Cell [i] of [c] ([Null]: none yet) takes [v] when it is better. *)
+let merge_ext c i v ~is_min =
+  match get c i with
+  | Value.Null -> set c i v
+  | cur ->
+    let cmp = Value.compare v cur in
+    if (is_min && cmp < 0) || ((not is_min) && cmp > 0) then set c i v
+
+let fold_ext c ~into src ~at ~is_min =
+  let n = c.len in
+  let seen = Bytes.make n '\000' in
+  let first i =
+    Bytes.get seen i = '\000'
+    && begin
+         Bytes.set seen i '\001';
+         true
+       end
+  in
+  match src.storage with
+  | S_int b ->
+    let best = Array.make n 0 in
+    for k = 0 to Array.length into - 1 do
+      let i = into.(k) in
+      if i >= 0 then begin
+        let x = b.{at.(k)} in
+        if first i || (is_min && x < best.(i)) || ((not is_min) && x > best.(i))
+        then best.(i) <- x
+      end
+    done;
+    for i = 0 to n - 1 do
+      if Bytes.get seen i <> '\000' then merge_ext c i (Value.Int best.(i)) ~is_min
+    done
+  | S_empty | S_float _ | S_dict _ | S_boxed _ ->
+    for k = 0 to Array.length into - 1 do
+      let i = into.(k) in
+      if i >= 0 then merge_ext c i (get src at.(k)) ~is_min
+    done
 
 let boxed_bytes v =
   match v with

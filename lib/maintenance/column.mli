@@ -24,6 +24,25 @@ module Icol : sig
   (** [reserve n] is empty, with the capacity that [n] appends to
       [create ()] would have reached: no append up to the [n]th grows it. *)
   val reserve : int -> t
+
+  (** [buckets ~ids ~values] is, for each value [0 .. values - 1], the
+      rows [r] with [ids.(r)] that value, ascending, each at the capacity
+      its appends would have reached ({!reserve}); and, row-parallel,
+      each row's offset within its bucket. *)
+  val buckets : ids:int array -> values:int -> t array * t
+
+  (** [add_at c ~into ~by] is [add c into.(k) by.(k)] for every [k] with
+      [into.(k) >= 0]. *)
+  val add_at : t -> into:int array -> by:int array -> unit
+
+  (** The cells, copied. *)
+  val to_array : t -> int array
+
+  (** [append_counts c ~into n] appends [n] cells, cell [r] of them the
+      number of items [k] with [into.(k) = r], growing [c] once to the
+      capacity [n] {!append}s would have reached. *)
+  val append_counts : t -> into:int array -> int -> unit
+
   val length : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit
@@ -63,6 +82,10 @@ module Marks : sig
 
   (** [append c] adds an unmarked row. *)
   val append : t -> unit
+
+  (** [append_n c n] adds [n] unmarked rows, growing [c] once to the
+      capacity [n] {!append}s would have reached. *)
+  val append_n : t -> int -> unit
 
   (** [swap_delete c i] moves the last row's mark into [i] and shrinks by
       one. *)
@@ -166,6 +189,64 @@ val add_stored : t -> int -> Relational.Database.Cursor.t -> int -> int -> unit
     (Cursor.cell cur j) ~is_min]. *)
 val combine_ext_stored :
   t -> int -> Relational.Database.Cursor.t -> int -> is_min:bool -> unit
+
+(** Whether every cell of [c] is numeric by its storage: an integer or
+    float column. *)
+val numeric : t -> bool
+
+(** Whether every cell of [c] has a {!code}: an integer or dictionary
+    column. *)
+val coded : t -> bool
+
+(** [code c i] names cell [i]'s value by an int: two cells of [c] hold
+    equal values exactly when their codes are equal.
+    @raise Invalid_argument unless [coded c]. *)
+val code : t -> int -> int
+
+(** [number c n] numbers the values of cells [0 .. n - 1] of a coded
+    column in order of first appearance: each cell's number, and how many
+    values there are.
+    @raise Invalid_argument unless [coded c] (or [n = 0]). *)
+val number : t -> int -> int array * int
+
+(** {2 Bulk builds}
+
+    A build's loops, one column at a time, with the storage match made
+    once a column: each folds its cells in the order of the row-at-a-time
+    operations above, with their arithmetic, so results agree bit for
+    bit. [into.(k)] is the group (the row of the column) that item [k]
+    folds into, [-1] for none. *)
+
+type fold = Sum | Min | Max
+
+(** [fold_stored c cur j ~into ~groups op] fills the empty column [c]
+    with one cell per group [0 .. groups - 1] from cell [j] of the rows of
+    [cur]'s table, [into.(r)] being row [r]'s group; groups are numbered
+    in the order of their first rows. A group's cell is its first row's
+    cell ({!append_scaled_stored} by 1 for [Sum], {!append_stored}
+    otherwise), folded with each later row of the group in row order by
+    {!add_stored} by 1 or {!combine_ext_stored}. [c] ends with the
+    capacity those appends reach.
+    @raise Invalid_argument if [c] is not empty. *)
+val fold_stored :
+  t ->
+  Relational.Database.Cursor.t ->
+  int ->
+  into:int array ->
+  groups:int ->
+  fold ->
+  unit
+
+(** [fold_add c ~into src ~at ~by] is {!add_cells} [c into.(k) src at.(k)
+    by.(k)] for each [k] in order ([by = [||]]: by 1). *)
+val fold_add : t -> into:int array -> t -> at:int array -> by:int array -> unit
+
+(** [fold_ext c ~into src ~at ~is_min] folds cell [at.(k)] of [src] into
+    the extremum cell [into.(k)] of the boxed column [c] for each [k] in
+    order: a [Null] cell takes the first value, then a strictly smaller
+    ([is_min]) or greater one under [Value.compare]. An integer source is
+    compared unboxed, and each cell boxed once. *)
+val fold_ext : t -> into:int array -> t -> at:int array -> is_min:bool -> unit
 
 (** Bytes held by this column's cells: Bigarray payloads (which
     [Obj.reachable_words] cannot see — they live off-heap) plus an estimate

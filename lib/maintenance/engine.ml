@@ -910,8 +910,90 @@ let seed_spec (view : View.t) root =
    by its count: Section 3.2's f(a ⊗ cnt0), read as [dim_update_diff]
    reads it. *)
 let seed t f st ~joined =
-  Aux_state.iter_locs st (fun l ->
-      if joined l then View_state.feed t.vstate f ~cnt:(Aux_state.loc_cnt st l))
+  View_state.seed t.vstate f ~joined ~counts:(Aux_state.counts st)
+
+(* --- build-time lookups ----------------------------------------------------
+
+   A build asks the same dimension lookups of many rows: a semijoin of
+   every fact with a day, the join of every root group with its product.
+   Within [init] nothing it looks up changes, so each lookup of a value
+   with a code (an INT cell, a dictionary code) is made once and kept in a
+   {!Memo}; other values are looked up each time. *)
+
+(* The semijoins of a stored row, an INT foreign key looked up once per
+   value. *)
+let build_semis t semis =
+  let memos = Array.map (fun _ -> Memo.create ()) semis in
+  let locate (row : Database.Cursor.t) sj =
+    Aux_state.Stored.locate_key (slot_aux t sj.sj_slot) row sj.sj_fk
+  in
+  let rec hold (row : Database.Cursor.t) i =
+    i >= Array.length semis
+    ||
+    let sj = semis.(i) in
+    (match row.types.(sj.sj_fk) with
+    | Relational.Datatype.TInt ->
+      let k = Database.Cursor.int row sj.sj_fk in
+      let l = Memo.find memos.(i) k in
+      if l <> Memo.absent then l >= 0
+      else begin
+        let l = locate row sj in
+        Memo.add memos.(i) k l;
+        l >= 0
+      end
+    | Relational.Datatype.(TFloat | TString | TBool) -> locate row sj >= 0)
+    && hold row (i + 1)
+  in
+  fun row -> hold row 0
+
+(* A join of a seeding feed: the foreign key's column, whether it has
+   codes, and the partners found, by code. *)
+type build_join = { fk_col : Column.t; coded : bool; found : Memo.t }
+
+let build_locate t f j st =
+  let l = Feed.locate f j.fk st in
+  if l >= 0 && residual_ok t j.child st l then l else -1
+
+(* [extend] for a seeding feed, its slots bound to groups: the partner of
+   a join is looked up once per code of the foreign key's column, in a
+   memo per child slot, made at its first use. *)
+let rec build_extend t joins f s = build_join_all t joins f t.joins.(s)
+
+and build_join_all t joins f = function
+  | [] -> true
+  | j :: js -> build_join_one t joins f j && build_join_all t joins f js
+
+and build_join_one t joins f j =
+  let st = slot_aux t j.child in
+  let bj =
+    match joins.(j.child) with
+    | Some bj -> bj
+    | None ->
+      let fk_col = Feed.column f j.fk in
+      let bj = { fk_col; coded = Column.coded fk_col; found = Memo.create () } in
+      joins.(j.child) <- Some bj;
+      bj
+  in
+  let l =
+    if bj.coded then begin
+      let k = Column.code bj.fk_col (Feed.loc f j.fk.slot) in
+      let l = Memo.find bj.found k in
+      if l <> Memo.absent then l
+      else begin
+        let l = build_locate t f j st in
+        Memo.add bj.found k l;
+        l
+      end
+    end
+    else build_locate t f j st
+  in
+  l >= 0
+  && begin
+       Feed.bind_loc f j.child l;
+       build_extend t joins f j.child
+     end
+
+let build_joins t = Array.map (fun _ -> None) t.tables
 
 let init ?(fk_index = true) db (d : Derive.t) =
   let view = d.Derive.view in
@@ -1278,7 +1360,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
             spec.Auxview.semijoins
         in
         let locals row = On_stored.holds t.aux_conds.(s) row 0
-        and semis row = On_stored.semis_hold t t.semis.(s) row 0 in
+        and semis = build_semis t t.semis.(s) in
         let keep, admit =
           if on_group then (locals, semis)
           else ((fun row -> locals row && semis row), fun _ -> true)
@@ -1313,8 +1395,13 @@ let init ?(fk_index = true) db (d : Derive.t) =
      seeded once. An eliminated one leaves the root rows to seed from: they
      are compressed the same way first, into a state of [seed_spec] that
      lives only for the seeding, whose groups a feed of their own reads. *)
+  let joins = build_joins t in
   (match root_seed with
-  | None -> seed t t.feed (slot_aux t 0) ~joined:(extend_root t t.feed)
+  | None ->
+    let st = slot_aux t 0 in
+    seed t t.feed st ~joined:(fun l ->
+        Feed.bind_loc t.feed 0 l;
+        residual_ok t 0 st l && build_extend t joins t.feed 0)
   | Some spec ->
     let st = Aux_state.create spec (schema t root) in
     Aux_state.load st
@@ -1326,7 +1413,7 @@ let init ?(fk_index = true) db (d : Derive.t) =
     let f = Feed.create ~auxs ~key:t.group_plan ~args:(Feed.args t.feed) in
     seed t f st ~joined:(fun l ->
         Feed.bind_loc f 0 l;
-        join_all t f ~skip:(-1) t.joins.(0)));
+        build_extend t joins f 0));
   flush t;
   t.wk_live <- true;
   t

@@ -30,6 +30,8 @@ let bind_base f s tup =
   f.locs.(s) <- -1
 
 let bind_loc f s l = f.locs.(s) <- l
+let slots f = Array.length f.locs
+let loc f s = f.locs.(s)
 
 let aux f s =
   match f.auxs.(s) with
@@ -161,3 +163,31 @@ let arg_value f i =
   match f.args.(i) with
   | Value { c; ext } -> read f c ~ext
   | Key | Weight | Sum _ -> invalid_arg "Feed: the item takes no value"
+
+let column f c = Aux_state.plain_column (aux f c.slot) c.plain
+
+let arg_column f i =
+  match f.args.(i) with
+  | Sum { c; sum } -> (c.slot, sum_column (aux f c.slot) c sum, sum < 0)
+  | Value { c; ext } ->
+    let st = aux f c.slot in
+    ( c.slot,
+      (if ext >= 0 then Aux_state.ext_column st ext
+       else Aux_state.plain_column st c.plain),
+      false )
+  | Key | Weight -> invalid_arg "Feed: the item takes no argument"
+
+type key_code = Per_loc of int | Per_code of cell | Uncoded
+
+let key_code_plan f =
+  match Array.to_list f.key with
+  | c :: rest
+    when c.slot <> 0 && List.for_all (fun c' -> c'.slot = c.slot) rest ->
+    Per_loc c.slot
+  | [ c ] when f.locs.(c.slot) >= 0 && Column.coded (column f c) -> Per_code c
+  | _ -> Uncoded
+
+let key_code f = function
+  | Per_loc s -> f.locs.(s)
+  | Per_code c -> Column.code (column f c) f.locs.(c.slot)
+  | Uncoded -> invalid_arg "Feed.key_code: the key has no code"

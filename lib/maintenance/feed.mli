@@ -48,6 +48,12 @@ val bind_base : t -> int -> Relational.Tuple.t -> unit
 (** [bind_loc f s l] binds slot [s] to the group of locator [l]. *)
 val bind_loc : t -> int -> int -> unit
 
+val slots : t -> int
+
+(** [loc f s] is the locator slot [s] is bound to, [-1] when it is bound
+    to a base tuple. *)
+val loc : t -> int -> int
+
 (** [locate f c st] is the locator of the group of [st] whose key is cell
     [c] of the joined row, or [-1]. *)
 val locate : t -> cell -> Aux_state.t -> int
@@ -90,3 +96,34 @@ val sum_zero : t -> int -> Relational.Value.t
 
 val sum_is_numeric : t -> int -> bool
 val arg_value : t -> int -> Relational.Value.t
+
+(** [column f c] is the column of [c]'s slot's auxiliary view that holds
+    [c]'s cells. *)
+val column : t -> cell -> Column.t
+
+(** [arg_column f i] is where item [i]'s argument is read when its slot
+    is bound to a group: the slot, the column of the slot's auxiliary
+    view, and whether a cell is weighted by the joined row's count (a
+    plain SUM argument) or not (a running sum, an extremum or a value). *)
+val arg_column : t -> int -> int * Column.t * bool
+
+(** {2 Naming a key by one int}
+
+    For a build's memo of the groups it has found: within one build the
+    group key of a row whose slots are bound to groups is named by the
+    locator of the one slot that holds all its cells (not the root's,
+    whose locator differs from row to row), or by the code of its one
+    coded cell ({!Column.code}). *)
+
+type key_code =
+  | Per_loc of int  (** the locator of this slot *)
+  | Per_code of cell  (** the code of this cell *)
+  | Uncoded  (** neither *)
+
+(** How [f]'s key is named, decided once [f] is bound to a joined row. *)
+val key_code_plan : t -> key_code
+
+(** The name of the bound row's key under the plan: two rows of one build
+    with equal names have equal keys.
+    @raise Invalid_argument under [Uncoded]. *)
+val key_code : t -> key_code -> int

@@ -74,6 +74,7 @@ let key_hash_cols (keys : Column.t array) r =
   !h
 
 let row_hash g r = key_hash_cols g.keys r
+let in_txn g = g.start >= 0
 let group_count g = Icol.length g.cnts
 
 let empty_log keys cells ints sets =
@@ -132,6 +133,16 @@ let add_row g ~hash cnt =
   Marks.append g.touched;
   Rowmap.add g.map ~hash r;
   r
+
+(* Groups created outside a transaction go unnamed by the log, as
+   [note_created] records them. *)
+let load_rows g ~into ~pairs n =
+  if group_count g > 0 || in_txn g then
+    invalid_arg "Groups.load_rows: store not empty or in a transaction";
+  Icol.append_counts g.cnts ~into n;
+  Marks.append_n g.touched n;
+  Rowmap.load g.map pairs;
+  if n > 0 then g.untracked <- true
 
 let delete_row g ~hash r =
   let l = group_count g - 1 in
@@ -220,8 +231,6 @@ let log_row g ~hash ~cnt r =
   done;
   Icol.append lg.lcnt cnt;
   Icol.append lg.lhash hash
-
-let in_txn g = g.start >= 0
 
 let begin_txn g =
   Marks.next_epoch g.touched;

@@ -72,6 +72,16 @@ val row_hash : t -> int -> int
     cells the owner has just appended, with count [cnt]; returns it. *)
 val add_row : t -> hash:int -> int -> int
 
+(** [load_rows g ~into ~pairs n] registers rows [0 .. n - 1] of an empty
+    store outside a transaction, as {!add_row}s would, once a build has
+    appended their keys: item [k] of the build folds into row [into.(k)]
+    ([-1]: none), which counts it once, and the key map takes [pairs], the
+    build's probe table of the rows and their key hashes
+    ({!Relational.Rowmap.load}). The count and the mark columns are sized
+    once, at the capacity the appends would have reached.
+    @raise Invalid_argument if [g] holds a group or is in a transaction. *)
+val load_rows : t -> into:int array -> pairs:int array -> int -> unit
+
 (** [delete_row g ~hash r] removes row [r] ([hash] is its key's) by
     swapping the last row into its place. Returns the moved row's old id,
     now at [r], or [-1] when [r] was the last row. *)

@@ -334,6 +334,175 @@ let feed t f ~cnt =
   Icol.add g.cnts r cnt;
   apply_args t f ~sign:1 ~cnt r
 
+(* --- seeding ---------------------------------------------------------------- *)
+
+(* One DISTINCT item's (group, value) pairs, each once: its view group, the
+   last locator whose cell holds the value and its summed weight. The
+   last, because a multiset keeps the last key it was given of values
+   that compare equal (as [0.] and [-0.] do), as the feed keeps it. *)
+type pairs = { pg : Icol.t; pat : Icol.t; pw : Icol.t; col : Column.t }
+
+let pair_hash r h = (r * 31) + h
+
+let pair_is p r l q =
+  Icol.get p.pg q = r && Column.equal_cells p.col (Icol.get p.pat q) p.col l
+
+(* The codes of [col]'s cells at [at.(k)] for the items [k] that fold,
+   when they span under 2^31: their least. *)
+let code_base col ~into ~at =
+  if not (Column.coded col) then None
+  else begin
+    let lo = ref max_int and hi = ref min_int in
+    Array.iteri
+      (fun k r ->
+        if r >= 0 then begin
+          let c = Column.code col at.(k) in
+          if c < !lo then lo := c;
+          if c > !hi then hi := c
+        end)
+      into;
+    let span = !hi - !lo in
+    if span >= 0 && span < 1 lsl 31 then Some !lo else None
+  end
+
+let seed_distinct t agg ~cell ~(vals : Groups.sets) col ~into ~at ~weights =
+  let p = { pg = Icol.create (); pat = Icol.create (); pw = Icol.create (); col } in
+  let fresh r l w =
+    Icol.append p.pg r;
+    Icol.append p.pat l;
+    Icol.append p.pw w;
+    Icol.length p.pg - 1
+  in
+  (match code_base col ~into ~at with
+  | Some lo ->
+    (* a value is its code: a pair is named by one int, and equal codes
+       hold the very same value *)
+    let pairs = Memo.create () in
+    Array.iteri
+      (fun k r ->
+        if r >= 0 then begin
+          let key = (r lsl 31) lor (Column.code col at.(k) - lo) in
+          let q = Memo.find pairs key in
+          if q <> Memo.absent then Icol.add p.pw q weights.(k)
+          else Memo.add pairs key (fresh r at.(k) weights.(k))
+        end)
+      into
+  | None ->
+    let pairs =
+      Rowmap.create
+        ~hash:(fun q ->
+          pair_hash (Icol.get p.pg q) (Column.hash_cell col (Icol.get p.pat q)))
+        ()
+    in
+    for k = 0 to Array.length into - 1 do
+      let r = into.(k) in
+      if r >= 0 then begin
+        let l = at.(k) in
+        let hash = pair_hash r (Column.hash_cell col l) in
+        let q = Rowmap.probe3 pairs ~hash pair_is p r l in
+        if q >= 0 then begin
+          Icol.set p.pat q l;
+          Icol.add p.pw q weights.(k)
+        end
+        else Rowmap.add pairs ~hash (fresh r l weights.(k))
+      end
+    done);
+  for q = 0 to Icol.length p.pg - 1 do
+    let r = Icol.get p.pg q in
+    vals.maps.(r) <-
+      VMap.add (Column.get col (Icol.get p.pat q)) (Icol.get p.pw q) vals.maps.(r)
+  done;
+  for r = 0 to group_count t - 1 do
+    Column.set cell r (finalize_distinct agg vals.maps.(r))
+  done
+
+let seed t f ~joined ~counts =
+  if group_count t > 0 || in_txn t then
+    invalid_arg "View_state.seed: state not empty or in a transaction";
+  let g = t.g in
+  (* each group's view group and locator in every slot an argument is
+     read from *)
+  let groups = Icol.length counts in
+  let into = Array.make groups (-1) and weights = Icol.to_array counts in
+  let locs = Array.make (Feed.slots f) [||] in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | L_group | L_count _ -> ()
+      | L_sum _ | L_ext _ | L_dist _ ->
+        let s, _, _ = Feed.arg_column f i in
+        if Array.length locs.(s) = 0 then locs.(s) <- Array.make groups (-1))
+    t.slots;
+  let find () =
+    let hash = Feed.hash_key f in
+    let r = Rowmap.probe g.map ~hash Feed.key_matches f g.keys in
+    if r >= 0 then r
+    else begin
+      let r = append_fresh t ~hash f in
+      Groups.note_created g ~hash r;
+      r
+    end
+  in
+  (* a key with a code is probed for once *)
+  let plan = ref None and found = Memo.create () in
+  for l = 0 to groups - 1 do
+    if joined l then begin
+      let plan =
+        match !plan with
+        | Some p -> p
+        | None ->
+          check_args t f;
+          let p = Feed.key_code_plan f in
+          plan := Some p;
+          p
+      in
+      let r =
+        match plan with
+        | Feed.Uncoded -> find ()
+        | Feed.Per_loc _ | Feed.Per_code _ ->
+          let k = Feed.key_code f plan in
+          let r = Memo.find found k in
+          if r <> Memo.absent then r
+          else begin
+            let r = find () in
+            Memo.add found k r;
+            r
+          end
+      in
+      into.(l) <- r;
+      for s = 0 to Array.length locs - 1 do
+        if Array.length locs.(s) > 0 then locs.(s).(l) <- Feed.loc f s
+      done
+    end
+  done;
+  let add_weights c = Icol.add_at c ~into ~by:weights in
+  add_weights g.cnts;
+  Array.iteri
+    (fun i slot ->
+      match slot, t.items.(i) with
+      | L_group, _ -> ()
+      | L_count c, _ -> add_weights c
+      | L_sum { sum; n }, _ ->
+        let s, col, weighted = Feed.arg_column f i in
+        let at = locs.(s) in
+        if not (Column.numeric col) then
+          Array.iteri
+            (fun l r ->
+              if r >= 0 && not (Column.is_numeric_cell col at.(l)) then
+                invalid_arg "View_state: non-numeric value in a summed item")
+            into;
+        Column.fold_add sum ~into col ~at ~by:(if weighted then weights else [||]);
+        add_weights n
+      | L_ext cell, Select_item.Agg agg ->
+        let s, col, _ = Feed.arg_column f i in
+        Column.fold_ext cell ~into col ~at:locs.(s)
+          ~is_min:(agg.Aggregate.func = Aggregate.Min)
+      | L_dist { cell; vals }, Select_item.Agg agg ->
+        let s, col, _ = Feed.arg_column f i in
+        seed_distinct t agg ~cell ~vals col ~into ~at:locs.(s) ~weights
+      | (L_ext _ | L_dist _), Select_item.Group _ -> assert false)
+    t.slots
+
 let absent what f =
   invalid_arg
     (Printf.sprintf "View_state.%s: group %s absent" what

@@ -77,6 +77,19 @@ val group_count : t -> int
     non-numeric or an argument does not match its item. *)
 val feed : t -> Feed.t -> cnt:int -> unit
 
+(** [seed t f ~joined ~counts] is {!feed} of each joined row [l] in
+    [0 .. Icol.length counts - 1], weighted [Icol.get counts l], in that
+    order, on an empty state outside a transaction: [joined l] binds [f]'s
+    slots to groups (every slot an argument is read from) and says
+    whether the row joins. The rows are joined and their view groups found
+    in one pass; then the counts and each aggregate are folded in their
+    own typed pass, in row order and with the feed's arithmetic, and each
+    DISTINCT multiset gets each of its values once. The state ends as the
+    feeds would leave it once their DISTINCT results are finalized.
+    @raise Invalid_argument if [t] holds a group or is in a transaction,
+    or as {!feed} does. *)
+val seed : t -> Feed.t -> joined:(int -> bool) -> counts:Column.Icol.t -> unit
+
 (** Reverse of {!feed}; removes the group when its base-row count reaches
     zero.
     @raise Invalid_argument on underflow or missing group. *)

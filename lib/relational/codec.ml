@@ -333,7 +333,7 @@ let[@inline] float_bits r =
   r.pos <- r.pos + 8;
   if Sys.big_endian then swap64 bits else bits
 
-let[@inline] float r = Int64.float_of_bits (float_bits r)
+let float_to r b off = Bytes.set_int64_ne b off (float_bits r)
 
 (* The cell's bits pick its slot and decide a hit, so a hit allocates
    nothing. *)

@@ -83,10 +83,10 @@ val varint : reader -> int
 val int : reader -> int
 val string : reader -> string
 
-(** A FLOAT cell, as {!add_float} wrote it. The float is boxed unless
-    the call is inlined, which no call from another module is under
-    [-opaque] (dune's dev profile, the one tests and perfbench build). *)
-val float : reader -> float
+(** [float_to r b off] copies a FLOAT cell, as {!add_float} wrote it, into
+    the native-endian 8 bytes of [b] at [off]: its IEEE bits, and no boxed
+    float on the way. *)
+val float_to : reader -> bytes -> int -> unit
 
 val bool : reader -> bool
 val datatype : reader -> Datatype.t

@@ -509,6 +509,17 @@ module Cursor = struct
     c.base <- (r land (block_rows - 1)) * c.width
 
   let text c j = c.texts.(j).(c.row)
+  let int c j = get_int c.block (c.base + (8 * j))
+
+  let hash_key c positions =
+    let h = ref 17 in
+    for i = 0 to Array.length positions - 1 do
+      h :=
+        (!h * 31)
+        + hash_at c.types c.texts c.block c.base c.row
+            (Array.unsafe_get positions i)
+    done;
+    !h
   let cell c j = cell_at c.types c.texts c.block c.base c.row j
   let hash c j = hash_at c.types c.texts c.block c.base c.row j
 
@@ -717,7 +728,7 @@ let restore_cell t r i c =
   let b = block t i and o = word t i c in
   match Array.unsafe_get t.types c with
   | Datatype.TInt -> set_int b o (Codec.int r)
-  | Datatype.TFloat -> set64u b o (Int64.bits_of_float (Codec.float r))
+  | Datatype.TFloat -> Codec.float_to r b o
   | Datatype.TBool -> set_int b o (Bool.to_int (Codec.bool r))
   | Datatype.TString ->
     set64u b o 0L;

@@ -104,6 +104,13 @@ module Cursor : sig
   (** The cell as a value (boxed). *)
   val cell : t -> int -> Value.t
 
+  (** An INT cell's value, unboxed (a BOOL cell's 0 or 1). *)
+  val int : t -> int -> int
+
+  (** [hash_key c positions] is [Tuple.hash] of the cells at [positions],
+      in that order, without building them. *)
+  val hash_key : t -> int array -> int
+
   (** [Value.hash] of the cell. *)
   val hash : t -> int -> int
 

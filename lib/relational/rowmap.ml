@@ -75,6 +75,13 @@ let maybe_grow t =
       (if 4 * (t.live + 1) > 3 * (t.mask + 1) / 2 then 2 * (t.mask + 1)
        else t.mask + 1)
 
+let reserve t n =
+  let cap = ref (t.mask + 1) in
+  while 4 * (t.live + n) > 3 * !cap do
+    cap := 2 * !cap
+  done;
+  if !cap > t.mask + 1 then rehash t !cap
+
 let find t ~hash ~eq =
   t.probes <- t.probes + 1;
   let mask = t.mask and slots = t.slots in
@@ -124,6 +131,22 @@ let insert t ~hash row =
 let add t ~hash row =
   t.probes <- t.probes + 1;
   insert t ~hash row
+
+let load t pairs =
+  let cap = Array.length pairs / 2 in
+  if t.fill > 0 || cap = 0 || cap land (cap - 1) <> 0 then
+    invalid_arg "Rowmap.load: map not empty or table size not a power of two";
+  let slots = make_slots cap in
+  for i = 0 to cap - 1 do
+    let row = pairs.((2 * i) + 1) in
+    if row >= 0 then begin
+      slot_set slots i row;
+      t.live <- t.live + 1
+    end
+  done;
+  t.slots <- slots;
+  t.mask <- cap - 1;
+  t.fill <- t.live
 
 (* Like [probe3]: a closed [eq] and its context, so nothing is allocated. *)
 let rec replace3_from t slots mask eq a b c row i =

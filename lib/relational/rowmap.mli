@@ -13,6 +13,10 @@
 
 type t
 
+(** [home hash mask] is the first slot a key of hash [hash] is probed at
+    in a map of [mask + 1] slots. *)
+val home : int -> int -> int
+
 (** [create ~hash ()] with [hash row] = the hash of row [row]'s key cells
     (must agree with the hash callers pass to the probe operations). The
     map starts at [hint] slots rounded up to a power of two (64 by
@@ -26,6 +30,11 @@ val copy : t -> hash:(int -> int) -> t
 (** [clear t] removes every entry and keeps the capacity, so a map
     refilled to the same size allocates nothing. *)
 val clear : t -> unit
+
+(** [reserve t n] makes room for [n] more entries in one resize: the
+    capacity that [n] {!add}s would double a map without tombstones to,
+    so none of them resizes it. *)
+val reserve : t -> int -> unit
 
 (** Number of live entries. *)
 val length : t -> int
@@ -53,6 +62,16 @@ val probe3 :
 (** [add t ~hash row] inserts an entry. The caller guarantees no entry with
     an equal key exists. *)
 val add : t -> hash:int -> int -> unit
+
+(** [load t pairs] gives the empty map [t] the [n] slots of a build's
+    probe table, [n = Array.length pairs / 2] a power of two: slot [i]
+    holds row [pairs.(2i+1)], whose key hash is [pairs.(2i)], or nothing
+    when that row is negative. The table must be laid out as a map of [n]
+    slots lays out its entries: each in the first free slot from
+    [home hash (n - 1)] on, none ever removed. Not counted in {!probes}.
+    @raise Invalid_argument if [t] is not empty or [n] is not a power of
+    two. *)
+val load : t -> int array -> unit
 
 (** [replace t ~hash ~eq row] upserts, returning the replaced entry's row
     (steal semantics for by-key maps). *)

@@ -362,6 +362,43 @@ let save_words facts =
   Sys.remove path;
   int_of_float (w1 -. w0)
 
+(* The minor words one [Database.restore_rows] allocates, after a first
+   restore, reading [rows] rows of a table of INT and FLOAT measures: a
+   cell goes from the reader straight into its word, so nothing is
+   allocated per row. The row blocks and the key index are allocated
+   whole, outside the minor heap; the array of the blocks holds one word
+   per 1,024 rows. *)
+let measures_schema =
+  Schema.make ~name:"measures" ~key:"id"
+    [ col "id" Datatype.TInt; col "x" Datatype.TFloat; col "y" Datatype.TFloat;
+      col "n" Datatype.TInt ]
+
+let restore_words rows =
+  let db = Database.create () in
+  Database.add_table db measures_schema ~updatable:[];
+  for k = 1 to rows do
+    Database.insert db "measures"
+      [| Value.Int k; Value.Float (float_of_int k /. 3.);
+         Value.Float (-0.5 *. float_of_int k); Value.Int (k * 7919) |]
+  done;
+  let w = Relational.Codec.writer 64 in
+  Database.add_rows db "measures" w;
+  let body = Relational.Codec.bytes w and len = Relational.Codec.length w in
+  let restore () =
+    let db' = Database.create () in
+    Database.add_table db' measures_schema ~updatable:[];
+    Database.restore_rows db' "measures" ~rows
+      (Relational.Codec.reader body 0 len);
+    db'
+  in
+  ignore (Sys.opaque_identity (restore ()));
+  let w0 = Gc.minor_words () in
+  let db' = restore () in
+  let w1 = Gc.minor_words () in
+  let rows_of db = List.map Tuple.to_string (Database.rows_by_key db "measures") in
+  Alcotest.(check (list string)) "restored rows" (rows_of db) (rows_of db');
+  int_of_float (w1 -. w0)
+
 let streaming_tests =
   [
     QCheck_alcotest.to_alcotest prop_streamed_equals_buffered;
@@ -371,6 +408,15 @@ let streaming_tests =
         Printf.printf "save: %d words at 2,000 facts, %d at 32,000\n" small
           large;
         Alcotest.(check int) "words at 32,000 facts" small large);
+    test "restoring FLOAT and INT rows allocates the same words at 2,000 and \
+          at 32,000 rows, but for its block pointers"
+      (fun () ->
+        let small = restore_words 2_000 and large = restore_words 32_000 in
+        Printf.printf "restore: %d minor words at 2,000 rows, %d at 32,000\n"
+          small large;
+        let blocks n = (n + 1023) / 1024 in
+        Alcotest.(check int) "words at 32,000 rows, less its block pointers"
+          (small - blocks 2_000) (large - blocks 32_000));
   ]
 
 let () =
