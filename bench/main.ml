@@ -1,7 +1,8 @@
 (* Experiment harness: regenerates every table and figure of the paper
-   (EXPERIMENTS.md E1-E15) plus timing benchmarks (E16-E20).
+   (EXPERIMENTS.md E1-E15; E14 is retired) plus timing benchmarks
+   (E16-E20).
 
-     dune exec bench/main.exe            # run E1..E15
+     dune exec bench/main.exe            # run E1..E13 and E15
      dune exec bench/main.exe -- e4 e7   # run selected experiments
      dune exec bench/main.exe -- endurance  # 200k-delta soak with RSS
      dune exec bench/main.exe -- columnar   # one named benchmark
@@ -669,77 +670,6 @@ let e13 () =
     "detail rows stored per-view: %d; with sharing: %d (%.0f%% saved)\n"
     naive (naive - shared_away)
     (100. *. float_of_int shared_away /. float_of_int (max 1 naive))
-
-(* ------------------------------------------------------------------ E14 *)
-
-let e14 () =
-  header "E14: current vs old detail data (Figure 1 + Section 4)";
-  let db = R.load medium_params in
-  (* a mergeable profile view (no AVG/DISTINCT) *)
-  let view =
-    {
-      Algebra.View.name = "sales_profile";
-      having = [];
-      select =
-        [
-          Algebra.Select_item.group (Algebra.Attr.make "time" "month");
-          Algebra.Select_item.Agg
-            (Aggregate.make ~alias:"Revenue" Aggregate.Sum
-               (Some (Algebra.Attr.make "sale" "price")));
-          Algebra.Select_item.Agg
-            (Aggregate.make ~alias:"Sales" Aggregate.Count_star None);
-          Algebra.Select_item.Agg
-            (Aggregate.make ~alias:"MaxPrice" Aggregate.Max
-               (Some (Algebra.Attr.make "sale" "price")));
-        ];
-      tables = [ "sale"; "time" ];
-      locals = [];
-      joins =
-        [ { Algebra.View.src = Algebra.Attr.make "sale" "timeid";
-            dst = Algebra.Attr.make "time" "id" } ];
-    }
-  in
-  let boundary = medium_params.R.days / 2 in
-  let is_old tup =
-    match tup.(1) with Value.Int t -> t <= boundary | _ -> false
-  in
-  let p = Maintenance.Engines.partitioned db view ~is_old in
-  print_endline
-    "the fact table is split at the age boundary: the old half is\n\
-     append-only, so MIN/MAX compress into columns and nothing in it can be\n\
-     invalidated; the current half stays fully mutable:";
-  print_string
-    (Storage.render_profile (Maintenance.Engines.detail_profile p));
-  (* live traffic: inserts everywhere, deletes/updates only on current *)
-  let rng = Workload.Prng.create 4 in
-  let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
-  let stream =
-    Workload.Delta_gen.stream_for ~mix:inserts rng db ~tables:[ "sale" ]
-      ~n:2_000
-  in
-  Maintenance.Engines.apply_batch p stream;
-  Printf.printf "after %d insertions: merged view == recomputed: %b\n"
-    (List.length stream)
-    (Relation.equal
-       (Maintenance.Engines.view_contents p)
-       (Algebra.Eval.eval db view));
-  (* nightly aging: everything below a new boundary moves to old *)
-  let aged =
-    Database.fold db "sale"
-      (fun tup acc ->
-        match tup.(1) with
-        | Value.Int t when t > boundary && t <= boundary + 5 -> tup :: acc
-        | _ -> acc)
-      []
-  in
-  let before = Maintenance.Engines.view_contents p in
-  Option.get (Maintenance.Engines.age_out p) aged;
-  Printf.printf
-    "aged out %d facts (boundary %d -> %d): view unchanged: %b\n" 
-    (List.length aged) boundary (boundary + 5)
-    (Relation.equal before (Maintenance.Engines.view_contents p));
-  print_string
-    (Storage.render_profile (Maintenance.Engines.detail_profile p))
 
 (* ------------------------------------------------------------------ E15 *)
 
@@ -1789,7 +1719,7 @@ let experiments =
     ("e4", Default, e4); ("e5", Default, e5); ("e6", Default, e6);
     ("e7", Default, e7); ("e8", Default, e8); ("e9", Default, e9);
     ("e10", Default, e10); ("e11", Default, e11); ("e12", Default, e12);
-    ("e13", Default, e13); ("e14", Default, e14); ("e15", Default, e15);
+    ("e13", Default, e13); ("e15", Default, e15);
     ("endurance", Named, endurance); ("apply-scaling", Named, apply_scaling);
     ("parallel", Named, parallel_scaling); ("overhead", Named, overhead);
     ("serve", Named, serve_bench); ("columnar", Named, columnar_bench);

@@ -33,7 +33,6 @@ module type S = sig
   val derivation : t -> Derive.t option
   val last_flow : t -> Telemetry.Lineage.view_flow option
   val self_audit : sample:int -> t -> (int * int) option
-  val age_out : (t -> Tuple.t list -> unit) option
 end
 
 module Incremental : S with type t = Engine.t = struct
@@ -46,22 +45,6 @@ module Incremental : S with type t = Engine.t = struct
   let measured_bytes e = Some (measured_bytes e)
   let derivation e = Some (derivation e)
   let self_audit = audit
-  let age_out = None
-end
-
-(* The partitioned engine nets each side of its split itself, and renders
-   its merged view in full. *)
-module Split : S with type t = Partitioned.t = struct
-  include Partitioned
-
-  let id = Type.Id.make ()
-  let apply_batch ?netted:_ p deltas = apply_batch p deltas
-  let publish p = Relation.to_sorted_array (view_contents p)
-  let measured_bytes p = Some (measured_bytes p)
-  let derivation _ = None
-  let last_flow _ = None
-  let self_audit ~sample:_ _ = None
-  let age_out = Some age_out
 end
 
 (* The recompute baseline: a full replica of the sources, recomputing the
@@ -115,7 +98,6 @@ module Replica = struct
   let derivation _ = None
   let last_flow _ = None
   let self_audit ~sample:_ _ = None
-  let age_out = None
 end
 
 type t = T : { impl : (module S with type t = 'a); state : 'a; name : string } -> t
@@ -133,14 +115,6 @@ let with_options ~name options db view =
 
 let append_only db view =
   with_options ~name:"append-only" Derive.append_only_options db view
-
-let partitioned db view ~is_old =
-  T
-    {
-      impl = (module Split);
-      state = Partitioned.init db view ~is_old;
-      name = "partitioned";
-    }
 
 let recompute db view =
   View.validate db view;
@@ -191,6 +165,3 @@ let last_flow (T { impl = (module M); state; _ }) = M.last_flow state
 
 let self_audit ~sample (T { impl = (module M); state; _ }) =
   M.self_audit ~sample state
-
-let age_out (T { impl = (module M); state; _ }) =
-  Option.map (fun age -> age state) M.age_out

@@ -6,12 +6,11 @@
       compression), incrementally maintained by the same engine.
     - [recompute] — a full replica of the sources; the view is recomputed
       from scratch whenever it is read.
-    - [partitioned] — current detail over append-only old detail.
 
-    Each is one implementation of a single engine signature ({!Engine},
-    {!Partitioned} or the replica baseline) packed with its state, so
-    benchmarks, tests and the warehouse treat them uniformly and no caller
-    asks which one it holds. *)
+    Each is one implementation of a single engine signature ({!Engine} or
+    the replica baseline) packed with its state, so benchmarks, tests and
+    the warehouse treat them uniformly and no caller asks which one it
+    holds. *)
 
 type t
 
@@ -36,18 +35,9 @@ val with_options :
     (fact) table are rejected, while dimension tables stay mutable. *)
 val append_only : Relational.Database.t -> Algebra.View.t -> t
 
-(** Current/old split with an append-only old partition (Figure 1 +
-    Section 4); see {!Partitioned} for the restrictions and [age_out]. *)
-val partitioned :
-  Relational.Database.t ->
-  Algebra.View.t ->
-  is_old:(Relational.Tuple.t -> bool) ->
-  t
-
 (** The builders above only read the store they are given and log
     nothing, so several configurations may be built on one shared store
-    from several domains at once ({!Shard.fan_out}); a [partitioned] one
-    calls [is_old] on the building domain. [announce] then logs
+    from several domains at once ({!Shard.fan_out}). [announce] then logs
     each engine's "initializing <view>" INFO line ({!Engine.announce}),
     from one domain; the recompute baseline logs nothing. *)
 val announce : t -> unit
@@ -77,12 +67,11 @@ val commit : t -> unit
 (** @raise Invalid_argument if no transaction is open. *)
 val rollback : t -> unit
 
-(** Process a batch of source changes. Incremental (and partitioned)
-    engines net every batch — see {!Engine.apply_batch}; the recompute
-    baseline admits the deltas one by one into its replica. [?netted] is
-    the batch netted once for several views ({!Engine.net}); only an
-    incremental configuration takes its tables from it, a partitioned one
-    nets each side of its split and the baseline ignores it.
+(** Process a batch of source changes. Incremental engines net every
+    batch — see {!Engine.apply_batch}; the recompute baseline admits the
+    deltas one by one into its replica. [?netted] is the batch netted once
+    for several views ({!Engine.net}); an incremental configuration takes
+    its tables from it and the baseline ignores it.
     [?parallel] is ignored: it is kept, as a no-op, for callers written
     when a pool selected the netted path. *)
 val apply_batch :
@@ -110,10 +99,9 @@ val capture : t -> Relational.Relation.t
     publication. An incremental engine keeps the rows it last published and
     advances them by the groups the transactions committed since then
     touched — O(k log k) for k touched groups plus one pass over the rows;
-    its first call (after construction), the recompute baseline
-    and partitioned configurations render in full. The array is never
-    mutated afterwards, so it may be shared with concurrent readers for as
-    long as they like.
+    its first call (after construction) and the recompute baseline render
+    in full. The array is never mutated afterwards, so it may be shared
+    with concurrent readers for as long as they like.
     @raise Invalid_argument if a transaction is open. *)
 val publish : t -> (Relational.Tuple.t * int) array
 
@@ -135,15 +123,10 @@ val offheap_bytes : t -> int
 val derivation : t -> Mindetail.Derive.t option
 
 (** Lineage flow of the most recent batch — see {!Engine.last_flow}.
-    [None] for the recompute baseline and partitioned configurations. *)
+    [None] for the recompute baseline. *)
 val last_flow : t -> Telemetry.Lineage.view_flow option
 
 (** Sampled drift audit against retained detail — see {!Engine.audit}.
     [None] when the configuration cannot recompute from retained detail
-    (recompute baseline, partitioned, or an eliminated root auxview). *)
+    (recompute baseline, or an eliminated root auxview). *)
 val self_audit : sample:int -> t -> (int * int) option
-
-(** [age_out t] moves current facts into the old partition of a
-    [partitioned] configuration ({!Partitioned.age_out}); [None] for every
-    other configuration. *)
-val age_out : t -> (Relational.Tuple.t list -> unit) option

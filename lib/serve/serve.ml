@@ -245,7 +245,7 @@ let handle_request t conn raw =
       | None ->
         err_line conn Warehouse.Invalid_request
           (Printf.sprintf
-             "view %s has no derivation (Replicate/Aged strategies cannot \
+             "view %s has no derivation (the Replicate strategy cannot \
               reconstruct)"
              arg)
       | exception Warehouse.Error { kind; detail } -> err_line conn kind detail)

@@ -1,11 +1,7 @@
 module Codec = Relational.Codec
 module Database = Relational.Database
 
-type strategy =
-  | Minimal
-  | Psj
-  | Replicate
-  | Aged of (Relational.Tuple.t -> bool)
+type strategy = Minimal | Psj | Replicate
 
 type contents = {
   views : (Algebra.View.t * strategy) list;
@@ -17,7 +13,6 @@ type contents = {
 
 exception Corrupt of string
 exception Incompatible of string
-exception Not_persistable of string
 
 let corrupt fmt = Format.kasprintf (fun m -> raise (Corrupt m)) fmt
 
@@ -145,18 +140,6 @@ let fold_sections f c =
 let kinds = List.map kind [ Catalog; Rows ""; Incoming ""; Dead_letters ]
 
 let save c path =
-  List.iter
-    (fun ((view : Algebra.View.t), strategy) ->
-      match strategy with
-      | Aged _ ->
-        raise
-          (Not_persistable
-             (Printf.sprintf
-                "view %s uses an Aged partition predicate and cannot be \
-                 persisted"
-                view.name))
-      | Minimal | Psj | Replicate -> ())
-    c.views;
   Durable.replace_file path @@ fun oc ->
     output_string oc magic;
     (* every section's body streams through [chunk]: each time it fills
@@ -302,23 +285,12 @@ let decode path =
       if total < magic_len then
         corrupt "%s: truncated header (%d bytes)" path total;
       let header = really_input_string ic magic_len in
-      let c =
-        if String.equal header magic then decode_v6 path ic
-        else if String.equal header v5_magic then decode_v5 path ic
-        else
-          match List.assoc_opt header refused_formats with
-          | Some why -> raise (Incompatible (Printf.sprintf "%s %s" path why))
-          | None -> corrupt "%s is not a warehouse state file" path
-      in
-      List.iter
-        (fun ((view : Algebra.View.t), strategy) ->
-          match strategy with
-          | Minimal | Psj | Replicate -> ()
-          | Aged _ ->
-            (* [save] refuses aged views; only a crafted file gets here *)
-            corrupt "view %s: aged views cannot appear in a snapshot" view.name)
-        c.views;
-      c)
+      if String.equal header magic then decode_v6 path ic
+      else if String.equal header v5_magic then decode_v5 path ic
+      else
+        match List.assoc_opt header refused_formats with
+        | Some why -> raise (Incompatible (Printf.sprintf "%s %s" path why))
+        | None -> corrupt "%s is not a warehouse state file" path)
 
 let verify path =
   match decode path with

@@ -8,11 +8,7 @@
     [Marshal] payload, still decode; older versions are refused. *)
 
 (** How a view is maintained ({!Warehouse.strategy} documents each). *)
-type strategy =
-  | Minimal
-  | Psj
-  | Replicate
-  | Aged of (Relational.Tuple.t -> bool)
+type strategy = Minimal | Psj | Replicate
 
 type contents = {
   views : (Algebra.View.t * strategy) list;  (** newest first *)
@@ -29,16 +25,12 @@ exception Corrupt of string
 (** A format version this build refuses, and why. *)
 exception Incompatible of string
 
-(** An [Aged] view, whose partition predicate is a closure. *)
-exception Not_persistable of string
-
 (** [save c path] writes [c] atomically ({!Durable.replace_file}), each
     section streamed through one 64 KiB buffer.
-    @raise Not_persistable before touching [path]; [Sys_error]. *)
+    @raise Sys_error. *)
 val save : contents -> string -> unit
 
-(** @raise Corrupt (also for an [Aged] view), [Incompatible] or
-    [Sys_error]. *)
+(** @raise Corrupt, [Incompatible] or [Sys_error]. *)
 val decode : string -> contents
 
 (** The batch number of the snapshot at [path], or why it does not

@@ -128,8 +128,6 @@ end
 type error_kind =
   | Duplicate_view
   | Unknown_view
-  | Not_aged
-  | Not_persistable
   | Corrupt_state
   | Incompatible_state
   | Not_durable
@@ -141,8 +139,6 @@ exception Error of { kind : error_kind; detail : string }
 let kind_label = function
   | Duplicate_view -> "duplicate-view"
   | Unknown_view -> "unknown-view"
-  | Not_aged -> "not-aged"
-  | Not_persistable -> "not-persistable"
   | Corrupt_state -> "corrupt-state"
   | Incompatible_state -> "incompatible-state"
   | Not_durable -> "not-durable"
@@ -160,15 +156,10 @@ let io f =
   | Sys_error m -> err Io_error "%s" m
   | Snapshot.Corrupt m -> err Corrupt_state "%s" m
   | Snapshot.Incompatible m -> err Incompatible_state "%s" m
-  | Snapshot.Not_persistable m -> err Not_persistable "%s" m
 
 (* --- state ------------------------------------------------------------- *)
 
-type strategy = Snapshot.strategy =
-  | Minimal
-  | Psj
-  | Replicate
-  | Aged of (Relational.Tuple.t -> bool)
+type strategy = Snapshot.strategy = Minimal | Psj | Replicate
 
 type registered = {
   view : View.t;
@@ -401,7 +392,6 @@ let build_engine validator strategy view =
   | Minimal -> Engines.minimal source view
   | Psj -> Engines.psj source view
   | Replicate -> Engines.recompute source view
-  | Aged is_old -> Engines.partitioned source view ~is_old
 
 (* The registrations of [specs] (view and strategy, newest first, as
    [t.views] keeps them), their engines built at once on one domain per
@@ -520,11 +510,6 @@ let query_sorted t name =
 
 let derivation_of t name = Engines.derivation (find t name).engine
 
-let age_out t name facts =
-  match Engines.age_out (find t name).engine with
-  | Some age -> age facts
-  | None -> err Not_aged "view %s is not registered with the Aged strategy" name
-
 let detail_profile t =
   let qualify view_name (name, rows, fields) =
     ((if List.length t.views > 1 then view_name ^ "/" ^ name else name),
@@ -551,7 +536,6 @@ let strategy_name = function
   | Minimal -> "minimal (Algorithm 3.2)"
   | Psj -> "PSJ (Quass et al.)"
   | Replicate -> "full replication"
-  | Aged _ -> "aged (current + append-only old partition)"
 
 (* --- persistence ------------------------------------------------------- *)
 
@@ -1407,8 +1391,8 @@ let audit ?sample t ~reference =
         | Some k -> (
           (* the continuous drift auditor: recompute [k] sampled group
              keys from the retained detail and cross-check the maintained
-             view; engines without retained detail (full replicas,
-             partitioned views) fall back to the full comparison *)
+             view; engines without retained detail (full replicas) fall
+             back to the full comparison *)
           match Engines.self_audit ~sample:k r.engine with
           | Some (_checked, divergences) -> divergences = 0
           | None -> full_audit reference r)

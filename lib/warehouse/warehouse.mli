@@ -41,8 +41,6 @@ module Durable = Durable
 type error_kind =
   | Duplicate_view  (** a view with that name is already registered *)
   | Unknown_view  (** no view with that name is registered *)
-  | Not_aged  (** age-out requested on a non-[Aged] view *)
-  | Not_persistable  (** an [Aged] view (closure predicate) blocks [save] *)
   | Corrupt_state  (** a state/WAL file failed integrity checks *)
   | Incompatible_state  (** a state file from an unsupported format version *)
   | Not_durable  (** a durability operation on an unattached warehouse *)
@@ -76,12 +74,6 @@ type strategy = Snapshot.strategy =
   | Minimal  (** Algorithm 3.2 auxiliary views (the paper) *)
   | Psj  (** Quass et al. tuple-level auxiliary views *)
   | Replicate  (** full base replica + recomputation *)
-  | Aged of (Relational.Tuple.t -> bool)
-      (** current/old split of the fact table: the predicate selects the
-          append-only old partition (Figure 1 + Section 4); the view must be
-          distributively mergeable (no AVG/DISTINCT). The predicate must be
-          safe to call from any domain: load and recovery build every
-          view's engine at once, and may call it on a worker domain *)
 
 type t
 
@@ -262,14 +254,7 @@ val ingested_batches : t -> int
     gives it), so {!read_sorted}, {!query_sorted} and the [minview serve]
     protocol walk them without sorting, and their output does not depend
     on how the deltas were cut into batches. The relation {!query} builds iterates in
-    hashtable order instead.
-
-    {e Aged views.} {!query} on a view registered with the {!Aged}
-    strategy returns the {e merged} contents: old-partition rows are
-    included, aggregated distributively with the current partition
-    (Section 4's reader sees one seamless summary). {!age_out} only moves
-    detail between partitions and is invisible to readers — the merged
-    contents, and therefore the published epoch, are unchanged. *)
+    hashtable order instead. *)
 
 val view_names : t -> string list
 
@@ -356,14 +341,6 @@ val detail_profile : t -> (string * int * int) list
     baseline stores a boxed replica) are omitted. *)
 val measured_bytes : t -> (string * (string * int) list) list
 
-(** [age_out t view facts] moves the given fact tuples of an [Aged] view's
-    current partition into its append-only old partition (see
-    {!Maintenance.Partitioned.age_out} for the boundary-consistency
-    contract). Invisible to readers: {!query} merges both partitions, so
-    the view's contents — and the published epoch — are unchanged.
-    @raise Error ([Unknown_view] / [Not_aged]). *)
-val age_out : t -> string -> Relational.Tuple.t list -> unit
-
 (** [audit t ~reference] recomputes every registered view from scratch over
     [reference] (typically {!believed_source} or the true operational store)
     and reports, per view, whether the maintained contents match.
@@ -372,7 +349,7 @@ val age_out : t -> string -> Relational.Tuple.t list -> unit
     each incremental engine recomputes [k] evenly sampled group keys from
     its own retained detail (the auxiliary views) and cross-checks the
     maintained groups — [reference] is only consulted for engines without
-    retained detail (full replicas, partitioned views). Divergences also
+    retained detail (full replicas). Divergences also
     surface as [minview_lineage_audit_divergences_total] counters and
     [lineage.audit] trace events (see {!Telemetry.Lineage.audit}). *)
 val audit :
@@ -394,7 +371,7 @@ val self_audit : t -> sample:int -> (string * int * int) list
 (** [attribution t] measures every derivation-backed view against the
     believed source ({!Mindetail.Attribution.measure}); it writes nothing
     to the metric registry ([minview attribute] renders the result).
-    Views without a derivation ([Replicate], [Aged]) are skipped. *)
+    Views without a derivation ([Replicate]) are skipped. *)
 val attribution : t -> (string * Mindetail.Attribution.t list) list
 
 (** One reconciliation check: the attribution waterfall's survivor counts
@@ -430,12 +407,10 @@ val report : t -> string
 
     The format is {!Snapshot}'s: a truncated or bit-rotted file is
     reported as {!Error} ([Corrupt_state]) naming the damaged section, and
-    a refused older version as [Incompatible_state]. [Aged] views carry a
-    partition predicate (a closure) and cannot be persisted; [save] raises
-    {!Error} ([Not_persistable]) if one is registered. *)
+    a refused older version as [Incompatible_state]. *)
 
 (** [save t path] snapshots the warehouse atomically (temp file + rename).
-    @raise Error ([Not_persistable] / [Io_error]). *)
+    @raise Error ([Io_error]). *)
 val save : t -> string -> unit
 
 (** [load path] restores a saved warehouse (not attached to a state
@@ -477,8 +452,7 @@ val load : string -> t
     [dir/lineage.jsonl], so every committed batch leaves a lineage record
     next to its WAL commit marker (see {!Telemetry.Lineage}).
     @raise Error ([Invalid_request] if already attached or the policy is
-    refused, as by {!set_checkpoint_policy}; [Io_error], [Corrupt_state],
-    [Not_persistable]). *)
+    refused, as by {!set_checkpoint_policy}; [Io_error], [Corrupt_state]). *)
 val attach : ?checkpoint_every:int -> ?keep_generations:int -> t -> dir:string -> unit
 
 (** [set_checkpoint_policy t] sets what {!attach} sets, and is how a

@@ -21,7 +21,6 @@ let tiny =
     seed = 17;
   }
 
-(* SUM/COUNT/MIN/MAX only, so the partitioned configuration can merge it *)
 let view =
   {
     View.name = "sales_profile";
@@ -39,9 +38,6 @@ let view =
     joins = [ join (a "sale" "timeid") (a "time" "id") ];
   }
 
-let is_old (tup : Tuple.t) =
-  match tup.(1) with Value.Int t -> t <= tiny.Workload.Retail.days / 2 | _ -> false
-
 let constructors =
   [
     ("minimal", Engines.minimal);
@@ -51,11 +47,10 @@ let constructors =
       Engines.with_options ~name:"no-compression"
         { Derive.default_options with compression = false } );
     ("recompute", Engines.recompute);
-    ("partitioned", Engines.partitioned ~is_old);
   ]
 
 (* Insert-only fact batches: the one stream every configuration accepts
-   (append-only roots, an append-only old partition). *)
+   (append-only roots). *)
 let batch rng db =
   Workload.Delta_gen.stream_for
     ~mix:{ Workload.Delta_gen.insert = 1; delete = 0; update = 0 }

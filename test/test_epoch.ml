@@ -364,54 +364,6 @@ let incremental_tests =
         rm_rf dir);
   ]
 
-(* --- aged views ------------------------------------------------------------ *)
-
-let aged_tests =
-  [
-    test "age_out is invisible to readers and publishes no epoch" (fun () ->
-        let db = Workload.Retail.load Workload.Retail.small_params in
-        let boundary = ref 10 in
-        let is_old tup =
-          match tup.(1) with Value.Int t -> t <= !boundary | _ -> false
-        in
-        let wh = Warehouse.create db in
-        let view =
-          { Workload.Retail.sales_by_time with View.name = "aged_sales" }
-        in
-        Warehouse.add_view ~strategy:(Warehouse.Aged is_old) wh view;
-        let rng = Workload.Prng.create 7 in
-        let inserts =
-          { Workload.Delta_gen.insert = 1; delete = 0; update = 0 }
-        in
-        Warehouse.ingest wh
-          (Workload.Delta_gen.stream_for ~mix:inserts rng db
-             ~tables:[ "sale" ] ~n:150);
-        let epoch = epoch_of wh in
-        let before = render_rows (snd (Warehouse.query wh "aged_sales")) in
-        let aged =
-          Database.fold db "sale"
-            (fun tup acc ->
-              match tup.(1) with
-              | Value.Int t when t > 10 && t <= 12 -> tup :: acc
-              | _ -> acc)
-            []
-        in
-        Warehouse.age_out wh "aged_sales" aged;
-        boundary := 12;
-        Alcotest.(check int) "age_out publishes nothing" epoch (epoch_of wh);
-        Alcotest.(check string) "merged contents unchanged" before
-          (render_rows (snd (Warehouse.query wh "aged_sales")));
-        (* the next commit re-captures the view: the old partition's rows
-           must still be part of the merged answer *)
-        Warehouse.ingest wh
-          (Workload.Delta_gen.stream_for ~mix:inserts rng db
-             ~tables:[ "sale" ] ~n:50);
-        Alcotest.(check int) "the commit published" (epoch + 1) (epoch_of wh);
-        Alcotest.check relation "old partition still aggregated in"
-          (Algebra.Eval.eval (Warehouse.believed_source wh) view)
-          (snd (Warehouse.query wh "aged_sales")));
-  ]
-
 (* --- snapshot == quiesced recomputation (property) ------------------------- *)
 
 let prop_snapshot_quiesced =
@@ -455,7 +407,6 @@ let () =
       ("torn-reads", torn_read_tests);
       ("publication", publication_tests);
       ("pinned", pinned_tests);
-      ("aged", aged_tests);
       ("incremental", incremental_tests);
       ("properties", [ QCheck_alcotest.to_alcotest prop_snapshot_quiesced ]);
     ]

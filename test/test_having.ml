@@ -164,16 +164,6 @@ let maintenance_tests =
         Engines.apply_batch e deltas;
         Alcotest.check relation "maintained" (Algebra.Eval.eval db v)
           (Engines.view_contents e));
-    test "partitioned maintenance rejects HAVING" (fun () ->
-        let db = paper_example_db () in
-        let v =
-          { Workload.Retail.sales_by_time with
-            View.name = "busy_days";
-            having = [ hv "Sales" Cmp.Ge (i 2) ] }
-        in
-        match Maintenance.Partitioned.init db v ~is_old:(fun _ -> false) with
-        | exception Maintenance.Partitioned.Unsupported _ -> ()
-        | _ -> Alcotest.fail "expected Unsupported");
   ]
 
 let () =

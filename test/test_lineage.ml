@@ -12,6 +12,7 @@ module Lineage = Telemetry.Lineage
 module Jsonl_sink = Telemetry.Jsonl_sink
 module Attribution = Mindetail.Attribution
 module Engine = Maintenance.Engine
+module Faults = Maintenance.Faults
 
 let test case fn = Alcotest.test_case case `Quick fn
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
@@ -231,26 +232,23 @@ let record_tests =
         let db = paper_example_db () in
         let wh = Warehouse.create db in
         Warehouse.add_view wh Workload.Retail.product_sales;
-        (* a price update crossing an Aged view's partition boundary passes
-           validation and blows up the partitioned engine mid-batch *)
-        let is_old tup =
-          match tup.(4) with Value.Int p -> p < 15 | _ -> false
-        in
-        let aged =
-          { Workload.Retail.sales_by_time with View.name = "aged_sales" }
-        in
-        Warehouse.add_view ~strategy:(Warehouse.Aged is_old) wh aged;
+        Warehouse.add_view wh Workload.Retail.sales_by_time;
         Metrics.reset ();
         Lineage.clear ();
         let r1 = Warehouse.ingest_report wh [ valid_sale () ] in
         Alcotest.(check int) "clean batch applies" 1 r1.Warehouse.applied;
         Alcotest.(check int) "one record" 1 (List.length (Lineage.recent ()));
-        let boundary_crossing =
+        let repricing =
           Delta.update "sale"
             ~before:(row [ i 1; i 1; i 1; i 1; i 10 ])
             ~after:(row [ i 1; i 1; i 1; i 1; i 50 ])
         in
-        let r2 = Warehouse.ingest_report wh [ boundary_crossing ] in
+        (* an engine fails after the first view has applied the batch *)
+        Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+        let r2 =
+          Fun.protect ~finally:Faults.disarm @@ fun () ->
+          Warehouse.ingest_report wh [ repricing ]
+        in
         Alcotest.(check int) "poisoned batch aborts" 0 r2.Warehouse.applied;
         Alcotest.(check int)
           "one rollback" 1

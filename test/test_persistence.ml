@@ -95,18 +95,6 @@ let tests =
         Alcotest.(check bool) "under half the size" true
           (2 * size (Filename.concat dir "snapshot.bin") < size created);
         Sys.remove created);
-    test "aged views are rejected by save" (fun () ->
-        let db = Workload.Retail.load tiny in
-        let wh = Warehouse.create db in
-        let mergeable =
-          { Workload.Retail.sales_by_time with View.name = "mergeable" }
-        in
-        Warehouse.add_view ~strategy:(Warehouse.Aged (fun _ -> false)) wh
-          mergeable;
-        match Warehouse.save wh (tmp "wh_aged.bin") with
-        | exception Warehouse.Error { kind = Warehouse.Not_persistable; _ } ->
-          ()
-        | () -> Alcotest.fail "expected Not_persistable");
     test "load rejects foreign files" (fun () ->
         let path = tmp "wh_bogus.bin" in
         let oc = open_out_bin path in

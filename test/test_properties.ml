@@ -976,6 +976,73 @@ let prop_append_only_random =
         (Maintenance.Engines.view_contents e)
         (Algebra.Eval.eval db view))
 
+(* Fact inserts beside every kind of dimension change, over random views
+   with and without MIN/MAX: the dimensions stay mutable under the
+   append-only relaxation. After each round the view equals recomputation;
+   at the end the state equals a rebuild from the evolved source. *)
+let prop_append_only_dims =
+  QCheck2.Test.make ~count:(max 25 (count / 2))
+    ~name:"append-only engine under fact inserts + dimension churn"
+    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
+    Gen.(pair (oneof [ view_gen; minmax_view_gen ]) (int_bound 10_000))
+    (fun (view, seed) ->
+      let module Engines = Maintenance.Engines in
+      let db = Workload.Retail.load tiny_params in
+      View.validate db view;
+      let e = Engines.append_only db view in
+      let rng = Workload.Prng.create seed in
+      let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
+      let ok = ref true in
+      for _ = 1 to 3 do
+        let facts =
+          Workload.Delta_gen.stream_for ~mix:inserts rng db ~tables:[ "sale" ]
+            ~n:25
+        in
+        let dims =
+          Workload.Delta_gen.stream_for rng db
+            ~tables:[ "time"; "product"; "store" ] ~n:10
+        in
+        Engines.apply_batch e (facts @ dims);
+        ok :=
+          !ok
+          && Relation.equal (Engines.view_contents e)
+               (Algebra.Eval.eval db view)
+      done;
+      !ok && Engines.equal_state e (Engines.append_only db view))
+
+(* A committed batch of fact inserts, then one rolled back: rollback must
+   restore the MIN/MAX columns of the root auxiliary view with the rest of
+   the state, and the engine must then take the same batch correctly. *)
+let prop_append_only_rollback =
+  QCheck2.Test.make ~count:(max 25 (count / 2))
+    ~name:"append-only rollback == rebuild (MIN/MAX views)"
+    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
+    Gen.(pair minmax_view_gen (int_bound 10_000))
+    (fun (view, seed) ->
+      let module Engines = Maintenance.Engines in
+      let db = Workload.Retail.load tiny_params in
+      View.validate db view;
+      let e = Engines.append_only db view in
+      let rng = Workload.Prng.create seed in
+      let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
+      let facts db =
+        Workload.Delta_gen.stream_for ~mix:inserts rng db ~tables:[ "sale" ]
+          ~n:25
+      in
+      Engines.begin_txn e;
+      Engines.apply_batch e (facts db);
+      Engines.commit e;
+      let snapshot = Engines.append_only db view in
+      let next = Database.copy db in
+      let batch = facts next in
+      Engines.begin_txn e;
+      Engines.apply_batch e batch;
+      Engines.rollback e;
+      let restored = Engines.equal_state e snapshot in
+      Engines.apply_batch e batch;
+      restored
+      && Relation.equal (Engines.view_contents e) (Algebra.Eval.eval next view))
+
 let ablation_options =
   [
     { Mindetail.Derive.default_options with Mindetail.Derive.push_locals = false };
@@ -1063,96 +1130,6 @@ let prop_exposed_updates_random =
                (Algebra.Eval.eval db view)
       done;
       !ok)
-
-(* mergeable random views: strip AVG/DISTINCT items from the generator's
-   output; ensure at least one select item remains *)
-let mergeable_view_gen =
-  Gen.map
-    (fun view ->
-      let select =
-        List.filter
-          (fun item ->
-            match item with
-            | Select_item.Agg g ->
-              (not g.Aggregate.distinct) && g.Aggregate.func <> Aggregate.Avg
-            | Select_item.Group _ -> true)
-          view.View.select
-      in
-      { view with
-        View.select =
-          (if select = [] then [ count_star ~alias:"cnt" () ] else select) })
-    view_gen
-
-let prop_partitioned_random =
-  QCheck2.Test.make ~count
-    ~name:"partitioned old/current == recomputed under streams + aging"
-    ~print:(fun (v, seed) -> Printf.sprintf "%s / seed %d" (print_view v) seed)
-    Gen.(pair mergeable_view_gen (int_bound 10_000))
-    (fun (view, seed) ->
-      let db = Workload.Retail.load tiny_params in
-      View.validate db view;
-      let boundary = ref (tiny_params.Workload.Retail.days / 2) in
-      let is_old tup =
-        match tup.(1) with Value.Int t -> t <= !boundary | _ -> false
-      in
-      let p = Maintenance.Engines.partitioned db view ~is_old in
-      let rng = Workload.Prng.create seed in
-      let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
-      let ok = ref true in
-      for round = 1 to 3 do
-        let facts =
-          Workload.Delta_gen.stream_for ~mix:inserts rng db
-            ~tables:[ "sale" ] ~n:25
-        in
-        let dims =
-          Workload.Delta_gen.stream_for rng db
-            ~tables:[ "product"; "store" ] ~n:10
-        in
-        Maintenance.Engines.apply_batch p (facts @ dims);
-        (* occasionally age out a slice of the current partition *)
-        if round = 2 then begin
-          (* nightly job: advance the boundary by one day *)
-          let aged =
-            Relational.Database.fold db "sale"
-              (fun tup acc ->
-                match tup.(1) with
-                | Value.Int t when t = !boundary + 1 -> tup :: acc
-                | _ -> acc)
-              []
-          in
-          Option.get (Maintenance.Engines.age_out p) aged;
-          incr boundary
-        end;
-        ok :=
-          !ok
-          && Relation.equal
-               (Maintenance.Engines.view_contents p)
-               (Algebra.Eval.eval db view)
-      done;
-      !ok)
-
-(* The [Aged] strategy's old partition runs an append-only engine beside
-   the current one: both seed at [Engines.partitioned]. *)
-let prop_seed_partitioned =
-  QCheck2.Test.make ~count
-    ~name:"seeded old/current partitions == partitions fed every row"
-    ~print:(fun (v, boundary) ->
-      Printf.sprintf "%s / old up to day %d" (print_view v) boundary)
-    Gen.(pair mergeable_view_gen (int_bound tiny_params.Workload.Retail.days))
-    (fun (view, boundary) ->
-      let module Engines = Maintenance.Engines in
-      let db = Workload.Retail.load tiny_params in
-      View.validate db view;
-      let is_old tup =
-        match tup.(1) with Value.Int t -> t <= boundary | _ -> false
-      in
-      let seeded = Engines.partitioned db view ~is_old in
-      let fed = Engines.partitioned (Workload.Retail.empty ()) view ~is_old in
-      Engines.apply_batch fed (inserts_of db view);
-      Engines.equal_state seeded fed
-      && Relation.equal
-           (Engines.view_contents seeded)
-           (Algebra.Eval.eval db view))
 
 let prop_batch_split_invariance =
   QCheck2.Test.make ~count
@@ -1438,8 +1415,8 @@ let () =
             prop_ablations_random;
             prop_exposed_updates_random;
             prop_having_random;
-            prop_partitioned_random;
-            prop_seed_partitioned;
+            prop_append_only_dims;
+            prop_append_only_rollback;
             prop_random_schemas;
             prop_random_schemas_reconstruct;
             prop_batch_split_invariance;

@@ -1376,7 +1376,6 @@ let engine_of db strategy view =
   | Warehouse.Minimal -> Engines.minimal db view
   | Warehouse.Psj -> Engines.psj db view
   | Warehouse.Replicate -> Engines.recompute db view
-  | Warehouse.Aged is_old -> Engines.partitioned db view ~is_old
 
 let prop_fan_out_builds_serial_engines =
   QCheck2.Test.make ~count:20

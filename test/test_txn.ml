@@ -49,8 +49,6 @@ type case = {
   cname : string;
   build : Database.t -> Engines.t;
   cview : View.t;
-  (* the old partition of [partitioned] is append-only, so its warm-up
-     stream must not delete or update fact rows *)
   mix : Workload.Delta_gen.op_mix;
 }
 
@@ -83,6 +81,46 @@ let distinct_all =
     joins =
       [ join (a "sale" "timeid") (a "time" "id");
         join (a "sale" "productid") (a "product" "id") ];
+  }
+
+(* Maxima per month: the append-only derivation keeps the sale auxiliary
+   view with MAX(id) and MAX(price) pre-aggregated in columns, which a
+   rollback must restore. Generated inserts draw sale ids above every
+   loaded one, so a fact insert into a loaded day raises its MAX(id).
+   (Over [product_sales_max] it keeps no auxiliary view: the MAX lives in
+   the view state alone.) *)
+let monthly_max =
+  {
+    View.name = "monthly_max";
+    having = [];
+    select =
+      [
+        group (a "time" "month");
+        max_ ~alias:"last_sale" (a "sale" "id");
+        max_ ~alias:"top" (a "sale" "price");
+        sum ~alias:"revenue" (a "sale" "price");
+      ];
+    tables = [ "sale"; "time" ];
+    locals = [];
+    joins = [ join (a "sale" "timeid") (a "time" "id") ];
+  }
+
+(* Minima per month: the same sale auxiliary view with MIN(price) in a
+   column. Generated prices fall below a loaded day's minimum now and then,
+   so the valid prefix lowers some of them before the batch fails. *)
+let monthly_min =
+  {
+    View.name = "monthly_min";
+    having = [];
+    select =
+      [
+        group (a "time" "month");
+        min_ ~alias:"low" (a "sale" "price");
+        sum ~alias:"revenue" (a "sale" "price");
+      ];
+    tables = [ "sale"; "time" ];
+    locals = [];
+    joins = [ join (a "sale" "timeid") (a "time" "id") ];
   }
 
 let cases =
@@ -118,12 +156,17 @@ let cases =
       mix = Workload.Delta_gen.default_mix;
     };
     {
-      cname = "partitioned";
-      build =
-        (fun db ->
-          Engines.partitioned db Workload.Retail.sales_by_time
-            ~is_old:(fun tup -> Value.compare tup.(1) (i 3) <= 0));
-      cview = Workload.Retail.sales_by_time;
+      cname = "append-only";
+      build = (fun db -> Engines.append_only db monthly_max);
+      cview = monthly_max;
+      (* the append-only engine refuses fact deletions and updates, so its
+         warm-up stream must not delete or update fact rows *)
+      mix = insert_only;
+    };
+    {
+      cname = "append-only-min";
+      build = (fun db -> Engines.append_only db monthly_min);
+      cview = monthly_min;
       mix = insert_only;
     };
   ]
@@ -329,28 +372,18 @@ let abort_tests =
     test "a batch failing mid-apply rolls every view back" (fun () ->
         let db = Workload.Retail.load tiny in
         let wh = Warehouse.create db in
-        (* partition the facts by price so a legal price update can cross
-           the boundary — the validator accepts it (price is updatable) and
-           the partitioned engine raises mid-batch *)
-        Warehouse.add_view
-          ~strategy:
-            (Warehouse.Aged (fun tup -> Value.compare tup.(4) (i 50) <= 0))
-          wh Workload.Retail.sales_by_time;
+        Warehouse.add_view wh Workload.Retail.sales_by_time;
         Warehouse.add_view wh Workload.Retail.monthly_revenue;
         let victim =
-          match
-            Database.fold db "sale"
-              (fun tup acc ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                  if Value.compare tup.(4) (i 50) <= 0 then Some tup else None)
-              None
-          with
-          | Some tup -> tup
-          | None -> Alcotest.fail "no sale under the price boundary"
+          Database.fold db "sale"
+            (fun tup acc ->
+              match acc with
+              | Some _ -> acc
+              | None -> if Value.equal tup.(4) (i 80) then None else Some tup)
+            None
+          |> Option.get
         in
-        let crossing =
+        let repricing =
           let after = Array.copy victim in
           after.(4) <- i 80;
           Delta.update "sale" ~before:victim ~after
@@ -360,7 +393,12 @@ let abort_tests =
         in
         let pre_sales = snd (Warehouse.query wh "sales_by_time") in
         let pre_monthly = snd (Warehouse.query wh "monthly_revenue") in
-        let report = Warehouse.ingest_report wh [ prelude; crossing ] in
+        (* the engine fails after the first view has applied the batch *)
+        Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
+        let report =
+          Fun.protect ~finally:Faults.disarm @@ fun () ->
+          Warehouse.ingest_report wh [ prelude; repricing ]
+        in
         Alcotest.(check int) "nothing applied" 0 report.Warehouse.applied;
         Alcotest.(check int) "whole batch quarantined" 2
           (List.length (Warehouse.dead_letters wh));
@@ -370,9 +408,9 @@ let abort_tests =
               "quarantined as engine failure" "engine-failure"
               (Delta.reason_label r.Delta.reason))
           (Warehouse.dead_letters wh);
-        Alcotest.check relation "aged view rolled back" pre_sales
+        Alcotest.check relation "unreached view unchanged" pre_sales
           (snd (Warehouse.query wh "sales_by_time"));
-        Alcotest.check relation "sibling view rolled back" pre_monthly
+        Alcotest.check relation "applied view rolled back" pre_monthly
           (snd (Warehouse.query wh "monthly_revenue"));
         (* the warehouse keeps working: a valid follow-up batch applies and
            the views agree with the believed source *)

@@ -4,6 +4,7 @@
    atomically. *)
 
 open Helpers
+module Faults = Maintenance.Faults
 
 let test case fn = Alcotest.test_case case `Quick fn
 
@@ -103,23 +104,19 @@ let tests =
         let db = paper_example_db () in
         let wh = Warehouse.create db in
         Warehouse.add_view wh Workload.Retail.product_sales;
-        (* old partition = cheap sales; price is updatable, so a price update
-           crossing the boundary passes validation and blows up the
-           partitioned engine *)
-        let is_old tup = match tup.(4) with Value.Int p -> p < 15 | _ -> false in
-        let aged =
-          { Workload.Retail.sales_by_time with View.name = "aged_sales" }
-        in
-        Warehouse.add_view ~strategy:(Warehouse.Aged is_old) wh aged;
+        Warehouse.add_view wh Workload.Retail.sales_by_time;
         let before_ps = snd (Warehouse.query wh "product_sales") in
-        let before_aged = snd (Warehouse.query wh "aged_sales") in
-        let boundary_crossing =
+        let before_sales = snd (Warehouse.query wh "sales_by_time") in
+        let repricing =
           Delta.update "sale"
             ~before:(row [ i 1; i 1; i 1; i 1; i 10 ])
             ~after:(row [ i 1; i 1; i 1; i 1; i 50 ])
         in
+        (* an engine fails after the first view has applied the batch *)
+        Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
         let r =
-          Warehouse.ingest_report wh [ valid_sale 200 1 12; boundary_crossing ]
+          Fun.protect ~finally:Faults.disarm @@ fun () ->
+          Warehouse.ingest_report wh [ valid_sale 200 1 12; repricing ]
         in
         Alcotest.(check int) "nothing applied" 0 r.Warehouse.applied;
         Alcotest.(check (list reason))
@@ -128,16 +125,16 @@ let tests =
           (reasons wh);
         Alcotest.check relation "product_sales untouched" before_ps
           (snd (Warehouse.query wh "product_sales"));
-        Alcotest.check relation "aged view untouched" before_aged
-          (snd (Warehouse.query wh "aged_sales"));
+        Alcotest.check relation "sales_by_time untouched" before_sales
+          (snd (Warehouse.query wh "sales_by_time"));
         (* the validator rolled back too: the insert half of the batch is
            still fresh and can be re-ingested on its own *)
         let r2 = Warehouse.ingest_report wh [ valid_sale 200 1 12 ] in
         Alcotest.(check int) "re-ingest applies" 1 r2.Warehouse.applied;
         let src = Warehouse.believed_source wh in
-        Alcotest.check relation "aged view maintained"
-          (Algebra.Eval.eval src aged)
-          (snd (Warehouse.query wh "aged_sales")));
+        Alcotest.check relation "sales_by_time maintained"
+          (Algebra.Eval.eval src Workload.Retail.sales_by_time)
+          (snd (Warehouse.query wh "sales_by_time")));
     test "sprinkled stream: exactly the forged deltas are rejected" (fun () ->
         let db = Workload.Retail.load Workload.Retail.small_params in
         let wh = Warehouse.create db in

@@ -264,6 +264,48 @@ let col_vs_col_tests =
 
 let inserts_only = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 }
 
+(* SUM/COUNT/MIN/MAX by month over sale and time: grouped on a dimension
+   column, so the append-only derivation keeps the sale auxiliary view and
+   holds MIN(price) and MAX(price) in its columns. *)
+let sales_profile =
+  {
+    View.name = "sales_profile";
+    having = [];
+    select =
+      [
+        group (a "time" "month");
+        sum ~alias:"Revenue" (a "sale" "price");
+        count_star ~alias:"Sales" ();
+        min_ ~alias:"MinPrice" (a "sale" "price");
+        max_ ~alias:"MaxPrice" (a "sale" "price");
+      ];
+    tables = [ "sale"; "time" ];
+    locals = [];
+    joins = [ join (a "sale" "timeid") (a "time" "id") ];
+  }
+
+let check_view ?(msg = "maintained == recomputed") e db view =
+  Alcotest.check relation msg (Algebra.Eval.eval db view)
+    (Engines.view_contents e)
+
+let some_sale db =
+  Relational.Database.fold db "sale"
+    (fun tup acc -> match acc with None -> Some tup | some -> some)
+    None
+  |> Option.get
+
+(* [f] must raise [Engine.Invariant] and leave [e] equal to an engine
+   rebuilt from the unchanged source. *)
+let refused_untouched db view e f =
+  (match f () with
+  | exception Engine.Invariant _ -> ()
+  | () -> Alcotest.fail "expected Engine.Invariant");
+  Alcotest.(check bool) "state equals a rebuild" true
+    (Engines.equal_state e (Engines.append_only db view))
+
+let detail_total e =
+  List.fold_left (fun acc (_, rows, _) -> acc + rows) 0 (Engines.detail_profile e)
+
 let append_tests =
   [
     test "MIN/MAX are CSMAS under insertions only" (fun () ->
@@ -359,13 +401,7 @@ let append_tests =
     test "append-only engine rejects deletions and updates" (fun () ->
         let db = Workload.Retail.load tiny_params in
         let e = Engines.append_only db Workload.Retail.product_sales_max in
-        let victim =
-          Relational.Database.fold db "sale" (fun tup acc ->
-              match acc with None -> Some tup | some -> some)
-            None
-          |> Option.get
-        in
-        match Engines.apply_batch e [ Delta.delete "sale" victim ] with
+        match Engines.apply_batch e [ Delta.delete "sale" (some_sale db) ] with
         | exception Engine.Invariant _ -> ()
         | () -> Alcotest.fail "expected Engine.Invariant");
     test "append-only aux state matches materialization" (fun () ->
@@ -391,6 +427,106 @@ let append_tests =
         in
         Alcotest.(check bool) "smaller or equal" true
           (rows Derive.append_only_options <= rows Derive.default_options));
+    test "late fact inserts move a loaded group's MIN and MAX" (fun () ->
+        let db = Workload.Retail.load tiny_params in
+        let e = Engines.append_only db sales_profile in
+        check_view ~msg:"initial build" e db sales_profile;
+        (* a late-arriving fact below every price and one above every
+           price, both into the loaded month *)
+        let low = row [ i 90_001; i 2; i 1; i 1; i (-5) ] in
+        let high = row [ i 90_002; i 7; i 1; i 1; i 1_000_000 ] in
+        let before = Engines.view_contents e in
+        let deltas = [ Delta.insert "sale" low; Delta.insert "sale" high ] in
+        Relational.Database.apply_all db deltas;
+        Engines.apply_batch e deltas;
+        Alcotest.(check bool) "the group changed" false
+          (Relation.equal before (Engines.view_contents e));
+        check_view e db sales_profile);
+    test "a batch holding one fact deletion applies nothing" (fun () ->
+        let db = Workload.Retail.load tiny_params in
+        let e = Engines.append_only db sales_profile in
+        let fresh = row [ i 90_001; i 2; i 1; i 1; i 1_000_000 ] in
+        refused_untouched db sales_profile e (fun () ->
+            Engines.apply_batch e
+              [ Delta.insert "sale" fresh; Delta.delete "sale" (some_sale db) ]);
+        (* refused even when the deletion nets out against the insert *)
+        refused_untouched db sales_profile e (fun () ->
+            Engines.apply_batch e
+              [ Delta.insert "sale" fresh; Delta.delete "sale" fresh ]);
+        check_view e db sales_profile);
+    test "append-only engine refuses fact updates" (fun () ->
+        let db = Workload.Retail.load tiny_params in
+        let e = Engines.append_only db sales_profile in
+        let before = some_sale db in
+        let after = Array.copy before in
+        after.(4) <- i 1_000_000;
+        refused_untouched db sales_profile e (fun () ->
+            Engines.apply_batch e [ Delta.update "sale" ~before ~after ]);
+        check_view e db sales_profile);
+    test "dimension changes reach the append-only view" (fun () ->
+        let db = Workload.Retail.load tiny_params in
+        let e = Engines.append_only db sales_profile in
+        (* month is the group attribute: moving day 3 splits the group *)
+        let before =
+          Option.get (Relational.Database.find_by_key db "time" (i 3))
+        in
+        let after = Array.copy before in
+        after.(2) <- i 12;
+        Relational.Database.apply db (Delta.update "time" ~before ~after);
+        Engines.apply_batch e [ Delta.update "time" ~before ~after ];
+        check_view ~msg:"after the month update" e db sales_profile;
+        (* a new dimension member and a fact referencing it *)
+        let deltas =
+          [ Delta.insert "time" (row [ i 99; i 9; i 9; i 1997 ]);
+            Delta.insert "sale" (row [ i 90_010; i 99; i 1; i 1; i 4 ]) ]
+        in
+        Relational.Database.apply_all db deltas;
+        Engines.apply_batch e deltas;
+        check_view ~msg:"after the new member" e db sales_profile);
+    test "fact inserts with dimension churn stay correct" (fun () ->
+        let db = Workload.Retail.load tiny_params in
+        let views = [ sales_profile; Workload.Retail.product_sales ] in
+        let engines = List.map (Engines.append_only db) views in
+        let rng = Workload.Prng.create 7 in
+        for round = 1 to 6 do
+          (* every op on time and product: the generator deletes a time row
+             only while no fact references it *)
+          let facts =
+            Workload.Delta_gen.stream_for ~mix:inserts_only rng db
+              ~tables:[ "sale" ] ~n:20
+          in
+          let dims =
+            Workload.Delta_gen.stream_for rng db ~tables:[ "time"; "product" ]
+              ~n:10
+          in
+          List.iter2
+            (fun e view ->
+              Engines.apply_batch e (facts @ dims);
+              check_view
+                ~msg:(Printf.sprintf "%s round %d" view.View.name round)
+                e db view)
+            engines views
+        done);
+    test "append-only detail stays smaller under insert streams" (fun () ->
+        (* the standard derivation keeps price plainly for MIN/MAX, one
+           stored row per (timeid, price); append-only keeps one per timeid *)
+        let db = Workload.Retail.load tiny_params in
+        let std = Engines.minimal db sales_profile in
+        let app = Engines.append_only db sales_profile in
+        let rng = Workload.Prng.create 11 in
+        for round = 1 to 4 do
+          let deltas =
+            Workload.Delta_gen.stream_for ~mix:inserts_only rng db
+              ~tables:[ "sale" ] ~n:40
+          in
+          Engines.apply_batch std deltas;
+          Engines.apply_batch app deltas;
+          Alcotest.(check bool)
+            (Printf.sprintf "round %d: fewer detail rows" round)
+            true
+            (detail_total app < detail_total std)
+        done;
+        check_view app db sales_profile);
   ]
 
 let () =

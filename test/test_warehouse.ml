@@ -116,50 +116,6 @@ let warehouse_tests =
         Alcotest.(check bool) "eliminated smaller" true (total wh2 < total wh1));
   ]
 
-let aged_tests =
-  [
-    test "Aged strategy integrates with the facade" (fun () ->
-        let db = Workload.Retail.load Workload.Retail.small_params in
-        let boundary = ref 10 in
-        let is_old tup =
-          match tup.(1) with Value.Int t -> t <= !boundary | _ -> false
-        in
-        let wh = Warehouse.create db in
-        let view =
-          { Workload.Retail.sales_by_time with View.name = "aged_sales" }
-        in
-        Warehouse.add_view ~strategy:(Warehouse.Aged is_old) wh view;
-        let rng = Workload.Prng.create 40 in
-        let inserts = { Workload.Delta_gen.insert = 1; delete = 0; update = 0 } in
-        Warehouse.ingest wh
-          (Workload.Delta_gen.stream_for ~mix:inserts rng db
-             ~tables:[ "sale" ] ~n:200);
-        let _, got = Warehouse.query wh "aged_sales" in
-        Alcotest.check relation "maintained" (Algebra.Eval.eval db view) got;
-        (* nightly aging through the facade *)
-        let aged =
-          Database.fold db "sale"
-            (fun tup acc ->
-              match tup.(1) with
-              | Value.Int t when t > 10 && t <= 12 -> tup :: acc
-              | _ -> acc)
-            []
-        in
-        Warehouse.age_out wh "aged_sales" aged;
-        boundary := 12;
-        let _, after = Warehouse.query wh "aged_sales" in
-        Alcotest.check relation "unchanged by aging"
-          (Algebra.Eval.eval db view) after);
-    test "age_out rejects non-Aged views" (fun () ->
-        let db = Workload.Retail.load Workload.Retail.small_params in
-        let wh = Warehouse.create db in
-        Warehouse.add_view wh Workload.Retail.months;
-        match Warehouse.age_out wh "months" [] with
-        | exception Warehouse.Error { kind = Warehouse.Not_aged; _ } -> ()
-        | () -> Alcotest.fail "expected Not_aged");
-  ]
-
 let () =
   Alcotest.run "warehouse"
-    [ ("storage", storage_tests); ("facade", warehouse_tests);
-      ("aged", aged_tests) ]
+    [ ("storage", storage_tests); ("facade", warehouse_tests) ]
