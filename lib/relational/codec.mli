@@ -2,9 +2,14 @@
     snapshot section.
 
     A cell is written by its column's declared {!Datatype.t}, with no tag:
-    INT as a zigzag varint, FLOAT as its 8 IEEE-754 bytes (little-endian,
-    so [-0.0] and every NaN payload survive), TEXT as a varint length and
-    the bytes, BOOL as one byte. Base rows hold no [NULL]
+    INT as a zigzag varint, TEXT as a varint length and the bytes, BOOL as
+    one byte. A FLOAT [x] that is [m / 10^e] bit for bit — decoded by one
+    correctly rounded division — for some [e] in 0..6 and [|m| < 2^51] is
+    the varint of [8 * zigzag m + e], with the smallest such [e]: a price
+    of two decimals below 1,310.72 takes at most 3 bytes. Any other FLOAT
+    ([-0.0], every NaN payload, the infinities, subnormals, non-decimal
+    doubles) is the byte 7 and its 8 IEEE-754 bytes, little-endian. So no
+    cell but TEXT takes more than 9 bytes. Base rows hold no [NULL]
     ({!Schema.conforms}), so a row is its cells in column order. A value
     whose type is not declared — a cell of a delta, which may be [NULL] or
     mistyped before validation — is a tag byte followed by the same cell
@@ -13,7 +18,9 @@
 (** {2 Writing} *)
 
 (** A byte buffer: a growable one, or a chunk of fixed size that hands
-    its bytes on each time it fills. *)
+    its bytes on each time it fills. From its first FLOAT cell on it also
+    holds a 16 KiB memo of the FLOAT cells it wrote last, so a repeated
+    value is written without arithmetic. *)
 type writer
 
 (** [writer n] is an empty, growable writer with room for [n] bytes. *)
@@ -38,7 +45,7 @@ val add_int : writer -> int -> unit
 
 val add_string : writer -> string -> unit
 
-(** A FLOAT cell: its 8 bytes, little-endian. *)
+(** A FLOAT cell: a decimal's varint, or the raw tag and 8 bytes. *)
 val add_float : writer -> float -> unit
 
 (** A BOOL cell: one byte, 0 or 1. *)
@@ -75,6 +82,11 @@ type reader
     @raise Invalid_argument if the range is outside [b]. *)
 val reader : bytes -> int -> int -> reader
 
+(** A {!reader} of the formats that wrote every FLOAT cell as its 8 IEEE
+    bytes, little-endian, with no tag: snapshot version 6 and log version
+    2. *)
+val raw_float_reader : bytes -> int -> int -> reader
+
 (** Bytes left in the range. *)
 val remaining : reader -> int
 
@@ -83,9 +95,9 @@ val varint : reader -> int
 val int : reader -> int
 val string : reader -> string
 
-(** [float_to r b off] copies a FLOAT cell, as {!add_float} wrote it, into
-    the native-endian 8 bytes of [b] at [off]: its IEEE bits, and no boxed
-    float on the way. *)
+(** [float_to r b off] decodes a FLOAT cell, as {!add_float} wrote it,
+    into the native-endian 8 bytes of [b] at [off]: its IEEE bits, and no
+    boxed float on the way. *)
 val float_to : reader -> bytes -> int -> unit
 
 val bool : reader -> bool

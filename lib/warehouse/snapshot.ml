@@ -8,7 +8,6 @@ type contents = {
   shadow : Database.t;
   dead : Relational.Delta.rejection list;
   seq : int;
-  domains : int;
 }
 
 exception Corrupt of string
@@ -16,7 +15,8 @@ exception Incompatible of string
 
 let corrupt fmt = Format.kasprintf (fun m -> raise (Corrupt m)) fmt
 
-let magic = "minview-warehouse-state/6\n"
+let magic = "minview-warehouse-state/7\n"
+let v6_magic = "minview-warehouse-state/6\n"
 let v5_magic = "minview-warehouse-state/5\n"
 
 (* Magic lines of the formats this build refuses, and why. *)
@@ -35,7 +35,7 @@ let refused_formats =
        and save it with a build that writes version 5 first" );
   ]
 
-(* Version 6: the magic line, then the sections in the order of
+(* Version 7: the magic line, then the sections in the order of
    [fold_sections]. A section is framed as
      u32-le header length, u64-le body length, u32-le CRC-32 of those
      twelve bytes, the header and the body;
@@ -47,7 +47,10 @@ let refused_formats =
    to the body's with [Checksum.combine]. So a checkpoint holds one chunk
    in memory whatever the store's size, and writes the bytes a section
    staged whole would have. Only the catalog's view definitions are
-   marshaled. *)
+   marshaled. Version 6 was the same but for two things: every FLOAT cell
+   was its 8 IEEE bytes ([Codec.raw_float_reader] reads them), and the
+   catalog held a pool-size varint after the batch number, which the
+   decoder skips. *)
 
 let frame_len = 16
 
@@ -86,14 +89,13 @@ let column_types c = function
     [| Database.key_type (Database.schema_of c.shadow table);
        Relational.Datatype.TInt |]
 
-(* The catalog holds the batch number, a pool-size record (always 0), the
-   view definitions and what [Database.add_catalog] writes. The view
-   definitions, a few hundred bytes, are the one part of a snapshot whose
-   encoding depends on the build. *)
+(* The catalog holds the batch number, the view definitions and what
+   [Database.add_catalog] writes. The view definitions, a few hundred
+   bytes, are the one part of a snapshot whose encoding depends on the
+   build. *)
 let encode c w = function
   | Catalog ->
     Codec.add_varint w c.seq;
-    Codec.add_varint w c.domains;
     Codec.add_string w (Marshal.to_string c.views []);
     Database.add_catalog c.shadow w
   | Rows table -> Database.add_rows c.shadow table w
@@ -104,17 +106,17 @@ let encode c w = function
 exception Foreign_views
 
 (* [c], the contents decoded so far, with the section's [rows] read from
-   [r] *)
-let decode_body c ~rows r = function
+   [r], of format [version] *)
+let decode_body ~version c ~rows r = function
   | Catalog -> (
     let seq = Codec.varint r in
-    let domains = Codec.varint r in
+    if version = 6 then ignore (Codec.varint r : int);
     let blob = Codec.string r in
     let shadow = Database.restore_catalog r in
     if rows <> Database.table_count shadow then
       Codec.malformed "row count %d" rows;
     match (Marshal.from_string blob 0 : (Algebra.View.t * strategy) list) with
-    | views -> { c with views; shadow; seq; domains }
+    | views -> { c with views; shadow; seq }
     | exception _ -> raise Foreign_views)
   | Rows table ->
     Database.restore_rows c.shadow table ~rows r;
@@ -185,7 +187,9 @@ let save c path =
     in
     ignore (fold_sections section c : contents)
 
-let decode_v6 path ic =
+(* Versions 6 and 7 *)
+let decode_sections ~version path ic =
+  let body = if version = 6 then Codec.raw_float_reader else Codec.reader in
   let frame = Bytes.create frame_len in
   let buf = ref (Bytes.create 65536) in
   (* The next section, which must be [s]: its CRC is checked before any of
@@ -220,8 +224,8 @@ let decode_v6 path ic =
       if rows < 0 then fail "row count %d" rows;
       if types <> column_types c s then
         fail "its column types differ from the catalog's";
-      let r = Codec.reader !buf hlen blen in
-      let c = decode_body c ~rows r s in
+      let r = body !buf hlen blen in
+      let c = decode_body ~version c ~rows r s in
       if Codec.remaining r > 0 then
         fail "%d byte(s) after its last row" (Codec.remaining r);
       c
@@ -237,8 +241,7 @@ let decode_v6 path ic =
   in
   let c =
     fold_sections next
-      { views = []; shadow = Database.create (); dead = []; seq = 0;
-        domains = 0 }
+      { views = []; shadow = Database.create (); dead = []; seq = 0 }
   in
   if pos_in ic < in_channel_length ic then
     corrupt "%s: %d byte(s) after the last section" path
@@ -254,8 +257,8 @@ type v5_validator = {
 
 (* Version 5: u32-le payload length, u32-le CRC-32, and a [Marshal]
    payload of the views and their strategies, the validator, the dead
-   letters, the batch sequence number and the pool size. Its shadow is
-   converted to the current store, row by row. *)
+   letters, the batch sequence number and the pool size, which is
+   dropped. Its shadow is converted to the current store, row by row. *)
 let decode_v5 path ic =
   let left = in_channel_length ic - pos_in ic in
   if left < 8 then corrupt "%s: truncated frame header" path;
@@ -273,9 +276,9 @@ let decode_v5 path ic =
         * Relational.Delta.rejection list * int * int)
   with
   | exception _ -> corrupt "%s: undecodable payload (incompatible build?)" path
-  | views, validator, dead, seq, domains -> (
+  | views, validator, dead, seq, (_ : int) -> (
     match Database.of_v5 validator.v5_shadow with
-    | shadow -> { views; shadow; dead; seq; domains }
+    | shadow -> { views; shadow; dead; seq }
     | exception Database.Violation m -> corrupt "%s: %s" path m)
 
 let decode path =
@@ -285,7 +288,9 @@ let decode path =
       if total < magic_len then
         corrupt "%s: truncated header (%d bytes)" path total;
       let header = really_input_string ic magic_len in
-      if String.equal header magic then decode_v6 path ic
+      if String.equal header magic then decode_sections ~version:7 path ic
+      else if String.equal header v6_magic then
+        decode_sections ~version:6 path ic
       else if String.equal header v5_magic then decode_v5 path ic
       else
         match List.assoc_opt header refused_formats with

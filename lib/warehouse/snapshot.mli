@@ -1,11 +1,13 @@
 (** The snapshot format, which {!Warehouse.save} writes.
 
-    Version 6 is a magic line and typed sections — a catalog, each base
+    Version 7 is a magic line and typed sections — a catalog, each base
     table's rows and reference counts, the dead letters — each with its
     own CRC-32, checked before any of its bytes is decoded. Cells are
-    written by their column type ({!Relational.Codec}); only the view
-    definitions inside the catalog are [Marshal]ed. Version-5 files, one
-    [Marshal] payload, still decode; older versions are refused. *)
+    written by their column type ({!Relational.Codec}), a decimal FLOAT
+    as a varint; only the view definitions inside the catalog are
+    [Marshal]ed. Version-6 files (the same sections, with 8-byte FLOAT
+    cells and a pool-size field) and version-5 files (one [Marshal]
+    payload) still decode; older versions are refused. *)
 
 (** How a view is maintained ({!Warehouse.strategy} documents each). *)
 type strategy = Minimal | Psj | Replicate
@@ -15,11 +17,10 @@ type contents = {
   shadow : Relational.Database.t;  (** the believed source *)
   dead : Relational.Delta.rejection list;  (** the dead letters *)
   seq : int;  (** the last batch it holds *)
-  domains : int;  (** a pool size, from before every batch was netted *)
 }
 
 (** A damaged file, or not a snapshot; the message names the file and,
-    in version 6, the section. *)
+    from version 6 on, the section. *)
 exception Corrupt of string
 
 (** A format version this build refuses, and why. *)

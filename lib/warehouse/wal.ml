@@ -17,11 +17,13 @@ exception Unencodable of string
 let corrupt fmt = Format.kasprintf (fun s -> raise (Corrupt s)) fmt
 let unencodable fmt = Printf.ksprintf (fun m -> raise (Unencodable m)) fmt
 
-(* The writer's format; [magic_v1] logs are read, never appended to. *)
-let magic = "minview-wal/2\n"
+(* The writer's format; older logs are read, never appended to. *)
+let version = 3
+let magic = "minview-wal/3\n"
+let magic_v2 = "minview-wal/2\n"
 let magic_v1 = "minview-wal/1\n"
 
-(* --- version-2 payloads ------------------------------------------------ *)
+(* --- version-3 payloads ------------------------------------------------ *)
 
 (* A payload is a kind byte (0: batch, 1: abort) and the seq as a varint.
    A batch goes on with its table dictionary — a count, then per table its
@@ -30,7 +32,9 @@ let magic_v1 = "minview-wal/1\n"
    2 update: one byte while the batch touches fewer than 32 tables), then
    its rows as untagged cells ([Codec.add_row]). An update writes its full
    before-image, then per run of up to 63 columns a varint mask of the
-   columns whose cell changed and those cells of the after-image. *)
+   columns whose cell changed and those cells of the after-image.
+   Version 2 was the same but for its FLOAT cells, each 8 IEEE bytes
+   ([Codec.raw_float_reader] reads them). *)
 
 let kind_batch = 0
 let kind_abort = 1
@@ -207,10 +211,9 @@ let decode_batch r seq =
   in
   Batch { seq; deltas = deltas (Codec.count r) }
 
-let decode_v2 payload =
-  let r =
-    Codec.reader (Bytes.unsafe_of_string payload) 0 (String.length payload)
-  in
+(* Versions 2 and 3 *)
+let decode_typed reader payload =
+  let r = reader (Bytes.unsafe_of_string payload) 0 (String.length payload) in
   let record =
     match Codec.byte r with
     | 0 -> decode_batch r (Codec.varint r)
@@ -228,7 +231,8 @@ let decode_v1 payload : record = Marshal.from_string payload 0
 let decode ~version payload =
   match version with
   | 1 -> decode_v1 payload
-  | 2 -> decode_v2 payload
+  | 2 -> decode_typed Codec.raw_float_reader payload
+  | 3 -> decode_typed Codec.reader payload
   | v -> invalid_arg (Printf.sprintf "Wal.decode: version %d" v)
 
 (* --- framing ----------------------------------------------------------- *)
@@ -307,7 +311,8 @@ let scan_channel path ic =
   else begin
     let header = really_input_string ic (String.length magic) in
     let version =
-      if String.equal header magic then 2
+      if String.equal header magic then version
+      else if String.equal header magic_v2 then 2
       else if String.equal header magic_v1 then 1
       else corrupt "%s: not a WAL file" path
     in
@@ -344,7 +349,7 @@ let scan_channel path ic =
 
 let scan path =
   if not (Sys.file_exists path) then
-    { s_version = 2; s_records = []; s_valid_bytes = 0; s_damage = None }
+    { s_version = version; s_records = []; s_valid_bytes = 0; s_damage = None }
   else
     let ic = open_in_bin path in
     Fun.protect
@@ -444,7 +449,7 @@ let writer path =
 let close w = try Unix.close w.fd with Unix.Unix_error _ -> ()
 
 let open_scanned path s =
-  let legacy = s.s_version <> 2 && Sys.file_exists path in
+  let legacy = s.s_version <> version && Sys.file_exists path in
   (* create the log so appends always start on a record boundary; a
      legacy log is never appended to: its decodable prefix (all of it,
      once salvaged) is rewritten in the current format first *)

@@ -8,22 +8,25 @@
     cover, replays the committed batches newer than the snapshot, and opens
     the live log's writer from its scan ({!open_scanned}).
 
-    On-disk format: a ["minview-wal/2\n"] header followed by records, each
+    On-disk format: a ["minview-wal/3\n"] header followed by records, each
     framed as [u32-le payload length], [u32-le CRC-32 of payload], payload.
     A payload is typed and depends on no build: a kind byte and the
     record's seq; a batch goes on with a dictionary of the tables it
     touches (name and column {!Relational.Datatype.t}s, so a log decodes
     without the catalog), its delta count, and per delta one varint (table
     index and change kind) and its rows as untagged cells
-    ({!Relational.Codec.add_row}). Inserts and deletes write their row; an
+    ({!Relational.Codec.add_row}, a decimal FLOAT as a varint). Inserts
+    and deletes write their row; an
     update writes its full before-image, then a mask of the columns whose
     cell changed and only those cells. An undecodable tail is detected,
     classified ({!damage_kind}) and — on the repair paths — quarantined
     next to the log ({!salvage}); {!open_append} repairs the file by
     atomically rewriting the valid prefix.
 
-    Logs of the legacy ["minview-wal/1\n"] format ([Marshal]ed {!record}
-    payloads) still {!scan} and replay. Nothing is appended to one: opening
+    Logs of the legacy ["minview-wal/2\n"] format (the same payloads with
+    every FLOAT cell as its 8 IEEE bytes) and ["minview-wal/1\n"] format
+    ([Marshal]ed {!record} payloads) still {!scan} and replay. Nothing is
+    appended to one: opening
     it for appending first rewrites its decodable prefix in the current
     format, and {!salvage} and {!archive_failed} always write it. *)
 
@@ -35,6 +38,9 @@ type record =
           replay must skip its [Batch] record *)
 
 val seq_of : record -> int
+
+(** The format version this build writes, 3. *)
+val version : int
 
 (** {2 Payloads} *)
 
@@ -49,10 +55,10 @@ exception Unencodable of string
 val encode : record -> string
 
 (** [decode ~version payload] reads one payload of format [version] (1,
-    the legacy [Marshal] records, or 2): {!encode}'s inverse for
-    version 2, with the cells of an update's after-image that did not
-    change sharing the before-image's values.
-    @raise Relational.Codec.Malformed if a version-2 payload does not decode
+    the legacy [Marshal] records, 2, with 8-byte FLOAT cells, or 3):
+    {!encode}'s inverse for version 3, with the cells of an update's
+    after-image that did not change sharing the before-image's values.
+    @raise Relational.Codec.Malformed if a typed payload does not decode
     (a version-1 one raises what [Marshal] raises).
     @raise Invalid_argument on another version. *)
 val decode : version:int -> string -> record
@@ -91,7 +97,8 @@ type damage = {
 
 type scan = {
   s_version : int;
-      (** the header's format: 1 (legacy) or 2; 2 for a missing file *)
+      (** the header's format: 1 or 2 (legacy) or 3; 3 for a missing
+          file *)
   s_records : record list;  (** the decodable prefix, in order *)
   s_valid_bytes : int;  (** header plus every decodable record *)
   s_damage : damage option;  (** [None] = the file ended cleanly *)
@@ -134,7 +141,7 @@ val open_append : string -> writer
 (** [open_scanned path s] opens for appending a log whose scan [s] the
     caller has just taken — and, if [s] found damage, {!salvage}d since —
     without reading it again; a missing file is created, and a legacy
-    (version-1) log is first rewritten from [s]'s records in the current
+    (version-1 or -2) log is first rewritten from [s]'s records in the current
     format. Recovery uses it so the live log is scanned once.
     @raise Corrupt if [path]'s length is not where [s]'s decodable prefix
     ends (appends would not start on a record boundary).

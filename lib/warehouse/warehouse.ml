@@ -547,7 +547,6 @@ let save t path =
       shadow = Validator.shadow t.validator;
       dead = t.dead;
       seq = t.seq;
-      domains = 0;
     }
     path
 
@@ -1267,7 +1266,9 @@ let describe_wal path =
          (match List.rev s_records with
          | last :: _ -> Printf.sprintf ", through batch %d" (Wal.seq_of last)
          | [] -> "")
-         (if s_version = 1 then ", legacy version-1 format" else ""))
+         (if s_version < Wal.version then
+            Printf.sprintf ", legacy version-%d format" s_version
+          else ""))
   | { Wal.s_records; s_damage = Some d; _ } ->
     Error
       (Printf.sprintf "%s at offset %d: %s (%d intact record(s) before it)"

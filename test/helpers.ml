@@ -128,7 +128,8 @@ let store_image db =
 
 let store_image_t = Alcotest.(list (pair string (list (pair tuple int))))
 
-(* --- version-6 snapshot sections, read independently of [Warehouse] ---
+(* --- snapshot sections (versions 6 and 7), read independently of
+   [Warehouse] ---
 
    After the magic line, each section is framed as u32-le header length,
    u64-le body length and u32-le CRC-32 of those twelve bytes, the header
@@ -136,7 +137,7 @@ let store_image_t = Alcotest.(list (pair string (list (pair tuple int))))
    the column count and types. Tests use this to damage or rewrite one
    section at a time. *)
 
-let snapshot_magic_len = String.length "minview-warehouse-state/6\n"
+let snapshot_magic_len = String.length "minview-warehouse-state/7\n"
 
 (* A varint as [Relational.Codec] writes one: 7 bits a byte, low first. *)
 let read_varint s pos =
@@ -210,17 +211,81 @@ let frame_section sec =
     (Int32.of_int (Warehouse.Checksum.string covered));
   Bytes.to_string frame ^ Buffer.contents head ^ sec.sec_body
 
-(* --- the version-6 encoder, each section staged whole -------------------
+(* --- the version-6 and -7 encoders, each section staged whole ----------
 
    [Warehouse.save] as it was before its sections streamed: every body
    staged in a growable writer, its cells read as values through a
    cursor, and the frame checksummed over the whole section at once. The
-   oracle for the streamed writer, for a warehouse without a parallel
-   pool whose views all have [strategy]. *)
-let buffered_v6 ?(strategy = Warehouse.Minimal) wh =
+   oracle for the streamed writer, for a warehouse whose views all have
+   [strategy]. Version 6 wrote a pool-size varint (0) after the batch
+   number and every FLOAT cell as its 8 IEEE bytes; version 7 writes
+   cells through [Relational.Codec]. *)
+
+(* A FLOAT cell as version 6 wrote it *)
+let add_raw_float w x =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_le b 0 (Int64.bits_of_float x);
+  Bytes.iter (fun c -> Relational.Codec.add_byte w (Char.code c)) b
+
+(* [Relational.Codec]'s untagged cells and tagged deltas, with version
+   [v]'s FLOAT cells *)
+let add_cell_v v w ty x =
+  match (v, x) with
+  | 6, Value.Float f -> add_raw_float w f
+  | _ -> Relational.Codec.add_cell w ty x
+
+let add_rejection_v v w (r : Delta.rejection) =
+  let module Codec = Relational.Codec in
+  if v = 7 then Codec.add_rejection w r
+  else begin
+    let value = function
+      | Value.Null -> Codec.add_byte w 0
+      | Value.Int x ->
+        Codec.add_byte w 1;
+        Codec.add_int w x
+      | Value.Float x ->
+        Codec.add_byte w 2;
+        add_raw_float w x
+      | Value.String x ->
+        Codec.add_byte w 3;
+        Codec.add_string w x
+      | Value.Bool x ->
+        Codec.add_byte w 4;
+        Codec.add_bool w x
+    in
+    let tuple t =
+      Codec.add_varint w (Array.length t);
+      Array.iter value t
+    in
+    Codec.add_byte w
+      (match r.Delta.reason with
+      | Delta.Unknown_table -> 0
+      | Delta.Schema_mismatch -> 1
+      | Delta.Duplicate_key -> 2
+      | Delta.Missing_row -> 3
+      | Delta.Dangling_reference -> 4
+      | Delta.Referenced_key -> 5
+      | Delta.Not_updatable -> 6
+      | Delta.Engine_failure -> 7);
+    Codec.add_string w r.Delta.detail;
+    Codec.add_string w r.Delta.delta.Delta.table;
+    match r.Delta.delta.Delta.change with
+    | Delta.Insert t ->
+      Codec.add_byte w 0;
+      tuple t
+    | Delta.Delete t ->
+      Codec.add_byte w 1;
+      tuple t
+    | Delta.Update { before; after } ->
+      Codec.add_byte w 2;
+      tuple before;
+      tuple after
+  end
+
+let buffered ~version ?(strategy = Warehouse.Minimal) wh =
   let module Codec = Relational.Codec in
   let out = Buffer.create 4096 in
-  Buffer.add_string out "minview-warehouse-state/6\n";
+  Buffer.add_string out (Printf.sprintf "minview-warehouse-state/%d\n" version);
   let staged fill =
     let w = Codec.writer 16 in
     fill w;
@@ -249,7 +314,7 @@ let buffered_v6 ?(strategy = Warehouse.Minimal) wh =
   let tables = Database.table_names shadow in
   section 0 "catalog" ~rows:(List.length tables) [||] (fun w ->
       Codec.add_varint w (Warehouse.ingested_batches wh);
-      Codec.add_varint w 0;
+      if version = 6 then Codec.add_varint w 0;
       Codec.add_string w
         (Marshal.to_string
            (List.rev_map (fun v -> (v, strategy)) (Warehouse.views wh))
@@ -271,7 +336,8 @@ let buffered_v6 ?(strategy = Warehouse.Minimal) wh =
         (fun w ->
           each_row (fun () ->
               Array.iteri
-                (fun j ty -> Codec.add_cell w ty (Database.Cursor.cell cur j))
+                (fun j ty ->
+                  add_cell_v version w ty (Database.Cursor.cell cur j))
                 types));
       section 2 ("reference counts of " ^ name)
         ~rows:(Database.incoming_count shadow name)
@@ -281,34 +347,23 @@ let buffered_v6 ?(strategy = Warehouse.Minimal) wh =
               let k = Database.Cursor.cell cur key in
               let n = Database.reference_count shadow name k in
               if n > 0 then begin
-                Codec.add_cell w types.(key) k;
+                add_cell_v version w types.(key) k;
                 Codec.add_int w n
               end)))
     tables;
   let dead = List.rev (Warehouse.dead_letters wh) in
   section 3 "dead letters" ~rows:(List.length dead) [||] (fun w ->
-      List.iter (Codec.add_rejection w) dead);
+      List.iter (add_rejection_v version w) dead);
   Buffer.contents out
+
+let buffered_v6 = buffered ~version:6
+let buffered_v7 = buffered ~version:7
 
 (* substring test used when checking rendered reports *)
 let contains haystack needle =
   let n = String.length needle and h = String.length haystack in
   let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
   go 0
-
-let check_view_maintained ?(rounds = 10) ?(per_round = 30) ?(seed = 0) db view
-    =
-  let engine = Maintenance.Engines.minimal db view in
-  let rng = Workload.Prng.create seed in
-  for round = 1 to rounds do
-    let deltas = Workload.Delta_gen.stream rng db ~n:per_round in
-    Maintenance.Engines.apply_batch engine deltas;
-    let got = Maintenance.Engines.view_contents engine in
-    let expected = Algebra.Eval.eval db view in
-    Alcotest.check relation
-      (Printf.sprintf "%s round %d" view.View.name round)
-      expected got
-  done
 
 (* [n] sale inserts with ids from [first], valid against a retail store
    loaded with [p] (foreign keys cycle through its days, products and

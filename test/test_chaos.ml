@@ -124,7 +124,7 @@ let corruption_label = function
   | Flip_section -> "flip-section"
   | Flip_wal -> "flip-wal"
 
-let wal_header_len = String.length "minview-wal/2\n"
+let wal_header_len = String.length "minview-wal/3\n"
 
 let has_generation_snapshot dir =
   let gdir = Filename.concat dir "generations" in
@@ -725,7 +725,7 @@ let same_records a b =
   List.length a = List.length b
   && List.for_all2 (fun x y -> String.equal (Wal.encode x) (Wal.encode y)) a b
 
-(* A committed version-2 log of three small batches, cut at every byte
+(* A committed version-3 log of three small batches, cut at every byte
    and, separately, with one bit flipped in every byte of every frame. The
    scan keeps only records that were written, never one past the damage,
    and classifies the damage; recovery follows its policy: a torn tail of

@@ -757,8 +757,9 @@ let corruption_tests =
 
 (* --- snapshot format versions ----------------------------------------------
 
-   Version 6 is written; version 5, one [Marshal] payload, still loads and
-   is upgraded by the next checkpoint; versions 1 to 4 are refused. *)
+   Version 7 is written; version 6, whose FLOAT cells are 8 bytes each,
+   and version 5, one [Marshal] payload, still load and are upgraded by
+   the next checkpoint; versions 1 to 4 are refused. *)
 
 let v5_magic = "minview-warehouse-state/5\n"
 
@@ -919,9 +920,9 @@ let golden name =
   in
   Filename.concat dir name
 
-(* The warehouse of golden/snapshot-v<n>.bin, checked against
-   golden/schema.sql after golden/batch{1,2,3}.sql. *)
-let load_golden name magic =
+(* The source of golden/schema.sql after golden/batch{1,2,3}.sql, and its
+   views. *)
+let golden_source () =
   let db = Database.create () in
   let views =
     Sqlfront.Elaborate.views
@@ -933,6 +934,12 @@ let load_golden name magic =
         (Sqlfront.Elaborate.run_script db
            (read_file (golden (Printf.sprintf "batch%d.sql" i)))))
     [ 1; 2; 3 ];
+  (db, views)
+
+(* The warehouse of golden/snapshot-v<n>.bin, checked against
+   [golden_source]. *)
+let load_golden name magic =
+  let db, views = golden_source () in
   let path = golden name in
   Alcotest.(check string) "magic" magic (magic_of path);
   let wh = Warehouse.load path in
@@ -952,13 +959,19 @@ let load_golden name magic =
 let check_golden_v5 () = ignore (load_golden "snapshot-v5.bin" v5_magic)
 
 (* golden/snapshot-v6.bin is the same warehouse checkpointed by the last
-   build whose sections were staged whole, before they streamed
-   (make_golden.exe, then [minview recover --checkpoint]): a save of what
-   it loads writes it again, byte for byte. *)
+   build whose sections were staged whole, before they streamed, and
+   whose FLOAT cells took 8 bytes each. *)
 let check_golden_v6 () =
-  let path, wh = load_golden "snapshot-v6.bin" "minview-warehouse-state/6\n" in
+  ignore (load_golden "snapshot-v6.bin" "minview-warehouse-state/6\n")
+
+(* golden/snapshot-v7.bin is the same warehouse checkpointed by the first
+   build that wrote decimal FLOAT cells (make_golden.exe, then
+   [minview recover --checkpoint]): a save of what it loads writes it
+   again, byte for byte. *)
+let check_golden_v7 () =
+  let path, wh = load_golden "snapshot-v7.bin" "minview-warehouse-state/7\n" in
   let expected = read_file path
-  and again = Filename.concat (Filename.get_temp_dir_name ()) "wh_golden_v6.bin" in
+  and again = Filename.concat (Filename.get_temp_dir_name ()) "wh_golden_v7.bin" in
   Warehouse.save wh again;
   let saved = read_file again in
   Sys.remove again;
@@ -971,7 +984,7 @@ let v5_upgrade_tests =
       check_golden_v5;
     test "a version-5 snapshot loads with its views and believed source"
       (fun () -> check_v5_load "wh_v5_upgrade.bin");
-    test "recover replays a version-5 chain and checkpoints version 6"
+    test "recover replays a version-5 chain and checkpoints version 7"
       (fun () ->
         let db, dir, rng = chain_of "wh_v5_chain_dir" in
         rewrite_chain dir to_v5;
@@ -991,18 +1004,21 @@ let v5_upgrade_tests =
         Alcotest.(check int) "generation K-1 replayed" 4
           (Warehouse.ingested_batches wh'');
         check_views wh'' db;
-        (* the next checkpoint writes version 6, and it keeps running *)
+        (* the next checkpoint writes version 7, and it keeps running *)
         Warehouse.checkpoint wh'';
         Alcotest.(check string) "upgraded"
-          "minview-warehouse-state/6\n" (magic_of snap);
+          "minview-warehouse-state/7\n" (magic_of snap);
         Warehouse.ingest wh'' (Workload.Delta_gen.stream rng db ~n:15);
         check_views wh'' db;
         Warehouse.close wh'';
         let wh3 = Warehouse.recover ~dir in
         check_views wh3 db;
         Warehouse.close wh3);
-    test "the golden version-6 snapshot loads and saves to the same bytes"
+    test "the golden version-6 snapshot loads with its views and believed \
+          source"
       check_golden_v6;
+    test "the golden version-7 snapshot loads and saves to the same bytes"
+      check_golden_v7;
   ]
 
 (* A snapshot whose magic line says [version], with a whole version-6 body
@@ -1238,7 +1254,7 @@ let checksum_tests =
         let ic = open_in_bin (Filename.concat dir "wal.bin") in
         let log = really_input_string ic (in_channel_length ic) in
         close_in ic;
-        let magic = "minview-wal/2\n" in
+        let magic = "minview-wal/3\n" in
         Alcotest.(check string) "magic" magic
           (String.sub log 0 (String.length magic));
         (* every frame: its length, the CRC-32 of its payload, and a
@@ -1252,7 +1268,7 @@ let checksum_tests =
             let payload = String.sub log (at + 8) len in
             Alcotest.(check int) "frame checksum" (Warehouse.Checksum.string payload) crc;
             Alcotest.(check string) "one whole record" payload
-              (Warehouse.Wal.encode (Warehouse.Wal.decode ~version:2 payload));
+              (Warehouse.Wal.encode (Warehouse.Wal.decode ~version:3 payload));
             frames (at + 8 + len) (len :: acc)
           end
         in
@@ -1435,12 +1451,10 @@ let rewrite_views path views =
   rewrite_section path "catalog" (fun sec ->
       let body = sec.sec_body in
       let seq, p = read_varint body 0 in
-      let domains, p = read_varint body p in
       let blob_len, p = read_varint body p in
       let rest = String.sub body (p + blob_len) (String.length body - p - blob_len) in
       let b = Buffer.create (String.length body) in
       add_varint b seq;
-      add_varint b domains;
       let blob = Marshal.to_string (views : (View.t * Warehouse.strategy) list) [] in
       add_varint b (String.length blob);
       Buffer.add_string b blob;
@@ -1713,7 +1727,7 @@ let prop_wal_round_trip =
     (fun seed ->
       let records = random_records seed in
       let check what ok = ok || QCheck2.Test.fail_reportf "%s" what in
-      let decoded = List.map (fun r -> Wal.decode ~version:2 (Wal.encode r)) records in
+      let decoded = List.map (fun r -> Wal.decode ~version:3 (Wal.encode r)) records in
       let path = tmp "wal_round_trip.bin" in
       let w = Wal.create path in
       List.iter (Wal.append w) records;
@@ -1723,7 +1737,7 @@ let prop_wal_round_trip =
       check "payload round trip" (same_records records decoded)
       && check "unchanged cells shared" (List.for_all shares_unchanged decoded)
       && check "scan of the written log"
-           (s.Wal.s_version = 2 && s.Wal.s_damage = None
+           (s.Wal.s_version = 3 && s.Wal.s_damage = None
            && same_records records s.Wal.s_records))
 
 let prop_wal_v1_same_record =
@@ -1738,16 +1752,16 @@ let prop_wal_v1_same_record =
       let v1 = Wal.scan path in
       (* opening it for appending rewrites it in the current format *)
       Wal.close (Wal.open_append path);
-      let v2 = Wal.scan path in
+      let v3 = Wal.scan path in
       Sys.remove path;
       check "payloads"
         (List.for_all
            (fun r -> same_record r (Wal.decode ~version:1 (Marshal.to_string r [])))
            records)
       && check "version-1 scan" (v1.Wal.s_version = 1 && same_records records v1.Wal.s_records)
-      && check "rewritten as version 2"
-           (v2.Wal.s_version = 2 && v2.Wal.s_damage = None
-           && same_records records v2.Wal.s_records))
+      && check "rewritten as version 3"
+           (v3.Wal.s_version = 3 && v3.Wal.s_damage = None
+           && same_records records v3.Wal.s_records))
 
 let wal_format_tests =
   [
@@ -1784,6 +1798,33 @@ let wal_format_tests =
         Alcotest.(check bool) "both records, nothing else" true
           (s.Wal.s_damage = None
           && same_records [ good; Wal.Abort { seq = 2 } ] s.Wal.s_records));
+    test "the golden version-2 log replays and is rewritten as version 3"
+      (fun () ->
+        let db, views = golden_source () in
+        let dir = fresh_dir "wh_golden_wal_v2" in
+        Sys.mkdir dir 0o755;
+        List.iter
+          (fun f ->
+            write_file (Filename.concat dir f)
+              (read_file (golden (Filename.concat "wal-v2" f))))
+          [ "snapshot.bin"; "wal.bin" ];
+        let wal = Filename.concat dir "wal.bin" in
+        let logged = Wal.scan wal in
+        Alcotest.(check int) "a version-2 log" 2 logged.Wal.s_version;
+        let wh = Warehouse.recover ~dir in
+        Alcotest.(check int) "every batch replayed" 3
+          (Warehouse.ingested_batches wh);
+        List.iter
+          (fun (v : View.t) ->
+            Alcotest.check relation v.View.name (Algebra.Eval.eval db v)
+              (snd (Warehouse.query wh v.View.name)))
+          views;
+        Warehouse.close wh;
+        let s = Wal.scan wal in
+        Alcotest.(check int) "rewritten as version 3" 3 s.Wal.s_version;
+        Alcotest.(check bool) "with the same records" true
+          (s.Wal.s_damage = None
+          && same_records logged.Wal.s_records s.Wal.s_records));
     test "a version-1 live log recovers and is rewritten before the next append"
       (fun () ->
         let db, wh = build () in
@@ -1802,14 +1843,14 @@ let wal_format_tests =
         Alcotest.(check int) "every batch replayed" 3 (Warehouse.ingested_batches wh');
         check_views wh' db;
         let s = Wal.scan wal in
-        Alcotest.(check int) "rewritten as version 2" 2 s.Wal.s_version;
+        Alcotest.(check int) "rewritten as version 3" 3 s.Wal.s_version;
         Alcotest.(check bool) "with the same records" true
           (same_records logged s.Wal.s_records);
         Warehouse.ingest wh' (Workload.Delta_gen.stream rng db ~n:25);
         Warehouse.close wh';
         let s = Wal.scan wal in
         Alcotest.(check bool) "the next batch follows them" true
-          (s.Wal.s_version = 2 && s.Wal.s_damage = None
+          (s.Wal.s_version = 3 && s.Wal.s_damage = None
           && List.length s.Wal.s_records = 4);
         let wh'' = Warehouse.recover ~dir in
         Alcotest.(check int) "four batches" 4 (Warehouse.ingested_batches wh'');

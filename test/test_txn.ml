@@ -28,8 +28,9 @@ let tiny =
     seed = 7;
   }
 
-(* fabricated sale rows use ids far above anything the generator produces *)
-let fresh_id = ref 1_000_000
+(* fabricated sale rows use ids far above anything the generator produces
+   (its keys stay below 1,001,000) *)
+let fresh_id = ref 2_000_000
 
 let next_id () =
   incr fresh_id;
@@ -39,6 +40,17 @@ let next_id () =
    every view's semijoins and reaches the aggregation before raising *)
 let null_price_insert () =
   Delta.insert "sale" (row [ i (next_id ()); i 6; i 1; i 1; Value.Null ])
+
+(* Two sales of day 6, whose month holds loaded sales, priced above and
+   below every generated price (1 to 100): they raise that group's
+   maxima, MAX(id) included, and lower its minimum in every view over
+   sale. Every failed batch of the rollback matrix starts with them, so
+   it has changed the engine's extrema before it fails, even at
+   position 0. *)
+let extreme_inserts () =
+  List.map
+    (fun price -> Delta.insert "sale" (row [ i (next_id ()); i 6; i 1; i 1; i price ]))
+    [ 1_000; 0 ]
 
 let insert_only =
   { Workload.Delta_gen.insert = 1; delete = 0; update = 0 }
@@ -177,7 +189,8 @@ let cases =
 type failure = Poison | Abort_mid_engine_apply
 
 (* The property: warm the engine up, rebuild it from the evolved source,
-   fail a batch after [pos] valid deltas — rollback must restore the
+   fail a batch after [extreme_inserts] and [pos] valid deltas — the
+   failed batch must have changed the engine, rollback must restore the
    rebuilt state exactly, and the engine must keep maintaining correctly
    afterwards. *)
 let rollback_restores ?(failure = Poison) case seed pos () =
@@ -191,18 +204,14 @@ let rollback_restores ?(failure = Poison) case seed pos () =
     "the warm engine equals a rebuild" true
     (Engines.equal_state eng snapshot);
   let valid = Workload.Delta_gen.stream ~mix:case.mix rng db ~n:12 in
-  let pos = min pos (List.length valid) in
-  let poisoned =
-    List.filteri (fun idx _ -> idx < pos) valid @ [ null_price_insert () ]
-  in
+  let prefix = extreme_inserts () @ List.filteri (fun idx _ -> idx < pos) valid in
   Engines.begin_txn eng;
   (match failure with
   | Poison -> (
-    match Engines.apply_batch eng poisoned with
+    match Engines.apply_batch eng (prefix @ [ null_price_insert () ]) with
     | () -> Alcotest.fail "the poisoned batch must raise"
     | exception _ -> ())
   | Abort_mid_engine_apply -> (
-    let prefix = List.filteri (fun idx _ -> idx < pos) valid in
     Faults.arm ~mode:Faults.Fail Faults.Mid_engine_apply;
     Fun.protect ~finally:Faults.disarm @@ fun () ->
     match
@@ -211,6 +220,9 @@ let rollback_restores ?(failure = Poison) case seed pos () =
     with
     | () -> Alcotest.fail "the armed point must fire"
     | exception Faults.Injected Faults.Mid_engine_apply -> ()));
+  Alcotest.(check bool)
+    "the failed batch changed the engine" false
+    (Engines.equal_state eng snapshot);
   Engines.rollback eng;
   Alcotest.(check bool)
     "rollback restores the pre-batch state" true
