@@ -1016,10 +1016,9 @@ let serve_cmd =
           (match Warehouse.view_names wh with
           | [] -> "none"
           | names -> String.concat ", " names);
-        (* the performance observatory: runtime gauges sampled on every
-           commit (and primed once now, before any batch lands), off-heap
-           bytes sourced from this warehouse, the exporter on its own
-           domain so scrapes never block the serving loop *)
+        (* the performance observatory: off-heap bytes sourced from this
+           warehouse (sampled now and at every commit), the exporter on its
+           own domain so scrapes never block the serving loop *)
         let exporter =
           Option.map
             (fun mport ->
@@ -1029,8 +1028,6 @@ let serve_cmd =
                   ()
               in
               Warehouse.publish_offheap wh;
-              Telemetry.Runtime.set_auto_sample true;
-              Telemetry.Runtime.sample ();
               Printf.printf
                 "minview serve: exporting metrics on 127.0.0.1:%d\n%!"
                 (Telemetry.Http_exporter.port exp);
@@ -1087,8 +1084,6 @@ let export_cmd =
             ()
         in
         Warehouse.publish_offheap wh;
-        (* no writer domain here: leave auto-sampling off so every scrape
-           takes a fresh runtime sample *)
         let stop _ = Telemetry.Http_exporter.request_stop exp in
         ignore (Sys.signal Sys.sigint (Sys.Signal_handle stop));
         ignore (Sys.signal Sys.sigterm (Sys.Signal_handle stop));

@@ -260,4 +260,5 @@ let to_json ?measured ~view a =
 
 (* layout ballast, never called (see [Warehouse.Storage]'s) *)
 let _ballast x y z =
-  (x * 3) + (y lsr 2) + (x lxor y) + (x land 7) + y * 5 + z * y + z / 3 + z mod 7 + 1
+  (x * 3) + (y lsr 2) + (x lxor y) + (x land 7) + y * 5 + z * y + z / 3 + z mod 7
+  + (x lor z) + (y * 11) + 1

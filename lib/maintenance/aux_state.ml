@@ -301,14 +301,12 @@ let check_key_kept s =
 module type ROWS = sig
   type row
 
-  val insert : ?count:int -> t -> row -> unit
   val locate_key : t -> row -> int -> int
 end
 
-(* The one probe-and-add path of a base row into the groups, wherever the
-   row's cells are: a delta's tuple or a shadow row ({!Cells}). Probes
-   are closed equality tests, so a write allocates nothing but the cells
-   a new group appends. *)
+(* The one probe path of a base row into the groups, wherever the row's
+   cells are: a delta's tuple or a shadow row ({!Cells}). Probes are
+   closed equality tests, so a probe allocates nothing. *)
 module Rows (C : Cells.S) = struct
   type row = C.row
 
@@ -352,53 +350,6 @@ module Rows (C : Cells.S) = struct
              s.spec.Auxview.name src)
     done
 
-  let append s ~hash row count =
-    let g = s.g in
-    for i = 0 to Array.length s.plain_src - 1 do
-      C.append g.keys.(i) row s.plain_src.(i)
-    done;
-    for i = 0 to Array.length s.sum_src - 1 do
-      C.append_scaled g.cells.(i) row s.sum_src.(i) count
-    done;
-    for i = 0 to Array.length s.ext_src - 1 do
-      C.append (ext_col s i) row (fst s.ext_src.(i))
-    done;
-    let r = Groups.add_row g ~hash count in
-    let stolen = by_key_attach s r in
-    (* the group that held the mapping is journaled too, untouched as it
-       is: a rollback deletes [r] with its entry, and restoring the
-       group's image gives the mapping back *)
-    if stolen >= 0 then Groups.note_row g ~hash:(Groups.row_hash g stolen) stolen;
-    index_add_row s r;
-    r
-
-  (* Folds [count] copies of [row] into its group. *)
-  let write s row count =
-    let hash = hash s row in
-    let g = s.g in
-    let r = Rowmap.probe g.map ~hash matches s row in
-    if r >= 0 then begin
-      Groups.note_row g ~hash r;
-      Icol.add g.cnts r count;
-      for i = 0 to Array.length s.sum_src - 1 do
-        C.add g.cells.(i) r row s.sum_src.(i) count
-      done;
-      for i = 0 to Array.length s.ext_src - 1 do
-        let src, is_min = s.ext_src.(i) in
-        C.combine_ext (ext_col s i) r row src ~is_min
-      done;
-      s.total <- s.total + count
-    end
-    else begin
-      Groups.note_created g ~hash (append s ~hash row count);
-      s.total <- s.total + count
-    end
-
-  let insert ?(count = 1) s row =
-    if count < 1 then invalid_arg "Aux_state.insert_base: count must be >= 1";
-    check_aggregands s "insert_base" row;
-    write s row count
-
   let key_is col row pos r = C.equal col r row pos
 
   let locate_key s row pos =
@@ -413,7 +364,54 @@ end
 module Tuples = Rows (Cells.Tuple)
 module Stored = Rows (Cells.Stored)
 
-let insert_base = Tuples.insert
+(* The write path of a delta's tuple (a build loads shadow rows a column
+   at a time, [load]). *)
+let append s ~hash (tup : Tuple.t) count =
+  let g = s.g in
+  for i = 0 to Array.length s.plain_src - 1 do
+    Column.append g.keys.(i) tup.(s.plain_src.(i))
+  done;
+  for i = 0 to Array.length s.sum_src - 1 do
+    Column.append g.cells.(i) (Value.scale tup.(s.sum_src.(i)) count)
+  done;
+  for i = 0 to Array.length s.ext_src - 1 do
+    Column.append (ext_col s i) tup.(fst s.ext_src.(i))
+  done;
+  let r = Groups.add_row g ~hash count in
+  let stolen = by_key_attach s r in
+  (* the group that held the mapping is journaled too, untouched as it
+     is: a rollback deletes [r] with its entry, and restoring the
+     group's image gives the mapping back *)
+  if stolen >= 0 then Groups.note_row g ~hash:(Groups.row_hash g stolen) stolen;
+  index_add_row s r;
+  r
+
+(* Folds [count] copies of [tup] into its group. *)
+let write s tup count =
+  let hash = Tuples.hash s tup in
+  let g = s.g in
+  let r = Rowmap.probe g.map ~hash Tuples.matches s tup in
+  if r >= 0 then begin
+    Groups.note_row g ~hash r;
+    Icol.add g.cnts r count;
+    for i = 0 to Array.length s.sum_src - 1 do
+      Column.add_cell g.cells.(i) r tup.(s.sum_src.(i)) count
+    done;
+    for i = 0 to Array.length s.ext_src - 1 do
+      let src, is_min = s.ext_src.(i) in
+      Column.combine_ext (ext_col s i) r tup.(src) ~is_min
+    done;
+    s.total <- s.total + count
+  end
+  else begin
+    Groups.note_created g ~hash (append s ~hash tup count);
+    s.total <- s.total + count
+  end
+
+let insert_base ?(count = 1) s tup =
+  if count < 1 then invalid_arg "Aux_state.insert_base: count must be >= 1";
+  Tuples.check_aggregands s "insert_base" tup;
+  write s tup count
 
 let delete_base ?(count = 1) s tup =
   if count < 1 then invalid_arg "Aux_state.delete_base: count must be >= 1";

@@ -146,15 +146,12 @@ val load :
 
 (** {2 Base rows wherever they are}
 
-    The write and probe paths of a base row, over the cell sources of
-    {!Cells}: one implementation, read from a delta's tuple ({!Tuples})
-    or a shadow row under a cursor ({!Stored}). *)
+    The probe path of a base row, over the cell sources of {!Cells}: one
+    implementation, read from a delta's tuple ({!Tuples}) or a shadow row
+    under a cursor ({!Stored}). *)
 
 module type ROWS = sig
   type row
-
-  (** {!insert_base} of the row. *)
-  val insert : ?count:int -> t -> row -> unit
 
   (** [locate_key s row pos] is {!locate_key} of the row's cell [pos]. *)
   val locate_key : t -> row -> int -> int

@@ -487,33 +487,6 @@ let append_stored c (cur : Cursor.t) j =
     c.len <- c.len + 1
   | _ -> append c (Cursor.cell cur j)
 
-let append_scaled_stored c (cur : Cursor.t) j n =
-  match c.storage, Array.unsafe_get cur.types j with
-  | S_int a, Datatype.TInt when c.len < BA1.dim a ->
-    a.{c.len} <- stored_int cur j * n;
-    c.len <- c.len + 1
-  | S_float a, Datatype.TFloat when c.len < BA1.dim a ->
-    a.{c.len} <- stored_float cur j *. float_of_int n;
-    c.len <- c.len + 1
-  | _ -> append c (Value.scale (Cursor.cell cur j) n)
-
-let add_stored c i (cur : Cursor.t) j n =
-  check c i "add_stored";
-  match c.storage, Array.unsafe_get cur.types j with
-  | S_int a, Datatype.TInt -> a.{i} <- a.{i} + (stored_int cur j * n)
-  | S_float a, Datatype.TFloat ->
-    a.{i} <- a.{i} +. (stored_float cur j *. float_of_int n)
-  | S_float a, Datatype.TInt -> a.{i} <- a.{i} +. float_of_int (stored_int cur j * n)
-  | _ -> add_cell c i (Cursor.cell cur j) n
-
-let combine_ext_stored c i (cur : Cursor.t) j ~is_min =
-  check c i "combine_ext_stored";
-  match c.storage, Array.unsafe_get cur.types j with
-  | S_int a, Datatype.TInt ->
-    let x = stored_int cur j in
-    if (is_min && x < a.{i}) || ((not is_min) && x > a.{i}) then a.{i} <- x
-  | _ -> combine_ext c i (Cursor.cell cur j) ~is_min
-
 let numeric c =
   match c.storage with
   | S_int _ | S_float _ -> true
@@ -648,13 +621,14 @@ let fold_stored c (cur : Cursor.t) j ~into ~groups op =
         Cursor.seek cur r;
         if first g then
           match op with
-          | Sum -> append_scaled_stored c cur j 1
+          | Sum -> append c (Value.scale (Cursor.cell cur j) 1)
           | Min | Max -> append_stored c cur j
         else
+          let v = Cursor.cell cur j in
           match op with
-          | Sum -> add_stored c g cur j 1
-          | Min -> combine_ext_stored c g cur j ~is_min:true
-          | Max -> combine_ext_stored c g cur j ~is_min:false
+          | Sum -> add_cell c g v 1
+          | Min -> combine_ext c g v ~is_min:true
+          | Max -> combine_ext c g v ~is_min:false
       end
     done
 

@@ -175,20 +175,8 @@ val combine_ext : t -> int -> Relational.Value.t -> is_min:bool -> unit
 (** [equal_stored c i cur j] is [equal_cell c i (Cursor.cell cur j)]. *)
 val equal_stored : t -> int -> Relational.Database.Cursor.t -> int -> bool
 
-(** [append_stored c cur j] is [append c (Cursor.cell cur j)], and
-    [append_scaled_stored c cur j n] appends it scaled by [n]
-    ([Value.scale]). *)
+(** [append_stored c cur j] is [append c (Cursor.cell cur j)]. *)
 val append_stored : t -> Relational.Database.Cursor.t -> int -> unit
-
-val append_scaled_stored : t -> Relational.Database.Cursor.t -> int -> int -> unit
-
-(** [add_stored c i cur j n] is [add_cell c i (Cursor.cell cur j) n]. *)
-val add_stored : t -> int -> Relational.Database.Cursor.t -> int -> int -> unit
-
-(** [combine_ext_stored c i cur j ~is_min] is [combine_ext c i
-    (Cursor.cell cur j) ~is_min]. *)
-val combine_ext_stored :
-  t -> int -> Relational.Database.Cursor.t -> int -> is_min:bool -> unit
 
 (** Whether every cell of [c] is numeric by its storage: an integer or
     float column. *)
@@ -223,10 +211,10 @@ type fold = Sum | Min | Max
     with one cell per group [0 .. groups - 1] from cell [j] of the rows of
     [cur]'s table, [into.(r)] being row [r]'s group; groups are numbered
     in the order of their first rows. A group's cell is its first row's
-    cell ({!append_scaled_stored} by 1 for [Sum], {!append_stored}
+    cell ({!append} of it scaled by 1 for [Sum], {!append_stored}
     otherwise), folded with each later row of the group in row order by
-    {!add_stored} by 1 or {!combine_ext_stored}. [c] ends with the
-    capacity those appends reach.
+    {!add_cell} by 1 or {!combine_ext}. [c] ends with the capacity those
+    appends reach.
     @raise Invalid_argument if [c] is not empty. *)
 val fold_stored :
   t ->

@@ -318,21 +318,22 @@ exception Malformed of string
 let malformed fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt
 
 (* [floats] holds the FLOAT cells decoded last, direct-mapped by their
-   bits (see [float_cell]). [raw_floats]: every FLOAT cell is its 8 IEEE
-   bytes, as formats before the decimal cells wrote them. *)
+   bits (see [float_cell]); it is allocated by the first cell boxed, so a
+   reader that decodes into words ([float_to]) never makes one.
+   [raw_floats]: every FLOAT cell is its 8 IEEE bytes, as formats before
+   the decimal cells wrote them. *)
 type reader = {
   src : bytes;
   mutable pos : int;
   stop : int;
-  floats : Value.t array;
+  mutable floats : Value.t array;
   raw_floats : bool;
 }
 
 let make_reader raw_floats b off len =
   if off < 0 || len < 0 || off > Bytes.length b - len then
     invalid_arg "Codec.reader";
-  { src = b; pos = off; stop = off + len; floats = Array.make 256 Value.Null;
-    raw_floats }
+  { src = b; pos = off; stop = off + len; floats = [||]; raw_floats }
 
 let reader b off len = make_reader false b off len
 let raw_float_reader b off len = make_reader true b off len
@@ -459,6 +460,7 @@ let float_to r b off = Bytes.set_int64_ne b off (float_bits r)
    nothing. *)
 let float_cell r =
   let bits = float_bits r in
+  if Array.length r.floats = 0 then r.floats <- Array.make 256 Value.Null;
   let slot =
     Int64.to_int
       (Int64.shift_right_logical (Int64.mul bits 0x9E37_79B9_7F4A_7C15L) 56)

@@ -169,7 +169,7 @@ let handle t fd =
   else
     match path with
     | "/metrics" ->
-      Runtime.scrape_sample ();
+      Runtime.sample_heap ();
       respond fd ~status:200
         ~content_type:"text/plain; version=0.0.4; charset=utf-8"
         (Render.to_prometheus ())
@@ -179,7 +179,6 @@ let handle t fd =
         ~status:(if healthy checks then 200 else 503)
         ~content_type:"application/json" (checks_json checks)
     | "/profile" ->
-      Runtime.scrape_sample ();
       respond fd ~status:200 ~content_type:"application/json" (profile_json ())
     | "/workload" ->
       respond fd ~status:200 ~content_type:"application/json"

@@ -5,8 +5,7 @@
 
     {ul
     {- [/metrics] — Prometheus text exposition ({!Render.to_prometheus}),
-       preceded by a runtime sample when no per-commit sampler is armed
-       ({!Runtime.scrape_sample}).}
+       preceded by a heap sample ({!Runtime.sample_heap}).}
     {- [/healthz] — runs the health thunk; [200] with
        [{"status":"ok",...}] when every check passes, [503] with
        [{"status":"degraded",...}] otherwise. Each check appears as

@@ -1,5 +1,5 @@
-(** Size-capped rotating JSONL file sink, shared by {!Trace} and
-    {!Lineage}.
+(** Size-capped rotating JSONL file sink: {!Lineage}'s persistence
+    file and the serve front-end's slow-query log.
 
     Lines are appended to [path]. When the active file grows past
     [max_bytes] it is rotated shift-style before the next write:

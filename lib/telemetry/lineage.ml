@@ -1,6 +1,6 @@
 (* Lineage records: a bounded ring of per-transaction flow summaries plus
    an optional rotating JSONL file. Emission happens once per committed
-   batch (never per row), so a single mutex is plenty. *)
+   batch (never per row). *)
 
 type aux_flow = {
   aux : string;
@@ -28,21 +28,11 @@ type record = {
 
 let ring_capacity = 256
 
-type state = {
-  ring : record option array;
-  mutable next : int;
-  mutable total : int;
-  mutable jsonl : Jsonl_sink.t option;
-}
+let ring = Trace.Ring.create ring_capacity { txn = 0; tables = []; flows = [] }
 
-let state =
-  { ring = Array.make ring_capacity None; next = 0; total = 0; jsonl = None }
-
-let mutex = Mutex.create ()
-
-let locked f =
-  Mutex.lock mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
+(* The persistence file. Attach, recovery, close and commit set and write
+   it, all on the warehouse's writer domain. *)
+let sink : Jsonl_sink.t option ref = ref None
 
 let records_total =
   Metrics.Counter.make
@@ -87,32 +77,19 @@ let record_to_json r =
 
 (* --- emission ------------------------------------------------------------ *)
 
-let set_sink = function
-  | Some path ->
-    locked (fun () ->
-        (match state.jsonl with Some s -> Jsonl_sink.close s | None -> ());
-        state.jsonl <- Some (Jsonl_sink.open_ path))
-  | None ->
-    locked (fun () ->
-        match state.jsonl with
-        | Some s ->
-          Jsonl_sink.close s;
-          state.jsonl <- None
-        | None -> ())
+let set_sink path =
+  Option.iter Jsonl_sink.close !sink;
+  sink := Option.map Jsonl_sink.open_ path
 
-let sink_path () =
-  locked (fun () -> Option.map Jsonl_sink.path state.jsonl)
+let sink_path () = Option.map Jsonl_sink.path !sink
 
 let emit r =
   if Metrics.enabled () then begin
     Metrics.Counter.one records_total;
-    locked (fun () ->
-        state.ring.(state.next) <- Some r;
-        state.next <- (state.next + 1) mod ring_capacity;
-        state.total <- state.total + 1;
-        match state.jsonl with
-        | Some s -> Jsonl_sink.write_line s (record_to_json r)
-        | None -> ());
+    Trace.Ring.push ring r;
+    (match !sink with
+    | Some s -> Jsonl_sink.write_line s (record_to_json r)
+    | None -> ());
     let deltas = List.fold_left (fun acc (_, n) -> acc + n) 0 r.tables in
     Trace.event "lineage.record"
       ~attrs:
@@ -124,16 +101,7 @@ let emit r =
   end
 
 let recent ?txn ?table () =
-  let all =
-    locked (fun () ->
-        let n = min state.total ring_capacity in
-        let first = (state.next - n + ring_capacity) mod ring_capacity in
-        List.init n (fun i ->
-            match state.ring.((first + i) mod ring_capacity) with
-            | Some r -> r
-            | None -> assert false))
-  in
-  all
+  Trace.Ring.recent ring
   |> List.filter (fun r ->
          (match txn with Some t -> r.txn = t | None -> true)
          &&
@@ -141,11 +109,7 @@ let recent ?txn ?table () =
          | Some t -> List.mem_assoc t r.tables
          | None -> true)
 
-let clear () =
-  locked (fun () ->
-      Array.fill state.ring 0 ring_capacity None;
-      state.next <- 0;
-      state.total <- 0)
+let clear () = Trace.Ring.clear ring
 
 (* --- drift auditor ------------------------------------------------------- *)
 

@@ -10,8 +10,9 @@
     absorbed by the batch), and finally the net change in view groups.
 
     Records live in a bounded in-memory ring of {!ring_capacity} entries
-    (queryable with {!recent}); when a sink is set they are additionally
-    persisted as one JSON object per line, rotated like the trace sink.
+    ({!Trace.Ring}, queryable with {!recent}); when a sink is set they are
+    additionally persisted as one JSON object per line, size-capped and
+    rotated by {!Jsonl_sink}.
     The warehouse points the sink at [lineage.jsonl] next to [wal.bin],
     so each line sits alongside the WAL [Batch] commit marker with the
     same sequence number. Rolled-back transactions never reach {!emit}.

@@ -48,131 +48,27 @@ let atomic_max_float a x =
   in
   go ()
 
-(* --- counters ----------------------------------------------------------- *)
-
-module Counter_impl = struct
-  type t = int Atomic.t
-
-  let create () = Atomic.make 0
-  let inc t n = if enabled () && n <> 0 then ignore (Atomic.fetch_and_add t n)
-  let value = Atomic.get
-  let reset t = Atomic.set t 0
-end
-
-(* --- gauges ------------------------------------------------------------- *)
-
-module Gauge_impl = struct
-  type t = { v : float Atomic.t }
-
-  let create () = { v = Atomic.make 0. }
-  let set t x = if enabled () then Atomic.set t.v x
-  let add t x = if enabled () then atomic_add_float t.v x
-  let value t = Atomic.get t.v
-  let reset t = Atomic.set t.v 0.
-end
-
-(* --- histograms --------------------------------------------------------- *)
-
-module Histogram_impl = struct
-  (* Fixed log-scale buckets: bucket [0] holds values <= [lo]; bucket [i]
-     (0 < i < n-1) holds values in (lo*factor^(i-1), lo*factor^i]; the last
-     bucket is the +Inf overflow. The layout is fixed at registration, so
-     scraping over time is just reading integer counts. *)
-  type t = {
-    lo : float;
-    factor : float;
-    nbuckets : int;
-    log_factor : float;
-    buckets : int Atomic.t array;
-    count : int Atomic.t;
-    sum : float Atomic.t;
-    mn : float Atomic.t;
-    mx : float Atomic.t;
-  }
-
-  let create ~lo ~factor ~buckets:nbuckets =
-    if not (lo > 0.) then invalid_arg "Telemetry.Histogram: lo must be > 0";
-    if not (factor > 1.) then
-      invalid_arg "Telemetry.Histogram: factor must be > 1";
-    if nbuckets < 2 then
-      invalid_arg "Telemetry.Histogram: need at least 2 buckets";
-    {
-      lo;
-      factor;
-      nbuckets;
-      log_factor = Float.log factor;
-      buckets = Array.init nbuckets (fun _ -> Atomic.make 0);
-      count = Atomic.make 0;
-      sum = Atomic.make 0.;
-      mn = Atomic.make infinity;
-      mx = Atomic.make neg_infinity;
-    }
-
-  (* The 1e-9 slack keeps exact boundaries (v = lo * factor^i computed in
-     floats) in their mathematical bucket despite log rounding. *)
-  let bucket_of t v =
-    if v <= t.lo then 0
-    else
-      let i =
-        int_of_float (Float.ceil ((Float.log (v /. t.lo) /. t.log_factor) -. 1e-9))
-      in
-      if i >= t.nbuckets - 1 then t.nbuckets - 1 else max 0 i
-
-  let observe t v =
-    if enabled () then begin
-      ignore (Atomic.fetch_and_add t.buckets.(bucket_of t v) 1);
-      ignore (Atomic.fetch_and_add t.count 1);
-      atomic_add_float t.sum v;
-      atomic_min_float t.mn v;
-      atomic_max_float t.mx v
-    end
-
-  let count t = Atomic.get t.count
-  let sum t = Atomic.get t.sum
-
-  let min_value t =
-    let m = Atomic.get t.mn in
-    if m = infinity then Float.nan else m
-
-  let max_value t =
-    let m = Atomic.get t.mx in
-    if m = neg_infinity then Float.nan else m
-
-  (* Upper bound of bucket [i]; the last is +Inf. *)
-  let bucket_bounds t =
-    Array.init t.nbuckets (fun i ->
-        if i = t.nbuckets - 1 then infinity
-        else t.lo *. (t.factor ** float_of_int i))
-
-  let bucket_counts t = Array.map Atomic.get t.buckets
-
-  let reset t =
-    Array.iter (fun b -> Atomic.set b 0) t.buckets;
-    Atomic.set t.count 0;
-    Atomic.set t.sum 0.;
-    Atomic.set t.mn infinity;
-    Atomic.set t.mx neg_infinity
-
-  let time t f =
-    if enabled () then begin
-      let t0 = now_s () in
-      match f () with
-      | r ->
-        observe t (now_s () -. t0);
-        r
-      | exception e ->
-        observe t (now_s () -. t0);
-        raise e
-    end
-    else f ()
-end
-
 (* --- registry ----------------------------------------------------------- *)
 
+(* Fixed log-scale buckets: bucket [0] holds values <= [lo]; bucket [i]
+   (0 < i < n-1) holds values in (lo*factor^(i-1), lo*factor^i]; the last
+   bucket is the +Inf overflow. The layout is fixed at registration, so
+   scraping over time is just reading integer counts. *)
+type histogram = {
+  lo : float;
+  factor : float;
+  log_factor : float;
+  buckets : int Atomic.t array;
+  count : int Atomic.t;
+  sum : float Atomic.t;
+  mn : float Atomic.t;
+  mx : float Atomic.t;
+}
+
 type kind =
-  | Counter of Counter_impl.t
-  | Gauge of Gauge_impl.t
-  | Histogram of Histogram_impl.t
+  | Counter of int Atomic.t
+  | Gauge of float Atomic.t
+  | Histogram of histogram
 
 type meta = {
   name : string;
@@ -199,10 +95,7 @@ let register ~name ~labels ~help ~wanted create =
     List.sort (fun (a, _) (b, _) -> String.compare a b) labels
   in
   let k = key name labels in
-  Mutex.lock registry_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_mutex)
-    (fun () ->
+  Mutex.protect registry_mutex (fun () ->
       match Hashtbl.find_opt registry k with
       | Some m ->
         if not (String.equal (kind_name m.kind) wanted) then
@@ -215,60 +108,113 @@ let register ~name ~labels ~help ~wanted create =
         Hashtbl.add registry k { name; labels; help; kind };
         kind)
 
+(* --- metric kinds -------------------------------------------------------- *)
+
 module Counter = struct
-  type t = Counter_impl.t
+  type t = int Atomic.t
 
   let make ?(help = "") ?(labels = []) name : t =
     match
       register ~name ~labels ~help ~wanted:"counter" (fun () ->
-          Counter (Counter_impl.create ()))
+          Counter (Atomic.make 0))
     with
     | Counter c -> c
     | Gauge _ | Histogram _ -> assert false
 
-  let inc = Counter_impl.inc
+  let inc t n = if enabled () && n <> 0 then ignore (Atomic.fetch_and_add t n)
   let one t = inc t 1
-  let value = Counter_impl.value
+  let value = Atomic.get
 end
 
 module Gauge = struct
-  type t = Gauge_impl.t
+  type t = float Atomic.t
 
   let make ?(help = "") ?(labels = []) name : t =
     match
       register ~name ~labels ~help ~wanted:"gauge" (fun () ->
-          Gauge (Gauge_impl.create ()))
+          Gauge (Atomic.make 0.))
     with
     | Gauge g -> g
     | Counter _ | Histogram _ -> assert false
 
-  let set = Gauge_impl.set
-  let add = Gauge_impl.add
-  let value = Gauge_impl.value
+  let set t x = if enabled () then Atomic.set t x
+  let value = Atomic.get
 end
 
 module Histogram = struct
-  type t = Histogram_impl.t
+  type t = histogram
 
   (* Default layout: 1 µs lower edge, doubling buckets, 40 of them — covers
      1 µs .. ~4.5 min of latency with the last bucket as overflow. *)
   let make ?(help = "") ?(labels = []) ?(lo = 1e-6) ?(factor = 2.)
       ?(buckets = 40) name : t =
+    if not (lo > 0.) then invalid_arg "Telemetry.Histogram: lo must be > 0";
+    if not (factor > 1.) then
+      invalid_arg "Telemetry.Histogram: factor must be > 1";
+    if buckets < 2 then
+      invalid_arg "Telemetry.Histogram: need at least 2 buckets";
     match
       register ~name ~labels ~help ~wanted:"histogram" (fun () ->
-          Histogram (Histogram_impl.create ~lo ~factor ~buckets))
+          Histogram
+            {
+              lo;
+              factor;
+              log_factor = Float.log factor;
+              buckets = Array.init buckets (fun _ -> Atomic.make 0);
+              count = Atomic.make 0;
+              sum = Atomic.make 0.;
+              mn = Atomic.make infinity;
+              mx = Atomic.make neg_infinity;
+            })
     with
     | Histogram h -> h
     | Counter _ | Gauge _ -> assert false
 
-  let observe = Histogram_impl.observe
-  let count = Histogram_impl.count
-  let sum = Histogram_impl.sum
-  let min_value = Histogram_impl.min_value
-  let max_value = Histogram_impl.max_value
-  let bucket_bounds = Histogram_impl.bucket_bounds
-  let bucket_counts = Histogram_impl.bucket_counts
-  let time = Histogram_impl.time
+  (* The 1e-9 slack keeps exact boundaries (v = lo * factor^i computed in
+     floats) in their mathematical bucket despite log rounding. *)
+  let bucket_of t v =
+    let last = Array.length t.buckets - 1 in
+    if v <= t.lo then 0
+    else
+      let i =
+        int_of_float (Float.ceil ((Float.log (v /. t.lo) /. t.log_factor) -. 1e-9))
+      in
+      if i >= last then last else max 0 i
+
+  let observe t v =
+    if enabled () then begin
+      ignore (Atomic.fetch_and_add t.buckets.(bucket_of t v) 1);
+      ignore (Atomic.fetch_and_add t.count 1);
+      atomic_add_float t.sum v;
+      atomic_min_float t.mn v;
+      atomic_max_float t.mx v
+    end
+
+  let count t = Atomic.get t.count
+  let sum t = Atomic.get t.sum
+
+  let min_value t =
+    let m = Atomic.get t.mn in
+    if m = infinity then Float.nan else m
+
+  let max_value t =
+    let m = Atomic.get t.mx in
+    if m = neg_infinity then Float.nan else m
+
+  (* Upper bound of bucket [i]; the last is +Inf. *)
+  let bucket_bounds t =
+    let last = Array.length t.buckets - 1 in
+    Array.init (last + 1) (fun i ->
+        if i = last then infinity else t.lo *. (t.factor ** float_of_int i))
+
+  let bucket_counts t = Array.map Atomic.get t.buckets
+
+  let reset t =
+    Array.iter (fun b -> Atomic.set b 0) t.buckets;
+    Atomic.set t.count 0;
+    Atomic.set t.sum 0.;
+    Atomic.set t.mn infinity;
+    Atomic.set t.mx neg_infinity
 end
 
 (* --- snapshots ----------------------------------------------------------- *)
@@ -328,32 +274,27 @@ type snap = {
   s_value : value;
 }
 
+(* The one place a histogram's atomics become a snapshot: the registry
+   dump and the workload profile's epoch lag both read it. *)
+let histogram_snapshot h =
+  let bounds = Histogram.bucket_bounds h in
+  let counts = Histogram.bucket_counts h in
+  {
+    h_count = Histogram.count h;
+    h_sum = Histogram.sum h;
+    h_min = Histogram.min_value h;
+    h_max = Histogram.max_value h;
+    h_buckets = Array.mapi (fun i le -> (le, counts.(i))) bounds;
+  }
+
 let snapshot () =
-  let entries =
-    Mutex.lock registry_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock registry_mutex)
-      (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
-  in
-  entries
+  Mutex.protect registry_mutex (fun () -> Hashtbl.fold (fun _ m acc -> m :: acc) registry [])
   |> List.map (fun m ->
          let v =
            match m.kind with
-           | Counter c -> Counter_v (Counter_impl.value c)
-           | Gauge g -> Gauge_v (Gauge_impl.value g)
-           | Histogram h ->
-             Histogram_v
-               {
-                 h_count = Histogram_impl.count h;
-                 h_sum = Histogram_impl.sum h;
-                 h_min = Histogram_impl.min_value h;
-                 h_max = Histogram_impl.max_value h;
-                 h_buckets =
-                   (let bounds = Histogram_impl.bucket_bounds h in
-                    let counts = Histogram_impl.bucket_counts h in
-                    Array.init (Array.length bounds) (fun i ->
-                        (bounds.(i), counts.(i))));
-               }
+           | Counter c -> Counter_v (Atomic.get c)
+           | Gauge g -> Gauge_v (Atomic.get g)
+           | Histogram h -> Histogram_v (histogram_snapshot h)
          in
          { s_name = m.name; s_labels = m.labels; s_help = m.help; s_value = v })
   |> List.sort (fun a b ->
@@ -362,14 +303,11 @@ let snapshot () =
          | c -> c)
 
 let reset () =
-  Mutex.lock registry_mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_mutex)
-    (fun () ->
+  Mutex.protect registry_mutex (fun () ->
       Hashtbl.iter
         (fun _ m ->
           match m.kind with
-          | Counter c -> Counter_impl.reset c
-          | Gauge g -> Gauge_impl.reset g
-          | Histogram h -> Histogram_impl.reset h)
+          | Counter c -> Atomic.set c 0
+          | Gauge g -> Atomic.set g 0.
+          | Histogram h -> Histogram.reset h)
         registry)

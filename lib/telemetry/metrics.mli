@@ -15,8 +15,8 @@ val set_enabled : bool -> unit
     Registration and reads are unaffected. *)
 
 val now_s : unit -> float
-(** Wall-clock seconds ([Unix.gettimeofday]); the clock used by
-    {!Histogram.time}. *)
+(** Wall-clock seconds ([Unix.gettimeofday]); the clock every duration
+    is read from. *)
 
 (** {1 Metric kinds} *)
 
@@ -38,7 +38,6 @@ module Gauge : sig
 
   val make : ?help:string -> ?labels:(string * string) list -> string -> t
   val set : t -> float -> unit
-  val add : t -> float -> unit
   val value : t -> float
 end
 
@@ -59,10 +58,6 @@ module Histogram : sig
       [buckets = 40]. The layout is fixed at registration. *)
 
   val observe : t -> float -> unit
-
-  val time : t -> (unit -> 'a) -> 'a
-  (** Run the thunk and observe its wall-clock duration (also on
-      exception). When telemetry is disabled the thunk runs untimed. *)
 
   val count : t -> int
   val sum : t -> float
@@ -98,6 +93,8 @@ val percentile : histogram_snapshot -> float -> float
     target rank. The estimate is clamped to the tracked [h_min]/[h_max]
     (which also stand in for the unknown edges of the first and overflow
     buckets); [nan] when the histogram is empty. *)
+
+val histogram_snapshot : Histogram.t -> histogram_snapshot
 
 type value =
   | Counter_v of int

@@ -4,10 +4,6 @@
    render the profile. Every measured update runs on one domain, so the
    lock is uncontended. *)
 
-let with_lock m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 (* --- Space-Saving heavy hitters ----------------------------------------- *)
 
 (* Metwally/Agrawal/El Abbadi's Space-Saving with a binary min-heap on the
@@ -50,8 +46,6 @@ module Space_saving = struct
       size = 0;
       index = Hashtbl.create (2 * k);
     }
-
-  let capacity t = t.k
 
   let swap t i j =
     let a = t.heap.(i) and b = t.heap.(j) in
@@ -113,14 +107,14 @@ module Space_saving = struct
 
   let touch ?(weight = 1) t ~hash ~label =
     if weight > 0 && Metrics.enabled () then
-      with_lock t.m (fun () -> touch_locked t ~weight ~hash ~label)
+      Mutex.protect t.m (fun () -> touch_locked t ~weight ~hash ~label)
 
-  let total t = with_lock t.m (fun () -> t.n)
+  let total t = Mutex.protect t.m (fun () -> t.n)
 
   let top ?n t =
     let n = Option.value n ~default:t.k in
     let entries =
-      with_lock t.m (fun () ->
+      Mutex.protect t.m (fun () ->
           List.init t.size (fun i ->
               let s = t.heap.(i) in
               { e_key = s.label; e_hash = s.hash; e_est = s.count;
@@ -131,7 +125,7 @@ module Space_saving = struct
     |> List.filteri (fun i _ -> i < n)
 
   let restore t entries ~total =
-    with_lock t.m (fun () ->
+    Mutex.protect t.m (fun () ->
         let entries =
           List.sort (fun a b -> compare b.e_est a.e_est) entries
         in
@@ -151,7 +145,7 @@ module Space_saving = struct
         t.n <- t.n + total)
 
   let reset t =
-    with_lock t.m (fun () ->
+    Mutex.protect t.m (fun () ->
         Hashtbl.reset t.index;
         Array.fill t.heap 0 t.k dummy;
         t.size <- 0;

@@ -17,8 +17,6 @@ module Space_saving : sig
   val create : k:int -> t
   (** [k >= 1] counters. @raise Invalid_argument otherwise. *)
 
-  val capacity : t -> int
-
   val touch : ?weight:int -> t -> hash:int -> label:(unit -> string) -> unit
   (** Count [weight] (default 1) occurrences of the key; non-positive
       weights are ignored. O(log k). *)

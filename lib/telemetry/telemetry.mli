@@ -3,7 +3,7 @@
 
     See {!Metrics} for the registry semantics (one set of atomics per
     metric, idempotent registration, global enable switch) and {!Trace}
-    for the span ring and sinks. This module re-exports both plus the renderers
+    for the span ring. This module re-exports both plus the renderers
     used by [minview metrics] / [minview trace], the {!Runtime} profiling
     gauges, and the {!Http_exporter} scrape endpoint. *)
 
@@ -42,12 +42,7 @@ val with_phase :
   string ->
   (unit -> 'a) ->
   'a
-(** Time the thunk once and record the duration both as a histogram
-    observation and as a span named [name] (also on exception). When
-    [alloc] is given, additionally observe the calling domain's
-    [Gc.allocated_bytes] delta over the thunk into it — the per-phase
-    allocation profile. Runs the thunk untimed when telemetry is
-    disabled. *)
+(** {!Trace.with_phase}. *)
 
 val snapshot : unit -> Metrics.snap list
 

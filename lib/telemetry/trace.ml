@@ -1,11 +1,10 @@
-(* Lightweight span tracer: a bounded ring of recent spans plus a pluggable
-   sink. The ring answers "what did the last N pipeline phases cost" without
-   any collector infrastructure; the JSONL sink turns the same stream into a
-   file a notebook or jq can chew on.
+(* Lightweight span tracer: a bounded ring of recent spans. The ring
+   answers "what did the last N pipeline phases cost" without any
+   collector infrastructure.
 
    Spans are recorded at END time (a span that never finishes is never
    recorded) and carry wall-clock start, duration and a small bag of string
-   attributes. Everything is guarded by one mutex — tracing is for
+   attributes. The ring is guarded by one mutex — tracing is for
    phase-level events (tens per batch), not per-row hot paths. *)
 
 type span = {
@@ -15,40 +14,48 @@ type span = {
   attrs : (string * string) list;
 }
 
-type sink = Null | Memory | Jsonl of string
-
-let capacity = 512
-
-type state = {
-  mutable sink : sink;
-  ring : span option array;
-  mutable next : int;  (* ring slot for the next span *)
-  mutable total : int; (* spans recorded since last [clear] *)
-  mutable jsonl : Jsonl_sink.t option;
-}
-
-let state =
-  {
-    sink = Memory;
-    ring = Array.make capacity None;
-    next = 0;
-    total = 0;
-    jsonl = None;
+(* The bounded ring of the trace and of the lineage records: the newest
+   [Array.length slots] items, slots not yet written holding [empty]. *)
+module Ring = struct
+  type 'a t = {
+    slots : 'a array;
+    empty : 'a;
+    m : Mutex.t;
+    mutable next : int;  (* slot for the next item *)
+    mutable total : int;  (* items pushed since the last [clear] *)
   }
 
-let mutex = Mutex.create ()
+  let create n empty =
+    { slots = Array.make n empty; empty; m = Mutex.create (); next = 0;
+      total = 0 }
 
-(* [f ()] under [mutex], without [Fun.protect]'s closure: [record] runs
-   it for every span. *)
-let locked f =
-  Mutex.lock mutex;
-  match f () with
-  | v ->
-    Mutex.unlock mutex;
-    v
-  | exception e ->
-    Mutex.unlock mutex;
-    raise e
+  (* Nothing between the lock and the unlock raises, so [push], which
+     runs for every span, takes no handler and allocates nothing. *)
+  let push r x =
+    Mutex.lock r.m;
+    r.slots.(r.next) <- x;
+    r.next <- (r.next + 1) mod Array.length r.slots;
+    r.total <- r.total + 1;
+    Mutex.unlock r.m
+
+  let recent r =
+    Mutex.protect r.m (fun () ->
+        let cap = Array.length r.slots in
+        let n = min r.total cap in
+        let first = r.next - n + cap in
+        List.init n (fun i -> r.slots.((first + i) mod cap)))
+
+  let total r = Mutex.protect r.m (fun () -> r.total)
+
+  let clear r =
+    Mutex.protect r.m (fun () ->
+        Array.fill r.slots 0 (Array.length r.slots) r.empty;
+        r.next <- 0;
+        r.total <- 0)
+end
+
+let capacity = 512
+let ring = Ring.create capacity { name = ""; start_s = 0.; dur_s = 0.; attrs = [] }
 
 let json_escape s =
   let b = Buffer.create (String.length s + 2) in
@@ -76,73 +83,41 @@ let span_to_json s =
   Printf.sprintf "{\"name\":\"%s\",\"start_s\":%.6f,\"dur_s\":%.9f,\"attrs\":{%s}}"
     (json_escape s.name) s.start_s s.dur_s attrs
 
-let close_jsonl () =
-  match state.jsonl with
-  | Some s ->
-    Jsonl_sink.close s;
-    state.jsonl <- None
-  | None -> ()
+let record span = Ring.push ring span
+let recent () = Ring.recent ring
+let total () = Ring.total ring
+let clear () = Ring.clear ring
 
-let set_sink sink =
-  locked (fun () ->
-      close_jsonl ();
-      state.sink <- sink;
-      match sink with
-      | Jsonl path -> state.jsonl <- Some (Jsonl_sink.open_ path)
-      | Null | Memory -> ())
+(* The one timer. Its arguments are positional, not optional, so a phase
+   allocates no option box beyond the caller's own. *)
+let finish hist alloc name attrs t0 a0 =
+  let dur_s = Metrics.now_s () -. t0 in
+  (match hist with Some h -> Metrics.Histogram.observe h dur_s | None -> ());
+  (match alloc with
+  | Some h -> Metrics.Histogram.observe h (Gc.allocated_bytes () -. a0)
+  | None -> ());
+  if name <> "" then record { name; start_s = t0; dur_s; attrs }
 
-let sink () = locked (fun () -> state.sink)
-
-let record span =
-  locked (fun () ->
-      match state.sink with
-      | Null -> ()
-      | Memory ->
-        state.ring.(state.next) <- Some span;
-        state.next <- (state.next + 1) mod capacity;
-        state.total <- state.total + 1
-      | Jsonl _ ->
-        state.ring.(state.next) <- Some span;
-        state.next <- (state.next + 1) mod capacity;
-        state.total <- state.total + 1;
-        (match state.jsonl with
-        | Some s -> Jsonl_sink.write_line s (span_to_json span)
-        | None -> ()))
-
-let with_span ?(attrs = []) name f =
-  if Metrics.enabled () then begin
+let timed hist alloc name attrs f =
+  if not (Metrics.enabled ()) then f ()
+  else begin
     let t0 = Metrics.now_s () in
-    let finish () =
-      record { name; start_s = t0; dur_s = Metrics.now_s () -. t0; attrs }
-    in
+    let a0 = match alloc with Some _ -> Gc.allocated_bytes () | None -> 0. in
     match f () with
     | r ->
-      finish ();
+      finish hist alloc name attrs t0 a0;
       r
     | exception e ->
-      finish ();
+      finish hist alloc name attrs t0 a0;
       raise e
   end
-  else f ()
+
+let with_span ?(attrs = []) name f = timed None None name attrs f
+
+(* Checked here too, so that a disabled phase does not even box [hist]. *)
+let with_phase ?(attrs = []) ?alloc hist name f =
+  if Metrics.enabled () then timed (Some hist) alloc name attrs f else f ()
 
 let event ?(attrs = []) name =
   if Metrics.enabled () then
     record { name; start_s = Metrics.now_s (); dur_s = 0.; attrs }
-
-(* Most recent last (chronological order of recording). *)
-let recent () =
-  locked (fun () ->
-      let n = min state.total capacity in
-      let first = (state.next - n + capacity) mod capacity in
-      List.init n (fun i ->
-          match state.ring.((first + i) mod capacity) with
-          | Some s -> s
-          | None -> assert false))
-
-let total () = locked (fun () -> state.total)
-
-let clear () =
-  locked (fun () ->
-      Array.fill state.ring 0 capacity None;
-      state.next <- 0;
-      state.total <- 0)

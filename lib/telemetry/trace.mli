@@ -1,11 +1,9 @@
-(** Span/phase tracer: a bounded ring of recent spans plus a pluggable
-    sink.
+(** Span/phase tracer: a bounded in-memory ring of recent spans, and the
+    one timer every phase, span and timed histogram goes through.
 
     Spans are recorded when they {e finish}; the ring keeps the most recent
-    {!capacity} of them for [minview trace] and tests. Sinks: [Null] drops
-    everything, [Memory] keeps the ring only, [Jsonl path] additionally
-    appends one JSON object per span to [path]. Tracing honours the global
-    {!Metrics.enabled} switch.
+    {!capacity} of them for [minview trace] and tests. Tracing honours the
+    global {!Metrics.enabled} switch.
 
     The tracer is for phase-level events (tens per batch) and is guarded by
     a single mutex; do not call it per row. *)
@@ -17,17 +15,28 @@ type span = {
   attrs : (string * string) list;
 }
 
-type sink = Null | Memory | Jsonl of string
+(** A bounded ring under a mutex: the newest items pushed, up to its
+    size. The trace's spans and {!Lineage}'s records each keep one. *)
+module Ring : sig
+  type 'a t
+
+  val create : int -> 'a -> 'a t
+  (** [create n empty]: a ring of [n] slots; [empty] fills the unused
+      ones and is never returned. *)
+
+  val push : 'a t -> 'a -> unit
+
+  val recent : 'a t -> 'a list
+  (** Up to [n] most recent items, oldest first. *)
+
+  val total : 'a t -> int
+  (** Items pushed since the last {!clear} (may exceed [n]). *)
+
+  val clear : 'a t -> unit
+end
 
 val capacity : int
 (** Ring size (512). *)
-
-val set_sink : sink -> unit
-(** Default is [Memory]. Switching away from [Jsonl] closes the file;
-    [Jsonl] opens it in append mode, size-capped and rotated at
-    {!Jsonl_sink}'s defaults (64 MiB per file, 4 files). *)
-
-val sink : unit -> sink
 
 val record : span -> unit
 (** Record a finished span as is (ignores the enabled switch; prefer
@@ -36,6 +45,19 @@ val record : span -> unit
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk and record a span covering it (also on exception). When
     telemetry is disabled the thunk runs unrecorded. *)
+
+val with_phase :
+  ?attrs:(string * string) list ->
+  ?alloc:Metrics.Histogram.t ->
+  Metrics.Histogram.t ->
+  string ->
+  (unit -> 'a) ->
+  'a
+(** {!with_span}, timed once, whose duration is also observed into the
+    histogram; [name = ""] records the observation and no span. When
+    [alloc] is given, the calling domain's [Gc.allocated_bytes] delta
+    over the thunk is observed into it too — the per-phase allocation
+    profile. *)
 
 val event : ?attrs:(string * string) list -> string -> unit
 (** Record a zero-duration point event. *)
@@ -49,7 +71,7 @@ val total : unit -> int
 val clear : unit -> unit
 
 val span_to_json : span -> string
-(** One-line JSON object (the JSONL sink's wire format). *)
+(** One-line JSON object ([minview trace --json]). *)
 
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)

@@ -101,8 +101,6 @@ let view name =
   Mutex.unlock views_m;
   vs
 
-let view_name vs = vs.v_name
-
 let atomic_add a d = ignore (Atomic.fetch_and_add a d)
 
 (* Sketch updates are sampled one write event in [1 lsl sample_shift],
@@ -219,20 +217,7 @@ let view_json vs =
        (Sketch.Space_saving.total vs.v_hot));
   Buffer.contents b
 
-let lag_snapshot () =
-  match !lag_hist with
-  | None -> None
-  | Some h ->
-    let bounds = Metrics.Histogram.bucket_bounds h in
-    let counts = Metrics.Histogram.bucket_counts h in
-    Some
-      {
-        Metrics.h_count = Metrics.Histogram.count h;
-        h_sum = Metrics.Histogram.sum h;
-        h_min = Metrics.Histogram.min_value h;
-        h_max = Metrics.Histogram.max_value h;
-        h_buckets = Array.mapi (fun i le -> (le, counts.(i))) bounds;
-      }
+let lag_snapshot () = Option.map Metrics.histogram_snapshot !lag_hist
 
 let profile_json () =
   let b = Buffer.create 4096 in

@@ -23,8 +23,6 @@ val view : string -> view_stats
 (** Registry lookup-or-create. At most 64 distinct views are tracked;
     later names share one ["_other"] accumulator (bounded cardinality). *)
 
-val view_name : view_stats -> string
-
 val sample_mask : int
 (** Sketch feeds are sampled: a producer keeps its own plain event
     counter and calls {!note_hot_key} only when
@@ -79,10 +77,6 @@ val load_profile : path:string -> bool
     that still carries a per-view ["cms"] matrix or a ["shards"] heat map
     loads. [false] when the
     file is missing or unreadable. *)
-
-val elapsed_s : unit -> float
-(** Observed workload seconds: time since the first recorded event in this
-    process plus any elapsed time restored by {!load_profile}. *)
 
 val reset : unit -> unit
 (** Zero all accumulators in place (handles stay valid). *)

@@ -489,5 +489,5 @@ let append w record =
   (* the commit point: the record must survive a power cut, not just the
      process, before any engine applies it *)
   Telemetry.Counter.one Obs.syncs;
-  Telemetry.Histogram.time Obs.fsync_seconds (fun () ->
+  Telemetry.with_phase Obs.fsync_seconds "" (fun () ->
       Durable.barrier w.path w.fd)

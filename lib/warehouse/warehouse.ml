@@ -315,9 +315,9 @@ let publish_epoch ?touched t =
   Atomic.set t.published
     { epoch = prev.epoch + 1; epoch_seq = t.seq; epoch_views };
   Telemetry.Counter.one Obs.epoch_publications;
-  (* the per-commit runtime sample (heap + off-heap gauges): a no-op unless
-     [Runtime.set_auto_sample true] armed it (serve --metrics-port) *)
-  Telemetry.Runtime.tick ()
+  (* the off-heap gauge, on the writer domain: a no-op unless an exporter
+     registered a source ([publish_offheap]) *)
+  Telemetry.Runtime.sample_offheap ()
 
 let set_parallel _ _ = ()
 
@@ -1425,8 +1425,10 @@ type reconciliation = {
   consistent : bool;  (** both deltas within the +-1 row tolerance *)
 }
 
+(* [measure] only reads, so it reads the shadow in place, as
+   [build_engine] does. *)
 let attribution t =
-  let source = believed_source t in
+  let source = Validator.shadow t.validator in
   List.filter_map
     (fun r ->
       Option.map

@@ -167,9 +167,9 @@ val last_commit_age_s : t -> float option
     state: call it from the ingesting domain (or while no ingest runs). *)
 val offheap_bytes : t -> int
 
-(** Register this warehouse as the {!Telemetry.Runtime} off-heap source,
-    so runtime samples publish its {!offheap_bytes}. Process-global, last
-    registration wins. *)
+(** Register this warehouse as the {!Telemetry.Runtime} off-heap source:
+    its {!offheap_bytes} are published now and at every commit. Call it
+    from the ingesting domain. Process-global, last registration wins. *)
 val publish_offheap : t -> unit
 
 (** Health checks for {!Telemetry.Http_exporter}. Always three checks:
@@ -369,7 +369,8 @@ val self_audit : t -> sample:int -> (string * int * int) list
     elimination) is currently saving, per auxiliary view. *)
 
 (** [attribution t] measures every derivation-backed view against the
-    believed source ({!Mindetail.Attribution.measure}); it writes nothing
+    believed source ({!Mindetail.Attribution.measure}), read in place,
+    not copied; it writes nothing
     to the metric registry ([minview attribute] renders the result).
     Views without a derivation ([Replicate]) are skipped. *)
 val attribution : t -> (string * Mindetail.Attribution.t list) list

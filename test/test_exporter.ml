@@ -98,7 +98,8 @@ let metrics_tests =
         check_contains "build info" resp "minview_build_info{";
         check_contains "typed families" resp "# TYPE";
         check_contains "help lines" resp "# HELP";
-        (* the scrape-time runtime sample (no commit hook armed here) *)
+        (* heap words sampled by the scrape, off-heap bytes when
+           [publish_offheap] registered the source *)
         check_contains "gc gauge" resp "minview_runtime_gc_heap_words ";
         check_contains "offheap gauge" resp "minview_runtime_offheap_bytes ";
         (* per-phase allocation next to latency *)

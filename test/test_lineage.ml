@@ -285,6 +285,43 @@ let record_tests =
         Alcotest.(check int)
           "none touched product" 0
           (List.length (Lineage.recent ~table:"product" ())));
+    test "the ring keeps the newest records past its capacity" (fun () ->
+        Lineage.clear ();
+        let extra = 37 in
+        let n = Lineage.ring_capacity + extra in
+        (* odd transactions touch "a", even ones "b" *)
+        for txn = 1 to n do
+          Lineage.emit
+            {
+              Lineage.txn;
+              tables = [ ((if txn mod 2 = 1 then "a" else "b"), 1) ];
+              flows = [];
+            }
+        done;
+        let txns = List.map (fun (r : Lineage.record) -> r.txn) in
+        Alcotest.(check (list int))
+          "the newest ring_capacity, oldest first"
+          (List.init Lineage.ring_capacity (fun k -> extra + 1 + k))
+          (txns (Lineage.recent ()));
+        Alcotest.(check (list int))
+          "~txn finds a kept record" [ n ]
+          (txns (Lineage.recent ~txn:n ()));
+        Alcotest.(check (list int))
+          "~txn misses an overwritten one" []
+          (txns (Lineage.recent ~txn:extra ()));
+        Alcotest.(check (list int))
+          "~table filters the kept records"
+          (List.filter
+             (fun t -> t mod 2 = 0)
+             (List.init Lineage.ring_capacity (fun k -> extra + 1 + k)))
+          (txns (Lineage.recent ~table:"b" ()));
+        Lineage.clear ();
+        Alcotest.(check int) "clear empties the ring" 0
+          (List.length (Lineage.recent ()));
+        Lineage.emit { Lineage.txn = 1; tables = []; flows = [] };
+        Alcotest.(check (list int))
+          "the ring refills from empty" [ 1 ]
+          (txns (Lineage.recent ())));
     test "records append to the sink as one JSON object per line" (fun () ->
         Metrics.reset ();
         Lineage.clear ();

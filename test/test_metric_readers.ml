@@ -11,7 +11,9 @@
    it, a CLI verb or bench that reads it, or the TUTORIAL section that
    answers an operator question with it. CI greps lib/ for metric name
    literals and fails on one missing here, which also covers names only
-   registered on paths this run cannot reach. *)
+   registered on paths this run cannot reach. The fields of the workload
+   profile and of the lineage records are walked the same way against
+   [field_readers]. *)
 
 open Helpers
 module Faults = Maintenance.Faults
@@ -67,6 +69,64 @@ let readers =
       "test_lineage.ml; test_telemetry.ml" );
     ( "minview_workload_epoch_lag_batches",
       "minview profile's epoch_lag percentiles (Workload.lag_snapshot)" );
+  ]
+
+(* Every field of the two JSON documents telemetry writes, with its
+   reader: the workload profile ([Workload.profile_json] and [view_json],
+   prefix "profile.") and a lineage record ([Lineage.record_to_json],
+   prefix "lineage."). The run below walks both documents against this
+   table as it walks the registry against [readers]; CI greps those
+   writers for field names missing here. A lineage record's "tables"
+   object is keyed by table name, so its keys are data, not fields. *)
+let field_readers =
+  [
+    ("profile.schema", "Workload.load_profile; minview profile");
+    ( "profile.generated_unix_s",
+      "minview profile --json (masked in test/cram/profile.t)" );
+    ("profile.elapsed_s", "Workload.load_profile; minview profile");
+    ("profile.views", "Workload.load_profile; minview profile");
+    ("profile.view", "Workload.load_profile; minview profile");
+    ("profile.writes", "Workload.load_profile; minview profile");
+    ("profile.write_events", "Workload.load_profile; test_workload_profile.ml");
+    ("profile.batches", "Workload.load_profile; test_workload_profile.ml");
+    ("profile.deltas_in", "Workload.load_profile; test/cram/profile.t");
+    ("profile.netted", "Workload.load_profile; test/cram/profile.t");
+    ("profile.applied", "Workload.load_profile; test/cram/profile.t");
+    ("profile.reads", "Workload.load_profile; minview profile");
+    ("profile.query", "Workload.load_profile; minview profile");
+    ("profile.reconstruct", "Workload.load_profile; minview profile");
+    ("profile.write_rate_per_s", "test_workload_profile.ml");
+    ("profile.read_rate_per_s", "test_workload_profile.ml");
+    ("profile.update_read_ratio", "minview profile; test/cram/profile.t");
+    ("profile.skew", "minview profile; test/cram/profile.t");
+    ("profile.hot_key_share", "minview profile; CI's workload-profile job");
+    ("profile.compaction_ratio", "minview profile; test/cram/profile.t");
+    ("profile.hot_keys", "Workload.load_profile; minview profile");
+    ("profile.key", "Workload.load_profile; minview profile");
+    ("profile.hash", "Workload.load_profile; test/cram/profile.t");
+    ("profile.est", "Workload.load_profile; minview profile");
+    ("profile.err", "Workload.load_profile; minview profile");
+    ("profile.sketch_total", "Workload.load_profile; test_workload_profile.ml");
+    ("profile.epoch_lag", "minview profile; test_workload_profile.ml");
+    ("profile.count", "minview profile; test_workload_profile.ml");
+    ("profile.p50", "minview profile");
+    ("profile.p95", "minview profile");
+    ("profile.p99", "minview profile");
+    ("profile.max", "minview profile");
+    ("lineage.txn", "Lineage.recent ~txn; test/cram/lineage.t");
+    ("lineage.tables", "Lineage.recent ~table; test/cram/lineage.t");
+    ("lineage.flows", "minview lineage; test/cram/lineage.t");
+    ("lineage.view", "minview lineage; test/cram/lineage.t");
+    ("lineage.mode", "minview lineage; test_lineage.ml");
+    ("lineage.deltas_in", "perfbench/pipeline.ml; test_lineage.ml");
+    ("lineage.netted", "perfbench/pipeline.ml; test_lineage.ml");
+    ("lineage.applied", "perfbench/pipeline.ml; test_lineage.ml");
+    ("lineage.group_delta", "minview lineage; test_lineage.ml");
+    ("lineage.aux", "minview lineage; test/cram/lineage.t");
+    ("lineage.base", "minview lineage; test/cram/lineage.t");
+    ("lineage.resident_delta", "minview lineage; test_lineage.ml");
+    ("lineage.detail_delta", "minview lineage; test_lineage.ml");
+    ("lineage.folded", "minview lineage; test_lineage.ml");
   ]
 
 let test case fn = Alcotest.test_case case `Quick fn
@@ -137,6 +197,18 @@ let http_get port path =
     (Printf.sprintf "GET %s HTTP/1.1\r\nHost: localhost\r\n\r\n" path)
     ~stop:(fun _ -> false)
 
+(* Every field name of a document, prefixed; a lineage record's "tables"
+   object is keyed by data. *)
+let rec fields prefix acc = function
+  | Telemetry.Json.Obj kvs ->
+    List.fold_left
+      (fun acc (k, v) ->
+        let acc = (prefix ^ "." ^ k) :: acc in
+        if prefix = "lineage" && k = "tables" then acc else fields prefix acc v)
+      acc kvs
+  | Telemetry.Json.Arr l -> List.fold_left (fields prefix) acc l
+  | Null | Bool _ | Num _ | Str _ -> acc
+
 let registered =
   lazy
     (let db = Workload.Retail.load tiny in
@@ -185,11 +257,25 @@ let registered =
      if List.exists (fun r -> not r.Warehouse.consistent)
           (Warehouse.reconcile_attribution wh)
      then Alcotest.fail "attribution does not reconcile";
+     let documents =
+       ("profile", Telemetry.Workload.profile_json ())
+       :: List.map
+            (fun r -> ("lineage", Telemetry.Lineage.record_to_json r))
+            (Telemetry.Lineage.recent ())
+     in
      Warehouse.close wh;
      remove dir;
-     Telemetry.snapshot ()
-     |> List.map (fun (s : Telemetry.Metrics.snap) -> s.s_name)
-     |> List.sort_uniq String.compare)
+     ( Telemetry.snapshot ()
+       |> List.map (fun (s : Telemetry.Metrics.snap) -> s.s_name)
+       |> List.sort_uniq String.compare,
+       List.concat_map
+         (fun (prefix, json) ->
+           fields prefix [] (Telemetry.Json.parse_exn json))
+         documents
+       |> List.sort_uniq String.compare ))
+
+let registered_metrics = lazy (fst (Lazy.force registered))
+let written_fields = lazy (snd (Lazy.force registered))
 
 let walk_tests =
   [
@@ -197,7 +283,7 @@ let walk_tests =
         match
           List.filter
             (fun name -> not (List.mem_assoc name readers))
-            (Lazy.force registered)
+            (Lazy.force registered_metrics)
         with
         | [] -> ()
         | unread ->
@@ -206,13 +292,37 @@ let walk_tests =
              delete the metric): %s"
             (String.concat ", " unread));
     test "every reader's metric is registered by the run" (fun () ->
-        let names = Lazy.force registered in
+        let names = Lazy.force registered_metrics in
         match
           List.filter (fun (name, _) -> not (List.mem name names)) readers
         with
         | [] -> ()
         | stale ->
           Alcotest.failf "listed but never registered: %s"
+            (String.concat ", " (List.map fst stale)));
+    test "every field of the profile and of a lineage record has a reader"
+      (fun () ->
+        match
+          List.filter
+            (fun name -> not (List.mem_assoc name field_readers))
+            (Lazy.force written_fields)
+        with
+        | [] -> ()
+        | unread ->
+          Alcotest.failf
+            "written with no reader (add a reader to field_readers or \
+             delete the field): %s"
+            (String.concat ", " unread));
+    test "every field reader's field is written by the run" (fun () ->
+        let names = Lazy.force written_fields in
+        match
+          List.filter
+            (fun (name, _) -> not (List.mem name names))
+            field_readers
+        with
+        | [] -> ()
+        | stale ->
+          Alcotest.failf "listed but never written: %s"
             (String.concat ", " (List.map fst stale)));
   ]
 

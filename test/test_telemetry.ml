@@ -62,12 +62,16 @@ let histogram_tests =
         Alcotest.(check (float 1e-9)) "sum" 1.0 (Histogram.sum h));
     test "time observes the thunk duration, also on exception" (fun () ->
         Metrics.reset ();
+        Trace.clear ();
         let h = Histogram.make "tele_test_time" in
-        Alcotest.(check int) "result" 7 (Histogram.time h (fun () -> 7));
-        (match Histogram.time h (fun () -> failwith "boom") with
+        Alcotest.(check int) "result" 7
+          (Telemetry.with_phase h "" (fun () -> 7));
+        (match Telemetry.with_phase h "" (fun () -> failwith "boom") with
         | _ -> Alcotest.fail "exception must propagate"
         | exception Failure _ -> ());
-        Alcotest.(check int) "both runs observed" 2 (Histogram.count h));
+        Alcotest.(check int) "both runs observed" 2 (Histogram.count h);
+        Alcotest.(check int) "an unnamed phase records no span" 0
+          (Trace.total ()));
     test "default layout has 40 buckets from 1 microsecond" (fun () ->
         Metrics.reset ();
         let h = Histogram.make "tele_test_default" in
