@@ -998,8 +998,7 @@ let serve_cmd =
         let sink =
           Option.map
             (fun path ->
-              Telemetry.Jsonl_sink.open_ ~max_bytes:(4 * 1024 * 1024) ~keep:4
-                path)
+              Telemetry.Jsonl_sink.open_ ~max_bytes:(4 * 1024 * 1024) path)
             slowlog
         in
         let srv =

@@ -3,15 +3,10 @@
    the oldest generation falls off the end. All IO errors are swallowed —
    a telemetry sink must never take the pipeline down with it. *)
 
-type t = {
-  path : string;
-  max_bytes : int;
-  keep : int;
-  mutable oc : out_channel option;
-}
+type t = { path : string; max_bytes : int; mutable oc : out_channel option }
 
-let default_max_bytes = 64 * 1024 * 1024
-let default_keep = 4
+(* the active file plus three rotated generations *)
+let files = 4
 
 let open_channel path =
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
@@ -20,10 +15,9 @@ let open_channel path =
   (try seek_out oc (out_channel_length oc) with Sys_error _ -> ());
   oc
 
-let open_ ?(max_bytes = default_max_bytes) ?(keep = default_keep) path =
-  { path; max_bytes; keep = max 1 keep; oc = Some (open_channel path) }
+let open_ ?(max_bytes = 64 * 1024 * 1024) path =
+  { path; max_bytes; oc = Some (open_channel path) }
 
-let path t = t.path
 let generation t i = Printf.sprintf "%s.%d" t.path i
 
 let close t =
@@ -35,22 +29,18 @@ let close t =
 
 let rotate t =
   close t;
-  let last = t.keep - 1 in
-  if last = 0 then (try Sys.remove t.path with Sys_error _ -> ())
-  else begin
-    (try Sys.remove (generation t last) with Sys_error _ -> ());
-    for i = last - 1 downto 1 do
-      if Sys.file_exists (generation t i) then (
-        try Sys.rename (generation t i) (generation t (i + 1))
-        with Sys_error _ -> ())
-    done;
-    try Sys.rename t.path (generation t 1) with Sys_error _ -> ()
-  end;
+  (try Sys.remove (generation t (files - 1)) with Sys_error _ -> ());
+  for i = files - 2 downto 1 do
+    if Sys.file_exists (generation t i) then (
+      try Sys.rename (generation t i) (generation t (i + 1))
+      with Sys_error _ -> ())
+  done;
+  (try Sys.rename t.path (generation t 1) with Sys_error _ -> ());
   t.oc <- Some (open_channel t.path)
 
 let write_line t line =
   (match t.oc with
-  | Some oc when t.max_bytes > 0 && pos_out oc > t.max_bytes -> rotate t
+  | Some oc when pos_out oc > t.max_bytes -> rotate t
   | _ -> ());
   match t.oc with
   | Some oc -> (

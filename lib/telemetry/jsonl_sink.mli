@@ -3,21 +3,15 @@
 
     Lines are appended to [path]. When the active file grows past
     [max_bytes] it is rotated shift-style before the next write:
-    [path.N-1] is dropped, [path.i] becomes [path.i+1], and the active
-    file becomes [path.1] — so at most [keep] files (the active one plus
-    [keep - 1] rotated generations) ever exist. *)
+    [path.3] is dropped, [path.i] becomes [path.i+1], and the active
+    file becomes [path.1] — so at most 4 files (the active one plus 3
+    rotated generations) ever exist. *)
 
 type t
 
-val default_max_bytes : int
-(** 64 MiB. *)
-
-val default_keep : int
-(** 4 files (the active one plus 3 rotated generations). *)
-
-val open_ : ?max_bytes:int -> ?keep:int -> string -> t
-(** Open [path] for appending, creating it if needed. [max_bytes <= 0]
-    disables rotation (unbounded growth); [keep] is clamped to [>= 1]. *)
+val open_ : ?max_bytes:int -> string -> t
+(** Open [path] for appending, creating it if needed. [max_bytes]
+    defaults to 64 MiB. *)
 
 val write_line : t -> string -> unit
 (** Append one line (the terminating newline is added) and flush.
@@ -26,5 +20,3 @@ val write_line : t -> string -> unit
 
 val close : t -> unit
 (** Close the active channel. Further {!write_line} calls are no-ops. *)
-
-val path : t -> string

@@ -1,6 +1,6 @@
 (* Lineage records: a bounded ring of per-transaction flow summaries plus
-   an optional rotating JSONL file. Emission happens once per committed
-   batch (never per row). *)
+   the caller's rotating JSONL file, if it has one. Emission happens once
+   per committed batch (never per row). *)
 
 type aux_flow = {
   aux : string;
@@ -29,10 +29,6 @@ type record = {
 let ring_capacity = 256
 
 let ring = Trace.Ring.create ring_capacity { txn = 0; tables = []; flows = [] }
-
-(* The persistence file. Attach, recovery, close and commit set and write
-   it, all on the warehouse's writer domain. *)
-let sink : Jsonl_sink.t option ref = ref None
 
 let records_total =
   Metrics.Counter.make
@@ -77,17 +73,11 @@ let record_to_json r =
 
 (* --- emission ------------------------------------------------------------ *)
 
-let set_sink path =
-  Option.iter Jsonl_sink.close !sink;
-  sink := Option.map Jsonl_sink.open_ path
-
-let sink_path () = Option.map Jsonl_sink.path !sink
-
-let emit r =
+let emit ~sink r =
   if Metrics.enabled () then begin
     Metrics.Counter.one records_total;
     Trace.Ring.push ring r;
-    (match !sink with
+    (match sink with
     | Some s -> Jsonl_sink.write_line s (record_to_json r)
     | None -> ());
     let deltas = List.fold_left (fun acc (_, n) -> acc + n) 0 r.tables in

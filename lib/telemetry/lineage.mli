@@ -10,12 +10,13 @@
     absorbed by the batch), and finally the net change in view groups.
 
     Records live in a bounded in-memory ring of {!ring_capacity} entries
-    ({!Trace.Ring}, queryable with {!recent}); when a sink is set they are
-    additionally persisted as one JSON object per line, size-capped and
-    rotated by {!Jsonl_sink}.
-    The warehouse points the sink at [lineage.jsonl] next to [wal.bin],
-    so each line sits alongside the WAL [Batch] commit marker with the
-    same sequence number. Rolled-back transactions never reach {!emit}.
+    ({!Trace.Ring}, queryable with {!recent}); when the caller passes a
+    sink they are additionally persisted as one JSON object per line,
+    size-capped and rotated by {!Jsonl_sink}.
+    An attached warehouse passes its own sink, [lineage.jsonl] next to its
+    [wal.bin], so each line sits alongside the WAL [Batch] commit marker
+    with the same sequence number. Rolled-back transactions never reach
+    {!emit}.
 
     Collection obeys the [TELEMETRY=off] kill switch: {!emit} is a no-op
     while telemetry is disabled. *)
@@ -49,10 +50,10 @@ type record = {
 val ring_capacity : int
 (** In-memory record ring size (256). *)
 
-val emit : record -> unit
+val emit : sink:Jsonl_sink.t option -> record -> unit
 (** Record a committed transaction: bump
-    [minview_lineage_records_total], push onto the ring, append to the
-    sink if set, and emit a [lineage.record] trace event. No-op while
+    [minview_lineage_records_total], push onto the ring, append to
+    [sink] if given, and emit a [lineage.record] trace event. No-op while
     telemetry is disabled. *)
 
 val recent : ?txn:int -> ?table:string -> unit -> record list
@@ -63,11 +64,6 @@ val recent : ?txn:int -> ?table:string -> unit -> record list
 val clear : unit -> unit
 (** Drop the in-memory ring (the sink file is left alone). *)
 
-val set_sink : string option -> unit
-(** [Some path] opens (append, size-capped rotation as in
-    {!Jsonl_sink}) the JSONL persistence file; [None] closes it. *)
-
-val sink_path : unit -> string option
 val record_to_json : record -> string
 
 (** {1 Drift auditor}

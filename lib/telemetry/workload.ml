@@ -222,10 +222,8 @@ let lag_snapshot () = Option.map Metrics.histogram_snapshot !lag_hist
 let profile_json () =
   let b = Buffer.create 4096 in
   Buffer.add_string b
-    (Printf.sprintf
-       "{\"schema\":%d,\"generated_unix_s\":%s,\"elapsed_s\":%s,\"views\":["
+    (Printf.sprintf "{\"schema\":%d,\"elapsed_s\":%s,\"views\":["
        profile_schema
-       (fmt_f (Metrics.now_s ()))
        (fmt_f (elapsed_s ())));
   List.iteri
     (fun i vs ->

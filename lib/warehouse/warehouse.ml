@@ -2,7 +2,9 @@ module Storage = struct
   let bytes ~rows ~fields = rows * fields * 4
 
   (* layout ballast, never called (EXPERIMENTS.md E42, ROADMAP item 22) *)
-  let _ballast x y = (x * 3) + (y lsr 2) + (x lxor y) + (y * 5) + 1
+  let _ballast x y =
+    (x * 3) + (y lsr 2) + (x lxor y) + (y * 5) + (x * 7) + (y lsr 3) + (x * 11)
+    + (y * 13) + 1
 
   let show_bytes n =
     let f = float_of_int n in
@@ -81,11 +83,6 @@ module Obs = struct
         "Recoveries that fell back past an unverifiable snapshot to an \
          older generation"
       "minview_warehouse_snapshot_fallbacks_total"
-
-  let dead_letters_dropped =
-    Telemetry.Counter.make
-      ~help:"Oldest dead letters dropped past the dead-letter cap"
-      "minview_warehouse_dead_letters_dropped_total"
 
   let checkpoint_seconds =
     Telemetry.Histogram.make ~help:"Snapshot checkpoint latency"
@@ -196,7 +193,7 @@ type snapshot = {
 }
 
 (* Archived checkpoint generations kept beside the live snapshot. *)
-let default_keep_generations = 2
+let archived_generations = 2
 
 type t = {
   mutable views : registered list;  (** newest first *)
@@ -205,14 +202,10 @@ type t = {
   mutable seq : int;  (** WAL-recorded batches (committed or aborted) *)
   mutable wal : Wal.writer option;
   mutable dir : string option;
-  mutable checkpoint_every : int option;
-  mutable keep_generations : int;
+  (* [dir/lineage.jsonl] while attached; runtime-only *)
+  mutable lineage : Telemetry.Jsonl_sink.t option;
   (* the key table every batch is netted through; runtime-only *)
   net_keys : Relational.Delta_batch.keys;
-  mutable dead_cap : int option;
-  (* wall-clock time of the last committed batch, 0. before the first:
-     feeds the health endpoint's commit-age check; runtime-only *)
-  mutable last_commit_s : float;
   (* the published read epoch: runtime-only (readers may be concurrent
      domains, so the cell must be an [Atomic.t]); never marshaled —
      [load]/[recover] republish from the restored engines *)
@@ -235,11 +228,8 @@ let make ~views ~validator ~dead ~seq =
     seq;
     wal = None;
     dir = None;
-    checkpoint_every = None;
-    keep_generations = default_keep_generations;
+    lineage = None;
     net_keys = Relational.Delta_batch.keys ();
-    dead_cap = None;
-    last_commit_s = 0.;
     published = Atomic.make empty_snapshot;
     line_scratch = Buffer.create 4096;
   }
@@ -325,57 +315,31 @@ let set_parallel _ _ = ()
 
 let wal_attached t = t.wal <> None
 
-let last_commit_age_s t =
-  if t.last_commit_s = 0. then None
-  else Some (Unix.gettimeofday () -. t.last_commit_s)
-
 let offheap_bytes t =
   List.fold_left (fun acc r -> acc + Engines.offheap_bytes r.engine) 0 t.views
 
 let publish_offheap t =
   Telemetry.Runtime.set_offheap_source (Some (fun () -> offheap_bytes t))
 
-(* Health checks for the /healthz endpoint. Exporter-domain reads of the
-   writer's mutable fields are racy by design: a stale answer is at most
-   one batch old, and every read is a single word (no torn state). *)
-let health ?(require_wal = false) ?max_commit_age_s ?max_epoch_lag t =
-  let open Telemetry.Http_exporter in
-  let wal_check =
-    let attached = wal_attached t in
+(* The /healthz check: it fails in the one state in which [ingest]
+   refuses every batch, a state directory whose log failed and was not
+   replaced. Exporter-domain reads of the writer's mutable fields are racy
+   by design: a stale answer is at most one batch old, and every read is a
+   single word (no torn state). *)
+let health t =
+  let ok, detail =
+    match (t.dir, t.wal) with
+    | _, Some _ -> (true, "attached")
+    | None, None -> (true, "not attached")
+    | Some _, None -> (false, "the log failed and was not replaced")
+  in
+  [
     {
-      check_name = "wal";
-      check_ok = attached || not require_wal;
-      check_detail = (if attached then "attached" else "not attached");
-    }
-  in
-  let age_check =
-    match last_commit_age_s t with
-    | None ->
-      {
-        check_name = "last_commit";
-        check_ok = true;
-        check_detail = "no commits yet";
-      }
-    | Some age ->
-      {
-        check_name = "last_commit";
-        check_ok =
-          (match max_commit_age_s with
-          | Some limit -> age <= limit
-          | None -> true);
-        check_detail = Printf.sprintf "%.1fs ago" age;
-      }
-  in
-  let lag_check =
-    let lag = t.seq - (Atomic.get t.published).epoch_seq in
-    {
-      check_name = "epoch_lag";
-      check_ok =
-        (match max_epoch_lag with Some limit -> lag <= limit | None -> true);
-      check_detail = Printf.sprintf "%d batch(es)" lag;
-    }
-  in
-  [ wal_check; age_check; lag_check ]
+      Telemetry.Http_exporter.check_name = "wal";
+      check_ok = ok;
+      check_detail = detail;
+    };
+  ]
 
 (* Registration-time initialization of a view's engine from the validator's
    committed shadow, the warehouse's belief of the current source. Engines
@@ -632,28 +596,31 @@ let generation_wals dir = chain dir `Wal gen_wal_path
 let next_generation_index dir =
   List.fold_left (fun acc (_, n, _) -> max acc (n + 1)) 1 (generation_files dir)
 
-(* Retire everything older than the [keep]-th newest archived snapshot.
-   Safe by the chain invariant: sequence numbers grow along the chain, so a
-   WAL segment older than the oldest kept snapshot only holds batches that
-   snapshot already contains. *)
-let prune_generations dir ~keep =
-  if keep >= 1 then
-    match List.nth_opt (List.rev (generation_snapshots dir)) (keep - 1) with
-    | None -> ()
-    | Some (cutoff, _) ->
-      let stale =
-        List.filter (fun (n, _) -> n < cutoff)
-          (generation_snapshots dir @ generation_wals dir)
-      in
-      if stale <> [] then
-        try
-          List.iter (fun (_, p) -> Durable.remove p) stale;
-          Durable.fsync_dir (gen_snapshot_path dir 0)
-        with Sys_error m ->
-          (* a stale generation left behind only costs disk space, and the
-             next checkpoint prunes it again: warn, and let the checkpoint
-             that made it stale stand *)
-          Log.warn (fun f -> f "%s: pruning stale generations: %s" dir m)
+(* Retire everything older than the [archived_generations]-th newest
+   archived snapshot. Safe by the chain invariant: sequence numbers grow
+   along the chain, so a WAL segment older than the oldest kept snapshot
+   only holds batches that snapshot already contains. *)
+let prune_generations dir =
+  match
+    List.nth_opt
+      (List.rev (generation_snapshots dir))
+      (archived_generations - 1)
+  with
+  | None -> ()
+  | Some (cutoff, _) ->
+    let stale =
+      List.filter (fun (n, _) -> n < cutoff)
+        (generation_snapshots dir @ generation_wals dir)
+    in
+    if stale <> [] then
+      try
+        List.iter (fun (_, p) -> Durable.remove p) stale;
+        Durable.fsync_dir (gen_snapshot_path dir 0)
+      with Sys_error m ->
+        (* a stale generation left behind only costs disk space, and the
+           next checkpoint prunes it again: warn, and let the checkpoint
+           that made it stale stand *)
+        Log.warn (fun f -> f "%s: pruning stale generations: %s" dir m)
 
 (* --- lineage ----------------------------------------------------------- *)
 
@@ -675,7 +642,7 @@ let delta_table_counts deltas =
    [tables] is the batch's [delta_table_counts]. *)
 let emit_lineage t ~seq ~tables =
   if Telemetry.enabled () then
-    Telemetry.Lineage.emit
+    Telemetry.Lineage.emit ~sink:t.lineage
       {
         Telemetry.Lineage.txn = seq;
         tables;
@@ -707,7 +674,7 @@ let rotate ?failed t =
            written leaves the previous generation fully intact *)
         save t fresh;
         let n =
-          if not (t.keep_generations > 0 && Sys.file_exists snap) then None
+          if not (Sys.file_exists snap) then None
           else begin
             Durable.mkdir (generations_dir dir);
             let n = next_generation_index dir in
@@ -723,13 +690,13 @@ let rotate ?failed t =
         Durable.rename fresh snap;
         (* the snapshot holds every record of the log, which restarts
            empty. The old log is archived beside the outgoing snapshot;
-           without one (the first checkpoint, or the chain disabled) no
-           older snapshot needs its records. Until [Wal.create] returns
-           the warehouse has no log, and a failure leaves it without one
-           until a checkpoint succeeds; [wal] is missing only when such a
-           failure had already archived it. A failed log is archived
-           with an abort marker for its failed batch, so a recovery that
-           falls back to generation [n] does not replay that batch. *)
+           without one (the first checkpoint) no older snapshot needs its
+           records. Until [Wal.create] returns the warehouse has no log,
+           and a failure leaves it without one until a checkpoint
+           succeeds; [wal] is missing only when such a failure had already
+           archived it. A failed log is archived with an abort marker for
+           its failed batch, so a recovery that falls back to generation
+           [n] does not replay that batch. *)
         drop_log t;
         let wal = wal_path dir in
         (match n with
@@ -739,7 +706,7 @@ let rotate ?failed t =
           | Some seq -> Wal.archive_failed wal ~dst:(gen_wal_path dir n) ~seq)
         | Some _ | None -> ());
         t.wal <- Some (Wal.create wal);
-        prune_generations dir ~keep:t.keep_generations;
+        prune_generations dir;
         (* the workload profile is advisory state: write it beside the WAL
            at every checkpoint, but never fail the checkpoint over it *)
         try
@@ -762,25 +729,16 @@ let write_workload_profile t =
     err Not_durable
       "workload profile: attach the warehouse to a state directory first"
 
-(* The checkpoint policy, checked whole before any of it is set: [attach]
-   sets it before it touches the state directory. *)
-let set_checkpoint_policy ?checkpoint_every ?keep_generations t =
-  (match checkpoint_every with
-  | Some n when n < 1 ->
-    err Invalid_request "checkpoint_every must be >= 1, not %d" n
-  | Some _ | None -> ());
-  (match keep_generations with
-  | Some k when k < 0 ->
-    err Invalid_request "keep_generations must be >= 0, not %d" k
-  | Some _ | None -> ());
-  Option.iter (fun n -> t.checkpoint_every <- Some n) checkpoint_every;
-  Option.iter (fun k -> t.keep_generations <- k) keep_generations
+(* The warehouse's lineage records persist next to the WAL commit markers
+   they mirror, in its own state directory. *)
+let open_lineage t dir =
+  Option.iter Telemetry.Jsonl_sink.close t.lineage;
+  t.lineage <- Some (Telemetry.Jsonl_sink.open_ (lineage_path dir))
 
-let attach ?checkpoint_every ?keep_generations t ~dir =
+let attach t ~dir =
   if t.wal <> None then
     err Invalid_request "warehouse is already attached to %s"
       (Option.value t.dir ~default:"a state directory");
-  set_checkpoint_policy ?checkpoint_every ?keep_generations t;
   (match Sys.is_directory dir with
   | true -> ()
   | false -> err Io_error "%s exists and is not a directory" dir
@@ -789,14 +747,14 @@ let attach ?checkpoint_every ?keep_generations t ~dir =
   (match io (fun () -> Wal.open_append (wal_path dir)) with
   | w -> t.wal <- Some w
   | exception Wal.Corrupt m -> err Corrupt_state "%s" m);
-  (* lineage records persist next to the WAL commit markers they mirror *)
-  Telemetry.Lineage.set_sink (Some (lineage_path dir));
+  open_lineage t dir;
   (* durable from the start: a crash right after attach recovers to here *)
   checkpoint t
 
 let close t =
   drop_log t;
-  if t.dir <> None then Telemetry.Lineage.set_sink None;
+  Option.iter Telemetry.Jsonl_sink.close t.lineage;
+  t.lineage <- None;
   t.dir <- None
 
 (* --- ingestion --------------------------------------------------------- *)
@@ -804,30 +762,10 @@ let close t =
 type report = { batch : int; applied : int; rejected : Delta.rejection list }
 
 let dead_letters t = List.rev t.dead
-let clear_dead_letters t = t.dead <- []
-
-let set_dead_letter_cap t cap =
-  (match cap with
-  | Some n when n < 1 ->
-    err Invalid_request "set_dead_letter_cap: cap must be >= 1"
-  | Some _ | None -> ());
-  t.dead_cap <- cap
 
 let quarantine t rejections =
   Telemetry.Counter.inc Obs.quarantined (List.length rejections);
-  t.dead <- List.rev_append rejections t.dead;
-  match t.dead_cap with
-  | Some cap when List.length t.dead > cap ->
-    (* graceful overflow: drop the oldest letters (the tail of the
-       newest-first list) rather than failing ingestion *)
-    let dropped = List.length t.dead - cap in
-    t.dead <- List.filteri (fun i _ -> i < cap) t.dead;
-    Telemetry.Counter.inc Obs.dead_letters_dropped dropped;
-    Log.warn (fun m ->
-        m "dead-letter queue over its cap (%d): dropped the %d oldest \
-           rejection(s)"
-          cap dropped)
-  | Some _ | None -> ()
+  t.dead <- List.rev_append rejections t.dead
 
 let believed_source t = Validator.believed_source t.validator
 let ingested_batches t = t.seq
@@ -1006,15 +944,11 @@ let ingest_report_inner t deltas =
     match commit_batch t ~seq accepted with
     | `Committed tables ->
       Telemetry.Counter.one Obs.commits;
-      t.last_commit_s <- Unix.gettimeofday ();
       (* the read-side commit point: concurrent readers switch to the new
          epoch here, atomically; until this set they keep serving the
          previous committed state. Views whose tables the batch did not
          touch carry their captures over. *)
       publish_epoch ~touched:(List.map fst tables) t;
-      (match t.checkpoint_every with
-      | Some n when t.seq mod n = 0 && t.wal <> None -> checkpoint t
-      | Some _ | None -> ());
       { batch = seq; applied = List.length accepted; rejected }
     | `Aborted aborted ->
       { batch = seq; applied = 0; rejected = rejected @ aborted }
@@ -1201,7 +1135,7 @@ let recover ~dir =
          with Sys_error _ -> ());
         (* open the sink before replay so replayed batches leave their
            lineage records in the same file as live ingestion *)
-        Telemetry.Lineage.set_sink (Some (lineage_path dir));
+        open_lineage t dir;
         (* a batch is replayed when it is newer than every record before
            it and no abort marker names it; the others only advance the
            sequence number *)

@@ -145,10 +145,11 @@ val ingest_report : t -> Relational.Delta.t list -> report
     log, the failed one archived with an [Abort] marker for the batch
     ({!Wal.archive_failed}) — and {!ingest} raises {!Error}
     ([Io_error]). If that checkpoint
-    fails too, the warehouse keeps no log: {!wal_attached} is [false] and
-    every {!ingest} raises [Io_error] before it admits anything, until a
-    {!checkpoint} succeeds and opens a fresh log. The [Abort] marker
-    written after an engine failure follows the same rule. *)
+    fails too, the warehouse keeps no log: {!wal_attached} is [false], the
+    {!health} check fails, and every {!ingest} raises [Io_error] before it
+    admits anything, until a {!checkpoint} succeeds and opens a fresh log.
+    The [Abort] marker written after an engine failure follows the same
+    rule. *)
 
 (** {2 Health and runtime profiling}
 
@@ -157,10 +158,6 @@ val ingest_report : t -> Relational.Delta.t list -> report
 
 (** Whether a durability directory is attached (see {!attach}). *)
 val wal_attached : t -> bool
-
-(** Seconds since the last committed batch; [None] before the first
-    commit in this process (loads and recoveries start fresh). *)
-val last_commit_age_s : t -> float option
 
 (** Off-heap (Bigarray) bytes across every registered view's columnar
     storage — see {!Maintenance.Engines.offheap_bytes}. Walks live engine
@@ -172,26 +169,13 @@ val offheap_bytes : t -> int
     from the ingesting domain. Process-global, last registration wins. *)
 val publish_offheap : t -> unit
 
-(** Health checks for {!Telemetry.Http_exporter}. Always three checks:
-    [wal] (fails only with [~require_wal:true] and no directory attached),
-    [last_commit]
-    (fails when [?max_commit_age_s] is given and exceeded; "no commits
-    yet" passes) and [epoch_lag] (fails when [?max_epoch_lag] batches is
-    given and exceeded). Safe to call from another domain: every read is
-    one word, at worst one batch stale. *)
-val health :
-  ?require_wal:bool ->
-  ?max_commit_age_s:float ->
-  ?max_epoch_lag:int ->
-  t ->
-  Telemetry.Http_exporter.check list
-
-(** [set_dead_letter_cap t (Some n)] bounds the dead-letter queue to the [n]
-    newest rejections: quarantining past the cap drops the oldest letters
-    (counted as [minview_warehouse_dead_letters_dropped_total] and warned
-    about) instead of growing without bound. [None] (the default) removes
-    the cap. @raise Error ([Invalid_request] if [n < 1]). *)
-val set_dead_letter_cap : t -> int option -> unit
+(** The health check for {!Telemetry.Http_exporter}: one check, [wal],
+    which fails exactly when the warehouse is attached to a state
+    directory whose log failed and was not replaced — the one state in
+    which {!ingest} refuses every batch (see Fault tolerance). An
+    unattached warehouse passes. Safe to call from another domain: every
+    read is one word, at worst one batch stale. *)
+val health : t -> Telemetry.Http_exporter.check list
 
 (** A no-op. Every batch, ingested or replayed, is netted once through a
     key table the warehouse keeps ({!Maintenance.Engine.net}), and every
@@ -202,8 +186,6 @@ val set_parallel : t -> Maintenance.Shard.pool option -> unit
 
 (** The dead-letter queue, oldest first. *)
 val dead_letters : t -> Relational.Delta.rejection list
-
-val clear_dead_letters : t -> unit
 
 (** The source state the warehouse believes in: the initial extract advanced
     by every accepted delta. Audits compare view contents against views
@@ -433,8 +415,8 @@ val load : string -> t
     append is the commit point. {!checkpoint} snapshots the full state and
     {e rotates} the log into a checkpoint generation chain: the outgoing
     snapshot and its WAL segment are archived under [dir/generations/]
-    (as [snapshot-<n>.bin] / [wal-<n>.bin], the last [keep_generations]
-    retained) instead of being destroyed. After a crash, {!recover} loads
+    (as [snapshot-<n>.bin] / [wal-<n>.bin], the last two retained) instead
+    of being destroyed. After a crash, {!recover} loads
     the newest snapshot that passes its CRC check — falling back along the
     chain past unverifiable ones — and replays the committed WAL records
     newer than it (the archived segments from its generation on, in chain
@@ -445,31 +427,19 @@ val load : string -> t
     contains; recovery does not read them ({!fsck} still checks them). *)
 
 (** [attach t ~dir] makes [t] durable: creates [dir] if needed, opens (or
-    repairs) its WAL, and takes an initial checkpoint. With
-    [?checkpoint_every:n], every [n]-th batch checkpoints automatically.
-    [?keep_generations] (default 2) sets how many archived checkpoint
-    generations survive pruning; [0] disables the chain (truncate on
-    checkpoint, the pre-chain behaviour). Also points the lineage sink at
-    [dir/lineage.jsonl], so every committed batch leaves a lineage record
-    next to its WAL commit marker (see {!Telemetry.Lineage}).
-    @raise Error ([Invalid_request] if already attached or the policy is
-    refused, as by {!set_checkpoint_policy}; [Io_error], [Corrupt_state]). *)
-val attach : ?checkpoint_every:int -> ?keep_generations:int -> t -> dir:string -> unit
-
-(** [set_checkpoint_policy t] sets what {!attach} sets, and is how a
-    warehouse from {!recover} gets it back: with [~checkpoint_every:n],
-    every batch whose number is a multiple of [n] checkpoints once it
-    commits; [~keep_generations:k] archived generations survive pruning.
-    An argument left out keeps its setting; a warehouse starts with no
-    automatic checkpoint and 2 generations, and so does a recovered one.
-    Both arguments are checked before either is set.
-    @raise Error ([Invalid_request] if [checkpoint_every < 1] or
-    [keep_generations < 0]). *)
-val set_checkpoint_policy :
-  ?checkpoint_every:int -> ?keep_generations:int -> t -> unit
+    repairs) its WAL, and takes an initial checkpoint. Also opens the
+    warehouse's own lineage sink, [dir/lineage.jsonl], so every committed
+    batch leaves a lineage record next to its WAL commit marker (see
+    {!Telemetry.Lineage}); another warehouse in the process writes its
+    own directory's.
+    @raise Error ([Invalid_request] if already attached; [Io_error],
+    [Corrupt_state]). *)
+val attach : t -> dir:string -> unit
 
 (** Snapshot the state directory, archive the previous generation and
-    rotate the WAL (see the chain contract above). Also writes the current
+    rotate the WAL (see the chain contract above). The only way to
+    checkpoint: {!ingest} never does; a caller that wants a checkpoint
+    every n batches calls it after them. Also writes the current
     workload profile beside the WAL (best-effort — a failed profile write
     never fails the checkpoint). A failure before the new snapshot is in
     place leaves the log as it was; one while the log is being replaced
@@ -504,16 +474,16 @@ val write_workload_profile : t -> string
     recovery records the flat spans [warehouse.recover.decode] (once per
     snapshot tried), [warehouse.recover.build] (attributes [views] and
     [domains]), [warehouse.recover.replay] (attribute [batches]) and
-    [warehouse.recover.publish]. The recovered warehouse checkpoints
-    only when asked until {!set_checkpoint_policy} sets a policy: none is
-    stored in [dir].
+    [warehouse.recover.publish]. The lineage sink opens before replay,
+    so replayed batches leave their records in [dir/lineage.jsonl] too.
     @raise Error as {!load}; also [Corrupt_state] when WAL damage (a
     mid-stream bit flip, or any damage on an archived segment the restored
     snapshot does not cover) may hide committed batches — {!repair}
     quarantines the damage explicitly, accepting the loss. *)
 val recover : dir:string -> t
 
-(** Detach from the state directory, closing the WAL (no checkpoint). *)
+(** Detach from the state directory, closing the WAL and the lineage sink
+    (no checkpoint). *)
 val close : t -> unit
 
 (** {2 Integrity: fsck and repair}

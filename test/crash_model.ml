@@ -231,8 +231,8 @@ module Faults = Maintenance.Faults
 (* Where a crash strikes in one ingest of a run: at an armed fault point,
    or at a state taken from the run's trace. The traced sites stand for
    the hand-placed points the trace replaced (DESIGN.md, "Crash states"),
-   in the checkpoint the ingest ran after its barrier or in its own
-   append:
+   in the checkpoint an [ingest] callback ran after its batch's barrier
+   (as [Helpers.ingest_checkpointing] does) or in its own append:
    - [In_checkpoint] dies before one of the checkpoint's operations, a
      seed picks which;
    - [Before_wal_truncate] dies after the new snapshot's rename into place

@@ -504,6 +504,14 @@ let measure_changes rng db ~n =
       Database.apply db d;
       d)
 
+(* [ingest_checkpointing ~every wh batch] ingests [batch], then
+   checkpoints when [wh]'s batch count is a multiple of [every]: a caller
+   that checkpoints every n-th batch, for the crash states and chains that
+   needs. *)
+let ingest_checkpointing ~every wh batch =
+  Warehouse.ingest wh batch;
+  if Warehouse.ingested_batches wh mod every = 0 then Warehouse.checkpoint wh
+
 (* CI post-mortem hook: when MINVIEW_TEST_TELEMETRY_DIR is set (the CI
    test step does), every test binary dumps its final metrics snapshot
    and trace ring there on exit, so a failing `dune runtest` leaves

@@ -121,11 +121,12 @@ let n_batches = 8
    and the batch commits as seq 5 *)
 let failed_seq = 4
 
-(* attach with generations archived and pruned, four automatic
-   checkpoints and one explicit, a batch whose barrier fails (its log is
-   archived with an abort marker; the batch commits when ingested again),
-   a torn tail that a recovery salvages, and ingest after that recovery,
-   whose last batch the recovered warehouse checkpoints by itself *)
+(* attach (its checkpoint), ingest through [ingest_checkpointing], which
+   checkpoints after batches 3, 6 and 9, and one more checkpoint after
+   batch 3, so generations are archived and pruned; a batch whose barrier
+   fails (its log is archived with an abort marker; the batch commits when
+   ingested again), a torn tail that a recovery salvages, and ingest after
+   that recovery, whose last batch is checkpointed *)
 let scenario () =
   let root = fresh_root "cm_scenario" in
   let dir = Filename.concat root "state" in
@@ -143,10 +144,10 @@ let scenario () =
   let acks = ref [] in
   let ack p = acks := (Cm.length r, p) :: !acks in
   let ingest p =
-    Warehouse.ingest !wh batches.(p);
+    ingest_checkpointing ~every:3 !wh batches.(p);
     ack (p + 1)
   in
-  Warehouse.attach ~checkpoint_every:3 ~keep_generations:2 !wh ~dir;
+  Warehouse.attach !wh ~dir;
   ack 0;
   List.iter ingest [ 0; 1; 2 ];
   Warehouse.checkpoint !wh;
@@ -171,7 +172,6 @@ let scenario () =
   Durable.write wal fd torn 0 (Bytes.length torn);
   Unix.close fd;
   wh := Warehouse.recover ~dir;
-  Warehouse.set_checkpoint_policy ~checkpoint_every:3 ~keep_generations:2 !wh;
   List.iter ingest [ 6; 7 ];
   Warehouse.close !wh;
   let trace = Cm.stop r in

@@ -217,7 +217,7 @@ let slowlog_tests =
         Sys.mkdir dir 0o700;
         let path = Filename.concat dir "slowlog.jsonl" in
         (* a tiny cap so a short burst of queries forces a rotation *)
-        let sink = Telemetry.Jsonl_sink.open_ ~max_bytes:2048 ~keep:3 path in
+        let sink = Telemetry.Jsonl_sink.open_ ~max_bytes:2048 path in
         let _db, wh = build () in
         (* threshold 0: every query counts as slow *)
         let srv = Serve.create ~slowlog:sink ~slow_threshold_s:0. ~port:0 wh in
