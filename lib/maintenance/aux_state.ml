@@ -504,12 +504,9 @@ let rec free_slot slots mask i =
   else free_slot slots mask ((i + 1) land mask)
 
 (* Numbers group [id], new, with the scanned row's key in slot [i] of the
-   probe table: its key cells are appended, for the next rows' probes. *)
+   probe table. *)
 let scan_add sc i =
   let id = sc.found in
-  for k = 0 to Array.length sc.st.plain_src - 1 do
-    Cells.Stored.append sc.st.g.keys.(k) sc.cur sc.st.plain_src.(k)
-  done;
   sc.slots.(2 * i) <- sc.hash;
   sc.slots.((2 * i) + 1) <- id;
   sc.found <- id + 1;
@@ -530,10 +527,14 @@ let scan_add sc i =
   id
 
 (* A build in column passes. The one pass over the rows finds each kept
-   row's group, numbered in order of first appearance. The store then
-   registers the groups and their counts, and each component column is
-   folded from the rows in its own typed loop, in row order; the maps are
-   made at their final sizes. *)
+   row's group, numbered in order of first appearance; a new group's key
+   cells are appended, for the next rows' probes. A view that keeps its
+   table's key holds a group per row (the table's keys are unique), so
+   there a probe could only miss: the pass places each row in a free slot
+   without one, and the key columns are folded after it, each allocated
+   once at its final size. The store then registers the groups and their
+   counts, and each component column is folded from the rows in its own
+   typed loop, in row order; the maps are made at their final sizes. *)
 let load s cur ~keep ~admit =
   if row_count s > 0 || Groups.in_txn s.g then
     invalid_arg
@@ -547,6 +548,7 @@ let load s cur ~keep ~admit =
     (fun () ->
       let rows = Database.Cursor.rows cur in
       let into = Array.make rows (-1) in
+      let keyed = s.key_plain_pos >= 0 in
       let sc =
         {
           st = s;
@@ -568,11 +570,21 @@ let load s cur ~keep ~admit =
           end;
           sc.hash <- Database.Cursor.hash_key cur s.plain_src;
           let mask = (Array.length sc.slots / 2) - 1 in
-          let id = scan_find sc mask (Rowmap.home sc.hash mask) in
+          let home = Rowmap.home sc.hash mask in
           let id =
-            if id >= 0 then id
-            else if admit cur then scan_add sc (-1 - id)
-            else -1
+            if keyed then
+              if admit cur then scan_add sc (free_slot sc.slots mask home)
+              else -1
+            else
+              let id = scan_find sc mask home in
+              if id >= 0 then id
+              else if admit cur then begin
+                for k = 0 to Array.length s.plain_src - 1 do
+                  Cells.Stored.append s.g.keys.(k) cur s.plain_src.(k)
+                done;
+                scan_add sc (-1 - id)
+              end
+              else -1
           in
           if id >= 0 then begin
             into.(r) <- id;
@@ -582,6 +594,12 @@ let load s cur ~keep ~admit =
       done;
       let groups = sc.found in
       let g = s.g in
+      (* one row per group: its first row's cell is its key cell *)
+      if keyed then
+        Array.iteri
+          (fun i src ->
+            Column.fold_stored g.keys.(i) cur src ~into ~groups Column.Min)
+          s.plain_src;
       Groups.load_rows g ~into ~pairs:sc.slots groups;
       Array.iteri
         (fun i src ->

@@ -7,8 +7,10 @@
 
     Physically, groups live in a {!Groups} store, the one {!View_state}
     also keeps its groups in: typed columnar segments ({!Column}), one
-    column per view attribute plus a dense count column, with numeric cells
-    unboxed in Bigarrays and string cells dictionary-encoded ({!Dict}).
+    column per view attribute plus a dense count column, with integer
+    cells in 4-byte cells that widen to 8 only when a value needs it
+    ({!Column.Icol}), float cells unboxed in Bigarrays and string cells
+    dictionary-encoded ({!Dict}).
     Groups are row ids into those columns; deletion swaps the last row into
     the hole so segments stay dense. All of this is invisible at this
     interface — accessors materialize the boxed {!row} record on demand —

@@ -2,55 +2,102 @@ module Value = Relational.Value
 module BA1 = Bigarray.Array1
 
 module Icol = struct
-  type t = { mutable len : int; mutable cells : int array }
+  (* The width rule of every integer cell the group stores keep: cells
+     are 4 bytes, native endian, as {!Relational.Rowmap}'s slots are,
+     until a value outside [-2^31, 2^31 - 1] is stored; then the buffer
+     widens, once and for good, to 8-byte cells. [meta] is the length
+     doubled, plus 1 once wide: a buffer is a two-field record, as an
+     index's many small buckets want. *)
+  type t = { mutable meta : int; mutable cells : Bytes.t }
 
-  let create () = { len = 0; cells = [||] }
-  let length c = c.len
+  external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+  external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+  external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+  let create () = { meta = 0; cells = Bytes.empty }
+  let[@inline] length c = c.meta lsr 1
+  let[@inline] wide c = c.meta land 1 = 1
+  let[@inline] set_length c n = c.meta <- (n lsl 1) lor (c.meta land 1)
+  (* log2 of the cell width *)
+  let[@inline] shift c = 2 + (c.meta land 1)
+  let width c = 1 lsl shift c
+  let[@inline] capacity c = Bytes.length c.cells lsr shift c
+
+  (* An empty buffer of [cap] narrow cells. *)
+  let make cap = { meta = 0; cells = Bytes.create (4 * cap) }
+
+  let[@inline] fits x = (x + 0x8000_0000) lsr 32 = 0
+
+  (* Cell [i], below the capacity: unchecked. *)
+  let[@inline] unsafe_get c i =
+    if wide c then Int64.to_int (get64 c.cells (i lsl 3))
+    else Int32.to_int (get32 c.cells (i lsl 2))
+
+  (* Every allocated cell, past the length too: a build writes its cells
+     before it sets the length. *)
+  let widen c =
+    let cap = capacity c in
+    let cells = Bytes.create (8 * cap) in
+    for i = 0 to cap - 1 do
+      set64 cells (i lsl 3) (Int64.of_int32 (get32 c.cells (i lsl 2)))
+    done;
+    c.cells <- cells;
+    c.meta <- c.meta lor 1
+
+  let[@inline] unsafe_set c i x =
+    if wide c then set64 c.cells (i lsl 3) (Int64.of_int x)
+    else if fits x then set32 c.cells (i lsl 2) (Int32.of_int x)
+    else begin
+      widen c;
+      set64 c.cells (i lsl 3) (Int64.of_int x)
+    end
 
   let check c i op =
-    if i < 0 || i >= c.len then
-      invalid_arg (Printf.sprintf "Column.Icol.%s: row %d of %d" op i c.len)
+    if i < 0 || i >= length c then
+      invalid_arg (Printf.sprintf "Column.Icol.%s: row %d of %d" op i (length c))
 
   let get c i =
     check c i "get";
-    c.cells.(i)
+    unsafe_get c i
 
   let set c i v =
     check c i "set";
-    c.cells.(i) <- v
+    unsafe_set c i v
 
   let add c i d =
     check c i "add";
-    c.cells.(i) <- c.cells.(i) + d
+    unsafe_set c i (unsafe_get c i + d)
 
   (* Capacities double from 2 cells: an index bucket holds a handful of
      rows, so a larger first allocation would be mostly empty (see DESIGN.md
      "Physical representation"). *)
   let rec grown n cap = if cap >= n then cap else grown n (2 * cap)
 
-  let reserve n =
-    if n = 0 then create () else { len = 0; cells = Array.make (grown n 2) 0 }
+  let reserve n = if n = 0 then create () else make (grown n 2)
 
-  let ensure c n =
-    if n > Array.length c.cells then begin
-      let cells = Array.make (grown n (max 2 (Array.length c.cells))) 0 in
-      Array.blit c.cells 0 cells 0 c.len;
-      c.cells <- cells
-    end
+  (* The capacity becomes [cap], at least the length. *)
+  let resize c cap =
+    let w = width c in
+    let cells = Bytes.create (w * cap) in
+    Bytes.blit c.cells 0 cells 0 (w * length c);
+    c.cells <- cells
 
-  let append c v =
-    if c.len = Array.length c.cells then begin
-      let cells = Array.make (max 2 (2 * c.len)) 0 in
-      Array.blit c.cells 0 cells 0 c.len;
-      c.cells <- cells
-    end;
-    c.cells.(c.len) <- v;
-    c.len <- c.len + 1
+  let ensure c n = if n > capacity c then resize c (grown n (max 2 (capacity c)))
+
+  (* [append], growing to at least [least] cells. *)
+  let push c ~least v =
+    let n = length c in
+    if n = capacity c then resize c (max least (2 * n));
+    unsafe_set c n v;
+    c.meta <- c.meta + 2
+
+  let append c v = push c ~least:2 v
 
   let swap_delete c i =
     check c i "swap_delete";
-    c.cells.(i) <- c.cells.(c.len - 1);
-    c.len <- c.len - 1
+    unsafe_set c i (unsafe_get c (length c - 1));
+    c.meta <- c.meta - 2
 
   let buckets ~ids ~values =
     let n = Array.length ids in
@@ -60,32 +107,40 @@ module Icol = struct
     let pos = reserve n in
     for r = 0 to n - 1 do
       let b = buckets.(ids.(r)) in
-      pos.cells.(r) <- b.len;
-      b.cells.(b.len) <- r;
-      b.len <- b.len + 1
+      unsafe_set pos r (length b);
+      unsafe_set b (length b) r;
+      b.meta <- b.meta + 2
     done;
-    pos.len <- n;
+    set_length pos n;
     (buckets, pos)
 
   let add_at c ~into ~by =
     Array.iteri
-      (fun k r -> if r >= 0 then c.cells.(r) <- c.cells.(r) + by.(k))
+      (fun k r ->
+        if r >= 0 then begin
+          check c r "add_at";
+          unsafe_set c r (unsafe_get c r + by.(k))
+        end)
       into
 
-  let to_array c = Array.sub c.cells 0 c.len
+  let to_array c = Array.init (length c) (unsafe_get c)
 
   let append_counts c ~into n =
-    ensure c (c.len + n);
-    let base = c.len in
-    Array.fill c.cells base n 0;
-    c.len <- base + n;
+    let base = length c in
+    ensure c (base + n);
+    let w = width c in
+    Bytes.fill c.cells (w * base) (w * n) '\000';
+    set_length c (base + n);
     Array.iter
-      (fun r -> if r >= 0 then c.cells.(base + r) <- c.cells.(base + r) + 1)
+      (fun r ->
+        if r >= 0 then begin
+          check c (base + r) "append_counts";
+          unsafe_set c (base + r) (unsafe_get c (base + r) + 1)
+        end)
       into
 
-  let byte_size c = 8 * Array.length c.cells
-  let capacity c = Array.length c.cells
-  let truncate c n = if n < c.len then c.len <- max 0 n
+  let byte_size c = Bytes.length c.cells
+  let truncate c n = if n < length c then set_length c (max 0 n)
 end
 
 module Marks = struct
@@ -144,7 +199,6 @@ module Marks = struct
   let byte_size c = Bytes.length c.cells
 end
 
-type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) BA1.t
 type float_ba = (float, Bigarray.float64_elt, Bigarray.c_layout) BA1.t
 type code_ba = (int32, Bigarray.int32_elt, Bigarray.c_layout) BA1.t
 
@@ -153,7 +207,7 @@ type code_ba = (int32, Bigarray.int32_elt, Bigarray.c_layout) BA1.t
    layer's typed schemas make demotion rare in practice. *)
 type storage =
   | S_empty
-  | S_int of int_ba
+  | S_int of Icol.t
   | S_float of float_ba
   | S_dict of { codes : code_ba; dict : Dict.t }
   | S_boxed of Value.t array
@@ -183,15 +237,10 @@ let get c i =
   check c i "get";
   match c.storage with
   | S_empty -> assert false
-  | S_int a -> Value.Int a.{i}
+  | S_int a -> Value.Int (Icol.unsafe_get a i)
   | S_float a -> Value.Float a.{i}
   | S_dict { codes; dict } -> Value.String (Dict.decode dict (Int32.to_int codes.{i}))
   | S_boxed a -> a.(i)
-
-let grow_int (a : int_ba) n : int_ba =
-  let b = BA1.create Bigarray.int Bigarray.c_layout (max 16 n) in
-  BA1.blit a (BA1.sub b 0 (BA1.dim a));
-  b
 
 let grow_float (a : float_ba) n : float_ba =
   let b = BA1.create Bigarray.float64 Bigarray.c_layout (max 16 n) in
@@ -210,7 +259,7 @@ let to_boxed c =
   | S_empty -> ()
   | S_int a ->
     for i = 0 to c.len - 1 do
-      cells.(i) <- Value.Int a.{i}
+      cells.(i) <- Value.Int (Icol.unsafe_get a i)
     done
   | S_float a ->
     for i = 0 to c.len - 1 do
@@ -227,7 +276,7 @@ let specialize c v =
   if c.boxed_only then to_boxed c
   else
     match v with
-    | Value.Int _ -> c.storage <- S_int (BA1.create Bigarray.int Bigarray.c_layout 16)
+    | Value.Int _ -> c.storage <- S_int (Icol.make 16)
     | Value.Float _ ->
       c.storage <- S_float (BA1.create Bigarray.float64 Bigarray.c_layout 16)
     | Value.String _ ->
@@ -250,9 +299,7 @@ let rec append c v =
     specialize c v;
     append c v
   | S_int a, Value.Int x ->
-    let a = if c.len = BA1.dim a then grow_int a (2 * c.len) else a in
-    a.{c.len} <- x;
-    c.storage <- S_int a;
+    Icol.push a ~least:16 x;
     c.len <- c.len + 1
   | S_float a, Value.Float x ->
     let a = if c.len = BA1.dim a then grow_float a (2 * c.len) else a in
@@ -286,7 +333,7 @@ let set c i v =
   check c i "set";
   match c.storage, v with
   | S_empty, _ -> assert false
-  | S_int a, Value.Int x -> a.{i} <- x
+  | S_int a, Value.Int x -> Icol.unsafe_set a i x
   | S_float a, Value.Float x -> a.{i} <- x
   | S_dict { codes; dict }, Value.String s -> codes.{i} <- intern_code dict s
   | S_boxed a, _ -> a.(i) <- v
@@ -299,7 +346,7 @@ let swap_delete c i =
   let l = c.len - 1 in
   (match c.storage with
   | S_empty -> assert false
-  | S_int a -> a.{i} <- a.{l}
+  | S_int a -> Icol.swap_delete a i
   | S_float a -> a.{i} <- a.{l}
   | S_dict { codes; _ } -> codes.{i} <- codes.{l}
   | S_boxed a ->
@@ -315,7 +362,8 @@ let truncate c n =
     let n = max 0 n in
     (match c.storage with
     | S_boxed a -> Array.fill a n (c.len - n) Value.Null
-    | S_empty | S_int _ | S_float _ | S_dict _ -> ());
+    | S_int a -> Icol.truncate a n
+    | S_empty | S_float _ | S_dict _ -> ());
     c.len <- n
   end
 
@@ -323,7 +371,7 @@ let equal_cell c i v =
   check c i "equal_cell";
   match c.storage, v with
   | S_empty, _ -> assert false
-  | S_int a, Value.Int x -> a.{i} = x
+  | S_int a, Value.Int x -> Icol.unsafe_get a i = x
   | S_float a, Value.Float x -> Float.equal a.{i} x
   | S_dict { codes; dict }, Value.String s ->
     String.equal (Dict.decode dict (Int32.to_int codes.{i})) s
@@ -344,7 +392,7 @@ let hash_cell c i =
   check c i "hash_cell";
   match c.storage with
   | S_empty -> assert false
-  | S_int a -> Value.hash_int a.{i}
+  | S_int a -> Value.hash_int (Icol.unsafe_get a i)
   | S_float a -> float_hash a.{i}
   | S_dict { codes; dict } -> Dict.hash dict (Int32.to_int codes.{i})
   | S_boxed a -> Value.hash a.(i)
@@ -352,7 +400,7 @@ let hash_cell c i =
 let add_cell c i v n =
   check c i "add_cell";
   match c.storage, v with
-  | S_int a, Value.Int x -> a.{i} <- a.{i} + (x * n)
+  | S_int a, Value.Int x -> Icol.unsafe_set a i (Icol.unsafe_get a i + (x * n))
   | S_float a, Value.Float x -> a.{i} <- a.{i} +. (x *. float_of_int n)
   | S_float a, Value.Int x -> a.{i} <- a.{i} +. float_of_int (x * n)
   | _ ->
@@ -363,7 +411,7 @@ let add_cell c i v n =
 let sub_cell c i v n =
   check c i "sub_cell";
   match c.storage, v with
-  | S_int a, Value.Int x -> a.{i} <- a.{i} - (x * n)
+  | S_int a, Value.Int x -> Icol.unsafe_set a i (Icol.unsafe_get a i - (x * n))
   | S_float a, Value.Float x -> a.{i} <- a.{i} -. (x *. float_of_int n)
   | S_float a, Value.Int x -> a.{i} <- a.{i} -. float_of_int (x * n)
   | _ -> set c i (Value.sub (get c i) (Value.scale v n))
@@ -380,7 +428,7 @@ let equal_cells c i src j =
   check c i "equal_cells";
   check src j "equal_cells";
   match c.storage, src.storage with
-  | S_int a, S_int b -> a.{i} = b.{j}
+  | S_int a, S_int b -> Icol.unsafe_get a i = Icol.unsafe_get b j
   | S_float a, S_float b -> Float.equal a.{i} b.{j}
   | S_dict { codes; dict }, S_dict { codes = codes'; dict = dict' } ->
     if dict == dict' then Int32.equal codes.{i} codes'.{j}
@@ -393,8 +441,8 @@ let equal_cells c i src j =
 let append_cell c src j =
   check src j "append_cell";
   match c.storage, src.storage with
-  | S_int a, S_int b when c.len < BA1.dim a ->
-    a.{c.len} <- b.{j};
+  | S_int a, S_int b ->
+    Icol.push a ~least:16 (Icol.unsafe_get b j);
     c.len <- c.len + 1
   | S_float a, S_float b when c.len < BA1.dim a ->
     a.{c.len} <- b.{j};
@@ -409,18 +457,20 @@ let add_cells c i src j n =
   check c i "add_cells";
   check src j "add_cells";
   match c.storage, src.storage with
-  | S_int a, S_int b -> a.{i} <- a.{i} + (b.{j} * n)
+  | S_int a, S_int b ->
+    Icol.unsafe_set a i (Icol.unsafe_get a i + (Icol.unsafe_get b j * n))
   | S_float a, S_float b -> a.{i} <- a.{i} +. (b.{j} *. float_of_int n)
-  | S_float a, S_int b -> a.{i} <- a.{i} +. float_of_int (b.{j} * n)
+  | S_float a, S_int b -> a.{i} <- a.{i} +. float_of_int (Icol.unsafe_get b j * n)
   | _ -> add_cell c i (get src j) n
 
 let sub_cells c i src j n =
   check c i "sub_cells";
   check src j "sub_cells";
   match c.storage, src.storage with
-  | S_int a, S_int b -> a.{i} <- a.{i} - (b.{j} * n)
+  | S_int a, S_int b ->
+    Icol.unsafe_set a i (Icol.unsafe_get a i - (Icol.unsafe_get b j * n))
   | S_float a, S_float b -> a.{i} <- a.{i} -. (b.{j} *. float_of_int n)
-  | S_float a, S_int b -> a.{i} <- a.{i} -. float_of_int (b.{j} * n)
+  | S_float a, S_int b -> a.{i} <- a.{i} -. float_of_int (Icol.unsafe_get b j * n)
   | _ -> sub_cell c i (get src j) n
 
 let zero_like_cell c i =
@@ -442,7 +492,8 @@ let combine_ext c i v ~is_min =
   check c i "combine_ext";
   match c.storage, v with
   | S_int a, Value.Int x ->
-    if (is_min && x < a.{i}) || ((not is_min) && x > a.{i}) then a.{i} <- x
+    let cur = Icol.unsafe_get a i in
+    if (is_min && x < cur) || ((not is_min) && x > cur) then Icol.unsafe_set a i x
   | _ ->
     let cur = get c i in
     let cmp = Value.compare v cur in
@@ -468,7 +519,7 @@ let[@inline] stored_float (cur : Cursor.t) j =
 let equal_stored c i (cur : Cursor.t) j =
   check c i "equal_stored";
   match c.storage, Array.unsafe_get cur.types j with
-  | S_int a, Datatype.TInt -> a.{i} = stored_int cur j
+  | S_int a, Datatype.TInt -> Icol.unsafe_get a i = stored_int cur j
   | S_float a, Datatype.TFloat -> Float.equal a.{i} (stored_float cur j)
   | S_dict { codes; dict }, Datatype.TString ->
     String.equal (Dict.decode dict (Int32.to_int codes.{i})) cur.texts.(j).(cur.row)
@@ -476,8 +527,8 @@ let equal_stored c i (cur : Cursor.t) j =
 
 let append_stored c (cur : Cursor.t) j =
   match c.storage, Array.unsafe_get cur.types j with
-  | S_int a, Datatype.TInt when c.len < BA1.dim a ->
-    a.{c.len} <- stored_int cur j;
+  | S_int a, Datatype.TInt ->
+    Icol.push a ~least:16 (stored_int cur j);
     c.len <- c.len + 1
   | S_float a, Datatype.TFloat when c.len < BA1.dim a ->
     a.{c.len} <- stored_float cur j;
@@ -500,7 +551,7 @@ let coded c =
 let code c i =
   check c i "code";
   match c.storage with
-  | S_int a -> a.{i}
+  | S_int a -> Icol.unsafe_get a i
   | S_dict { codes; _ } -> Int32.to_int codes.{i}
   | S_empty | S_float _ | S_boxed _ -> invalid_arg "Column.code: not coded"
 
@@ -547,7 +598,7 @@ let number_codes code n =
 let number c n =
   if n > c.len then invalid_arg "Column.number: past the column's end";
   match c.storage with
-  | S_int a -> number_codes (fun r -> a.{r}) n
+  | S_int a -> number_codes (Icol.unsafe_get a) n
   | S_dict { codes; _ } -> number_codes (fun r -> Int32.to_int codes.{r}) n
   | S_empty when n = 0 -> ([||], 0)
   | S_empty | S_float _ | S_boxed _ -> invalid_arg "Column.number: not coded"
@@ -579,20 +630,22 @@ let fold_stored c (cur : Cursor.t) j ~into ~groups op =
   in
   match Array.unsafe_get cur.types j with
   | Datatype.TInt when groups > 0 && not c.boxed_only ->
-    let a = BA1.create Bigarray.int Bigarray.c_layout (grown groups) in
+    let a = Icol.make (grown groups) in
     for r = 0 to Array.length into - 1 do
       let g = into.(r) in
       if g >= 0 then begin
         Cursor.seek cur r;
         let x = stored_int cur j in
-        if first g then a.{g} <- x
+        if first g then Icol.unsafe_set a g x
         else
+          let y = Icol.unsafe_get a g in
           match op with
-          | Sum -> a.{g} <- a.{g} + x
-          | Min -> if x < a.{g} then a.{g} <- x
-          | Max -> if x > a.{g} then a.{g} <- x
+          | Sum -> Icol.unsafe_set a g (y + x)
+          | Min -> if x < y then Icol.unsafe_set a g x
+          | Max -> if x > y then Icol.unsafe_set a g x
       end
     done;
+    Icol.set_length a groups;
     c.storage <- S_int a;
     c.len <- groups
   | Datatype.TFloat when groups > 0 && not c.boxed_only ->
@@ -638,7 +691,7 @@ let fold_add c ~into src ~at ~by =
   | S_int a, S_int b ->
     for k = 0 to Array.length into - 1 do
       let i = into.(k) in
-      if i >= 0 then a.{i} <- a.{i} + (b.{at.(k)} * w k)
+      if i >= 0 then Icol.add a i (Icol.get b at.(k) * w k)
     done
   | S_float a, S_float b ->
     for k = 0 to Array.length into - 1 do
@@ -675,7 +728,7 @@ let fold_ext c ~into src ~at ~is_min =
     for k = 0 to Array.length into - 1 do
       let i = into.(k) in
       if i >= 0 then begin
-        let x = b.{at.(k)} in
+        let x = Icol.get b at.(k) in
         if first i || (is_min && x < best.(i)) || ((not is_min) && x > best.(i))
         then best.(i) <- x
       end
@@ -697,15 +750,15 @@ let boxed_bytes v =
 
 let offheap_bytes c =
   match c.storage with
-  | S_empty | S_boxed _ -> 0
-  | S_int a -> 8 * BA1.dim a
+  | S_empty | S_int _ | S_boxed _ -> 0
   | S_float a -> 8 * BA1.dim a
   | S_dict { codes; _ } -> 4 * BA1.dim codes
 
 let byte_size c =
   match c.storage with
   | S_empty -> 0
-  | S_int _ | S_float _ | S_dict _ -> offheap_bytes c
+  | S_int a -> Icol.byte_size a
+  | S_float _ | S_dict _ -> offheap_bytes c
   | S_boxed a ->
     let bytes = ref (8 * Array.length a) in
     for i = 0 to c.len - 1 do

@@ -2,20 +2,27 @@
     view state.
 
     A column stores one cell per resident row. Storage specializes on the
-    first value appended: [Int] cells go to a native-int {!Bigarray},
-    [Float] cells to a float64 {!Bigarray}, [String] cells to int32
-    dictionary codes (see {!Dict}); anything else — or a later type
-    mismatch, which the relational layer's typed schemas make rare — falls
-    back to a boxed [Value.t array]. Growth is by doubling; deletion is
-    swap-with-last, keeping segments dense (row ids are not stable across
-    deletes — indexes are repaired by the owner).
+    first value appended: [Int] cells go to an {!Icol} buffer, [Float]
+    cells to a float64 {!Bigarray}, [String] cells to int32 dictionary
+    codes (see {!Dict}); anything else — or a later type mismatch, which
+    the relational layer's typed schemas make rare — falls back to a boxed
+    [Value.t array]. Growth is by doubling; deletion is swap-with-last,
+    keeping segments dense (row ids are not stable across deletes —
+    indexes are repaired by the owner).
 
     Cells are read/written through [Value.t] at the API boundary, but the
     probe hot paths use {!equal_cell} / {!hash_cell} / {!add_cell} /
     {!sub_cell}, which avoid boxing entirely on specialized storage. *)
 
 module Icol : sig
-  (** A dense unboxed [int] column (counts, row positions). *)
+  (** A dense unboxed [int] buffer: the integer cells of every group store
+      (key, sum and extremum columns, counts, row positions and index
+      buckets).
+
+      One width rule holds for all of them: cells take 4 bytes until a
+      value outside [[-2^31, 2^31 - 1]] is stored; then the buffer widens,
+      once, to 8-byte cells and never narrows back. Every operation below
+      reads and writes the cells' full [int] values, whatever the width. *)
 
   type t
 
@@ -55,10 +62,15 @@ module Icol : sig
   (** [swap_delete c i] moves the last cell into [i] and shrinks by one. *)
   val swap_delete : t -> int -> unit
 
+  (** Bytes allocated for the cells: the capacity times the cell width. *)
   val byte_size : t -> int
 
   (** The cells allocated: [length] plus the appends that fit unresized. *)
   val capacity : t -> int
+
+  (** Bytes per cell: 4, or 8 once a value outside the int32 range was
+      stored. *)
+  val width : t -> int
 
   (** [truncate c n] drops every cell from [n] on, keeping the capacity. *)
   val truncate : t -> int -> unit
@@ -236,8 +248,9 @@ val fold_add : t -> into:int array -> t -> at:int array -> by:int array -> unit
     compared unboxed, and each cell boxed once. *)
 val fold_ext : t -> into:int array -> t -> at:int array -> is_min:bool -> unit
 
-(** Bytes held by this column's cells: Bigarray payloads (which
-    [Obj.reachable_words] cannot see — they live off-heap) plus an estimate
+(** Bytes held by this column's cells: the allocated length of its
+    {!Icol} or Bigarray times the cell width (a Bigarray payload lives
+    off-heap, where [Obj.reachable_words] cannot see it), or an estimate
     of boxed storage. Excludes the dictionary (shared; account it once via
     {!dict}). *)
 val byte_size : t -> int
@@ -246,8 +259,9 @@ val byte_size : t -> int
     boxed cell. *)
 val boxed_bytes : Relational.Value.t -> int
 
-(** Off-heap (Bigarray payload) bytes only — the complement of what
-    [Obj.reachable_words] measures. *)
+(** Off-heap (Bigarray payload: float and dictionary code) bytes only —
+    the complement of what [Obj.reachable_words] measures. Integer cells
+    live on the heap. *)
 val offheap_bytes : t -> int
 
 (** The dictionary backing string cells, if the column holds any. *)

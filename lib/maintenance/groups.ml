@@ -129,6 +129,7 @@ let key_at g r =
 
 let add_row g ~hash cnt =
   let r = group_count g in
+  Rowmap.check_row r;
   Icol.append g.cnts cnt;
   Marks.append g.touched;
   Rowmap.add g.map ~hash r;
@@ -139,6 +140,7 @@ let add_row g ~hash cnt =
 let load_rows g ~into ~pairs n =
   if group_count g > 0 || in_txn g then
     invalid_arg "Groups.load_rows: store not empty or in a transaction";
+  if n > 0 then Rowmap.check_row (n - 1);
   Icol.append_counts g.cnts ~into n;
   Marks.append_n g.touched n;
   Rowmap.load g.map pairs;

@@ -69,7 +69,9 @@ val key_at : t -> int -> Relational.Tuple.t
 val row_hash : t -> int -> int
 
 (** [add_row g ~hash cnt] registers the row whose key and component
-    cells the owner has just appended, with count [cnt]; returns it. *)
+    cells the owner has just appended, with count [cnt]; returns it.
+    @raise Invalid_argument if that row's id is not below
+    {!Relational.Rowmap.max_rows} ({!Relational.Rowmap.check_row}). *)
 val add_row : t -> hash:int -> int -> int
 
 (** [load_rows g ~into ~pairs n] registers rows [0 .. n - 1] of an empty

@@ -1,5 +1,5 @@
-(* Slots are 32-bit entries packed in [Bytes] — row ids are segment offsets
-   and stay far below 2^31, and halving the slot width matters: the slot
+(* Slots are 32-bit entries packed in [Bytes] — row ids are segment offsets,
+   below [max_rows], and halving the slot width matters: the slot
    table is the largest per-row overhead of the columnar representation
    (the bytes/aux-row numbers in BENCH_columnar.json count it).
 
@@ -23,8 +23,22 @@ type t = {
    out, and a load in that order would pile them into one run. *)
 let home hash mask = ((hash * 0x9E3779B97F4A7C1) lsr 29) land mask
 
+let max_rows = 0x7FFF_FFFF
+
+let refuse r =
+  invalid_arg
+    (Printf.sprintf "Rowmap: row %d is past the %d rows a map can index" r
+       max_rows)
+
+let[@inline] check_row r = if r >= max_rows then refuse r
+
 let slot_get slots i = Int32.to_int (Bytes.get_int32_ne slots (4 * i))
-let slot_set slots i v = Bytes.set_int32_ne slots (4 * i) (Int32.of_int v)
+
+(* The one write of a slot: a row id past [max_rows] is refused, not
+   wrapped. *)
+let slot_set slots i v =
+  check_row v;
+  Bytes.set_int32_ne slots (4 * i) (Int32.of_int v)
 
 (* every byte 0xff = each int32 slot reads as [empty] *)
 let make_slots cap = Bytes.make (4 * cap) '\xff'

@@ -13,6 +13,16 @@
 
 type t
 
+(** Row ids a map indexes are below [max_rows], 2^31 - 1: a slot holds
+    one in 32 bits. *)
+val max_rows : int
+
+(** [check_row r] refuses a row id past the bound: every slot write
+    checks it, and a store that numbers its rows for a map checks a new
+    row with it before it changes anything.
+    @raise Invalid_argument if [r >= max_rows]. *)
+val check_row : int -> unit
+
 (** [home hash mask] is the first slot a key of hash [hash] is probed at
     in a map of [mask + 1] slots. *)
 val home : int -> int -> int

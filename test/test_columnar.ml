@@ -451,7 +451,9 @@ let column_tests =
         Column.swap_delete c 0;
         Alcotest.(check int) "length after delete" 99 (Column.length c);
         Alcotest.check value "last cell moved into the hole" (i 99) (Column.get c 0);
-        Alcotest.(check bool) "off-heap payload" true (Column.offheap_bytes c > 0));
+        (* 99 cells in a 128-cell buffer of 4-byte cells, on the heap *)
+        Alcotest.(check int) "cell bytes" 512 (Column.byte_size c);
+        Alcotest.(check int) "no off-heap payload" 0 (Column.offheap_bytes c));
     test "type mismatch demotes to boxed, preserving cells" (fun () ->
         let c = Column.create () in
         for k = 0 to 49 do Column.append c (i k) done;
@@ -1051,10 +1053,11 @@ let accounting_tests =
           VS.feed vs (vs_contribs (row [ i k ]) ~v:k ~lbl:"x") ~cnt:1
         done;
         Alcotest.(check bool) "view bytes grew" true (VS.byte_size vs > before);
-        Alcotest.(check bool) "view off-heap payload" true (VS.offheap_bytes vs > 0));
+        (* integer and boxed cells only: nothing off the heap *)
+        Alcotest.(check int) "view off-heap payload" 0 (VS.offheap_bytes vs));
     test "an undo log far larger than its last use is released" (fun () ->
         (* the log is not in [byte_size]; its count and hash columns are
-           OCaml arrays, so the heap words the state reaches show it *)
+           on the OCaml heap, so the heap words the state reaches show it *)
         let words st = Obj.reachable_words (Obj.repr st) in
         let spec, schema = specs_for "sale" in
         let st = AS.create spec schema in
@@ -1086,6 +1089,290 @@ let accounting_tests =
         Alcotest.(check bool) "view log released" true (words vs + 4000 < big));
   ]
 
+(* --- the width rule ---------------------------------------------------------
+
+   An integer buffer keeps 4-byte cells until a value outside the int32
+   range is stored, then 8-byte cells for good. Every operation, against
+   an [int array] model, on values at and across the edges of a narrow
+   cell and at the ends of [int]; a column's integer storage is such a
+   buffer, and is checked alongside. *)
+
+let fits_int32 x = x >= -0x8000_0000 && x <= 0x7FFF_FFFF
+
+let gen_cell =
+  Gen.oneof
+    [
+      Gen.int_range (-4) 4;
+      Gen.map (fun d -> 0x7FFF_FFFF + d) (Gen.int_range (-2) 2);
+      Gen.map (fun d -> -0x8000_0000 + d) (Gen.int_range (-2) 2);
+      Gen.oneofl [ min_int; max_int ];
+    ]
+
+type op =
+  | Append of int
+  | Set of int * int
+  | Add of int * int * int  (** row, operand, count *)
+  | Sub of int * int * int
+  | Swap_delete of int
+  | Truncate of int
+  | Append_counts of int * int list  (** cells, and the cell of each item *)
+
+let show_op = function
+  | Append v -> Printf.sprintf "append %d" v
+  | Set (r, v) -> Printf.sprintf "set %d %d" r v
+  | Add (r, v, n) -> Printf.sprintf "add %d %d*%d" r v n
+  | Sub (r, v, n) -> Printf.sprintf "sub %d %d*%d" r v n
+  | Swap_delete r -> Printf.sprintf "swap_delete %d" r
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Append_counts (n, into) ->
+    Printf.sprintf "append_counts %d [%s]" n
+      (String.concat ";" (List.map string_of_int into))
+
+(* Rows are drawn as naturals, taken modulo the length when applied. *)
+let gen_op =
+  let open Gen in
+  frequency
+    [
+      (4, map (fun v -> Append v) gen_cell);
+      (2, map2 (fun r v -> Set (r, v)) nat gen_cell);
+      (2, map3 (fun r v n -> Add (r, v, n)) nat gen_cell (int_range 0 3));
+      (2, map3 (fun r v n -> Sub (r, v, n)) nat gen_cell (int_range 0 3));
+      (1, map (fun r -> Swap_delete r) nat);
+      (1, map (fun n -> Truncate n) nat);
+      ( 1,
+        int_range 0 4 >>= fun n ->
+        map
+          (fun into -> Append_counts (n, into))
+          (list_size (int_range 0 6) (int_range (-1) (n - 1))) );
+    ]
+
+(* The buffer, the column and the model after every operation, and the
+   buffer wide exactly when some stored value did not fit 4 bytes. *)
+let width_rule_run ops =
+  let c = Icol.create () and col = Column.create () in
+  let m = ref [||] and wide = ref false in
+  let store v = if not (fits_int32 v) then wide := true in
+  let agree () =
+    let m = !m in
+    Icol.length c = Array.length m
+    && Column.length col = Array.length m
+    && Icol.width c = (if !wide then 8 else 4)
+    && Icol.byte_size c = Icol.width c * Icol.capacity c
+    && Array.for_all Fun.id
+         (Array.mapi
+            (fun r v ->
+              Icol.get c r = v
+              && Value.equal (Column.get col r) (i v)
+              && Column.equal_cell col r (i v)
+              && Column.hash_cell col r = Value.hash (i v))
+            m)
+  in
+  List.for_all
+    (fun op ->
+      let n = Array.length !m in
+      (match op with
+      | Append v ->
+        Icol.append c v;
+        Column.append col (i v);
+        m := Array.append !m [| v |];
+        store v
+      | Set (r, v) when n > 0 ->
+        let r = r mod n in
+        Icol.set c r v;
+        Column.set col r (i v);
+        !m.(r) <- v;
+        store v
+      | Add (r, v, k) when n > 0 ->
+        let r = r mod n in
+        Icol.add c r (v * k);
+        Column.add_cell col r (i v) k;
+        !m.(r) <- !m.(r) + (v * k);
+        store !m.(r)
+      | Sub (r, v, k) when n > 0 ->
+        let r = r mod n in
+        Icol.add c r (-(v * k));
+        Column.sub_cell col r (i v) k;
+        !m.(r) <- !m.(r) - (v * k);
+        store !m.(r)
+      | Swap_delete r when n > 0 ->
+        let r = r mod n in
+        Icol.swap_delete c r;
+        Column.swap_delete col r;
+        !m.(r) <- !m.(n - 1);
+        m := Array.sub !m 0 (n - 1)
+      | Truncate k ->
+        let k = k mod (n + 1) in
+        Icol.truncate c k;
+        Column.truncate col k;
+        m := Array.sub !m 0 k
+      | Append_counts (k, into) ->
+        Icol.append_counts c ~into:(Array.of_list into) k;
+        let counts =
+          Array.init k (fun r -> List.length (List.filter (( = ) r) into))
+        in
+        Array.iter (fun v -> Column.append col (i v)) counts;
+        m := Array.append !m counts
+      | Set _ | Add _ | Sub _ | Swap_delete _ -> ());
+      agree ())
+    ops
+
+let prop_width_rule =
+  QCheck2.Test.make ~count:(10 * count)
+    ~name:"integer buffer and column == int array model (width rule)"
+    ~print:QCheck2.Print.(list show_op)
+    Gen.(list_size (int_range 1 60) gen_op)
+    width_rule_run
+
+(* [Column.fold_stored] of an INT column over a table's rows, against the
+   row-at-a-time fold: a group's cell is its first row's, then summed,
+   or replaced by a smaller or greater value. Sums cross the edges of a
+   narrow cell mid-fold. *)
+let fold_stored_run rows =
+  let db = Database.create () in
+  let col name = { Schema.col_name = name; col_type = Datatype.TInt } in
+  Database.add_table db
+    (Schema.make ~name:"t" ~key:"k" [ col "k"; col "x" ])
+    ~updatable:[];
+  List.iteri (fun k (_, x) -> Database.insert db "t" (row [ i k; i x ])) rows;
+  (* groups numbered in the order of their first rows; a label of 5:
+     the row folds into none *)
+  let seen = Hashtbl.create 8 in
+  let into =
+    Array.of_list
+      (List.map
+         (fun (g, _) ->
+           if g = 5 then -1
+           else
+             match Hashtbl.find_opt seen g with
+             | Some id -> id
+             | None ->
+               let id = Hashtbl.length seen in
+               Hashtbl.add seen g id;
+               id)
+         rows)
+  in
+  let groups = Hashtbl.length seen in
+  let cur = Database.Cursor.create db "t" in
+  (* the table's rows come back in its storage order: fold in that *)
+  let xs = Array.init (Database.Cursor.rows cur) (fun r ->
+    Database.Cursor.seek cur r;
+    (Database.Cursor.int cur 0, Database.Cursor.int cur 1))
+  in
+  let into = Array.map (fun (k, _) -> into.(k)) xs in
+  List.for_all
+    (fun (op, step) ->
+      let c = Column.create () in
+      Column.fold_stored c cur 1 ~into ~groups op;
+      let model = Array.make groups None in
+      Array.iteri
+        (fun r g ->
+          if g >= 0 then
+            let x = snd xs.(r) in
+            model.(g) <-
+              Some (match model.(g) with None -> x | Some y -> step y x))
+        into;
+      Column.length c = groups
+      && Array.for_all Fun.id
+           (Array.mapi
+              (fun g v ->
+                match v with
+                | Some v -> Value.equal (Column.get c g) (i v)
+                | None -> false)
+              model))
+    [ (Column.Sum, ( + )); (Column.Min, min); (Column.Max, max) ]
+
+let prop_fold_stored =
+  QCheck2.Test.make ~count:(5 * count)
+    ~name:"fold_stored of INT cells == row-at-a-time fold (width rule)"
+    ~print:QCheck2.Print.(list (pair int int))
+    Gen.(
+      list_size (int_range 0 40)
+        (pair (int_range 0 5)
+           (oneof [ gen_cell; map (fun d -> 0x4000_0000 + d) (int_range 0 9) ])))
+    fold_stored_run
+
+(* One store of integer keys, component and int cells, its groups
+   registered in the order given. *)
+let int_store groups =
+  let st =
+    Groups.create ~keys:[| Column.create () |] ~cells:[| Column.create () |]
+      ~ints:1 ~sets:0
+  in
+  List.iter
+    (fun (k, cnt) ->
+      Column.append st.keys.(0) (i k);
+      Column.append st.cells.(0) (i (2 * k));
+      Icol.append st.ints.(0) (3 * k);
+      ignore (Groups.add_row st ~hash:(Tuple.hash (row [ i k ])) cnt : int))
+    groups;
+  st
+
+let narrow_groups =
+  [ (0, 1); (1, 2); (-0x8000_0000 / 3, 3); (0x7FFF_FFFF / 3, 4); (5_000, 5) ]
+
+let width_tests =
+  [
+    test "a narrow and a widened store of the same groups agree" (fun () ->
+        let narrow = int_store narrow_groups in
+        (* a group past every narrow cell widens each column, and its
+           deletion leaves them wide *)
+        let big = 1 lsl 40 in
+        let wide = int_store ((big, big) :: narrow_groups) in
+        ignore (Groups.delete_row wide ~hash:(Tuple.hash (row [ i big ])) 0 : int);
+        Alcotest.(check int) "narrow counts" 4 (Icol.width narrow.cnts);
+        Alcotest.(check int) "wide counts" 8 (Icol.width wide.cnts);
+        Alcotest.(check int) "wide int cells" 8 (Icol.width wide.ints.(0));
+        Alcotest.(check bool) "Groups.equal narrow wide" true
+          (Groups.equal narrow wide);
+        Alcotest.(check bool) "Groups.equal wide narrow" true
+          (Groups.equal wide narrow);
+        for r = 0 to Groups.group_count wide - 1 do
+          let key = Groups.key_at wide r in
+          let r' = Groups.find narrow ~hash:(Tuple.hash key) key in
+          Alcotest.(check bool) "found" true (r' >= 0);
+          Alcotest.(check bool) "equal_cells" true
+            (Column.equal_cells wide.keys.(0) r narrow.keys.(0) r'
+            && Column.equal_cells narrow.cells.(0) r' wide.cells.(0) r);
+          Alcotest.(check int) "hash_cell" (Column.hash_cell narrow.keys.(0) r')
+            (Column.hash_cell wide.keys.(0) r);
+          Alcotest.(check int) "row hash == Tuple.hash of the boxed key"
+            (Tuple.hash key) (Groups.row_hash wide r);
+          Alcotest.(check int) "narrow row hash" (Tuple.hash key)
+            (Groups.row_hash narrow r')
+        done;
+        (* one different cell is told apart, whatever the widths *)
+        Column.set wide.cells.(0) 0 (Value.add (Column.get wide.cells.(0) 0) (i 1));
+        Alcotest.(check bool) "a changed cell differs" false (Groups.equal narrow wide));
+    test "byte accounting: allocated cells times their width" (fun () ->
+        (* five groups: 16-cell key and component columns (64 B each), 8-cell
+           count and int buffers (32 B each), 16 marks and 64 map slots
+           (256 B) *)
+        let st = int_store narrow_groups in
+        Alcotest.(check int) "narrow store" 464 (Groups.byte_size st);
+        Alcotest.(check int) "count buffer" 32 (Icol.byte_size st.cnts);
+        Column.set st.cells.(0) 3 (i (1 lsl 40));
+        Alcotest.(check int) "one widened column" (464 + 64) (Groups.byte_size st);
+        Alcotest.(check int) "its bytes" 128 (Column.byte_size st.cells.(0));
+        (* and a widened buffer stays wide once the value is gone *)
+        Column.set st.cells.(0) 3 (i 0);
+        Alcotest.(check int) "never narrows back" (464 + 64) (Groups.byte_size st));
+    test "row ids have one checked bound" (fun () ->
+        Alcotest.(check int) "2^31 - 1 rows" 0x7FFF_FFFF Rowmap.max_rows;
+        Rowmap.check_row (Rowmap.max_rows - 1);
+        let refused r =
+          match Rowmap.check_row r with
+          | () -> false
+          | exception Invalid_argument _ -> true
+        in
+        Alcotest.(check bool) "the 2^31-th row is refused" true
+          (refused Rowmap.max_rows);
+        Alcotest.(check bool) "and every later one" true (refused max_int);
+        (* the last row id a store can hold fits a narrow cell *)
+        let c = Icol.create () in
+        Icol.append c (Rowmap.max_rows - 1);
+        Alcotest.(check int) "narrow row ids" 4 (Icol.width c));
+  ]
+
 let () =
   Alcotest.run "columnar"
     [
@@ -1107,4 +1394,8 @@ let () =
       ("index-repair", index_tests);
       ("undo-journal", undo_tests);
       ("accounting", accounting_tests);
+      ( "width-rule",
+        width_tests
+        @ List.map QCheck_alcotest.to_alcotest [ prop_width_rule; prop_fold_stored ]
+      );
     ]

@@ -257,6 +257,52 @@ let rollback_tests =
          (fun c -> List.mem c.cname [ "minimal-distinct"; "minimal-distinct-all" ])
          cases)
 
+(* --- a failed batch that widened its cells -------------------------------- *)
+
+(* A sale priced past every 4-byte cell widens the sum cells it reaches;
+   the batch then fails on a NULL price. Rollback must restore the state a
+   rebuild holds, the rolled-back cells staying wide (a buffer never
+   narrows) and comparing equal to the rebuild's narrow ones. Then the
+   sale, committed, must render as recomputation does. *)
+let widened_rollback case () =
+  let db = Workload.Retail.load tiny in
+  let eng = case.build db in
+  let snapshot = case.build db in
+  let big () = row [ i (next_id ()); i 6; i 1; i 1; i 3_000_000_000 ] in
+  Engines.begin_txn eng;
+  (match
+     Engines.apply_batch eng
+       [ Delta.insert "sale" (big ()); null_price_insert () ]
+   with
+  | () -> Alcotest.fail "the poisoned batch must raise"
+  | exception _ -> ());
+  Alcotest.(check bool)
+    "the failed batch changed the engine" false
+    (Engines.equal_state eng snapshot);
+  Engines.rollback eng;
+  Alcotest.(check bool)
+    "rollback restores the rebuild" true
+    (Engines.equal_state eng snapshot);
+  let sale = big () in
+  Database.insert db "sale" sale;
+  Engines.begin_txn eng;
+  Engines.apply_batch eng [ Delta.insert "sale" sale ];
+  Engines.commit eng;
+  Alcotest.check relation "the wide sum renders as recomputation"
+    (Algebra.Eval.eval db case.cview)
+    (Engines.view_contents eng);
+  Alcotest.(check bool)
+    "and equals a rebuild" true
+    (Engines.equal_state eng (case.build db))
+
+let widened_tests =
+  List.map
+    (fun case ->
+      test
+        (Printf.sprintf "%s: a batch that widened a column rolls back" case.cname)
+        (widened_rollback case))
+    cases
+
 (* --- NULL poisoning regression ----------------------------------------- *)
 
 let null_tests =
@@ -521,6 +567,7 @@ let () =
   Alcotest.run "txn"
     [
       ("rollback-structural-equality", rollback_tests);
+      ("widened-rollback", widened_tests);
       ("null-poisoning", null_tests); ("index-strictness", index_tests);
       ("validator-journal", validator_tests);
       ("warehouse-abort", abort_tests);
